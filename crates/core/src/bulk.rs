@@ -88,6 +88,7 @@ impl RTreeIndex {
             index.tree.pool.set_wal_mode(false);
         }
         let tree = &mut index.tree;
+        let pool = Arc::clone(&tree.pool);
 
         // ---- leaf level: sort by x, tile into vertical slices, sort each
         // slice by y, pack runs of `leaf_fill` objects per leaf ----
@@ -148,7 +149,7 @@ impl RTreeIndex {
                     node.internal_entries_mut().extend(run.iter().copied());
                     if tree.opts.strategy.needs_parent_pointers() && level == 1 {
                         for e in &run {
-                            tree.bulk_set_parent(e.child, pid)?;
+                            tree.set_parent_pointer(&pool, e.child, pid)?;
                         }
                     }
                     let mbr = node.mbr();
@@ -206,6 +207,7 @@ impl RTreeIndex {
             index.tree.pool.set_wal_mode(false);
         }
         let tree = &mut index.tree;
+        let pool = Arc::clone(&tree.pool);
 
         // ---- leaf level: one global Hilbert sort, sequential runs ----
         let leaf_cap = tree.leaf_cap();
@@ -253,7 +255,7 @@ impl RTreeIndex {
                 node.internal_entries_mut().extend(run.iter().copied());
                 if tree.opts.strategy.needs_parent_pointers() && level == 1 {
                     for e in &run {
-                        tree.bulk_set_parent(e.child, pid)?;
+                        tree.set_parent_pointer(&pool, e.child, pid)?;
                     }
                 }
                 let mbr = node.mbr();
@@ -284,12 +286,6 @@ impl RTree {
         let (pid, guard) = self.pool.new_page()?;
         drop(guard);
         Ok(pid)
-    }
-
-    fn bulk_set_parent(&mut self, child: PageId, parent: PageId) -> CoreResult<()> {
-        let mut node = self.read_node(child)?;
-        node.parent = parent;
-        self.write_node(child, &node)
     }
 
     /// Replace the placeholder root created by index creation with the

@@ -21,13 +21,14 @@
 
 use crate::config::GbuParams;
 use crate::error::{CoreError, CoreResult};
-use crate::node::{LeafEntry, Node, ObjectId};
+use crate::node::{LeafEntry, ObjectId};
 use crate::stats::UpdateOutcome;
 use crate::topdown;
-use crate::tree::{AnyEntry, RTree};
+use crate::tree::{AnyEntry, PinnedNode, RTree};
 use bur_geom::{Point, Rect};
-use bur_storage::PageId;
+use bur_storage::{BufferPool, PageId};
 use std::sync::atomic::Ordering;
+use std::sync::Arc;
 
 /// Algorithm 4, `iExtendMBR`: enlarge `leaf` towards `new_loc` only, by
 /// at most `eps` per extended side, never beyond `parent`. The result
@@ -60,7 +61,11 @@ pub fn iextend_mbr(leaf: Rect, new_loc: Point, eps: f32, parent: Rect) -> Rect {
     r
 }
 
-/// Run one generalized bottom-up update.
+/// Run one generalized bottom-up update. The leaf, its parent and a
+/// shift's sibling are each pinned once and rewritten through that pin,
+/// so an update asks the pool for a page at most once: hash probe + leaf
+/// = 2 fetches in place, + parent = 3 extended, + sibling + hash upsert
+/// = 5 shifted — the paper's own accounting with "R/W" as one access.
 pub(crate) fn update(
     tree: &mut RTree,
     params: GbuParams,
@@ -83,7 +88,8 @@ pub(crate) fn update(
     let Some(leaf_pid) = hash.get(oid)? else {
         return Err(CoreError::ObjectNotFound(oid));
     };
-    let mut leaf = tree.read_node(leaf_pid)?;
+    let pool = Arc::clone(&tree.pool);
+    let mut leaf = RTree::pin_node(&pool, leaf_pid)?;
     let Some(idx) = leaf.oid_index(oid) else {
         return Err(CoreError::CorruptNode {
             pid: leaf_pid,
@@ -97,7 +103,7 @@ pub(crate) fn update(
     // except the root may legitimately grow, so handle it in place too).
     if leaf.mbr().contains_point(&new) || leaf_pid == tree.root {
         leaf.leaf_entries_mut()[idx].rect = new_rect;
-        tree.write_node(leaf_pid, &leaf)?;
+        tree.write_pinned(&leaf);
         return Ok(UpdateOutcome::InPlace);
     }
 
@@ -120,7 +126,7 @@ pub(crate) fn update(
 
     // Both repairs need the parent node; read it once (1 I/O — the
     // paper's "R parent" charge).
-    let mut parent = tree.read_node(parent_pid)?;
+    let mut parent = RTree::pin_node(&pool, parent_pid)?;
     let pidx = parent.child_index(leaf_pid).ok_or(CoreError::CorruptNode {
         pid: parent_pid,
         reason: "summary parent does not list the leaf",
@@ -129,46 +135,36 @@ pub(crate) fn update(
     if official.contains_point(&new) {
         // A previous extension already covers the target.
         leaf.leaf_entries_mut()[idx].rect = new_rect;
-        tree.write_node(leaf_pid, &leaf)?;
+        tree.write_pinned(&leaf);
         return Ok(UpdateOutcome::InPlace);
     }
 
-    if extend_first {
-        if let Some(outcome) = try_extend(
+    if extend_first
+        && try_extend(
             tree,
             params,
             &mut leaf,
-            leaf_pid,
             idx,
             &mut parent,
-            parent_pid,
             pidx,
             parent_mbr,
             new,
-        )? {
-            return Ok(outcome);
-        }
+        )
+    {
+        return Ok(UpdateOutcome::Extended);
     }
 
     // Any further repair deletes the entry first; a bottom-up delete must
     // not underflow the leaf.
     if leaf.count() <= tree.min_fill_leaf() {
+        // Nothing was modified; the top-down path reads its own copies.
+        drop((leaf, parent));
         return topdown::update(tree, oid, old, new);
     }
     leaf.leaf_entries_mut().swap_remove(idx);
 
-    if let Some(outcome) = try_shift(
-        tree,
-        params,
-        &mut leaf,
-        leaf_pid,
-        &mut parent,
-        parent_pid,
-        pidx,
-        oid,
-        new,
-    )? {
-        return Ok(outcome);
+    if try_shift(tree, &pool, params, &mut leaf, &mut parent, pidx, oid, new)? {
+        return Ok(UpdateOutcome::Shifted);
     }
 
     if !extend_first {
@@ -176,21 +172,17 @@ pub(crate) fn update(
         // extension after all.
         leaf.leaf_entries_mut().push(LeafEntry::point(oid, new));
         let idx = leaf.count() - 1;
-        // Re-point the entry at the *old* location for try_extend's
-        // in-place write of the new one.
-        if let Some(outcome) = try_extend(
+        if try_extend(
             tree,
             params,
             &mut leaf,
-            leaf_pid,
             idx,
             &mut parent,
-            parent_pid,
             pidx,
             parent_mbr,
             new,
-        )? {
-            return Ok(outcome);
+        ) {
+            return Ok(UpdateOutcome::Extended);
         }
         leaf.leaf_entries_mut().swap_remove(idx);
     }
@@ -200,11 +192,14 @@ pub(crate) fn update(
     // paper applies after shifts; without it the source rectangles of
     // ascended objects would ratchet outward and query performance would
     // degrade with update volume, the opposite of the paper's Figure 6(f).
-    tree.write_node(leaf_pid, &leaf)?;
+    tree.write_pinned(&leaf);
     let tight = leaf.mbr();
+    // The re-insert below may pick this very leaf again: let go of the
+    // decoded copy before anything else rewrites the page.
+    drop(leaf);
     if parent.internal_entries()[pidx].rect != tight {
         parent.internal_entries_mut()[pidx].rect = tight;
-        tree.write_node(parent_pid, &parent)?;
+        tree.write_pinned(&parent);
     }
     let max_ascent = params
         .level_threshold
@@ -216,6 +211,7 @@ pub(crate) fn update(
     } else {
         summary.find_parent(leaf_pid, new, max_ascent)
     };
+    let entry = AnyEntry::Leaf(LeafEntry::point(oid, new));
     match target {
         Some((anc, levels, true)) => {
             // Build the ancestor chain above `anc` from the summary so a
@@ -231,13 +227,20 @@ pub(crate) fn update(
                 chain.push(parent);
                 cur = parent;
             }
-            tree.insert_from(anc, &chain, AnyEntry::Leaf(LeafEntry::point(oid, new)))?;
+            if anc == parent_pid {
+                // One level up: descend from the parent already pinned.
+                tree.insert_from_pinned(&pool, parent, &chain, entry)?;
+            } else {
+                drop(parent);
+                tree.insert_from(anc, &chain, entry)?;
+            }
             Ok(UpdateOutcome::Ascended { levels })
         }
         _ => {
             // No bounding ancestor within L levels (or L = 0): standard
             // insert from the root, as Algorithm 3's fallback prescribes.
-            tree.insert_object(LeafEntry::point(oid, new))?;
+            drop(parent);
+            tree.insert_from(tree.root, &[], entry)?;
             Ok(UpdateOutcome::Ascended {
                 levels: tree.height - 1,
             })
@@ -245,74 +248,68 @@ pub(crate) fn update(
     }
 }
 
-/// Try the directional ε-extension. On success writes parent + leaf and
-/// returns the outcome. The entry at `idx` is moved to `new`.
+/// Try the directional ε-extension. On success writes parent + leaf
+/// (through their pins) and returns `true`. The entry at `idx` is moved
+/// to `new`.
 #[allow(clippy::too_many_arguments)]
 fn try_extend(
     tree: &mut RTree,
     params: GbuParams,
-    leaf: &mut Node,
-    leaf_pid: PageId,
+    leaf: &mut PinnedNode<'_>,
     idx: usize,
-    parent: &mut Node,
-    parent_pid: PageId,
+    parent: &mut PinnedNode<'_>,
     pidx: usize,
     parent_mbr: Rect,
     new: Point,
-) -> CoreResult<Option<UpdateOutcome>> {
+) -> bool {
     let official = parent.internal_entries()[pidx].rect;
     let imbr = iextend_mbr(official, new, params.epsilon, parent_mbr);
     if !imbr.contains_point(&new) {
-        return Ok(None);
+        return false;
     }
     parent.internal_entries_mut()[pidx].rect = imbr;
-    tree.write_node(parent_pid, parent)?;
+    tree.write_pinned(parent);
     leaf.leaf_entries_mut()[idx].rect = Rect::from_point(new);
-    tree.write_node(leaf_pid, leaf)?;
-    Ok(Some(UpdateOutcome::Extended))
+    tree.write_pinned(leaf);
+    true
 }
 
 /// Try the sibling shift. `leaf` has already had the entry removed. On
-/// success writes sibling + leaf + parent (tightened) and returns the
-/// outcome; on failure leaves all pages untouched.
+/// success writes sibling + leaf + parent (tightened) and returns `true`;
+/// on failure leaves all pages untouched.
 #[allow(clippy::too_many_arguments)]
 fn try_shift(
     tree: &mut RTree,
+    pool: &BufferPool,
     params: GbuParams,
-    leaf: &mut Node,
-    leaf_pid: PageId,
-    parent: &mut Node,
-    parent_pid: PageId,
+    leaf: &mut PinnedNode<'_>,
+    parent: &mut PinnedNode<'_>,
     pidx: usize,
     oid: ObjectId,
     new: Point,
-) -> CoreResult<Option<UpdateOutcome>> {
+) -> CoreResult<bool> {
     // Candidate siblings: MBR contains the target and the bit vector says
     // they are not full — zero additional disk accesses to select one.
-    let (best, leaf_cap) = {
-        let summary = tree.summary.as_ref().expect("GBU requires the summary");
-        let leaf_cap = tree.leaf_cap();
-        let mut best: Option<(PageId, f32)> = None;
-        for (i, e) in parent.internal_entries().iter().enumerate() {
-            if i == pidx || !e.rect.contains_point(&new) || summary.is_leaf_full(e.child) {
-                continue;
-            }
-            // Prefer the smallest (most specific) containing sibling.
-            let area = e.rect.area();
-            if best.is_none_or(|(_, a)| area < a) {
-                best = Some((e.child, area));
-            }
+    let leaf_cap = tree.leaf_cap();
+    let summary = tree.summary.as_ref().expect("GBU requires the summary");
+    let mut best: Option<(PageId, Rect)> = None;
+    for (i, e) in parent.internal_entries().iter().enumerate() {
+        if i == pidx || !e.rect.contains_point(&new) || summary.is_leaf_full(e.child) {
+            continue;
         }
-        (best, leaf_cap)
+        // Prefer the smallest (most specific) containing sibling.
+        if best.is_none_or(|(_, r)| e.rect.area() < r.area()) {
+            best = Some((e.child, e.rect));
+        }
+    }
+    let Some((sib_pid, sib_rect)) = best else {
+        return Ok(false);
     };
-    let Some((sib_pid, _)) = best else {
-        return Ok(None);
-    };
-    let mut sib = tree.read_node(sib_pid)?;
+    let mut sib = RTree::pin_node(pool, sib_pid)?;
     if sib.count() >= leaf_cap {
         // The bit vector is maintained synchronously so this should not
         // happen; stay safe regardless.
-        return Ok(None);
+        return Ok(false);
     }
     sib.leaf_entries_mut().push(LeafEntry::point(oid, new));
     tree.hash_place(oid, sib_pid)?;
@@ -327,8 +324,6 @@ fn try_shift(
     // overfill the sibling.
     if params.piggyback {
         const MAX_PIGGYBACK: u64 = 3;
-        let sib_rect =
-            parent.internal_entries()[parent.child_index(sib_pid).expect("sibling entry")].rect;
         let min_keep = tree.min_fill_leaf() + 2;
         let mut moved = 0u64;
         let mut i = 0;
@@ -351,16 +346,16 @@ fn try_shift(
         }
     }
 
-    tree.write_node(sib_pid, &sib)?;
-    tree.write_node(leaf_pid, leaf)?;
+    tree.write_pinned(&sib);
+    tree.write_pinned(leaf);
     // Tighten the source leaf's official MBR ("After a shift, the leaf's
     // MBR is tightened to reduce overlap"). The sibling's rect already
     // contains everything that moved, so the parent's own MBR can only
     // shrink — no upward propagation is required for correctness, and the
     // summary entry is refreshed by the write hook.
     parent.internal_entries_mut()[pidx].rect = leaf.mbr();
-    tree.write_node(parent_pid, parent)?;
-    Ok(Some(UpdateOutcome::Shifted))
+    tree.write_pinned(parent);
+    Ok(true)
 }
 
 #[cfg(test)]

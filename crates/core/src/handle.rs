@@ -53,7 +53,7 @@
 //! ```
 
 use crate::batch::{Batch, BatchReport, Op};
-use crate::concurrent::{self, GroupOp, GroupPlan, OpEffect, Planned};
+use crate::concurrent::{OpEffect, SharedPass, Step};
 use crate::config::{IndexOptions, UpdateStrategy};
 use crate::error::{CoreError, CoreResult};
 use crate::index::{RTreeIndex, RecoveryReport};
@@ -62,10 +62,9 @@ use crate::node::ObjectId;
 use crate::stats::{OpStats, UpdateOutcome};
 use bur_dgl::{CommitBatch, CommitBatcher, Granule, LockGuard, LockManager, LockMode};
 use bur_geom::{Point, Rect};
-use bur_storage::{IoSnapshot, PageId};
+use bur_storage::{IoSnapshot, PageId, PageRef};
 use bur_wal::{Lsn, WalStatsSnapshot, WalWaiter};
 use parking_lot::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
-use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -75,6 +74,13 @@ use std::sync::Arc;
 /// preparatory splits can make room — the exclusive path handles that
 /// better than a split storm would.
 const MAKE_ROOM_ATTEMPTS: u32 = 4;
+
+/// How many times one `apply` call may be refused a granule on the
+/// shared path (make-room rounds not counted) before it stops retrying
+/// and takes the exclusive path, whose writer queue on the physical lock
+/// guarantees progress. This is the stated bound on the retry loop: no
+/// batch spins on refusals forever.
+const SHARED_REFUSALS: u32 = 4;
 
 /// At most this many spare query buffers are kept for recycling; extra
 /// cursors dropped concurrently just free their buffer.
@@ -103,9 +109,6 @@ struct BurShared {
     /// Write paths refuse with [`CoreError::ReadOnly`] while set — the
     /// replication-follower mode, cleared by [`Bur::promote_replica`].
     read_only: AtomicBool,
-    /// Threads one concurrent `apply` may fan its leaf groups across
-    /// (1 = plan and write inline on the calling thread).
-    executor_threads: AtomicUsize,
     /// Batches currently inside the concurrent write path, and the high
     /// watermark — the overlap instrumentation behind
     /// [`Bur::peak_concurrent_batches`].
@@ -156,8 +159,26 @@ enum SharedAttempt {
     /// Pending single-op commits must be flushed under the exclusive
     /// lock before a concurrent commit may log its pages.
     FlushPending,
-    /// A granule was refused; back off and try again.
-    Retry,
+    /// A granule was refused; back off and try again (at most
+    /// [`SHARED_REFUSALS`] times).
+    Refused,
+}
+
+/// Counts a batch as inside the concurrent write path until dropped.
+struct InFlight<'a>(&'a BurShared);
+
+impl<'a> InFlight<'a> {
+    fn enter(shared: &'a BurShared) -> Self {
+        let entered = shared.inflight.fetch_add(1, Ordering::Relaxed) + 1;
+        shared.inflight_peak.fetch_max(entered, Ordering::Relaxed);
+        Self(shared)
+    }
+}
+
+impl Drop for InFlight<'_> {
+    fn drop(&mut self) {
+        self.0.inflight.fetch_sub(1, Ordering::Relaxed);
+    }
 }
 
 impl Bur {
@@ -199,7 +220,6 @@ impl Bur {
                 recovery,
                 spare_ids: Mutex::new(Vec::new()),
                 read_only: AtomicBool::new(false),
-                executor_threads: AtomicUsize::new(1),
                 inflight: AtomicUsize::new(0),
                 inflight_peak: AtomicUsize::new(0),
             }),
@@ -361,8 +381,9 @@ impl Bur {
             return Ok(self.ticket(&index, BatchReport::default(), CommitBatch::default()));
         }
         let mut room_attempts = 0u32;
+        let mut refusals = 0u32;
         loop {
-            match self.apply_shared_phase(batch)? {
+            match self.apply_shared(batch)? {
                 SharedAttempt::Done(ticket) => {
                     self.checkpoint_if_due()?;
                     return Ok(ticket);
@@ -373,7 +394,6 @@ impl Bur {
                     // `false` means the leaf moved on (split by a racing
                     // batch, emptied, dissolved): just retry shared.
                     index.make_room(pid)?;
-                    continue;
                 }
                 SharedAttempt::FlushPending => {
                     // Single-op commits pending from before the shared
@@ -381,338 +401,77 @@ impl Bur {
                     // concurrent commit logs only this batch's pages.
                     let (mut index, _tree) = self.lock_excl();
                     index.flush_commits()?;
-                    continue;
                 }
-                SharedAttempt::Retry => {
+                SharedAttempt::Refused if refusals < SHARED_REFUSALS => {
+                    refusals += 1;
                     std::thread::yield_now();
-                    continue;
                 }
-                SharedAttempt::Escalate | SharedAttempt::MakeRoom(_) => {}
-            }
-            // Classic exclusive path: the whole batch under the write
-            // lock and the exclusive tree granule, applied by the engine
-            // and flushed as one group commit record by `apply_batch`.
-            let mut index = self.shared.inner.write();
-            match self
-                .shared
-                .locks
-                .try_lock(Granule::Tree, LockMode::Exclusive)
-            {
-                Ok(_tree) => {
-                    index.op_stats().escalations.fetch_add(1, Ordering::Relaxed);
-                    let result = index.apply_batch(batch);
-                    // A group commit record covered everything applied
-                    // (the whole batch, or — on error — the prefix
-                    // before the failing op, which `apply_batch` flushed
-                    // before surfacing it): note the covered granule and
-                    // drain the hooks as one commit batch, so nothing
-                    // lingers to be misattributed to a later ticket.
-                    let applied = match &result {
-                        Ok(report) => report.applied as usize,
-                        Err(CoreError::Batch { op_index, .. }) => *op_index,
-                        Err(_) => 0,
-                    };
-                    let hooks = if index.is_durable() {
-                        self.shared.batcher.note_n(Granule::Tree, applied as u64);
-                        self.shared.batcher.drain()
-                    } else {
-                        CommitBatch::default()
-                    };
-                    let report = result?;
-                    return Ok(self.ticket(&index, report, hooks));
-                }
-                Err(_) => {
-                    drop(index);
-                    std::thread::yield_now();
+                SharedAttempt::Escalate | SharedAttempt::MakeRoom(_) | SharedAttempt::Refused => {
+                    break;
                 }
             }
         }
+        // Classic exclusive path: the whole batch under the write lock
+        // and the exclusive tree granule, applied by the engine and
+        // flushed as one group commit record by `apply_batch`. From here
+        // on the batch stays on this path — a refused tree granule is
+        // retried by `lock_excl` alone, never by re-planning.
+        let (mut index, _tree) = self.lock_excl();
+        index.op_stats().escalations.fetch_add(1, Ordering::Relaxed);
+        let result = index.apply_batch(batch);
+        // A group commit record covered everything applied (the whole
+        // batch, or — on error — the prefix before the failing op, which
+        // `apply_batch` flushed before surfacing it): note the covered
+        // granule and drain the hooks as one commit batch, so nothing
+        // lingers to be misattributed to a later ticket.
+        let applied = match &result {
+            Ok(report) => report.applied,
+            Err(CoreError::Batch { op_index, .. }) => *op_index as u64,
+            Err(_) => 0,
+        };
+        let hooks = if index.is_durable() {
+            self.shared.batcher.note_n(Granule::Tree, applied);
+            self.shared.batcher.drain()
+        } else {
+            CommitBatch::default()
+        };
+        let report = result?;
+        Ok(self.ticket(&index, report, hooks))
     }
 
-    /// One attempt at the concurrent write path: classify the batch,
-    /// take the shared physical lock + shared tree granule + exclusive
-    /// leaf granules, and hand the groups to
-    /// [`Bur::apply_concurrent`]. Every outcome that is not `Done`
+    /// One attempt at the concurrent write path: under the shared
+    /// physical lock and a shared tree granule, plan the batch in one
+    /// in-order pass ([`SharedPass::plan`] — it takes each leaf's
+    /// exclusive granule and pin as it first meets the leaf, and stops at
+    /// the first op that cannot stay leaf-local), then write and commit
+    /// it. Every outcome that is not `Done` has written nothing and
     /// releases everything before returning, so the caller never holds
-    /// a lock across its next move.
-    fn apply_shared_phase(&self, batch: &Batch) -> CoreResult<SharedAttempt> {
+    /// a lock or a pin across its next move.
+    fn apply_shared(&self, batch: &Batch) -> CoreResult<SharedAttempt> {
         let index = self.shared.inner.read();
         if matches!(index.options().strategy, UpdateStrategy::TopDown) {
             return Ok(SharedAttempt::Escalate);
         }
-        // Group the ops by their DGL granule: updates and deletes by
-        // the leaf currently holding their object (the hash index),
-        // inserts by a read-only containment-constrained descent
-        // (`locate_insert_leaf`), preserving batch order within each
-        // group. Escalations here are the cases the shared path cannot
-        // resolve faithfully:
-        //   * an update of an unknown object (the strategy turns it
-        //     into an error on the exclusive path);
-        //   * an insert of an existing object, or one with an invalid
-        //     rect (sequential `insert_rect` rejects both);
-        //   * an insert with no containment-feasible leaf (it must
-        //     enlarge some internal entry);
-        //   * a later op touching an object inserted earlier in this
-        //     same batch — the pre-batch hash cannot place it, so the
-        //     whole batch replays sequentially.
-        // A delete of an unknown object is not escalated: sequential
-        // application counts it in `missing_deletes` and writes
-        // nothing, which the shared path reproduces exactly.
-        let mut groups: Vec<(PageId, Vec<GroupOp>)> = Vec::new();
-        let mut group_of: HashMap<PageId, usize> = HashMap::new();
-        let mut inserted_here: HashSet<ObjectId> = HashSet::new();
-        let mut missing_deletes = 0u64;
-        for (i, op) in batch.ops().iter().enumerate() {
-            let (pid, gop) = match *op {
-                Op::Update { oid, old, new } => {
-                    if inserted_here.contains(&oid) {
-                        return Ok(SharedAttempt::Escalate);
-                    }
-                    let Some(pid) = index.locate_leaf(oid)? else {
-                        return Ok(SharedAttempt::Escalate);
-                    };
-                    (
-                        pid,
-                        GroupOp::Update {
-                            pos: i,
-                            oid,
-                            old,
-                            new,
-                        },
-                    )
-                }
-                Op::Insert { oid, rect } => {
-                    if !rect.is_valid()
-                        || inserted_here.contains(&oid)
-                        || index.locate_leaf(oid)?.is_some()
-                    {
-                        return Ok(SharedAttempt::Escalate);
-                    }
-                    let Some(pid) = index.locate_insert_leaf(&rect)? else {
-                        return Ok(SharedAttempt::Escalate);
-                    };
-                    inserted_here.insert(oid);
-                    (pid, GroupOp::Insert { pos: i, oid, rect })
-                }
-                Op::Delete { oid, position } => {
-                    if inserted_here.contains(&oid) {
-                        return Ok(SharedAttempt::Escalate);
-                    }
-                    match index.locate_leaf(oid)? {
-                        Some(pid) => (
-                            pid,
-                            GroupOp::Delete {
-                                pos: i,
-                                oid,
-                                position,
-                            },
-                        ),
-                        None => {
-                            missing_deletes += 1;
-                            continue;
-                        }
-                    }
-                }
-            };
-            let slot = *group_of.entry(pid).or_insert_with(|| {
-                groups.push((pid, Vec::new()));
-                groups.len() - 1
-            });
-            groups[slot].1.push(gop);
+        let Ok(_tree) = self.shared.locks.try_lock(Granule::Tree, LockMode::Shared) else {
+            return Ok(SharedAttempt::Refused);
+        };
+        let _inflight = InFlight::enter(&self.shared);
+        let mut pass = SharedPass::new(&index, &self.shared.locks);
+        match pass.plan(batch.ops())? {
+            Step::Applied => {}
+            Step::MakeRoom(pid) => return Ok(SharedAttempt::MakeRoom(pid)),
+            Step::Escalate => return Ok(SharedAttempt::Escalate),
+            Step::Refused => return Ok(SharedAttempt::Refused),
         }
         if index.pending_commits() > 0 {
+            // Checked only once the batch is known to stay shared: an
+            // escalating batch folds the pending ops into its own record.
             return Ok(SharedAttempt::FlushPending);
         }
-        // Shared tree granule + X on the distinct leaves, acquired in
-        // sorted order (the deadlock-avoidance protocol): any refusal
-        // backs all the way out and retries from scratch.
-        let mut guards: Vec<LockGuard<'_>> = Vec::new();
-        match self.shared.locks.try_lock(Granule::Tree, LockMode::Shared) {
-            Ok(g) => guards.push(g),
-            Err(_) => return Ok(SharedAttempt::Retry),
-        }
-        let mut distinct: Vec<PageId> = groups.iter().map(|(pid, _)| *pid).collect();
-        distinct.sort_unstable();
-        for pid in distinct {
-            match self
-                .shared
-                .locks
-                .try_lock(Granule::Leaf(pid), LockMode::Exclusive)
-            {
-                Ok(g) => guards.push(g),
-                Err(_) => return Ok(SharedAttempt::Retry),
-            }
-        }
-        let entered = self.shared.inflight.fetch_add(1, Ordering::Relaxed) + 1;
-        self.shared
-            .inflight_peak
-            .fetch_max(entered, Ordering::Relaxed);
-        let result = self.apply_concurrent(&index, batch, &groups, missing_deletes);
-        self.shared.inflight.fetch_sub(1, Ordering::Relaxed);
-        result
-    }
-
-    /// Plan-then-write `batch` (grouped by leaf) inside the shared
-    /// phase. Returns `Escalate` when any op needs more than leaf-local
-    /// repair and `MakeRoom` when an insert found its leaf full —
-    /// nothing has been written at either point, so the caller's next
-    /// move (escalated replay, or a preparatory split and a shared
-    /// retry) starts from an untouched tree.
-    fn apply_concurrent(
-        &self,
-        index: &RTreeIndex,
-        batch: &Batch,
-        groups: &[(PageId, Vec<GroupOp>)],
-        missing_deletes: u64,
-    ) -> CoreResult<SharedAttempt> {
-        let threads = self
-            .shared
-            .executor_threads
-            .load(Ordering::Relaxed)
-            .clamp(1, groups.len().max(1));
-        // Phase 1 — plan every group read-only. One infeasible op
-        // escalates the whole batch with zero pages written.
-        let mut plans: Vec<GroupPlan> = Vec::with_capacity(groups.len());
-        if threads <= 1 {
-            for (pid, ops) in groups {
-                match concurrent::plan_group(index, *pid, ops) {
-                    Planned::Ready(plan) => plans.push(plan),
-                    Planned::MakeRoom(pid) => return Ok(SharedAttempt::MakeRoom(pid)),
-                    Planned::Escalate => return Ok(SharedAttempt::Escalate),
-                }
-            }
-        } else {
-            let per = groups.len().div_ceil(threads);
-            let planned = std::thread::scope(|scope| {
-                let workers: Vec<_> = groups
-                    .chunks(per)
-                    .map(|part| {
-                        scope.spawn(move || {
-                            part.iter()
-                                .map(|(pid, ops)| concurrent::plan_group(index, *pid, ops))
-                                .collect::<Vec<_>>()
-                        })
-                    })
-                    .collect();
-                workers
-                    .into_iter()
-                    .flat_map(|w| w.join().expect("group planner panicked"))
-                    .collect::<Vec<_>>()
-            });
-            for plan in planned {
-                match plan {
-                    Planned::Ready(plan) => plans.push(plan),
-                    Planned::MakeRoom(pid) => return Ok(SharedAttempt::MakeRoom(pid)),
-                    Planned::Escalate => return Ok(SharedAttempt::Escalate),
-                }
-            }
-        }
-        // Phase 2 — write the shadows. Group order no longer matters
-        // (leaves are disjoint; parent-entry patches commute inside the
-        // stable parent MBR), so executors fan out freely.
-        let mut written: Vec<PageId> = Vec::new();
-        let mut failed: Option<(usize, CoreError)> = None;
-        if threads <= 1 {
-            for (slot, plan) in plans.iter().enumerate() {
-                if let Err(e) = concurrent::execute_group(index, plan, &mut written) {
-                    failed = Some((slot, e));
-                    break;
-                }
-            }
-        } else {
-            let per = plans.len().div_ceil(threads);
-            let parts = std::thread::scope(|scope| {
-                let workers: Vec<_> = plans
-                    .chunks(per)
-                    .map(|part| {
-                        scope.spawn(move || {
-                            let mut wrote = Vec::new();
-                            for (off, plan) in part.iter().enumerate() {
-                                if let Err(e) = concurrent::execute_group(index, plan, &mut wrote) {
-                                    return (wrote, Some((off, e)));
-                                }
-                            }
-                            (wrote, None)
-                        })
-                    })
-                    .collect();
-                workers
-                    .into_iter()
-                    .map(|w| w.join().expect("group executor panicked"))
-                    .collect::<Vec<_>>()
-            });
-            for (part_index, (wrote, err)) in parts.into_iter().enumerate() {
-                written.extend(wrote);
-                if let Some((off, e)) = err {
-                    if failed.is_none() {
-                        failed = Some((part_index * per + off, e));
-                    }
-                }
-            }
-        }
-        written.sort_unstable();
-        written.dedup();
-        if let Some((slot, source)) = failed {
-            // A storage failure mid-execute (unreachable on a healthy
-            // pool). Commit the pages already written — every complete
-            // group, plus possibly a parent grown for a leaf that never
-            // moved, which is benign slack — so the log never replays a
-            // torn page set, then surface the error. The applied set is
-            // group-granular here, the one documented divergence from
-            // the sequential path's strict-prefix contract.
-            let done_plans: Vec<&GroupPlan> = plans
-                .iter()
-                .filter(|p| written.binary_search(&p.leaf_pid).is_ok())
-                .collect();
-            let done: u64 = done_plans.iter().map(|p| p.outcomes.len() as u64).sum();
-            let delta: i64 = done_plans.iter().map(|p| p.len_delta).sum();
-            index.commit_batch_pages(done, &written, delta)?;
-            if index.is_durable() {
-                for plan in &done_plans {
-                    self.shared
-                        .batcher
-                        .note_n(Granule::Leaf(plan.leaf_pid), plan.outcomes.len() as u64);
-                }
-                self.shared.batcher.drain();
-            }
-            return Err(CoreError::Batch {
-                op_index: groups[slot].1[0].pos(),
-                source: Box::new(source),
-            });
-        }
-        let mut report = BatchReport {
-            applied: batch.len() as u64,
-            missing_deletes,
-            ..BatchReport::default()
-        };
-        let stats = index.op_stats();
-        for plan in &plans {
-            for effect in &plan.outcomes {
-                match effect {
-                    OpEffect::Update(outcome) => {
-                        report.updated += 1;
-                        stats.record_update(*outcome);
-                    }
-                    OpEffect::Insert => {
-                        report.inserted += 1;
-                        stats.inserts.fetch_add(1, Ordering::Relaxed);
-                    }
-                    OpEffect::Delete => {
-                        report.deleted += 1;
-                        stats.deletes.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-            }
-        }
-        let delta: i64 = plans.iter().map(|p| p.len_delta).sum();
-        let lsn = index
-            .commit_batch_pages(batch.len() as u64, &written, delta)?
-            .unwrap_or(0);
+        let (report, lsn) = self.write_and_commit(&index, &pass, batch.len() as u64)?;
         let hooks = if index.is_durable() {
-            for (pid, ops) in groups {
-                self.shared
-                    .batcher
-                    .note_n(Granule::Leaf(*pid), ops.len() as u64);
+            for (pid, ops) in pass.leaf_ops() {
+                self.shared.batcher.note_n(Granule::Leaf(pid), ops);
             }
             self.shared.batcher.drain()
         } else {
@@ -724,6 +483,68 @@ impl Bur {
             lsn,
             waiter: self.shared.waiter.lock().clone(),
         }))
+    }
+
+    /// Write a fully planned pass through its pins and group-commit it:
+    /// one record for the whole batch. Returns the report and the
+    /// record's LSN (0 without a log).
+    fn write_and_commit(
+        &self,
+        index: &RTreeIndex,
+        pass: &SharedPass<'_>,
+        batch_len: u64,
+    ) -> CoreResult<(BatchReport, Lsn)> {
+        let mut written: Vec<&PageRef<'_>> = Vec::new();
+        let done = pass.execute(&mut written);
+        // Shadows under one parent each push it: log every page once.
+        written.sort_unstable_by_key(|p| p.pid());
+        written.dedup_by_key(|p| p.pid());
+        if let Some((op_index, source)) = done.failed {
+            // A storage failure mid-execute (unreachable on a healthy
+            // pool). Commit the pages already written — every complete
+            // leaf, plus possibly a parent grown for a leaf that never
+            // moved, which is benign slack — so the log never replays a
+            // torn page set, then surface the error. The applied set is
+            // leaf-granular here, the one documented divergence from
+            // the sequential path's strict-prefix contract.
+            index.commit_batch_pages(done.ops, &written, done.len_delta)?;
+            if index.is_durable() {
+                for (pid, ops) in pass.leaf_ops().take(done.leaves) {
+                    self.shared.batcher.note_n(Granule::Leaf(pid), ops);
+                }
+                self.shared.batcher.drain();
+            }
+            return Err(CoreError::Batch {
+                op_index,
+                source: Box::new(source),
+            });
+        }
+        let mut report = BatchReport {
+            applied: batch_len,
+            missing_deletes: pass.missing_deletes,
+            ..BatchReport::default()
+        };
+        let stats = index.op_stats();
+        for effect in pass.effects() {
+            match effect {
+                OpEffect::Update(outcome) => {
+                    report.updated += 1;
+                    stats.record_update(*outcome);
+                }
+                OpEffect::Insert => {
+                    report.inserted += 1;
+                    stats.inserts.fetch_add(1, Ordering::Relaxed);
+                }
+                OpEffect::Delete => {
+                    report.deleted += 1;
+                    stats.deletes.fetch_add(1, Ordering::Relaxed);
+                }
+            }
+        }
+        let lsn = index
+            .commit_batch_pages(batch_len, &written, done.len_delta)?
+            .unwrap_or(0);
+        Ok((report, lsn))
     }
 
     /// Deferred checkpoint for the concurrent path: a shared-phase
@@ -888,53 +709,26 @@ impl Bur {
         if index.pending_commits() > 0 {
             return Ok(None);
         }
-        let Some(pid) = index.locate_leaf(oid)? else {
-            // Unknown object: the exclusive path surfaces the error.
-            return Ok(None);
-        };
         let Ok(_tree) = self.shared.locks.try_lock(Granule::Tree, LockMode::Shared) else {
             return Ok(None);
         };
-        let Ok(_leaf) = self
-            .shared
-            .locks
-            .try_lock(Granule::Leaf(pid), LockMode::Exclusive)
-        else {
-            return Ok(None);
+        let _inflight = InFlight::enter(&self.shared);
+        let mut pass = SharedPass::new(&index, &self.shared.locks);
+        match pass.plan(&[Op::Update { oid, old, new }])? {
+            Step::Applied => {}
+            Step::Refused => return Ok(None),
+            // MakeRoom cannot come out of an update plan; treat it like
+            // any non-leaf-local verdict.
+            Step::Escalate | Step::MakeRoom(_) => {
+                index.op_stats().escalations.fetch_add(1, Ordering::Relaxed);
+                return Ok(None);
+            }
+        }
+        let Some(&OpEffect::Update(outcome)) = pass.effects().first() else {
+            unreachable!("an update op planned to a non-update effect");
         };
-        let entered = self.shared.inflight.fetch_add(1, Ordering::Relaxed) + 1;
-        self.shared
-            .inflight_peak
-            .fetch_max(entered, Ordering::Relaxed);
-        let result = (|| {
-            let ops = [GroupOp::Update {
-                pos: 0,
-                oid,
-                old,
-                new,
-            }];
-            let plan = match concurrent::plan_group(&index, pid, &ops) {
-                Planned::Ready(plan) => plan,
-                // MakeRoom cannot come out of an update plan; treat it
-                // like any non-leaf-local verdict.
-                Planned::Escalate | Planned::MakeRoom(_) => {
-                    index.op_stats().escalations.fetch_add(1, Ordering::Relaxed);
-                    return Ok(None);
-                }
-            };
-            let mut written = Vec::new();
-            concurrent::execute_group(&index, &plan, &mut written)?;
-            written.sort_unstable();
-            written.dedup();
-            let OpEffect::Update(outcome) = plan.outcomes[0] else {
-                unreachable!("an update op planned to a non-update effect");
-            };
-            index.op_stats().record_update(outcome);
-            index.commit_batch_pages(1, &written, 0)?;
-            Ok(Some(outcome))
-        })();
-        self.shared.inflight.fetch_sub(1, Ordering::Relaxed);
-        result
+        self.write_and_commit(&index, &pass, 1)?;
+        Ok(Some(outcome))
     }
 
     // ---- streaming queries -----------------------------------------------
@@ -1035,26 +829,6 @@ impl Bur {
     }
 
     // ---- concurrency controls --------------------------------------------
-
-    /// Set how many executor threads one concurrent [`Bur::apply`] may
-    /// fan its leaf groups across while planning and writing (default
-    /// 1: the calling thread does everything inline). This is
-    /// intra-batch parallelism; inter-batch parallelism needs no knob —
-    /// it comes from calling `apply` on clones of the handle from
-    /// several threads at once. Values are clamped to at least 1 and,
-    /// per batch, to its number of leaf groups.
-    pub fn set_executor_threads(&self, threads: usize) {
-        self.shared
-            .executor_threads
-            .store(threads.max(1), Ordering::Relaxed);
-    }
-
-    /// Current executor-thread setting (see
-    /// [`Bur::set_executor_threads`]).
-    #[must_use]
-    pub fn executor_threads(&self) -> usize {
-        self.shared.executor_threads.load(Ordering::Relaxed)
-    }
 
     /// High watermark of batches observed inside the concurrent write
     /// path at the same moment, over the handle's lifetime. A value

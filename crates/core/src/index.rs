@@ -13,7 +13,7 @@ use crate::tree::{RTree, WalHandle};
 use crate::{gbu, lbu, topdown};
 use bur_geom::{Point, Rect};
 use bur_hashindex::{HashIndexConfig, LinearHashIndex};
-use bur_storage::{BufferPool, DiskBackend, IoStats, PageId, PoolConfig, INVALID_PAGE};
+use bur_storage::{BufferPool, DiskBackend, IoStats, PageId, PageRef, PoolConfig, INVALID_PAGE};
 use bur_wal::{Wal, WalRecord, WalStatsSnapshot};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -342,7 +342,7 @@ impl RTreeIndex {
     pub(crate) fn commit_batch_pages(
         &self,
         ops: u64,
-        pages: &[PageId],
+        pages: &[&PageRef<'_>],
         len_delta: i64,
     ) -> CoreResult<Option<u64>> {
         self.tree.wal_commit_pages(ops, pages, len_delta)
@@ -951,12 +951,7 @@ pub(crate) fn rebuild_memory_state(tree: &mut RTree, build_hash: bool) -> CoreRe
             }
             NodeEntries::Internal(v) => {
                 if let Some(s) = summary {
-                    s.upsert_internal(
-                        pid,
-                        node.level,
-                        node.mbr(),
-                        v.iter().map(|e| e.child).collect(),
-                    );
+                    s.upsert_internal(pid, node.level, node.mbr(), v.iter().map(|e| e.child));
                 }
                 for e in v {
                     walk(tree, e.child, summary, hash_entries, build_hash, leaf_cap)?;
@@ -998,17 +993,13 @@ pub(crate) fn rebuild_memory_state(tree: &mut RTree, build_hash: bool) -> CoreRe
     // LBU needs leaf parent pointers; repair any that are missing or
     // stale (e.g. the stored image was built by a TD index).
     if tree.opts.strategy.needs_parent_pointers() && tree.height >= 2 {
+        let pool = Arc::clone(&tree.pool);
         let mut level1 = Vec::new();
         collect_level(tree, tree.root, 1, &mut level1)?;
         for parent_pid in level1 {
             let parent = tree.read_node(parent_pid)?;
-            let children: Vec<PageId> = parent.internal_entries().iter().map(|e| e.child).collect();
-            for child in children {
-                let mut node = tree.read_node(child)?;
-                if node.parent != parent_pid {
-                    node.parent = parent_pid;
-                    tree.write_node(child, &node)?;
-                }
+            for e in parent.internal_entries() {
+                tree.set_parent_pointer(&pool, e.child, parent_pid)?;
             }
         }
     }

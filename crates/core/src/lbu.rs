@@ -26,6 +26,7 @@ use crate::topdown;
 use crate::tree::RTree;
 use bur_geom::{Point, Rect};
 use bur_storage::INVALID_PAGE;
+use std::sync::Arc;
 
 /// Run one localized bottom-up update.
 pub(crate) fn update(
@@ -40,7 +41,8 @@ pub(crate) fn update(
     let Some(leaf_pid) = hash.get(oid)? else {
         return Err(CoreError::ObjectNotFound(oid));
     };
-    let mut leaf = tree.read_node(leaf_pid)?;
+    let pool = Arc::clone(&tree.pool);
+    let mut leaf = RTree::pin_node(&pool, leaf_pid)?;
     let Some(idx) = leaf.oid_index(oid) else {
         return Err(CoreError::CorruptNode {
             pid: leaf_pid,
@@ -52,7 +54,7 @@ pub(crate) fn update(
     // Step 2: in place when the tight leaf MBR already covers the target.
     if leaf.mbr().contains_point(&new) || leaf_pid == tree.root {
         leaf.leaf_entries_mut()[idx].rect = new_rect;
-        tree.write_node(leaf_pid, &leaf)?;
+        tree.write_pinned(&leaf);
         return Ok(UpdateOutcome::InPlace);
     }
 
@@ -64,7 +66,7 @@ pub(crate) fn update(
             reason: "LBU leaf without parent pointer",
         });
     }
-    let mut parent = tree.read_node(parent_pid)?;
+    let mut parent = RTree::pin_node(&pool, parent_pid)?;
     let pidx = parent.child_index(leaf_pid).ok_or(CoreError::CorruptNode {
         pid: parent_pid,
         reason: "parent pointer target does not list the leaf",
@@ -73,7 +75,7 @@ pub(crate) fn update(
     if official.contains_point(&new) {
         // A previous enlargement already covers the target: pure in-place.
         leaf.leaf_entries_mut()[idx].rect = new_rect;
-        tree.write_node(leaf_pid, &leaf)?;
+        tree.write_pinned(&leaf);
         return Ok(UpdateOutcome::InPlace);
     }
     // Uniform ε-enlargement, clipped to the parent MBR ("In order to
@@ -85,21 +87,19 @@ pub(crate) fn update(
         .clipped_to(&parent_mbr);
     if enlarged.contains_point(&new) {
         parent.internal_entries_mut()[pidx].rect = enlarged;
-        tree.write_node(parent_pid, &parent)?;
+        tree.write_pinned(&parent);
         leaf.leaf_entries_mut()[idx].rect = new_rect;
-        tree.write_node(leaf_pid, &leaf)?;
+        tree.write_pinned(&leaf);
         return Ok(UpdateOutcome::Extended);
     }
 
-    // Step 4: a bottom-up delete must not underflow the leaf.
-    if leaf.count() <= tree.min_fill_leaf() {
-        return topdown::update(tree, oid, old, new);
-    }
-
-    // With sibling shifts disabled (the pure Kwon lazy-update mode of
-    // Section 3.1), a failed enlargement goes straight to a top-down
-    // update — "Otherwise, a top-down update is issued".
-    if !params.sibling_shift {
+    // Step 4: a bottom-up delete must not underflow the leaf. And with
+    // sibling shifts disabled (the pure Kwon lazy-update mode of Section
+    // 3.1), a failed enlargement goes straight to a top-down update —
+    // "Otherwise, a top-down update is issued".
+    if leaf.count() <= tree.min_fill_leaf() || !params.sibling_shift {
+        // Nothing was modified; the top-down path reads its own copies.
+        drop((leaf, parent));
         return topdown::update(tree, oid, old, new);
     }
 
@@ -108,35 +108,34 @@ pub(crate) fn update(
     // vector, so each candidate sibling is *read* to check fullness —
     // the extra disk accesses the paper attributes to this strategy.
     leaf.leaf_entries_mut().swap_remove(idx);
-    tree.write_node(leaf_pid, &leaf)?;
+    tree.write_pinned(&leaf);
     // Tighten the leaf's official MBR in the parent (in memory already);
     // leaving the stale rectangle behind on every departure would make
     // overlap ratchet outward with update volume.
     let tight = leaf.mbr();
+    // The leaf is done; a root insert below may pick it again.
+    drop(leaf);
     if parent.internal_entries()[pidx].rect != tight {
         parent.internal_entries_mut()[pidx].rect = tight;
-        tree.write_node(parent_pid, &parent)?;
+        tree.write_pinned(&parent);
     }
     let leaf_cap = tree.leaf_cap();
-    let sibling_entries: Vec<(usize, bur_storage::PageId)> = parent
-        .internal_entries()
-        .iter()
-        .enumerate()
-        .filter(|(i, e)| *i != pidx && e.rect.contains_point(&new))
-        .map(|(i, e)| (i, e.child))
-        .collect();
-    for (_i, sib_pid) in sibling_entries {
-        let mut sib = tree.read_node(sib_pid)?;
+    for (i, e) in parent.internal_entries().iter().enumerate() {
+        if i == pidx || !e.rect.contains_point(&new) {
+            continue;
+        }
+        let mut sib = RTree::pin_node(&pool, e.child)?;
         if sib.count() < leaf_cap {
             sib.leaf_entries_mut().push(LeafEntry::point(oid, new));
-            tree.write_node(sib_pid, &sib)?;
-            tree.hash_place(oid, sib_pid)?;
+            tree.write_pinned(&sib);
+            tree.hash_place(oid, e.child)?;
             return Ok(UpdateOutcome::Shifted);
         }
     }
 
     // Step 6: standard insert from the root (the hash entry is refreshed
     // by the insert path).
+    drop(parent);
     tree.insert_object(LeafEntry::point(oid, new))?;
     Ok(UpdateOutcome::Ascended {
         levels: tree.height - 1,

@@ -17,7 +17,7 @@
 //! queries.
 
 use bur_geom::{Point, Rect};
-use bur_storage::PageId;
+use bur_storage::{PageId, INVALID_PAGE};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -175,6 +175,13 @@ pub struct SummaryStructure {
     levels: Vec<Vec<SummaryEntry>>,
     /// Direct access: page id → (level, index within the level's vec).
     pos: HashMap<PageId, (u16, usize)>,
+    /// Child → parent table, indexed by the child's page id (4 B per
+    /// page; [`INVALID_PAGE`] = no parent on record). It is the inverse
+    /// of the entries' child lists, kept in step by
+    /// [`SummaryStructure::upsert_internal`] /
+    /// [`SummaryStructure::remove_internal`], so `FindParent` is a table
+    /// lookup instead of a scan over a level's child lists.
+    parent_of: Vec<PageId>,
     /// Bit vector: leaf is full.
     leaf_full: BitVec,
     /// Bit vector: page id is a live leaf (for maintenance checks).
@@ -202,6 +209,7 @@ impl SummaryStructure {
     pub fn clear(&mut self) {
         self.levels.clear();
         self.pos.clear();
+        self.parent_of.clear();
         self.leaf_full = BitVec::default();
         self.leaf_present = BitVec::default();
         self.root_mbr.store(Rect::EMPTY);
@@ -213,29 +221,48 @@ impl SummaryStructure {
     /// tree whenever it writes an internal node, which covers both cases
     /// the paper names: "The MBR of an entry ... is updated when we
     /// propagate an MBR enlargement" and "When an internal node is split,
-    /// a new entry will be inserted".
-    pub fn upsert_internal(&mut self, pid: PageId, level: u16, mbr: Rect, children: Vec<PageId>) {
+    /// a new entry will be inserted". `children` is copied into the
+    /// entry's own buffer (no allocation once the entry exists) and the
+    /// child → parent table follows it.
+    pub fn upsert_internal(
+        &mut self,
+        pid: PageId,
+        level: u16,
+        mbr: Rect,
+        children: impl IntoIterator<Item = PageId>,
+    ) {
         debug_assert!(level >= 1);
+        if self.pos.get(&pid).is_some_and(|&(l, _)| l != level) {
+            // Level changed (root promotion patterns); reinstall.
+            self.remove_internal(pid);
+        }
         while self.levels.len() < level as usize {
             self.levels.push(Vec::new());
         }
-        match self.pos.get(&pid) {
-            Some(&(l, idx)) if l == level => {
-                let e = &mut self.levels[l as usize - 1][idx];
-                e.mbr = mbr;
-                e.children = children;
-            }
-            Some(&(l, _)) => {
-                // Level changed (root promotion patterns); reinstall.
-                debug_assert_ne!(l, level);
-                self.remove_internal(pid);
-                self.upsert_internal(pid, level, mbr, children);
-            }
+        let vec = &mut self.levels[level as usize - 1];
+        let idx = match self.pos.get(&pid) {
+            Some(&(_, idx)) => idx,
             None => {
-                let vec = &mut self.levels[level as usize - 1];
-                vec.push(SummaryEntry { pid, mbr, children });
+                vec.push(SummaryEntry {
+                    pid,
+                    mbr,
+                    children: Vec::new(),
+                });
                 self.pos.insert(pid, (level, vec.len() - 1));
+                vec.len() - 1
             }
+        };
+        let entry = &mut vec[idx];
+        entry.mbr = mbr;
+        unlink_children(&mut self.parent_of, pid, &entry.children);
+        entry.children.clear();
+        entry.children.extend(children);
+        for &child in &entry.children {
+            let slot = child as usize;
+            if slot >= self.parent_of.len() {
+                self.parent_of.resize(slot + 1, INVALID_PAGE);
+            }
+            self.parent_of[slot] = pid;
         }
     }
 
@@ -243,7 +270,8 @@ impl SummaryStructure {
     pub fn remove_internal(&mut self, pid: PageId) {
         if let Some((level, idx)) = self.pos.remove(&pid) {
             let vec = &mut self.levels[level as usize - 1];
-            vec.swap_remove(idx);
+            let removed = vec.swap_remove(idx);
+            unlink_children(&mut self.parent_of, pid, &removed.children);
             if idx < vec.len() {
                 let moved = vec[idx].pid;
                 self.pos.insert(moved, (level, idx));
@@ -350,15 +378,26 @@ impl SummaryStructure {
 
     // ---- FindParent (Algorithm 3) ----------------------------------------
 
-    /// Find the page id of the node's immediate parent by scanning the
-    /// direct access table at `level` (the node's level + 1), exactly as
-    /// Algorithm 3 matches "some child offset" against the node offset.
+    /// Find the page id of the node's immediate parent at `level` (the
+    /// node's level + 1). Algorithm 3 matches "some child offset" of the
+    /// level's entries against the node offset; the child → parent table
+    /// gives the same answer in O(1).
     #[must_use]
     pub fn find_parent_at(&self, node: PageId, level: u16) -> Option<PageId> {
-        self.level_entries(level)
+        let parent = *self.parent_of.get(node as usize)?;
+        let &(l, _) = self.pos.get(&parent)?;
+        (l == level).then_some(parent)
+    }
+
+    /// Number of child → parent links on record. In a consistent summary
+    /// this is the number of non-root nodes of the tree; validation
+    /// compares the two to catch links left behind by freed pages.
+    #[must_use]
+    pub fn parent_links(&self) -> usize {
+        self.parent_of
             .iter()
-            .find(|e| e.children.contains(&node))
-            .map(|e| e.pid)
+            .filter(|&&p| p != INVALID_PAGE)
+            .count()
     }
 
     /// Algorithm 3, FindParent: walk the ancestor chain of `leaf` upward
@@ -446,10 +485,30 @@ impl SummaryStructure {
         bytes
     }
 
+    /// Resident bytes of the child → parent table (4 B per page id up
+    /// to the highest child on record).
+    #[must_use]
+    pub fn parent_table_size_bytes(&self) -> usize {
+        self.parent_of.len() * 4
+    }
+
     /// Approximate resident bytes of the leaf bit vectors.
     #[must_use]
     pub fn bitvec_size_bytes(&self) -> usize {
         self.leaf_full.size_bytes() + self.leaf_present.size_bytes()
+    }
+}
+
+/// Drop the links of `children` that still point at `parent` — a child
+/// another node has claimed since (a split re-homes children before or
+/// after the old parent is rewritten) keeps its newer link.
+fn unlink_children(parent_of: &mut [PageId], parent: PageId, children: &[PageId]) {
+    for &child in children {
+        if let Some(slot) = parent_of.get_mut(child as usize) {
+            if *slot == parent {
+                *slot = INVALID_PAGE;
+            }
+        }
     }
 }
 
@@ -531,6 +590,33 @@ mod tests {
         // Point outside everything: root returned, contained = false.
         let got = s.find_parent(1, Point::new(5.0, 5.0), 3);
         assert_eq!(got, Some((100, 2, false)));
+    }
+
+    #[test]
+    fn parent_table_follows_child_lists() {
+        let mut s = sample();
+        assert_eq!(s.parent_links(), 6);
+        // A split of node 10 re-homes leaf 2 under new node 12. The two
+        // halves may be written in either order.
+        s.upsert_internal(12, 1, r(0.0, 0.5, 0.5, 1.0), [2]);
+        s.upsert_internal(10, 1, r(0.0, 0.0, 0.5, 0.5), [1]);
+        assert_eq!(s.find_parent_at(2, 1), Some(12));
+        assert_eq!(s.find_parent_at(1, 1), Some(10));
+        s.upsert_internal(10, 1, r(0.0, 0.0, 0.5, 1.0), [1, 2]);
+        s.upsert_internal(12, 1, r(0.0, 0.5, 0.5, 1.0), []);
+        assert_eq!(s.find_parent_at(2, 1), Some(10));
+        // The level is part of the question.
+        assert_eq!(s.find_parent_at(2, 2), None);
+        // Removing a node forgets its children's links, and only those.
+        s.remove_internal(12);
+        s.remove_internal(11);
+        assert_eq!(s.find_parent_at(3, 1), None);
+        assert_eq!(s.find_parent_at(2, 1), Some(10));
+        assert_eq!(s.parent_links(), 4, "1, 2 under 10; 10 and 11 under 100");
+        assert!(s.parent_table_size_bytes() >= 4 * 12);
+        s.clear();
+        assert_eq!(s.parent_links(), 0);
+        assert_eq!(s.find_parent_at(1, 1), None);
     }
 
     #[test]

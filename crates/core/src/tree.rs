@@ -33,7 +33,7 @@ use crate::stats::OpStats;
 use crate::summary::SummaryStructure;
 use bur_geom::{Point, Rect};
 use bur_hashindex::{HashIndexConfig, LinearHashIndex};
-use bur_storage::{BufferPool, Lsn, PageId, INVALID_PAGE};
+use bur_storage::{BufferPool, Lsn, PageId, PageRef, INVALID_PAGE};
 use bur_wal::Wal;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -102,6 +102,43 @@ impl AnyEntry {
             AnyEntry::Leaf(_) => 0,
             AnyEntry::Node(_, child_level) => child_level + 1,
         }
+    }
+}
+
+/// A node decoded from a page that stays pinned. The exclusive engine
+/// reads a page into one of these, mutates the node, and re-encodes it
+/// through the same pin ([`RTree::write_pinned`]): one pool fetch per
+/// page per operation, where a `read_node` / `write_node` pair asks the
+/// pool twice.
+///
+/// The pin borrows the pool, not the tree, so callers clone the
+/// `Arc<BufferPool>` once per operation and keep `&mut RTree` free for
+/// the write hooks. Holding one conflicts with nobody (a pin is not a
+/// latch); the one rule is to drop it before anything else may rewrite
+/// the same page, because the decoded copy would go stale.
+pub(crate) struct PinnedNode<'p> {
+    page: PageRef<'p>,
+    node: Node,
+}
+
+impl PinnedNode<'_> {
+    /// Id of the pinned page.
+    pub(crate) fn pid(&self) -> PageId {
+        self.page.pid()
+    }
+}
+
+impl std::ops::Deref for PinnedNode<'_> {
+    type Target = Node;
+
+    fn deref(&self) -> &Node {
+        &self.node
+    }
+}
+
+impl std::ops::DerefMut for PinnedNode<'_> {
+    fn deref_mut(&mut self) -> &mut Node {
+        &mut self.node
     }
 }
 
@@ -218,24 +255,49 @@ impl RTree {
         Node::decode(pid, &data)
     }
 
-    /// Encode and write `node` to `pid`, refreshing the summary hooks.
+    /// Pin `pid` and decode its node: the read half of a pinned
+    /// read-modify-write (one pool fetch).
+    pub(crate) fn pin_node(pool: &BufferPool, pid: PageId) -> CoreResult<PinnedNode<'_>> {
+        let page = pool.fetch(pid)?;
+        let node = Node::decode(pid, &page.read())?;
+        Ok(PinnedNode { page, node })
+    }
+
+    /// Re-encode a pinned node through its own pin and refresh the
+    /// summary hooks: the write half of a pinned read-modify-write (no
+    /// pool fetch).
+    pub(crate) fn write_pinned(&mut self, pinned: &PinnedNode<'_>) {
+        pinned.node.encode(&mut pinned.page.write());
+        self.note_written(pinned.pid(), &pinned.node);
+    }
+
+    /// Encode and write `node` to `pid`, refreshing the summary hooks. A
+    /// blind full-page write for pages that were not read first — split
+    /// halves, fresh roots, bulk-loaded nodes; a page that was read is
+    /// rewritten through [`RTree::write_pinned`] instead.
     pub(crate) fn write_node(&mut self, pid: PageId, node: &Node) -> CoreResult<()> {
         let guard = self.pool.fetch_for_overwrite(pid)?;
         node.encode(&mut guard.write());
         drop(guard);
+        self.note_written(pid, node);
+        Ok(())
+    }
+
+    /// Summary maintenance after `node` was written to `pid`.
+    fn note_written(&mut self, pid: PageId, node: &Node) {
         if let Some(s) = &mut self.summary {
-            if node.is_leaf() {
-                let full = node.count() >= leaf_capacity(self.opts.page_size);
-                s.set_leaf(pid, full);
-            } else {
-                let children = node.internal_entries().iter().map(|e| e.child).collect();
-                s.upsert_internal(pid, node.level, node.mbr(), children);
+            match &node.entries {
+                NodeEntries::Leaf(v) => {
+                    s.set_leaf(pid, v.len() >= leaf_capacity(self.opts.page_size));
+                }
+                NodeEntries::Internal(v) => {
+                    s.upsert_internal(pid, node.level, node.mbr(), v.iter().map(|e| e.child));
+                }
             }
             if pid == self.root {
                 s.set_root_mbr(node.mbr());
             }
         }
-        Ok(())
     }
 
     fn alloc_page(&mut self) -> CoreResult<PageId> {
@@ -259,12 +321,17 @@ impl RTree {
     }
 
     /// Rewrite only the parent pointer of a node (LBU maintenance; one
-    /// read + one write per re-homed child).
-    fn set_parent_pointer(&mut self, pid: PageId, parent: PageId) -> CoreResult<()> {
-        let mut node = self.read_node(pid)?;
+    /// read + one write per re-homed child, through one pin).
+    pub(crate) fn set_parent_pointer(
+        &mut self,
+        pool: &BufferPool,
+        pid: PageId,
+        parent: PageId,
+    ) -> CoreResult<()> {
+        let mut node = Self::pin_node(pool, pid)?;
         if node.parent != parent {
             node.parent = parent;
-            self.write_node(pid, &node)?;
+            self.write_pinned(&node);
         }
         Ok(())
     }
@@ -376,10 +443,12 @@ impl RTree {
     }
 
     /// Group-commit one concurrently applied batch: append the batch's
-    /// own page set (nothing else) plus a single commit record carrying
-    /// the metadata snapshot. Returns the record's LSN (`None` without a
-    /// WAL). Never checkpoints — the caller defers that to an exclusive
-    /// section via [`RTree::checkpoint_due`].
+    /// own page set (nothing else; still pinned by the batch, so the log
+    /// reads each image through the pin it was written with) plus a
+    /// single commit record carrying the metadata snapshot. Returns the
+    /// record's LSN (`None` without a WAL). Never checkpoints — the
+    /// caller defers that to an exclusive section via
+    /// [`RTree::checkpoint_due`].
     ///
     /// Unlike [`RTree::wal_flush_commit`] this takes `&self`, so batches
     /// on disjoint leaf granules commit while others are still applying.
@@ -404,7 +473,7 @@ impl RTree {
     pub(crate) fn wal_commit_pages(
         &self,
         ops: u64,
-        pages: &[PageId],
+        pages: &[&PageRef<'_>],
         len_delta: i64,
     ) -> CoreResult<Option<Lsn>> {
         let Some(handle) = self.wal.as_ref() else {
@@ -413,11 +482,9 @@ impl RTree {
         };
         let _serial = handle.commit_lock.lock();
         self.apply_len_delta(len_delta);
-        for &pid in pages {
-            let guard = self.pool.fetch(pid)?;
-            let lsn = handle.wal.append_page(pid, &guard.read())?;
-            drop(guard);
-            self.pool.note_page_logged(pid, lsn);
+        for page in pages {
+            let lsn = handle.wal.append_page(page.pid(), &page.read())?;
+            self.pool.note_page_logged(page.pid(), lsn);
         }
         let meta = self.meta_snapshot(INVALID_PAGE).encode();
         let (lsn, durable) = handle.wal.commit(meta)?;
@@ -518,12 +585,28 @@ impl RTree {
         chain_above: &[PageId],
         entry: AnyEntry,
     ) -> CoreResult<()> {
+        let pool = Arc::clone(&self.pool);
+        let start = Self::pin_node(&pool, start)?;
+        self.insert_from_pinned(&pool, start, chain_above, entry)
+    }
+
+    /// [`RTree::insert_from`] for a caller that already holds the start
+    /// node pinned (GBU's ascent re-inserts from the parent it has just
+    /// read): the descent starts from that pin instead of fetching the
+    /// page a second time.
+    pub(crate) fn insert_from_pinned(
+        &mut self,
+        pool: &BufferPool,
+        start: PinnedNode<'_>,
+        chain_above: &[PageId],
+        entry: AnyEntry,
+    ) -> CoreResult<()> {
         let outermost = !self.insert_active;
         if outermost {
             self.insert_active = true;
             self.reinsert_armed = 0;
         }
-        let mut result = self.insert_from_inner(start, chain_above, entry);
+        let mut result = self.insert_from_inner(pool, start, chain_above, entry);
         if outermost {
             // Close reinsert: the queue is stacked closest-to-center on
             // top. Entries queued while draining are drained too; the
@@ -533,7 +616,8 @@ impl RTree {
                 let Some(e) = self.pending_reinserts.pop() else {
                     break;
                 };
-                result = self.insert_from_inner(self.root, &[], e);
+                result = Self::pin_node(pool, self.root)
+                    .and_then(|root| self.insert_from_inner(pool, root, &[], e));
             }
             if result.is_err() {
                 self.pending_reinserts.clear();
@@ -545,12 +629,13 @@ impl RTree {
 
     fn insert_from_inner(
         &mut self,
-        start: PageId,
+        pool: &BufferPool,
+        start: PinnedNode<'_>,
         chain_above: &[PageId],
         entry: AnyEntry,
     ) -> CoreResult<()> {
-        let (old_mbr, new_mbr, split) = self.insert_rec(start, entry)?;
-        let mut child_pid = start;
+        let mut child_pid = start.pid();
+        let (old_mbr, new_mbr, split) = self.insert_rec(pool, start, entry)?;
         let mut child_mbr = new_mbr;
         let mut pending = split;
         let mut changed = old_mbr != new_mbr;
@@ -558,7 +643,7 @@ impl RTree {
             if pending.is_none() && !changed {
                 return Ok(());
             }
-            let mut node = self.read_node(anc)?;
+            let mut node = Self::pin_node(pool, anc)?;
             let idx = node.child_index(child_pid).ok_or(CoreError::CorruptNode {
                 pid: anc,
                 reason: "ancestor chain does not link to child",
@@ -572,11 +657,11 @@ impl RTree {
             node.internal_entries_mut()[idx].rect = child_mbr;
             if let Some(e) = pending.take() {
                 if self.parent_pointers() && node.level == 1 {
-                    self.set_parent_pointer(e.child, anc)?;
+                    self.set_parent_pointer(pool, e.child, anc)?;
                 }
                 node.internal_entries_mut().push(e);
                 if node.count() > self.internal_cap() {
-                    let (_, mbr_a, sp) = self.handle_overflow(anc, node)?;
+                    let (_, mbr_a, sp) = self.handle_overflow(pool, node)?;
                     child_pid = anc;
                     child_mbr = mbr_a;
                     pending = sp;
@@ -585,25 +670,27 @@ impl RTree {
                 }
             }
             let new_anc_mbr = node.mbr();
-            self.write_node(anc, &node)?;
+            self.write_pinned(&node);
             child_pid = anc;
             child_mbr = new_anc_mbr;
             changed = old_anc_mbr != new_anc_mbr;
         }
         if let Some(e) = pending {
-            self.grow_root(child_pid, child_mbr, e)?;
+            self.grow_root(pool, child_pid, child_mbr, e)?;
         }
         Ok(())
     }
 
-    /// Recursive descent: returns `(old mbr, new mbr, split entry)` of the
-    /// node on `pid`.
+    /// Recursive descent: returns `(old mbr, new mbr, split entry)` of
+    /// `node`. Every node on the path stays pinned until its own frame
+    /// has rewritten it, so each is fetched once.
     fn insert_rec(
         &mut self,
-        pid: PageId,
+        pool: &BufferPool,
+        mut node: PinnedNode<'_>,
         entry: AnyEntry,
     ) -> CoreResult<(Rect, Rect, Option<InternalEntry>)> {
-        let mut node = self.read_node(pid)?;
+        let pid = node.pid();
         let old_mbr = node.mbr();
         let target = entry.target_level();
         debug_assert!(
@@ -619,23 +706,23 @@ impl RTree {
                 }
                 AnyEntry::Node(e, child_level) => {
                     if self.parent_pointers() && child_level == 0 {
-                        self.set_parent_pointer(e.child, pid)?;
+                        self.set_parent_pointer(pool, e.child, pid)?;
                     }
                     node.internal_entries_mut().push(e);
                 }
             }
             if node.count() <= node.capacity(self.opts.page_size) {
                 let new_mbr = node.mbr();
-                self.write_node(pid, &node)?;
+                self.write_pinned(&node);
                 Ok((old_mbr, new_mbr, None))
             } else {
-                let (_, mbr_a, sp) = self.handle_overflow(pid, node)?;
+                let (_, mbr_a, sp) = self.handle_overflow(pool, node)?;
                 Ok((old_mbr, mbr_a, sp))
             }
         } else {
             let idx = self.choose_subtree(&node, &entry.rect());
-            let child_pid = node.internal_entries()[idx].child;
-            let (child_old, child_new, sp) = self.insert_rec(child_pid, entry)?;
+            let child = Self::pin_node(pool, node.internal_entries()[idx].child)?;
+            let (child_old, child_new, sp) = self.insert_rec(pool, child, entry)?;
             let rect_changed = child_old != child_new;
             if sp.is_none() && !rect_changed {
                 // Nothing to adjust: the child absorbed the entry without
@@ -646,16 +733,16 @@ impl RTree {
             node.internal_entries_mut()[idx].rect = child_new;
             if let Some(e) = sp {
                 if self.parent_pointers() && node.level == 1 {
-                    self.set_parent_pointer(e.child, pid)?;
+                    self.set_parent_pointer(pool, e.child, pid)?;
                 }
                 node.internal_entries_mut().push(e);
                 if node.count() > self.internal_cap() {
-                    let (_, mbr_a, sp2) = self.handle_overflow(pid, node)?;
+                    let (_, mbr_a, sp2) = self.handle_overflow(pool, node)?;
                     return Ok((old_mbr, mbr_a, sp2));
                 }
             }
             let new_mbr = node.mbr();
-            self.write_node(pid, &node)?;
+            self.write_pinned(&node);
             Ok((old_mbr, new_mbr, None))
         }
     }
@@ -729,19 +816,19 @@ impl RTree {
     /// reinsertion arm reports no new sibling.
     fn handle_overflow(
         &mut self,
-        pid: PageId,
-        node: Node,
+        pool: &BufferPool,
+        mut node: PinnedNode<'_>,
     ) -> CoreResult<(PageId, Rect, Option<InternalEntry>)> {
+        let pid = node.pid();
         let eligible = self.opts.insert == InsertPolicy::RStar
             && pid != self.root
             && node.level < 32
             && self.reinsert_armed & (1 << node.level) == 0;
         if !eligible {
-            return self.split_node(pid, node);
+            return self.split_node(pool, node);
         }
         self.reinsert_armed |= 1 << node.level;
         self.stats.forced_reinserts.fetch_add(1, Ordering::Relaxed);
-        let mut node = node;
         let center = node.mbr().center();
         let p = ((node.count() as f32) * Self::RSTAR_REINSERT_FRACTION).ceil() as usize;
         let p = p.clamp(1, node.count() - 1);
@@ -784,18 +871,20 @@ impl RTree {
             }
         }
         let new_mbr = node.mbr();
-        self.write_node(pid, &node)?;
+        self.write_pinned(&node);
         Ok((pid, new_mbr, None))
     }
 
     /// Split the overflowing `node` (already holding capacity + 1
-    /// entries). Writes both halves; returns `(new page id, mbr of the
-    /// surviving half, entry for the new half)`.
+    /// entries). Writes both halves — the surviving one through the pin
+    /// it was read with, the new one blind — and returns `(new page id,
+    /// mbr of the surviving half, entry for the new half)`.
     fn split_node(
         &mut self,
-        pid: PageId,
-        node: Node,
+        pool: &BufferPool,
+        node: PinnedNode<'_>,
     ) -> CoreResult<(PageId, Rect, Option<InternalEntry>)> {
+        let PinnedNode { page, node } = node;
         self.stats.splits.fetch_add(1, Ordering::Relaxed);
         let min_fill = if node.is_leaf() {
             self.min_fill_leaf()
@@ -836,7 +925,7 @@ impl RTree {
                 // for leaves — the only pointers LBU uses).
                 if self.parent_pointers() && node.level == 1 {
                     for e in &b {
-                        self.set_parent_pointer(e.child, new_pid)?;
+                        self.set_parent_pointer(pool, e.child, new_pid)?;
                     }
                 }
                 (
@@ -855,7 +944,7 @@ impl RTree {
         };
         let mbr_a = node_a.mbr();
         let mbr_b = node_b.mbr();
-        self.write_node(pid, &node_a)?;
+        self.write_pinned(&PinnedNode { page, node: node_a });
         self.write_node(new_pid, &node_b)?;
         Ok((
             new_pid,
@@ -870,6 +959,7 @@ impl RTree {
     /// Install a new root above the current one after a root split.
     fn grow_root(
         &mut self,
+        pool: &BufferPool,
         old_root: PageId,
         old_root_mbr: Rect,
         new_entry: InternalEntry,
@@ -885,8 +975,8 @@ impl RTree {
         self.root = new_root_pid;
         self.height += 1;
         if self.parent_pointers() && level == 1 {
-            self.set_parent_pointer(old_root, new_root_pid)?;
-            self.set_parent_pointer(new_entry.child, new_root_pid)?;
+            self.set_parent_pointer(pool, old_root, new_root_pid)?;
+            self.set_parent_pointer(pool, new_entry.child, new_root_pid)?;
         }
         self.write_node(new_root_pid, &root_node)?;
         Ok(())
@@ -934,7 +1024,9 @@ impl RTree {
     /// parent/child links, possibly `root` and `height`, and allocates
     /// pages.
     pub(crate) fn preparatory_split(&mut self, leaf_pid: PageId) -> CoreResult<bool> {
-        let node = match self.read_node(leaf_pid) {
+        let pool = Arc::clone(&self.pool);
+        let pool = &pool;
+        let node = match Self::pin_node(pool, leaf_pid) {
             Ok(n) => n,
             // The page may have been condensed away and recycled.
             Err(_) => return Ok(false),
@@ -946,10 +1038,10 @@ impl RTree {
         if !self.path_to(self.root, leaf_pid, &mut path)? {
             return Ok(false);
         }
-        let (_, mut child_mbr, mut pending) = self.split_node(leaf_pid, node)?;
+        let (_, mut child_mbr, mut pending) = self.split_node(pool, node)?;
         let mut child_pid = leaf_pid;
         while let Some(anc) = path.pop() {
-            let mut parent = self.read_node(anc)?;
+            let mut parent = Self::pin_node(pool, anc)?;
             let idx = parent
                 .child_index(child_pid)
                 .ok_or(CoreError::CorruptNode {
@@ -962,11 +1054,11 @@ impl RTree {
             parent.internal_entries_mut()[idx].rect = child_mbr;
             if let Some(e) = pending.take() {
                 if self.parent_pointers() && parent.level == 1 {
-                    self.set_parent_pointer(e.child, anc)?;
+                    self.set_parent_pointer(pool, e.child, anc)?;
                 }
                 parent.internal_entries_mut().push(e);
                 if parent.count() > self.internal_cap() {
-                    let (_, mbr_a, sp) = self.split_node(anc, parent)?;
+                    let (_, mbr_a, sp) = self.split_node(pool, parent)?;
                     child_pid = anc;
                     child_mbr = mbr_a;
                     pending = sp;
@@ -974,7 +1066,7 @@ impl RTree {
                 }
             }
             let new_mbr = parent.mbr();
-            self.write_node(anc, &parent)?;
+            self.write_pinned(&parent);
             if new_mbr == old_mbr {
                 // Nothing propagates further; the remaining ancestors'
                 // entry rects still cover this subtree.
@@ -985,7 +1077,7 @@ impl RTree {
             child_mbr = new_mbr;
         }
         if let Some(e) = pending {
-            self.grow_root(child_pid, child_mbr, e)?;
+            self.grow_root(pool, child_pid, child_mbr, e)?;
         }
         self.stats.make_room_splits.fetch_add(1, Ordering::Relaxed);
         Ok(true)
@@ -998,42 +1090,49 @@ impl RTree {
     /// public index layer owns the object count, because internal moves
     /// (top-down updates) pair this with a re-insert.
     pub(crate) fn delete_object(&mut self, oid: ObjectId, pos: Point) -> CoreResult<bool> {
-        let mut path: Vec<(PageId, usize)> = Vec::new();
-        let Some(leaf_pid) = self.find_leaf(self.root, oid, pos, &mut path)? else {
+        let pool = Arc::clone(&self.pool);
+        let pool = &pool;
+        let mut path = Vec::new();
+        let root = Self::pin_node(pool, self.root)?;
+        let Some(mut leaf) = Self::find_leaf(pool, root, oid, pos, &mut path)? else {
             return Ok(false);
         };
-        let mut leaf = self.read_node(leaf_pid)?;
         let idx = leaf.oid_index(oid).expect("find_leaf returned this leaf");
         leaf.leaf_entries_mut().swap_remove(idx);
         self.hash_remove(oid)?;
-        self.condense_up(leaf_pid, leaf, path)?;
+        self.condense_up(pool, leaf, path)?;
         Ok(true)
     }
 
     /// Locate the leaf containing `oid` at `pos`, descending every subtree
     /// whose rect contains the position (R-trees may need several partial
-    /// paths). Appends `(page, child index)` pairs for the successful
-    /// path.
-    fn find_leaf(
-        &self,
-        pid: PageId,
+    /// paths). Returns the leaf still pinned and appends the successful
+    /// path's `(pinned ancestor, child index)` pairs root-first, so
+    /// CondenseTree rewrites each of them through the pin the search
+    /// read it with; dead-end branches unpin as the search backs out.
+    fn find_leaf<'p>(
+        pool: &'p BufferPool,
+        node: PinnedNode<'p>,
         oid: ObjectId,
         pos: Point,
-        path: &mut Vec<(PageId, usize)>,
-    ) -> CoreResult<Option<PageId>> {
-        let node = self.read_node(pid)?;
+        path: &mut Vec<(PinnedNode<'p>, usize)>,
+    ) -> CoreResult<Option<PinnedNode<'p>>> {
         if node.is_leaf() {
-            return Ok(node.oid_index(oid).map(|_| pid));
+            return Ok(node.oid_index(oid).map(|_| node));
         }
-        for (i, e) in node.internal_entries().iter().enumerate() {
+        let depth = path.len();
+        path.push((node, 0));
+        for i in 0..path[depth].0.count() {
+            let e = path[depth].0.internal_entries()[i];
             if e.rect.contains_point(&pos) {
-                path.push((pid, i));
-                if let Some(found) = self.find_leaf(e.child, oid, pos, path)? {
+                path[depth].1 = i;
+                let child = Self::pin_node(pool, e.child)?;
+                if let Some(found) = Self::find_leaf(pool, child, oid, pos, path)? {
                     return Ok(Some(found));
                 }
-                path.pop();
             }
         }
+        path.pop();
         Ok(None)
     }
 
@@ -1041,18 +1140,17 @@ impl RTree {
     /// nodes and re-inserting their entries, then shrink the root.
     fn condense_up(
         &mut self,
-        leaf_pid: PageId,
-        leaf: Node,
-        mut path: Vec<(PageId, usize)>,
+        pool: &BufferPool,
+        leaf: PinnedNode<'_>,
+        mut path: Vec<(PinnedNode<'_>, usize)>,
     ) -> CoreResult<()> {
         let mut orphan_objects: Vec<LeafEntry> = Vec::new();
         let mut orphan_subtrees: Vec<(InternalEntry, u16)> = Vec::new();
-        let mut cur_pid = leaf_pid;
         let mut cur = leaf;
         loop {
-            let Some((parent_pid, idx)) = path.pop() else {
+            let Some((mut parent, idx)) = path.pop() else {
                 // cur is the root.
-                self.write_node(cur_pid, &cur)?;
+                self.write_pinned(&cur);
                 break;
             };
             let min = if cur.is_leaf() {
@@ -1071,36 +1169,34 @@ impl RTree {
                         orphan_subtrees.extend(v.iter().map(|e| (*e, child_level)));
                     }
                 }
-                let was_leaf = cur.is_leaf();
-                self.free_page(cur_pid, was_leaf);
-                let mut parent = self.read_node(parent_pid)?;
-                debug_assert_eq!(parent.internal_entries()[idx].child, cur_pid);
+                self.free_page(cur.pid(), cur.is_leaf());
+                debug_assert_eq!(parent.internal_entries()[idx].child, cur.pid());
                 parent.internal_entries_mut().swap_remove(idx);
-                cur_pid = parent_pid;
                 cur = parent;
             } else {
                 // Keep: write it back and tighten rectangles up the path.
-                self.write_node(cur_pid, &cur)?;
+                self.write_pinned(&cur);
                 let mut child_mbr = cur.mbr();
-                let mut child_pid = cur_pid;
-                // The immediate parent still has the recorded index; the
-                // levels above are adjusted by looking the child up.
-                let mut parent_link = Some((parent_pid, idx));
-                while let Some((p_pid, p_idx)) = parent_link {
-                    let mut parent = self.read_node(p_pid)?;
+                let mut child_pid = cur.pid();
+                let mut parent_link = Some((parent, idx));
+                while let Some((mut parent, p_idx)) = parent_link {
                     debug_assert_eq!(parent.internal_entries()[p_idx].child, child_pid);
                     if parent.internal_entries()[p_idx].rect == child_mbr {
                         break; // no change propagates further
                     }
                     parent.internal_entries_mut()[p_idx].rect = child_mbr;
-                    self.write_node(p_pid, &parent)?;
+                    self.write_pinned(&parent);
                     child_mbr = parent.mbr();
-                    child_pid = p_pid;
+                    child_pid = parent.pid();
                     parent_link = path.pop();
                 }
                 break;
             }
         }
+        // The reinserts below rewrite pages of the path: let go of every
+        // pin (and its decoded copy) first.
+        drop(cur);
+        drop(path);
         // Re-insert orphans before shrinking the root so target levels
         // still exist. Subtrees first (deepest levels first), then
         // objects.
@@ -1117,13 +1213,13 @@ impl RTree {
         for e in orphan_objects {
             self.insert_from(self.root, &[], AnyEntry::Leaf(e))?;
         }
-        self.shrink_root()?;
+        self.shrink_root(pool)?;
         Ok(())
     }
 
     /// While the root is internal with a single child, make that child the
     /// root.
-    fn shrink_root(&mut self) -> CoreResult<()> {
+    fn shrink_root(&mut self, pool: &BufferPool) -> CoreResult<()> {
         loop {
             let root = self.read_node(self.root)?;
             if root.is_leaf() || root.count() != 1 {
@@ -1133,21 +1229,14 @@ impl RTree {
                 }
                 return Ok(());
             }
+            // The next turn of the loop reads the new root and registers
+            // its MBR.
             let child = root.internal_entries()[0].child;
             self.free_page(self.root, false);
             self.root = child;
             self.height -= 1;
-            if self.parent_pointers() {
-                let mut node = self.read_node(child)?;
-                if node.is_leaf() && node.parent != INVALID_PAGE {
-                    node.parent = INVALID_PAGE;
-                    self.write_node(child, &node)?;
-                }
-            }
-            // Re-register the new root's MBR.
-            let node = self.read_node(child)?;
-            if let Some(s) = &mut self.summary {
-                s.set_root_mbr(node.mbr());
+            if self.parent_pointers() && self.height == 1 {
+                self.set_parent_pointer(pool, child, INVALID_PAGE)?;
             }
         }
     }
@@ -1255,13 +1344,13 @@ impl RTree {
     /// pervasively by tests; costs a full tree scan.
     pub(crate) fn validate(&self) -> CoreResult<()> {
         let mut object_count = 0u64;
-        let mut leaf_count = 0u64;
+        let mut node_count = 0u64;
         self.validate_node(
             self.root,
             self.root_level(),
             None,
             &mut object_count,
-            &mut leaf_count,
+            &mut node_count,
         )?;
         if object_count != self.len() {
             return Err(CoreError::InvariantViolation(format!(
@@ -1285,6 +1374,15 @@ impl RTree {
                     "summary root MBR differs from root node MBR".into(),
                 ));
             }
+            // Every node but the root has exactly one parent link; more
+            // means a freed page left its link behind.
+            if s.parent_links() as u64 != node_count - 1 {
+                return Err(CoreError::InvariantViolation(format!(
+                    "summary parent table holds {} links for {} non-root nodes",
+                    s.parent_links(),
+                    node_count - 1
+                )));
+            }
         }
         Ok(())
     }
@@ -1295,9 +1393,10 @@ impl RTree {
         expected_level: u16,
         bound: Option<Rect>,
         object_count: &mut u64,
-        leaf_count: &mut u64,
+        node_count: &mut u64,
     ) -> CoreResult<()> {
         let node = self.read_node(pid)?;
+        *node_count += 1;
         let fail = |msg: String| Err(CoreError::InvariantViolation(format!("page {pid}: {msg}")));
         if node.level != expected_level {
             return fail(format!(
@@ -1330,7 +1429,6 @@ impl RTree {
         }
         match &node.entries {
             NodeEntries::Leaf(v) => {
-                *leaf_count += 1;
                 *object_count += v.len() as u64;
                 if let Some(h) = &self.hash {
                     for e in v {
@@ -1357,9 +1455,16 @@ impl RTree {
                     if entry.mbr != node.mbr() {
                         return fail("summary MBR is stale".into());
                     }
-                    let children: Vec<PageId> = v.iter().map(|e| e.child).collect();
-                    if entry.children != children {
+                    if !entry.children.iter().eq(v.iter().map(|e| &e.child)) {
                         return fail("summary child list is stale".into());
+                    }
+                    for e in v {
+                        if s.find_parent_at(e.child, node.level) != Some(pid) {
+                            return fail(format!(
+                                "summary parent table does not map child {} here",
+                                e.child
+                            ));
+                        }
                     }
                 }
                 for e in v {
@@ -1377,7 +1482,7 @@ impl RTree {
                         expected_level - 1,
                         Some(e.rect),
                         object_count,
-                        leaf_count,
+                        node_count,
                     )?;
                 }
             }

@@ -319,6 +319,19 @@ impl BufferPool {
         self.state.lock().table.len()
     }
 
+    /// Number of frames currently pinned by at least one [`PageRef`].
+    /// Walks every resident frame — a diagnostic for tests that assert an
+    /// operation released all its pins, not a hot-path counter.
+    #[must_use]
+    pub fn pinned_frames(&self) -> usize {
+        let state = self.state.lock();
+        state
+            .table
+            .values()
+            .filter(|f| f.pins.load(Ordering::Relaxed) > 0)
+            .count()
+    }
+
     /// Change the capacity, evicting immediately if shrinking.
     pub fn set_capacity(&self, capacity: usize) -> StorageResult<()> {
         self.capacity.store(capacity, Ordering::Relaxed);
@@ -870,6 +883,22 @@ mod tests {
         drop(g2);
         assert_eq!(p.resident(), 0);
         assert_eq!(p.fetch(pid).unwrap().read()[0], 1);
+    }
+
+    #[test]
+    fn pinned_frames_counts_pages_not_pins() {
+        let p = pool(4);
+        let (a, ga) = p.new_page().unwrap();
+        let (_b, gb) = p.new_page().unwrap();
+        let ga2 = p.fetch(a).unwrap();
+        assert_eq!(p.pinned_frames(), 2, "two pins on one page count once");
+        drop(ga);
+        assert_eq!(p.pinned_frames(), 2);
+        drop(ga2);
+        assert_eq!(p.pinned_frames(), 1);
+        drop(gb);
+        assert_eq!(p.pinned_frames(), 0);
+        assert_eq!(p.resident(), 2, "unpinned frames stay cached");
     }
 
     #[test]

@@ -233,9 +233,10 @@ fn cmd_info(path: &str) -> Result<(), String> {
     println!("hash pages    : {}", index.hash_pages());
     if let Some(s) = index.summary() {
         println!(
-            "summary       : {} internal entries, {} B table + {} B bit vectors",
+            "summary       : {} internal entries, {} B table + {} B parent index + {} B bit vectors",
             s.internal_count(),
             s.table_size_bytes(),
+            s.parent_table_size_bytes(),
             s.bitvec_size_bytes()
         );
         let mbr = s.root_mbr();

@@ -1,8 +1,12 @@
 //! The concurrent `Bur::apply` write path under real parallelism.
 //!
-//! Four contracts from the latch-per-page rework and the coupled
-//! structural path:
+//! Five contracts from the latch-per-page rework, the coupled
+//! structural path and the in-order planning pass:
 //!
+//! 0. with one writer, batching changes nothing an update decides: the
+//!    same stream through `Bur::apply` in 32-op batches and through
+//!    sequential `RTreeIndex::update` yields equal outcome counts, equal
+//!    contents and an equally expensive tree to query;
 //! 1. batches on disjoint leaf granules physically overlap (the
 //!    handle's in-flight high watermark proves two batches were inside
 //!    the write path at the same moment) — and since the coupled path,
@@ -211,6 +215,106 @@ fn peak_concurrent_batches_resets_between_runs() {
         bur.peak_concurrent_batches() >= 1,
         "the watermark must accumulate again after a reset"
     );
+}
+
+/// One writer, no concurrency: the same seeded stream applied through
+/// `Bur::apply` in 32-op batches and, on an identically built twin,
+/// through sequential `RTreeIndex::update` calls. Batching may change how
+/// often the pool is asked for a page — never what an update decides:
+/// the outcome counts, the stored entries and the cost of querying the
+/// result must all be equal.
+fn run_sequential_twin_case(opts: IndexOptions) {
+    const N: u64 = 4_000;
+    const BATCHES: usize = 120;
+    let build = || {
+        let bur = IndexBuilder::with_options(opts).build().unwrap();
+        let mut batch = Batch::new();
+        for oid in 0..N {
+            batch.insert(oid, home(oid));
+        }
+        bur.apply(&batch).unwrap();
+        bur
+    };
+    let (batched, twin) = (build(), build());
+    let base = batched.with_op_stats(|s| s.snapshot());
+    assert_eq!(base, twin.with_op_stats(|s| s.snapshot()));
+
+    let mut rng = StdRng::seed_from_u64(0xD0_5A3E);
+    let mut pos: Vec<Point> = (0..N).map(home).collect();
+    for round in 0..BATCHES {
+        // Short moves mostly stay leaf-local (the batch runs shared);
+        // the paper's 0.06 sends every batch to the exclusive path.
+        let reach = if round % 2 == 0 { 0.003 } else { 0.06f32 };
+        let mut batch = Batch::new();
+        for _ in 0..32 {
+            let oid = rng.random_range(0..N);
+            let old = pos[oid as usize];
+            let new = Point::new(
+                (old.x + rng.random_range(-reach..reach)).clamp(0.0, 1.0),
+                (old.y + rng.random_range(-reach..reach)).clamp(0.0, 1.0),
+            );
+            batch.update(oid, old, new);
+            twin.with_index_mut(|index| index.update(oid, old, new))
+                .unwrap();
+            pos[oid as usize] = new;
+        }
+        batched.apply(&batch).unwrap();
+    }
+
+    let a = batched.with_op_stats(|s| s.snapshot()).since(&base);
+    let b = twin.with_op_stats(|s| s.snapshot()).since(&base);
+    assert!(
+        a.escalations > 0 && a.escalations < BATCHES as u64,
+        "the stream must exercise both write paths ({} of {BATCHES} escalated)",
+        a.escalations
+    );
+    let decisions = |s: &bur::core::OpSnapshot| {
+        [
+            s.updates,
+            s.upd_in_place,
+            s.upd_extended,
+            s.upd_shifted,
+            s.upd_ascended,
+            s.upd_top_down,
+            s.splits,
+            s.condenses,
+            s.piggybacked,
+            s.reinserted_entries,
+        ]
+    };
+    assert_eq!(decisions(&a), decisions(&b), "batched {a}\nsequential {b}");
+
+    batched.validate().unwrap();
+    twin.validate().unwrap();
+    let world = Rect::new(-1.0, -1.0, 2.0, 2.0);
+    let entries = |bur: &Bur| {
+        let mut v = bur.with_index(|index| index.query_entries(&world)).unwrap();
+        v.sort_by_key(|e| e.oid);
+        v
+    };
+    assert_eq!(entries(&batched), entries(&twin));
+
+    // The same tree costs the same to query.
+    let window_fetches = |bur: &Bur| {
+        let mut rng = StdRng::seed_from_u64(99);
+        let before = bur.io_snapshot().fetches;
+        for _ in 0..200 {
+            let (x, y) = (rng.random_range(0.0..0.9f32), rng.random_range(0.0..0.9f32));
+            bur.count_in(&Rect::new(x, y, x + 0.1, y + 0.1)).unwrap();
+        }
+        bur.io_snapshot().fetches - before
+    };
+    assert_eq!(window_fetches(&batched), window_fetches(&twin));
+}
+
+#[test]
+fn single_writer_batches_decide_like_sequential_updates_gbu() {
+    run_sequential_twin_case(IndexOptions::generalized());
+}
+
+#[test]
+fn single_writer_batches_decide_like_sequential_updates_lbu() {
+    run_sequential_twin_case(IndexOptions::localized());
 }
 
 /// Number of writer threads in the oracle proptest; object `oid` is
