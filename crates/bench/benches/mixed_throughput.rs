@@ -2,9 +2,7 @@
 //! the shared (DGL-locked) `Bur` handle — the wall-clock companion to
 //! Figure 8 — plus the `parallel-writers` group: the same handle driven
 //! by 1/2/4/8 writer threads on disjoint leaf strips, exercising the
-//! concurrent (shared-phase) `Bur::apply` path end to end. The scaling
-//! artifact lives in `concbench` (`BENCH_concurrency.json`); this group
-//! keeps the workload compiling and running in CI's bench smoke.
+//! concurrent (shared-phase) `Bur::apply` path end to end.
 
 use bur_bench::parallel::{build_strips, run_lanes};
 use bur_core::{Bur, IndexOptions, RTreeIndex};

@@ -10,10 +10,6 @@
 //!   tightly-coupled standby pays per update;
 //! * `poll-empty` — an idle pump against a caught-up log: the floor a
 //!   standby pays per poll when nothing new landed.
-//!
-//! `cargo run -p bur-bench --bin replbench` measures apply lag versus
-//! primary update rate across pump cadences outside criterion and
-//! records it as `BENCH_repl.json`.
 
 use bur_core::{Durability, IndexOptions, WalOptions};
 use bur_repl::{Follower, LogShipper};

@@ -11,16 +11,16 @@
 //! * `wal+ckpt` — delta logging plus an aggressive checkpoint cadence,
 //!   so the measured window pays for pool flushes and log rewinds too;
 //! * `wal+async+batch` — the full durable fast path: delta logging,
-//!   asynchronous group commit (background sync thread) and per-batch
-//!   commit records.
+//!   asynchronous group commit (background sync thread) and one commit
+//!   record per 8-op [`Batch`]. One iteration of this row is a whole
+//!   batch: divide its time by 8 to compare with the per-update rows.
 //!
 //! All configurations run on an in-memory disk: the numbers isolate the
 //! CPU and page-copy overhead of the logging protocol itself, not
-//! `fsync` latency (which `SyncPolicy` amortizes in real deployments).
-//! `cargo run -p bur-bench --bin walbench` measures the same matrix
-//! outside criterion and records it as `BENCH_wal.json`.
+//! `fsync` latency (which `SyncPolicy` amortizes in real deployments;
+//! `perfbench`'s `core_slow_durable` workload pays a real one).
 
-use bur_core::{DeltaPolicy, Durability, IndexOptions, RTreeIndex, WalOptions};
+use bur_core::{Batch, DeltaPolicy, Durability, IndexOptions, RTreeIndex, WalOptions};
 use bur_storage::SyncPolicy;
 use bur_workload::{Workload, WorkloadConfig};
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -39,20 +39,22 @@ fn bench_wal_overhead(c: &mut Criterion) {
     let n = 20_000;
     let mut group = c.benchmark_group("wal_overhead");
     group.sample_size(20);
-    for (name, durability) in [
-        ("off", Durability::None),
+    // (row, updates per iteration — 1 is a plain `update` —, durability)
+    for (name, batch_len, durability) in [
+        ("off", 1, Durability::None),
         (
             "wal-full",
+            1,
             Durability::Wal(WalOptions {
                 sync: SyncPolicy::GroupCommit(64),
                 checkpoint_every: u64::MAX,
                 delta: DeltaPolicy::full_images(),
-                batch_ops: 1,
                 ..WalOptions::default()
             }),
         ),
         (
             "wal",
+            1,
             Durability::Wal(WalOptions {
                 sync: SyncPolicy::GroupCommit(64),
                 checkpoint_every: u64::MAX,
@@ -61,6 +63,7 @@ fn bench_wal_overhead(c: &mut Criterion) {
         ),
         (
             "wal+ckpt",
+            1,
             Durability::Wal(WalOptions {
                 sync: SyncPolicy::GroupCommit(64),
                 checkpoint_every: 512,
@@ -69,23 +72,36 @@ fn bench_wal_overhead(c: &mut Criterion) {
         ),
         (
             "wal+async+batch",
+            8,
             Durability::Wal(WalOptions {
                 sync: SyncPolicy::Async,
                 checkpoint_every: 512,
-                batch_ops: 8,
                 ..WalOptions::default()
             }),
         ),
     ] {
         let opts = IndexOptions::generalized().with_durability(durability);
         let (mut index, mut wl) = build(opts, n);
-        group.bench_function(name, |b| {
-            b.iter(|| {
-                let op = wl.next_update();
-                black_box(index.update(op.oid, op.old, op.new).unwrap());
+        if batch_len > 1 {
+            let mut batch = Batch::with_capacity(batch_len);
+            group.bench_function(name, |b| {
+                b.iter(|| {
+                    batch.clear();
+                    for _ in 0..batch_len {
+                        let op = wl.next_update();
+                        batch.update(op.oid, op.old, op.new);
+                    }
+                    black_box(index.apply_batch(&batch).unwrap());
+                });
             });
-        });
-        index.flush_commits().unwrap();
+        } else {
+            group.bench_function(name, |b| {
+                b.iter(|| {
+                    let op = wl.next_update();
+                    black_box(index.update(op.oid, op.old, op.new).unwrap());
+                });
+            });
+        }
         if let Some(stats) = index.wal_stats() {
             println!("  [{name}] {stats}");
         }

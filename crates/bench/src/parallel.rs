@@ -1,18 +1,9 @@
-//! Shared harness for the concurrent-writer scaling measurements: `N`
+//! Shared harness for the `parallel-writers` criterion group: `N`
 //! writer threads, each owning a private spatial strip of the unit
-//! square, pushing batches through one clonable [`Bur`] handle. Because
-//! every thread's objects live on leaves no other thread touches, the
-//! batches take disjoint leaf granules and ride the handle's concurrent
-//! (shared-phase) write path end to end — the workloads behind
-//! `BENCH_concurrency.json` and the `parallel-writers` criterion group.
-//!
-//! Two lane flavors:
-//! - [`Lane`] — pure bottom-up *updates* (zigzag moves, no structure
-//!   change), the original scaling workload;
-//! - [`StructuralLane`] — insert/delete churn that grows and shrinks
-//!   leaves, the workload that used to escalate every batch to the
-//!   exclusive path and now rides latch-coupled group plans with
-//!   make-room splits.
+//! square, pushing update batches through one clonable [`Bur`] handle.
+//! Because every thread's objects live on leaves no other thread
+//! touches, the batches take disjoint leaf granules and ride the
+//! handle's concurrent (shared-phase) write path end to end.
 
 use bur_core::{Batch, Bur, IndexOptions, RTreeIndex};
 use bur_geom::Point;
@@ -42,12 +33,6 @@ impl Lane {
             batch.update(oid, Point::new(p.x + from, p.y), Point::new(p.x + to, p.y));
         }
         batch
-    }
-
-    /// Operations per batch.
-    #[must_use]
-    pub fn ops(&self) -> usize {
-        self.oids.len()
     }
 }
 
@@ -87,99 +72,9 @@ pub fn build_strips(opts: IndexOptions, threads: usize, per_thread: usize) -> (B
     (Bur::from_index(index), lanes)
 }
 
-/// One writer's private insert/delete churn. Even rounds insert `ops`
-/// fresh objects at positions strided across the lane's strip (each
-/// lands inside some existing leaf MBR, so group planning admits it);
-/// odd rounds delete exactly those objects. The stride spreads the
-/// churn over many leaves, so no single leaf swings past its fill
-/// bounds — batches stay on the shared path, overflowing leaves get
-/// make-room splits instead of whole-batch escalations.
-pub struct StructuralLane {
-    slots: Vec<Point>,
-    alive: Vec<(u64, Point)>,
-    next_oid: u64,
-    cursor: usize,
-    ops: usize,
-    round: usize,
-}
-
-impl StructuralLane {
-    /// The next churn batch: all inserts or all deletes, alternating.
-    pub fn next_batch(&mut self) -> Batch {
-        let mut batch = Batch::new();
-        if self.round % 2 == 0 {
-            let stride = (self.slots.len() / self.ops).max(1);
-            for _ in 0..self.ops {
-                let p = self.slots[self.cursor % self.slots.len()];
-                self.cursor = self.cursor.wrapping_add(stride) + 1;
-                let oid = self.next_oid;
-                self.next_oid += 1;
-                batch.insert(oid, p);
-                self.alive.push((oid, p));
-            }
-        } else {
-            for (oid, p) in self.alive.drain(..) {
-                batch.delete(oid, p);
-            }
-        }
-        self.round += 1;
-        batch
-    }
-
-    /// Operations per batch.
-    #[must_use]
-    pub fn ops(&self) -> usize {
-        self.ops
-    }
-}
-
-/// Build the same strip-partitioned index as [`build_strips`] plus one
-/// [`StructuralLane`] of `churn_ops` ops per batch for each strip.
-/// Churn oids start far above the base objects' so the id spaces never
-/// collide.
-pub fn build_structural_strips(
-    opts: IndexOptions,
-    threads: usize,
-    per_thread: usize,
-    churn_ops: usize,
-) -> (Bur, Vec<StructuralLane>) {
-    let (bur, lanes) = build_strips(opts, threads, per_thread);
-    let churn = lanes
-        .iter()
-        .enumerate()
-        .map(|(t, lane)| StructuralLane {
-            slots: lane.home.clone(),
-            alive: Vec::with_capacity(churn_ops),
-            next_oid: (1 + t as u64) << 32,
-            cursor: 0,
-            ops: churn_ops.max(1),
-            round: 0,
-        })
-        .collect();
-    (bur, churn)
-}
-
 /// Drive every lane for `batches` whole-lane batches on its own thread
 /// and return the elapsed wall-clock seconds.
 pub fn run_lanes(bur: &Bur, lanes: &mut [Lane], batches: usize) -> f64 {
-    let start = std::time::Instant::now();
-    std::thread::scope(|s| {
-        for lane in lanes.iter_mut() {
-            s.spawn(move || {
-                for _ in 0..batches {
-                    bur.apply(&lane.next_batch()).expect("apply");
-                }
-            });
-        }
-    });
-    start.elapsed().as_secs_f64()
-}
-
-/// [`run_lanes`] for structural churn lanes. Rounds are forced even so
-/// every insert round is paired with its delete round and the index
-/// returns to its base population.
-pub fn run_structural_lanes(bur: &Bur, lanes: &mut [StructuralLane], batches: usize) -> f64 {
-    let batches = (batches + 1) & !1;
     let start = std::time::Instant::now();
     std::thread::scope(|s| {
         for lane in lanes.iter_mut() {

@@ -150,18 +150,6 @@ impl IndexBuilder {
         self
     }
 
-    /// Set the WAL commit batch size (one group commit record per this
-    /// many operations), turning durability on if it was off.
-    pub fn commit_batch(mut self, ops: u32) -> Self {
-        let mut wopts = match self.opts.durability {
-            Durability::Wal(w) => w,
-            Durability::None => WalOptions::default(),
-        };
-        wopts.batch_ops = ops;
-        self.opts.durability = Durability::Wal(wopts);
-        self
-    }
-
     /// Arbitrary option tweaks in one closure (escape hatch for the
     /// long tail: split policy, eviction, min fill, ...).
     pub fn tune(mut self, f: impl FnOnce(&mut IndexOptions)) -> Self {
@@ -353,16 +341,11 @@ mod tests {
     }
 
     #[test]
-    fn sync_policy_and_commit_batch_imply_durability() {
+    fn sync_policy_implies_durability() {
         let b = IndexBuilder::new().sync_policy(SyncPolicy::Manual);
         let Durability::Wal(w) = b.options().durability else {
             panic!("sync_policy must enable the WAL");
         };
         assert_eq!(w.sync, SyncPolicy::Manual);
-        let b = IndexBuilder::new().commit_batch(16);
-        let Durability::Wal(w) = b.options().durability else {
-            panic!("commit_batch must enable the WAL");
-        };
-        assert_eq!(w.batch_ops, 16);
     }
 }

@@ -1,8 +1,8 @@
 //! The leaf-local concurrent write path: one in-order pass that plans a
 //! batch against pinned leaf shadows, then writes through the same pins.
 //!
-//! [`crate::Bur::apply`] runs this module **under a shared tree granule
-//! and a shared physical lock** — several batches on disjoint leaves run
+//! [`crate::Bur::apply`] runs this module **under the read side of the
+//! structure lock** — several batches on disjoint leaves run
 //! at the same time. A batch may mix bottom-up updates, inserts whose
 //! target leaf is chosen by a read-only containment-constrained descent,
 //! and deletes located through the object-id hash. The path is two-phase:
@@ -144,8 +144,6 @@ struct LeafShadow<'a> {
 
 /// What [`SharedPass::execute`] wrote before it finished or failed.
 pub(crate) struct Executed {
-    /// Shadows (in first-touch order) whose leaf was written.
-    pub(crate) leaves: usize,
     /// Ops of those shadows.
     pub(crate) ops: u64,
     /// Net object-count change of those shadows.
@@ -175,8 +173,8 @@ pub(crate) struct SharedPass<'a> {
 }
 
 impl<'a> SharedPass<'a> {
-    /// Start a pass over `index` (held under the shared physical lock
-    /// and a shared tree granule by the caller).
+    /// Start a pass over `index` (held under the structure lock's read
+    /// side by the caller).
     pub(crate) fn new(index: &'a RTreeIndex, locks: &'a LockManager) -> Self {
         Self {
             index,
@@ -492,12 +490,6 @@ impl<'a> SharedPass<'a> {
         &self.effects
     }
 
-    /// `(leaf page, ops planned onto it)` per shadow, in first-touch
-    /// order — the commit batcher's per-granule hooks.
-    pub(crate) fn leaf_ops(&self) -> impl Iterator<Item = (PageId, u64)> + '_ {
-        self.shadows.iter().map(|s| (s.page.pid(), s.ops))
-    }
-
     /// Write the planned shadows through their pins and append every
     /// written page to `written` (the batch's commit set). Stops at the
     /// first storage failure (a hash-index write; unreachable on a
@@ -506,7 +498,7 @@ impl<'a> SharedPass<'a> {
     /// # Latch invariants
     ///
     /// The pass holds each leaf's exclusive granule and the caller the
-    /// shared tree granule, so the leaf page and the parent's entry *for
+    /// structure lock's read side, so the leaf page and the parent's entry *for
     /// this leaf* are owned by this batch. Sibling entries of the same
     /// parent page may be patched by other batches at the same time,
     /// which is why the parent is read-modify-written under one
@@ -520,7 +512,6 @@ impl<'a> SharedPass<'a> {
     /// not apply, and the leaf granule serializes them per leaf.
     pub(crate) fn execute<'s>(&'s self, written: &mut Vec<&'s PageRef<'a>>) -> Executed {
         let mut done = Executed {
-            leaves: 0,
             ops: 0,
             len_delta: 0,
             failed: None,
@@ -530,7 +521,6 @@ impl<'a> SharedPass<'a> {
             // refreshing the memory state then fails.
             let wrote = self.write_shadow(shadow, written);
             if wrote.is_ok() {
-                done.leaves += 1;
                 done.ops += shadow.ops;
                 done.len_delta += shadow.len_delta;
             }

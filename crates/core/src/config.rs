@@ -157,13 +157,6 @@ pub struct WalOptions {
     /// updates touch a few dozen bytes of a 1 KiB page, so deltas cut log
     /// volume several-fold at no durability cost.
     pub delta: bur_wal::DeltaPolicy,
-    /// Commit batching: write one commit record (and apply the sync
-    /// cadence once) per this many operations instead of per operation.
-    /// `1` (the default) keeps per-operation commit semantics; larger
-    /// values trade the unflushed tail of a batch — same crash window as
-    /// group commit — for a shorter durable critical section per update.
-    /// Must be at least 1. See [`crate::RTreeIndex::set_commit_batch`].
-    pub batch_ops: u32,
     /// Async sync-request debounce: under
     /// [`bur_storage::SyncPolicy::Async`], request a background sync
     /// only every this many commit records instead of per commit (the
@@ -182,7 +175,6 @@ impl Default for WalOptions {
             sync: bur_storage::SyncPolicy::EveryCommit,
             checkpoint_every: 256,
             delta: bur_wal::DeltaPolicy::default(),
-            batch_ops: 1,
             async_coalesce: bur_wal::DEFAULT_ASYNC_COALESCE,
         }
     }
@@ -282,9 +274,6 @@ impl IndexOptions {
                 return Err(CoreError::BadConfig(
                     "checkpoint_every must be at least 1".into(),
                 ));
-            }
-            if w.batch_ops == 0 {
-                return Err(CoreError::BadConfig("batch_ops must be at least 1".into()));
             }
             if w.async_coalesce == 0 {
                 return Err(CoreError::BadConfig(

@@ -3,17 +3,15 @@
 //! [`Bur`] wraps the [`RTreeIndex`] engine in `Arc` internals with the
 //! DGL granule-locking discipline the paper's throughput study uses
 //! (Section 3.2.2): bottom-up updates X-lock the granule of the leaf
-//! they touch under a shared tree granule, while structure-modifying
-//! operations (inserts, deletes, top-down updates) take the tree
-//! granule exclusively. Clone the handle freely — clones share the same
-//! index.
+//! they touch and nothing else, while structure-modifying operations
+//! (splits, ascents, top-down updates) exclude everyone. Clone the
+//! handle freely — clones share the same index.
 //!
-//! Since the latch-per-page rework the granule discipline is physical,
-//! not just logical: the engine sits behind a reader-writer lock, and a
-//! [`Bur::apply`] batch of bottom-up updates, inserts and deletes runs
-//! under the *shared* side — several such batches on disjoint leaf
-//! granules plan and write **at the same time**, each page access
-//! serialized only by its per-frame latch
+//! There is one whole-tree lock: the engine sits behind a reader-writer
+//! *structure lock*. Queries and [`Bur::apply`] batches of bottom-up
+//! updates, inserts and deletes run under its *shared* side — several
+//! such batches on disjoint leaf granules plan and write **at the same
+//! time**, each page access serialized only by its per-frame latch
 //! ([`bur_storage::PageWriteLatch`]). An insert that finds its leaf
 //! full splits it as a short exclusive *make-room* commit and retries
 //! shared; a batch that still needs non-leaf-local surgery (top-down
@@ -25,10 +23,11 @@
 //! `docs/ARCHITECTURE.md` ("Latching protocol").
 //!
 //! The write path is **batch-first**: [`Bur::apply`] takes a [`Batch`]
-//! of mixed operations, applies it under one granule acquisition, and —
-//! on a durable index — flushes it as **one** write-ahead-log group
-//! commit record (atomic under crashes). Every write entry point
-//! returns or leads to a [`CommitTicket`] whose [`CommitTicket::wait`]
+//! of mixed operations and — on a durable index — flushes it as **one**
+//! write-ahead-log group commit record (atomic under crashes); a single
+//! operation commits its own record. A `Batch` is the only way to put
+//! several operations under one record. [`Bur::apply`] returns a
+//! [`CommitTicket`] whose [`CommitTicket::wait`]
 //! rides the log's durable-LSN watermark: the hard ack under
 //! [`bur_storage::SyncPolicy::Async`], an instant no-op when the commit
 //! already synced inline.
@@ -60,12 +59,12 @@ use crate::index::{RTreeIndex, RecoveryReport};
 use crate::knn::Neighbor;
 use crate::node::ObjectId;
 use crate::stats::{OpStats, UpdateOutcome};
-use bur_dgl::{CommitBatch, CommitBatcher, Granule, LockGuard, LockManager, LockMode};
+use bur_dgl::LockManager;
 use bur_geom::{Point, Rect};
 use bur_storage::{IoSnapshot, PageId, PageRef};
 use bur_wal::{Lsn, WalStatsSnapshot, WalWaiter};
-use parking_lot::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
+use parking_lot::{Mutex, RwLock};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// How many make-room splits one `apply` call may perform before giving
@@ -77,7 +76,7 @@ const MAKE_ROOM_ATTEMPTS: u32 = 4;
 
 /// How many times one `apply` call may be refused a granule on the
 /// shared path (make-room rounds not counted) before it stops retrying
-/// and takes the exclusive path, whose writer queue on the physical lock
+/// and takes the exclusive path, whose writer queue on the structure lock
 /// guarantees progress. This is the stated bound on the retry loop: no
 /// batch spins on refusals forever.
 const SHARED_REFUSALS: u32 = 4;
@@ -88,17 +87,13 @@ const SPARE_BUFFERS: usize = 16;
 
 /// Shared state behind every clone of a [`Bur`] handle.
 struct BurShared {
-    /// The engine. Writers that stay leaf-local (concurrent `apply`)
-    /// hold the **read** side — the granule locks in `locks` carve up
-    /// what they may touch — while structural writers hold the write
-    /// side. See `docs/ARCHITECTURE.md`, "Latching protocol".
+    /// The engine behind the structure lock, the only whole-tree lock.
+    /// Queries and writers that stay leaf-local (concurrent `apply`)
+    /// hold the **read** side — the leaf granules in `locks` carve up
+    /// what the writers may touch — while structural writers hold the
+    /// write side. See `docs/ARCHITECTURE.md`, "Latching protocol".
     inner: RwLock<RTreeIndex>,
     locks: LockManager,
-    /// Per-granule commit hooks accumulated between group commit records
-    /// (see [`Bur::set_commit_batching`] and [`Bur::apply`]).
-    batcher: CommitBatcher,
-    /// Single-op commit batch size; 0 or 1 means per-operation commits.
-    batch_target: AtomicU32,
     /// Durable-watermark waiter, cached at construction (durable indexes
     /// only) and refreshed when a replica promotion attaches a log.
     waiter: Mutex<Option<WalWaiter>>,
@@ -156,9 +151,6 @@ enum SharedAttempt {
     /// exclusive commit (a content-neutral preparatory split), then
     /// retry the batch on the shared path. Nothing has been written.
     MakeRoom(PageId),
-    /// Pending single-op commits must be flushed under the exclusive
-    /// lock before a concurrent commit may log its pages.
-    FlushPending,
     /// A granule was refused; back off and try again (at most
     /// [`SHARED_REFUSALS`] times).
     Refused,
@@ -191,9 +183,9 @@ impl Bur {
     }
 
     /// Wrap an index in a **read-only** handle: every write entry point
-    /// (`apply`, `insert`, `update`, `delete`, `commit`, `checkpoint`,
-    /// `persist`, `set_commit_batching`) fails with
-    /// [`CoreError::ReadOnly`] until [`Bur::promote_replica`] flips the
+    /// (`apply`, `insert`, `update`, `delete`, `checkpoint`, `persist`)
+    /// fails with [`CoreError::ReadOnly`] until
+    /// [`Bur::promote_replica`] flips the
     /// handle writable. This is how a replication follower shares its
     /// replica view with query threads while it alone redoes the shipped
     /// log through [`Bur::with_index_mut`] (the maintenance escape
@@ -214,8 +206,6 @@ impl Bur {
             shared: Arc::new(BurShared {
                 inner: RwLock::new(index),
                 locks: LockManager::new(),
-                batcher: CommitBatcher::new(),
-                batch_target: AtomicU32::new(1),
                 waiter,
                 recovery,
                 spare_ids: Mutex::new(Vec::new()),
@@ -243,12 +233,12 @@ impl Bur {
 
     /// Promote a read-only replica handle in place: run the tail of
     /// recovery ([`RTreeIndex::promote_replica`] — memory-state rebuild,
-    /// log reattach + rewind, checkpoint) under the exclusive tree
-    /// granule, then flip the handle writable. Every clone held by a
+    /// log reattach + rewind, checkpoint) under the exclusive structure
+    /// lock, then flip the handle writable. Every clone held by a
     /// query thread becomes a handle on the new primary at the same
     /// moment. Fails on a handle that is already writable.
     pub fn promote_replica(&self, opts: IndexOptions) -> CoreResult<()> {
-        let (mut index, _tree) = self.lock_excl();
+        let mut index = self.shared.inner.write();
         // Checked under the exclusive lock: of two racing promotes,
         // exactly one wins — the loser sees a writable handle.
         if !self.is_read_only() {
@@ -286,64 +276,11 @@ impl Bur {
         self.shared.recovery
     }
 
-    // ---- locking helpers -------------------------------------------------
-
-    /// Acquire the physical write lock plus the exclusive tree granule,
-    /// try-and-retry on the granule (never blocking on a granule while
-    /// holding the physical lock, so the handle cannot deadlock — the
-    /// latch-order invariant of `docs/ARCHITECTURE.md`).
-    fn lock_excl(&self) -> (RwLockWriteGuard<'_, RTreeIndex>, LockGuard<'_>) {
-        loop {
-            let index = self.shared.inner.write();
-            match self
-                .shared
-                .locks
-                .try_lock(Granule::Tree, LockMode::Exclusive)
-            {
-                Ok(guard) => return (index, guard),
-                Err(_) => {
-                    drop(index);
-                    std::thread::yield_now();
-                }
-            }
-        }
-    }
-
-    /// Acquire the physical read lock plus the shared tree granule
-    /// (query-side counterpart of [`Bur::lock_excl`]).
-    fn lock_shared(&self) -> (RwLockReadGuard<'_, RTreeIndex>, LockGuard<'_>) {
-        loop {
-            let index = self.shared.inner.read();
-            match self.shared.locks.try_lock(Granule::Tree, LockMode::Shared) {
-                Ok(guard) => return (index, guard),
-                Err(_) => {
-                    drop(index);
-                    std::thread::yield_now();
-                }
-            }
-        }
-    }
-
-    /// Register a finished write on `granule` with the commit batcher and
-    /// drain the hooks whenever the core has just flushed a batch (its
-    /// pending count returns to zero — on the batch boundary or a
-    /// piggybacked checkpoint).
-    fn after_write(&self, index: &mut RTreeIndex, granule: Granule) {
-        if self.shared.batch_target.load(Ordering::Relaxed) <= 1 || !index.is_durable() {
-            return;
-        }
-        self.shared.batcher.note(granule);
-        if index.pending_commits() == 0 {
-            self.shared.batcher.drain();
-        }
-    }
-
     /// Build a ticket covering everything flushed so far (call with the
     /// index lock still held, so the LSN covers exactly this commit).
-    fn ticket(&self, index: &RTreeIndex, report: BatchReport, hooks: CommitBatch) -> CommitTicket {
+    fn ticket(&self, index: &RTreeIndex, report: BatchReport) -> CommitTicket {
         CommitTicket {
             report,
-            hooks,
             lsn: index.last_lsn().unwrap_or(0),
             waiter: self.shared.waiter.lock().clone(),
         }
@@ -353,15 +290,14 @@ impl Bur {
 
     /// Apply a [`Batch`] of mixed operations atomically with respect to
     /// the write-ahead log: the whole batch is flushed as **one** group
-    /// commit record (plus any single operations already pending in the
-    /// current commit batch), so a crash recovers all of it or none of
-    /// it. Returns a [`CommitTicket`]; under
+    /// commit record, so a crash recovers all of it or none of it.
+    /// Returns a [`CommitTicket`]; under
     /// [`bur_storage::SyncPolicy::Async`], [`CommitTicket::wait`] is the
     /// hard durability ack.
     ///
     /// Locking: batches of bottom-up updates, inserts and deletes
-    /// X-lock the granules of the leaves they touch under a **shared**
-    /// tree granule and the **shared** physical lock — batches on
+    /// X-lock the granules of the leaves they touch under the **shared**
+    /// side of the structure lock — batches on
     /// disjoint leaves (including structural ones) plan and write
     /// concurrently (see the module docs and `docs/ARCHITECTURE.md`).
     /// An insert that finds its leaf full triggers a *make-room* split:
@@ -369,7 +305,7 @@ impl Bur {
     /// own commit record and the batch retries shared. A batch that
     /// still cannot stay leaf-local — top-down updates, sibling shifts,
     /// underflows, MBR ascents, same-batch operations on one object —
-    /// escalates to the exclusive tree granule before a single page is
+    /// escalates to the exclusive structure lock before a single page is
     /// written, so the result is always logically identical to
     /// sequential application (the physical tree may differ by benign
     /// slack only; see `crate::concurrent`). Escalations are counted in
@@ -378,7 +314,7 @@ impl Bur {
         self.check_writable()?;
         if batch.is_empty() {
             let index = self.shared.inner.read();
-            return Ok(self.ticket(&index, BatchReport::default(), CommitBatch::default()));
+            return Ok(self.ticket(&index, BatchReport::default()));
         }
         let mut room_attempts = 0u32;
         let mut refusals = 0u32;
@@ -390,17 +326,10 @@ impl Bur {
                 }
                 SharedAttempt::MakeRoom(pid) if room_attempts < MAKE_ROOM_ATTEMPTS => {
                     room_attempts += 1;
-                    let (mut index, _tree) = self.lock_excl();
+                    let mut index = self.shared.inner.write();
                     // `false` means the leaf moved on (split by a racing
                     // batch, emptied, dissolved): just retry shared.
                     index.make_room(pid)?;
-                }
-                SharedAttempt::FlushPending => {
-                    // Single-op commits pending from before the shared
-                    // phase must land under their own record first: the
-                    // concurrent commit logs only this batch's pages.
-                    let (mut index, _tree) = self.lock_excl();
-                    index.flush_commits()?;
                 }
                 SharedAttempt::Refused if refusals < SHARED_REFUSALS => {
                     refusals += 1;
@@ -411,36 +340,20 @@ impl Bur {
                 }
             }
         }
-        // Classic exclusive path: the whole batch under the write lock
-        // and the exclusive tree granule, applied by the engine and
-        // flushed as one group commit record by `apply_batch`. From here
-        // on the batch stays on this path — a refused tree granule is
-        // retried by `lock_excl` alone, never by re-planning.
-        let (mut index, _tree) = self.lock_excl();
+        // Classic exclusive path: the whole batch under the structure
+        // lock's write side, applied by the engine and flushed as one
+        // group commit record by `apply_batch` (on error, the record
+        // covers the prefix before the failing op). From here on the
+        // batch stays on this path — it waits in the lock's writer
+        // queue and never re-plans.
+        let mut index = self.shared.inner.write();
         index.op_stats().escalations.fetch_add(1, Ordering::Relaxed);
-        let result = index.apply_batch(batch);
-        // A group commit record covered everything applied (the whole
-        // batch, or — on error — the prefix before the failing op, which
-        // `apply_batch` flushed before surfacing it): note the covered
-        // granule and drain the hooks as one commit batch, so nothing
-        // lingers to be misattributed to a later ticket.
-        let applied = match &result {
-            Ok(report) => report.applied,
-            Err(CoreError::Batch { op_index, .. }) => *op_index as u64,
-            Err(_) => 0,
-        };
-        let hooks = if index.is_durable() {
-            self.shared.batcher.note_n(Granule::Tree, applied);
-            self.shared.batcher.drain()
-        } else {
-            CommitBatch::default()
-        };
-        let report = result?;
-        Ok(self.ticket(&index, report, hooks))
+        let report = index.apply_batch(batch)?;
+        Ok(self.ticket(&index, report))
     }
 
-    /// One attempt at the concurrent write path: under the shared
-    /// physical lock and a shared tree granule, plan the batch in one
+    /// One attempt at the concurrent write path: under the structure
+    /// lock's read side, plan the batch in one
     /// in-order pass ([`SharedPass::plan`] — it takes each leaf's
     /// exclusive granule and pin as it first meets the leaf, and stops at
     /// the first op that cannot stay leaf-local), then write and commit
@@ -452,9 +365,6 @@ impl Bur {
         if matches!(index.options().strategy, UpdateStrategy::TopDown) {
             return Ok(SharedAttempt::Escalate);
         }
-        let Ok(_tree) = self.shared.locks.try_lock(Granule::Tree, LockMode::Shared) else {
-            return Ok(SharedAttempt::Refused);
-        };
         let _inflight = InFlight::enter(&self.shared);
         let mut pass = SharedPass::new(&index, &self.shared.locks);
         match pass.plan(batch.ops())? {
@@ -463,23 +373,9 @@ impl Bur {
             Step::Escalate => return Ok(SharedAttempt::Escalate),
             Step::Refused => return Ok(SharedAttempt::Refused),
         }
-        if index.pending_commits() > 0 {
-            // Checked only once the batch is known to stay shared: an
-            // escalating batch folds the pending ops into its own record.
-            return Ok(SharedAttempt::FlushPending);
-        }
         let (report, lsn) = self.write_and_commit(&index, &pass, batch.len() as u64)?;
-        let hooks = if index.is_durable() {
-            for (pid, ops) in pass.leaf_ops() {
-                self.shared.batcher.note_n(Granule::Leaf(pid), ops);
-            }
-            self.shared.batcher.drain()
-        } else {
-            CommitBatch::default()
-        };
         Ok(SharedAttempt::Done(CommitTicket {
             report,
-            hooks,
             lsn,
             waiter: self.shared.waiter.lock().clone(),
         }))
@@ -508,12 +404,6 @@ impl Bur {
             // leaf-granular here, the one documented divergence from
             // the sequential path's strict-prefix contract.
             index.commit_batch_pages(done.ops, &written, done.len_delta)?;
-            if index.is_durable() {
-                for (pid, ops) in pass.leaf_ops().take(done.leaves) {
-                    self.shared.batcher.note_n(Granule::Leaf(pid), ops);
-                }
-                self.shared.batcher.drain();
-            }
             return Err(CoreError::Batch {
                 op_index,
                 source: Box::new(source),
@@ -557,138 +447,66 @@ impl Bur {
         if !self.shared.inner.read().checkpoint_due() {
             return Ok(());
         }
-        let (mut index, _tree) = self.lock_excl();
+        let mut index = self.shared.inner.write();
         if index.checkpoint_due() {
             index.checkpoint()?;
         }
         Ok(())
     }
 
-    /// Flush any single operations pending in the current commit batch
-    /// (see [`Bur::set_commit_batching`]) as one group commit record and
-    /// return the covering [`CommitTicket`]. A no-op ticket when nothing
-    /// was pending.
-    pub fn commit(&self) -> CoreResult<CommitTicket> {
-        self.check_writable()?;
-        let mut index = self.shared.inner.write();
-        let pending = index.pending_commits();
-        index.flush_commits()?;
-        let hooks = self.shared.batcher.drain();
-        let report = BatchReport {
-            applied: pending,
-            ..BatchReport::default()
-        };
-        Ok(self.ticket(&index, report, hooks))
-    }
-
-    /// Block until every acknowledged operation is durable in the log
-    /// (operations pending in a commit batch are flushed first); returns
-    /// the durable watermark. No-op (returning 0) on a non-durable
-    /// index. Unlike the ticketed wait, this holds no index lock while
-    /// waiting.
+    /// Block until every acknowledged operation is durable in the log;
+    /// returns the durable watermark (0 on an index without a log, which
+    /// includes a read-only replica view). Writes nothing: it reads the
+    /// log tail under the structure lock's read side and holds no lock
+    /// while waiting.
     pub fn wait_durable(&self) -> CoreResult<Lsn> {
-        self.commit()?.wait()
+        let ticket = self.ticket(&self.shared.inner.read(), BatchReport::default());
+        ticket.wait()
     }
 
     // ---- single-operation writes -----------------------------------------
 
-    /// Insert a fresh point object (tree granule exclusive: inserts can
-    /// split).
+    /// Insert a fresh point object (structure lock exclusive: inserts
+    /// can split).
     pub fn insert(&self, oid: ObjectId, position: Point) -> CoreResult<()> {
         self.check_writable()?;
-        let (mut index, _tree) = self.lock_excl();
-        index.insert(oid, position)?;
-        self.after_write(&mut index, Granule::Tree);
-        Ok(())
+        self.shared.inner.write().insert(oid, position)
     }
 
     /// Insert a fresh object with a rectangular extent.
     pub fn insert_rect(&self, oid: ObjectId, rect: Rect) -> CoreResult<()> {
         self.check_writable()?;
-        let (mut index, _tree) = self.lock_excl();
-        index.insert_rect(oid, rect)?;
-        self.after_write(&mut index, Granule::Tree);
-        Ok(())
+        self.shared.inner.write().insert_rect(oid, rect)
     }
 
-    /// Delete an object (tree granule exclusive). Returns `false` when
-    /// it is not indexed at `position`.
+    /// Delete an object (structure lock exclusive). Returns `false`
+    /// when it is not indexed at `position`.
     pub fn delete(&self, oid: ObjectId, position: Point) -> CoreResult<bool> {
         self.check_writable()?;
-        let (mut index, _tree) = self.lock_excl();
-        let found = index.delete(oid, position)?;
-        if found {
-            self.after_write(&mut index, Granule::Tree);
-        }
-        Ok(found)
+        self.shared.inner.write().delete(oid, position)
     }
 
-    /// Move an object, acquiring the DGL granules its strategy requires:
-    /// bottom-up updates take the granule of the object's current leaf
-    /// exclusively under a shared tree granule; top-down updates take
-    /// the tree granule exclusively. A bottom-up update that plans
-    /// leaf-local (in place or an extension within the parent MBR) runs
-    /// through the same shared planner as [`Bur::apply`] — under the
-    /// **shared** physical lock, overlapping other single-op updates and
-    /// concurrent batches — and only falls back to the physical write
-    /// lock when it needs structural surgery (or when commit batching is
-    /// amortizing single-op records, which the shared path cannot join).
+    /// Move an object. A bottom-up update that plans leaf-local (in
+    /// place or an extension within the parent MBR) runs through the
+    /// same shared planner as [`Bur::apply`] — under the structure
+    /// lock's read side and the exclusive granule of the object's leaf,
+    /// overlapping other single-op updates and concurrent batches.
+    /// Top-down updates, and bottom-up ones that need structural
+    /// surgery or were refused the granule, take the write side.
     pub fn update(&self, oid: ObjectId, old: Point, new: Point) -> CoreResult<UpdateOutcome> {
         self.check_writable()?;
         if let Some(outcome) = self.try_update_shared(oid, old, new)? {
             self.checkpoint_if_due()?;
             return Ok(outcome);
         }
-        loop {
-            let mut index = self.shared.inner.write();
-            let bottom_up = !matches!(index.options().strategy, UpdateStrategy::TopDown);
-            if bottom_up {
-                let Some(leaf_pid) = index.locate_leaf(oid)? else {
-                    // Unknown object: let the strategy surface the error.
-                    return index.update(oid, old, new);
-                };
-                let tree_s = self.shared.locks.try_lock(Granule::Tree, LockMode::Shared);
-                let leaf_x = self
-                    .shared
-                    .locks
-                    .try_lock(Granule::Leaf(leaf_pid), LockMode::Exclusive);
-                match (tree_s, leaf_x) {
-                    (Ok(_t), Ok(_l)) => {
-                        let outcome = index.update(oid, old, new)?;
-                        self.after_write(&mut index, Granule::Leaf(leaf_pid));
-                        return Ok(outcome);
-                    }
-                    _ => {
-                        drop(index);
-                        std::thread::yield_now();
-                    }
-                }
-            } else {
-                match self
-                    .shared
-                    .locks
-                    .try_lock(Granule::Tree, LockMode::Exclusive)
-                {
-                    Ok(_g) => {
-                        let outcome = index.update(oid, old, new)?;
-                        self.after_write(&mut index, Granule::Tree);
-                        return Ok(outcome);
-                    }
-                    Err(_) => {
-                        drop(index);
-                        std::thread::yield_now();
-                    }
-                }
-            }
-        }
+        self.shared.inner.write().update(oid, old, new)
     }
 
     /// One non-blocking attempt at running a single bottom-up update on
     /// the shared (concurrent) write path: a batch of one, planned and
-    /// written under the shared physical lock and the object's leaf
-    /// granule. `Ok(None)` means "take the exclusive path" — because the
-    /// strategy is top-down, commit batching is amortizing single-op
-    /// records, other commits are pending, a granule was refused, or the
+    /// written under the structure lock's read side and the object's
+    /// leaf granule. `Ok(None)` means "take the exclusive path" —
+    /// because the strategy is top-down, the granule was refused, or the
     /// plan needs structural surgery (only that last case counts as an
     /// escalation).
     fn try_update_shared(
@@ -701,17 +519,6 @@ impl Bur {
         if matches!(index.options().strategy, UpdateStrategy::TopDown) {
             return Ok(None);
         }
-        if index.is_durable() && self.shared.batch_target.load(Ordering::Relaxed) > 1 {
-            // Joining the shared path would force a commit record per
-            // op, defeating the batching the caller asked for.
-            return Ok(None);
-        }
-        if index.pending_commits() > 0 {
-            return Ok(None);
-        }
-        let Ok(_tree) = self.shared.locks.try_lock(Granule::Tree, LockMode::Shared) else {
-            return Ok(None);
-        };
         let _inflight = InFlight::enter(&self.shared);
         let mut pass = SharedPass::new(&index, &self.shared.locks);
         match pass.plan(&[Op::Update { oid, old, new }])? {
@@ -733,11 +540,11 @@ impl Bur {
 
     // ---- streaming queries -----------------------------------------------
 
-    /// Window query under a shared tree granule, streamed through a
+    /// Window query under the structure lock's read side, streamed through a
     /// [`QueryCursor`]. The result buffer is recycled from cursor to
     /// cursor, so the hot path performs no per-call `Vec` allocation.
     pub fn query(&self, window: &Rect) -> CoreResult<QueryCursor> {
-        let (index, _tree) = self.lock_shared();
+        let index = self.shared.inner.read();
         let mut hits = self.shared.spare_ids.lock().pop().unwrap_or_default();
         debug_assert!(hits.is_empty());
         if let Err(e) = index.query_into(window, &mut hits) {
@@ -757,9 +564,9 @@ impl Bur {
     }
 
     /// The `k` nearest neighbors of `point`, closest first, streamed
-    /// through a [`NeighborCursor`] (shared tree granule).
+    /// through a [`NeighborCursor`] (structure lock's read side).
     pub fn nearest(&self, point: Point, k: usize) -> CoreResult<NeighborCursor> {
-        let (index, _tree) = self.lock_shared();
+        let index = self.shared.inner.read();
         let hits = index.nearest_neighbors(point, k)?;
         Ok(NeighborCursor {
             hits: hits.into_iter(),
@@ -768,39 +575,11 @@ impl Bur {
 
     // ---- durability controls ---------------------------------------------
 
-    /// Enable per-granule commit batching on a durable index: each write
-    /// registers a commit hook under the granule it locked, and every
-    /// `ops` operations the accumulated hooks are flushed as **one**
-    /// group commit record. This recovers write concurrency under WAL
-    /// mode — the per-operation critical section no longer pays page
-    /// logging or a sync — at group commit's durability window (the
-    /// unflushed tail of a batch may be lost to a crash; [`Bur::apply`]
-    /// batches are flushed whole regardless). `1` restores per-operation
-    /// commits. No-op on a non-durable index.
-    pub fn set_commit_batching(&self, ops: u32) -> CoreResult<()> {
-        self.check_writable()?;
-        let ops = ops.max(1);
-        let mut index = self.shared.inner.write();
-        index.set_commit_batch(ops)?;
-        self.shared.batch_target.store(ops, Ordering::Relaxed);
-        if index.pending_commits() == 0 {
-            self.shared.batcher.drain();
-        }
-        Ok(())
-    }
-
-    /// `(operations batched, group commit records written)` over the
-    /// handle's lifetime — the batching compression ratio.
-    #[must_use]
-    pub fn commit_batch_totals(&self) -> (u64, u64) {
-        self.shared.batcher.totals()
-    }
-
     /// Take a checkpoint now (persist on a non-durable index): bounds
     /// recovery replay and the log's page footprint.
     pub fn checkpoint(&self) -> CoreResult<()> {
         self.check_writable()?;
-        let (mut index, _tree) = self.lock_excl();
+        let mut index = self.shared.inner.write();
         index.checkpoint()
     }
 
@@ -809,7 +588,7 @@ impl Bur {
     /// step.
     pub fn persist(&self) -> CoreResult<()> {
         self.check_writable()?;
-        let (mut index, _tree) = self.lock_excl();
+        let mut index = self.shared.inner.write();
         index.persist()
     }
 
@@ -898,19 +677,18 @@ impl Bur {
     }
 
     /// Run `f` over the underlying index (read-only diagnostics: page
-    /// counts, summary inspection, ...). Holds the physical read lock
-    /// but no granule lock — pair with quiesced writers for exact
+    /// counts, summary inspection, ...). Holds the structure lock's read
+    /// side but no leaf granule — pair with quiesced writers for exact
     /// numbers.
     pub fn with_index<R>(&self, f: impl FnOnce(&RTreeIndex) -> R) -> R {
         f(&self.shared.inner.read())
     }
 
-    /// Run `f` over the underlying index mutably, under an exclusive
-    /// tree granule (maintenance escape hatch: buffer resizing, bulk
-    /// fix-ups, ...).
+    /// Run `f` over the underlying index mutably, under the structure
+    /// lock's write side (maintenance escape hatch: buffer resizing,
+    /// bulk fix-ups, ...).
     pub fn with_index_mut<R>(&self, f: impl FnOnce(&mut RTreeIndex) -> R) -> R {
-        let (mut index, _tree) = self.lock_excl();
-        f(&mut index)
+        f(&mut self.shared.inner.write())
     }
 
     /// Run the deep invariant check.
@@ -919,7 +697,7 @@ impl Bur {
     }
 }
 
-/// Receipt for a flushed write ([`Bur::apply`] / [`Bur::commit`]).
+/// Receipt for a flushed write ([`Bur::apply`]).
 ///
 /// Holding a ticket costs nothing; [`CommitTicket::wait`] blocks until
 /// the log's durable-LSN watermark covers the ticket's commit record —
@@ -931,7 +709,6 @@ impl Bur {
 #[derive(Debug)]
 pub struct CommitTicket {
     report: BatchReport,
-    hooks: CommitBatch,
     lsn: Lsn,
     waiter: Option<WalWaiter>,
 }
@@ -965,19 +742,6 @@ impl CommitTicket {
     #[must_use]
     pub fn report(&self) -> &BatchReport {
         &self.report
-    }
-
-    /// The per-granule commit hooks drained by this flush (empty when
-    /// commit batching was off or the index is not durable).
-    #[must_use]
-    pub fn commit_batch(&self) -> &CommitBatch {
-        &self.hooks
-    }
-
-    /// Consume the ticket, returning the drained commit hooks.
-    #[must_use]
-    pub fn into_commit_batch(self) -> CommitBatch {
-        self.hooks
     }
 }
 

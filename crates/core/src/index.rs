@@ -305,35 +305,6 @@ impl RTreeIndex {
         self.tree.wal.as_ref().map(|h| h.wal.last_lsn())
     }
 
-    /// Change the commit batch size at runtime (see
-    /// [`crate::WalOptions::batch_ops`]): operations accumulate until
-    /// `ops` of them are flushed as one group commit record. `1` restores
-    /// per-operation commits. Values of 0 are treated as 1. No-op on a
-    /// non-durable index.
-    pub fn set_commit_batch(&mut self, ops: u32) -> CoreResult<()> {
-        if let Some(h) = self.tree.wal.as_mut() {
-            h.opts.batch_ops = ops.max(1);
-            if h.pending_ops >= u64::from(h.opts.batch_ops) {
-                self.tree.wal_flush_commit()?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Flush any operations pending in the current commit batch as one
-    /// group commit record (see [`RTreeIndex::set_commit_batch`]). No-op
-    /// when nothing is pending or the index is not durable.
-    pub fn flush_commits(&mut self) -> CoreResult<()> {
-        self.tree.wal_flush_commit()
-    }
-
-    /// Operations finished but not yet covered by a commit record (always
-    /// 0 without commit batching).
-    #[must_use]
-    pub fn pending_commits(&self) -> u64 {
-        self.tree.wal.as_ref().map_or(0, |h| h.pending_ops)
-    }
-
     /// Group-commit one concurrently applied batch: its own page set plus
     /// a single commit record (see `RTree::wal_commit_pages` for the
     /// invariants). `len_delta` is the batch's net insert/delete count,
@@ -357,7 +328,6 @@ impl RTreeIndex {
             return Ok(false);
         }
         self.tree.wal_commit()?;
-        self.tree.wal_flush_commit()?;
         Ok(true)
     }
 
@@ -371,14 +341,11 @@ impl RTreeIndex {
     /// Block until every acknowledged operation is durable in the log.
     /// Under [`bur_storage::SyncPolicy::Async`] this waits for the
     /// background sync thread to pass the current tail; under the
-    /// synchronous policies it syncs inline. Operations still pending in
-    /// a commit batch are flushed first. No-op on a non-durable index.
+    /// synchronous policies it syncs inline. No-op on a non-durable index.
     pub fn wait_durable(&mut self) -> CoreResult<()> {
-        if self.tree.wal.is_none() {
+        let Some(handle) = self.tree.wal.as_ref() else {
             return Ok(());
-        }
-        self.tree.wal_flush_commit()?;
-        let handle = self.tree.wal.as_ref().expect("checked above");
+        };
         let watermark = handle.wal.wait_durable(handle.wal.last_lsn())?;
         self.tree.pool.set_durable_lsn(watermark);
         Ok(())
@@ -555,11 +522,10 @@ impl RTreeIndex {
     /// Apply a [`Batch`] of mixed operations in order.
     ///
     /// On a durable index the whole batch is covered by **one** group
-    /// commit record appended after the last operation, regardless of
-    /// the configured [`crate::WalOptions::batch_ops`]: with respect to
+    /// commit record appended after the last operation: with respect to
     /// the write-ahead log the batch is atomic — a crash recovers either
-    /// all of it or none of it. (Any single operations already pending
-    /// in the current commit batch ride along under the same record.)
+    /// all of it or none of it. (A single operation outside a batch
+    /// commits its own record.)
     ///
     /// Failed deletes (object not indexed at the stated position) are
     /// counted in [`BatchReport::missing_deletes`], not errors. Any

@@ -43,18 +43,19 @@ use std::sync::Arc;
 pub(crate) struct WalHandle {
     /// The log itself.
     pub(crate) wal: Wal,
-    /// Sync cadence, checkpoint interval, delta policy, batch size.
+    /// Sync cadence, checkpoint interval, delta policy.
     pub(crate) opts: WalOptions,
     /// Committed operations since the last checkpoint (drives the
     /// cadence). Atomic because concurrent leaf-local batches bump it
     /// through a shared reference ([`RTree::wal_commit_pages`]).
     pub(crate) commits_since_checkpoint: AtomicU64,
-    /// Operations finished but not yet covered by a commit record
-    /// (commit batching; flushed once `opts.batch_ops` accumulate).
+    /// Operations finished but not yet covered by a commit record:
+    /// non-zero only while a [`crate::Batch`] is being applied (or
+    /// after a flush failed, until the next flush or checkpoint).
     pub(crate) pending_ops: u64,
     /// `true` while a [`crate::Batch`] is being applied: per-operation
     /// commits only accumulate, and the batch end flushes them as one
-    /// group commit record regardless of `opts.batch_ops`.
+    /// group commit record.
     pub(crate) in_batch: bool,
     /// Serializes concurrent group commits: a batch's page images and
     /// its commit record must land contiguously in the log, so another
@@ -368,21 +369,21 @@ impl RTree {
     }
 
     /// Note the operation that just finished for the write-ahead log and
-    /// commit it — or, with commit batching ([`WalOptions::batch_ops`] >
-    /// 1), defer until a batch has accumulated. No-op without a WAL.
+    /// commit it under its own record — or, inside a [`crate::Batch`],
+    /// leave it to the batch's record. No-op without a WAL.
     pub(crate) fn wal_commit(&mut self) -> CoreResult<()> {
         let Some(handle) = self.wal.as_mut() else {
             return Ok(());
         };
         handle.pending_ops += 1;
-        if handle.in_batch || handle.pending_ops < u64::from(handle.opts.batch_ops.max(1)) {
+        if handle.in_batch {
             return Ok(());
         }
         self.wal_flush_commit()
     }
 
     /// Enter batch mode: subsequent operations accumulate in the pending
-    /// commit instead of flushing on the `batch_ops` cadence. Must be
+    /// commit instead of each flushing its own. Must be
     /// paired with [`RTree::wal_end_batch`]. No-op without a WAL.
     pub(crate) fn wal_begin_batch(&mut self) {
         if let Some(handle) = self.wal.as_mut() {
@@ -390,9 +391,8 @@ impl RTree {
         }
     }
 
-    /// Leave batch mode and flush everything that accumulated — the
-    /// batch's operations plus any per-op commits that were already
-    /// pending — as **one** group commit record. Called on the error
+    /// Leave batch mode and flush the batch's operations as **one**
+    /// group commit record. Called on the error
     /// path too, so a half-applied batch is still covered by a commit
     /// record (the in-memory tree and the log never diverge).
     pub(crate) fn wal_end_batch(&mut self) -> CoreResult<()> {
@@ -460,10 +460,11 @@ impl RTree {
     ///   object count only moves by each batch's `len_delta`, applied
     ///   here under `commit_lock` *before* the snapshot — so record K's
     ///   `len` covers exactly the batches whose records precede it; and
-    /// * no single-op commits are pending (`pending_ops == 0`), so every
-    ///   WAL-touched page outside `pages` belongs to another in-flight
-    ///   batch, which logs it under its own record (until then the
-    ///   pool's no-steal gate keeps it off the disk).
+    /// * no commits are pending (`pending_ops` is non-zero only inside
+    ///   `apply_batch`, which holds the structure lock exclusively), so
+    ///   every WAL-touched page outside `pages` belongs to another
+    ///   in-flight batch, which logs it under its own record (until then
+    ///   the pool's no-steal gate keeps it off the disk).
     ///
     /// A shared parent page may carry another in-flight batch's official
     /// -rect enlargement when it is imaged here. That is benign slack:
@@ -529,17 +530,16 @@ impl RTree {
     /// Fuzzy checkpoint: make the log durable, persist the hash
     /// directory and metadata chain (recycling the superseded chains'
     /// pages), flush every frame (the disk becomes a complete base
-    /// image), then rewind the log onto its own pages. Any operations
-    /// still pending in a commit batch are absorbed: the checkpoint
-    /// itself is their recovery point. No-op without a WAL.
+    /// image), then rewind the log onto its own pages. No-op without a
+    /// WAL.
     pub(crate) fn wal_checkpoint(&mut self) -> CoreResult<()> {
         if self.wal.is_none() {
             return Ok(());
         }
         {
             let handle = self.wal.as_mut().expect("checked above");
-            // Pending batched ops need no commit record: the full flush
-            // below lands their pages in the base image.
+            // Ops left pending by a failed flush need no commit record:
+            // the full flush below lands their pages in the base image.
             handle.pending_ops = 0;
             handle.wal.sync()?;
             self.pool.set_durable_lsn(handle.wal.durable_lsn());

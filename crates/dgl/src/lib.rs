@@ -13,23 +13,22 @@
 //!   granule per internal node covering the space not owned by any child
 //!   (new objects that fall outside every leaf MBR are protected by the
 //!   external granule of the node that absorbs them).
-//! * [`LockManager`] — S/X granule locks with FIFO-fair blocking,
-//!   timeout-based deadlock resolution, and deadlock *avoidance* helpers
-//!   (lock sets are acquired in sorted order).
+//! * [`LockManager`] — an S/X granule lock table that is only ever
+//!   *tried*, never waited on: a conflicting request is refused at once
+//!   ([`TryLockError`]) and the caller backs out, which is what keeps
+//!   granules out of every wait-for cycle.
 //!
 //! The paper's observation that bottom-up updates "fit naturally into DGL"
 //! holds here too: a bottom-up update X-locks exactly the granules of the
-//! leaves it touches, so a concurrent top-down scan acquiring S locks on
-//! overlapping granules serializes against it, regardless of the
-//! direction either operation walked the tree.
+//! leaves it touches and nothing else. Whole-tree exclusion (structure
+//! changes against everyone) is not a granule: it is the index handle's
+//! reader-writer structure lock, under whose read side granules are taken.
 
 #![warn(missing_docs)]
 
-mod batch;
 mod manager;
 
-pub use batch::{CommitBatch, CommitBatcher};
-pub use manager::{LockGuard, LockManager, LockMode, LockSetGuard, TryLockError};
+pub use manager::{LockGuard, LockManager, LockMode, TryLockError};
 
 /// A lockable granule. The paper associates "each entry in the direct
 /// access table and the bit vector with 3 locking bits"; we key granules
@@ -42,8 +41,6 @@ pub enum Granule {
     /// The external granule of one internal node: protects inserts that
     /// fall outside all current leaf MBRs under that node.
     External(u32),
-    /// Whole-tree granule (used for structure-modifying operations).
-    Tree,
 }
 
 #[cfg(test)]
@@ -52,18 +49,12 @@ mod tests {
 
     #[test]
     fn granule_ordering_is_total() {
-        let mut g = vec![
-            Granule::Tree,
-            Granule::Leaf(2),
-            Granule::External(1),
-            Granule::Leaf(1),
-        ];
+        let mut g = vec![Granule::Leaf(2), Granule::External(1), Granule::Leaf(1)];
         g.sort();
-        // Sorted order is deterministic (variant order, then id) which is
-        // all the deadlock-avoidance protocol needs.
-        let mut h = g.clone();
-        h.sort();
-        assert_eq!(g, h);
-        assert!(g.windows(2).all(|w| w[0] <= w[1]));
+        // Sorted order is deterministic (variant order, then id).
+        assert_eq!(
+            g,
+            [Granule::Leaf(1), Granule::Leaf(2), Granule::External(1)]
+        );
     }
 }

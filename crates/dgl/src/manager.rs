@@ -1,13 +1,11 @@
 //! The granule lock manager.
 
 use crate::Granule;
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::fmt;
-use std::time::{Duration, Instant};
 
-/// Lock modes. DGL needs only these two at the granule level; intention
-/// modes live on the tree granule which we expose as [`Granule::Tree`].
+/// Lock modes. DGL needs only these two at the granule level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LockMode {
     /// Shared: searchers reading the objects under a granule.
@@ -21,16 +19,12 @@ pub enum LockMode {
 pub enum TryLockError {
     /// The lock is held in a conflicting mode right now.
     WouldBlock,
-    /// The wait exceeded the deadline — the caller should release its
-    /// locks and retry (timeout-based deadlock resolution).
-    Timeout,
 }
 
 impl fmt::Display for TryLockError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             TryLockError::WouldBlock => write!(f, "lock is held in a conflicting mode"),
-            TryLockError::Timeout => write!(f, "lock wait timed out (possible deadlock)"),
         }
     }
 }
@@ -70,26 +64,19 @@ impl LockState {
     }
 }
 
-/// S/X lock table over [`Granule`]s with blocking waits and timeouts.
-///
-/// Deadlock handling is two-layered, mirroring what the paper needs:
-/// callers that know their full lock set up front use
-/// [`LockManager::lock_set`], which sorts granules so cycles cannot form;
-/// callers that discover granules incrementally (a top-down scan meeting a
-/// bottom-up update) rely on the timeout in [`LockManager::lock`] and
-/// retry from scratch.
+/// S/X lock table over [`Granule`]s. Acquisition never waits: a request
+/// that conflicts with a held lock is refused with
+/// [`TryLockError::WouldBlock`], and the caller releases what it holds
+/// and retries or takes another path. A thread that never waits on a
+/// granule cannot be part of a deadlock cycle through one.
 ///
 /// ```
 /// use bur_dgl::{Granule, LockManager, LockMode};
-/// use std::time::Duration;
 ///
 /// let locks = LockManager::new();
-/// let t = Duration::from_millis(50);
-/// // A scan shares two leaf granules ...
-/// let scan = locks
-///     .lock_set(&[Granule::Leaf(1), Granule::Leaf(2)], LockMode::Shared, t)
-///     .unwrap();
-/// // ... so an update of leaf 2 must wait (here: fail fast).
+/// // A scan shares a leaf granule ...
+/// let scan = locks.try_lock(Granule::Leaf(2), LockMode::Shared).unwrap();
+/// // ... so an update of that leaf is refused until the scan is done.
 /// assert!(locks.try_lock(Granule::Leaf(2), LockMode::Exclusive).is_err());
 /// drop(scan);
 /// assert!(locks.try_lock(Granule::Leaf(2), LockMode::Exclusive).is_ok());
@@ -97,7 +84,6 @@ impl LockState {
 #[derive(Default)]
 pub struct LockManager {
     table: Mutex<HashMap<Granule, LockState>>,
-    released: Condvar,
 }
 
 impl LockManager {
@@ -111,31 +97,6 @@ impl LockManager {
     #[must_use]
     pub fn locked_granules(&self) -> usize {
         self.table.lock().len()
-    }
-
-    /// Acquire `granule` in `mode`, waiting at most `timeout`.
-    pub fn lock(
-        &self,
-        granule: Granule,
-        mode: LockMode,
-        timeout: Duration,
-    ) -> Result<LockGuard<'_>, TryLockError> {
-        let deadline = Instant::now() + timeout;
-        let mut table = self.table.lock();
-        loop {
-            let state = table.entry(granule).or_default();
-            if state.compatible(mode) {
-                state.acquire(mode);
-                return Ok(LockGuard {
-                    mgr: self,
-                    granule,
-                    mode,
-                });
-            }
-            if self.released.wait_until(&mut table, deadline).timed_out() {
-                return Err(TryLockError::Timeout);
-            }
-        }
     }
 
     /// Acquire without waiting.
@@ -158,30 +119,6 @@ impl LockManager {
         }
     }
 
-    /// Acquire a whole set of granules in `mode`.
-    ///
-    /// Granules are deduplicated and acquired in sorted order, so two
-    /// `lock_set` callers can never deadlock against each other. On
-    /// timeout every granule acquired so far is released.
-    pub fn lock_set(
-        &self,
-        granules: &[Granule],
-        mode: LockMode,
-        timeout: Duration,
-    ) -> Result<LockSetGuard<'_>, TryLockError> {
-        let mut sorted: Vec<Granule> = granules.to_vec();
-        sorted.sort_unstable();
-        sorted.dedup();
-        let mut guards = Vec::with_capacity(sorted.len());
-        for g in sorted {
-            match self.lock(g, mode, timeout) {
-                Ok(guard) => guards.push(guard),
-                Err(e) => return Err(e), // guards drop, releasing everything
-            }
-        }
-        Ok(LockSetGuard { guards })
-    }
-
     fn release(&self, granule: Granule, mode: LockMode) {
         let mut table = self.table.lock();
         let state = table
@@ -191,8 +128,6 @@ impl LockManager {
         if state.is_free() {
             table.remove(&granule);
         }
-        drop(table);
-        self.released.notify_all();
     }
 }
 
@@ -223,46 +158,26 @@ impl Drop for LockGuard<'_> {
     }
 }
 
-/// Holds a set of granule locks; all released on drop.
-pub struct LockSetGuard<'a> {
-    guards: Vec<LockGuard<'a>>,
-}
-
-impl LockSetGuard<'_> {
-    /// Number of granules held.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.guards.len()
-    }
-
-    /// `true` when no granules are held.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.guards.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
 
-    const T: Duration = Duration::from_millis(200);
-
     #[test]
     fn shared_locks_coexist() {
         let m = LockManager::new();
-        let a = m.lock(Granule::Leaf(1), LockMode::Shared, T).unwrap();
-        let b = m.lock(Granule::Leaf(1), LockMode::Shared, T).unwrap();
+        let a = m.try_lock(Granule::Leaf(1), LockMode::Shared).unwrap();
+        let b = m.try_lock(Granule::Leaf(1), LockMode::Shared).unwrap();
         assert_eq!(a.granule(), b.granule());
+        assert_eq!(b.mode(), LockMode::Shared);
         assert_eq!(m.locked_granules(), 1);
     }
 
     #[test]
     fn exclusive_conflicts() {
         let m = LockManager::new();
-        let _x = m.lock(Granule::Leaf(1), LockMode::Exclusive, T).unwrap();
+        let _x = m.try_lock(Granule::Leaf(1), LockMode::Exclusive).unwrap();
         assert_eq!(
             m.try_lock(Granule::Leaf(1), LockMode::Shared).err(),
             Some(TryLockError::WouldBlock)
@@ -277,115 +192,55 @@ mod tests {
     }
 
     #[test]
-    fn shared_blocks_exclusive() {
+    fn shared_blocks_exclusive_until_released() {
+        // The phantom-protection contract: a scanner holds S on the
+        // granules its window overlaps, so an updater of one of those
+        // leaves is refused until the scan finishes.
         let m = LockManager::new();
-        let _s = m.lock(Granule::External(3), LockMode::Shared, T).unwrap();
-        let err = m
-            .lock(
-                Granule::External(3),
-                LockMode::Exclusive,
-                Duration::from_millis(50),
-            )
-            .err();
-        assert_eq!(err, Some(TryLockError::Timeout));
-    }
-
-    #[test]
-    fn release_wakes_waiter() {
-        let m = Arc::new(LockManager::new());
-        let x = m.lock(Granule::Leaf(9), LockMode::Exclusive, T).unwrap();
-        let m2 = m.clone();
-        let h = std::thread::spawn(move || {
-            m2.lock(Granule::Leaf(9), LockMode::Shared, Duration::from_secs(5))
-                .map(|g| g.mode())
-        });
-        std::thread::sleep(Duration::from_millis(50));
-        drop(x);
-        assert_eq!(h.join().unwrap().unwrap(), LockMode::Shared);
-        // Table is cleaned up after everything drops.
-        assert_eq!(m.locked_granules(), 0);
-    }
-
-    #[test]
-    fn lock_set_sorted_and_deduped() {
-        let m = LockManager::new();
-        let set = m
-            .lock_set(
-                &[
-                    Granule::Leaf(2),
-                    Granule::Leaf(1),
-                    Granule::Leaf(2),
-                    Granule::External(7),
-                ],
-                LockMode::Exclusive,
-                T,
-            )
-            .unwrap();
-        assert_eq!(set.len(), 3);
-        assert!(!set.is_empty());
-        assert_eq!(m.locked_granules(), 3);
-        drop(set);
-        assert_eq!(m.locked_granules(), 0);
-    }
-
-    #[test]
-    fn lock_set_timeout_releases_partial() {
-        let m = LockManager::new();
-        let _held = m.lock(Granule::Leaf(5), LockMode::Exclusive, T).unwrap();
-        let err = m
-            .lock_set(
-                &[Granule::Leaf(1), Granule::Leaf(5), Granule::Leaf(9)],
-                LockMode::Exclusive,
-                Duration::from_millis(50),
-            )
-            .err();
-        assert_eq!(err, Some(TryLockError::Timeout));
-        // Leaf(1) acquired before the timeout must have been released.
-        assert!(m.try_lock(Granule::Leaf(1), LockMode::Exclusive).is_ok());
-        assert!(m.try_lock(Granule::Leaf(9), LockMode::Exclusive).is_ok());
-    }
-
-    #[test]
-    fn phantom_protection_scenario() {
-        // A scanner holds S on the granules its window overlaps. An
-        // updater inserting into one of those leaves must block until the
-        // scan finishes — this is the phantom-protection contract the
-        // paper relies on when mixing top-down scans with bottom-up
-        // updates.
-        let m = Arc::new(LockManager::new());
-        let scan = m
-            .lock_set(
-                &[Granule::Leaf(1), Granule::Leaf(2), Granule::External(10)],
-                LockMode::Shared,
-                T,
-            )
-            .unwrap();
-        let m2 = m.clone();
-        let updater = std::thread::spawn(move || {
-            // Bottom-up update into leaf 2: blocks until scan drops.
-            let started = Instant::now();
-            let _g = m2
-                .lock(
-                    Granule::Leaf(2),
-                    LockMode::Exclusive,
-                    Duration::from_secs(5),
-                )
-                .unwrap();
-            started.elapsed()
-        });
-        std::thread::sleep(Duration::from_millis(80));
-        drop(scan);
-        let waited = updater.join().unwrap();
-        assert!(
-            waited >= Duration::from_millis(60),
-            "updater must wait for scan"
+        let scan = [
+            m.try_lock(Granule::Leaf(2), LockMode::Shared).unwrap(),
+            m.try_lock(Granule::External(3), LockMode::Shared).unwrap(),
+        ];
+        assert_eq!(
+            m.try_lock(Granule::Leaf(2), LockMode::Exclusive).err(),
+            Some(TryLockError::WouldBlock)
         );
+        assert_eq!(
+            m.try_lock(Granule::External(3), LockMode::Exclusive).err(),
+            Some(TryLockError::WouldBlock)
+        );
+        drop(scan);
+        assert!(m.try_lock(Granule::Leaf(2), LockMode::Exclusive).is_ok());
+    }
+
+    #[test]
+    fn release_frees_the_table_entry() {
+        let m = LockManager::new();
+        let x = m.try_lock(Granule::Leaf(9), LockMode::Exclusive).unwrap();
+        assert_eq!(m.locked_granules(), 1);
+        drop(x);
+        assert_eq!(m.locked_granules(), 0);
+        let a = m.try_lock(Granule::Leaf(9), LockMode::Shared).unwrap();
+        let b = m.try_lock(Granule::Leaf(9), LockMode::Shared).unwrap();
+        drop(a);
+        // Still shared by `b`: the entry stays until the last holder goes.
+        assert_eq!(m.locked_granules(), 1);
+        drop(b);
+        assert_eq!(m.locked_granules(), 0);
     }
 
     #[test]
     fn stress_mutual_exclusion_invariant() {
         // Many threads hammer a few granules; a per-granule counter
         // checked under X must never observe concurrent modification.
+        fn acquire(m: &LockManager, g: Granule, mode: LockMode) -> LockGuard<'_> {
+            loop {
+                match m.try_lock(g, mode) {
+                    Ok(guard) => return guard,
+                    Err(TryLockError::WouldBlock) => std::thread::yield_now(),
+                }
+            }
+        }
         let m = Arc::new(LockManager::new());
         let counters: Arc<Vec<AtomicUsize>> =
             Arc::new((0..4).map(|_| AtomicUsize::new(0)).collect());
@@ -397,21 +252,13 @@ mod tests {
                     for i in 0..300 {
                         let g = ((t * 31 + i * 7) % 4) as u32;
                         if i % 3 == 0 {
-                            let _x = m
-                                .lock(
-                                    Granule::Leaf(g),
-                                    LockMode::Exclusive,
-                                    Duration::from_secs(10),
-                                )
-                                .unwrap();
+                            let _x = acquire(&m, Granule::Leaf(g), LockMode::Exclusive);
                             let c = &counters[g as usize];
                             let v = c.load(Ordering::SeqCst);
                             std::thread::yield_now();
                             c.store(v + 1, Ordering::SeqCst);
                         } else {
-                            let _s = m
-                                .lock(Granule::Leaf(g), LockMode::Shared, Duration::from_secs(10))
-                                .unwrap();
+                            let _s = acquire(&m, Granule::Leaf(g), LockMode::Shared);
                             let _ = counters[g as usize].load(Ordering::SeqCst);
                         }
                     }

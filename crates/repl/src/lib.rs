@@ -667,10 +667,14 @@ mod tests {
             replica.delete(0, Point::new(0.0, 0.0)),
             Err(CoreError::ReadOnly)
         ));
+        // Not a write: the replica view has no log of its own, so the
+        // watermark is 0.
+        assert_eq!(replica.wait_durable().unwrap(), 0);
 
         let new_primary = follower.promote().unwrap();
         assert!(!replica.is_read_only(), "clones flip writable in place");
         new_primary.insert(900, Point::new(0.5, 0.5)).unwrap();
+        assert!(replica.wait_durable().unwrap() > 0, "the promoted log");
         assert_eq!(replica.len(), 33);
         new_primary.validate().unwrap();
     }

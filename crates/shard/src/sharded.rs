@@ -720,9 +720,9 @@ impl ShardedBur {
             return Ok(out);
         }
         if parts.len() == 1 {
-            // Hot path: single-shard batches skip thread spawning — the
-            // single-shard overhead budget in BENCH_shard.json rides on
-            // this.
+            // Hot path: single-shard batches skip thread spawning —
+            // perfbench's `served_sharded_paced` workload measures what
+            // the router adds on top of one shard's `apply`.
             let (shard, batch) = &parts[0];
             let ticket = self.inner.shards[*shard as usize]
                 .apply(batch)
@@ -1227,11 +1227,6 @@ impl ShardedBur {
     #[must_use]
     pub fn is_durable(&self) -> bool {
         self.inner.shards.iter().all(Bur::is_durable)
-    }
-
-    /// Force a group commit on every shard.
-    pub fn commit(&self) -> ShardResult<()> {
-        self.for_each_shard(|b| b.commit().map(|_| ()))
     }
 
     /// Block until every shard's acked writes are durable.

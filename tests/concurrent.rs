@@ -5,7 +5,8 @@
 
 use bur::prelude::*;
 use bur::workload::Workload;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::time::{Duration, Instant};
 
 fn build(opts: IndexOptions, n: usize) -> (Bur, Workload) {
     let workload = Workload::generate(WorkloadConfig {
@@ -156,65 +157,71 @@ fn io_and_op_snapshots_accessible_concurrently() {
 }
 
 #[test]
-fn per_granule_commit_batching_under_wal() {
-    // A durable index with per-granule commit batching: multi-threaded
-    // bottom-up updates accumulate commit hooks per leaf granule and are
-    // flushed as one group commit record per batch; the flushed state
-    // survives a crash-free reopen exactly.
-    let n = 2_000;
-    let wopts = WalOptions {
-        sync: SyncPolicy::EveryCommit,
-        checkpoint_every: 1_000_000,
-        batch_ops: 1, // raised through the wrapper below
-        ..WalOptions::default()
-    };
-    let opts = IndexOptions::generalized().with_durability(Durability::Wal(wopts));
-    let workload = Workload::generate(WorkloadConfig {
+fn escalating_writer_makes_progress_beside_tight_query_loops() {
+    // The paper's traffic (`max_distance` 0.06) escalates every batch to
+    // the structure lock's write side while four readers re-take the
+    // read side back to back. Nothing but that lock's writer queue gets
+    // the writer in, so it alone bounds how long 200 batches take.
+    let n = 4_000;
+    let mut workload = Workload::generate(WorkloadConfig {
         num_objects: n,
-        max_distance: 0.02,
-        seed: 0xBA7C,
+        max_distance: 0.06,
+        clamp: true,
+        seed: 0x11FE,
         ..WorkloadConfig::default()
     });
-    let mut inner = IndexBuilder::with_options(opts).build_index().unwrap();
+    let mut inner = IndexBuilder::generalized().build_index().unwrap();
     for (oid, p) in workload.items() {
         inner.insert(oid, p).unwrap();
     }
-    inner.checkpoint().unwrap();
-    let base_commits = inner.wal_stats().unwrap().commits;
     let index = Bur::from_index(inner);
-    index.set_commit_batching(16).unwrap();
 
-    let threads = 8;
-    let per_thread = 200u64;
-    let parts = workload.split(threads);
+    /// Stops the readers even when the writer unwinds.
+    struct StopOnDrop<'a>(&'a AtomicBool);
+    impl Drop for StopOnDrop<'_> {
+        fn drop(&mut self) {
+            self.0.store(true, Ordering::Release);
+        }
+    }
+
+    let unit_square = Rect::new(0.0, 0.0, 1.0, 1.0);
+    let stop = AtomicBool::new(false);
+    let scans = AtomicUsize::new(0);
+    let started = Instant::now();
     std::thread::scope(|s| {
-        for mut part in parts {
-            let index = &index;
-            s.spawn(move || {
-                for _ in 0..per_thread {
-                    let op = part.next_update();
-                    index.update(op.oid, op.old, op.new).unwrap();
+        for _ in 0..4 {
+            s.spawn(|| {
+                while !stop.load(Ordering::Acquire) {
+                    assert_eq!(
+                        index.count_in(&unit_square).unwrap(),
+                        n,
+                        "object lost or duplicated mid-scan"
+                    );
+                    scans.fetch_add(1, Ordering::Relaxed);
                 }
             });
         }
+        let _stop = StopOnDrop(&stop);
+        let mut batch = Batch::new();
+        for _ in 0..200 {
+            batch.clear();
+            for _ in 0..32 {
+                let op = workload.next_update();
+                batch.update(op.oid, op.old, op.new);
+            }
+            index.apply(&batch).unwrap();
+        }
     });
-    let tail = index.commit().unwrap().into_commit_batch();
-    let total_ops = threads as u64 * per_thread;
-    let (batched_ops, batches) = index.commit_batch_totals();
-    assert_eq!(batched_ops, total_ops, "every update must be batched");
+    let took = started.elapsed();
     assert!(
-        batches <= total_ops / 8,
-        "batching must compress commits: {batches} batches for {total_ops} ops"
+        took < Duration::from_secs(120),
+        "200 batches took {took:?} beside four query loops"
     );
-    assert!(tail.ops < 16, "tail batch is partial: {}", tail.ops);
+    let ops = index.with_op_stats(|s| s.snapshot());
+    assert_eq!(ops.updates, 200 * 32);
+    assert!(ops.escalations >= 100, "the traffic stayed shared: {ops}");
+    assert!(scans.load(Ordering::Relaxed) > 0);
+    assert_eq!(index.lock_manager().locked_granules(), 0);
+    assert_eq!(index.len(), n as u64);
     index.validate().unwrap();
-
-    let inner = index.try_into_index().expect("no other clones are alive");
-    let commits = inner.wal_stats().unwrap().commits - base_commits;
-    assert!(
-        commits <= total_ops / 8,
-        "one commit record per batch expected: {commits} for {total_ops} ops"
-    );
-    assert_eq!(inner.pending_commits(), 0);
-    assert_eq!(inner.len(), n as u64);
 }

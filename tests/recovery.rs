@@ -540,7 +540,6 @@ fn crash_recovery_survives_cuts_inside_delta_chains_and_at_anchors() {
             enabled: true,
             anchor_every: 3,
         },
-        batch_ops: 1,
         ..WalOptions::default()
     };
     let opts = IndexOptions::generalized().with_durability(Durability::Wal(wopts));
@@ -602,20 +601,21 @@ fn crash_recovery_survives_cuts_inside_delta_chains_and_at_anchors() {
     }
 }
 
-/// Commit batching: a crash mid-batch may lose the *unflushed tail* of a
-/// batch (that is the documented trade), but every flushed batch is a
-/// durable floor, batches are atomic, and recovery is always consistent.
+/// A `Batch` is the one way to put several operations under one commit
+/// record: at every cut point of a dense sweep (a batch is about two
+/// log writes, so the sweep lands before, inside and after its record)
+/// every committed batch is a durable floor (EveryCommit), the batch the
+/// cut lands in recovers all or nothing, and recovery is consistent.
 #[test]
 fn crash_mid_commit_batch_preserves_every_flushed_batch() {
-    const BATCH: u64 = 5;
+    const BATCH: usize = 5;
     let wopts = WalOptions {
         sync: SyncPolicy::EveryCommit,
         checkpoint_every: 1_000_000,
-        batch_ops: BATCH as u32,
         ..WalOptions::default()
     };
     let opts = IndexOptions::generalized().with_durability(Durability::Wal(wopts));
-    for cut in [9u64, 23, 57, 88] {
+    for cut in 1..=60u64 {
         let inner = Arc::new(MemDisk::new(PAGE));
         let faulty = Arc::new(FaultyDisk::new(inner.clone()));
         let mut index = IndexBuilder::with_options(opts)
@@ -624,66 +624,69 @@ fn crash_mid_commit_batch_preserves_every_flushed_batch() {
             .unwrap();
         let mut rng = StdRng::seed_from_u64(4400 + cut);
         let n = 80u64;
-        // Per-object position history plus the index of the last position
-        // covered by a *flushed* batch (the durable floor).
-        let mut history: Vec<Vec<Point>> = Vec::new();
-        let mut floor: Vec<usize> = vec![0; n as usize];
+        // Positions as of the last committed batch: the durable floor.
+        let mut positions = Vec::with_capacity(n as usize);
         for oid in 0..n {
             let p = Point::new(rng.random_range(0.0..1.0), rng.random_range(0.0..1.0));
             index.insert(oid, p).unwrap();
-            history.push(vec![p]);
+            positions.push(p);
         }
         index.checkpoint().unwrap(); // all inserts are a durable floor
         faulty.inject(FaultKind::TornWrite { after_writes: cut });
-        let mut ops = 0u64;
-        loop {
-            let oid = rng.random_range(0..n);
-            let old = *history[oid as usize].last().unwrap();
-            let new = Point::new(
-                (old.x + rng.random_range(-0.04..0.04f32)).clamp(0.0, 1.0),
-                (old.y + rng.random_range(-0.04..0.04f32)).clamp(0.0, 1.0),
-            );
-            match index.update(oid, old, new) {
-                Ok(_) => {
-                    history[oid as usize].push(new);
-                    ops += 1;
-                    if ops % BATCH == 0 && index.pending_commits() == 0 {
-                        // The batch flushed and synced (EveryCommit):
-                        // everything so far is a durable floor.
-                        for (oid, h) in history.iter().enumerate() {
-                            floor[oid] = h.len() - 1;
-                        }
-                    }
+        let mut committed = 0u64;
+        // The moves of the batch that observed the cut: `(oid, old, new)`.
+        let cut_batch: Vec<(u64, Point, Point)> = loop {
+            let mut moves: Vec<(u64, Point, Point)> = Vec::with_capacity(BATCH);
+            while moves.len() < BATCH {
+                let oid = rng.random_range(0..n);
+                if moves.iter().any(|m| m.0 == oid) {
+                    continue;
                 }
-                Err(_) => {
-                    // The op that observes the cut has an unknown outcome
-                    // (its batch's commit record may have survived the
-                    // torn tail): either position is legitimate.
-                    history[oid as usize].push(new);
-                    break;
-                }
+                let old = positions[oid as usize];
+                let new = Point::new(
+                    (old.x + rng.random_range(-0.04..0.04f32)).clamp(0.0, 1.0),
+                    (old.y + rng.random_range(-0.04..0.04f32)).clamp(0.0, 1.0),
+                );
+                moves.push((oid, old, new));
             }
-        }
+            let mut batch = Batch::new();
+            for &(oid, old, new) in &moves {
+                batch.update(oid, old, new);
+            }
+            match index.apply_batch(&batch) {
+                Ok(report) => {
+                    assert_eq!(report.updated, BATCH as u64);
+                    for &(oid, _, new) in &moves {
+                        positions[oid as usize] = new;
+                    }
+                    committed += 1;
+                }
+                Err(_) => break moves,
+            }
+        };
         drop(index);
 
-        let (recovered, _report) = recover_on(inner, opts).unwrap();
+        let (recovered, report) = recover_on(inner, opts).unwrap();
         recovered.validate().unwrap();
         assert_eq!(recovered.len(), n, "cut {cut}");
-        for (oid, h) in history.iter().enumerate() {
-            // The recovered position must be one the object actually held…
-            let at = h
-                .iter()
-                .rposition(|p| recovered.point_query(*p).unwrap().contains(&(oid as u64)));
-            let Some(at) = at else {
-                panic!("cut {cut}: object {oid} at a position it never held");
-            };
-            // …and no older than the last flushed batch (zero flushed
-            // batches lost).
+        let holds = |oid: u64, p: Point| recovered.point_query(p).unwrap().contains(&oid);
+        // The cut batch's record either survived the torn tail or did
+        // not: all five moves, or none.
+        let landed = cut_batch.iter().filter(|m| holds(m.0, m.2)).count();
+        assert!(
+            landed == 0 || landed == BATCH,
+            "cut {cut}: the cut batch recovered {landed} of {BATCH} moves (report: {report:?})"
+        );
+        if landed == BATCH {
+            for &(oid, _, new) in &cut_batch {
+                positions[oid as usize] = new;
+            }
+        }
+        for (oid, p) in positions.iter().enumerate() {
             assert!(
-                at >= floor[oid],
-                "cut {cut}: object {oid} rolled back past the flushed floor \
-                 ({at} < {})",
-                floor[oid]
+                holds(oid as u64, *p),
+                "cut {cut}: object {oid} rolled back past its last committed batch \
+                 ({committed} committed before the cut)"
             );
         }
     }
@@ -789,51 +792,6 @@ fn async_wait_durable_is_a_hard_ack() {
             "update {oid} acked by wait_durable was lost"
         );
     }
-}
-
-/// Commit batching writes one commit record per batch, and an explicit
-/// flush (or a checkpoint) closes a partial batch.
-#[test]
-fn commit_batching_writes_one_record_per_batch() {
-    let wopts = WalOptions {
-        sync: SyncPolicy::EveryCommit,
-        checkpoint_every: 1_000_000,
-        batch_ops: 4,
-        ..WalOptions::default()
-    };
-    let opts = IndexOptions::generalized().with_durability(Durability::Wal(wopts));
-    let mut index = IndexBuilder::with_options(opts).build_index().unwrap();
-    let mut rng = StdRng::seed_from_u64(321);
-    let mut positions = Vec::new();
-    for oid in 0..40u64 {
-        let p = Point::new(rng.random_range(0.0..1.0), rng.random_range(0.0..1.0));
-        index.insert(oid, p).unwrap();
-        positions.push(p);
-    }
-    index.checkpoint().unwrap();
-    let base = index.wal_stats().unwrap();
-    for oid in 0..10u64 {
-        let old = positions[oid as usize];
-        let new = Point::new((old.x + 0.005).clamp(0.0, 1.0), old.y);
-        index.update(oid, old, new).unwrap();
-        positions[oid as usize] = new;
-    }
-    // 10 ops at batch size 4: two full batches flushed, two ops pending.
-    let stats = index.wal_stats().unwrap();
-    assert_eq!(stats.commits - base.commits, 2, "{stats}");
-    assert_eq!(index.pending_commits(), 2);
-    index.flush_commits().unwrap();
-    assert_eq!(index.pending_commits(), 0);
-    assert_eq!(index.wal_stats().unwrap().commits - base.commits, 3);
-    index.flush_commits().unwrap(); // idempotent on an empty batch
-    assert_eq!(index.wal_stats().unwrap().commits - base.commits, 3);
-    // Runtime re-configuration back to per-op commits.
-    index.set_commit_batch(1).unwrap();
-    let before = index.wal_stats().unwrap().commits;
-    let old = positions[0];
-    index.update(0, old, Point::new(old.x, 0.999)).unwrap();
-    assert_eq!(index.wal_stats().unwrap().commits, before + 1);
-    index.validate().unwrap();
 }
 
 /// Chain recycling: repeated checkpoints must not grow the disk — the
