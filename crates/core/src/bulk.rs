@@ -88,7 +88,6 @@ impl RTreeIndex {
             index.tree.pool.set_wal_mode(false);
         }
         let tree = &mut index.tree;
-        let pool = Arc::clone(&tree.pool);
 
         // ---- leaf level: sort by x, tile into vertical slices, sort each
         // slice by y, pack runs of `leaf_fill` objects per leaf ----
@@ -148,9 +147,7 @@ impl RTreeIndex {
                     let mut node = Node::new_internal(level);
                     node.internal_entries_mut().extend(run.iter().copied());
                     if tree.opts.strategy.needs_parent_pointers() && level == 1 {
-                        for e in &run {
-                            tree.set_parent_pointer(&pool, e.child, pid)?;
-                        }
+                        tree.adopt_leaves(&run, pid)?;
                     }
                     let mbr = node.mbr();
                     tree.write_node(pid, &node)?;
@@ -207,7 +204,6 @@ impl RTreeIndex {
             index.tree.pool.set_wal_mode(false);
         }
         let tree = &mut index.tree;
-        let pool = Arc::clone(&tree.pool);
 
         // ---- leaf level: one global Hilbert sort, sequential runs ----
         let leaf_cap = tree.leaf_cap();
@@ -254,9 +250,7 @@ impl RTreeIndex {
                 let mut node = Node::new_internal(level);
                 node.internal_entries_mut().extend(run.iter().copied());
                 if tree.opts.strategy.needs_parent_pointers() && level == 1 {
-                    for e in &run {
-                        tree.set_parent_pointer(&pool, e.child, pid)?;
-                    }
+                    tree.adopt_leaves(&run, pid)?;
                 }
                 let mbr = node.mbr();
                 tree.write_node(pid, &node)?;

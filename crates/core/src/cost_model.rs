@@ -11,6 +11,16 @@
 //! normalized to the unit square; a few steps that the PDF renders
 //! unreadably are reconstructed and documented inline. The `repro
 //! cost-model` experiment compares these predictions with measured I/O.
+//!
+//! **The engine's unit.** The paper writes "R/W leaf" as two accesses;
+//! the engine counts a buffer-pool *fetch* — an operation asking for a
+//! page — and an operation asks once per page, whatever it does with it:
+//! a leaf read and rewritten is one access, and so is a hash bucket that
+//! is probed and then re-pointed (both go through the pin the first
+//! request took, see `pins.rs`). In that unit an in-place update is 2
+//! (paper: 3), a sibling shift 4 (paper: 6–7), and the worst-case
+//! bottom-up bound of 7 is the line `tests/fetch_budget.rs` holds every
+//! non-restructuring outcome under.
 
 /// Lemma 1: the probability that a uniformly placed point falls in a
 /// window of size `x × y` over the unit square.

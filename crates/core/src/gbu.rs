@@ -22,13 +22,13 @@
 use crate::config::GbuParams;
 use crate::error::{CoreError, CoreResult};
 use crate::node::{LeafEntry, ObjectId};
+use crate::pins::{PinSet, PinnedNode};
 use crate::stats::UpdateOutcome;
 use crate::topdown;
-use crate::tree::{AnyEntry, PinnedNode, RTree};
+use crate::tree::{AnyEntry, RTree};
 use bur_geom::{Point, Rect};
-use bur_storage::{BufferPool, PageId};
+use bur_storage::PageId;
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
 
 /// Algorithm 4, `iExtendMBR`: enlarge `leaf` towards `new_loc` only, by
 /// at most `eps` per extended side, never beyond `parent`. The result
@@ -61,11 +61,13 @@ pub fn iextend_mbr(leaf: Rect, new_loc: Point, eps: f32, parent: Rect) -> Rect {
     r
 }
 
-/// Run one generalized bottom-up update. The leaf, its parent and a
-/// shift's sibling are each pinned once and rewritten through that pin,
-/// so an update asks the pool for a page at most once: hash probe + leaf
-/// = 2 fetches in place, + parent = 3 extended, + sibling + hash upsert
-/// = 5 shifted — the paper's own accounting with "R/W" as one access.
+/// Run one generalized bottom-up update as one operation over one pin
+/// set: the hash bucket, the leaf, its parent, a shift's sibling and
+/// whatever an ascent or a fallback goes on to touch are each asked of
+/// the pool once. Hash probe + leaf = 2 fetches in place, + parent = 3
+/// extended, + sibling = 4 shifted (the object's hash entry is re-pointed
+/// through the probe's pin) — the paper's own accounting with "R/W" as
+/// one access.
 pub(crate) fn update(
     tree: &mut RTree,
     params: GbuParams,
@@ -73,23 +75,29 @@ pub(crate) fn update(
     old: Point,
     new: Point,
 ) -> CoreResult<UpdateOutcome> {
-    // Step 1: O(1) root-MBR check against the summary. Objects leaving
-    // the root MBR take the top-down path (the tree must grow towards
-    // them, a global reorganization).
-    {
-        let summary = tree.summary.as_ref().expect("GBU requires the summary");
-        if !summary.root_mbr().contains_point(&new) {
-            return topdown::update(tree, oid, old, new);
-        }
+    tree.bottom_up_update(oid, |tree, ops, leaf_pid| {
+        run(tree, ops, params, leaf_pid, oid, old, new)
+    })
+}
+
+fn run(
+    tree: &mut RTree,
+    ops: &mut PinSet<'_>,
+    params: GbuParams,
+    leaf_pid: PageId,
+    oid: ObjectId,
+    old: Point,
+    new: Point,
+) -> CoreResult<UpdateOutcome> {
+    // O(1) root-MBR check against the summary. Objects leaving the root
+    // MBR take the top-down path (the tree must grow towards them, a
+    // global reorganization).
+    let summary = tree.summary.as_ref().expect("GBU requires the summary");
+    if !summary.root_mbr().contains_point(&new) {
+        return topdown::run(tree, ops, oid, old, new);
     }
 
-    // Step 2: hash probe for direct leaf access.
-    let hash = tree.hash.as_ref().expect("GBU requires the hash index");
-    let Some(leaf_pid) = hash.get(oid)? else {
-        return Err(CoreError::ObjectNotFound(oid));
-    };
-    let pool = Arc::clone(&tree.pool);
-    let mut leaf = RTree::pin_node(&pool, leaf_pid)?;
+    let mut leaf = ops.take(leaf_pid)?;
     let Some(idx) = leaf.oid_index(oid) else {
         return Err(CoreError::CorruptNode {
             pid: leaf_pid,
@@ -98,9 +106,9 @@ pub(crate) fn update(
     };
     let new_rect = Rect::from_point(new);
 
-    // Step 3: in place when the tight leaf MBR covers the target (or the
-    // leaf is the root, whose MBR the root check already validated...
-    // except the root may legitimately grow, so handle it in place too).
+    // In place when the tight leaf MBR covers the target (or the leaf is
+    // the root, whose MBR the root check already validated... except the
+    // root may legitimately grow, so handle it in place too).
     if leaf.mbr().contains_point(&new) || leaf_pid == tree.root {
         leaf.leaf_entries_mut()[idx].rect = new_rect;
         tree.write_pinned(&leaf);
@@ -109,7 +117,6 @@ pub(crate) fn update(
 
     // Locate the parent page through the summary (no disk access), plus
     // the parent's node MBR that bounds any extension.
-    let summary = tree.summary.as_ref().expect("GBU requires the summary");
     let Some(parent_pid) = summary.find_parent_at(leaf_pid, 1) else {
         return Err(CoreError::InvariantViolation(format!(
             "summary has no parent for leaf {leaf_pid}"
@@ -126,7 +133,7 @@ pub(crate) fn update(
 
     // Both repairs need the parent node; read it once (1 I/O — the
     // paper's "R parent" charge).
-    let mut parent = RTree::pin_node(&pool, parent_pid)?;
+    let mut parent = ops.take(parent_pid)?;
     let pidx = parent.child_index(leaf_pid).ok_or(CoreError::CorruptNode {
         pid: parent_pid,
         reason: "summary parent does not list the leaf",
@@ -157,13 +164,15 @@ pub(crate) fn update(
     // Any further repair deletes the entry first; a bottom-up delete must
     // not underflow the leaf.
     if leaf.count() <= tree.min_fill_leaf() {
-        // Nothing was modified; the top-down path reads its own copies.
-        drop((leaf, parent));
-        return topdown::update(tree, oid, old, new);
+        // Nothing was modified: the top-down search finds both nodes in
+        // the set.
+        ops.put(leaf);
+        ops.put(parent);
+        return topdown::run(tree, ops, oid, old, new);
     }
     leaf.leaf_entries_mut().swap_remove(idx);
 
-    if try_shift(tree, &pool, params, &mut leaf, &mut parent, pidx, oid, new)? {
+    if try_shift(tree, ops, params, &mut leaf, &mut parent, pidx, oid, new)? {
         return Ok(UpdateOutcome::Shifted);
     }
 
@@ -192,15 +201,16 @@ pub(crate) fn update(
     // paper applies after shifts; without it the source rectangles of
     // ascended objects would ratchet outward and query performance would
     // degrade with update volume, the opposite of the paper's Figure 6(f).
-    tree.write_pinned(&leaf);
+    // Both go back into the set: the re-insert below starts at the parent
+    // or above it and may pick this very leaf again.
     let tight = leaf.mbr();
-    // The re-insert below may pick this very leaf again: let go of the
-    // decoded copy before anything else rewrites the page.
-    drop(leaf);
+    tree.write_pinned(&leaf);
+    ops.put(leaf);
     if parent.internal_entries()[pidx].rect != tight {
         parent.internal_entries_mut()[pidx].rect = tight;
         tree.write_pinned(&parent);
     }
+    ops.put(parent);
     let max_ascent = params
         .level_threshold
         .unwrap_or(tree.height.saturating_sub(1))
@@ -227,20 +237,13 @@ pub(crate) fn update(
                 chain.push(parent);
                 cur = parent;
             }
-            if anc == parent_pid {
-                // One level up: descend from the parent already pinned.
-                tree.insert_from_pinned(&pool, parent, &chain, entry)?;
-            } else {
-                drop(parent);
-                tree.insert_from(anc, &chain, entry)?;
-            }
+            tree.insert_from(ops, anc, &chain, entry)?;
             Ok(UpdateOutcome::Ascended { levels })
         }
         _ => {
             // No bounding ancestor within L levels (or L = 0): standard
             // insert from the root, as Algorithm 3's fallback prescribes.
-            drop(parent);
-            tree.insert_from(tree.root, &[], entry)?;
+            tree.insert_at_root(ops, LeafEntry::point(oid, new))?;
             Ok(UpdateOutcome::Ascended {
                 levels: tree.height - 1,
             })
@@ -280,7 +283,7 @@ fn try_extend(
 #[allow(clippy::too_many_arguments)]
 fn try_shift(
     tree: &mut RTree,
-    pool: &BufferPool,
+    ops: &mut PinSet<'_>,
     params: GbuParams,
     leaf: &mut PinnedNode<'_>,
     parent: &mut PinnedNode<'_>,
@@ -305,14 +308,15 @@ fn try_shift(
     let Some((sib_pid, sib_rect)) = best else {
         return Ok(false);
     };
-    let mut sib = RTree::pin_node(pool, sib_pid)?;
+    let mut sib = ops.take(sib_pid)?;
     if sib.count() >= leaf_cap {
         // The bit vector is maintained synchronously so this should not
         // happen; stay safe regardless.
+        ops.put(sib);
         return Ok(false);
     }
     sib.leaf_entries_mut().push(LeafEntry::point(oid, new));
-    tree.hash_place(oid, sib_pid)?;
+    tree.place(ops, oid, sib_pid)?;
 
     // Piggybacking (Section 3.2.1 item 4): carry over a few other
     // entries of the source leaf that the sibling MBR already covers,
@@ -335,7 +339,7 @@ fn try_shift(
             if sib_rect.contains_rect(&e.rect) {
                 leaf.leaf_entries_mut().swap_remove(i);
                 sib.leaf_entries_mut().push(e);
-                tree.hash_place(e.oid, sib_pid)?;
+                tree.place(ops, e.oid, sib_pid)?;
                 moved += 1;
             } else {
                 i += 1;

@@ -207,16 +207,16 @@ impl RTreeIndex {
         snap: &MetaSnapshot,
     ) -> CoreResult<RTree> {
         let hash = if snap.stored_hash() {
-            Some(LinearHashIndex::load(
+            Some(Arc::new(LinearHashIndex::load(
                 pool.clone(),
                 HashIndexConfig::default(),
                 snap.hash_head,
-            )?)
+            )?))
         } else if opts.strategy.needs_hash_index() {
-            Some(LinearHashIndex::create(
+            Some(Arc::new(LinearHashIndex::create(
                 pool.clone(),
                 HashIndexConfig::default(),
-            )?)
+            )?))
         } else {
             None
         };
@@ -342,7 +342,7 @@ impl RTreeIndex {
     /// Under [`bur_storage::SyncPolicy::Async`] this waits for the
     /// background sync thread to pass the current tail; under the
     /// synchronous policies it syncs inline. No-op on a non-durable index.
-    pub fn wait_durable(&mut self) -> CoreResult<()> {
+    pub fn wait_durable(&self) -> CoreResult<()> {
         let Some(handle) = self.tree.wal.as_ref() else {
             return Ok(());
         };
@@ -804,10 +804,7 @@ impl RTreeIndex {
     /// Number of pages used by the secondary hash index (0 without one).
     #[must_use]
     pub fn hash_pages(&self) -> usize {
-        self.tree
-            .hash
-            .as_ref()
-            .map_or(0, LinearHashIndex::page_count)
+        self.tree.hash.as_ref().map_or(0, |h| h.page_count())
     }
 
     /// Total data pages (tree + hash) — what experiments size buffers
@@ -959,14 +956,11 @@ pub(crate) fn rebuild_memory_state(tree: &mut RTree, build_hash: bool) -> CoreRe
     // LBU needs leaf parent pointers; repair any that are missing or
     // stale (e.g. the stored image was built by a TD index).
     if tree.opts.strategy.needs_parent_pointers() && tree.height >= 2 {
-        let pool = Arc::clone(&tree.pool);
         let mut level1 = Vec::new();
         collect_level(tree, tree.root, 1, &mut level1)?;
         for parent_pid in level1 {
             let parent = tree.read_node(parent_pid)?;
-            for e in parent.internal_entries() {
-                tree.set_parent_pointer(&pool, e.child, parent_pid)?;
-            }
+            tree.adopt_leaves(parent.internal_entries(), parent_pid)?;
         }
     }
     Ok(())

@@ -21,14 +21,15 @@
 use crate::config::LbuParams;
 use crate::error::{CoreError, CoreResult};
 use crate::node::{LeafEntry, ObjectId};
+use crate::pins::PinSet;
 use crate::stats::UpdateOutcome;
 use crate::topdown;
 use crate::tree::RTree;
 use bur_geom::{Point, Rect};
-use bur_storage::INVALID_PAGE;
-use std::sync::Arc;
+use bur_storage::{PageId, INVALID_PAGE};
 
-/// Run one localized bottom-up update.
+/// Run one localized bottom-up update as one operation over one pin set
+/// (see [`crate::gbu::update`]).
 pub(crate) fn update(
     tree: &mut RTree,
     params: LbuParams,
@@ -37,12 +38,21 @@ pub(crate) fn update(
     new: Point,
 ) -> CoreResult<UpdateOutcome> {
     // Step 1: hash probe for direct leaf access.
-    let hash = tree.hash.as_ref().expect("LBU requires the hash index");
-    let Some(leaf_pid) = hash.get(oid)? else {
-        return Err(CoreError::ObjectNotFound(oid));
-    };
-    let pool = Arc::clone(&tree.pool);
-    let mut leaf = RTree::pin_node(&pool, leaf_pid)?;
+    tree.bottom_up_update(oid, |tree, ops, leaf_pid| {
+        run(tree, ops, params, leaf_pid, oid, old, new)
+    })
+}
+
+fn run(
+    tree: &mut RTree,
+    ops: &mut PinSet<'_>,
+    params: LbuParams,
+    leaf_pid: PageId,
+    oid: ObjectId,
+    old: Point,
+    new: Point,
+) -> CoreResult<UpdateOutcome> {
+    let mut leaf = ops.take(leaf_pid)?;
     let Some(idx) = leaf.oid_index(oid) else {
         return Err(CoreError::CorruptNode {
             pid: leaf_pid,
@@ -66,7 +76,7 @@ pub(crate) fn update(
             reason: "LBU leaf without parent pointer",
         });
     }
-    let mut parent = RTree::pin_node(&pool, parent_pid)?;
+    let mut parent = ops.take(parent_pid)?;
     let pidx = parent.child_index(leaf_pid).ok_or(CoreError::CorruptNode {
         pid: parent_pid,
         reason: "parent pointer target does not list the leaf",
@@ -98,9 +108,11 @@ pub(crate) fn update(
     // 3.1), a failed enlargement goes straight to a top-down update —
     // "Otherwise, a top-down update is issued".
     if leaf.count() <= tree.min_fill_leaf() || !params.sibling_shift {
-        // Nothing was modified; the top-down path reads its own copies.
-        drop((leaf, parent));
-        return topdown::update(tree, oid, old, new);
+        // Nothing was modified: the top-down search finds both nodes in
+        // the set.
+        ops.put(leaf);
+        ops.put(parent);
+        return topdown::run(tree, ops, oid, old, new);
     }
 
     // Step 5: delete from the leaf, then look for a sibling whose MBR
@@ -108,13 +120,13 @@ pub(crate) fn update(
     // vector, so each candidate sibling is *read* to check fullness —
     // the extra disk accesses the paper attributes to this strategy.
     leaf.leaf_entries_mut().swap_remove(idx);
-    tree.write_pinned(&leaf);
     // Tighten the leaf's official MBR in the parent (in memory already);
     // leaving the stale rectangle behind on every departure would make
     // overlap ratchet outward with update volume.
     let tight = leaf.mbr();
     // The leaf is done; a root insert below may pick it again.
-    drop(leaf);
+    tree.write_pinned(&leaf);
+    ops.put(leaf);
     if parent.internal_entries()[pidx].rect != tight {
         parent.internal_entries_mut()[pidx].rect = tight;
         tree.write_pinned(&parent);
@@ -124,19 +136,21 @@ pub(crate) fn update(
         if i == pidx || !e.rect.contains_point(&new) {
             continue;
         }
-        let mut sib = RTree::pin_node(&pool, e.child)?;
+        let mut sib = ops.take(e.child)?;
         if sib.count() < leaf_cap {
             sib.leaf_entries_mut().push(LeafEntry::point(oid, new));
             tree.write_pinned(&sib);
-            tree.hash_place(oid, e.child)?;
+            tree.place(ops, oid, e.child)?;
             return Ok(UpdateOutcome::Shifted);
         }
+        // Full: stays in the set, the root insert below may split it.
+        ops.put(sib);
     }
 
     // Step 6: standard insert from the root (the hash entry is refreshed
-    // by the insert path).
-    drop(parent);
-    tree.insert_object(LeafEntry::point(oid, new))?;
+    // when the operation settles).
+    ops.put(parent);
+    tree.insert_at_root(ops, LeafEntry::point(oid, new))?;
     Ok(UpdateOutcome::Ascended {
         levels: tree.height - 1,
     })

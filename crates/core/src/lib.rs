@@ -52,6 +52,7 @@ mod knn;
 mod lbu;
 mod meta;
 mod node;
+mod pins;
 mod replica;
 mod split;
 mod stats;

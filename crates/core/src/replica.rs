@@ -141,10 +141,10 @@ impl RTreeIndex {
         self.tree.pool.set_capacity(opts.buffer_frames)?;
         self.tree.opts = opts;
         self.tree.hash = if opts.strategy.needs_hash_index() {
-            Some(LinearHashIndex::create(
+            Some(Arc::new(LinearHashIndex::create(
                 self.tree.pool.clone(),
                 HashIndexConfig::default(),
-            )?)
+            )?))
         } else {
             None
         };

@@ -28,6 +28,7 @@ use crate::meta::{self, MetaSnapshot};
 use crate::node::{
     internal_capacity, leaf_capacity, InternalEntry, LeafEntry, Node, NodeEntries, ObjectId,
 };
+use crate::pins::{PinSet, PinnedNode};
 use crate::split;
 use crate::stats::OpStats;
 use crate::summary::SummaryStructure;
@@ -106,43 +107,6 @@ impl AnyEntry {
     }
 }
 
-/// A node decoded from a page that stays pinned. The exclusive engine
-/// reads a page into one of these, mutates the node, and re-encodes it
-/// through the same pin ([`RTree::write_pinned`]): one pool fetch per
-/// page per operation, where a `read_node` / `write_node` pair asks the
-/// pool twice.
-///
-/// The pin borrows the pool, not the tree, so callers clone the
-/// `Arc<BufferPool>` once per operation and keep `&mut RTree` free for
-/// the write hooks. Holding one conflicts with nobody (a pin is not a
-/// latch); the one rule is to drop it before anything else may rewrite
-/// the same page, because the decoded copy would go stale.
-pub(crate) struct PinnedNode<'p> {
-    page: PageRef<'p>,
-    node: Node,
-}
-
-impl PinnedNode<'_> {
-    /// Id of the pinned page.
-    pub(crate) fn pid(&self) -> PageId {
-        self.page.pid()
-    }
-}
-
-impl std::ops::Deref for PinnedNode<'_> {
-    type Target = Node;
-
-    fn deref(&self) -> &Node {
-        &self.node
-    }
-}
-
-impl std::ops::DerefMut for PinnedNode<'_> {
-    fn deref_mut(&mut self) -> &mut Node {
-        &mut self.node
-    }
-}
-
 /// The R-tree plus its auxiliary structures.
 pub(crate) struct RTree {
     pub(crate) pool: Arc<BufferPool>,
@@ -159,8 +123,9 @@ pub(crate) struct RTree {
     pub(crate) free_pages: Vec<PageId>,
     /// GBU's main-memory summary structure.
     pub(crate) summary: Option<SummaryStructure>,
-    /// Secondary object-id index (LBU + GBU).
-    pub(crate) hash: Option<LinearHashIndex>,
+    /// Secondary object-id index (LBU + GBU). Shared so an operation's
+    /// hash probe can outlive a `&mut self` borrow (see [`PinSet`]).
+    pub(crate) hash: Option<Arc<LinearHashIndex>>,
     /// Operation counters.
     pub(crate) stats: OpStats,
     /// Entries evicted by R* forced reinsertion, re-inserted from the
@@ -186,10 +151,10 @@ impl RTree {
     pub(crate) fn create(pool: Arc<BufferPool>, opts: IndexOptions) -> CoreResult<Self> {
         opts.validate()?;
         let hash = if opts.strategy.needs_hash_index() {
-            Some(LinearHashIndex::create(
+            Some(Arc::new(LinearHashIndex::create(
                 pool.clone(),
                 HashIndexConfig::default(),
-            )?)
+            )?))
         } else {
             None
         };
@@ -256,14 +221,6 @@ impl RTree {
         Node::decode(pid, &data)
     }
 
-    /// Pin `pid` and decode its node: the read half of a pinned
-    /// read-modify-write (one pool fetch).
-    pub(crate) fn pin_node(pool: &BufferPool, pid: PageId) -> CoreResult<PinnedNode<'_>> {
-        let page = pool.fetch(pid)?;
-        let node = Node::decode(pid, &page.read())?;
-        Ok(PinnedNode { page, node })
-    }
-
     /// Re-encode a pinned node through its own pin and refresh the
     /// summary hooks: the write half of a pinned read-modify-write (no
     /// pool fetch).
@@ -272,10 +229,26 @@ impl RTree {
         self.note_written(pinned.pid(), &pinned.node);
     }
 
+    /// [`RTree::write_pinned`], then check the node back into the
+    /// operation's pin set.
+    fn write_back<'p>(&mut self, ops: &mut PinSet<'p>, node: PinnedNode<'p>) {
+        self.write_pinned(&node);
+        ops.put(node);
+    }
+
+    /// Write `node` to the freshly allocated page `pid` — blind, the page
+    /// was never read — and leave it checked in: the rest of the
+    /// operation (say, the next orphan re-inserted into a split's new
+    /// half) finds it there.
+    fn write_new(&mut self, ops: &mut PinSet<'_>, pid: PageId, node: Node) -> CoreResult<()> {
+        let node = ops.put_new(pid, node)?;
+        self.note_written(pid, node);
+        Ok(())
+    }
+
     /// Encode and write `node` to `pid`, refreshing the summary hooks. A
-    /// blind full-page write for pages that were not read first — split
-    /// halves, fresh roots, bulk-loaded nodes; a page that was read is
-    /// rewritten through [`RTree::write_pinned`] instead.
+    /// blind full-page write outside any operation's pin set: the bulk
+    /// loader's nodes.
     pub(crate) fn write_node(&mut self, pid: PageId, node: &Node) -> CoreResult<()> {
         let guard = self.pool.fetch_for_overwrite(pid)?;
         node.encode(&mut guard.write());
@@ -325,14 +298,30 @@ impl RTree {
     /// read + one write per re-homed child, through one pin).
     pub(crate) fn set_parent_pointer(
         &mut self,
-        pool: &BufferPool,
+        ops: &mut PinSet<'_>,
         pid: PageId,
         parent: PageId,
     ) -> CoreResult<()> {
-        let mut node = Self::pin_node(pool, pid)?;
+        let mut node = ops.take(pid)?;
         if node.parent != parent {
             node.parent = parent;
             self.write_pinned(&node);
+        }
+        ops.put(node);
+        Ok(())
+    }
+
+    /// Point the leaves listed in `children` at `parent`, outside any
+    /// operation (bulk loads, rebuilding LBU's pointers after a reopen).
+    pub(crate) fn adopt_leaves(
+        &mut self,
+        children: &[InternalEntry],
+        parent: PageId,
+    ) -> CoreResult<()> {
+        let pool = Arc::clone(&self.pool);
+        let mut ops = PinSet::new(&pool);
+        for e in children {
+            self.set_parent_pointer(&mut ops, e.child, parent)?;
         }
         Ok(())
     }
@@ -343,6 +332,35 @@ impl RTree {
             h.insert(oid, leaf)?;
         }
         Ok(())
+    }
+
+    /// `oid` now sits on `leaf`: re-point its hash entry — unless it is
+    /// the operation's own object, which may move again before the
+    /// operation ends and is re-pointed once by [`RTree::settle`].
+    pub(crate) fn place(
+        &mut self,
+        ops: &mut PinSet<'_>,
+        oid: ObjectId,
+        leaf: PageId,
+    ) -> CoreResult<()> {
+        if ops.is_own(oid) {
+            ops.place_own(leaf);
+            Ok(())
+        } else {
+            self.hash_place(oid, leaf)
+        }
+    }
+
+    /// End of an operation: point the hash entry of its own object at the
+    /// leaf it ended on — through the probe's pin when it has one (no
+    /// fetch), as a new key otherwise. Nothing to do when it never left
+    /// its leaf.
+    pub(crate) fn settle(&mut self, ops: &mut PinSet<'_>) -> CoreResult<()> {
+        match ops.take_placement() {
+            Some((_, Some(probe), leaf)) if probe.value() != leaf => Ok(probe.set(leaf)?),
+            Some((oid, None, leaf)) => self.hash_place(oid, leaf),
+            _ => Ok(()),
+        }
     }
 
     fn hash_remove(&mut self, oid: ObjectId) -> CoreResult<()> {
@@ -563,9 +581,49 @@ impl RTree {
 
     // ---- insertion ----------------------------------------------------------
 
-    /// Insert an object from the root (Guttman Insert).
+    /// Insert a new object from the root (Guttman Insert), as an operation
+    /// of its own.
     pub(crate) fn insert_object(&mut self, entry: LeafEntry) -> CoreResult<()> {
-        self.insert_from(self.root, &[], AnyEntry::Leaf(entry))
+        let pool = Arc::clone(&self.pool);
+        let mut ops = PinSet::new(&pool);
+        ops.track_own(entry.oid, None);
+        self.insert_at_root(&mut ops, entry)?;
+        self.settle(&mut ops)
+    }
+
+    /// Insert an object from the root within the operation `ops`.
+    pub(crate) fn insert_at_root(
+        &mut self,
+        ops: &mut PinSet<'_>,
+        entry: LeafEntry,
+    ) -> CoreResult<()> {
+        self.insert_from(ops, self.root, &[], AnyEntry::Leaf(entry))
+    }
+
+    /// Run a bottom-up update of `oid` as one operation: probe the hash
+    /// index (the bucket stays pinned), hand `step` the pin set and the
+    /// leaf the object is on, and re-point the hash entry once when
+    /// `step` is done.
+    pub(crate) fn bottom_up_update<T>(
+        &mut self,
+        oid: ObjectId,
+        step: impl FnOnce(&mut Self, &mut PinSet<'_>, PageId) -> CoreResult<T>,
+    ) -> CoreResult<T> {
+        let pool = Arc::clone(&self.pool);
+        let hash = Arc::clone(
+            self.hash
+                .as_ref()
+                .expect("bottom-up updates require the hash index"),
+        );
+        let mut ops = PinSet::new(&pool);
+        let Some(probe) = hash.probe(oid)? else {
+            return Err(CoreError::ObjectNotFound(oid));
+        };
+        let leaf_pid = probe.value();
+        ops.track_own(oid, Some(probe));
+        let out = step(self, &mut ops, leaf_pid)?;
+        self.settle(&mut ops)?;
+        Ok(out)
     }
 
     /// Insert `entry` into the subtree rooted at `start`.
@@ -581,23 +639,8 @@ impl RTree {
     /// outermost call drains that queue by re-inserting from the root.
     pub(crate) fn insert_from(
         &mut self,
+        ops: &mut PinSet<'_>,
         start: PageId,
-        chain_above: &[PageId],
-        entry: AnyEntry,
-    ) -> CoreResult<()> {
-        let pool = Arc::clone(&self.pool);
-        let start = Self::pin_node(&pool, start)?;
-        self.insert_from_pinned(&pool, start, chain_above, entry)
-    }
-
-    /// [`RTree::insert_from`] for a caller that already holds the start
-    /// node pinned (GBU's ascent re-inserts from the parent it has just
-    /// read): the descent starts from that pin instead of fetching the
-    /// page a second time.
-    pub(crate) fn insert_from_pinned(
-        &mut self,
-        pool: &BufferPool,
-        start: PinnedNode<'_>,
         chain_above: &[PageId],
         entry: AnyEntry,
     ) -> CoreResult<()> {
@@ -606,7 +649,7 @@ impl RTree {
             self.insert_active = true;
             self.reinsert_armed = 0;
         }
-        let mut result = self.insert_from_inner(pool, start, chain_above, entry);
+        let mut result = self.insert_from_inner(ops, start, chain_above, entry);
         if outermost {
             // Close reinsert: the queue is stacked closest-to-center on
             // top. Entries queued while draining are drained too; the
@@ -616,8 +659,7 @@ impl RTree {
                 let Some(e) = self.pending_reinserts.pop() else {
                     break;
                 };
-                result = Self::pin_node(pool, self.root)
-                    .and_then(|root| self.insert_from_inner(pool, root, &[], e));
+                result = self.insert_from_inner(ops, self.root, &[], e);
             }
             if result.is_err() {
                 self.pending_reinserts.clear();
@@ -629,13 +671,14 @@ impl RTree {
 
     fn insert_from_inner(
         &mut self,
-        pool: &BufferPool,
-        start: PinnedNode<'_>,
+        ops: &mut PinSet<'_>,
+        start: PageId,
         chain_above: &[PageId],
         entry: AnyEntry,
     ) -> CoreResult<()> {
-        let mut child_pid = start.pid();
-        let (old_mbr, new_mbr, split) = self.insert_rec(pool, start, entry)?;
+        let mut child_pid = start;
+        let start = ops.take(start)?;
+        let (old_mbr, new_mbr, split) = self.insert_rec(ops, start, entry)?;
         let mut child_mbr = new_mbr;
         let mut pending = split;
         let mut changed = old_mbr != new_mbr;
@@ -643,7 +686,7 @@ impl RTree {
             if pending.is_none() && !changed {
                 return Ok(());
             }
-            let mut node = Self::pin_node(pool, anc)?;
+            let mut node = ops.take(anc)?;
             let idx = node.child_index(child_pid).ok_or(CoreError::CorruptNode {
                 pid: anc,
                 reason: "ancestor chain does not link to child",
@@ -657,11 +700,11 @@ impl RTree {
             node.internal_entries_mut()[idx].rect = child_mbr;
             if let Some(e) = pending.take() {
                 if self.parent_pointers() && node.level == 1 {
-                    self.set_parent_pointer(pool, e.child, anc)?;
+                    self.set_parent_pointer(ops, e.child, anc)?;
                 }
                 node.internal_entries_mut().push(e);
                 if node.count() > self.internal_cap() {
-                    let (_, mbr_a, sp) = self.handle_overflow(pool, node)?;
+                    let (mbr_a, sp) = self.handle_overflow(ops, node)?;
                     child_pid = anc;
                     child_mbr = mbr_a;
                     pending = sp;
@@ -670,24 +713,24 @@ impl RTree {
                 }
             }
             let new_anc_mbr = node.mbr();
-            self.write_pinned(&node);
+            self.write_back(ops, node);
             child_pid = anc;
             child_mbr = new_anc_mbr;
             changed = old_anc_mbr != new_anc_mbr;
         }
         if let Some(e) = pending {
-            self.grow_root(pool, child_pid, child_mbr, e)?;
+            self.grow_root(ops, child_pid, child_mbr, e)?;
         }
         Ok(())
     }
 
     /// Recursive descent: returns `(old mbr, new mbr, split entry)` of
-    /// `node`. Every node on the path stays pinned until its own frame
-    /// has rewritten it, so each is fetched once.
-    fn insert_rec(
+    /// `node`. Every frame checks its node back into the pin set once it
+    /// has rewritten it (or found nothing to rewrite).
+    fn insert_rec<'p>(
         &mut self,
-        pool: &BufferPool,
-        mut node: PinnedNode<'_>,
+        ops: &mut PinSet<'p>,
+        mut node: PinnedNode<'p>,
         entry: AnyEntry,
     ) -> CoreResult<(Rect, Rect, Option<InternalEntry>)> {
         let pid = node.pid();
@@ -702,47 +745,48 @@ impl RTree {
             match entry {
                 AnyEntry::Leaf(e) => {
                     node.leaf_entries_mut().push(e);
-                    self.hash_place(e.oid, pid)?;
+                    self.place(ops, e.oid, pid)?;
                 }
                 AnyEntry::Node(e, child_level) => {
                     if self.parent_pointers() && child_level == 0 {
-                        self.set_parent_pointer(pool, e.child, pid)?;
+                        self.set_parent_pointer(ops, e.child, pid)?;
                     }
                     node.internal_entries_mut().push(e);
                 }
             }
             if node.count() <= node.capacity(self.opts.page_size) {
                 let new_mbr = node.mbr();
-                self.write_pinned(&node);
+                self.write_back(ops, node);
                 Ok((old_mbr, new_mbr, None))
             } else {
-                let (_, mbr_a, sp) = self.handle_overflow(pool, node)?;
+                let (mbr_a, sp) = self.handle_overflow(ops, node)?;
                 Ok((old_mbr, mbr_a, sp))
             }
         } else {
             let idx = self.choose_subtree(&node, &entry.rect());
-            let child = Self::pin_node(pool, node.internal_entries()[idx].child)?;
-            let (child_old, child_new, sp) = self.insert_rec(pool, child, entry)?;
+            let child = ops.take(node.internal_entries()[idx].child)?;
+            let (child_old, child_new, sp) = self.insert_rec(ops, child, entry)?;
             let rect_changed = child_old != child_new;
             if sp.is_none() && !rect_changed {
                 // Nothing to adjust: the child absorbed the entry without
                 // growing — the TD best case of a single write at the leaf.
+                ops.put(node);
                 return Ok((old_mbr, old_mbr, None));
             }
             // Exact child MBR (see the ancestor-chain comment above).
             node.internal_entries_mut()[idx].rect = child_new;
             if let Some(e) = sp {
                 if self.parent_pointers() && node.level == 1 {
-                    self.set_parent_pointer(pool, e.child, pid)?;
+                    self.set_parent_pointer(ops, e.child, pid)?;
                 }
                 node.internal_entries_mut().push(e);
                 if node.count() > self.internal_cap() {
-                    let (_, mbr_a, sp2) = self.handle_overflow(pool, node)?;
+                    let (mbr_a, sp2) = self.handle_overflow(ops, node)?;
                     return Ok((old_mbr, mbr_a, sp2));
                 }
             }
             let new_mbr = node.mbr();
-            self.write_pinned(&node);
+            self.write_back(ops, node);
             Ok((old_mbr, new_mbr, None))
         }
     }
@@ -814,18 +858,17 @@ impl RTree {
     /// first overflow at this level in the current insertion), a node
     /// split otherwise. Same return shape as [`RTree::split_node`]; the
     /// reinsertion arm reports no new sibling.
-    fn handle_overflow(
+    fn handle_overflow<'p>(
         &mut self,
-        pool: &BufferPool,
-        mut node: PinnedNode<'_>,
-    ) -> CoreResult<(PageId, Rect, Option<InternalEntry>)> {
-        let pid = node.pid();
+        ops: &mut PinSet<'p>,
+        mut node: PinnedNode<'p>,
+    ) -> CoreResult<(Rect, Option<InternalEntry>)> {
         let eligible = self.opts.insert == InsertPolicy::RStar
-            && pid != self.root
+            && node.pid() != self.root
             && node.level < 32
             && self.reinsert_armed & (1 << node.level) == 0;
         if !eligible {
-            return self.split_node(pool, node);
+            return self.split_node(ops, node);
         }
         self.reinsert_armed |= 1 << node.level;
         self.stats.forced_reinserts.fetch_add(1, Ordering::Relaxed);
@@ -871,19 +914,19 @@ impl RTree {
             }
         }
         let new_mbr = node.mbr();
-        self.write_pinned(&node);
-        Ok((pid, new_mbr, None))
+        self.write_back(ops, node);
+        Ok((new_mbr, None))
     }
 
     /// Split the overflowing `node` (already holding capacity + 1
     /// entries). Writes both halves — the surviving one through the pin
-    /// it was read with, the new one blind — and returns `(new page id,
-    /// mbr of the surviving half, entry for the new half)`.
-    fn split_node(
+    /// it was read with, the new one blind — checks both in, and returns
+    /// `(mbr of the surviving half, entry for the new half)`.
+    fn split_node<'p>(
         &mut self,
-        pool: &BufferPool,
-        node: PinnedNode<'_>,
-    ) -> CoreResult<(PageId, Rect, Option<InternalEntry>)> {
+        ops: &mut PinSet<'p>,
+        node: PinnedNode<'p>,
+    ) -> CoreResult<(Rect, Option<InternalEntry>)> {
         let PinnedNode { page, node } = node;
         self.stats.splits.fetch_add(1, Ordering::Relaxed);
         let min_fill = if node.is_leaf() {
@@ -900,7 +943,7 @@ impl RTree {
                 let b: Vec<LeafEntry> = gb.iter().map(|&i| entries[i]).collect();
                 // Re-homed objects: point the hash index at the new leaf.
                 for e in &b {
-                    self.hash_place(e.oid, new_pid)?;
+                    self.place(ops, e.oid, new_pid)?;
                 }
                 (
                     Node {
@@ -925,7 +968,7 @@ impl RTree {
                 // for leaves — the only pointers LBU uses).
                 if self.parent_pointers() && node.level == 1 {
                     for e in &b {
-                        self.set_parent_pointer(pool, e.child, new_pid)?;
+                        self.set_parent_pointer(ops, e.child, new_pid)?;
                     }
                 }
                 (
@@ -944,10 +987,9 @@ impl RTree {
         };
         let mbr_a = node_a.mbr();
         let mbr_b = node_b.mbr();
-        self.write_pinned(&PinnedNode { page, node: node_a });
-        self.write_node(new_pid, &node_b)?;
+        self.write_back(ops, PinnedNode { page, node: node_a });
+        self.write_new(ops, new_pid, node_b)?;
         Ok((
-            new_pid,
             mbr_a,
             Some(InternalEntry {
                 child: new_pid,
@@ -959,7 +1001,7 @@ impl RTree {
     /// Install a new root above the current one after a root split.
     fn grow_root(
         &mut self,
-        pool: &BufferPool,
+        ops: &mut PinSet<'_>,
         old_root: PageId,
         old_root_mbr: Rect,
         new_entry: InternalEntry,
@@ -975,11 +1017,10 @@ impl RTree {
         self.root = new_root_pid;
         self.height += 1;
         if self.parent_pointers() && level == 1 {
-            self.set_parent_pointer(pool, old_root, new_root_pid)?;
-            self.set_parent_pointer(pool, new_entry.child, new_root_pid)?;
+            self.set_parent_pointer(ops, old_root, new_root_pid)?;
+            self.set_parent_pointer(ops, new_entry.child, new_root_pid)?;
         }
-        self.write_node(new_root_pid, &root_node)?;
-        Ok(())
+        self.write_new(ops, new_root_pid, root_node)
     }
 
     // ---- make-room (preparatory) splits -------------------------------------
@@ -1011,6 +1052,32 @@ impl RTree {
         Ok(false)
     }
 
+    /// Root-first chain of internal ancestors of the leaf `leaf_pid`, or
+    /// `None` when the page is not a leaf of the tree any more — e.g. it
+    /// was condensed away since the caller looked it up. With a summary
+    /// this walks its child → parent table (no I/O); strategies without
+    /// one search from the root.
+    fn ancestors_of_leaf(&self, leaf_pid: PageId) -> CoreResult<Option<Vec<PageId>>> {
+        let mut path = Vec::new();
+        let Some(s) = &self.summary else {
+            let found = self.path_to(self.root, leaf_pid, &mut path)?;
+            return Ok(found.then_some(path));
+        };
+        if !s.has_leaf(leaf_pid) {
+            return Ok(None);
+        }
+        let mut cur = leaf_pid;
+        for level in 1..self.height {
+            let Some(parent) = s.find_parent_at(cur, level) else {
+                return Ok(None);
+            };
+            path.push(parent);
+            cur = parent;
+        }
+        path.reverse();
+        Ok((cur == self.root).then_some(path))
+    }
+
     /// Content-neutral preparatory split ("make room"): split the full
     /// leaf on `leaf_pid` and propagate the new entries upward —
     /// splitting overfull ancestors and growing the root if needed — so
@@ -1025,8 +1092,9 @@ impl RTree {
     /// pages.
     pub(crate) fn preparatory_split(&mut self, leaf_pid: PageId) -> CoreResult<bool> {
         let pool = Arc::clone(&self.pool);
-        let pool = &pool;
-        let node = match Self::pin_node(pool, leaf_pid) {
+        let mut ops = PinSet::new(&pool);
+        let ops = &mut ops;
+        let node = match ops.take(leaf_pid) {
             Ok(n) => n,
             // The page may have been condensed away and recycled.
             Err(_) => return Ok(false),
@@ -1034,14 +1102,13 @@ impl RTree {
         if !node.is_leaf() || node.count() < self.leaf_cap() {
             return Ok(false);
         }
-        let mut path = Vec::new();
-        if !self.path_to(self.root, leaf_pid, &mut path)? {
+        let Some(mut path) = self.ancestors_of_leaf(leaf_pid)? else {
             return Ok(false);
-        }
-        let (_, mut child_mbr, mut pending) = self.split_node(pool, node)?;
+        };
+        let (mut child_mbr, mut pending) = self.split_node(ops, node)?;
         let mut child_pid = leaf_pid;
         while let Some(anc) = path.pop() {
-            let mut parent = Self::pin_node(pool, anc)?;
+            let mut parent = ops.take(anc)?;
             let idx = parent
                 .child_index(child_pid)
                 .ok_or(CoreError::CorruptNode {
@@ -1054,11 +1121,11 @@ impl RTree {
             parent.internal_entries_mut()[idx].rect = child_mbr;
             if let Some(e) = pending.take() {
                 if self.parent_pointers() && parent.level == 1 {
-                    self.set_parent_pointer(pool, e.child, anc)?;
+                    self.set_parent_pointer(ops, e.child, anc)?;
                 }
                 parent.internal_entries_mut().push(e);
                 if parent.count() > self.internal_cap() {
-                    let (_, mbr_a, sp) = self.split_node(pool, parent)?;
+                    let (mbr_a, sp) = self.split_node(ops, parent)?;
                     child_pid = anc;
                     child_mbr = mbr_a;
                     pending = sp;
@@ -1066,7 +1133,7 @@ impl RTree {
                 }
             }
             let new_mbr = parent.mbr();
-            self.write_pinned(&parent);
+            self.write_back(ops, parent);
             if new_mbr == old_mbr {
                 // Nothing propagates further; the remaining ancestors'
                 // entry rects still cover this subtree.
@@ -1077,7 +1144,7 @@ impl RTree {
             child_mbr = new_mbr;
         }
         if let Some(e) = pending {
-            self.grow_root(pool, child_pid, child_mbr, e)?;
+            self.grow_root(ops, child_pid, child_mbr, e)?;
         }
         self.stats.make_room_splits.fetch_add(1, Ordering::Relaxed);
         Ok(true)
@@ -1085,40 +1152,59 @@ impl RTree {
 
     // ---- deletion -----------------------------------------------------------
 
-    /// Delete the entry of `oid` whose position is `pos`. Returns `false`
-    /// when no such entry exists. Does not touch [`RTree::len`] — the
-    /// public index layer owns the object count, because internal moves
-    /// (top-down updates) pair this with a re-insert.
+    /// Delete the entry of `oid` whose position is `pos`, as an operation
+    /// of its own. Returns `false` when no such entry exists. Does not
+    /// touch [`RTree::len`] — the public index layer owns the object
+    /// count.
     pub(crate) fn delete_object(&mut self, oid: ObjectId, pos: Point) -> CoreResult<bool> {
         let pool = Arc::clone(&self.pool);
-        let pool = &pool;
+        let mut ops = PinSet::new(&pool);
+        self.delete_in(&mut ops, oid, pos)
+    }
+
+    /// Delete the entry of `oid` at `pos` within the operation `ops`
+    /// (a top-down update pairs this with a re-insert). The hash entry of
+    /// the operation's own object is left for [`RTree::settle`].
+    pub(crate) fn delete_in(
+        &mut self,
+        ops: &mut PinSet<'_>,
+        oid: ObjectId,
+        pos: Point,
+    ) -> CoreResult<bool> {
         let mut path = Vec::new();
-        let root = Self::pin_node(pool, self.root)?;
-        let Some(mut leaf) = Self::find_leaf(pool, root, oid, pos, &mut path)? else {
+        let root = ops.take(self.root)?;
+        let Some(mut leaf) = Self::find_leaf(ops, root, oid, pos, &mut path)? else {
             return Ok(false);
         };
         let idx = leaf.oid_index(oid).expect("find_leaf returned this leaf");
         leaf.leaf_entries_mut().swap_remove(idx);
-        self.hash_remove(oid)?;
-        self.condense_up(pool, leaf, path)?;
+        if !ops.is_own(oid) {
+            self.hash_remove(oid)?;
+        }
+        self.condense_up(ops, leaf, path)?;
         Ok(true)
     }
 
     /// Locate the leaf containing `oid` at `pos`, descending every subtree
     /// whose rect contains the position (R-trees may need several partial
-    /// paths). Returns the leaf still pinned and appends the successful
-    /// path's `(pinned ancestor, child index)` pairs root-first, so
-    /// CondenseTree rewrites each of them through the pin the search
-    /// read it with; dead-end branches unpin as the search backs out.
+    /// paths). Returns the leaf checked out of the pin set and appends the
+    /// successful path's `(ancestor, child index)` pairs root-first, so
+    /// CondenseTree rewrites each of them through the pin the search read
+    /// it with; dead-end branches are checked back in as the search backs
+    /// out.
     fn find_leaf<'p>(
-        pool: &'p BufferPool,
+        ops: &mut PinSet<'p>,
         node: PinnedNode<'p>,
         oid: ObjectId,
         pos: Point,
         path: &mut Vec<(PinnedNode<'p>, usize)>,
     ) -> CoreResult<Option<PinnedNode<'p>>> {
         if node.is_leaf() {
-            return Ok(node.oid_index(oid).map(|_| node));
+            if node.oid_index(oid).is_some() {
+                return Ok(Some(node));
+            }
+            ops.put(node);
+            return Ok(None);
         }
         let depth = path.len();
         path.push((node, 0));
@@ -1126,23 +1212,24 @@ impl RTree {
             let e = path[depth].0.internal_entries()[i];
             if e.rect.contains_point(&pos) {
                 path[depth].1 = i;
-                let child = Self::pin_node(pool, e.child)?;
-                if let Some(found) = Self::find_leaf(pool, child, oid, pos, path)? {
+                let child = ops.take(e.child)?;
+                if let Some(found) = Self::find_leaf(ops, child, oid, pos, path)? {
                     return Ok(Some(found));
                 }
             }
         }
-        path.pop();
+        let (node, _) = path.pop().expect("pushed above");
+        ops.put(node);
         Ok(None)
     }
 
     /// CondenseTree: walk the recorded path upward, dissolving underfull
     /// nodes and re-inserting their entries, then shrink the root.
-    fn condense_up(
+    fn condense_up<'p>(
         &mut self,
-        pool: &BufferPool,
-        leaf: PinnedNode<'_>,
-        mut path: Vec<(PinnedNode<'_>, usize)>,
+        ops: &mut PinSet<'p>,
+        leaf: PinnedNode<'p>,
+        mut path: Vec<(PinnedNode<'p>, usize)>,
     ) -> CoreResult<()> {
         let mut orphan_objects: Vec<LeafEntry> = Vec::new();
         let mut orphan_subtrees: Vec<(InternalEntry, u16)> = Vec::new();
@@ -1150,7 +1237,7 @@ impl RTree {
         loop {
             let Some((mut parent, idx)) = path.pop() else {
                 // cur is the root.
-                self.write_pinned(&cur);
+                self.write_back(ops, cur);
                 break;
             };
             let min = if cur.is_leaf() {
@@ -1159,8 +1246,9 @@ impl RTree {
                 self.min_fill_internal()
             };
             if cur.count() < min {
-                // Dissolve: orphan the entries, drop the node, remove its
-                // entry from the parent and keep condensing upward.
+                // Dissolve: orphan the entries, drop the node (and its
+                // pin: the page is free), remove its entry from the
+                // parent and keep condensing upward.
                 self.stats.condenses.fetch_add(1, Ordering::Relaxed);
                 match &cur.entries {
                     NodeEntries::Leaf(v) => orphan_objects.extend(v.iter().copied()),
@@ -1175,28 +1263,30 @@ impl RTree {
                 cur = parent;
             } else {
                 // Keep: write it back and tighten rectangles up the path.
-                self.write_pinned(&cur);
                 let mut child_mbr = cur.mbr();
                 let mut child_pid = cur.pid();
+                self.write_back(ops, cur);
                 let mut parent_link = Some((parent, idx));
                 while let Some((mut parent, p_idx)) = parent_link {
                     debug_assert_eq!(parent.internal_entries()[p_idx].child, child_pid);
                     if parent.internal_entries()[p_idx].rect == child_mbr {
+                        ops.put(parent);
                         break; // no change propagates further
                     }
                     parent.internal_entries_mut()[p_idx].rect = child_mbr;
-                    self.write_pinned(&parent);
                     child_mbr = parent.mbr();
                     child_pid = parent.pid();
+                    self.write_back(ops, parent);
                     parent_link = path.pop();
                 }
                 break;
             }
         }
-        // The reinserts below rewrite pages of the path: let go of every
-        // pin (and its decoded copy) first.
-        drop(cur);
-        drop(path);
+        // The rest of the path is unchanged; the reinserts below walk it
+        // again through the set.
+        for (node, _) in path {
+            ops.put(node);
+        }
         // Re-insert orphans before shrinking the root so target levels
         // still exist. Subtrees first (deepest levels first), then
         // objects.
@@ -1208,35 +1298,36 @@ impl RTree {
                 .fetch_add(reinserted as u64, Ordering::Relaxed);
         }
         for (e, child_level) in orphan_subtrees {
-            self.insert_from(self.root, &[], AnyEntry::Node(e, child_level))?;
+            self.insert_from(ops, self.root, &[], AnyEntry::Node(e, child_level))?;
         }
         for e in orphan_objects {
-            self.insert_from(self.root, &[], AnyEntry::Leaf(e))?;
+            self.insert_at_root(ops, e)?;
         }
-        self.shrink_root(pool)?;
-        Ok(())
+        self.shrink_root(ops)
     }
 
     /// While the root is internal with a single child, make that child the
     /// root.
-    fn shrink_root(&mut self, pool: &BufferPool) -> CoreResult<()> {
+    fn shrink_root(&mut self, ops: &mut PinSet<'_>) -> CoreResult<()> {
         loop {
-            let root = self.read_node(self.root)?;
+            let root = ops.take(self.root)?;
             if root.is_leaf() || root.count() != 1 {
                 // Refresh the cached root MBR (it may have been tightened).
                 if let Some(s) = &mut self.summary {
                     s.set_root_mbr(root.mbr());
                 }
+                ops.put(root);
                 return Ok(());
             }
             // The next turn of the loop reads the new root and registers
-            // its MBR.
+            // its MBR. The old root's page is free: its pin is dropped,
+            // not checked in.
             let child = root.internal_entries()[0].child;
             self.free_page(self.root, false);
             self.root = child;
             self.height -= 1;
             if self.parent_pointers() && self.height == 1 {
-                self.set_parent_pointer(pool, child, INVALID_PAGE)?;
+                self.set_parent_pointer(ops, child, INVALID_PAGE)?;
             }
         }
     }

@@ -2,7 +2,7 @@
 
 use crate::bucket::{capacity, BucketView, BucketViewMut};
 use crate::{mix, Key, Value};
-use bur_storage::{BufferPool, PageId, StorageResult};
+use bur_storage::{BufferPool, PageId, PageRef, StorageResult};
 use parking_lot::Mutex;
 use std::sync::Arc;
 
@@ -142,17 +142,35 @@ impl LinearHashIndex {
 
     /// Look up the page currently associated with `key`.
     pub fn get(&self, key: Key) -> StorageResult<Option<Value>> {
+        Ok(self.probe(key)?.map(|p| p.value()))
+    }
+
+    /// Look up `key` and keep its bucket page pinned with the slot
+    /// remembered, so a caller that goes on to re-point the key
+    /// ([`Probe::set`]) does not walk to the same page a second time.
+    /// One fetch per chain page walked, like [`LinearHashIndex::get`];
+    /// `None` (nothing stays pinned) when the key is absent.
+    pub fn probe(&self, key: Key) -> StorageResult<Option<Probe<'_>>> {
         let state = self.state.lock();
         let mut pid = state.buckets[state.bucket_of(key)];
         loop {
-            let guard = self.pool.fetch(pid)?;
-            let data = guard.read();
-            let view = BucketView(&data);
-            if let Some((_, v)) = view.find(key) {
-                return Ok(Some(v));
+            let page = self.pool.fetch(pid)?;
+            let (found, next) = {
+                let data = page.read();
+                let view = BucketView(&data);
+                (view.find(key), view.overflow())
+            };
+            if let Some((slot, value)) = found {
+                return Ok(Some(Probe {
+                    index: self,
+                    page,
+                    key,
+                    slot,
+                    value,
+                }));
             }
-            match view.overflow() {
-                Some(next) => pid = next,
+            match next {
+                Some(n) => pid = n,
                 None => return Ok(None),
             }
         }
@@ -219,6 +237,8 @@ impl LinearHashIndex {
 
     /// Insert into a chain, replacing an existing key or appending to the
     /// first page with room (allocating an overflow page when all full).
+    /// Every chain page is fetched once: the first page with room stays
+    /// pinned while the rest of the chain is searched for the key.
     fn chain_upsert(
         &self,
         head: PageId,
@@ -228,7 +248,7 @@ impl LinearHashIndex {
     ) -> StorageResult<Option<Value>> {
         let cap = capacity(self.pool.page_size());
         let mut pid = head;
-        let mut first_with_room: Option<PageId> = None;
+        let mut first_with_room: Option<PageRef<'_>> = None;
         loop {
             let guard = self.pool.fetch(pid)?;
             let (found, count, next) = {
@@ -240,45 +260,36 @@ impl LinearHashIndex {
                 BucketViewMut(&mut guard.write()).set_entry(i, key, value);
                 return Ok(Some(old));
             }
-            if count < cap && first_with_room.is_none() {
-                first_with_room = Some(pid);
-            }
-            match next {
-                Some(n) => pid = n,
-                None => {
-                    // Key absent; place it.
-                    if let Some(slot) = first_with_room {
-                        let g = self.pool.fetch(slot)?;
-                        BucketViewMut(&mut g.write()).push(key, value);
-                    } else {
-                        // Chain full: append an overflow page.
-                        let new_pid = self.alloc_bucket_page(state)?;
-                        state.overflow_pages += 1;
-                        {
-                            let g = self.pool.fetch(new_pid)?;
-                            let mut w = g.write();
-                            let mut b = BucketViewMut(&mut w);
-                            b.clear();
-                            b.push(key, value);
-                        }
-                        BucketViewMut(&mut guard.write()).set_overflow(Some(new_pid));
-                    }
-                    return Ok(None);
+            if let Some(n) = next {
+                if count < cap && first_with_room.is_none() {
+                    first_with_room = Some(guard);
                 }
+                pid = n;
+                continue;
             }
+            // End of the chain, key absent: place it.
+            if let Some(room) = first_with_room.as_ref().or((count < cap).then_some(&guard)) {
+                BucketViewMut(&mut room.write()).push(key, value);
+            } else {
+                // Chain full: append an overflow page.
+                let (new_pid, new_page) = self.alloc_bucket_page(state)?;
+                state.overflow_pages += 1;
+                BucketViewMut(&mut new_page.write()).push(key, value);
+                BucketViewMut(&mut guard.write()).set_overflow(Some(new_pid));
+            }
+            return Ok(None);
         }
     }
 
-    /// Allocate a bucket/overflow page, reusing freed pages first.
-    fn alloc_bucket_page(&self, state: &mut State) -> StorageResult<PageId> {
-        if let Some(pid) = state.free_pages.pop() {
-            let g = self.pool.fetch(pid)?;
-            BucketViewMut(&mut g.write()).clear();
-            return Ok(pid);
-        }
-        let (pid, guard) = self.pool.new_page()?;
-        BucketViewMut(&mut guard.write()).clear();
-        Ok(pid)
+    /// Allocate an empty bucket/overflow page, reusing freed pages first;
+    /// returned pinned.
+    fn alloc_bucket_page(&self, state: &mut State) -> StorageResult<(PageId, PageRef<'_>)> {
+        let (pid, page) = match state.free_pages.pop() {
+            Some(pid) => (pid, self.pool.fetch(pid)?),
+            None => self.pool.new_page()?,
+        };
+        BucketViewMut(&mut page.write()).clear();
+        Ok((pid, page))
     }
 
     /// Split one bucket when over the configured load factor.
@@ -297,24 +308,25 @@ impl LinearHashIndex {
         while let Some(p) = pid {
             chain_pages.push(p);
             let guard = self.pool.fetch(p)?;
-            let data = guard.read();
+            // Read the page out and empty it under one write latch: a
+            // stale [`Probe`] on it then either wrote before the entries
+            // were collected or finds an empty page and re-inserts — it
+            // can never write into a page that has left the chain.
+            let mut data = guard.write();
             let view = BucketView(&data);
             for i in 0..view.count() {
                 entries.push(view.entry(i));
             }
             pid = view.overflow();
+            BucketViewMut(&mut data).clear();
         }
         // Release overflow pages (all but the primary) to the free list.
         for &p in &chain_pages[1..] {
             state.free_pages.push(p);
             state.overflow_pages -= 1;
         }
-        {
-            let g = self.pool.fetch(head)?;
-            BucketViewMut(&mut g.write()).clear();
-        }
         // Create the image bucket.
-        let new_pid = self.alloc_bucket_page(state)?;
+        let (new_pid, _) = self.alloc_bucket_page(state)?;
         let new_bucket = state.buckets.len();
         state.buckets.push(new_pid);
         // Advance the split pointer *before* redistribution so that
@@ -339,7 +351,6 @@ impl LinearHashIndex {
             let prev = self.chain_upsert(target, k, v, state)?;
             debug_assert!(prev.is_none());
         }
-        let _ = new_pid;
         Ok(())
     }
 
@@ -411,6 +422,41 @@ impl LinearHashIndex {
                 chain,
             }),
         })
+    }
+}
+
+/// A key found by [`LinearHashIndex::probe`]: its bucket page, still
+/// pinned, and the slot the entry sits in. Holding one blocks nobody (a
+/// pin is not a latch); the slot is re-checked before it is written.
+pub struct Probe<'a> {
+    index: &'a LinearHashIndex,
+    page: PageRef<'a>,
+    key: Key,
+    slot: usize,
+    value: Value,
+}
+
+impl Probe<'_> {
+    /// The value found by the probe.
+    #[must_use]
+    pub fn value(&self) -> Value {
+        self.value
+    }
+
+    /// Re-point the key at `value` through the pinned page: no fetch.
+    /// The slot is checked under the page's write latch first — a remove
+    /// or a bucket split since the probe may have moved the entry — and a
+    /// probe gone stale falls back to [`LinearHashIndex::insert`].
+    pub fn set(self, value: Value) -> StorageResult<()> {
+        {
+            let mut data = self.page.write();
+            let view = BucketView(&data);
+            if self.slot < view.count() && view.entry(self.slot).0 == self.key {
+                BucketViewMut(&mut data).set_entry(self.slot, self.key, value);
+                return Ok(());
+            }
+        }
+        self.index.insert(self.key, value).map(|_| ())
     }
 }
 
@@ -628,6 +674,119 @@ mod tests {
             (1.0..1.5).contains(&per_probe),
             "expected ~1 read per cold probe, got {per_probe}"
         );
+    }
+
+    fn fetches(pool: &BufferPool) -> u64 {
+        pool.stats().snapshot().fetches
+    }
+
+    #[test]
+    fn probe_is_one_fetch_and_set_is_none() {
+        let pool = make_pool(1024, 64);
+        let idx = LinearHashIndex::create(pool.clone(), HashIndexConfig::default()).unwrap();
+        for k in 0..40u64 {
+            idx.insert(k, k as u32).unwrap();
+        }
+        // 40 keys in four 84-entry buckets: every chain is one page.
+        assert_eq!(idx.page_count(), 4);
+        let before = fetches(&pool);
+        let probe = idx.probe(17).unwrap().expect("present");
+        assert_eq!(probe.value(), 17);
+        assert_eq!(fetches(&pool) - before, 1, "probe");
+        assert_eq!(pool.pinned_frames(), 1, "the bucket stays pinned");
+        probe.set(99).unwrap();
+        assert_eq!(
+            fetches(&pool) - before,
+            1,
+            "set goes through the probe's pin"
+        );
+        assert_eq!(pool.pinned_frames(), 0);
+        assert_eq!(idx.get(17).unwrap(), Some(99));
+        assert_eq!(idx.len(), 40);
+
+        let before = fetches(&pool);
+        assert!(idx.probe(1_000).unwrap().is_none());
+        assert_eq!(pool.pinned_frames(), 0, "a miss pins nothing");
+        assert_eq!(fetches(&pool) - before, 1);
+
+        let before = fetches(&pool);
+        idx.insert(1_000, 5).unwrap();
+        assert_eq!(fetches(&pool) - before, 1, "new key, one-page chain");
+    }
+
+    #[test]
+    fn upsert_fetches_each_chain_page_once() {
+        // 10-entry pages and no splitting: a three-page chain per bucket.
+        let pool = make_pool(128, 64);
+        let config = HashIndexConfig {
+            initial_buckets: 1,
+            max_load: 100.0,
+        };
+        let idx = LinearHashIndex::create(pool.clone(), config).unwrap();
+        for k in 0..25u64 {
+            idx.insert(k, 1).unwrap();
+        }
+        assert_eq!(idx.page_count(), 3);
+        let before = fetches(&pool);
+        idx.insert(25, 1).unwrap();
+        assert_eq!(
+            fetches(&pool) - before,
+            3,
+            "absent key: walk the chain once"
+        );
+        // A hole in the first page: the walk must still reach the end of
+        // the chain (the key could sit further down) and then come back
+        // to the first page with room through the pin it kept.
+        idx.remove(0).unwrap();
+        let before = fetches(&pool);
+        idx.insert(26, 1).unwrap();
+        assert_eq!(fetches(&pool) - before, 3);
+        assert_eq!(idx.get(26).unwrap(), Some(1));
+    }
+
+    #[test]
+    fn set_after_the_bucket_split_falls_back_to_an_upsert() {
+        // 10-entry pages, four buckets, a split once 80 entries are in.
+        let pool = make_pool(128, 256);
+        let config = HashIndexConfig {
+            initial_buckets: 4,
+            max_load: 2.0,
+        };
+        let idx = LinearHashIndex::create(pool.clone(), config).unwrap();
+        // Crowd bucket 0 (the first to split) into a five-page chain,
+        // thin it out again, and probe what is left: slots in the primary
+        // page and in overflow pages.
+        let (crowd, others): (Vec<u64>, Vec<u64>) = (0..400u64).partition(|&k| mix(k) & 3 == 0);
+        for &k in &crowd[..45] {
+            idx.insert(k, 1).unwrap();
+        }
+        assert_eq!(idx.page_count(), 4 + 4, "bucket 0 should chain five pages");
+        for &k in &crowd[..30] {
+            idx.remove(k).unwrap();
+        }
+        let probes: Vec<_> = crowd[30..45]
+            .iter()
+            .map(|&k| (k, idx.probe(k).unwrap().expect("present")))
+            .collect();
+        // The 81st entry splits bucket 0: its 15 keys now fit two primary
+        // pages, so overflow pages the probes still pin leave the chain.
+        for &k in &others[..66] {
+            idx.insert(k, 2).unwrap();
+        }
+        assert_eq!(idx.len(), 81);
+        for (i, (k, probe)) in probes.into_iter().enumerate() {
+            probe.set(100 + i as u32).unwrap();
+            assert_eq!(idx.get(k).unwrap(), Some(100 + i as u32), "key {k}");
+        }
+        assert_eq!(idx.len(), 81, "a stale set must not duplicate its key");
+        // Nothing else was overwritten, and no key exists twice.
+        let mut seen = std::collections::HashMap::new();
+        idx.for_each(|k, v| assert!(seen.insert(k, v).is_none(), "duplicate key {k}"))
+            .unwrap();
+        assert_eq!(seen.len(), 81);
+        for k in &others[..66] {
+            assert_eq!(seen[k], 2);
+        }
     }
 
     #[test]

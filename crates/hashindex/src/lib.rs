@@ -22,7 +22,7 @@
 mod bucket;
 mod index;
 
-pub use index::{HashIndexConfig, LinearHashIndex};
+pub use index::{HashIndexConfig, LinearHashIndex, Probe};
 
 /// Key type: object identifier.
 pub type Key = u64;
