@@ -18,7 +18,6 @@
 
 use bur_geom::{Point, Rect};
 use bur_storage::{PageId, INVALID_PAGE};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -173,8 +172,12 @@ impl BitVec {
 pub struct SummaryStructure {
     /// `levels[l - 1]` holds the entries of internal nodes at level `l`.
     levels: Vec<Vec<SummaryEntry>>,
-    /// Direct access: page id → (level, index within the level's vec).
-    pos: HashMap<PageId, (u16, usize)>,
+    /// Direct access, indexed by page id like `parent_of` (page ids are
+    /// dense): (level, index within the level's vec); level 0 = the page
+    /// is not an internal node on record.
+    pos: Vec<(u16, u32)>,
+    /// Number of entries in the table (slots of `pos` with a level).
+    internal: usize,
     /// Child → parent table, indexed by the child's page id (4 B per
     /// page; [`INVALID_PAGE`] = no parent on record). It is the inverse
     /// of the entries' child lists, kept in step by
@@ -209,6 +212,7 @@ impl SummaryStructure {
     pub fn clear(&mut self) {
         self.levels.clear();
         self.pos.clear();
+        self.internal = 0;
         self.parent_of.clear();
         self.leaf_full = BitVec::default();
         self.leaf_present = BitVec::default();
@@ -221,38 +225,61 @@ impl SummaryStructure {
     /// tree whenever it writes an internal node, which covers both cases
     /// the paper names: "The MBR of an entry ... is updated when we
     /// propagate an MBR enlargement" and "When an internal node is split,
-    /// a new entry will be inserted". `children` is copied into the
-    /// entry's own buffer (no allocation once the entry exists) and the
-    /// child → parent table follows it.
-    pub fn upsert_internal(
-        &mut self,
-        pid: PageId,
-        level: u16,
-        mbr: Rect,
-        children: impl IntoIterator<Item = PageId>,
-    ) {
+    /// a new entry will be inserted". A rewrite that kept the node's
+    /// child list — an MBR enlargement or tightening, the common case —
+    /// only sets the MBR. Otherwise `children` is copied into the entry's
+    /// own buffer (no allocation once the entry exists) and the child →
+    /// parent table follows it.
+    pub fn upsert_internal<I>(&mut self, pid: PageId, level: u16, mbr: Rect, children: I)
+    where
+        I: IntoIterator<Item = PageId>,
+        I::IntoIter: Clone,
+    {
         debug_assert!(level >= 1);
-        if self.pos.get(&pid).is_some_and(|&(l, _)| l != level) {
+        let children = children.into_iter();
+        let mut at = self.lookup(pid);
+        if at.is_some_and(|(l, _)| l != level) {
             // Level changed (root promotion patterns); reinstall.
             self.remove_internal(pid);
+            at = None;
         }
-        while self.levels.len() < level as usize {
-            self.levels.push(Vec::new());
-        }
-        let vec = &mut self.levels[level as usize - 1];
-        let idx = match self.pos.get(&pid) {
-            Some(&(_, idx)) => idx,
+        let idx = match at {
+            Some((_, idx)) => {
+                let entry = &mut self.levels[level as usize - 1][idx];
+                if entry.children.iter().copied().eq(children.clone()) {
+                    // The links were written with the list and only a
+                    // rewrite of this entry with another list drops them.
+                    debug_assert!(
+                        entry
+                            .children
+                            .iter()
+                            .all(|&c| self.parent_of[c as usize] == pid),
+                        "node {pid} kept its child list but lost a child link"
+                    );
+                    entry.mbr = mbr;
+                    return;
+                }
+                idx
+            }
             None => {
+                while self.levels.len() < level as usize {
+                    self.levels.push(Vec::new());
+                }
+                let vec = &mut self.levels[level as usize - 1];
                 vec.push(SummaryEntry {
                     pid,
                     mbr,
                     children: Vec::new(),
                 });
-                self.pos.insert(pid, (level, vec.len() - 1));
+                if pid as usize >= self.pos.len() {
+                    self.pos.resize(pid as usize + 1, (0, 0));
+                }
+                self.pos[pid as usize] = (level, (vec.len() - 1) as u32);
+                self.internal += 1;
                 vec.len() - 1
             }
         };
-        let entry = &mut vec[idx];
+        let entry = &mut self.levels[level as usize - 1][idx];
         entry.mbr = mbr;
         unlink_children(&mut self.parent_of, pid, &entry.children);
         entry.children.clear();
@@ -268,13 +295,14 @@ impl SummaryStructure {
 
     /// Remove the entry of a deleted internal node.
     pub fn remove_internal(&mut self, pid: PageId) {
-        if let Some((level, idx)) = self.pos.remove(&pid) {
+        if let Some((level, idx)) = self.lookup(pid) {
+            self.pos[pid as usize] = (0, 0);
+            self.internal -= 1;
             let vec = &mut self.levels[level as usize - 1];
             let removed = vec.swap_remove(idx);
             unlink_children(&mut self.parent_of, pid, &removed.children);
-            if idx < vec.len() {
-                let moved = vec[idx].pid;
-                self.pos.insert(moved, (level, idx));
+            if let Some(moved) = vec.get(idx) {
+                self.pos[moved.pid as usize] = (level, idx as u32);
             }
             while self.levels.last().is_some_and(Vec::is_empty) {
                 self.levels.pop();
@@ -282,10 +310,16 @@ impl SummaryStructure {
         }
     }
 
+    /// Level of internal node `pid` and its index within that level.
+    fn lookup(&self, pid: PageId) -> Option<(u16, usize)> {
+        let &(level, idx) = self.pos.get(pid as usize)?;
+        (level != 0).then_some((level, idx as usize))
+    }
+
     /// Look up the entry of an internal node.
     #[must_use]
     pub fn entry(&self, pid: PageId) -> Option<&SummaryEntry> {
-        let &(level, idx) = self.pos.get(&pid)?;
+        let (level, idx) = self.lookup(pid)?;
         Some(&self.levels[level as usize - 1][idx])
     }
 
@@ -300,7 +334,7 @@ impl SummaryStructure {
     /// Number of internal-node entries in the table.
     #[must_use]
     pub fn internal_count(&self) -> usize {
-        self.pos.len()
+        self.internal
     }
 
     /// Highest internal level present (0 when the tree is a single leaf).
@@ -385,7 +419,7 @@ impl SummaryStructure {
     #[must_use]
     pub fn find_parent_at(&self, node: PageId, level: u16) -> Option<PageId> {
         let parent = *self.parent_of.get(node as usize)?;
-        let &(l, _) = self.pos.get(&parent)?;
+        let (l, _) = self.lookup(parent)?;
         (l == level).then_some(parent)
     }
 
@@ -451,7 +485,7 @@ impl SummaryStructure {
             return Some(Vec::new());
         }
         let mut frontier = vec![root];
-        let (mut level, _) = *self.pos.get(&root)?;
+        let (mut level, _) = self.lookup(root)?;
         while level > 1 {
             let mut next = Vec::new();
             for pid in &frontier {
@@ -617,6 +651,38 @@ mod tests {
         s.clear();
         assert_eq!(s.parent_links(), 0);
         assert_eq!(s.find_parent_at(1, 1), None);
+    }
+
+    #[test]
+    fn mbr_only_upsert_keeps_links_and_changed_list_relinks() {
+        let mut s = sample();
+        let links = s.parent_links();
+        let buffer = s.entry(10).unwrap().children.as_ptr();
+        // Same child list, new MBR: only the MBR moves.
+        s.upsert_internal(10, 1, r(0.0, 0.0, 0.7, 1.0), [1, 2]);
+        let e = s.entry(10).unwrap();
+        assert_eq!(e.mbr, r(0.0, 0.0, 0.7, 1.0));
+        assert_eq!(e.children, vec![1, 2]);
+        assert_eq!(e.children.as_ptr(), buffer, "child list not rebuilt");
+        assert_eq!(s.find_parent_at(1, 1), Some(10));
+        assert_eq!(s.find_parent_at(2, 1), Some(10));
+        assert_eq!(s.parent_links(), links);
+        assert_eq!(s.internal_count(), 3);
+        // Same length, one child swapped: the links follow the new list.
+        s.upsert_internal(10, 1, r(0.0, 0.0, 0.7, 1.0), [1, 5]);
+        assert_eq!(s.entry(10).unwrap().children, vec![1, 5]);
+        assert_eq!(s.find_parent_at(2, 1), None);
+        assert_eq!(s.find_parent_at(5, 1), Some(10));
+        // A prefix of the old list is a changed list too.
+        s.upsert_internal(10, 1, r(0.0, 0.0, 0.7, 1.0), [1]);
+        assert_eq!(s.find_parent_at(5, 1), None);
+        assert_eq!(s.parent_links(), links - 1);
+        // The same list at another level reinstalls the entry.
+        s.upsert_internal(10, 3, r(0.0, 0.0, 0.7, 1.0), [1]);
+        assert_eq!(s.find_parent_at(1, 1), None);
+        assert_eq!(s.find_parent_at(1, 3), Some(10));
+        assert_eq!(s.internal_count(), 3);
+        assert_eq!(s.top_level(), 3);
     }
 
     #[test]

@@ -14,6 +14,12 @@
 //!   page is free; a miss costs one physical read; evicting or flushing a
 //!   dirty page costs one physical write. Capacity 0 models the paper's
 //!   "0 % buffer" configuration (pages are kept only while pinned).
+//!   Because page ids are dense, the pool keeps one 32-byte slot per page
+//!   of the file in a vector indexed by page id — the resident frame, the
+//!   LRU links (or clock-ring index) and the WAL gate's per-page state —
+//!   so a hit hashes nothing: one lock, one slot, one frame header, and
+//!   the two LRU neighbours when the pin count crosses 0 ↔ 1. Frames are
+//!   still allocated per resident page, not per slot.
 //! * [`IoStats`] / [`IoSnapshot`] — atomic counters and snapshot deltas,
 //!   the measurement device behind every "Avg Disk I/O" figure.
 //!
@@ -34,7 +40,9 @@
 //! its last logged image is durable (`page_lsn <= durable_lsn`) — the
 //! classic WAL rule, plus no-steal for pages touched since the last
 //! commit. Frames that cannot be written back simply stay resident, so
-//! the pool may transiently exceed its capacity between commits.
+//! the pool may transiently exceed its capacity between commits. The
+//! touched bits and page LSNs are fields of the page's slot, under the
+//! pool's one state lock (there is no separate gate lock to order).
 
 #![warn(missing_docs)]
 

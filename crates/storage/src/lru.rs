@@ -2,81 +2,110 @@
 //!
 //! The buffer pool keeps *unpinned* frames in this list: most recently
 //! used at the front, eviction victims popped from the back. All three
-//! operations (`push_front`, `remove`, `pop_back`) are O(1) via a
-//! doubly-linked list threaded through a hash map.
+//! operations (`push_front`, `remove`, `pop_back`) are O(1) and hash
+//! nothing: page ids are dense, so the `prev`/`next` links live in the
+//! pool's page-indexed slot table ([`Slot`]) and the list itself is a
+//! head, a tail and a length. Membership is one flag bit in the slot, so
+//! several lists (the replacer's, the pool's parked queue) can thread
+//! through the same table as long as a page is on at most one of them.
 
-use crate::PageId;
-use std::collections::HashMap;
+use crate::pool::Slot;
+use crate::{PageId, INVALID_PAGE};
 
-#[derive(Debug, Clone, Copy)]
-struct Links {
-    prev: Option<PageId>,
-    next: Option<PageId>,
-}
-
-/// Doubly-linked LRU queue of page ids.
-#[derive(Debug, Default)]
+/// Doubly-linked LRU queue of page ids, threaded through a slot table.
+/// Every method takes the table its links live in; callers pass the same
+/// one each time.
+#[derive(Debug)]
 pub(crate) struct LruList {
-    links: HashMap<PageId, Links>,
-    head: Option<PageId>,
-    tail: Option<PageId>,
+    /// Most recently used end; [`INVALID_PAGE`] when empty.
+    head: PageId,
+    /// Least recently used end; [`INVALID_PAGE`] when empty.
+    tail: PageId,
+    len: usize,
+    /// The [`Slot::flags`] bit that marks a page as on this list.
+    member: u8,
 }
 
 impl LruList {
-    pub(crate) fn new() -> Self {
-        Self::default()
+    /// Empty list whose members carry the flag bit `member`.
+    pub(crate) fn new(member: u8) -> Self {
+        Self {
+            head: INVALID_PAGE,
+            tail: INVALID_PAGE,
+            len: 0,
+            member,
+        }
     }
 
     pub(crate) fn len(&self) -> usize {
-        self.links.len()
+        self.len
     }
 
-    pub(crate) fn contains(&self, pid: PageId) -> bool {
-        self.links.contains_key(&pid)
+    pub(crate) fn contains(&self, slots: &[Slot], pid: PageId) -> bool {
+        slots
+            .get(pid as usize)
+            .is_some_and(|s| s.flags & self.member != 0)
     }
 
     /// Insert `pid` as most-recently-used. Panics if already present
     /// (callers must `remove` first); this catches accounting bugs early.
-    pub(crate) fn push_front(&mut self, pid: PageId) {
-        debug_assert!(!self.contains(pid), "page {pid} already in LRU list");
+    pub(crate) fn push_front(&mut self, slots: &mut [Slot], pid: PageId) {
+        debug_assert!(!self.contains(slots, pid), "page {pid} already in LRU list");
         let old_head = self.head;
-        self.links.insert(
-            pid,
-            Links {
-                prev: None,
-                next: old_head,
-            },
-        );
-        if let Some(h) = old_head {
-            self.links.get_mut(&h).expect("head must be linked").prev = Some(pid);
+        let slot = &mut slots[pid as usize];
+        slot.flags |= self.member;
+        slot.prev = INVALID_PAGE;
+        slot.next = old_head;
+        if old_head == INVALID_PAGE {
+            self.tail = pid;
+        } else {
+            slots[old_head as usize].prev = pid;
         }
-        self.head = Some(pid);
-        if self.tail.is_none() {
-            self.tail = Some(pid);
-        }
+        self.head = pid;
+        self.len += 1;
     }
 
     /// Remove `pid` from the list; returns `false` when absent.
-    pub(crate) fn remove(&mut self, pid: PageId) -> bool {
-        let Some(links) = self.links.remove(&pid) else {
+    pub(crate) fn remove(&mut self, slots: &mut [Slot], pid: PageId) -> bool {
+        if !self.contains(slots, pid) {
             return false;
-        };
-        match links.prev {
-            Some(p) => self.links.get_mut(&p).expect("prev must be linked").next = links.next,
-            None => self.head = links.next,
         }
-        match links.next {
-            Some(n) => self.links.get_mut(&n).expect("next must be linked").prev = links.prev,
-            None => self.tail = links.prev,
+        let slot = &mut slots[pid as usize];
+        slot.flags &= !self.member;
+        let (prev, next) = (slot.prev, slot.next);
+        if prev == INVALID_PAGE {
+            self.head = next;
+        } else {
+            slots[prev as usize].next = next;
         }
+        if next == INVALID_PAGE {
+            self.tail = prev;
+        } else {
+            slots[next as usize].prev = prev;
+        }
+        self.len -= 1;
         true
     }
 
     /// Pop the least-recently-used page id.
-    pub(crate) fn pop_back(&mut self) -> Option<PageId> {
-        let victim = self.tail?;
-        self.remove(victim);
-        Some(victim)
+    pub(crate) fn pop_back(&mut self, slots: &mut [Slot]) -> Option<PageId> {
+        let victim = self.tail;
+        self.remove(slots, victim).then_some(victim)
+    }
+
+    /// Members from the least to the most recently used.
+    pub(crate) fn iter_from_back<'a>(
+        &self,
+        slots: &'a [Slot],
+    ) -> impl Iterator<Item = PageId> + 'a {
+        let mut cur = self.tail;
+        std::iter::from_fn(move || {
+            let pid = cur;
+            (pid != INVALID_PAGE).then(|| {
+                cur = slots[pid as usize].prev;
+                pid
+            })
+        })
     }
 }
 
@@ -84,68 +113,75 @@ impl LruList {
 mod tests {
     use super::*;
 
+    /// A list over pages `0..n` and the slot table its links live in.
+    fn list(n: usize) -> (LruList, Vec<Slot>) {
+        let mut slots = Vec::new();
+        slots.resize_with(n, Slot::default);
+        (LruList::new(crate::pool::IN_REPLACER), slots)
+    }
+
     #[test]
     fn fifo_order_when_no_touches() {
-        let mut l = LruList::new();
+        let (mut l, mut s) = list(32);
         for pid in 0..5 {
-            l.push_front(pid);
+            l.push_front(&mut s, pid);
         }
         assert_eq!(l.len(), 5);
         // 0 was pushed first => least recently used.
-        assert_eq!(l.pop_back(), Some(0));
-        assert_eq!(l.pop_back(), Some(1));
+        assert_eq!(l.pop_back(&mut s), Some(0));
+        assert_eq!(l.pop_back(&mut s), Some(1));
         assert_eq!(l.len(), 3);
     }
 
     #[test]
     fn touch_moves_to_front() {
-        let mut l = LruList::new();
+        let (mut l, mut s) = list(32);
         for pid in 0..4 {
-            l.push_front(pid);
+            l.push_front(&mut s, pid);
         }
         // Touch page 0: remove + re-push.
-        assert!(l.remove(0));
-        l.push_front(0);
-        assert_eq!(l.pop_back(), Some(1));
-        assert_eq!(l.pop_back(), Some(2));
-        assert_eq!(l.pop_back(), Some(3));
-        assert_eq!(l.pop_back(), Some(0));
-        assert_eq!(l.pop_back(), None);
+        assert!(l.remove(&mut s, 0));
+        l.push_front(&mut s, 0);
+        assert_eq!(l.pop_back(&mut s), Some(1));
+        assert_eq!(l.pop_back(&mut s), Some(2));
+        assert_eq!(l.pop_back(&mut s), Some(3));
+        assert_eq!(l.pop_back(&mut s), Some(0));
+        assert_eq!(l.pop_back(&mut s), None);
     }
 
     #[test]
     fn remove_middle_head_tail() {
-        let mut l = LruList::new();
+        let (mut l, mut s) = list(32);
         for pid in 0..3 {
-            l.push_front(pid);
+            l.push_front(&mut s, pid);
         }
-        assert!(l.remove(1)); // middle
-        assert!(l.remove(2)); // head
-        assert!(l.remove(0)); // tail (and only element)
+        assert!(l.remove(&mut s, 1)); // middle
+        assert!(l.remove(&mut s, 2)); // head
+        assert!(l.remove(&mut s, 0)); // tail (and only element)
         assert_eq!(l.len(), 0);
-        assert_eq!(l.pop_back(), None);
-        assert!(!l.remove(7));
+        assert_eq!(l.pop_back(&mut s), None);
+        assert!(!l.remove(&mut s, 7));
     }
 
     #[test]
     fn interleaved_operations() {
-        let mut l = LruList::new();
-        l.push_front(10);
-        l.push_front(20);
-        assert_eq!(l.pop_back(), Some(10));
-        l.push_front(30);
-        assert!(l.contains(20));
-        assert!(l.contains(30));
-        assert_eq!(l.pop_back(), Some(20));
-        assert_eq!(l.pop_back(), Some(30));
-        assert_eq!(l.pop_back(), None);
+        let (mut l, mut s) = list(32);
+        l.push_front(&mut s, 10);
+        l.push_front(&mut s, 20);
+        assert_eq!(l.pop_back(&mut s), Some(10));
+        l.push_front(&mut s, 30);
+        assert!(l.contains(&s, 20));
+        assert!(l.contains(&s, 30));
+        assert_eq!(l.pop_back(&mut s), Some(20));
+        assert_eq!(l.pop_back(&mut s), Some(30));
+        assert_eq!(l.pop_back(&mut s), None);
         assert_eq!(l.len(), 0);
     }
 
     #[test]
     fn model_check_against_vecdeque() {
         use std::collections::VecDeque;
-        let mut l = LruList::new();
+        let (mut l, mut s) = list(32);
         let mut model: VecDeque<PageId> = VecDeque::new();
         // Deterministic pseudo-random op sequence.
         let mut state = 0x9e3779b9u32;
@@ -155,22 +191,23 @@ mod tests {
             let pid = (state >> 8) % 32;
             match op {
                 0 => {
-                    if !l.contains(pid) {
-                        l.push_front(pid);
+                    if !l.contains(&s, pid) {
+                        l.push_front(&mut s, pid);
                         model.push_front(pid);
                     }
                 }
                 1 => {
-                    let was = l.remove(pid);
+                    let was = l.remove(&mut s, pid);
                     let model_had = model.iter().any(|&x| x == pid);
                     assert_eq!(was, model_had);
                     model.retain(|&x| x != pid);
                 }
                 _ => {
-                    assert_eq!(l.pop_back(), model.pop_back());
+                    assert_eq!(l.pop_back(&mut s), model.pop_back());
                 }
             }
             assert_eq!(l.len(), model.len());
+            assert!(l.iter_from_back(&s).eq(model.iter().rev().copied()));
         }
     }
 }

@@ -1,9 +1,12 @@
 //! Write-back buffer pool (LRU or Clock replacement).
+//!
+//! All bookkeeping is one page-indexed table ([`Slot`], one per page of
+//! the file) under one mutex: nothing on the hit path hashes a page id.
 
+use crate::lru::LruList;
 use crate::replacer::Replacer;
-use crate::{DiskBackend, EvictionPolicy, IoStats, Lsn, PageId, StorageResult};
+use crate::{DiskBackend, EvictionPolicy, IoStats, Lsn, PageId, StorageError, StorageResult};
 use parking_lot::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
-use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -39,30 +42,145 @@ struct Frame {
     pins: AtomicUsize,
 }
 
+impl Frame {
+    /// A frame holding one pin.
+    fn pinned(pid: PageId, data: Box<[u8]>, dirty: bool) -> Arc<Self> {
+        Arc::new(Frame {
+            pid,
+            data: RwLock::new(data),
+            dirty: AtomicBool::new(dirty),
+            pins: AtomicUsize::new(1),
+        })
+    }
+}
+
+/// [`Slot::flags`]: the page is an unpinned frame tracked by the replacer.
+pub(crate) const IN_REPLACER: u8 = 1;
+/// [`Slot::flags`]: the page is an unpinned frame the WAL gate refused to
+/// evict, queued on [`PoolState::parked`].
+pub(crate) const PARKED: u8 = 1 << 1;
+/// [`Slot::flags`]: the page was write-latched since its last logged
+/// image, so its current content is not in the log yet and writing it
+/// back would steal uncommitted data onto disk.
+const TOUCHED: u8 = 1 << 2;
+
+/// Everything the pool knows about one page of the file. Page ids are
+/// allocated densely from 0, so the pool indexes a `Vec<Slot>` by page id
+/// where it would otherwise hash: residency, the replacement-policy links
+/// and the WAL gate's per-page state are all one array access away.
+#[derive(Default)]
+pub(crate) struct Slot {
+    /// The resident frame, pinned or not.
+    frame: Option<Arc<Frame>>,
+    /// Links of the list the page is on (`IN_REPLACER` under LRU, or
+    /// `PARKED`): `prev` towards the most recently used end, `next`
+    /// towards the least, [`crate::INVALID_PAGE`] at either end. Under
+    /// Clock, `prev` of an `IN_REPLACER` page is its ring index. Garbage
+    /// while the page is on no list.
+    pub(crate) prev: PageId,
+    pub(crate) next: PageId,
+    /// Index of this page in [`PoolState::touched`] while `TOUCHED`.
+    touched_at: u32,
+    /// LSN of the last logged image of the page (0 = none noted). A dirty
+    /// frame may only be written back once the log is durable past it.
+    page_lsn: Lsn,
+    /// `IN_REPLACER` | `PARKED` | `TOUCHED`.
+    pub(crate) flags: u8,
+}
+
 struct PoolState {
-    /// All resident frames, pinned or not.
-    table: HashMap<PageId, Arc<Frame>>,
+    /// One slot per page id, grown on demand and never past
+    /// `disk.num_pages()`.
+    slots: Vec<Slot>,
+    /// Number of slots holding a frame.
+    resident: usize,
     /// Unpinned frames, ordered by the configured replacement policy.
     replacer: Replacer,
     /// Unpinned frames the WAL gate refused to evict (uncommitted or not
-    /// yet durable). Parked out of the replacer so capacity sweeps never
-    /// rescan them; they re-enter when the durable LSN advances
-    /// ([`BufferPool::set_durable_lsn`]), on a checkpoint reset, or when
-    /// they are re-pinned. Invariant: an unpinned resident frame is in
-    /// exactly one of `replacer` / `parked`.
-    parked: HashSet<PageId>,
+    /// yet durable), oldest at the back. Parked out of the replacer so
+    /// capacity sweeps never rescan them; they re-enter when the durable
+    /// LSN advances ([`BufferPool::set_durable_lsn`]), on a checkpoint
+    /// reset, or when they are re-pinned. Invariant: an unpinned resident
+    /// frame is in exactly one of `replacer` / `parked`.
+    parked: LruList,
+    /// The `TOUCHED` pages, unordered (live only in WAL mode). These are
+    /// the pages the next commit must log.
+    touched: Vec<PageId>,
 }
 
-/// Bookkeeping for the WAL-aware pool mode (see the crate docs).
-#[derive(Default)]
-struct WalGate {
-    /// Pages write-latched since their last logged image ("touched"):
-    /// their current content is not in the log yet, so writing them back
-    /// would steal uncommitted data onto disk.
-    touched: HashSet<PageId>,
-    /// LSN of the last logged image of each page. A dirty frame may only
-    /// be written back once the log is durable past this LSN.
-    page_lsn: HashMap<PageId, Lsn>,
+impl PoolState {
+    /// The slot of `pid`, growing the table to reach it. Page ids the
+    /// disk never allocated are refused before anything grows.
+    fn slot(&mut self, disk: &dyn DiskBackend, pid: PageId) -> StorageResult<&mut Slot> {
+        let idx = pid as usize;
+        if idx >= self.slots.len() {
+            let len = disk.num_pages();
+            if pid >= len {
+                return Err(StorageError::PageOutOfBounds { pid, len });
+            }
+            self.slots.resize_with(idx + 1, Slot::default);
+        }
+        Ok(&mut self.slots[idx])
+    }
+
+    /// Pin the frame of `pid` when it is resident (a hit).
+    fn pin_resident(&mut self, pid: PageId) -> Option<Arc<Frame>> {
+        let frame = self.slots[pid as usize].frame.clone()?;
+        if frame.pins.fetch_add(1, Ordering::Relaxed) == 0
+            && !self.replacer.remove(&mut self.slots, pid)
+        {
+            self.parked.remove(&mut self.slots, pid);
+        }
+        Some(frame)
+    }
+
+    /// Make a freshly pinned frame resident.
+    fn install(&mut self, frame: &Arc<Frame>) {
+        let prev = self.slots[frame.pid as usize].frame.replace(frame.clone());
+        debug_assert!(prev.is_none(), "page {} already resident", frame.pid);
+        self.resident += 1;
+    }
+
+    fn mark_touched(&mut self, pid: PageId) {
+        let slot = &mut self.slots[pid as usize];
+        if slot.flags & TOUCHED == 0 {
+            slot.flags |= TOUCHED;
+            slot.touched_at = self.touched.len() as u32;
+            self.touched.push(pid);
+        }
+    }
+
+    fn clear_touched(&mut self, pid: PageId) {
+        let slot = &mut self.slots[pid as usize];
+        if slot.flags & TOUCHED != 0 {
+            slot.flags &= !TOUCHED;
+            let at = slot.touched_at as usize;
+            self.touched.swap_remove(at);
+            if let Some(&moved) = self.touched.get(at) {
+                self.slots[moved as usize].touched_at = at as u32;
+            }
+        }
+    }
+
+    /// Forget all gate state: nothing is touched, no page has a logged
+    /// image, and every parked frame is back in the replacer.
+    fn reset_gate(&mut self) {
+        self.touched.clear();
+        for slot in &mut self.slots {
+            slot.flags &= !TOUCHED;
+            slot.page_lsn = 0;
+        }
+        self.unpark_all();
+    }
+
+    /// Move every parked frame back into the replacer, oldest first so
+    /// their relative recency survives (gate state changed wholesale;
+    /// eviction sweeps re-park whatever is still blocked).
+    fn unpark_all(&mut self) {
+        while let Some(pid) = self.parked.pop_back(&mut self.slots) {
+            self.replacer.insert(&mut self.slots, pid);
+        }
+    }
 }
 
 /// An LRU write-back buffer pool over a [`DiskBackend`].
@@ -98,11 +216,10 @@ pub struct BufferPool {
     state: Mutex<PoolState>,
     stats: IoStats,
     /// WAL-aware mode switch. Off by default; the hot paths only pay one
-    /// relaxed atomic load while it stays off.
+    /// relaxed atomic load while it stays off. The gate's per-page state
+    /// (touched bits, page LSNs) lives in the slot table under `state` —
+    /// the pool has one lock.
     wal_mode: AtomicBool,
-    /// Touched-page and page-LSN tracking, live only in WAL mode.
-    /// Lock order: `state` before `wal_gate` (never the reverse).
-    wal_gate: Mutex<WalGate>,
     /// Highest LSN known durable in the log.
     durable_lsn: AtomicU64,
 }
@@ -115,13 +232,14 @@ impl BufferPool {
             disk,
             capacity: AtomicUsize::new(config.capacity),
             state: Mutex::new(PoolState {
-                table: HashMap::new(),
+                slots: Vec::new(),
+                resident: 0,
                 replacer: Replacer::new(config.policy),
-                parked: HashSet::new(),
+                parked: LruList::new(PARKED),
+                touched: Vec::new(),
             }),
             stats: IoStats::new(),
             wal_mode: AtomicBool::new(false),
-            wal_gate: Mutex::new(WalGate::default()),
             durable_lsn: AtomicU64::new(0),
         }
     }
@@ -133,13 +251,7 @@ impl BufferPool {
     pub fn set_wal_mode(&self, enabled: bool) {
         self.wal_mode.store(enabled, Ordering::Relaxed);
         if !enabled {
-            let mut state = self.state.lock();
-            {
-                let mut gate = self.wal_gate.lock();
-                gate.touched.clear();
-                gate.page_lsn.clear();
-            }
-            Self::unpark_all(&mut state);
+            self.state.lock().reset_gate();
         }
     }
 
@@ -153,8 +265,7 @@ impl BufferPool {
     /// deterministic log layouts. These are the pages a commit must log.
     #[must_use]
     pub fn touched_pages(&self) -> Vec<PageId> {
-        let gate = self.wal_gate.lock();
-        let mut v: Vec<PageId> = gate.touched.iter().copied().collect();
+        let mut v = self.state.lock().touched.clone();
         v.sort_unstable();
         v
     }
@@ -163,9 +274,12 @@ impl BufferPool {
     /// as `lsn`: the page is no longer touched, and becomes writable back
     /// to disk once the log is durable past `lsn`.
     pub fn note_page_logged(&self, pid: PageId, lsn: Lsn) {
-        let mut gate = self.wal_gate.lock();
-        gate.touched.remove(&pid);
-        gate.page_lsn.insert(pid, lsn);
+        let mut state = self.state.lock();
+        // A page the disk never allocated has no frame to gate.
+        if let Ok(slot) = state.slot(&*self.disk, pid) {
+            slot.page_lsn = lsn;
+            state.clear_touched(pid);
+        }
     }
 
     /// Publish the log's durable horizon; frames whose last image lies at
@@ -178,28 +292,26 @@ impl BufferPool {
         if !self.wal_mode.load(Ordering::Relaxed) {
             return;
         }
-        let mut state = self.state.lock();
-        if state.parked.is_empty() {
+        let state = &mut *self.state.lock();
+        if state.parked.len() == 0 {
             return;
         }
-        let unparked: Vec<PageId> = {
-            let gate = self.wal_gate.lock();
-            state
-                .parked
-                .iter()
-                .copied()
-                .filter(|pid| {
-                    !gate.touched.contains(pid) && gate.page_lsn.get(pid).is_none_or(|&l| l <= lsn)
-                })
-                .collect()
-        };
+        // Oldest first, so the unparked frames keep their relative recency.
+        let unparked: Vec<PageId> = state
+            .parked
+            .iter_from_back(&state.slots)
+            .filter(|&pid| {
+                let slot = &state.slots[pid as usize];
+                slot.flags & TOUCHED == 0 && slot.page_lsn <= lsn
+            })
+            .collect();
         for pid in unparked {
-            state.parked.remove(&pid);
-            state.replacer.insert(pid);
+            state.parked.remove(&mut state.slots, pid);
+            state.replacer.insert(&mut state.slots, pid);
         }
         // Write-back errors have nowhere to report from here; the frames
         // are retained and the error resurfaces on the next flush.
-        let _ = self.enforce_capacity(&mut state);
+        let _ = self.enforce_capacity(state);
     }
 
     /// The published durable horizon.
@@ -211,7 +323,9 @@ impl BufferPool {
     /// LSN of the last logged image of `pid`, when one was noted.
     #[must_use]
     pub fn page_lsn(&self, pid: PageId) -> Option<Lsn> {
-        self.wal_gate.lock().page_lsn.get(&pid).copied()
+        let state = self.state.lock();
+        let lsn = state.slots.get(pid as usize)?.page_lsn;
+        (lsn != 0).then_some(lsn)
     }
 
     /// `true` while `pid` is write-latched since its last logged image
@@ -219,7 +333,11 @@ impl BufferPool {
     /// to decide which pages a batch must log.
     #[must_use]
     pub fn is_touched(&self, pid: PageId) -> bool {
-        self.wal_gate.lock().touched.contains(&pid)
+        let state = self.state.lock();
+        state
+            .slots
+            .get(pid as usize)
+            .is_some_and(|slot| slot.flags & TOUCHED != 0)
     }
 
     /// Pin `pid`, run `f` under its shared (S) latch, and unpin.
@@ -280,13 +398,7 @@ impl BufferPool {
     /// following [`BufferPool::flush_all`] writes everything) and unparks
     /// every gated frame.
     pub fn wal_checkpoint_reset(&self) {
-        let mut state = self.state.lock();
-        {
-            let mut gate = self.wal_gate.lock();
-            gate.touched.clear();
-            gate.page_lsn.clear();
-        }
-        Self::unpark_all(&mut state);
+        self.state.lock().reset_gate();
     }
 
     /// Page size of the underlying disk.
@@ -316,7 +428,7 @@ impl BufferPool {
     /// Number of resident frames (pinned + unpinned).
     #[must_use]
     pub fn resident(&self) -> usize {
-        self.state.lock().table.len()
+        self.state.lock().resident
     }
 
     /// Number of frames currently pinned by at least one [`PageRef`].
@@ -326,8 +438,9 @@ impl BufferPool {
     pub fn pinned_frames(&self) -> usize {
         let state = self.state.lock();
         state
-            .table
-            .values()
+            .slots
+            .iter()
+            .filter_map(|slot| slot.frame.as_ref())
             .filter(|f| f.pins.load(Ordering::Relaxed) > 0)
             .count()
     }
@@ -337,53 +450,46 @@ impl BufferPool {
         self.capacity.store(capacity, Ordering::Relaxed);
         let mut state = self.state.lock();
         // Exhaustive (unbudgeted): an explicit shrink must land fully.
-        Self::unpark_all(&mut state);
+        state.unpark_all();
         self.enforce_capacity_inner(&mut state, usize::MAX)
+    }
+
+    /// A zeroed page-sized buffer.
+    fn blank_page(&self) -> Box<[u8]> {
+        vec![0u8; self.disk.page_size()].into_boxed_slice()
     }
 
     /// Allocate a fresh zeroed page and return it pinned.
     pub fn new_page(&self) -> StorageResult<(PageId, PageRef<'_>)> {
         let pid = self.disk.allocate()?;
         self.stats.record_allocation();
-        let frame = Arc::new(Frame {
-            pid,
-            data: RwLock::new(vec![0u8; self.disk.page_size()].into_boxed_slice()),
-            dirty: AtomicBool::new(false),
-            pins: AtomicUsize::new(1),
-        });
+        let frame = Frame::pinned(pid, self.blank_page(), false);
         let mut state = self.state.lock();
-        let prev = state.table.insert(pid, frame.clone());
-        debug_assert!(prev.is_none(), "fresh page id {pid} already resident");
+        state.slot(&*self.disk, pid)?;
+        state.install(&frame);
         drop(state);
         Ok((pid, PageRef { pool: self, frame }))
     }
 
-    /// Fetch a page, pinning it. A miss performs one physical read.
+    /// Fetch a page, pinning it. A miss performs one physical read. A
+    /// page id the disk never allocated is
+    /// [`StorageError::PageOutOfBounds`].
     pub fn fetch(&self, pid: PageId) -> StorageResult<PageRef<'_>> {
         self.stats.record_fetch();
         let mut state = self.state.lock();
-        if let Some(frame) = state.table.get(&pid).cloned() {
-            let prev = frame.pins.fetch_add(1, Ordering::Relaxed);
-            if prev == 0 {
-                state.replacer.remove(pid);
-                state.parked.remove(&pid);
-            }
+        state.slot(&*self.disk, pid)?;
+        if let Some(frame) = state.pin_resident(pid) {
             return Ok(PageRef { pool: self, frame });
         }
         // Miss: read from disk while holding the state lock. This
         // serializes concurrent misses for the same page (no duplicate
         // frames) at the cost of serializing physical reads, which is fine
         // for a simulated disk.
-        let mut buf = vec![0u8; self.disk.page_size()].into_boxed_slice();
+        let mut buf = self.blank_page();
         self.disk.read(pid, &mut buf)?;
         self.stats.record_read();
-        let frame = Arc::new(Frame {
-            pid,
-            data: RwLock::new(buf),
-            dirty: AtomicBool::new(false),
-            pins: AtomicUsize::new(1),
-        });
-        state.table.insert(pid, frame.clone());
+        let frame = Frame::pinned(pid, buf, false);
+        state.install(&frame);
         Ok(PageRef { pool: self, frame })
     }
 
@@ -397,103 +503,75 @@ impl BufferPool {
     ///
     /// Contract: the caller **must** overwrite the whole page before the
     /// guard drops. On a miss the frame starts zeroed and already dirty,
-    /// so skipping the overwrite would persist zeros.
+    /// so skipping the overwrite would persist zeros. The page must exist:
+    /// an id the disk never allocated is [`StorageError::PageOutOfBounds`]
+    /// here, not at write-back.
     pub fn fetch_for_overwrite(&self, pid: PageId) -> StorageResult<PageRef<'_>> {
         self.stats.record_fetch();
         let mut state = self.state.lock();
-        if let Some(frame) = state.table.get(&pid).cloned() {
-            let prev = frame.pins.fetch_add(1, Ordering::Relaxed);
-            if prev == 0 {
-                state.replacer.remove(pid);
-                state.parked.remove(&pid);
-            }
+        state.slot(&*self.disk, pid)?;
+        if let Some(frame) = state.pin_resident(pid) {
             return Ok(PageRef { pool: self, frame });
         }
-        let frame = Arc::new(Frame {
-            pid,
-            data: RwLock::new(vec![0u8; self.disk.page_size()].into_boxed_slice()),
-            dirty: AtomicBool::new(true),
-            pins: AtomicUsize::new(1),
-        });
-        state.table.insert(pid, frame.clone());
+        let frame = Frame::pinned(pid, self.blank_page(), true);
+        state.install(&frame);
         // The frame is dirty from birth: gate it like any other write.
         if self.wal_mode.load(Ordering::Relaxed) {
-            self.wal_gate.lock().touched.insert(pid);
+            state.mark_touched(pid);
         }
         Ok(PageRef { pool: self, frame })
     }
 
-    /// Write all dirty frames back to disk (counting physical writes) and
-    /// sync the backend. Frames stay resident. In WAL mode, frames whose
-    /// last image is not yet durable in the log are silently skipped.
+    /// Write all dirty frames back to disk in ascending page-id order
+    /// (counting physical writes) and sync the backend. Frames stay
+    /// resident. In WAL mode, frames whose last image is not yet durable
+    /// in the log are silently skipped.
     pub fn flush_all(&self) -> StorageResult<()> {
-        let state = self.state.lock();
-        for frame in state.table.values() {
-            self.write_back(frame)?;
-        }
+        self.flush_frames(&self.state.lock())?;
         self.disk.sync()
     }
 
-    /// Flush dirty frames and drop every unpinned frame — a cold cache.
-    /// In WAL mode, frames that may not leave memory yet stay resident.
+    /// Flush dirty frames — in ascending page-id order, like
+    /// [`BufferPool::flush_all`] — and then drop every unpinned frame: a
+    /// cold cache. In WAL mode, frames that may not leave memory yet stay
+    /// resident. A write-back error drops nothing.
     pub fn evict_all(&self) -> StorageResult<()> {
-        let mut state = self.state.lock();
+        let state = &mut *self.state.lock();
         // Give parked frames another chance: the gate may have opened
         // since they were turned away (the loop re-parks the rest).
-        Self::unpark_all(&mut state);
-        let mut retained = Vec::new();
-        let mut result = Ok(());
-        while let Some(victim) = state.replacer.evict() {
-            let frame = state
-                .table
-                .get(&victim)
-                .cloned()
-                .expect("replacer entry must be resident");
-            match self.write_back(&frame) {
-                Ok(true) => {
-                    state.table.remove(&victim);
-                }
-                Ok(false) => {
-                    state.parked.insert(victim);
-                }
-                Err(e) => {
-                    // Keep the frame (and the already-popped victims)
-                    // reachable by the replacer; report the error after
-                    // restoring consistency.
-                    retained.push(victim);
-                    result = Err(e);
-                    break;
-                }
-            }
-        }
-        for pid in retained {
-            state.replacer.insert(pid);
-        }
-        result?;
+        state.unpark_all();
         // Pinned frames (if any) are flushed but stay resident.
-        for frame in state.table.values() {
-            self.write_back(frame)?;
+        self.flush_frames(state)?;
+        while let Some(victim) = state.replacer.evict(&mut state.slots) {
+            self.release(state, victim)?;
         }
         self.disk.sync()
     }
 
-    /// Write one frame back if dirty. Returns `false` when the WAL gate
-    /// forbids it (uncommitted content, or image not yet durable): the
-    /// frame keeps its dirty bit and must stay resident.
-    fn write_back(&self, frame: &Frame) -> StorageResult<bool> {
+    /// Write every dirty frame the WAL gate lets go, ascending by page id.
+    fn flush_frames(&self, state: &PoolState) -> StorageResult<()> {
+        for slot in &state.slots {
+            self.write_back(slot)?;
+        }
+        Ok(())
+    }
+
+    /// Write one slot's frame back if it has one and it is dirty. Returns
+    /// `false` when the WAL gate forbids it (uncommitted content, or image
+    /// not yet durable): the frame keeps its dirty bit and must stay
+    /// resident.
+    fn write_back(&self, slot: &Slot) -> StorageResult<bool> {
+        let Some(frame) = &slot.frame else {
+            return Ok(true);
+        };
         if !frame.dirty.load(Ordering::Relaxed) {
             return Ok(true);
         }
-        if self.wal_mode.load(Ordering::Relaxed) {
-            let gate = self.wal_gate.lock();
-            let blocked = gate.touched.contains(&frame.pid)
-                || gate
-                    .page_lsn
-                    .get(&frame.pid)
-                    .is_some_and(|&lsn| lsn > self.durable_lsn.load(Ordering::Relaxed));
-            if blocked {
-                return Ok(false);
-            }
+        if self.wal_mode.load(Ordering::Relaxed)
+            && (slot.flags & TOUCHED != 0
+                || slot.page_lsn > self.durable_lsn.load(Ordering::Relaxed))
+        {
+            return Ok(false);
         }
         if frame.dirty.swap(false, Ordering::Relaxed) {
             let data = frame.data.read();
@@ -509,14 +587,40 @@ impl BufferPool {
         Ok(true)
     }
 
+    /// Let go of `victim`, which the replacer just handed out: write it
+    /// back and drop its frame, or park it when the WAL gate holds it
+    /// (out of the replacer until the durable horizon advances — no
+    /// rescans meanwhile). When the disk rejects the write-back the frame
+    /// (and its dirty data) re-enters the replacer so nothing is lost,
+    /// and the error is returned.
+    fn release(&self, state: &mut PoolState, victim: PageId) -> StorageResult<()> {
+        let slot = &mut state.slots[victim as usize];
+        debug_assert!(slot.frame.is_some(), "replacer entry must be resident");
+        match self.write_back(slot) {
+            Ok(true) => {
+                slot.frame = None;
+                state.resident -= 1;
+                Ok(())
+            }
+            Ok(false) => {
+                state.parked.push_front(&mut state.slots, victim);
+                Ok(())
+            }
+            Err(e) => {
+                state.replacer.insert(&mut state.slots, victim);
+                Err(e)
+            }
+        }
+    }
+
     /// Per-unpin capacity enforcement. Bounded: in WAL mode, dirty frames
     /// whose image is not yet durable cannot be written back, and between
     /// syncs there can be far more of them than the capacity. Without a
     /// budget every unpin would rescan all of them (O(resident) per
     /// operation); with one, each call examines a bounded slice and
-    /// blocked victims re-enter at the MRU end, so successive sweeps
-    /// rotate through different candidates and still reclaim every
-    /// evictable frame.
+    /// blocked victims are parked, so successive sweeps see different
+    /// candidates and still reclaim every evictable frame. A write-back
+    /// error ends the sweep; it resurfaces on the next explicit flush.
     fn enforce_capacity(&self, state: &mut PoolState) -> StorageResult<()> {
         self.enforce_capacity_inner(state, 64)
     }
@@ -527,50 +631,14 @@ impl BufferPool {
         mut budget: usize,
     ) -> StorageResult<()> {
         let cap = self.capacity.load(Ordering::Relaxed);
-        let mut retained = Vec::new();
-        let mut result = Ok(());
         while state.replacer.len() > cap && budget > 0 {
             budget -= 1;
-            let Some(victim) = state.replacer.evict() else {
+            let Some(victim) = state.replacer.evict(&mut state.slots) else {
                 break;
             };
-            let frame = state
-                .table
-                .get(&victim)
-                .cloned()
-                .expect("replacer entry must be resident");
-            match self.write_back(&frame) {
-                Ok(true) => {
-                    state.table.remove(&victim);
-                }
-                Ok(false) => {
-                    // WAL gate: park out of the replacer until the
-                    // durable horizon advances (no rescans meanwhile).
-                    state.parked.insert(victim);
-                }
-                Err(e) => {
-                    // The disk rejected the write-back. Keep the frame (and
-                    // its dirty data) in memory so nothing is lost; the
-                    // error resurfaces on the next explicit flush.
-                    retained.push(victim);
-                    result = Err(e);
-                    break;
-                }
-            }
+            self.release(state, victim)?;
         }
-        for pid in retained {
-            state.replacer.insert(pid);
-        }
-        result
-    }
-
-    /// Move every parked frame back into the replacer (gate state
-    /// changed wholesale; eviction sweeps re-park whatever is still
-    /// blocked).
-    fn unpark_all(state: &mut PoolState) {
-        for pid in std::mem::take(&mut state.parked) {
-            state.replacer.insert(pid);
-        }
+        Ok(())
     }
 
     /// Called by [`PageRef::drop`].
@@ -579,17 +647,16 @@ impl BufferPool {
         let prev = frame.pins.fetch_sub(1, Ordering::Relaxed);
         debug_assert!(prev > 0, "unpin of unpinned frame {}", frame.pid);
         if prev == 1 {
-            // Frame may have been force-removed by evict_all while pinned
-            // is impossible (evict_all only pops unpinned); but a frame can
-            // be re-fetched and unpinned concurrently — all under the state
-            // lock, so the accounting here is exact.
-            if state.table.contains_key(&frame.pid) {
-                state.replacer.insert(frame.pid);
-                // A write-back failure here has nowhere to report from a
-                // destructor; enforce_capacity retains the frame (no data
-                // is lost) and the error resurfaces on the next flush.
-                let _ = self.enforce_capacity(&mut state);
-            }
+            // A pinned frame is never dropped from its slot, and a frame
+            // can be re-fetched and unpinned concurrently — all under the
+            // state lock, so the accounting here is exact.
+            debug_assert!(state.slots[frame.pid as usize].frame.is_some());
+            let state = &mut *state;
+            state.replacer.insert(&mut state.slots, frame.pid);
+            // A write-back failure here has nowhere to report from a
+            // destructor; `release` retains the frame (no data is lost)
+            // and the error resurfaces on the next flush.
+            let _ = self.enforce_capacity(state);
         }
     }
 }
@@ -656,7 +723,7 @@ impl PageRef<'_> {
     pub fn write(&self) -> PageWriteLatch<'_> {
         self.frame.dirty.store(true, Ordering::Relaxed);
         if self.pool.wal_mode.load(Ordering::Relaxed) {
-            self.pool.wal_gate.lock().touched.insert(self.frame.pid);
+            self.pool.state.lock().mark_touched(self.frame.pid);
         }
         PageWriteLatch {
             guard: self.frame.data.write(),
@@ -1189,6 +1256,173 @@ mod tests {
         for pid in 0..4u32 {
             assert_eq!(p.fetch(pid).unwrap().read()[0] as u32, pid);
         }
+    }
+
+    #[test]
+    fn slot_stays_within_32_bytes() {
+        assert!(std::mem::size_of::<Slot>() <= 32);
+    }
+
+    #[test]
+    fn unallocated_page_ids_are_refused_before_anything_grows() {
+        let p = pool(4);
+        for _ in 0..3 {
+            let (_pid, g) = p.new_page().unwrap();
+            drop(g);
+        }
+        let before = p.stats().snapshot();
+        for pid in [p.disk().num_pages(), u32::MAX] {
+            let refused = |r: StorageResult<()>| {
+                assert!(
+                    matches!(r, Err(StorageError::PageOutOfBounds { pid: got, len: 3 }) if got == pid),
+                    "page {pid}: {r:?}"
+                );
+            };
+            refused(p.fetch(pid).map(drop));
+            refused(p.fetch_for_overwrite(pid).map(drop));
+            refused(p.with_page_read(pid, |_| ()));
+            refused(p.with_page_write(pid, |_| ()));
+            assert!(!p.is_touched(pid));
+            assert_eq!(p.page_lsn(pid), None);
+        }
+        assert_eq!(p.resident(), 3, "no frame was made for a bogus id");
+        assert_eq!(p.state.lock().slots.len(), 3, "the slot table did not grow");
+        let d = p.stats().snapshot().since(&before);
+        assert_eq!((d.reads, d.writes), (0, 0));
+        // Nothing bogus is left to surface at write-back.
+        p.evict_all().unwrap();
+        assert_eq!(p.resident(), 0);
+    }
+
+    /// A disk that records the page id of every write it receives.
+    struct RecordingDisk {
+        inner: MemDisk,
+        writes: Mutex<Vec<PageId>>,
+    }
+
+    impl DiskBackend for RecordingDisk {
+        fn page_size(&self) -> usize {
+            self.inner.page_size()
+        }
+        fn num_pages(&self) -> u32 {
+            self.inner.num_pages()
+        }
+        fn allocate(&self) -> StorageResult<PageId> {
+            self.inner.allocate()
+        }
+        fn read(&self, pid: PageId, buf: &mut [u8]) -> StorageResult<()> {
+            self.inner.read(pid, buf)
+        }
+        fn write(&self, pid: PageId, buf: &[u8]) -> StorageResult<()> {
+            self.writes.lock().push(pid);
+            self.inner.write(pid, buf)
+        }
+        fn sync(&self) -> StorageResult<()> {
+            self.inner.sync()
+        }
+    }
+
+    #[test]
+    fn flush_and_evict_write_back_in_ascending_page_order() {
+        let disk = Arc::new(RecordingDisk {
+            inner: MemDisk::new(128),
+            writes: Mutex::new(Vec::new()),
+        });
+        let p = BufferPool::new(
+            disk.clone(),
+            PoolConfig {
+                capacity: 16,
+                ..PoolConfig::default()
+            },
+        );
+        for _ in 0..8 {
+            let (_pid, g) = p.new_page().unwrap();
+            drop(g);
+        }
+        // Dirty the pages in an order that is neither ascending nor LRU.
+        let scrambled = [5u32, 1, 7, 0, 3, 6, 2, 4];
+        for &pid in &scrambled {
+            p.fetch(pid).unwrap().write()[0] = 1;
+        }
+        p.flush_all().unwrap();
+        assert_eq!(*disk.writes.lock(), (0..8).collect::<Vec<_>>());
+
+        disk.writes.lock().clear();
+        for &pid in &scrambled {
+            p.fetch(pid).unwrap().write()[0] = 2;
+        }
+        // A pinned frame is written in its place and stays resident.
+        let held = p.fetch(3).unwrap();
+        p.evict_all().unwrap();
+        assert_eq!(*disk.writes.lock(), (0..8).collect::<Vec<_>>());
+        assert_eq!(p.resident(), 1);
+        drop(held);
+    }
+
+    #[test]
+    fn wal_gate_life_cycle_touched_logged_durable_unparked() {
+        let p = pool(1);
+        p.set_wal_mode(true);
+        let mut pids = Vec::new();
+        for _ in 0..6 {
+            let (pid, g) = p.new_page().unwrap();
+            drop(g);
+            pids.push(pid);
+        }
+        assert_eq!(p.resident(), 1, "clean frames leave at capacity 1");
+        // Touched: latched in a scrambled order, reported sorted; the
+        // frames over capacity cannot leave, so they park.
+        for &pid in &[4u32, 0, 5, 2] {
+            p.fetch(pid).unwrap().write()[0] = pid as u8 + 1;
+        }
+        assert_eq!(p.touched_pages(), vec![0, 2, 4, 5]);
+        assert!(p.is_touched(4) && !p.is_touched(3));
+        {
+            let state = p.state.lock();
+            assert_eq!(state.touched.len(), 4);
+            assert_eq!(state.parked.len() + state.replacer.len(), state.resident);
+            assert_eq!(state.parked.len(), 3);
+        }
+        // Logged: no longer touched, but not durable yet — still held.
+        for (lsn, pid) in [(1, 0u32), (2, 2), (3, 4), (4, 5)] {
+            p.note_page_logged(pid, lsn);
+            assert_eq!(p.page_lsn(pid), Some(lsn));
+        }
+        assert!(p.touched_pages().is_empty());
+        p.set_durable_lsn(0);
+        assert_eq!(p.stats().snapshot().writes, 0);
+        assert_eq!(p.state.lock().parked.len(), 3);
+        // Durable up to LSN 2: page 0 unparks behind page 2 (never
+        // parked, durable now too), which the capacity sweep writes.
+        p.set_durable_lsn(2);
+        assert_eq!(p.stats().snapshot().writes, 1);
+        assert_eq!(p.state.lock().parked.len(), 2);
+        // Fully durable: everything unparks, the pool is back at capacity.
+        p.set_durable_lsn(4);
+        {
+            let state = p.state.lock();
+            assert_eq!(state.parked.len(), 0);
+            assert_eq!(state.resident, 1);
+            assert!(state
+                .slots
+                .iter()
+                .all(|s| s.flags & (PARKED | TOUCHED) == 0));
+        }
+        assert_eq!(
+            p.stats().snapshot().writes,
+            3,
+            "the frame still cached is not written"
+        );
+        for &pid in &[4u32, 0, 5, 2] {
+            assert_eq!(p.fetch(pid).unwrap().read()[0], pid as u8 + 1);
+        }
+        // Re-touching a logged page and resetting the gate forgets both.
+        p.fetch(2).unwrap().write()[0] = 9;
+        assert_eq!(p.touched_pages(), vec![2]);
+        p.wal_checkpoint_reset();
+        assert!(p.touched_pages().is_empty());
+        assert_eq!(p.page_lsn(2), None);
+        assert_eq!(p.page_lsn(5), None);
     }
 
     #[test]

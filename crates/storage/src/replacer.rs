@@ -13,11 +13,14 @@
 //!
 //! Both implement one interface over *unpinned* page ids: `insert` when a
 //! frame loses its last pin, `remove` when it is re-pinned, `evict` to
-//! pick a victim.
+//! pick a victim. Neither owns a page-id map: membership is the
+//! [`IN_REPLACER`] bit of the page's [`Slot`] in the pool's page-indexed
+//! table, which also holds the LRU links or the clock-ring index, so
+//! every method takes that table.
 
 use crate::lru::LruList;
+use crate::pool::{Slot, IN_REPLACER};
 use crate::PageId;
-use std::collections::HashMap;
 
 /// Which replacement policy a [`crate::BufferPool`] uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -40,7 +43,7 @@ pub(crate) enum Replacer {
 impl Replacer {
     pub(crate) fn new(policy: EvictionPolicy) -> Self {
         match policy {
-            EvictionPolicy::Lru => Replacer::Lru(LruList::new()),
+            EvictionPolicy::Lru => Replacer::Lru(LruList::new(IN_REPLACER)),
             EvictionPolicy::Clock => Replacer::Clock(ClockRing::default()),
         }
     }
@@ -54,87 +57,89 @@ impl Replacer {
     }
 
     /// Track a frame that just lost its last pin.
-    pub(crate) fn insert(&mut self, pid: PageId) {
+    pub(crate) fn insert(&mut self, slots: &mut [Slot], pid: PageId) {
         match self {
-            Replacer::Lru(l) => l.push_front(pid),
-            Replacer::Clock(c) => c.insert(pid),
+            Replacer::Lru(l) => l.push_front(slots, pid),
+            Replacer::Clock(c) => c.insert(slots, pid),
         }
     }
 
     /// Stop tracking a frame (it was re-pinned or force-evicted).
     /// Returns `false` when the frame was not tracked.
-    pub(crate) fn remove(&mut self, pid: PageId) -> bool {
+    pub(crate) fn remove(&mut self, slots: &mut [Slot], pid: PageId) -> bool {
         match self {
-            Replacer::Lru(l) => l.remove(pid),
-            Replacer::Clock(c) => c.remove(pid),
+            Replacer::Lru(l) => l.remove(slots, pid),
+            Replacer::Clock(c) => c.remove(slots, pid),
         }
     }
 
     /// Choose and untrack a victim; `None` when empty.
-    pub(crate) fn evict(&mut self) -> Option<PageId> {
+    pub(crate) fn evict(&mut self, slots: &mut [Slot]) -> Option<PageId> {
         match self {
-            Replacer::Lru(l) => l.pop_back(),
-            Replacer::Clock(c) => c.evict(),
+            Replacer::Lru(l) => l.pop_back(slots),
+            Replacer::Clock(c) => c.evict(slots),
         }
     }
 }
 
-/// A clock over a growable slot vector. Removed entries leave tombstones
+/// A clock over a growable ring vector. Removed entries leave tombstones
 /// that the sweep skips; the vector is compacted when tombstones dominate
-/// so memory stays proportional to the live count.
+/// so memory stays proportional to the live count. A tracked page's ring
+/// index is kept in its slot's `prev` field.
 #[derive(Debug, Default)]
 pub(crate) struct ClockRing {
     /// `(pid, referenced)` or a tombstone.
-    slots: Vec<Option<(PageId, bool)>>,
-    /// pid → slot index.
-    pos: HashMap<PageId, usize>,
-    /// The clock hand: next slot the sweep examines.
+    ring: Vec<Option<(PageId, bool)>>,
+    /// The clock hand: next ring position the sweep examines.
     hand: usize,
-    /// Number of live (non-tombstone) slots.
+    /// Number of live (non-tombstone) ring entries.
     live: usize,
 }
 
 impl ClockRing {
-    fn insert(&mut self, pid: PageId) {
-        debug_assert!(!self.pos.contains_key(&pid), "page {pid} already in clock");
-        self.pos.insert(pid, self.slots.len());
-        self.slots.push(Some((pid, true)));
+    fn insert(&mut self, slots: &mut [Slot], pid: PageId) {
+        let slot = &mut slots[pid as usize];
+        debug_assert!(slot.flags & IN_REPLACER == 0, "page {pid} already in clock");
+        slot.flags |= IN_REPLACER;
+        slot.prev = self.ring.len() as u32;
+        self.ring.push(Some((pid, true)));
         self.live += 1;
     }
 
-    fn remove(&mut self, pid: PageId) -> bool {
-        match self.pos.remove(&pid) {
-            Some(idx) => {
-                self.slots[idx] = None;
+    fn remove(&mut self, slots: &mut [Slot], pid: PageId) -> bool {
+        match slots.get_mut(pid as usize) {
+            Some(slot) if slot.flags & IN_REPLACER != 0 => {
+                slot.flags &= !IN_REPLACER;
+                self.ring[slot.prev as usize] = None;
                 self.live -= 1;
-                self.maybe_compact();
+                self.maybe_compact(slots);
                 true
             }
-            None => false,
+            _ => false,
         }
     }
 
-    fn evict(&mut self) -> Option<PageId> {
+    fn evict(&mut self, slots: &mut [Slot]) -> Option<PageId> {
         if self.live == 0 {
             return None;
         }
         // At most two sweeps: the first clears reference bits, the second
         // must find a victim.
-        for _ in 0..2 * self.slots.len() {
-            if self.hand >= self.slots.len() {
+        for _ in 0..2 * self.ring.len() {
+            if self.hand >= self.ring.len() {
                 self.hand = 0;
             }
             let idx = self.hand;
             self.hand += 1;
-            match &mut self.slots[idx] {
+            match &mut self.ring[idx] {
                 None => {}
                 Some((_, referenced @ true)) => *referenced = false, // second chance
                 Some((pid, false)) => {
                     let pid = *pid;
-                    self.slots[idx] = None;
-                    self.pos.remove(&pid);
+                    self.ring[idx] = None;
+                    slots[pid as usize].flags &= !IN_REPLACER;
                     self.live -= 1;
-                    self.maybe_compact();
+                    self.maybe_compact(slots);
                     return Some(pid);
                 }
             }
@@ -143,24 +148,19 @@ impl ClockRing {
     }
 
     /// Rebuild without tombstones, preserving sweep order from the hand.
-    fn maybe_compact(&mut self) {
-        if self.slots.len() < 32 || self.slots.len() < 2 * self.live.max(1) {
+    fn maybe_compact(&mut self, slots: &mut [Slot]) {
+        if self.ring.len() < 32 || self.ring.len() < 2 * self.live.max(1) {
             return;
         }
-        let n = self.slots.len();
+        let n = self.ring.len();
         let mut fresh = Vec::with_capacity(self.live);
         for i in 0..n {
-            let idx = (self.hand + i) % n;
-            if let Some(entry) = self.slots[idx] {
+            if let Some(entry) = self.ring[(self.hand + i) % n] {
+                slots[entry.0 as usize].prev = fresh.len() as u32;
                 fresh.push(Some(entry));
             }
         }
-        self.pos = fresh
-            .iter()
-            .enumerate()
-            .map(|(i, e)| (e.expect("compacted entries are live").0, i))
-            .collect();
-        self.slots = fresh;
+        self.ring = fresh;
         self.hand = 0;
     }
 }
@@ -169,66 +169,73 @@ impl ClockRing {
 mod tests {
     use super::*;
 
+    /// A replacer over pages `0..200` and the slot table it marks.
+    fn replacer(policy: EvictionPolicy) -> (Replacer, Vec<Slot>) {
+        let mut slots = Vec::new();
+        slots.resize_with(200, Slot::default);
+        (Replacer::new(policy), slots)
+    }
+
     #[test]
     fn clock_gives_second_chance() {
-        let mut r = Replacer::new(EvictionPolicy::Clock);
-        r.insert(1);
-        r.insert(2);
-        r.insert(3);
+        let (mut r, mut s) = replacer(EvictionPolicy::Clock);
+        r.insert(&mut s, 1);
+        r.insert(&mut s, 2);
+        r.insert(&mut s, 3);
         // First sweep clears 1, 2, 3's bits; the sweep continues and
         // evicts 1 (oldest with a cleared bit).
-        assert_eq!(r.evict(), Some(1));
+        assert_eq!(r.evict(&mut s), Some(1));
         // Re-reference 2 by re-pin/unpin: remove + insert sets its bit.
-        assert!(r.remove(2));
-        r.insert(2);
+        assert!(r.remove(&mut s, 2));
+        r.insert(&mut s, 2);
         // 3's bit is already clear → evicted before the re-referenced 2.
-        assert_eq!(r.evict(), Some(3));
-        assert_eq!(r.evict(), Some(2));
-        assert_eq!(r.evict(), None);
+        assert_eq!(r.evict(&mut s), Some(3));
+        assert_eq!(r.evict(&mut s), Some(2));
+        assert_eq!(r.evict(&mut s), None);
         assert_eq!(r.len(), 0);
     }
 
     #[test]
     fn lru_exact_order() {
-        let mut r = Replacer::new(EvictionPolicy::Lru);
-        r.insert(1);
-        r.insert(2);
-        r.insert(3);
+        let (mut r, mut s) = replacer(EvictionPolicy::Lru);
+        r.insert(&mut s, 1);
+        r.insert(&mut s, 2);
+        r.insert(&mut s, 3);
         assert_eq!(r.len(), 3);
-        assert_eq!(r.evict(), Some(1));
-        assert!(r.remove(2));
-        r.insert(2); // 2 becomes most recent
-        assert_eq!(r.evict(), Some(3));
-        assert_eq!(r.evict(), Some(2));
-        assert_eq!(r.evict(), None);
+        assert_eq!(r.evict(&mut s), Some(1));
+        assert!(r.remove(&mut s, 2));
+        r.insert(&mut s, 2); // 2 becomes most recent
+        assert_eq!(r.evict(&mut s), Some(3));
+        assert_eq!(r.evict(&mut s), Some(2));
+        assert_eq!(r.evict(&mut s), None);
     }
 
     #[test]
     fn remove_absent_is_false() {
         for policy in [EvictionPolicy::Lru, EvictionPolicy::Clock] {
-            let mut r = Replacer::new(policy);
-            assert!(!r.remove(9));
-            r.insert(9);
-            assert!(r.remove(9));
-            assert!(!r.remove(9));
-            assert_eq!(r.evict(), None);
+            let (mut r, mut s) = replacer(policy);
+            assert!(!r.remove(&mut s, 9));
+            r.insert(&mut s, 9);
+            assert!(r.remove(&mut s, 9));
+            assert!(!r.remove(&mut s, 9));
+            assert_eq!(r.evict(&mut s), None);
         }
     }
 
     #[test]
     fn clock_compaction_preserves_entries() {
-        let mut r = Replacer::new(EvictionPolicy::Clock);
+        let (mut r, mut s) = replacer(EvictionPolicy::Clock);
         // Heavy churn to force tombstone buildup and compaction.
         for pid in 0..200u32 {
-            r.insert(pid);
+            r.insert(&mut s, pid);
         }
         for pid in 0..150u32 {
-            assert!(r.remove(pid));
+            assert!(r.remove(&mut s, pid));
         }
         assert_eq!(r.len(), 50);
         // All 50 survivors must come out exactly once.
         let mut evicted = Vec::new();
-        while let Some(pid) = r.evict() {
+        while let Some(pid) = r.evict(&mut s) {
             evicted.push(pid);
         }
         evicted.sort_unstable();
@@ -238,19 +245,19 @@ mod tests {
 
     #[test]
     fn clock_interleaved_churn_is_consistent() {
-        let mut r = Replacer::new(EvictionPolicy::Clock);
+        let (mut r, mut s) = replacer(EvictionPolicy::Clock);
         let mut tracked = std::collections::HashSet::new();
         for round in 0..500u32 {
             let pid = round % 37;
             if tracked.contains(&pid) {
-                assert!(r.remove(pid));
+                assert!(r.remove(&mut s, pid));
                 tracked.remove(&pid);
             } else {
-                r.insert(pid);
+                r.insert(&mut s, pid);
                 tracked.insert(pid);
             }
             if round % 11 == 0 {
-                if let Some(victim) = r.evict() {
+                if let Some(victim) = r.evict(&mut s) {
                     assert!(tracked.remove(&victim), "evicted untracked {victim}");
                 }
             }

@@ -1,11 +1,12 @@
 //! Model-based property test for the buffer pool: under arbitrary
 //! operation sequences (allocation, reads, writes, flushes, eviction,
-//! capacity changes) the pool must never lose or corrupt a byte, and its
-//! I/O counters must respect basic conservation laws.
+//! capacity changes) the pool must never lose or corrupt a byte, its I/O
+//! counters must respect basic conservation laws, and under LRU it must
+//! evict exactly the victims a reference LRU evicts.
 
-use bur_storage::{BufferPool, EvictionPolicy, MemDisk, PoolConfig};
+use bur_storage::{BufferPool, DiskBackend, EvictionPolicy, MemDisk, PoolConfig};
 use proptest::prelude::*;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 fn arb_policy() -> impl Strategy<Value = EvictionPolicy> {
@@ -19,6 +20,53 @@ fn distinct_pids(pinned: &[bur_storage::PageRef<'_>]) -> usize {
     ids.sort_unstable();
     ids.dedup();
     ids.len()
+}
+
+/// Eviction-order oracle: a reference LRU over the *unpinned* resident
+/// pages. It predicts, for every fetch, whether the pool serves it from
+/// memory or reads the disk — which is only right when the pool chose
+/// the same victims in the same order all along.
+struct LruModel {
+    capacity: usize,
+    /// Pins held per page (pinned pages are resident and not evictable).
+    pins: HashMap<u32, usize>,
+    /// Unpinned resident pages, most recently unpinned at the front.
+    unpinned: VecDeque<u32>,
+    /// Physical reads predicted so far.
+    misses: u64,
+}
+
+impl LruModel {
+    /// A fetch of `pid`; `reads_on_miss` is false for a blind write.
+    fn pin(&mut self, pid: u32, reads_on_miss: bool) {
+        let pins = self.pins.entry(pid).or_insert(0);
+        *pins += 1;
+        if *pins == 1 {
+            match self.unpinned.iter().position(|&p| p == pid) {
+                Some(at) => {
+                    self.unpinned.remove(at);
+                }
+                None if reads_on_miss => self.misses += 1,
+                None => {}
+            }
+        }
+    }
+
+    /// A guard of `pid` dropped.
+    fn unpin(&mut self, pid: u32) {
+        let pins = self.pins.get_mut(&pid).expect("unpin of a pinned page");
+        *pins -= 1;
+        if *pins == 0 {
+            self.pins.remove(&pid);
+            self.unpinned.push_front(pid);
+            self.unpinned.truncate(self.capacity);
+        }
+    }
+
+    fn set_capacity(&mut self, capacity: usize) {
+        self.capacity = capacity;
+        self.unpinned.truncate(capacity);
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -68,6 +116,12 @@ proptest! {
         let mut pids: Vec<u32> = Vec::new();
         // Guards held open across operations (pinned frames).
         let mut pinned = Vec::new();
+        let mut lru = LruModel {
+            capacity: 2,
+            pins: HashMap::new(),
+            unpinned: VecDeque::new(),
+            misses: 0,
+        };
         for op in ops {
             match op {
                 Op::New(v) => {
@@ -76,6 +130,9 @@ proptest! {
                     drop(guard);
                     model.insert(pid, v);
                     pids.push(pid);
+                    // Born resident and pinned: no read.
+                    lru.pin(pid, false);
+                    lru.unpin(pid);
                 }
                 Op::Write(which, v) => {
                     if pids.is_empty() { continue; }
@@ -84,6 +141,8 @@ proptest! {
                     guard.write()[7] = v;
                     drop(guard);
                     model.insert(pid, v);
+                    lru.pin(pid, true);
+                    lru.unpin(pid);
                 }
                 Op::BlindWrite(which, v) => {
                     if pids.is_empty() { continue; }
@@ -97,6 +156,8 @@ proptest! {
                     }
                     drop(guard);
                     model.insert(pid, v);
+                    lru.pin(pid, false);
+                    lru.unpin(pid);
                 }
                 Op::Read(which) => {
                     if pids.is_empty() { continue; }
@@ -104,20 +165,37 @@ proptest! {
                     let guard = pool.fetch(pid).unwrap();
                     let got = guard.read()[7];
                     prop_assert_eq!(got, model[&pid], "page {} corrupted", pid);
+                    lru.pin(pid, true);
+                    lru.unpin(pid);
                 }
                 Op::Pin(which) => {
                     if pids.is_empty() { continue; }
                     let pid = pids[which as usize % pids.len()];
                     pinned.push(pool.fetch(pid).unwrap());
+                    lru.pin(pid, true);
                 }
                 Op::Unpin => {
                     if !pinned.is_empty() {
-                        pinned.remove(0);
+                        lru.unpin(pinned.remove(0).pid());
                     }
                 }
                 Op::Flush => pool.flush_all().unwrap(),
-                Op::EvictAll => pool.evict_all().unwrap(),
-                Op::SetCapacity(c) => pool.set_capacity(c as usize).unwrap(),
+                Op::EvictAll => {
+                    pool.evict_all().unwrap();
+                    lru.unpinned.clear();
+                }
+                Op::SetCapacity(c) => {
+                    pool.set_capacity(c as usize).unwrap();
+                    lru.set_capacity(c as usize);
+                }
+            }
+            // Eviction order: the pool read the disk exactly when the
+            // reference LRU says the page had been evicted (Clock stays
+            // under the conservation laws below only).
+            if policy == EvictionPolicy::Lru {
+                prop_assert_eq!(pool.stats().snapshot().reads, lru.misses,
+                    "pool and reference LRU disagree on a victim");
+                prop_assert_eq!(pool.resident(), lru.pins.len() + lru.unpinned.len());
             }
             // Conservation: fetches >= physical reads; pinned frames are
             // always resident and still serve fresh content.
@@ -163,4 +241,27 @@ proptest! {
         }
         prop_assert!(pool.resident() <= cap, "resident {} > capacity {}", pool.resident(), cap);
     }
+}
+
+/// Page ids index the pool's slot table directly, but the table is not a
+/// frame array: touching one page at the far end of a large file makes one
+/// frame, and ids beyond `u16` are not truncated on the way.
+#[test]
+fn far_page_of_a_large_file_costs_one_frame() {
+    let disk = Arc::new(MemDisk::new(64));
+    for _ in 0..70_000 {
+        disk.allocate().unwrap();
+    }
+    let mut tail = vec![0u8; 64];
+    tail[3] = 0xEE;
+    disk.write(69_999, &tail).unwrap();
+    let pool = BufferPool::new(disk, PoolConfig::default());
+    let page = pool.fetch(69_999).unwrap();
+    assert_eq!(page.read()[3], 0xEE);
+    assert_eq!(page.pid(), 69_999);
+    assert_eq!(pool.resident(), 1);
+    assert_eq!(pool.pinned_frames(), 1);
+    drop(page);
+    assert_eq!(pool.stats().snapshot().reads, 1);
+    assert_eq!(pool.resident(), 1);
 }

@@ -18,7 +18,11 @@
 //! * **no shrinking** — a failure reports the generated input as-is;
 //! * the run is **deterministic**: the seed is derived from the test name
 //!   (override with the `PROPTEST_SEED` environment variable to explore
-//!   other inputs).
+//!   other inputs);
+//! * `PROPTEST_CASES`, when set, replaces the case count of **every**
+//!   property, also one fixed through `#![proptest_config(..)]` (the real
+//!   crate applies it to the default configuration only) — CI uses it to
+//!   run a cheap model test longer than a developer's `cargo test` does.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -363,9 +367,16 @@ pub struct TestRunner {
 
 impl TestRunner {
     /// A runner for `test_name`, seeded deterministically from the name (or
-    /// from `PROPTEST_SEED` if set).
+    /// from `PROPTEST_SEED` if set), running `config.cases` cases (or
+    /// `PROPTEST_CASES` if set).
     #[must_use]
-    pub fn new(config: ProptestConfig, test_name: &str) -> Self {
+    pub fn new(mut config: ProptestConfig, test_name: &str) -> Self {
+        if let Some(cases) = std::env::var("PROPTEST_CASES")
+            .ok()
+            .and_then(|s| s.parse().ok())
+        {
+            config.cases = cases;
+        }
         let seed = std::env::var("PROPTEST_SEED")
             .ok()
             .and_then(|s| s.parse::<u64>().ok())
