@@ -21,6 +21,7 @@
 
 use crate::config::{Durability, IndexOptions, UpdateStrategy, WalOptions};
 use crate::error::{CoreError, CoreResult};
+use crate::files::{log_path, IndexFiles};
 use crate::handle::Bur;
 use crate::index::{RTreeIndex, RecoveryReport};
 use bur_storage::{DiskBackend, FileDisk, SyncPolicy};
@@ -51,7 +52,7 @@ pub enum OpenMode {
 enum Backend {
     /// A fresh in-memory disk (the experiment default).
     Memory,
-    /// A page file at this path.
+    /// A page file at this path, its log in the `.wal` sidecar beside it.
     File(PathBuf),
     /// A caller-supplied disk (fault-injection wrappers, shared disks).
     Disk(Arc<dyn DiskBackend>),
@@ -67,6 +68,7 @@ pub struct IndexBuilder {
     opts: IndexOptions,
     mode: OpenMode,
     backend: Backend,
+    log_disk: Option<Arc<dyn DiskBackend>>,
 }
 
 impl Default for IndexBuilder {
@@ -87,6 +89,7 @@ impl IndexBuilder {
             opts,
             mode: OpenMode::Create,
             backend: Backend::Memory,
+            log_disk: None,
         }
     }
 
@@ -172,7 +175,12 @@ impl IndexBuilder {
     }
 
     /// A page file at `path` (created in [`OpenMode::Create`], opened
-    /// otherwise).
+    /// otherwise). A durable index keeps its write-ahead log in the
+    /// sidecar `<path>.wal` ([`crate::log_path`]), so a commit's `fsync`
+    /// touches the sequential log and never the data pages the pool
+    /// evicted; the data file is synced once per checkpoint. Creating
+    /// truncates a stale sidecar; a file written before the log moved out
+    /// (log at page 1, no sidecar) opens and keeps logging in place.
     pub fn file(mut self, path: impl Into<PathBuf>) -> Self {
         self.backend = Backend::File(path.into());
         self
@@ -180,8 +188,23 @@ impl IndexBuilder {
 
     /// A caller-supplied disk backend (fault-injection wrappers, shared
     /// in-memory disks for crash drills, ...).
+    ///
+    /// A durable index keeps its log on `disk` too, from page 1, unless
+    /// [`IndexBuilder::log_disk`] says otherwise.
     pub fn disk(mut self, disk: Arc<dyn DiskBackend>) -> Self {
         self.backend = Backend::Disk(disk);
+        self
+    }
+
+    /// Put the write-ahead log of a [`IndexBuilder::disk`] backend on a
+    /// disk of its own — what [`IndexBuilder::file`] does with the
+    /// sidecar, for callers that bring their own disks (crash drills that
+    /// fail the two independently). Wiring, not tuning: the log, recovery
+    /// and checkpoints are the same code either way. An index created
+    /// this way must be opened with its log disk again
+    /// ([`CoreError::LogMissing`] otherwise).
+    pub fn log_disk(mut self, log: Arc<dyn DiskBackend>) -> Self {
+        self.log_disk = Some(log);
         self
     }
 
@@ -237,11 +260,17 @@ impl IndexBuilder {
             mut opts,
             mode,
             backend,
+            mut log_disk,
         } = self;
         if matches!(mode, OpenMode::Recover) && matches!(opts.durability, Durability::None) {
             // Recovery presupposes a log; upgrade quietly like `open`
             // does for files whose metadata records a WAL anchor.
             opts = opts.with_durability(Durability::Wal(WalOptions::default()));
+        }
+        if log_disk.is_some() && !matches!(backend, Backend::Disk(_)) {
+            return Err(CoreError::BadConfig(
+                "log_disk(..) goes with disk(..); file(..) resolves its own sidecar".into(),
+            ));
         }
         let disk: Arc<dyn DiskBackend> = match backend {
             Backend::Memory => {
@@ -254,23 +283,35 @@ impl IndexBuilder {
                 }
                 Arc::new(bur_storage::MemDisk::new(opts.page_size))
             }
-            Backend::File(path) => {
-                let disk = if matches!(mode, OpenMode::Create) {
-                    FileDisk::create(&path, opts.page_size)
-                } else {
-                    FileDisk::open(&path, opts.page_size)
+            Backend::File(path) if matches!(mode, OpenMode::Create) => {
+                let create = |p: &std::path::Path| {
+                    FileDisk::create(p, opts.page_size).map_err(|e| {
+                        CoreError::BadConfig(format!("cannot create {}: {e}", p.display()))
+                    })
                 };
-                Arc::new(disk.map_err(|e| {
-                    CoreError::BadConfig(format!("cannot open {}: {e}", path.display()))
-                })?)
+                let sidecar = log_path(&path);
+                if matches!(opts.durability, Durability::Wal(_)) {
+                    // Truncates whatever an earlier index left there.
+                    log_disk = Some(Arc::new(create(&sidecar)?));
+                } else {
+                    // A volatile index has no log; an old one must not
+                    // sit beside it looking like its own.
+                    let _ = std::fs::remove_file(&sidecar);
+                }
+                Arc::new(create(&path)?)
+            }
+            Backend::File(path) => {
+                let files = IndexFiles::open(&path, opts.page_size)?;
+                log_disk = files.sidecar;
+                files.data
             }
             Backend::Disk(disk) => disk,
         };
         match mode {
-            OpenMode::Create => Ok((RTreeIndex::create_on_inner(disk, opts)?, None)),
-            OpenMode::Open => Ok((RTreeIndex::open_on_inner(disk, opts)?, None)),
+            OpenMode::Create => Ok((RTreeIndex::create_on_inner(disk, log_disk, opts)?, None)),
+            OpenMode::Open => Ok((RTreeIndex::open_on_inner(disk, log_disk, opts)?, None)),
             OpenMode::Recover => {
-                let (index, report) = RTreeIndex::recover_on_inner(disk, opts)?;
+                let (index, report) = RTreeIndex::recover_on_inner(disk, log_disk, opts)?;
                 Ok((index, Some(report)))
             }
         }
@@ -312,6 +353,74 @@ mod tests {
             .unwrap();
         assert_eq!(reopened.len(), 1);
         assert!(reopened.is_durable());
+    }
+
+    #[test]
+    fn log_disk_holds_the_log_and_must_come_back_to_reopen() {
+        let data = Arc::new(MemDisk::new(1024));
+        let log = Arc::new(MemDisk::new(1024));
+        let mut index = IndexBuilder::generalized()
+            .durable()
+            .disk(data.clone())
+            .log_disk(log.clone())
+            .build_index()
+            .unwrap();
+        // Page 1 of the data disk is the first tree page, not a log anchor.
+        assert!(
+            !bur_wal::scan(data.as_ref(), crate::WAL_ANCHOR)
+                .unwrap()
+                .valid
+        );
+        assert!(
+            bur_wal::scan(log.as_ref(), crate::LOG_DISK_ANCHOR)
+                .unwrap()
+                .valid
+        );
+        for oid in 0..50u64 {
+            index
+                .insert(oid, Point::new(oid as f32 / 50.0, 0.5))
+                .unwrap();
+        }
+        index.checkpoint().unwrap();
+        let stats = index.wal_stats().unwrap();
+        assert!(stats.checkpoint_pages_flushed > 0 && stats.checkpoint_nanos > 0);
+        index.insert(50, Point::new(0.9, 0.9)).unwrap();
+        drop(index); // crash
+
+        // Without the log disk: a typed refusal, in either mode.
+        for mode in [OpenMode::Open, OpenMode::Recover] {
+            let err = IndexBuilder::generalized()
+                .disk(data.clone())
+                .mode(mode)
+                .build_index()
+                .unwrap_err();
+            assert!(matches!(err, CoreError::LogMissing(_)), "{mode:?}: {err}");
+        }
+        let recovered = IndexBuilder::generalized()
+            .disk(data)
+            .log_disk(log)
+            .open()
+            .build_index()
+            .unwrap();
+        assert_eq!(recovered.len(), 51, "the tail came from the log disk");
+
+        // And the other way round: a log disk offered to an index that
+        // logs in place is not its log.
+        let shared = Arc::new(MemDisk::new(1024));
+        drop(
+            IndexBuilder::generalized()
+                .durable()
+                .disk(shared.clone())
+                .build_index()
+                .unwrap(),
+        );
+        let err = IndexBuilder::generalized()
+            .disk(shared)
+            .log_disk(Arc::new(MemDisk::new(1024)))
+            .recover()
+            .build_index()
+            .unwrap_err();
+        assert!(err.to_string().contains("log disk"), "{err}");
     }
 
     #[test]

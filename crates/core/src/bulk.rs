@@ -76,7 +76,7 @@ impl RTreeIndex {
         opts: IndexOptions,
         items: &[(ObjectId, Point)],
     ) -> CoreResult<Self> {
-        let mut index = Self::create_on_inner(disk, opts)?;
+        let mut index = Self::create_on_inner(disk, None, opts)?;
         if items.is_empty() {
             return Ok(index);
         }
@@ -193,7 +193,7 @@ impl RTreeIndex {
         items: &[(ObjectId, Point)],
     ) -> CoreResult<Self> {
         const ORDER: u32 = 16; // 2^16 cells per axis ≈ f32 mantissa scale
-        let mut index = Self::create_on_inner(disk, opts)?;
+        let mut index = Self::create_on_inner(disk, None, opts)?;
         if items.is_empty() {
             return Ok(index);
         }

@@ -173,7 +173,7 @@ impl Default for WalOptions {
     fn default() -> Self {
         Self {
             sync: bur_storage::SyncPolicy::EveryCommit,
-            checkpoint_every: 256,
+            checkpoint_every: 1024,
             delta: bur_wal::DeltaPolicy::default(),
             async_coalesce: bur_wal::DEFAULT_ASYNC_COALESCE,
         }

@@ -41,6 +41,12 @@ pub enum CoreError {
     /// A write was attempted through a read-only handle (a replication
     /// follower's view). Promote the replica to obtain a writable handle.
     ReadOnly,
+    /// The index's metadata says its write-ahead log lives outside the
+    /// data file (a `.wal` sidecar, or the disk given to
+    /// [`crate::IndexBuilder::log_disk`]) and that log was not supplied or
+    /// does not exist. Opening without it would silently drop every
+    /// update since the last checkpoint, so the open fails instead.
+    LogMissing(String),
 }
 
 impl fmt::Display for CoreError {
@@ -62,6 +68,9 @@ impl fmt::Display for CoreError {
                     f,
                     "index handle is read-only (a replica view; promote it to write)"
                 )
+            }
+            CoreError::LogMissing(what) => {
+                write!(f, "write-ahead log missing: {what}")
             }
         }
     }
@@ -101,6 +110,9 @@ mod tests {
             .to_string()
             .contains('x'));
         assert!(CoreError::BadConfig("y".into()).to_string().contains('y'));
+        assert!(CoreError::LogMissing("z.wal".into())
+            .to_string()
+            .contains("z.wal"));
         let e: CoreError = StorageError::DiskFull.into();
         assert!(e.to_string().contains("full"));
         assert!(std::error::Error::source(&e).is_some());

@@ -61,7 +61,7 @@ use crate::node::ObjectId;
 use crate::stats::{OpStats, UpdateOutcome};
 use bur_dgl::LockManager;
 use bur_geom::{Point, Rect};
-use bur_storage::{IoSnapshot, PageId, PageRef};
+use bur_storage::{DiskBackend, IoSnapshot, PageId, PageRef};
 use bur_wal::{Lsn, WalStatsSnapshot, WalWaiter};
 use parking_lot::{Mutex, RwLock};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -236,8 +236,14 @@ impl Bur {
     /// log reattach + rewind, checkpoint) under the exclusive structure
     /// lock, then flip the handle writable. Every clone held by a
     /// query thread becomes a handle on the new primary at the same
-    /// moment. Fails on a handle that is already writable.
-    pub fn promote_replica(&self, opts: IndexOptions) -> CoreResult<()> {
+    /// moment. Fails on a handle that is already writable. `log_disk` is
+    /// the replica's own log disk when the copied data disk carries no
+    /// log chain (see [`RTreeIndex::promote_replica`]).
+    pub fn promote_replica(
+        &self,
+        opts: IndexOptions,
+        log_disk: Option<Arc<dyn DiskBackend>>,
+    ) -> CoreResult<()> {
         let mut index = self.shared.inner.write();
         // Checked under the exclusive lock: of two racing promotes,
         // exactly one wins — the loser sees a writable handle.
@@ -246,7 +252,7 @@ impl Bur {
                 "promote_replica: handle is already writable".into(),
             ));
         }
-        index.promote_replica(opts)?;
+        index.promote_replica(opts, log_disk)?;
         *self.shared.waiter.lock() = index.wal_waiter();
         self.shared.read_only.store(false, Ordering::Release);
         Ok(())

@@ -4,8 +4,11 @@
 use crate::batch::{Batch, BatchReport, Op};
 use crate::config::{Durability, IndexOptions, UpdateStrategy};
 use crate::error::{CoreError, CoreResult};
+use crate::files::stored_snapshot;
 use crate::knn::{self, Neighbor};
-use crate::meta::{read_meta_chain, write_meta_chain, MetaSnapshot, META_PAGE, WAL_ANCHOR};
+use crate::meta::{
+    read_meta_chain, write_meta_chain, MetaSnapshot, LOG_DISK_ANCHOR, META_PAGE, WAL_ANCHOR,
+};
 use crate::node::{LeafEntry, NodeEntries, ObjectId};
 use crate::stats::{OpStats, UpdateOutcome};
 use crate::summary::SummaryStructure;
@@ -86,19 +89,22 @@ impl RTreeIndex {
     // below. The historical direct constructors were deprecated for one
     // release and have been removed.
 
+    //
+    // `log_disk` is where a durable index keeps its write-ahead log when
+    // that is not the data disk: `Some` puts the chain on that disk from
+    // [`LOG_DISK_ANCHOR`], `None` keeps it on `disk` from [`WAL_ANCHOR`].
+    // Either way it is the same `Wal`, the same redo and the same
+    // checkpoint; only the `Arc<dyn DiskBackend>` they write through
+    // differs.
+
     pub(crate) fn create_on_inner(
         disk: Arc<dyn DiskBackend>,
+        log_disk: Option<Arc<dyn DiskBackend>>,
         opts: IndexOptions,
     ) -> CoreResult<Self> {
         opts.validate()?;
-        if disk.page_size() != opts.page_size {
-            return Err(CoreError::BadConfig(format!(
-                "disk page size {} != configured {}",
-                disk.page_size(),
-                opts.page_size
-            )));
-        }
-        if disk.num_pages() != 0 {
+        check_page_size(disk.as_ref(), &opts)?;
+        if disk.num_pages() != 0 || log_disk.as_ref().is_some_and(|l| l.num_pages() != 0) {
             return Err(CoreError::BadConfig(
                 "create mode requires an empty disk; use open mode for existing files".into(),
             ));
@@ -115,22 +121,25 @@ impl RTreeIndex {
         debug_assert_eq!(meta_pid, META_PAGE);
         guard.write().fill(0);
         drop(guard);
-        // A durable index reserves the WAL anchor as page 1, before any
-        // tree page, so recovery always knows where the log starts.
+        // A durable index reserves the WAL anchor before any tree page
+        // (page 1 of the data disk, or the first page of the log's own
+        // disk), so recovery always knows where the log starts.
         let wal = match opts.durability {
             Durability::Wal(wopts) => {
                 pool.set_wal_mode(true);
-                let wal = Wal::create_with(pool.disk().clone(), wopts.sync, wopts.delta)?;
-                if wal.anchor() != WAL_ANCHOR {
+                let (log, anchor) = log_site(pool.disk(), log_disk.as_ref(), &opts)?;
+                let wal = Wal::create_with(log, wopts.sync, wopts.delta)?;
+                if wal.anchor() != anchor {
                     return Err(CoreError::BadConfig(format!(
-                        "WAL anchor landed on page {} instead of {WAL_ANCHOR}",
+                        "WAL anchor landed on page {} instead of {anchor}",
                         wal.anchor()
                     )));
                 }
                 wal.set_async_coalesce(wopts.async_coalesce);
                 attach_durable_watcher(&wal, &pool);
-                Some(WalHandle::new(wal, wopts))
+                Some(WalHandle::new(wal, wopts, log_disk.is_some()))
             }
+            Durability::None if log_disk.is_some() => return Err(log_disk_without_log()),
             Durability::None => None,
         };
         let mut tree = RTree::create(pool, opts)?;
@@ -158,19 +167,14 @@ impl RTreeIndex {
     /// writes race a stale log generation.
     pub(crate) fn open_on_inner(
         disk: Arc<dyn DiskBackend>,
+        log_disk: Option<Arc<dyn DiskBackend>>,
         opts: IndexOptions,
     ) -> CoreResult<Self> {
         if matches!(opts.durability, Durability::Wal(_)) {
-            return Ok(Self::recover_on_inner(disk, opts)?.0);
+            return Ok(Self::recover_on_inner(disk, log_disk, opts)?.0);
         }
         opts.validate()?;
-        if disk.page_size() != opts.page_size {
-            return Err(CoreError::BadConfig(format!(
-                "disk page size {} != configured {}",
-                disk.page_size(),
-                opts.page_size
-            )));
-        }
+        check_page_size(disk.as_ref(), &opts)?;
         let pool = Arc::new(BufferPool::new(
             disk.clone(),
             PoolConfig {
@@ -191,7 +195,10 @@ impl RTreeIndex {
             // mutating pages behind a stale generation.
             drop(pool);
             let opts = opts.with_durability(Durability::Wal(crate::config::WalOptions::default()));
-            return Ok(Self::recover_on_inner(disk, opts)?.0);
+            return Ok(Self::recover_on_inner(disk, log_disk, opts)?.0);
+        }
+        if log_disk.is_some() {
+            return Err(log_disk_without_log());
         }
         let mut tree = Self::tree_from_snapshot(pool, opts, &snap)?;
         tree.meta_chain_pages = meta_cont;
@@ -359,9 +366,13 @@ impl RTreeIndex {
     /// call on a cleanly shut down index (the replay is then a no-op).
     ///
     /// `opts.durability` must be [`Durability::Wal`]; a disk that was
-    /// never durable (no log at its anchor page) is rejected.
+    /// never durable (no log at its anchor page) is rejected, and so is
+    /// looking for the log anywhere but where the stored metadata says it
+    /// lives ([`CoreError::LogMissing`] when that is a log disk the
+    /// caller did not supply).
     pub(crate) fn recover_on_inner(
         disk: Arc<dyn DiskBackend>,
+        log_disk: Option<Arc<dyn DiskBackend>>,
         opts: IndexOptions,
     ) -> CoreResult<(Self, RecoveryReport)> {
         opts.validate()?;
@@ -371,25 +382,39 @@ impl RTreeIndex {
                     .into(),
             ));
         };
-        if disk.page_size() != opts.page_size {
-            return Err(CoreError::BadConfig(format!(
-                "disk page size {} != configured {}",
-                disk.page_size(),
-                opts.page_size
-            )));
-        }
+        check_page_size(disk.as_ref(), &opts)?;
         let pool = Arc::new(BufferPool::new(
-            disk.clone(),
+            disk,
             PoolConfig {
                 capacity: opts.buffer_frames,
                 policy: opts.eviction,
             },
         ));
-        let (wal, scanned) = Wal::reopen_with(disk, WAL_ANCHOR, wopts.sync, wopts.delta)?;
+        // Where the log lives is the stored index's property. Best
+        // effort — a torn page 0 says nothing, and then the log found
+        // where the caller pointed is the authority.
+        let stored = stored_snapshot(&pool);
+        if let Some((stored, _)) = &stored {
+            if stored.log_elsewhere && log_disk.is_none() {
+                return Err(CoreError::LogMissing(
+                    "this index keeps its log on a separate disk, which was not supplied".into(),
+                ));
+            }
+            if !stored.log_elsewhere && log_disk.is_some() {
+                return Err(log_disk_without_log());
+            }
+        }
+        let (log, anchor) = log_site(pool.disk(), log_disk.as_ref(), &opts)?;
+        let (wal, scanned) = Wal::reopen_with(log, anchor, wopts.sync, wopts.delta)?;
         if !scanned.valid {
-            return Err(CoreError::BadConfig(
-                "no write-ahead log on this disk (index not created with Durability::Wal?)".into(),
-            ));
+            return Err(if log_disk.is_some() {
+                CoreError::LogMissing("the log disk holds no write-ahead log".into())
+            } else {
+                CoreError::BadConfig(
+                    "no write-ahead log on this disk (index not created with Durability::Wal?)"
+                        .into(),
+                )
+            });
         }
         // The recovery point is the last commit or checkpoint; images
         // after it belong to an operation that was never acknowledged.
@@ -493,16 +518,11 @@ impl RTreeIndex {
         report.recovered_len = snap.len;
         // The on-disk metadata chain (from the last completed checkpoint)
         // is superseded the moment we re-checkpoint below; hand its
-        // continuation pages to the chain recycler. Walked defensively —
-        // a crash inside the chain rewrite can leave torn links, and a
-        // torn `next` pointer could name a *live* tree page, so the pages
-        // are only trusted (and later overwritten by the recycler) when
-        // the walked payload round-trips as a genuine metadata snapshot.
-        let meta_cont = read_meta_chain(&pool)
-            .ok()
-            .filter(|(payload, _)| MetaSnapshot::decode(payload).is_ok())
-            .map(|(_, pages)| pages)
-            .unwrap_or_default();
+        // continuation pages to the chain recycler. A torn `next` pointer
+        // could name a *live* tree page, so the pages are only trusted
+        // (and later overwritten by the recycler) when the walked payload
+        // round-trips as a genuine metadata snapshot.
+        let meta_cont = stored.map_or_else(Vec::new, |(_, pages)| pages);
         // Rebuild the index over the replayed image (summary structure,
         // hash index and parent pointers included), then checkpoint: the
         // disk becomes a clean base image and the log restarts.
@@ -510,7 +530,7 @@ impl RTreeIndex {
         tree.meta_chain_pages = meta_cont;
         wal.set_async_coalesce(wopts.async_coalesce);
         attach_durable_watcher(&wal, &tree.pool);
-        tree.wal = Some(WalHandle::new(wal, wopts));
+        tree.wal = Some(WalHandle::new(wal, wopts, log_disk.is_some()));
         tree.pool.set_wal_mode(true);
         let mut index = Self { tree };
         index.tree.wal_checkpoint()?;
@@ -878,6 +898,40 @@ impl RTreeIndex {
             return Ok(best.map(|(child, _, _)| child));
         }
     }
+}
+
+fn check_page_size(disk: &dyn DiskBackend, opts: &IndexOptions) -> CoreResult<()> {
+    if disk.page_size() == opts.page_size {
+        return Ok(());
+    }
+    Err(CoreError::BadConfig(format!(
+        "disk page size {} != configured {}",
+        disk.page_size(),
+        opts.page_size
+    )))
+}
+
+/// The disk the log writes through and the anchor its chain starts at:
+/// the caller's log disk from its first page, or the data disk from the
+/// page reserved right after the metadata page.
+pub(crate) fn log_site(
+    data: &Arc<dyn DiskBackend>,
+    log_disk: Option<&Arc<dyn DiskBackend>>,
+    opts: &IndexOptions,
+) -> CoreResult<(Arc<dyn DiskBackend>, PageId)> {
+    match log_disk {
+        Some(log) => {
+            check_page_size(log.as_ref(), opts)?;
+            Ok((log.clone(), LOG_DISK_ANCHOR))
+        }
+        None => Ok((data.clone(), WAL_ANCHOR)),
+    }
+}
+
+fn log_disk_without_log() -> CoreError {
+    CoreError::BadConfig(
+        "a log disk was given, but the index is not durable or keeps its log in place".into(),
+    )
 }
 
 /// Register the buffer pool as the log's durable-LSN watcher: background

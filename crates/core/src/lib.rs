@@ -45,6 +45,7 @@ mod concurrent;
 mod config;
 pub mod cost_model;
 mod error;
+mod files;
 mod gbu;
 mod handle;
 mod index;
@@ -67,10 +68,11 @@ pub use config::{
     WalOptions,
 };
 pub use error::{CoreError, CoreResult};
+pub use files::{log_path, IndexFiles};
 pub use gbu::iextend_mbr;
 pub use handle::{Bur, CommitTicket, NeighborCursor, QueryCursor};
 pub use index::{RTreeIndex, RecoveryReport};
-pub use meta::WAL_ANCHOR;
+pub use meta::{LOG_DISK_ANCHOR, WAL_ANCHOR};
 // Re-exported so durability consumers need no direct `bur-wal` dependency.
 pub use bur_wal::{DeltaPolicy, WalStatsSnapshot, WalWaiter};
 pub use knn::Neighbor;

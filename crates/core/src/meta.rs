@@ -18,10 +18,16 @@ pub(crate) const META_MAGIC: u64 = 0x4255_5254_5245_4531;
 /// The metadata chain head: always page 0.
 pub(crate) const META_PAGE: PageId = 0;
 
-/// The write-ahead-log anchor page of a durable index: always page 1
-/// (allocated right after the metadata page, before any tree page).
-/// Public because log shippers (`bur-repl`) tail the chain headed here.
+/// The write-ahead-log anchor page of a durable index that keeps its log
+/// on its own page disk: always page 1 (allocated right after the
+/// metadata page, before any tree page). Public because log shippers
+/// (`bur-repl`) tail the chain headed here.
 pub const WAL_ANCHOR: PageId = 1;
+
+/// The anchor of a log that lives on a disk of its own (a `.bur.wal`
+/// sidecar, [`crate::IndexBuilder::log_disk`]): the first page the log
+/// allocates there.
+pub const LOG_DISK_ANCHOR: PageId = 0;
 
 /// All index state that lives outside the tree pages.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -42,6 +48,11 @@ pub(crate) struct MetaSnapshot {
     pub free_pages: Vec<PageId>,
     /// WAL anchor page, or [`INVALID_PAGE`] for a non-durable index.
     pub wal_anchor: PageId,
+    /// `true` when `wal_anchor` names a page of a separate log disk, not
+    /// of the disk this snapshot is stored on. Where the log lives is a
+    /// property of the file, like durability itself: files written before
+    /// the log moved out read `false` and keep logging in place.
+    pub log_elsewhere: bool,
 }
 
 impl MetaSnapshot {
@@ -55,8 +66,9 @@ impl MetaSnapshot {
         let mut payload = Vec::with_capacity(44 + 4 * self.free_pages.len());
         payload.extend_from_slice(&META_MAGIC.to_le_bytes());
         payload.extend_from_slice(&(self.page_size as u32).to_le_bytes());
-        let flags: u32 =
-            u32::from(self.stored_hash()) | (u32::from(self.wal_anchor != INVALID_PAGE) << 1);
+        let flags: u32 = u32::from(self.stored_hash())
+            | (u32::from(self.wal_anchor != INVALID_PAGE) << 1)
+            | (u32::from(self.log_elsewhere) << 2);
         payload.extend_from_slice(&flags.to_le_bytes());
         payload.extend_from_slice(&self.root.to_le_bytes());
         payload.extend_from_slice(&u32::from(self.height).to_le_bytes());
@@ -96,9 +108,11 @@ impl MetaSnapshot {
             hash_head,
             free_pages,
             wal_anchor,
+            log_elsewhere: flags & 4 != 0,
         };
         if snap.stored_hash() != (flags & 1 != 0)
             || (snap.wal_anchor != INVALID_PAGE) != (flags & 2 != 0)
+            || (snap.log_elsewhere && snap.wal_anchor == INVALID_PAGE)
         {
             return Err(CoreError::BadConfig(
                 "corrupt index metadata (flag mismatch)".into(),
@@ -258,10 +272,18 @@ mod tests {
             hash_head: 42,
             free_pages: vec![9, 11, 13],
             wal_anchor: 1,
+            log_elsewhere: false,
         };
         let decoded = MetaSnapshot::decode(&snap.encode()).unwrap();
         assert_eq!(decoded, snap);
         assert!(decoded.stored_hash());
+
+        let sidecar = MetaSnapshot {
+            wal_anchor: LOG_DISK_ANCHOR,
+            log_elsewhere: true,
+            ..snap.clone()
+        };
+        assert_eq!(MetaSnapshot::decode(&sidecar.encode()).unwrap(), sidecar);
 
         let bare = MetaSnapshot {
             hash_head: INVALID_PAGE,
@@ -286,6 +308,7 @@ mod tests {
             hash_head: INVALID_PAGE,
             free_pages: vec![],
             wal_anchor: INVALID_PAGE,
+            log_elsewhere: false,
         };
         let mut bytes = snap.encode();
         bytes.truncate(bytes.len() - 2);

@@ -15,14 +15,16 @@
 //! * [`RTreeIndex::install_replica_snapshot`] — advance the view to a
 //!   newer replicated snapshot (the follower's apply watermark);
 //! * [`RTreeIndex::promote_replica`] — rebuild the summary structure /
-//!   hash index / parent pointers the target strategy needs, reattach
-//!   and rewind the write-ahead log at the [`WAL_ANCHOR`], and
-//!   checkpoint: the replica becomes an ordinary writable index.
+//!   hash index / parent pointers the target strategy needs, attach a
+//!   write-ahead log (the copied chain at the [`crate::WAL_ANCHOR`], or
+//!   a fresh one on the replica's own log disk) and checkpoint: the
+//!   replica becomes an ordinary writable index.
 
 use crate::config::{Durability, IndexOptions, UpdateStrategy};
 use crate::error::{CoreError, CoreResult};
-use crate::index::{attach_durable_watcher, rebuild_memory_state, RTreeIndex};
-use crate::meta::{read_meta_chain, MetaSnapshot, WAL_ANCHOR};
+use crate::files::stored_snapshot;
+use crate::index::{attach_durable_watcher, log_site, rebuild_memory_state, RTreeIndex};
+use crate::meta::MetaSnapshot;
 use crate::stats::OpStats;
 use crate::summary::SummaryStructure;
 use crate::tree::{RTree, WalHandle};
@@ -116,16 +118,24 @@ impl RTreeIndex {
     ///    summary structure, object-id hash index, LBU parent pointers)
     ///    from a tree scan — the replicated hash directory is rebuilt
     ///    rather than trusted, exactly as recovery does;
-    /// 2. with [`Durability::Wal`] options, reattach the log at the
-    ///    [`WAL_ANCHOR`] and checkpoint-rewind it: the (stale, copied)
-    ///    log chain is recycled under a fresh generation whose base
-    ///    image is the replica's current pages;
+    /// 2. with [`Durability::Wal`] options, attach a log and
+    ///    checkpoint-rewind it under a fresh generation whose base image
+    ///    is the replica's current pages. `log_disk: None` reattaches the
+    ///    (stale) chain at the [`crate::WAL_ANCHOR`] that the base copy
+    ///    of a primary logging in place brought along; a primary that keeps
+    ///    its log elsewhere copies no such chain, so its replica needs an
+    ///    (empty) log disk of its own — `Some(disk)` — and fails closed
+    ///    without one rather than rewinding over a live tree page;
     /// 3. otherwise persist, so the metadata chain matches the adopted
     ///    state.
     ///
     /// `opts.page_size` must match the view's. Fails on an index that
     /// already has a log attached (it is not a replica view).
-    pub fn promote_replica(&mut self, opts: IndexOptions) -> CoreResult<()> {
+    pub fn promote_replica(
+        &mut self,
+        opts: IndexOptions,
+        log_disk: Option<Arc<dyn DiskBackend>>,
+    ) -> CoreResult<()> {
         opts.validate()?;
         if opts.page_size != self.tree.opts.page_size {
             return Err(CoreError::BadConfig(format!(
@@ -150,28 +160,39 @@ impl RTreeIndex {
         };
         self.tree.summary = opts.strategy.needs_summary().then(SummaryStructure::new);
         rebuild_memory_state(&mut self.tree, opts.strategy.needs_hash_index())?;
-        // The copied disk carries the primary's old metadata chain; walk
-        // it defensively (it may be mid-checkpoint garbage) and recycle
-        // its continuation pages instead of leaking them — the same
-        // pattern recovery uses.
-        self.tree.meta_chain_pages = read_meta_chain(&self.tree.pool)
-            .ok()
-            .filter(|(payload, _)| MetaSnapshot::decode(payload).is_ok())
-            .map(|(_, pages)| pages)
-            .unwrap_or_default();
+        // The copied disk carries the primary's old metadata chain; it
+        // may be mid-checkpoint garbage, so recycle its continuation
+        // pages only when it round-trips — the same pattern recovery uses.
+        self.tree.meta_chain_pages =
+            stored_snapshot(&self.tree.pool).map_or_else(Vec::new, |(_, pages)| pages);
         match opts.durability {
             Durability::Wal(wopts) => {
-                let disk = self.tree.pool.disk().clone();
-                if disk.num_pages() <= WAL_ANCHOR {
-                    return Err(CoreError::BadConfig(
-                        "promote_replica: replica disk has no WAL anchor page".into(),
-                    ));
-                }
-                let (wal, _scanned) = Wal::reopen_with(disk, WAL_ANCHOR, wopts.sync, wopts.delta)?;
+                let (log, anchor) = log_site(self.tree.pool.disk(), log_disk.as_ref(), &opts)?;
+                let wal = if log_disk.is_some() {
+                    if log.num_pages() != 0 {
+                        return Err(CoreError::BadConfig(
+                            "promote_replica: the replica's log disk must be empty".into(),
+                        ));
+                    }
+                    Wal::create_with(log, wopts.sync, wopts.delta)?
+                } else {
+                    // The copied chain may still sit in the pool's frames;
+                    // the scan below reads the disk.
+                    self.tree.pool.flush_all()?;
+                    let (wal, scanned) = Wal::reopen_with(log, anchor, wopts.sync, wopts.delta)?;
+                    if !scanned.valid {
+                        return Err(CoreError::LogMissing(
+                            "promote_replica: the replica disk carries no log chain (the \
+                             primary keeps its log elsewhere); give the replica a log disk"
+                                .into(),
+                        ));
+                    }
+                    wal
+                };
                 wal.set_async_coalesce(wopts.async_coalesce);
                 attach_durable_watcher(&wal, &self.tree.pool);
                 self.tree.pool.set_wal_mode(true);
-                self.tree.wal = Some(WalHandle::new(wal, wopts));
+                self.tree.wal = Some(WalHandle::new(wal, wopts, log_disk.is_some()));
                 self.tree.wal_checkpoint()?;
             }
             Durability::None => self.persist()?,
@@ -248,7 +269,7 @@ mod tests {
         let (primary, disk, meta) = durable_primary();
         let copy = clone_disk(disk.as_ref());
         let mut view = crate::RTreeIndex::replica_view(copy.clone(), 64, &meta).unwrap();
-        view.promote_replica(IndexOptions::durable()).unwrap();
+        view.promote_replica(IndexOptions::durable(), None).unwrap();
         assert!(view.is_durable());
         assert!(view.summary().is_some(), "GBU summary rebuilt");
         view.validate().unwrap();
@@ -278,7 +299,7 @@ mod tests {
             let (_primary, disk, meta) = durable_primary();
             let copy = clone_disk(disk.as_ref());
             let mut view = crate::RTreeIndex::replica_view(copy, 64, &meta).unwrap();
-            view.promote_replica(opts).unwrap();
+            view.promote_replica(opts, None).unwrap();
             view.validate().unwrap();
             // Non-durable promote persists: a clean open works.
             assert!(!view.is_durable());
@@ -289,7 +310,7 @@ mod tests {
     fn promote_rejects_an_already_writable_index() {
         let (mut primary, _disk, _meta) = durable_primary();
         let err = primary
-            .promote_replica(IndexOptions::durable())
+            .promote_replica(IndexOptions::durable(), None)
             .unwrap_err();
         assert!(err.to_string().contains("already has"), "{err}");
     }

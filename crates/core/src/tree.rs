@@ -46,6 +46,10 @@ pub(crate) struct WalHandle {
     pub(crate) wal: Wal,
     /// Sync cadence, checkpoint interval, delta policy.
     pub(crate) opts: WalOptions,
+    /// `true` when the log writes to a disk of its own, not the pool's
+    /// (recorded in every metadata snapshot so a later open knows where
+    /// to look — see [`MetaSnapshot::log_elsewhere`]).
+    pub(crate) log_elsewhere: bool,
     /// Committed operations since the last checkpoint (drives the
     /// cadence). Atomic because concurrent leaf-local batches bump it
     /// through a shared reference ([`RTree::wal_commit_pages`]).
@@ -67,10 +71,11 @@ pub(crate) struct WalHandle {
 
 impl WalHandle {
     /// Wrap a log with fresh bookkeeping (no pending ops, cadence at 0).
-    pub(crate) fn new(wal: Wal, opts: WalOptions) -> Self {
+    pub(crate) fn new(wal: Wal, opts: WalOptions, log_elsewhere: bool) -> Self {
         Self {
             wal,
             opts,
+            log_elsewhere,
             commits_since_checkpoint: AtomicU64::new(0),
             pending_ops: 0,
             in_batch: false,
@@ -383,6 +388,7 @@ impl RTree {
             hash_head,
             free_pages: self.free_pages.clone(),
             wal_anchor: self.wal.as_ref().map_or(INVALID_PAGE, |h| h.wal.anchor()),
+            log_elsewhere: self.wal.as_ref().is_some_and(|h| h.log_elsewhere),
         }
     }
 
@@ -547,13 +553,19 @@ impl RTree {
 
     /// Fuzzy checkpoint: make the log durable, persist the hash
     /// directory and metadata chain (recycling the superseded chains'
-    /// pages), flush every frame (the disk becomes a complete base
-    /// image), then rewind the log onto its own pages. No-op without a
+    /// pages), flush every frame and sync the data disk (it becomes a
+    /// complete base image), then rewind the log onto its own pages.
+    /// That order is the whole two-file argument: the old generation
+    /// stays replayable until the base image that supersedes it is on
+    /// the platter, and this is the only place the data disk is synced —
+    /// a commit syncs the log's disk and nothing else. No-op without a
     /// WAL.
     pub(crate) fn wal_checkpoint(&mut self) -> CoreResult<()> {
         if self.wal.is_none() {
             return Ok(());
         }
+        let started = std::time::Instant::now();
+        let writes_before = self.pool.stats().snapshot().writes;
         {
             let handle = self.wal.as_mut().expect("checked above");
             // Ops left pending by a failed flush need no commit record:
@@ -576,6 +588,10 @@ impl RTree {
         handle.wal.checkpoint_rewind(payload)?;
         handle.commits_since_checkpoint.store(0, Ordering::Relaxed);
         self.pool.set_durable_lsn(handle.wal.durable_lsn());
+        handle.wal.note_checkpoint(
+            started.elapsed(),
+            self.pool.stats().snapshot().writes - writes_before,
+        );
         Ok(())
     }
 

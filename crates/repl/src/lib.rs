@@ -1,8 +1,9 @@
 //! # bur-repl — warm-standby replication for `bur` indexes
 //!
 //! The `bur-wal` log is a self-describing, CRC-framed, generation-tagged
-//! record stream living on the primary's own page disk. This crate ships
-//! that stream to a **follower**: a second index image on its own disk
+//! record stream living on the primary's page disk or, for an index on a
+//! real file, in the `.wal` sidecar beside it. This crate ships that
+//! stream to a **follower**: a second index image on its own disk
 //! that redoes the primary's page records and serves read-only window /
 //! kNN queries from a consistent committed prefix — and, at failover,
 //! promotes into a fully writable primary.
@@ -71,7 +72,7 @@
 
 #![warn(missing_docs)]
 
-use bur_core::{Bur, CoreError, IndexOptions, RTreeIndex, WAL_ANCHOR};
+use bur_core::{Bur, CoreError, IndexOptions, RTreeIndex, LOG_DISK_ANCHOR, WAL_ANCHOR};
 use bur_storage::{DiskBackend, Lsn, MemDisk, PageId, StorageError};
 use bur_wal::{apply_delta, LogCursor, WalRecord};
 use std::collections::HashMap;
@@ -172,11 +173,15 @@ pub struct ApplyReport {
 
 /// Tails a primary's write-ahead log for shipping (see the crate docs).
 ///
-/// The shipper only ever *reads* the primary's disk; it holds no lock
+/// The shipper only ever *reads* the primary's disks; it holds no lock
 /// and no reference into the primary's index, so it can run in any
 /// thread — or any process that can see the pages.
 pub struct LogShipper {
+    /// The primary's data pages: the base image followers resync from.
     disk: Arc<dyn DiskBackend>,
+    /// The disk the cursor tails — `disk` again when the primary logs in
+    /// place.
+    log: Arc<dyn DiskBackend>,
     cursor: LogCursor,
 }
 
@@ -191,14 +196,37 @@ impl fmt::Debug for LogShipper {
 }
 
 impl LogShipper {
-    /// Tail the log of the durable index living on `primary` (the chain
-    /// anchored at [`WAL_ANCHOR`]).
+    /// Tail the log of a durable index that logs in place on `primary`
+    /// (the chain anchored at [`WAL_ANCHOR`]) — every index built through
+    /// `IndexBuilder::disk(..)` without a log disk.
     #[must_use]
     pub fn new(primary: Arc<dyn DiskBackend>) -> Self {
         Self {
             cursor: LogCursor::new(WAL_ANCHOR),
+            log: primary.clone(),
             disk: primary,
         }
+    }
+
+    /// Tail the log of a durable index whose log lives on a disk of its
+    /// own (the chain anchored at [`LOG_DISK_ANCHOR`] of `log`): records
+    /// come from `log`, base images from `primary`. For an index file,
+    /// `bur_core::IndexFiles` resolves the pair.
+    #[must_use]
+    pub fn with_log_disk(primary: Arc<dyn DiskBackend>, log: Arc<dyn DiskBackend>) -> Self {
+        Self {
+            cursor: LogCursor::new(LOG_DISK_ANCHOR),
+            log,
+            disk: primary,
+        }
+    }
+
+    /// `true` when the primary keeps its log on a disk of its own — its
+    /// base image then carries no log chain a promoted replica could
+    /// reattach.
+    #[must_use]
+    pub fn logs_elsewhere(&self) -> bool {
+        !Arc::ptr_eq(&self.disk, &self.log)
     }
 
     /// The primary's disk (what followers resync their base image from).
@@ -216,7 +244,7 @@ impl LogShipper {
     /// Ship everything appended since the last poll. An empty
     /// [`ShipBatch::records`] means the follower is caught up.
     pub fn poll(&mut self) -> ReplResult<ShipBatch> {
-        self.cursor.poll(self.disk.as_ref()).map_err(|e| match &e {
+        self.cursor.poll(self.log.as_ref()).map_err(|e| match &e {
             StorageError::Io(io) if io.to_string().contains("not a write-ahead log") => {
                 ReplError::NotDurable
             }
@@ -233,6 +261,9 @@ pub struct Follower {
     primary: Arc<dyn DiskBackend>,
     /// The replica's own disk, wrapped by `bur`'s buffer pool.
     bur: Bur,
+    /// Where the promoted replica will keep its log when the base image
+    /// brings none along (the primary logs elsewhere); empty until then.
+    log_disk: Option<Arc<dyn DiskBackend>>,
     /// Options the follower promotes with (strategy, durability, ...).
     opts: IndexOptions,
     /// Generation currently being applied.
@@ -263,9 +294,35 @@ impl Follower {
     /// and apply its surviving records. `opts` is the configuration the
     /// follower will [`Follower::promote`] with; its page size must
     /// match the primary's.
+    ///
+    /// A primary that logs in place hands the replica a copy of its log
+    /// chain with the base image, and promotion recycles it. A primary
+    /// that logs elsewhere ([`LogShipper::with_log_disk`]) does not:
+    /// promoting its replica with durable options needs
+    /// [`Follower::attach_with_log_disk`].
     pub fn attach(
         shipper: &mut LogShipper,
         replica: Arc<dyn DiskBackend>,
+        opts: IndexOptions,
+    ) -> ReplResult<Self> {
+        Self::attach_inner(shipper, replica, None, opts)
+    }
+
+    /// [`Follower::attach`], with an (empty) disk for the log the
+    /// promoted replica will write — the replica's own `.wal` sidecar.
+    pub fn attach_with_log_disk(
+        shipper: &mut LogShipper,
+        replica: Arc<dyn DiskBackend>,
+        replica_log: Arc<dyn DiskBackend>,
+        opts: IndexOptions,
+    ) -> ReplResult<Self> {
+        Self::attach_inner(shipper, replica, Some(replica_log), opts)
+    }
+
+    fn attach_inner(
+        shipper: &mut LogShipper,
+        replica: Arc<dyn DiskBackend>,
+        log_disk: Option<Arc<dyn DiskBackend>>,
         opts: IndexOptions,
     ) -> ReplResult<Self> {
         let ps = shipper.primary().page_size();
@@ -304,6 +361,7 @@ impl Follower {
                 opts.buffer_frames,
                 &meta,
             )?),
+            log_disk,
             opts,
             generation: batch.generation,
             applied_lsn: *first_lsn,
@@ -322,10 +380,14 @@ impl Follower {
     }
 
     /// [`Follower::attach`] onto a fresh in-memory disk sized like the
-    /// primary's pages.
+    /// primary's pages (and a second one for the replica's log when the
+    /// primary logs elsewhere).
     pub fn attach_in_memory(shipper: &mut LogShipper, opts: IndexOptions) -> ReplResult<Self> {
-        let disk = Arc::new(MemDisk::new(shipper.primary().page_size()));
-        Self::attach(shipper, disk, opts)
+        let ps = shipper.primary().page_size();
+        let log_disk = shipper
+            .logs_elsewhere()
+            .then(|| Arc::new(MemDisk::new(ps)) as Arc<dyn DiskBackend>);
+        Self::attach_inner(shipper, Arc::new(MemDisk::new(ps)), log_disk, opts)
     }
 
     /// A read-only handle on the replica for query threads. Clones stay
@@ -453,8 +515,13 @@ impl Follower {
     /// immediately; with durable options its write-ahead log starts a
     /// fresh generation over the adopted state.
     pub fn promote(self) -> ReplResult<Bur> {
-        let Follower { bur, opts, .. } = self;
-        bur.promote_replica(opts)?;
+        let Follower {
+            bur,
+            opts,
+            log_disk,
+            ..
+        } = self;
+        bur.promote_replica(opts, log_disk)?;
         Ok(bur)
     }
 
@@ -727,6 +794,50 @@ mod tests {
         assert_eq!(follower.stats().resyncs, resyncs_before + 1);
         assert_eq!(follower.handle().len(), 80);
         follower.handle().validate().unwrap();
+    }
+
+    #[test]
+    fn follower_of_a_primary_that_logs_elsewhere_ships_resyncs_and_promotes() {
+        let data = Arc::new(MemDisk::new(PAGE));
+        let log = Arc::new(MemDisk::new(PAGE));
+        let primary = IndexBuilder::generalized()
+            .durable()
+            .disk(data.clone())
+            .log_disk(log.clone())
+            .build()
+            .unwrap();
+        primary.apply(&grid_batch(0..40)).unwrap().wait().unwrap();
+
+        // Records come from the log disk, base images from the data disk.
+        let mut shipper = LogShipper::with_log_disk(data.clone(), log);
+        assert!(shipper.logs_elsewhere());
+        let mut follower =
+            Follower::attach_in_memory(&mut shipper, IndexOptions::durable()).unwrap();
+        primary.checkpoint().unwrap(); // rewind → resync from the data disk
+        primary.apply(&grid_batch(40..80)).unwrap().wait().unwrap();
+        follower.catch_up(&mut shipper).unwrap();
+        assert_eq!(follower.handle().len(), 80);
+        assert!(follower.stats().resyncs >= 2);
+
+        // The base image carries no log chain, so the promoted replica
+        // logs to the disk attach gave it — and a replica without one
+        // fails closed instead of rewinding over a tree page.
+        let promoted = follower.promote().unwrap();
+        promoted.insert(900, Point::new(0.5, 0.5)).unwrap();
+        assert!(promoted.wait_durable().unwrap() > 0);
+        promoted.validate().unwrap();
+
+        let mut shipper = LogShipper::with_log_disk(data, shipper.log.clone());
+        let bare = Follower::attach(
+            &mut shipper,
+            Arc::new(MemDisk::new(PAGE)),
+            IndexOptions::durable(),
+        )
+        .unwrap();
+        assert!(matches!(
+            bare.promote(),
+            Err(ReplError::Core(CoreError::LogMissing(_)))
+        ));
     }
 
     #[test]

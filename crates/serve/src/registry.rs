@@ -181,6 +181,9 @@ impl Entry {
 /// Named indexes in one data directory. A plain index lives at
 /// `<root>/<name>.bur`; a sharded one at `<root>/<name>.s<k>.bur` (one
 /// file per shard) plus the `<root>/<name>.shardmap` routing manifest.
+/// Every durable `.bur` file is a pair: its write-ahead log sits beside
+/// it in `<file>.wal` (`bur_core::log_path`), opened and created with it
+/// by `IndexBuilder::file` and never listed as an index of its own.
 /// Opening is idempotent and crash-safe (`Open` mode replays each write-
 /// ahead log; an interrupted shard migration rolls back or forward from
 /// the manifest).
@@ -443,7 +446,8 @@ impl IndexRegistry {
     /// Every index this registry knows about: open entries plus index
     /// files on disk, as `(name, open)` pairs sorted by name. A sharded
     /// index appears once under its logical name (its `<name>.s<k>.bur`
-    /// shard files are not listed individually).
+    /// shard files are not listed individually), and a `.bur.wal` log
+    /// sidecar is part of its index, not an entry.
     pub fn list(&self) -> ServeResult<Vec<(String, bool)>> {
         let mut names: BTreeMap<String, bool> = self
             .entries
@@ -539,6 +543,7 @@ mod tests {
             .expect("apply");
         assert_eq!(entry.bur.len(), 1);
         reg.close("fleet").expect("close");
+        assert!(root.join("fleet.bur.wal").exists(), "durable = a file pair");
         assert_eq!(reg.list().expect("list"), vec![("fleet".into(), false)]);
         // Reopen from disk; the insert survived.
         let entry = plain(reg.open("fleet").expect("reopen"));

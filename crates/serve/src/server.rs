@@ -526,7 +526,8 @@ fn serve_request(
         }
         Request::Metrics => {
             // The server-wide dump plus the per-shard gauges of every
-            // open sharded index, and the escalation total across every
+            // open sharded index, the log gauges of every open durable
+            // index, and the escalation total across every
             // open index (the shared write path's contention tripwire).
             let mut text = ctx.metrics.render();
             let mut escalations = 0u64;
@@ -534,6 +535,7 @@ fn serve_request(
                 match entry {
                     Entry::Plain(e) => {
                         escalations += e.bur.with_op_stats(|s| s.snapshot()).escalations;
+                        wal_gauges(&mut text, &format!("index=\"{}\"", e.name), &e.bur);
                     }
                     Entry::Sharded(e) => {
                         for k in 0..e.sharded.shard_count() {
@@ -732,15 +734,32 @@ fn index_stats_text(entry: &crate::registry::IndexEntry) -> String {
     gauge("coalescer_dedup_sessions", co.dedup_sessions);
     gauge("coalescer_queued_ops", co.queued_ops);
     gauge("degraded", u64::from(entry.coalescer.is_degraded()));
-    if let Some(wal) = bur.wal_stats() {
-        gauge("wal_records", wal.records);
-        gauge("wal_commits", wal.commits);
-        gauge("wal_syncs", wal.syncs);
-        gauge("wal_checkpoints", wal.checkpoints);
-        gauge("wal_last_lsn", wal.last_lsn);
-        gauge("wal_durable_lsn", wal.durable_lsn);
-    }
+    wal_gauges(&mut out, &format!("index=\"{label}\""), bur);
     out
+}
+
+/// The write-ahead-log gauges of one index or shard (nothing for a
+/// volatile one), labelled `labels`. The two `_seconds_total` gauges are
+/// where a durable update's time goes besides the tree: inside `fsync` on
+/// the log's disk, and inside checkpoints (which is where the data disk
+/// is flushed and synced).
+fn wal_gauges(out: &mut String, labels: &str, bur: &bur_core::Bur) {
+    let Some(wal) = bur.wal_stats() else {
+        return;
+    };
+    let mut gauge = |name: &str, v: &dyn std::fmt::Display| {
+        out.push_str(&format!("bur_wal_{name}{{{labels}}} {v}\n"));
+    };
+    let seconds = |nanos: u64| format!("{}.{:09}", nanos / 1_000_000_000, nanos % 1_000_000_000);
+    gauge("records", &wal.records);
+    gauge("commits", &wal.commits);
+    gauge("syncs", &wal.syncs);
+    gauge("sync_seconds_total", &seconds(wal.sync_nanos));
+    gauge("checkpoints", &wal.checkpoints);
+    gauge("checkpoint_seconds_total", &seconds(wal.checkpoint_nanos));
+    gauge("checkpoint_pages_flushed", &wal.checkpoint_pages_flushed);
+    gauge("last_lsn", &wal.last_lsn);
+    gauge("durable_lsn", &wal.durable_lsn);
 }
 
 /// The `stats` opcode's plaintext gauge dump for one sharded index:
@@ -793,6 +812,11 @@ fn shard_gauges(entry: &ShardedEntry) -> String {
         gauge(
             "shard_degraded",
             u64::from(entry.coalescers[k].is_degraded()),
+        );
+        wal_gauges(
+            &mut out,
+            &format!("index=\"{label}\",shard=\"{k}\""),
+            entry.sharded.shard(k),
         );
     }
     // Milli-units: the gauge grammar is integer-only.

@@ -6,9 +6,16 @@
 //! can tear the tree, and GBU's main-memory summary structure simply
 //! vanishes. This crate adds the missing durability layer:
 //!
-//! * [`Wal`] — a page-oriented, physiological write-ahead log that lives
-//!   on the **same page disk** as the index it protects (so a single
-//!   simulated power cut covers both), chained from a fixed anchor page;
+//! * [`Wal`] — a page-oriented, physiological write-ahead log written
+//!   through whatever [`DiskBackend`](bur_storage::DiskBackend) it is
+//!   handed, chained from the anchor page it allocates there. That may be
+//!   the page disk of the index it protects (one simulated power cut then
+//!   covers both) or a disk of its own — a `.bur` file keeps its log in a
+//!   `.bur.wal` sidecar, so a commit's `fsync` pushes the sequential log
+//!   and not the randomly placed data pages the pool evicted. The log
+//!   only ever syncs *its* disk; ordering against the data disk is the
+//!   caller's checkpoint protocol (sync the log → flush and sync the data
+//!   → rewind the log);
 //! * **records** ([`WalRecord`]) — LSN-stamped page images plus commit
 //!   and checkpoint records that carry an opaque metadata snapshot of the
 //!   index (root, height, object count, ...);

@@ -142,6 +142,9 @@ struct WalCounters {
     page_writes: AtomicU64,
     bytes_appended: AtomicU64,
     rewinds: AtomicU64,
+    sync_nanos: AtomicU64,
+    checkpoint_nanos: AtomicU64,
+    checkpoint_pages_flushed: AtomicU64,
 }
 
 /// A point-in-time view of a [`Wal`]'s counters and positions.
@@ -178,6 +181,15 @@ pub struct WalStatsSnapshot {
     pub generation: u32,
     /// Pages owned by the log (current chain + recycled spares).
     pub log_pages: usize,
+    /// Nanoseconds spent inside [`DiskBackend::sync`] on the log's disk
+    /// (commit syncs, checkpoint syncs and background syncs alike).
+    pub sync_nanos: u64,
+    /// Nanoseconds the owning index spent in whole checkpoints (log sync,
+    /// metadata persist, pool flush, data sync, rewind), as reported
+    /// through [`Wal::note_checkpoint`].
+    pub checkpoint_nanos: u64,
+    /// Data pages those checkpoints wrote back from the buffer pool.
+    pub checkpoint_pages_flushed: u64,
 }
 
 impl fmt::Display for WalStatsSnapshot {
@@ -364,11 +376,21 @@ impl WalShared {
             self.write_cur_page(inner, INVALID_PAGE)?;
             inner.dirty_tail = false;
         }
-        self.disk.sync()?;
+        self.timed_disk_sync()?;
         inner.durable_lsn = inner.last_lsn;
         inner.commits_since_sync = 0;
         self.counters.syncs.fetch_add(1, Ordering::Relaxed);
         Ok(())
+    }
+
+    /// Sync the log's disk, charging the wait to `sync_nanos`.
+    fn timed_disk_sync(&self) -> StorageResult<()> {
+        let started = Instant::now();
+        let synced = self.disk.sync();
+        self.counters
+            .sync_nanos
+            .fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        synced
     }
 
     fn notify_watcher(&self, lsn: Lsn) {
@@ -466,7 +488,7 @@ impl WalShared {
                 // ever extend its (append-only) stream.
                 inner.last_lsn
             };
-            let synced = self.disk.sync();
+            let synced = self.timed_disk_sync();
             let ok = synced.is_ok();
             {
                 let mut inner = self.inner.lock();
@@ -729,7 +751,23 @@ impl Wal {
             durable_lsn: inner.durable_lsn,
             generation: inner.generation,
             log_pages: inner.chain.len() + inner.spare.len(),
+            sync_nanos: c.sync_nanos.load(Ordering::Relaxed),
+            checkpoint_nanos: c.checkpoint_nanos.load(Ordering::Relaxed),
+            checkpoint_pages_flushed: c.checkpoint_pages_flushed.load(Ordering::Relaxed),
         }
+    }
+
+    /// Record one finished checkpoint of the index this log protects: how
+    /// long it took end to end and how many data pages the pool wrote
+    /// back. The log cannot see either (the flush happens on the data
+    /// disk), so the owner reports them here and they ride
+    /// [`WalStatsSnapshot`] beside the log's own counters.
+    pub fn note_checkpoint(&self, elapsed: Duration, pages_flushed: u64) {
+        let c = &self.shared.counters;
+        c.checkpoint_nanos
+            .fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
+        c.checkpoint_pages_flushed
+            .fetch_add(pages_flushed, Ordering::Relaxed);
     }
 
     /// Append one record; returns its LSN. The record is durable only

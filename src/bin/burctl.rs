@@ -32,6 +32,12 @@
 //! file, `promote` blesses a standby (or crashed primary) file as the
 //! new verified primary).
 //!
+//! A `--durable` index is a file *pair*: `<file>` and the write-ahead
+//! log beside it in `<file>.wal`. Every command takes the data file's
+//! path and resolves the sidecar the way `IndexBuilder::file` does
+//! (`bur::core::IndexFiles`); files written before the log moved out
+//! keep it inside the data file and have no sidecar.
+//!
 //! The serving trio talks the `burd` wire protocol: `serve` runs the
 //! server in the foreground over a data directory of named indexes
 //! (equivalent to the standalone `burd` binary), `ping` checks a
@@ -52,10 +58,10 @@
 //! directly to migrate a key range or run the imbalance heuristic —
 //! run those two only against a **stopped** server.
 
-use bur::core::{Batch, IndexBuilder, IndexOptions, RTreeIndex};
+use bur::core::{log_path, Batch, IndexBuilder, IndexFiles, IndexOptions, RTreeIndex};
 use bur::geom::{Point, Rect};
 use bur::repl::{Follower, LogShipper};
-use bur::storage::FileDisk;
+use bur::storage::{DiskBackend, FileDisk};
 use bur::wal::WalRecord;
 use bur::workload::{Workload, WorkloadConfig};
 use std::io::BufRead;
@@ -120,8 +126,9 @@ fn usage() -> ExitCode {
          incremental cursor (surviving checkpoint rewinds via generation\n\
          tags), redoes every shipped record commit-by-commit onto\n\
          <replica-file>, and finally promotes the clone so it stands alone\n\
-         as a valid durable index. promote turns any durable standby (or\n\
-         crashed primary) file into a verified primary: it replays the\n\
+         as a valid durable index (with its own <replica-file>.wal when the\n\
+         primary keeps its log in a sidecar). promote turns any durable\n\
+         standby (or crashed primary) file into a verified primary: it replays the\n\
          file's own log to the last durable commit, rebuilds the memory\n\
          state the strategy needs, validates every invariant, and\n\
          checkpoints a fresh log generation.\n\
@@ -135,7 +142,8 @@ fn usage() -> ExitCode {
          group commit record — after a crash it recovers entirely or not at\n\
          all — and the commit ticket is awaited (hard durability ack).\n\
          \n\
-         wal-stats reads the write-ahead log of a --durable file and reports,\n\
+         wal-stats reads the write-ahead log of a --durable file (from its\n\
+         <file>.wal sidecar, or from inside an older file) and reports,\n\
          besides the generation / page / LSN figures: full-image vs delta\n\
          record counts (`N full images, M deltas`), the wire bytes the delta\n\
          encoder spent and saved versus full-image logging (`delta bytes`),\n\
@@ -496,17 +504,26 @@ fn cmd_replicate(primary_path: &str, rest: &[String]) -> Result<(), String> {
     };
     let opts = IndexOptions::generalized()
         .with_durability(bur::core::Durability::Wal(bur::core::WalOptions::default()));
-    let primary: Arc<dyn bur::storage::DiskBackend> = Arc::new(
-        FileDisk::open(primary_path, opts.page_size)
-            .map_err(|e| format!("cannot open {primary_path}: {e}"))?,
-    );
-    let replica: Arc<dyn bur::storage::DiskBackend> = Arc::new(
-        FileDisk::create(replica_path, opts.page_size)
-            .map_err(|e| format!("cannot create {replica_path}: {e}"))?,
-    );
-    let mut shipper = LogShipper::new(primary);
-    let mut follower =
-        Follower::attach(&mut shipper, replica, opts).map_err(|e| format!("attach: {e}"))?;
+    let create = |path: &std::path::Path| -> Result<Arc<dyn DiskBackend>, String> {
+        Ok(Arc::new(FileDisk::create(path, opts.page_size).map_err(
+            |e| format!("cannot create {}: {e}", path.display()),
+        )?))
+    };
+    // The primary is a file pair; the replica becomes one of the same shape.
+    let primary = IndexFiles::open(primary_path.as_ref(), opts.page_size)
+        .map_err(|e| format!("cannot load {primary_path}: {e}"))?;
+    let replica = create(replica_path.as_ref())?;
+    let mut shipper = match primary.sidecar {
+        Some(log) => LogShipper::with_log_disk(primary.data, log),
+        None => LogShipper::new(primary.data),
+    };
+    let mut follower = if shipper.logs_elsewhere() {
+        let replica_log = create(&log_path(replica_path.as_ref()))?;
+        Follower::attach_with_log_disk(&mut shipper, replica, replica_log, opts)
+    } else {
+        Follower::attach(&mut shipper, replica, opts)
+    }
+    .map_err(|e| format!("attach: {e}"))?;
     follower
         .catch_up(&mut shipper)
         .map_err(|e| format!("ship: {e}"))?;
@@ -578,12 +595,14 @@ fn cmd_promote(path: &str, rest: &[String]) -> Result<(), String> {
 
 fn cmd_wal_stats(path: &str) -> Result<(), String> {
     let opts = IndexOptions::generalized();
-    let disk =
-        FileDisk::open(path, opts.page_size).map_err(|e| format!("cannot open {path}: {e}"))?;
+    let files = IndexFiles::open(path.as_ref(), opts.page_size)
+        .map_err(|e| format!("cannot load {path}: {e}"))?;
     let page_size = opts.page_size as u64;
-    let scan = bur::wal::scan(&disk, 1).map_err(|e| format!("scan: {e}"))?;
+    let no_log = "no write-ahead log in this file (built without --durable?)";
+    let scan = bur::wal::scan(files.log_disk().as_ref(), files.anchor.ok_or(no_log)?)
+        .map_err(|e| format!("scan: {e}"))?;
     if !scan.valid {
-        return Err("no write-ahead log in this file (built without --durable?)".into());
+        return Err(no_log.into());
     }
     let (mut images, mut deltas, mut commits, mut checkpoints) = (0u64, 0u64, 0u64, 0u64);
     let (mut delta_bytes, mut delta_saved) = (0u64, 0u64);
@@ -606,6 +625,9 @@ fn cmd_wal_stats(path: &str) -> Result<(), String> {
         }
     }
     println!("file          : {path}");
+    if files.sidecar.is_some() {
+        println!("log           : {}", log_path(path.as_ref()).display());
+    }
     println!("generation    : {}", scan.generation);
     println!("log pages     : {}", scan.pages.len());
     println!("stream bytes  : {}", scan.stream_bytes);

@@ -112,6 +112,10 @@ fn durable_build_recover_and_wal_stats() {
     let text = stdout(&out);
     assert!(text.contains("checkpoints)"), "{text}");
     assert!(text.contains("tail          : clean"), "{text}");
+    // The log it read is the sidecar of the file pair.
+    let sidecar = dir.file("durable.bur.wal");
+    assert!(sidecar.exists());
+    assert!(text.contains("durable.bur.wal"), "{text}");
 
     // recover: a no-op replay that still validates and checkpoints.
     let out = burctl(&["recover", path]);
@@ -145,6 +149,19 @@ fn durable_build_recover_and_wal_stats() {
     );
     let out = burctl(&["recover", plain_path]);
     assert!(!out.status.success());
+
+    // Without its sidecar a durable file is refused, not opened as of its
+    // last checkpoint.
+    std::fs::remove_file(&sidecar).unwrap();
+    for cmd in ["wal-stats", "recover", "validate"] {
+        let out = burctl(&[cmd, path]);
+        assert!(!out.status.success(), "{cmd} opened half a file pair");
+        assert!(
+            String::from_utf8_lossy(&out.stderr).contains("write-ahead log missing"),
+            "{cmd}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
 }
 
 #[test]
@@ -236,6 +253,10 @@ fn replicate_and_promote_subcommands() {
     assert!(text.contains("shipped"), "{text}");
     assert!(text.contains("warm-standby clone"), "{text}");
     assert!(text.contains("500 objects"), "{text}");
+    assert!(
+        dir.file("replica.bur.wal").exists(),
+        "the clone of a file pair is a file pair"
+    );
 
     // The clone answers queries exactly like the primary.
     let window = ["query", rpath, "0.0", "0.0", "0.5", "0.5"];

@@ -250,3 +250,155 @@ fn open_rejects_garbage_and_mismatched_page_size() {
         .unwrap_err();
     assert!(err.to_string().contains("page size"), "got: {err}");
 }
+
+// ---- the file pair: `<path>` + `<path>.wal` ---------------------------------
+
+/// A durable file written before the log moved out — built through
+/// `.disk(Arc<FileDisk>)`, so its log sits at page 1 and there is no
+/// sidecar — reopens through `.file(path)`, recovers the tail it never
+/// flushed, and keeps logging in place.
+#[test]
+fn parent_layout_durable_file_reopens_and_keeps_logging_in_place() {
+    let opts = IndexOptions::generalized().with_durability(Durability::Wal(WalOptions {
+        checkpoint_every: 1_000_000,
+        ..WalOptions::default()
+    }));
+    let dir = TempDir::new("persist");
+    let path = dir.file("old-layout.bur");
+    let sidecar = bur::core::log_path(&path);
+    let mut rng = StdRng::seed_from_u64(41);
+    let mut positions;
+    {
+        let disk = Arc::new(FileDisk::create(&path, opts.page_size).unwrap());
+        let mut index = IndexBuilder::with_options(opts)
+            .disk(disk)
+            .build_index()
+            .unwrap();
+        positions = populate(&mut index, &mut rng, 400);
+        index.checkpoint().unwrap();
+        // The unflushed tail: committed to the in-file log, not in the
+        // base image. Dropping without a checkpoint is the crash.
+        churn(&mut index, &mut positions, &mut rng, 300);
+    }
+    assert!(!sidecar.exists(), "the parent layout has no sidecar");
+
+    for round in 0..2 {
+        let mut index = IndexBuilder::with_options(IndexOptions::generalized())
+            .file(&path)
+            .open()
+            .build_index()
+            .unwrap();
+        assert!(index.is_durable(), "durability is the file's property");
+        assert_eq!(index.len(), 400);
+        index.validate().unwrap();
+        for (oid, p) in positions.iter().enumerate() {
+            assert!(
+                index.point_query(*p).unwrap().contains(&(oid as u64)),
+                "round {round}: acknowledged position of {oid} lost"
+            );
+        }
+        // Keeps working, again without a clean shutdown.
+        churn(&mut index, &mut positions, &mut rng, 200);
+        assert!(!sidecar.exists(), "an in-place log stays in place");
+    }
+    let files = bur::core::IndexFiles::open(&path, opts.page_size).unwrap();
+    assert!(files.sidecar.is_none());
+    assert_eq!(files.anchor, Some(bur::core::WAL_ANCHOR));
+}
+
+/// A new-layout file whose sidecar vanished fails closed with a typed
+/// error from every way in — never as an index rolled back to its last
+/// checkpoint, never as an empty one.
+#[test]
+fn missing_sidecar_fails_closed_with_a_typed_error() {
+    let dir = TempDir::new("persist");
+    let path = dir.file("pair.bur");
+    let sidecar = bur::core::log_path(&path);
+    {
+        let mut index = IndexBuilder::generalized()
+            .durable()
+            .file(&path)
+            .build_index()
+            .unwrap();
+        populate(&mut index, &mut StdRng::seed_from_u64(43), 200);
+    }
+    assert!(sidecar.exists(), "a durable file keeps its log beside it");
+    std::fs::remove_file(&sidecar).unwrap();
+
+    let open = IndexBuilder::generalized().file(&path).open().build_index();
+    assert!(matches!(open, Err(CoreError::LogMissing(_))), "{open:?}");
+    let recover = IndexBuilder::generalized()
+        .file(&path)
+        .recover()
+        .build_index();
+    assert!(
+        matches!(recover, Err(CoreError::LogMissing(_))),
+        "{recover:?}"
+    );
+    // Bringing the data file as a bare disk is no way around it.
+    let disk = Arc::new(FileDisk::open(&path, 1024).unwrap());
+    let bare = IndexBuilder::generalized().disk(disk).open().build_index();
+    assert!(matches!(bare, Err(CoreError::LogMissing(_))), "{bare:?}");
+    assert!(
+        !sidecar.exists(),
+        "a refused open must not conjure an empty log"
+    );
+}
+
+/// `create` over a path whose old sidecar is still there starts from
+/// nothing: the stale log is truncated, not replayed.
+#[test]
+fn create_over_a_stale_sidecar_does_not_replay_it() {
+    let dir = TempDir::new("persist");
+    let path = dir.file("reborn.bur");
+    let sidecar = bur::core::log_path(&path);
+    {
+        let mut index = IndexBuilder::generalized()
+            .durable()
+            .file(&path)
+            .build_index()
+            .unwrap();
+        populate(&mut index, &mut StdRng::seed_from_u64(47), 300);
+    }
+    assert!(std::fs::metadata(&sidecar).unwrap().len() > 1024);
+    std::fs::remove_file(&path).unwrap();
+
+    let mut positions;
+    {
+        let mut index = IndexBuilder::generalized()
+            .durable()
+            .file(&path)
+            .build_index()
+            .unwrap();
+        assert_eq!(index.len(), 0);
+        positions = populate(&mut index, &mut StdRng::seed_from_u64(53), 50);
+        churn(
+            &mut index,
+            &mut positions,
+            &mut StdRng::seed_from_u64(59),
+            40,
+        );
+    }
+    let (index, report) = IndexBuilder::generalized()
+        .file(&path)
+        .recover()
+        .build_index_with_report()
+        .unwrap();
+    assert_eq!(index.len(), 50, "only the new index's operations replay");
+    assert!(report.unwrap().committed_ops <= 90);
+    index.validate().unwrap();
+    for (oid, p) in positions.iter().enumerate() {
+        assert!(index.point_query(*p).unwrap().contains(&(oid as u64)));
+    }
+
+    // A volatile index created over the path takes the old sidecar away.
+    drop(index);
+    std::fs::remove_file(&path).unwrap();
+    let mut index = IndexBuilder::generalized()
+        .file(&path)
+        .build_index()
+        .unwrap();
+    index.insert(1, Point::new(0.5, 0.5)).unwrap();
+    index.persist().unwrap();
+    assert!(!sidecar.exists());
+}

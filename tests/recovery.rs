@@ -904,3 +904,232 @@ fn durable_index_survives_strategy_switch_on_recovery() {
         .unwrap();
     recovered.validate().unwrap();
 }
+
+// ---- lost unsynced writes: two files can contradict each other --------------
+
+/// What one run of the lost-writes workload left behind.
+struct LossyRun {
+    data: Arc<common::LossyDisk>,
+    /// The log's own disk; `None` when the log shares `data`.
+    log: Option<Arc<common::LossyDisk>>,
+    /// Object positions after every acknowledged batch.
+    acked: HashMap<u64, Point>,
+    /// The same after the batch the cut interrupted — outcome unknown.
+    maybe: Option<HashMap<u64, Point>>,
+    /// Batches acknowledged before the cut.
+    acked_batches: usize,
+    /// Per acknowledged batch: `(power.spent() after it, checkpoints so far)`.
+    marks: Vec<(u64, u64)>,
+    /// `power.spent()` once the empty index existed.
+    created_at: u64,
+}
+
+const LOSSY_BATCHES: usize = 260;
+const LOSSY_OBJECTS: u64 = 800;
+
+/// Build a durable GBU index on [`common::LossyDisk`]s (log on its own
+/// disk when `separate_log`), then apply `LOSSY_BATCHES` 8-op batches —
+/// inserts first, then moves mixed with delete + re-insert pairs — until
+/// `power` fails. A 24-frame pool keeps evicting committed pages into the
+/// data disk's cache between commits, and `checkpoint_every = 40` takes a
+/// checkpoint every fifth batch. The op stream depends only on `seed`, so
+/// a dry run's marks place the cuts of the runs that follow.
+fn lossy_run(separate_log: bool, seed: u64, power: &Arc<common::PowerSwitch>) -> LossyRun {
+    let opts = durable(IndexOptions::generalized(), 40, SyncPolicy::EveryCommit);
+    let data = common::LossyDisk::new(Arc::new(MemDisk::new(PAGE)), power.clone());
+    let log =
+        separate_log.then(|| common::LossyDisk::new(Arc::new(MemDisk::new(PAGE)), power.clone()));
+    let mut builder = IndexBuilder::with_options(opts)
+        .buffer_frames(24)
+        .disk(data.clone());
+    if let Some(log) = &log {
+        builder = builder.log_disk(log.clone());
+    }
+    let mut run = LossyRun {
+        data,
+        log,
+        acked: HashMap::new(),
+        maybe: None,
+        acked_batches: 0,
+        marks: Vec::new(),
+        created_at: 0,
+    };
+    let Ok(bur) = builder.build() else {
+        return run; // cut inside create: nothing was ever acknowledged
+    };
+    run.created_at = power.spent();
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut next_oid = 0u64;
+    for _ in 0..LOSSY_BATCHES {
+        let mut after = run.acked.clone();
+        let mut batch = Batch::new();
+        while batch.len() < 8 {
+            if next_oid < LOSSY_OBJECTS {
+                let p = Point::new(rng.random_range(0.0..1.0), rng.random_range(0.0..1.0));
+                batch.insert(next_oid, p);
+                after.insert(next_oid, p);
+                next_oid += 1;
+                continue;
+            }
+            let oid = rng.random_range(0..LOSSY_OBJECTS);
+            let old = after[&oid];
+            let new = Point::new(
+                (old.x + rng.random_range(-0.06..0.06f32)).clamp(0.0, 1.0),
+                (old.y + rng.random_range(-0.06..0.06f32)).clamp(0.0, 1.0),
+            );
+            if batch.len() <= 6 && rng.random_range(0..10) == 0 {
+                batch.delete(oid, old);
+                batch.insert(oid, new);
+            } else {
+                batch.update(oid, old, new);
+            }
+            after.insert(oid, new);
+        }
+        match bur.apply(&batch).and_then(|ticket| ticket.wait()) {
+            Ok(_) => {
+                run.acked = after;
+                run.acked_batches += 1;
+                let checkpoints = bur.wal_stats().expect("durable").checkpoints;
+                run.marks.push((power.spent(), checkpoints));
+            }
+            Err(_) => {
+                run.maybe = Some(after);
+                break;
+            }
+        }
+    }
+    assert_eq!(
+        bur.with_index(|index| index.pool().pinned_frames()),
+        0,
+        "a pin outlived apply"
+    );
+    run
+}
+
+/// `true` when `index` holds exactly `want`.
+fn holds_exactly(index: &RTreeIndex, want: &HashMap<u64, Point>) -> bool {
+    index.len() == want.len() as u64
+        && want
+            .iter()
+            .all(|(oid, p)| index.point_query(*p).unwrap().contains(oid))
+}
+
+/// Crash the workload at ≥ 60 seeded points — spread over the run, plus
+/// the last mutating calls of several checkpoints (pool flush, data sync,
+/// log rewind, log sync) and the commit sync of several batches — losing all or a seeded subset of the unsynced
+/// writes of each disk, recover, and demand the oracle of acknowledged
+/// batches: zero acked loss, the interrupted batch all or nothing,
+/// `validate()` clean, no pin left behind.
+fn lost_writes_sweep(separate_log: bool) {
+    let seed: u64 = std::env::var("LOST_WRITES_SEED")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(20_031);
+    let layout = if separate_log { "separate" } else { "shared" };
+    let ctx = |cut: u64| format!("LOST_WRITES_SEED={seed} layout {layout} cut {cut}");
+
+    let always_on = common::PowerSwitch::always_on();
+    let dry = lossy_run(separate_log, seed, &always_on);
+    assert_eq!(dry.acked_batches, LOSSY_BATCHES);
+    let total = dry.marks.last().unwrap().0;
+    // Batches whose mark shows one more checkpoint than the batch before:
+    // the checkpoint is the tail of that batch's mutating calls.
+    let checkpoint_batches: Vec<usize> = (1..dry.marks.len())
+        .filter(|&b| dry.marks[b].1 > dry.marks[b - 1].1)
+        .collect();
+    assert!(checkpoint_batches.len() >= 8, "{}", ctx(0));
+    // `(cut, the batch it must interrupt)`; the random ones land anywhere.
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x10_57);
+    let mut cuts: Vec<(u64, Option<usize>)> = (0..48)
+        .map(|_| (rng.random_range(dry.created_at..total), None))
+        .collect();
+    // The last sync inside batch `b`'s calls. (What follows it in the
+    // batch are evictions the advancing durable LSN released; their
+    // failures are not the batch's.)
+    let syncs = always_on.sync_calls();
+    let last_sync_of = |b: usize| {
+        let calls = dry.marks[b - 1].0..dry.marks[b].0;
+        *syncs
+            .iter()
+            .rfind(|s| calls.contains(s))
+            .expect("a commit syncs")
+    };
+    // A checkpoint ends: ... pool flush writes, data sync, log anchor
+    // rewrite, log sync. Refuse each of the last five in turn.
+    let step = checkpoint_batches.len() / 4;
+    for &b in checkpoint_batches.iter().step_by(step).take(4) {
+        cuts.extend((0..5).map(|back| (last_sync_of(b) - back, Some(b))));
+    }
+    // A batch that takes no checkpoint syncs once, for its commit: refuse
+    // exactly that, so all of the batch's log pages are unsynced while
+    // whatever the pool evicted meanwhile may survive the crash.
+    let plain_batches: Vec<usize> = (1..dry.marks.len())
+        .filter(|b| !checkpoint_batches.contains(b))
+        .collect();
+    for &b in plain_batches
+        .iter()
+        .step_by(plain_batches.len() / 12)
+        .take(12)
+    {
+        cuts.push((last_sync_of(b), Some(b)));
+    }
+    assert!(cuts.len() >= 60);
+
+    for (cut, targets_batch) in cuts {
+        let power = common::PowerSwitch::cut_after(cut);
+        let run = lossy_run(separate_log, seed, &power);
+        assert!(power.is_cut(), "{}: the cut never fired", ctx(cut));
+        if let Some(batch) = targets_batch {
+            assert_eq!(run.acked_batches, batch, "{}: off its target", ctx(cut));
+        }
+        // One crash in three loses the whole cache, the rest a coin-flip
+        // subset, each disk on its own.
+        let lose_all = rng.random_range(0..3) == 0;
+        let mut lose = |disk: &common::LossyDisk| {
+            disk.crash(|| !lose_all && rng.random_range(0..2) == 0);
+        };
+        lose(&run.data);
+        if let Some(log) = &run.log {
+            lose(log);
+        }
+        power.restore();
+
+        let opts = durable(IndexOptions::generalized(), 40, SyncPolicy::EveryCommit);
+        let mut builder = IndexBuilder::with_options(opts).disk(run.data.clone());
+        if let Some(log) = &run.log {
+            builder = builder.log_disk(log.clone());
+        }
+        let recovered = builder
+            .recover()
+            .build_index()
+            .unwrap_or_else(|e| panic!("{}: recovery failed: {e}", ctx(cut)));
+        recovered
+            .validate()
+            .unwrap_or_else(|e| panic!("{}: invalid after recovery: {e}", ctx(cut)));
+        assert_eq!(recovered.pool().pinned_frames(), 0, "{}", ctx(cut));
+        let all = holds_exactly(&recovered, &run.acked);
+        let with_interrupted = run
+            .maybe
+            .as_ref()
+            .is_some_and(|maybe| holds_exactly(&recovered, maybe));
+        assert!(
+            all || with_interrupted,
+            "{}: after {} acked batches the recovered index ({} objects) is neither the \
+             acknowledged state ({} objects) nor that plus the whole interrupted batch",
+            ctx(cut),
+            run.acked_batches,
+            recovered.len(),
+            run.acked.len(),
+        );
+    }
+}
+
+#[test]
+fn lost_unsynced_writes_sweep_log_on_its_own_disk() {
+    lost_writes_sweep(true);
+}
+
+#[test]
+fn lost_unsynced_writes_sweep_log_sharing_the_data_disk() {
+    lost_writes_sweep(false);
+}

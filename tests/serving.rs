@@ -180,6 +180,17 @@ fn concurrent_clients_coalesce_and_match_oracle() {
     );
     assert!(stats_text.contains("bur_wal_commits"), "{stats_text}");
     let metrics = c.metrics().expect("metrics");
+    // Where a durable update's time goes besides the tree, per index, on
+    // both surfaces: inside the log's fsync, and inside checkpoints.
+    for text in [&stats_text, &metrics] {
+        for gauge in [
+            "bur_wal_sync_seconds_total{index=\"fleet\"} 0.",
+            "bur_wal_checkpoint_seconds_total{index=\"fleet\"} 0.",
+            "bur_wal_checkpoint_pages_flushed{index=\"fleet\"}",
+        ] {
+            assert!(text.contains(gauge), "{gauge} missing from {text}");
+        }
+    }
     assert!(
         metrics.contains("burd_requests_total{op=\"apply\"}"),
         "{metrics}"
