@@ -24,7 +24,7 @@ use crate::error::{CoreError, CoreResult};
 use crate::files::{log_path, IndexFiles};
 use crate::handle::Bur;
 use crate::index::{RTreeIndex, RecoveryReport};
-use bur_storage::{DiskBackend, FileDisk, SyncPolicy};
+use bur_storage::{DiskBackend, FileDisk};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -138,18 +138,6 @@ impl IndexBuilder {
     /// Explicit durability mode.
     pub fn durability(mut self, durability: Durability) -> Self {
         self.opts.durability = durability;
-        self
-    }
-
-    /// Set the WAL sync cadence, turning durability on (with otherwise
-    /// default [`WalOptions`]) if it was off.
-    pub fn sync_policy(mut self, sync: SyncPolicy) -> Self {
-        let mut wopts = match self.opts.durability {
-            Durability::Wal(w) => w,
-            Durability::None => WalOptions::default(),
-        };
-        wopts.sync = sync;
-        self.opts.durability = Durability::Wal(wopts);
         self
     }
 
@@ -447,14 +435,5 @@ mod tests {
         assert!((index.options().min_fill - 0.3).abs() < f32::EPSILON);
         assert!(matches!(index.options().strategy, UpdateStrategy::TopDown));
         assert!(!index.is_durable());
-    }
-
-    #[test]
-    fn sync_policy_implies_durability() {
-        let b = IndexBuilder::new().sync_policy(SyncPolicy::Manual);
-        let Durability::Wal(w) = b.options().durability else {
-            panic!("sync_policy must enable the WAL");
-        };
-        assert_eq!(w.sync, SyncPolicy::Manual);
     }
 }

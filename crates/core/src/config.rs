@@ -131,22 +131,16 @@ pub enum Durability {
     #[default]
     None,
     /// Write-ahead logging via `bur-wal`: page images of every operation
-    /// are logged before dirty pages may reach the disk, commits follow
-    /// the configured sync cadence, and the index recovers from a crash
-    /// through [`crate::IndexBuilder`]'s [`crate::OpenMode::Recover`].
+    /// are logged before dirty pages may reach the disk, every commit
+    /// syncs the log before it is acknowledged, and the index recovers
+    /// from a crash through [`crate::IndexBuilder`]'s
+    /// [`crate::OpenMode::Recover`].
     Wal(WalOptions),
 }
 
 /// Tuning for [`Durability::Wal`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WalOptions {
-    /// When commit records are made durable (`fsync` cadence). With
-    /// [`bur_storage::SyncPolicy::EveryCommit`] every acknowledged
-    /// operation survives a crash; group commit trades the tail of
-    /// unsynced operations for throughput;
-    /// [`bur_storage::SyncPolicy::Async`] moves the syncs to a background
-    /// thread entirely, so committers overlap log I/O.
-    pub sync: bur_storage::SyncPolicy,
     /// Take a fuzzy checkpoint (flush the pool, rewind the log) every
     /// this many committed operations. Bounds both recovery replay time
     /// and the log's page footprint. Must be at least 1.
@@ -157,25 +151,13 @@ pub struct WalOptions {
     /// updates touch a few dozen bytes of a 1 KiB page, so deltas cut log
     /// volume several-fold at no durability cost.
     pub delta: bur_wal::DeltaPolicy,
-    /// Async sync-request debounce: under
-    /// [`bur_storage::SyncPolicy::Async`], request a background sync
-    /// only every this many commit records instead of per commit (the
-    /// log's ~2 ms coalescing window bounds the added durability lag;
-    /// `wait_durable` remains the hard ack either way). `1` restores a
-    /// request per commit — the pre-debounce behavior, which makes
-    /// single-threaded streams pay a condvar signal plus a tail-page
-    /// write per round. Must be at least 1. Ignored by the synchronous
-    /// sync policies.
-    pub async_coalesce: u32,
 }
 
 impl Default for WalOptions {
     fn default() -> Self {
         Self {
-            sync: bur_storage::SyncPolicy::EveryCommit,
             checkpoint_every: 1024,
             delta: bur_wal::DeltaPolicy::default(),
-            async_coalesce: bur_wal::DEFAULT_ASYNC_COALESCE,
         }
     }
 }
@@ -275,11 +257,6 @@ impl IndexOptions {
                     "checkpoint_every must be at least 1".into(),
                 ));
             }
-            if w.async_coalesce == 0 {
-                return Err(CoreError::BadConfig(
-                    "async_coalesce must be at least 1".into(),
-                ));
-            }
         }
         match self.strategy {
             UpdateStrategy::Localized(p) if p.epsilon < 0.0 => Err(CoreError::BadConfig(
@@ -322,7 +299,7 @@ impl IndexOptions {
     }
 
     /// Convenience: a durable GBU index — write-ahead logged with the
-    /// default sync cadence (every commit) and checkpoint interval.
+    /// default checkpoint interval.
     #[must_use]
     pub fn durable() -> Self {
         Self {

@@ -26,11 +26,11 @@
 //! of mixed operations and — on a durable index — flushes it as **one**
 //! write-ahead-log group commit record (atomic under crashes); a single
 //! operation commits its own record. A `Batch` is the only way to put
-//! several operations under one record. [`Bur::apply`] returns a
-//! [`CommitTicket`] whose [`CommitTicket::wait`]
-//! rides the log's durable-LSN watermark: the hard ack under
-//! [`bur_storage::SyncPolicy::Async`], an instant no-op when the commit
-//! already synced inline.
+//! several operations under one record. The commit syncs the log before
+//! `apply` returns: `Ok` means durable, and an `apply` whose sync failed
+//! returns the error and hands out no ticket. The [`CommitTicket`] it
+//! returns is the receipt — the report, the record's LSN, and
+//! [`CommitTicket::wait`] as the ack point callers are written against.
 //!
 //! Queries stream: [`Bur::query`] returns a [`QueryCursor`] backed by a
 //! buffer recycled across calls (zero per-call allocation in steady
@@ -62,7 +62,7 @@ use crate::stats::{OpStats, UpdateOutcome};
 use bur_dgl::LockManager;
 use bur_geom::{Point, Rect};
 use bur_storage::{DiskBackend, IoSnapshot, PageId, PageRef};
-use bur_wal::{Lsn, WalStatsSnapshot, WalWaiter};
+use bur_wal::{Lsn, WalStatsSnapshot};
 use parking_lot::{Mutex, RwLock};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -94,9 +94,6 @@ struct BurShared {
     /// write side. See `docs/ARCHITECTURE.md`, "Latching protocol".
     inner: RwLock<RTreeIndex>,
     locks: LockManager,
-    /// Durable-watermark waiter, cached at construction (durable indexes
-    /// only) and refreshed when a replica promotion attaches a log.
-    waiter: Mutex<Option<WalWaiter>>,
     /// What recovery replayed, when the handle was built in recover mode.
     recovery: Option<RecoveryReport>,
     /// Recycled query-result buffers ([`QueryCursor`] hot path).
@@ -201,12 +198,10 @@ impl Bur {
         index: RTreeIndex,
         recovery: Option<RecoveryReport>,
     ) -> Self {
-        let waiter = Mutex::new(index.wal_waiter());
         Self {
             shared: Arc::new(BurShared {
                 inner: RwLock::new(index),
                 locks: LockManager::new(),
-                waiter,
                 recovery,
                 spare_ids: Mutex::new(Vec::new()),
                 read_only: AtomicBool::new(false),
@@ -253,7 +248,6 @@ impl Bur {
             ));
         }
         index.promote_replica(opts, log_disk)?;
-        *self.shared.waiter.lock() = index.wal_waiter();
         self.shared.read_only.store(false, Ordering::Release);
         Ok(())
     }
@@ -284,11 +278,10 @@ impl Bur {
 
     /// Build a ticket covering everything flushed so far (call with the
     /// index lock still held, so the LSN covers exactly this commit).
-    fn ticket(&self, index: &RTreeIndex, report: BatchReport) -> CommitTicket {
+    fn ticket(index: &RTreeIndex, report: BatchReport) -> CommitTicket {
         CommitTicket {
             report,
             lsn: index.last_lsn().unwrap_or(0),
-            waiter: self.shared.waiter.lock().clone(),
         }
     }
 
@@ -297,9 +290,9 @@ impl Bur {
     /// Apply a [`Batch`] of mixed operations atomically with respect to
     /// the write-ahead log: the whole batch is flushed as **one** group
     /// commit record, so a crash recovers all of it or none of it.
-    /// Returns a [`CommitTicket`]; under
-    /// [`bur_storage::SyncPolicy::Async`], [`CommitTicket::wait`] is the
-    /// hard durability ack.
+    /// The record is synced before this returns: `Ok` means the batch
+    /// is durable, and a failed sync surfaces here as `Err` with no
+    /// [`CommitTicket`] handed out.
     ///
     /// Locking: batches of bottom-up updates, inserts and deletes
     /// X-lock the granules of the leaves they touch under the **shared**
@@ -320,7 +313,7 @@ impl Bur {
         self.check_writable()?;
         if batch.is_empty() {
             let index = self.shared.inner.read();
-            return Ok(self.ticket(&index, BatchReport::default()));
+            return Ok(Self::ticket(&index, BatchReport::default()));
         }
         let mut room_attempts = 0u32;
         let mut refusals = 0u32;
@@ -355,7 +348,7 @@ impl Bur {
         let mut index = self.shared.inner.write();
         index.op_stats().escalations.fetch_add(1, Ordering::Relaxed);
         let report = index.apply_batch(batch)?;
-        Ok(self.ticket(&index, report))
+        Ok(Self::ticket(&index, report))
     }
 
     /// One attempt at the concurrent write path: under the structure
@@ -380,11 +373,7 @@ impl Bur {
             Step::Refused => return Ok(SharedAttempt::Refused),
         }
         let (report, lsn) = self.write_and_commit(&index, &pass, batch.len() as u64)?;
-        Ok(SharedAttempt::Done(CommitTicket {
-            report,
-            lsn,
-            waiter: self.shared.waiter.lock().clone(),
-        }))
+        Ok(SharedAttempt::Done(CommitTicket { report, lsn }))
     }
 
     /// Write a fully planned pass through its pins and group-commit it:
@@ -458,16 +447,6 @@ impl Bur {
             index.checkpoint()?;
         }
         Ok(())
-    }
-
-    /// Block until every acknowledged operation is durable in the log;
-    /// returns the durable watermark (0 on an index without a log, which
-    /// includes a read-only replica view). Writes nothing: it reads the
-    /// log tail under the structure lock's read side and holds no lock
-    /// while waiting.
-    pub fn wait_durable(&self) -> CoreResult<Lsn> {
-        let ticket = self.ticket(&self.shared.inner.read(), BatchReport::default());
-        ticket.wait()
     }
 
     // ---- single-operation writes -----------------------------------------
@@ -604,15 +583,6 @@ impl Bur {
         self.shared.inner.read().wal_stats()
     }
 
-    /// The durable-watermark waiter, when the index is durable. Lets a
-    /// coalescing layer (e.g. the `burd` write coalescer) acknowledge
-    /// individual submissions against the shared watermark without
-    /// holding a [`CommitTicket`] per submission.
-    #[must_use]
-    pub fn wal_waiter(&self) -> Option<WalWaiter> {
-        self.shared.waiter.lock().clone()
-    }
-
     // ---- concurrency controls --------------------------------------------
 
     /// High watermark of batches observed inside the concurrent write
@@ -705,37 +675,20 @@ impl Bur {
 
 /// Receipt for a flushed write ([`Bur::apply`]).
 ///
-/// Holding a ticket costs nothing; [`CommitTicket::wait`] blocks until
-/// the log's durable-LSN watermark covers the ticket's commit record —
-/// the hard ack under [`bur_storage::SyncPolicy::Async`], where commits
-/// return before their batch is synced. Under the synchronous policies
-/// (and on non-durable indexes) `wait` returns immediately. The wait
-/// never holds the index lock, so acknowledging durability does not
-/// stall concurrent writers.
+/// A ticket exists only for a commit whose record is already synced, so
+/// it holds no log handle: it is the report and the record's LSN.
+/// [`CommitTicket::wait`] is the ack point callers are written against.
 #[derive(Debug)]
 pub struct CommitTicket {
     report: BatchReport,
     lsn: Lsn,
-    waiter: Option<WalWaiter>,
 }
 
 impl CommitTicket {
-    /// Block until the covered operations are durable; returns the
-    /// durable watermark (0 on a non-durable index).
+    /// The ack point: returns the covering commit record's LSN, which
+    /// is durable (0 on a non-durable index). Never blocks.
     pub fn wait(&self) -> CoreResult<Lsn> {
-        match &self.waiter {
-            Some(w) => Ok(w.wait(self.lsn)?),
-            None => Ok(0),
-        }
-    }
-
-    /// `true` once the covered operations are durable (never blocks;
-    /// trivially `true` on a non-durable index).
-    #[must_use]
-    pub fn is_durable(&self) -> bool {
-        self.waiter
-            .as_ref()
-            .is_none_or(|w| w.durable_lsn() >= self.lsn)
+        Ok(self.lsn)
     }
 
     /// LSN of the covering commit record (0 on a non-durable index).

@@ -128,15 +128,13 @@ impl RTreeIndex {
             Durability::Wal(wopts) => {
                 pool.set_wal_mode(true);
                 let (log, anchor) = log_site(pool.disk(), log_disk.as_ref(), &opts)?;
-                let wal = Wal::create_with(log, wopts.sync, wopts.delta)?;
+                let wal = Wal::create_with(log, wopts.delta)?;
                 if wal.anchor() != anchor {
                     return Err(CoreError::BadConfig(format!(
                         "WAL anchor landed on page {} instead of {anchor}",
                         wal.anchor()
                     )));
                 }
-                wal.set_async_coalesce(wopts.async_coalesce);
-                attach_durable_watcher(&wal, &pool);
                 Some(WalHandle::new(wal, wopts, log_disk.is_some()))
             }
             Durability::None if log_disk.is_some() => return Err(log_disk_without_log()),
@@ -295,15 +293,6 @@ impl RTreeIndex {
         self.tree.wal.as_ref().map(|h| h.wal.stats())
     }
 
-    /// A clonable waiter on the log's durable-LSN watermark, when the
-    /// index is durable. This is what [`crate::CommitTicket`] rides: it
-    /// can block on durability *without* holding the index (or, through
-    /// [`crate::Bur`], its lock).
-    #[must_use]
-    pub fn wal_waiter(&self) -> Option<bur_wal::WalWaiter> {
-        self.tree.wal.as_ref().map(|h| h.wal.waiter())
-    }
-
     /// Highest log sequence number assigned so far (`None` without a
     /// WAL). Immediately after a flush this covers every acknowledged
     /// operation — the LSN a [`crate::CommitTicket`] waits on.
@@ -343,19 +332,6 @@ impl RTreeIndex {
     /// re-checks under an exclusive lock before checkpointing.
     pub(crate) fn checkpoint_due(&self) -> bool {
         self.tree.checkpoint_due()
-    }
-
-    /// Block until every acknowledged operation is durable in the log.
-    /// Under [`bur_storage::SyncPolicy::Async`] this waits for the
-    /// background sync thread to pass the current tail; under the
-    /// synchronous policies it syncs inline. No-op on a non-durable index.
-    pub fn wait_durable(&self) -> CoreResult<()> {
-        let Some(handle) = self.tree.wal.as_ref() else {
-            return Ok(());
-        };
-        let watermark = handle.wal.wait_durable(handle.wal.last_lsn())?;
-        self.tree.pool.set_durable_lsn(watermark);
-        Ok(())
     }
 
     /// Recover a durable index from `disk` after a crash (ARIES-style
@@ -405,7 +381,7 @@ impl RTreeIndex {
             }
         }
         let (log, anchor) = log_site(pool.disk(), log_disk.as_ref(), &opts)?;
-        let (wal, scanned) = Wal::reopen_with(log, anchor, wopts.sync, wopts.delta)?;
+        let (wal, scanned) = Wal::reopen_with(log, anchor, wopts.delta)?;
         if !scanned.valid {
             return Err(if log_disk.is_some() {
                 CoreError::LogMissing("the log disk holds no write-ahead log".into())
@@ -528,8 +504,6 @@ impl RTreeIndex {
         // disk becomes a clean base image and the log restarts.
         let mut tree = Self::tree_from_snapshot(pool, opts, &snap)?;
         tree.meta_chain_pages = meta_cont;
-        wal.set_async_coalesce(wopts.async_coalesce);
-        attach_durable_watcher(&wal, &tree.pool);
         tree.wal = Some(WalHandle::new(wal, wopts, log_disk.is_some()));
         tree.pool.set_wal_mode(true);
         let mut index = Self { tree };
@@ -932,15 +906,6 @@ fn log_disk_without_log() -> CoreError {
     CoreError::BadConfig(
         "a log disk was given, but the index is not durable or keeps its log in place".into(),
     )
-}
-
-/// Register the buffer pool as the log's durable-LSN watcher: background
-/// syncs (the [`bur_storage::SyncPolicy::Async`] group committer) unblock
-/// gated page flushes the moment their batch lands, without the pool
-/// polling the log.
-pub(crate) fn attach_durable_watcher(wal: &Wal, pool: &Arc<BufferPool>) {
-    let pool = pool.clone();
-    wal.set_durable_watcher(Box::new(move |lsn| pool.set_durable_lsn(lsn)));
 }
 
 // ---- open-time memory-state rebuild ------------------------------------------

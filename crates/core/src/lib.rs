@@ -74,7 +74,7 @@ pub use handle::{Bur, CommitTicket, NeighborCursor, QueryCursor};
 pub use index::{RTreeIndex, RecoveryReport};
 pub use meta::{LOG_DISK_ANCHOR, WAL_ANCHOR};
 // Re-exported so durability consumers need no direct `bur-wal` dependency.
-pub use bur_wal::{DeltaPolicy, WalStatsSnapshot, WalWaiter};
+pub use bur_wal::{DeltaPolicy, WalStatsSnapshot};
 pub use knn::Neighbor;
 pub use node::{
     internal_capacity, leaf_capacity, InternalEntry, LeafEntry, Node, NodeEntries, ObjectId,

@@ -23,7 +23,7 @@
 use crate::config::{Durability, IndexOptions, UpdateStrategy};
 use crate::error::{CoreError, CoreResult};
 use crate::files::stored_snapshot;
-use crate::index::{attach_durable_watcher, log_site, rebuild_memory_state, RTreeIndex};
+use crate::index::{log_site, rebuild_memory_state, RTreeIndex};
 use crate::meta::MetaSnapshot;
 use crate::stats::OpStats;
 use crate::summary::SummaryStructure;
@@ -174,12 +174,12 @@ impl RTreeIndex {
                             "promote_replica: the replica's log disk must be empty".into(),
                         ));
                     }
-                    Wal::create_with(log, wopts.sync, wopts.delta)?
+                    Wal::create_with(log, wopts.delta)?
                 } else {
                     // The copied chain may still sit in the pool's frames;
                     // the scan below reads the disk.
                     self.tree.pool.flush_all()?;
-                    let (wal, scanned) = Wal::reopen_with(log, anchor, wopts.sync, wopts.delta)?;
+                    let (wal, scanned) = Wal::reopen_with(log, anchor, wopts.delta)?;
                     if !scanned.valid {
                         return Err(CoreError::LogMissing(
                             "promote_replica: the replica disk carries no log chain (the \
@@ -189,8 +189,6 @@ impl RTreeIndex {
                     }
                     wal
                 };
-                wal.set_async_coalesce(wopts.async_coalesce);
-                attach_durable_watcher(&wal, &self.tree.pool);
                 self.tree.pool.set_wal_mode(true);
                 self.tree.wal = Some(WalHandle::new(wal, wopts, log_disk.is_some()));
                 self.tree.wal_checkpoint()?;

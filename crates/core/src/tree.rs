@@ -44,7 +44,7 @@ use std::sync::Arc;
 pub(crate) struct WalHandle {
     /// The log itself.
     pub(crate) wal: Wal,
-    /// Sync cadence, checkpoint interval, delta policy.
+    /// Checkpoint interval, delta policy.
     pub(crate) opts: WalOptions,
     /// `true` when the log writes to a disk of its own, not the pool's
     /// (recorded in every metadata snapshot so a later open knows where
@@ -428,9 +428,9 @@ impl RTree {
 
     /// Flush every pending operation as one group commit: append an
     /// image or delta of every page touched since the last commit plus a
-    /// single commit record carrying the metadata snapshot, apply the
-    /// sync policy, and checkpoint when the cadence says so. No-op when
-    /// nothing is pending.
+    /// single commit record carrying the metadata snapshot, sync the
+    /// log, and checkpoint when the cadence says so. No-op when nothing
+    /// is pending.
     pub(crate) fn wal_flush_commit(&mut self) -> CoreResult<()> {
         let Some(handle) = self.wal.as_ref() else {
             return Ok(());
@@ -452,10 +452,8 @@ impl RTree {
         }
         let meta = self.meta_snapshot(INVALID_PAGE).encode();
         let handle = self.wal.as_mut().expect("checked above");
-        let (_lsn, durable) = handle.wal.commit(meta)?;
-        if durable {
-            self.pool.set_durable_lsn(handle.wal.durable_lsn());
-        }
+        let lsn = handle.wal.commit(meta)?;
+        self.pool.set_durable_lsn(lsn);
         handle
             .commits_since_checkpoint
             .fetch_add(handle.pending_ops, Ordering::Relaxed);
@@ -512,10 +510,8 @@ impl RTree {
             self.pool.note_page_logged(page.pid(), lsn);
         }
         let meta = self.meta_snapshot(INVALID_PAGE).encode();
-        let (lsn, durable) = handle.wal.commit(meta)?;
-        if durable {
-            self.pool.set_durable_lsn(handle.wal.durable_lsn());
-        }
+        let lsn = handle.wal.commit(meta)?;
+        self.pool.set_durable_lsn(lsn);
         handle
             .commits_since_checkpoint
             .fetch_add(ops, Ordering::Relaxed);

@@ -36,11 +36,9 @@
 //! The base-image copy is *fuzzy* (the primary keeps writing while it is
 //! taken, like any online basebackup): each page read is atomic, and
 //! because the first record for a page in a generation is always a full
-//! image, replaying the generation normalizes every logged page. Under
-//! the synchronous sync policies a page can only be flushed once its
-//! covering commit is durable, so the replica is commit-consistent from
-//! the first applied batch; under [`bur_storage::SyncPolicy::Async`] it becomes so as
-//! soon as the first post-copy commit applies.
+//! image, replaying the generation normalizes every logged page. A page
+//! can only be flushed once its covering commit is durable, so the
+//! replica is commit-consistent from the first applied batch.
 //!
 //! ```
 //! use bur_core::{Batch, IndexBuilder, IndexOptions};
@@ -734,14 +732,16 @@ mod tests {
             replica.delete(0, Point::new(0.0, 0.0)),
             Err(CoreError::ReadOnly)
         ));
-        // Not a write: the replica view has no log of its own, so the
-        // watermark is 0.
-        assert_eq!(replica.wait_durable().unwrap(), 0);
+        // The replica view has no log of its own.
+        assert!(replica.wal_stats().is_none());
 
         let new_primary = follower.promote().unwrap();
         assert!(!replica.is_read_only(), "clones flip writable in place");
         new_primary.insert(900, Point::new(0.5, 0.5)).unwrap();
-        assert!(replica.wait_durable().unwrap() > 0, "the promoted log");
+        assert!(
+            replica.wal_stats().unwrap().durable_lsn > 0,
+            "the promoted log"
+        );
         assert_eq!(replica.len(), 33);
         new_primary.validate().unwrap();
     }
@@ -824,7 +824,7 @@ mod tests {
         // fails closed instead of rewinding over a tree page.
         let promoted = follower.promote().unwrap();
         promoted.insert(900, Point::new(0.5, 0.5)).unwrap();
-        assert!(promoted.wait_durable().unwrap() > 0);
+        assert!(promoted.wal_stats().unwrap().durable_lsn > 0);
         promoted.validate().unwrap();
 
         let mut shipper = LogShipper::with_log_disk(data, shipper.log.clone());

@@ -697,14 +697,7 @@ fn commit_round(
             // Operations before `op_index` were applied and flushed;
             // the failing op and everything after were not. Map that
             // contract back onto per-client submissions.
-            let flushed_lsn = bur
-                .wal_waiter()
-                .map(|w| {
-                    let lsn = w.last_lsn();
-                    let _ = w.wait(lsn);
-                    lsn
-                })
-                .unwrap_or(0);
+            let flushed_lsn = bur.wal_stats().map_or(0, |s| s.durable_lsn);
             let mut offset = 0usize;
             let mut failed_round = false;
             for sub in round {

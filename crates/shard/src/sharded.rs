@@ -194,10 +194,10 @@ pub struct AggregateTicket {
 }
 
 impl AggregateTicket {
-    /// Block until every touched shard reports the sub-batch durable
-    /// (immediately on volatile indexes). Returns the largest per-shard
-    /// LSN — shard logs are independent, so it is only a watermark of
-    /// "everything acked", not a global order.
+    /// The ack point: every touched shard's sub-batch is durable. Returns
+    /// the largest per-shard LSN (0 on volatile indexes) — shard logs are
+    /// independent, so it is only a watermark of "everything acked", not
+    /// a global order.
     pub fn wait(&self) -> ShardResult<u64> {
         let mut max = 0;
         for (shard, ticket) in &self.parts {
@@ -208,12 +208,6 @@ impl AggregateTicket {
             max = max.max(lsn);
         }
         Ok(max)
-    }
-
-    /// Whether every touched shard has made the sub-batch durable.
-    #[must_use]
-    pub fn is_durable(&self) -> bool {
-        self.parts.iter().all(|(_, t)| t.is_durable())
     }
 
     /// What the batch did, folded across shards. A cross-shard update
@@ -1227,11 +1221,6 @@ impl ShardedBur {
     #[must_use]
     pub fn is_durable(&self) -> bool {
         self.inner.shards.iter().all(Bur::is_durable)
-    }
-
-    /// Block until every shard's acked writes are durable.
-    pub fn wait_durable(&self) -> ShardResult<()> {
-        self.for_each_shard(|b| b.wait_durable().map(|_| ()))
     }
 
     /// Checkpoint every shard.

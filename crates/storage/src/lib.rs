@@ -68,32 +68,6 @@ pub type PageId = u32;
 /// Strictly increasing over the life of an index; 0 means "none yet".
 pub type Lsn = u64;
 
-/// When a write-ahead log makes appended records durable (`fsync`
-/// cadence). Consumed by `bur-wal`; defined here because the WAL-aware
-/// [`BufferPool`] mode and the log must agree on what "durable" means.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SyncPolicy {
-    /// Sync on every commit record: an acknowledged operation is always
-    /// durable. The strongest (and slowest) setting; the default.
-    #[default]
-    EveryCommit,
-    /// Group commit: sync once every `n` commits. Operations between
-    /// syncs are acknowledged before they are durable and may be lost to
-    /// a crash; throughput improves by amortizing the sync cost.
-    GroupCommit(u32),
-    /// Asynchronous group commit: every commit *requests* a sync and
-    /// returns immediately; a background thread batches the requests into
-    /// as few `fsync`s as the device allows and publishes the durable-LSN
-    /// watermark as each batch lands. Committers overlap log I/O instead
-    /// of serialising on it; callers that need a hard ack wait on the
-    /// watermark. Same crash window as [`SyncPolicy::GroupCommit`]: an
-    /// acknowledged-but-unsynced tail may be lost.
-    Async,
-    /// Sync only at checkpoints and explicit flushes. Maximum
-    /// throughput, weakest durability.
-    Manual,
-}
-
 /// Sentinel for "no page" (e.g. a leaf's missing parent pointer).
 pub const INVALID_PAGE: PageId = PageId::MAX;
 

@@ -245,7 +245,7 @@ fn read_log_page(
 mod tests {
     use super::*;
     use crate::{scan, Wal};
-    use bur_storage::{MemDisk, SyncPolicy};
+    use bur_storage::MemDisk;
     use std::sync::Arc;
 
     fn disk(ps: usize) -> Arc<MemDisk> {
@@ -262,7 +262,7 @@ mod tests {
     #[test]
     fn poll_is_incremental_and_exactly_once() {
         let d = disk(256);
-        let wal = Wal::create(d.clone(), SyncPolicy::EveryCommit).unwrap();
+        let wal = Wal::create(d.clone()).unwrap();
         let mut cur = LogCursor::new(wal.anchor());
 
         // Nothing yet: first poll reports the attach rewind, no records.
@@ -300,7 +300,7 @@ mod tests {
     #[test]
     fn poll_matches_scan_cumulatively() {
         let d = disk(256);
-        let wal = Wal::create(d.clone(), SyncPolicy::EveryCommit).unwrap();
+        let wal = Wal::create(d.clone()).unwrap();
         let mut cur = LogCursor::new(wal.anchor());
         let mut collected = Vec::new();
         for round in 0..7u8 {
@@ -317,7 +317,7 @@ mod tests {
     #[test]
     fn rewind_is_reported_and_stale_records_are_skipped() {
         let d = disk(256);
-        let wal = Wal::create(d.clone(), SyncPolicy::EveryCommit).unwrap();
+        let wal = Wal::create(d.clone()).unwrap();
         let mut cur = LogCursor::new(wal.anchor());
         wal.append(&image(5, 1, 150)).unwrap();
         wal.commit(b"pre".to_vec()).unwrap();
@@ -343,7 +343,7 @@ mod tests {
     #[test]
     fn unsynced_tail_is_invisible_until_written() {
         let d = disk(256);
-        let wal = Wal::create(d.clone(), SyncPolicy::Manual).unwrap();
+        let wal = Wal::create(d.clone()).unwrap();
         let mut cur = LogCursor::new(wal.anchor());
         cur.poll(d.as_ref()).unwrap();
         wal.append(&image(1, 1, 80)).unwrap();
@@ -356,7 +356,7 @@ mod tests {
     #[test]
     fn torn_tail_ships_the_clean_prefix_only() {
         let d = disk(256);
-        let wal = Wal::create(d.clone(), SyncPolicy::Manual).unwrap();
+        let wal = Wal::create(d.clone()).unwrap();
         let mut cur = LogCursor::new(wal.anchor());
         wal.append(&image(1, 1, 64)).unwrap();
         wal.append(&image(2, 2, 64)).unwrap();
@@ -390,7 +390,7 @@ mod tests {
     #[test]
     fn cursor_survives_many_rewinds() {
         let d = disk(256);
-        let wal = Wal::create(d.clone(), SyncPolicy::EveryCommit).unwrap();
+        let wal = Wal::create(d.clone()).unwrap();
         let mut cur = LogCursor::new(wal.anchor());
         let mut commits_seen = 0usize;
         for round in 0..5u8 {

@@ -25,9 +25,12 @@
 //!   so deltas cut log volume several-fold; full images are re-emitted as
 //!   periodic *anchors* ([`DeltaPolicy`]) so redo stays a bounded replay
 //!   of one generation;
-//! * **group commit** — the sync cadence is a [`SyncPolicy`]: every
-//!   commit, every *n* commits, asynchronous (a background sync thread
-//!   batches `fsync`s and publishes durable-LSN watermarks), or manual;
+//! * **one way to sync** — [`Wal::commit`] appends the commit record,
+//!   writes the tail page and syncs the log's disk before it returns, so
+//!   a commit that returned `Ok` is durable and one whose sync failed
+//!   returns the error. The log is single-threaded and has no cadence to
+//!   configure; several operations share one sync by sharing one commit
+//!   record (a `Batch` in `bur-core`);
 //! * **checkpoints as rewind** — a checkpoint makes the log durable,
 //!   flushes the buffer pool as the new base image, then *rewinds* the
 //!   log onto its own pages under a fresh generation number, reusing them
@@ -47,16 +50,16 @@
 //! content), so recovery never needs undo.
 //!
 //! ```
-//! use bur_storage::{MemDisk, SyncPolicy};
+//! use bur_storage::MemDisk;
 //! use bur_wal::{Wal, WalRecord};
 //! use std::sync::Arc;
 //!
 //! let disk = Arc::new(MemDisk::new(256));
-//! let wal = Wal::create(disk.clone(), SyncPolicy::EveryCommit).unwrap();
+//! let wal = Wal::create(disk.clone()).unwrap();
 //! let anchor = wal.anchor();
 //! wal.append(&WalRecord::PageImage { pid: 9, data: vec![7u8; 256] }).unwrap();
-//! wal.append(&WalRecord::Commit { meta: b"snapshot".to_vec() }).unwrap();
-//! wal.sync().unwrap();
+//! let lsn = wal.commit(b"snapshot".to_vec()).unwrap();
+//! assert_eq!(wal.durable_lsn(), lsn);
 //!
 //! let scan = bur_wal::scan(disk.as_ref(), anchor).unwrap();
 //! assert_eq!(scan.records.len(), 2);
@@ -68,11 +71,9 @@
 mod cursor;
 mod log;
 
-pub use bur_storage::{Lsn, SyncPolicy};
+pub use bur_storage::Lsn;
 pub use cursor::{LogCursor, ShipBatch};
-pub use log::{
-    scan, ScanResult, Wal, WalStatsSnapshot, WalWaiter, DEFAULT_ASYNC_COALESCE, WAL_PAGE_MAGIC,
-};
+pub use log::{scan, ScanResult, Wal, WalStatsSnapshot, WAL_PAGE_MAGIC};
 
 /// When [`Wal::append_page`] may log a byte-range delta instead of a full
 /// page image.

@@ -31,38 +31,18 @@
 //! page with a [`WalRecord::Checkpoint`]. Stale pages of older
 //! generations are ignored by [`scan`] (generation mismatch ends the
 //! chain), so the log never grows past one generation of records.
-//!
-//! # Async group commit
-//!
-//! Under [`SyncPolicy::Async`] the `Wal` owns a background sync thread.
-//! A commit appends its record, flags a sync request and returns; the
-//! thread wakes, snapshots the tail page to disk, releases the log lock,
-//! syncs the device, and then publishes the durable-LSN watermark (to
-//! [`Wal::wait_durable`] waiters and the registered watcher). Commits
-//! that land while a sync is in flight are batched into the next one.
 
 use crate::{crc32, DeltaPolicy, DeltaRange, WalRecord};
-use bur_storage::{DiskBackend, Lsn, PageId, StorageResult, SyncPolicy, INVALID_PAGE};
-use parking_lot::{Condvar, Mutex};
+use bur_storage::{DiskBackend, Lsn, PageId, StorageResult, INVALID_PAGE};
+use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Magic number opening every log page ("BWAL", little-endian).
 pub const WAL_PAGE_MAGIC: u32 = 0x4C41_5742;
-
-/// Default commit-record debounce under [`SyncPolicy::Async`]: the
-/// background syncer is *requested* only every this many commit records
-/// (see [`Wal::set_async_coalesce`]); in between, commits ride the
-/// coalescing window.
-pub const DEFAULT_ASYNC_COALESCE: u32 = 8;
-
-/// How long the background syncer lets further commits accumulate after
-/// the first unsynced one before syncing anyway. Bounds the durability
-/// lag of a debounced single-threaded commit stream.
-const ASYNC_COALESCE_WINDOW: Duration = Duration::from_millis(2);
 
 /// Log page header size in bytes.
 pub(crate) const HDR: usize = 14;
@@ -110,22 +90,11 @@ struct WalInner {
     durable_lsn: Lsn,
     /// `cur` holds appended bytes not yet written to the disk.
     dirty_tail: bool,
-    commits_since_sync: u32,
     /// Set by [`Wal::reopen`]: the log must be rewound (checkpointed)
     /// before new records may be appended.
     needs_rewind: bool,
     /// Per-page delta-encoder state, cleared at every rewind.
     tracks: HashMap<PageId, PageTrack>,
-    /// Async: the background thread should sync as soon as it can.
-    sync_requested: bool,
-    /// Threads currently blocked in [`Wal::wait_durable`]; while any
-    /// exist, commit debouncing is suspended (hard acks stay prompt).
-    waiters: u32,
-    /// Async: the background thread must exit.
-    shutdown: bool,
-    /// Async: a background sync failed; surfaced to the next caller that
-    /// asks about durability.
-    sync_error: Option<bur_storage::StorageError>,
 }
 
 /// Monotonic counters describing log activity since creation.
@@ -182,7 +151,7 @@ pub struct WalStatsSnapshot {
     /// Pages owned by the log (current chain + recycled spares).
     pub log_pages: usize,
     /// Nanoseconds spent inside [`DiskBackend::sync`] on the log's disk
-    /// (commit syncs, checkpoint syncs and background syncs alike).
+    /// (commit syncs and checkpoint syncs alike).
     pub sync_nanos: u64,
     /// Nanoseconds the owning index spent in whole checkpoints (log sync,
     /// metadata persist, pool flush, data sync, rewind), as reported
@@ -244,35 +213,17 @@ impl RecordRef<'_> {
     }
 }
 
-/// Callback invoked with each new durable-LSN watermark.
-type DurableWatcher = Box<dyn Fn(Lsn) + Send + Sync>;
-
-/// State shared between the [`Wal`] handle and its background syncer.
-struct WalShared {
+/// The write-ahead log. See the [crate docs](crate) for the protocol;
+/// the on-disk layout is documented at the top of this source file.
+pub struct Wal {
     disk: Arc<dyn DiskBackend>,
     anchor: PageId,
-    policy: SyncPolicy,
     delta: DeltaPolicy,
     inner: Mutex<WalInner>,
     counters: WalCounters,
-    /// Wakes the background syncer (sync requested or shutdown).
-    sync_signal: Condvar,
-    /// Wakes threads blocked in [`Wal::wait_durable`].
-    durable_signal: Condvar,
-    /// `true` while a background syncer thread serves this log
-    /// ([`SyncPolicy::Async`] and not yet shut down).
-    has_syncer: AtomicBool,
-    /// Async commit debounce: request a background sync only every this
-    /// many commit records (min 1 = request per commit, the pre-debounce
-    /// behavior). The coalescing window bounds the added latency.
-    coalesce: AtomicU32,
-    /// Called (outside the log lock) with the new durable LSN after every
-    /// background sync; lets the buffer pool unblock gated flushes
-    /// without polling.
-    watcher: Mutex<Option<DurableWatcher>>,
 }
 
-impl WalShared {
+impl Wal {
     fn append_inner(&self, inner: &mut WalInner, rec: &RecordRef<'_>) -> StorageResult<Lsn> {
         if inner.needs_rewind {
             return Err(wal_state_error(
@@ -371,205 +322,69 @@ impl WalShared {
         Ok(())
     }
 
+    /// Write the tail page and sync the log's disk, charging the wait to
+    /// `sync_nanos`. The durable watermark moves only when both succeed.
     fn sync_inner(&self, inner: &mut WalInner) -> StorageResult<()> {
         if inner.dirty_tail {
             self.write_cur_page(inner, INVALID_PAGE)?;
             inner.dirty_tail = false;
         }
-        self.timed_disk_sync()?;
-        inner.durable_lsn = inner.last_lsn;
-        inner.commits_since_sync = 0;
-        self.counters.syncs.fetch_add(1, Ordering::Relaxed);
-        Ok(())
-    }
-
-    /// Sync the log's disk, charging the wait to `sync_nanos`.
-    fn timed_disk_sync(&self) -> StorageResult<()> {
         let started = Instant::now();
         let synced = self.disk.sync();
         self.counters
             .sync_nanos
             .fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        synced
+        synced?;
+        inner.durable_lsn = inner.last_lsn;
+        self.counters.syncs.fetch_add(1, Ordering::Relaxed);
+        Ok(())
     }
 
-    fn notify_watcher(&self, lsn: Lsn) {
-        let watcher = self.watcher.lock();
-        if let Some(f) = watcher.as_ref() {
-            f(lsn);
-        }
-    }
-
-    /// Block until every record at or below `lsn` is durable; returns
-    /// the durable watermark. Shared by [`Wal::wait_durable`] and
-    /// [`WalWaiter::wait`].
-    fn wait_durable_inner(&self, lsn: Lsn) -> StorageResult<Lsn> {
-        let mut inner = self.inner.lock();
-        loop {
-            // Success first: a caller whose records are already durable
-            // must not be handed a later batch's sync failure (that error
-            // stays queued for a waiter it actually affects).
-            if inner.durable_lsn >= lsn {
-                return Ok(inner.durable_lsn);
-            }
-            if let Some(e) = inner.sync_error.take() {
-                return Err(e);
-            }
-            if !self.has_syncer.load(Ordering::Acquire) {
-                self.sync_inner(&mut inner)?;
-                continue;
-            }
-            if inner.shutdown {
-                return Err(wal_state_error(
-                    "wal: log shut down before the awaited LSN became durable",
-                ));
-            }
-            inner.waiters += 1;
-            inner.sync_requested = true;
-            self.sync_signal.notify_all();
-            self.durable_signal.wait(&mut inner);
-            inner.waiters -= 1;
-        }
-    }
-
-    /// The background group-committer (Async policy). Batches every sync
-    /// request that arrives while a device sync is in flight into the
-    /// next one, and syncs the device *outside* the log lock so appenders
-    /// overlap the I/O.
-    ///
-    /// Sync requests are debounced by the committers (one request per
-    /// [`WalShared::coalesce`] commit records); the loop backstops the
-    /// debounce with a *coalescing window*: once any commit is unsynced,
-    /// it syncs after at most [`ASYNC_COALESCE_WINDOW`] even if the
-    /// request threshold is never reached, so a stalling commit stream
-    /// never leaves its tail lingering.
-    fn syncer_loop(self: &Arc<Self>) {
-        loop {
-            let target = {
-                let mut inner = self.inner.lock();
-                loop {
-                    if inner.shutdown {
-                        // Exit without a final sync: dropping the log
-                        // models a crash in tests, and clean shutdowns
-                        // checkpoint (which syncs synchronously) before
-                        // dropping.
-                        return;
-                    }
-                    if inner.sync_requested {
-                        break;
-                    }
-                    if inner.commits_since_sync > 0 || inner.dirty_tail {
-                        // Unsynced work exists but nobody asked yet:
-                        // coalesce, then sync at the deadline anyway.
-                        let deadline = Instant::now() + ASYNC_COALESCE_WINDOW;
-                        if self
-                            .sync_signal
-                            .wait_until(&mut inner, deadline)
-                            .timed_out()
-                        {
-                            break;
-                        }
-                    } else {
-                        self.sync_signal.wait(&mut inner);
-                    }
-                }
-                inner.sync_requested = false;
-                if inner.dirty_tail {
-                    if let Err(e) = self.write_cur_page(&mut inner, INVALID_PAGE) {
-                        inner.sync_error = Some(e);
-                        drop(inner);
-                        self.durable_signal.notify_all();
-                        continue;
-                    }
-                    inner.dirty_tail = false;
-                }
-                // Everything at or below this LSN is fully written to log
-                // pages; later appends may rewrite the tail page but only
-                // ever extend its (append-only) stream.
-                inner.last_lsn
-            };
-            let synced = self.timed_disk_sync();
-            let ok = synced.is_ok();
-            {
-                let mut inner = self.inner.lock();
-                match synced {
-                    Ok(()) => {
-                        if target > inner.durable_lsn {
-                            inner.durable_lsn = target;
-                        }
-                        inner.commits_since_sync = 0;
-                        self.counters.syncs.fetch_add(1, Ordering::Relaxed);
-                    }
-                    Err(e) => inner.sync_error = Some(e),
-                }
-            }
-            self.durable_signal.notify_all();
-            if ok {
-                self.notify_watcher(target);
-            }
-        }
-    }
-}
-
-/// The write-ahead log. See the [crate docs](crate) for the protocol;
-/// the on-disk layout is documented at the top of this source file.
-pub struct Wal {
-    shared: Arc<WalShared>,
-    /// Background group-committer, live only under [`SyncPolicy::Async`].
-    syncer: Option<std::thread::JoinHandle<()>>,
-}
-
-impl Wal {
-    /// Create a fresh log with the default [`DeltaPolicy`]: allocates the
-    /// anchor page and writes an empty generation-1 stream to it.
-    pub fn create(disk: Arc<dyn DiskBackend>, policy: SyncPolicy) -> StorageResult<Self> {
-        Self::create_with(disk, policy, DeltaPolicy::default())
-    }
-
-    /// Create a fresh log with an explicit delta policy.
-    pub fn create_with(
+    /// A log handle over `anchor` whose stream starts empty at `generation`.
+    fn new(
         disk: Arc<dyn DiskBackend>,
-        policy: SyncPolicy,
+        anchor: PageId,
         delta: DeltaPolicy,
-    ) -> StorageResult<Self> {
-        let anchor = disk.allocate()?;
+        generation: u32,
+        spare: Vec<PageId>,
+        last_lsn: Lsn,
+        needs_rewind: bool,
+    ) -> Self {
         let ps = disk.page_size();
-        let shared = Arc::new(WalShared {
+        Self {
             disk,
             anchor,
-            policy,
             delta,
             inner: Mutex::new(WalInner {
-                generation: 1,
+                generation,
                 cur: anchor,
                 buf: vec![0u8; ps].into_boxed_slice(),
                 used: 0,
                 chain: vec![anchor],
-                spare: Vec::new(),
-                next_lsn: 1,
-                last_lsn: 0,
-                durable_lsn: 0,
+                spare,
+                next_lsn: last_lsn + 1,
+                last_lsn,
+                durable_lsn: last_lsn,
                 dirty_tail: false,
-                commits_since_sync: 0,
-                needs_rewind: false,
+                needs_rewind,
                 tracks: HashMap::new(),
-                sync_requested: false,
-                waiters: 0,
-                shutdown: false,
-                sync_error: None,
             }),
             counters: WalCounters::default(),
-            sync_signal: Condvar::new(),
-            durable_signal: Condvar::new(),
-            has_syncer: AtomicBool::new(false),
-            coalesce: AtomicU32::new(DEFAULT_ASYNC_COALESCE),
-            watcher: Mutex::new(None),
-        });
-        {
-            let mut inner = shared.inner.lock();
-            shared.write_cur_page(&mut inner, INVALID_PAGE)?;
         }
-        Ok(Self::finish(shared))
+    }
+
+    /// Create a fresh log with the default [`DeltaPolicy`]: allocates the
+    /// anchor page and writes an empty generation-1 stream to it.
+    pub fn create(disk: Arc<dyn DiskBackend>) -> StorageResult<Self> {
+        Self::create_with(disk, DeltaPolicy::default())
+    }
+
+    /// Create a fresh log with an explicit delta policy.
+    pub fn create_with(disk: Arc<dyn DiskBackend>, delta: DeltaPolicy) -> StorageResult<Self> {
+        let anchor = disk.allocate()?;
+        let wal = Self::new(disk, anchor, delta, 1, Vec::new(), 0, false);
+        wal.write_cur_page(&mut wal.inner.lock(), INVALID_PAGE)?;
+        Ok(wal)
     }
 
     /// Reopen an existing log for recovery with the default
@@ -577,164 +392,57 @@ impl Wal {
     /// log is positioned *read-only* — it must be rewound with
     /// [`Wal::checkpoint_rewind`] (after replaying the records and
     /// flushing the new base image) before appending again.
-    pub fn reopen(
-        disk: Arc<dyn DiskBackend>,
-        anchor: PageId,
-        policy: SyncPolicy,
-    ) -> StorageResult<(Self, ScanResult)> {
-        Self::reopen_with(disk, anchor, policy, DeltaPolicy::default())
+    pub fn reopen(disk: Arc<dyn DiskBackend>, anchor: PageId) -> StorageResult<(Self, ScanResult)> {
+        Self::reopen_with(disk, anchor, DeltaPolicy::default())
     }
 
     /// Reopen with an explicit delta policy (see [`Wal::reopen`]).
     pub fn reopen_with(
         disk: Arc<dyn DiskBackend>,
         anchor: PageId,
-        policy: SyncPolicy,
         delta: DeltaPolicy,
     ) -> StorageResult<(Self, ScanResult)> {
         let scanned = scan(disk.as_ref(), anchor)?;
-        let ps = disk.page_size();
         let last = scanned.records.last().map_or(0, |&(lsn, _)| lsn);
-        let shared = Arc::new(WalShared {
-            disk,
-            anchor,
-            policy,
-            delta,
-            inner: Mutex::new(WalInner {
-                generation: scanned.generation,
-                cur: anchor,
-                buf: vec![0u8; ps].into_boxed_slice(),
-                used: 0,
-                chain: vec![anchor],
-                spare: scanned
-                    .pages
-                    .iter()
-                    .copied()
-                    .filter(|&p| p != anchor)
-                    .collect(),
-                next_lsn: last + 1,
-                last_lsn: last,
-                durable_lsn: last,
-                dirty_tail: false,
-                commits_since_sync: 0,
-                needs_rewind: true,
-                tracks: HashMap::new(),
-                sync_requested: false,
-                waiters: 0,
-                shutdown: false,
-                sync_error: None,
-            }),
-            counters: WalCounters::default(),
-            sync_signal: Condvar::new(),
-            durable_signal: Condvar::new(),
-            has_syncer: AtomicBool::new(false),
-            coalesce: AtomicU32::new(DEFAULT_ASYNC_COALESCE),
-            watcher: Mutex::new(None),
-        });
-        Ok((Self::finish(shared), scanned))
-    }
-
-    /// Spawn the background syncer when the policy asks for one.
-    fn finish(shared: Arc<WalShared>) -> Self {
-        let syncer = if shared.policy == SyncPolicy::Async {
-            shared.has_syncer.store(true, Ordering::Release);
-            let s = shared.clone();
-            Some(std::thread::spawn(move || s.syncer_loop()))
-        } else {
-            None
-        };
-        Self { shared, syncer }
+        let spare = scanned
+            .pages
+            .iter()
+            .copied()
+            .filter(|&p| p != anchor)
+            .collect();
+        let wal = Self::new(disk, anchor, delta, scanned.generation, spare, last, true);
+        Ok((wal, scanned))
     }
 
     /// The anchor (first) page of the log chain.
     #[must_use]
     pub fn anchor(&self) -> PageId {
-        self.shared.anchor
-    }
-
-    /// The configured sync cadence.
-    #[must_use]
-    pub fn policy(&self) -> SyncPolicy {
-        self.shared.policy
+        self.anchor
     }
 
     /// The configured delta policy.
     #[must_use]
     pub fn delta_policy(&self) -> DeltaPolicy {
-        self.shared.delta
+        self.delta
     }
 
     /// Highest LSN assigned so far.
     #[must_use]
     pub fn last_lsn(&self) -> Lsn {
-        self.shared.inner.lock().last_lsn
+        self.inner.lock().last_lsn
     }
 
     /// Highest LSN known durable (on disk and synced).
     #[must_use]
     pub fn durable_lsn(&self) -> Lsn {
-        self.shared.inner.lock().durable_lsn
-    }
-
-    /// Register the durable-LSN watcher: called (outside the log lock)
-    /// after every *background* sync with the new watermark. Synchronous
-    /// sync paths report durability through their return values instead.
-    pub fn set_durable_watcher(&self, f: Box<dyn Fn(Lsn) + Send + Sync>) {
-        *self.shared.watcher.lock() = Some(f);
-    }
-
-    /// Block until every record at or below `lsn` is durable; returns the
-    /// durable watermark. Under [`SyncPolicy::Async`] this waits on the
-    /// background thread; under the synchronous policies it syncs inline.
-    pub fn wait_durable(&self, lsn: Lsn) -> StorageResult<Lsn> {
-        // Push the watermark to the registered watcher before returning:
-        // the background syncer publishes `durable_lsn` (and wakes this
-        // waiter) *before* it runs the watcher callback, so without this
-        // a caller could observe durability while a flush-gating buffer
-        // pool still holds the stale watermark. The watcher is monotone
-        // (watchers take the max), so the duplicate notification is safe.
-        let watermark = self.shared.wait_durable_inner(lsn)?;
-        self.shared.notify_watcher(watermark);
-        Ok(watermark)
-    }
-
-    /// A clonable handle that can await the durable-LSN watermark without
-    /// borrowing the `Wal` (or the index owning it). This is what a
-    /// commit ticket holds: `wait` blocks exactly like
-    /// [`Wal::wait_durable`], including the inline-sync fallback under
-    /// the synchronous policies.
-    #[must_use]
-    pub fn waiter(&self) -> WalWaiter {
-        WalWaiter {
-            shared: self.shared.clone(),
-        }
-    }
-
-    /// Set the async commit debounce: under [`SyncPolicy::Async`] a
-    /// background sync is *requested* only every `commits` commit
-    /// records (the coalescing window still bounds the lag between a
-    /// commit and its sync). `1` restores a request per commit — the
-    /// pre-debounce behavior, which costs a condvar signal and usually a
-    /// tail-page write per commit on single-threaded streams. Values of
-    /// 0 are treated as 1. No effect under the synchronous policies.
-    pub fn set_async_coalesce(&self, commits: u32) {
-        self.shared
-            .coalesce
-            .store(commits.max(1), Ordering::Relaxed);
-    }
-
-    /// The configured async commit debounce (see
-    /// [`Wal::set_async_coalesce`]).
-    #[must_use]
-    pub fn async_coalesce(&self) -> u32 {
-        self.shared.coalesce.load(Ordering::Relaxed)
+        self.inner.lock().durable_lsn
     }
 
     /// Counter snapshot for tooling and benches.
     #[must_use]
     pub fn stats(&self) -> WalStatsSnapshot {
-        let c = &self.shared.counters;
-        let inner = self.shared.inner.lock();
+        let c = &self.counters;
+        let inner = self.inner.lock();
         WalStatsSnapshot {
             records: c.records.load(Ordering::Relaxed),
             images: c.images.load(Ordering::Relaxed),
@@ -763,18 +471,17 @@ impl Wal {
     /// disk), so the owner reports them here and they ride
     /// [`WalStatsSnapshot`] beside the log's own counters.
     pub fn note_checkpoint(&self, elapsed: Duration, pages_flushed: u64) {
-        let c = &self.shared.counters;
+        let c = &self.counters;
         c.checkpoint_nanos
             .fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
         c.checkpoint_pages_flushed
             .fetch_add(pages_flushed, Ordering::Relaxed);
     }
 
-    /// Append one record; returns its LSN. The record is durable only
-    /// after the next [`Wal::sync`] (or automatic sync via
-    /// [`Wal::commit`]'s policy).
+    /// Append one record without syncing; returns its LSN. The record is
+    /// durable only after the next [`Wal::sync`] or [`Wal::commit`].
     pub fn append(&self, rec: &WalRecord) -> StorageResult<Lsn> {
-        let mut inner = self.shared.inner.lock();
+        let mut inner = self.inner.lock();
         let rref = match rec {
             WalRecord::PageImage { pid, data } => RecordRef::Image { pid: *pid, data },
             WalRecord::PageDelta {
@@ -789,7 +496,7 @@ impl Wal {
             WalRecord::Commit { meta } => RecordRef::Commit(meta),
             WalRecord::Checkpoint { meta } => RecordRef::Checkpoint(meta),
         };
-        self.shared.append_inner(&mut inner, &rref)
+        self.append_inner(&mut inner, &rref)
     }
 
     /// Log the current content of page `pid`, letting the delta encoder
@@ -800,9 +507,8 @@ impl Wal {
     /// page's existing track buffer, so the steady state allocates
     /// nothing).
     pub fn append_page(&self, pid: PageId, data: &[u8]) -> StorageResult<Lsn> {
-        let shared = &self.shared;
-        let delta = shared.delta;
-        let mut inner = shared.inner.lock();
+        let delta = self.delta;
+        let mut inner = self.inner.lock();
         let deltas_on =
             delta.enabled && delta.anchor_every >= 2 && data.len() <= usize::from(u16::MAX);
         if deltas_on {
@@ -815,7 +521,7 @@ impl Wal {
                     // image (a full rewrite degenerates to one big range).
                     if delta_body < 4 + data.len() {
                         let base_lsn = track.last_lsn;
-                        let lsn = shared.append_inner(
+                        let lsn = self.append_inner(
                             &mut inner,
                             &RecordRef::Delta {
                                 pid,
@@ -823,8 +529,7 @@ impl Wal {
                                 ranges: &ranges,
                             },
                         )?;
-                        shared
-                            .counters
+                        self.counters
                             .delta_saved_bytes
                             .fetch_add((4 + data.len() - delta_body) as u64, Ordering::Relaxed);
                         let track = inner.tracks.get_mut(&pid).expect("track checked above");
@@ -836,7 +541,7 @@ impl Wal {
                 }
             }
         }
-        let lsn = shared.append_inner(&mut inner, &RecordRef::Image { pid, data })?;
+        let lsn = self.append_inner(&mut inner, &RecordRef::Image { pid, data })?;
         if deltas_on {
             match inner.tracks.get_mut(&pid) {
                 Some(track) if track.data.len() == data.len() => {
@@ -859,53 +564,23 @@ impl Wal {
         Ok(lsn)
     }
 
-    /// Append a [`WalRecord::Commit`] and apply the sync policy. Returns
-    /// `(lsn, durable)` where `durable` says whether this commit is
-    /// already synced. Under [`SyncPolicy::Async`] the commit returns
-    /// immediately with `durable == false` and the background thread
-    /// syncs it as part of the next batch ([`Wal::wait_durable`] blocks
-    /// until then).
-    pub fn commit(&self, meta: Vec<u8>) -> StorageResult<(Lsn, bool)> {
-        let mut inner = self.shared.inner.lock();
-        let lsn = self
-            .shared
-            .append_inner(&mut inner, &RecordRef::Commit(&meta))?;
-        inner.commits_since_sync += 1;
-        let do_sync = match self.shared.policy {
-            SyncPolicy::EveryCommit => true,
-            SyncPolicy::GroupCommit(n) => inner.commits_since_sync >= n.max(1),
-            SyncPolicy::Async => {
-                // Debounce: wake the syncer for the *first* unsynced
-                // commit (it opens the coalescing window) and again once
-                // a full coalesce batch accumulated — or immediately
-                // while hard-ack waiters are blocked. Everything else
-                // rides the window.
-                let coalesce = self.shared.coalesce.load(Ordering::Relaxed).max(1);
-                if inner.waiters > 0 || inner.commits_since_sync >= coalesce {
-                    inner.sync_requested = true;
-                    self.shared.sync_signal.notify_all();
-                } else if inner.commits_since_sync == 1 {
-                    self.shared.sync_signal.notify_all();
-                }
-                false
-            }
-            SyncPolicy::Manual => false,
-        };
-        if do_sync {
-            self.shared.sync_inner(&mut inner)?;
-        }
-        self.shared.counters.commits.fetch_add(1, Ordering::Relaxed);
-        Ok((lsn, do_sync))
+    /// Append a [`WalRecord::Commit`], write the tail page and sync the
+    /// log's disk; returns the commit's LSN, which is durable. When the
+    /// sync fails the error is returned and the durable watermark stays
+    /// where it was: the record may or may not survive a crash, so the
+    /// caller must not acknowledge it.
+    pub fn commit(&self, meta: Vec<u8>) -> StorageResult<Lsn> {
+        let mut inner = self.inner.lock();
+        let lsn = self.append_inner(&mut inner, &RecordRef::Commit(&meta))?;
+        self.sync_inner(&mut inner)?;
+        self.counters.commits.fetch_add(1, Ordering::Relaxed);
+        Ok(lsn)
     }
 
     /// Make every appended record durable: write the tail page and sync
-    /// the disk (inline, regardless of policy).
+    /// the disk.
     pub fn sync(&self) -> StorageResult<()> {
-        let mut inner = self.shared.inner.lock();
-        if let Some(e) = inner.sync_error.take() {
-            return Err(e);
-        }
-        self.shared.sync_inner(&mut inner)
+        self.sync_inner(&mut self.inner.lock())
     }
 
     /// Checkpoint: recycle the current generation's pages, start a fresh
@@ -914,89 +589,25 @@ impl Wal {
     /// must have flushed the buffer pool *before* this, so the on-disk
     /// pages are a complete base image for `meta`.
     pub fn checkpoint_rewind(&self, meta: Vec<u8>) -> StorageResult<Lsn> {
-        let mut inner = self.shared.inner.lock();
+        let mut inner = self.inner.lock();
         let old_chain = std::mem::take(&mut inner.chain);
         inner
             .spare
-            .extend(old_chain.into_iter().filter(|&p| p != self.shared.anchor));
+            .extend(old_chain.into_iter().filter(|&p| p != self.anchor));
         inner.generation = inner.generation.wrapping_add(1);
-        inner.cur = self.shared.anchor;
+        inner.cur = self.anchor;
         inner.used = 0;
         inner.buf.fill(0);
-        inner.chain = vec![self.shared.anchor];
+        inner.chain = vec![self.anchor];
         inner.dirty_tail = true; // the fresh header must reach the disk
         inner.needs_rewind = false;
-        inner.commits_since_sync = 0;
         // The new generation's first image of every page is full again.
         inner.tracks.clear();
-        let lsn = self
-            .shared
-            .append_inner(&mut inner, &RecordRef::Checkpoint(&meta))?;
-        self.shared.sync_inner(&mut inner)?;
-        self.shared
-            .counters
-            .checkpoints
-            .fetch_add(1, Ordering::Relaxed);
-        self.shared.counters.rewinds.fetch_add(1, Ordering::Relaxed);
+        let lsn = self.append_inner(&mut inner, &RecordRef::Checkpoint(&meta))?;
+        self.sync_inner(&mut inner)?;
+        self.counters.checkpoints.fetch_add(1, Ordering::Relaxed);
+        self.counters.rewinds.fetch_add(1, Ordering::Relaxed);
         Ok(lsn)
-    }
-}
-
-impl Drop for Wal {
-    fn drop(&mut self) {
-        if let Some(handle) = self.syncer.take() {
-            {
-                let mut inner = self.shared.inner.lock();
-                inner.shutdown = true;
-            }
-            self.shared.sync_signal.notify_all();
-            let _ = handle.join();
-            // Outstanding `WalWaiter`s (commit tickets) must not hang on
-            // a syncer that will never run again: wake them so the wait
-            // loop observes the shutdown.
-            self.shared.durable_signal.notify_all();
-        }
-    }
-}
-
-/// A clonable durable-watermark waiter detached from the [`Wal`] handle
-/// (see [`Wal::waiter`]). Safe to hold across the index lock: waiting
-/// never touches index state, only the log.
-#[derive(Clone)]
-pub struct WalWaiter {
-    shared: Arc<WalShared>,
-}
-
-impl fmt::Debug for WalWaiter {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("WalWaiter")
-            .field("durable_lsn", &self.durable_lsn())
-            .finish()
-    }
-}
-
-impl WalWaiter {
-    /// Block until every record at or below `lsn` is durable; returns
-    /// the durable watermark (like [`Wal::wait_durable`]). The watermark
-    /// is also pushed to the registered durable watcher, so a buffer
-    /// pool gating flushes on the durable LSN learns about inline syncs
-    /// too.
-    pub fn wait(&self, lsn: Lsn) -> StorageResult<Lsn> {
-        let watermark = self.shared.wait_durable_inner(lsn)?;
-        self.shared.notify_watcher(watermark);
-        Ok(watermark)
-    }
-
-    /// Highest LSN currently known durable.
-    #[must_use]
-    pub fn durable_lsn(&self) -> Lsn {
-        self.shared.inner.lock().durable_lsn
-    }
-
-    /// Highest LSN assigned so far.
-    #[must_use]
-    pub fn last_lsn(&self) -> Lsn {
-        self.shared.inner.lock().last_lsn
     }
 }
 
@@ -1275,11 +886,10 @@ mod tests {
     #[test]
     fn append_scan_roundtrip() {
         let d = disk(256);
-        let wal = Wal::create(d.clone(), SyncPolicy::EveryCommit).unwrap();
+        let wal = Wal::create(d.clone()).unwrap();
         let l1 = wal.append(&image(9, 0xAA, 256)).unwrap();
         let l2 = wal.append(&image(10, 0xBB, 256)).unwrap();
-        let (l3, durable) = wal.commit(b"meta-1".to_vec()).unwrap();
-        assert!(durable);
+        let l3 = wal.commit(b"meta-1".to_vec()).unwrap();
         assert!(l1 < l2 && l2 < l3);
         assert_eq!(wal.durable_lsn(), l3);
 
@@ -1306,7 +916,7 @@ mod tests {
     #[test]
     fn records_span_pages() {
         let d = disk(128);
-        let wal = Wal::create(d.clone(), SyncPolicy::Manual).unwrap();
+        let wal = Wal::create(d.clone()).unwrap();
         // One image is larger than a whole log page.
         let rec = WalRecord::PageImage {
             pid: 3,
@@ -1323,7 +933,7 @@ mod tests {
     #[test]
     fn unsynced_tail_is_invisible_after_crash() {
         let d = disk(256);
-        let wal = Wal::create(d.clone(), SyncPolicy::Manual).unwrap();
+        let wal = Wal::create(d.clone()).unwrap();
         wal.append(&image(1, 1, 64)).unwrap();
         wal.sync().unwrap();
         // Appended but never synced: lives only in the tail buffer.
@@ -1337,7 +947,7 @@ mod tests {
     #[test]
     fn torn_tail_is_detected_and_clipped() {
         let d = disk(256);
-        let wal = Wal::create(d.clone(), SyncPolicy::Manual).unwrap();
+        let wal = Wal::create(d.clone()).unwrap();
         wal.append(&image(1, 1, 64)).unwrap();
         wal.append(&image(2, 2, 64)).unwrap();
         wal.sync().unwrap();
@@ -1362,7 +972,7 @@ mod tests {
     #[test]
     fn rewind_recycles_pages_and_bumps_generation() {
         let d = disk(256);
-        let wal = Wal::create(d.clone(), SyncPolicy::EveryCommit).unwrap();
+        let wal = Wal::create(d.clone()).unwrap();
         for round in 0..5u8 {
             for p in 0..4 {
                 wal.append(&image(p, round, 200)).unwrap();
@@ -1389,48 +999,16 @@ mod tests {
     }
 
     #[test]
-    fn group_commit_policy_batches_syncs() {
-        let d = disk(256);
-        let wal = Wal::create(d, SyncPolicy::GroupCommit(3)).unwrap();
-        let mut durables = Vec::new();
-        for i in 0..7u8 {
-            let (_, durable) = wal.commit(vec![i]).unwrap();
-            durables.push(durable);
-        }
-        assert_eq!(
-            durables,
-            vec![false, false, true, false, false, true, false]
-        );
-        assert!(wal.durable_lsn() < wal.last_lsn());
-        wal.sync().unwrap();
-        assert_eq!(wal.durable_lsn(), wal.last_lsn());
-        assert_eq!(wal.stats().commits, 7);
-        assert_eq!(wal.stats().records, 7);
-    }
-
-    #[test]
-    fn manual_policy_never_syncs_on_commit() {
-        let d = disk(256);
-        let wal = Wal::create(d, SyncPolicy::Manual).unwrap();
-        let before = wal.stats().syncs;
-        for i in 0..4u8 {
-            let (_, durable) = wal.commit(vec![i]).unwrap();
-            assert!(!durable);
-        }
-        assert_eq!(wal.stats().syncs, before);
-    }
-
-    #[test]
     fn reopen_requires_rewind_before_append() {
         let d = disk(256);
         let anchor;
         {
-            let wal = Wal::create(d.clone(), SyncPolicy::EveryCommit).unwrap();
+            let wal = Wal::create(d.clone()).unwrap();
             anchor = wal.anchor();
             wal.append(&image(5, 5, 100)).unwrap();
             wal.commit(b"m".to_vec()).unwrap();
         }
-        let (wal, s) = Wal::reopen(d.clone(), anchor, SyncPolicy::EveryCommit).unwrap();
+        let (wal, s) = Wal::reopen(d.clone(), anchor).unwrap();
         assert!(s.valid);
         assert_eq!(s.records.len(), 2);
         assert!(wal.append(&image(1, 1, 8)).is_err(), "append before rewind");
@@ -1458,14 +1036,13 @@ mod tests {
     #[test]
     fn stats_display_is_readable() {
         let d = disk(256);
-        let wal = Wal::create(d, SyncPolicy::EveryCommit).unwrap();
+        let wal = Wal::create(d).unwrap();
         wal.append(&image(1, 1, 32)).unwrap();
         wal.commit(vec![]).unwrap();
         let text = wal.stats().to_string();
         assert!(text.contains("records"), "{text}");
         assert!(text.contains("gen 1"), "{text}");
         assert!(text.contains("deltas"), "{text}");
-        assert_eq!(wal.policy(), SyncPolicy::EveryCommit);
     }
 
     // ---- delta records ---------------------------------------------------
@@ -1473,7 +1050,7 @@ mod tests {
     #[test]
     fn append_page_logs_full_then_delta() {
         let d = disk(256);
-        let wal = Wal::create(d.clone(), SyncPolicy::Manual).unwrap();
+        let wal = Wal::create(d.clone()).unwrap();
         let mut page = vec![0u8; 256];
         page[10] = 1;
         let l1 = wal.append_page(7, &page).unwrap();
@@ -1521,7 +1098,6 @@ mod tests {
         let d = disk(512);
         let wal = Wal::create_with(
             d.clone(),
-            SyncPolicy::Manual,
             DeltaPolicy {
                 enabled: true,
                 anchor_every: 4,
@@ -1556,7 +1132,7 @@ mod tests {
     #[test]
     fn full_rewrite_falls_back_to_full_image() {
         let d = disk(256);
-        let wal = Wal::create(d.clone(), SyncPolicy::Manual).unwrap();
+        let wal = Wal::create(d.clone()).unwrap();
         wal.append_page(1, &[0xAA; 256]).unwrap();
         // Every byte changed: a delta would be bigger than the image.
         wal.append_page(1, &[0x55; 256]).unwrap();
@@ -1568,8 +1144,7 @@ mod tests {
     #[test]
     fn disabled_delta_policy_always_logs_full_images() {
         let d = disk(256);
-        let wal =
-            Wal::create_with(d.clone(), SyncPolicy::Manual, DeltaPolicy::full_images()).unwrap();
+        let wal = Wal::create_with(d.clone(), DeltaPolicy::full_images()).unwrap();
         let mut page = vec![0u8; 256];
         for i in 0..5u8 {
             page[0] = i;
@@ -1583,7 +1158,7 @@ mod tests {
     #[test]
     fn rewind_resets_delta_chains() {
         let d = disk(256);
-        let wal = Wal::create(d.clone(), SyncPolicy::EveryCommit).unwrap();
+        let wal = Wal::create(d.clone()).unwrap();
         let mut page = vec![0u8; 256];
         wal.append_page(4, &page).unwrap();
         page[3] = 1;
@@ -1625,130 +1200,5 @@ mod tests {
     fn diff_ranges_empty_for_identical_pages() {
         let page = vec![7u8; 128];
         assert!(diff_ranges(&page, &page).is_empty());
-    }
-
-    // ---- async group commit ---------------------------------------------
-
-    #[test]
-    fn async_commit_returns_immediately_and_becomes_durable() {
-        let d = disk(256);
-        let wal = Wal::create(d.clone(), SyncPolicy::Async).unwrap();
-        let mut last = 0;
-        for i in 0..10u8 {
-            wal.append_page(1, &vec![i; 256]).unwrap();
-            let (lsn, durable) = wal.commit(vec![i]).unwrap();
-            assert!(!durable, "async commits never sync inline");
-            last = lsn;
-        }
-        let watermark = wal.wait_durable(last).unwrap();
-        assert!(watermark >= last);
-        assert_eq!(wal.durable_lsn(), watermark);
-        let stats = wal.stats();
-        assert!(
-            stats.syncs <= stats.commits,
-            "background thread batches syncs: {stats}"
-        );
-        // Everything survives a scan.
-        let s = scan(d.as_ref(), wal.anchor()).unwrap();
-        assert_eq!(
-            s.records
-                .iter()
-                .filter(|(_, r)| r.name() == "commit")
-                .count(),
-            10
-        );
-    }
-
-    #[test]
-    fn async_watcher_publishes_watermarks() {
-        use std::sync::atomic::AtomicU64;
-        let d = disk(256);
-        let wal = Wal::create(d, SyncPolicy::Async).unwrap();
-        let seen = Arc::new(AtomicU64::new(0));
-        let seen2 = seen.clone();
-        wal.set_durable_watcher(Box::new(move |lsn| {
-            seen2.fetch_max(lsn, Ordering::Relaxed);
-        }));
-        let (lsn, _) = wal.commit(b"x".to_vec()).unwrap();
-        wal.wait_durable(lsn).unwrap();
-        assert!(seen.load(Ordering::Relaxed) >= lsn);
-    }
-
-    #[test]
-    fn async_checkpoint_rewind_is_synchronous() {
-        let d = disk(256);
-        let wal = Wal::create(d.clone(), SyncPolicy::Async).unwrap();
-        wal.append_page(2, &[9; 256]).unwrap();
-        wal.commit(vec![1]).unwrap();
-        wal.checkpoint_rewind(vec![2]).unwrap();
-        assert_eq!(wal.durable_lsn(), wal.last_lsn());
-        let s = scan(d.as_ref(), wal.anchor()).unwrap();
-        assert_eq!(s.records.len(), 1);
-        assert!(matches!(s.records[0].1, WalRecord::Checkpoint { .. }));
-        drop(wal); // must join the syncer without hanging
-    }
-
-    #[test]
-    fn wait_durable_inline_without_background_thread() {
-        let d = disk(256);
-        let wal = Wal::create(d, SyncPolicy::Manual).unwrap();
-        let (lsn, durable) = wal.commit(vec![1]).unwrap();
-        assert!(!durable);
-        assert_eq!(wal.wait_durable(lsn).unwrap(), lsn);
-    }
-
-    #[test]
-    fn async_coalescing_window_syncs_debounced_commits() {
-        // With a huge debounce threshold no commit ever *requests* a
-        // sync; the coalescing window must still make the tail durable
-        // shortly after the stream stalls.
-        let d = disk(256);
-        let wal = Wal::create(d, SyncPolicy::Async).unwrap();
-        wal.set_async_coalesce(1_000_000);
-        assert_eq!(wal.async_coalesce(), 1_000_000);
-        let mut last = 0;
-        for i in 0..5u8 {
-            let (lsn, durable) = wal.commit(vec![i]).unwrap();
-            assert!(!durable);
-            last = lsn;
-        }
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while wal.durable_lsn() < last {
-            assert!(
-                Instant::now() < deadline,
-                "coalescing window never synced the tail"
-            );
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        assert!(wal.stats().syncs >= 1);
-    }
-
-    #[test]
-    fn waiter_acks_like_wait_durable_and_survives_wal_drop() {
-        let d = disk(256);
-        let wal = Wal::create(d, SyncPolicy::Async).unwrap();
-        let waiter = wal.waiter();
-        let (lsn, _) = wal.commit(b"x".to_vec()).unwrap();
-        assert_eq!(waiter.wait(lsn).unwrap(), wal.durable_lsn());
-        assert!(waiter.durable_lsn() >= lsn);
-        assert_eq!(waiter.last_lsn(), wal.last_lsn());
-        // An already-durable target stays satisfiable after the log (and
-        // its background syncer) is gone ...
-        drop(wal);
-        assert_eq!(waiter.wait(lsn).unwrap(), waiter.durable_lsn());
-        // ... while a target the syncer never covered errors instead of
-        // hanging forever.
-        assert!(waiter.wait(u64::MAX).is_err());
-    }
-
-    #[test]
-    fn waiter_syncs_inline_under_synchronous_policies() {
-        let d = disk(256);
-        let wal = Wal::create(d, SyncPolicy::Manual).unwrap();
-        let waiter = wal.waiter();
-        let (lsn, durable) = wal.commit(vec![7]).unwrap();
-        assert!(!durable);
-        assert_eq!(waiter.wait(lsn).unwrap(), lsn);
-        assert_eq!(wal.durable_lsn(), lsn);
     }
 }

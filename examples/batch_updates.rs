@@ -1,121 +1,110 @@
-//! Batch-first durable updates: mixed-op `Batch`es, one WAL group
-//! commit record per batch, and `CommitTicket` hard acks under the
-//! asynchronous sync policy.
+//! Batch-first durable updates: a `Batch` is the one way to put several
+//! operations under one commit record — and so under one log sync.
 //!
-//! The paper's whole point is that updates are the hot path. This
-//! example drives the same update stream twice against a durable
-//! index — one commit per operation versus one `Batch` per 64
-//! operations — and prints what batching does to the log: commit
-//! records, syncs, and wall time per update, with identical query
-//! results either way.
+//! Every commit syncs the log before `apply` (or `update`) returns, so
+//! what a durable update costs is mostly how many of them share a
+//! commit. This example drives the same update stream twice against
+//! the same durable index configuration — `UPDATES` single `update`
+//! calls versus `UPDATES / 32` `Batch`es — and prints what `wal_stats()`
+//! saw: commit records, syncs and wall time per update, with identical
+//! query results either way.
 //!
 //! ```sh
 //! cargo run --release --example batch_updates
 //! ```
 
 use bur::prelude::*;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 const OBJECTS: usize = 10_000;
 const UPDATES: usize = 20_000;
-const BATCH: usize = 64;
+const BATCH: usize = 32;
 
-fn durable_handle(sync: SyncPolicy) -> CoreResult<Bur> {
-    IndexBuilder::generalized()
-        .durability(Durability::Wal(WalOptions {
-            sync,
-            checkpoint_every: 1 << 20, // keep the log visible: no mid-run rewind
-            ..WalOptions::default()
-        }))
-        .build()
-}
-
-fn load(bur: &Bur, workload: &Workload) -> CoreResult<()> {
-    let mut batch = Batch::with_capacity(OBJECTS);
-    for (oid, pos) in workload.items() {
-        batch.insert(oid, pos);
-    }
-    bur.apply(&batch)?.wait()?;
-    Ok(())
-}
-
-fn main() -> CoreResult<()> {
-    let workload = Workload::generate(WorkloadConfig {
+fn workload() -> Workload {
+    Workload::generate(WorkloadConfig {
         num_objects: OBJECTS,
         max_distance: 0.004, // short moves: the bottom-up sweet spot
         seed: 42,
         ..WorkloadConfig::default()
-    });
+    })
+}
 
-    // ---- per-operation commits -----------------------------------------
-    let one_by_one = durable_handle(SyncPolicy::EveryCommit)?;
-    load(&one_by_one, &workload)?;
-    let mut wl = Workload::generate(WorkloadConfig {
-        num_objects: OBJECTS,
-        max_distance: 0.004,
-        seed: 42,
-        ..WorkloadConfig::default()
-    });
-    let before = one_by_one.wal_stats().expect("durable");
-    let started = Instant::now();
-    for _ in 0..UPDATES {
-        let op = wl.next_update();
-        one_by_one.update(op.oid, op.old, op.new)?;
+/// What one run of the stream did to the log.
+struct Run {
+    bur: Bur,
+    elapsed: Duration,
+    commits: u64,
+    syncs: u64,
+}
+
+/// Load the objects, then drive `UPDATES` updates with `per_commit` of
+/// them under each commit record (1 = plain `update` calls).
+fn run(per_commit: usize) -> CoreResult<Run> {
+    let bur = IndexBuilder::generalized()
+        .durability(Durability::Wal(WalOptions {
+            checkpoint_every: 1 << 20, // keep the log visible: no mid-run rewind
+            ..WalOptions::default()
+        }))
+        .build()?;
+    let mut wl = workload();
+    let mut load = Batch::with_capacity(OBJECTS);
+    for (oid, pos) in wl.items() {
+        load.insert(oid, pos);
     }
-    one_by_one.wait_durable()?;
-    let single_elapsed = started.elapsed();
-    let after = one_by_one.wal_stats().expect("durable");
-    println!(
-        "one commit per op : {:>6.1} ns/update, {} commit records, {} syncs",
-        single_elapsed.as_nanos() as f64 / UPDATES as f64,
-        after.commits - before.commits,
-        after.syncs - before.syncs,
-    );
+    bur.apply(&load)?.wait()?;
 
-    // ---- batch-first, async group commit -------------------------------
-    let batched = durable_handle(SyncPolicy::Async)?;
-    load(&batched, &workload)?;
-    let mut wl = Workload::generate(WorkloadConfig {
-        num_objects: OBJECTS,
-        max_distance: 0.004,
-        seed: 42,
-        ..WorkloadConfig::default()
-    });
-    let before = batched.wal_stats().expect("durable");
+    let before = bur.wal_stats().expect("durable");
     let started = Instant::now();
-    let mut batch = Batch::with_capacity(BATCH);
-    let mut last_ticket = None;
+    let mut batch = Batch::with_capacity(per_commit);
     for i in 0..UPDATES {
         let op = wl.next_update();
+        if per_commit == 1 {
+            bur.update(op.oid, op.old, op.new)?;
+            continue;
+        }
         batch.update(op.oid, op.old, op.new);
-        if batch.len() == BATCH || i + 1 == UPDATES {
-            // One lock acquisition and ONE group commit record for the
-            // whole batch; the ticket is the durability ack.
-            last_ticket = Some(batched.apply(&batch)?);
+        if batch.len() == per_commit || i + 1 == UPDATES {
+            // One lock acquisition, ONE commit record and one sync for
+            // the whole batch; `Ok` means it is durable.
+            bur.apply(&batch)?.wait()?;
             batch.clear();
         }
     }
-    let ticket = last_ticket.expect("at least one batch");
-    let watermark = ticket.wait()?; // hard ack: durable LSN covers the tail batch
-    let batch_elapsed = started.elapsed();
-    let after = batched.wal_stats().expect("durable");
-    println!(
-        "one commit per {BATCH} : {:>6.1} ns/update, {} commit records, {} syncs \
-         (durable lsn {watermark})",
-        batch_elapsed.as_nanos() as f64 / UPDATES as f64,
-        after.commits - before.commits,
-        after.syncs - before.syncs,
+    let elapsed = started.elapsed();
+    let after = bur.wal_stats().expect("durable");
+    assert_eq!(
+        after.durable_lsn, after.last_lsn,
+        "nothing acked is unsynced"
     );
+    Ok(Run {
+        bur,
+        elapsed,
+        commits: after.commits - before.commits,
+        syncs: after.syncs - before.syncs,
+    })
+}
+
+fn main() -> CoreResult<()> {
+    let single = run(1)?;
+    let batched = run(BATCH)?;
+    for (label, r) in [("op", &single), ("batch", &batched)] {
+        println!(
+            "one commit per {label:<5}: {:>8.1} ns/update, {} commit records, {} syncs",
+            r.elapsed.as_nanos() as f64 / UPDATES as f64,
+            r.commits,
+            r.syncs,
+        );
+    }
     println!(
-        "batching cut commit records {}x and wall time {:.2}x",
-        UPDATES as u64 / (after.commits - before.commits).max(1),
-        single_elapsed.as_secs_f64() / batch_elapsed.as_secs_f64(),
+        "batches of {BATCH} cut commit records and syncs {}x and wall time {:.2}x",
+        single.commits / batched.commits.max(1),
+        single.elapsed.as_secs_f64() / batched.elapsed.as_secs_f64(),
     );
 
     // Both streams end at the same answers.
     let window = Rect::new(0.4, 0.4, 0.6, 0.6);
-    let mut a: Vec<u64> = one_by_one.query(&window)?.collect();
-    let mut b: Vec<u64> = batched.query(&window)?.collect();
+    let mut a: Vec<u64> = single.bur.query(&window)?.collect();
+    let mut b: Vec<u64> = batched.bur.query(&window)?.collect();
     a.sort_unstable();
     b.sort_unstable();
     assert_eq!(a, b, "batched and per-op streams must agree");
@@ -124,8 +113,8 @@ fn main() -> CoreResult<()> {
         a.len()
     );
 
-    one_by_one.validate()?;
-    batched.validate()?;
+    single.bur.validate()?;
+    batched.bur.validate()?;
     println!("validate(): ok for both handles");
     Ok(())
 }

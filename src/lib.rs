@@ -88,9 +88,9 @@
 //! even one that tears a page write in half — recovers through the
 //! builder's [`core::IndexBuilder::recover`] mode. A [`core::Batch`] is
 //! atomic with respect to the log: one group commit record covers the
-//! whole batch, and the returned [`core::CommitTicket`] is the hard
-//! durability ack (it matters under [`storage::SyncPolicy::Async`],
-//! where commits return before the background sync).
+//! whole batch and is synced before [`core::Bur::apply`] returns, so
+//! `Ok` means durable (a failed sync is an `Err`) and the returned
+//! [`core::CommitTicket`] is the receipt.
 //!
 //! ```
 //! use bur::prelude::*;
@@ -140,7 +140,7 @@ pub mod prelude {
     };
     pub use bur_geom::{Point, Rect};
     pub use bur_repl::{Follower, LogShipper, ReplError, ReplResult};
-    pub use bur_storage::{FileDisk, IoSnapshot, MemDisk, SyncPolicy};
+    pub use bur_storage::{FileDisk, IoSnapshot, MemDisk};
     pub use bur_workload::{DataDistribution, MovementModel, Workload, WorkloadConfig};
 }
 

@@ -1,10 +1,16 @@
 //! Failure-injection drills: disk faults must surface as clean
 //! `CoreError::Storage` values — never panics — and transient faults must
 //! not poison the index. Uses the deterministic [`FaultyDisk`] wrapper.
+//!
+//! The durability contract under test: an `apply` that returns `Ok` is
+//! durable, and an `apply` whose log sync failed returns `Err` and
+//! acknowledges nothing.
 
 mod common;
 
-use bur::core::{CoreError, IndexBuilder, IndexOptions, RTreeIndex};
+use bur::core::{
+    Batch, Bur, CoreError, Durability, IndexBuilder, IndexOptions, Op, RTreeIndex, WalOptions,
+};
 use bur::geom::{Point, Rect};
 use bur::storage::{FaultKind, FaultyDisk, FileDisk, MemDisk};
 use common::TempDir;
@@ -213,4 +219,171 @@ fn updates_survive_fault_windows() {
     assert!(applied > 3000, "most updates must succeed");
     index.validate().unwrap();
     assert_eq!(index.len(), pts.len() as u64);
+}
+
+/// Where a batch's updates send their objects.
+#[derive(Clone, Copy)]
+enum Moves {
+    /// A quarter of the way towards a leaf-mate: inside the leaf's MBR by
+    /// convexity, so every update is in place and the batch stays on the
+    /// shared path.
+    WithinLeaf,
+    /// Up to this far along each axis — at 0.06, the paper's fast
+    /// movers, some update of every batch shifts or ascends and the
+    /// batch escalates to the exclusive path.
+    Within(f32),
+}
+
+/// 32 updates of distinct objects (two ops on one object would escalate
+/// by themselves), recorded in `now`.
+fn update_batch(bur: &Bur, now: &mut [Point], rng: &mut StdRng, moves: Moves) -> Batch {
+    let n = now.len() as u64;
+    let leaf_of: Vec<u32> = match moves {
+        Moves::WithinLeaf => bur.with_index(|index| {
+            (0..n)
+                .map(|oid| index.locate_leaf(oid).unwrap().expect("indexed"))
+                .collect()
+        }),
+        Moves::Within(_) => Vec::new(),
+    };
+    let mut batch = Batch::with_capacity(32);
+    let first = rng.random_range(0..n);
+    for i in 0..32 {
+        let oid = (first + i * 61) % n;
+        let old = now[oid as usize];
+        let new = match moves {
+            Moves::WithinLeaf => {
+                let mate = (0..n)
+                    .find(|&m| m != oid && leaf_of[m as usize] == leaf_of[oid as usize])
+                    .expect("min fill keeps two objects in a leaf");
+                let mate = now[mate as usize];
+                Point::new(
+                    old.x + (mate.x - old.x) / 4.0,
+                    old.y + (mate.y - old.y) / 4.0,
+                )
+            }
+            Moves::Within(d) => Point::new(
+                (old.x + rng.random_range(-d..d)).clamp(0.0, 1.0),
+                (old.y + rng.random_range(-d..d)).clamp(0.0, 1.0),
+            ),
+        };
+        batch.update(oid, old, new);
+        now[oid as usize] = new;
+    }
+    batch
+}
+
+/// The fourth commit sync of a run of 32-op batches fails, with the log
+/// on a [`FaultyDisk`] of its own.
+fn failed_sync_never_acks(moves: Moves, seed: u64) {
+    const OBJECTS: u64 = 2000;
+    const FAIL_AT: usize = 3;
+    let escalates = matches!(moves, Moves::Within(_));
+    let opts = IndexOptions::generalized().with_durability(Durability::Wal(WalOptions {
+        checkpoint_every: 1_000_000, // one log sync per batch, exactly
+        ..WalOptions::default()
+    }));
+    let data = Arc::new(MemDisk::new(opts.page_size));
+    let log = Arc::new(FaultyDisk::new(Arc::new(MemDisk::new(opts.page_size))));
+    let bur = IndexBuilder::with_options(opts)
+        .disk(data.clone())
+        .log_disk(log.clone())
+        .build()
+        .unwrap();
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut now: Vec<Point> = (0..OBJECTS)
+        .map(|_| Point::new(rng.random::<f32>(), rng.random::<f32>()))
+        .collect();
+    let mut load = Batch::new();
+    for (oid, &p) in now.iter().enumerate() {
+        load.insert(oid as u64, p);
+    }
+    bur.apply(&load).unwrap().wait().unwrap();
+    // Per object: its position at the last acked batch, then every
+    // position a refused batch gave it since. Recovery may land on any
+    // of these and on nothing older.
+    let mut since_ack: Vec<Vec<Point>> = now.iter().map(|&p| vec![p]).collect();
+
+    let durable_lsn = |bur: &Bur| bur.wal_stats().unwrap().durable_lsn;
+    let escalations = |bur: &Bur| bur.with_op_stats(|s| s.snapshot().escalations);
+    let moved = |batch: &Batch| -> Vec<u64> {
+        batch
+            .ops()
+            .iter()
+            .filter_map(|op| match *op {
+                Op::Update { oid, .. } => Some(oid),
+                _ => None,
+            })
+            .collect()
+    };
+
+    log.fail_nth(FaultKind::Sync, FAIL_AT as u64);
+    // Every ack's LSN must exceed this: the last acked or refused record.
+    let mut lsn_floor = durable_lsn(&bur);
+    for round in 0..FAIL_AT + 4 {
+        let batch = update_batch(&bur, &mut now, &mut rng, moves);
+        let before = (durable_lsn(&bur), escalations(&bur));
+        let outcome = bur.apply(&batch);
+        if round == FAIL_AT {
+            let err = outcome.expect_err("the sync failed: the batch must not be acked");
+            assert!(matches!(err, CoreError::Storage(_)), "got {err}");
+            assert_eq!(log.injected_faults(), 1);
+            assert_eq!(escalations(&bur) - before.1, u64::from(escalates));
+            let stats = bur.wal_stats().unwrap();
+            assert_eq!(
+                stats.durable_lsn, before.0,
+                "a failed sync moved the watermark"
+            );
+            assert!(
+                stats.last_lsn > stats.durable_lsn,
+                "the record was appended"
+            );
+            lsn_floor = stats.last_lsn; // the refused record's LSN
+            assert_eq!(bur.with_index(|i| i.pool().pinned_frames()), 0);
+            assert_eq!(bur.lock_manager().locked_granules(), 0);
+            log.clear_faults();
+            // Outcome unknown to the client: both positions stay legal.
+            for oid in moved(&batch) {
+                since_ack[oid as usize].push(now[oid as usize]);
+            }
+            continue;
+        }
+        let lsn = outcome.unwrap().wait().unwrap();
+        assert!(lsn > lsn_floor, "round {round}: {lsn} <= {lsn_floor}");
+        assert!(durable_lsn(&bur) >= lsn);
+        lsn_floor = lsn;
+        for oid in moved(&batch) {
+            since_ack[oid as usize] = vec![now[oid as usize]];
+        }
+    }
+    bur.validate().unwrap();
+    drop(bur); // crash: no checkpoint, no persist
+
+    let recovered = IndexBuilder::with_options(opts)
+        .disk(data)
+        .log_disk(log)
+        .recover()
+        .build_index()
+        .unwrap();
+    recovered.validate().unwrap();
+    assert_eq!(recovered.len(), OBJECTS);
+    for (oid, legal) in since_ack.iter().enumerate() {
+        let found = legal
+            .iter()
+            .any(|&p| recovered.point_query(p).unwrap().contains(&(oid as u64)));
+        assert!(
+            found,
+            "object {oid} recovered to a position older than its last ack"
+        );
+    }
+}
+
+#[test]
+fn failed_commit_sync_never_acks_on_the_shared_path() {
+    failed_sync_never_acks(Moves::WithinLeaf, 41);
+}
+
+#[test]
+fn failed_commit_sync_never_acks_on_the_escalated_path() {
+    failed_sync_never_acks(Moves::Within(0.06), 43);
 }

@@ -506,7 +506,6 @@ fn no_pin_outlives_apply_through_make_room() {
 #[test]
 fn no_pin_outlives_apply_when_the_commit_fails() {
     let opts = IndexOptions::generalized().with_durability(Durability::Wal(WalOptions {
-        sync: SyncPolicy::EveryCommit,
         checkpoint_every: 1_000_000,
         ..WalOptions::default()
     }));

@@ -5,9 +5,8 @@
 //! The load-bearing contracts under test:
 //!
 //! * a durable mixed batch of N operations emits exactly **one** WAL
-//!   group commit record, and `CommitTicket::wait` returns only once
-//!   the durable LSN covers the batch (the hard ack under
-//!   `SyncPolicy::Async`);
+//!   group commit record, and by the time `apply` hands out the
+//!   `CommitTicket` the durable LSN covers the batch;
 //! * `Batch::apply` is observation-equivalent to the same operations
 //!   applied sequentially — length, query results and hash-index
 //!   agreement (`validate`) — for every chunking of the stream;
@@ -28,9 +27,8 @@ const PAGE: usize = 1024;
 
 /// Durable options that never checkpoint mid-test (so commit-record
 /// counting is exact) unless a cadence is given.
-fn durable_opts(sync: SyncPolicy, checkpoint_every: u64) -> IndexOptions {
+fn durable_opts(checkpoint_every: u64) -> IndexOptions {
     IndexOptions::generalized().with_durability(Durability::Wal(WalOptions {
-        sync,
         checkpoint_every,
         ..WalOptions::default()
     }))
@@ -40,63 +38,55 @@ fn durable_opts(sync: SyncPolicy, checkpoint_every: u64) -> IndexOptions {
 
 #[test]
 fn durable_mixed_batch_emits_exactly_one_commit_record() {
-    for sync in [SyncPolicy::EveryCommit, SyncPolicy::Async] {
-        let bur = IndexBuilder::with_options(durable_opts(sync, u64::MAX))
-            .build()
-            .unwrap();
-        // Seed objects through one batch.
-        let mut seed = Batch::new();
-        for oid in 0..64u64 {
-            seed.insert(
-                oid,
-                Point::new((oid % 8) as f32 / 8.0, (oid / 8) as f32 / 8.0),
-            );
-        }
-        bur.apply(&seed).unwrap().wait().unwrap();
-
-        let before = bur.wal_stats().unwrap().commits;
-        // A mixed batch: updates, an insert, a delete, a missed delete.
-        let mut batch = Batch::new();
-        for oid in 0..24u64 {
-            let old = Point::new((oid % 8) as f32 / 8.0, (oid / 8) as f32 / 8.0);
-            batch.update(oid, old, Point::new(old.x + 0.01, old.y + 0.01));
-        }
-        batch.insert(900, Point::new(0.95, 0.95));
-        batch.delete(63, Point::new(7.0 / 8.0, 7.0 / 8.0));
-        batch.delete(901, Point::new(0.5, 0.5)); // not indexed: counted, not an error
-        let ticket = bur.apply(&batch).unwrap();
-
-        let after = bur.wal_stats().unwrap().commits;
-        assert_eq!(
-            after - before,
-            1,
-            "a mixed batch of {} ops must emit exactly one commit record under {sync:?}",
-            batch.len()
+    let bur = IndexBuilder::with_options(durable_opts(u64::MAX))
+        .build()
+        .unwrap();
+    // Seed objects through one batch.
+    let mut seed = Batch::new();
+    for oid in 0..64u64 {
+        seed.insert(
+            oid,
+            Point::new((oid % 8) as f32 / 8.0, (oid / 8) as f32 / 8.0),
         );
-        let report = ticket.report();
-        assert_eq!(report.applied, 27);
-        assert_eq!(report.updated, 24);
-        assert_eq!(report.inserted, 1);
-        assert_eq!(report.deleted, 1);
-        assert_eq!(report.missing_deletes, 1);
-
-        // The ticketed wait is the hard ack: afterwards the durable LSN
-        // covers the batch's commit record.
-        let watermark = ticket.wait().unwrap();
-        assert!(
-            watermark >= ticket.lsn(),
-            "wait returned before the durable LSN covered the batch: {watermark} < {}",
-            ticket.lsn()
-        );
-        assert!(ticket.is_durable());
-        assert!(bur.wal_stats().unwrap().durable_lsn >= ticket.lsn());
-        bur.validate().unwrap();
     }
+    bur.apply(&seed).unwrap().wait().unwrap();
+
+    let before = bur.wal_stats().unwrap().commits;
+    // A mixed batch: updates, an insert, a delete, a missed delete.
+    let mut batch = Batch::new();
+    for oid in 0..24u64 {
+        let old = Point::new((oid % 8) as f32 / 8.0, (oid / 8) as f32 / 8.0);
+        batch.update(oid, old, Point::new(old.x + 0.01, old.y + 0.01));
+    }
+    batch.insert(900, Point::new(0.95, 0.95));
+    batch.delete(63, Point::new(7.0 / 8.0, 7.0 / 8.0));
+    batch.delete(901, Point::new(0.5, 0.5)); // not indexed: counted, not an error
+    let ticket = bur.apply(&batch).unwrap();
+
+    let after = bur.wal_stats().unwrap().commits;
+    assert_eq!(
+        after - before,
+        1,
+        "a mixed batch of {} ops must emit exactly one commit record",
+        batch.len()
+    );
+    let report = ticket.report();
+    assert_eq!(report.applied, 27);
+    assert_eq!(report.updated, 24);
+    assert_eq!(report.inserted, 1);
+    assert_eq!(report.deleted, 1);
+    assert_eq!(report.missing_deletes, 1);
+
+    // The ticket is the ack: the durable LSN already covers the batch's
+    // commit record.
+    assert_eq!(ticket.wait().unwrap(), ticket.lsn());
+    assert!(bur.wal_stats().unwrap().durable_lsn >= ticket.lsn());
+    bur.validate().unwrap();
 }
 
 #[test]
 fn batch_error_reports_position_and_keeps_prefix() {
-    let bur = IndexBuilder::with_options(durable_opts(SyncPolicy::EveryCommit, u64::MAX))
+    let bur = IndexBuilder::with_options(durable_opts(u64::MAX))
         .build()
         .unwrap();
     bur.insert(7, Point::new(0.5, 0.5)).unwrap();
@@ -127,7 +117,7 @@ fn failed_batch_drains_commit_hooks_for_its_flushed_prefix() {
     // Single ops commit a record each; the applied prefix of a failing
     // batch is covered by exactly one more, written on the error path,
     // and a later ticket's record covers only its own batch.
-    let bur = IndexBuilder::with_options(durable_opts(SyncPolicy::EveryCommit, u64::MAX))
+    let bur = IndexBuilder::with_options(durable_opts(u64::MAX))
         .build()
         .unwrap();
     bur.insert(7, Point::new(0.5, 0.5)).unwrap();
@@ -277,7 +267,7 @@ proptest! {
 fn mid_batch_power_cut_recovers_all_or_nothing() {
     const K: usize = 8;
     for cut_after in [3u64, 17, 41, 67, 103, 151, 211, 293, 380, 477] {
-        let opts = durable_opts(SyncPolicy::EveryCommit, u64::MAX);
+        let opts = durable_opts(u64::MAX);
         let inner = Arc::new(MemDisk::new(PAGE));
         let faulty = Arc::new(FaultyDisk::new(inner.clone()));
         let bur = IndexBuilder::with_options(opts)
@@ -477,35 +467,4 @@ fn builder_file_roundtrip_through_bur() {
     assert_eq!(bur.len(), 50);
     assert!(bur.recovery_report().is_none(), "clean non-durable open");
     bur.validate().unwrap();
-}
-
-#[test]
-fn async_ticket_ack_survives_crash_boundary() {
-    // Everything acked by a ticket wait must be on the platter: cut the
-    // power right after the ack and recover.
-    let opts = durable_opts(SyncPolicy::Async, u64::MAX);
-    let inner = Arc::new(MemDisk::new(PAGE));
-    let bur = IndexBuilder::with_options(opts)
-        .disk(inner.clone())
-        .build()
-        .unwrap();
-    let mut batch = Batch::new();
-    for oid in 0..40u64 {
-        batch.insert(
-            oid,
-            Point::new((oid % 10) as f32 / 10.0, (oid / 10) as f32 / 10.0),
-        );
-    }
-    let ticket = bur.apply(&batch).unwrap();
-    ticket.wait().unwrap(); // hard ack
-    drop(bur); // crash with no shutdown sync beyond the ack
-
-    let (recovered, report) = IndexBuilder::generalized()
-        .disk(inner)
-        .recover()
-        .build_with_report()
-        .unwrap();
-    assert_eq!(recovered.len(), 40, "acked batch lost after the ack");
-    assert!(report.unwrap().committed_ops >= 1);
-    recovered.validate().unwrap();
 }

@@ -44,7 +44,6 @@ fn home(oid: u64) -> Point {
 /// A durable GBU handle over `n` grid objects (one batch populate).
 fn durable_grid(n: u64) -> Bur {
     let wopts = WalOptions {
-        sync: SyncPolicy::EveryCommit,
         checkpoint_every: 1_000_000,
         ..WalOptions::default()
     };
@@ -553,7 +552,6 @@ fn make_room_splits_survive_power_cuts() {
     const BATCHES: u64 = 40;
     const PER_BATCH: u64 = 8;
     let wopts = WalOptions {
-        sync: SyncPolicy::EveryCommit,
         checkpoint_every: 1_000_000,
         ..WalOptions::default()
     };
@@ -648,7 +646,6 @@ fn concurrent_batches_recover_all_or_nothing() {
     const BATCHES: usize = 30;
     let n = THREADS * PER_THREAD;
     let wopts = WalOptions {
-        sync: SyncPolicy::EveryCommit,
         checkpoint_every: 1_000_000,
         ..WalOptions::default()
     };

@@ -52,9 +52,8 @@ fn recover_file(
     Ok((index, report.expect("recover mode yields a report")))
 }
 
-fn durable(base: IndexOptions, checkpoint_every: u64, sync: SyncPolicy) -> IndexOptions {
+fn durable(base: IndexOptions, checkpoint_every: u64) -> IndexOptions {
     base.with_durability(Durability::Wal(WalOptions {
-        sync,
         checkpoint_every,
         ..WalOptions::default()
     }))
@@ -96,7 +95,7 @@ impl Oracle {
 /// against the oracle of acknowledged updates.
 fn crash_drill(name: &str, base: IndexOptions, cut_after: u64, seed: u64) {
     let n: u64 = 500;
-    let opts = durable(base, 64, SyncPolicy::EveryCommit);
+    let opts = durable(base, 64);
     let inner = Arc::new(MemDisk::new(PAGE));
     let faulty = Arc::new(FaultyDisk::new(inner.clone()));
     let mut index = IndexBuilder::with_options(opts)
@@ -255,7 +254,7 @@ fn crash_recovery_drill_gbu() {
 #[test]
 fn crash_recovery_survives_every_write_boundary_in_band() {
     for cut in (0..120u64).step_by(1) {
-        let opts = durable(IndexOptions::generalized(), 16, SyncPolicy::EveryCommit);
+        let opts = durable(IndexOptions::generalized(), 16);
         let inner = Arc::new(MemDisk::new(PAGE));
         let faulty = Arc::new(FaultyDisk::new(inner.clone()));
         faulty.inject(FaultKind::TornWrite { after_writes: cut });
@@ -341,7 +340,7 @@ fn crash_recovery_survives_every_write_boundary_in_band() {
 
 #[test]
 fn crash_during_population_loses_no_acknowledged_insert() {
-    let opts = durable(IndexOptions::generalized(), 32, SyncPolicy::EveryCommit);
+    let opts = durable(IndexOptions::generalized(), 32);
     let inner = Arc::new(MemDisk::new(PAGE));
     let faulty = Arc::new(FaultyDisk::new(inner.clone()));
     let mut index = IndexBuilder::with_options(opts)
@@ -383,70 +382,10 @@ fn crash_during_population_loses_no_acknowledged_insert() {
 }
 
 #[test]
-fn group_commit_recovers_to_a_consistent_acknowledged_state() {
-    // With group commit, the unsynced tail may or may not survive (the
-    // log pages might have reached the platter before the cut). The
-    // guarantee is weaker but precise: every object recovers to *a*
-    // position it actually held, and everything synced is a floor.
-    let opts = durable(
-        IndexOptions::generalized(),
-        1_000_000,
-        SyncPolicy::GroupCommit(8),
-    );
-    let inner = Arc::new(MemDisk::new(PAGE));
-    let faulty = Arc::new(FaultyDisk::new(inner.clone()));
-    let mut index = IndexBuilder::with_options(opts)
-        .disk(faulty.clone())
-        .build_index()
-        .unwrap();
-    let n = 300u64;
-    let mut rng = StdRng::seed_from_u64(808);
-    let mut history: HashMap<u64, Vec<Point>> = HashMap::new();
-    for oid in 0..n {
-        let p = Point::new(rng.random_range(0.0..1.0), rng.random_range(0.0..1.0));
-        index.insert(oid, p).unwrap();
-        history.insert(oid, vec![p]);
-    }
-    // A manual checkpoint pins a durable floor mid-stream.
-    index.checkpoint().unwrap();
-    let floor: HashMap<u64, Point> = history.iter().map(|(&k, v)| (k, v[0])).collect();
-    let _ = floor; // positions at the checkpoint: each history[0]
-
-    faulty.inject(FaultKind::TornWrite { after_writes: 120 });
-    loop {
-        let oid = rng.random_range(0..n);
-        let old = *history[&oid].last().unwrap();
-        let new = Point::new(
-            (old.x + rng.random_range(-0.04..0.04f32)).clamp(0.0, 1.0),
-            (old.y + rng.random_range(-0.04..0.04f32)).clamp(0.0, 1.0),
-        );
-        match index.update(oid, old, new) {
-            Ok(_) => history.get_mut(&oid).unwrap().push(new),
-            Err(_) => {
-                // Unknown outcome: either position is legitimate.
-                history.get_mut(&oid).unwrap().push(new);
-                break;
-            }
-        }
-    }
-    drop(index);
-
-    let (recovered, _report) = recover_on(inner, opts).unwrap();
-    recovered.validate().unwrap();
-    assert_eq!(recovered.len(), n);
-    for (oid, hist) in &history {
-        let found = hist
-            .iter()
-            .any(|p| recovered.point_query(*p).unwrap().contains(oid));
-        assert!(found, "object {oid} recovered to a position it never held");
-    }
-}
-
-#[test]
 fn clean_shutdown_recovery_is_a_noop_and_open_routes_through_it() {
     let dir = common::TempDir::new("recovery");
     let path = dir.file("clean.bur");
-    let opts = durable(IndexOptions::generalized(), 64, SyncPolicy::EveryCommit);
+    let opts = durable(IndexOptions::generalized(), 64);
     let mut rng = StdRng::seed_from_u64(4242);
     let mut positions = Vec::new();
     {
@@ -529,18 +468,16 @@ fn recover_rejects_non_durable_disks_and_options() {
 /// Dense sweep over *delta-heavy* generations: short anchor cadence
 /// (full image every 3rd record per page) and a long checkpoint interval,
 /// so cut points land inside delta chains, exactly on full-image anchors,
-/// and between the two. Every acknowledged update must survive
-/// (EveryCommit), and mixed full/delta replay must reproduce the oracle.
+/// and between the two. Every acknowledged update must survive, and
+/// mixed full/delta replay must reproduce the oracle.
 #[test]
 fn crash_recovery_survives_cuts_inside_delta_chains_and_at_anchors() {
     let wopts = WalOptions {
-        sync: SyncPolicy::EveryCommit,
         checkpoint_every: 48,
         delta: DeltaPolicy {
             enabled: true,
             anchor_every: 3,
         },
-        ..WalOptions::default()
     };
     let opts = IndexOptions::generalized().with_durability(Durability::Wal(wopts));
     for cut in (2..92u64).step_by(3) {
@@ -604,13 +541,12 @@ fn crash_recovery_survives_cuts_inside_delta_chains_and_at_anchors() {
 /// A `Batch` is the one way to put several operations under one commit
 /// record: at every cut point of a dense sweep (a batch is about two
 /// log writes, so the sweep lands before, inside and after its record)
-/// every committed batch is a durable floor (EveryCommit), the batch the
+/// every committed batch is a durable floor, the batch the
 /// cut lands in recovers all or nothing, and recovery is consistent.
 #[test]
 fn crash_mid_commit_batch_preserves_every_flushed_batch() {
     const BATCH: usize = 5;
     let wopts = WalOptions {
-        sync: SyncPolicy::EveryCommit,
         checkpoint_every: 1_000_000,
         ..WalOptions::default()
     };
@@ -692,108 +628,6 @@ fn crash_mid_commit_batch_preserves_every_flushed_batch() {
     }
 }
 
-/// Async group commit: commits are acknowledged before the background
-/// thread syncs them, so a crash may lose an unsynced tail — but never
-/// tears: recovery lands every object on a position it actually held.
-#[test]
-fn async_group_commit_crash_recovers_to_consistent_state() {
-    let wopts = WalOptions {
-        sync: SyncPolicy::Async,
-        checkpoint_every: 1_000_000,
-        ..WalOptions::default()
-    };
-    let opts = IndexOptions::generalized().with_durability(Durability::Wal(wopts));
-    let inner = Arc::new(MemDisk::new(PAGE));
-    let faulty = Arc::new(FaultyDisk::new(inner.clone()));
-    let mut index = IndexBuilder::with_options(opts)
-        .disk(faulty.clone())
-        .build_index()
-        .unwrap();
-    let n = 120u64;
-    let mut rng = StdRng::seed_from_u64(606);
-    let mut history: HashMap<u64, Vec<Point>> = HashMap::new();
-    for oid in 0..n {
-        let p = Point::new(rng.random_range(0.0..1.0), rng.random_range(0.0..1.0));
-        index.insert(oid, p).unwrap();
-        history.insert(oid, vec![p]);
-    }
-    index.checkpoint().unwrap(); // durable floor under all inserts
-    faulty.inject(FaultKind::TornWrite { after_writes: 60 });
-    for _ in 0..5_000 {
-        let oid = rng.random_range(0..n);
-        let old = *history[&oid].last().unwrap();
-        let new = Point::new(
-            (old.x + rng.random_range(-0.04..0.04f32)).clamp(0.0, 1.0),
-            (old.y + rng.random_range(-0.04..0.04f32)).clamp(0.0, 1.0),
-        );
-        match index.update(oid, old, new) {
-            Ok(_) => history.get_mut(&oid).unwrap().push(new),
-            Err(_) => {
-                // Unknown outcome: either position is legitimate.
-                history.get_mut(&oid).unwrap().push(new);
-                break;
-            }
-        }
-    }
-    drop(index); // crash: joins the background syncer, post-cut writes are void
-
-    let (recovered, _report) = recover_on(inner, opts).unwrap();
-    recovered.validate().unwrap();
-    assert_eq!(recovered.len(), n);
-    for (oid, hist) in &history {
-        let found = hist
-            .iter()
-            .any(|p| recovered.point_query(*p).unwrap().contains(oid));
-        assert!(found, "object {oid} recovered to a position it never held");
-    }
-}
-
-/// Clean path for async group commit: `wait_durable` is a hard ack — what
-/// it covers survives a crash immediately after.
-#[test]
-fn async_wait_durable_is_a_hard_ack() {
-    let wopts = WalOptions {
-        sync: SyncPolicy::Async,
-        checkpoint_every: 1_000_000,
-        ..WalOptions::default()
-    };
-    let opts = IndexOptions::generalized().with_durability(Durability::Wal(wopts));
-    let disk = Arc::new(MemDisk::new(PAGE));
-    let mut index = IndexBuilder::with_options(opts)
-        .disk(disk.clone())
-        .build_index()
-        .unwrap();
-    let mut rng = StdRng::seed_from_u64(717);
-    let mut positions = Vec::new();
-    for oid in 0..200u64 {
-        let p = Point::new(rng.random_range(0.0..1.0), rng.random_range(0.0..1.0));
-        index.insert(oid, p).unwrap();
-        positions.push(p);
-    }
-    for oid in 0..200u64 {
-        let old = positions[oid as usize];
-        let new = Point::new((old.x + 0.01).clamp(0.0, 1.0), old.y);
-        index.update(oid, old, new).unwrap();
-        positions[oid as usize] = new;
-    }
-    index.wait_durable().unwrap(); // hard ack for everything above
-    let stats = index.wal_stats().unwrap();
-    assert!(
-        stats.syncs < stats.commits,
-        "async must batch syncs: {stats}"
-    );
-    drop(index); // crash with no checkpoint/persist
-
-    let (recovered, _) = recover_on(disk, opts).unwrap();
-    recovered.validate().unwrap();
-    for (oid, p) in positions.iter().enumerate() {
-        assert!(
-            recovered.point_query(*p).unwrap().contains(&(oid as u64)),
-            "update {oid} acked by wait_durable was lost"
-        );
-    }
-}
-
 /// Chain recycling: repeated checkpoints must not grow the disk — the
 /// superseded metadata continuation chain and hash-directory chain are
 /// reused instead of leaking a fresh run of pages per checkpoint (the
@@ -801,7 +635,6 @@ fn async_wait_durable_is_a_hard_ack() {
 #[test]
 fn checkpoints_recycle_chain_pages_instead_of_leaking() {
     let wopts = WalOptions {
-        sync: SyncPolicy::EveryCommit,
         checkpoint_every: 1_000_000, // checkpoints issued explicitly below
         ..WalOptions::default()
     };
@@ -853,7 +686,7 @@ fn durable_index_survives_strategy_switch_on_recovery() {
     // Build durable GBU, crash, recover as durable LBU: the log replay
     // plus the rebuild installs the hash index and parent pointers LBU
     // needs.
-    let gbu = durable(IndexOptions::generalized(), 64, SyncPolicy::EveryCommit);
+    let gbu = durable(IndexOptions::generalized(), 64);
     let inner = Arc::new(MemDisk::new(PAGE));
     let faulty = Arc::new(FaultyDisk::new(inner.clone()));
     let mut index = IndexBuilder::with_options(gbu)
@@ -886,7 +719,7 @@ fn durable_index_survives_strategy_switch_on_recovery() {
     }
     drop(index);
 
-    let lbu = durable(IndexOptions::localized(), 64, SyncPolicy::EveryCommit);
+    let lbu = durable(IndexOptions::localized(), 64);
     let (mut recovered, _) = recover_on(inner, lbu).unwrap();
     recovered.validate().unwrap(); // checks LBU parent pointers
     if let Some((oid, _old, new)) = pending {
@@ -935,7 +768,7 @@ const LOSSY_OBJECTS: u64 = 800;
 /// checkpoint every fifth batch. The op stream depends only on `seed`, so
 /// a dry run's marks place the cuts of the runs that follow.
 fn lossy_run(separate_log: bool, seed: u64, power: &Arc<common::PowerSwitch>) -> LossyRun {
-    let opts = durable(IndexOptions::generalized(), 40, SyncPolicy::EveryCommit);
+    let opts = durable(IndexOptions::generalized(), 40);
     let data = common::LossyDisk::new(Arc::new(MemDisk::new(PAGE)), power.clone());
     let log =
         separate_log.then(|| common::LossyDisk::new(Arc::new(MemDisk::new(PAGE)), power.clone()));
@@ -1094,7 +927,7 @@ fn lost_writes_sweep(separate_log: bool) {
         }
         power.restore();
 
-        let opts = durable(IndexOptions::generalized(), 40, SyncPolicy::EveryCommit);
+        let opts = durable(IndexOptions::generalized(), 40);
         let mut builder = IndexBuilder::with_options(opts).disk(run.data.clone());
         if let Some(log) = &run.log {
             builder = builder.log_disk(log.clone());

@@ -34,7 +34,6 @@ const PAGE: usize = 1024;
 
 fn durable(base: IndexOptions, checkpoint_every: u64) -> IndexOptions {
     base.with_durability(Durability::Wal(WalOptions {
-        sync: SyncPolicy::EveryCommit,
         checkpoint_every,
         ..WalOptions::default()
     }))
@@ -159,7 +158,7 @@ proptest! {
                 // Checkpoint: rewinds the log mid-shipment.
                 _ => primary.checkpoint().unwrap(),
             }
-            // Durable watermark: everything above is synced (EveryCommit);
+            // Durable watermark: everything above is synced;
             // ship and compare.
             follower.catch_up(&mut shipper).unwrap();
             prop_assert!(
@@ -497,7 +496,8 @@ fn follower_soaks_under_concurrent_writers_and_readers() {
         }
     });
 
-    primary.wait_durable().unwrap();
+    let log = primary.wal_stats().unwrap();
+    assert_eq!(log.durable_lsn, log.last_lsn, "every acked op is durable");
     follower.catch_up(&mut shipper).unwrap();
     assert_equivalent(&primary, &replica, "post-soak");
     let promoted = follower.promote().unwrap();
