@@ -1,5 +1,6 @@
 //! Criterion micro-benchmark: mixed update/query operation batches under
-//! the shared (DGL-locked) `Bur` handle — the wall-clock companion to
+//! the shared `Bur` handle (leaf claims and page latches for updates,
+//! page latches only for queries) — the wall-clock companion to
 //! Figure 8 — plus the `parallel-writers` group: the same handle driven
 //! by 1/2/4/8 writer threads on disjoint leaf strips, exercising the
 //! concurrent (shared-phase) `Bur::apply` path end to end.

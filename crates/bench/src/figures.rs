@@ -413,7 +413,9 @@ pub fn fig7_scale(scale: Scale) -> Vec<Table> {
     vec![upd, qry]
 }
 
-/// Figure 8: throughput under DGL with a varying update/query mix.
+/// Figure 8: throughput with a varying update/query mix. The paper runs
+/// it under DGL; here updates take leaf claims and page latches, and
+/// queries page latches only (no query granules).
 pub fn fig8_throughput(scale: Scale) -> Vec<Table> {
     throughput::fig8(scale)
 }

@@ -2,7 +2,7 @@
 //! writer threads, each owning a private spatial strip of the unit
 //! square, pushing update batches through one clonable [`Bur`] handle.
 //! Because every thread's objects live on leaves no other thread
-//! touches, the batches take disjoint leaf granules and ride the
+//! touches, the batches claim disjoint leaves and ride the
 //! handle's concurrent (shared-phase) write path end to end.
 
 use bur_core::{Batch, Bur, IndexOptions, RTreeIndex};

@@ -1,13 +1,16 @@
-//! Figure 8: throughput of TD / LBU / GBU under DGL with 50 client
-//! threads and a varying update/query mix.
+//! Figure 8: throughput of TD / LBU / GBU with 50 client threads and a
+//! varying update/query mix.
 //!
 //! The paper: "We employ the Dynamic Granular Locking in R-trees and run
 //! the experiments with 50 threads, varying the percentage of updates
 //! versus queries. We use window queries within the range of [0, 0.01]
 //! with updates." Execution here serializes on the simulated disk (one
 //! page transfer at a time — the 2003 testbed's single spindle), so
-//! throughput is governed by per-operation cost exactly as in the paper;
-//! DGL provides the logical locking.
+//! throughput is governed by per-operation cost exactly as in the paper.
+//! What the paper's DGL provides is, here, the `Bur` handle's leaf claims
+//! (one bit per leaf an update touches) and page latches; queries take
+//! page latches only, with no query granules. The table title keeps the
+//! paper's "DGL" label.
 
 use crate::report::{fnum, Table};
 use crate::scale::Scale;

@@ -6,7 +6,7 @@
 //! `recover`), which were deprecated for one release and have been
 //! removed. Pick a strategy, point the builder at a backend, choose an
 //! [`OpenMode`], and build either the clonable [`Bur`] handle (the
-//! default — shared, DGL-locked, batch-first) or a raw [`RTreeIndex`]
+//! default — shared, leaf-claiming, batch-first) or a raw [`RTreeIndex`]
 //! for single-threaded embedding.
 //!
 //! ```
@@ -221,7 +221,7 @@ impl IndexBuilder {
 
     // ---- build -----------------------------------------------------------
 
-    /// Build the clonable, DGL-locked [`Bur`] handle (the primary entry
+    /// Build the clonable, shared [`Bur`] handle (the primary entry
     /// point; share it across threads by cloning).
     pub fn build(self) -> CoreResult<Bur> {
         let (index, report) = self.build_index_with_report()?;

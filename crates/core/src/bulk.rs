@@ -107,7 +107,7 @@ impl RTreeIndex {
             slice.sort_by(|a, b| a.1.y.total_cmp(&b.1.y));
             for run_range in balanced_chunks(slice.len(), leaf_fill, leaf_min, leaf_cap) {
                 let run = &slice[run_range];
-                let pid = tree.bulk_alloc()?;
+                let pid = tree.alloc_page()?;
                 let mut node = Node::new_leaf();
                 for &(oid, p) in run {
                     node.leaf_entries_mut().push(LeafEntry::point(oid, p));
@@ -143,7 +143,7 @@ impl RTreeIndex {
                 for run_range in balanced_chunks(slice.len(), internal_fill, min_here, internal_cap)
                 {
                     let run = slice[run_range].to_vec();
-                    let pid = tree.bulk_alloc()?;
+                    let pid = tree.alloc_page()?;
                     let mut node = Node::new_internal(level);
                     node.internal_entries_mut().extend(run.iter().copied());
                     if tree.opts.strategy.needs_parent_pointers() && level == 1 {
@@ -220,7 +220,7 @@ impl RTreeIndex {
             leaf_cap,
         ) {
             let run = &sorted[run_range];
-            let pid = tree.bulk_alloc()?;
+            let pid = tree.alloc_page()?;
             let mut node = Node::new_leaf();
             for &(oid, p) in run {
                 node.leaf_entries_mut().push(LeafEntry::point(oid, p));
@@ -246,7 +246,7 @@ impl RTreeIndex {
             let mut next: Vec<InternalEntry> = Vec::new();
             for run_range in balanced_chunks(count, internal_fill, min_here, internal_cap) {
                 let run = level_entries[run_range].to_vec();
-                let pid = tree.bulk_alloc()?;
+                let pid = tree.alloc_page()?;
                 let mut node = Node::new_internal(level);
                 node.internal_entries_mut().extend(run.iter().copied());
                 if tree.opts.strategy.needs_parent_pointers() && level == 1 {
@@ -274,14 +274,9 @@ impl RTreeIndex {
     }
 }
 
-// Helpers on RTree used only by the bulk loader.
+// Helpers on RTree used only by the bulk loader. Its pages come from
+// `RTree::alloc_page`: the free list is empty until `bulk_set_root`.
 impl RTree {
-    fn bulk_alloc(&mut self) -> CoreResult<PageId> {
-        let (pid, guard) = self.pool.new_page()?;
-        drop(guard);
-        Ok(pid)
-    }
-
     /// Replace the placeholder root created by index creation with the
     /// bulk-built tree, recycling the placeholder page.
     fn bulk_set_root(&mut self, new_root: PageId) -> CoreResult<()> {

@@ -9,7 +9,7 @@
 //!
 //! 1. **Plan** ([`SharedPass::plan`], one pass over the ops in batch
 //!    order): probe the hash for the op's leaf, get-or-open that leaf's
-//!    *shadow* — try-lock its granule, pin the page, decode it — and
+//!    *shadow* — try to claim the leaf, pin the page, decode it — and
 //!    apply the op to the shadow. Pages are read, nothing is written.
 //!    Every op must resolve leaf-locally — updates to `InPlace` or
 //!    `Extended`, inserts to an append whose official-rect growth stays
@@ -20,7 +20,7 @@
 //!    at the first op that cannot stay leaf-local**: an insert that
 //!    finds its leaf full reports [`Step::MakeRoom`] (the caller splits
 //!    that one leaf under a short exclusive section, its own commit, and
-//!    retries), a refused granule reports [`Step::Refused`], and
+//!    retries), a refused claim reports [`Step::Refused`], and
 //!    anything else (sibling shift, ascent, a GBU fast mover whose τ
 //!    policy prefers the shift) reports [`Step::Escalate`] — the **whole
 //!    batch** falls back to the classic exclusive path with zero pages
@@ -46,13 +46,13 @@
 //! argument lives in `docs/ARCHITECTURE.md` ("Latching protocol").
 
 use crate::batch::Op;
+use crate::claims::{LeafClaim, Unclaimable};
 use crate::config::UpdateStrategy;
 use crate::error::CoreResult;
 use crate::gbu::iextend_mbr;
 use crate::index::RTreeIndex;
 use crate::node::{LeafEntry, Node, ObjectId};
 use crate::stats::UpdateOutcome;
-use bur_dgl::{Granule, LockGuard, LockManager, LockMode};
 use bur_geom::{Point, Rect};
 use bur_storage::{PageId, PageRef, INVALID_PAGE};
 use std::collections::{HashMap, HashSet};
@@ -78,7 +78,7 @@ pub(crate) enum Step {
     MakeRoom(PageId),
     /// Not leaf-local: replay the whole batch on the exclusive path.
     Escalate,
-    /// The leaf's granule is held by another batch: back out and retry.
+    /// The leaf is claimed by another batch: back out and retry.
     Refused,
 }
 
@@ -117,7 +117,7 @@ struct ParentShadow {
     official: Rect,
 }
 
-/// One leaf the pass touches: its granule, its pin, and the node state
+/// One leaf the pass touches: its claim, its pin, and the node state
 /// after the ops planned so far.
 struct LeafShadow<'a> {
     page: PageRef<'a>,
@@ -128,7 +128,7 @@ struct LeafShadow<'a> {
     /// The root leaf of a height-1 tree: no parent entry, no min-fill
     /// floor, no official rect — the root MBR simply follows the content
     /// and is published at execute time through the summary seqlock
-    /// (the leaf's X granule is the single writer the seqlock needs).
+    /// (the leaf's claim makes it the single writer the seqlock needs).
     is_root: bool,
     /// Ops planned onto this leaf, and the batch position of the first.
     ops: u64,
@@ -139,7 +139,7 @@ struct LeafShadow<'a> {
     hash_del: Vec<ObjectId>,
     /// Net object-count change (inserts − deletes), applied at commit.
     len_delta: i64,
-    _granule: LockGuard<'a>,
+    _claim: LeafClaim<'a>,
 }
 
 /// What [`SharedPass::execute`] wrote before it finished or failed.
@@ -153,10 +153,9 @@ pub(crate) struct Executed {
 }
 
 /// One batch's trip down the shared write path. Dropping it releases
-/// every granule and pin it took, so each early exit backs out in full.
+/// every claim and pin it took, so each early exit backs out in full.
 pub(crate) struct SharedPass<'a> {
     index: &'a RTreeIndex,
-    locks: &'a LockManager,
     shadows: Vec<LeafShadow<'a>>,
     shadow_of: HashMap<PageId, usize>,
     /// Distinct parent pages pinned so far; shadows under one parent
@@ -175,10 +174,9 @@ pub(crate) struct SharedPass<'a> {
 impl<'a> SharedPass<'a> {
     /// Start a pass over `index` (held under the structure lock's read
     /// side by the caller).
-    pub(crate) fn new(index: &'a RTreeIndex, locks: &'a LockManager) -> Self {
+    pub(crate) fn new(index: &'a RTreeIndex) -> Self {
         Self {
             index,
-            locks,
             shadows: Vec::new(),
             shadow_of: HashMap::new(),
             parents: Vec::new(),
@@ -282,17 +280,18 @@ impl<'a> SharedPass<'a> {
         })
     }
 
-    /// Get the shadow of leaf `pid`, opening it on first use: try-lock
-    /// the granule, pin the page, decode the node.
+    /// Get the shadow of leaf `pid`, opening it on first use: claim the
+    /// leaf, pin the page, decode the node. A leaf the claim table does
+    /// not cover escalates.
     fn open(&mut self, pid: PageId, pos: usize) -> Result<usize, Step> {
         if let Some(&slot) = self.shadow_of.get(&pid) {
             return Ok(slot);
         }
         let tree = &self.index.tree;
-        let granule = self
-            .locks
-            .try_lock(Granule::Leaf(pid), LockMode::Exclusive)
-            .map_err(|_| Step::Refused)?;
+        let claim = tree.claims.try_claim(pid).map_err(|e| match e {
+            Unclaimable::Held => Step::Refused,
+            Unclaimable::Untracked => Step::Escalate,
+        })?;
         let page = tree.pool.fetch(pid).map_err(|_| Step::Escalate)?;
         let leaf = Node::decode(pid, &page.read()).map_err(|_| Step::Escalate)?;
         if !leaf.is_leaf() {
@@ -310,7 +309,7 @@ impl<'a> SharedPass<'a> {
             hash_add: Vec::new(),
             hash_del: Vec::new(),
             len_delta: 0,
-            _granule: granule,
+            _claim: claim,
         });
         self.shadow_of.insert(pid, slot);
         Ok(slot)
@@ -382,8 +381,8 @@ impl<'a> SharedPass<'a> {
         let strategy = self.index.tree.opts.strategy;
         let shadow = &mut self.shadows[slot];
         let Some(idx) = shadow.leaf.oid_index(oid) else {
-            // Not in the locked leaf (duplicate-update races cannot
-            // happen under the granule, so this is an earlier same-batch
+            // Not in the claimed leaf (duplicate-update races cannot
+            // happen under the claim, so this is an earlier same-batch
             // delete or corruption); the classic path resolves it.
             return Step::Escalate;
         };
@@ -497,7 +496,7 @@ impl<'a> SharedPass<'a> {
     ///
     /// # Latch invariants
     ///
-    /// The pass holds each leaf's exclusive granule and the caller the
+    /// The pass holds each leaf's claim and the caller the
     /// structure lock's read side, so the leaf page and the parent's entry *for
     /// this leaf* are owned by this batch. Sibling entries of the same
     /// parent page may be patched by other batches at the same time,
@@ -509,7 +508,7 @@ impl<'a> SharedPass<'a> {
     /// official MBR. The hash entries, summary fullness bit and (root
     /// leaf) seqlock root MBR are refreshed after the leaf write: they
     /// are main-memory state rebuilt on recovery, so crash ordering does
-    /// not apply, and the leaf granule serializes them per leaf.
+    /// not apply, and the leaf claim serializes them per leaf.
     pub(crate) fn execute<'s>(&'s self, written: &mut Vec<&'s PageRef<'a>>) -> Executed {
         let mut done = Executed {
             ops: 0,

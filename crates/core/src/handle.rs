@@ -1,16 +1,17 @@
 //! The shared index handle: one clonable type for every caller.
 //!
 //! [`Bur`] wraps the [`RTreeIndex`] engine in `Arc` internals with the
-//! DGL granule-locking discipline the paper's throughput study uses
-//! (Section 3.2.2): bottom-up updates X-lock the granule of the leaf
-//! they touch and nothing else, while structure-modifying operations
-//! (splits, ascents, top-down updates) exclude everyone. Clone the
-//! handle freely — clones share the same index.
+//! locking discipline of the paper's throughput study (DGL, Section
+//! 3.2.2), reduced to the bits it uses: bottom-up updates claim the leaf
+//! they touch — one atomic bit per leaf — and nothing else, while
+//! structure-modifying operations (splits, ascents, top-down updates)
+//! exclude everyone. Clone the handle freely — clones share the same
+//! index.
 //!
 //! There is one whole-tree lock: the engine sits behind a reader-writer
 //! *structure lock*. Queries and [`Bur::apply`] batches of bottom-up
 //! updates, inserts and deletes run under its *shared* side — several
-//! such batches on disjoint leaf granules plan and write **at the same
+//! such batches on disjoint leaves plan and write **at the same
 //! time**, each page access serialized only by its per-frame latch
 //! ([`bur_storage::PageWriteLatch`]). An insert that finds its leaf
 //! full splits it as a short exclusive *make-room* commit and retries
@@ -59,7 +60,6 @@ use crate::index::{RTreeIndex, RecoveryReport};
 use crate::knn::Neighbor;
 use crate::node::ObjectId;
 use crate::stats::{OpStats, UpdateOutcome};
-use bur_dgl::LockManager;
 use bur_geom::{Point, Rect};
 use bur_storage::{DiskBackend, IoSnapshot, PageId, PageRef};
 use bur_wal::{Lsn, WalStatsSnapshot};
@@ -74,7 +74,7 @@ use std::sync::Arc;
 /// better than a split storm would.
 const MAKE_ROOM_ATTEMPTS: u32 = 4;
 
-/// How many times one `apply` call may be refused a granule on the
+/// How many times one `apply` call may be refused a leaf claim on the
 /// shared path (make-room rounds not counted) before it stops retrying
 /// and takes the exclusive path, whose writer queue on the structure lock
 /// guarantees progress. This is the stated bound on the retry loop: no
@@ -89,11 +89,10 @@ const SPARE_BUFFERS: usize = 16;
 struct BurShared {
     /// The engine behind the structure lock, the only whole-tree lock.
     /// Queries and writers that stay leaf-local (concurrent `apply`)
-    /// hold the **read** side — the leaf granules in `locks` carve up
-    /// what the writers may touch — while structural writers hold the
-    /// write side. See `docs/ARCHITECTURE.md`, "Latching protocol".
+    /// hold the **read** side — the engine's leaf claims carve up what
+    /// the writers may touch — while structural writers hold the write
+    /// side. See `docs/ARCHITECTURE.md`, "Latching protocol".
     inner: RwLock<RTreeIndex>,
-    locks: LockManager,
     /// What recovery replayed, when the handle was built in recover mode.
     recovery: Option<RecoveryReport>,
     /// Recycled query-result buffers ([`QueryCursor`] hot path).
@@ -148,7 +147,7 @@ enum SharedAttempt {
     /// exclusive commit (a content-neutral preparatory split), then
     /// retry the batch on the shared path. Nothing has been written.
     MakeRoom(PageId),
-    /// A granule was refused; back off and try again (at most
+    /// A leaf claim was refused; back off and try again (at most
     /// [`SHARED_REFUSALS`] times).
     Refused,
 }
@@ -201,7 +200,6 @@ impl Bur {
         Self {
             shared: Arc::new(BurShared {
                 inner: RwLock::new(index),
-                locks: LockManager::new(),
                 recovery,
                 spare_ids: Mutex::new(Vec::new()),
                 read_only: AtomicBool::new(false),
@@ -261,10 +259,24 @@ impl Bur {
         }
     }
 
-    /// The granule lock manager (exposed for tests).
+    /// Number of leaves claimed by shared-path batches right now: 0
+    /// whenever no `apply` is in flight.
     #[must_use]
-    pub fn lock_manager(&self) -> &LockManager {
-        &self.shared.locks
+    pub fn claimed_leaves(&self) -> usize {
+        self.shared.inner.read().tree.claims.claimed()
+    }
+
+    /// Claim leaf `pid` the way a shared-path batch does and hold the
+    /// claim, without the structure lock, until the returned guard drops
+    /// — so a test can make a batch's claim refused. `None` when the
+    /// leaf is claimed already or past the end of the claim table.
+    #[must_use]
+    pub fn hold_leaf_claim(&self, pid: PageId) -> Option<HeldLeafClaim> {
+        self.shared.inner.read().tree.claims.claim(pid).ok()?;
+        Some(HeldLeafClaim {
+            shared: self.shared.clone(),
+            pid,
+        })
     }
 
     /// What recovery replayed when this handle was built in
@@ -294,11 +306,11 @@ impl Bur {
     /// is durable, and a failed sync surfaces here as `Err` with no
     /// [`CommitTicket`] handed out.
     ///
-    /// Locking: batches of bottom-up updates, inserts and deletes
-    /// X-lock the granules of the leaves they touch under the **shared**
-    /// side of the structure lock — batches on
-    /// disjoint leaves (including structural ones) plan and write
-    /// concurrently (see the module docs and `docs/ARCHITECTURE.md`).
+    /// Locking: batches of bottom-up updates, inserts and deletes claim
+    /// the leaves they touch under the **shared** side of the structure
+    /// lock — batches on disjoint leaves (including structural ones)
+    /// plan and write concurrently (see the module docs and
+    /// `docs/ARCHITECTURE.md`).
     /// An insert that finds its leaf full triggers a *make-room* split:
     /// that one leaf is split under a short exclusive section as its
     /// own commit record and the batch retries shared. A batch that
@@ -354,7 +366,7 @@ impl Bur {
     /// One attempt at the concurrent write path: under the structure
     /// lock's read side, plan the batch in one
     /// in-order pass ([`SharedPass::plan`] — it takes each leaf's
-    /// exclusive granule and pin as it first meets the leaf, and stops at
+    /// claim and pin as it first meets the leaf, and stops at
     /// the first op that cannot stay leaf-local), then write and commit
     /// it. Every outcome that is not `Done` has written nothing and
     /// releases everything before returning, so the caller never holds
@@ -365,7 +377,7 @@ impl Bur {
             return Ok(SharedAttempt::Escalate);
         }
         let _inflight = InFlight::enter(&self.shared);
-        let mut pass = SharedPass::new(&index, &self.shared.locks);
+        let mut pass = SharedPass::new(&index);
         match pass.plan(batch.ops())? {
             Step::Applied => {}
             Step::MakeRoom(pid) => return Ok(SharedAttempt::MakeRoom(pid)),
@@ -435,7 +447,7 @@ impl Bur {
     /// Deferred checkpoint for the concurrent path: a shared-phase
     /// commit cannot checkpoint (that rewrites the log under every
     /// in-flight batch), so it only bumps the cadence counter, and the
-    /// checkpoint runs here — after the granules are released, under
+    /// checkpoint runs here — after the claims are released, under
     /// the exclusive lock, re-checked because a racing batch may have
     /// taken it already.
     fn checkpoint_if_due(&self) -> CoreResult<()> {
@@ -474,10 +486,10 @@ impl Bur {
     /// Move an object. A bottom-up update that plans leaf-local (in
     /// place or an extension within the parent MBR) runs through the
     /// same shared planner as [`Bur::apply`] — under the structure
-    /// lock's read side and the exclusive granule of the object's leaf,
+    /// lock's read side and the claim on the object's leaf,
     /// overlapping other single-op updates and concurrent batches.
     /// Top-down updates, and bottom-up ones that need structural
-    /// surgery or were refused the granule, take the write side.
+    /// surgery or were refused the claim, take the write side.
     pub fn update(&self, oid: ObjectId, old: Point, new: Point) -> CoreResult<UpdateOutcome> {
         self.check_writable()?;
         if let Some(outcome) = self.try_update_shared(oid, old, new)? {
@@ -490,8 +502,8 @@ impl Bur {
     /// One non-blocking attempt at running a single bottom-up update on
     /// the shared (concurrent) write path: a batch of one, planned and
     /// written under the structure lock's read side and the object's
-    /// leaf granule. `Ok(None)` means "take the exclusive path" —
-    /// because the strategy is top-down, the granule was refused, or the
+    /// leaf claim. `Ok(None)` means "take the exclusive path" —
+    /// because the strategy is top-down, the claim was refused, or the
     /// plan needs structural surgery (only that last case counts as an
     /// escalation).
     fn try_update_shared(
@@ -505,7 +517,7 @@ impl Bur {
             return Ok(None);
         }
         let _inflight = InFlight::enter(&self.shared);
-        let mut pass = SharedPass::new(&index, &self.shared.locks);
+        let mut pass = SharedPass::new(&index);
         match pass.plan(&[Op::Update { oid, old, new }])? {
             Step::Applied => {}
             Step::Refused => return Ok(None),
@@ -654,7 +666,7 @@ impl Bur {
 
     /// Run `f` over the underlying index (read-only diagnostics: page
     /// counts, summary inspection, ...). Holds the structure lock's read
-    /// side but no leaf granule — pair with quiesced writers for exact
+    /// side but no leaf claim — pair with quiesced writers for exact
     /// numbers.
     pub fn with_index<R>(&self, f: impl FnOnce(&RTreeIndex) -> R) -> R {
         f(&self.shared.inner.read())
@@ -670,6 +682,26 @@ impl Bur {
     /// Run the deep invariant check.
     pub fn validate(&self) -> CoreResult<()> {
         self.shared.inner.read().validate()
+    }
+}
+
+/// A leaf claim held by [`Bur::hold_leaf_claim`]; released on drop.
+pub struct HeldLeafClaim {
+    shared: Arc<BurShared>,
+    pid: PageId,
+}
+
+impl std::fmt::Debug for HeldLeafClaim {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("HeldLeafClaim")
+            .field("pid", &self.pid)
+            .finish()
+    }
+}
+
+impl Drop for HeldLeafClaim {
+    fn drop(&mut self) {
+        self.shared.inner.read().tree.claims.release(self.pid);
     }
 }
 

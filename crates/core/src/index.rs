@@ -2,6 +2,7 @@
 //! update / query), persistence, and validation.
 
 use crate::batch::{Batch, BatchReport, Op};
+use crate::claims::LeafClaims;
 use crate::config::{Durability, IndexOptions, UpdateStrategy};
 use crate::error::{CoreError, CoreResult};
 use crate::files::stored_snapshot;
@@ -226,6 +227,7 @@ impl RTreeIndex {
             None
         };
         let summary = opts.strategy.needs_summary().then(SummaryStructure::new);
+        let claims = LeafClaims::covering(pool.disk().num_pages() as usize);
         let mut tree = RTree {
             pool,
             opts,
@@ -241,6 +243,7 @@ impl RTreeIndex {
             insert_active: false,
             wal: None,
             meta_chain_pages: Vec::new(),
+            claims,
         };
         rebuild_memory_state(
             &mut tree,
@@ -815,8 +818,8 @@ impl RTreeIndex {
 
     /// The page currently holding `oid` according to the hash index
     /// (`None` for TD indexes, which keep no secondary index). The
-    /// [`crate::Bur`] handle uses this to pick the DGL granule of a
-    /// bottom-up update.
+    /// [`crate::Bur`] handle uses this to pick the leaf a bottom-up
+    /// update claims.
     pub fn locate_leaf(&self, oid: ObjectId) -> CoreResult<Option<PageId>> {
         match &self.tree.hash {
             Some(h) => Ok(h.get(oid)?),

@@ -19,16 +19,17 @@
 //! ([`bur_hashindex`]) from object ids to leaf pages, so every figure of
 //! the paper can be reproduced by counting physical page transfers.
 //!
-//! Entry point: [`IndexBuilder`], which builds either the clonable,
-//! DGL-locked [`Bur`] handle (shared use, batch-first writes via
-//! [`Batch`], streaming [`QueryCursor`] results, durability acks via
+//! Entry point: [`IndexBuilder`], which builds either the clonable
+//! [`Bur`] handle (shared use, batch-first writes via [`Batch`],
+//! streaming [`QueryCursor`] results, durability acks via
 //! [`CommitTicket`]) or a raw single-threaded [`RTreeIndex`].
 //!
 //! # Concurrency
 //!
 //! [`Bur::apply`] executes pure-update batches on disjoint leaves in
-//! parallel: a shared structure lock, an exclusive DGL granule per
-//! touched leaf, and per-page buffer-pool latches, with plan-then-write
+//! parallel: a shared structure lock, a claim bit per touched leaf (the
+//! paper's DGL locking bits, one atomic op to take or drop), and
+//! per-page buffer-pool latches, with plan-then-write
 //! semantics — any op that is not leaf-local escalates the whole batch
 //! to the exclusive path having written nothing, so results are always
 //! identical to sequential application. The normative contract (lock
@@ -41,6 +42,7 @@
 mod batch;
 mod builder;
 mod bulk;
+mod claims;
 mod concurrent;
 mod config;
 pub mod cost_model;
@@ -70,7 +72,7 @@ pub use config::{
 pub use error::{CoreError, CoreResult};
 pub use files::{log_path, IndexFiles};
 pub use gbu::iextend_mbr;
-pub use handle::{Bur, CommitTicket, NeighborCursor, QueryCursor};
+pub use handle::{Bur, CommitTicket, HeldLeafClaim, NeighborCursor, QueryCursor};
 pub use index::{RTreeIndex, RecoveryReport};
 pub use meta::{LOG_DISK_ANCHOR, WAL_ANCHOR};
 // Re-exported so durability consumers need no direct `bur-wal` dependency.

@@ -20,6 +20,7 @@
 //!   a fresh one on the replica's own log disk) and checkpoint: the
 //!   replica becomes an ordinary writable index.
 
+use crate::claims::LeafClaims;
 use crate::config::{Durability, IndexOptions, UpdateStrategy};
 use crate::error::{CoreError, CoreResult};
 use crate::files::stored_snapshot;
@@ -72,6 +73,7 @@ impl RTreeIndex {
                 policy: opts.eviction,
             },
         ));
+        let claims = LeafClaims::covering(pool.disk().num_pages() as usize);
         let tree = RTree {
             pool,
             opts,
@@ -87,6 +89,7 @@ impl RTreeIndex {
             insert_active: false,
             wal: None,
             meta_chain_pages: Vec::new(),
+            claims,
         };
         Ok(Self { tree })
     }
@@ -149,6 +152,9 @@ impl RTreeIndex {
             ));
         }
         self.tree.pool.set_capacity(opts.buffer_frames)?;
+        // Redo since the view was built may have extended the disk.
+        let pages = self.tree.pool.disk().num_pages() as usize;
+        self.tree.claims.cover(pages);
         self.tree.opts = opts;
         self.tree.hash = if opts.strategy.needs_hash_index() {
             Some(Arc::new(LinearHashIndex::create(

@@ -31,7 +31,7 @@ use std::sync::Arc;
 /// wait-free for readers in practice and never block on (or are blocked
 /// by) a writer. Writers must be externally serialized: every
 /// `store` happens either under the structure lock's write side or
-/// under the root leaf's exclusive granule, which never coexist.
+/// under the root leaf's claim, which never coexist.
 #[derive(Debug)]
 pub struct RootMbrCell {
     seq: AtomicU64,
@@ -67,7 +67,7 @@ impl RootMbrCell {
     }
 
     /// Publish a new root MBR. Callers must hold either the structure
-    /// lock's write side or the root leaf's exclusive granule (single
+    /// lock's write side or the root leaf's claim (single
     /// writer); the seqlock only protects readers from torn reads.
     pub fn store(&self, mbr: Rect) {
         let s = self.seq.load(Ordering::Relaxed);
@@ -191,7 +191,7 @@ pub struct SummaryStructure {
     leaf_present: BitVec,
     /// Cached MBR of the root node, behind a seqlock so it can be read
     /// without any lock and republished through `&self` under the root
-    /// leaf's exclusive granule. The paper's table covers internal nodes
+    /// leaf's claim. The paper's table covers internal nodes
     /// only; caching the root MBR additionally makes the O(1) root check
     /// of Algorithm 2 work even while the tree is a single leaf. The
     /// `Arc` lets `Bur` hand out the cell for lock-free snapshots that
@@ -352,7 +352,7 @@ impl SummaryStructure {
 
     /// Republish the root MBR through `&self` — the concurrent path's
     /// variant of [`SummaryStructure::set_root_mbr`], legal only under
-    /// the root leaf's exclusive granule (which serializes writers).
+    /// the root leaf's claim (which serializes writers).
     pub fn publish_root_mbr(&self, mbr: Rect) {
         self.root_mbr.store(mbr);
     }
@@ -387,7 +387,7 @@ impl SummaryStructure {
     /// Flip the fullness bit of an *already registered* leaf through
     /// `&self` — the concurrent path's variant of
     /// [`SummaryStructure::set_leaf`], legal only under that leaf's
-    /// exclusive granule. Returns `false` (and changes nothing) when the
+    /// claim. Returns `false` (and changes nothing) when the
     /// leaf was never registered; the caller must escalate.
     pub fn set_leaf_full_shared(&self, pid: PageId, full: bool) -> bool {
         if !self.leaf_present.get(pid) {

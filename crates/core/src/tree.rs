@@ -22,6 +22,7 @@
 //! rect ⊇ child content), not equality; deletes re-tighten rectangles as
 //! they adjust the path.
 
+use crate::claims::LeafClaims;
 use crate::config::{IndexOptions, InsertPolicy, WalOptions};
 use crate::error::{CoreError, CoreResult};
 use crate::meta::{self, MetaSnapshot};
@@ -149,6 +150,10 @@ pub(crate) struct RTree {
     /// Pages owned by the on-disk metadata continuation chain (plus
     /// spares); recycled by every persist/checkpoint instead of leaking.
     pub(crate) meta_chain_pages: Vec<PageId>,
+    /// One claim bit per page for the shared write path, covering every
+    /// page the tree can name: sized wherever a tree comes to exist and
+    /// grown by [`RTree::alloc_page`].
+    pub(crate) claims: LeafClaims,
 }
 
 impl RTree {
@@ -182,6 +187,7 @@ impl RTree {
             insert_active: false,
             wal: None,
             meta_chain_pages: Vec::new(),
+            claims: LeafClaims::covering(root as usize + 1),
         };
         if let Some(s) = &mut tree.summary {
             s.set_leaf(root, false);
@@ -279,12 +285,13 @@ impl RTree {
         }
     }
 
-    fn alloc_page(&mut self) -> CoreResult<PageId> {
+    pub(crate) fn alloc_page(&mut self) -> CoreResult<PageId> {
         if let Some(pid) = self.free_pages.pop() {
             return Ok(pid);
         }
         let (pid, guard) = self.pool.new_page()?;
         drop(guard);
+        self.claims.cover(pid as usize + 1);
         Ok(pid)
     }
 
@@ -473,7 +480,7 @@ impl RTree {
     /// [`RTree::checkpoint_due`].
     ///
     /// Unlike [`RTree::wal_flush_commit`] this takes `&self`, so batches
-    /// on disjoint leaf granules commit while others are still applying.
+    /// on disjoint leaves commit while others are still applying.
     /// `commit_lock` keeps each batch's images and its record contiguous
     /// in the log. Correctness leans on two invariants the shared write
     /// phase upholds while any concurrent batch is in flight:

@@ -7,9 +7,9 @@
 //!
 //! Since the latch-per-page rework, a batch of pure bottom-up updates
 //! runs under the *shared* side of the handle's reader-writer lock: the
-//! DGL granules (an X lock per touched leaf under a shared tree lock)
-//! carve up what each batch may write, and per-page latches serialize
-//! the physical page accesses. Batches on disjoint leaves therefore
+//! leaf claims (one atomic bit per touched leaf, taken under the shared
+//! tree lock) carve up what each batch may write, and per-page latches
+//! serialize the physical page accesses. Batches on disjoint leaves therefore
 //! overlap physically — this example proves it with the handle's
 //! in-flight high watermark, then shows the aggregate throughput.
 //! The full protocol is documented in `docs/ARCHITECTURE.md`

@@ -5,8 +5,9 @@
 //! "position" is a pair of measured variables (say temperature ×
 //! humidity, normalized). Values drift slowly — the locality-preserving
 //! update pattern the paper targets. The index lives on a *file-backed*
-//! disk, is shared by writer and reader threads through the DGL-locked
-//! wrapper, and is persisted and reopened at the end.
+//! disk, is shared by writer and reader threads through one cloned `Bur`
+//! handle (writers claim the leaves they touch, readers take only page
+//! latches), and is persisted and reopened at the end.
 //!
 //! ```sh
 //! cargo run --release --example sensor_grid

@@ -1,10 +1,12 @@
 //! Multi-client throughput: the paper's Figure 8 scenario in miniature.
 //!
 //! A pool of client threads drives a mixed stream of position updates and
-//! window queries against one shared `Bur` handle protected by DGL
-//! granule locks. Run for both the top-down baseline and the generalized
-//! bottom-up strategy to see the throughput crossover the paper reports:
-//! TD wins at 100 % queries, GBU wins as the update share grows.
+//! window queries against one shared `Bur` handle: updates claim the
+//! leaves they touch and take page latches, queries take page latches
+//! only (no query granules). Run for both the top-down baseline and the
+//! generalized bottom-up strategy to see the throughput crossover the
+//! paper reports: TD wins at 100 % queries, GBU wins as the update share
+//! grows.
 //!
 //! ```sh
 //! cargo run --release --example throughput_demo

@@ -12,8 +12,9 @@
 //! * [`core`] (`bur-core`) — the index: [`core::IndexBuilder`], the
 //!   clonable [`core::Bur`] handle, mixed-op [`core::Batch`] writes,
 //!   streaming [`core::QueryCursor`] results, update strategies
-//!   (TD / LBU / GBU), the main-memory summary structure, the cost
-//!   model, and the single-threaded [`core::RTreeIndex`] engine;
+//!   (TD / LBU / GBU), the main-memory summary structure, the leaf
+//!   claims of the shared write path, the cost model, and the
+//!   single-threaded [`core::RTreeIndex`] engine;
 //! * [`geom`] (`bur-geom`) — points and rectangles;
 //! * [`storage`] (`bur-storage`) — page store, disks, LRU buffer pool,
 //!   I/O accounting;
@@ -21,7 +22,6 @@
 //!   index (object id → leaf page);
 //! * [`wal`] (`bur-wal`) — write-ahead logging, fuzzy checkpoints and
 //!   crash recovery for durable indexes;
-//! * [`dgl`] (`bur-dgl`) — Dynamic Granular Locking;
 //! * [`repl`] (`bur-repl`) — warm-standby replication: WAL shipping
 //!   ([`repl::LogShipper`]), follower replay ([`repl::Follower`]) and
 //!   failover promotion;
@@ -45,7 +45,8 @@
 //! [`core::Bur`] handle (share it across threads by cloning); writes go
 //! through mixed-op [`core::Batch`]es and queries stream through
 //! cursors. Update batches on disjoint leaves execute in parallel —
-//! per-leaf DGL granules plus per-page buffer-pool latches; the
+//! a claim bit per leaf (the paper's DGL locking bits, one atomic op
+//! each) plus per-page buffer-pool latches; the
 //! normative protocol (latch order, pin-vs-latch rules, deadlock
 //! avoidance) is `docs/ARCHITECTURE.md` in the repository, and
 //! `examples/parallel_writers.rs` demonstrates the clone-per-writer
@@ -120,7 +121,6 @@
 
 pub use bur_client as client;
 pub use bur_core as core;
-pub use bur_dgl as dgl;
 pub use bur_geom as geom;
 pub use bur_hashindex as hashindex;
 pub use bur_repl as repl;

@@ -1,7 +1,7 @@
-//! Concurrency tests: the DGL-locked, clonable [`Bur`] handle under
-//! mixed multi-threaded workloads must neither corrupt the tree nor
-//! lose objects, and its locking discipline must actually serialize
-//! conflicting granule access.
+//! Concurrency tests: the clonable [`Bur`] handle under mixed
+//! multi-threaded workloads must neither corrupt the tree nor lose
+//! objects, and its locking discipline (structure lock, leaf claims,
+//! page latches) must actually serialize conflicting leaf access.
 
 use bur::prelude::*;
 use bur::workload::Workload;
@@ -56,8 +56,8 @@ fn mixed_workload_stays_consistent() {
         assert_eq!(index.len(), n as u64, "no objects may be lost");
         assert!(queries_run.load(Ordering::Relaxed) > 0);
         index.validate().unwrap();
-        // All DGL locks must have been released.
-        assert_eq!(index.lock_manager().locked_granules(), 0);
+        // Every leaf claim must have been released.
+        assert_eq!(index.claimed_leaves(), 0);
     }
 }
 
@@ -221,7 +221,7 @@ fn escalating_writer_makes_progress_beside_tight_query_loops() {
     assert_eq!(ops.updates, 200 * 32);
     assert!(ops.escalations >= 100, "the traffic stayed shared: {ops}");
     assert!(scans.load(Ordering::Relaxed) > 0);
-    assert_eq!(index.lock_manager().locked_granules(), 0);
+    assert_eq!(index.claimed_leaves(), 0);
     assert_eq!(index.len(), n as u64);
     index.validate().unwrap();
 }

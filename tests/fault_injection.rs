@@ -340,7 +340,7 @@ fn failed_sync_never_acks(moves: Moves, seed: u64) {
             );
             lsn_floor = stats.last_lsn; // the refused record's LSN
             assert_eq!(bur.with_index(|i| i.pool().pinned_frames()), 0);
-            assert_eq!(bur.lock_manager().locked_granules(), 0);
+            assert_eq!(bur.claimed_leaves(), 0);
             log.clear_faults();
             // Outcome unknown to the client: both positions stay legal.
             for oid in moved(&batch) {

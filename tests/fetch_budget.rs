@@ -24,7 +24,6 @@
 //! The second half checks that **no pin outlives `apply`**, whichever
 //! way the call leaves the shared write path.
 
-use bur::dgl::{Granule, LockMode};
 use bur::prelude::*;
 use bur::storage::{FaultKind, FaultyDisk};
 use rand::rngs::StdRng;
@@ -377,7 +376,7 @@ fn a_doomed_batch_pays_for_its_first_op_not_for_all_32() {
 }
 
 // The whole-tree lock is the structure `RwLock` (there is no tree
-// granule in `bur-dgl`); the test keeps the name the suite knows it by.
+// granule); the test keeps the name the suite knows it by.
 #[test]
 fn an_escalated_batch_waits_for_the_tree_granule_without_replanning() {
     let (bur, positions) = build(IndexOptions::generalized(), THREE_LEVELS);
@@ -429,7 +428,7 @@ fn an_escalated_batch_waits_for_the_tree_granule_without_replanning() {
         "{cost} fetches: the batch re-planned while it waited ({exclusive} on the exclusive engine)"
     );
     assert_eq!(pinned(&bur), 0);
-    assert_eq!(bur.lock_manager().locked_granules(), 0);
+    assert_eq!(bur.claimed_leaves(), 0);
     bur.validate().unwrap();
 }
 
@@ -437,7 +436,7 @@ fn an_escalated_batch_waits_for_the_tree_granule_without_replanning() {
 fn no_pin_outlives_apply_when_a_granule_is_refused() {
     let (bur, mut positions) = build(IndexOptions::generalized(), THREE_LEVELS);
     let batch = in_place_batch(&bur, &mut positions, THREE_LEVELS);
-    // Hold the granule of the *last* leaf the batch touches, so the pass
+    // Hold the claim on the *last* leaf the batch touches, so the pass
     // has opened 31 shadows when it is refused.
     let Some(Op::Update { oid, .. }) = batch.ops().last() else {
         unreachable!()
@@ -446,13 +445,10 @@ fn no_pin_outlives_apply_when_a_granule_is_refused() {
         .with_index(|index| index.locate_leaf(*oid))
         .unwrap()
         .unwrap();
-    let held = bur
-        .lock_manager()
-        .try_lock(Granule::Leaf(leaf), LockMode::Exclusive)
-        .unwrap();
+    let held = bur.hold_leaf_claim(leaf).unwrap();
     let ops_before = bur.with_op_stats(|s| s.snapshot());
     // Bounded retries, then the exclusive path (which needs no leaf
-    // granule): the call returns although the granule is never released.
+    // claim): the call returns although the claim is never released.
     let ticket = bur.apply(&batch).unwrap();
     assert_eq!(ticket.report().updated, 32);
     let ops = bur.with_op_stats(|s| s.snapshot()).since(&ops_before);
@@ -462,7 +458,7 @@ fn no_pin_outlives_apply_when_a_granule_is_refused() {
     );
     assert_eq!(pinned(&bur), 0);
     drop(held);
-    assert_eq!(bur.lock_manager().locked_granules(), 0);
+    assert_eq!(bur.claimed_leaves(), 0);
     bur.validate().unwrap();
 }
 
@@ -533,5 +529,5 @@ fn no_pin_outlives_apply_when_the_commit_fails() {
     );
     assert!(disk.injected_faults() > 0);
     assert_eq!(pinned(&bur), 0, "the failed commit left pages pinned");
-    assert_eq!(bur.lock_manager().locked_granules(), 0);
+    assert_eq!(bur.claimed_leaves(), 0);
 }

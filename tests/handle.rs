@@ -398,7 +398,7 @@ fn handle_cloned_across_8_threads_passes_validate() {
     });
     assert_eq!(bur.len(), n, "no objects may be lost");
     bur.validate().unwrap();
-    assert_eq!(bur.lock_manager().locked_granules(), 0);
+    assert_eq!(bur.claimed_leaves(), 0);
 }
 
 // ---- cursors -------------------------------------------------------------

@@ -7,12 +7,12 @@
 //!    same stream through `Bur::apply` in 32-op batches and through
 //!    sequential `RTreeIndex::update` yields equal outcome counts, equal
 //!    contents and an equally expensive tree to query;
-//! 1. batches on disjoint leaf granules physically overlap (the
+//! 1. batches on disjoint leaves physically overlap (the
 //!    handle's in-flight high watermark proves two batches were inside
 //!    the write path at the same moment) — and since the coupled path,
 //!    that includes *structural* batches of inserts and deletes, which
 //!    stay on the shared side instead of escalating;
-//! 2. overlapping-granule batches — several threads hammering objects
+//! 2. overlapping batches — several threads hammering objects
 //!    interleaved on the same leaves, with mixed inserts, deletes and
 //!    updates — still produce exactly the state a per-object sequential
 //!    oracle predicts, whether a batch ran concurrently, triggered a
@@ -24,6 +24,8 @@
 //!    including between the parent-entry RMW and the leaf writes of the
 //!    batch that rode on it — recovers to a valid tree with every
 //!    acknowledged insert present (benign slack composes with splits).
+
+mod common;
 
 use bur::prelude::*;
 use bur::storage::{FaultKind, FaultyDisk, MemDisk};
@@ -66,7 +68,7 @@ fn disjoint_granule_batches_overlap_physically() {
 
     // Partition the objects by the leaf that holds them, then deal the
     // leaves round-robin to the writers: every thread's batches stay on
-    // granules no other thread touches, so nothing ever escalates or
+    // leaves no other thread touches, so nothing ever escalates or
     // conflicts and the batches are free to overlap.
     let mut by_leaf: HashMap<u32, Vec<u64>> = HashMap::new();
     bur.with_index(|index| {
@@ -117,7 +119,7 @@ fn disjoint_granule_batches_overlap_physically() {
     );
     assert_eq!(bur.len(), N);
     bur.validate().unwrap();
-    assert_eq!(bur.lock_manager().locked_granules(), 0);
+    assert_eq!(bur.claimed_leaves(), 0);
     let total: u64 = expected.len() as u64 * ROUNDS as u64;
     assert_eq!(bur.with_op_stats(|s| s.snapshot()).updates, total);
     bur.with_index(|index| {
@@ -184,7 +186,7 @@ fn structural_batches_overlap_without_escalating() {
     assert_eq!(stats.inserts, N + THREADS * ROUNDS as u64 * PER_BATCH);
     assert_eq!(stats.deletes, THREADS * ROUNDS as u64 * PER_BATCH);
     bur.validate().unwrap();
-    assert_eq!(bur.lock_manager().locked_granules(), 0);
+    assert_eq!(bur.claimed_leaves(), 0);
 }
 
 #[test]
@@ -214,6 +216,96 @@ fn peak_concurrent_batches_resets_between_runs() {
         bur.peak_concurrent_batches() >= 1,
         "the watermark must accumulate again after a reset"
     );
+}
+
+/// Apply one batch of 32 in-place moves, one of them on the
+/// highest-numbered leaf of `bur` (whose objects `0..n` sit at
+/// `home(oid)`), and check it rode the shared path: no escalation, and
+/// no claim or pin left behind. Each object moves to the midpoint
+/// between itself and a leaf-mate, inside the leaf's tight MBR by
+/// convexity, so only a leaf the claim table does not cover escalates.
+fn assert_last_leaf_is_claimable(bur: &Bur, n: u64, how: &str) {
+    let mut by_leaf: std::collections::BTreeMap<u32, Vec<u64>> = Default::default();
+    bur.with_index(|index| {
+        for oid in 0..n {
+            let pid = index.locate_leaf(oid).unwrap().expect("indexed");
+            by_leaf.entry(pid).or_default().push(oid);
+        }
+    });
+    let mut batch = Batch::new();
+    for leaf in by_leaf.values().rev().filter(|l| l.len() >= 2).take(32) {
+        let (a, b) = (home(leaf[0]), home(leaf[1]));
+        let mid = Point::new((a.x + b.x) / 2.0, (a.y + b.y) / 2.0);
+        batch.update(leaf[0], a, mid);
+    }
+    assert_eq!(batch.len(), 32, "{how}: too few leaves");
+    let before = bur.with_op_stats(|s| s.snapshot());
+    bur.apply(&batch).unwrap();
+    let ops = bur.with_op_stats(|s| s.snapshot()).since(&before);
+    assert_eq!(ops.upd_in_place, 32, "{how}");
+    assert_eq!(ops.escalations, 0, "{how}: the last leaf is not claimable");
+    assert_eq!(bur.claimed_leaves(), 0, "{how}");
+    assert_eq!(bur.with_index(|i| i.pool().pinned_frames()), 0, "{how}");
+    bur.validate().unwrap();
+}
+
+/// Every way a tree comes to exist sizes the claim table to cover every
+/// leaf it can name: a missed sizing site would escalate the batches
+/// that touch the newest leaves, which only a changed escalation rate
+/// would otherwise show.
+#[test]
+fn claim_table_covers_the_last_leaf_however_the_tree_came_to_exist() {
+    const N: u64 = 4_000;
+    let mut batch = Batch::new();
+    for oid in 0..N {
+        batch.insert(oid, home(oid));
+    }
+
+    // Created empty, grown by inserts that split.
+    for opts in [IndexOptions::generalized(), IndexOptions::localized()] {
+        let bur = IndexBuilder::with_options(opts).build().unwrap();
+        bur.apply(&batch).unwrap();
+        assert_last_leaf_is_claimable(&bur, N, opts.strategy.name());
+    }
+
+    // Bulk loaded.
+    let items: Vec<(u64, Point)> = (0..N).map(|oid| (oid, home(oid))).collect();
+    let index = RTreeIndex::bulk_load_in_memory(IndexOptions::generalized(), &items).unwrap();
+    assert_last_leaf_is_claimable(&Bur::from_index(index), N, "bulk load");
+
+    // Recovered from a durable file after a crash.
+    let dir = common::TempDir::new("claims");
+    let path = dir.file("t.bur");
+    let bur = IndexBuilder::generalized()
+        .durable()
+        .file(&path)
+        .build()
+        .unwrap();
+    bur.apply(&batch).unwrap();
+    drop(bur);
+    let bur = IndexBuilder::generalized()
+        .file(&path)
+        .recover()
+        .build()
+        .unwrap();
+    assert_last_leaf_is_claimable(&bur, N, "recover");
+
+    // A promoted replica whose newest leaves arrived by redo after it
+    // attached.
+    let opts = IndexOptions::generalized().with_durability(Durability::Wal(WalOptions {
+        checkpoint_every: 1_000_000,
+        ..WalOptions::default()
+    }));
+    let disk = Arc::new(MemDisk::new(opts.page_size));
+    let primary = IndexBuilder::with_options(opts)
+        .disk(disk.clone())
+        .build()
+        .unwrap();
+    let mut shipper = LogShipper::new(disk);
+    let mut follower = Follower::attach_in_memory(&mut shipper, opts).unwrap();
+    primary.apply(&batch).unwrap();
+    follower.catch_up(&mut shipper).unwrap();
+    assert_last_leaf_is_claimable(&follower.promote().unwrap(), N, "promote");
 }
 
 /// One writer, no concurrency: the same seeded stream applied through
