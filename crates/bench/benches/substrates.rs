@@ -28,13 +28,7 @@ fn bench_geom(c: &mut Criterion) {
 }
 
 fn bench_pool(c: &mut Criterion) {
-    let pool = BufferPool::new(
-        Arc::new(MemDisk::new(1024)),
-        PoolConfig {
-            capacity: 64,
-            ..PoolConfig::default()
-        },
-    );
+    let pool = BufferPool::new(Arc::new(MemDisk::new(1024)), PoolConfig { capacity: 64 });
     let mut pids = Vec::new();
     for _ in 0..256 {
         let (pid, g) = pool.new_page().unwrap();
@@ -66,10 +60,7 @@ fn bench_pool(c: &mut Criterion) {
 fn bench_hash(c: &mut Criterion) {
     let pool = Arc::new(BufferPool::new(
         Arc::new(MemDisk::new(1024)),
-        PoolConfig {
-            capacity: 512,
-            ..PoolConfig::default()
-        },
+        PoolConfig { capacity: 512 },
     ));
     let idx = LinearHashIndex::create(pool, HashIndexConfig::default()).unwrap();
     for k in 0..50_000u64 {

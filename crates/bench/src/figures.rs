@@ -34,10 +34,7 @@ fn td() -> IndexOptions {
 /// LBU with a given ε.
 fn lbu(epsilon: f32) -> IndexOptions {
     IndexOptions {
-        strategy: UpdateStrategy::Localized(LbuParams {
-            epsilon,
-            ..LbuParams::default()
-        }),
+        strategy: UpdateStrategy::Localized(LbuParams { epsilon }),
         ..IndexOptions::default()
     }
 }
@@ -50,7 +47,6 @@ fn gbu(epsilon: f32, tau: f32, level: Option<u16>) -> IndexOptions {
             distance_threshold: tau,
             level_threshold: level,
             piggyback: true,
-            summary_queries: true,
         }),
         ..IndexOptions::default()
     }

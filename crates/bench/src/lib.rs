@@ -14,7 +14,6 @@
 #![warn(missing_docs)]
 
 pub mod figures;
-pub mod parallel;
 pub mod report;
 pub mod runner;
 pub mod scale;

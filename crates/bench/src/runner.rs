@@ -15,7 +15,7 @@ pub enum BuildMethod {
     #[default]
     Insert,
     /// STR bulk load (66 % fill). Faster to build but nearly
-    /// overlap-free, flattering TD; used by the bulk-load ablation.
+    /// overlap-free, flattering TD.
     Bulk,
 }
 
@@ -23,7 +23,7 @@ pub enum BuildMethod {
 /// a workload configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct ExperimentConfig {
-    /// Index construction options (strategy, split policy, page size).
+    /// Index construction options (strategy, R-tree variant, page size).
     pub index: IndexOptions,
     /// Workload parameters (objects, distribution, movement, queries).
     pub workload: WorkloadConfig,

@@ -83,10 +83,7 @@ pub fn fig8(scale: Scale) -> Vec<Table> {
         (
             "LBU",
             IndexOptions {
-                strategy: UpdateStrategy::Localized(LbuParams {
-                    epsilon: 0.003,
-                    ..LbuParams::default()
-                }),
+                strategy: UpdateStrategy::Localized(LbuParams { epsilon: 0.003 }),
                 ..IndexOptions::default()
             },
         ),

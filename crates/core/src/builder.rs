@@ -142,7 +142,7 @@ impl IndexBuilder {
     }
 
     /// Arbitrary option tweaks in one closure (escape hatch for the
-    /// long tail: split policy, eviction, min fill, ...).
+    /// long tail: R-tree variant, min fill, ...).
     pub fn tune(mut self, f: impl FnOnce(&mut IndexOptions)) -> Self {
         f(&mut self.opts);
         self

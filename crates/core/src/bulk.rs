@@ -1,17 +1,11 @@
-//! Bulk loading: STR (Sort-Tile-Recursive) and Hilbert packing.
+//! Bulk loading by STR (Sort-Tile-Recursive) packing.
 //!
-//! *Extensions beyond the paper* used by the experiment harness to build
-//! the initial million-object trees quickly. Nodes are packed to 66 %
-//! utilization — the figure the paper quotes for its R-trees — so a
-//! bulk-loaded tree is statistically equivalent to an incrementally built
-//! one for the update experiments (the equivalence is checked in the
-//! integration tests).
-//!
-//! Two packings are provided: STR tiles the space into √n × √n slices;
-//! Hilbert packing (Kamel & Faloutsos, cited by the paper's related work)
-//! sorts objects along the Hilbert curve and packs runs sequentially —
-//! simpler, and with locality good enough that the two produce trees of
-//! comparable query quality.
+//! *An extension beyond the paper* used by the experiment harness to build
+//! the initial million-object trees quickly. STR tiles the space into
+//! √n × √n slices at every level. Nodes are packed to 66 % utilization —
+//! the figure the paper quotes for its R-trees — so a bulk-loaded tree is
+//! statistically equivalent to an incrementally built one for the update
+//! experiments (the equivalence is checked in the integration tests).
 
 use crate::config::IndexOptions;
 use crate::error::CoreResult;
@@ -167,105 +161,6 @@ impl RTreeIndex {
         *tree.len.get_mut() = items.len() as u64;
         // A durable index checkpoints the freshly built tree as its base
         // image; one checkpoint is far cheaper than logging every page.
-        if durable {
-            tree.pool.set_wal_mode(true);
-        }
-        index.tree.wal_checkpoint()?;
-        Ok(index)
-    }
-
-    /// Bulk load `items` into a fresh in-memory index using Hilbert
-    /// packing.
-    pub fn bulk_load_hilbert_in_memory(
-        opts: IndexOptions,
-        items: &[(ObjectId, Point)],
-    ) -> CoreResult<Self> {
-        let disk = Arc::new(MemDisk::new(opts.page_size));
-        Self::bulk_load_hilbert_on(disk, opts, items)
-    }
-
-    /// Bulk load `items` into a fresh index on `disk` by sorting along
-    /// the Hilbert curve and packing sequential runs (Kamel & Faloutsos
-    /// packing, an extension the paper's related work points at).
-    pub fn bulk_load_hilbert_on(
-        disk: Arc<dyn DiskBackend>,
-        opts: IndexOptions,
-        items: &[(ObjectId, Point)],
-    ) -> CoreResult<Self> {
-        const ORDER: u32 = 16; // 2^16 cells per axis ≈ f32 mantissa scale
-        let mut index = Self::create_on_inner(disk, None, opts)?;
-        if items.is_empty() {
-            return Ok(index);
-        }
-        // See bulk_load_on: a durable build relies on the final
-        // checkpoint, not per-page logging.
-        let durable = index.tree.wal.is_some();
-        if durable {
-            index.tree.pool.set_wal_mode(false);
-        }
-        let tree = &mut index.tree;
-
-        // ---- leaf level: one global Hilbert sort, sequential runs ----
-        let leaf_cap = tree.leaf_cap();
-        let leaf_min = tree.min_fill_leaf();
-        let leaf_fill = ((leaf_cap as f64 * BULK_FILL) as usize).max(1);
-        let mut sorted: Vec<(ObjectId, Point)> = items.to_vec();
-        sorted.sort_by_key(|&(_, p)| bur_geom::hilbert::hilbert_key(p, ORDER));
-
-        let mut level_entries: Vec<InternalEntry> = Vec::new();
-        for run_range in balanced_chunks(
-            sorted.len(),
-            leaf_fill,
-            leaf_min.min(sorted.len()),
-            leaf_cap,
-        ) {
-            let run = &sorted[run_range];
-            let pid = tree.alloc_page()?;
-            let mut node = Node::new_leaf();
-            for &(oid, p) in run {
-                node.leaf_entries_mut().push(LeafEntry::point(oid, p));
-                tree.hash_place(oid, pid)?;
-            }
-            let mbr = node.mbr();
-            tree.write_node(pid, &node)?;
-            level_entries.push(InternalEntry {
-                child: pid,
-                rect: mbr,
-            });
-        }
-
-        // ---- internal levels: children are already curve-ordered, so
-        // sequential runs preserve locality ----
-        let internal_cap = tree.internal_cap();
-        let internal_min = tree.min_fill_internal();
-        let internal_fill = ((internal_cap as f64 * BULK_FILL) as usize).max(2);
-        let mut level: u16 = 1;
-        while level_entries.len() > 1 {
-            let count = level_entries.len();
-            let min_here = internal_min.min(count);
-            let mut next: Vec<InternalEntry> = Vec::new();
-            for run_range in balanced_chunks(count, internal_fill, min_here, internal_cap) {
-                let run = level_entries[run_range].to_vec();
-                let pid = tree.alloc_page()?;
-                let mut node = Node::new_internal(level);
-                node.internal_entries_mut().extend(run.iter().copied());
-                if tree.opts.strategy.needs_parent_pointers() && level == 1 {
-                    tree.adopt_leaves(&run, pid)?;
-                }
-                let mbr = node.mbr();
-                tree.write_node(pid, &node)?;
-                next.push(InternalEntry {
-                    child: pid,
-                    rect: mbr,
-                });
-            }
-            level_entries = next;
-            level += 1;
-        }
-
-        let root_entry = level_entries[0];
-        tree.bulk_set_root(root_entry.child)?;
-        *tree.len.get_mut() = items.len() as u64;
         if durable {
             tree.pool.set_wal_mode(true);
         }

@@ -1,4 +1,4 @@
-//! Index configuration: update strategy, tuning parameters, policies.
+//! Index configuration: update strategy, tuning parameters, R-tree variant.
 
 use crate::error::{CoreError, CoreResult};
 use crate::node;
@@ -58,32 +58,12 @@ pub struct LbuParams {
     /// Uniform enlargement ε: the leaf MBR grows by ε in *all four*
     /// directions (Kwon-style), bounded by the parent MBR.
     pub epsilon: f32,
-    /// Attempt the sibling-shift step (Algorithm 1 step 5). Disabling it
-    /// reduces LBU to the Kwon et al. lazy-update R-tree of Section 3.1
-    /// — enlargement or bust — which the paper generalizes; exposed for
-    /// the ablation bench.
-    pub sibling_shift: bool,
 }
 
 impl Default for LbuParams {
     fn default() -> Self {
         // The paper's recommended small ε (Section 5.1.1).
-        Self {
-            epsilon: 0.003,
-            sibling_shift: true,
-        }
-    }
-}
-
-impl LbuParams {
-    /// The Kwon et al. lazy-update configuration (Section 3.1): uniform
-    /// δ-enlargement only, no sibling shifts.
-    #[must_use]
-    pub fn kwon(epsilon: f32) -> Self {
-        Self {
-            epsilon,
-            sibling_shift: false,
-        }
+        Self { epsilon: 0.003 }
     }
 }
 
@@ -101,11 +81,8 @@ pub struct GbuParams {
     /// leaf. `None` means "height − 1" (the paper's recommended maximum).
     pub level_threshold: Option<u16>,
     /// Piggyback other matching entries when shifting to a sibling
-    /// (Section 3.2.1 item 4). Exposed for the ablation bench.
+    /// (Section 3.2.1 item 4).
     pub piggyback: bool,
-    /// Answer window queries through the summary structure (prune
-    /// internal levels in memory). Exposed for the ablation bench.
-    pub summary_queries: bool,
 }
 
 impl Default for GbuParams {
@@ -117,7 +94,6 @@ impl Default for GbuParams {
             distance_threshold: 0.03,
             level_threshold: None,
             piggyback: true,
-            summary_queries: true,
         }
     }
 }
@@ -162,35 +138,24 @@ impl Default for WalOptions {
     }
 }
 
-/// How an overflowing node is split.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SplitPolicy {
-    /// Guttman's quadratic split (the paper's R-tree; default).
-    Quadratic,
-    /// Guttman's linear split (cheaper CPU, worse grouping) — provided
-    /// for the ablation bench.
-    Linear,
-    /// The R*-tree topological split (Beckmann et al.): split axis by
-    /// minimum margin sum, distribution by minimum overlap. Part of the
-    /// R*-variant extension (the paper's future work applies bottom-up
-    /// updates to "members of the family of R-tree-based indexing
-    /// techniques"; the R*-tree is the most common member).
-    RStar,
-}
-
-/// How insertions descend and how overflow is treated — Guttman's
-/// original R-tree versus the R*-tree refinements.
+/// Which member of the R-tree family the index is: how insertions descend,
+/// how overflow is treated and how an overflowing node is split.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum InsertPolicy {
-    /// Guttman ChooseLeaf (least area enlargement) and split-on-overflow.
-    /// This is the paper's R-tree and the default.
+pub enum TreeVariant {
+    /// Guttman's R-tree: ChooseLeaf by least area enlargement,
+    /// split-on-overflow, quadratic split. This is the paper's R-tree and
+    /// the default.
     #[default]
     Guttman,
-    /// R*-tree ChooseSubtree (minimum *overlap* enlargement when choosing
-    /// among leaf-parent entries) plus **forced reinsertion**: the first
-    /// overflow per level per insertion evicts the 30 % of entries whose
-    /// centers lie farthest from the node center and re-inserts them from
-    /// the root, instead of splitting.
+    /// The R*-tree (Beckmann et al.): ChooseSubtree by minimum *overlap*
+    /// enlargement among leaf-parent entries; **forced reinsertion** (the
+    /// first overflow per level per insertion evicts the 30 % of entries
+    /// whose centers lie farthest from the node center and re-inserts them
+    /// from the root, instead of splitting); and the topological split
+    /// (axis by minimum margin sum, distribution by minimum overlap). The
+    /// paper's future work applies bottom-up updates to "members of the
+    /// family of R-tree-based indexing techniques"; the R*-tree is the
+    /// most common member.
     RStar,
 }
 
@@ -204,13 +169,9 @@ pub struct IndexOptions {
     pub buffer_frames: usize,
     /// Update technique and its tuning parameters.
     pub strategy: UpdateStrategy,
-    /// Node split policy.
-    pub split: SplitPolicy,
-    /// Insertion descent / overflow policy (Guttman or R*).
-    pub insert: InsertPolicy,
-    /// Buffer-pool replacement policy (LRU as in the paper's experiments,
-    /// or Clock for the ablation).
-    pub eviction: bur_storage::EvictionPolicy,
+    /// R-tree variant: insertion descent, overflow treatment and node
+    /// split (Guttman or R*).
+    pub variant: TreeVariant,
     /// Minimum node fill as a fraction of capacity (Guttman's `m`);
     /// deletes below this trigger CondenseTree reinsertion.
     pub min_fill: f32,
@@ -225,9 +186,7 @@ impl Default for IndexOptions {
             page_size: bur_storage::DEFAULT_PAGE_SIZE,
             buffer_frames: 256,
             strategy: UpdateStrategy::Generalized(GbuParams::default()),
-            split: SplitPolicy::Quadratic,
-            insert: InsertPolicy::Guttman,
-            eviction: bur_storage::EvictionPolicy::Lru,
+            variant: TreeVariant::Guttman,
             min_fill: 0.4,
             durability: Durability::None,
         }
@@ -258,13 +217,19 @@ impl IndexOptions {
                 ));
             }
         }
+        // NaN fails every comparison, so `x < 0.0` alone would let it
+        // through; a NaN or infinite ε lifts the extension cap, and a NaN τ
+        // makes the shared and exclusive rule copies disagree.
+        let usable = |x: f32| x.is_finite() && x >= 0.0;
         match self.strategy {
-            UpdateStrategy::Localized(p) if p.epsilon < 0.0 => Err(CoreError::BadConfig(
-                "LBU epsilon must be non-negative".into(),
+            UpdateStrategy::Localized(p) if !usable(p.epsilon) => Err(CoreError::BadConfig(
+                "LBU epsilon must be finite and non-negative".into(),
             )),
-            UpdateStrategy::Generalized(p) if p.epsilon < 0.0 || p.distance_threshold < 0.0 => {
+            UpdateStrategy::Generalized(p)
+                if !usable(p.epsilon) || !usable(p.distance_threshold) =>
+            {
                 Err(CoreError::BadConfig(
-                    "GBU epsilon and distance threshold must be non-negative".into(),
+                    "GBU epsilon and distance threshold must be finite and non-negative".into(),
                 ))
             }
             _ => Ok(()),
@@ -321,8 +286,7 @@ impl IndexOptions {
     /// the combination the paper's future work points at.
     #[must_use]
     pub fn rstar(mut self) -> Self {
-        self.insert = InsertPolicy::RStar;
-        self.split = SplitPolicy::RStar;
+        self.variant = TreeVariant::RStar;
         self
     }
 }
@@ -356,10 +320,9 @@ mod tests {
     #[test]
     fn rstar_conversion_keeps_strategy() {
         let o = IndexOptions::localized().rstar();
-        assert_eq!(o.insert, InsertPolicy::RStar);
-        assert_eq!(o.split, SplitPolicy::RStar);
+        assert_eq!(o.variant, TreeVariant::RStar);
         assert!(matches!(o.strategy, UpdateStrategy::Localized(_)));
-        assert_eq!(IndexOptions::default().insert, InsertPolicy::Guttman);
+        assert_eq!(IndexOptions::default().variant, TreeVariant::Guttman);
     }
 
     #[test]
@@ -390,5 +353,27 @@ mod tests {
             p.epsilon = -1.0;
         }
         assert!(o.validate().is_err());
+        // Non-finite ε and τ are refused (NaN slips past a `< 0.0` check).
+        for (epsilon, distance_threshold) in
+            [(f32::NAN, 0.03), (0.003, f32::NAN), (f32::INFINITY, 0.03)]
+        {
+            let o = IndexOptions {
+                strategy: UpdateStrategy::Generalized(GbuParams {
+                    epsilon,
+                    distance_threshold,
+                    ..GbuParams::default()
+                }),
+                ..IndexOptions::default()
+            };
+            assert!(
+                o.validate().is_err(),
+                "GBU ε {epsilon} τ {distance_threshold}"
+            );
+        }
+        let o = IndexOptions {
+            strategy: UpdateStrategy::Localized(LbuParams { epsilon: f32::NAN }),
+            ..IndexOptions::default()
+        };
+        assert!(o.validate().is_err(), "LBU ε NaN");
     }
 }

@@ -114,7 +114,6 @@ impl RTreeIndex {
             disk,
             PoolConfig {
                 capacity: opts.buffer_frames,
-                policy: opts.eviction,
             },
         ));
         // Reserve the metadata page before any other allocation.
@@ -178,7 +177,6 @@ impl RTreeIndex {
             disk.clone(),
             PoolConfig {
                 capacity: opts.buffer_frames,
-                policy: opts.eviction,
             },
         ));
         let (payload, meta_cont) = read_meta_chain(&pool)?;
@@ -366,7 +364,6 @@ impl RTreeIndex {
             disk,
             PoolConfig {
                 capacity: opts.buffer_frames,
-                policy: opts.eviction,
             },
         ));
         // Where the log lives is the stored index's property. Best
@@ -615,8 +612,7 @@ impl RTreeIndex {
     }
 
     /// Window query: ids of all objects whose rect intersects `window`.
-    /// GBU indexes answer through the summary structure unless configured
-    /// otherwise.
+    /// GBU indexes answer through the summary structure.
     pub fn query(&self, window: &Rect) -> CoreResult<Vec<ObjectId>> {
         let mut out = Vec::new();
         self.query_into(window, &mut out)?;
@@ -627,14 +623,14 @@ impl RTreeIndex {
     pub fn query_into(&self, window: &Rect, out: &mut Vec<ObjectId>) -> CoreResult<()> {
         self.tree.stats.queries.fetch_add(1, Ordering::Relaxed);
         match self.tree.opts.strategy {
-            UpdateStrategy::Generalized(p) if p.summary_queries => {
-                self.tree.query_with_summary(window, out)
-            }
+            UpdateStrategy::Generalized(_) => self.tree.query_with_summary(window, out),
             _ => self.tree.query_into(window, out),
         }
     }
 
-    /// Window query forced through the plain top-down descent (ablation).
+    /// Window query forced through the plain top-down descent: the
+    /// reference descent the summary-assisted path of GBU is checked
+    /// against.
     pub fn query_top_down(&self, window: &Rect, out: &mut Vec<ObjectId>) -> CoreResult<()> {
         self.tree.stats.queries.fetch_add(1, Ordering::Relaxed);
         self.tree.query_into(window, out)
@@ -647,10 +643,9 @@ impl RTreeIndex {
     }
 
     /// The `k` nearest neighbors of `query`, closest first (best-first
-    /// MINDIST search; see [`crate::Neighbor`]). GBU indexes with summary
-    /// queries enabled seed the search from the in-memory direct access
-    /// table, skipping reads of internal nodes above level 1. Ties are
-    /// broken arbitrarily. Library extension — the paper evaluates window
+    /// MINDIST search; see [`crate::Neighbor`]). GBU indexes seed the
+    /// search from the in-memory direct access table, skipping reads of
+    /// internal nodes above level 1. Ties are broken arbitrarily. Library extension — the paper evaluates window
     /// queries only.
     pub fn nearest_neighbors(&self, query: Point, k: usize) -> CoreResult<Vec<Neighbor>> {
         if !query.is_finite() {
@@ -660,9 +655,7 @@ impl RTreeIndex {
         }
         self.tree.stats.queries.fetch_add(1, Ordering::Relaxed);
         match self.tree.opts.strategy {
-            UpdateStrategy::Generalized(p) if p.summary_queries => {
-                knn::nearest_with_summary(&self.tree, query, k)
-            }
+            UpdateStrategy::Generalized(_) => knn::nearest_with_summary(&self.tree, query, k),
             _ => knn::nearest(&self.tree, query, k),
         }
     }

@@ -103,11 +103,8 @@ fn run(
         return Ok(UpdateOutcome::Extended);
     }
 
-    // Step 4: a bottom-up delete must not underflow the leaf. And with
-    // sibling shifts disabled (the pure Kwon lazy-update mode of Section
-    // 3.1), a failed enlargement goes straight to a top-down update —
-    // "Otherwise, a top-down update is issued".
-    if leaf.count() <= tree.min_fill_leaf() || !params.sibling_shift {
+    // Step 4: a bottom-up delete must not underflow the leaf.
+    if leaf.count() <= tree.min_fill_leaf() {
         // Nothing was modified: the top-down search finds both nodes in
         // the set.
         ops.put(leaf);

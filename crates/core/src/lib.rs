@@ -66,8 +66,7 @@ mod tree;
 pub use batch::{Batch, BatchReport, Op};
 pub use builder::{IndexBuilder, OpenMode};
 pub use config::{
-    Durability, GbuParams, IndexOptions, InsertPolicy, LbuParams, SplitPolicy, UpdateStrategy,
-    WalOptions,
+    Durability, GbuParams, IndexOptions, LbuParams, TreeVariant, UpdateStrategy, WalOptions,
 };
 pub use error::{CoreError, CoreResult};
 pub use files::{log_path, IndexFiles};

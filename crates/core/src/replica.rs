@@ -70,7 +70,6 @@ impl RTreeIndex {
             disk,
             PoolConfig {
                 capacity: buffer_frames,
-                policy: opts.eviction,
             },
         ));
         let claims = LeafClaims::covering(pool.disk().num_pages() as usize);

@@ -1,16 +1,17 @@
-//! Node split policies: Guttman's quadratic (the paper's R-tree), linear
-//! (ablation) and the R*-tree topological split (R*-variant extension).
+//! Node splits: Guttman's quadratic split (the paper's R-tree) and the
+//! R*-tree topological split (the R*-variant extension).
 //!
 //! Splits operate on the entry MBRs only and return a partition of entry
 //! *indices*, so one implementation serves leaf and internal nodes alike.
 
-use crate::config::SplitPolicy;
+use crate::config::TreeVariant;
 use bur_geom::Rect;
 
 /// Partition `rects` into two groups, each with at least `min_fill`
-/// members. Returns the index sets of the two groups.
+/// members, the way `variant` splits a node. Returns the index sets of the
+/// two groups.
 #[must_use]
-pub fn split(rects: &[Rect], min_fill: usize, policy: SplitPolicy) -> (Vec<usize>, Vec<usize>) {
+pub fn split(rects: &[Rect], min_fill: usize, variant: TreeVariant) -> (Vec<usize>, Vec<usize>) {
     debug_assert!(rects.len() >= 2, "cannot split fewer than two entries");
     debug_assert!(
         2 * min_fill <= rects.len(),
@@ -18,12 +19,13 @@ pub fn split(rects: &[Rect], min_fill: usize, policy: SplitPolicy) -> (Vec<usize
         min_fill,
         rects.len()
     );
-    let (seed_a, seed_b) = match policy {
-        SplitPolicy::Quadratic => pick_seeds_quadratic(rects),
-        SplitPolicy::Linear => pick_seeds_linear(rects),
-        SplitPolicy::RStar => return split_rstar(rects, min_fill),
-    };
-    distribute(rects, min_fill, seed_a, seed_b, policy)
+    match variant {
+        TreeVariant::Guttman => {
+            let (seed_a, seed_b) = pick_seeds_quadratic(rects);
+            distribute(rects, min_fill, seed_a, seed_b)
+        }
+        TreeVariant::RStar => split_rstar(rects, min_fill),
+    }
 }
 
 /// R*-tree split (Beckmann et al., Section 4.2): choose the split *axis*
@@ -107,58 +109,13 @@ fn pick_seeds_quadratic(rects: &[Rect]) -> (usize, usize) {
     best
 }
 
-/// Guttman LinearPickSeeds: greatest normalized separation along any axis.
-fn pick_seeds_linear(rects: &[Rect]) -> (usize, usize) {
-    // Along each dimension: entry with the highest low side and entry
-    // with the lowest high side.
-    let mut hi_min_x = 0; // argmax of min_x
-    let mut lo_max_x = 0; // argmin of max_x
-    let mut hi_min_y = 0;
-    let mut lo_max_y = 0;
-    let (mut span_min_x, mut span_max_x) = (f32::INFINITY, f32::NEG_INFINITY);
-    let (mut span_min_y, mut span_max_y) = (f32::INFINITY, f32::NEG_INFINITY);
-    for (i, r) in rects.iter().enumerate() {
-        if r.min_x > rects[hi_min_x].min_x {
-            hi_min_x = i;
-        }
-        if r.max_x < rects[lo_max_x].max_x {
-            lo_max_x = i;
-        }
-        if r.min_y > rects[hi_min_y].min_y {
-            hi_min_y = i;
-        }
-        if r.max_y < rects[lo_max_y].max_y {
-            lo_max_y = i;
-        }
-        span_min_x = span_min_x.min(r.min_x);
-        span_max_x = span_max_x.max(r.max_x);
-        span_min_y = span_min_y.min(r.min_y);
-        span_max_y = span_max_y.max(r.max_y);
-    }
-    let width_x = (span_max_x - span_min_x).max(f32::EPSILON);
-    let width_y = (span_max_y - span_min_y).max(f32::EPSILON);
-    let sep_x = (rects[hi_min_x].min_x - rects[lo_max_x].max_x) / width_x;
-    let sep_y = (rects[hi_min_y].min_y - rects[lo_max_y].max_y) / width_y;
-    let (mut a, mut b) = if sep_x >= sep_y {
-        (hi_min_x, lo_max_x)
-    } else {
-        (hi_min_y, lo_max_y)
-    };
-    if a == b {
-        // All rectangles coincide along both axes; any distinct pair works.
-        a = 0;
-        b = 1;
-    }
-    (a.min(b), a.max(b))
-}
-
-/// Distribute the remaining entries to the two seeded groups.
+/// Guttman's quadratic distribution of the remaining entries to the two
+/// seeded groups.
 fn distribute(
     rects: &[Rect],
     min_fill: usize,
     seed_a: usize,
     seed_b: usize,
-    policy: SplitPolicy,
 ) -> (Vec<usize>, Vec<usize>) {
     let n = rects.len();
     let mut group_a = vec![seed_a];
@@ -178,27 +135,18 @@ fn distribute(
             group_b.append(&mut remaining);
             break;
         }
-        // Choose the next entry to place.
-        let pick_pos = match policy {
-            SplitPolicy::Quadratic => {
-                // PickNext: strongest preference for one group.
-                let mut best_pos = 0;
-                let mut best_pref = f32::NEG_INFINITY;
-                for (pos, &i) in remaining.iter().enumerate() {
-                    let d_a = cover_a.enlargement(&rects[i]);
-                    let d_b = cover_b.enlargement(&rects[i]);
-                    let pref = (d_a - d_b).abs();
-                    if pref > best_pref {
-                        best_pref = pref;
-                        best_pos = pos;
-                    }
-                }
-                best_pos
+        // PickNext: the entry with the strongest preference for one group.
+        let mut pick_pos = 0;
+        let mut best_pref = f32::NEG_INFINITY;
+        for (pos, &i) in remaining.iter().enumerate() {
+            let d_a = cover_a.enlargement(&rects[i]);
+            let d_b = cover_b.enlargement(&rects[i]);
+            let pref = (d_a - d_b).abs();
+            if pref > best_pref {
+                best_pref = pref;
+                pick_pos = pos;
             }
-            // Any order; R* never reaches here (its own distribution
-            // logic returns early from `split`).
-            SplitPolicy::Linear | SplitPolicy::RStar => 0,
-        };
+        }
         let i = remaining.swap_remove(pick_pos);
         // Assign to the group needing less enlargement; break ties by
         // smaller area, then fewer entries (Guttman's tie chain).
@@ -239,25 +187,25 @@ mod tests {
         v
     }
 
-    fn check_partition(rects: &[Rect], min_fill: usize, policy: SplitPolicy) {
-        let (a, b) = split(rects, min_fill, policy);
-        assert!(a.len() >= min_fill, "{policy:?}: group A below min fill");
-        assert!(b.len() >= min_fill, "{policy:?}: group B below min fill");
+    fn check_partition(rects: &[Rect], min_fill: usize, variant: TreeVariant) {
+        let (a, b) = split(rects, min_fill, variant);
+        assert!(a.len() >= min_fill, "{variant:?}: group A below min fill");
+        assert!(b.len() >= min_fill, "{variant:?}: group B below min fill");
         assert_eq!(a.len() + b.len(), rects.len());
         let mut all: Vec<usize> = a.iter().chain(b.iter()).copied().collect();
         all.sort_unstable();
         let expect: Vec<usize> = (0..rects.len()).collect();
         assert_eq!(
             all, expect,
-            "{policy:?}: partition must cover all exactly once"
+            "{variant:?}: partition must cover all exactly once"
         );
     }
 
     #[test]
     fn quadratic_separates_clusters() {
         let rects = rects_cluster();
-        let (a, b) = split(&rects, 2, SplitPolicy::Quadratic);
-        check_partition(&rects, 2, SplitPolicy::Quadratic);
+        let (a, b) = split(&rects, 2, TreeVariant::Guttman);
+        check_partition(&rects, 2, TreeVariant::Guttman);
         // Even indices are cluster 1, odd are cluster 2; the split must
         // not mix them.
         let a_even = a.iter().filter(|&&i| i % 2 == 0).count();
@@ -267,17 +215,7 @@ mod tests {
         );
     }
 
-    #[test]
-    fn linear_valid_partition() {
-        let rects = rects_cluster();
-        check_partition(&rects, 2, SplitPolicy::Linear);
-    }
-
-    const ALL_POLICIES: [SplitPolicy; 3] = [
-        SplitPolicy::Quadratic,
-        SplitPolicy::Linear,
-        SplitPolicy::RStar,
-    ];
+    const ALL_VARIANTS: [TreeVariant; 2] = [TreeVariant::Guttman, TreeVariant::RStar];
 
     #[test]
     fn min_fill_forcing() {
@@ -288,24 +226,24 @@ mod tests {
             let d = i as f32 * 0.01;
             rects.push(Rect::new(d, d, d + 0.01, d + 0.01));
         }
-        for policy in ALL_POLICIES {
-            check_partition(&rects, 3, policy);
+        for variant in ALL_VARIANTS {
+            check_partition(&rects, 3, variant);
         }
     }
 
     #[test]
     fn identical_rects_still_split() {
         let rects = vec![Rect::new(0.5, 0.5, 0.6, 0.6); 8];
-        for policy in ALL_POLICIES {
-            check_partition(&rects, 3, policy);
+        for variant in ALL_VARIANTS {
+            check_partition(&rects, 3, variant);
         }
     }
 
     #[test]
     fn two_entries() {
         let rects = vec![Rect::new(0.0, 0.0, 0.1, 0.1), Rect::new(0.9, 0.9, 1.0, 1.0)];
-        for policy in ALL_POLICIES {
-            let (a, b) = split(&rects, 1, policy);
+        for variant in ALL_VARIANTS {
+            let (a, b) = split(&rects, 1, variant);
             assert_eq!(a.len(), 1);
             assert_eq!(b.len(), 1);
         }
@@ -316,16 +254,16 @@ mod tests {
         let rects: Vec<Rect> = (0..10)
             .map(|i| Rect::from_point(bur_geom::Point::new(i as f32 * 0.1, 0.5)))
             .collect();
-        for policy in ALL_POLICIES {
-            check_partition(&rects, 4, policy);
+        for variant in ALL_VARIANTS {
+            check_partition(&rects, 4, variant);
         }
     }
 
     #[test]
     fn rstar_separates_clusters() {
         let rects = rects_cluster();
-        check_partition(&rects, 2, SplitPolicy::RStar);
-        let (a, b) = split(&rects, 2, SplitPolicy::RStar);
+        check_partition(&rects, 2, TreeVariant::RStar);
+        let (a, b) = split(&rects, 2, TreeVariant::RStar);
         let a_even = a.iter().filter(|&&i| i % 2 == 0).count();
         assert!(
             a_even == 0 || a_even == a.len(),
@@ -345,7 +283,7 @@ mod tests {
                 Rect::new(0.0, y, 1.0, y + 0.05)
             })
             .collect();
-        let (a, b) = split(&rects, 2, SplitPolicy::RStar);
+        let (a, b) = split(&rects, 2, TreeVariant::RStar);
         let cover = |g: &[usize]| g.iter().fold(Rect::EMPTY, |acc, &i| acc.union(&rects[i]));
         assert_eq!(
             cover(&a).intersection_area(&cover(&b)),
@@ -364,7 +302,7 @@ mod tests {
                 Rect::new(x, 0.0, x + 0.05, 1.0)
             })
             .collect();
-        let (a, b) = split(&rects, 3, SplitPolicy::RStar);
+        let (a, b) = split(&rects, 3, TreeVariant::RStar);
         let max_a = a
             .iter()
             .map(|&i| rects[i].min_x)

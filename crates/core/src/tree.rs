@@ -23,7 +23,7 @@
 //! they adjust the path.
 
 use crate::claims::LeafClaims;
-use crate::config::{IndexOptions, InsertPolicy, WalOptions};
+use crate::config::{IndexOptions, TreeVariant, WalOptions};
 use crate::error::{CoreError, CoreResult};
 use crate::meta::{self, MetaSnapshot};
 use crate::node::{
@@ -653,7 +653,7 @@ impl RTree {
     /// `start` — the case GBU's ascent avoids by picking an ancestor that
     /// already contains the new location.
     ///
-    /// When the insert policy is R*, an overflow on the way down may queue
+    /// In the R* variant, an overflow on the way down may queue
     /// evicted entries instead of splitting (forced reinsertion); the
     /// outermost call drains that queue by re-inserting from the root.
     pub(crate) fn insert_from(
@@ -815,8 +815,8 @@ impl RTree {
     /// minimum *overlap* enlargement when choosing among the parents of
     /// leaves (Beckmann's ChooseSubtree).
     fn choose_subtree(&self, node: &Node, rect: &Rect) -> usize {
-        match self.opts.insert {
-            InsertPolicy::RStar if node.level == 1 => Self::choose_subtree_min_overlap(node, rect),
+        match self.opts.variant {
+            TreeVariant::RStar if node.level == 1 => Self::choose_subtree_min_overlap(node, rect),
             _ => Self::choose_subtree_guttman(node, rect),
         }
     }
@@ -882,7 +882,7 @@ impl RTree {
         ops: &mut PinSet<'p>,
         mut node: PinnedNode<'p>,
     ) -> CoreResult<(Rect, Option<InternalEntry>)> {
-        let eligible = self.opts.insert == InsertPolicy::RStar
+        let eligible = self.opts.variant == TreeVariant::RStar
             && node.pid() != self.root
             && node.level < 32
             && self.reinsert_armed & (1 << node.level) == 0;
@@ -957,7 +957,7 @@ impl RTree {
         let (node_a, node_b) = match node.entries {
             NodeEntries::Leaf(entries) => {
                 let rects: Vec<Rect> = entries.iter().map(|e| e.rect).collect();
-                let (ga, gb) = split::split(&rects, min_fill, self.opts.split);
+                let (ga, gb) = split::split(&rects, min_fill, self.opts.variant);
                 let a: Vec<LeafEntry> = ga.iter().map(|&i| entries[i]).collect();
                 let b: Vec<LeafEntry> = gb.iter().map(|&i| entries[i]).collect();
                 // Re-homed objects: point the hash index at the new leaf.
@@ -979,7 +979,7 @@ impl RTree {
             }
             NodeEntries::Internal(entries) => {
                 let rects: Vec<Rect> = entries.iter().map(|e| e.rect).collect();
-                let (ga, gb) = split::split(&rects, min_fill, self.opts.split);
+                let (ga, gb) = split::split(&rects, min_fill, self.opts.variant);
                 let a: Vec<InternalEntry> = ga.iter().map(|&i| entries[i]).collect();
                 let b: Vec<InternalEntry> = gb.iter().map(|&i| entries[i]).collect();
                 // Children moved under the new node: rewrite their parent

@@ -3,9 +3,7 @@
 //! heavy enough to force splits, condenses, extensions, shifts and
 //! ascents. The deep invariant checker runs between phases.
 
-use bur_core::{
-    GbuParams, IndexBuilder, IndexOptions, LbuParams, RTreeIndex, SplitPolicy, UpdateStrategy,
-};
+use bur_core::{GbuParams, IndexBuilder, IndexOptions, LbuParams, RTreeIndex, UpdateStrategy};
 use bur_geom::{Point, Rect};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -47,25 +45,21 @@ fn strategies() -> Vec<(&'static str, IndexOptions)> {
     lbu.buffer_frames = small_buffer;
     let mut gbu = IndexOptions::generalized();
     gbu.buffer_frames = small_buffer;
-    // A GBU variant stressing every knob differently.
-    let mut gbu2 = IndexOptions {
+    // A GBU variant stressing every knob differently, on the R*-tree.
+    let gbu2 = IndexOptions {
         strategy: UpdateStrategy::Generalized(GbuParams {
             epsilon: 0.02,
             distance_threshold: 0.0, // always shift-first
             level_threshold: Some(1),
             piggyback: false,
-            summary_queries: false,
         }),
         buffer_frames: small_buffer,
         ..IndexOptions::default()
-    };
-    gbu2.split = SplitPolicy::Linear;
+    }
+    .rstar();
     // An LBU variant with zero epsilon (sibling shifts only).
     let lbu0 = IndexOptions {
-        strategy: UpdateStrategy::Localized(LbuParams {
-            epsilon: 0.0,
-            ..LbuParams::default()
-        }),
+        strategy: UpdateStrategy::Localized(LbuParams { epsilon: 0.0 }),
         buffer_frames: small_buffer,
         ..IndexOptions::default()
     };

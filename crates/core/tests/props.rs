@@ -1,11 +1,11 @@
 //! Property-based tests on the index: arbitrary operation sequences must
 //! (a) keep every structural invariant, and (b) agree with a naive model
-//! — for every update strategy, for both insertion policies, and for the
+//! — for every update strategy, for both R-tree variants, and for the
 //! kNN / distance-query extensions.
 
 use bur_core::{
     internal_capacity, leaf_capacity, GbuParams, IndexBuilder, IndexOptions, InternalEntry,
-    LbuParams, LeafEntry, Node, RTreeIndex, SplitPolicy, UpdateStrategy,
+    LbuParams, LeafEntry, Node, RTreeIndex, UpdateStrategy,
 };
 use bur_geom::{Point, Rect};
 use proptest::prelude::*;
@@ -36,10 +36,7 @@ fn strategies() -> Vec<IndexOptions> {
     vec![
         IndexOptions::top_down(),
         IndexOptions {
-            strategy: UpdateStrategy::Localized(LbuParams {
-                epsilon: 0.01,
-                ..LbuParams::default()
-            }),
+            strategy: UpdateStrategy::Localized(LbuParams { epsilon: 0.01 }),
             ..IndexOptions::default()
         },
         IndexOptions {
@@ -48,9 +45,7 @@ fn strategies() -> Vec<IndexOptions> {
                 distance_threshold: 0.05,
                 level_threshold: Some(2),
                 piggyback: true,
-                summary_queries: true,
             }),
-            split: SplitPolicy::Linear,
             ..IndexOptions::default()
         },
     ]
@@ -148,36 +143,6 @@ proptest! {
             .collect();
         let bulk = RTreeIndex::bulk_load_in_memory(opts, &items).unwrap();
         bulk.validate().map_err(|e| TestCaseError::fail(format!("bulk: {e}")))?;
-        let mut incr = IndexBuilder::with_options(opts).build_index().unwrap();
-        for &(oid, p) in &items {
-            incr.insert(oid, p).unwrap();
-        }
-        for ((x, y), (w, h)) in windows {
-            let window = Rect::new(x, y, x + w, y + h);
-            let mut a = bulk.query(&window).unwrap();
-            let mut b = incr.query(&window).unwrap();
-            a.sort_unstable();
-            b.sort_unstable();
-            prop_assert_eq!(a, b);
-        }
-    }
-
-    #[test]
-    fn hilbert_bulk_load_equivalent_to_inserts(
-        points in proptest::collection::vec(arb_coord(), 1..400),
-        windows in proptest::collection::vec((arb_coord(), (0.0f32..0.4, 0.0f32..0.4)), 1..10),
-    ) {
-        let opts = IndexOptions {
-            page_size: 256,
-            ..IndexOptions::generalized()
-        };
-        let items: Vec<(u64, Point)> = points
-            .iter()
-            .enumerate()
-            .map(|(i, &(x, y))| (i as u64, Point::new(x, y)))
-            .collect();
-        let bulk = RTreeIndex::bulk_load_hilbert_in_memory(opts, &items).unwrap();
-        bulk.validate().map_err(|e| TestCaseError::fail(format!("hilbert bulk: {e}")))?;
         let mut incr = IndexBuilder::with_options(opts).build_index().unwrap();
         for &(oid, p) in &items {
             incr.insert(oid, p).unwrap();

@@ -212,10 +212,7 @@ fn lbu_extension_bounded_by_parent() {
     // MBR; validate() enforces the containment invariant after heavy
     // extension-driven churn.
     let opts = IndexOptions {
-        strategy: UpdateStrategy::Localized(LbuParams {
-            epsilon: 0.5,
-            ..LbuParams::default()
-        }),
+        strategy: UpdateStrategy::Localized(LbuParams { epsilon: 0.5 }),
         ..IndexOptions::default()
     };
     let mut index = IndexBuilder::with_options(opts).build_index().unwrap();
@@ -226,40 +223,6 @@ fn lbu_extension_bounded_by_parent() {
     }
     churn(&mut index, &mut positions, 12, 10_000, 0.05);
     index.validate().unwrap();
-}
-
-#[test]
-fn kwon_mode_never_shifts() {
-    // LbuParams::kwon disables sibling shifts (Section 3.1's lazy-update
-    // R-tree): every update resolves in place, by enlargement, or falls
-    // back to top-down. The full LBU on the same stream does shift.
-    let run = |params: LbuParams| {
-        let opts = IndexOptions {
-            strategy: UpdateStrategy::Localized(params),
-            ..IndexOptions::default()
-        };
-        let mut index = IndexBuilder::with_options(opts).build_index().unwrap();
-        let items = uniform_points(3_000, 21);
-        let mut positions: Vec<Point> = items.iter().map(|&(_, p)| p).collect();
-        for &(oid, p) in &items {
-            index.insert(oid, p).unwrap();
-        }
-        index.op_stats().reset();
-        churn(&mut index, &mut positions, 22, 8_000, 0.03);
-        index.validate().unwrap();
-        index.op_stats().snapshot()
-    };
-    let kwon = run(LbuParams::kwon(0.003));
-    let full = run(LbuParams::default());
-    assert_eq!(kwon.upd_shifted, 0, "Kwon mode must never shift");
-    assert!(full.upd_shifted > 0, "full LBU must shift on this stream");
-    assert!(
-        kwon.upd_top_down > full.upd_top_down,
-        "without shifts more updates must fall back to top-down \
-         ({} vs {})",
-        kwon.upd_top_down,
-        full.upd_top_down
-    );
 }
 
 #[test]

@@ -3,7 +3,7 @@
 //! Maps 2-D cells onto a 1-D index such that consecutive indices are
 //! always adjacent cells — the locality property behind Hilbert-packed
 //! R-trees (Kamel & Faloutsos), one of the R-tree variants the paper's
-//! related work surveys. Used by the Hilbert bulk loader in `bur-core`.
+//! related work surveys. Used by the key router in `bur-shard`.
 
 use crate::{Point, Rect};
 

@@ -76,7 +76,7 @@ impl State {
 ///
 /// let pool = Arc::new(BufferPool::new(
 ///     Arc::new(MemDisk::new(1024)),
-///     PoolConfig { capacity: 32, ..PoolConfig::default() },
+///     PoolConfig { capacity: 32 },
 /// ));
 /// let index = LinearHashIndex::create(pool, HashIndexConfig::default()).unwrap();
 /// index.insert(42, 7).unwrap();          // object 42 lives on page 7
@@ -572,10 +572,7 @@ mod tests {
     fn make_pool(page_size: usize, capacity: usize) -> Arc<BufferPool> {
         Arc::new(BufferPool::new(
             Arc::new(MemDisk::new(page_size)),
-            PoolConfig {
-                capacity,
-                ..PoolConfig::default()
-            },
+            PoolConfig { capacity },
         ))
     }
 

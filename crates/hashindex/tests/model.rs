@@ -40,7 +40,7 @@ proptest! {
         // Tiny pages (10 entries each) force splits and overflows early.
         let pool = Arc::new(BufferPool::new(
             Arc::new(MemDisk::new(128)),
-            PoolConfig { capacity: 16, ..PoolConfig::default() },
+            PoolConfig { capacity: 16 },
         ));
         let idx = LinearHashIndex::create(pool, HashIndexConfig::default()).unwrap();
         let mut model: HashMap<u64, u32> = HashMap::new();
@@ -91,7 +91,7 @@ proptest! {
     fn bulk_insert_then_verify(n in 100usize..1500) {
         let pool = Arc::new(BufferPool::new(
             Arc::new(MemDisk::new(128)),
-            PoolConfig { capacity: 64, ..PoolConfig::default() },
+            PoolConfig { capacity: 64 },
         ));
         let idx = LinearHashIndex::create(pool, HashIndexConfig::default()).unwrap();
         for k in 0..n as u64 {

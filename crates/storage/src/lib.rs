@@ -16,10 +16,10 @@
 //!   "0 % buffer" configuration (pages are kept only while pinned).
 //!   Because page ids are dense, the pool keeps one 32-byte slot per page
 //!   of the file in a vector indexed by page id — the resident frame, the
-//!   LRU links (or clock-ring index) and the WAL gate's per-page state —
-//!   so a hit hashes nothing: one lock, one slot, one frame header, and
-//!   the two LRU neighbours when the pin count crosses 0 ↔ 1. Frames are
-//!   still allocated per resident page, not per slot.
+//!   LRU links and the WAL gate's per-page state — so a hit hashes
+//!   nothing: one lock, one slot, one frame header, and the two LRU
+//!   neighbours when the pin count crosses 0 ↔ 1. Frames are still
+//!   allocated per resident page, not per slot.
 //! * [`IoStats`] / [`IoSnapshot`] — atomic counters and snapshot deltas,
 //!   the measurement device behind every "Avg Disk I/O" figure.
 //!
@@ -51,14 +51,12 @@ mod error;
 mod faults;
 mod lru;
 mod pool;
-mod replacer;
 mod stats;
 
 pub use disk::{DiskBackend, FileDisk, MemDisk};
 pub use error::{StorageError, StorageResult};
 pub use faults::{FaultKind, FaultyDisk};
 pub use pool::{BufferPool, PageReadLatch, PageRef, PageWriteLatch, PoolConfig};
-pub use replacer::EvictionPolicy;
 pub use stats::{IoSnapshot, IoStats};
 
 /// Identifier of a page on a disk. Pages are allocated densely from 0.

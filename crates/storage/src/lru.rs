@@ -6,7 +6,7 @@
 //! nothing: page ids are dense, so the `prev`/`next` links live in the
 //! pool's page-indexed slot table ([`Slot`]) and the list itself is a
 //! head, a tail and a length. Membership is one flag bit in the slot, so
-//! several lists (the replacer's, the pool's parked queue) can thread
+//! several lists (the eviction order, the pool's parked queue) can thread
 //! through the same table as long as a page is on at most one of them.
 
 use crate::pool::Slot;
@@ -117,7 +117,7 @@ mod tests {
     fn list(n: usize) -> (LruList, Vec<Slot>) {
         let mut slots = Vec::new();
         slots.resize_with(n, Slot::default);
-        (LruList::new(crate::pool::IN_REPLACER), slots)
+        (LruList::new(crate::pool::IN_LRU), slots)
     }
 
     #[test]

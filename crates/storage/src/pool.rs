@@ -1,11 +1,10 @@
-//! Write-back buffer pool (LRU or Clock replacement).
+//! Write-back buffer pool with LRU replacement.
 //!
 //! All bookkeeping is one page-indexed table ([`Slot`], one per page of
 //! the file) under one mutex: nothing on the hit path hashes a page id.
 
 use crate::lru::LruList;
-use crate::replacer::Replacer;
-use crate::{DiskBackend, EvictionPolicy, IoStats, Lsn, PageId, StorageError, StorageResult};
+use crate::{DiskBackend, IoStats, Lsn, PageId, StorageError, StorageResult};
 use parking_lot::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -18,19 +17,13 @@ pub struct PoolConfig {
     /// fetch is a physical read and every dirty page is written back as
     /// soon as its last guard drops.
     pub capacity: usize,
-    /// Replacement policy for unpinned frames (LRU by default — the
-    /// experiments' policy; Clock for the ablation).
-    pub policy: EvictionPolicy,
 }
 
 impl Default for PoolConfig {
     fn default() -> Self {
         // A small default; experiments size this explicitly as a
         // percentage of the data pages (the paper's default is 1 %).
-        Self {
-            capacity: 128,
-            policy: EvictionPolicy::Lru,
-        }
+        Self { capacity: 128 }
     }
 }
 
@@ -54,8 +47,8 @@ impl Frame {
     }
 }
 
-/// [`Slot::flags`]: the page is an unpinned frame tracked by the replacer.
-pub(crate) const IN_REPLACER: u8 = 1;
+/// [`Slot::flags`]: the page is an unpinned frame on [`PoolState::lru`].
+pub(crate) const IN_LRU: u8 = 1;
 /// [`Slot::flags`]: the page is an unpinned frame the WAL gate refused to
 /// evict, queued on [`PoolState::parked`].
 pub(crate) const PARKED: u8 = 1 << 1;
@@ -66,17 +59,16 @@ const TOUCHED: u8 = 1 << 2;
 
 /// Everything the pool knows about one page of the file. Page ids are
 /// allocated densely from 0, so the pool indexes a `Vec<Slot>` by page id
-/// where it would otherwise hash: residency, the replacement-policy links
-/// and the WAL gate's per-page state are all one array access away.
+/// where it would otherwise hash: residency, the LRU links and the WAL
+/// gate's per-page state are all one array access away.
 #[derive(Default)]
 pub(crate) struct Slot {
     /// The resident frame, pinned or not.
     frame: Option<Arc<Frame>>,
-    /// Links of the list the page is on (`IN_REPLACER` under LRU, or
-    /// `PARKED`): `prev` towards the most recently used end, `next`
-    /// towards the least, [`crate::INVALID_PAGE`] at either end. Under
-    /// Clock, `prev` of an `IN_REPLACER` page is its ring index. Garbage
-    /// while the page is on no list.
+    /// Links of the list the page is on (`IN_LRU` or `PARKED`): `prev`
+    /// towards the most recently used end, `next` towards the least,
+    /// [`crate::INVALID_PAGE`] at either end. Garbage while the page is on
+    /// no list.
     pub(crate) prev: PageId,
     pub(crate) next: PageId,
     /// Index of this page in [`PoolState::touched`] while `TOUCHED`.
@@ -84,7 +76,7 @@ pub(crate) struct Slot {
     /// LSN of the last logged image of the page (0 = none noted). A dirty
     /// frame may only be written back once the log is durable past it.
     page_lsn: Lsn,
-    /// `IN_REPLACER` | `PARKED` | `TOUCHED`.
+    /// `IN_LRU` | `PARKED` | `TOUCHED`.
     pub(crate) flags: u8,
 }
 
@@ -94,14 +86,15 @@ struct PoolState {
     slots: Vec<Slot>,
     /// Number of slots holding a frame.
     resident: usize,
-    /// Unpinned frames, ordered by the configured replacement policy.
-    replacer: Replacer,
+    /// Unpinned frames, least recently used at the back (the eviction
+    /// victim).
+    lru: LruList,
     /// Unpinned frames the WAL gate refused to evict (uncommitted or not
-    /// yet durable), oldest at the back. Parked out of the replacer so
+    /// yet durable), oldest at the back. Parked out of `lru` so
     /// capacity sweeps never rescan them; they re-enter when the durable
     /// LSN advances ([`BufferPool::set_durable_lsn`]), on a checkpoint
     /// reset, or when they are re-pinned. Invariant: an unpinned resident
-    /// frame is in exactly one of `replacer` / `parked`.
+    /// frame is in exactly one of `lru` / `parked`.
     parked: LruList,
     /// The `TOUCHED` pages, unordered (live only in WAL mode). These are
     /// the pages the next commit must log.
@@ -126,8 +119,7 @@ impl PoolState {
     /// Pin the frame of `pid` when it is resident (a hit).
     fn pin_resident(&mut self, pid: PageId) -> Option<Arc<Frame>> {
         let frame = self.slots[pid as usize].frame.clone()?;
-        if frame.pins.fetch_add(1, Ordering::Relaxed) == 0
-            && !self.replacer.remove(&mut self.slots, pid)
+        if frame.pins.fetch_add(1, Ordering::Relaxed) == 0 && !self.lru.remove(&mut self.slots, pid)
         {
             self.parked.remove(&mut self.slots, pid);
         }
@@ -163,7 +155,7 @@ impl PoolState {
     }
 
     /// Forget all gate state: nothing is touched, no page has a logged
-    /// image, and every parked frame is back in the replacer.
+    /// image, and every parked frame is back in `lru`.
     fn reset_gate(&mut self) {
         self.touched.clear();
         for slot in &mut self.slots {
@@ -173,12 +165,12 @@ impl PoolState {
         self.unpark_all();
     }
 
-    /// Move every parked frame back into the replacer, oldest first so
+    /// Move every parked frame back into `lru`, oldest first so
     /// their relative recency survives (gate state changed wholesale;
     /// eviction sweeps re-park whatever is still blocked).
     fn unpark_all(&mut self) {
         while let Some(pid) = self.parked.pop_back(&mut self.slots) {
-            self.replacer.insert(&mut self.slots, pid);
+            self.lru.push_front(&mut self.slots, pid);
         }
     }
 }
@@ -201,7 +193,7 @@ impl PoolState {
 ///
 /// let pool = BufferPool::new(
 ///     Arc::new(MemDisk::new(1024)),
-///     PoolConfig { capacity: 8, ..PoolConfig::default() },
+///     PoolConfig { capacity: 8 },
 /// );
 /// let (pid, page) = pool.new_page().unwrap();
 /// page.write()[0] = 42;
@@ -234,7 +226,7 @@ impl BufferPool {
             state: Mutex::new(PoolState {
                 slots: Vec::new(),
                 resident: 0,
-                replacer: Replacer::new(config.policy),
+                lru: LruList::new(IN_LRU),
                 parked: LruList::new(PARKED),
                 touched: Vec::new(),
             }),
@@ -284,7 +276,7 @@ impl BufferPool {
 
     /// Publish the log's durable horizon; frames whose last image lies at
     /// or below it become flushable. Parked frames the gate had turned
-    /// away re-enter the replacer here (and the capacity is re-enforced),
+    /// away re-enter the LRU list here (and the capacity is re-enforced),
     /// so eviction is event-driven instead of rescanning blocked frames
     /// on every unpin.
     pub fn set_durable_lsn(&self, lsn: Lsn) {
@@ -307,7 +299,7 @@ impl BufferPool {
             .collect();
         for pid in unparked {
             state.parked.remove(&mut state.slots, pid);
-            state.replacer.insert(&mut state.slots, pid);
+            state.lru.push_front(&mut state.slots, pid);
         }
         // Write-back errors have nowhere to report from here; the frames
         // are retained and the error resurfaces on the next flush.
@@ -542,7 +534,7 @@ impl BufferPool {
         state.unpark_all();
         // Pinned frames (if any) are flushed but stay resident.
         self.flush_frames(state)?;
-        while let Some(victim) = state.replacer.evict(&mut state.slots) {
+        while let Some(victim) = state.lru.pop_back(&mut state.slots) {
             self.release(state, victim)?;
         }
         self.disk.sync()
@@ -587,15 +579,15 @@ impl BufferPool {
         Ok(true)
     }
 
-    /// Let go of `victim`, which the replacer just handed out: write it
-    /// back and drop its frame, or park it when the WAL gate holds it
-    /// (out of the replacer until the durable horizon advances — no
-    /// rescans meanwhile). When the disk rejects the write-back the frame
-    /// (and its dirty data) re-enters the replacer so nothing is lost,
+    /// Let go of `victim`, just popped off the LRU list: write it back and
+    /// drop its frame, or park it when the WAL gate holds it (off the LRU
+    /// list until the durable horizon advances — no rescans meanwhile).
+    /// When the disk rejects the write-back the frame (and its dirty
+    /// data) re-enters the LRU list so nothing is lost,
     /// and the error is returned.
     fn release(&self, state: &mut PoolState, victim: PageId) -> StorageResult<()> {
         let slot = &mut state.slots[victim as usize];
-        debug_assert!(slot.frame.is_some(), "replacer entry must be resident");
+        debug_assert!(slot.frame.is_some(), "LRU entry must be resident");
         match self.write_back(slot) {
             Ok(true) => {
                 slot.frame = None;
@@ -607,7 +599,7 @@ impl BufferPool {
                 Ok(())
             }
             Err(e) => {
-                state.replacer.insert(&mut state.slots, victim);
+                state.lru.push_front(&mut state.slots, victim);
                 Err(e)
             }
         }
@@ -631,9 +623,9 @@ impl BufferPool {
         mut budget: usize,
     ) -> StorageResult<()> {
         let cap = self.capacity.load(Ordering::Relaxed);
-        while state.replacer.len() > cap && budget > 0 {
+        while state.lru.len() > cap && budget > 0 {
             budget -= 1;
-            let Some(victim) = state.replacer.evict(&mut state.slots) else {
+            let Some(victim) = state.lru.pop_back(&mut state.slots) else {
                 break;
             };
             self.release(state, victim)?;
@@ -652,7 +644,7 @@ impl BufferPool {
             // state lock, so the accounting here is exact.
             debug_assert!(state.slots[frame.pid as usize].frame.is_some());
             let state = &mut *state;
-            state.replacer.insert(&mut state.slots, frame.pid);
+            state.lru.push_front(&mut state.slots, frame.pid);
             // A write-back failure here has nowhere to report from a
             // destructor; `release` retains the frame (no data is lost)
             // and the error resurfaces on the next flush.
@@ -815,13 +807,7 @@ mod tests {
     use crate::MemDisk;
 
     fn pool(capacity: usize) -> BufferPool {
-        BufferPool::new(
-            Arc::new(MemDisk::new(128)),
-            PoolConfig {
-                capacity,
-                ..PoolConfig::default()
-            },
-        )
+        BufferPool::new(Arc::new(MemDisk::new(128)), PoolConfig { capacity })
     }
 
     #[test]
@@ -1018,13 +1004,7 @@ mod tests {
     #[test]
     fn concurrent_fetch_stress() {
         let disk = Arc::new(MemDisk::new(128));
-        let p = Arc::new(BufferPool::new(
-            disk,
-            PoolConfig {
-                capacity: 4,
-                ..PoolConfig::default()
-            },
-        ));
+        let p = Arc::new(BufferPool::new(disk, PoolConfig { capacity: 4 }));
         let mut pids = Vec::new();
         for i in 0..16u8 {
             let (pid, g) = p.new_page().unwrap();
@@ -1210,13 +1190,7 @@ mod tests {
     fn transient_write_fault_keeps_frame_dirty_for_retry() {
         use crate::{FaultKind, FaultyDisk};
         let disk = Arc::new(FaultyDisk::new(Arc::new(MemDisk::new(128))));
-        let p = BufferPool::new(
-            disk.clone(),
-            PoolConfig {
-                capacity: 8,
-                ..PoolConfig::default()
-            },
-        );
+        let p = BufferPool::new(disk.clone(), PoolConfig { capacity: 8 });
         let (pid, g) = p.new_page().unwrap();
         g.write()[3] = 77;
         drop(g);
@@ -1235,13 +1209,7 @@ mod tests {
     fn evict_all_error_keeps_frames_reachable() {
         use crate::{FaultKind, FaultyDisk};
         let disk = Arc::new(FaultyDisk::new(Arc::new(MemDisk::new(128))));
-        let p = BufferPool::new(
-            disk.clone(),
-            PoolConfig {
-                capacity: 8,
-                ..PoolConfig::default()
-            },
-        );
+        let p = BufferPool::new(disk.clone(), PoolConfig { capacity: 8 });
         for i in 0..4u8 {
             let (_pid, g) = p.new_page().unwrap();
             g.write()[0] = i;
@@ -1328,13 +1296,7 @@ mod tests {
             inner: MemDisk::new(128),
             writes: Mutex::new(Vec::new()),
         });
-        let p = BufferPool::new(
-            disk.clone(),
-            PoolConfig {
-                capacity: 16,
-                ..PoolConfig::default()
-            },
-        );
+        let p = BufferPool::new(disk.clone(), PoolConfig { capacity: 16 });
         for _ in 0..8 {
             let (_pid, g) = p.new_page().unwrap();
             drop(g);
@@ -1380,7 +1342,7 @@ mod tests {
         {
             let state = p.state.lock();
             assert_eq!(state.touched.len(), 4);
-            assert_eq!(state.parked.len() + state.replacer.len(), state.resident);
+            assert_eq!(state.parked.len() + state.lru.len(), state.resident);
             assert_eq!(state.parked.len(), 3);
         }
         // Logged: no longer touched, but not durable yet — still held.
@@ -1434,70 +1396,5 @@ mod tests {
         assert_eq!(p.resident(), 0, "default mode still evicts eagerly");
         assert!(p.touched_pages().is_empty());
         assert_eq!(p.page_lsn(pid), None);
-    }
-
-    #[test]
-    fn clock_pool_serves_correct_data_under_pressure() {
-        let p = BufferPool::new(
-            Arc::new(MemDisk::new(128)),
-            PoolConfig {
-                capacity: 3,
-                policy: crate::EvictionPolicy::Clock,
-            },
-        );
-        let mut pids = Vec::new();
-        for i in 0..12u8 {
-            let (pid, g) = p.new_page().unwrap();
-            g.write()[0] = i;
-            drop(g);
-            pids.push(pid);
-        }
-        assert!(p.resident() <= 3);
-        // Sweep twice; every page must come back intact regardless of the
-        // clock's victim choices.
-        for round in 0..2 {
-            for (i, &pid) in pids.iter().enumerate() {
-                let g = p.fetch(pid).unwrap();
-                assert_eq!(g.read()[0] as usize, i, "round {round}");
-            }
-        }
-    }
-
-    #[test]
-    fn clock_retains_hot_page_through_scan() {
-        // The point of the second chance: a page touched between scans
-        // keeps its reference bit set and survives eviction pressure from
-        // one-shot pages.
-        let p = BufferPool::new(
-            Arc::new(MemDisk::new(128)),
-            PoolConfig {
-                capacity: 4,
-                policy: crate::EvictionPolicy::Clock,
-            },
-        );
-        let (hot, g) = p.new_page().unwrap();
-        g.write()[0] = 0xAA;
-        drop(g);
-        let mut cold = Vec::new();
-        for _ in 0..8 {
-            let (pid, g) = p.new_page().unwrap();
-            drop(g);
-            cold.push(pid);
-        }
-        // Scan the cold pages while re-touching the hot one in between.
-        let before = p.stats().snapshot();
-        for chunk in cold.chunks(2) {
-            for &pid in chunk {
-                drop(p.fetch(pid).unwrap());
-            }
-            drop(p.fetch(hot).unwrap());
-        }
-        let d = p.stats().snapshot().since(&before);
-        // The hot page was fetched 4 times; at most its first fetch may
-        // have missed.
-        assert!(
-            d.reads <= cold.len() as u64 + 1,
-            "hot page should not thrash: {d}"
-        );
     }
 }

@@ -1,17 +1,13 @@
 //! Model-based property test for the buffer pool: under arbitrary
 //! operation sequences (allocation, reads, writes, flushes, eviction,
 //! capacity changes) the pool must never lose or corrupt a byte, its I/O
-//! counters must respect basic conservation laws, and under LRU it must
-//! evict exactly the victims a reference LRU evicts.
+//! counters must respect basic conservation laws, and it must evict
+//! exactly the victims a reference LRU evicts.
 
-use bur_storage::{BufferPool, DiskBackend, EvictionPolicy, MemDisk, PoolConfig};
+use bur_storage::{BufferPool, DiskBackend, MemDisk, PoolConfig};
 use proptest::prelude::*;
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
-
-fn arb_policy() -> impl Strategy<Value = EvictionPolicy> {
-    prop_oneof![Just(EvictionPolicy::Lru), Just(EvictionPolicy::Clock)]
-}
 
 /// Number of distinct pages among the held guards (a page may be pinned
 /// several times but occupies one frame).
@@ -105,11 +101,10 @@ proptest! {
     #[test]
     fn pool_never_loses_data(
         ops in proptest::collection::vec(arb_op(), 1..200),
-        policy in arb_policy(),
     ) {
         let pool = BufferPool::new(
             Arc::new(MemDisk::new(128)),
-            PoolConfig { capacity: 2, policy },
+            PoolConfig { capacity: 2 },
         );
         // Model: page id -> the byte we last wrote at offset 7.
         let mut model: HashMap<u32, u8> = HashMap::new();
@@ -190,13 +185,10 @@ proptest! {
                 }
             }
             // Eviction order: the pool read the disk exactly when the
-            // reference LRU says the page had been evicted (Clock stays
-            // under the conservation laws below only).
-            if policy == EvictionPolicy::Lru {
-                prop_assert_eq!(pool.stats().snapshot().reads, lru.misses,
-                    "pool and reference LRU disagree on a victim");
-                prop_assert_eq!(pool.resident(), lru.pins.len() + lru.unpinned.len());
-            }
+            // reference LRU says the page had been evicted.
+            prop_assert_eq!(pool.stats().snapshot().reads, lru.misses,
+                "pool and reference LRU disagree on a victim");
+            prop_assert_eq!(pool.resident(), lru.pins.len() + lru.unpinned.len());
             // Conservation: fetches >= physical reads; pinned frames are
             // always resident and still serve fresh content.
             let snap = pool.stats().snapshot();
@@ -229,11 +221,10 @@ proptest! {
     fn capacity_is_respected_when_unpinned(
         cap in 0usize..6,
         n in 1usize..30,
-        policy in arb_policy(),
     ) {
         let pool = BufferPool::new(
             Arc::new(MemDisk::new(128)),
-            PoolConfig { capacity: cap, policy },
+            PoolConfig { capacity: cap },
         );
         for _ in 0..n {
             let (_pid, guard) = pool.new_page().unwrap();

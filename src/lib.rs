@@ -134,9 +134,9 @@ pub use bur_workload as workload;
 pub mod prelude {
     pub use bur_core::{
         Batch, BatchReport, Bur, CommitTicket, CoreError, CoreResult, DeltaPolicy, Durability,
-        GbuParams, IndexBuilder, IndexOptions, InsertPolicy, LbuParams, Neighbor, NeighborCursor,
-        ObjectId, Op, OpenMode, QueryCursor, RTreeIndex, RecoveryReport, SplitPolicy,
-        UpdateOutcome, UpdateStrategy, WalOptions,
+        GbuParams, IndexBuilder, IndexOptions, LbuParams, Neighbor, NeighborCursor, ObjectId, Op,
+        OpenMode, QueryCursor, RTreeIndex, RecoveryReport, TreeVariant, UpdateOutcome,
+        UpdateStrategy, WalOptions,
     };
     pub use bur_geom::{Point, Rect};
     pub use bur_repl::{Follower, LogShipper, ReplError, ReplResult};

@@ -118,8 +118,7 @@ fn rstar_variant_is_a_drop_in() {
     let mut index = IndexBuilder::with_options(IndexOptions::generalized().rstar())
         .build_index()
         .unwrap();
-    assert_eq!(index.options().insert, InsertPolicy::RStar);
-    assert_eq!(index.options().split, SplitPolicy::RStar);
+    assert_eq!(index.options().variant, TreeVariant::RStar);
     let mut workload = Workload::generate(WorkloadConfig {
         num_objects: 3000,
         seed: 99,

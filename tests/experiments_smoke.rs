@@ -140,20 +140,14 @@ fn headline_shapes_hold_at_smoke_scale() {
 
     let lbu_small = run_experiment(&mk(
         IndexOptions {
-            strategy: UpdateStrategy::Localized(LbuParams {
-                epsilon: 0.0,
-                ..LbuParams::default()
-            }),
+            strategy: UpdateStrategy::Localized(LbuParams { epsilon: 0.0 }),
             ..IndexOptions::default()
         },
         1.0,
     ));
     let lbu_large = run_experiment(&mk(
         IndexOptions {
-            strategy: UpdateStrategy::Localized(LbuParams {
-                epsilon: 0.03,
-                ..LbuParams::default()
-            }),
+            strategy: UpdateStrategy::Localized(LbuParams { epsilon: 0.03 }),
             ..IndexOptions::default()
         },
         1.0,
