@@ -49,7 +49,6 @@ use crate::batch::Op;
 use crate::claims::{LeafClaim, Unclaimable};
 use crate::config::UpdateStrategy;
 use crate::error::CoreResult;
-use crate::gbu::iextend_mbr;
 use crate::index::RTreeIndex;
 use crate::node::{LeafEntry, Node, ObjectId};
 use crate::stats::UpdateOutcome;
@@ -405,26 +404,18 @@ impl<'a> SharedPass<'a> {
             }
             let parent = self.shadows[slot].parent.as_mut().expect("just opened");
             if !parent.official.contains_point(&new) {
-                let enlarged = match strategy {
-                    UpdateStrategy::Localized(p) => parent
-                        .official
-                        .expanded_uniform(p.epsilon)
-                        .clipped_to(&parent.bound),
-                    UpdateStrategy::Generalized(p) => {
-                        // Fast movers (moved > τ) try the sibling shift
-                        // *before* the extension — a non-leaf-local
-                        // repair. Keep the τ policy by escalating them.
-                        if old.distance(&new) > p.distance_threshold {
-                            return Step::Escalate;
-                        }
-                        iextend_mbr(parent.official, new, p.epsilon, parent.bound)
+                if let UpdateStrategy::Generalized(p) = strategy {
+                    // Fast movers (moved > τ) try the sibling shift
+                    // *before* the extension — a non-leaf-local repair.
+                    // Keep the τ policy by escalating them.
+                    if old.distance(&new) > p.distance_threshold {
+                        return Step::Escalate;
                     }
-                    UpdateStrategy::TopDown => return Step::Escalate,
-                };
-                if !enlarged.contains_point(&new) {
+                }
+                let Some(enlarged) = strategy.enlarge(parent.official, parent.bound, new) else {
                     // Needs a shift, an ascent or a top-down update.
                     return Step::Escalate;
-                }
+                };
                 parent.official = enlarged;
                 outcome = UpdateOutcome::Extended;
             }

@@ -1,7 +1,9 @@
 //! Index configuration: update strategy, tuning parameters, R-tree variant.
 
 use crate::error::{CoreError, CoreResult};
+use crate::gbu::iextend_mbr;
 use crate::node;
+use bur_geom::{Point, Rect};
 
 /// The paper's three update techniques (Section 5 evaluates exactly
 /// these): top-down (TD), localized bottom-up (LBU, Algorithm 1) and
@@ -49,6 +51,21 @@ impl UpdateStrategy {
     #[must_use]
     pub fn needs_summary(&self) -> bool {
         matches!(self, UpdateStrategy::Generalized(_))
+    }
+
+    /// The strategy's ε-enlargement of a leaf's official rect towards
+    /// `new`, never beyond `bound` (the parent node MBR): LBU grows every
+    /// side by ε, GBU only the sides `new` lies beyond (`iExtendMBR`).
+    /// `None` when the enlarged rect still misses `new`, and always under
+    /// TD, which never enlarges. Both write paths decide with this one
+    /// rule; the τ ordering stays with each caller.
+    pub(crate) fn enlarge(&self, official: Rect, bound: Rect, new: Point) -> Option<Rect> {
+        let enlarged = match self {
+            UpdateStrategy::TopDown => return None,
+            UpdateStrategy::Localized(p) => official.expanded_uniform(p.epsilon).clipped_to(&bound),
+            UpdateStrategy::Generalized(p) => iextend_mbr(official, new, p.epsilon, bound),
+        };
+        enlarged.contains_point(&new).then_some(enlarged)
     }
 }
 

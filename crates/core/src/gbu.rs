@@ -91,9 +91,10 @@ fn run(
 ) -> CoreResult<UpdateOutcome> {
     // O(1) root-MBR check against the summary. Objects leaving the root
     // MBR take the top-down path (the tree must grow towards them, a
-    // global reorganization).
+    // global reorganization) — unless the leaf is the root, whose MBR
+    // simply follows its content: that is an in-place update below.
     let summary = tree.summary.as_ref().expect("GBU requires the summary");
-    if !summary.root_mbr().contains_point(&new) {
+    if leaf_pid != tree.root && !summary.root_mbr().contains_point(&new) {
         return topdown::run(tree, ops, oid, old, new);
     }
 
@@ -106,10 +107,9 @@ fn run(
     };
     let new_rect = Rect::from_point(new);
 
-    // In place when the tight leaf MBR covers the target (or the leaf is
-    // the root, whose MBR the root check already validated... except the
-    // root may legitimately grow, so handle it in place too).
-    if leaf.mbr().contains_point(&new) || leaf_pid == tree.root {
+    // In place when the tight leaf MBR covers the target, or the leaf is
+    // the root (no parent entry to extend).
+    if leaf_pid == tree.root || leaf.mbr().contains_point(&new) {
         leaf.leaf_entries_mut()[idx].rect = new_rect;
         tree.write_pinned(&leaf);
         return Ok(UpdateOutcome::InPlace);
@@ -146,18 +146,7 @@ fn run(
         return Ok(UpdateOutcome::InPlace);
     }
 
-    if extend_first
-        && try_extend(
-            tree,
-            params,
-            &mut leaf,
-            idx,
-            &mut parent,
-            pidx,
-            parent_mbr,
-            new,
-        )
-    {
+    if extend_first && try_extend(tree, &mut leaf, idx, &mut parent, pidx, parent_mbr, new) {
         return Ok(UpdateOutcome::Extended);
     }
 
@@ -181,16 +170,7 @@ fn run(
         // extension after all.
         leaf.leaf_entries_mut().push(LeafEntry::point(oid, new));
         let idx = leaf.count() - 1;
-        if try_extend(
-            tree,
-            params,
-            &mut leaf,
-            idx,
-            &mut parent,
-            pidx,
-            parent_mbr,
-            new,
-        ) {
+        if try_extend(tree, &mut leaf, idx, &mut parent, pidx, parent_mbr, new) {
             return Ok(UpdateOutcome::Extended);
         }
         leaf.leaf_entries_mut().swap_remove(idx);
@@ -254,10 +234,8 @@ fn run(
 /// Try the directional ε-extension. On success writes parent + leaf
 /// (through their pins) and returns `true`. The entry at `idx` is moved
 /// to `new`.
-#[allow(clippy::too_many_arguments)]
 fn try_extend(
     tree: &mut RTree,
-    params: GbuParams,
     leaf: &mut PinnedNode<'_>,
     idx: usize,
     parent: &mut PinnedNode<'_>,
@@ -266,10 +244,9 @@ fn try_extend(
     new: Point,
 ) -> bool {
     let official = parent.internal_entries()[pidx].rect;
-    let imbr = iextend_mbr(official, new, params.epsilon, parent_mbr);
-    if !imbr.contains_point(&new) {
+    let Some(imbr) = tree.opts.strategy.enlarge(official, parent_mbr, new) else {
         return false;
-    }
+    };
     parent.internal_entries_mut()[pidx].rect = imbr;
     tree.write_pinned(parent);
     leaf.leaf_entries_mut()[idx].rect = Rect::from_point(new);

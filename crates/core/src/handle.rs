@@ -25,9 +25,9 @@
 //!
 //! The write path is **batch-first**: [`Bur::apply`] takes a [`Batch`]
 //! of mixed operations and — on a durable index — flushes it as **one**
-//! write-ahead-log group commit record (atomic under crashes); a single
-//! operation commits its own record. A `Batch` is the only way to put
-//! several operations under one record. The commit syncs the log before
+//! write-ahead-log group commit record (atomic under crashes). The
+//! single-op writers ([`Bur::insert`], [`Bur::update`], ...) are batches
+//! of one through the same `apply`. The commit syncs the log before
 //! `apply` returns: `Ok` means durable, and an `apply` whose sync failed
 //! returns the error and hands out no ticket. The [`CommitTicket`] it
 //! returns is the receipt — the report, the record's LSN, and
@@ -59,7 +59,7 @@ use crate::error::{CoreError, CoreResult};
 use crate::index::{RTreeIndex, RecoveryReport};
 use crate::knn::Neighbor;
 use crate::node::ObjectId;
-use crate::stats::{OpStats, UpdateOutcome};
+use crate::stats::OpStats;
 use bur_geom::{Point, Rect};
 use bur_storage::{DiskBackend, IoSnapshot, PageId, PageRef};
 use bur_wal::{Lsn, WalStatsSnapshot};
@@ -410,7 +410,10 @@ impl Bur {
             // torn page set, then surface the error. The applied set is
             // leaf-granular here, the one documented divergence from
             // the sequential path's strict-prefix contract.
-            index.commit_batch_pages(done.ops, &written, done.len_delta)?;
+            let written = written.iter().map(|&page| Ok(page));
+            index
+                .tree
+                .wal_commit_pages(done.ops, written, done.len_delta)?;
             return Err(CoreError::Batch {
                 op_index,
                 source: Box::new(source),
@@ -438,9 +441,10 @@ impl Bur {
                 }
             }
         }
+        let written = written.iter().map(|&page| Ok(page));
         let lsn = index
-            .commit_batch_pages(batch_len, &written, done.len_delta)?
-            .unwrap_or(0);
+            .tree
+            .wal_commit_pages(done.ops, written, done.len_delta)?;
         Ok((report, lsn))
     }
 
@@ -451,88 +455,51 @@ impl Bur {
     /// the exclusive lock, re-checked because a racing batch may have
     /// taken it already.
     fn checkpoint_if_due(&self) -> CoreResult<()> {
-        if !self.shared.inner.read().checkpoint_due() {
+        if !self.shared.inner.read().tree.checkpoint_due() {
             return Ok(());
         }
         let mut index = self.shared.inner.write();
-        if index.checkpoint_due() {
+        if index.tree.checkpoint_due() {
             index.checkpoint()?;
         }
         Ok(())
     }
 
     // ---- single-operation writes -----------------------------------------
+    //
+    // Each is a batch of one through [`Bur::apply`]: the same shared path,
+    // make-room, retries, escalation and one commit record. Its error is
+    // the op's own, not [`CoreError::Batch`].
 
-    /// Insert a fresh point object (structure lock exclusive: inserts
-    /// can split).
-    pub fn insert(&self, oid: ObjectId, position: Point) -> CoreResult<()> {
-        self.check_writable()?;
-        self.shared.inner.write().insert(oid, position)
+    /// Insert a fresh point object.
+    pub fn insert(&self, oid: ObjectId, position: Point) -> CoreResult<CommitTicket> {
+        self.insert_rect(oid, Rect::from_point(position))
     }
 
     /// Insert a fresh object with a rectangular extent.
-    pub fn insert_rect(&self, oid: ObjectId, rect: Rect) -> CoreResult<()> {
-        self.check_writable()?;
-        self.shared.inner.write().insert_rect(oid, rect)
+    pub fn insert_rect(&self, oid: ObjectId, rect: Rect) -> CoreResult<CommitTicket> {
+        self.apply_one(Op::Insert { oid, rect })
     }
 
-    /// Delete an object (structure lock exclusive). Returns `false`
-    /// when it is not indexed at `position`.
-    pub fn delete(&self, oid: ObjectId, position: Point) -> CoreResult<bool> {
-        self.check_writable()?;
-        self.shared.inner.write().delete(oid, position)
+    /// Delete an object. Whether it was indexed at `position` is in the
+    /// ticket's report: `deleted` or `missing_deletes` is 1.
+    pub fn delete(&self, oid: ObjectId, position: Point) -> CoreResult<CommitTicket> {
+        self.apply_one(Op::Delete { oid, position })
     }
 
-    /// Move an object. A bottom-up update that plans leaf-local (in
-    /// place or an extension within the parent MBR) runs through the
-    /// same shared planner as [`Bur::apply`] — under the structure
-    /// lock's read side and the claim on the object's leaf,
-    /// overlapping other single-op updates and concurrent batches.
-    /// Top-down updates, and bottom-up ones that need structural
-    /// surgery or were refused the claim, take the write side.
-    pub fn update(&self, oid: ObjectId, old: Point, new: Point) -> CoreResult<UpdateOutcome> {
-        self.check_writable()?;
-        if let Some(outcome) = self.try_update_shared(oid, old, new)? {
-            self.checkpoint_if_due()?;
-            return Ok(outcome);
-        }
-        self.shared.inner.write().update(oid, old, new)
+    /// Move an object. The outcome class it took is counted in the op
+    /// stats ([`Bur::with_op_stats`]).
+    pub fn update(&self, oid: ObjectId, old: Point, new: Point) -> CoreResult<CommitTicket> {
+        self.apply_one(Op::Update { oid, old, new })
     }
 
-    /// One non-blocking attempt at running a single bottom-up update on
-    /// the shared (concurrent) write path: a batch of one, planned and
-    /// written under the structure lock's read side and the object's
-    /// leaf claim. `Ok(None)` means "take the exclusive path" —
-    /// because the strategy is top-down, the claim was refused, or the
-    /// plan needs structural surgery (only that last case counts as an
-    /// escalation).
-    fn try_update_shared(
-        &self,
-        oid: ObjectId,
-        old: Point,
-        new: Point,
-    ) -> CoreResult<Option<UpdateOutcome>> {
-        let index = self.shared.inner.read();
-        if matches!(index.options().strategy, UpdateStrategy::TopDown) {
-            return Ok(None);
-        }
-        let _inflight = InFlight::enter(&self.shared);
-        let mut pass = SharedPass::new(&index);
-        match pass.plan(&[Op::Update { oid, old, new }])? {
-            Step::Applied => {}
-            Step::Refused => return Ok(None),
-            // MakeRoom cannot come out of an update plan; treat it like
-            // any non-leaf-local verdict.
-            Step::Escalate | Step::MakeRoom(_) => {
-                index.op_stats().escalations.fetch_add(1, Ordering::Relaxed);
-                return Ok(None);
-            }
-        }
-        let Some(&OpEffect::Update(outcome)) = pass.effects().first() else {
-            unreachable!("an update op planned to a non-update effect");
-        };
-        self.write_and_commit(&index, &pass, 1)?;
-        Ok(Some(outcome))
+    fn apply_one(&self, op: Op) -> CoreResult<CommitTicket> {
+        let mut batch = Batch::with_capacity(1);
+        batch.push(op);
+        self.apply(&batch).map_err(|e| match e {
+            CoreError::Batch { source, .. } => *source,
+            e => e,
+        })
     }
 
     // ---- streaming queries -----------------------------------------------

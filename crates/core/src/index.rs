@@ -17,7 +17,7 @@ use crate::tree::{RTree, WalHandle};
 use crate::{gbu, lbu, topdown};
 use bur_geom::{Point, Rect};
 use bur_hashindex::{HashIndexConfig, LinearHashIndex};
-use bur_storage::{BufferPool, DiskBackend, IoStats, PageId, PageRef, PoolConfig, INVALID_PAGE};
+use bur_storage::{BufferPool, DiskBackend, IoStats, PageId, PoolConfig, INVALID_PAGE};
 use bur_wal::{Wal, WalRecord, WalStatsSnapshot};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -302,37 +302,35 @@ impl RTreeIndex {
         self.tree.wal.as_ref().map(|h| h.wal.last_lsn())
     }
 
-    /// Group-commit one concurrently applied batch: its own page set plus
-    /// a single commit record (see `RTree::wal_commit_pages` for the
-    /// invariants). `len_delta` is the batch's net insert/delete count,
-    /// applied under the commit lock so the record's snapshot is exact.
-    /// Returns the record's LSN, `None` without a WAL.
-    pub(crate) fn commit_batch_pages(
-        &self,
-        ops: u64,
-        pages: &[&PageRef<'_>],
-        len_delta: i64,
-    ) -> CoreResult<Option<u64>> {
-        self.tree.wal_commit_pages(ops, pages, len_delta)
-    }
-
     /// Content-neutral preparatory split of the full leaf on `pid`,
     /// committed as its own record (see [`RTree::preparatory_split`]).
     /// Returns `false` (writing nothing) when the leaf no longer needs
     /// the room.
     pub(crate) fn make_room(&mut self, pid: PageId) -> CoreResult<bool> {
-        if !self.tree.preparatory_split(pid)? {
-            return Ok(false);
-        }
-        self.tree.wal_commit()?;
-        Ok(true)
+        let split = self.tree.preparatory_split(pid)?;
+        self.commit(u64::from(split))?;
+        Ok(split)
     }
 
-    /// `true` when the WAL checkpoint cadence has been reached. The
-    /// shared write path reads this after releasing its locks and
-    /// re-checks under an exclusive lock before checkpointing.
-    pub(crate) fn checkpoint_due(&self) -> bool {
-        self.tree.checkpoint_due()
+    /// Commit the `ops` operations the exclusive engine just applied
+    /// under one record: every page the pool saw touched since the last
+    /// commit goes to [`RTree::wal_commit_pages`] in ascending page
+    /// order, pinned one at a time. Then checkpoint when the cadence says
+    /// so. No record when nothing changed (`ops == 0`) or without a WAL.
+    fn commit(&mut self, ops: u64) -> CoreResult<()> {
+        if ops == 0 || self.tree.wal.is_none() {
+            return Ok(());
+        }
+        let pool = &self.tree.pool;
+        let touched = pool
+            .touched_pages()
+            .into_iter()
+            .map(|pid| Ok(pool.fetch(pid)?));
+        self.tree.wal_commit_pages(ops, touched, 0)?;
+        if self.tree.checkpoint_due() {
+            self.tree.wal_checkpoint()?;
+        }
+        Ok(())
     }
 
     /// Recover a durable index from `disk` after a crash (ARIES-style
@@ -518,27 +516,28 @@ impl RTreeIndex {
     /// On a durable index the whole batch is covered by **one** group
     /// commit record appended after the last operation: with respect to
     /// the write-ahead log the batch is atomic — a crash recovers either
-    /// all of it or none of it. (A single operation outside a batch
-    /// commits its own record.)
+    /// all of it or none of it. The single-op writers below are batches
+    /// of one in the same sense: apply, then commit once.
     ///
     /// Failed deletes (object not indexed at the stated position) are
     /// counted in [`BatchReport::missing_deletes`], not errors. Any
     /// other failing operation aborts the rest of the batch: operations
-    /// before it stay applied (and are flushed under a commit record so
+    /// before it stay applied (and are committed under one record so
     /// the log never diverges from the tree), and the error reports the
-    /// failing position as [`CoreError::Batch`].
+    /// failing position as [`CoreError::Batch`]. A batch that changed
+    /// nothing writes no record.
     pub fn apply_batch(&mut self, batch: &Batch) -> CoreResult<BatchReport> {
         let mut report = BatchReport::default();
-        self.tree.wal_begin_batch();
+        let mut failed = None;
         for (i, op) in batch.ops().iter().enumerate() {
             let step = match *op {
-                Op::Insert { oid, rect } => self.insert_rect(oid, rect).map(|()| {
+                Op::Insert { oid, rect } => self.apply_insert(oid, rect).map(|()| {
                     report.inserted += 1;
                 }),
-                Op::Update { oid, old, new } => self.update(oid, old, new).map(|_| {
+                Op::Update { oid, old, new } => self.apply_update(oid, old, new).map(|_| {
                     report.updated += 1;
                 }),
-                Op::Delete { oid, position } => self.delete(oid, position).map(|found| {
+                Op::Delete { oid, position } => self.apply_delete(oid, position).map(|found| {
                     if found {
                         report.deleted += 1;
                     } else {
@@ -546,21 +545,19 @@ impl RTreeIndex {
                     }
                 }),
             };
-            match step {
-                Ok(()) => report.applied += 1,
-                Err(source) => {
-                    // Close the batch around what *was* applied before
-                    // surfacing the failure; a flush error outranks it.
-                    self.tree.wal_end_batch()?;
-                    return Err(CoreError::Batch {
-                        op_index: i,
-                        source: Box::new(source),
-                    });
-                }
+            if let Err(source) = step {
+                failed = Some(CoreError::Batch {
+                    op_index: i,
+                    source: Box::new(source),
+                });
+                break;
             }
+            report.applied += 1;
         }
-        self.tree.wal_end_batch()?;
-        Ok(report)
+        // Commit what *was* applied before surfacing a failure; a commit
+        // error outranks it.
+        self.commit(report.inserted + report.updated + report.deleted)?;
+        failed.map_or(Ok(report), Err)
     }
 
     /// Insert a point object under a fresh id. With a hash index present
@@ -571,6 +568,28 @@ impl RTreeIndex {
 
     /// Insert an object with a rectangular extent.
     pub fn insert_rect(&mut self, oid: ObjectId, rect: Rect) -> CoreResult<()> {
+        self.apply_insert(oid, rect)?;
+        self.commit(1)
+    }
+
+    /// Delete the object `oid` located at `position`. Returns `false`
+    /// when it is not indexed there.
+    pub fn delete(&mut self, oid: ObjectId, position: Point) -> CoreResult<bool> {
+        let found = self.apply_delete(oid, position)?;
+        self.commit(u64::from(found))?;
+        Ok(found)
+    }
+
+    /// Move object `oid` from `old` to `new` using the configured update
+    /// strategy; returns which path the update took.
+    pub fn update(&mut self, oid: ObjectId, old: Point, new: Point) -> CoreResult<UpdateOutcome> {
+        let outcome = self.apply_update(oid, old, new)?;
+        self.commit(1)?;
+        Ok(outcome)
+    }
+
+    /// [`RTreeIndex::insert_rect`] without the commit.
+    fn apply_insert(&mut self, oid: ObjectId, rect: Rect) -> CoreResult<()> {
         if !rect.is_valid() {
             return Err(CoreError::BadConfig(format!("invalid rect {rect}")));
         }
@@ -582,32 +601,27 @@ impl RTreeIndex {
         self.tree.insert_object(LeafEntry { oid, rect })?;
         self.tree.len.fetch_add(1, Ordering::Relaxed);
         self.tree.stats.inserts.fetch_add(1, Ordering::Relaxed);
-        self.tree.wal_commit()?;
         Ok(())
     }
 
-    /// Delete the object `oid` located at `position`. Returns `false`
-    /// when it is not indexed there.
-    pub fn delete(&mut self, oid: ObjectId, position: Point) -> CoreResult<bool> {
+    /// [`RTreeIndex::delete`] without the commit.
+    fn apply_delete(&mut self, oid: ObjectId, position: Point) -> CoreResult<bool> {
         let found = self.tree.delete_object(oid, position)?;
         if found {
             self.tree.len.fetch_sub(1, Ordering::Relaxed);
             self.tree.stats.deletes.fetch_add(1, Ordering::Relaxed);
-            self.tree.wal_commit()?;
         }
         Ok(found)
     }
 
-    /// Move object `oid` from `old` to `new` using the configured update
-    /// strategy; returns which path the update took.
-    pub fn update(&mut self, oid: ObjectId, old: Point, new: Point) -> CoreResult<UpdateOutcome> {
+    /// [`RTreeIndex::update`] without the commit.
+    fn apply_update(&mut self, oid: ObjectId, old: Point, new: Point) -> CoreResult<UpdateOutcome> {
         let outcome = match self.tree.opts.strategy {
             UpdateStrategy::TopDown => topdown::update(&mut self.tree, oid, old, new)?,
-            UpdateStrategy::Localized(p) => lbu::update(&mut self.tree, p, oid, old, new)?,
+            UpdateStrategy::Localized(_) => lbu::update(&mut self.tree, oid, old, new)?,
             UpdateStrategy::Generalized(p) => gbu::update(&mut self.tree, p, oid, old, new)?,
         };
         self.tree.stats.record_update(outcome);
-        self.tree.wal_commit()?;
         Ok(outcome)
     }
 

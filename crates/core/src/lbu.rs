@@ -18,7 +18,6 @@
 //! incurred for real by this implementation; they are the reason the
 //! paper finds LBU can lose to TD once a buffer is present (Figure 6(g)).
 
-use crate::config::LbuParams;
 use crate::error::{CoreError, CoreResult};
 use crate::node::{LeafEntry, ObjectId};
 use crate::pins::PinSet;
@@ -32,21 +31,19 @@ use bur_storage::{PageId, INVALID_PAGE};
 /// (see [`crate::gbu::update`]).
 pub(crate) fn update(
     tree: &mut RTree,
-    params: LbuParams,
     oid: ObjectId,
     old: Point,
     new: Point,
 ) -> CoreResult<UpdateOutcome> {
     // Step 1: hash probe for direct leaf access.
     tree.bottom_up_update(oid, |tree, ops, leaf_pid| {
-        run(tree, ops, params, leaf_pid, oid, old, new)
+        run(tree, ops, leaf_pid, oid, old, new)
     })
 }
 
 fn run(
     tree: &mut RTree,
     ops: &mut PinSet<'_>,
-    params: LbuParams,
     leaf_pid: PageId,
     oid: ObjectId,
     old: Point,
@@ -91,11 +88,7 @@ fn run(
     // Uniform ε-enlargement, clipped to the parent MBR ("In order to
     // preserve the R-tree structure, the expansion of a leaf MBR is
     // bounded by its parent MBR").
-    let parent_mbr = parent.mbr();
-    let enlarged = official
-        .expanded_uniform(params.epsilon)
-        .clipped_to(&parent_mbr);
-    if enlarged.contains_point(&new) {
+    if let Some(enlarged) = tree.opts.strategy.enlarge(official, parent.mbr(), new) {
         parent.internal_entries_mut()[pidx].rect = enlarged;
         tree.write_pinned(&parent);
         leaf.leaf_entries_mut()[idx].rect = new_rect;

@@ -38,6 +38,7 @@ use bur_hashindex::{HashIndexConfig, LinearHashIndex};
 use bur_storage::{BufferPool, Lsn, PageId, PageRef, INVALID_PAGE};
 use bur_wal::Wal;
 use parking_lot::Mutex;
+use std::borrow::Borrow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -55,14 +56,6 @@ pub(crate) struct WalHandle {
     /// cadence). Atomic because concurrent leaf-local batches bump it
     /// through a shared reference ([`RTree::wal_commit_pages`]).
     pub(crate) commits_since_checkpoint: AtomicU64,
-    /// Operations finished but not yet covered by a commit record:
-    /// non-zero only while a [`crate::Batch`] is being applied (or
-    /// after a flush failed, until the next flush or checkpoint).
-    pub(crate) pending_ops: u64,
-    /// `true` while a [`crate::Batch`] is being applied: per-operation
-    /// commits only accumulate, and the batch end flushes them as one
-    /// group commit record.
-    pub(crate) in_batch: bool,
     /// Serializes concurrent group commits: a batch's page images and
     /// its commit record must land contiguously in the log, so another
     /// batch's record cannot slip between a page image and the record
@@ -71,15 +64,13 @@ pub(crate) struct WalHandle {
 }
 
 impl WalHandle {
-    /// Wrap a log with fresh bookkeeping (no pending ops, cadence at 0).
+    /// Wrap a log with fresh bookkeeping (cadence at 0).
     pub(crate) fn new(wal: Wal, opts: WalOptions, log_elsewhere: bool) -> Self {
         Self {
             wal,
             opts,
             log_elsewhere,
             commits_since_checkpoint: AtomicU64::new(0),
-            pending_ops: 0,
-            in_batch: false,
             commit_lock: Mutex::new(()),
         }
     }
@@ -399,122 +390,61 @@ impl RTree {
         }
     }
 
-    /// Note the operation that just finished for the write-ahead log and
-    /// commit it under its own record — or, inside a [`crate::Batch`],
-    /// leave it to the batch's record. No-op without a WAL.
-    pub(crate) fn wal_commit(&mut self) -> CoreResult<()> {
-        let Some(handle) = self.wal.as_mut() else {
-            return Ok(());
-        };
-        handle.pending_ops += 1;
-        if handle.in_batch {
-            return Ok(());
-        }
-        self.wal_flush_commit()
-    }
-
-    /// Enter batch mode: subsequent operations accumulate in the pending
-    /// commit instead of each flushing its own. Must be
-    /// paired with [`RTree::wal_end_batch`]. No-op without a WAL.
-    pub(crate) fn wal_begin_batch(&mut self) {
-        if let Some(handle) = self.wal.as_mut() {
-            handle.in_batch = true;
-        }
-    }
-
-    /// Leave batch mode and flush the batch's operations as **one**
-    /// group commit record. Called on the error
-    /// path too, so a half-applied batch is still covered by a commit
-    /// record (the in-memory tree and the log never diverge).
-    pub(crate) fn wal_end_batch(&mut self) -> CoreResult<()> {
-        if let Some(handle) = self.wal.as_mut() {
-            handle.in_batch = false;
-        }
-        self.wal_flush_commit()
-    }
-
-    /// Flush every pending operation as one group commit: append an
-    /// image or delta of every page touched since the last commit plus a
-    /// single commit record carrying the metadata snapshot, sync the
-    /// log, and checkpoint when the cadence says so. No-op when nothing
-    /// is pending.
-    pub(crate) fn wal_flush_commit(&mut self) -> CoreResult<()> {
-        let Some(handle) = self.wal.as_ref() else {
-            return Ok(());
-        };
-        if handle.pending_ops == 0 {
-            return Ok(());
-        }
-        let touched = self.pool.touched_pages();
-        for pid in touched {
-            // The log's delta encoder picks a byte-range diff against the
-            // page's previous image in this generation, or a full image
-            // at anchors and first touches. The page bytes are borrowed
-            // straight from the frame (read-latched for the append) —
-            // no per-page copy on the commit path.
-            let guard = self.pool.fetch(pid)?;
-            let lsn = handle.wal.append_page(pid, &guard.read())?;
-            drop(guard);
-            self.pool.note_page_logged(pid, lsn);
-        }
-        let meta = self.meta_snapshot(INVALID_PAGE).encode();
-        let handle = self.wal.as_mut().expect("checked above");
-        let lsn = handle.wal.commit(meta)?;
-        self.pool.set_durable_lsn(lsn);
-        handle
-            .commits_since_checkpoint
-            .fetch_add(handle.pending_ops, Ordering::Relaxed);
-        handle.pending_ops = 0;
-        if self.checkpoint_due() {
-            self.wal_checkpoint()?;
-        }
-        Ok(())
-    }
-
-    /// Group-commit one concurrently applied batch: append the batch's
-    /// own page set (nothing else; still pinned by the batch, so the log
-    /// reads each image through the pin it was written with) plus a
-    /// single commit record carrying the metadata snapshot. Returns the
-    /// record's LSN (`None` without a WAL). Never checkpoints — the
-    /// caller defers that to an exclusive section via
+    /// Group-commit `ops` applied operations under one record: an image
+    /// or delta of every page in `pages` (read through its pin — no copy),
+    /// then a commit record carrying the metadata snapshot, and a log
+    /// sync. Returns the LSN covering the ops: the record's, the log's
+    /// last when `ops` is 0 (nothing changed, nothing is logged), 0
+    /// without a WAL. Never checkpoints — callers check
     /// [`RTree::checkpoint_due`].
     ///
-    /// Unlike [`RTree::wal_flush_commit`] this takes `&self`, so batches
-    /// on disjoint leaves commit while others are still applying.
-    /// `commit_lock` keeps each batch's images and its record contiguous
-    /// in the log. Correctness leans on two invariants the shared write
-    /// phase upholds while any concurrent batch is in flight:
+    /// The one commit function of both write paths. The exclusive engine
+    /// passes every page the pool saw touched since the last commit,
+    /// fetched one at a time in ascending order; the shared path passes
+    /// its batch's own pinned pages. It takes `&self`, so batches on
+    /// disjoint leaves commit while others are still applying, and
+    /// `commit_lock` keeps each batch's pages and record contiguous. A
+    /// shared batch's page set is complete because, while any such batch
+    /// is in flight:
     ///
     /// * no operation changes `root`, `height` or the free list, and the
     ///   object count only moves by each batch's `len_delta`, applied
     ///   here under `commit_lock` *before* the snapshot — so record K's
     ///   `len` covers exactly the batches whose records precede it; and
-    /// * no commits are pending (`pending_ops` is non-zero only inside
-    ///   `apply_batch`, which holds the structure lock exclusively), so
-    ///   every WAL-touched page outside `pages` belongs to another
-    ///   in-flight batch, which logs it under its own record (until then
-    ///   the pool's no-steal gate keeps it off the disk).
+    /// * every exclusive write has committed before it released the
+    ///   structure lock's write side, so a touched page outside `pages`
+    ///   belongs to another in-flight batch and its own record (the
+    ///   no-steal gate keeps it off the disk until then). Only a failed
+    ///   exclusive commit or first op leaves pages touched, gated, for
+    ///   the next exclusive commit or checkpoint.
     ///
     /// A shared parent page may carry another in-flight batch's official
     /// -rect enlargement when it is imaged here. That is benign slack:
     /// enlargements are monotone and bounded by the parent node MBR, and
     /// the other batch's leaf write (the actual object move) is gated
     /// until its own commit record lands ("grow before move").
-    pub(crate) fn wal_commit_pages(
+    pub(crate) fn wal_commit_pages<'p, P: Borrow<PageRef<'p>>>(
         &self,
         ops: u64,
-        pages: &[&PageRef<'_>],
+        pages: impl IntoIterator<Item = CoreResult<P>>,
         len_delta: i64,
-    ) -> CoreResult<Option<Lsn>> {
+    ) -> CoreResult<Lsn> {
         let Some(handle) = self.wal.as_ref() else {
             self.apply_len_delta(len_delta);
-            return Ok(None);
+            return Ok(0);
         };
+        if ops == 0 {
+            debug_assert_eq!(len_delta, 0, "a count change without an op");
+            return Ok(handle.wal.last_lsn());
+        }
         let _serial = handle.commit_lock.lock();
         self.apply_len_delta(len_delta);
         for page in pages {
-            let lsn = handle.wal.append_page(page.pid(), &page.read())?;
-            self.pool.note_page_logged(page.pid(), lsn);
+            let page = page?;
+            let pid = page.borrow().pid();
+            let lsn = handle.wal.append_page(pid, &page.borrow().read())?;
+            drop(page);
+            self.pool.note_page_logged(pid, lsn);
         }
         let meta = self.meta_snapshot(INVALID_PAGE).encode();
         let lsn = handle.wal.commit(meta)?;
@@ -522,7 +452,7 @@ impl RTree {
         handle
             .commits_since_checkpoint
             .fetch_add(ops, Ordering::Relaxed);
-        Ok(Some(lsn))
+        Ok(lsn)
     }
 
     /// Current object count.
@@ -570,10 +500,7 @@ impl RTree {
         let started = std::time::Instant::now();
         let writes_before = self.pool.stats().snapshot().writes;
         {
-            let handle = self.wal.as_mut().expect("checked above");
-            // Ops left pending by a failed flush need no commit record:
-            // the full flush below lands their pages in the base image.
-            handle.pending_ops = 0;
+            let handle = self.wal.as_ref().expect("checked above");
             handle.wal.sync()?;
             self.pool.set_durable_lsn(handle.wal.durable_lsn());
         }

@@ -6,6 +6,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
+use bur::core::OpSnapshot;
 use bur::prelude::*;
 
 fn main() -> CoreResult<()> {
@@ -36,16 +37,20 @@ fn main() -> CoreResult<()> {
         bur.height(),
     );
 
-    // Move an object a little: resolved entirely inside its leaf.
+    // Move an object a little: resolved entirely inside its leaf. A
+    // single update is a batch of one; the op stats say which path it
+    // took.
     let p5 = workload.positions()[5];
     let p6 = workload.positions()[6];
-    let outcome = bur.update(5, p5, p5.translated(0.005, 0.003))?;
-    println!("small move   -> {outcome:?}");
+    let before = bur.with_op_stats(|s| s.snapshot());
+    bur.update(5, p5, p5.translated(0.005, 0.003))?;
+    println!("small move   -> {}", outcome_since(&bur, &before));
 
     // Move an object further: the index extends, shifts to a sibling, or
     // ascends — whatever is cheapest — without a top-down delete+insert.
-    let outcome = bur.update(6, p6, Point::new(0.5, 0.5))?;
-    println!("large move   -> {outcome:?}");
+    let before = bur.with_op_stats(|s| s.snapshot());
+    bur.update(6, p6, Point::new(0.5, 0.5))?;
+    println!("large move   -> {}", outcome_since(&bur, &before));
 
     // Window query (answered through the main-memory summary structure),
     // streamed through a cursor backed by a recycled buffer.
@@ -79,4 +84,18 @@ fn main() -> CoreResult<()> {
     bur.validate()?;
     println!("validate(): ok");
     Ok(())
+}
+
+/// The outcome class of the update applied since `before`.
+fn outcome_since(bur: &Bur, before: &OpSnapshot) -> &'static str {
+    let d = bur.with_op_stats(|s| s.snapshot()).since(before);
+    let taken = [
+        d.upd_in_place,
+        d.upd_extended,
+        d.upd_shifted,
+        d.upd_ascended,
+        d.upd_top_down,
+    ];
+    let class = taken.iter().position(|&n| n > 0).expect("one update");
+    ["InPlace", "Extended", "Shifted", "Ascended", "TopDown"][class]
 }

@@ -85,7 +85,7 @@ fn concurrent_inserts_and_deletes() {
         });
         s.spawn(move || {
             for (oid, p) in wl.items().into_iter().take(200) {
-                assert!(index_ref.delete(oid, p).unwrap());
+                assert_eq!(index_ref.delete(oid, p).unwrap().report().deleted, 1);
             }
         });
     });

@@ -387,3 +387,97 @@ fn failed_commit_sync_never_acks_on_the_shared_path() {
 fn failed_commit_sync_never_acks_on_the_escalated_path() {
     failed_sync_never_acks(Moves::Within(0.06), 43);
 }
+
+/// The checkpoint that follows a commit fails on the data disk's sync,
+/// with the log on a disk of its own. The batch is durable already, so
+/// the `Err` is an "unknown" outcome whose batch survives: the index
+/// keeps working, the next commit retries the checkpoint, and recovery
+/// finds every batch.
+fn failed_checkpoint_leaves_the_batch_durable(moves: Moves, seed: u64) {
+    const OBJECTS: u64 = 2000;
+    const ROUNDS: usize = 6;
+    let escalates = matches!(moves, Moves::Within(_));
+    let opts = IndexOptions::generalized().with_durability(Durability::Wal(WalOptions {
+        checkpoint_every: 4 * 32, // every fourth 32-op batch
+        ..WalOptions::default()
+    }));
+    let data = Arc::new(FaultyDisk::new(Arc::new(MemDisk::new(opts.page_size))));
+    let log = Arc::new(MemDisk::new(opts.page_size));
+    let bur = IndexBuilder::with_options(opts)
+        .disk(data.clone())
+        .log_disk(log.clone())
+        .build()
+        .unwrap();
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut now: Vec<Point> = (0..OBJECTS)
+        .map(|_| Point::new(rng.random::<f32>(), rng.random::<f32>()))
+        .collect();
+    let mut load = Batch::new();
+    for (oid, &p) in now.iter().enumerate() {
+        load.insert(oid as u64, p);
+    }
+    bur.apply(&load).unwrap(); // checkpoints: the cadence restarts at 0
+
+    let stats = |bur: &Bur| bur.wal_stats().unwrap();
+    let escalations = |bur: &Bur| bur.with_op_stats(|s| s.snapshot()).escalations;
+    // Only a checkpoint syncs the data disk: the fourth batch's fails.
+    data.fail_nth(FaultKind::Sync, 0);
+    let mut failed = false;
+    for round in 0..ROUNDS {
+        let batch = update_batch(&bur, &mut now, &mut rng, moves);
+        let before = (stats(&bur), escalations(&bur));
+        let outcome = bur.apply(&batch);
+        if round != 3 {
+            outcome.unwrap();
+            continue;
+        }
+        let err = outcome.expect_err("the checkpoint's data sync failed");
+        assert!(matches!(err, CoreError::Storage(_)), "got {err}");
+        assert_eq!(data.injected_faults(), 1);
+        assert_eq!(escalations(&bur) - before.1, u64::from(escalates));
+        let after = stats(&bur);
+        assert_eq!(after.commits, before.0.commits + 1, "the batch committed");
+        assert_eq!(
+            after.checkpoints, before.0.checkpoints,
+            "no checkpoint landed"
+        );
+        assert_eq!(after.durable_lsn, after.last_lsn, "the record is durable");
+        assert!(after.last_lsn > before.0.last_lsn);
+        assert_eq!(bur.with_index(|i| i.pool().pinned_frames()), 0);
+        assert_eq!(bur.claimed_leaves(), 0);
+        data.clear_faults();
+        // The next commit is still due a checkpoint, and takes it.
+        let batch = update_batch(&bur, &mut now, &mut rng, moves);
+        bur.apply(&batch).unwrap();
+        assert_eq!(stats(&bur).checkpoints, after.checkpoints + 1);
+        failed = true;
+    }
+    assert!(failed);
+    bur.validate().unwrap();
+    drop(bur); // crash: no checkpoint, no persist
+
+    let recovered = IndexBuilder::with_options(opts)
+        .disk(data)
+        .log_disk(log)
+        .recover()
+        .build_index()
+        .unwrap();
+    recovered.validate().unwrap();
+    assert_eq!(recovered.len(), OBJECTS);
+    for (oid, &p) in now.iter().enumerate() {
+        assert!(
+            recovered.point_query(p).unwrap().contains(&(oid as u64)),
+            "object {oid} lost its last move"
+        );
+    }
+}
+
+#[test]
+fn failed_checkpoint_leaves_the_batch_durable_on_the_shared_path() {
+    failed_checkpoint_leaves_the_batch_durable(Moves::WithinLeaf, 47);
+}
+
+#[test]
+fn failed_checkpoint_leaves_the_batch_durable_on_the_escalated_path() {
+    failed_checkpoint_leaves_the_batch_durable(Moves::Within(0.06), 53);
+}

@@ -496,6 +496,24 @@ fn no_pin_outlives_apply_through_make_room() {
     // come from the summary's child → parent table: a search from the
     // root would read half this tree's ≈ 300 nodes on top.
     assert!(worst <= 100, "a make-room batch cost {worst} fetches");
+
+    // A single insert is a batch of one: into a full leaf it makes room
+    // as well, and stays on the shared path.
+    let ops_before = bur.with_op_stats(|s| s.snapshot());
+    loop {
+        let i = oid - 1_000_000;
+        let p = Point::new(0.4 + (i % 8) as f32 * 1e-4, 0.6 + (i / 8) as f32 * 1e-4);
+        bur.insert(oid, p).unwrap();
+        oid += 1;
+        assert_eq!(pinned(&bur), 0);
+        let ops = bur.with_op_stats(|s| s.snapshot()).since(&ops_before);
+        assert_eq!(ops.escalations, 0, "a single insert escalated: {ops}");
+        if ops.make_room_splits > 0 {
+            assert_eq!(ops.make_room_splits, 1);
+            break;
+        }
+        assert!(ops.inserts < 200, "single inserts never made room: {ops}");
+    }
     bur.validate().unwrap();
 }
 

@@ -81,6 +81,32 @@ fn durable_mixed_batch_emits_exactly_one_commit_record() {
     // commit record.
     assert_eq!(ticket.wait().unwrap(), ticket.lsn());
     assert!(bur.wal_stats().unwrap().durable_lsn >= ticket.lsn());
+
+    // A single op is a batch of one: an update writes one record whether
+    // it stays shared or escalates, and a delete that finds nothing
+    // writes none.
+    let counts = |bur: &Bur| {
+        let escalations = bur.with_op_stats(|s| s.snapshot().escalations);
+        (bur.wal_stats().unwrap().commits, escalations)
+    };
+    let leaf = |oid: u64| bur.with_index(|i| i.locate_leaf(oid).unwrap());
+    let at = |oid: u64| Point::new((oid % 8) as f32 / 8.0, (oid / 8) as f32 / 8.0);
+    let mate = (31..63)
+        .find(|&m| leaf(m) == leaf(30))
+        .expect("a leaf mate");
+    let (old, towards) = (at(30), at(mate));
+    let inside = Point::new((old.x + towards.x) / 2.0, (old.y + towards.y) / 2.0);
+    for (new, escalates) in [(inside, 0), (Point::new(1.2, 1.2), 1)] {
+        let before = counts(&bur);
+        let ticket = bur.update(30, at(30), new).unwrap();
+        assert_eq!(ticket.report().updated, 1);
+        assert_eq!(counts(&bur), (before.0 + 1, before.1 + escalates));
+        bur.update(30, new, at(30)).unwrap();
+    }
+    let before = counts(&bur);
+    let ticket = bur.delete(901, Point::new(0.5, 0.5)).unwrap();
+    assert_eq!(ticket.report().missing_deletes, 1);
+    assert_eq!(counts(&bur), before, "a missed delete writes no record");
     bur.validate().unwrap();
 }
 
@@ -108,6 +134,16 @@ fn batch_error_reports_position_and_keeps_prefix() {
     // The prefix stays applied and is covered by one commit record.
     assert_eq!(bur.len(), 3, "ops before the failure stay applied");
     assert_eq!(bur.count_in(&Rect::new(0.0, 0.0, 0.25, 0.25)).unwrap(), 2);
+    assert_eq!(bur.wal_stats().unwrap().commits - before, 1);
+
+    // A single op fails with its own error, not `CoreError::Batch`, and
+    // writes no record.
+    let err = bur.insert(7, Point::new(0.7, 0.7)).unwrap_err();
+    assert!(matches!(err, CoreError::DuplicateObject(7)), "got {err}");
+    let err = bur
+        .update(4242, Point::new(0.4, 0.4), Point::new(0.5, 0.5))
+        .unwrap_err();
+    assert!(matches!(err, CoreError::ObjectNotFound(4242)), "got {err}");
     assert_eq!(bur.wal_stats().unwrap().commits - before, 1);
     bur.validate().unwrap();
 }

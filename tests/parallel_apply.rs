@@ -408,6 +408,78 @@ fn single_writer_batches_decide_like_sequential_updates_lbu() {
     run_sequential_twin_case(IndexOptions::localized());
 }
 
+/// Fewer objects than one leaf holds, so the root is a leaf: a move out
+/// of its MBR — or anywhere else — is an in-place update on both write
+/// paths under both bottom-up strategies. The shared path of `Bur::apply`
+/// and `RTreeIndex::update` on a twin count the same outcome classes and
+/// store the same entries.
+#[test]
+fn root_leaf_moves_decide_alike_on_both_paths() {
+    const N: u64 = 16;
+    for opts in [IndexOptions::generalized(), IndexOptions::localized()] {
+        // Start in the middle of the space, so moves leave the root MBR.
+        let mut pos: Vec<Point> = (0..N)
+            .map(|oid| Point::new(0.4 + home(oid).x * 0.2, 0.4 + home(oid).y * 0.2))
+            .collect();
+        let build = || {
+            let bur = IndexBuilder::with_options(opts).build().unwrap();
+            let mut batch = Batch::new();
+            for (oid, &p) in pos.iter().enumerate() {
+                batch.insert(oid as u64, p);
+            }
+            bur.apply(&batch).unwrap();
+            bur
+        };
+        let (batched, twin) = (build(), build());
+        let base = batched.with_op_stats(|s| s.snapshot());
+        let mut rng = StdRng::seed_from_u64(0x200F);
+        let mut left_root_mbr = 0;
+        for _ in 0..24 {
+            let mut batch = Batch::new();
+            for oid in rng.random_range(0..4)..N {
+                let old = pos[oid as usize];
+                let new = Point::new(rng.random_range(0.0..1.0), rng.random_range(0.0..1.0));
+                if !batched.bounds().unwrap().contains_point(&new) {
+                    left_root_mbr += 1;
+                }
+                batch.update(oid, old, new);
+                twin.with_index_mut(|index| index.update(oid, old, new))
+                    .unwrap();
+                pos[oid as usize] = new;
+            }
+            batched.apply(&batch).unwrap();
+        }
+        assert!(left_root_mbr > 0, "no move left the root leaf's MBR");
+        assert_eq!((batched.height(), twin.height()), (1, 1));
+
+        let a = batched.with_op_stats(|s| s.snapshot()).since(&base);
+        let b = twin.with_op_stats(|s| s.snapshot()).since(&base);
+        assert_eq!(a.escalations, 0, "a root-leaf batch stays shared: {a}");
+        let decisions = |s: &bur::core::OpSnapshot| {
+            [
+                s.updates,
+                s.upd_in_place,
+                s.upd_extended,
+                s.upd_shifted,
+                s.upd_ascended,
+                s.upd_top_down,
+            ]
+        };
+        assert_eq!(decisions(&a), decisions(&b), "batched {a}\nsequential {b}");
+        assert_eq!(a.upd_in_place, a.updates);
+        let entries = |bur: &Bur| {
+            let mut v = bur
+                .with_index(|index| index.query_entries(&Rect::UNIT))
+                .unwrap();
+            v.sort_by_key(|e| e.oid);
+            v
+        };
+        assert_eq!(entries(&batched), entries(&twin));
+        batched.validate().unwrap();
+        twin.validate().unwrap();
+    }
+}
+
 /// Number of writer threads in the oracle proptest; object `oid` is
 /// owned by thread `oid % WRITERS`, so ownership is disjoint while the
 /// *leaves* are shared by every thread.

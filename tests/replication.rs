@@ -153,7 +153,8 @@ proptest! {
                     if alive.is_empty() { continue; }
                     let k = rng.random_range(0..alive.len() as u64) as usize;
                     let (oid, p) = alive.swap_remove(k);
-                    prop_assert!(primary.delete(oid, p).unwrap());
+                    let ticket = primary.delete(oid, p).unwrap();
+                    prop_assert_eq!(ticket.report().deleted, 1);
                 }
                 // Checkpoint: rewinds the log mid-shipment.
                 _ => primary.checkpoint().unwrap(),
