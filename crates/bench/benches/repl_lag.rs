@@ -22,7 +22,6 @@ use std::sync::Arc;
 fn durable_opts() -> IndexOptions {
     IndexOptions::generalized().with_durability(Durability::Wal(WalOptions {
         checkpoint_every: 1 << 20, // isolate shipping from rewind resyncs
-        ..WalOptions::default()
     }))
 }
 

@@ -142,7 +142,7 @@ impl IndexBuilder {
     }
 
     /// Arbitrary option tweaks in one closure (escape hatch for the
-    /// long tail: R-tree variant, min fill, ...).
+    /// long tail: R-tree variant, strategy parameters, ...).
     pub fn tune(mut self, f: impl FnOnce(&mut IndexOptions)) -> Self {
         f(&mut self.opts);
         self
@@ -309,6 +309,7 @@ impl IndexBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::TreeVariant;
     use bur_geom::Point;
     use bur_storage::MemDisk;
 
@@ -427,12 +428,12 @@ mod tests {
         let index = IndexBuilder::top_down()
             .page_size(2048)
             .buffer_frames(64)
-            .tune(|o| o.min_fill = 0.3)
+            .tune(|o| o.variant = TreeVariant::RStar)
             .build_index()
             .unwrap();
         assert_eq!(index.options().page_size, 2048);
         assert_eq!(index.options().buffer_frames, 64);
-        assert!((index.options().min_fill - 0.3).abs() < f32::EPSILON);
+        assert_eq!(index.options().variant, TreeVariant::RStar);
         assert!(matches!(index.options().strategy, UpdateStrategy::TopDown));
         assert!(!index.is_durable());
     }

@@ -14,18 +14,22 @@
 //!    Every op must resolve leaf-locally — updates to `InPlace` or
 //!    `Extended`, inserts to an append whose official-rect growth stays
 //!    inside the parent node MBR, deletes to a removal that keeps the
-//!    leaf at or above min-fill. The parent page is pinned only when an
-//!    op actually leaves the leaf's tight MBR (the *official* MBR, the
-//!    rect stored in the parent entry, then decides). The pass **stops
-//!    at the first op that cannot stay leaf-local**: an insert that
-//!    finds its leaf full reports [`Step::MakeRoom`] (the caller splits
-//!    that one leaf under a short exclusive section, its own commit, and
-//!    retries), a refused claim reports [`Step::Refused`], and
-//!    anything else (sibling shift, ascent, a GBU fast mover whose τ
-//!    policy prefers the shift) reports [`Step::Escalate`] — the **whole
-//!    batch** falls back to the classic exclusive path with zero pages
-//!    written, having paid only for the ops before the one that stopped
-//!    it.
+//!    leaf at or above min-fill. An update climbs the same ladder as the
+//!    exclusive engine ([`bottom_up::step`]): its in-place rungs (2 and
+//!    3) and its extend rung (4) plan here, its top-down rung (1) and
+//!    every repair escalate. The parent page is pinned only when an op
+//!    actually leaves the leaf's tight MBR (the *official* MBR, the
+//!    rect stored in the parent entry, then decides), and it is found
+//!    the way the exclusive engine finds it ([`bottom_up::parent_of`]).
+//!    The pass **stops at the first op that cannot stay leaf-local**: an
+//!    insert that finds its leaf full reports [`Step::MakeRoom`] (the
+//!    caller splits that one leaf under a short exclusive section, its
+//!    own commit, and retries), a refused claim reports
+//!    [`Step::Refused`], and anything else (sibling shift, ascent, a GBU
+//!    fast mover whose τ policy prefers the shift) reports
+//!    [`Step::Escalate`] — the **whole batch** falls back to the classic
+//!    exclusive path with zero pages written, having paid only for the
+//!    ops before the one that stopped it.
 //! 2. **Execute** ([`SharedPass::execute`]): write the final shadow
 //!    states through the pins the plan took — parent entry first, then
 //!    the leaf ("grow before move"), each under its page write latch —
@@ -46,14 +50,14 @@
 //! argument lives in `docs/ARCHITECTURE.md` ("Latching protocol").
 
 use crate::batch::Op;
+use crate::bottom_up::{self, Reads, Rung};
 use crate::claims::{LeafClaim, Unclaimable};
-use crate::config::UpdateStrategy;
 use crate::error::CoreResult;
 use crate::index::RTreeIndex;
 use crate::node::{LeafEntry, Node, ObjectId};
 use crate::stats::UpdateOutcome;
 use bur_geom::{Point, Rect};
-use bur_storage::{PageId, PageRef, INVALID_PAGE};
+use bur_storage::{PageId, PageRef};
 use std::collections::{HashMap, HashSet};
 
 /// What one planned op will do (stats + report accounting).
@@ -315,112 +319,70 @@ impl<'a> SharedPass<'a> {
     }
 
     /// Open the parent side of shadow `slot`: locate the parent exactly
-    /// the way the strategy would — LBU through the leaf's parent
-    /// pointer, GBU through the summary (which also supplies the bounding
-    /// parent MBR, read without blocking on any writer) — pin it (or
-    /// share the pin another shadow took) and read the leaf's official
-    /// rect. `false` means escalate.
-    fn open_parent(&mut self, slot: usize) -> bool {
+    /// as the exclusive engine does ([`bottom_up::parent_of`] — GBU's
+    /// summary supplies the bounding parent MBR without blocking on any
+    /// writer), pin it (or share the pin another shadow took) and read
+    /// the leaf's official rect. `None` means escalate.
+    fn open_parent(&mut self, slot: usize) -> Option<&mut ParentShadow> {
         let tree = &self.index.tree;
         let shadow = &mut self.shadows[slot];
-        if shadow.parent.is_some() {
-            return true;
-        }
-        let leaf_pid = shadow.page.pid();
-        let (ppid, summary_mbr) = match tree.opts.strategy {
-            UpdateStrategy::Localized(_) => {
-                if shadow.leaf.parent == INVALID_PAGE {
-                    return false;
+        if shadow.parent.is_none() {
+            let leaf_pid = shadow.page.pid();
+            let (ppid, bound) = bottom_up::parent_of(tree, leaf_pid, &shadow.leaf).ok()?;
+            let page = match self.parents.iter().position(|p| p.pid() == ppid) {
+                Some(i) => i,
+                None => {
+                    self.parents.push(tree.pool.fetch(ppid).ok()?);
+                    self.parents.len() - 1
                 }
-                (shadow.leaf.parent, None)
+            };
+            let parent = Node::decode(ppid, &self.parents[page].read()).ok()?;
+            if parent.is_leaf() {
+                return None;
             }
-            UpdateStrategy::Generalized(_) => {
-                let summary = tree.summary.as_ref().expect("GBU requires the summary");
-                let Some(ppid) = summary.find_parent_at(leaf_pid, 1) else {
-                    return false;
-                };
-                let Some(mbr) = summary.entry(ppid).map(|e| e.mbr) else {
-                    return false;
-                };
-                (ppid, Some(mbr))
-            }
-            UpdateStrategy::TopDown => return false,
-        };
-        let page = match self.parents.iter().position(|p| p.pid() == ppid) {
-            Some(i) => i,
-            None => {
-                let Ok(page) = tree.pool.fetch(ppid) else {
-                    return false;
-                };
-                self.parents.push(page);
-                self.parents.len() - 1
-            }
-        };
-        let Ok(parent) = Node::decode(ppid, &self.parents[page].read()) else {
-            return false;
-        };
-        if parent.is_leaf() {
-            return false;
+            let pidx = parent.child_index(leaf_pid)?;
+            let stored = parent.internal_entries()[pidx].rect;
+            shadow.parent = Some(ParentShadow {
+                page,
+                pidx,
+                bound: bound.unwrap_or_else(|| parent.mbr()),
+                stored,
+                official: stored,
+            });
         }
-        let Some(pidx) = parent.child_index(leaf_pid) else {
-            return false;
-        };
-        let stored = parent.internal_entries()[pidx].rect;
-        shadow.parent = Some(ParentShadow {
-            page,
-            pidx,
-            bound: summary_mbr.unwrap_or_else(|| parent.mbr()),
-            stored,
-            official: stored,
-        });
-        true
+        shadow.parent.as_mut()
     }
 
+    /// Climb the ladder ([`bottom_up::step`]) against the shadow: the
+    /// in-place and extend rungs plan here, anything else escalates.
     fn plan_update(&mut self, slot: usize, oid: ObjectId, old: Point, new: Point) -> Step {
-        let strategy = self.index.tree.opts.strategy;
-        let shadow = &mut self.shadows[slot];
-        let Some(idx) = shadow.leaf.oid_index(oid) else {
+        let Some(idx) = self.shadows[slot].leaf.oid_index(oid) else {
             // Not in the claimed leaf (duplicate-update races cannot
             // happen under the claim, so this is an earlier same-batch
             // delete or corruption); the classic path resolves it.
             return Step::Escalate;
         };
-        if let (UpdateStrategy::Generalized(_), false) = (strategy, shadow.is_root) {
-            // The O(1) root-MBR check (a lock-free seqlock read); a miss
-            // means a top-down update.
-            let summary = self.index.tree.summary.as_ref();
-            let summary = summary.expect("GBU requires the summary");
-            if !summary.root_mbr().contains_point(&new) {
-                return Step::Escalate;
+        let index = self.index;
+        let is_root = self.shadows[slot].is_root;
+        let rung = bottom_up::step(
+            &index.tree,
+            is_root,
+            old,
+            new,
+            &mut ShadowReads { pass: self, slot },
+        );
+        let outcome = match rung {
+            Ok(Rung::InPlace) => UpdateOutcome::InPlace,
+            Ok(Rung::Extend(rect)) => {
+                let parent = self.shadows[slot].parent.as_mut();
+                parent.expect("rung 4 read the parent").official = rect;
+                UpdateOutcome::Extended
             }
-        }
-        let new_rect = Rect::from_point(new);
-        let mut outcome = UpdateOutcome::InPlace;
-        // In place when the tight leaf MBR covers the target — no parent
-        // needed. Leaving it, the official rect decides.
-        if !shadow.is_root && !shadow.leaf.mbr().contains_point(&new) {
-            if !self.open_parent(slot) {
-                return Step::Escalate;
-            }
-            let parent = self.shadows[slot].parent.as_mut().expect("just opened");
-            if !parent.official.contains_point(&new) {
-                if let UpdateStrategy::Generalized(p) = strategy {
-                    // Fast movers (moved > τ) try the sibling shift
-                    // *before* the extension — a non-leaf-local repair.
-                    // Keep the τ policy by escalating them.
-                    if old.distance(&new) > p.distance_threshold {
-                        return Step::Escalate;
-                    }
-                }
-                let Some(enlarged) = strategy.enlarge(parent.official, parent.bound, new) else {
-                    // Needs a shift, an ascent or a top-down update.
-                    return Step::Escalate;
-                };
-                parent.official = enlarged;
-                outcome = UpdateOutcome::Extended;
-            }
-        }
-        self.shadows[slot].leaf.leaf_entries_mut()[idx].rect = new_rect;
+            // A top-down update, a repair, or a parent the pass cannot
+            // open.
+            Ok(Rung::TopDown | Rung::Repair(_)) | Err(()) => return Step::Escalate,
+        };
+        self.shadows[slot].leaf.leaf_entries_mut()[idx].rect = Rect::from_point(new);
         self.effects.push(OpEffect::Update(outcome));
         Step::Applied
     }
@@ -433,10 +395,9 @@ impl<'a> SharedPass<'a> {
         // The tight MBR lies inside the official rect, so a rect it
         // covers cannot grow the parent entry.
         if !shadow.is_root && !shadow.leaf.mbr().contains_rect(&rect) {
-            if !self.open_parent(slot) {
+            let Some(parent) = self.open_parent(slot) else {
                 return Step::Escalate;
-            }
-            let parent = self.shadows[slot].parent.as_mut().expect("just opened");
+            };
             if !parent.official.contains_rect(&rect) {
                 let grown = parent.official.union(&rect);
                 if !parent.bound.contains_rect(&grown) {
@@ -571,5 +532,25 @@ impl<'a> SharedPass<'a> {
             }
         }
         Ok(())
+    }
+}
+
+/// The ladder's reads against one shadow: the leaf is open already, the
+/// parent opens on first ask. `Err` escalates.
+struct ShadowReads<'s, 'a> {
+    pass: &'s mut SharedPass<'a>,
+    slot: usize,
+}
+
+impl Reads for ShadowReads<'_, '_> {
+    type Error = ();
+
+    fn tight_mbr(&mut self) -> Result<Rect, ()> {
+        Ok(self.pass.shadows[self.slot].leaf.mbr())
+    }
+
+    fn official(&mut self) -> Result<(Rect, Rect), ()> {
+        let parent = self.pass.open_parent(self.slot).ok_or(())?;
+        Ok((parent.official, parent.bound))
     }
 }

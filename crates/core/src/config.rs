@@ -57,8 +57,8 @@ impl UpdateStrategy {
     /// `new`, never beyond `bound` (the parent node MBR): LBU grows every
     /// side by ε, GBU only the sides `new` lies beyond (`iExtendMBR`).
     /// `None` when the enlarged rect still misses `new`, and always under
-    /// TD, which never enlarges. Both write paths decide with this one
-    /// rule; the τ ordering stays with each caller.
+    /// TD, which never enlarges. Rung 4 of the bottom-up ladder
+    /// (`bottom_up::step`) is its one caller.
     pub(crate) fn enlarge(&self, official: Rect, bound: Rect, new: Point) -> Option<Rect> {
         let enlarged = match self {
             UpdateStrategy::TopDown => return None,
@@ -138,19 +138,12 @@ pub struct WalOptions {
     /// this many committed operations. Bounds both recovery replay time
     /// and the log's page footprint. Must be at least 1.
     pub checkpoint_every: u64,
-    /// Delta-logging policy: when the log may record a byte-range diff of
-    /// a touched page instead of its full image (see
-    /// [`bur_wal::DeltaPolicy`]). On by default — in-place bottom-up
-    /// updates touch a few dozen bytes of a 1 KiB page, so deltas cut log
-    /// volume several-fold at no durability cost.
-    pub delta: bur_wal::DeltaPolicy,
 }
 
 impl Default for WalOptions {
     fn default() -> Self {
         Self {
             checkpoint_every: 1024,
-            delta: bur_wal::DeltaPolicy::default(),
         }
     }
 }
@@ -189,9 +182,6 @@ pub struct IndexOptions {
     /// R-tree variant: insertion descent, overflow treatment and node
     /// split (Guttman or R*).
     pub variant: TreeVariant,
-    /// Minimum node fill as a fraction of capacity (Guttman's `m`);
-    /// deletes below this trigger CondenseTree reinsertion.
-    pub min_fill: f32,
     /// Durability mode: none (default, the paper's setup) or write-ahead
     /// logged with crash recovery.
     pub durability: Durability,
@@ -204,7 +194,6 @@ impl Default for IndexOptions {
             buffer_frames: 256,
             strategy: UpdateStrategy::Generalized(GbuParams::default()),
             variant: TreeVariant::Guttman,
-            min_fill: 0.4,
             durability: Durability::None,
         }
     }
@@ -213,12 +202,6 @@ impl Default for IndexOptions {
 impl IndexOptions {
     /// Validate option consistency; called by the index constructors.
     pub fn validate(&self) -> CoreResult<()> {
-        if !(0.0..=0.5).contains(&self.min_fill) {
-            return Err(CoreError::BadConfig(format!(
-                "min_fill must be in [0, 0.5], got {}",
-                self.min_fill
-            )));
-        }
         let leaf_cap = node::leaf_capacity(self.page_size);
         let internal_cap = node::internal_capacity(self.page_size);
         if leaf_cap < 4 || internal_cap < 4 {
@@ -236,7 +219,7 @@ impl IndexOptions {
         }
         // NaN fails every comparison, so `x < 0.0` alone would let it
         // through; a NaN or infinite ε lifts the extension cap, and a NaN τ
-        // makes the shared and exclusive rule copies disagree.
+        // turns every fast mover into a slow one.
         let usable = |x: f32| x.is_finite() && x >= 0.0;
         match self.strategy {
             UpdateStrategy::Localized(p) if !usable(p.epsilon) => Err(CoreError::BadConfig(
@@ -329,7 +312,6 @@ mod tests {
         assert!(matches!(o.durability, Durability::Wal(_)));
         let o = IndexOptions::top_down().with_durability(Durability::Wal(WalOptions {
             checkpoint_every: 0,
-            ..WalOptions::default()
         }));
         assert!(o.validate().is_err(), "checkpoint_every 0 is rejected");
     }
@@ -355,11 +337,6 @@ mod tests {
 
     #[test]
     fn rejects_bad_config() {
-        let o = IndexOptions {
-            min_fill: 0.9,
-            ..IndexOptions::default()
-        };
-        assert!(o.validate().is_err());
         let o = IndexOptions {
             page_size: 64,
             ..IndexOptions::default()

@@ -4,27 +4,32 @@
 //! the main-memory summary structure:
 //!
 //! * the O(1) **root-MBR check** rejects far jumps straight to a top-down
-//!   update;
-//! * `iExtendMBR` (Algorithm 4) enlarges the leaf MBR *only in the
-//!   directions the object moved* and by at most ε, bounded by the parent
-//!   MBR taken from the summary;
+//!   update — rung 1 of the ladder in [`crate::bottom_up`];
+//! * `iExtendMBR` (Algorithm 4, [`iextend_mbr`] here) enlarges the leaf
+//!   MBR *only in the directions the object moved* and by at most ε,
+//!   bounded by the parent MBR taken from the summary — rung 4, through
+//!   `UpdateStrategy::enlarge`;
 //! * the **distance threshold τ** orders the two local repairs: slow
-//!   objects try the extension first, fast objects try the sibling shift
-//!   first;
+//!   objects try the extension first (rung 4), fast objects try the
+//!   sibling shift first and the extension only after it fails
+//!   ([`repair`]);
 //! * sibling shifts consult the **leaf bit vector** (no disk reads just to
 //!   discover a sibling is full) and **piggyback** other entries that fit
-//!   the sibling, tightening the source leaf;
+//!   the sibling, tightening the source leaf ([`repair`]);
 //! * when the leaf level cannot absorb the move, `FindParent`
 //!   (Algorithm 3) walks the summary's ancestor chain — at most *L*
 //!   levels — and the object is re-inserted from the lowest ancestor
-//!   whose MBR contains the new location.
+//!   whose MBR contains the new location ([`repair`]).
+//!
+//! The in-place rungs and the parent lookup are shared with LBU and with
+//! the shared write path; this module keeps only what is GBU's own.
 
+use crate::bottom_up;
 use crate::config::GbuParams;
-use crate::error::{CoreError, CoreResult};
+use crate::error::CoreResult;
 use crate::node::{LeafEntry, ObjectId};
 use crate::pins::{PinSet, PinnedNode};
 use crate::stats::UpdateOutcome;
-use crate::topdown;
 use crate::tree::{AnyEntry, RTree};
 use bur_geom::{Point, Rect};
 use bur_storage::PageId;
@@ -61,135 +66,42 @@ pub fn iextend_mbr(leaf: Rect, new_loc: Point, eps: f32, parent: Rect) -> Rect {
     r
 }
 
-/// Run one generalized bottom-up update as one operation over one pin
-/// set: the hash bucket, the leaf, its parent, a shift's sibling and
-/// whatever an ascent or a fallback goes on to touch are each asked of
-/// the pool once. Hash probe + leaf = 2 fetches in place, + parent = 3
-/// extended, + sibling = 4 shifted (the object's hash entry is re-pointed
-/// through the probe's pin) — the paper's own accounting with "R/W" as
-/// one access.
-pub(crate) fn update(
+/// GBU's repair of a move the ladder could not settle leaf-locally
+/// ([`crate::bottom_up`]): `leaf` has already had the object's entry
+/// removed, `parent` lists it at `pidx`. Try the sibling shift; a fast
+/// mover whose shift failed then takes the `extend`ed official rect the
+/// ladder computed; otherwise ascend to the lowest ancestor within L
+/// levels whose MBR contains `new`.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn repair<'p>(
     tree: &mut RTree,
+    ops: &mut PinSet<'p>,
     params: GbuParams,
+    mut leaf: PinnedNode<'p>,
+    mut parent: PinnedNode<'p>,
+    pidx: usize,
     oid: ObjectId,
-    old: Point,
     new: Point,
+    extend: Option<Rect>,
 ) -> CoreResult<UpdateOutcome> {
-    tree.bottom_up_update(oid, |tree, ops, leaf_pid| {
-        run(tree, ops, params, leaf_pid, oid, old, new)
-    })
-}
-
-fn run(
-    tree: &mut RTree,
-    ops: &mut PinSet<'_>,
-    params: GbuParams,
-    leaf_pid: PageId,
-    oid: ObjectId,
-    old: Point,
-    new: Point,
-) -> CoreResult<UpdateOutcome> {
-    // O(1) root-MBR check against the summary. Objects leaving the root
-    // MBR take the top-down path (the tree must grow towards them, a
-    // global reorganization) — unless the leaf is the root, whose MBR
-    // simply follows its content: that is an in-place update below.
-    let summary = tree.summary.as_ref().expect("GBU requires the summary");
-    if leaf_pid != tree.root && !summary.root_mbr().contains_point(&new) {
-        return topdown::run(tree, ops, oid, old, new);
-    }
-
-    let mut leaf = ops.take(leaf_pid)?;
-    let Some(idx) = leaf.oid_index(oid) else {
-        return Err(CoreError::CorruptNode {
-            pid: leaf_pid,
-            reason: "hash index points at a leaf without the object",
-        });
-    };
-    let new_rect = Rect::from_point(new);
-
-    // In place when the tight leaf MBR covers the target, or the leaf is
-    // the root (no parent entry to extend).
-    if leaf_pid == tree.root || leaf.mbr().contains_point(&new) {
-        leaf.leaf_entries_mut()[idx].rect = new_rect;
-        tree.write_pinned(&leaf);
-        return Ok(UpdateOutcome::InPlace);
-    }
-
-    // Locate the parent page through the summary (no disk access), plus
-    // the parent's node MBR that bounds any extension.
-    let Some(parent_pid) = summary.find_parent_at(leaf_pid, 1) else {
-        return Err(CoreError::InvariantViolation(format!(
-            "summary has no parent for leaf {leaf_pid}"
-        )));
-    };
-    let parent_mbr = summary.entry(parent_pid).map(|e| e.mbr).ok_or_else(|| {
-        CoreError::InvariantViolation(format!("no summary entry for {parent_pid}"))
-    })?;
-
-    // The distance threshold τ (Section 3.2.1 item 2): fast movers
-    // attempt the sibling shift before the extension.
-    let moved = old.distance(&new);
-    let extend_first = moved <= params.distance_threshold;
-
-    // Both repairs need the parent node; read it once (1 I/O — the
-    // paper's "R parent" charge).
-    let mut parent = ops.take(parent_pid)?;
-    let pidx = parent.child_index(leaf_pid).ok_or(CoreError::CorruptNode {
-        pid: parent_pid,
-        reason: "summary parent does not list the leaf",
-    })?;
-    let official = parent.internal_entries()[pidx].rect;
-    if official.contains_point(&new) {
-        // A previous extension already covers the target.
-        leaf.leaf_entries_mut()[idx].rect = new_rect;
-        tree.write_pinned(&leaf);
-        return Ok(UpdateOutcome::InPlace);
-    }
-
-    if extend_first && try_extend(tree, &mut leaf, idx, &mut parent, pidx, parent_mbr, new) {
-        return Ok(UpdateOutcome::Extended);
-    }
-
-    // Any further repair deletes the entry first; a bottom-up delete must
-    // not underflow the leaf.
-    if leaf.count() <= tree.min_fill_leaf() {
-        // Nothing was modified: the top-down search finds both nodes in
-        // the set.
-        ops.put(leaf);
-        ops.put(parent);
-        return topdown::run(tree, ops, oid, old, new);
-    }
-    leaf.leaf_entries_mut().swap_remove(idx);
-
     if try_shift(tree, ops, params, &mut leaf, &mut parent, pidx, oid, new)? {
         return Ok(UpdateOutcome::Shifted);
     }
 
-    if !extend_first {
-        // Fast mover whose shift failed: re-add the entry and attempt the
-        // extension after all.
+    if let Some(rect) = extend {
+        // Fast mover whose shift failed: re-add the entry and extend
+        // after all, parent first.
         leaf.leaf_entries_mut().push(LeafEntry::point(oid, new));
-        let idx = leaf.count() - 1;
-        if try_extend(tree, &mut leaf, idx, &mut parent, pidx, parent_mbr, new) {
-            return Ok(UpdateOutcome::Extended);
-        }
-        leaf.leaf_entries_mut().swap_remove(idx);
+        parent.internal_entries_mut()[pidx].rect = rect;
+        tree.write_pinned(&parent);
+        tree.write_pinned(&leaf);
+        return Ok(UpdateOutcome::Extended);
     }
 
-    // Ascend: write the shrunken leaf and tighten its official MBR in the
-    // parent (already in memory) — the same overlap-control measure the
-    // paper applies after shifts; without it the source rectangles of
-    // ascended objects would ratchet outward and query performance would
-    // degrade with update volume, the opposite of the paper's Figure 6(f).
-    // Both go back into the set: the re-insert below starts at the parent
-    // or above it and may pick this very leaf again.
-    let tight = leaf.mbr();
-    tree.write_pinned(&leaf);
-    ops.put(leaf);
-    if parent.internal_entries()[pidx].rect != tight {
-        parent.internal_entries_mut()[pidx].rect = tight;
-        tree.write_pinned(&parent);
-    }
+    // Ascend. Both pages go back into the set: the re-insert below starts
+    // at the parent or above it and may pick this very leaf again.
+    let leaf_pid = leaf.pid();
+    bottom_up::release_source(tree, ops, leaf, &mut parent, pidx);
     ops.put(parent);
     let max_ascent = params
         .level_threshold
@@ -229,29 +141,6 @@ fn run(
             })
         }
     }
-}
-
-/// Try the directional ε-extension. On success writes parent + leaf
-/// (through their pins) and returns `true`. The entry at `idx` is moved
-/// to `new`.
-fn try_extend(
-    tree: &mut RTree,
-    leaf: &mut PinnedNode<'_>,
-    idx: usize,
-    parent: &mut PinnedNode<'_>,
-    pidx: usize,
-    parent_mbr: Rect,
-    new: Point,
-) -> bool {
-    let official = parent.internal_entries()[pidx].rect;
-    let Some(imbr) = tree.opts.strategy.enlarge(official, parent_mbr, new) else {
-        return false;
-    };
-    parent.internal_entries_mut()[pidx].rect = imbr;
-    tree.write_pinned(parent);
-    leaf.leaf_entries_mut()[idx].rect = Rect::from_point(new);
-    tree.write_pinned(leaf);
-    true
 }
 
 /// Try the sibling shift. `leaf` has already had the entry removed. On

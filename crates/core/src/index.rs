@@ -14,11 +14,12 @@ use crate::node::{LeafEntry, NodeEntries, ObjectId};
 use crate::stats::{OpStats, UpdateOutcome};
 use crate::summary::SummaryStructure;
 use crate::tree::{RTree, WalHandle};
-use crate::{gbu, lbu, topdown};
+use crate::{bottom_up, topdown};
 use bur_geom::{Point, Rect};
 use bur_hashindex::{HashIndexConfig, LinearHashIndex};
 use bur_storage::{BufferPool, DiskBackend, IoStats, PageId, PoolConfig, INVALID_PAGE};
-use bur_wal::{Wal, WalRecord, WalStatsSnapshot};
+use bur_wal::{RedoError, Wal, WalRecord, WalStatsSnapshot};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -128,7 +129,7 @@ impl RTreeIndex {
             Durability::Wal(wopts) => {
                 pool.set_wal_mode(true);
                 let (log, anchor) = log_site(pool.disk(), log_disk.as_ref(), &opts)?;
-                let wal = Wal::create_with(log, wopts.delta)?;
+                let wal = Wal::create(log)?;
                 if wal.anchor() != anchor {
                     return Err(CoreError::BadConfig(format!(
                         "WAL anchor landed on page {} instead of {anchor}",
@@ -379,7 +380,7 @@ impl RTreeIndex {
             }
         }
         let (log, anchor) = log_site(pool.disk(), log_disk.as_ref(), &opts)?;
-        let (wal, scanned) = Wal::reopen_with(log, anchor, wopts.delta)?;
+        let (wal, scanned) = Wal::reopen(log, anchor)?;
         if !scanned.valid {
             return Err(if log_disk.is_some() {
                 CoreError::LogMissing("the log disk holds no write-ahead log".into())
@@ -413,60 +414,20 @@ impl RTreeIndex {
             // every page in a generation is a full image (the delta
             // encoder anchors there), so replay never depends on the
             // pre-crash content of a page — each delta applies onto the
-            // state produced by the records before it, which `page_lsns`
+            // state produced by the records before it, which `redo`
             // verifies against the delta's recorded base.
-            let mut page_lsns: std::collections::HashMap<PageId, u64> =
-                std::collections::HashMap::new();
-            for (lsn, rec) in &scanned.records[..=cut] {
-                match rec {
-                    WalRecord::PageImage { pid, data } => {
-                        if data.len() != opts.page_size {
-                            return Err(CoreError::BadConfig(format!(
-                                "logged image of page {pid} has {} bytes, expected {}",
-                                data.len(),
-                                opts.page_size
-                            )));
-                        }
-                        // The crash may have lost trailing allocations the
-                        // image depends on; re-extend the disk first.
-                        while *pid >= pool.disk().num_pages() {
-                            pool.disk().allocate()?;
-                        }
-                        let guard = pool.fetch_for_overwrite(*pid)?;
-                        guard.write().copy_from_slice(data);
-                        drop(guard);
-                        page_lsns.insert(*pid, *lsn);
-                        report.replayed_images += 1;
-                    }
-                    WalRecord::PageDelta {
-                        pid,
-                        base_lsn,
-                        ranges,
-                    } => {
-                        match page_lsns.get(pid) {
-                            Some(&last) if last == *base_lsn => {}
-                            _ => {
-                                return Err(CoreError::BadConfig(format!(
-                                    "delta for page {pid} at lsn {lsn} does not chain to a \
-                                     replayed image (corrupt log)"
-                                )))
-                            }
-                        }
-                        let guard = pool.fetch(*pid)?;
-                        if !bur_wal::apply_delta(&mut guard.write(), ranges) {
-                            return Err(CoreError::BadConfig(format!(
-                                "delta for page {pid} at lsn {lsn} exceeds the page bounds \
-                                 (corrupt log)"
-                            )));
-                        }
-                        drop(guard);
-                        page_lsns.insert(*pid, *lsn);
-                        report.replayed_deltas += 1;
-                    }
-                    WalRecord::Commit { .. } => report.committed_ops += 1,
-                    WalRecord::Checkpoint { .. } => {}
-                }
-            }
+            let replayed = &scanned.records[..=cut];
+            let (images, deltas) =
+                bur_wal::redo(&pool, replayed, &mut HashMap::new()).map_err(|e| match e {
+                    RedoError::Corrupt(msg) => CoreError::BadConfig(format!("{msg} (corrupt log)")),
+                    RedoError::Storage(e) => e.into(),
+                })?;
+            report.replayed_images = images;
+            report.replayed_deltas = deltas;
+            report.committed_ops = replayed
+                .iter()
+                .filter(|(_, rec)| matches!(rec, WalRecord::Commit { .. }))
+                .count() as u64;
             snap
         } else {
             // No commit or checkpoint survived in the log. The one benign
@@ -618,8 +579,9 @@ impl RTreeIndex {
     fn apply_update(&mut self, oid: ObjectId, old: Point, new: Point) -> CoreResult<UpdateOutcome> {
         let outcome = match self.tree.opts.strategy {
             UpdateStrategy::TopDown => topdown::update(&mut self.tree, oid, old, new)?,
-            UpdateStrategy::Localized(_) => lbu::update(&mut self.tree, oid, old, new)?,
-            UpdateStrategy::Generalized(p) => gbu::update(&mut self.tree, p, oid, old, new)?,
+            UpdateStrategy::Localized(_) | UpdateStrategy::Generalized(_) => {
+                bottom_up::update(&mut self.tree, oid, old, new)?
+            }
         };
         self.tree.stats.record_update(outcome);
         Ok(outcome)

@@ -13,114 +13,41 @@
 //!    location → insert there;
 //! 6. otherwise issue a standard R-tree insert from the root.
 //!
+//! Steps 1–4 are the ladder LBU shares with GBU and with the shared write
+//! path ([`crate::bottom_up`]: step 2 is rung 2, step 3 rungs 3 and 4
+//! with `UpdateStrategy::enlarge`'s uniform ε, step 4 its driver's
+//! underflow check). Steps 5 and 6 are [`repair`].
+//!
 //! LBU's structural costs — the parent pointers rewritten on every
 //! level-1 split and the sibling pages read just to check fullness — are
 //! incurred for real by this implementation; they are the reason the
 //! paper finds LBU can lose to TD once a buffer is present (Figure 6(g)).
 
-use crate::error::{CoreError, CoreResult};
+use crate::bottom_up;
+use crate::error::CoreResult;
 use crate::node::{LeafEntry, ObjectId};
-use crate::pins::PinSet;
+use crate::pins::{PinSet, PinnedNode};
 use crate::stats::UpdateOutcome;
-use crate::topdown;
 use crate::tree::RTree;
-use bur_geom::{Point, Rect};
-use bur_storage::{PageId, INVALID_PAGE};
+use bur_geom::Point;
 
-/// Run one localized bottom-up update as one operation over one pin set
-/// (see [`crate::gbu::update`]).
-pub(crate) fn update(
+/// Steps 5 and 6: `leaf` has already had the object's entry removed,
+/// `parent` lists it at `pidx`.
+pub(crate) fn repair<'p>(
     tree: &mut RTree,
+    ops: &mut PinSet<'p>,
+    leaf: PinnedNode<'p>,
+    mut parent: PinnedNode<'p>,
+    pidx: usize,
     oid: ObjectId,
-    old: Point,
     new: Point,
 ) -> CoreResult<UpdateOutcome> {
-    // Step 1: hash probe for direct leaf access.
-    tree.bottom_up_update(oid, |tree, ops, leaf_pid| {
-        run(tree, ops, leaf_pid, oid, old, new)
-    })
-}
-
-fn run(
-    tree: &mut RTree,
-    ops: &mut PinSet<'_>,
-    leaf_pid: PageId,
-    oid: ObjectId,
-    old: Point,
-    new: Point,
-) -> CoreResult<UpdateOutcome> {
-    let mut leaf = ops.take(leaf_pid)?;
-    let Some(idx) = leaf.oid_index(oid) else {
-        return Err(CoreError::CorruptNode {
-            pid: leaf_pid,
-            reason: "hash index points at a leaf without the object",
-        });
-    };
-    let new_rect = Rect::from_point(new);
-
-    // Step 2: in place when the tight leaf MBR already covers the target.
-    if leaf.mbr().contains_point(&new) || leaf_pid == tree.root {
-        leaf.leaf_entries_mut()[idx].rect = new_rect;
-        tree.write_pinned(&leaf);
-        return Ok(UpdateOutcome::InPlace);
-    }
-
-    // Step 3: read the parent through the leaf's parent pointer.
-    let parent_pid = leaf.parent;
-    if parent_pid == INVALID_PAGE {
-        return Err(CoreError::CorruptNode {
-            pid: leaf_pid,
-            reason: "LBU leaf without parent pointer",
-        });
-    }
-    let mut parent = ops.take(parent_pid)?;
-    let pidx = parent.child_index(leaf_pid).ok_or(CoreError::CorruptNode {
-        pid: parent_pid,
-        reason: "parent pointer target does not list the leaf",
-    })?;
-    let official = parent.internal_entries()[pidx].rect;
-    if official.contains_point(&new) {
-        // A previous enlargement already covers the target: pure in-place.
-        leaf.leaf_entries_mut()[idx].rect = new_rect;
-        tree.write_pinned(&leaf);
-        return Ok(UpdateOutcome::InPlace);
-    }
-    // Uniform ε-enlargement, clipped to the parent MBR ("In order to
-    // preserve the R-tree structure, the expansion of a leaf MBR is
-    // bounded by its parent MBR").
-    if let Some(enlarged) = tree.opts.strategy.enlarge(official, parent.mbr(), new) {
-        parent.internal_entries_mut()[pidx].rect = enlarged;
-        tree.write_pinned(&parent);
-        leaf.leaf_entries_mut()[idx].rect = new_rect;
-        tree.write_pinned(&leaf);
-        return Ok(UpdateOutcome::Extended);
-    }
-
-    // Step 4: a bottom-up delete must not underflow the leaf.
-    if leaf.count() <= tree.min_fill_leaf() {
-        // Nothing was modified: the top-down search finds both nodes in
-        // the set.
-        ops.put(leaf);
-        ops.put(parent);
-        return topdown::run(tree, ops, oid, old, new);
-    }
-
-    // Step 5: delete from the leaf, then look for a sibling whose MBR
-    // contains the new location and that is not full. LBU has no bit
-    // vector, so each candidate sibling is *read* to check fullness —
-    // the extra disk accesses the paper attributes to this strategy.
-    leaf.leaf_entries_mut().swap_remove(idx);
-    // Tighten the leaf's official MBR in the parent (in memory already);
-    // leaving the stale rectangle behind on every departure would make
-    // overlap ratchet outward with update volume.
-    let tight = leaf.mbr();
     // The leaf is done; a root insert below may pick it again.
-    tree.write_pinned(&leaf);
-    ops.put(leaf);
-    if parent.internal_entries()[pidx].rect != tight {
-        parent.internal_entries_mut()[pidx].rect = tight;
-        tree.write_pinned(&parent);
-    }
+    bottom_up::release_source(tree, ops, leaf, &mut parent, pidx);
+    // Step 5: look for a sibling whose MBR contains the new location and
+    // that is not full. LBU has no bit vector, so each candidate sibling
+    // is *read* to check fullness — the extra disk accesses the paper
+    // attributes to this strategy.
     let leaf_cap = tree.leaf_cap();
     for (i, e) in parent.internal_entries().iter().enumerate() {
         if i == pidx || !e.rect.contains_point(&new) {

@@ -40,6 +40,7 @@
 #![warn(missing_docs)]
 
 mod batch;
+mod bottom_up;
 mod builder;
 mod bulk;
 mod claims;
@@ -75,7 +76,7 @@ pub use handle::{Bur, CommitTicket, HeldLeafClaim, NeighborCursor, QueryCursor};
 pub use index::{RTreeIndex, RecoveryReport};
 pub use meta::{LOG_DISK_ANCHOR, WAL_ANCHOR};
 // Re-exported so durability consumers need no direct `bur-wal` dependency.
-pub use bur_wal::{DeltaPolicy, WalStatsSnapshot};
+pub use bur_wal::WalStatsSnapshot;
 pub use knn::Neighbor;
 pub use node::{
     internal_capacity, leaf_capacity, InternalEntry, LeafEntry, Node, NodeEntries, ObjectId,

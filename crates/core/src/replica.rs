@@ -179,12 +179,12 @@ impl RTreeIndex {
                             "promote_replica: the replica's log disk must be empty".into(),
                         ));
                     }
-                    Wal::create_with(log, wopts.delta)?
+                    Wal::create(log)?
                 } else {
                     // The copied chain may still sit in the pool's frames;
                     // the scan below reads the disk.
                     self.tree.pool.flush_all()?;
-                    let (wal, scanned) = Wal::reopen_with(log, anchor, wopts.delta)?;
+                    let (wal, scanned) = Wal::reopen(log, anchor)?;
                     if !scanned.valid {
                         return Err(CoreError::LogMissing(
                             "promote_replica: the replica disk carries no log chain (the \

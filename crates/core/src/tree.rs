@@ -42,11 +42,16 @@ use std::borrow::Borrow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+/// Minimum node fill as a fraction of capacity (Guttman's `m`): a
+/// delete below it triggers CondenseTree, and a split leaves at least
+/// this much in each half.
+const MIN_FILL: f32 = 0.4;
+
 /// A live write-ahead log attached to the tree ([`crate::Durability::Wal`]).
 pub(crate) struct WalHandle {
     /// The log itself.
     pub(crate) wal: Wal,
-    /// Checkpoint interval, delta policy.
+    /// Checkpoint interval.
     pub(crate) opts: WalOptions,
     /// `true` when the log writes to a disk of its own, not the pool's
     /// (recorded in every metadata snapshot so a later open knows where
@@ -198,11 +203,11 @@ impl RTree {
     }
 
     pub(crate) fn min_fill_leaf(&self) -> usize {
-        ((self.leaf_cap() as f32 * self.opts.min_fill) as usize).max(1)
+        ((self.leaf_cap() as f32 * MIN_FILL) as usize).max(1)
     }
 
     pub(crate) fn min_fill_internal(&self) -> usize {
-        ((self.internal_cap() as f32 * self.opts.min_fill) as usize).max(1)
+        ((self.internal_cap() as f32 * MIN_FILL) as usize).max(1)
     }
 
     fn parent_pointers(&self) -> bool {
@@ -544,32 +549,6 @@ impl RTree {
         entry: LeafEntry,
     ) -> CoreResult<()> {
         self.insert_from(ops, self.root, &[], AnyEntry::Leaf(entry))
-    }
-
-    /// Run a bottom-up update of `oid` as one operation: probe the hash
-    /// index (the bucket stays pinned), hand `step` the pin set and the
-    /// leaf the object is on, and re-point the hash entry once when
-    /// `step` is done.
-    pub(crate) fn bottom_up_update<T>(
-        &mut self,
-        oid: ObjectId,
-        step: impl FnOnce(&mut Self, &mut PinSet<'_>, PageId) -> CoreResult<T>,
-    ) -> CoreResult<T> {
-        let pool = Arc::clone(&self.pool);
-        let hash = Arc::clone(
-            self.hash
-                .as_ref()
-                .expect("bottom-up updates require the hash index"),
-        );
-        let mut ops = PinSet::new(&pool);
-        let Some(probe) = hash.probe(oid)? else {
-            return Err(CoreError::ObjectNotFound(oid));
-        };
-        let leaf_pid = probe.value();
-        ops.track_own(oid, Some(probe));
-        let out = step(self, &mut ops, leaf_pid)?;
-        self.settle(&mut ops)?;
-        Ok(out)
     }
 
     /// Insert `entry` into the subtree rooted at `start`.

@@ -72,7 +72,7 @@
 
 use bur_core::{Bur, CoreError, IndexOptions, RTreeIndex, LOG_DISK_ANCHOR, WAL_ANCHOR};
 use bur_storage::{DiskBackend, Lsn, MemDisk, PageId, StorageError};
-use bur_wal::{apply_delta, LogCursor, WalRecord};
+use bur_wal::{LogCursor, RedoError, WalRecord};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
@@ -546,7 +546,8 @@ impl Follower {
 
     /// Redo the buffered page records and install the commit's snapshot
     /// — one atomic step under the index's exclusive lock, so concurrent
-    /// readers jump from watermark to watermark.
+    /// readers jump from watermark to watermark. A malformed record
+    /// refuses the commit whole: no page is written, the watermark stays.
     fn apply_commit(&mut self, lsn: Lsn, meta: &[u8]) -> ReplResult<()> {
         let Follower {
             bur,
@@ -557,53 +558,13 @@ impl Follower {
         } = self;
         let drained = std::mem::take(pending);
         bur.with_index_mut(|index| -> ReplResult<()> {
-            let pool = index.pool().clone();
-            for (rlsn, rec) in &drained {
-                match rec {
-                    WalRecord::PageImage { pid, data } => {
-                        if data.len() != pool.page_size() {
-                            return Err(ReplError::Protocol(format!(
-                                "image of page {pid} has {} bytes, expected {}",
-                                data.len(),
-                                pool.page_size()
-                            )));
-                        }
-                        while *pid >= pool.disk().num_pages() {
-                            pool.disk().allocate().map_err(ReplError::Storage)?;
-                        }
-                        let guard = pool.fetch_for_overwrite(*pid).map_err(ReplError::Storage)?;
-                        guard.write().copy_from_slice(data);
-                        drop(guard);
-                        page_lsns.insert(*pid, *rlsn);
-                        stats.images_applied += 1;
-                    }
-                    WalRecord::PageDelta {
-                        pid,
-                        base_lsn,
-                        ranges,
-                    } => {
-                        match page_lsns.get(pid) {
-                            Some(&have) if have == *base_lsn => {}
-                            _ => {
-                                return Err(ReplError::Protocol(format!(
-                                    "delta for page {pid} at lsn {rlsn} does not chain to a \
-                                     replayed image"
-                                )))
-                            }
-                        }
-                        let guard = pool.fetch(*pid).map_err(ReplError::Storage)?;
-                        if !apply_delta(&mut guard.write(), ranges) {
-                            return Err(ReplError::Protocol(format!(
-                                "delta for page {pid} at lsn {rlsn} exceeds the page bounds"
-                            )));
-                        }
-                        drop(guard);
-                        page_lsns.insert(*pid, *rlsn);
-                        stats.deltas_applied += 1;
-                    }
-                    _ => unreachable!("only page records are buffered"),
-                }
-            }
+            let (images, deltas) =
+                bur_wal::redo(index.pool(), &drained, page_lsns).map_err(|e| match e {
+                    RedoError::Corrupt(msg) => ReplError::Protocol(msg),
+                    RedoError::Storage(e) => ReplError::Storage(e),
+                })?;
+            stats.images_applied += images;
+            stats.deltas_applied += deltas;
             index.install_replica_snapshot(meta)?;
             Ok(())
         })?;
@@ -773,6 +734,77 @@ mod tests {
         let promoted = follower.promote().unwrap();
         assert_eq!(promoted.len(), 0, "unacked batch not half-applied");
         promoted.validate().unwrap();
+    }
+
+    /// Shipped records come from outside the follower, and CRC framing
+    /// passes a well-framed bad one. A commit whose records include one
+    /// is refused whole: no earlier record of it reaches the replica, so
+    /// queries never see newer pages under older metadata.
+    #[test]
+    fn a_malformed_shipped_record_refuses_the_commit_whole() {
+        let (primary, disk) = primary_pair();
+        primary.apply(&grid_batch(0..64)).unwrap().wait().unwrap();
+        let mut shipper = LogShipper::new(disk.clone());
+        let mut follower =
+            Follower::attach_in_memory(&mut shipper, IndexOptions::durable()).unwrap();
+        follower.catch_up(&mut shipper).unwrap();
+        let replica = follower.handle();
+        let leaf = primary
+            .with_index(|index| index.locate_leaf(0))
+            .unwrap()
+            .expect("object 0 is indexed");
+        let leaf_bytes = || {
+            replica
+                .with_index(|index| index.pool().fetch(leaf).map(|p| p.read().to_vec()))
+                .unwrap()
+        };
+        let before = leaf_bytes();
+        let scanned = bur_wal::scan(disk.as_ref(), WAL_ANCHOR).unwrap();
+        let meta = scanned
+            .records
+            .iter()
+            .rev()
+            .find_map(|(_, rec)| match rec {
+                WalRecord::Commit { meta } => Some(meta.clone()),
+                _ => None,
+            })
+            .expect("the primary committed");
+
+        let lsn = follower.applied_lsn();
+        let batch = ShipBatch {
+            generation: follower.generation(),
+            rewound: false,
+            records: vec![
+                (
+                    lsn + 1,
+                    WalRecord::PageImage {
+                        pid: leaf,
+                        data: vec![0; PAGE],
+                    },
+                ),
+                (
+                    lsn + 2,
+                    WalRecord::PageDelta {
+                        pid: leaf,
+                        // A commit's LSN: no page record ever had it.
+                        base_lsn: lsn,
+                        ranges: vec![bur_wal::DeltaRange {
+                            offset: 0,
+                            bytes: vec![1],
+                        }],
+                    },
+                ),
+                (lsn + 3, WalRecord::Commit { meta }),
+            ],
+            torn_tail: false,
+        };
+        assert!(matches!(
+            follower.apply(&batch),
+            Err(ReplError::Protocol(_))
+        ));
+        assert_eq!(follower.applied_lsn(), lsn, "watermark must not move");
+        assert_eq!(leaf_bytes(), before, "the zeroing image must not land");
+        replica.validate().unwrap();
     }
 
     #[test]

@@ -22,9 +22,9 @@
 //! * **delta records** ([`WalRecord::PageDelta`]) — byte-range diffs of a
 //!   page against its previous logged image within the same generation.
 //!   In-place bottom-up updates touch a few dozen bytes of a 1 KiB page,
-//!   so deltas cut log volume several-fold; full images are re-emitted as
-//!   periodic *anchors* ([`DeltaPolicy`]) so redo stays a bounded replay
-//!   of one generation;
+//!   so deltas cut log volume several-fold; a full image is re-emitted as
+//!   an *anchor* every 16th record of a page, so redo stays a bounded
+//!   replay of one generation;
 //! * **one way to sync** — [`Wal::commit`] appends the commit record,
 //!   writes the tail page and syncs the log's disk before it returns, so
 //!   a commit that returned `Ok` is durable and one whose sync failed
@@ -35,19 +35,21 @@
 //!   flushes the buffer pool as the new base image, then *rewinds* the
 //!   log onto its own pages under a fresh generation number, reusing them
 //!   instead of growing forever;
-//! * **redo recovery** ([`Wal::reopen`] / [`scan`]) — replay every page
+//! * **redo** ([`Wal::reopen`] / [`scan`] / [`redo`]) — replay every page
 //!   image up to the last durable commit, in order, onto the surviving
 //!   base image. Records are CRC-framed and generation-tagged, so a torn
 //!   tail (a write cut mid-page by power loss) is detected and discarded,
 //!   never replayed. Delta chains replay onto the full image that anchors
 //!   them — the first record of every page in a generation is always a
-//!   full image, so redo never depends on pre-crash disk content.
+//!   full image, so redo never depends on pre-crash disk content. Crash
+//!   recovery and a replication follower redo through the same
+//!   [`redo`], which refuses a run of records whole when any of them is
+//!   malformed.
 //!
-//! The protocol is ARIES-style redo-only: the WAL-aware
-//! [`BufferPool`](bur_storage::BufferPool) mode guarantees no page leaves
-//! the pool before its image is durable in the log (no-steal for
-//! uncommitted content, flush gating on the durable LSN for committed
-//! content), so recovery never needs undo.
+//! The protocol is ARIES-style redo-only: the WAL-aware [`BufferPool`]
+//! mode guarantees no page leaves the pool before its image is durable in
+//! the log (no-steal for uncommitted content, flush gating on the durable
+//! LSN for committed content), so recovery never needs undo.
 //!
 //! ```
 //! use bur_storage::MemDisk;
@@ -75,45 +77,8 @@ pub use bur_storage::Lsn;
 pub use cursor::{LogCursor, ShipBatch};
 pub use log::{scan, ScanResult, Wal, WalStatsSnapshot, WAL_PAGE_MAGIC};
 
-/// When [`Wal::append_page`] may log a byte-range delta instead of a full
-/// page image.
-///
-/// Deltas are only ever taken against the previous logged image of the
-/// same page *within the current log generation*; the first image of a
-/// page after a checkpoint is always full. `anchor_every` bounds how long
-/// a delta chain may grow before a fresh full image (an *anchor*) is
-/// forced, so replay work per page stays bounded even within one
-/// generation and a single corrupt delta cannot poison an unbounded
-/// suffix.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DeltaPolicy {
-    /// Log deltas at all. Off reproduces the original full-image log.
-    pub enabled: bool,
-    /// Force a full-image anchor every this many records per page (one
-    /// anchor followed by `anchor_every - 1` deltas). Values below 2
-    /// disable deltas.
-    pub anchor_every: u32,
-}
-
-impl Default for DeltaPolicy {
-    fn default() -> Self {
-        Self {
-            enabled: true,
-            anchor_every: 16,
-        }
-    }
-}
-
-impl DeltaPolicy {
-    /// A policy that always logs full page images (the pre-delta format).
-    #[must_use]
-    pub fn full_images() -> Self {
-        Self {
-            enabled: false,
-            anchor_every: 16,
-        }
-    }
-}
+use bur_storage::{BufferPool, PageId, StorageError};
+use std::collections::HashMap;
 
 /// One contiguous byte range rewritten by a [`WalRecord::PageDelta`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -194,6 +159,92 @@ pub fn apply_delta(page: &mut [u8], ranges: &[DeltaRange]) -> bool {
         page[start..end].copy_from_slice(&r.bytes);
     }
     true
+}
+
+/// Why [`redo`] refused or failed its records.
+#[derive(Debug)]
+pub enum RedoError {
+    /// A malformed page record: an image whose length is not the page
+    /// size, a delta whose `base_lsn` does not chain to the page's last
+    /// replayed record, or a delta range past the page end. Nothing was
+    /// written.
+    Corrupt(String),
+    /// The buffer pool or its disk failed while the records were being
+    /// written.
+    Storage(StorageError),
+}
+
+/// Redo the page records among `records` onto `pool`, in order, and
+/// return how many `(images, deltas)` it wrote; commit and checkpoint
+/// records are skipped. `page_lsns` holds each page's last replayed
+/// record, which a delta must chain to, and is advanced.
+///
+/// Every page record is checked before any is written, so a malformed
+/// one leaves the pool as it was. An image of a page past the disk's end
+/// extends the disk first (a crash may have lost trailing allocations).
+pub fn redo(
+    pool: &BufferPool,
+    records: &[(Lsn, WalRecord)],
+    page_lsns: &mut HashMap<PageId, Lsn>,
+) -> Result<(u64, u64), RedoError> {
+    let page_size = pool.page_size();
+    let mut chained: HashMap<PageId, Lsn> = HashMap::new();
+    for (lsn, rec) in records {
+        let (pid, flaw) = match rec {
+            WalRecord::PageImage { pid, data } => (
+                pid,
+                (data.len() != page_size).then_some("is not one page long"),
+            ),
+            WalRecord::PageDelta {
+                pid,
+                base_lsn,
+                ranges,
+            } => {
+                let base = chained.get(pid).or_else(|| page_lsns.get(pid));
+                let flaw = if base != Some(base_lsn) {
+                    Some("does not chain to a replayed record")
+                } else if ranges
+                    .iter()
+                    .any(|r| usize::from(r.offset) + r.bytes.len() > page_size)
+                {
+                    Some("runs past the page end")
+                } else {
+                    None
+                };
+                (pid, flaw)
+            }
+            WalRecord::Commit { .. } | WalRecord::Checkpoint { .. } => continue,
+        };
+        if let Some(flaw) = flaw {
+            let kind = rec.name();
+            return Err(RedoError::Corrupt(format!(
+                "{kind} of page {pid} at lsn {lsn} {flaw}"
+            )));
+        }
+        chained.insert(*pid, *lsn);
+    }
+    let (mut images, mut deltas) = (0, 0);
+    for (_, rec) in records {
+        match rec {
+            WalRecord::PageImage { pid, data } => {
+                while *pid >= pool.disk().num_pages() {
+                    pool.disk().allocate().map_err(RedoError::Storage)?;
+                }
+                let page = pool.fetch_for_overwrite(*pid).map_err(RedoError::Storage)?;
+                page.write().copy_from_slice(data);
+                images += 1;
+            }
+            WalRecord::PageDelta { pid, ranges, .. } => {
+                let page = pool.fetch(*pid).map_err(RedoError::Storage)?;
+                let applied = apply_delta(&mut page.write(), ranges);
+                debug_assert!(applied, "delta bounds were checked above");
+                deltas += 1;
+            }
+            WalRecord::Commit { .. } | WalRecord::Checkpoint { .. } => {}
+        }
+    }
+    page_lsns.extend(chained);
+    Ok((images, deltas))
 }
 
 /// CRC-32 slice-by-8 lookup tables (IEEE 802.3 polynomial), built at
@@ -318,11 +369,43 @@ mod tests {
         assert!(!bad, "out-of-bounds range must be rejected");
     }
 
+    /// A wrong-length image or an out-of-bounds range anywhere in the run
+    /// refuses the run whole: the good records before it are not written.
     #[test]
-    fn delta_policy_defaults() {
-        let p = DeltaPolicy::default();
-        assert!(p.enabled);
-        assert!(p.anchor_every >= 2);
-        assert!(!DeltaPolicy::full_images().enabled);
+    fn redo_refuses_a_malformed_record_before_writing_any() {
+        let good = (
+            1,
+            WalRecord::PageImage {
+                pid: 1,
+                data: vec![7; 64],
+            },
+        );
+        let short_image = (
+            2,
+            WalRecord::PageImage {
+                pid: 1,
+                data: vec![7; 63],
+            },
+        );
+        let past_the_end = (
+            2,
+            WalRecord::PageDelta {
+                pid: 1,
+                base_lsn: 1,
+                ranges: vec![DeltaRange {
+                    offset: 62,
+                    bytes: vec![1; 4],
+                }],
+            },
+        );
+        for bad in [short_image, past_the_end] {
+            let disk = std::sync::Arc::new(bur_storage::MemDisk::new(64));
+            let pool = BufferPool::new(disk, bur_storage::PoolConfig { capacity: 8 });
+            let mut lsns = HashMap::new();
+            let err = redo(&pool, &[good.clone(), bad], &mut lsns).unwrap_err();
+            assert!(matches!(err, RedoError::Corrupt(_)), "{err:?}");
+            assert_eq!(pool.disk().num_pages(), 0, "nothing written");
+            assert!(lsns.is_empty());
+        }
     }
 }

@@ -32,7 +32,7 @@
 //! generations are ignored by [`scan`] (generation mismatch ends the
 //! chain), so the log never grows past one generation of records.
 
-use crate::{crc32, DeltaPolicy, DeltaRange, WalRecord};
+use crate::{crc32, DeltaRange, WalRecord};
 use bur_storage::{DiskBackend, Lsn, PageId, StorageResult, INVALID_PAGE};
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -57,6 +57,12 @@ pub(crate) const BODY_PREFIX: usize = 9;
 /// changed ranges when diffing a page: each extra range costs a 4-byte
 /// header, so splitting on tiny gaps would grow the record.
 const DIFF_MERGE_GAP: usize = 8;
+
+/// A page's records come as one full-image anchor followed by up to
+/// `ANCHOR_EVERY - 1` deltas, so replay work per page stays bounded even
+/// within one generation and a corrupt delta cannot poison an unbounded
+/// suffix.
+const ANCHOR_EVERY: u32 = 16;
 
 fn wal_state_error(msg: &'static str) -> bur_storage::StorageError {
     bur_storage::StorageError::Io(std::io::Error::other(msg))
@@ -218,7 +224,6 @@ impl RecordRef<'_> {
 pub struct Wal {
     disk: Arc<dyn DiskBackend>,
     anchor: PageId,
-    delta: DeltaPolicy,
     inner: Mutex<WalInner>,
     counters: WalCounters,
 }
@@ -344,7 +349,6 @@ impl Wal {
     fn new(
         disk: Arc<dyn DiskBackend>,
         anchor: PageId,
-        delta: DeltaPolicy,
         generation: u32,
         spare: Vec<PageId>,
         last_lsn: Lsn,
@@ -354,7 +358,6 @@ impl Wal {
         Self {
             disk,
             anchor,
-            delta,
             inner: Mutex::new(WalInner {
                 generation,
                 cur: anchor,
@@ -373,35 +376,20 @@ impl Wal {
         }
     }
 
-    /// Create a fresh log with the default [`DeltaPolicy`]: allocates the
-    /// anchor page and writes an empty generation-1 stream to it.
+    /// Create a fresh log: allocates the anchor page and writes an empty
+    /// generation-1 stream to it.
     pub fn create(disk: Arc<dyn DiskBackend>) -> StorageResult<Self> {
-        Self::create_with(disk, DeltaPolicy::default())
-    }
-
-    /// Create a fresh log with an explicit delta policy.
-    pub fn create_with(disk: Arc<dyn DiskBackend>, delta: DeltaPolicy) -> StorageResult<Self> {
         let anchor = disk.allocate()?;
-        let wal = Self::new(disk, anchor, delta, 1, Vec::new(), 0, false);
+        let wal = Self::new(disk, anchor, 1, Vec::new(), 0, false);
         wal.write_cur_page(&mut wal.inner.lock(), INVALID_PAGE)?;
         Ok(wal)
     }
 
-    /// Reopen an existing log for recovery with the default
-    /// [`DeltaPolicy`]: scans it and returns the surviving records. The
-    /// log is positioned *read-only* — it must be rewound with
-    /// [`Wal::checkpoint_rewind`] (after replaying the records and
-    /// flushing the new base image) before appending again.
+    /// Reopen an existing log for recovery: scans it and returns the
+    /// surviving records. The log is positioned *read-only* — it must be
+    /// rewound with [`Wal::checkpoint_rewind`] (after replaying the
+    /// records and flushing the new base image) before appending again.
     pub fn reopen(disk: Arc<dyn DiskBackend>, anchor: PageId) -> StorageResult<(Self, ScanResult)> {
-        Self::reopen_with(disk, anchor, DeltaPolicy::default())
-    }
-
-    /// Reopen with an explicit delta policy (see [`Wal::reopen`]).
-    pub fn reopen_with(
-        disk: Arc<dyn DiskBackend>,
-        anchor: PageId,
-        delta: DeltaPolicy,
-    ) -> StorageResult<(Self, ScanResult)> {
         let scanned = scan(disk.as_ref(), anchor)?;
         let last = scanned.records.last().map_or(0, |&(lsn, _)| lsn);
         let spare = scanned
@@ -410,7 +398,7 @@ impl Wal {
             .copied()
             .filter(|&p| p != anchor)
             .collect();
-        let wal = Self::new(disk, anchor, delta, scanned.generation, spare, last, true);
+        let wal = Self::new(disk, anchor, scanned.generation, spare, last, true);
         Ok((wal, scanned))
     }
 
@@ -418,12 +406,6 @@ impl Wal {
     #[must_use]
     pub fn anchor(&self) -> PageId {
         self.anchor
-    }
-
-    /// The configured delta policy.
-    #[must_use]
-    pub fn delta_policy(&self) -> DeltaPolicy {
-        self.delta
     }
 
     /// Highest LSN assigned so far.
@@ -501,19 +483,18 @@ impl Wal {
 
     /// Log the current content of page `pid`, letting the delta encoder
     /// choose between a full image and a [`WalRecord::PageDelta`] against
-    /// the page's previous image in this generation (see [`DeltaPolicy`]).
+    /// the page's previous record in this generation; every 16th record
+    /// of a page is a full image again.
     /// Returns the record's LSN. `data` must be exactly one page; a copy
     /// is retained as the base for the page's next delta (reusing the
     /// page's existing track buffer, so the steady state allocates
     /// nothing).
     pub fn append_page(&self, pid: PageId, data: &[u8]) -> StorageResult<Lsn> {
-        let delta = self.delta;
         let mut inner = self.inner.lock();
-        let deltas_on =
-            delta.enabled && delta.anchor_every >= 2 && data.len() <= usize::from(u16::MAX);
+        let deltas_on = data.len() <= usize::from(u16::MAX);
         if deltas_on {
             if let Some(track) = inner.tracks.get(&pid) {
-                if track.data.len() == data.len() && track.since_anchor + 1 < delta.anchor_every {
+                if track.data.len() == data.len() && track.since_anchor + 1 < ANCHOR_EVERY {
                     let ranges = diff_ranges(&track.data, data);
                     let delta_body: usize =
                         14 + ranges.iter().map(|r| 4 + r.bytes.len()).sum::<usize>();
@@ -1096,24 +1077,17 @@ mod tests {
     #[test]
     fn anchor_cadence_forces_full_images() {
         let d = disk(512);
-        let wal = Wal::create_with(
-            d.clone(),
-            DeltaPolicy {
-                enabled: true,
-                anchor_every: 4,
-            },
-        )
-        .unwrap();
+        let wal = Wal::create(d.clone()).unwrap();
         let mut page = vec![0u8; 512];
-        for i in 0..12u8 {
-            page[i as usize] = i + 1;
+        for i in 0..3 * ANCHOR_EVERY as usize {
+            page[i] = i as u8 + 1;
             wal.append_page(3, &page).unwrap();
         }
         wal.sync().unwrap();
         let stats = wal.stats();
-        // Records 1, 5, 9 are anchors (every 4th), the rest deltas.
+        // Records 1, 17, 33 are anchors (every 16th), the rest deltas.
         assert_eq!(stats.images, 3, "{stats}");
-        assert_eq!(stats.deltas, 9, "{stats}");
+        assert_eq!(stats.deltas, 3 * u64::from(ANCHOR_EVERY - 1), "{stats}");
         // Replay the mixed chain and compare against the final state.
         let s = scan(d.as_ref(), wal.anchor()).unwrap();
         let mut replayed = vec![0u8; 512];
@@ -1139,20 +1113,6 @@ mod tests {
         let stats = wal.stats();
         assert_eq!(stats.images, 2);
         assert_eq!(stats.deltas, 0);
-    }
-
-    #[test]
-    fn disabled_delta_policy_always_logs_full_images() {
-        let d = disk(256);
-        let wal = Wal::create_with(d.clone(), DeltaPolicy::full_images()).unwrap();
-        let mut page = vec![0u8; 256];
-        for i in 0..5u8 {
-            page[0] = i;
-            wal.append_page(2, &page).unwrap();
-        }
-        assert_eq!(wal.stats().images, 5);
-        assert_eq!(wal.stats().deltas, 0);
-        assert_eq!(wal.delta_policy(), DeltaPolicy::full_images());
     }
 
     #[test]

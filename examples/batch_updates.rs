@@ -43,7 +43,6 @@ fn run(per_commit: usize) -> CoreResult<Run> {
     let bur = IndexBuilder::generalized()
         .durability(Durability::Wal(WalOptions {
             checkpoint_every: 1 << 20, // keep the log visible: no mid-run rewind
-            ..WalOptions::default()
         }))
         .build()?;
     let mut wl = workload();

@@ -24,7 +24,6 @@ fn main() {
     let disk = Arc::new(MemDisk::new(1024));
     let opts = IndexOptions::generalized().with_durability(Durability::Wal(WalOptions {
         checkpoint_every: 5_000,
-        ..WalOptions::default()
     }));
     let primary = IndexBuilder::with_options(opts)
         .disk(disk.clone())

@@ -148,7 +148,7 @@ fn usage() -> ExitCode {
          record counts (`N full images, M deltas`), the wire bytes the delta\n\
          encoder spent and saved versus full-image logging (`delta bytes`),\n\
          and the observed anchor cadence (page records per full-image anchor\n\
-         — the configured ceiling is WalOptions::delta.anchor_every)."
+         — at most 16: a page's every 16th record is a full image)."
     );
     ExitCode::FAILURE
 }
@@ -639,7 +639,7 @@ fn cmd_wal_stats(path: &str) -> Result<(), String> {
     println!("delta bytes   : {delta_bytes} on the wire, {delta_saved} saved vs full images");
     if images + deltas > 0 {
         // Observed anchor cadence: page records per full-image anchor.
-        // (The configured ceiling is WalOptions::delta.anchor_every.)
+        // (At most 16: a page's every 16th record is a full image.)
         println!(
             "anchor cadence: {:.1} page records per full image ({:.0}% deltas)",
             (images + deltas) as f64 / images.max(1) as f64,

@@ -133,10 +133,10 @@ pub use bur_workload as workload;
 /// The most commonly used items in one import.
 pub mod prelude {
     pub use bur_core::{
-        Batch, BatchReport, Bur, CommitTicket, CoreError, CoreResult, DeltaPolicy, Durability,
-        GbuParams, IndexBuilder, IndexOptions, LbuParams, Neighbor, NeighborCursor, ObjectId, Op,
-        OpenMode, QueryCursor, RTreeIndex, RecoveryReport, TreeVariant, UpdateOutcome,
-        UpdateStrategy, WalOptions,
+        Batch, BatchReport, Bur, CommitTicket, CoreError, CoreResult, Durability, GbuParams,
+        IndexBuilder, IndexOptions, LbuParams, Neighbor, NeighborCursor, ObjectId, Op, OpenMode,
+        QueryCursor, RTreeIndex, RecoveryReport, TreeVariant, UpdateOutcome, UpdateStrategy,
+        WalOptions,
     };
     pub use bur_geom::{Point, Rect};
     pub use bur_repl::{Follower, LogShipper, ReplError, ReplResult};

@@ -231,7 +231,7 @@ fn error_paths_are_informative() {
 
     // Bad configuration fails at construction.
     let bad = IndexOptions {
-        min_fill: 0.9,
+        page_size: 64,
         ..IndexOptions::default()
     };
     assert!(IndexBuilder::with_options(bad).build_index().is_err());

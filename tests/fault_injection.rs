@@ -281,7 +281,6 @@ fn failed_sync_never_acks(moves: Moves, seed: u64) {
     let escalates = matches!(moves, Moves::Within(_));
     let opts = IndexOptions::generalized().with_durability(Durability::Wal(WalOptions {
         checkpoint_every: 1_000_000, // one log sync per batch, exactly
-        ..WalOptions::default()
     }));
     let data = Arc::new(MemDisk::new(opts.page_size));
     let log = Arc::new(FaultyDisk::new(Arc::new(MemDisk::new(opts.page_size))));
@@ -399,7 +398,6 @@ fn failed_checkpoint_leaves_the_batch_durable(moves: Moves, seed: u64) {
     let escalates = matches!(moves, Moves::Within(_));
     let opts = IndexOptions::generalized().with_durability(Durability::Wal(WalOptions {
         checkpoint_every: 4 * 32, // every fourth 32-op batch
-        ..WalOptions::default()
     }));
     let data = Arc::new(FaultyDisk::new(Arc::new(MemDisk::new(opts.page_size))));
     let log = Arc::new(MemDisk::new(opts.page_size));

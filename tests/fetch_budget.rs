@@ -521,7 +521,6 @@ fn no_pin_outlives_apply_through_make_room() {
 fn no_pin_outlives_apply_when_the_commit_fails() {
     let opts = IndexOptions::generalized().with_durability(Durability::Wal(WalOptions {
         checkpoint_every: 1_000_000,
-        ..WalOptions::default()
     }));
     let disk = Arc::new(FaultyDisk::new(Arc::new(MemDisk::new(opts.page_size))));
     let bur = IndexBuilder::with_options(opts)

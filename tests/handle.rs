@@ -28,10 +28,7 @@ const PAGE: usize = 1024;
 /// Durable options that never checkpoint mid-test (so commit-record
 /// counting is exact) unless a cadence is given.
 fn durable_opts(checkpoint_every: u64) -> IndexOptions {
-    IndexOptions::generalized().with_durability(Durability::Wal(WalOptions {
-        checkpoint_every,
-        ..WalOptions::default()
-    }))
+    IndexOptions::generalized().with_durability(Durability::Wal(WalOptions { checkpoint_every }))
 }
 
 // ---- acceptance: one commit record per batch + ticketed hard ack ---------

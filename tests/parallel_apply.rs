@@ -47,7 +47,6 @@ fn home(oid: u64) -> Point {
 fn durable_grid(n: u64) -> Bur {
     let wopts = WalOptions {
         checkpoint_every: 1_000_000,
-        ..WalOptions::default()
     };
     let opts = IndexOptions::generalized().with_durability(Durability::Wal(wopts));
     let bur = IndexBuilder::with_options(opts).build().unwrap();
@@ -294,7 +293,6 @@ fn claim_table_covers_the_last_leaf_however_the_tree_came_to_exist() {
     // attached.
     let opts = IndexOptions::generalized().with_durability(Durability::Wal(WalOptions {
         checkpoint_every: 1_000_000,
-        ..WalOptions::default()
     }));
     let disk = Arc::new(MemDisk::new(opts.page_size));
     let primary = IndexBuilder::with_options(opts)
@@ -313,7 +311,8 @@ fn claim_table_covers_the_last_leaf_however_the_tree_came_to_exist() {
 /// through sequential `RTreeIndex::update` calls. Batching may change how
 /// often the pool is asked for a page — never what an update decides:
 /// the outcome counts, the stored entries and the cost of querying the
-/// result must all be equal.
+/// result must all be equal. The stream reaches every rung of the
+/// bottom-up ladder and every repair on both paths.
 fn run_sequential_twin_case(opts: IndexOptions) {
     const N: u64 = 4_000;
     const BATCHES: usize = 120;
@@ -334,15 +333,25 @@ fn run_sequential_twin_case(opts: IndexOptions) {
     let mut pos: Vec<Point> = (0..N).map(home).collect();
     for round in 0..BATCHES {
         // Short moves mostly stay leaf-local (the batch runs shared);
-        // the paper's 0.06 sends every batch to the exclusive path.
+        // the paper's 0.06 sends every batch to the exclusive path. One
+        // in two short batches carries one 0.06 mover, so the shared
+        // pass meets a fast mover too, and one in two long batches may
+        // leave the unit square, so objects on the hull leave the root
+        // MBR.
         let reach = if round % 2 == 0 { 0.003 } else { 0.06f32 };
+        let clamp = |v: f32| if round % 4 == 1 { v } else { v.clamp(0.0, 1.0) };
         let mut batch = Batch::new();
-        for _ in 0..32 {
+        for i in 0..32 {
+            let reach = if round % 4 == 0 && i == 16 {
+                0.06
+            } else {
+                reach
+            };
             let oid = rng.random_range(0..N);
             let old = pos[oid as usize];
             let new = Point::new(
-                (old.x + rng.random_range(-reach..reach)).clamp(0.0, 1.0),
-                (old.y + rng.random_range(-reach..reach)).clamp(0.0, 1.0),
+                clamp(old.x + rng.random_range(-reach..reach)),
+                clamp(old.y + rng.random_range(-reach..reach)),
             );
             batch.update(oid, old, new);
             twin.with_index_mut(|index| index.update(oid, old, new))
@@ -374,6 +383,16 @@ fn run_sequential_twin_case(opts: IndexOptions) {
         ]
     };
     assert_eq!(decisions(&a), decisions(&b), "batched {a}\nsequential {b}");
+    let reached = [
+        a.upd_in_place,
+        a.upd_extended,
+        a.upd_shifted,
+        a.upd_ascended,
+    ];
+    assert!(reached.iter().all(|&n| n > 0), "a class never reached: {a}");
+    if let UpdateStrategy::Generalized(_) = opts.strategy {
+        assert!(a.upd_top_down > 0, "no move left the root MBR: {a}");
+    }
 
     batched.validate().unwrap();
     twin.validate().unwrap();
@@ -717,7 +736,6 @@ fn make_room_splits_survive_power_cuts() {
     const PER_BATCH: u64 = 8;
     let wopts = WalOptions {
         checkpoint_every: 1_000_000,
-        ..WalOptions::default()
     };
     let opts = IndexOptions::generalized().with_durability(Durability::Wal(wopts));
 
@@ -811,7 +829,6 @@ fn concurrent_batches_recover_all_or_nothing() {
     let n = THREADS * PER_THREAD;
     let wopts = WalOptions {
         checkpoint_every: 1_000_000,
-        ..WalOptions::default()
     };
     let opts = IndexOptions::generalized().with_durability(Durability::Wal(wopts));
 

@@ -261,7 +261,6 @@ fn open_rejects_garbage_and_mismatched_page_size() {
 fn parent_layout_durable_file_reopens_and_keeps_logging_in_place() {
     let opts = IndexOptions::generalized().with_durability(Durability::Wal(WalOptions {
         checkpoint_every: 1_000_000,
-        ..WalOptions::default()
     }));
     let dir = TempDir::new("persist");
     let path = dir.file("old-layout.bur");

@@ -18,8 +18,10 @@
 
 mod common;
 
+use bur::core::WAL_ANCHOR;
 use bur::prelude::*;
 use bur::storage::{DiskBackend, FaultKind, FaultyDisk, MemDisk};
+use bur::wal::WalRecord;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::collections::HashMap;
@@ -53,10 +55,7 @@ fn recover_file(
 }
 
 fn durable(base: IndexOptions, checkpoint_every: u64) -> IndexOptions {
-    base.with_durability(Durability::Wal(WalOptions {
-        checkpoint_every,
-        ..WalOptions::default()
-    }))
+    base.with_durability(Durability::Wal(WalOptions { checkpoint_every }))
 }
 
 /// Brute-force oracle answers over the acknowledged positions.
@@ -465,22 +464,19 @@ fn recover_rejects_non_durable_disks_and_options() {
     assert!(err.to_string().contains("write-ahead log"), "got: {err}");
 }
 
-/// Dense sweep over *delta-heavy* generations: short anchor cadence
-/// (full image every 3rd record per page) and a long checkpoint interval,
-/// so cut points land inside delta chains, exactly on full-image anchors,
-/// and between the two. Every acknowledged update must survive, and
-/// mixed full/delta replay must reproduce the oracle.
+/// Dense sweep over *delta-heavy* generations: a checkpoint interval
+/// longer than the sweep's ≈ 170 updates, so cut points land inside
+/// delta chains, exactly on full-image anchors (every 16th record of a
+/// page), and between the two. Every acknowledged update must survive,
+/// and mixed full/delta replay must reproduce the oracle.
 #[test]
 fn crash_recovery_survives_cuts_inside_delta_chains_and_at_anchors() {
     let wopts = WalOptions {
-        checkpoint_every: 48,
-        delta: DeltaPolicy {
-            enabled: true,
-            anchor_every: 3,
-        },
+        checkpoint_every: 1_000,
     };
     let opts = IndexOptions::generalized().with_durability(Durability::Wal(wopts));
-    for cut in (2..92u64).step_by(3) {
+    let (mut deltas, mut anchors) = (0, 0);
+    for cut in (2..200u64).step_by(2) {
         let inner = Arc::new(MemDisk::new(PAGE));
         let faulty = Arc::new(FaultyDisk::new(inner.clone()));
         let mut index = IndexBuilder::with_options(opts)
@@ -518,8 +514,10 @@ fn crash_recovery_survives_cuts_inside_delta_chains_and_at_anchors() {
         let (poid, pold, pnew) = pending.expect("the power cut must fire");
         drop(index);
 
+        anchors += replayed_anchors(&inner);
         let (recovered, report) =
             recover_on(inner, opts).unwrap_or_else(|e| panic!("cut {cut}: recovery failed: {e}"));
+        deltas += report.replayed_deltas;
         recovered.validate().unwrap();
         // The interrupted op lands atomically on exactly one side.
         let at_new = recovered.point_query(pnew).unwrap().contains(&poid);
@@ -536,6 +534,30 @@ fn crash_recovery_survives_cuts_inside_delta_chains_and_at_anchors() {
             );
         }
     }
+    assert!(
+        deltas > 0 && anchors > 0,
+        "the sweep must replay deltas ({deltas}) and anchors ({anchors})"
+    );
+}
+
+/// Full images of a page already logged in the same generation — the
+/// anchors — among the records a recovery of `disk` replays (those up to
+/// the last commit or checkpoint).
+fn replayed_anchors(disk: &MemDisk) -> u64 {
+    let scan = bur::wal::scan(disk, WAL_ANCHOR).unwrap();
+    let end = scan
+        .records
+        .iter()
+        .rposition(|(_, rec)| {
+            matches!(rec, WalRecord::Commit { .. } | WalRecord::Checkpoint { .. })
+        })
+        .map_or(0, |i| i + 1);
+    // A page's first record in a generation is always a full image.
+    let mut logged = std::collections::HashSet::new();
+    let anchors = scan.records[..end]
+        .iter()
+        .filter(|(_, rec)| matches!(rec, WalRecord::PageImage { pid, .. } if !logged.insert(*pid)));
+    anchors.count() as u64
 }
 
 /// A `Batch` is the one way to put several operations under one commit
@@ -548,7 +570,6 @@ fn crash_mid_commit_batch_preserves_every_flushed_batch() {
     const BATCH: usize = 5;
     let wopts = WalOptions {
         checkpoint_every: 1_000_000,
-        ..WalOptions::default()
     };
     let opts = IndexOptions::generalized().with_durability(Durability::Wal(wopts));
     for cut in 1..=60u64 {
@@ -636,7 +657,6 @@ fn crash_mid_commit_batch_preserves_every_flushed_batch() {
 fn checkpoints_recycle_chain_pages_instead_of_leaking() {
     let wopts = WalOptions {
         checkpoint_every: 1_000_000, // checkpoints issued explicitly below
-        ..WalOptions::default()
     };
     let opts = IndexOptions::generalized().with_durability(Durability::Wal(wopts));
     let disk = Arc::new(MemDisk::new(PAGE));

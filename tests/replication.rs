@@ -33,10 +33,7 @@ use std::sync::Arc;
 const PAGE: usize = 1024;
 
 fn durable(base: IndexOptions, checkpoint_every: u64) -> IndexOptions {
-    base.with_durability(Durability::Wal(WalOptions {
-        checkpoint_every,
-        ..WalOptions::default()
-    }))
+    base.with_durability(Durability::Wal(WalOptions { checkpoint_every }))
 }
 
 /// Copy every page of `src` onto a fresh in-memory disk — a frozen
