@@ -51,17 +51,21 @@ fn bench_repl_lag(c: &mut Criterion) {
     // Ship+apply: every update is pumped to the follower immediately.
     {
         let opts = durable_opts();
-        let disk = Arc::new(MemDisk::new(opts.page_size));
+        let (disk, log) = (
+            Arc::new(MemDisk::new(opts.page_size)),
+            Arc::new(MemDisk::new(opts.page_size)),
+        );
         let wl = Workload::generate(WorkloadConfig {
             num_objects: n,
             max_distance: 0.004,
             ..WorkloadConfig::default()
         });
         let index =
-            bur_core::RTreeIndex::bulk_load_on(disk.clone() as _, opts, &wl.items()).unwrap();
+            bur_core::RTreeIndex::bulk_load_on(disk.clone(), Some(log.clone()), opts, &wl.items())
+                .unwrap();
         let primary = bur_core::Bur::from_index(index);
         let mut wl = wl;
-        let mut shipper = LogShipper::new(disk);
+        let mut shipper = LogShipper::new(disk, log);
         let mut follower = Follower::attach_in_memory(&mut shipper, opts).unwrap();
         group.bench_function("ship+apply", |b| {
             b.iter(|| {

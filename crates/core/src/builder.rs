@@ -24,7 +24,7 @@ use crate::error::{CoreError, CoreResult};
 use crate::files::{log_path, IndexFiles};
 use crate::handle::Bur;
 use crate::index::{RTreeIndex, RecoveryReport};
-use bur_storage::{DiskBackend, FileDisk};
+use bur_storage::{DiskBackend, FileDisk, MemDisk};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -167,30 +167,29 @@ impl IndexBuilder {
     /// sidecar `<path>.wal` ([`crate::log_path`]), so a commit's `fsync`
     /// touches the sequential log and never the data pages the pool
     /// evicted; the data file is synced once per checkpoint. Creating
-    /// truncates a stale sidecar; a file written before the log moved out
-    /// (log at page 1, no sidecar) opens and keeps logging in place.
+    /// refuses an existing `path` and truncates a stale sidecar with no
+    /// data file beside it. A file written before the log moved out (log
+    /// inside the data file, no sidecar) fails closed with
+    /// [`CoreError::LogMissing`] until [`crate::upgrade`] moves its log.
     pub fn file(mut self, path: impl Into<PathBuf>) -> Self {
         self.backend = Backend::File(path.into());
         self
     }
 
     /// A caller-supplied disk backend (fault-injection wrappers, shared
-    /// in-memory disks for crash drills, ...).
-    ///
-    /// A durable index keeps its log on `disk` too, from page 1, unless
-    /// [`IndexBuilder::log_disk`] says otherwise.
+    /// in-memory disks for crash drills, ...). A durable index needs a
+    /// [`IndexBuilder::log_disk`] beside it.
     pub fn disk(mut self, disk: Arc<dyn DiskBackend>) -> Self {
         self.backend = Backend::Disk(disk);
         self
     }
 
-    /// Put the write-ahead log of a [`IndexBuilder::disk`] backend on a
-    /// disk of its own — what [`IndexBuilder::file`] does with the
-    /// sidecar, for callers that bring their own disks (crash drills that
-    /// fail the two independently). Wiring, not tuning: the log, recovery
-    /// and checkpoints are the same code either way. An index created
-    /// this way must be opened with its log disk again
-    /// ([`CoreError::LogMissing`] otherwise).
+    /// The disk the write-ahead log of a [`IndexBuilder::disk`] backend
+    /// lives on — what [`IndexBuilder::file`] does with the sidecar, for
+    /// callers that bring their own disks. A durable index needs one:
+    /// creating without it is [`CoreError::BadConfig`], opening or
+    /// recovering without it [`CoreError::LogMissing`]. A volatile index
+    /// takes none ([`CoreError::BadConfig`]).
     pub fn log_disk(mut self, log: Arc<dyn DiskBackend>) -> Self {
         self.log_disk = Some(log);
         self
@@ -260,6 +259,7 @@ impl IndexBuilder {
                 "log_disk(..) goes with disk(..); file(..) resolves its own sidecar".into(),
             ));
         }
+        let durable = matches!(opts.durability, Durability::Wal(_));
         let disk: Arc<dyn DiskBackend> = match backend {
             Backend::Memory => {
                 if !matches!(mode, OpenMode::Create) {
@@ -269,16 +269,25 @@ impl IndexBuilder {
                             .into(),
                     ));
                 }
-                Arc::new(bur_storage::MemDisk::new(opts.page_size))
+                if durable {
+                    log_disk = Some(Arc::new(MemDisk::new(opts.page_size)));
+                }
+                Arc::new(MemDisk::new(opts.page_size))
             }
             Backend::File(path) if matches!(mode, OpenMode::Create) => {
+                if path.exists() {
+                    return Err(CoreError::BadConfig(format!(
+                        "{} already exists; open it, or delete it and its sidecar first",
+                        path.display()
+                    )));
+                }
                 let create = |p: &std::path::Path| {
                     FileDisk::create(p, opts.page_size).map_err(|e| {
                         CoreError::BadConfig(format!("cannot create {}: {e}", p.display()))
                     })
                 };
                 let sidecar = log_path(&path);
-                if matches!(opts.durability, Durability::Wal(_)) {
+                if durable {
                     // Truncates whatever an earlier index left there.
                     log_disk = Some(Arc::new(create(&sidecar)?));
                 } else {
@@ -316,9 +325,11 @@ mod tests {
     #[test]
     fn create_open_recover_roundtrip_on_shared_disk() {
         let disk = Arc::new(MemDisk::new(1024));
+        let log = Arc::new(MemDisk::new(1024));
         let mut index = IndexBuilder::generalized()
             .durable()
             .disk(disk.clone())
+            .log_disk(log.clone())
             .build_index()
             .unwrap();
         index.insert(1, Point::new(0.4, 0.4)).unwrap();
@@ -326,6 +337,7 @@ mod tests {
 
         let (recovered, report) = IndexBuilder::generalized()
             .disk(disk.clone())
+            .log_disk(log.clone())
             .recover()
             .build_index_with_report()
             .unwrap();
@@ -337,11 +349,25 @@ mod tests {
         // `open` on a durable disk replays the (clean) log too.
         let reopened = IndexBuilder::generalized()
             .disk(disk)
+            .log_disk(log)
             .open()
             .build_index()
             .unwrap();
         assert_eq!(reopened.len(), 1);
         assert!(reopened.is_durable());
+    }
+
+    #[test]
+    fn a_durable_disk_without_a_log_disk_is_refused_before_any_write() {
+        let disk = Arc::new(MemDisk::new(1024));
+        let err = IndexBuilder::generalized()
+            .durable()
+            .disk(disk.clone())
+            .build_index()
+            .unwrap_err();
+        assert!(matches!(err, CoreError::BadConfig(_)), "{err}");
+        assert!(err.to_string().contains("log_disk"), "{err}");
+        assert_eq!(disk.num_pages(), 0, "nothing was written");
     }
 
     #[test]
@@ -354,12 +380,6 @@ mod tests {
             .log_disk(log.clone())
             .build_index()
             .unwrap();
-        // Page 1 of the data disk is the first tree page, not a log anchor.
-        assert!(
-            !bur_wal::scan(data.as_ref(), crate::WAL_ANCHOR)
-                .unwrap()
-                .valid
-        );
         assert!(
             bur_wal::scan(log.as_ref(), crate::LOG_DISK_ANCHOR)
                 .unwrap()
@@ -392,24 +412,6 @@ mod tests {
             .build_index()
             .unwrap();
         assert_eq!(recovered.len(), 51, "the tail came from the log disk");
-
-        // And the other way round: a log disk offered to an index that
-        // logs in place is not its log.
-        let shared = Arc::new(MemDisk::new(1024));
-        drop(
-            IndexBuilder::generalized()
-                .durable()
-                .disk(shared.clone())
-                .build_index()
-                .unwrap(),
-        );
-        let err = IndexBuilder::generalized()
-            .disk(shared)
-            .log_disk(Arc::new(MemDisk::new(1024)))
-            .recover()
-            .build_index()
-            .unwrap_err();
-        assert!(err.to_string().contains("log disk"), "{err}");
     }
 
     #[test]

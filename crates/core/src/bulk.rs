@@ -7,7 +7,7 @@
 //! statistically equivalent to an incrementally built one for the update
 //! experiments (the equivalence is checked in the integration tests).
 
-use crate::config::IndexOptions;
+use crate::config::{Durability, IndexOptions};
 use crate::error::CoreResult;
 use crate::index::RTreeIndex;
 use crate::node::{InternalEntry, LeafEntry, Node, ObjectId};
@@ -55,22 +55,27 @@ fn balanced_chunks(
 }
 
 impl RTreeIndex {
-    /// Bulk load `items` into a fresh in-memory index.
+    /// Bulk load `items` into a fresh in-memory index (its log, when
+    /// durable, on a second in-memory disk).
     pub fn bulk_load_in_memory(
         opts: IndexOptions,
         items: &[(ObjectId, Point)],
     ) -> CoreResult<Self> {
-        let disk = Arc::new(MemDisk::new(opts.page_size));
-        Self::bulk_load_on(disk, opts, items)
+        let disk = || -> Arc<dyn DiskBackend> { Arc::new(MemDisk::new(opts.page_size)) };
+        let log = matches!(opts.durability, Durability::Wal(_)).then(disk);
+        Self::bulk_load_on(disk(), log, opts, items)
     }
 
     /// Bulk load `items` into a fresh index on `disk` using STR packing.
+    /// A durable index keeps its log on the (empty) `log_disk`; a
+    /// volatile one takes none.
     pub fn bulk_load_on(
         disk: Arc<dyn DiskBackend>,
+        log_disk: Option<Arc<dyn DiskBackend>>,
         opts: IndexOptions,
         items: &[(ObjectId, Point)],
     ) -> CoreResult<Self> {
-        let mut index = Self::create_on_inner(disk, None, opts)?;
+        let mut index = Self::create_on_inner(disk, log_disk, opts)?;
         if items.is_empty() {
             return Ok(index);
         }

@@ -1,14 +1,19 @@
 //! An index on a real file is a file *pair*: `<path>` holds the tree,
 //! the hash index and the metadata chain; `<path>.wal` holds the
 //! write-ahead log of a durable index. Everything that opens, ships or
-//! inspects an index file resolves the pair through [`IndexFiles`], so
-//! "where is the log" has one answer: what the file's own metadata says
-//! (see [`MetaSnapshot::log_elsewhere`]). Files written before the log
-//! moved out keep it in place at [`WAL_ANCHOR`] and have no sidecar.
+//! inspects an index file resolves the pair through [`IndexFiles`].
+//!
+//! Files written before the log moved out chain it inside the data file
+//! instead. They fail closed with [`CoreError::LogMissing`] until
+//! [`upgrade`] (`burctl upgrade <path>`) moves the log to its sidecar.
 
+use crate::config::{Durability, IndexOptions};
 use crate::error::{CoreError, CoreResult};
-use crate::meta::{read_meta_chain, MetaSnapshot, LOG_DISK_ANCHOR, WAL_ANCHOR};
+use crate::index::{redo_log, RTreeIndex, RecoveryReport};
+use crate::meta::{read_meta_chain, MetaSnapshot, LOG_DISK_ANCHOR};
+use crate::tree::WalHandle;
 use bur_storage::{BufferPool, DiskBackend, FileDisk, PageId, PoolConfig, INVALID_PAGE};
+use bur_wal::{ScanResult, Wal, WalRecord};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -21,49 +26,53 @@ pub fn log_path(path: &Path) -> PathBuf {
     PathBuf::from(name)
 }
 
-/// The metadata snapshot stored in the chain headed at page 0 and the
-/// continuation pages it occupies — `None` when the chain does not hold
-/// a genuine snapshot. Walked defensively: a crash inside a chain rewrite
-/// can leave torn links, so the pages are only trusted when the walked
-/// payload round-trips.
-pub(crate) fn stored_snapshot(pool: &BufferPool) -> Option<(MetaSnapshot, Vec<PageId>)> {
+/// The metadata snapshot stored in the chain headed at page 0, with
+/// [`MetaSnapshot::decode`]'s old-layout flag, and the continuation pages
+/// it occupies — `None` when the chain does not hold a genuine snapshot.
+/// Walked defensively: a crash inside a chain rewrite can leave torn
+/// links, so the pages are only trusted when the walked payload
+/// round-trips.
+pub(crate) fn stored_snapshot(pool: &BufferPool) -> Option<((MetaSnapshot, bool), Vec<PageId>)> {
     let (payload, pages) = read_meta_chain(pool).ok()?;
     Some((MetaSnapshot::decode(&payload).ok()?, pages))
 }
 
-/// An existing index file opened together with whatever holds its log.
+fn open_file(path: &Path, page_size: usize) -> CoreResult<Arc<dyn DiskBackend>> {
+    Ok(Arc::new(FileDisk::open(path, page_size).map_err(|e| {
+        CoreError::BadConfig(format!("cannot open {}: {e}", path.display()))
+    })?))
+}
+
+/// An existing index file opened together with its log sidecar.
 pub struct IndexFiles {
     /// The page file at the path itself.
     pub data: Arc<dyn DiskBackend>,
-    /// The `.wal` sidecar, when the file keeps its log there.
+    /// The `.wal` sidecar of a durable file; `None` for a volatile one.
     pub sidecar: Option<Arc<dyn DiskBackend>>,
-    /// Anchor page of the log chain on [`IndexFiles::log_disk`]; `None`
-    /// when the file is not durable.
-    pub anchor: Option<PageId>,
 }
 
 impl IndexFiles {
-    /// Open the index file at `path` and resolve its log. A file whose
-    /// metadata says the log lives in the sidecar fails with
-    /// [`CoreError::LogMissing`] when the sidecar is gone — never with an
-    /// index silently rolled back to its last checkpoint.
+    /// Open the index file at `path` and, when its metadata says it is
+    /// durable, its sidecar. A durable file whose sidecar is gone fails
+    /// with [`CoreError::LogMissing`] — never with an index silently
+    /// rolled back to its last checkpoint — and so does a file that keeps
+    /// its log inside it.
     pub fn open(path: &Path, page_size: usize) -> CoreResult<Self> {
-        let cannot_open =
-            |p: &Path, e| CoreError::BadConfig(format!("cannot open {}: {e}", p.display()));
-        let data: Arc<dyn DiskBackend> =
-            Arc::new(FileDisk::open(path, page_size).map_err(|e| cannot_open(path, e))?);
+        let data = open_file(path, page_size)?;
         let sidecar_path = log_path(path);
         let probe = BufferPool::new(data.clone(), PoolConfig::default());
-        let (elsewhere, anchor) = match stored_snapshot(&probe) {
-            Some((snap, _)) if snap.wal_anchor == INVALID_PAGE => (false, None),
-            Some((snap, _)) => (snap.log_elsewhere, Some(snap.wal_anchor)),
+        let durable = match stored_snapshot(&probe) {
+            Some(((_, true), _)) => return Err(in_file_log(path)),
+            Some(((snap, false), _)) => snap.wal_anchor != INVALID_PAGE,
             // Page 0 is rewritten in place at every checkpoint; when a
             // crash tore it, the log (which carries the snapshot in every
-            // commit record) is the authority, wherever it can be found.
-            None if sidecar_path.exists() => (true, Some(LOG_DISK_ANCHOR)),
-            None => (false, Some(WAL_ANCHOR)),
+            // commit record) is the authority: the sidecar, or else a log
+            // chained inside the file.
+            None if sidecar_path.exists() => true,
+            None if in_file_chain(data.as_ref()).is_some() => return Err(in_file_log(path)),
+            None => false,
         };
-        let sidecar: Option<Arc<dyn DiskBackend>> = if elsewhere {
+        let sidecar = if durable {
             if !sidecar_path.exists() {
                 return Err(CoreError::LogMissing(format!(
                     "{} keeps its log in {}, which does not exist",
@@ -71,24 +80,219 @@ impl IndexFiles {
                     sidecar_path.display()
                 )));
             }
-            Some(Arc::new(
-                FileDisk::open(&sidecar_path, page_size)
-                    .map_err(|e| cannot_open(&sidecar_path, e))?,
-            ))
+            Some(open_file(&sidecar_path, page_size)?)
         } else {
             None
         };
-        Ok(Self {
-            data,
-            sidecar,
-            anchor,
-        })
+        Ok(Self { data, sidecar })
+    }
+}
+
+/// Where the log of a file written before the log moved out is chained
+/// from: page 1 of the data file, right after the metadata page.
+const LEGACY_LOG_ANCHOR: PageId = 1;
+
+/// The log chained inside `data` by a file written before the log moved
+/// out, when one is there.
+fn in_file_chain(data: &dyn DiskBackend) -> Option<ScanResult> {
+    bur_wal::scan(data, LEGACY_LOG_ANCHOR)
+        .ok()
+        .filter(|s| s.valid)
+}
+
+/// Whether `log` holds a commit or checkpoint that recovery can start
+/// from.
+fn holds_recovery_point(log: &dyn DiskBackend) -> bool {
+    bur_wal::scan(log, LOG_DISK_ANCHOR).is_ok_and(|s| {
+        s.valid
+            && s.records
+                .iter()
+                .any(|(_, r)| matches!(r, WalRecord::Commit { .. } | WalRecord::Checkpoint { .. }))
+    })
+}
+
+/// The refusal of an index file whose log is chained inside it.
+fn in_file_log(path: &Path) -> CoreError {
+    CoreError::LogMissing(format!(
+        "{0} keeps its write-ahead log inside the data file, a layout this build no longer \
+         opens; run `burctl upgrade {0}` once to move the log to its sidecar",
+        path.display()
+    ))
+}
+
+/// Move the write-ahead log of the old-layout index file at `path` into
+/// its sidecar: redo the old log to its last commit or checkpoint, as
+/// recovery does, create the sidecar and checkpoint into it. Returns the
+/// upgraded index and what the redo did. The old log's pages stay in the
+/// data file, unused. A file whose page 0 was torn upgrades from its old
+/// log alone. A file without an in-file log is refused unchanged.
+///
+/// Cut short anywhere, the upgrade leaves a file that either still names
+/// its old log, intact — run the upgrade again — or names a sidecar that
+/// holds a recovery point: the redone pages reach the data file, and a
+/// commit of their snapshot the sidecar, before page 0 moves.
+pub fn upgrade(path: &Path, opts: IndexOptions) -> CoreResult<(RTreeIndex, RecoveryReport)> {
+    let sidecar = log_path(path);
+    let data = open_file(path, opts.page_size)?;
+    let recovers = open_file(&sidecar, opts.page_size).is_ok_and(|l| holds_recovery_point(&*l));
+    upgrade_on(data, recovers, opts, || {
+        // Truncates whatever an interrupted upgrade left there: page 0
+        // still names the old log, so nothing in the sidecar is live.
+        let log = FileDisk::create(&sidecar, opts.page_size).map_err(|e| {
+            CoreError::BadConfig(format!("cannot create {}: {e}", sidecar.display()))
+        })?;
+        Ok(Arc::new(log))
+    })
+}
+
+/// [`upgrade`] on disks: `data` holds the index, `log_recovers` says
+/// whether its log disk holds a recovery point already (a torn page 0
+/// beside one belongs to an upgraded file), and `create_log` makes that
+/// disk, empty, once `data` is known to need it.
+fn upgrade_on(
+    data: Arc<dyn DiskBackend>,
+    log_recovers: bool,
+    opts: IndexOptions,
+    create_log: impl FnOnce() -> CoreResult<Arc<dyn DiskBackend>>,
+) -> CoreResult<(RTreeIndex, RecoveryReport)> {
+    let Durability::Wal(wopts) = opts.durability else {
+        return Err(CoreError::BadConfig("upgrade needs durable options".into()));
+    };
+    opts.validate()?;
+    let pool = Arc::new(BufferPool::new(
+        data.clone(),
+        PoolConfig {
+            capacity: opts.buffer_frames,
+        },
+    ));
+    let stored = stored_snapshot(&pool);
+    let old_layout = stored.as_ref().map_or(!log_recovers, |((_, old), _)| *old);
+    let scanned = in_file_chain(data.as_ref())
+        .filter(|_| old_layout)
+        .ok_or_else(|| {
+            CoreError::BadConfig(
+                "the file keeps no log inside it; there is nothing to upgrade".into(),
+            )
+        })?;
+    let (mut snap, report) = redo_log(&pool, &scanned)?;
+    // The redone image is durable while page 0 still names the old log,
+    // and the sidecar holds a recovery point before the checkpoint
+    // rewrites page 0.
+    pool.flush_all()?;
+    let wal = Wal::create(create_log()?)?;
+    snap.wal_anchor = wal.anchor();
+    wal.commit(snap.encode())?;
+    let meta_cont = stored.map_or_else(Vec::new, |(_, pages)| pages);
+    let wal = WalHandle::new(wal, wopts);
+    let index = RTreeIndex::adopt_redone(pool, opts, &snap, meta_cont, wal)?;
+    Ok((index, report))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use bur_geom::Point;
+    use bur_storage::{FaultKind, FaultyDisk, MemDisk};
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
+
+    /// Written through `.disk(FileDisk)` when that kept the log inside the
+    /// file: seed 41, 200 objects populated and checkpointed, then 100
+    /// moves that live only in that log.
+    const FIXTURE: &[u8] = include_bytes!("../../../tests/fixtures/old-layout.bur");
+
+    /// The fixture on an in-memory disk; with `torn_page_0`, page 0 as a
+    /// crash inside the old layout's checkpoint can leave it.
+    fn fixture_disk(page_size: usize, torn_page_0: bool) -> Arc<MemDisk> {
+        let disk = Arc::new(MemDisk::new(page_size));
+        for (pid, page) in FIXTURE.chunks(page_size).enumerate() {
+            assert_eq!(disk.allocate().unwrap(), pid as PageId);
+            disk.write(pid as PageId, page).unwrap();
+        }
+        if torn_page_0 {
+            disk.write(0, &vec![0u8; page_size]).unwrap();
+        }
+        disk
     }
 
-    /// The disk the log is written to: the sidecar, or the data file
-    /// itself for a file that logs in place.
-    #[must_use]
-    pub fn log_disk(&self) -> &Arc<dyn DiskBackend> {
-        self.sidecar.as_ref().unwrap_or(&self.data)
+    /// Every object at its last acknowledged position, regenerated from
+    /// the fixture's seed the way `tests/persistence.rs` wrote it.
+    fn assert_acked(index: &RTreeIndex) {
+        let mut rng = StdRng::seed_from_u64(41);
+        let mut positions: Vec<Point> = (0..200)
+            .map(|_| Point::new(rng.random_range(0.0..1.0), rng.random_range(0.0..1.0)))
+            .collect();
+        for _ in 0..100 {
+            let oid = rng.random_range(0..positions.len() as u64) as usize;
+            positions[oid] = positions[oid]
+                .translated(rng.random_range(-0.05..0.05), rng.random_range(-0.05..0.05));
+        }
+        index.validate().unwrap();
+        assert_eq!(index.len(), 200);
+        for (oid, p) in positions.iter().enumerate() {
+            assert!(
+                index.point_query(*p).unwrap().contains(&(oid as u64)),
+                "acknowledged position of {oid} lost"
+            );
+        }
+    }
+
+    /// A power cut at every write of an upgrade, data and log on one
+    /// supply, page 0 intact or torn: afterwards the file either still
+    /// counts as old, and the upgrade runs again, or recovery from the
+    /// sidecar finds every acknowledged position.
+    #[test]
+    fn an_upgrade_cut_at_any_write_reruns_or_recovers() {
+        let opts = IndexOptions::durable();
+        let ps = opts.page_size;
+        let fresh = || Ok(Arc::new(MemDisk::new(ps)) as Arc<dyn DiskBackend>);
+        for torn in [false, true] {
+            let mut cut = 0;
+            loop {
+                let (data, log) = (fixture_disk(ps, torn), Arc::new(MemDisk::new(ps)));
+                let (fdata, flog) = FaultyDisk::pair(data.clone(), log.clone());
+                fdata.inject(FaultKind::TornWrite { after_writes: cut });
+                let upgraded = upgrade_on(fdata.clone(), false, opts, || Ok(flog));
+                let finished = upgraded.is_ok() && !fdata.power_cut_triggered();
+                drop(upgraded);
+                // Power returns; the file tools decide the same way.
+                let probe = BufferPool::new(data.clone(), PoolConfig::default());
+                let old = match stored_snapshot(&probe) {
+                    Some(((_, old), _)) => old,
+                    None => !holds_recovery_point(log.as_ref()),
+                };
+                let index = if old {
+                    upgrade_on(data, false, opts, fresh).unwrap().0
+                } else {
+                    RTreeIndex::recover_on_inner(data, Some(log), opts)
+                        .unwrap_or_else(|e| panic!("torn {torn}, cut at write {cut}: {e}"))
+                        .0
+                };
+                assert_acked(&index);
+                if finished {
+                    break;
+                }
+                cut += 1;
+            }
+            assert!(
+                cut > 10,
+                "the sweep crossed the whole upgrade ({cut} writes)"
+            );
+        }
+    }
+
+    /// An old file whose page 0 a crash tore upgrades from its in-file
+    /// log; beside a log that recovers, it counts as upgraded already.
+    #[test]
+    fn an_old_file_with_a_torn_page_0_upgrades_from_its_log() {
+        let opts = IndexOptions::durable();
+        let ps = opts.page_size;
+        let data = fixture_disk(ps, true);
+        let log = || Ok(Arc::new(MemDisk::new(ps)) as Arc<dyn DiskBackend>);
+        let err = upgrade_on(data.clone(), true, opts, log).unwrap_err();
+        assert!(err.to_string().contains("nothing to upgrade"), "{err}");
+        let (index, report) = upgrade_on(data, false, opts, log).unwrap();
+        assert!(report.committed_ops > 0);
+        assert_acked(&index);
     }
 }

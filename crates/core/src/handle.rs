@@ -230,8 +230,8 @@ impl Bur {
     /// lock, then flip the handle writable. Every clone held by a
     /// query thread becomes a handle on the new primary at the same
     /// moment. Fails on a handle that is already writable. `log_disk` is
-    /// the replica's own log disk when the copied data disk carries no
-    /// log chain (see [`RTreeIndex::promote_replica`]).
+    /// the (empty) disk a durable promote logs to; a volatile one takes
+    /// none (see [`RTreeIndex::promote_replica`]).
     pub fn promote_replica(
         &self,
         opts: IndexOptions,

@@ -7,9 +7,7 @@ use crate::config::{Durability, IndexOptions, UpdateStrategy};
 use crate::error::{CoreError, CoreResult};
 use crate::files::stored_snapshot;
 use crate::knn::{self, Neighbor};
-use crate::meta::{
-    read_meta_chain, write_meta_chain, MetaSnapshot, LOG_DISK_ANCHOR, META_PAGE, WAL_ANCHOR,
-};
+use crate::meta::{read_meta_chain, write_meta_chain, MetaSnapshot, LOG_DISK_ANCHOR, META_PAGE};
 use crate::node::{LeafEntry, NodeEntries, ObjectId};
 use crate::stats::{OpStats, UpdateOutcome};
 use crate::summary::SummaryStructure;
@@ -18,7 +16,7 @@ use crate::{bottom_up, topdown};
 use bur_geom::{Point, Rect};
 use bur_hashindex::{HashIndexConfig, LinearHashIndex};
 use bur_storage::{BufferPool, DiskBackend, IoStats, PageId, PoolConfig, INVALID_PAGE};
-use bur_wal::{RedoError, Wal, WalRecord, WalStatsSnapshot};
+use bur_wal::{RedoError, ScanResult, Wal, WalRecord, WalStatsSnapshot};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -92,12 +90,8 @@ impl RTreeIndex {
     // release and have been removed.
 
     //
-    // `log_disk` is where a durable index keeps its write-ahead log when
-    // that is not the data disk: `Some` puts the chain on that disk from
-    // [`LOG_DISK_ANCHOR`], `None` keeps it on `disk` from [`WAL_ANCHOR`].
-    // Either way it is the same `Wal`, the same redo and the same
-    // checkpoint; only the `Arc<dyn DiskBackend>` they write through
-    // differs.
+    // A durable index keeps its write-ahead log on `log_disk`, chained
+    // from [`LOG_DISK_ANCHOR`]; a volatile one takes none.
 
     pub(crate) fn create_on_inner(
         disk: Arc<dyn DiskBackend>,
@@ -106,7 +100,19 @@ impl RTreeIndex {
     ) -> CoreResult<Self> {
         opts.validate()?;
         check_page_size(disk.as_ref(), &opts)?;
-        if disk.num_pages() != 0 || log_disk.as_ref().is_some_and(|l| l.num_pages() != 0) {
+        let log = match opts.durability {
+            Durability::Wal(_) if log_disk.is_none() => {
+                return Err(CoreError::BadConfig(
+                    "a durable index keeps its write-ahead log on a disk of its own: \
+                     pass log_disk(..) with disk(..)"
+                        .into(),
+                ))
+            }
+            Durability::Wal(wopts) => Some((log_disk_of(log_disk, &opts)?, wopts)),
+            Durability::None if log_disk.is_some() => return Err(log_disk_without_log()),
+            Durability::None => None,
+        };
+        if disk.num_pages() != 0 || log.as_ref().is_some_and(|(l, _)| l.num_pages() != 0) {
             return Err(CoreError::BadConfig(
                 "create mode requires an empty disk; use open mode for existing files".into(),
             ));
@@ -122,24 +128,14 @@ impl RTreeIndex {
         debug_assert_eq!(meta_pid, META_PAGE);
         guard.write().fill(0);
         drop(guard);
-        // A durable index reserves the WAL anchor before any tree page
-        // (page 1 of the data disk, or the first page of the log's own
-        // disk), so recovery always knows where the log starts.
-        let wal = match opts.durability {
-            Durability::Wal(wopts) => {
+        let wal = match log {
+            Some((log, wopts)) => {
                 pool.set_wal_mode(true);
-                let (log, anchor) = log_site(pool.disk(), log_disk.as_ref(), &opts)?;
                 let wal = Wal::create(log)?;
-                if wal.anchor() != anchor {
-                    return Err(CoreError::BadConfig(format!(
-                        "WAL anchor landed on page {} instead of {anchor}",
-                        wal.anchor()
-                    )));
-                }
-                Some(WalHandle::new(wal, wopts, log_disk.is_some()))
+                debug_assert_eq!(wal.anchor(), LOG_DISK_ANCHOR);
+                Some(WalHandle::new(wal, wopts))
             }
-            Durability::None if log_disk.is_some() => return Err(log_disk_without_log()),
-            Durability::None => None,
+            None => None,
         };
         let mut tree = RTree::create(pool, opts)?;
         tree.wal = wal;
@@ -181,7 +177,7 @@ impl RTreeIndex {
             },
         ));
         let (payload, meta_cont) = read_meta_chain(&pool)?;
-        let snap = MetaSnapshot::decode(&payload)?;
+        let (snap, _) = MetaSnapshot::decode(&payload)?;
         if snap.page_size != opts.page_size {
             return Err(CoreError::BadConfig(format!(
                 "stored page size {} != configured {}",
@@ -335,17 +331,16 @@ impl RTreeIndex {
     }
 
     /// Recover a durable index from `disk` after a crash (ARIES-style
-    /// redo): scan the write-ahead log, replay every page image up to the
-    /// last durable commit onto the surviving base image, rebuild the
-    /// main-memory summary structure / hash index / parent pointers the
-    /// strategy needs, and checkpoint so the log is clean again. Safe to
-    /// call on a cleanly shut down index (the replay is then a no-op).
+    /// redo): scan the write-ahead log on `log_disk`, replay every page
+    /// image up to the last durable commit onto the surviving base image,
+    /// rebuild the main-memory summary structure / hash index / parent
+    /// pointers the strategy needs, and checkpoint so the log is clean
+    /// again. Safe to call on a cleanly shut down index (the replay is
+    /// then a no-op).
     ///
-    /// `opts.durability` must be [`Durability::Wal`]; a disk that was
-    /// never durable (no log at its anchor page) is rejected, and so is
-    /// looking for the log anywhere but where the stored metadata says it
-    /// lives ([`CoreError::LogMissing`] when that is a log disk the
-    /// caller did not supply).
+    /// `opts.durability` must be [`Durability::Wal`]. Without a log disk,
+    /// or with one that holds no log, this fails with
+    /// [`CoreError::LogMissing`].
     pub(crate) fn recover_on_inner(
         disk: Arc<dyn DiskBackend>,
         log_disk: Option<Arc<dyn DiskBackend>>,
@@ -365,109 +360,52 @@ impl RTreeIndex {
                 capacity: opts.buffer_frames,
             },
         ));
-        // Where the log lives is the stored index's property. Best
-        // effort — a torn page 0 says nothing, and then the log found
-        // where the caller pointed is the authority.
+        // Best effort: a torn page 0 says nothing, and then the log is
+        // the authority.
         let stored = stored_snapshot(&pool);
-        if let Some((stored, _)) = &stored {
-            if stored.log_elsewhere && log_disk.is_none() {
-                return Err(CoreError::LogMissing(
-                    "this index keeps its log on a separate disk, which was not supplied".into(),
-                ));
-            }
-            if !stored.log_elsewhere && log_disk.is_some() {
-                return Err(log_disk_without_log());
-            }
-        }
-        let (log, anchor) = log_site(pool.disk(), log_disk.as_ref(), &opts)?;
-        let (wal, scanned) = Wal::reopen(log, anchor)?;
+        let (wal, scanned) = Wal::reopen(log_disk_of(log_disk, &opts)?, LOG_DISK_ANCHOR)?;
         if !scanned.valid {
-            return Err(if log_disk.is_some() {
-                CoreError::LogMissing("the log disk holds no write-ahead log".into())
-            } else {
-                CoreError::BadConfig(
-                    "no write-ahead log on this disk (index not created with Durability::Wal?)"
-                        .into(),
-                )
-            });
+            return Err(CoreError::LogMissing(
+                "the log disk holds no write-ahead log (index not created with Durability::Wal?)"
+                    .into(),
+            ));
         }
-        // The recovery point is the last commit or checkpoint; images
-        // after it belong to an operation that was never acknowledged.
-        let mut recovery_point: Option<usize> = None;
-        let mut meta_bytes: Option<&Vec<u8>> = None;
-        for (i, (_lsn, rec)) in scanned.records.iter().enumerate() {
-            if let WalRecord::Commit { meta } | WalRecord::Checkpoint { meta } = rec {
-                recovery_point = Some(i);
-                meta_bytes = Some(meta);
-            }
-        }
-        let mut report = RecoveryReport {
-            scanned_records: scanned.records.len() as u64,
-            log_generation: scanned.generation,
-            torn_tail: scanned.torn_tail,
-            ..RecoveryReport::default()
-        };
-        let snap = if let (Some(cut), Some(meta_bytes)) = (recovery_point, meta_bytes) {
-            let snap = MetaSnapshot::decode(meta_bytes)?;
-            report.recovered_lsn = scanned.records[cut].0;
-            // Redo: replay page records in log order. The first record of
-            // every page in a generation is a full image (the delta
-            // encoder anchors there), so replay never depends on the
-            // pre-crash content of a page — each delta applies onto the
-            // state produced by the records before it, which `redo`
-            // verifies against the delta's recorded base.
-            let replayed = &scanned.records[..=cut];
-            let (images, deltas) =
-                bur_wal::redo(&pool, replayed, &mut HashMap::new()).map_err(|e| match e {
-                    RedoError::Corrupt(msg) => CoreError::BadConfig(format!("{msg} (corrupt log)")),
-                    RedoError::Storage(e) => e.into(),
-                })?;
-            report.replayed_images = images;
-            report.replayed_deltas = deltas;
-            report.committed_ops = replayed
-                .iter()
-                .filter(|(_, rec)| matches!(rec, WalRecord::Commit { .. }))
-                .count() as u64;
-            snap
-        } else {
-            // No commit or checkpoint survived in the log. The one benign
-            // way here: the crash cut the checkpoint *rewind* itself, after
-            // the base image (including the metadata chain) was fully
-            // flushed but before the fresh generation's checkpoint record
-            // landed. The metadata chain is then the recovery point and
-            // there is nothing to replay.
-            let (payload, _pages) = read_meta_chain(&pool).map_err(|e| {
-                CoreError::BadConfig(format!(
-                    "write-ahead log holds no recovery point and the metadata chain is \
-                     unreadable ({e})"
-                ))
-            })?;
-            MetaSnapshot::decode(&payload)?
-        };
+        let (snap, report) = redo_log(&pool, &scanned)?;
+        // The on-disk metadata chain (from the last completed checkpoint)
+        // is superseded the moment we re-checkpoint; hand its continuation
+        // pages to the chain recycler. A torn `next` pointer could name a
+        // *live* tree page, so the pages are only trusted (and later
+        // overwritten by the recycler) when the walked payload round-trips
+        // as a genuine metadata snapshot.
+        let meta_cont = stored.map_or_else(Vec::new, |(_, pages)| pages);
+        let index = Self::adopt_redone(pool, opts, &snap, meta_cont, WalHandle::new(wal, wopts))?;
+        Ok((index, report))
+    }
+
+    /// The tail of recovery: rebuild the index over the redone image
+    /// (summary structure, hash index and parent pointers included),
+    /// attach `wal` and checkpoint — the disk becomes a clean base image
+    /// and the log restarts.
+    pub(crate) fn adopt_redone(
+        pool: Arc<BufferPool>,
+        opts: IndexOptions,
+        snap: &MetaSnapshot,
+        meta_cont: Vec<PageId>,
+        wal: WalHandle,
+    ) -> CoreResult<Self> {
         if snap.page_size != opts.page_size {
             return Err(CoreError::BadConfig(format!(
                 "logged page size {} != configured {}",
                 snap.page_size, opts.page_size
             )));
         }
-        report.recovered_len = snap.len;
-        // The on-disk metadata chain (from the last completed checkpoint)
-        // is superseded the moment we re-checkpoint below; hand its
-        // continuation pages to the chain recycler. A torn `next` pointer
-        // could name a *live* tree page, so the pages are only trusted
-        // (and later overwritten by the recycler) when the walked payload
-        // round-trips as a genuine metadata snapshot.
-        let meta_cont = stored.map_or_else(Vec::new, |(_, pages)| pages);
-        // Rebuild the index over the replayed image (summary structure,
-        // hash index and parent pointers included), then checkpoint: the
-        // disk becomes a clean base image and the log restarts.
-        let mut tree = Self::tree_from_snapshot(pool, opts, &snap)?;
+        let mut tree = Self::tree_from_snapshot(pool, opts, snap)?;
         tree.meta_chain_pages = meta_cont;
-        tree.wal = Some(WalHandle::new(wal, wopts, log_disk.is_some()));
+        tree.wal = Some(wal);
         tree.pool.set_wal_mode(true);
         let mut index = Self { tree };
         index.tree.wal_checkpoint()?;
-        Ok((index, report))
+        Ok(index)
     }
 
     // ---- object API --------------------------------------------------------
@@ -857,27 +795,87 @@ fn check_page_size(disk: &dyn DiskBackend, opts: &IndexOptions) -> CoreResult<()
     )))
 }
 
-/// The disk the log writes through and the anchor its chain starts at:
-/// the caller's log disk from its first page, or the data disk from the
-/// page reserved right after the metadata page.
-pub(crate) fn log_site(
-    data: &Arc<dyn DiskBackend>,
-    log_disk: Option<&Arc<dyn DiskBackend>>,
+/// The log disk a durable index was handed, page size checked;
+/// [`CoreError::LogMissing`] without one.
+pub(crate) fn log_disk_of(
+    log_disk: Option<Arc<dyn DiskBackend>>,
     opts: &IndexOptions,
-) -> CoreResult<(Arc<dyn DiskBackend>, PageId)> {
-    match log_disk {
-        Some(log) => {
-            check_page_size(log.as_ref(), opts)?;
-            Ok((log.clone(), LOG_DISK_ANCHOR))
-        }
-        None => Ok((data.clone(), WAL_ANCHOR)),
-    }
+) -> CoreResult<Arc<dyn DiskBackend>> {
+    let log = log_disk.ok_or_else(|| {
+        CoreError::LogMissing(
+            "a durable index keeps its write-ahead log on a log disk, and none was given".into(),
+        )
+    })?;
+    check_page_size(log.as_ref(), opts)?;
+    Ok(log)
 }
 
-fn log_disk_without_log() -> CoreError {
-    CoreError::BadConfig(
-        "a log disk was given, but the index is not durable or keeps its log in place".into(),
-    )
+pub(crate) fn log_disk_without_log() -> CoreError {
+    CoreError::BadConfig("a log disk was given, but the index is not durable".into())
+}
+
+/// Redo the records of `scanned` up to its recovery point — the last
+/// commit or checkpoint; records after it belong to an operation that was
+/// never acknowledged — onto `pool`, and return the snapshot recovered
+/// with what the redo did.
+pub(crate) fn redo_log(
+    pool: &BufferPool,
+    scanned: &ScanResult,
+) -> CoreResult<(MetaSnapshot, RecoveryReport)> {
+    let mut report = RecoveryReport {
+        scanned_records: scanned.records.len() as u64,
+        log_generation: scanned.generation,
+        torn_tail: scanned.torn_tail,
+        ..RecoveryReport::default()
+    };
+    let point = scanned
+        .records
+        .iter()
+        .enumerate()
+        .rev()
+        .find_map(|(i, (lsn, rec))| match rec {
+            WalRecord::Commit { meta } | WalRecord::Checkpoint { meta } => Some((i, *lsn, meta)),
+            _ => None,
+        });
+    let snap = if let Some((cut, lsn, meta)) = point {
+        let (snap, _) = MetaSnapshot::decode(meta)?;
+        report.recovered_lsn = lsn;
+        // Redo: replay page records in log order. The first record of
+        // every page in a generation is a full image (the delta encoder
+        // anchors there), so replay never depends on the pre-crash
+        // content of a page — each delta applies onto the state produced
+        // by the records before it, which `redo` verifies against the
+        // delta's recorded base.
+        let replayed = &scanned.records[..=cut];
+        let (images, deltas) =
+            bur_wal::redo(pool, replayed, &mut HashMap::new()).map_err(|e| match e {
+                RedoError::Corrupt(msg) => CoreError::BadConfig(format!("{msg} (corrupt log)")),
+                RedoError::Storage(e) => e.into(),
+            })?;
+        report.replayed_images = images;
+        report.replayed_deltas = deltas;
+        report.committed_ops = replayed
+            .iter()
+            .filter(|(_, rec)| matches!(rec, WalRecord::Commit { .. }))
+            .count() as u64;
+        snap
+    } else {
+        // No commit or checkpoint survived in the log. The one benign way
+        // here: the crash cut the checkpoint *rewind* itself, after the
+        // base image (including the metadata chain) was fully flushed but
+        // before the fresh generation's checkpoint record landed. The
+        // metadata chain is then the recovery point and there is nothing
+        // to replay.
+        let (payload, _pages) = read_meta_chain(pool).map_err(|e| {
+            CoreError::BadConfig(format!(
+                "write-ahead log holds no recovery point and the metadata chain is \
+                 unreadable ({e})"
+            ))
+        })?;
+        MetaSnapshot::decode(&payload)?.0
+    };
+    report.recovered_len = snap.len;
+    Ok((snap, report))
 }
 
 // ---- open-time memory-state rebuild ------------------------------------------

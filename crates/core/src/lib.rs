@@ -70,11 +70,11 @@ pub use config::{
     Durability, GbuParams, IndexOptions, LbuParams, TreeVariant, UpdateStrategy, WalOptions,
 };
 pub use error::{CoreError, CoreResult};
-pub use files::{log_path, IndexFiles};
+pub use files::{log_path, upgrade, IndexFiles};
 pub use gbu::iextend_mbr;
 pub use handle::{Bur, CommitTicket, HeldLeafClaim, NeighborCursor, QueryCursor};
 pub use index::{RTreeIndex, RecoveryReport};
-pub use meta::{LOG_DISK_ANCHOR, WAL_ANCHOR};
+pub use meta::LOG_DISK_ANCHOR;
 // Re-exported so durability consumers need no direct `bur-wal` dependency.
 pub use bur_wal::WalStatsSnapshot;
 pub use knn::Neighbor;

@@ -18,15 +18,10 @@ pub(crate) const META_MAGIC: u64 = 0x4255_5254_5245_4531;
 /// The metadata chain head: always page 0.
 pub(crate) const META_PAGE: PageId = 0;
 
-/// The write-ahead-log anchor page of a durable index that keeps its log
-/// on its own page disk: always page 1 (allocated right after the
-/// metadata page, before any tree page). Public because log shippers
+/// The anchor of a durable index's write-ahead log: the first page the
+/// log allocates on its own disk (a `.bur.wal` sidecar, or
+/// [`crate::IndexBuilder::log_disk`]). Public because log shippers
 /// (`bur-repl`) tail the chain headed here.
-pub const WAL_ANCHOR: PageId = 1;
-
-/// The anchor of a log that lives on a disk of its own (a `.bur.wal`
-/// sidecar, [`crate::IndexBuilder::log_disk`]): the first page the log
-/// allocates there.
 pub const LOG_DISK_ANCHOR: PageId = 0;
 
 /// All index state that lives outside the tree pages.
@@ -46,13 +41,9 @@ pub(crate) struct MetaSnapshot {
     pub hash_head: PageId,
     /// Pages freed by CondenseTree, available for reuse.
     pub free_pages: Vec<PageId>,
-    /// WAL anchor page, or [`INVALID_PAGE`] for a non-durable index.
+    /// WAL anchor page on the log disk, or [`INVALID_PAGE`] for a
+    /// non-durable index.
     pub wal_anchor: PageId,
-    /// `true` when `wal_anchor` names a page of a separate log disk, not
-    /// of the disk this snapshot is stored on. Where the log lives is a
-    /// property of the file, like durability itself: files written before
-    /// the log moved out read `false` and keep logging in place.
-    pub log_elsewhere: bool,
 }
 
 impl MetaSnapshot {
@@ -61,14 +52,16 @@ impl MetaSnapshot {
         self.hash_head != INVALID_PAGE
     }
 
-    /// Serialize to the little-endian wire format.
+    /// Serialize to the little-endian wire format. Flag bit 2 says the
+    /// log lives on a disk of its own; every durable snapshot sets it,
+    /// because files written before that was the only layout kept their
+    /// log inside the data file and read bit 2 clear.
     pub fn encode(&self) -> Vec<u8> {
         let mut payload = Vec::with_capacity(44 + 4 * self.free_pages.len());
         payload.extend_from_slice(&META_MAGIC.to_le_bytes());
         payload.extend_from_slice(&(self.page_size as u32).to_le_bytes());
-        let flags: u32 = u32::from(self.stored_hash())
-            | (u32::from(self.wal_anchor != INVALID_PAGE) << 1)
-            | (u32::from(self.log_elsewhere) << 2);
+        let durable = u32::from(self.wal_anchor != INVALID_PAGE);
+        let flags: u32 = u32::from(self.stored_hash()) | (durable << 1) | (durable << 2);
         payload.extend_from_slice(&flags.to_le_bytes());
         payload.extend_from_slice(&self.root.to_le_bytes());
         payload.extend_from_slice(&u32::from(self.height).to_le_bytes());
@@ -83,7 +76,10 @@ impl MetaSnapshot {
     }
 
     /// Parse the wire format; rejects bad magic and truncated payloads.
-    pub fn decode(payload: &[u8]) -> CoreResult<Self> {
+    /// The flag is `true` for a durable snapshot with bit 2 clear: the
+    /// old layout, whose log is chained inside the data file — which only
+    /// [`crate::upgrade`] accepts.
+    pub fn decode(payload: &[u8]) -> CoreResult<(Self, bool)> {
         let mut cur = MetaCursor::new(payload);
         if cur.u64()? != META_MAGIC {
             return Err(CoreError::BadConfig("not a bur index (bad magic)".into()));
@@ -108,11 +104,11 @@ impl MetaSnapshot {
             hash_head,
             free_pages,
             wal_anchor,
-            log_elsewhere: flags & 4 != 0,
         };
+        let durable = snap.wal_anchor != INVALID_PAGE;
         if snap.stored_hash() != (flags & 1 != 0)
-            || (snap.wal_anchor != INVALID_PAGE) != (flags & 2 != 0)
-            || (snap.log_elsewhere && snap.wal_anchor == INVALID_PAGE)
+            || durable != (flags & 2 != 0)
+            || (!durable && flags & 4 != 0)
         {
             return Err(CoreError::BadConfig(
                 "corrupt index metadata (flag mismatch)".into(),
@@ -126,7 +122,7 @@ impl MetaSnapshot {
                 "corrupt index metadata (trailing bytes)".into(),
             ));
         }
-        Ok(snap)
+        Ok((snap, durable && flags & 4 == 0))
     }
 }
 
@@ -271,19 +267,18 @@ mod tests {
             len: 123_456,
             hash_head: 42,
             free_pages: vec![9, 11, 13],
-            wal_anchor: 1,
-            log_elsewhere: false,
-        };
-        let decoded = MetaSnapshot::decode(&snap.encode()).unwrap();
-        assert_eq!(decoded, snap);
-        assert!(decoded.stored_hash());
-
-        let sidecar = MetaSnapshot {
             wal_anchor: LOG_DISK_ANCHOR,
-            log_elsewhere: true,
-            ..snap.clone()
         };
-        assert_eq!(MetaSnapshot::decode(&sidecar.encode()).unwrap(), sidecar);
+        assert_eq!(
+            MetaSnapshot::decode(&snap.encode()).unwrap(),
+            (snap.clone(), false)
+        );
+        assert!(snap.stored_hash());
+
+        // Bit 2 clear on a durable snapshot: the log is in the data file.
+        let mut old = snap.encode();
+        old[12] &= !4;
+        assert_eq!(MetaSnapshot::decode(&old).unwrap(), (snap.clone(), true));
 
         let bare = MetaSnapshot {
             hash_head: INVALID_PAGE,
@@ -291,7 +286,8 @@ mod tests {
             free_pages: vec![],
             ..snap
         };
-        let decoded = MetaSnapshot::decode(&bare.encode()).unwrap();
+        let (decoded, old_layout) = MetaSnapshot::decode(&bare.encode()).unwrap();
+        assert!(!old_layout);
         assert!(!decoded.stored_hash());
         assert_eq!(decoded.wal_anchor, INVALID_PAGE);
     }
@@ -308,7 +304,6 @@ mod tests {
             hash_head: INVALID_PAGE,
             free_pages: vec![],
             wal_anchor: INVALID_PAGE,
-            log_elsewhere: false,
         };
         let mut bytes = snap.encode();
         bytes.truncate(bytes.len() - 2);

@@ -15,16 +15,15 @@
 //! * [`RTreeIndex::install_replica_snapshot`] — advance the view to a
 //!   newer replicated snapshot (the follower's apply watermark);
 //! * [`RTreeIndex::promote_replica`] — rebuild the summary structure /
-//!   hash index / parent pointers the target strategy needs, attach a
-//!   write-ahead log (the copied chain at the [`crate::WAL_ANCHOR`], or
-//!   a fresh one on the replica's own log disk) and checkpoint: the
+//!   hash index / parent pointers the target strategy needs, start a
+//!   write-ahead log on the replica's own log disk and checkpoint: the
 //!   replica becomes an ordinary writable index.
 
 use crate::claims::LeafClaims;
 use crate::config::{Durability, IndexOptions, UpdateStrategy};
 use crate::error::{CoreError, CoreResult};
 use crate::files::stored_snapshot;
-use crate::index::{log_site, rebuild_memory_state, RTreeIndex};
+use crate::index::{log_disk_of, log_disk_without_log, rebuild_memory_state, RTreeIndex};
 use crate::meta::MetaSnapshot;
 use crate::stats::OpStats;
 use crate::summary::SummaryStructure;
@@ -50,7 +49,7 @@ impl RTreeIndex {
         buffer_frames: usize,
         meta: &[u8],
     ) -> CoreResult<Self> {
-        let snap = MetaSnapshot::decode(meta)?;
+        let (snap, _) = MetaSnapshot::decode(meta)?;
         if disk.page_size() != snap.page_size {
             return Err(CoreError::BadConfig(format!(
                 "disk page size {} != replicated snapshot's {}",
@@ -98,7 +97,7 @@ impl RTreeIndex {
     /// apply watermark. The caller must already have redone every page
     /// record covered by that snapshot onto this index's pool.
     pub fn install_replica_snapshot(&mut self, meta: &[u8]) -> CoreResult<()> {
-        let snap = MetaSnapshot::decode(meta)?;
+        let (snap, _) = MetaSnapshot::decode(meta)?;
         if snap.page_size != self.tree.opts.page_size {
             return Err(CoreError::BadConfig(format!(
                 "replicated snapshot page size {} != view's {}",
@@ -120,16 +119,11 @@ impl RTreeIndex {
     ///    summary structure, object-id hash index, LBU parent pointers)
     ///    from a tree scan — the replicated hash directory is rebuilt
     ///    rather than trusted, exactly as recovery does;
-    /// 2. with [`Durability::Wal`] options, attach a log and
-    ///    checkpoint-rewind it under a fresh generation whose base image
-    ///    is the replica's current pages. `log_disk: None` reattaches the
-    ///    (stale) chain at the [`crate::WAL_ANCHOR`] that the base copy
-    ///    of a primary logging in place brought along; a primary that keeps
-    ///    its log elsewhere copies no such chain, so its replica needs an
-    ///    (empty) log disk of its own — `Some(disk)` — and fails closed
-    ///    without one rather than rewinding over a live tree page;
+    /// 2. with [`Durability::Wal`] options, start a log on `log_disk`,
+    ///    which must be empty, and checkpoint: its first generation's base
+    ///    image is the replica's current pages;
     /// 3. otherwise persist, so the metadata chain matches the adopted
-    ///    state.
+    ///    state. A volatile promote takes no `log_disk`.
     ///
     /// `opts.page_size` must match the view's. Fails on an index that
     /// already has a log attached (it is not a replica view).
@@ -150,6 +144,19 @@ impl RTreeIndex {
                 "promote_replica: index already has a write-ahead log attached".into(),
             ));
         }
+        let log = match opts.durability {
+            Durability::Wal(wopts) => {
+                let log = log_disk_of(log_disk, &opts)?;
+                if log.num_pages() != 0 {
+                    return Err(CoreError::BadConfig(
+                        "promote_replica: the replica's log disk must be empty".into(),
+                    ));
+                }
+                Some((log, wopts))
+            }
+            Durability::None if log_disk.is_some() => return Err(log_disk_without_log()),
+            Durability::None => None,
+        };
         self.tree.pool.set_capacity(opts.buffer_frames)?;
         // Redo since the view was built may have extended the disk.
         let pages = self.tree.pool.disk().num_pages() as usize;
@@ -170,35 +177,13 @@ impl RTreeIndex {
         // pages only when it round-trips — the same pattern recovery uses.
         self.tree.meta_chain_pages =
             stored_snapshot(&self.tree.pool).map_or_else(Vec::new, |(_, pages)| pages);
-        match opts.durability {
-            Durability::Wal(wopts) => {
-                let (log, anchor) = log_site(self.tree.pool.disk(), log_disk.as_ref(), &opts)?;
-                let wal = if log_disk.is_some() {
-                    if log.num_pages() != 0 {
-                        return Err(CoreError::BadConfig(
-                            "promote_replica: the replica's log disk must be empty".into(),
-                        ));
-                    }
-                    Wal::create(log)?
-                } else {
-                    // The copied chain may still sit in the pool's frames;
-                    // the scan below reads the disk.
-                    self.tree.pool.flush_all()?;
-                    let (wal, scanned) = Wal::reopen(log, anchor)?;
-                    if !scanned.valid {
-                        return Err(CoreError::LogMissing(
-                            "promote_replica: the replica disk carries no log chain (the \
-                             primary keeps its log elsewhere); give the replica a log disk"
-                                .into(),
-                        ));
-                    }
-                    wal
-                };
+        match log {
+            Some((log, wopts)) => {
                 self.tree.pool.set_wal_mode(true);
-                self.tree.wal = Some(WalHandle::new(wal, wopts, log_disk.is_some()));
+                self.tree.wal = Some(WalHandle::new(Wal::create(log)?, wopts));
                 self.tree.wal_checkpoint()?;
             }
-            Durability::None => self.persist()?,
+            None => self.persist()?,
         }
         Ok(())
     }
@@ -228,6 +213,7 @@ mod tests {
         let mut index = IndexBuilder::generalized()
             .durable()
             .disk(disk.clone())
+            .log_disk(Arc::new(MemDisk::new(1024)))
             .build_index()
             .unwrap();
         for oid in 0..200u64 {
@@ -272,7 +258,9 @@ mod tests {
         let (primary, disk, meta) = durable_primary();
         let copy = clone_disk(disk.as_ref());
         let mut view = crate::RTreeIndex::replica_view(copy.clone(), 64, &meta).unwrap();
-        view.promote_replica(IndexOptions::durable(), None).unwrap();
+        let log = Arc::new(MemDisk::new(1024));
+        view.promote_replica(IndexOptions::durable(), Some(log.clone()))
+            .unwrap();
         assert!(view.is_durable());
         assert!(view.summary().is_some(), "GBU summary rebuilt");
         view.validate().unwrap();
@@ -282,6 +270,7 @@ mod tests {
         drop(view);
         let (rec, _) = IndexBuilder::generalized()
             .disk(copy)
+            .log_disk(log)
             .recover()
             .build_index_with_report()
             .unwrap();
@@ -313,8 +302,37 @@ mod tests {
     fn promote_rejects_an_already_writable_index() {
         let (mut primary, _disk, _meta) = durable_primary();
         let err = primary
-            .promote_replica(IndexOptions::durable(), None)
+            .promote_replica(IndexOptions::durable(), Some(Arc::new(MemDisk::new(1024))))
             .unwrap_err();
         assert!(err.to_string().contains("already has"), "{err}");
+    }
+
+    #[test]
+    fn durable_promote_needs_an_empty_log_disk_and_changes_nothing_without_one() {
+        let (_primary, disk, meta) = durable_primary();
+        let mut view =
+            crate::RTreeIndex::replica_view(clone_disk(disk.as_ref()), 64, &meta).unwrap();
+        let used = Arc::new(MemDisk::new(1024));
+        used.allocate().unwrap();
+        let err = view
+            .promote_replica(IndexOptions::durable(), Some(used))
+            .unwrap_err();
+        assert!(err.to_string().contains("must be empty"), "{err}");
+        let err = view
+            .promote_replica(IndexOptions::durable(), None)
+            .unwrap_err();
+        assert!(matches!(err, CoreError::LogMissing(_)), "{err}");
+        // A volatile promote takes no log disk.
+        let err = view
+            .promote_replica(
+                IndexOptions::generalized(),
+                Some(Arc::new(MemDisk::new(1024))),
+            )
+            .unwrap_err();
+        assert!(matches!(err, CoreError::BadConfig(_)), "{err}");
+        assert!(view.summary().is_none(), "still a replica view");
+        view.promote_replica(IndexOptions::durable(), Some(Arc::new(MemDisk::new(1024))))
+            .unwrap();
+        view.validate().unwrap();
     }
 }

@@ -53,10 +53,6 @@ pub(crate) struct WalHandle {
     pub(crate) wal: Wal,
     /// Checkpoint interval.
     pub(crate) opts: WalOptions,
-    /// `true` when the log writes to a disk of its own, not the pool's
-    /// (recorded in every metadata snapshot so a later open knows where
-    /// to look — see [`MetaSnapshot::log_elsewhere`]).
-    pub(crate) log_elsewhere: bool,
     /// Committed operations since the last checkpoint (drives the
     /// cadence). Atomic because concurrent leaf-local batches bump it
     /// through a shared reference ([`RTree::wal_commit_pages`]).
@@ -70,11 +66,10 @@ pub(crate) struct WalHandle {
 
 impl WalHandle {
     /// Wrap a log with fresh bookkeeping (cadence at 0).
-    pub(crate) fn new(wal: Wal, opts: WalOptions, log_elsewhere: bool) -> Self {
+    pub(crate) fn new(wal: Wal, opts: WalOptions) -> Self {
         Self {
             wal,
             opts,
-            log_elsewhere,
             commits_since_checkpoint: AtomicU64::new(0),
             commit_lock: Mutex::new(()),
         }
@@ -391,7 +386,6 @@ impl RTree {
             hash_head,
             free_pages: self.free_pages.clone(),
             wal_anchor: self.wal.as_ref().map_or(INVALID_PAGE, |h| h.wal.anchor()),
-            log_elsewhere: self.wal.as_ref().is_some_and(|h| h.log_elsewhere),
         }
     }
 

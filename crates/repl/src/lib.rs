@@ -1,8 +1,8 @@
 //! # bur-repl — warm-standby replication for `bur` indexes
 //!
 //! The `bur-wal` log is a self-describing, CRC-framed, generation-tagged
-//! record stream living on the primary's page disk or, for an index on a
-//! real file, in the `.wal` sidecar beside it. This crate ships that
+//! record stream living on the primary's log disk — for an index on a
+//! real file, the `.wal` sidecar beside it. This crate ships that
 //! stream to a **follower**: a second index image on its own disk
 //! that redoes the primary's page records and serves read-only window /
 //! kNN queries from a consistent committed prefix — and, at failover,
@@ -47,15 +47,21 @@
 //! use bur_storage::MemDisk;
 //! use std::sync::Arc;
 //!
-//! // A durable primary on a shared in-memory disk.
-//! let disk = Arc::new(MemDisk::new(1024));
-//! let primary = IndexBuilder::generalized().durable().disk(disk.clone()).build().unwrap();
+//! // A durable primary on two shared in-memory disks: data and log.
+//! let data = Arc::new(MemDisk::new(1024));
+//! let log = Arc::new(MemDisk::new(1024));
+//! let primary = IndexBuilder::generalized()
+//!     .durable()
+//!     .disk(data.clone())
+//!     .log_disk(log.clone())
+//!     .build()
+//!     .unwrap();
 //! let mut batch = Batch::new();
 //! batch.insert(1, Point::new(0.2, 0.2)).insert(2, Point::new(0.8, 0.8));
 //! primary.apply(&batch).unwrap().wait().unwrap();
 //!
 //! // Attach a follower, ship the log, query the replica read-only.
-//! let mut shipper = LogShipper::new(disk);
+//! let mut shipper = LogShipper::new(data, log);
 //! let mut follower = Follower::attach_in_memory(&mut shipper, IndexOptions::durable()).unwrap();
 //! follower.sync_once(&mut shipper).unwrap();
 //! let replica = follower.handle();
@@ -70,7 +76,7 @@
 
 #![warn(missing_docs)]
 
-use bur_core::{Bur, CoreError, IndexOptions, RTreeIndex, LOG_DISK_ANCHOR, WAL_ANCHOR};
+use bur_core::{Bur, CoreError, Durability, IndexOptions, RTreeIndex, LOG_DISK_ANCHOR};
 use bur_storage::{DiskBackend, Lsn, MemDisk, PageId, StorageError};
 use bur_wal::{LogCursor, RedoError, WalRecord};
 use std::collections::HashMap;
@@ -95,8 +101,8 @@ pub enum ReplError {
     /// follower cannot reach. The follower is desynchronized and must
     /// resync or fail over.
     Protocol(String),
-    /// The primary's disk carries no write-ahead log at the anchor page:
-    /// only durable indexes can be replicated.
+    /// The primary's log disk carries no write-ahead log: only durable
+    /// indexes can be replicated.
     NotDurable,
 }
 
@@ -177,8 +183,7 @@ pub struct ApplyReport {
 pub struct LogShipper {
     /// The primary's data pages: the base image followers resync from.
     disk: Arc<dyn DiskBackend>,
-    /// The disk the cursor tails — `disk` again when the primary logs in
-    /// place.
+    /// The primary's log disk, which the cursor tails.
     log: Arc<dyn DiskBackend>,
     cursor: LogCursor,
 }
@@ -194,37 +199,17 @@ impl fmt::Debug for LogShipper {
 }
 
 impl LogShipper {
-    /// Tail the log of a durable index that logs in place on `primary`
-    /// (the chain anchored at [`WAL_ANCHOR`]) — every index built through
-    /// `IndexBuilder::disk(..)` without a log disk.
-    #[must_use]
-    pub fn new(primary: Arc<dyn DiskBackend>) -> Self {
-        Self {
-            cursor: LogCursor::new(WAL_ANCHOR),
-            log: primary.clone(),
-            disk: primary,
-        }
-    }
-
-    /// Tail the log of a durable index whose log lives on a disk of its
-    /// own (the chain anchored at [`LOG_DISK_ANCHOR`] of `log`): records
-    /// come from `log`, base images from `primary`. For an index file,
+    /// Tail the log of a durable index: records come from its log disk
+    /// `log` (the chain anchored at [`LOG_DISK_ANCHOR`]), base images
+    /// from its data disk `primary`. For an index file,
     /// `bur_core::IndexFiles` resolves the pair.
     #[must_use]
-    pub fn with_log_disk(primary: Arc<dyn DiskBackend>, log: Arc<dyn DiskBackend>) -> Self {
+    pub fn new(primary: Arc<dyn DiskBackend>, log: Arc<dyn DiskBackend>) -> Self {
         Self {
             cursor: LogCursor::new(LOG_DISK_ANCHOR),
             log,
             disk: primary,
         }
-    }
-
-    /// `true` when the primary keeps its log on a disk of its own — its
-    /// base image then carries no log chain a promoted replica could
-    /// reattach.
-    #[must_use]
-    pub fn logs_elsewhere(&self) -> bool {
-        !Arc::ptr_eq(&self.disk, &self.log)
     }
 
     /// The primary's disk (what followers resync their base image from).
@@ -259,8 +244,8 @@ pub struct Follower {
     primary: Arc<dyn DiskBackend>,
     /// The replica's own disk, wrapped by `bur`'s buffer pool.
     bur: Bur,
-    /// Where the promoted replica will keep its log when the base image
-    /// brings none along (the primary logs elsewhere); empty until then.
+    /// Where a durably promoted replica will keep its log; empty until
+    /// then.
     log_disk: Option<Arc<dyn DiskBackend>>,
     /// Options the follower promotes with (strategy, durability, ...).
     opts: IndexOptions,
@@ -290,39 +275,21 @@ impl Follower {
     /// Attach a fresh follower: copy the primary's base image onto the
     /// (empty) `replica` disk, position at the current log generation,
     /// and apply its surviving records. `opts` is the configuration the
-    /// follower will [`Follower::promote`] with; its page size must
-    /// match the primary's.
-    ///
-    /// A primary that logs in place hands the replica a copy of its log
-    /// chain with the base image, and promotion recycles it. A primary
-    /// that logs elsewhere ([`LogShipper::with_log_disk`]) does not:
-    /// promoting its replica with durable options needs
-    /// [`Follower::attach_with_log_disk`].
+    /// follower will [`Follower::promote`] with; its page size must match
+    /// the primary's. With durable `opts`, `replica_log` is the (empty)
+    /// disk the replica will log to once promoted — its own `.wal`
+    /// sidecar; volatile `opts` take none.
     pub fn attach(
         shipper: &mut LogShipper,
         replica: Arc<dyn DiskBackend>,
+        replica_log: Option<Arc<dyn DiskBackend>>,
         opts: IndexOptions,
     ) -> ReplResult<Self> {
-        Self::attach_inner(shipper, replica, None, opts)
-    }
-
-    /// [`Follower::attach`], with an (empty) disk for the log the
-    /// promoted replica will write — the replica's own `.wal` sidecar.
-    pub fn attach_with_log_disk(
-        shipper: &mut LogShipper,
-        replica: Arc<dyn DiskBackend>,
-        replica_log: Arc<dyn DiskBackend>,
-        opts: IndexOptions,
-    ) -> ReplResult<Self> {
-        Self::attach_inner(shipper, replica, Some(replica_log), opts)
-    }
-
-    fn attach_inner(
-        shipper: &mut LogShipper,
-        replica: Arc<dyn DiskBackend>,
-        log_disk: Option<Arc<dyn DiskBackend>>,
-        opts: IndexOptions,
-    ) -> ReplResult<Self> {
+        if replica_log.is_some() != matches!(opts.durability, Durability::Wal(_)) {
+            return Err(ReplError::Core(CoreError::BadConfig(
+                "a durable replica needs a log disk of its own; a volatile one takes none".into(),
+            )));
+        }
         let ps = shipper.primary().page_size();
         if replica.page_size() != ps {
             return Err(ReplError::Protocol(format!(
@@ -359,7 +326,7 @@ impl Follower {
                 opts.buffer_frames,
                 &meta,
             )?),
-            log_disk,
+            log_disk: replica_log,
             opts,
             generation: batch.generation,
             applied_lsn: *first_lsn,
@@ -377,15 +344,13 @@ impl Follower {
         Ok(follower)
     }
 
-    /// [`Follower::attach`] onto a fresh in-memory disk sized like the
-    /// primary's pages (and a second one for the replica's log when the
-    /// primary logs elsewhere).
+    /// [`Follower::attach`] onto fresh in-memory disks sized like the
+    /// primary's pages: data, and log when `opts` are durable.
     pub fn attach_in_memory(shipper: &mut LogShipper, opts: IndexOptions) -> ReplResult<Self> {
         let ps = shipper.primary().page_size();
-        let log_disk = shipper
-            .logs_elsewhere()
-            .then(|| Arc::new(MemDisk::new(ps)) as Arc<dyn DiskBackend>);
-        Self::attach_inner(shipper, Arc::new(MemDisk::new(ps)), log_disk, opts)
+        let disk = || -> Arc<dyn DiskBackend> { Arc::new(MemDisk::new(ps)) };
+        let log = matches!(opts.durability, Durability::Wal(_)).then(disk);
+        Self::attach(shipper, disk(), log, opts)
     }
 
     /// A read-only handle on the replica for query threads. Clones stay
@@ -620,14 +585,16 @@ mod tests {
 
     const PAGE: usize = 1024;
 
-    fn primary_pair() -> (Bur, Arc<MemDisk>) {
-        let disk = Arc::new(MemDisk::new(PAGE));
+    /// A durable primary with its data and log disks.
+    fn primary_pair() -> (Bur, Arc<MemDisk>, Arc<MemDisk>) {
+        let (data, log) = (Arc::new(MemDisk::new(PAGE)), Arc::new(MemDisk::new(PAGE)));
         let primary = IndexBuilder::generalized()
             .durable()
-            .disk(disk.clone())
+            .disk(data.clone())
+            .log_disk(log.clone())
             .build()
             .unwrap();
-        (primary, disk)
+        (primary, data, log)
     }
 
     fn grid_batch(range: std::ops::Range<u64>) -> Batch {
@@ -643,10 +610,10 @@ mod tests {
 
     #[test]
     fn follower_tracks_primary_and_serves_reads() {
-        let (primary, disk) = primary_pair();
+        let (primary, data, log) = primary_pair();
         primary.apply(&grid_batch(0..64)).unwrap().wait().unwrap();
 
-        let mut shipper = LogShipper::new(disk);
+        let mut shipper = LogShipper::new(data, log);
         let mut follower =
             Follower::attach_in_memory(&mut shipper, IndexOptions::durable()).unwrap();
         let replica = follower.handle();
@@ -669,9 +636,9 @@ mod tests {
 
     #[test]
     fn read_only_handle_refuses_writes_until_promoted() {
-        let (primary, disk) = primary_pair();
+        let (primary, data, log) = primary_pair();
         primary.apply(&grid_batch(0..32)).unwrap().wait().unwrap();
-        let mut shipper = LogShipper::new(disk);
+        let mut shipper = LogShipper::new(data, log);
         let mut follower =
             Follower::attach_in_memory(&mut shipper, IndexOptions::durable()).unwrap();
         follower.catch_up(&mut shipper).unwrap();
@@ -709,8 +676,8 @@ mod tests {
 
     #[test]
     fn uncommitted_tail_is_invisible_and_discarded_by_promote() {
-        let (primary, disk) = primary_pair();
-        let mut shipper = LogShipper::new(disk);
+        let (primary, data, log) = primary_pair();
+        let mut shipper = LogShipper::new(data, log);
         let mut follower =
             Follower::attach_in_memory(&mut shipper, IndexOptions::durable()).unwrap();
         primary.apply(&grid_batch(0..48)).unwrap().wait().unwrap();
@@ -742,9 +709,9 @@ mod tests {
     /// queries never see newer pages under older metadata.
     #[test]
     fn a_malformed_shipped_record_refuses_the_commit_whole() {
-        let (primary, disk) = primary_pair();
+        let (primary, data, log) = primary_pair();
         primary.apply(&grid_batch(0..64)).unwrap().wait().unwrap();
-        let mut shipper = LogShipper::new(disk.clone());
+        let mut shipper = LogShipper::new(data, log.clone());
         let mut follower =
             Follower::attach_in_memory(&mut shipper, IndexOptions::durable()).unwrap();
         follower.catch_up(&mut shipper).unwrap();
@@ -759,7 +726,7 @@ mod tests {
                 .unwrap()
         };
         let before = leaf_bytes();
-        let scanned = bur_wal::scan(disk.as_ref(), WAL_ANCHOR).unwrap();
+        let scanned = bur_wal::scan(log.as_ref(), LOG_DISK_ANCHOR).unwrap();
         let meta = scanned
             .records
             .iter()
@@ -809,9 +776,9 @@ mod tests {
 
     #[test]
     fn checkpoint_rewind_resyncs_without_stale_records() {
-        let (primary, disk) = primary_pair();
+        let (primary, data, log) = primary_pair();
         primary.apply(&grid_batch(0..40)).unwrap().wait().unwrap();
-        let mut shipper = LogShipper::new(disk);
+        let mut shipper = LogShipper::new(data, log);
         let mut follower =
             Follower::attach_in_memory(&mut shipper, IndexOptions::durable()).unwrap();
         follower.catch_up(&mut shipper).unwrap();
@@ -829,20 +796,12 @@ mod tests {
     }
 
     #[test]
-    fn follower_of_a_primary_that_logs_elsewhere_ships_resyncs_and_promotes() {
-        let data = Arc::new(MemDisk::new(PAGE));
-        let log = Arc::new(MemDisk::new(PAGE));
-        let primary = IndexBuilder::generalized()
-            .durable()
-            .disk(data.clone())
-            .log_disk(log.clone())
-            .build()
-            .unwrap();
+    fn follower_resyncs_from_the_data_disk_and_promotes_onto_its_own_log() {
+        let (primary, data, log) = primary_pair();
         primary.apply(&grid_batch(0..40)).unwrap().wait().unwrap();
 
         // Records come from the log disk, base images from the data disk.
-        let mut shipper = LogShipper::with_log_disk(data.clone(), log);
-        assert!(shipper.logs_elsewhere());
+        let mut shipper = LogShipper::new(data.clone(), log.clone());
         let mut follower =
             Follower::attach_in_memory(&mut shipper, IndexOptions::durable()).unwrap();
         primary.checkpoint().unwrap(); // rewind → resync from the data disk
@@ -851,44 +810,57 @@ mod tests {
         assert_eq!(follower.handle().len(), 80);
         assert!(follower.stats().resyncs >= 2);
 
-        // The base image carries no log chain, so the promoted replica
-        // logs to the disk attach gave it — and a replica without one
-        // fails closed instead of rewinding over a tree page.
+        // The promoted replica logs to the disk attach gave it — and one
+        // whose log disk is not empty fails closed instead of writing
+        // over it.
         let promoted = follower.promote().unwrap();
         promoted.insert(900, Point::new(0.5, 0.5)).unwrap();
         assert!(promoted.wal_stats().unwrap().durable_lsn > 0);
         promoted.validate().unwrap();
 
-        let mut shipper = LogShipper::with_log_disk(data, shipper.log.clone());
+        let mut shipper = LogShipper::new(data, log);
+        let used = Arc::new(MemDisk::new(PAGE));
+        used.allocate().unwrap();
         let bare = Follower::attach(
             &mut shipper,
             Arc::new(MemDisk::new(PAGE)),
+            Some(used),
             IndexOptions::durable(),
         )
         .unwrap();
         assert!(matches!(
             bare.promote(),
-            Err(ReplError::Core(CoreError::LogMissing(_)))
+            Err(ReplError::Core(CoreError::BadConfig(_)))
         ));
     }
 
     #[test]
     fn attach_rejects_bad_replica_disks_and_dead_primaries() {
-        let (_primary, disk) = primary_pair();
-        let mut shipper = LogShipper::new(disk.clone());
+        let (_primary, data, log) = primary_pair();
+        let replica_log = || Some(Arc::new(MemDisk::new(PAGE)) as Arc<dyn DiskBackend>);
+        let mut shipper = LogShipper::new(data.clone(), log.clone());
+        // A durable replica without a log disk, a volatile one with one.
+        let fresh = || Arc::new(MemDisk::new(PAGE));
+        assert!(Follower::attach(&mut shipper, fresh(), None, IndexOptions::durable()).is_err());
+        let volatile = IndexOptions::generalized();
+        assert!(Follower::attach(&mut shipper, fresh(), replica_log(), volatile).is_err());
         // Wrong page size.
         let bad = Arc::new(MemDisk::new(512));
-        assert!(Follower::attach(&mut shipper, bad, IndexOptions::durable()).is_err());
+        assert!(
+            Follower::attach(&mut shipper, bad, replica_log(), IndexOptions::durable()).is_err()
+        );
         // Non-empty replica disk.
         let used = Arc::new(MemDisk::new(PAGE));
         used.allocate().unwrap();
-        let mut shipper = LogShipper::new(disk);
-        assert!(Follower::attach(&mut shipper, used, IndexOptions::durable()).is_err());
-        // A disk that was never durable.
+        let mut shipper = LogShipper::new(data, log);
+        assert!(
+            Follower::attach(&mut shipper, used, replica_log(), IndexOptions::durable()).is_err()
+        );
+        // A log disk that holds no log.
         let cold = Arc::new(MemDisk::new(PAGE));
         cold.allocate().unwrap();
         cold.allocate().unwrap();
-        let mut shipper = LogShipper::new(cold);
+        let mut shipper = LogShipper::new(cold.clone(), cold);
         assert!(matches!(
             Follower::attach_in_memory(&mut shipper, IndexOptions::durable()),
             Err(ReplError::NotDurable)

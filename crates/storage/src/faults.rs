@@ -86,6 +86,14 @@ enum Rule {
 /// ```
 pub struct FaultyDisk {
     inner: Arc<dyn DiskBackend>,
+    /// Rules and counters — one set for both disks of a
+    /// [`FaultyDisk::pair`].
+    state: Arc<FaultState>,
+}
+
+/// The rule list and the per-kind operation counters.
+#[derive(Default)]
+struct FaultState {
     rules: Mutex<Vec<Rule>>,
     reads: AtomicU64,
     writes: AtomicU64,
@@ -100,20 +108,29 @@ impl FaultyDisk {
     pub fn new(inner: Arc<dyn DiskBackend>) -> Self {
         Self {
             inner,
-            rules: Mutex::new(Vec::new()),
-            reads: AtomicU64::new(0),
-            writes: AtomicU64::new(0),
-            allocs: AtomicU64::new(0),
-            syncs: AtomicU64::new(0),
-            injected: AtomicU64::new(0),
+            state: Arc::default(),
         }
+    }
+
+    /// Wrap two disks that share one power supply, such as a data disk
+    /// and its log disk: one rule list and one set of per-kind counters,
+    /// so a [`FaultKind::TornWrite`] armed on either tears the n-th write
+    /// across the pair and then stops both.
+    #[must_use]
+    pub fn pair(data: Arc<dyn DiskBackend>, log: Arc<dyn DiskBackend>) -> (Arc<Self>, Arc<Self>) {
+        let data = Self::new(data);
+        let log = Self {
+            inner: log,
+            state: data.state.clone(),
+        };
+        (Arc::new(data), Arc::new(log))
     }
 
     /// Fail exactly the `n`-th operation of `kind` from now (0 = the next
     /// one), counting per kind.
     pub fn fail_nth(&self, kind: FaultKind, n: u64) {
         let base = self.seq(kind);
-        self.rules.lock().push(Rule::NthOps {
+        self.state.rules.lock().push(Rule::NthOps {
             kind,
             from: base + n,
             to: base + n + 1,
@@ -123,7 +140,7 @@ impl FaultyDisk {
     /// Fail the next `count` operations of `kind`.
     pub fn fail_next(&self, kind: FaultKind, count: u64) {
         let base = self.seq(kind);
-        self.rules.lock().push(Rule::NthOps {
+        self.state.rules.lock().push(Rule::NthOps {
             kind,
             from: base,
             to: base + count,
@@ -132,12 +149,12 @@ impl FaultyDisk {
 
     /// Fail every `kind` access to page `pid` until cleared.
     pub fn fail_page(&self, kind: FaultKind, pid: PageId) {
-        self.rules.lock().push(Rule::Page { kind, pid });
+        self.state.rules.lock().push(Rule::Page { kind, pid });
     }
 
     /// Fail every operation of `kind` until cleared (a dead disk).
     pub fn fail_always(&self, kind: FaultKind) {
-        self.rules.lock().push(Rule::Always { kind });
+        self.state.rules.lock().push(Rule::Always { kind });
     }
 
     /// Install a fault by kind. For [`FaultKind::TornWrite`] this arms a
@@ -146,8 +163,8 @@ impl FaultyDisk {
     pub fn inject(&self, kind: FaultKind) {
         match kind {
             FaultKind::TornWrite { after_writes } => {
-                let base = self.writes.load(Ordering::Relaxed);
-                self.rules.lock().push(Rule::PowerCut {
+                let base = self.state.writes.load(Ordering::Relaxed);
+                self.state.rules.lock().push(Rule::PowerCut {
                     at: base + after_writes,
                 });
             }
@@ -159,7 +176,8 @@ impl FaultyDisk {
     /// earliest, when several are installed); `None` without one.
     #[must_use]
     pub fn power_cut_at(&self) -> Option<u64> {
-        self.rules
+        self.state
+            .rules
             .lock()
             .iter()
             .filter_map(|r| match *r {
@@ -174,36 +192,38 @@ impl FaultyDisk {
     #[must_use]
     pub fn power_cut_triggered(&self) -> bool {
         self.power_cut_at()
-            .is_some_and(|at| self.writes.load(Ordering::Relaxed) > at)
+            .is_some_and(|at| self.state.writes.load(Ordering::Relaxed) > at)
     }
 
     /// Remove all rules; the disk behaves transparently again.
     pub fn clear_faults(&self) {
-        self.rules.lock().clear();
+        self.state.rules.lock().clear();
     }
 
     /// Number of operations failed by injection so far.
     #[must_use]
     pub fn injected_faults(&self) -> u64 {
-        self.injected.load(Ordering::Relaxed)
+        self.state.injected.load(Ordering::Relaxed)
     }
 
     fn seq(&self, kind: FaultKind) -> u64 {
         match kind {
-            FaultKind::Read => self.reads.load(Ordering::Relaxed),
-            FaultKind::Write | FaultKind::TornWrite { .. } => self.writes.load(Ordering::Relaxed),
-            FaultKind::Allocate => self.allocs.load(Ordering::Relaxed),
-            FaultKind::Sync => self.syncs.load(Ordering::Relaxed),
+            FaultKind::Read => self.state.reads.load(Ordering::Relaxed),
+            FaultKind::Write | FaultKind::TornWrite { .. } => {
+                self.state.writes.load(Ordering::Relaxed)
+            }
+            FaultKind::Allocate => self.state.allocs.load(Ordering::Relaxed),
+            FaultKind::Sync => self.state.syncs.load(Ordering::Relaxed),
         }
     }
 
     /// Account the operation and decide whether to fail it.
     fn check(&self, kind: FaultKind, pid: Option<PageId>) -> StorageResult<()> {
         let counter = match kind {
-            FaultKind::Read => &self.reads,
-            FaultKind::Write | FaultKind::TornWrite { .. } => &self.writes,
-            FaultKind::Allocate => &self.allocs,
-            FaultKind::Sync => &self.syncs,
+            FaultKind::Read => &self.state.reads,
+            FaultKind::Write | FaultKind::TornWrite { .. } => &self.state.writes,
+            FaultKind::Allocate => &self.state.allocs,
+            FaultKind::Sync => &self.state.syncs,
         };
         let seq = counter.fetch_add(1, Ordering::Relaxed);
         self.check_seq(kind, seq, pid)
@@ -212,14 +232,14 @@ impl FaultyDisk {
     /// Decide whether the `seq`-th operation of `kind` fails, without
     /// touching the counters (the caller already accounted it).
     fn check_seq(&self, kind: FaultKind, seq: u64, pid: Option<PageId>) -> StorageResult<()> {
-        let hit = self.rules.lock().iter().any(|rule| match *rule {
+        let hit = self.state.rules.lock().iter().any(|rule| match *rule {
             Rule::NthOps { kind: k, from, to } => k == kind && (from..to).contains(&seq),
             Rule::Page { kind: k, pid: p } => k == kind && pid == Some(p),
             Rule::Always { kind: k } => k == kind,
             Rule::PowerCut { .. } => false, // handled by the write/sync paths
         });
         if hit {
-            self.injected.fetch_add(1, Ordering::Relaxed);
+            self.state.injected.fetch_add(1, Ordering::Relaxed);
             return Err(StorageError::InjectedFault {
                 op: kind.label(),
                 pid,
@@ -231,7 +251,7 @@ impl FaultyDisk {
     /// `true` when a power cut forbids the mutation (cut already fired).
     fn power_lost(&self) -> StorageResult<()> {
         if self.power_cut_triggered() {
-            self.injected.fetch_add(1, Ordering::Relaxed);
+            self.state.injected.fetch_add(1, Ordering::Relaxed);
             return Err(StorageError::InjectedFault {
                 op: "torn-write",
                 pid: None,
@@ -262,7 +282,7 @@ impl DiskBackend for FaultyDisk {
     }
 
     fn write(&self, pid: PageId, buf: &[u8]) -> StorageResult<()> {
-        let seq = self.writes.fetch_add(1, Ordering::Relaxed);
+        let seq = self.state.writes.fetch_add(1, Ordering::Relaxed);
         if let Some(at) = self.power_cut_at() {
             if seq == at {
                 // The cut write is torn: only the first half of the page
@@ -274,14 +294,14 @@ impl DiskBackend for FaultyDisk {
                 let half = buf.len() / 2;
                 torn[..half].copy_from_slice(&buf[..half]);
                 let _ = self.inner.write(pid, &torn);
-                self.injected.fetch_add(1, Ordering::Relaxed);
+                self.state.injected.fetch_add(1, Ordering::Relaxed);
                 return Err(StorageError::InjectedFault {
                     op: "torn-write",
                     pid: Some(pid),
                 });
             }
             if seq > at {
-                self.injected.fetch_add(1, Ordering::Relaxed);
+                self.state.injected.fetch_add(1, Ordering::Relaxed);
                 return Err(StorageError::InjectedFault {
                     op: "torn-write",
                     pid: Some(pid),
@@ -464,6 +484,50 @@ mod tests {
             FaultKind::TornWrite { after_writes: 3 }.label(),
             "torn-write"
         );
+    }
+
+    #[test]
+    fn a_pair_shares_one_power_cut() {
+        let (data, log) =
+            FaultyDisk::pair(Arc::new(MemDisk::new(128)), Arc::new(MemDisk::new(128)));
+        for _ in 0..2 {
+            data.allocate().unwrap();
+            log.allocate().unwrap();
+        }
+        let old = vec![0xAAu8; 128];
+        let new = vec![0xBBu8; 128];
+        data.write(0, &old).unwrap();
+        log.write(0, &old).unwrap();
+        // Armed on the log disk, counted across both: writes #0–#2 from
+        // here alternate data, log, data and land; #3 (on the log) is
+        // the cut.
+        log.inject(FaultKind::TornWrite { after_writes: 3 });
+        assert_eq!(data.power_cut_at(), log.power_cut_at());
+        data.write(1, &new).unwrap();
+        log.write(1, &new).unwrap();
+        data.write(0, &new).unwrap();
+        assert!(!data.power_cut_triggered());
+        assert!(log.write(0, &new).is_err(), "the stated global write tears");
+        assert!(data.power_cut_triggered() && log.power_cut_triggered());
+        let mut got = vec![0u8; 128];
+        log.read(0, &mut got).unwrap();
+        assert!(got[..64].iter().all(|&x| x == 0xBB), "new prefix persisted");
+        assert!(got[64..].iter().all(|&x| x == 0xAA), "old suffix survives");
+        // After the cut, both disks refuse every mutation.
+        for disk in [&data, &log] {
+            assert!(disk.write(1, &old).is_err());
+            disk.read(1, &mut got).unwrap();
+            assert_eq!(got, new, "post-cut write must not persist");
+            assert!(disk.allocate().is_err());
+            assert_eq!(disk.num_pages(), 2);
+            assert!(disk.sync().is_err());
+        }
+        data.read(0, &mut got).unwrap();
+        assert_eq!(got, new, "writes before the cut persisted");
+        // Restoring power on one restores it on both.
+        data.clear_faults();
+        log.write(1, &old).unwrap();
+        log.sync().unwrap();
     }
 
     #[test]

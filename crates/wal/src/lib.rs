@@ -8,10 +8,9 @@
 //!
 //! * [`Wal`] — a page-oriented, physiological write-ahead log written
 //!   through whatever [`DiskBackend`](bur_storage::DiskBackend) it is
-//!   handed, chained from the anchor page it allocates there. That may be
-//!   the page disk of the index it protects (one simulated power cut then
-//!   covers both) or a disk of its own — a `.bur` file keeps its log in a
-//!   `.bur.wal` sidecar, so a commit's `fsync` pushes the sequential log
+//!   handed, chained from the anchor page it allocates there. A `bur`
+//!   index hands it a disk of its own — a `.bur` file keeps its log in a
+//!   `.bur.wal` sidecar — so a commit's `fsync` pushes the sequential log
 //!   and not the randomly placed data pages the pool evicted. The log
 //!   only ever syncs *its* disk; ordering against the data disk is the
 //!   caller's checkpoint protocol (sync the log → flush and sync the data

@@ -20,13 +20,14 @@ fn main() {
     const OBJECTS: u64 = 5_000;
     const ROUNDS: usize = 40;
 
-    // A durable GBU primary on a shared in-memory disk.
-    let disk = Arc::new(MemDisk::new(1024));
+    // A durable GBU primary on two shared in-memory disks: data and log.
+    let (data, log) = (Arc::new(MemDisk::new(1024)), Arc::new(MemDisk::new(1024)));
     let opts = IndexOptions::generalized().with_durability(Durability::Wal(WalOptions {
         checkpoint_every: 5_000,
     }));
     let primary = IndexBuilder::with_options(opts)
-        .disk(disk.clone())
+        .disk(data.clone())
+        .log_disk(log.clone())
         .build()
         .expect("build primary");
 
@@ -45,7 +46,7 @@ fn main() {
     println!("primary: {} objects, durable log attached", primary.len());
 
     // Attach a warm standby and pump it from a background thread.
-    let mut shipper = LogShipper::new(disk);
+    let mut shipper = LogShipper::new(data, log);
     let mut follower = Follower::attach_in_memory(&mut shipper, opts).expect("attach follower");
     let replica = follower.handle();
     println!(

@@ -12,6 +12,7 @@
 //! burctl replicate <primary-file> <replica-file>
 //! burctl promote <file> [--strategy td|lbu|gbu]
 //! burctl wal-stats <file>
+//! burctl upgrade <file>
 //! burctl serve <data-dir> [--addr HOST:PORT] [--max-conns N]
 //! burctl ping --addr HOST:PORT
 //! burctl remote-query --addr HOST:PORT <index> <min_x> <min_y> <max_x> <max_y>
@@ -35,8 +36,9 @@
 //! A `--durable` index is a file *pair*: `<file>` and the write-ahead
 //! log beside it in `<file>.wal`. Every command takes the data file's
 //! path and resolves the sidecar the way `IndexBuilder::file` does
-//! (`bur::core::IndexFiles`); files written before the log moved out
-//! keep it inside the data file and have no sidecar.
+//! (`bur::core::IndexFiles`). A file written before the log moved out
+//! keeps it inside the data file; every command refuses it until
+//! `upgrade` moves the log to its sidecar.
 //!
 //! The serving trio talks the `burd` wire protocol: `serve` runs the
 //! server in the foreground over a data directory of named indexes
@@ -58,7 +60,9 @@
 //! directly to migrate a key range or run the imbalance heuristic —
 //! run those two only against a **stopped** server.
 
-use bur::core::{log_path, Batch, IndexBuilder, IndexFiles, IndexOptions, RTreeIndex};
+use bur::core::{
+    log_path, Batch, IndexBuilder, IndexFiles, IndexOptions, RTreeIndex, LOG_DISK_ANCHOR,
+};
 use bur::geom::{Point, Rect};
 use bur::repl::{Follower, LogShipper};
 use bur::storage::{DiskBackend, FileDisk};
@@ -82,6 +86,7 @@ fn usage() -> ExitCode {
          \x20 burctl replicate <primary-file> <replica-file>\n\
          \x20 burctl promote <file> [--strategy td|lbu|gbu]\n\
          \x20 burctl wal-stats <file>\n\
+         \x20 burctl upgrade <file>\n\
          \x20 burctl serve <data-dir> [--addr HOST:PORT] [--max-conns N]\n\
          \x20 burctl ping --addr HOST:PORT\n\
          \x20 burctl remote-query --addr HOST:PORT <index> <min_x> <min_y> <max_x> <max_y>\n\
@@ -126,8 +131,8 @@ fn usage() -> ExitCode {
          incremental cursor (surviving checkpoint rewinds via generation\n\
          tags), redoes every shipped record commit-by-commit onto\n\
          <replica-file>, and finally promotes the clone so it stands alone\n\
-         as a valid durable index (with its own <replica-file>.wal when the\n\
-         primary keeps its log in a sidecar). promote turns any durable\n\
+         as a valid durable index with its own <replica-file>.wal\n\
+         (overwriting an earlier clone: re-run it to refresh). promote turns any durable\n\
          standby (or crashed primary) file into a verified primary: it replays the\n\
          file's own log to the last durable commit, rebuilds the memory\n\
          state the strategy needs, validates every invariant, and\n\
@@ -142,8 +147,12 @@ fn usage() -> ExitCode {
          group commit record — after a crash it recovers entirely or not at\n\
          all — and the commit ticket is awaited (hard durability ack).\n\
          \n\
-         wal-stats reads the write-ahead log of a --durable file (from its\n\
-         <file>.wal sidecar, or from inside an older file) and reports,\n\
+         upgrade moves the log of a durable file written before sidecars out\n\
+         of the data file into <file>.wal, once; other commands refuse such\n\
+         a file until then.\n\
+         \n\
+         wal-stats reads the write-ahead log of a --durable file from its\n\
+         <file>.wal sidecar and reports,\n\
          besides the generation / page / LSN figures: full-image vs delta\n\
          record counts (`N full images, M deltas`), the wire bytes the delta\n\
          encoder spent and saved versus full-image logging (`delta bytes`),\n\
@@ -512,18 +521,14 @@ fn cmd_replicate(primary_path: &str, rest: &[String]) -> Result<(), String> {
     // The primary is a file pair; the replica becomes one of the same shape.
     let primary = IndexFiles::open(primary_path.as_ref(), opts.page_size)
         .map_err(|e| format!("cannot load {primary_path}: {e}"))?;
+    let log = primary.sidecar.ok_or_else(|| {
+        format!("{primary_path} has no write-ahead log (built without --durable?)")
+    })?;
+    let mut shipper = LogShipper::new(primary.data, log);
     let replica = create(replica_path.as_ref())?;
-    let mut shipper = match primary.sidecar {
-        Some(log) => LogShipper::with_log_disk(primary.data, log),
-        None => LogShipper::new(primary.data),
-    };
-    let mut follower = if shipper.logs_elsewhere() {
-        let replica_log = create(&log_path(replica_path.as_ref()))?;
-        Follower::attach_with_log_disk(&mut shipper, replica, replica_log, opts)
-    } else {
-        Follower::attach(&mut shipper, replica, opts)
-    }
-    .map_err(|e| format!("attach: {e}"))?;
+    let replica_log = create(&log_path(replica_path.as_ref()))?;
+    let mut follower = Follower::attach(&mut shipper, replica, Some(replica_log), opts)
+        .map_err(|e| format!("attach: {e}"))?;
     follower
         .catch_up(&mut shipper)
         .map_err(|e| format!("ship: {e}"))?;
@@ -599,8 +604,8 @@ fn cmd_wal_stats(path: &str) -> Result<(), String> {
         .map_err(|e| format!("cannot load {path}: {e}"))?;
     let page_size = opts.page_size as u64;
     let no_log = "no write-ahead log in this file (built without --durable?)";
-    let scan = bur::wal::scan(files.log_disk().as_ref(), files.anchor.ok_or(no_log)?)
-        .map_err(|e| format!("scan: {e}"))?;
+    let log = files.sidecar.ok_or(no_log)?;
+    let scan = bur::wal::scan(log.as_ref(), LOG_DISK_ANCHOR).map_err(|e| format!("scan: {e}"))?;
     if !scan.valid {
         return Err(no_log.into());
     }
@@ -625,9 +630,7 @@ fn cmd_wal_stats(path: &str) -> Result<(), String> {
         }
     }
     println!("file          : {path}");
-    if files.sidecar.is_some() {
-        println!("log           : {}", log_path(path.as_ref()).display());
-    }
+    println!("log           : {}", log_path(path.as_ref()).display());
     println!("generation    : {}", scan.generation);
     println!("log pages     : {}", scan.pages.len());
     println!("stream bytes  : {}", scan.stream_bytes);
@@ -657,6 +660,20 @@ fn cmd_wal_stats(path: &str) -> Result<(), String> {
         } else {
             "clean"
         }
+    );
+    Ok(())
+}
+
+fn cmd_upgrade(path: &str) -> Result<(), String> {
+    let opts = IndexOptions::generalized()
+        .with_durability(bur::core::Durability::Wal(bur::core::WalOptions::default()));
+    let (index, report) = bur::core::upgrade(path.as_ref(), opts).map_err(|e| e.to_string())?;
+    index
+        .validate()
+        .map_err(|e| format!("upgraded index is INVALID: {e}"))?;
+    println!(
+        "upgraded {path}: {} objects, {} committed ops redone; all invariants hold",
+        report.recovered_len, report.committed_ops
     );
     Ok(())
 }
@@ -992,6 +1009,7 @@ fn main() -> ExitCode {
         "replicate" => cmd_replicate(path, rest),
         "promote" => cmd_promote(path, rest),
         "wal-stats" => cmd_wal_stats(path),
+        "upgrade" => cmd_upgrade(path),
         "serve" => cmd_serve(path, rest),
         _ => {
             return usage();

@@ -97,10 +97,12 @@
 //! use bur::prelude::*;
 //! use std::sync::Arc;
 //!
-//! let disk = Arc::new(MemDisk::new(1024));
+//! // The tree on one disk, its write-ahead log on a second.
+//! let (disk, log) = (Arc::new(MemDisk::new(1024)), Arc::new(MemDisk::new(1024)));
 //! let bur = IndexBuilder::generalized()
 //!     .durable()
 //!     .disk(disk.clone())
+//!     .log_disk(log.clone())
 //!     .build()
 //!     .unwrap();
 //! let mut batch = Batch::new();
@@ -110,6 +112,7 @@
 //!
 //! let (recovered, report) = IndexBuilder::generalized()
 //!     .disk(disk)
+//!     .log_disk(log)
 //!     .recover()
 //!     .build_with_report()
 //!     .unwrap();

@@ -87,6 +87,36 @@ fn build_with_td_strategy() {
     );
 }
 
+/// `build` over an existing index refuses and leaves the file pair as it
+/// was.
+#[test]
+fn second_build_on_the_same_path_is_refused() {
+    let dir = TempDir::new("ctl");
+    let file = dir.file("taken.bur");
+    let path = file.to_str().unwrap();
+    assert!(burctl(&["build", path, "--objects", "500", "--durable"])
+        .status
+        .success());
+    let sidecar = dir.file("taken.bur.wal");
+    let before = (
+        std::fs::read(&file).unwrap(),
+        std::fs::read(&sidecar).unwrap(),
+    );
+    let out = burctl(&["build", path, "--objects", "10", "--durable"]);
+    assert!(!out.status.success(), "a second build clobbered {path}");
+    assert!(
+        String::from_utf8_lossy(&out.stderr).contains("already exists"),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let after = (
+        std::fs::read(&file).unwrap(),
+        std::fs::read(&sidecar).unwrap(),
+    );
+    assert!(before == after, "the refused build changed the file pair");
+    assert!(stdout(&burctl(&["validate", path])).contains("ok: 500 objects"));
+}
+
 #[test]
 fn durable_build_recover_and_wal_stats() {
     let dir = TempDir::new("ctl");

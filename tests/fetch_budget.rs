@@ -522,9 +522,13 @@ fn no_pin_outlives_apply_when_the_commit_fails() {
     let opts = IndexOptions::generalized().with_durability(Durability::Wal(WalOptions {
         checkpoint_every: 1_000_000,
     }));
-    let disk = Arc::new(FaultyDisk::new(Arc::new(MemDisk::new(opts.page_size))));
+    let (disk, log) = FaultyDisk::pair(
+        Arc::new(MemDisk::new(opts.page_size)),
+        Arc::new(MemDisk::new(opts.page_size)),
+    );
     let bur = IndexBuilder::with_options(opts)
         .disk(disk.clone())
+        .log_disk(log)
         .buffer_frames(16_384)
         .build()
         .unwrap();

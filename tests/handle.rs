@@ -301,10 +301,11 @@ fn mid_batch_power_cut_recovers_all_or_nothing() {
     const K: usize = 8;
     for cut_after in [3u64, 17, 41, 67, 103, 151, 211, 293, 380, 477] {
         let opts = durable_opts(u64::MAX);
-        let inner = Arc::new(MemDisk::new(PAGE));
-        let faulty = Arc::new(FaultyDisk::new(inner.clone()));
+        let (inner, inner_log) = (Arc::new(MemDisk::new(PAGE)), Arc::new(MemDisk::new(PAGE)));
+        let (faulty, faulty_log) = FaultyDisk::pair(inner.clone(), inner_log.clone());
         let bur = IndexBuilder::with_options(opts)
             .disk(faulty.clone())
+            .log_disk(faulty_log)
             .build()
             .unwrap();
         faulty.inject(FaultKind::TornWrite {
@@ -333,10 +334,11 @@ fn mid_batch_power_cut_recovers_all_or_nothing() {
             acked_batches < 200,
             "cut at {cut_after} never fired; raise the batch count"
         );
-        drop(bur); // crash — only `inner` (the platter) survives
+        drop(bur); // crash — only the platters survive
 
         let (recovered, _report) = IndexBuilder::generalized()
             .disk(inner)
+            .log_disk(inner_log)
             .recover()
             .build_with_report()
             .unwrap();

@@ -294,12 +294,16 @@ fn claim_table_covers_the_last_leaf_however_the_tree_came_to_exist() {
     let opts = IndexOptions::generalized().with_durability(Durability::Wal(WalOptions {
         checkpoint_every: 1_000_000,
     }));
-    let disk = Arc::new(MemDisk::new(opts.page_size));
+    let (data, log) = (
+        Arc::new(MemDisk::new(opts.page_size)),
+        Arc::new(MemDisk::new(opts.page_size)),
+    );
     let primary = IndexBuilder::with_options(opts)
-        .disk(disk.clone())
+        .disk(data.clone())
+        .log_disk(log.clone())
         .build()
         .unwrap();
-    let mut shipper = LogShipper::new(disk);
+    let mut shipper = LogShipper::new(data, log);
     let mut follower = Follower::attach_in_memory(&mut shipper, opts).unwrap();
     primary.apply(&batch).unwrap();
     follower.catch_up(&mut shipper).unwrap();
@@ -773,10 +777,11 @@ fn make_room_splits_survive_power_cuts() {
     }
 
     for cut in [8u64, 21, 55, 89, 144, 233, 377] {
-        let inner = Arc::new(MemDisk::new(1024));
-        let faulty = Arc::new(FaultyDisk::new(inner.clone()));
+        let (inner, inner_log) = (Arc::new(MemDisk::new(1024)), Arc::new(MemDisk::new(1024)));
+        let (faulty, faulty_log) = FaultyDisk::pair(inner.clone(), inner_log.clone());
         let bur = IndexBuilder::with_options(opts)
             .disk(faulty.clone())
+            .log_disk(faulty_log)
             .build()
             .unwrap();
         faulty.inject(FaultKind::TornWrite { after_writes: cut });
@@ -798,6 +803,7 @@ fn make_room_splits_survive_power_cuts() {
 
         let (recovered, _report) = IndexBuilder::with_options(opts)
             .disk(inner)
+            .log_disk(inner_log)
             .recover()
             .build_index_with_report()
             .unwrap();
@@ -833,10 +839,11 @@ fn concurrent_batches_recover_all_or_nothing() {
     let opts = IndexOptions::generalized().with_durability(Durability::Wal(wopts));
 
     for cut in [60u64, 200, 500] {
-        let inner = Arc::new(MemDisk::new(1024));
-        let faulty = Arc::new(FaultyDisk::new(inner.clone()));
+        let (inner, inner_log) = (Arc::new(MemDisk::new(1024)), Arc::new(MemDisk::new(1024)));
+        let (faulty, faulty_log) = FaultyDisk::pair(inner.clone(), inner_log.clone());
         let bur = IndexBuilder::with_options(opts)
             .disk(faulty.clone())
+            .log_disk(faulty_log)
             .build()
             .unwrap();
         // Per-object position history: history[oid][b] is where batch b
@@ -898,6 +905,7 @@ fn concurrent_batches_recover_all_or_nothing() {
 
         let (recovered, _report) = IndexBuilder::with_options(opts)
             .disk(inner)
+            .log_disk(inner_log)
             .recover()
             .build_index_with_report()
             .unwrap();

@@ -253,56 +253,148 @@ fn open_rejects_garbage_and_mismatched_page_size() {
 
 // ---- the file pair: `<path>` + `<path>.wal` ---------------------------------
 
-/// A durable file written before the log moved out — built through
-/// `.disk(Arc<FileDisk>)`, so its log sits at page 1 and there is no
-/// sidecar — reopens through `.file(path)`, recovers the tail it never
-/// flushed, and keeps logging in place.
+/// A durable file written before the log moved out of the data file
+/// fails closed in every mode, with the typed error that names `burctl
+/// upgrade`, and keeps its bytes. The fixture was written through
+/// `.disk(Arc<FileDisk>)` when that kept the log inside the file: seed
+/// 41, 200 objects populated and checkpointed, then 100 moves that live
+/// only in that log. After `burctl upgrade` the pair reopens with every
+/// acknowledged position and keeps logging to its sidecar.
 #[test]
-fn parent_layout_durable_file_reopens_and_keeps_logging_in_place() {
-    let opts = IndexOptions::generalized().with_durability(Durability::Wal(WalOptions {
-        checkpoint_every: 1_000_000,
-    }));
+fn old_layout_file_fails_closed_until_burctl_upgrade() {
+    let fixture = std::fs::read(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/fixtures/old-layout.bur"
+    ))
+    .unwrap();
     let dir = TempDir::new("persist");
     let path = dir.file("old-layout.bur");
     let sidecar = bur::core::log_path(&path);
-    let mut rng = StdRng::seed_from_u64(41);
-    let mut positions;
-    {
-        let disk = Arc::new(FileDisk::create(&path, opts.page_size).unwrap());
-        let mut index = IndexBuilder::with_options(opts)
-            .disk(disk)
-            .build_index()
-            .unwrap();
-        positions = populate(&mut index, &mut rng, 400);
-        index.checkpoint().unwrap();
-        // The unflushed tail: committed to the in-file log, not in the
-        // base image. Dropping without a checkpoint is the crash.
-        churn(&mut index, &mut positions, &mut rng, 300);
-    }
-    assert!(!sidecar.exists(), "the parent layout has no sidecar");
-
-    for round in 0..2 {
-        let mut index = IndexBuilder::with_options(IndexOptions::generalized())
+    std::fs::write(&path, &fixture).unwrap();
+    for mode in [OpenMode::Open, OpenMode::Recover] {
+        let err = IndexBuilder::generalized()
             .file(&path)
-            .open()
+            .mode(mode)
             .build_index()
-            .unwrap();
-        assert!(index.is_durable(), "durability is the file's property");
-        assert_eq!(index.len(), 400);
-        index.validate().unwrap();
-        for (oid, p) in positions.iter().enumerate() {
-            assert!(
-                index.point_query(*p).unwrap().contains(&(oid as u64)),
-                "round {round}: acknowledged position of {oid} lost"
-            );
-        }
-        // Keeps working, again without a clean shutdown.
-        churn(&mut index, &mut positions, &mut rng, 200);
-        assert!(!sidecar.exists(), "an in-place log stays in place");
+            .unwrap_err();
+        let named = path.display().to_string();
+        assert!(
+            matches!(&err, CoreError::LogMissing(msg)
+                if msg.contains(&format!("burctl upgrade {named}"))),
+            "{mode:?}: {err}"
+        );
     }
-    let files = bur::core::IndexFiles::open(&path, opts.page_size).unwrap();
-    assert!(files.sidecar.is_none());
-    assert_eq!(files.anchor, Some(bur::core::WAL_ANCHOR));
+    assert_eq!(
+        std::fs::read(&path).unwrap(),
+        fixture,
+        "a refusal writes nothing"
+    );
+    assert!(!sidecar.exists());
+
+    let upgrade = || {
+        std::process::Command::new(env!("CARGO_BIN_EXE_burctl"))
+            .arg("upgrade")
+            .arg(&path)
+            .output()
+            .unwrap()
+    };
+    let out = upgrade();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(sidecar.exists(), "the log moved to its sidecar");
+
+    // The acknowledged positions, regenerated from the fixture's seed.
+    let mut rng = StdRng::seed_from_u64(41);
+    let mut twin = IndexBuilder::generalized().build_index().unwrap();
+    let mut positions = populate(&mut twin, &mut rng, 200);
+    churn(&mut twin, &mut positions, &mut rng, 100);
+
+    let mut index = IndexBuilder::generalized()
+        .file(&path)
+        .open()
+        .build_index()
+        .unwrap();
+    assert!(index.is_durable());
+    assert_eq!(index.len(), 200);
+    index.validate().unwrap();
+    for (oid, p) in positions.iter().enumerate() {
+        assert!(
+            index.point_query(*p).unwrap().contains(&(oid as u64)),
+            "acknowledged position of {oid} lost"
+        );
+    }
+    // It keeps logging to the sidecar: churn, crash, recover.
+    churn(&mut index, &mut positions, &mut rng, 50);
+    drop(index);
+    let index = IndexBuilder::generalized()
+        .file(&path)
+        .recover()
+        .build_index()
+        .unwrap();
+    index.validate().unwrap();
+    for (oid, p) in positions.iter().enumerate() {
+        assert!(index.point_query(*p).unwrap().contains(&(oid as u64)));
+    }
+    drop(index);
+    assert!(
+        !upgrade().status.success(),
+        "an upgraded file has nothing to upgrade"
+    );
+}
+
+/// The same fixture with page 0 torn, as a crash inside the old layout's
+/// checkpoint leaves it: it still fails closed naming `burctl upgrade`,
+/// and the upgrade recovers every acknowledged position from the log
+/// inside the file.
+#[test]
+fn old_layout_file_with_a_torn_page_0_fails_closed_and_upgrades() {
+    let mut fixture = std::fs::read(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/fixtures/old-layout.bur"
+    ))
+    .unwrap();
+    let page_size = IndexOptions::default().page_size;
+    fixture[..page_size / 2].fill(0);
+    let dir = TempDir::new("persist");
+    let path = dir.file("torn.bur");
+    std::fs::write(&path, &fixture).unwrap();
+    let err = IndexBuilder::generalized()
+        .file(&path)
+        .open()
+        .build_index()
+        .unwrap_err();
+    assert!(
+        matches!(&err, CoreError::LogMissing(msg) if msg.contains("burctl upgrade")),
+        "{err}"
+    );
+    assert_eq!(std::fs::read(&path).unwrap(), fixture);
+
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_burctl"))
+        .arg("upgrade")
+        .arg(&path)
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let mut rng = StdRng::seed_from_u64(41);
+    let mut twin = IndexBuilder::generalized().build_index().unwrap();
+    let mut positions = populate(&mut twin, &mut rng, 200);
+    churn(&mut twin, &mut positions, &mut rng, 100);
+    let index = IndexBuilder::generalized()
+        .file(&path)
+        .open()
+        .build_index()
+        .unwrap();
+    index.validate().unwrap();
+    for (oid, p) in positions.iter().enumerate() {
+        assert!(index.point_query(*p).unwrap().contains(&(oid as u64)));
+    }
 }
 
 /// A new-layout file whose sidecar vanished fails closed with a typed
@@ -342,6 +434,49 @@ fn missing_sidecar_fails_closed_with_a_typed_error() {
         !sidecar.exists(),
         "a refused open must not conjure an empty log"
     );
+}
+
+/// `create` over an existing index file is refused before either file
+/// is touched, durable or not: the index still opens with all of it.
+#[test]
+fn create_over_an_existing_index_file_is_refused_and_changes_nothing() {
+    let dir = TempDir::new("persist");
+    let path = dir.file("kept.bur");
+    let sidecar = bur::core::log_path(&path);
+    let positions = {
+        let mut index = IndexBuilder::generalized()
+            .durable()
+            .file(&path)
+            .build_index()
+            .unwrap();
+        populate(&mut index, &mut StdRng::seed_from_u64(61), 300)
+    };
+    let (data, log) = (
+        std::fs::read(&path).unwrap(),
+        std::fs::read(&sidecar).unwrap(),
+    );
+    for builder in [
+        IndexBuilder::generalized().durable(),
+        IndexBuilder::generalized(),
+    ] {
+        let err = builder.file(&path).build_index().unwrap_err();
+        assert!(
+            matches!(&err, CoreError::BadConfig(msg) if msg.contains("exists")),
+            "{err}"
+        );
+        assert_eq!(std::fs::read(&path).unwrap(), data, "data file untouched");
+        assert_eq!(std::fs::read(&sidecar).unwrap(), log, "sidecar untouched");
+    }
+    let index = IndexBuilder::generalized()
+        .file(&path)
+        .open()
+        .build_index()
+        .unwrap();
+    assert_eq!(index.len(), 300);
+    index.validate().unwrap();
+    for (oid, p) in positions.iter().enumerate() {
+        assert!(index.point_query(*p).unwrap().contains(&(oid as u64)));
+    }
 }
 
 /// `create` over a path whose old sidecar is still there starts from

@@ -13,12 +13,12 @@
 //! * window and kNN answers equal to a sequential oracle.
 //!
 //! The drill runs for all three update strategies and a spread of cut
-//! points, entirely on a `FaultyDisk`-wrapped `MemDisk`, so every run is
-//! reproducible.
+//! points, entirely on a `FaultyDisk` pair — a data and a log `MemDisk`
+//! that share one power supply — so every run is reproducible.
 
 mod common;
 
-use bur::core::WAL_ANCHOR;
+use bur::core::LOG_DISK_ANCHOR;
 use bur::prelude::*;
 use bur::storage::{DiskBackend, FaultKind, FaultyDisk, MemDisk};
 use bur::wal::WalRecord;
@@ -29,17 +29,63 @@ use std::sync::Arc;
 
 const PAGE: usize = 1024;
 
-/// Recover from a disk through the builder (the drills' shorthand; the
-/// report is always present in recover mode).
-fn recover_on<D: DiskBackend + 'static>(
+/// Recover from a data and a log disk through the builder (the drills'
+/// shorthand; the report is always present in recover mode).
+fn recover_on<D: DiskBackend + 'static, L: DiskBackend + 'static>(
     disk: Arc<D>,
+    log: Arc<L>,
     opts: IndexOptions,
 ) -> CoreResult<(RTreeIndex, RecoveryReport)> {
     let (index, report) = IndexBuilder::with_options(opts)
         .disk(disk)
+        .log_disk(log)
         .recover()
         .build_index_with_report()?;
     Ok((index, report.expect("recover mode yields a report")))
+}
+
+/// A data platter and a log platter that share one power supply: the
+/// index writes through the `FaultyDisk` pair over them, and recovery
+/// reads what the platters hold after the cut.
+struct Rig {
+    data: Arc<FaultyDisk>,
+    log: Arc<FaultyDisk>,
+    data_platter: Arc<MemDisk>,
+    log_platter: Arc<MemDisk>,
+}
+
+impl Rig {
+    fn new() -> Self {
+        let (data_platter, log_platter) =
+            (Arc::new(MemDisk::new(PAGE)), Arc::new(MemDisk::new(PAGE)));
+        let (data, log) = FaultyDisk::pair(data_platter.clone(), log_platter.clone());
+        Self {
+            data,
+            log,
+            data_platter,
+            log_platter,
+        }
+    }
+
+    /// A builder over the pair.
+    fn builder(&self, opts: IndexOptions) -> IndexBuilder {
+        IndexBuilder::with_options(opts)
+            .disk(self.data.clone())
+            .log_disk(self.log.clone())
+    }
+
+    /// Power cut across both disks: `writes` more writes land, the next
+    /// is torn, everything after is void.
+    fn cut_after(&self, writes: u64) {
+        self.data.inject(FaultKind::TornWrite {
+            after_writes: writes,
+        });
+    }
+
+    /// Recover from the platters.
+    fn recover(&self, opts: IndexOptions) -> CoreResult<(RTreeIndex, RecoveryReport)> {
+        recover_on(self.data_platter.clone(), self.log_platter.clone(), opts)
+    }
 }
 
 /// Recover from a file through the builder.
@@ -95,12 +141,8 @@ impl Oracle {
 fn crash_drill(name: &str, base: IndexOptions, cut_after: u64, seed: u64) {
     let n: u64 = 500;
     let opts = durable(base, 64);
-    let inner = Arc::new(MemDisk::new(PAGE));
-    let faulty = Arc::new(FaultyDisk::new(inner.clone()));
-    let mut index = IndexBuilder::with_options(opts)
-        .disk(faulty.clone())
-        .build_index()
-        .unwrap();
+    let rig = Rig::new();
+    let mut index = rig.builder(opts).build_index().unwrap();
 
     let mut rng = StdRng::seed_from_u64(seed);
     let mut positions = Vec::with_capacity(n as usize);
@@ -112,9 +154,7 @@ fn crash_drill(name: &str, base: IndexOptions, cut_after: u64, seed: u64) {
 
     // Power cut: `cut_after` more disk writes land, the next is torn,
     // everything after is void.
-    faulty.inject(FaultKind::TornWrite {
-        after_writes: cut_after,
-    });
+    rig.cut_after(cut_after);
     // The op that observes the cut returns Err, but its outcome is
     // genuinely unknown (standard commit-ack semantics): the cut may
     // have landed after its commit record was durably synced — e.g.
@@ -138,9 +178,10 @@ fn crash_drill(name: &str, base: IndexOptions, cut_after: u64, seed: u64) {
     }
     let pending = pending
         .unwrap_or_else(|| panic!("{name}: the power cut never fired (cut_after {cut_after})"));
-    drop(index); // crash — only `inner` (the platter) survives
+    drop(index); // crash — only the platters survive
 
-    let (recovered, report) = recover_on(inner.clone(), opts)
+    let (recovered, report) = rig
+        .recover(opts)
         .unwrap_or_else(|e| panic!("{name}: recovery failed after cut at {cut_after}: {e}"));
     // Resolve the unknown-outcome op: it must be atomically at old or at
     // new, never both, never elsewhere.
@@ -254,17 +295,13 @@ fn crash_recovery_drill_gbu() {
 fn crash_recovery_survives_every_write_boundary_in_band() {
     for cut in (0..120u64).step_by(1) {
         let opts = durable(IndexOptions::generalized(), 16);
-        let inner = Arc::new(MemDisk::new(PAGE));
-        let faulty = Arc::new(FaultyDisk::new(inner.clone()));
-        faulty.inject(FaultKind::TornWrite { after_writes: cut });
+        let rig = Rig::new();
+        rig.cut_after(cut);
         let mut rng = StdRng::seed_from_u64(7000 + cut);
         let mut acked: Vec<(u64, Point)> = Vec::new();
         let mut pending: Option<(u64, Option<Point>, Point)> = None; // (oid, old, new)
         let run = (|| -> Result<(), ()> {
-            let mut index = IndexBuilder::with_options(opts)
-                .disk(faulty.clone())
-                .build_index()
-                .map_err(|_| ())?;
+            let mut index = rig.builder(opts).build_index().map_err(|_| ())?;
             for oid in 0..80u64 {
                 let p = Point::new(rng.random_range(0.0..1.0), rng.random_range(0.0..1.0));
                 if index.insert(oid, p).is_err() {
@@ -293,7 +330,7 @@ fn crash_recovery_survives_every_write_boundary_in_band() {
             continue; // create_on itself was cut: nothing was ever acknowledged
         }
 
-        match recover_on(inner, opts) {
+        match rig.recover(opts) {
             Ok((recovered, _report)) => {
                 recovered
                     .validate()
@@ -340,13 +377,9 @@ fn crash_recovery_survives_every_write_boundary_in_band() {
 #[test]
 fn crash_during_population_loses_no_acknowledged_insert() {
     let opts = durable(IndexOptions::generalized(), 32);
-    let inner = Arc::new(MemDisk::new(PAGE));
-    let faulty = Arc::new(FaultyDisk::new(inner.clone()));
-    let mut index = IndexBuilder::with_options(opts)
-        .disk(faulty.clone())
-        .build_index()
-        .unwrap();
-    faulty.inject(FaultKind::TornWrite { after_writes: 180 });
+    let rig = Rig::new();
+    let mut index = rig.builder(opts).build_index().unwrap();
+    rig.cut_after(180);
     let mut rng = StdRng::seed_from_u64(5150);
     let mut acked: Vec<(u64, Point)> = Vec::new();
     let mut pending: Option<(u64, Point)> = None;
@@ -364,7 +397,7 @@ fn crash_during_population_loses_no_acknowledged_insert() {
     assert!(pending.is_some(), "the cut must fire");
     drop(index);
 
-    let (recovered, _report) = recover_on(inner, opts).unwrap();
+    let (recovered, _report) = rig.recover(opts).unwrap();
     recovered.validate().unwrap();
     let (pid, pp) = pending.unwrap();
     let pending_survived = recovered.point_query(pp).unwrap().contains(&pid);
@@ -388,9 +421,8 @@ fn clean_shutdown_recovery_is_a_noop_and_open_routes_through_it() {
     let mut rng = StdRng::seed_from_u64(4242);
     let mut positions = Vec::new();
     {
-        let disk = Arc::new(FileDisk::create(&path, PAGE).unwrap());
         let mut index = IndexBuilder::with_options(opts)
-            .disk(disk)
+            .file(&path)
             .build_index()
             .unwrap();
         for oid in 0..800u64 {
@@ -401,9 +433,8 @@ fn clean_shutdown_recovery_is_a_noop_and_open_routes_through_it() {
         index.persist().unwrap(); // checkpoint + clean shutdown
     }
     // open_on with durable options routes through recovery.
-    let disk = Arc::new(FileDisk::open(&path, PAGE).unwrap());
     let index = IndexBuilder::with_options(opts)
-        .disk(disk)
+        .file(&path)
         .open()
         .build_index()
         .unwrap();
@@ -415,9 +446,8 @@ fn clean_shutdown_recovery_is_a_noop_and_open_routes_through_it() {
     // Durability is a property of the file: opening with *non-durable*
     // options still reattaches the WAL (otherwise unlogged page writes
     // would race the stale log generation on a later recover).
-    let disk = Arc::new(FileDisk::open(&path, PAGE).unwrap());
     let mut index = IndexBuilder::with_options(IndexOptions::generalized())
-        .disk(disk)
+        .file(&path)
         .open()
         .build_index()
         .unwrap();
@@ -455,13 +485,20 @@ fn recover_rejects_non_durable_disks_and_options() {
     index.insert(1, Point::new(0.1, 0.1)).unwrap();
     index.persist().unwrap();
     drop(index);
+    let log = Arc::new(MemDisk::new(PAGE));
     // Non-durable options are rejected outright.
-    let err = recover_on(disk.clone(), opts).unwrap_err();
+    let err = recover_on(disk.clone(), log.clone(), opts).unwrap_err();
     assert!(err.to_string().contains("Durability::Wal"), "got: {err}");
-    // Durable options on a disk that never had a log are rejected too
-    // (page 1 is a tree page, not a WAL anchor).
-    let err = recover_on(disk, IndexOptions::durable()).unwrap_err();
+    // Durable options with a log disk that never held a log are rejected
+    // too, and so are durable options without a log disk.
+    let err = recover_on(disk.clone(), log, IndexOptions::durable()).unwrap_err();
     assert!(err.to_string().contains("write-ahead log"), "got: {err}");
+    let err = IndexBuilder::with_options(IndexOptions::durable())
+        .disk(disk)
+        .recover()
+        .build_index()
+        .unwrap_err();
+    assert!(matches!(err, CoreError::LogMissing(_)), "got: {err}");
 }
 
 /// Dense sweep over *delta-heavy* generations: a checkpoint interval
@@ -477,12 +514,8 @@ fn crash_recovery_survives_cuts_inside_delta_chains_and_at_anchors() {
     let opts = IndexOptions::generalized().with_durability(Durability::Wal(wopts));
     let (mut deltas, mut anchors) = (0, 0);
     for cut in (2..200u64).step_by(2) {
-        let inner = Arc::new(MemDisk::new(PAGE));
-        let faulty = Arc::new(FaultyDisk::new(inner.clone()));
-        let mut index = IndexBuilder::with_options(opts)
-            .disk(faulty.clone())
-            .build_index()
-            .unwrap();
+        let rig = Rig::new();
+        let mut index = rig.builder(opts).build_index().unwrap();
         let mut rng = StdRng::seed_from_u64(9300 + cut);
         let n = 60u64;
         let mut positions = Vec::with_capacity(n as usize);
@@ -494,7 +527,7 @@ fn crash_recovery_survives_cuts_inside_delta_chains_and_at_anchors() {
         // Take a checkpoint so the measured window is pure update traffic:
         // repeated in-place moves of the same objects, i.e. delta chains.
         index.checkpoint().unwrap();
-        faulty.inject(FaultKind::TornWrite { after_writes: cut });
+        rig.cut_after(cut);
         let mut pending: Option<(u64, Point, Point)> = None;
         for step in 0..100_000u64 {
             let oid = (step * 7) % n; // revisit pages: chains grow past anchors
@@ -514,9 +547,10 @@ fn crash_recovery_survives_cuts_inside_delta_chains_and_at_anchors() {
         let (poid, pold, pnew) = pending.expect("the power cut must fire");
         drop(index);
 
-        anchors += replayed_anchors(&inner);
-        let (recovered, report) =
-            recover_on(inner, opts).unwrap_or_else(|e| panic!("cut {cut}: recovery failed: {e}"));
+        anchors += replayed_anchors(&rig.log_platter);
+        let (recovered, report) = rig
+            .recover(opts)
+            .unwrap_or_else(|e| panic!("cut {cut}: recovery failed: {e}"));
         deltas += report.replayed_deltas;
         recovered.validate().unwrap();
         // The interrupted op lands atomically on exactly one side.
@@ -541,10 +575,10 @@ fn crash_recovery_survives_cuts_inside_delta_chains_and_at_anchors() {
 }
 
 /// Full images of a page already logged in the same generation — the
-/// anchors — among the records a recovery of `disk` replays (those up to
-/// the last commit or checkpoint).
-fn replayed_anchors(disk: &MemDisk) -> u64 {
-    let scan = bur::wal::scan(disk, WAL_ANCHOR).unwrap();
+/// anchors — among the records a recovery from the log disk `log`
+/// replays (those up to the last commit or checkpoint).
+fn replayed_anchors(log: &MemDisk) -> u64 {
+    let scan = bur::wal::scan(log, LOG_DISK_ANCHOR).unwrap();
     let end = scan
         .records
         .iter()
@@ -573,12 +607,8 @@ fn crash_mid_commit_batch_preserves_every_flushed_batch() {
     };
     let opts = IndexOptions::generalized().with_durability(Durability::Wal(wopts));
     for cut in 1..=60u64 {
-        let inner = Arc::new(MemDisk::new(PAGE));
-        let faulty = Arc::new(FaultyDisk::new(inner.clone()));
-        let mut index = IndexBuilder::with_options(opts)
-            .disk(faulty.clone())
-            .build_index()
-            .unwrap();
+        let rig = Rig::new();
+        let mut index = rig.builder(opts).build_index().unwrap();
         let mut rng = StdRng::seed_from_u64(4400 + cut);
         let n = 80u64;
         // Positions as of the last committed batch: the durable floor.
@@ -589,7 +619,7 @@ fn crash_mid_commit_batch_preserves_every_flushed_batch() {
             positions.push(p);
         }
         index.checkpoint().unwrap(); // all inserts are a durable floor
-        faulty.inject(FaultKind::TornWrite { after_writes: cut });
+        rig.cut_after(cut);
         let mut committed = 0u64;
         // The moves of the batch that observed the cut: `(oid, old, new)`.
         let cut_batch: Vec<(u64, Point, Point)> = loop {
@@ -623,7 +653,7 @@ fn crash_mid_commit_batch_preserves_every_flushed_batch() {
         };
         drop(index);
 
-        let (recovered, report) = recover_on(inner, opts).unwrap();
+        let (recovered, report) = rig.recover(opts).unwrap();
         recovered.validate().unwrap();
         assert_eq!(recovered.len(), n, "cut {cut}");
         let holds = |oid: u64, p: Point| recovered.point_query(p).unwrap().contains(&oid);
@@ -662,6 +692,7 @@ fn checkpoints_recycle_chain_pages_instead_of_leaking() {
     let disk = Arc::new(MemDisk::new(PAGE));
     let mut index = IndexBuilder::with_options(opts)
         .disk(disk.clone())
+        .log_disk(Arc::new(MemDisk::new(PAGE)))
         .build_index()
         .unwrap();
     let mut rng = StdRng::seed_from_u64(515);
@@ -707,12 +738,8 @@ fn durable_index_survives_strategy_switch_on_recovery() {
     // plus the rebuild installs the hash index and parent pointers LBU
     // needs.
     let gbu = durable(IndexOptions::generalized(), 64);
-    let inner = Arc::new(MemDisk::new(PAGE));
-    let faulty = Arc::new(FaultyDisk::new(inner.clone()));
-    let mut index = IndexBuilder::with_options(gbu)
-        .disk(faulty.clone())
-        .build_index()
-        .unwrap();
+    let rig = Rig::new();
+    let mut index = rig.builder(gbu).build_index().unwrap();
     let mut rng = StdRng::seed_from_u64(31337);
     let mut positions = Vec::new();
     for oid in 0..600u64 {
@@ -720,7 +747,7 @@ fn durable_index_survives_strategy_switch_on_recovery() {
         index.insert(oid, p).unwrap();
         positions.push(p);
     }
-    faulty.inject(FaultKind::TornWrite { after_writes: 50 });
+    rig.cut_after(50);
     let mut pending: Option<(u64, Point, Point)> = None;
     for _ in 0..100_000 {
         let oid = rng.random_range(0..600);
@@ -740,7 +767,7 @@ fn durable_index_survives_strategy_switch_on_recovery() {
     drop(index);
 
     let lbu = durable(IndexOptions::localized(), 64);
-    let (mut recovered, _) = recover_on(inner, lbu).unwrap();
+    let (mut recovered, _) = rig.recover(lbu).unwrap();
     recovered.validate().unwrap(); // checks LBU parent pointers
     if let Some((oid, _old, new)) = pending {
         if recovered.point_query(new).unwrap().contains(&oid) {
@@ -763,8 +790,8 @@ fn durable_index_survives_strategy_switch_on_recovery() {
 /// What one run of the lost-writes workload left behind.
 struct LossyRun {
     data: Arc<common::LossyDisk>,
-    /// The log's own disk; `None` when the log shares `data`.
-    log: Option<Arc<common::LossyDisk>>,
+    /// The log's own disk.
+    log: Arc<common::LossyDisk>,
     /// Object positions after every acknowledged batch.
     acked: HashMap<u64, Point>,
     /// The same after the batch the cut interrupted — outcome unknown.
@@ -780,24 +807,21 @@ struct LossyRun {
 const LOSSY_BATCHES: usize = 260;
 const LOSSY_OBJECTS: u64 = 800;
 
-/// Build a durable GBU index on [`common::LossyDisk`]s (log on its own
-/// disk when `separate_log`), then apply `LOSSY_BATCHES` 8-op batches —
+/// Build a durable GBU index on two [`common::LossyDisk`]s, data and
+/// log, then apply `LOSSY_BATCHES` 8-op batches —
 /// inserts first, then moves mixed with delete + re-insert pairs — until
 /// `power` fails. A 24-frame pool keeps evicting committed pages into the
 /// data disk's cache between commits, and `checkpoint_every = 40` takes a
 /// checkpoint every fifth batch. The op stream depends only on `seed`, so
 /// a dry run's marks place the cuts of the runs that follow.
-fn lossy_run(separate_log: bool, seed: u64, power: &Arc<common::PowerSwitch>) -> LossyRun {
+fn lossy_run(seed: u64, power: &Arc<common::PowerSwitch>) -> LossyRun {
     let opts = durable(IndexOptions::generalized(), 40);
     let data = common::LossyDisk::new(Arc::new(MemDisk::new(PAGE)), power.clone());
-    let log =
-        separate_log.then(|| common::LossyDisk::new(Arc::new(MemDisk::new(PAGE)), power.clone()));
-    let mut builder = IndexBuilder::with_options(opts)
+    let log = common::LossyDisk::new(Arc::new(MemDisk::new(PAGE)), power.clone());
+    let builder = IndexBuilder::with_options(opts)
         .buffer_frames(24)
-        .disk(data.clone());
-    if let Some(log) = &log {
-        builder = builder.log_disk(log.clone());
-    }
+        .disk(data.clone())
+        .log_disk(log.clone());
     let mut run = LossyRun {
         data,
         log,
@@ -873,16 +897,16 @@ fn holds_exactly(index: &RTreeIndex, want: &HashMap<u64, Point>) -> bool {
 /// writes of each disk, recover, and demand the oracle of acknowledged
 /// batches: zero acked loss, the interrupted batch all or nothing,
 /// `validate()` clean, no pin left behind.
-fn lost_writes_sweep(separate_log: bool) {
+#[test]
+fn lost_unsynced_writes_sweep_log_on_its_own_disk() {
     let seed: u64 = std::env::var("LOST_WRITES_SEED")
         .ok()
         .and_then(|s| s.parse().ok())
         .unwrap_or(20_031);
-    let layout = if separate_log { "separate" } else { "shared" };
-    let ctx = |cut: u64| format!("LOST_WRITES_SEED={seed} layout {layout} cut {cut}");
+    let ctx = |cut: u64| format!("LOST_WRITES_SEED={seed} cut {cut}");
 
     let always_on = common::PowerSwitch::always_on();
-    let dry = lossy_run(separate_log, seed, &always_on);
+    let dry = lossy_run(seed, &always_on);
     assert_eq!(dry.acked_batches, LOSSY_BATCHES);
     let total = dry.marks.last().unwrap().0;
     // Batches whose mark shows one more checkpoint than the batch before:
@@ -930,7 +954,7 @@ fn lost_writes_sweep(separate_log: bool) {
 
     for (cut, targets_batch) in cuts {
         let power = common::PowerSwitch::cut_after(cut);
-        let run = lossy_run(separate_log, seed, &power);
+        let run = lossy_run(seed, &power);
         assert!(power.is_cut(), "{}: the cut never fired", ctx(cut));
         if let Some(batch) = targets_batch {
             assert_eq!(run.acked_batches, batch, "{}: off its target", ctx(cut));
@@ -942,17 +966,13 @@ fn lost_writes_sweep(separate_log: bool) {
             disk.crash(|| !lose_all && rng.random_range(0..2) == 0);
         };
         lose(&run.data);
-        if let Some(log) = &run.log {
-            lose(log);
-        }
+        lose(&run.log);
         power.restore();
 
         let opts = durable(IndexOptions::generalized(), 40);
-        let mut builder = IndexBuilder::with_options(opts).disk(run.data.clone());
-        if let Some(log) = &run.log {
-            builder = builder.log_disk(log.clone());
-        }
-        let recovered = builder
+        let recovered = IndexBuilder::with_options(opts)
+            .disk(run.data.clone())
+            .log_disk(run.log.clone())
             .recover()
             .build_index()
             .unwrap_or_else(|e| panic!("{}: recovery failed: {e}", ctx(cut)));
@@ -975,14 +995,4 @@ fn lost_writes_sweep(separate_log: bool) {
             run.acked.len(),
         );
     }
-}
-
-#[test]
-fn lost_unsynced_writes_sweep_log_on_its_own_disk() {
-    lost_writes_sweep(true);
-}
-
-#[test]
-fn lost_unsynced_writes_sweep_log_sharing_the_data_disk() {
-    lost_writes_sweep(false);
 }

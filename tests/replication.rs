@@ -17,8 +17,9 @@
 //!   base image, and never replays stale records (its watermark is
 //!   strictly monotonic).
 //!
-//! Everything runs on `MemDisk` (wrapped in `FaultyDisk` for the
-//! power-cut drill), so every run is reproducible.
+//! Everything runs on `MemDisk`s — a data and a log disk per primary,
+//! wrapped in a `FaultyDisk` pair for the power-cut drill — so every run
+//! is reproducible.
 
 mod common;
 
@@ -47,6 +48,17 @@ fn clone_disk(src: &dyn DiskBackend) -> Arc<MemDisk> {
         dst.write(pid, &buf).unwrap();
     }
     dst
+}
+
+/// A durable primary on a data and a log disk, and the two disks.
+fn primary_on_memory(opts: IndexOptions) -> (Bur, Arc<MemDisk>, Arc<MemDisk>) {
+    let (data, log) = (Arc::new(MemDisk::new(PAGE)), Arc::new(MemDisk::new(PAGE)));
+    let primary = IndexBuilder::with_options(opts)
+        .disk(data.clone())
+        .log_disk(log.clone())
+        .build()
+        .unwrap();
+    (primary, data, log)
 }
 
 /// Sorted ids the index reports inside `w`.
@@ -88,12 +100,8 @@ proptest! {
         steps in proptest::collection::vec(0u8..8, 6..24),
     ) {
         let opts = durable(IndexOptions::generalized(), 1_000_000);
-        let disk = Arc::new(MemDisk::new(PAGE));
-        let primary = IndexBuilder::with_options(opts)
-            .disk(disk.clone())
-            .build()
-            .unwrap();
-        let mut shipper = LogShipper::new(disk);
+        let (primary, data, log) = primary_on_memory(opts);
+        let mut shipper = LogShipper::new(data, log);
         let mut follower = Follower::attach_in_memory(&mut shipper, opts).unwrap();
         let replica = follower.handle();
 
@@ -185,14 +193,10 @@ proptest! {
 #[test]
 fn failover_at_every_record_boundary_is_all_or_nothing() {
     let opts = durable(IndexOptions::generalized(), 1_000_000);
-    let disk = Arc::new(MemDisk::new(PAGE));
-    let primary = IndexBuilder::with_options(opts)
-        .disk(disk.clone())
-        .build()
-        .unwrap();
+    let (primary, data, log) = primary_on_memory(opts);
 
     // Seed + quiesce, then freeze the base image every follower attaches
-    // from.
+    // from: both disks at one instant.
     let mut rng = StdRng::seed_from_u64(0xFA11);
     let mut positions: HashMap<u64, Point> = HashMap::new();
     let mut seed_batch = Batch::new();
@@ -203,7 +207,7 @@ fn failover_at_every_record_boundary_is_all_or_nothing() {
     }
     primary.apply(&seed_batch).unwrap().wait().unwrap();
     let seed_positions = positions.clone();
-    let base = clone_disk(disk.as_ref());
+    let (base, base_log) = (clone_disk(data.as_ref()), clone_disk(log.as_ref()));
 
     // Batched workload; oracle state per commit LSN.
     let mut oracle: HashMap<u64, HashMap<u64, Point>> = HashMap::new();
@@ -225,14 +229,14 @@ fn failover_at_every_record_boundary_is_all_or_nothing() {
     }
 
     // The full stream, as any follower would receive it.
-    let mut probe = LogShipper::new(disk.clone());
+    let mut probe = LogShipper::new(data, log);
     let stream = probe.poll().unwrap();
     assert!(!stream.torn_tail);
     let records = stream.records;
     assert!(records.len() > 20, "stream too short: {}", records.len());
 
     for cut in 0..=records.len() {
-        let mut shipper = LogShipper::new(base.clone());
+        let mut shipper = LogShipper::new(base.clone(), base_log.clone());
         let mut follower = Follower::attach_in_memory(&mut shipper, opts)
             .unwrap_or_else(|e| panic!("cut {cut}: attach: {e}"));
         let attach_lsn = follower.applied_lsn();
@@ -285,13 +289,15 @@ fn failover_at_every_record_boundary_is_all_or_nothing() {
 fn promoted_follower_loses_no_acked_update_across_cut_sweep() {
     for cut in [7u64, 19, 33, 52, 74, 96, 121, 150] {
         let opts = durable(IndexOptions::generalized(), 1_000_000);
-        let inner = Arc::new(MemDisk::new(PAGE));
-        let faulty = Arc::new(FaultyDisk::new(inner.clone()));
+        // Data and log share one power supply: one cut stops both.
+        let (data, log) =
+            FaultyDisk::pair(Arc::new(MemDisk::new(PAGE)), Arc::new(MemDisk::new(PAGE)));
         let primary = IndexBuilder::with_options(opts)
-            .disk(faulty.clone())
+            .disk(data.clone())
+            .log_disk(log.clone())
             .build()
             .unwrap();
-        let mut shipper = LogShipper::new(faulty.clone() as Arc<dyn DiskBackend>);
+        let mut shipper = LogShipper::new(data.clone(), log);
         let mut follower = Follower::attach_in_memory(&mut shipper, opts)
             .unwrap_or_else(|e| panic!("cut {cut}: attach: {e}"));
 
@@ -305,7 +311,7 @@ fn promoted_follower_loses_no_acked_update_across_cut_sweep() {
         }
         follower.catch_up(&mut shipper).unwrap();
 
-        faulty.inject(FaultKind::TornWrite { after_writes: cut });
+        data.inject(FaultKind::TornWrite { after_writes: cut });
         let mut pending: Option<(u64, Point, Point)> = None;
         for step in 0..100_000u64 {
             let oid = rng.random_range(0..n);
@@ -377,12 +383,8 @@ fn promoted_follower_loses_no_acked_update_across_cut_sweep() {
 #[test]
 fn checkpoint_rewind_mid_shipment_resyncs_cleanly() {
     let opts = durable(IndexOptions::generalized(), 24); // rewind every 24 ops
-    let disk = Arc::new(MemDisk::new(PAGE));
-    let primary = IndexBuilder::with_options(opts)
-        .disk(disk.clone())
-        .build()
-        .unwrap();
-    let mut shipper = LogShipper::new(disk);
+    let (primary, data, log) = primary_on_memory(opts);
+    let mut shipper = LogShipper::new(data, log);
     let mut follower = Follower::attach_in_memory(&mut shipper, opts).unwrap();
     let replica = follower.handle();
 
@@ -437,11 +439,7 @@ fn checkpoint_rewind_mid_shipment_resyncs_cleanly() {
 #[test]
 fn follower_soaks_under_concurrent_writers_and_readers() {
     let opts = durable(IndexOptions::generalized(), 512);
-    let disk = Arc::new(MemDisk::new(PAGE));
-    let primary = IndexBuilder::with_options(opts)
-        .disk(disk.clone())
-        .build()
-        .unwrap();
+    let (primary, data, log) = primary_on_memory(opts);
     let n = 256u64;
     let mut seed_batch = Batch::new();
     for oid in 0..n {
@@ -452,7 +450,7 @@ fn follower_soaks_under_concurrent_writers_and_readers() {
     }
     primary.apply(&seed_batch).unwrap().wait().unwrap();
 
-    let mut shipper = LogShipper::new(disk);
+    let mut shipper = LogShipper::new(data, log);
     let mut follower = Follower::attach_in_memory(&mut shipper, opts).unwrap();
     let replica = follower.handle();
 
@@ -515,9 +513,15 @@ fn file_to_file_replication_round_trip() {
     let replica_path = dir.file("replica.bur");
     let opts = durable(IndexOptions::generalized(), 1_000_000);
 
-    let primary_disk = Arc::new(FileDisk::create(&primary_path, PAGE).unwrap());
+    let pair = |path: &std::path::Path| {
+        let data = Arc::new(FileDisk::create(path, PAGE).unwrap());
+        let log = Arc::new(FileDisk::create(bur::core::log_path(path), PAGE).unwrap());
+        (data, log)
+    };
+    let (primary_disk, primary_log) = pair(&primary_path);
     let primary = IndexBuilder::with_options(opts)
         .disk(primary_disk.clone())
+        .log_disk(primary_log.clone())
         .build()
         .unwrap();
     let mut batch = Batch::new();
@@ -529,9 +533,10 @@ fn file_to_file_replication_round_trip() {
     }
     primary.apply(&batch).unwrap().wait().unwrap();
 
-    let mut shipper = LogShipper::new(primary_disk);
-    let replica_disk = Arc::new(FileDisk::create(&replica_path, PAGE).unwrap());
-    let mut follower = Follower::attach(&mut shipper, replica_disk, opts).unwrap();
+    let mut shipper = LogShipper::new(primary_disk, primary_log);
+    let (replica_disk, replica_log) = pair(&replica_path);
+    let mut follower =
+        Follower::attach(&mut shipper, replica_disk, Some(replica_log), opts).unwrap();
     follower.catch_up(&mut shipper).unwrap();
     let promoted = follower.promote().unwrap();
     assert_eq!(promoted.len(), 300);

@@ -232,20 +232,24 @@ fn mid_migration_power_cut_loses_no_acked_writes() {
     for cut_after in [2u64, 9, 33, 70] {
         let dir = TempDir::new("shard-cut");
         let manifest = dir.file("idx.shardmap");
-        // Two durable shards on in-memory platters behind fault
-        // injectors; the manifest lives on the real filesystem.
-        let platters: Vec<Arc<MemDisk>> = (0..2).map(|_| Arc::new(MemDisk::new(1024))).collect();
-        let faulty: Vec<Arc<FaultyDisk>> = platters
+        // Two durable shards, each on a data and a log platter behind a
+        // fault-injector pair that shares one power supply; the manifest
+        // lives on the real filesystem.
+        let platters: Vec<[Arc<MemDisk>; 2]> = (0..2)
+            .map(|_| [Arc::new(MemDisk::new(1024)), Arc::new(MemDisk::new(1024))])
+            .collect();
+        let faulty: Vec<(Arc<FaultyDisk>, Arc<FaultyDisk>)> = platters
             .iter()
-            .map(|p| Arc::new(FaultyDisk::new(p.clone())))
+            .map(|[data, log]| FaultyDisk::pair(data.clone(), log.clone()))
             .collect();
         {
             let burs: Vec<Bur> = faulty
                 .iter()
-                .map(|d| {
+                .map(|(data, log)| {
                     IndexBuilder::generalized()
                         .durable()
-                        .disk(d.clone())
+                        .disk(data.clone())
+                        .log_disk(log.clone())
                         .build()
                         .unwrap()
                 })
@@ -261,7 +265,7 @@ fn mid_migration_power_cut_loses_no_acked_writes() {
             // Tear a write on the *recipient* some way into the copy
             // phase, then crash (drop): only platters + manifest live on.
             let quarter = shard::key_space_for(s.order()) / 4;
-            faulty[1].inject(FaultKind::TornWrite {
+            faulty[1].0.inject(FaultKind::TornWrite {
                 after_writes: cut_after,
             });
             if s.migrate_range(0, quarter, 1).is_err() {
@@ -273,9 +277,10 @@ fn mid_migration_power_cut_loses_no_acked_writes() {
         // forward (commit). Either way: all-or-nothing, zero loss.
         let burs: Vec<Bur> = platters
             .iter()
-            .map(|p| {
+            .map(|[data, log]| {
                 let (b, _) = IndexBuilder::generalized()
-                    .disk(p.clone())
+                    .disk(data.clone())
+                    .log_disk(log.clone())
                     .recover()
                     .build_with_report()
                     .unwrap();
