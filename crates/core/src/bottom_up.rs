@@ -20,13 +20,12 @@
 use crate::config::UpdateStrategy;
 use crate::error::{CoreError, CoreResult};
 use crate::node::{Node, ObjectId};
-use crate::pins::{PinSet, PinnedNode};
+use crate::pins::{CommitSet, PinSet, PinnedNode};
 use crate::stats::UpdateOutcome;
 use crate::tree::RTree;
 use crate::{gbu, lbu, topdown};
 use bur_geom::{Point, Rect};
 use bur_storage::{PageId, INVALID_PAGE};
-use std::sync::Arc;
 
 /// The rung that settled a move.
 #[derive(Debug, Clone, Copy)]
@@ -129,24 +128,25 @@ pub(crate) fn parent_of(
 /// are each asked of the pool once. Hash probe + leaf = 2 fetches in
 /// place, + parent = 3 extended, + sibling = 4 shifted (the object's
 /// hash entry is re-pointed through the probe's pin) — the paper's own
-/// accounting with "R/W" as one access.
+/// accounting with "R/W" as one access. The operation is one of the
+/// batch `written`.
 pub(crate) fn update(
     tree: &mut RTree,
+    written: &mut CommitSet<'_>,
     oid: ObjectId,
     old: Point,
     new: Point,
 ) -> CoreResult<UpdateOutcome> {
-    let pool = Arc::clone(&tree.pool);
-    let hash = Arc::clone(tree.hash.as_ref().expect("bottom-up needs the hash index"));
-    let mut ops = PinSet::new(&pool);
+    let mut op = written.begin();
+    let hash = op.hash().expect("bottom-up needs the hash index");
     let Some(probe) = hash.probe(oid)? else {
         return Err(CoreError::ObjectNotFound(oid));
     };
     let leaf_pid = probe.value();
-    ops.track_own(oid, Some(probe));
+    op.track_own(oid, Some(probe));
     let mut reads = PinnedReads {
         tree,
-        ops: &mut ops,
+        ops: &mut op,
         leaf_pid,
         oid,
         leaf: None,
@@ -165,7 +165,7 @@ pub(crate) fn update(
         Rung::InPlace => {
             let (leaf, idx) = leaf.as_mut().expect(taken);
             leaf.leaf_entries_mut()[*idx].rect = Rect::from_point(new);
-            tree.write_pinned(leaf);
+            tree.write_pinned(ops, leaf);
             UpdateOutcome::InPlace
         }
         Rung::Extend(rect) => {
@@ -173,9 +173,9 @@ pub(crate) fn update(
                 (leaf.as_mut().expect(taken), parent.as_mut().expect(taken));
             // Grow before move: the parent entry lands first.
             parent.internal_entries_mut()[*pidx].rect = rect;
-            tree.write_pinned(parent);
+            tree.write_pinned(ops, parent);
             leaf.leaf_entries_mut()[*idx].rect = Rect::from_point(new);
-            tree.write_pinned(leaf);
+            tree.write_pinned(ops, leaf);
             UpdateOutcome::Extended
         }
         Rung::Repair(extend) => {
@@ -203,7 +203,8 @@ pub(crate) fn update(
     // re-pointed, parent first: the order the pool's LRU list sees.
     drop(parent);
     drop(leaf);
-    tree.settle(ops)?;
+    ops.settle()?;
+    written.end(op);
     Ok(outcome)
 }
 
@@ -219,11 +220,11 @@ pub(crate) fn release_source<'p>(
     pidx: usize,
 ) {
     let tight = leaf.mbr();
-    tree.write_pinned(&leaf);
+    tree.write_pinned(ops, &leaf);
     ops.put(leaf);
     if parent.internal_entries()[pidx].rect != tight {
         parent.internal_entries_mut()[pidx].rect = tight;
-        tree.write_pinned(parent);
+        tree.write_pinned(ops, parent);
     }
 }
 

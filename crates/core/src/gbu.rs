@@ -93,8 +93,8 @@ pub(crate) fn repair<'p>(
         // after all, parent first.
         leaf.leaf_entries_mut().push(LeafEntry::point(oid, new));
         parent.internal_entries_mut()[pidx].rect = rect;
-        tree.write_pinned(&parent);
-        tree.write_pinned(&leaf);
+        tree.write_pinned(ops, &parent);
+        tree.write_pinned(ops, &leaf);
         return Ok(UpdateOutcome::Extended);
     }
 
@@ -147,12 +147,12 @@ pub(crate) fn repair<'p>(
 /// success writes sibling + leaf + parent (tightened) and returns `true`;
 /// on failure leaves all pages untouched.
 #[allow(clippy::too_many_arguments)]
-fn try_shift(
+fn try_shift<'p>(
     tree: &mut RTree,
-    ops: &mut PinSet<'_>,
+    ops: &mut PinSet<'p>,
     params: GbuParams,
-    leaf: &mut PinnedNode<'_>,
-    parent: &mut PinnedNode<'_>,
+    leaf: &mut PinnedNode<'p>,
+    parent: &mut PinnedNode<'p>,
     pidx: usize,
     oid: ObjectId,
     new: Point,
@@ -182,7 +182,7 @@ fn try_shift(
         return Ok(false);
     }
     sib.leaf_entries_mut().push(LeafEntry::point(oid, new));
-    tree.place(ops, oid, sib_pid)?;
+    ops.place(oid, sib_pid)?;
 
     // Piggybacking (Section 3.2.1 item 4): carry over a few other
     // entries of the source leaf that the sibling MBR already covers,
@@ -205,7 +205,7 @@ fn try_shift(
             if sib_rect.contains_rect(&e.rect) {
                 leaf.leaf_entries_mut().swap_remove(i);
                 sib.leaf_entries_mut().push(e);
-                tree.place(ops, e.oid, sib_pid)?;
+                ops.place(e.oid, sib_pid)?;
                 moved += 1;
             } else {
                 i += 1;
@@ -216,15 +216,15 @@ fn try_shift(
         }
     }
 
-    tree.write_pinned(&sib);
-    tree.write_pinned(leaf);
+    tree.write_pinned(ops, &sib);
+    tree.write_pinned(ops, leaf);
     // Tighten the source leaf's official MBR ("After a shift, the leaf's
     // MBR is tightened to reduce overlap"). The sibling's rect already
     // contains everything that moved, so the parent's own MBR can only
     // shrink — no upward propagation is required for correctness, and the
     // summary entry is refreshed by the write hook.
     parent.internal_entries_mut()[pidx].rect = leaf.mbr();
-    tree.write_pinned(parent);
+    tree.write_pinned(ops, parent);
     Ok(true)
 }
 

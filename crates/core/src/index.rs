@@ -9,6 +9,7 @@ use crate::files::stored_snapshot;
 use crate::knn::{self, Neighbor};
 use crate::meta::{read_meta_chain, write_meta_chain, MetaSnapshot, LOG_DISK_ANCHOR, META_PAGE};
 use crate::node::{LeafEntry, NodeEntries, ObjectId};
+use crate::pins::CommitSet;
 use crate::stats::{OpStats, UpdateOutcome};
 use crate::summary::SummaryStructure;
 use crate::tree::{RTree, WalHandle};
@@ -18,6 +19,7 @@ use bur_hashindex::{HashIndexConfig, LinearHashIndex};
 use bur_storage::{BufferPool, DiskBackend, IoStats, PageId, PoolConfig, INVALID_PAGE};
 use bur_wal::{RedoError, ScanResult, Wal, WalRecord, WalStatsSnapshot};
 use std::collections::HashMap;
+use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -304,25 +306,51 @@ impl RTreeIndex {
     /// Returns `false` (writing nothing) when the leaf no longer needs
     /// the room.
     pub(crate) fn make_room(&mut self, pid: PageId) -> CoreResult<bool> {
-        let split = self.tree.preparatory_split(pid)?;
-        self.commit(u64::from(split))?;
-        Ok(split)
+        self.exclusive(
+            |index, written| index.tree.preparatory_split(written, pid),
+            |&split| u64::from(split),
+        )
+    }
+
+    /// Run `apply` as one batch on the exclusive engine, then commit the
+    /// number of operations `changed` counts in its result under one
+    /// record. The batch's operations keep the pins of what they write in
+    /// one [`CommitSet`] (a durable index only), and the commit logs
+    /// through them.
+    fn exclusive<T>(
+        &mut self,
+        apply: impl for<'p> FnOnce(&mut Self, &mut CommitSet<'p>) -> CoreResult<T>,
+        changed: impl FnOnce(&T) -> u64,
+    ) -> CoreResult<T> {
+        let pool = Arc::clone(&self.tree.pool);
+        let hash = self.tree.hash.clone();
+        let mut written = CommitSet::new(&pool, hash.as_deref(), self.is_durable());
+        let applied = apply(self, &mut written)?;
+        self.commit(changed(&applied), written)?;
+        Ok(applied)
     }
 
     /// Commit the `ops` operations the exclusive engine just applied
     /// under one record: every page the pool saw touched since the last
     /// commit goes to [`RTree::wal_commit_pages`] in ascending page
-    /// order, pinned one at a time. Then checkpoint when the cadence says
-    /// so. No record when nothing changed (`ops == 0`) or without a WAL.
-    fn commit(&mut self, ops: u64) -> CoreResult<()> {
+    /// order, through the pin `written` kept for it, and is unpinned
+    /// right after. A touched page the batch does not hold was left by
+    /// an earlier commit that failed; that one is fetched. Then
+    /// checkpoint when the cadence says so. No record when nothing
+    /// changed (`ops == 0`) or without a WAL.
+    fn commit(&mut self, ops: u64, written: CommitSet<'_>) -> CoreResult<()> {
         if ops == 0 || self.tree.wal.is_none() {
             return Ok(());
         }
         let pool = &self.tree.pool;
-        let touched = pool
-            .touched_pages()
-            .into_iter()
-            .map(|pid| Ok(pool.fetch(pid)?));
+        let mut held = written.into_pins().into_iter().peekable();
+        let touched = pool.touched_pages().into_iter().map(|pid| {
+            while held.next_if(|pin| pin.pid() < pid).is_some() {}
+            match held.next_if(|pin| pin.pid() == pid) {
+                Some(pin) => Ok(pin),
+                None => Ok(Rc::new(pool.fetch(pid)?)),
+            }
+        });
         self.tree.wal_commit_pages(ops, touched, 0)?;
         if self.tree.checkpoint_due() {
             self.tree.wal_checkpoint()?;
@@ -426,23 +454,43 @@ impl RTreeIndex {
     /// failing position as [`CoreError::Batch`]. A batch that changed
     /// nothing writes no record.
     pub fn apply_batch(&mut self, batch: &Batch) -> CoreResult<BatchReport> {
+        // Commit what *was* applied before surfacing a failure; a commit
+        // error outranks it.
+        let (report, failed) = self.exclusive(
+            |index, written| Ok(index.apply_ops(written, batch)),
+            |(report, _)| report.inserted + report.updated + report.deleted,
+        )?;
+        failed.map_or(Ok(report), Err)
+    }
+
+    /// Apply `batch`'s operations in order up to the first that fails;
+    /// returns what they did and that failure.
+    fn apply_ops(
+        &mut self,
+        written: &mut CommitSet<'_>,
+        batch: &Batch,
+    ) -> (BatchReport, Option<CoreError>) {
         let mut report = BatchReport::default();
         let mut failed = None;
         for (i, op) in batch.ops().iter().enumerate() {
             let step = match *op {
-                Op::Insert { oid, rect } => self.apply_insert(oid, rect).map(|()| {
+                Op::Insert { oid, rect } => self.apply_insert(written, oid, rect).map(|()| {
                     report.inserted += 1;
                 }),
-                Op::Update { oid, old, new } => self.apply_update(oid, old, new).map(|_| {
-                    report.updated += 1;
-                }),
-                Op::Delete { oid, position } => self.apply_delete(oid, position).map(|found| {
-                    if found {
-                        report.deleted += 1;
-                    } else {
-                        report.missing_deletes += 1;
-                    }
-                }),
+                Op::Update { oid, old, new } => {
+                    self.apply_update(written, oid, old, new).map(|_| {
+                        report.updated += 1;
+                    })
+                }
+                Op::Delete { oid, position } => {
+                    self.apply_delete(written, oid, position).map(|found| {
+                        if found {
+                            report.deleted += 1;
+                        } else {
+                            report.missing_deletes += 1;
+                        }
+                    })
+                }
             };
             if let Err(source) = step {
                 failed = Some(CoreError::Batch {
@@ -453,10 +501,7 @@ impl RTreeIndex {
             }
             report.applied += 1;
         }
-        // Commit what *was* applied before surfacing a failure; a commit
-        // error outranks it.
-        self.commit(report.inserted + report.updated + report.deleted)?;
-        failed.map_or(Ok(report), Err)
+        (report, failed)
     }
 
     /// Insert a point object under a fresh id. With a hash index present
@@ -467,28 +512,37 @@ impl RTreeIndex {
 
     /// Insert an object with a rectangular extent.
     pub fn insert_rect(&mut self, oid: ObjectId, rect: Rect) -> CoreResult<()> {
-        self.apply_insert(oid, rect)?;
-        self.commit(1)
+        self.exclusive(
+            |index, written| index.apply_insert(written, oid, rect),
+            |_| 1,
+        )
     }
 
     /// Delete the object `oid` located at `position`. Returns `false`
     /// when it is not indexed there.
     pub fn delete(&mut self, oid: ObjectId, position: Point) -> CoreResult<bool> {
-        let found = self.apply_delete(oid, position)?;
-        self.commit(u64::from(found))?;
-        Ok(found)
+        self.exclusive(
+            |index, written| index.apply_delete(written, oid, position),
+            |&found| u64::from(found),
+        )
     }
 
     /// Move object `oid` from `old` to `new` using the configured update
     /// strategy; returns which path the update took.
     pub fn update(&mut self, oid: ObjectId, old: Point, new: Point) -> CoreResult<UpdateOutcome> {
-        let outcome = self.apply_update(oid, old, new)?;
-        self.commit(1)?;
-        Ok(outcome)
+        self.exclusive(
+            |index, written| index.apply_update(written, oid, old, new),
+            |_| 1,
+        )
     }
 
     /// [`RTreeIndex::insert_rect`] without the commit.
-    fn apply_insert(&mut self, oid: ObjectId, rect: Rect) -> CoreResult<()> {
+    fn apply_insert(
+        &mut self,
+        written: &mut CommitSet<'_>,
+        oid: ObjectId,
+        rect: Rect,
+    ) -> CoreResult<()> {
         if !rect.is_valid() {
             return Err(CoreError::BadConfig(format!("invalid rect {rect}")));
         }
@@ -497,15 +551,20 @@ impl RTreeIndex {
                 return Err(CoreError::DuplicateObject(oid));
             }
         }
-        self.tree.insert_object(LeafEntry { oid, rect })?;
+        self.tree.insert_object(written, LeafEntry { oid, rect })?;
         self.tree.len.fetch_add(1, Ordering::Relaxed);
         self.tree.stats.inserts.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 
     /// [`RTreeIndex::delete`] without the commit.
-    fn apply_delete(&mut self, oid: ObjectId, position: Point) -> CoreResult<bool> {
-        let found = self.tree.delete_object(oid, position)?;
+    fn apply_delete(
+        &mut self,
+        written: &mut CommitSet<'_>,
+        oid: ObjectId,
+        position: Point,
+    ) -> CoreResult<bool> {
+        let found = self.tree.delete_object(written, oid, position)?;
         if found {
             self.tree.len.fetch_sub(1, Ordering::Relaxed);
             self.tree.stats.deletes.fetch_add(1, Ordering::Relaxed);
@@ -514,11 +573,17 @@ impl RTreeIndex {
     }
 
     /// [`RTreeIndex::update`] without the commit.
-    fn apply_update(&mut self, oid: ObjectId, old: Point, new: Point) -> CoreResult<UpdateOutcome> {
+    fn apply_update(
+        &mut self,
+        written: &mut CommitSet<'_>,
+        oid: ObjectId,
+        old: Point,
+        new: Point,
+    ) -> CoreResult<UpdateOutcome> {
         let outcome = match self.tree.opts.strategy {
-            UpdateStrategy::TopDown => topdown::update(&mut self.tree, oid, old, new)?,
+            UpdateStrategy::TopDown => topdown::update(&mut self.tree, written, oid, old, new)?,
             UpdateStrategy::Localized(_) | UpdateStrategy::Generalized(_) => {
-                bottom_up::update(&mut self.tree, oid, old, new)?
+                bottom_up::update(&mut self.tree, written, oid, old, new)?
             }
         };
         self.tree.stats.record_update(outcome);

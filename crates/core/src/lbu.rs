@@ -56,8 +56,8 @@ pub(crate) fn repair<'p>(
         let mut sib = ops.take(e.child)?;
         if sib.count() < leaf_cap {
             sib.leaf_entries_mut().push(LeafEntry::point(oid, new));
-            tree.write_pinned(&sib);
-            tree.place(ops, oid, e.child)?;
+            tree.write_pinned(ops, &sib);
+            ops.place(oid, e.child)?;
             return Ok(UpdateOutcome::Shifted);
         }
         // Full: stays in the set, the root insert below may split it.

@@ -9,7 +9,7 @@
 
 use crate::error::{CoreError, CoreResult};
 use crate::node::{LeafEntry, ObjectId};
-use crate::pins::PinSet;
+use crate::pins::{CommitSet, PinSet};
 use crate::stats::UpdateOutcome;
 use crate::tree::RTree;
 use bur_geom::Point;
@@ -18,17 +18,18 @@ use bur_geom::Point;
 /// `new` — two operations with a pin set each, because the paper's
 /// baseline pays for "another and separate top-down search"; sharing the
 /// delete's pins with the insert would price the baseline below the
-/// algorithm it stands for.
+/// algorithm it stands for. Both are operations of the batch `written`.
 pub(crate) fn update(
     tree: &mut RTree,
+    written: &mut CommitSet<'_>,
     oid: ObjectId,
     old: Point,
     new: Point,
 ) -> CoreResult<UpdateOutcome> {
-    if !tree.delete_object(oid, old)? {
+    if !tree.delete_object(written, oid, old)? {
         return Err(CoreError::ObjectNotFound(oid));
     }
-    tree.insert_object(LeafEntry::point(oid, new))?;
+    tree.insert_object(written, LeafEntry::point(oid, new))?;
     Ok(UpdateOutcome::TopDown)
 }
 

@@ -29,7 +29,7 @@ use crate::meta::{self, MetaSnapshot};
 use crate::node::{
     internal_capacity, leaf_capacity, InternalEntry, LeafEntry, Node, NodeEntries, ObjectId,
 };
-use crate::pins::{PinSet, PinnedNode};
+use crate::pins::{CommitSet, PinSet, PinnedNode};
 use crate::split;
 use crate::stats::OpStats;
 use crate::summary::SummaryStructure;
@@ -225,16 +225,18 @@ impl RTree {
 
     /// Re-encode a pinned node through its own pin and refresh the
     /// summary hooks: the write half of a pinned read-modify-write (no
-    /// pool fetch).
-    pub(crate) fn write_pinned(&mut self, pinned: &PinnedNode<'_>) {
+    /// pool fetch). `ops` keeps the pin for the commit on a durable
+    /// index.
+    pub(crate) fn write_pinned<'p>(&mut self, ops: &mut PinSet<'p>, pinned: &PinnedNode<'p>) {
         pinned.node.encode(&mut pinned.page.write());
+        ops.wrote(pinned);
         self.note_written(pinned.pid(), &pinned.node);
     }
 
     /// [`RTree::write_pinned`], then check the node back into the
     /// operation's pin set.
     fn write_back<'p>(&mut self, ops: &mut PinSet<'p>, node: PinnedNode<'p>) {
-        self.write_pinned(&node);
+        self.write_pinned(ops, &node);
         ops.put(node);
     }
 
@@ -308,7 +310,7 @@ impl RTree {
         let mut node = ops.take(pid)?;
         if node.parent != parent {
             node.parent = parent;
-            self.write_pinned(&node);
+            self.write_pinned(ops, &node);
         }
         ops.put(node);
         Ok(())
@@ -322,53 +324,18 @@ impl RTree {
         parent: PageId,
     ) -> CoreResult<()> {
         let pool = Arc::clone(&self.pool);
-        let mut ops = PinSet::new(&pool);
+        let mut ops = CommitSet::new(&pool, None, false).begin();
         for e in children {
             self.set_parent_pointer(&mut ops, e.child, parent)?;
         }
         Ok(())
     }
 
-    /// Update the hash index after `oid` moved to `leaf`.
+    /// Update the hash index after `oid` moved to `leaf`, outside any
+    /// operation (the bulk loader).
     pub(crate) fn hash_place(&mut self, oid: ObjectId, leaf: PageId) -> CoreResult<()> {
         if let Some(h) = &self.hash {
             h.insert(oid, leaf)?;
-        }
-        Ok(())
-    }
-
-    /// `oid` now sits on `leaf`: re-point its hash entry — unless it is
-    /// the operation's own object, which may move again before the
-    /// operation ends and is re-pointed once by [`RTree::settle`].
-    pub(crate) fn place(
-        &mut self,
-        ops: &mut PinSet<'_>,
-        oid: ObjectId,
-        leaf: PageId,
-    ) -> CoreResult<()> {
-        if ops.is_own(oid) {
-            ops.place_own(leaf);
-            Ok(())
-        } else {
-            self.hash_place(oid, leaf)
-        }
-    }
-
-    /// End of an operation: point the hash entry of its own object at the
-    /// leaf it ended on — through the probe's pin when it has one (no
-    /// fetch), as a new key otherwise. Nothing to do when it never left
-    /// its leaf.
-    pub(crate) fn settle(&mut self, ops: &mut PinSet<'_>) -> CoreResult<()> {
-        match ops.take_placement() {
-            Some((_, Some(probe), leaf)) if probe.value() != leaf => Ok(probe.set(leaf)?),
-            Some((oid, None, leaf)) => self.hash_place(oid, leaf),
-            _ => Ok(()),
-        }
-    }
-
-    fn hash_remove(&mut self, oid: ObjectId) -> CoreResult<()> {
-        if let Some(h) = &self.hash {
-            h.remove(oid)?;
         }
         Ok(())
     }
@@ -397,10 +364,12 @@ impl RTree {
     /// without a WAL. Never checkpoints — callers check
     /// [`RTree::checkpoint_due`].
     ///
-    /// The one commit function of both write paths. The exclusive engine
-    /// passes every page the pool saw touched since the last commit,
-    /// fetched one at a time in ascending order; the shared path passes
-    /// its batch's own pinned pages. It takes `&self`, so batches on
+    /// The one commit function of both write paths, and both feed it the
+    /// pins their batch holds: the exclusive engine every page the pool
+    /// saw touched since the last commit, in ascending order, each
+    /// through the pin its batch kept (fetched only when it was left
+    /// touched by an earlier commit that failed); the shared path its
+    /// batch's own pinned pages. It takes `&self`, so batches on
     /// disjoint leaves commit while others are still applying, and
     /// `commit_lock` keeps each batch's pages and record contiguous. A
     /// shared batch's page set is complete because, while any such batch
@@ -527,13 +496,18 @@ impl RTree {
     // ---- insertion ----------------------------------------------------------
 
     /// Insert a new object from the root (Guttman Insert), as an operation
-    /// of its own.
-    pub(crate) fn insert_object(&mut self, entry: LeafEntry) -> CoreResult<()> {
-        let pool = Arc::clone(&self.pool);
-        let mut ops = PinSet::new(&pool);
+    /// of its own in the batch `written`.
+    pub(crate) fn insert_object(
+        &mut self,
+        written: &mut CommitSet<'_>,
+        entry: LeafEntry,
+    ) -> CoreResult<()> {
+        let mut ops = written.begin();
         ops.track_own(entry.oid, None);
         self.insert_at_root(&mut ops, entry)?;
-        self.settle(&mut ops)
+        ops.settle()?;
+        written.end(ops);
+        Ok(())
     }
 
     /// Insert an object from the root within the operation `ops`.
@@ -664,7 +638,7 @@ impl RTree {
             match entry {
                 AnyEntry::Leaf(e) => {
                     node.leaf_entries_mut().push(e);
-                    self.place(ops, e.oid, pid)?;
+                    ops.place(e.oid, pid)?;
                 }
                 AnyEntry::Node(e, child_level) => {
                     if self.parent_pointers() && child_level == 0 {
@@ -862,7 +836,7 @@ impl RTree {
                 let b: Vec<LeafEntry> = gb.iter().map(|&i| entries[i]).collect();
                 // Re-homed objects: point the hash index at the new leaf.
                 for e in &b {
-                    self.place(ops, e.oid, new_pid)?;
+                    ops.place(e.oid, new_pid)?;
                 }
                 (
                     Node {
@@ -1009,10 +983,13 @@ impl RTree {
     /// Must run under the exclusive structure lock: it changes
     /// parent/child links, possibly `root` and `height`, and allocates
     /// pages.
-    pub(crate) fn preparatory_split(&mut self, leaf_pid: PageId) -> CoreResult<bool> {
-        let pool = Arc::clone(&self.pool);
-        let mut ops = PinSet::new(&pool);
-        let ops = &mut ops;
+    pub(crate) fn preparatory_split(
+        &mut self,
+        written: &mut CommitSet<'_>,
+        leaf_pid: PageId,
+    ) -> CoreResult<bool> {
+        let mut op = written.begin();
+        let ops = &mut op;
         let node = match ops.take(leaf_pid) {
             Ok(n) => n,
             // The page may have been condensed away and recycled.
@@ -1065,6 +1042,7 @@ impl RTree {
         if let Some(e) = pending {
             self.grow_root(ops, child_pid, child_mbr, e)?;
         }
+        written.end(op);
         self.stats.make_room_splits.fetch_add(1, Ordering::Relaxed);
         Ok(true)
     }
@@ -1072,18 +1050,24 @@ impl RTree {
     // ---- deletion -----------------------------------------------------------
 
     /// Delete the entry of `oid` whose position is `pos`, as an operation
-    /// of its own. Returns `false` when no such entry exists. Does not
-    /// touch [`RTree::len`] — the public index layer owns the object
-    /// count.
-    pub(crate) fn delete_object(&mut self, oid: ObjectId, pos: Point) -> CoreResult<bool> {
-        let pool = Arc::clone(&self.pool);
-        let mut ops = PinSet::new(&pool);
-        self.delete_in(&mut ops, oid, pos)
+    /// of its own in the batch `written`. Returns `false` when no such
+    /// entry exists. Does not touch [`RTree::len`] — the public index
+    /// layer owns the object count.
+    pub(crate) fn delete_object(
+        &mut self,
+        written: &mut CommitSet<'_>,
+        oid: ObjectId,
+        pos: Point,
+    ) -> CoreResult<bool> {
+        let mut ops = written.begin();
+        let found = self.delete_in(&mut ops, oid, pos)?;
+        written.end(ops);
+        Ok(found)
     }
 
     /// Delete the entry of `oid` at `pos` within the operation `ops`
     /// (a top-down update pairs this with a re-insert). The hash entry of
-    /// the operation's own object is left for [`RTree::settle`].
+    /// the operation's own object is left for [`PinSet::settle`].
     pub(crate) fn delete_in(
         &mut self,
         ops: &mut PinSet<'_>,
@@ -1098,7 +1082,7 @@ impl RTree {
         let idx = leaf.oid_index(oid).expect("find_leaf returned this leaf");
         leaf.leaf_entries_mut().swap_remove(idx);
         if !ops.is_own(oid) {
-            self.hash_remove(oid)?;
+            ops.hash_remove(oid)?;
         }
         self.condense_up(ops, leaf, path)?;
         Ok(true)

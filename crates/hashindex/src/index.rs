@@ -2,7 +2,7 @@
 
 use crate::bucket::{capacity, BucketView, BucketViewMut};
 use crate::{mix, Key, Value};
-use bur_storage::{BufferPool, PageId, PageRef, StorageResult};
+use bur_storage::{BufferPool, PageId, PageRef, StorageError, StorageResult};
 use parking_lot::Mutex;
 use std::sync::Arc;
 
@@ -178,19 +178,43 @@ impl LinearHashIndex {
 
     /// Insert or replace; returns the previous value when the key existed.
     pub fn insert(&self, key: Key, value: Value) -> StorageResult<Option<Value>> {
+        self.insert_keeping(key, value, None)
+    }
+
+    /// [`LinearHashIndex::insert`] that, given `written`, hands it every
+    /// page it writes — the key's bucket, an overflow page it appends,
+    /// the pages of a bucket split it triggers — still pinned, instead of
+    /// unpinning them: a durable caller logs the pages through those pins.
+    pub fn insert_keeping<'a>(
+        &'a self,
+        key: Key,
+        value: Value,
+        mut written: Written<'_, 'a>,
+    ) -> StorageResult<Option<Value>> {
         let mut state = self.state.lock();
         let bucket = state.bucket_of(key);
         let head = state.buckets[bucket];
-        let replaced = self.chain_upsert(head, key, value, &mut state)?;
+        let replaced = self.chain_upsert(head, key, value, &mut state, &mut written)?;
         if replaced.is_none() {
             state.entries += 1;
-            self.maybe_split(&mut state)?;
+            self.maybe_split(&mut state, &mut written)?;
         }
         Ok(replaced)
     }
 
     /// Remove a key; returns its value when present.
     pub fn remove(&self, key: Key) -> StorageResult<Option<Value>> {
+        self.remove_keeping(key, None)
+    }
+
+    /// [`LinearHashIndex::remove`] that, given `written`, hands it the
+    /// page it writes, still pinned (see
+    /// [`LinearHashIndex::insert_keeping`]).
+    pub fn remove_keeping<'a>(
+        &'a self,
+        key: Key,
+        mut written: Written<'_, 'a>,
+    ) -> StorageResult<Option<Value>> {
         let mut state = self.state.lock();
         let mut pid = state.buckets[state.bucket_of(key)];
         loop {
@@ -202,6 +226,7 @@ impl LinearHashIndex {
             if let Some((i, v)) = found {
                 BucketViewMut(&mut guard.write()).swap_remove(i);
                 state.entries -= 1;
+                hand_over(&mut written, guard);
                 return Ok(Some(v));
             }
             let next = {
@@ -239,12 +264,13 @@ impl LinearHashIndex {
     /// first page with room (allocating an overflow page when all full).
     /// Every chain page is fetched once: the first page with room stays
     /// pinned while the rest of the chain is searched for the key.
-    fn chain_upsert(
-        &self,
+    fn chain_upsert<'a>(
+        &'a self,
         head: PageId,
         key: Key,
         value: Value,
         state: &mut State,
+        written: &mut Written<'_, 'a>,
     ) -> StorageResult<Option<Value>> {
         let cap = capacity(self.pool.page_size());
         let mut pid = head;
@@ -258,6 +284,7 @@ impl LinearHashIndex {
             };
             if let Some((i, old)) = found {
                 BucketViewMut(&mut guard.write()).set_entry(i, key, value);
+                hand_over(written, guard);
                 return Ok(Some(old));
             }
             if let Some(n) = next {
@@ -268,14 +295,25 @@ impl LinearHashIndex {
                 continue;
             }
             // End of the chain, key absent: place it.
-            if let Some(room) = first_with_room.as_ref().or((count < cap).then_some(&guard)) {
-                BucketViewMut(&mut room.write()).push(key, value);
-            } else {
-                // Chain full: append an overflow page.
-                let (new_pid, new_page) = self.alloc_bucket_page(state)?;
-                state.overflow_pages += 1;
-                BucketViewMut(&mut new_page.write()).push(key, value);
-                BucketViewMut(&mut guard.write()).set_overflow(Some(new_pid));
+            match first_with_room {
+                Some(room) => {
+                    BucketViewMut(&mut room.write()).push(key, value);
+                    drop(guard);
+                    hand_over(written, room);
+                }
+                None if count < cap => {
+                    BucketViewMut(&mut guard.write()).push(key, value);
+                    hand_over(written, guard);
+                }
+                None => {
+                    // Chain full: append an overflow page.
+                    let (new_pid, new_page) = self.alloc_bucket_page(state)?;
+                    state.overflow_pages += 1;
+                    BucketViewMut(&mut new_page.write()).push(key, value);
+                    BucketViewMut(&mut guard.write()).set_overflow(Some(new_pid));
+                    hand_over(written, new_page);
+                    hand_over(written, guard);
+                }
             }
             return Ok(None);
         }
@@ -293,7 +331,11 @@ impl LinearHashIndex {
     }
 
     /// Split one bucket when over the configured load factor.
-    fn maybe_split(&self, state: &mut State) -> StorageResult<()> {
+    fn maybe_split<'a>(
+        &'a self,
+        state: &mut State,
+        written: &mut Written<'_, 'a>,
+    ) -> StorageResult<()> {
         let cap = capacity(self.pool.page_size());
         let load = state.entries as f64 / (state.buckets.len() * cap) as f64;
         if load <= self.config.max_load {
@@ -319,6 +361,8 @@ impl LinearHashIndex {
             }
             pid = view.overflow();
             BucketViewMut(&mut data).clear();
+            drop(data);
+            hand_over(written, guard);
         }
         // Release overflow pages (all but the primary) to the free list.
         for &p in &chain_pages[1..] {
@@ -326,7 +370,8 @@ impl LinearHashIndex {
             state.overflow_pages -= 1;
         }
         // Create the image bucket.
-        let (new_pid, _) = self.alloc_bucket_page(state)?;
+        let (new_pid, new_page) = self.alloc_bucket_page(state)?;
+        hand_over(written, new_page);
         let new_bucket = state.buckets.len();
         state.buckets.push(new_pid);
         // Advance the split pointer *before* redistribution so that
@@ -348,7 +393,7 @@ impl LinearHashIndex {
             };
             // No replacement possible here (keys are unique), and the
             // entry count is unchanged, so bypass the load-factor check.
-            let prev = self.chain_upsert(target, k, v, state)?;
+            let prev = self.chain_upsert(target, k, v, state, written)?;
             debug_assert!(prev.is_none());
         }
         Ok(())
@@ -391,37 +436,72 @@ impl LinearHashIndex {
         Ok(head)
     }
 
-    /// Reload an index persisted with [`LinearHashIndex::persist`].
+    /// Reload an index persisted with [`LinearHashIndex::persist`]. A
+    /// directory that does not decode is [`StorageError::Corrupt`].
     pub fn load(
         pool: Arc<BufferPool>,
         config: HashIndexConfig,
         head: PageId,
     ) -> StorageResult<Self> {
         let (payload, chain) = read_page_chain(&pool, head)?;
-        let mut cur = Cursor::new(&payload);
-        let level = cur.u32();
-        let next = cur.u64() as usize;
-        let entries = cur.u64() as usize;
-        let initial = cur.u32() as usize;
-        let overflow_pages = cur.u64() as usize;
-        let n_buckets = cur.u32() as usize;
-        let buckets = (0..n_buckets).map(|_| cur.u32()).collect();
-        let n_free = cur.u32() as usize;
-        let free_pages = (0..n_free).map(|_| cur.u32()).collect();
         Ok(Self {
             pool,
             config,
-            state: Mutex::new(State {
-                buckets,
-                level,
-                next,
-                entries,
-                initial,
-                free_pages,
-                overflow_pages,
-                chain,
-            }),
+            state: Mutex::new(decode_directory(&payload, chain)?),
         })
+    }
+}
+
+/// Decode a directory payload written by [`LinearHashIndex::persist`],
+/// trusting none of its bytes: every count is checked against the bytes
+/// left before anything is allocated, and the split state must be one
+/// [`State::bucket_of`] can route keys with.
+fn decode_directory(payload: &[u8], chain: Vec<PageId>) -> StorageResult<State> {
+    let mut cur = Cursor(payload);
+    let level = cur.u32()?;
+    let next = cur.u64()?;
+    let entries = cur.u64()?;
+    let initial = cur.u32()?;
+    let overflow_pages = cur.u64()?;
+    let buckets = cur.pages()?;
+    let free_pages = cur.pages()?;
+    if !cur.0.is_empty() {
+        return Err(StorageError::Corrupt("hash directory has trailing bytes"));
+    }
+    if !initial.is_power_of_two() || level >= 32 {
+        return Err(StorageError::Corrupt(
+            "hash directory split state is invalid",
+        ));
+    }
+    // Buckets below the split pointer have their image: `initial << level`
+    // plus `next` of them, and the pointer stays inside the round.
+    let n_low = u64::from(initial) << level;
+    if next >= n_low || n_low + next != buckets.len() as u64 {
+        return Err(StorageError::Corrupt(
+            "hash directory bucket count does not match its split state",
+        ));
+    }
+    let corrupt_count = || StorageError::Corrupt("hash directory count overflows");
+    Ok(State {
+        buckets,
+        level,
+        next: usize::try_from(next).map_err(|_| corrupt_count())?,
+        entries: usize::try_from(entries).map_err(|_| corrupt_count())?,
+        initial: initial as usize,
+        free_pages,
+        overflow_pages: usize::try_from(overflow_pages).map_err(|_| corrupt_count())?,
+        chain,
+    })
+}
+
+/// Where a write leaves the pages it dirtied: `None` unpins each one
+/// where the write lets go of it; `Some` hands it to the caller, still
+/// pinned.
+pub type Written<'w, 'a> = Option<&'w mut Vec<PageRef<'a>>>;
+
+fn hand_over<'a>(written: &mut Written<'_, 'a>, page: PageRef<'a>) {
+    if let Some(w) = written {
+        w.push(page);
     }
 }
 
@@ -436,7 +516,7 @@ pub struct Probe<'a> {
     value: Value,
 }
 
-impl Probe<'_> {
+impl<'a> Probe<'a> {
     /// The value found by the probe.
     #[must_use]
     pub fn value(&self) -> Value {
@@ -448,37 +528,70 @@ impl Probe<'_> {
     /// or a bucket split since the probe may have moved the entry — and a
     /// probe gone stale falls back to [`LinearHashIndex::insert`].
     pub fn set(self, value: Value) -> StorageResult<()> {
-        {
-            let mut data = self.page.write();
+        self.set_keeping(value, None)
+    }
+
+    /// [`Probe::set`] that, given `written`, hands it the probe's page —
+    /// written either way: the write latch marks it — and whatever a
+    /// stale probe's upsert writes, still pinned (see
+    /// [`LinearHashIndex::insert_keeping`]).
+    pub fn set_keeping(self, value: Value, mut written: Written<'_, 'a>) -> StorageResult<()> {
+        let Probe {
+            index,
+            page,
+            key,
+            slot,
+            ..
+        } = self;
+        let in_place = {
+            let mut data = page.write();
             let view = BucketView(&data);
-            if self.slot < view.count() && view.entry(self.slot).0 == self.key {
-                BucketViewMut(&mut data).set_entry(self.slot, self.key, value);
-                return Ok(());
+            let found = slot < view.count() && view.entry(slot).0 == key;
+            if found {
+                BucketViewMut(&mut data).set_entry(slot, key, value);
             }
+            found
+        };
+        if in_place {
+            hand_over(&mut written, page);
+            return Ok(());
         }
-        self.index.insert(self.key, value).map(|_| ())
+        let upserted = index.insert_keeping(key, value, written.as_deref_mut());
+        hand_over(&mut written, page);
+        upserted.map(|_| ())
     }
 }
 
-/// Little-endian payload reader for [`LinearHashIndex::load`].
-struct Cursor<'a> {
-    data: &'a [u8],
-    off: usize,
-}
+/// Bounds-checked little-endian payload reader for
+/// [`LinearHashIndex::load`]: the bytes not read yet.
+struct Cursor<'a>(&'a [u8]);
 
-impl<'a> Cursor<'a> {
-    fn new(data: &'a [u8]) -> Self {
-        Self { data, off: 0 }
+impl Cursor<'_> {
+    fn take<const N: usize>(&mut self) -> StorageResult<[u8; N]> {
+        let (head, rest) = self
+            .0
+            .split_first_chunk::<N>()
+            .ok_or(StorageError::Corrupt("hash directory is truncated"))?;
+        self.0 = rest;
+        Ok(*head)
     }
-    fn u32(&mut self) -> u32 {
-        let v = u32::from_le_bytes(self.data[self.off..self.off + 4].try_into().unwrap());
-        self.off += 4;
-        v
+
+    fn u32(&mut self) -> StorageResult<u32> {
+        Ok(u32::from_le_bytes(self.take()?))
     }
-    fn u64(&mut self) -> u64 {
-        let v = u64::from_le_bytes(self.data[self.off..self.off + 8].try_into().unwrap());
-        self.off += 8;
-        v
+
+    fn u64(&mut self) -> StorageResult<u64> {
+        Ok(u64::from_le_bytes(self.take()?))
+    }
+
+    /// A count-prefixed list of page ids; the count is held against the
+    /// bytes left before the list is allocated.
+    fn pages(&mut self) -> StorageResult<Vec<PageId>> {
+        let n = self.u32()? as usize;
+        if n > self.0.len() / 4 {
+            return Err(StorageError::Corrupt("hash directory is truncated"));
+        }
+        (0..n).map(|_| self.u32()).collect()
     }
 }
 
@@ -534,24 +647,21 @@ fn write_page_chain(
 /// oversized chunk length means a corrupt chain: surfaced as an error,
 /// never a panic or an endless walk.
 fn read_page_chain(pool: &BufferPool, head: PageId) -> StorageResult<(Vec<u8>, Vec<PageId>)> {
-    fn corrupt(msg: &'static str) -> bur_storage::StorageError {
-        bur_storage::StorageError::Io(std::io::Error::other(msg))
-    }
     let mut payload = Vec::new();
     let mut pages = Vec::new();
     let mut seen = std::collections::HashSet::new();
     let mut pid = head;
     loop {
         if !seen.insert(pid) {
-            return Err(corrupt("hash directory chain loops (corrupt chain)"));
+            return Err(StorageError::Corrupt("hash directory chain loops"));
         }
         let guard = pool.fetch(pid)?;
         let data = guard.read();
         let next = u32::from_le_bytes(data[0..4].try_into().unwrap());
         let len = u16::from_le_bytes(data[4..6].try_into().unwrap()) as usize;
         if len > data.len() - 6 {
-            return Err(corrupt(
-                "hash directory chunk overruns its page (corrupt chain)",
+            return Err(StorageError::Corrupt(
+                "hash directory chunk overruns its page",
             ));
         }
         payload.extend_from_slice(&data[6..6 + len]);
@@ -846,6 +956,96 @@ mod tests {
         let idx3 = LinearHashIndex::load(pool, HashIndexConfig::default(), head3).unwrap();
         for k in (0..3_000u64).step_by(97) {
             assert_eq!(idx3.get(k).unwrap(), Some((k * 3) as u32));
+        }
+    }
+
+    /// The directory payload of a 300-key index, as `persist` writes it.
+    fn persisted_directory() -> Vec<u8> {
+        let pool = make_pool(256, 256);
+        let idx = LinearHashIndex::create(pool.clone(), HashIndexConfig::default()).unwrap();
+        for k in 0..300u64 {
+            idx.insert(k, k as u32).unwrap();
+        }
+        // Free an overflow page so both page lists are non-empty.
+        let (crowd, _): (Vec<u64>, Vec<u64>) = (1_000..5_000u64).partition(|&k| mix(k) & 7 == 0);
+        for &k in &crowd[..20] {
+            idx.insert(k, 1).unwrap();
+        }
+        let head = idx.persist().unwrap();
+        read_page_chain(&pool, head).unwrap().0
+    }
+
+    /// Load `payload` written as a directory chain.
+    fn load(payload: &[u8]) -> StorageResult<LinearHashIndex> {
+        let pool = make_pool(256, 16);
+        let (head, _) = write_page_chain(&pool, payload, &mut Vec::new()).unwrap();
+        LinearHashIndex::load(pool, HashIndexConfig::default(), head)
+    }
+
+    fn refused(payload: &[u8], what: &str) {
+        match load(payload) {
+            Err(StorageError::Corrupt(_)) => {}
+            Err(e) => panic!("{what}: {e}"),
+            Ok(_) => panic!("{what}: loaded"),
+        }
+    }
+
+    #[test]
+    fn a_truncated_directory_is_refused_at_every_length() {
+        let payload = persisted_directory();
+        assert_eq!(load(&payload).unwrap().len(), 320);
+        for len in 0..payload.len() {
+            refused(
+                &payload[..len],
+                &format!("{len} of {} bytes", payload.len()),
+            );
+        }
+        let mut longer = payload.clone();
+        longer.push(0);
+        refused(&longer, "a trailing byte");
+    }
+
+    #[test]
+    fn a_directory_whose_counts_lie_is_refused() {
+        let payload = persisted_directory();
+        // level u32 @0, next u64 @4, entries u64 @12, initial u32 @20,
+        // overflow u64 @24, bucket count u32 @32, buckets, free count u32.
+        let n_buckets = u32::from_le_bytes(payload[32..36].try_into().unwrap()) as usize;
+        let free_at = 36 + 4 * n_buckets;
+        let level = u32::from_le_bytes(payload[0..4].try_into().unwrap());
+        let set = |at: usize, bytes: &[u8]| {
+            let mut p = payload.clone();
+            p[at..at + bytes.len()].copy_from_slice(bytes);
+            p
+        };
+        for (what, p) in [
+            (
+                "bucket count past the payload",
+                set(32, &u32::MAX.to_le_bytes()),
+            ),
+            (
+                "bucket count one up",
+                set(32, &(n_buckets as u32 + 1).to_le_bytes()),
+            ),
+            (
+                "bucket count one down",
+                set(32, &(n_buckets as u32 - 1).to_le_bytes()),
+            ),
+            (
+                "free count past the payload",
+                set(free_at, &u32::MAX.to_le_bytes()),
+            ),
+            ("free count one up", set(free_at, &1_000u32.to_le_bytes())),
+            ("initial 0", set(20, &0u32.to_le_bytes())),
+            ("initial not a power of two", set(20, &6u32.to_le_bytes())),
+            ("level at the word width", set(0, &64u32.to_le_bytes())),
+            ("level one up", set(0, &(level + 1).to_le_bytes())),
+            (
+                "split pointer past the round",
+                set(4, &u64::MAX.to_le_bytes()),
+            ),
+        ] {
+            refused(&p, what);
         }
     }
 

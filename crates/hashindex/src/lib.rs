@@ -22,7 +22,7 @@
 mod bucket;
 mod index;
 
-pub use index::{HashIndexConfig, LinearHashIndex, Probe};
+pub use index::{HashIndexConfig, LinearHashIndex, Probe, Written};
 
 /// Key type: object identifier.
 pub type Key = u64;

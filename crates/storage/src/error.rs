@@ -27,6 +27,10 @@ pub enum StorageError {
     DiskFull,
     /// An underlying OS I/O error (file-backed disks only).
     Io(std::io::Error),
+    /// Bytes read back from the disk do not decode as the structure they
+    /// should hold (a damaged page chain or directory): names what is
+    /// wrong.
+    Corrupt(&'static str),
     /// A fault injected by [`crate::FaultyDisk`] (tests and failure
     /// drills only; real disks never raise this).
     InjectedFault {
@@ -48,6 +52,7 @@ impl fmt::Display for StorageError {
             }
             StorageError::DiskFull => write!(f, "disk full: page id space exhausted"),
             StorageError::Io(e) => write!(f, "I/O error: {e}"),
+            StorageError::Corrupt(what) => write!(f, "corrupt stored data: {what}"),
             StorageError::InjectedFault { op, pid: Some(p) } => {
                 write!(f, "injected fault: {op} of page {p}")
             }
@@ -87,6 +92,8 @@ mod tests {
         };
         assert!(e.to_string().contains("512"));
         assert!(StorageError::DiskFull.to_string().contains("full"));
+        let e = StorageError::Corrupt("hash directory truncated");
+        assert!(e.to_string().contains("hash directory truncated"));
         let e: StorageError = std::io::Error::other("boom").into();
         assert!(e.to_string().contains("boom"));
         assert!(std::error::Error::source(&e).is_some());

@@ -284,8 +284,13 @@ const CRC32_TABLES: [[u32; 256]; 8] = {
 /// framed with one).
 #[must_use]
 pub fn crc32(data: &[u8]) -> u32 {
+    !crc32_update(!0, data)
+}
+
+/// Fold `data` into a running CRC-32 register: start from `!0` and invert
+/// the result, and a message fed in pieces gets the CRC of the whole.
+pub(crate) fn crc32_update(mut crc: u32, data: &[u8]) -> u32 {
     const T: &[[u32; 256]; 8] = &CRC32_TABLES;
-    let mut crc = 0xFFFF_FFFFu32;
     let mut chunks = data.chunks_exact(8);
     for c in &mut chunks {
         let lo = u32::from_le_bytes(c[0..4].try_into().unwrap()) ^ crc;
@@ -302,7 +307,7 @@ pub fn crc32(data: &[u8]) -> u32 {
     for &b in chunks.remainder() {
         crc = (crc >> 8) ^ T[0][((crc ^ u32::from(b)) & 0xFF) as usize];
     }
-    !crc
+    crc
 }
 
 #[cfg(test)]
@@ -314,6 +319,17 @@ mod tests {
         // The classic check value for "123456789".
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
+    fn crc32_fed_in_pieces_is_the_crc_of_the_whole() {
+        let data: Vec<u8> = (0..=255u8).cycle().take(1_000).collect();
+        for cuts in [[0, 0], [1, 9], [7, 8], [13, 600], [999, 1_000]] {
+            let crc = [&data[..cuts[0]], &data[cuts[0]..cuts[1]], &data[cuts[1]..]]
+                .iter()
+                .fold(!0, |crc, part| crc32_update(crc, part));
+            assert_eq!(!crc, crc32(&data), "cut at {cuts:?}");
+        }
     }
 
     #[test]

@@ -32,11 +32,12 @@
 //! generations are ignored by [`scan`] (generation mismatch ends the
 //! chain), so the log never grows past one generation of records.
 
-use crate::{crc32, DeltaRange, WalRecord};
+use crate::{crc32, crc32_update, DeltaRange, WalRecord};
 use bur_storage::{DiskBackend, Lsn, PageId, StorageResult, INVALID_PAGE};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::fmt;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -101,6 +102,17 @@ struct WalInner {
     needs_rewind: bool,
     /// Per-page delta-encoder state, cleared at every rewind.
     tracks: HashMap<PageId, PageTrack>,
+    /// The delta encoder's changed ranges, reused from page to page.
+    spans: Vec<Range<usize>>,
+}
+
+/// Where the stream stood before a record was appended: what
+/// [`Wal::append_inner`] rolls back to when the append fails part-way.
+struct StreamPos {
+    cur: PageId,
+    used: usize,
+    pages: usize,
+    dirty_tail: bool,
 }
 
 /// Monotonic counters describing log activity since creation.
@@ -202,10 +214,39 @@ enum RecordRef<'a> {
     Delta {
         pid: PageId,
         base_lsn: Lsn,
-        ranges: &'a [DeltaRange],
+        ranges: DeltaRanges<'a>,
     },
     Commit(&'a [u8]),
     Checkpoint(&'a [u8]),
+}
+
+/// The changed ranges of a delta record: a [`WalRecord`]'s own, or spans
+/// of the page being logged, borrowed from it.
+enum DeltaRanges<'a> {
+    Owned(&'a [DeltaRange]),
+    Spans {
+        page: &'a [u8],
+        spans: &'a [Range<usize>],
+    },
+}
+
+impl DeltaRanges<'_> {
+    fn len(&self) -> usize {
+        match self {
+            DeltaRanges::Owned(ranges) => ranges.len(),
+            DeltaRanges::Spans { spans, .. } => spans.len(),
+        }
+    }
+
+    /// Visit every range as `(offset, new bytes)`, in order.
+    fn each<E>(&self, mut f: impl FnMut(u16, &[u8]) -> Result<(), E>) -> Result<(), E> {
+        match self {
+            DeltaRanges::Owned(ranges) => ranges.iter().try_for_each(|r| f(r.offset, &r.bytes)),
+            DeltaRanges::Spans { page, spans } => spans
+                .iter()
+                .try_for_each(|s| f(s.start as u16, &page[s.clone()])),
+        }
+    }
 }
 
 impl RecordRef<'_> {
@@ -215,6 +256,35 @@ impl RecordRef<'_> {
             RecordRef::Commit(_) => 2,
             RecordRef::Checkpoint(_) => 3,
             RecordRef::Delta { .. } => 4,
+        }
+    }
+
+    /// Feed the record's body — `[kind] [lsn] [payload ...]` — to `f`
+    /// piece by piece, in order: once to checksum it, once to copy it
+    /// into the log, never into a buffer of its own.
+    fn body(&self, lsn: Lsn, mut f: impl FnMut(&[u8]) -> StorageResult<()>) -> StorageResult<()> {
+        f(&[self.kind()])?;
+        f(&lsn.to_le_bytes())?;
+        match self {
+            RecordRef::Image { pid, data } => {
+                f(&pid.to_le_bytes())?;
+                f(data)
+            }
+            RecordRef::Delta {
+                pid,
+                base_lsn,
+                ranges,
+            } => {
+                f(&pid.to_le_bytes())?;
+                f(&base_lsn.to_le_bytes())?;
+                f(&(ranges.len() as u16).to_le_bytes())?;
+                ranges.each(|offset, bytes| {
+                    f(&offset.to_le_bytes())?;
+                    f(&(bytes.len() as u16).to_le_bytes())?;
+                    f(bytes)
+                })
+            }
+            RecordRef::Commit(meta) | RecordRef::Checkpoint(meta) => f(meta),
         }
     }
 }
@@ -236,68 +306,88 @@ impl Wal {
             ));
         }
         let lsn = inner.next_lsn;
+        // Frame header first: the body's length and CRC, taken over its
+        // pieces without assembling it.
+        let (mut len, mut crc) = (0, !0);
+        rec.body(lsn, |part| {
+            len += part.len();
+            crc = crc32_update(crc, part);
+            Ok(())
+        })?;
+        let start = StreamPos {
+            cur: inner.cur,
+            used: inner.used,
+            pages: inner.chain.len(),
+            dirty_tail: inner.dirty_tail,
+        };
+        let appended = self
+            .put(inner, &(len as u32).to_le_bytes())
+            .and_then(|()| self.put(inner, &(!crc).to_le_bytes()))
+            .and_then(|()| rec.body(lsn, |part| self.put(inner, part)));
+        if let Err(e) = appended {
+            self.unwind(inner, start);
+            return Err(e);
+        }
         inner.next_lsn += 1;
         inner.last_lsn = lsn;
-
-        let mut body = Vec::with_capacity(BODY_PREFIX + 16);
-        body.push(rec.kind());
-        body.extend_from_slice(&lsn.to_le_bytes());
+        let frame = (FRAME + len) as u64;
         match rec {
-            RecordRef::Image { pid, data } => {
-                body.extend_from_slice(&pid.to_le_bytes());
-                body.extend_from_slice(data);
+            RecordRef::Image { .. } => {
                 self.counters.images.fetch_add(1, Ordering::Relaxed);
             }
-            RecordRef::Delta {
-                pid,
-                base_lsn,
-                ranges,
-            } => {
-                body.extend_from_slice(&pid.to_le_bytes());
-                body.extend_from_slice(&base_lsn.to_le_bytes());
-                body.extend_from_slice(&(ranges.len() as u16).to_le_bytes());
-                for r in *ranges {
-                    body.extend_from_slice(&r.offset.to_le_bytes());
-                    body.extend_from_slice(&(r.bytes.len() as u16).to_le_bytes());
-                    body.extend_from_slice(&r.bytes);
-                }
+            RecordRef::Delta { .. } => {
                 self.counters.deltas.fetch_add(1, Ordering::Relaxed);
+                self.counters
+                    .delta_bytes
+                    .fetch_add(frame, Ordering::Relaxed);
             }
-            RecordRef::Commit(meta) => {
-                body.extend_from_slice(meta);
-            }
-            RecordRef::Checkpoint(meta) => {
-                body.extend_from_slice(meta);
-            }
-        }
-        let mut frame = Vec::with_capacity(FRAME + body.len());
-        frame.extend_from_slice(&(body.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&crc32(&body).to_le_bytes());
-        frame.extend_from_slice(&body);
-        if let RecordRef::Delta { .. } = rec {
-            self.counters
-                .delta_bytes
-                .fetch_add(frame.len() as u64, Ordering::Relaxed);
-        }
-
-        let cap = self.disk.page_size() - HDR;
-        let mut off = 0;
-        while off < frame.len() {
-            if inner.used == cap {
-                self.advance_page(inner)?;
-            }
-            let n = (cap - inner.used).min(frame.len() - off);
-            let start = HDR + inner.used;
-            inner.buf[start..start + n].copy_from_slice(&frame[off..off + n]);
-            inner.used += n;
-            off += n;
-            inner.dirty_tail = true;
+            RecordRef::Commit(_) | RecordRef::Checkpoint(_) => {}
         }
         self.counters.records.fetch_add(1, Ordering::Relaxed);
         self.counters
             .bytes_appended
-            .fetch_add(frame.len() as u64, Ordering::Relaxed);
+            .fetch_add(frame, Ordering::Relaxed);
         Ok(lsn)
+    }
+
+    /// Copy `bytes` into the record stream, moving on to a fresh page
+    /// whenever the current one is full.
+    fn put(&self, inner: &mut WalInner, mut bytes: &[u8]) -> StorageResult<()> {
+        let cap = self.disk.page_size() - HDR;
+        while !bytes.is_empty() {
+            if inner.used == cap {
+                self.advance_page(inner)?;
+            }
+            let n = (cap - inner.used).min(bytes.len());
+            let start = HDR + inner.used;
+            inner.buf[start..start + n].copy_from_slice(&bytes[..n]);
+            inner.used += n;
+            bytes = &bytes[n..];
+            inner.dirty_tail = true;
+        }
+        Ok(())
+    }
+
+    /// Take back a record whose append failed part-way — a page write
+    /// refused while the record spilled onto a fresh page — so the
+    /// stream goes on from where the record began and the next record
+    /// is not stranded behind a partial one. When a page holding the
+    /// record's first bytes already reached the disk, the stream resumes
+    /// on that page's written copy; if even that cannot be read back,
+    /// the log must be rewound before it takes another record.
+    fn unwind(&self, inner: &mut WalInner, start: StreamPos) {
+        if inner.chain.len() > start.pages {
+            let spilled = inner.chain.split_off(start.pages);
+            inner.spare.extend(spilled);
+            inner.cur = start.cur;
+            if self.disk.read(start.cur, &mut inner.buf).is_err() {
+                inner.needs_rewind = true;
+            }
+            inner.dirty_tail = true;
+        } else {
+            inner.dirty_tail = start.dirty_tail;
+        }
+        inner.used = start.used;
     }
 
     /// Finalize the (full) current page with a pointer to a fresh page
@@ -307,7 +397,10 @@ impl Wal {
             Some(p) => p,
             None => self.disk.allocate()?,
         };
-        self.write_cur_page(inner, next)?;
+        if let Err(e) = self.write_cur_page(inner, next) {
+            inner.spare.push(next);
+            return Err(e);
+        }
         inner.chain.push(next);
         inner.cur = next;
         inner.used = 0;
@@ -371,6 +464,7 @@ impl Wal {
                 dirty_tail: false,
                 needs_rewind,
                 tracks: HashMap::new(),
+                spans: Vec::new(),
             }),
             counters: WalCounters::default(),
         }
@@ -473,7 +567,7 @@ impl Wal {
             } => RecordRef::Delta {
                 pid: *pid,
                 base_lsn: *base_lsn,
-                ranges,
+                ranges: DeltaRanges::Owned(ranges),
             },
             WalRecord::Commit { meta } => RecordRef::Commit(meta),
             WalRecord::Checkpoint { meta } => RecordRef::Checkpoint(meta),
@@ -490,26 +584,33 @@ impl Wal {
     /// page's existing track buffer, so the steady state allocates
     /// nothing).
     pub fn append_page(&self, pid: PageId, data: &[u8]) -> StorageResult<Lsn> {
-        let mut inner = self.inner.lock();
+        let mut guard = self.inner.lock();
+        let inner = &mut *guard;
         let deltas_on = data.len() <= usize::from(u16::MAX);
         if deltas_on {
             if let Some(track) = inner.tracks.get(&pid) {
                 if track.data.len() == data.len() && track.since_anchor + 1 < ANCHOR_EVERY {
-                    let ranges = diff_ranges(&track.data, data);
+                    diff_ranges(&track.data, data, &mut inner.spans);
                     let delta_body: usize =
-                        14 + ranges.iter().map(|r| 4 + r.bytes.len()).sum::<usize>();
+                        14 + inner.spans.iter().map(|r| 4 + r.len()).sum::<usize>();
                     // Worth a delta only when it actually beats the full
                     // image (a full rewrite degenerates to one big range).
                     if delta_body < 4 + data.len() {
                         let base_lsn = track.last_lsn;
-                        let lsn = self.append_inner(
-                            &mut inner,
+                        let spans = std::mem::take(&mut inner.spans);
+                        let appended = self.append_inner(
+                            inner,
                             &RecordRef::Delta {
                                 pid,
                                 base_lsn,
-                                ranges: &ranges,
+                                ranges: DeltaRanges::Spans {
+                                    page: data,
+                                    spans: &spans,
+                                },
                             },
-                        )?;
+                        );
+                        inner.spans = spans;
+                        let lsn = appended?;
                         self.counters
                             .delta_saved_bytes
                             .fetch_add((4 + data.len() - delta_body) as u64, Ordering::Relaxed);
@@ -522,7 +623,7 @@ impl Wal {
                 }
             }
         }
-        let lsn = self.append_inner(&mut inner, &RecordRef::Image { pid, data })?;
+        let lsn = self.append_inner(inner, &RecordRef::Image { pid, data })?;
         if deltas_on {
             match inner.tracks.get_mut(&pid) {
                 Some(track) if track.data.len() == data.len() => {
@@ -592,13 +693,13 @@ impl Wal {
     }
 }
 
-/// Diff `new` against `old` (equal lengths) into ascending changed
-/// ranges, folding gaps shorter than [`DIFF_MERGE_GAP`] equal bytes into
-/// the surrounding ranges.
-fn diff_ranges(old: &[u8], new: &[u8]) -> Vec<DeltaRange> {
+/// Diff `new` against `old` (equal lengths) into `spans`: the ascending
+/// changed byte ranges, folding gaps shorter than [`DIFF_MERGE_GAP`]
+/// equal bytes into the surrounding ranges.
+fn diff_ranges(old: &[u8], new: &[u8], spans: &mut Vec<Range<usize>>) {
     debug_assert_eq!(old.len(), new.len());
+    spans.clear();
     let n = new.len();
-    let mut ranges = Vec::new();
     let mut i = 0;
     while i < n {
         // Fast-skip equal prefixes in 8-byte chunks.
@@ -624,13 +725,9 @@ fn diff_ranges(old: &[u8], new: &[u8]) -> Vec<DeltaRange> {
             }
             j += 1;
         }
-        ranges.push(DeltaRange {
-            offset: start as u16,
-            bytes: new[start..end].to_vec(),
-        });
+        spans.push(start..end);
         i = end;
     }
-    ranges
 }
 
 /// What [`scan`] found in a log chain.
@@ -980,6 +1077,29 @@ mod tests {
     }
 
     #[test]
+    fn a_failed_append_leaves_no_partial_record_behind() {
+        use bur_storage::{FaultKind, FaultyDisk};
+        // A 221-byte frame after a 71-byte one on 128-byte pages (114
+        // bytes of stream each) spills over two page boundaries; fail the
+        // first page write, or the second after the first landed.
+        for nth in [0, 1] {
+            let d = Arc::new(FaultyDisk::new(disk(128)));
+            let wal = Wal::create(d.clone()).unwrap();
+            let l1 = wal.append(&image(1, 1, 50)).unwrap();
+            d.fail_nth(FaultKind::Write, nth);
+            assert!(wal.append(&image(2, 2, 200)).is_err(), "write {nth}");
+            let l3 = wal.append(&image(3, 3, 200)).unwrap();
+            let l4 = wal.commit(b"m".to_vec()).unwrap();
+            let s = scan(d.as_ref(), wal.anchor()).unwrap();
+            assert!(!s.torn_tail, "write {nth}: {s:?}");
+            let lsns: Vec<Lsn> = s.records.iter().map(|&(lsn, _)| lsn).collect();
+            assert_eq!(lsns, [l1, l3, l4], "write {nth}");
+            assert_eq!(s.records[1].1, image(3, 3, 200));
+            assert_eq!(wal.stats().records, 3);
+        }
+    }
+
+    #[test]
     fn reopen_requires_rewind_before_append() {
         let d = disk(256);
         let anchor;
@@ -1144,13 +1264,18 @@ mod tests {
         new[10] = 1;
         new[12] = 1; // 1-byte gap: merged
         new[40] = 1; // far away: separate range
-        let ranges = diff_ranges(&old, &new);
-        assert_eq!(ranges.len(), 2, "{ranges:?}");
-        assert_eq!(ranges[0].offset, 10);
-        assert_eq!(ranges[0].bytes, vec![1, 0, 1]);
-        assert_eq!(ranges[1].offset, 40);
-        assert_eq!(ranges[1].bytes, vec![1]);
+        let mut spans = vec![0..1, 2..3];
+        diff_ranges(&old, &new, &mut spans);
+        assert_eq!(spans, [10..13, 40..41]);
+        assert_eq!(new[10..13], [1, 0, 1]);
         // Round-trip.
+        let ranges: Vec<DeltaRange> = spans
+            .iter()
+            .map(|s| DeltaRange {
+                offset: s.start as u16,
+                bytes: new[s.clone()].to_vec(),
+            })
+            .collect();
         let mut replayed = old.clone();
         assert!(apply_delta(&mut replayed, &ranges));
         assert_eq!(replayed, new);
@@ -1159,6 +1284,8 @@ mod tests {
     #[test]
     fn diff_ranges_empty_for_identical_pages() {
         let page = vec![7u8; 128];
-        assert!(diff_ranges(&page, &page).is_empty());
+        let mut spans = vec![0..1, 2..3];
+        diff_ranges(&page, &page, &mut spans);
+        assert!(spans.is_empty());
     }
 }

@@ -17,15 +17,19 @@
 //! | ascended, no split     | probe, leaf, parent, new leaf = 4, + 2 per further level ascended (the ancestor, and one more node on the way back down), + 1 per ancestor above that whose rect is adjusted: ≤ 6 for one level in a tree of height ≤ 4 |
 //! | ascended, splitting    | + the new half, + 1 hash upsert per object the split re-homes (half a leaf): a mean bound |
 //! | top-down fallback      | 1 hash upsert per orphan CondenseTree re-inserts (irreducible: each orphan's bucket is its own) + the pages of the search, the re-insertion paths and the final insert, each once: ≤ orphans + 4·height + 1 when nothing splits, and a mean bound overall |
+//! | durable commit         | 0: the batch keeps the pin of every page it writes, and the commit logs each page through it |
 //!
 //! Everything runs on a `MemDisk` with the tree resident; counts come
 //! from `Bur::io_snapshot` and repeat exactly.
 //!
 //! The second half checks that **no pin outlives `apply`**, whichever
-//! way the call leaves the shared write path.
+//! way the call leaves the shared write path, and the last two that
+//! durability adds no fetch to a batch the exclusive engine replays,
+//! while a page an earlier failed commit left touched is still logged.
 
 use bur::prelude::*;
 use bur::storage::{FaultKind, FaultyDisk};
+use bur::wal::WalRecord;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::collections::HashMap;
@@ -551,4 +555,156 @@ fn no_pin_outlives_apply_when_the_commit_fails() {
     assert!(disk.injected_faults() > 0);
     assert_eq!(pinned(&bur), 0, "the failed commit left pages pinned");
     assert_eq!(bur.claimed_leaves(), 0);
+}
+
+/// GBU on a write-ahead log that never checkpoints: a checkpoint's
+/// fetches are the log's own business.
+fn durable_gbu() -> IndexOptions {
+    IndexOptions::generalized().with_durability(Durability::Wal(WalOptions {
+        checkpoint_every: 1_000_000,
+    }))
+}
+
+/// 32 moves whose first is a far jump, so `Bur::apply` gives the batch
+/// up on the shared path and replays it on the exclusive engine.
+fn escalating_batch(rng: &mut StdRng, positions: &mut [Point]) -> Batch {
+    let mut batch = Batch::new();
+    for i in 0..32 {
+        let oid = rng.random_range(0..positions.len() as u64);
+        let old = positions[oid as usize];
+        let new = match i {
+            0 => Point::new((old.x + 0.33) % 1.0, (old.y + 0.33) % 1.0),
+            _ => random_move(rng, old, MAX_DISTANCE),
+        };
+        batch.update(oid, old, new);
+        positions[oid as usize] = new;
+    }
+    batch
+}
+
+#[test]
+fn durability_costs_no_fetch_on_the_exclusive_engine() {
+    // Twins, built alike but for the log: every escalating batch must
+    // cost the durable one exactly what it costs the volatile one.
+    let opts = durable_gbu();
+    let durable = IndexBuilder::with_options(opts)
+        .disk(Arc::new(MemDisk::new(opts.page_size)))
+        .log_disk(Arc::new(MemDisk::new(opts.page_size)))
+        .buffer_frames(16_384)
+        .build()
+        .unwrap();
+    let (volatile, mut positions) = build(IndexOptions::generalized(), THREE_LEVELS);
+    let mut batch = Batch::new();
+    for (oid, &p) in positions.iter().enumerate() {
+        batch.insert(oid as u64, p);
+    }
+    durable.apply(&batch).unwrap();
+
+    let mut rng = StdRng::seed_from_u64(32);
+    let (mut splitting, mut condensing) = (0, 0);
+    for round in 0..150 {
+        let batch = escalating_batch(&mut rng, &mut positions);
+        let mut cost = [0; 2];
+        let mut ops = Vec::new();
+        for (i, bur) in [&volatile, &durable].into_iter().enumerate() {
+            let ops_before = bur.with_op_stats(|s| s.snapshot());
+            let before = fetches(bur);
+            bur.apply(&batch).unwrap();
+            cost[i] = fetches(bur) - before;
+            ops.push(bur.with_op_stats(|s| s.snapshot()).since(&ops_before));
+            assert_eq!(pinned(bur), 0, "batch {round} left a page pinned");
+        }
+        assert_eq!(ops[0].escalations, 1, "batch {round} stayed shared");
+        assert_eq!(ops[0], ops[1], "batch {round} took other decisions");
+        assert_eq!(
+            cost[1], cost[0],
+            "batch {round}: {} fetches durable, {} volatile",
+            cost[1], cost[0]
+        );
+        splitting += u64::from(ops[0].upd_ascended > 0 && ops[0].splits > 0);
+        condensing += u64::from(ops[0].upd_top_down > 0 && ops[0].condenses > 0);
+    }
+    let ops = volatile.with_op_stats(|s| s.snapshot());
+    println!(
+        "150 escalating batches, same fetches durable and volatile: {} shifted, {} ascended, \
+         {splitting} batches with a split beside an ascent, {condensing} with a condensing fallback",
+        ops.upd_shifted, ops.upd_ascended
+    );
+    assert!(ops.upd_shifted > 0 && ops.upd_ascended > 0, "{ops}");
+    assert!(splitting > 0, "no batch split a node while ascending");
+    assert!(condensing > 0, "no batch condensed a leaf in a fallback");
+    durable.validate().unwrap();
+}
+
+#[test]
+fn pages_a_failed_commit_left_touched_are_logged_by_the_next() {
+    // Data and log share one fault schedule; the platters under them are
+    // what a crash leaves for recovery.
+    let opts = durable_gbu();
+    let (data_platter, log_platter) = (
+        Arc::new(MemDisk::new(opts.page_size)),
+        Arc::new(MemDisk::new(opts.page_size)),
+    );
+    let (disk, log) = FaultyDisk::pair(data_platter.clone(), log_platter.clone());
+    let mut index = IndexBuilder::with_options(opts)
+        .disk(disk.clone())
+        .log_disk(log)
+        .buffer_frames(16_384)
+        .build_index()
+        .unwrap();
+    let mut positions: Vec<Point> = (0..TWO_LEVELS).map(start_position).collect();
+    let mut batch = Batch::new();
+    for (oid, &p) in positions.iter().enumerate() {
+        batch.insert(oid as u64, p);
+    }
+    index.apply_batch(&batch).unwrap();
+    let mut rng = StdRng::seed_from_u64(9);
+
+    // The commit's first log-page write fails: the records before it
+    // stay in the log's buffer, the pages from the refused one on stay
+    // touched.
+    let batch = escalating_batch(&mut rng, &mut positions);
+    disk.fail_next(FaultKind::Write, 1);
+    let err = index.apply_batch(&batch).unwrap_err();
+    assert!(matches!(err, CoreError::Storage(_)), "{err}");
+    assert!(disk.injected_faults() > 0);
+    assert_eq!(index.pool().pinned_frames(), 0);
+    let left = index.pool().touched_pages();
+    assert!(!left.is_empty(), "the failed commit left nothing touched");
+
+    // The next batch holds none of those pages' pins; its commit fetches
+    // and logs each of them.
+    let lsn_before = index.last_lsn().unwrap();
+    let batch = escalating_batch(&mut rng, &mut positions);
+    index.apply_batch(&batch).unwrap();
+    assert!(index.pool().touched_pages().is_empty());
+    assert_eq!(index.pool().pinned_frames(), 0);
+    let scanned = bur::wal::scan(log_platter.as_ref(), bur::core::LOG_DISK_ANCHOR).unwrap();
+    let logged: Vec<u32> = scanned
+        .records
+        .iter()
+        .filter(|&&(lsn, _)| lsn > lsn_before)
+        .filter_map(|(_, rec)| match rec {
+            WalRecord::PageImage { pid, .. } | WalRecord::PageDelta { pid, .. } => Some(*pid),
+            _ => None,
+        })
+        .collect();
+    for pid in &left {
+        assert!(logged.contains(pid), "page {pid} was left out of the log");
+    }
+
+    // A crash now recovers both batches.
+    drop(index);
+    let (recovered, _) = IndexBuilder::with_options(opts)
+        .disk(data_platter)
+        .log_disk(log_platter)
+        .recover()
+        .build_index_with_report()
+        .unwrap();
+    recovered.validate().unwrap();
+    assert_eq!(recovered.len(), TWO_LEVELS);
+    for (oid, &p) in positions.iter().enumerate() {
+        let here = recovered.point_query(p).unwrap();
+        assert!(here.contains(&(oid as u64)), "object {oid} is not at {p}");
+    }
 }

@@ -536,3 +536,48 @@ fn create_over_a_stale_sidecar_does_not_replay_it() {
     index.persist().unwrap();
     assert!(!sidecar.exists());
 }
+
+#[test]
+fn a_corrupt_hash_directory_fails_the_open_instead_of_panicking() {
+    use bur::storage::DiskBackend;
+    let opts = IndexOptions::generalized();
+    let dir = TempDir::new("persist");
+    let path = dir.file("corrupt-directory.bur");
+    {
+        let disk = Arc::new(FileDisk::create(&path, opts.page_size).unwrap());
+        let mut index = IndexBuilder::with_options(opts)
+            .disk(disk)
+            .build_index()
+            .unwrap();
+        populate(&mut index, &mut StdRng::seed_from_u64(3), 300);
+        index.persist().unwrap();
+    }
+    // The directory chain's one page: `[next = none][len]` then level,
+    // split pointer, 300 entries, 4 initial buckets, overflow count and
+    // the bucket count. Raise the bucket count past the payload.
+    let disk = FileDisk::open(&path, opts.page_size).unwrap();
+    let mut page = vec![0u8; opts.page_size];
+    let head = (0..disk.num_pages())
+        .find(|&pid| {
+            disk.read(pid, &mut page).unwrap();
+            page[0..4] == [0xFF; 4]
+                && page[18..26] == 300u64.to_le_bytes()
+                && page[26..30] == 4u32.to_le_bytes()
+        })
+        .expect("the hash directory page");
+    disk.read(head, &mut page).unwrap();
+    page[38..42].copy_from_slice(&u32::MAX.to_le_bytes());
+    disk.write(head, &page).unwrap();
+    disk.sync().unwrap();
+    drop(disk);
+
+    let opened = IndexBuilder::with_options(opts)
+        .disk(Arc::new(FileDisk::open(&path, opts.page_size).unwrap()))
+        .open()
+        .build_index();
+    match opened {
+        Err(CoreError::Storage(e)) => assert!(e.to_string().contains("hash directory"), "{e}"),
+        Err(e) => panic!("unexpected error: {e}"),
+        Ok(_) => panic!("opened an index over a corrupt hash directory"),
+    }
+}

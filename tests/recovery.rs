@@ -996,3 +996,81 @@ fn lost_unsynced_writes_sweep_log_on_its_own_disk() {
         );
     }
 }
+
+/// The exact bytes the log disk holds after a fixed durable op sequence
+/// on the exclusive engine — batched inserts, updates and deletes,
+/// single-op writers and two checkpoints — reduced to a CRC. Any change
+/// to which pages a commit logs, in which order, or to how a record is
+/// framed moves it.
+#[test]
+fn log_bytes_after_a_fixed_sequence_are_pinned() {
+    let opts = durable(IndexOptions::generalized(), 300);
+    let (disk, log) = (Arc::new(MemDisk::new(PAGE)), Arc::new(MemDisk::new(PAGE)));
+    let mut index = IndexBuilder::with_options(opts)
+        .disk(disk)
+        .log_disk(log.clone())
+        .buffer_frames(64)
+        .build_index()
+        .unwrap();
+    let mut rng = StdRng::seed_from_u64(32);
+    let mut positions: Vec<Point> = (0..1_500)
+        .map(|_| Point::new(rng.random_range(0.0f32..1.0), rng.random_range(0.0f32..1.0)))
+        .collect();
+    for chunk in (0..positions.len()).collect::<Vec<_>>().chunks(100) {
+        let mut batch = Batch::new();
+        for &oid in chunk {
+            batch.insert(oid as u64, positions[oid]);
+        }
+        index.apply_batch(&batch).unwrap();
+    }
+    for round in 0..40 {
+        let mut batch = Batch::new();
+        for _ in 0..32 {
+            let oid = rng.random_range(0..positions.len());
+            let old = positions[oid];
+            let new = Point::new(
+                (old.x + rng.random_range(-0.06f32..0.06)).clamp(0.0, 1.0),
+                (old.y + rng.random_range(-0.06f32..0.06)).clamp(0.0, 1.0),
+            );
+            batch.update(oid as u64, old, new);
+            positions[oid] = new;
+        }
+        if round % 10 == 9 {
+            let oid = positions.len() - 1;
+            batch.delete(oid as u64, positions[oid]);
+            positions.pop();
+        }
+        index.apply_batch(&batch).unwrap();
+        let oid = rng.random_range(0..positions.len());
+        let new = Point::new(rng.random_range(0.0f32..1.0), rng.random_range(0.0f32..1.0));
+        index.update(oid as u64, positions[oid], new).unwrap();
+        positions[oid] = new;
+    }
+    index.insert(1_000_000, Point::new(0.5, 0.5)).unwrap();
+    index.delete(0, positions[0]).unwrap();
+    index.validate().unwrap();
+
+    let mut crc = Vec::new();
+    let mut page = vec![0u8; PAGE];
+    for pid in 0..log.num_pages() {
+        log.read(pid, &mut page).unwrap();
+        crc.extend_from_slice(&bur::wal::crc32(&page).to_le_bytes());
+    }
+    let stats = index.wal_stats().unwrap();
+    println!(
+        "log: {} pages, crc {:#010x}, {} records, {} B appended",
+        log.num_pages(),
+        bur::wal::crc32(&crc),
+        stats.records,
+        stats.bytes_appended
+    );
+    assert_eq!(
+        (
+            log.num_pages(),
+            bur::wal::crc32(&crc),
+            stats.records,
+            stats.bytes_appended
+        ),
+        (127, 0xe057_5d52, 2801, 825_056)
+    );
+}
