@@ -22,14 +22,19 @@
 //!    rect stored in the parent entry, then decides), and it is found
 //!    the way the exclusive engine finds it ([`bottom_up::parent_of`]).
 //!    The pass **stops at the first op that cannot stay leaf-local**: an
-//!    insert that finds its leaf full reports [`Step::MakeRoom`] (the
-//!    caller splits that one leaf under a short exclusive section, its
-//!    own commit, and retries), a refused claim reports
-//!    [`Step::Refused`], and anything else (sibling shift, ascent, a GBU
-//!    fast mover whose τ policy prefers the shift) reports
-//!    [`Step::Escalate`] — the **whole batch** falls back to the classic
-//!    exclusive path with zero pages written, having paid only for the
-//!    ops before the one that stopped it.
+//!    insert into a leaf that was full when the pass opened it reports
+//!    [`Step::MakeRoom`] (the caller splits that one leaf under a short
+//!    exclusive section, its own commit, and retries), a refused claim
+//!    reports [`Step::Refused`], and anything else (sibling shift,
+//!    ascent, a GBU fast mover whose τ policy prefers the shift, a leaf
+//!    the batch's own inserts filled) reports [`Step::Escalate`] — the
+//!    **whole batch** goes to the exclusive path with zero pages
+//!    written. When every op before the one that stopped it is a planned
+//!    update, the pass keeps those plans ([`SharedPass::into_planned`]):
+//!    the exclusive section writes them through the pins the pass took
+//!    and resumes at the op that escalated, so each op is paid for once —
+//!    unless a write landed after the pass began, and then the section
+//!    replays the batch from op 0.
 //! 2. **Execute** ([`SharedPass::execute`]): write the final shadow
 //!    states through the pins the plan took — parent entry first, then
 //!    the leaf ("grow before move"), each under its page write latch —
@@ -49,16 +54,19 @@
 //! throughout, which is what keeps the GBU summary exact. The full
 //! argument lives in `docs/ARCHITECTURE.md` ("Latching protocol").
 
-use crate::batch::Op;
+use crate::batch::{BatchReport, Op};
 use crate::bottom_up::{self, Reads, Rung};
 use crate::claims::{LeafClaim, Unclaimable};
-use crate::error::CoreResult;
+use crate::error::{CoreError, CoreResult};
 use crate::index::RTreeIndex;
 use crate::node::{LeafEntry, Node, ObjectId};
-use crate::stats::UpdateOutcome;
+use crate::pins::CommitSet;
+use crate::stats::{OpStats, UpdateOutcome};
+use crate::tree::RTree;
 use bur_geom::{Point, Rect};
-use bur_storage::{PageId, PageRef};
+use bur_storage::{BufferPool, PageId, PageRef};
 use std::collections::{HashMap, HashSet};
+use std::sync::atomic::Ordering;
 
 /// What one planned op will do (stats + report accounting).
 #[derive(Debug, Clone, Copy)]
@@ -76,11 +84,16 @@ pub(crate) enum OpEffect {
 pub(crate) enum Step {
     /// Planned onto its leaf shadow.
     Applied,
-    /// An insert found this leaf full: split it under a short exclusive
-    /// section (a content-neutral preparatory split) and retry.
+    /// An insert found this leaf full when the pass opened it: split it
+    /// under a short exclusive section (a content-neutral preparatory
+    /// split) and retry.
     MakeRoom(PageId),
-    /// Not leaf-local: replay the whole batch on the exclusive path.
-    Escalate,
+    /// Not leaf-local: the batch goes to the exclusive path. `Some(k)`
+    /// when the pass stopped at op `k` with every op before it a planned
+    /// update: the exclusive path may keep those plans
+    /// ([`SharedPass::into_planned`]) and resume at `k`. `None` replays
+    /// from op 0.
+    Escalate(Option<usize>),
     /// The leaf is claimed by another batch: back out and retry.
     Refused,
 }
@@ -120,10 +133,11 @@ struct ParentShadow {
     official: Rect,
 }
 
-/// One leaf the pass touches: its claim, its pin, and the node state
-/// after the ops planned so far.
-struct LeafShadow<'a> {
-    page: PageRef<'a>,
+/// One leaf the pass touches: its pin and the node state after the ops
+/// planned so far (its claim is held beside it, in
+/// [`SharedPass::claims`]).
+struct LeafShadow<'p> {
+    page: PageRef<'p>,
     leaf: Node,
     /// `None` while every op stayed inside the tight leaf MBR (and for
     /// the root leaf, which has no parent).
@@ -142,7 +156,6 @@ struct LeafShadow<'a> {
     hash_del: Vec<ObjectId>,
     /// Net object-count change (inserts − deletes), applied at commit.
     len_delta: i64,
-    _claim: LeafClaim<'a>,
 }
 
 /// What [`SharedPass::execute`] wrote before it finished or failed.
@@ -157,13 +170,20 @@ pub(crate) struct Executed {
 
 /// One batch's trip down the shared write path. Dropping it releases
 /// every claim and pin it took, so each early exit backs out in full.
-pub(crate) struct SharedPass<'a> {
-    index: &'a RTreeIndex,
-    shadows: Vec<LeafShadow<'a>>,
+///
+/// Two lifetimes: the claims borrow the index (`'i`, the read guard's),
+/// the pins borrow the pool (`'p`, a clone of the index's pool `Arc`
+/// the caller holds). So the pins — and the plans
+/// [`SharedPass::into_planned`] keeps — can outlive the read guard,
+/// while the claims cannot.
+pub(crate) struct SharedPass<'i, 'p> {
+    index: &'i RTreeIndex,
+    pool: &'p BufferPool,
+    shadows: Vec<LeafShadow<'p>>,
     shadow_of: HashMap<PageId, usize>,
     /// Distinct parent pages pinned so far; shadows under one parent
     /// share its pin.
-    parents: Vec<PageRef<'a>>,
+    parents: Vec<PageRef<'p>>,
     /// Effects of the planned ops, in batch order.
     effects: Vec<OpEffect>,
     /// Objects inserted earlier in this batch: the pre-batch hash cannot
@@ -172,20 +192,26 @@ pub(crate) struct SharedPass<'a> {
     /// Deletes of unknown objects (counted, never escalated: sequential
     /// application counts them too and writes nothing).
     pub(crate) missing_deletes: u64,
+    /// The claim of every shadow's leaf.
+    claims: Vec<LeafClaim<'i>>,
 }
 
-impl<'a> SharedPass<'a> {
+impl<'i, 'p> SharedPass<'i, 'p> {
     /// Start a pass over `index` (held under the structure lock's read
-    /// side by the caller).
-    pub(crate) fn new(index: &'a RTreeIndex) -> Self {
+    /// side by the caller), pinning pages of `pool`, which must be the
+    /// index's own.
+    pub(crate) fn new(index: &'i RTreeIndex, pool: &'p BufferPool) -> Self {
+        debug_assert!(std::ptr::eq(pool, &*index.tree.pool));
         Self {
             index,
+            pool,
             shadows: Vec::new(),
             shadow_of: HashMap::new(),
             parents: Vec::new(),
             effects: Vec::new(),
             inserted_here: HashSet::new(),
             missing_deletes: 0,
+            claims: Vec::new(),
         }
     }
 
@@ -205,19 +231,27 @@ impl<'a> SharedPass<'a> {
     /// before the failed one, so the verdict is the one the leaves would
     /// give planned one by one in first-touch order. A batch of updates
     /// (the paper's traffic) never scans.
+    ///
+    /// An escalation that ends the pass at op `k` with every op before it
+    /// a planned update carries `k` (see [`Step::Escalate`]).
     pub(crate) fn plan(&mut self, ops: &[Op]) -> CoreResult<Step> {
         let last_insert = ops.iter().rposition(|op| matches!(op, Op::Insert { .. }));
         // The lowest failed shadow and its verdict.
         let mut failed: Option<(usize, Step)> = None;
+        let mut updates_only = true;
         for (pos, op) in ops.iter().enumerate() {
+            // What an escalation at this op keeps.
+            let keep = (updates_only && failed.is_none()).then_some(pos);
+            updates_only &= matches!(op, Op::Update { .. });
             let pid = match self.locate(op)? {
                 Located::Leaf(pid) => pid,
                 Located::Nowhere => continue,
-                Located::Unplaceable => return Ok(Step::Escalate),
+                Located::Unplaceable => return Ok(Step::Escalate(keep)),
             };
             let slot = match failed {
                 None => match self.open(pid, pos) {
                     Ok(slot) => slot,
+                    Err(Step::Escalate(_)) => return Ok(Step::Escalate(keep)),
                     Err(verdict) => return Ok(verdict),
                 },
                 Some((limit, _)) => match self.shadow_of.get(&pid) {
@@ -232,8 +266,8 @@ impl<'a> SharedPass<'a> {
             };
             match verdict {
                 Step::Applied => self.shadows[slot].ops += 1,
-                Step::Escalate if last_insert.is_none_or(|at| at <= pos) => {
-                    return Ok(Step::Escalate);
+                Step::Escalate(_) if last_insert.is_none_or(|at| at <= pos) => {
+                    return Ok(Step::Escalate(keep));
                 }
                 verdict => failed = Some((slot, verdict)),
             }
@@ -249,7 +283,7 @@ impl<'a> SharedPass<'a> {
             .iter()
             .any(|s| !s.is_root && s.leaf.count() < min_fill)
         {
-            return Ok(Step::Escalate);
+            return Ok(Step::Escalate(None));
         }
         Ok(failed.map_or(Step::Applied, |(_, verdict)| verdict))
     }
@@ -293,13 +327,13 @@ impl<'a> SharedPass<'a> {
         let tree = &self.index.tree;
         let claim = tree.claims.try_claim(pid).map_err(|e| match e {
             Unclaimable::Held => Step::Refused,
-            Unclaimable::Untracked => Step::Escalate,
+            Unclaimable::Untracked => Step::Escalate(None),
         })?;
-        let page = tree.pool.fetch(pid).map_err(|_| Step::Escalate)?;
-        let leaf = Node::decode(pid, &page.read()).map_err(|_| Step::Escalate)?;
+        let page = self.pool.fetch(pid).map_err(|_| Step::Escalate(None))?;
+        let leaf = Node::decode(pid, &page.read()).map_err(|_| Step::Escalate(None))?;
         if !leaf.is_leaf() {
             // Stale hash entry; the classic path surfaces the real error.
-            return Err(Step::Escalate);
+            return Err(Step::Escalate(None));
         }
         let slot = self.shadows.len();
         self.shadows.push(LeafShadow {
@@ -312,8 +346,8 @@ impl<'a> SharedPass<'a> {
             hash_add: Vec::new(),
             hash_del: Vec::new(),
             len_delta: 0,
-            _claim: claim,
         });
+        self.claims.push(claim);
         self.shadow_of.insert(pid, slot);
         Ok(slot)
     }
@@ -332,7 +366,7 @@ impl<'a> SharedPass<'a> {
             let page = match self.parents.iter().position(|p| p.pid() == ppid) {
                 Some(i) => i,
                 None => {
-                    self.parents.push(tree.pool.fetch(ppid).ok()?);
+                    self.parents.push(self.pool.fetch(ppid).ok()?);
                     self.parents.len() - 1
                 }
             };
@@ -360,7 +394,7 @@ impl<'a> SharedPass<'a> {
             // Not in the claimed leaf (duplicate-update races cannot
             // happen under the claim, so this is an earlier same-batch
             // delete or corruption); the classic path resolves it.
-            return Step::Escalate;
+            return Step::Escalate(None);
         };
         let index = self.index;
         let is_root = self.shadows[slot].is_root;
@@ -380,7 +414,7 @@ impl<'a> SharedPass<'a> {
             }
             // A top-down update, a repair, or a parent the pass cannot
             // open.
-            Ok(Rung::TopDown | Rung::Repair(_)) | Err(()) => return Step::Escalate,
+            Ok(Rung::TopDown | Rung::Repair(_)) | Err(()) => return Step::Escalate(None),
         };
         self.shadows[slot].leaf.leaf_entries_mut()[idx].rect = Rect::from_point(new);
         self.effects.push(OpEffect::Update(outcome));
@@ -389,20 +423,29 @@ impl<'a> SharedPass<'a> {
 
     fn plan_insert(&mut self, slot: usize, oid: ObjectId, rect: Rect) -> Step {
         let shadow = &mut self.shadows[slot];
-        if shadow.leaf.count() >= self.index.tree.leaf_cap() {
-            return Step::MakeRoom(shadow.page.pid());
+        let cap = self.index.tree.leaf_cap();
+        if shadow.leaf.count() >= cap {
+            // Only a leaf that was full on its page can be split for room;
+            // one this batch's own inserts filled is not full there, and
+            // a make-room section would find nothing to split.
+            let full_on_page = shadow.leaf.count() as i64 - shadow.len_delta >= cap as i64;
+            return if full_on_page {
+                Step::MakeRoom(shadow.page.pid())
+            } else {
+                Step::Escalate(None)
+            };
         }
         // The tight MBR lies inside the official rect, so a rect it
         // covers cannot grow the parent entry.
         if !shadow.is_root && !shadow.leaf.mbr().contains_rect(&rect) {
             let Some(parent) = self.open_parent(slot) else {
-                return Step::Escalate;
+                return Step::Escalate(None);
             };
             if !parent.official.contains_rect(&rect) {
                 let grown = parent.official.union(&rect);
                 if !parent.bound.contains_rect(&grown) {
                     // Would grow an ancestor MBR: off the shared path.
-                    return Step::Escalate;
+                    return Step::Escalate(None);
                 }
                 parent.official = grown;
             }
@@ -418,7 +461,7 @@ impl<'a> SharedPass<'a> {
     fn plan_delete(&mut self, slot: usize, oid: ObjectId, position: Point) -> Step {
         let shadow = &mut self.shadows[slot];
         let Some(idx) = shadow.leaf.oid_index(oid) else {
-            return Step::Escalate;
+            return Step::Escalate(None);
         };
         if !shadow.leaf.leaf_entries()[idx]
             .rect
@@ -427,7 +470,7 @@ impl<'a> SharedPass<'a> {
             // The sequential FindLeaf descent might miss this entry
             // (stated position outside its rect): escalate so the result
             // stays exactly sequential.
-            return Step::Escalate;
+            return Step::Escalate(None);
         }
         shadow.leaf.leaf_entries_mut().swap_remove(idx);
         shadow.hash_del.push(oid);
@@ -439,6 +482,24 @@ impl<'a> SharedPass<'a> {
     /// Effects of the planned ops, in batch order.
     pub(crate) fn effects(&self) -> &[OpEffect] {
         &self.effects
+    }
+
+    /// Give up the claims and keep the plans of the ops before `resume`,
+    /// the op an escalation stopped at (`Step::Escalate(Some(resume))`):
+    /// the shadows they changed with the pins of those leaves and their
+    /// parents, and their effects. A shadow the escalating op only opened
+    /// drops with its pin.
+    pub(crate) fn into_planned(self, resume: usize) -> Planned<'p> {
+        debug_assert_eq!(
+            self.effects.len(),
+            resume,
+            "a kept plan is a prefix of updates"
+        );
+        Planned {
+            shadows: self.shadows.into_iter().filter(|s| s.ops > 0).collect(),
+            parents: self.parents,
+            effects: self.effects,
+        }
     }
 
     /// Write the planned shadows through their pins and append every
@@ -461,88 +522,164 @@ impl<'a> SharedPass<'a> {
     /// leaf) seqlock root MBR are refreshed after the leaf write: they
     /// are main-memory state rebuilt on recovery, so crash ordering does
     /// not apply, and the leaf claim serializes them per leaf.
-    pub(crate) fn execute<'s>(&'s self, written: &mut Vec<&'s PageRef<'a>>) -> Executed {
-        let mut done = Executed {
-            ops: 0,
-            len_delta: 0,
-            failed: None,
-        };
-        for shadow in &self.shadows {
-            // Once the leaf is written its ops count as applied, even if
-            // refreshing the memory state then fails.
-            let wrote = self.write_shadow(shadow, written);
-            if wrote.is_ok() {
-                done.ops += shadow.ops;
-                done.len_delta += shadow.len_delta;
+    pub(crate) fn execute<'s>(&'s self, written: &mut Vec<&'s PageRef<'p>>) -> Executed {
+        write_shadows(&self.index.tree, &self.parents, &self.shadows, written)
+    }
+}
+
+/// [`SharedPass::execute`] over `shadows`, whose parent pins are
+/// `parents`.
+fn write_shadows<'s, 'p>(
+    tree: &RTree,
+    parents: &'s [PageRef<'p>],
+    shadows: &'s [LeafShadow<'p>],
+    written: &mut Vec<&'s PageRef<'p>>,
+) -> Executed {
+    let mut done = Executed {
+        ops: 0,
+        len_delta: 0,
+        failed: None,
+    };
+    for shadow in shadows {
+        // Once the leaf is written its ops count as applied, even if
+        // refreshing the memory state then fails.
+        let wrote = write_shadow(parents, shadow, written);
+        if wrote.is_ok() {
+            done.ops += shadow.ops;
+            done.len_delta += shadow.len_delta;
+        }
+        if let Err(e) = wrote.and_then(|()| refresh_memory_state(tree, shadow)) {
+            done.failed = Some((shadow.first_pos, e));
+            break;
+        }
+    }
+    done
+}
+
+/// Parent entry first, then the leaf, each through its pin.
+fn write_shadow<'s, 'p>(
+    parents: &'s [PageRef<'p>],
+    shadow: &'s LeafShadow<'p>,
+    written: &mut Vec<&'s PageRef<'p>>,
+) -> CoreResult<()> {
+    if let Some(parent) = shadow.parent.as_ref().filter(|p| p.official != p.stored) {
+        let page = &parents[parent.page];
+        {
+            let mut data = page.write();
+            let mut node = Node::decode(page.pid(), &data)?;
+            debug_assert_eq!(
+                node.internal_entries()[parent.pidx].child,
+                shadow.page.pid()
+            );
+            node.internal_entries_mut()[parent.pidx].rect = parent.official;
+            node.encode(&mut data);
+        }
+        written.push(page);
+    }
+    // The shadow is the complete new leaf state.
+    shadow.leaf.encode(&mut shadow.page.write());
+    written.push(&shadow.page);
+    Ok(())
+}
+
+/// Hash entries, fullness bit and root MBR of a written shadow.
+fn refresh_memory_state(tree: &RTree, shadow: &LeafShadow<'_>) -> CoreResult<()> {
+    let leaf_pid = shadow.page.pid();
+    if let Some(h) = &tree.hash {
+        for &oid in &shadow.hash_add {
+            h.insert(oid, leaf_pid)?;
+        }
+        for &oid in &shadow.hash_del {
+            h.remove(oid)?;
+        }
+    }
+    if let Some(s) = &tree.summary {
+        if shadow.len_delta != 0 {
+            let full = shadow.leaf.count() >= tree.leaf_cap();
+            let registered = s.set_leaf_full_shared(leaf_pid, full);
+            debug_assert!(registered, "concurrent leaf vanished from the summary");
+        }
+        if shadow.is_root {
+            s.publish_root_mbr(shadow.leaf.mbr());
+        }
+    }
+    Ok(())
+}
+
+/// Count planned effects in `report` and in the op stats.
+pub(crate) fn tally(effects: &[OpEffect], stats: &OpStats, report: &mut BatchReport) {
+    for effect in effects {
+        match effect {
+            OpEffect::Update(outcome) => {
+                report.updated += 1;
+                stats.record_update(*outcome);
             }
-            if let Err(e) = wrote.and_then(|()| self.refresh_memory_state(shadow)) {
-                done.failed = Some((shadow.first_pos, e));
-                break;
+            OpEffect::Insert => {
+                report.inserted += 1;
+                stats.inserts.fetch_add(1, Ordering::Relaxed);
+            }
+            OpEffect::Delete => {
+                report.deleted += 1;
+                stats.deletes.fetch_add(1, Ordering::Relaxed);
             }
         }
-        done
     }
+}
 
-    /// Parent entry first, then the leaf, each through its pin.
-    fn write_shadow<'s>(
-        &'s self,
-        shadow: &'s LeafShadow<'a>,
-        written: &mut Vec<&'s PageRef<'a>>,
+/// The updates an escalated batch planned before the op that stopped its
+/// pass ([`SharedPass::into_planned`]): their shadows with the pins of
+/// the leaves and parents, and their effects. It holds no claim, so it
+/// outlives the read guard; the exclusive path writes it only when
+/// nothing was written since its pass began, and otherwise drops it
+/// unwritten and replays the batch from op 0.
+#[derive(Default)]
+pub(crate) struct Planned<'p> {
+    shadows: Vec<LeafShadow<'p>>,
+    parents: Vec<PageRef<'p>>,
+    effects: Vec<OpEffect>,
+}
+
+impl<'p> Planned<'p> {
+    /// Write the kept shadows through their pins, parent before leaf, as
+    /// the shared execute does; count their ops in `report` and the op
+    /// stats, and hand the pins to `written`, so the batch's commit logs
+    /// the pages without a fetch. The exclusive engine resumes at
+    /// `report.applied`, the op that escalated.
+    ///
+    /// Runs under the structure lock's write side with nothing written
+    /// since the pass read the pages, so each shadow is still the page's
+    /// state plus the planned ops, and the parent entries it patches are
+    /// the ones it read. On an error (a parent page that no longer
+    /// decodes) the shadows written so far stay touched for the next
+    /// commit, and nothing is counted.
+    pub(crate) fn write(
+        self,
+        tree: &RTree,
+        written: &mut CommitSet<'p>,
+        report: &mut BatchReport,
     ) -> CoreResult<()> {
-        if let Some(parent) = shadow.parent.as_ref().filter(|p| p.official != p.stored) {
-            let page = &self.parents[parent.page];
-            {
-                let mut data = page.write();
-                let mut node = Node::decode(page.pid(), &data)?;
-                debug_assert_eq!(
-                    node.internal_entries()[parent.pidx].child,
-                    shadow.page.pid()
-                );
-                node.internal_entries_mut()[parent.pidx].rect = parent.official;
-                node.encode(&mut data);
-            }
-            written.push(page);
+        let done = write_shadows(tree, &self.parents, &self.shadows, &mut Vec::new());
+        if let Some((op_index, source)) = done.failed {
+            return Err(CoreError::Batch {
+                op_index,
+                source: Box::new(source),
+            });
         }
-        // The shadow is the complete new leaf state.
-        shadow.leaf.encode(&mut shadow.page.write());
-        written.push(&shadow.page);
-        Ok(())
-    }
-
-    /// Hash entries, fullness bit and root MBR of a written shadow.
-    fn refresh_memory_state(&self, shadow: &LeafShadow<'a>) -> CoreResult<()> {
-        let tree = &self.index.tree;
-        let leaf_pid = shadow.page.pid();
-        if let Some(h) = &tree.hash {
-            for &oid in &shadow.hash_add {
-                h.insert(oid, leaf_pid)?;
-            }
-            for &oid in &shadow.hash_del {
-                h.remove(oid)?;
-            }
-        }
-        if let Some(s) = &tree.summary {
-            if shadow.len_delta != 0 {
-                let full = shadow.leaf.count() >= tree.leaf_cap();
-                let registered = s.set_leaf_full_shared(leaf_pid, full);
-                debug_assert!(registered, "concurrent leaf vanished from the summary");
-            }
-            if shadow.is_root {
-                s.publish_root_mbr(shadow.leaf.mbr());
-            }
-        }
+        tally(&self.effects, &tree.stats, report);
+        report.applied = self.effects.len() as u64;
+        written.adopt(self.shadows.into_iter().map(|s| s.page).chain(self.parents));
         Ok(())
     }
 }
 
 /// The ladder's reads against one shadow: the leaf is open already, the
 /// parent opens on first ask. `Err` escalates.
-struct ShadowReads<'s, 'a> {
-    pass: &'s mut SharedPass<'a>,
+struct ShadowReads<'s, 'i, 'p> {
+    pass: &'s mut SharedPass<'i, 'p>,
     slot: usize,
 }
 
-impl Reads for ShadowReads<'_, '_> {
+impl Reads for ShadowReads<'_, '_, '_> {
     type Error = ();
 
     fn tight_mbr(&mut self) -> Result<Rect, ()> {

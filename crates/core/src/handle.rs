@@ -53,7 +53,7 @@
 //! ```
 
 use crate::batch::{Batch, BatchReport, Op};
-use crate::concurrent::{OpEffect, SharedPass, Step};
+use crate::concurrent::{self, Planned, SharedPass, Step};
 use crate::config::{IndexOptions, UpdateStrategy};
 use crate::error::{CoreError, CoreResult};
 use crate::index::{RTreeIndex, RecoveryReport};
@@ -61,15 +61,17 @@ use crate::knn::Neighbor;
 use crate::node::ObjectId;
 use crate::stats::OpStats;
 use bur_geom::{Point, Rect};
-use bur_storage::{DiskBackend, IoSnapshot, PageId, PageRef};
+use bur_storage::{BufferPool, DiskBackend, IoSnapshot, PageId, PageRef};
 use bur_wal::{Lsn, WalStatsSnapshot};
-use parking_lot::{Mutex, RwLock};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use parking_lot::{Mutex, RwLock, RwLockWriteGuard};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// How many make-room splits one `apply` call may perform before giving
-/// up and escalating: each split frees ~half a leaf, so repeated
-/// `MakeRoom` verdicts mean the batch concentrates inserts faster than
+/// up and escalating. A `MakeRoom` verdict names a leaf that was full on
+/// its page, so every one is a real split that frees ~half a leaf (a
+/// leaf the batch's own inserts filled escalates at once instead);
+/// repeated verdicts mean the batch concentrates inserts faster than
 /// preparatory splits can make room — the exclusive path handles that
 /// better than a split storm would.
 const MAKE_ROOM_ATTEMPTS: u32 = 4;
@@ -91,8 +93,14 @@ struct BurShared {
     /// Queries and writers that stay leaf-local (concurrent `apply`)
     /// hold the **read** side — the engine's leaf claims carve up what
     /// the writers may touch — while structural writers hold the write
-    /// side. See `docs/ARCHITECTURE.md`, "Latching protocol".
+    /// side. See `docs/ARCHITECTURE.md`, "Latching protocol". Its write
+    /// side is taken only through [`BurShared::write`].
     inner: RwLock<RTreeIndex>,
+    /// The write epoch: bumped by every acquisition of the write side and
+    /// by every shared execute — everything that can change a page a
+    /// shared pass has read. An escalated batch keeps the plans its pass
+    /// made only if the epoch has not moved since the pass began.
+    epoch: AtomicU64,
     /// What recovery replayed, when the handle was built in recover mode.
     recovery: Option<RecoveryReport>,
     /// Recycled query-result buffers ([`QueryCursor`] hot path).
@@ -108,6 +116,18 @@ struct BurShared {
 }
 
 impl BurShared {
+    /// The structure lock's write side, moving the write epoch.
+    fn write(&self) -> RwLockWriteGuard<'_, RTreeIndex> {
+        let index = self.inner.write();
+        // `Relaxed` is enough: the lock orders this bump after every
+        // earlier pass and before every later one. An execute's bump
+        // that races a pass may be seen or not: either way it writes no
+        // leaf the pass has claimed, and only patches parent entries
+        // the pass does not plan.
+        self.epoch.fetch_add(1, Ordering::Relaxed);
+        index
+    }
+
     /// Return a query buffer to the recycling pool (cleared first; the
     /// pool is capped at [`SPARE_BUFFERS`], extras are simply freed).
     /// The single home of the recycling policy — `Bur::query`'s error
@@ -136,13 +156,13 @@ impl std::fmt::Debug for Bur {
 }
 
 /// Outcome of one shared-phase attempt inside [`Bur::apply`]. Every
-/// variant but `Done` is returned with all locks released.
-enum SharedAttempt {
+/// variant but `Done` is returned with all locks and claims released.
+enum SharedAttempt<'p> {
     /// Planned, written and committed concurrently.
     Done(CommitTicket),
-    /// Not leaf-local: replay the whole batch on the exclusive path
-    /// (nothing has been written).
-    Escalate,
+    /// Not leaf-local: finish the batch on the exclusive path (nothing
+    /// has been written), with the plans the pass kept.
+    Escalate(Kept<'p>),
     /// An insert found this leaf full: split it as its own short
     /// exclusive commit (a content-neutral preparatory split), then
     /// retry the batch on the shared path. Nothing has been written.
@@ -150,6 +170,14 @@ enum SharedAttempt {
     /// A leaf claim was refused; back off and try again (at most
     /// [`SHARED_REFUSALS`] times).
     Refused,
+}
+
+/// What an escalated pass hands the exclusive path: the ops it planned
+/// before the one that stopped it (none when it cannot keep them), and
+/// the write epoch its pass began at.
+struct Kept<'p> {
+    planned: Planned<'p>,
+    epoch: u64,
 }
 
 /// Counts a batch as inside the concurrent write path until dropped.
@@ -200,6 +228,7 @@ impl Bur {
         Self {
             shared: Arc::new(BurShared {
                 inner: RwLock::new(index),
+                epoch: AtomicU64::new(0),
                 recovery,
                 spare_ids: Mutex::new(Vec::new()),
                 read_only: AtomicBool::new(false),
@@ -237,7 +266,7 @@ impl Bur {
         opts: IndexOptions,
         log_disk: Option<Arc<dyn DiskBackend>>,
     ) -> CoreResult<()> {
-        let mut index = self.shared.inner.write();
+        let mut index = self.shared.write();
         // Checked under the exclusive lock: of two racing promotes,
         // exactly one wins — the loser sees a writable handle.
         if !self.is_read_only() {
@@ -319,25 +348,32 @@ impl Bur {
     /// escalates to the exclusive structure lock before a single page is
     /// written, so the result is always logically identical to
     /// sequential application (the physical tree may differ by benign
-    /// slack only; see `crate::concurrent`). Escalations are counted in
-    /// [`crate::stats::OpSnapshot::escalations`].
+    /// slack only; see `crate::concurrent`). When every op before the
+    /// one that escalated is an update, their plans are kept: the
+    /// exclusive section writes them through the pins the shared pass
+    /// took and resumes at that op, unless a write landed in between,
+    /// and then it replays the batch from its first op. Escalations are
+    /// counted in [`crate::stats::OpSnapshot::escalations`].
     pub fn apply(&self, batch: &Batch) -> CoreResult<CommitTicket> {
         self.check_writable()?;
         if batch.is_empty() {
             let index = self.shared.inner.read();
             return Ok(Self::ticket(&index, BatchReport::default()));
         }
+        // The shared passes pin pages through this clone of the pool, so
+        // the plans an escalated one keeps outlive its read guard.
+        let pool = Arc::clone(&self.shared.inner.read().tree.pool);
         let mut room_attempts = 0u32;
         let mut refusals = 0u32;
-        loop {
-            match self.apply_shared(batch)? {
+        let kept = loop {
+            match self.apply_shared(&pool, batch)? {
                 SharedAttempt::Done(ticket) => {
                     self.checkpoint_if_due()?;
                     return Ok(ticket);
                 }
                 SharedAttempt::MakeRoom(pid) if room_attempts < MAKE_ROOM_ATTEMPTS => {
                     room_attempts += 1;
-                    let mut index = self.shared.inner.write();
+                    let mut index = self.shared.write();
                     // `false` means the leaf moved on (split by a racing
                     // batch, emptied, dissolved): just retry shared.
                     index.make_room(pid)?;
@@ -346,20 +382,35 @@ impl Bur {
                     refusals += 1;
                     std::thread::yield_now();
                 }
-                SharedAttempt::Escalate | SharedAttempt::MakeRoom(_) | SharedAttempt::Refused => {
-                    break;
-                }
+                SharedAttempt::Escalate(kept) => break Some(kept),
+                SharedAttempt::MakeRoom(_) | SharedAttempt::Refused => break None,
             }
-        }
-        // Classic exclusive path: the whole batch under the structure
-        // lock's write side, applied by the engine and flushed as one
-        // group commit record by `apply_batch` (on error, the record
-        // covers the prefix before the failing op). From here on the
-        // batch stays on this path — it waits in the lock's writer
-        // queue and never re-plans.
-        let mut index = self.shared.inner.write();
+        };
+        self.exclusive(batch, kept)
+    }
+
+    /// The exclusive path: the batch under the structure lock's write
+    /// side, applied by the engine and flushed as one group commit
+    /// record by `apply_batch_from` (on error, the record covers the
+    /// prefix before the failing op). The batch waits in the lock's
+    /// writer queue and never re-plans.
+    ///
+    /// `kept` plans are written only if the write epoch moved by this
+    /// section's own acquisition alone since their pass began: then no
+    /// exclusive section and no shared execute ran in between, so every
+    /// page the pass read — a leaf whose claim it has since dropped, a
+    /// parent entry — is still as it read it, and writing the shadows
+    /// overwrites no one's commit. Otherwise they drop unwritten and the
+    /// engine replays the batch from its first op.
+    fn exclusive(&self, batch: &Batch, kept: Option<Kept<'_>>) -> CoreResult<CommitTicket> {
+        let mut index = self.shared.write();
+        let epoch = self.shared.epoch.load(Ordering::Relaxed);
+        let planned = match kept {
+            Some(kept) if kept.epoch + 1 == epoch => kept.planned,
+            _ => Planned::default(),
+        };
         index.op_stats().escalations.fetch_add(1, Ordering::Relaxed);
-        let report = index.apply_batch(batch)?;
+        let report = index.apply_batch_from(batch, planned)?;
         Ok(Self::ticket(&index, report))
     }
 
@@ -369,19 +420,31 @@ impl Bur {
     /// claim and pin as it first meets the leaf, and stops at
     /// the first op that cannot stay leaf-local), then write and commit
     /// it. Every outcome that is not `Done` has written nothing and
-    /// releases everything before returning, so the caller never holds
-    /// a lock or a pin across its next move.
-    fn apply_shared(&self, batch: &Batch) -> CoreResult<SharedAttempt> {
+    /// releases every lock and claim before returning, so the caller
+    /// never holds either across its next move; only an escalation's
+    /// kept plans keep their pins, on `pool`.
+    fn apply_shared<'p>(
+        &self,
+        pool: &'p BufferPool,
+        batch: &Batch,
+    ) -> CoreResult<SharedAttempt<'p>> {
         let index = self.shared.inner.read();
-        if matches!(index.options().strategy, UpdateStrategy::TopDown) {
-            return Ok(SharedAttempt::Escalate);
+        let epoch = self.shared.epoch.load(Ordering::Relaxed);
+        let escalate = |planned| Ok(SharedAttempt::Escalate(Kept { planned, epoch }));
+        // The pool is the index's own unless `with_index_mut` replaced the
+        // whole index since `apply` cloned it.
+        if matches!(index.options().strategy, UpdateStrategy::TopDown)
+            || !std::ptr::eq(pool, &*index.tree.pool)
+        {
+            return escalate(Planned::default());
         }
         let _inflight = InFlight::enter(&self.shared);
-        let mut pass = SharedPass::new(&index);
+        let mut pass = SharedPass::new(&index, pool);
         match pass.plan(batch.ops())? {
             Step::Applied => {}
             Step::MakeRoom(pid) => return Ok(SharedAttempt::MakeRoom(pid)),
-            Step::Escalate => return Ok(SharedAttempt::Escalate),
+            Step::Escalate(Some(resume)) => return escalate(pass.into_planned(resume)),
+            Step::Escalate(None) => return escalate(Planned::default()),
             Step::Refused => return Ok(SharedAttempt::Refused),
         }
         let (report, lsn) = self.write_and_commit(&index, &pass, batch.len() as u64)?;
@@ -394,9 +457,11 @@ impl Bur {
     fn write_and_commit(
         &self,
         index: &RTreeIndex,
-        pass: &SharedPass<'_>,
+        pass: &SharedPass<'_, '_>,
         batch_len: u64,
     ) -> CoreResult<(BatchReport, Lsn)> {
+        // Pages other passes have read may change from here on.
+        self.shared.epoch.fetch_add(1, Ordering::Relaxed);
         let mut written: Vec<&PageRef<'_>> = Vec::new();
         let done = pass.execute(&mut written);
         // Shadows under one parent each push it: log every page once.
@@ -424,23 +489,7 @@ impl Bur {
             missing_deletes: pass.missing_deletes,
             ..BatchReport::default()
         };
-        let stats = index.op_stats();
-        for effect in pass.effects() {
-            match effect {
-                OpEffect::Update(outcome) => {
-                    report.updated += 1;
-                    stats.record_update(*outcome);
-                }
-                OpEffect::Insert => {
-                    report.inserted += 1;
-                    stats.inserts.fetch_add(1, Ordering::Relaxed);
-                }
-                OpEffect::Delete => {
-                    report.deleted += 1;
-                    stats.deletes.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        }
+        concurrent::tally(pass.effects(), index.op_stats(), &mut report);
         let written = written.iter().map(|&page| Ok(page));
         let lsn = index
             .tree
@@ -458,7 +507,7 @@ impl Bur {
         if !self.shared.inner.read().tree.checkpoint_due() {
             return Ok(());
         }
-        let mut index = self.shared.inner.write();
+        let mut index = self.shared.write();
         if index.tree.checkpoint_due() {
             index.checkpoint()?;
         }
@@ -543,7 +592,7 @@ impl Bur {
     /// recovery replay and the log's page footprint.
     pub fn checkpoint(&self) -> CoreResult<()> {
         self.check_writable()?;
-        let mut index = self.shared.inner.write();
+        let mut index = self.shared.write();
         index.checkpoint()
     }
 
@@ -552,7 +601,7 @@ impl Bur {
     /// step.
     pub fn persist(&self) -> CoreResult<()> {
         self.check_writable()?;
-        let mut index = self.shared.inner.write();
+        let mut index = self.shared.write();
         index.persist()
     }
 
@@ -643,7 +692,7 @@ impl Bur {
     /// lock's write side (maintenance escape hatch: buffer resizing,
     /// bulk fix-ups, ...).
     pub fn with_index_mut<R>(&self, f: impl FnOnce(&mut RTreeIndex) -> R) -> R {
-        f(&mut self.shared.inner.write())
+        f(&mut self.shared.write())
     }
 
     /// Run the deep invariant check.
@@ -780,3 +829,77 @@ impl Iterator for NeighborCursor {
 }
 
 impl ExactSizeIterator for NeighborCursor {}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::IndexBuilder;
+    use std::collections::HashMap;
+
+    fn start(oid: u64) -> Point {
+        Point::new(
+            (oid.wrapping_mul(2_654_435_761) % 10_007) as f32 / 10_007.0,
+            (oid.wrapping_mul(40_503) % 10_009) as f32 / 10_009.0,
+        )
+    }
+
+    fn midpoint(a: Point, b: Point) -> Point {
+        Point::new((a.x + b.x) / 2.0, (a.y + b.y) / 2.0)
+    }
+
+    /// A plan kept across a commit it never saw would write back the leaf
+    /// as the plan read it, undoing that commit. The epoch check replays
+    /// it instead. (Two threads cannot force this order: the fair
+    /// structure lock parks new readers behind a waiting writer, so the
+    /// steps run by hand.)
+    #[test]
+    fn a_stale_plan_is_replayed_never_written() {
+        let bur = IndexBuilder::generalized().build().unwrap();
+        let mut load = Batch::new();
+        for oid in 0..2_000 {
+            load.insert(oid, start(oid));
+        }
+        bur.apply(&load).unwrap();
+        assert!(bur.height() > 1);
+        let mut leaves: HashMap<PageId, Vec<u64>> = HashMap::new();
+        bur.with_index(|index| {
+            for oid in 0..2_000 {
+                let leaf = index.locate_leaf(oid).unwrap().unwrap();
+                leaves.entry(leaf).or_default().push(oid);
+            }
+        });
+        // x, y and w share leaf L; z lives elsewhere.
+        let shared = leaves.values().find(|l| l.len() >= 3).unwrap();
+        let (x, y, w) = (shared[0], shared[1], shared[2]);
+        let z = *leaves
+            .values()
+            .find(|l| !l.contains(&x))
+            .unwrap()
+            .first()
+            .unwrap();
+        let (x_to, y_to) = (midpoint(start(x), start(w)), midpoint(start(y), start(w)));
+        let jump = Point::new((start(z).x + 0.33) % 1.0, (start(z).y + 0.33) % 1.0);
+        let mut batch = Batch::new();
+        batch.update(x, start(x), x_to);
+        batch.update(z, start(z), jump);
+
+        // 1. Plan the batch to its escalation: the move of x in place.
+        let pool = Arc::clone(&bur.shared.inner.read().tree.pool);
+        let Ok(SharedAttempt::Escalate(kept)) = bur.apply_shared(&pool, &batch) else {
+            panic!("the jump stayed on the shared path");
+        };
+        // 2. Commit a move of y, in L too, through the write side.
+        bur.with_index_mut(|index| index.update(y, start(y), y_to))
+            .unwrap();
+        // 3. Resume the batch.
+        bur.exclusive(&batch, Some(kept)).unwrap();
+
+        for (oid, at) in [(x, x_to), (y, y_to), (z, jump)] {
+            let here: Vec<ObjectId> = bur.query(&Rect::from_point(at)).unwrap().collect();
+            assert!(here.contains(&oid), "object {oid} is not at {at}");
+        }
+        bur.validate().unwrap();
+        assert_eq!(bur.with_index(|index| index.pool().pinned_frames()), 0);
+        assert_eq!(bur.claimed_leaves(), 0);
+    }
+}

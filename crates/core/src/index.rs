@@ -3,6 +3,7 @@
 
 use crate::batch::{Batch, BatchReport, Op};
 use crate::claims::LeafClaims;
+use crate::concurrent::Planned;
 use crate::config::{Durability, IndexOptions, UpdateStrategy};
 use crate::error::{CoreError, CoreResult};
 use crate::files::stored_snapshot;
@@ -454,25 +455,45 @@ impl RTreeIndex {
     /// failing position as [`CoreError::Batch`]. A batch that changed
     /// nothing writes no record.
     pub fn apply_batch(&mut self, batch: &Batch) -> CoreResult<BatchReport> {
+        self.apply_batch_from(batch, Planned::default())
+    }
+
+    /// [`RTreeIndex::apply_batch`], starting with the ops of `batch` a
+    /// shared pass already planned: `planned` writes them through the
+    /// pins the pass took and hands those pins to the batch's commit set,
+    /// and the engine resumes at the op that stopped the pass. With
+    /// nothing planned it starts at op 0.
+    pub(crate) fn apply_batch_from(
+        &mut self,
+        batch: &Batch,
+        planned: Planned<'_>,
+    ) -> CoreResult<BatchReport> {
+        let pool = Arc::clone(&self.tree.pool);
+        let hash = self.tree.hash.clone();
+        let mut written = CommitSet::new(&pool, hash.as_deref(), self.is_durable());
+        let mut report = BatchReport::default();
+        let failed = match planned.write(&self.tree, &mut written, &mut report) {
+            Ok(()) => self.apply_ops(&mut written, batch, &mut report),
+            Err(e) => Some(e),
+        };
         // Commit what *was* applied before surfacing a failure; a commit
         // error outranks it.
-        let (report, failed) = self.exclusive(
-            |index, written| Ok(index.apply_ops(written, batch)),
-            |(report, _)| report.inserted + report.updated + report.deleted,
-        )?;
+        let applied = report.inserted + report.updated + report.deleted;
+        self.commit(applied, written)?;
         failed.map_or(Ok(report), Err)
     }
 
-    /// Apply `batch`'s operations in order up to the first that fails;
-    /// returns what they did and that failure.
+    /// Apply `batch`'s operations in order from position
+    /// `report.applied` up to the first that fails, adding what they did
+    /// to `report`; returns that failure.
     fn apply_ops(
         &mut self,
         written: &mut CommitSet<'_>,
         batch: &Batch,
-    ) -> (BatchReport, Option<CoreError>) {
-        let mut report = BatchReport::default();
-        let mut failed = None;
-        for (i, op) in batch.ops().iter().enumerate() {
+        report: &mut BatchReport,
+    ) -> Option<CoreError> {
+        let start = report.applied as usize;
+        for (i, op) in batch.ops().iter().enumerate().skip(start) {
             let step = match *op {
                 Op::Insert { oid, rect } => self.apply_insert(written, oid, rect).map(|()| {
                     report.inserted += 1;
@@ -493,15 +514,14 @@ impl RTreeIndex {
                 }
             };
             if let Err(source) = step {
-                failed = Some(CoreError::Batch {
+                return Some(CoreError::Batch {
                     op_index: i,
                     source: Box::new(source),
                 });
-                break;
             }
             report.applied += 1;
         }
-        (report, failed)
+        None
     }
 
     /// Insert a point object under a fresh id. With a hash index present

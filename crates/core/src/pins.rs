@@ -228,7 +228,8 @@ impl<'p> PinSet<'p> {
 /// The batch-level half of the pin set: the pins of every page a batch
 /// on the exclusive engine wrote, kept for its commit on a durable index
 /// (see the module docs). Each operation opens its [`PinSet`] here and
-/// hands it back when it ends.
+/// hands it back when it ends; the ops an escalated batch planned on the
+/// shared path hand theirs over through [`CommitSet::adopt`].
 pub(crate) struct CommitSet<'p> {
     pool: &'p BufferPool,
     hash: Option<&'p LinearHashIndex>,
@@ -268,6 +269,16 @@ impl<'p> CommitSet<'p> {
         if let (Some(batch), Some(op)) = (&mut self.kept, ops.kept.take()) {
             batch.nodes.extend(op.nodes);
             batch.buckets.extend(op.buckets);
+        }
+    }
+
+    /// Keep pins taken outside any operation of the set: those of a
+    /// shared pass's planned prefix, written on the exclusive path. The
+    /// commit logs the pages written through them and drops the rest.
+    /// A volatile set drops them all here.
+    pub(crate) fn adopt(&mut self, pins: impl IntoIterator<Item = PageRef<'p>>) {
+        if let Some(kept) = &mut self.kept {
+            kept.nodes.extend(pins.into_iter().map(Rc::new));
         }
     }
 

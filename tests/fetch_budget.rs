@@ -18,17 +18,20 @@
 //! | ascended, splitting    | + the new half, + 1 hash upsert per object the split re-homes (half a leaf): a mean bound |
 //! | top-down fallback      | 1 hash upsert per orphan CondenseTree re-inserts (irreducible: each orphan's bucket is its own) + the pages of the search, the re-insertion paths and the final insert, each once: ≤ orphans + 4·height + 1 when nothing splits, and a mean bound overall |
 //! | durable commit         | 0: the batch keeps the pin of every page it writes, and the commit logs each page through it |
+//! | escalated batch        | each op once: the updates planned before the escalating op are written from their plans, + probe, leaf and parent of that op |
 //!
 //! Everything runs on a `MemDisk` with the tree resident; counts come
 //! from `Bur::io_snapshot` and repeat exactly.
 //!
 //! The second half checks that **no pin outlives `apply`**, whichever
-//! way the call leaves the shared write path, and the last two that
-//! durability adds no fetch to a batch the exclusive engine replays,
-//! while a page an earlier failed commit left touched is still logged.
+//! way the call leaves the shared write path, that a kept plan writes
+//! the same bytes as a replay, and that durability adds no fetch to a
+//! batch the exclusive engine replays, while a page an earlier failed
+//! commit left touched is still logged.
 
+use bur::core::OpSnapshot;
 use bur::prelude::*;
-use bur::storage::{FaultKind, FaultyDisk};
+use bur::storage::{DiskBackend, FaultKind, FaultyDisk};
 use bur::wal::WalRecord;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -377,6 +380,168 @@ fn a_doomed_batch_pays_for_its_first_op_not_for_all_32() {
             .updates,
         twin.with_op_stats(|s| s.snapshot()).updates
     );
+}
+
+/// [`build`], on a write-ahead log over two `MemDisk`s when `durable`.
+fn build_twin(durable: bool, n: u64) -> (Bur, Vec<Point>) {
+    if !durable {
+        return build(IndexOptions::generalized(), n);
+    }
+    let opts = durable_gbu();
+    let bur = IndexBuilder::with_options(opts)
+        .disk(Arc::new(MemDisk::new(opts.page_size)))
+        .log_disk(Arc::new(MemDisk::new(opts.page_size)))
+        .buffer_frames(16_384)
+        .build()
+        .unwrap();
+    let positions: Vec<Point> = (0..n).map(start_position).collect();
+    let mut batch = Batch::new();
+    for (oid, &p) in positions.iter().enumerate() {
+        batch.insert(oid as u64, p);
+    }
+    bur.apply(&batch).unwrap();
+    (bur, positions)
+}
+
+#[test]
+fn a_batch_doomed_at_its_last_op_pays_for_each_op_once() {
+    for durable in [false, true] {
+        // Twins again: `Bur::apply` plans 31 in-place moves on the shared
+        // path before the jump escalates; the exclusive engine writes
+        // those plans and runs only the jump.
+        let (bur, mut positions) = build_twin(durable, THREE_LEVELS);
+        let (twin, _) = build_twin(durable, THREE_LEVELS);
+        let mut batch = Batch::new();
+        let moves = in_place_batch(&bur, &mut positions, THREE_LEVELS);
+        for op in &moves.ops()[..31] {
+            batch.push(*op);
+        }
+        let Some(&Op::Update { oid, old, .. }) = moves.ops().last() else {
+            unreachable!()
+        };
+        let jump = Point::new((old.x + 0.33) % 1.0, (old.y + 0.33) % 1.0);
+        batch.update(oid, old, jump);
+        positions[oid as usize] = jump;
+
+        let ops_before = twin.with_op_stats(|s| s.snapshot());
+        let before = fetches(&twin);
+        twin.with_index_mut(|index| index.apply_batch(&batch))
+            .unwrap();
+        let exclusive = fetches(&twin) - before;
+        let twin_ops = twin.with_op_stats(|s| s.snapshot()).since(&ops_before);
+
+        let ops_before = bur.with_op_stats(|s| s.snapshot());
+        let before = fetches(&bur);
+        bur.apply(&batch).unwrap();
+        let through_apply = fetches(&bur) - before;
+        let ops = bur.with_op_stats(|s| s.snapshot()).since(&ops_before);
+
+        println!(
+            "32-op batch doomed at its last op (durable: {durable}): {exclusive} fetches on \
+             the exclusive engine, {through_apply} through Bur::apply"
+        );
+        assert_eq!(ops.escalations, 1);
+        assert!(ops.upd_in_place >= 31, "{ops}");
+        // The shared pass's share of the jump: probe + leaf + parent.
+        assert!(
+            through_apply <= exclusive + 3,
+            "the shared attempt cost {} fetches more than the exclusive engine",
+            through_apply - exclusive
+        );
+        assert_eq!(pinned(&bur), 0);
+        assert_eq!(bur.claimed_leaves(), 0);
+        bur.validate().unwrap();
+        // Same decisions and the same positions either way.
+        assert_eq!(
+            OpSnapshot {
+                escalations: 0,
+                ..ops
+            },
+            twin_ops
+        );
+        for op in batch.ops() {
+            let Op::Update { oid, .. } = *op else {
+                unreachable!()
+            };
+            let at = Rect::from_point(positions[oid as usize]);
+            for index in [&bur, &twin] {
+                let here: Vec<u64> = index.query(&at).unwrap().collect();
+                assert!(here.contains(&oid), "object {oid} is not at {at}");
+            }
+        }
+    }
+}
+
+/// Every byte of `disk`, page by page.
+fn disk_bytes(disk: &MemDisk) -> Vec<u8> {
+    let mut bytes = vec![0; disk.num_pages() as usize * disk.page_size()];
+    for (pid, page) in bytes.chunks_mut(disk.page_size()).enumerate() {
+        disk.read(pid as u32, page).unwrap();
+    }
+    bytes
+}
+
+#[test]
+fn a_kept_prefix_writes_exactly_what_the_replay_writes() {
+    // Durable twins, the whole tree resident: one takes each batch
+    // through `Bur::apply`, which keeps the moves planned before the
+    // jump, the other through the exclusive engine alone. Both files and
+    // both logs must come out the same, byte for byte.
+    let opts = durable_gbu();
+    let disks: Vec<_> = (0..4)
+        .map(|_| Arc::new(MemDisk::new(opts.page_size)))
+        .collect();
+    let twins: Vec<Bur> = disks
+        .chunks(2)
+        .map(|pair| {
+            IndexBuilder::with_options(opts)
+                .disk(pair[0].clone())
+                .log_disk(pair[1].clone())
+                .buffer_frames(16_384)
+                .build()
+                .unwrap()
+        })
+        .collect();
+    let mut positions: Vec<Point> = (0..THREE_LEVELS).map(start_position).collect();
+    let mut batch = Batch::new();
+    for (oid, &p) in positions.iter().enumerate() {
+        batch.insert(oid as u64, p);
+    }
+    for bur in &twins {
+        bur.apply(&batch).unwrap();
+    }
+    let mut rng = StdRng::seed_from_u64(50);
+    let ops_before = twins[0].with_op_stats(|s| s.snapshot());
+    for round in 0..50 {
+        let mut batch = Batch::new();
+        for i in 0..=round % 32 {
+            let oid = rng.random_range(0..THREE_LEVELS);
+            let old = positions[oid as usize];
+            let new = match i == round % 32 {
+                true => Point::new((old.x + 0.33) % 1.0, (old.y + 0.33) % 1.0),
+                false => random_move(&mut rng, old, 0.002),
+            };
+            batch.update(oid, old, new);
+            positions[oid as usize] = new;
+        }
+        twins[0].apply(&batch).unwrap();
+        twins[1]
+            .with_index_mut(|index| index.apply_batch(&batch))
+            .unwrap();
+    }
+    let ops = twins[0].with_op_stats(|s| s.snapshot()).since(&ops_before);
+    assert_eq!(ops.escalations, 50, "{ops}");
+    assert!(ops.upd_in_place > 0 && ops.upd_extended > 0, "{ops}");
+    for bur in &twins {
+        bur.checkpoint().unwrap();
+        bur.validate().unwrap();
+    }
+    for (which, pair) in ["data", "log"].into_iter().zip([[0, 2], [1, 3]]) {
+        assert!(
+            disk_bytes(&disks[pair[0]]) == disk_bytes(&disks[pair[1]]),
+            "the {which} disks differ"
+        );
+    }
 }
 
 // The whole-tree lock is the structure `RwLock` (there is no tree
