@@ -20,7 +20,7 @@
 use crate::config::UpdateStrategy;
 use crate::error::{CoreError, CoreResult};
 use crate::node::{Node, ObjectId};
-use crate::pins::{CommitSet, PinSet, PinnedNode};
+use crate::pins::{PinSet, PinnedNode};
 use crate::stats::UpdateOutcome;
 use crate::tree::RTree;
 use crate::{gbu, lbu, topdown};
@@ -123,30 +123,30 @@ pub(crate) fn parent_of(
 }
 
 /// Run one bottom-up update (LBU or GBU) on the exclusive engine as one
-/// operation over one pin set: the hash bucket, the leaf, its parent, a
-/// shift's sibling and whatever an ascent or a fallback goes on to touch
-/// are each asked of the pool once. Hash probe + leaf = 2 fetches in
-/// place, + parent = 3 extended, + sibling = 4 shifted (the object's
-/// hash entry is re-pointed through the probe's pin) — the paper's own
-/// accounting with "R/W" as one access. The operation is one of the
-/// batch `written`.
+/// operation of the batch of `ops`: the hash bucket, the leaf, its
+/// parent, a shift's sibling and whatever an ascent or a fallback goes on
+/// to touch are each asked of the pool once — and not at all when an
+/// earlier operation of the batch checked the node in. Alone, an update
+/// costs hash probe + leaf = 2 fetches in place, + parent = 3 extended,
+/// and with a sibling 4 shifted (the object's hash entry is re-pointed
+/// through the probe's pin) — the paper's own accounting with "R/W" as
+/// one access.
 pub(crate) fn update(
     tree: &mut RTree,
-    written: &mut CommitSet<'_>,
+    ops: &mut PinSet<'_>,
     oid: ObjectId,
     old: Point,
     new: Point,
 ) -> CoreResult<UpdateOutcome> {
-    let mut op = written.begin();
-    let hash = op.hash().expect("bottom-up needs the hash index");
+    let hash = ops.hash().expect("bottom-up needs the hash index");
     let Some(probe) = hash.probe(oid)? else {
         return Err(CoreError::ObjectNotFound(oid));
     };
     let leaf_pid = probe.value();
-    op.track_own(oid, Some(probe));
+    ops.track_own(oid, Some(probe));
     let mut reads = PinnedReads {
         tree,
-        ops: &mut op,
+        ops,
         leaf_pid,
         oid,
         leaf: None,
@@ -165,7 +165,7 @@ pub(crate) fn update(
         Rung::InPlace => {
             let (leaf, idx) = leaf.as_mut().expect(taken);
             leaf.leaf_entries_mut()[*idx].rect = Rect::from_point(new);
-            tree.write_pinned(ops, leaf);
+            tree.write_pinned(leaf);
             UpdateOutcome::InPlace
         }
         Rung::Extend(rect) => {
@@ -173,9 +173,9 @@ pub(crate) fn update(
                 (leaf.as_mut().expect(taken), parent.as_mut().expect(taken));
             // Grow before move: the parent entry lands first.
             parent.internal_entries_mut()[*pidx].rect = rect;
-            tree.write_pinned(ops, parent);
+            tree.write_pinned(parent);
             leaf.leaf_entries_mut()[*idx].rect = Rect::from_point(new);
-            tree.write_pinned(ops, leaf);
+            tree.write_pinned(leaf);
             UpdateOutcome::Extended
         }
         Rung::Repair(extend) => {
@@ -199,12 +199,12 @@ pub(crate) fn update(
             }
         }
     };
-    // Unpin what the rung left pinned before the hash entry is
+    // Release what the rung left checked out before the hash entry is
     // re-pointed, parent first: the order the pool's LRU list sees.
-    drop(parent);
-    drop(leaf);
+    for (node, _) in [parent, leaf].into_iter().flatten() {
+        ops.release(node);
+    }
     ops.settle()?;
-    written.end(op);
     Ok(outcome)
 }
 
@@ -215,22 +215,21 @@ pub(crate) fn update(
 pub(crate) fn release_source<'p>(
     tree: &mut RTree,
     ops: &mut PinSet<'p>,
-    leaf: PinnedNode<'p>,
+    mut leaf: PinnedNode<'p>,
     parent: &mut PinnedNode<'p>,
     pidx: usize,
 ) {
     let tight = leaf.mbr();
-    tree.write_pinned(ops, &leaf);
+    tree.write_pinned(&mut leaf);
     ops.put(leaf);
     if parent.internal_entries()[pidx].rect != tight {
         parent.internal_entries_mut()[pidx].rect = tight;
-        tree.write_pinned(ops, parent);
+        tree.write_pinned(parent);
     }
 }
 
 /// The ladder's reads on the exclusive engine: each page is checked out
-/// of the operation's pin set and kept for the writes its rung calls
-/// for.
+/// of the batch's pin set and kept for the writes its rung calls for.
 struct PinnedReads<'t, 'o, 'p> {
     tree: &'t RTree,
     ops: &'o mut PinSet<'p>,

@@ -60,7 +60,7 @@ use crate::claims::{LeafClaim, Unclaimable};
 use crate::error::{CoreError, CoreResult};
 use crate::index::RTreeIndex;
 use crate::node::{LeafEntry, Node, ObjectId};
-use crate::pins::CommitSet;
+use crate::pins::{PinSet, PinnedNode};
 use crate::stats::{OpStats, UpdateOutcome};
 use crate::tree::RTree;
 use bur_geom::{Point, Rect};
@@ -486,9 +486,9 @@ impl<'i, 'p> SharedPass<'i, 'p> {
 
     /// Give up the claims and keep the plans of the ops before `resume`,
     /// the op an escalation stopped at (`Step::Escalate(Some(resume))`):
-    /// the shadows they changed with the pins of those leaves and their
-    /// parents, and their effects. A shadow the escalating op only opened
-    /// drops with its pin.
+    /// the shadows they changed — and the one the escalating op only
+    /// opened — with the pins of those leaves and their parents, and
+    /// their effects.
     pub(crate) fn into_planned(self, resume: usize) -> Planned<'p> {
         debug_assert_eq!(
             self.effects.len(),
@@ -496,16 +496,16 @@ impl<'i, 'p> SharedPass<'i, 'p> {
             "a kept plan is a prefix of updates"
         );
         Planned {
-            shadows: self.shadows.into_iter().filter(|s| s.ops > 0).collect(),
+            shadows: self.shadows,
             parents: self.parents,
             effects: self.effects,
         }
     }
 
     /// Write the planned shadows through their pins and append every
-    /// written page to `written` (the batch's commit set). Stops at the
-    /// first storage failure (a hash-index write; unreachable on a
-    /// healthy pool), reporting what landed before it.
+    /// written page to `written`, the pages the batch's commit logs.
+    /// Stops at the first storage failure (a hash-index write;
+    /// unreachable on a healthy pool), reporting what landed before it.
     ///
     /// # Latch invariants
     ///
@@ -640,34 +640,56 @@ pub(crate) struct Planned<'p> {
 }
 
 impl<'p> Planned<'p> {
-    /// Write the kept shadows through their pins, parent before leaf, as
-    /// the shared execute does; count their ops in `report` and the op
-    /// stats, and hand the pins to `written`, so the batch's commit logs
-    /// the pages without a fetch. The exclusive engine resumes at
-    /// `report.applied`, the op that escalated.
+    /// The effects of the planned ops, in batch order, for the exclusive
+    /// engine to count once the plans are written; it resumes at the op
+    /// after the last of them, the one that escalated.
+    pub(crate) fn take_effects(&mut self) -> Vec<OpEffect> {
+        std::mem::take(&mut self.effects)
+    }
+
+    /// Write the shadows the planned ops changed through their pins,
+    /// parent before leaf, as the shared execute does, and check every
+    /// node the pass holds into the batch's set `ops` — the written
+    /// leaves, the leaf the escalating op only opened, and the parents,
+    /// decoded from their pins — so no op of the batch fetches them
+    /// again and its commit logs the written pages through those pins.
     ///
     /// Runs under the structure lock's write side with nothing written
     /// since the pass read the pages, so each shadow is still the page's
     /// state plus the planned ops, and the parent entries it patches are
     /// the ones it read. On an error (a parent page that no longer
     /// decodes) the shadows written so far stay touched for the next
-    /// commit, and nothing is counted.
-    pub(crate) fn write(
-        self,
-        tree: &RTree,
-        written: &mut CommitSet<'p>,
-        report: &mut BatchReport,
-    ) -> CoreResult<()> {
-        let done = write_shadows(tree, &self.parents, &self.shadows, &mut Vec::new());
+    /// commit.
+    pub(crate) fn write(self, tree: &RTree, ops: &mut PinSet<'p>) -> CoreResult<()> {
+        let (shadows, opened): (Vec<_>, Vec<_>) = self.shadows.into_iter().partition(|s| s.ops > 0);
+        let done = write_shadows(tree, &self.parents, &shadows, &mut Vec::new());
         if let Some((op_index, source)) = done.failed {
             return Err(CoreError::Batch {
                 op_index,
                 source: Box::new(source),
             });
         }
-        tally(&self.effects, &tree.stats, report);
-        report.applied = self.effects.len() as u64;
-        written.adopt(self.shadows.into_iter().map(|s| s.page).chain(self.parents));
+        let mut patched = vec![false; self.parents.len()];
+        for parent in shadows.iter().filter_map(|s| s.parent.as_ref()) {
+            patched[parent.page] |= parent.official != parent.stored;
+        }
+        for (shadows, written) in [(shadows, true), (opened, false)] {
+            for shadow in shadows {
+                ops.put(PinnedNode {
+                    page: shadow.page,
+                    node: shadow.leaf,
+                    written,
+                });
+            }
+        }
+        for (page, written) in self.parents.into_iter().zip(patched) {
+            let node = Node::decode(page.pid(), &page.read())?;
+            ops.put(PinnedNode {
+                page,
+                node,
+                written,
+            });
+        }
         Ok(())
     }
 }

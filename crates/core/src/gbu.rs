@@ -85,6 +85,8 @@ pub(crate) fn repair<'p>(
     extend: Option<Rect>,
 ) -> CoreResult<UpdateOutcome> {
     if try_shift(tree, ops, params, &mut leaf, &mut parent, pidx, oid, new)? {
+        ops.release(parent);
+        ops.release(leaf);
         return Ok(UpdateOutcome::Shifted);
     }
 
@@ -93,8 +95,10 @@ pub(crate) fn repair<'p>(
         // after all, parent first.
         leaf.leaf_entries_mut().push(LeafEntry::point(oid, new));
         parent.internal_entries_mut()[pidx].rect = rect;
-        tree.write_pinned(ops, &parent);
-        tree.write_pinned(ops, &leaf);
+        tree.write_pinned(&mut parent);
+        tree.write_pinned(&mut leaf);
+        ops.release(parent);
+        ops.release(leaf);
         return Ok(UpdateOutcome::Extended);
     }
 
@@ -216,15 +220,16 @@ fn try_shift<'p>(
         }
     }
 
-    tree.write_pinned(ops, &sib);
-    tree.write_pinned(ops, leaf);
+    tree.write_pinned(&mut sib);
+    tree.write_pinned(leaf);
     // Tighten the source leaf's official MBR ("After a shift, the leaf's
     // MBR is tightened to reduce overlap"). The sibling's rect already
     // contains everything that moved, so the parent's own MBR can only
     // shrink — no upward propagation is required for correctness, and the
     // summary entry is refreshed by the write hook.
     parent.internal_entries_mut()[pidx].rect = leaf.mbr();
-    tree.write_pinned(ops, parent);
+    tree.write_pinned(parent);
+    ops.release(sib);
     Ok(true)
 }
 

@@ -3,14 +3,14 @@
 
 use crate::batch::{Batch, BatchReport, Op};
 use crate::claims::LeafClaims;
-use crate::concurrent::Planned;
+use crate::concurrent::{tally, Planned};
 use crate::config::{Durability, IndexOptions, UpdateStrategy};
 use crate::error::{CoreError, CoreResult};
 use crate::files::stored_snapshot;
 use crate::knn::{self, Neighbor};
 use crate::meta::{read_meta_chain, write_meta_chain, MetaSnapshot, LOG_DISK_ANCHOR, META_PAGE};
 use crate::node::{LeafEntry, NodeEntries, ObjectId};
-use crate::pins::CommitSet;
+use crate::pins::PinSet;
 use crate::stats::{OpStats, UpdateOutcome};
 use crate::summary::SummaryStructure;
 use crate::tree::{RTree, WalHandle};
@@ -20,7 +20,6 @@ use bur_hashindex::{HashIndexConfig, LinearHashIndex};
 use bur_storage::{BufferPool, DiskBackend, IoStats, PageId, PoolConfig, INVALID_PAGE};
 use bur_wal::{RedoError, ScanResult, Wal, WalRecord, WalStatsSnapshot};
 use std::collections::HashMap;
-use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -308,48 +307,52 @@ impl RTreeIndex {
     /// the room.
     pub(crate) fn make_room(&mut self, pid: PageId) -> CoreResult<bool> {
         self.exclusive(
-            |index, written| index.tree.preparatory_split(written, pid),
+            Planned::default(),
+            |index, ops| index.tree.preparatory_split(ops, pid),
             |&split| u64::from(split),
         )
     }
 
     /// Run `apply` as one batch on the exclusive engine, then commit the
     /// number of operations `changed` counts in its result under one
-    /// record. The batch's operations keep the pins of what they write in
-    /// one [`CommitSet`] (a durable index only), and the commit logs
-    /// through them.
-    fn exclusive<T>(
+    /// record. The batch's operations share one [`PinSet`], which starts
+    /// with the nodes of `planned` (updates a shared pass planned for
+    /// this batch, written here first) and which the commit logs
+    /// through.
+    pub(crate) fn exclusive<T>(
         &mut self,
-        apply: impl for<'p> FnOnce(&mut Self, &mut CommitSet<'p>) -> CoreResult<T>,
+        planned: Planned<'_>,
+        apply: impl for<'p> FnOnce(&mut Self, &mut PinSet<'p>) -> CoreResult<T>,
         changed: impl FnOnce(&T) -> u64,
     ) -> CoreResult<T> {
         let pool = Arc::clone(&self.tree.pool);
         let hash = self.tree.hash.clone();
-        let mut written = CommitSet::new(&pool, hash.as_deref(), self.is_durable());
-        let applied = apply(self, &mut written)?;
-        self.commit(changed(&applied), written)?;
+        let mut ops = PinSet::new(&pool, hash.as_deref(), self.is_durable());
+        planned.write(&self.tree, &mut ops)?;
+        let applied = apply(self, &mut ops)?;
+        self.commit(changed(&applied), ops)?;
         Ok(applied)
     }
 
     /// Commit the `ops` operations the exclusive engine just applied
     /// under one record: every page the pool saw touched since the last
     /// commit goes to [`RTree::wal_commit_pages`] in ascending page
-    /// order, through the pin `written` kept for it, and is unpinned
-    /// right after. A touched page the batch does not hold was left by
-    /// an earlier commit that failed; that one is fetched. Then
+    /// order, through the pin the batch's set kept for it, and is
+    /// unpinned right after. A touched page the batch does not hold was
+    /// left by an earlier commit that failed; that one is fetched. Then
     /// checkpoint when the cadence says so. No record when nothing
     /// changed (`ops == 0`) or without a WAL.
-    fn commit(&mut self, ops: u64, written: CommitSet<'_>) -> CoreResult<()> {
+    fn commit(&mut self, ops: u64, pins: PinSet<'_>) -> CoreResult<()> {
         if ops == 0 || self.tree.wal.is_none() {
             return Ok(());
         }
         let pool = &self.tree.pool;
-        let mut held = written.into_pins().into_iter().peekable();
+        let mut held = pins.into_pins().into_iter().peekable();
         let touched = pool.touched_pages().into_iter().map(|pid| {
             while held.next_if(|pin| pin.pid() < pid).is_some() {}
             match held.next_if(|pin| pin.pid() == pid) {
                 Some(pin) => Ok(pin),
-                None => Ok(Rc::new(pool.fetch(pid)?)),
+                None => Ok(pool.fetch(pid)?),
             }
         });
         self.tree.wal_commit_pages(ops, touched, 0)?;
@@ -460,26 +463,28 @@ impl RTreeIndex {
 
     /// [`RTreeIndex::apply_batch`], starting with the ops of `batch` a
     /// shared pass already planned: `planned` writes them through the
-    /// pins the pass took and hands those pins to the batch's commit set,
-    /// and the engine resumes at the op that stopped the pass. With
+    /// pins the pass took and checks their nodes into the batch's pin
+    /// set, and the engine resumes at the op that stopped the pass. With
     /// nothing planned it starts at op 0.
     pub(crate) fn apply_batch_from(
         &mut self,
         batch: &Batch,
-        planned: Planned<'_>,
+        mut planned: Planned<'_>,
     ) -> CoreResult<BatchReport> {
-        let pool = Arc::clone(&self.tree.pool);
-        let hash = self.tree.hash.clone();
-        let mut written = CommitSet::new(&pool, hash.as_deref(), self.is_durable());
-        let mut report = BatchReport::default();
-        let failed = match planned.write(&self.tree, &mut written, &mut report) {
-            Ok(()) => self.apply_ops(&mut written, batch, &mut report),
-            Err(e) => Some(e),
-        };
-        // Commit what *was* applied before surfacing a failure; a commit
-        // error outranks it.
-        let applied = report.inserted + report.updated + report.deleted;
-        self.commit(applied, written)?;
+        let effects = planned.take_effects();
+        let (report, failed) = self.exclusive(
+            planned,
+            |index, ops| {
+                let mut report = BatchReport::default();
+                tally(&effects, &index.tree.stats, &mut report);
+                report.applied = effects.len() as u64;
+                let failed = index.apply_ops(ops, batch, &mut report);
+                Ok((report, failed))
+            },
+            // Commit what *was* applied before surfacing a failure; a
+            // commit error outranks it.
+            |(report, _)| report.inserted + report.updated + report.deleted,
+        )?;
         failed.map_or(Ok(report), Err)
     }
 
@@ -488,23 +493,22 @@ impl RTreeIndex {
     /// to `report`; returns that failure.
     fn apply_ops(
         &mut self,
-        written: &mut CommitSet<'_>,
+        ops: &mut PinSet<'_>,
         batch: &Batch,
         report: &mut BatchReport,
     ) -> Option<CoreError> {
         let start = report.applied as usize;
         for (i, op) in batch.ops().iter().enumerate().skip(start) {
+            ops.begin_op(i + 1 == batch.len());
             let step = match *op {
-                Op::Insert { oid, rect } => self.apply_insert(written, oid, rect).map(|()| {
+                Op::Insert { oid, rect } => self.apply_insert(ops, oid, rect).map(|()| {
                     report.inserted += 1;
                 }),
-                Op::Update { oid, old, new } => {
-                    self.apply_update(written, oid, old, new).map(|_| {
-                        report.updated += 1;
-                    })
-                }
+                Op::Update { oid, old, new } => self.apply_update(ops, oid, old, new).map(|_| {
+                    report.updated += 1;
+                }),
                 Op::Delete { oid, position } => {
-                    self.apply_delete(written, oid, position).map(|found| {
+                    self.apply_delete(ops, oid, position).map(|found| {
                         if found {
                             report.deleted += 1;
                         } else {
@@ -533,7 +537,8 @@ impl RTreeIndex {
     /// Insert an object with a rectangular extent.
     pub fn insert_rect(&mut self, oid: ObjectId, rect: Rect) -> CoreResult<()> {
         self.exclusive(
-            |index, written| index.apply_insert(written, oid, rect),
+            Planned::default(),
+            |index, ops| index.apply_insert(ops, oid, rect),
             |_| 1,
         )
     }
@@ -542,7 +547,8 @@ impl RTreeIndex {
     /// when it is not indexed there.
     pub fn delete(&mut self, oid: ObjectId, position: Point) -> CoreResult<bool> {
         self.exclusive(
-            |index, written| index.apply_delete(written, oid, position),
+            Planned::default(),
+            |index, ops| index.apply_delete(ops, oid, position),
             |&found| u64::from(found),
         )
     }
@@ -551,18 +557,14 @@ impl RTreeIndex {
     /// strategy; returns which path the update took.
     pub fn update(&mut self, oid: ObjectId, old: Point, new: Point) -> CoreResult<UpdateOutcome> {
         self.exclusive(
-            |index, written| index.apply_update(written, oid, old, new),
+            Planned::default(),
+            |index, ops| index.apply_update(ops, oid, old, new),
             |_| 1,
         )
     }
 
     /// [`RTreeIndex::insert_rect`] without the commit.
-    fn apply_insert(
-        &mut self,
-        written: &mut CommitSet<'_>,
-        oid: ObjectId,
-        rect: Rect,
-    ) -> CoreResult<()> {
+    fn apply_insert(&mut self, ops: &mut PinSet<'_>, oid: ObjectId, rect: Rect) -> CoreResult<()> {
         if !rect.is_valid() {
             return Err(CoreError::BadConfig(format!("invalid rect {rect}")));
         }
@@ -571,7 +573,7 @@ impl RTreeIndex {
                 return Err(CoreError::DuplicateObject(oid));
             }
         }
-        self.tree.insert_object(written, LeafEntry { oid, rect })?;
+        self.tree.insert_object(ops, LeafEntry { oid, rect })?;
         self.tree.len.fetch_add(1, Ordering::Relaxed);
         self.tree.stats.inserts.fetch_add(1, Ordering::Relaxed);
         Ok(())
@@ -580,11 +582,11 @@ impl RTreeIndex {
     /// [`RTreeIndex::delete`] without the commit.
     fn apply_delete(
         &mut self,
-        written: &mut CommitSet<'_>,
+        ops: &mut PinSet<'_>,
         oid: ObjectId,
         position: Point,
     ) -> CoreResult<bool> {
-        let found = self.tree.delete_object(written, oid, position)?;
+        let found = self.tree.delete_object(ops, oid, position)?;
         if found {
             self.tree.len.fetch_sub(1, Ordering::Relaxed);
             self.tree.stats.deletes.fetch_add(1, Ordering::Relaxed);
@@ -595,15 +597,15 @@ impl RTreeIndex {
     /// [`RTreeIndex::update`] without the commit.
     fn apply_update(
         &mut self,
-        written: &mut CommitSet<'_>,
+        ops: &mut PinSet<'_>,
         oid: ObjectId,
         old: Point,
         new: Point,
     ) -> CoreResult<UpdateOutcome> {
         let outcome = match self.tree.opts.strategy {
-            UpdateStrategy::TopDown => topdown::update(&mut self.tree, written, oid, old, new)?,
+            UpdateStrategy::TopDown => topdown::update(&mut self.tree, ops, oid, old, new)?,
             UpdateStrategy::Localized(_) | UpdateStrategy::Generalized(_) => {
-                bottom_up::update(&mut self.tree, written, oid, old, new)?
+                bottom_up::update(&mut self.tree, ops, oid, old, new)?
             }
         };
         self.tree.stats.record_update(outcome);

@@ -49,15 +49,18 @@ pub(crate) fn repair<'p>(
     // is *read* to check fullness — the extra disk accesses the paper
     // attributes to this strategy.
     let leaf_cap = tree.leaf_cap();
-    for (i, e) in parent.internal_entries().iter().enumerate() {
+    for i in 0..parent.count() {
+        let e = parent.internal_entries()[i];
         if i == pidx || !e.rect.contains_point(&new) {
             continue;
         }
         let mut sib = ops.take(e.child)?;
         if sib.count() < leaf_cap {
             sib.leaf_entries_mut().push(LeafEntry::point(oid, new));
-            tree.write_pinned(ops, &sib);
+            tree.write_pinned(&mut sib);
             ops.place(oid, e.child)?;
+            ops.release(sib);
+            ops.release(parent);
             return Ok(UpdateOutcome::Shifted);
         }
         // Full: stays in the set, the root insert below may split it.

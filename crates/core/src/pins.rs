@@ -1,50 +1,60 @@
-//! The pin set: every page one exclusive-engine operation asks the pool
-//! for, held until the operation ends — and, on a durable index, every
-//! page a batch of operations wrote, held until its commit.
+//! The pin set: every node page a batch on the exclusive engine asks the
+//! pool for, held until the batch commits.
 //!
 //! The paper prices an update in page accesses, and an operation that
 //! reads a page and later rewrites it — or comes back to it while
 //! re-inserting the orphans of a dissolved leaf — has accessed it once.
-//! A [`PinSet`] makes the engine count the same way. Code that needs a
-//! node checks it out with [`PinSet::take`] (a pool fetch only when the
-//! operation does not hold the page yet), works on the decoded copy, and
-//! checks it back in with [`PinSet::put`] after
+//! A [`PinSet`] makes the engine count the same way, and a batch with it:
+//! the set lives for the whole batch, so a node one operation checked in
+//! costs the batch's later operations no second fetch and no second
+//! decode. Code that needs a node checks it out with [`PinSet::take`]
+//! (a pool fetch only when the batch does not hold the page yet), works
+//! on the decoded copy, and checks it back in with [`PinSet::put`] after
 //! [`RTree::write_pinned`](crate::tree::RTree::write_pinned) has
 //! re-encoded it through the same pin. While a node is checked out nobody
-//! else can obtain it, so there is exactly **one decoded copy per page per
-//! operation** and it cannot go stale.
+//! else can obtain it, so there is exactly **one decoded copy per page
+//! per batch** and it cannot go stale: every engine write goes through
+//! the copy's own pin. A freed page leaves the set when it is freed
+//! ([`PinSet::let_go`]), so a page the batch reallocates comes back only
+//! as the node [`PinSet::put_new`] writes to it.
 //!
-//! The set also carries the operation's *own object*: the hash probe that
-//! located it (bucket page pinned, slot remembered) and the leaf it ends
-//! up on. The object may be placed more than once on its way — appended
-//! to a leaf, then moved by that leaf's split — so placements are only
-//! noted here, and [`PinSet::settle`] re-points
-//! the hash entry once, through the probe's pin, when the operation is
-//! done.
+//! The set also carries the running operation's *own object*: the hash
+//! probe that located it (bucket page pinned, slot remembered) and the
+//! leaf it ends up on. The object may be placed more than once on its
+//! way — appended to a leaf, then moved by that leaf's split — so
+//! placements are only noted here, and [`PinSet::settle`] re-points the
+//! hash entry once, through the probe's pin, when the operation is done.
+//! Only this state is per operation.
 //!
-//! A commit logs the bytes of every page the batch wrote. The operation
-//! that wrote a page held it pinned a moment earlier, so on a durable
-//! index the set keeps the pin of every node it writes and of every hash
-//! bucket the hash index hands back, and passes them to the batch's
-//! [`CommitSet`] when the operation ends; the commit logs each page
-//! through that pin and unpins it. Durability then costs no fetch. A
-//! volatile index keeps nothing: each pin drops where the operation lets
-//! go of it.
+//! An operation lets go of a node it is done with through
+//! [`PinSet::release`]: the set keeps it for the batch's later
+//! operations, and the batch's last operation — which has none —
+//! unpins it on the spot. A batch of one therefore pins and unpins
+//! exactly as a lone operation always has, which is why the
+//! per-outcome fetch table (`tests/fetch_budget.rs`, measured on batches
+//! of one) and the single-update figures do not move.
+//!
+//! A commit logs the bytes of every page the batch wrote, so each node
+//! carries a *written* mark, and on a durable index the set keeps the pin
+//! of every written page it lets go of and of every hash bucket the hash
+//! index hands back; [`PinSet::into_pins`] gives the commit all of them,
+//! and it logs each page through its pin. Durability then costs no fetch.
+//! A volatile index keeps nothing for a commit.
 
 use crate::error::CoreResult;
 use crate::node::{Node, ObjectId};
 use bur_hashindex::{LinearHashIndex, Probe, Written};
 use bur_storage::{BufferPool, PageId, PageRef};
-use std::rc::Rc;
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// A node decoded from a page that stays pinned; rewritten through the
 /// same pin by [`RTree::write_pinned`](crate::tree::RTree::write_pinned).
-/// Once the node is written on a durable index its operation shares the
-/// pin, and the page stays pinned until the commit whatever becomes of
-/// the decoded copy.
 pub(crate) struct PinnedNode<'p> {
-    pub(crate) page: Rc<PageRef<'p>>,
+    pub(crate) page: PageRef<'p>,
     pub(crate) node: Node,
+    /// Re-encoded through `page` during this batch: its commit logs it.
+    pub(crate) written: bool,
 }
 
 impl PinnedNode<'_> {
@@ -68,6 +78,26 @@ impl std::ops::DerefMut for PinnedNode<'_> {
     }
 }
 
+/// Page ids are dense `u32`s, so one multiply spreads them over the
+/// table: the set looks one up on every check-out and check-in, where
+/// SipHash would cost more than the fetches the set saves.
+#[derive(Default)]
+struct PageIdHasher(u64);
+
+impl Hasher for PageIdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("only page ids are hashed")
+    }
+
+    fn write_u32(&mut self, pid: u32) {
+        self.0 = u64::from(pid).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+}
+
 /// The object an operation moves or inserts.
 struct OwnObject<'p> {
     oid: ObjectId,
@@ -78,57 +108,81 @@ struct OwnObject<'p> {
     leaf: Option<PageId>,
 }
 
-/// The pins of the pages written on a durable index, kept for the
-/// commit: tree nodes and hash buckets.
-#[derive(Default)]
-struct Kept<'p> {
-    nodes: Vec<Rc<PageRef<'p>>>,
-    buckets: Vec<PageRef<'p>>,
-}
-
 /// See the module docs. Borrows the pool and the hash index, not the
-/// tree, so `&mut RTree` stays free for the write hooks: a batch clones
-/// the two `Arc`s once and opens every operation's set from its
-/// [`CommitSet`].
+/// tree, so `&mut RTree` stays free for the write hooks.
 pub(crate) struct PinSet<'p> {
     pool: &'p BufferPool,
     hash: Option<&'p LinearHashIndex>,
-    /// Nodes checked in. An operation holds a handful of pages (a
-    /// condensing fallback a few dozen), so a scan beats a map.
+    /// Checked-in nodes, in the order the batch unpins them.
     held: Vec<PinnedNode<'p>>,
+    /// Where each checked-in page sits in `held`: an escalated
+    /// 1 024-insert batch holds about a thousand nodes.
+    at: HashMap<PageId, usize, BuildHasherDefault<PageIdHasher>>,
+    /// The running operation's own object.
     own: Option<OwnObject<'p>>,
-    /// What the operation wrote, on a durable index; `None` keeps
-    /// nothing.
-    kept: Option<Kept<'p>>,
+    /// The running operation is the batch's last.
+    last: bool,
+    /// Pins a durable commit logs through that no checked-in node holds:
+    /// written pages let go of, and hash buckets. `None` keeps nothing.
+    kept: Option<Vec<PageRef<'p>>>,
 }
 
 impl<'p> PinSet<'p> {
-    /// The hash index the operation keeps pointing at its objects.
+    /// An empty set for a batch over `pool` and `hash`; it keeps pins
+    /// for a commit only when the index is `durable`. Until
+    /// [`PinSet::begin_op`] says otherwise, every operation is the last.
+    pub(crate) fn new(
+        pool: &'p BufferPool,
+        hash: Option<&'p LinearHashIndex>,
+        durable: bool,
+    ) -> Self {
+        Self {
+            pool,
+            hash,
+            held: Vec::new(),
+            at: HashMap::default(),
+            own: None,
+            last: true,
+            kept: durable.then(Vec::new),
+        }
+    }
+
+    /// The hash index the batch keeps pointing at its objects.
     pub(crate) fn hash(&self) -> Option<&'p LinearHashIndex> {
         self.hash
     }
 
+    /// The batch's next operation starts; `last` when no other follows.
+    pub(crate) fn begin_op(&mut self, last: bool) {
+        self.last = last;
+    }
+
     /// Check the node on `pid` out of the set, fetching and decoding the
-    /// page only when the operation does not hold it yet.
+    /// page only when the batch does not hold it yet.
     pub(crate) fn take(&mut self, pid: PageId) -> CoreResult<PinnedNode<'p>> {
-        if let Some(i) = self.held.iter().position(|n| n.pid() == pid) {
-            return Ok(self.held.swap_remove(i));
+        if let Some(i) = self.at.remove(&pid) {
+            let node = self.held.swap_remove(i);
+            if let Some(moved) = self.held.get(i) {
+                self.at.insert(moved.pid(), i);
+            }
+            return Ok(node);
         }
         let page = self.pool.fetch(pid)?;
         let node = Node::decode(pid, &page.read())?;
         Ok(PinnedNode {
-            page: Rc::new(page),
+            page,
             node,
+            written: false,
         })
     }
 
     /// Check a node back in. Its decoded copy must equal the page: put it
-    /// unchanged, or after `write_pinned`. A node whose page was freed is
-    /// dropped instead.
+    /// unchanged, or after `write_pinned`.
     pub(crate) fn put(&mut self, node: PinnedNode<'p>) {
+        let twice = self.at.insert(node.pid(), self.held.len());
         debug_assert!(
-            self.held.iter().all(|n| n.pid() != node.pid()),
-            "page {} decoded twice in one operation",
+            twice.is_none(),
+            "page {} decoded twice in one batch",
             node.pid()
         );
         self.held.push(node);
@@ -137,21 +191,41 @@ impl<'p> PinSet<'p> {
     /// Pin a page that was never read (a split's new half, a fresh
     /// root), overwrite it blind with `node` and check the node in.
     pub(crate) fn put_new(&mut self, pid: PageId, node: Node) -> CoreResult<&Node> {
-        let page = Rc::new(self.pool.fetch_for_overwrite(pid)?);
+        let page = self.pool.fetch_for_overwrite(pid)?;
         node.encode(&mut page.write());
-        let node = PinnedNode { page, node };
-        self.wrote(&node);
-        self.put(node);
-        Ok(&self.held.last().expect("just pushed").node)
+        self.put(PinnedNode {
+            page,
+            node,
+            written: true,
+        });
+        Ok(&self.held.last().expect("just put").node)
     }
 
-    /// `node` was just re-encoded through its pin: on a durable index,
-    /// keep the pin for the commit.
-    pub(crate) fn wrote(&mut self, node: &PinnedNode<'p>) {
-        if let Some(kept) = &mut self.kept {
-            if !kept.nodes.iter().any(|p| Rc::ptr_eq(p, &node.page)) {
-                kept.nodes.push(Rc::clone(&node.page));
-            }
+    /// The operation is done with `node`: check it in for the batch's
+    /// later operations, or — in its last — let go of it now.
+    pub(crate) fn release(&mut self, node: PinnedNode<'p>) {
+        if self.last {
+            self.let_go(node);
+        } else {
+            self.put(node);
+        }
+    }
+
+    /// Let go of `node` for the rest of the batch — released by its last
+    /// operation, or its page freed: a later `take` fetches the page
+    /// again. A written page keeps its pin for a durable commit.
+    pub(crate) fn let_go(&mut self, node: PinnedNode<'p>) {
+        if let (true, Some(kept)) = (node.written, &mut self.kept) {
+            kept.push(node.page);
+        }
+    }
+
+    /// Let go of every checked-in node, in the order they were held: the
+    /// top-down baseline's separate insert search starts from nothing.
+    pub(crate) fn flush(&mut self) {
+        self.at.clear();
+        for node in std::mem::take(&mut self.held) {
+            self.let_go(node);
         }
     }
 
@@ -221,75 +295,24 @@ impl<'p> PinSet<'p> {
     /// Where the hash index hands the buckets it writes: kept on a
     /// durable index, unpinned on the spot otherwise.
     fn buckets(&mut self) -> Written<'_, 'p> {
-        self.kept.as_mut().map(|kept| &mut kept.buckets)
-    }
-}
-
-/// The batch-level half of the pin set: the pins of every page a batch
-/// on the exclusive engine wrote, kept for its commit on a durable index
-/// (see the module docs). Each operation opens its [`PinSet`] here and
-/// hands it back when it ends; the ops an escalated batch planned on the
-/// shared path hand theirs over through [`CommitSet::adopt`].
-pub(crate) struct CommitSet<'p> {
-    pool: &'p BufferPool,
-    hash: Option<&'p LinearHashIndex>,
-    /// `None` on a volatile index: there is no commit to keep pins for.
-    kept: Option<Kept<'p>>,
-}
-
-impl<'p> CommitSet<'p> {
-    /// An empty set for a batch over `pool` and `hash`; it keeps pins only
-    /// when the index is `durable`.
-    pub(crate) fn new(
-        pool: &'p BufferPool,
-        hash: Option<&'p LinearHashIndex>,
-        durable: bool,
-    ) -> Self {
-        Self {
-            pool,
-            hash,
-            kept: durable.then(Kept::default),
-        }
+        self.kept.as_mut()
     }
 
-    /// The pin set of the batch's next operation.
-    pub(crate) fn begin(&self) -> PinSet<'p> {
-        PinSet {
-            pool: self.pool,
-            hash: self.hash,
-            held: Vec::new(),
-            own: None,
-            kept: self.kept.as_ref().map(|_| Kept::default()),
-        }
-    }
-
-    /// The operation `ops` ended: keep the pins of what it wrote. Its
-    /// other pins drop here, in the order it held them.
-    pub(crate) fn end(&mut self, mut ops: PinSet<'p>) {
-        if let (Some(batch), Some(op)) = (&mut self.kept, ops.kept.take()) {
-            batch.nodes.extend(op.nodes);
-            batch.buckets.extend(op.buckets);
-        }
-    }
-
-    /// Keep pins taken outside any operation of the set: those of a
-    /// shared pass's planned prefix, written on the exclusive path. The
-    /// commit logs the pages written through them and drops the rest.
-    /// A volatile set drops them all here.
-    pub(crate) fn adopt(&mut self, pins: impl IntoIterator<Item = PageRef<'p>>) {
-        if let Some(kept) = &mut self.kept {
-            kept.nodes.extend(pins.into_iter().map(Rc::new));
-        }
-    }
-
-    /// Every kept pin, one per page, in ascending page order.
-    pub(crate) fn into_pins(self) -> Vec<Rc<PageRef<'p>>> {
-        let Some(Kept { mut nodes, buckets }) = self.kept else {
+    /// The batch is over: every pin a durable commit logs through, one
+    /// per page, in ascending page order. The other pins drop here, the
+    /// checked-in nodes in the order they were held.
+    pub(crate) fn into_pins(self) -> Vec<PageRef<'p>> {
+        let Some(mut pins) = self.kept else {
             return Vec::new();
         };
-        nodes.extend(buckets.into_iter().map(Rc::new));
-        nodes.sort_by_key(|p| p.pid());
-        nodes.dedup_by_key(|p| p.pid());
-        nodes
+        pins.extend(
+            self.held
+                .into_iter()
+                .filter(|node| node.written)
+                .map(|node| node.page),
+        );
+        pins.sort_by_key(PageRef::pid);
+        pins.dedup_by_key(|pin| pin.pid());
+        pins
     }
 }

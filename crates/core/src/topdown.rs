@@ -9,36 +9,37 @@
 
 use crate::error::{CoreError, CoreResult};
 use crate::node::{LeafEntry, ObjectId};
-use crate::pins::{CommitSet, PinSet};
+use crate::pins::PinSet;
 use crate::stats::UpdateOutcome;
 use crate::tree::RTree;
 use bur_geom::Point;
 
 /// The TD strategy's update: delete `oid` at `old`, then insert it at
-/// `new` — two operations with a pin set each, because the paper's
-/// baseline pays for "another and separate top-down search"; sharing the
-/// delete's pins with the insert would price the baseline below the
-/// algorithm it stands for. Both are operations of the batch `written`.
+/// `new` — with the batch's pin set emptied in between, because the
+/// paper's baseline pays for "another and separate top-down search";
+/// sharing the delete's pins with the insert would price the baseline
+/// below the algorithm it stands for.
 pub(crate) fn update(
     tree: &mut RTree,
-    written: &mut CommitSet<'_>,
+    ops: &mut PinSet<'_>,
     oid: ObjectId,
     old: Point,
     new: Point,
 ) -> CoreResult<UpdateOutcome> {
-    if !tree.delete_object(written, oid, old)? {
+    if !tree.delete_object(ops, oid, old)? {
         return Err(CoreError::ObjectNotFound(oid));
     }
-    tree.insert_object(written, LeafEntry::point(oid, new))?;
+    ops.flush();
+    tree.insert_object(ops, LeafEntry::point(oid, new))?;
     Ok(UpdateOutcome::TopDown)
 }
 
-/// The top-down update within the operation `ops` — the bottom-up
-/// strategies' fallback. The search, CondenseTree's reinsertions and the
-/// final insert walk largely the same few pages, and the set hands each
-/// of them out without asking the pool again; the object's hash entry
-/// (its probe rides in `ops`) is re-pointed once when the operation
-/// settles, never removed.
+/// The top-down update within the running operation of `ops` — the
+/// bottom-up strategies' fallback. The search, CondenseTree's
+/// reinsertions and the final insert walk largely the same few pages,
+/// and the set hands each of them out without asking the pool again;
+/// the object's hash entry (its probe rides in `ops`) is re-pointed once
+/// when the operation settles, never removed.
 pub(crate) fn run(
     tree: &mut RTree,
     ops: &mut PinSet<'_>,
@@ -46,7 +47,7 @@ pub(crate) fn run(
     old: Point,
     new: Point,
 ) -> CoreResult<UpdateOutcome> {
-    if !tree.delete_in(ops, oid, old)? {
+    if !tree.delete_object(ops, oid, old)? {
         return Err(CoreError::ObjectNotFound(oid));
     }
     tree.insert_at_root(ops, LeafEntry::point(oid, new))?;

@@ -29,7 +29,7 @@ use crate::meta::{self, MetaSnapshot};
 use crate::node::{
     internal_capacity, leaf_capacity, InternalEntry, LeafEntry, Node, NodeEntries, ObjectId,
 };
-use crate::pins::{CommitSet, PinSet, PinnedNode};
+use crate::pins::{PinSet, PinnedNode};
 use crate::split;
 use crate::stats::OpStats;
 use crate::summary::SummaryStructure;
@@ -223,27 +223,26 @@ impl RTree {
         Node::decode(pid, &data)
     }
 
-    /// Re-encode a pinned node through its own pin and refresh the
-    /// summary hooks: the write half of a pinned read-modify-write (no
-    /// pool fetch). `ops` keeps the pin for the commit on a durable
-    /// index.
-    pub(crate) fn write_pinned<'p>(&mut self, ops: &mut PinSet<'p>, pinned: &PinnedNode<'p>) {
+    /// Re-encode a pinned node through its own pin, mark it written for
+    /// the commit and refresh the summary hooks: the write half of a
+    /// pinned read-modify-write (no pool fetch).
+    pub(crate) fn write_pinned(&mut self, pinned: &mut PinnedNode<'_>) {
         pinned.node.encode(&mut pinned.page.write());
-        ops.wrote(pinned);
+        pinned.written = true;
         self.note_written(pinned.pid(), &pinned.node);
     }
 
     /// [`RTree::write_pinned`], then check the node back into the
-    /// operation's pin set.
-    fn write_back<'p>(&mut self, ops: &mut PinSet<'p>, node: PinnedNode<'p>) {
-        self.write_pinned(ops, &node);
+    /// batch's pin set.
+    fn write_back<'p>(&mut self, ops: &mut PinSet<'p>, mut node: PinnedNode<'p>) {
+        self.write_pinned(&mut node);
         ops.put(node);
     }
 
     /// Write `node` to the freshly allocated page `pid` — blind, the page
-    /// was never read — and leave it checked in: the rest of the
-    /// operation (say, the next orphan re-inserted into a split's new
-    /// half) finds it there.
+    /// was never read — and leave it checked in: the rest of the batch
+    /// (say, the next orphan re-inserted into a split's new half) finds
+    /// it there.
     fn write_new(&mut self, ops: &mut PinSet<'_>, pid: PageId, node: Node) -> CoreResult<()> {
         let node = ops.put_new(pid, node)?;
         self.note_written(pid, node);
@@ -288,15 +287,19 @@ impl RTree {
         Ok(pid)
     }
 
-    fn free_page(&mut self, pid: PageId, was_leaf: bool) {
+    /// Free the page of `node`, which leaves the batch's pin set with it:
+    /// a later [`RTree::alloc_page`] of the same id finds no copy there.
+    fn free_page<'p>(&mut self, ops: &mut PinSet<'p>, node: PinnedNode<'p>) {
+        let pid = node.pid();
         self.free_pages.push(pid);
         if let Some(s) = &mut self.summary {
-            if was_leaf {
+            if node.is_leaf() {
                 s.remove_leaf(pid);
             } else {
                 s.remove_internal(pid);
             }
         }
+        ops.let_go(node);
     }
 
     /// Rewrite only the parent pointer of a node (LBU maintenance; one
@@ -310,23 +313,26 @@ impl RTree {
         let mut node = ops.take(pid)?;
         if node.parent != parent {
             node.parent = parent;
-            self.write_pinned(ops, &node);
+            self.write_pinned(&mut node);
         }
         ops.put(node);
         Ok(())
     }
 
     /// Point the leaves listed in `children` at `parent`, outside any
-    /// operation (bulk loads, rebuilding LBU's pointers after a reopen).
+    /// batch (bulk loads, rebuilding LBU's pointers after a reopen).
     pub(crate) fn adopt_leaves(
-        &mut self,
+        &self,
         children: &[InternalEntry],
         parent: PageId,
     ) -> CoreResult<()> {
-        let pool = Arc::clone(&self.pool);
-        let mut ops = CommitSet::new(&pool, None, false).begin();
         for e in children {
-            self.set_parent_pointer(&mut ops, e.child, parent)?;
+            let page = self.pool.fetch(e.child)?;
+            let mut node = Node::decode(e.child, &page.read())?;
+            if node.parent != parent {
+                node.parent = parent;
+                node.encode(&mut page.write());
+            }
         }
         Ok(())
     }
@@ -496,18 +502,15 @@ impl RTree {
     // ---- insertion ----------------------------------------------------------
 
     /// Insert a new object from the root (Guttman Insert), as an operation
-    /// of its own in the batch `written`.
+    /// of its own in the batch of `ops`.
     pub(crate) fn insert_object(
         &mut self,
-        written: &mut CommitSet<'_>,
+        ops: &mut PinSet<'_>,
         entry: LeafEntry,
     ) -> CoreResult<()> {
-        let mut ops = written.begin();
         ops.track_own(entry.oid, None);
-        self.insert_at_root(&mut ops, entry)?;
-        ops.settle()?;
-        written.end(ops);
-        Ok(())
+        self.insert_at_root(ops, entry)?;
+        ops.settle()
     }
 
     /// Insert an object from the root within the operation `ops`.
@@ -820,7 +823,11 @@ impl RTree {
         ops: &mut PinSet<'p>,
         node: PinnedNode<'p>,
     ) -> CoreResult<(Rect, Option<InternalEntry>)> {
-        let PinnedNode { page, node } = node;
+        let PinnedNode {
+            page,
+            node,
+            written,
+        } = node;
         self.stats.splits.fetch_add(1, Ordering::Relaxed);
         let min_fill = if node.is_leaf() {
             self.min_fill_leaf()
@@ -880,7 +887,14 @@ impl RTree {
         };
         let mbr_a = node_a.mbr();
         let mbr_b = node_b.mbr();
-        self.write_back(ops, PinnedNode { page, node: node_a });
+        self.write_back(
+            ops,
+            PinnedNode {
+                page,
+                node: node_a,
+                written,
+            },
+        );
         self.write_new(ops, new_pid, node_b)?;
         Ok((
             mbr_a,
@@ -985,11 +999,9 @@ impl RTree {
     /// pages.
     pub(crate) fn preparatory_split(
         &mut self,
-        written: &mut CommitSet<'_>,
+        ops: &mut PinSet<'_>,
         leaf_pid: PageId,
     ) -> CoreResult<bool> {
-        let mut op = written.begin();
-        let ops = &mut op;
         let node = match ops.take(leaf_pid) {
             Ok(n) => n,
             // The page may have been condensed away and recycled.
@@ -1042,33 +1054,18 @@ impl RTree {
         if let Some(e) = pending {
             self.grow_root(ops, child_pid, child_mbr, e)?;
         }
-        written.end(op);
         self.stats.make_room_splits.fetch_add(1, Ordering::Relaxed);
         Ok(true)
     }
 
     // ---- deletion -----------------------------------------------------------
 
-    /// Delete the entry of `oid` whose position is `pos`, as an operation
-    /// of its own in the batch `written`. Returns `false` when no such
-    /// entry exists. Does not touch [`RTree::len`] — the public index
-    /// layer owns the object count.
+    /// Delete the entry of `oid` at `pos` within the batch of `ops` (a
+    /// top-down update pairs this with a re-insert). Returns `false` when
+    /// no such entry exists. The hash entry of the operation's own object
+    /// is left for [`PinSet::settle`]. Does not touch [`RTree::len`] —
+    /// the public index layer owns the object count.
     pub(crate) fn delete_object(
-        &mut self,
-        written: &mut CommitSet<'_>,
-        oid: ObjectId,
-        pos: Point,
-    ) -> CoreResult<bool> {
-        let mut ops = written.begin();
-        let found = self.delete_in(&mut ops, oid, pos)?;
-        written.end(ops);
-        Ok(found)
-    }
-
-    /// Delete the entry of `oid` at `pos` within the operation `ops`
-    /// (a top-down update pairs this with a re-insert). The hash entry of
-    /// the operation's own object is left for [`PinSet::settle`].
-    pub(crate) fn delete_in(
         &mut self,
         ops: &mut PinSet<'_>,
         oid: ObjectId,
@@ -1160,10 +1157,10 @@ impl RTree {
                         orphan_subtrees.extend(v.iter().map(|e| (*e, child_level)));
                     }
                 }
-                self.free_page(cur.pid(), cur.is_leaf());
                 debug_assert_eq!(parent.internal_entries()[idx].child, cur.pid());
                 parent.internal_entries_mut().swap_remove(idx);
-                cur = parent;
+                let freed = std::mem::replace(&mut cur, parent);
+                self.free_page(ops, freed);
             } else {
                 // Keep: write it back and tighten rectangles up the path.
                 let mut child_mbr = cur.mbr();
@@ -1223,15 +1220,14 @@ impl RTree {
                 return Ok(());
             }
             // The next turn of the loop reads the new root and registers
-            // its MBR. The old root's page is free: its pin is dropped,
-            // not checked in.
+            // its MBR. The old root's page is free: it leaves the set.
             let child = root.internal_entries()[0].child;
-            self.free_page(self.root, false);
             self.root = child;
             self.height -= 1;
             if self.parent_pointers() && self.height == 1 {
                 self.set_parent_pointer(ops, child, INVALID_PAGE)?;
             }
+            self.free_page(ops, root);
         }
     }
 
@@ -1500,5 +1496,52 @@ impl RTree {
         let mut acc = 0;
         walk(self, self.root, &mut acc)?;
         Ok(acc)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::concurrent::Planned;
+    use crate::node::{LeafEntry, Node};
+    use crate::IndexBuilder;
+    use bur_geom::Point;
+
+    /// A page freed and reallocated inside one batch comes back as the
+    /// node written to it, never as a copy the batch's set held before.
+    #[test]
+    fn a_freed_page_never_comes_back_stale() {
+        let mut index = IndexBuilder::generalized().build_index().unwrap();
+        index.insert(1, Point::new(0.5, 0.5)).unwrap();
+        index
+            .exclusive(
+                Planned::default(),
+                |index, ops| {
+                    let tree = &mut index.tree;
+                    let fetches = |tree: &super::RTree| tree.pool.stats().snapshot().fetches;
+                    let pid = tree.root;
+                    let node = ops.take(pid)?;
+                    ops.put(node);
+                    let node = ops.take(pid)?;
+                    tree.free_page(ops, node);
+                    assert_eq!(tree.alloc_page()?, pid, "the freed page is reused first");
+                    let mut fresh = Node::new_leaf();
+                    fresh
+                        .leaf_entries_mut()
+                        .push(LeafEntry::point(2, Point::new(0.1, 0.1)));
+                    let before = fetches(tree);
+                    ops.put_new(pid, fresh.clone())?;
+                    assert_eq!(fetches(tree) - before, 1, "put_new pins the page once");
+                    let back = ops.take(pid)?;
+                    assert_eq!(fetches(tree) - before, 1, "the new node is checked in");
+                    assert_eq!(back.node, fresh);
+                    // No other copy is left: taking the page again reads it.
+                    let again = ops.take(pid)?;
+                    assert_eq!(fetches(tree) - before, 2);
+                    assert_eq!(again.node, fresh);
+                    Ok(())
+                },
+                |()| 0,
+            )
+            .unwrap();
     }
 }
