@@ -163,7 +163,7 @@ impl RTreeIndex {
         // ---- install the built root ----
         let root_entry = level_entries[0];
         tree.bulk_set_root(root_entry.child)?;
-        *tree.len.get_mut() = items.len() as u64;
+        tree.len = items.len() as u64;
         // A durable index checkpoints the freshly built tree as its base
         // image; one checkpoint is far cheaper than logging every page.
         if durable {

@@ -10,18 +10,16 @@
 //!
 //! There is one whole-tree lock: the engine sits behind a reader-writer
 //! *structure lock*. Queries and [`Bur::apply`] batches of bottom-up
-//! updates, inserts and deletes run under its *shared* side — several
-//! such batches on disjoint leaves plan and write **at the same
-//! time**, each page access serialized only by its per-frame latch
-//! ([`bur_storage::PageWriteLatch`]). An insert that finds its leaf
-//! full splits it as a short exclusive *make-room* commit and retries
-//! shared; a batch that still needs non-leaf-local surgery (top-down
-//! updates, sibling shifts, underflows, MBR ascents) escalates to the
-//! exclusive side before writing anything, counted in
-//! [`crate::stats::OpSnapshot::escalations`]. The full protocol — latch
-//! ordering, pin-vs-latch rules, the safe-node (make-room) rule, the
-//! deadlock-avoidance argument — is normative in
-//! `docs/ARCHITECTURE.md` ("Latching protocol").
+//! updates run under its *shared* side — several such batches on
+//! disjoint leaves plan and write **at the same time**, each page
+//! access serialized only by its per-frame latch
+//! ([`bur_storage::PageWriteLatch`]). A batch that needs anything else —
+//! an insert or a delete, a top-down update, a sibling shift, an MBR
+//! ascent — escalates to the exclusive side before writing anything,
+//! counted in [`crate::stats::OpSnapshot::escalations`]. The full
+//! protocol — latch ordering, pin-vs-latch rules, the
+//! deadlock-avoidance argument — is normative in `docs/ARCHITECTURE.md`
+//! ("Latching protocol").
 //!
 //! The write path is **batch-first**: [`Bur::apply`] takes a [`Batch`]
 //! of mixed operations and — on a durable index — flushes it as **one**
@@ -67,20 +65,11 @@ use parking_lot::{Mutex, RwLock, RwLockWriteGuard};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-/// How many make-room splits one `apply` call may perform before giving
-/// up and escalating. A `MakeRoom` verdict names a leaf that was full on
-/// its page, so every one is a real split that frees ~half a leaf (a
-/// leaf the batch's own inserts filled escalates at once instead);
-/// repeated verdicts mean the batch concentrates inserts faster than
-/// preparatory splits can make room — the exclusive path handles that
-/// better than a split storm would.
-const MAKE_ROOM_ATTEMPTS: u32 = 4;
-
 /// How many times one `apply` call may be refused a leaf claim on the
-/// shared path (make-room rounds not counted) before it stops retrying
-/// and takes the exclusive path, whose writer queue on the structure lock
-/// guarantees progress. This is the stated bound on the retry loop: no
-/// batch spins on refusals forever.
+/// shared path before it stops retrying and takes the exclusive path,
+/// whose writer queue on the structure lock guarantees progress. This is
+/// the stated bound on the retry loop: no batch spins on refusals
+/// forever.
 const SHARED_REFUSALS: u32 = 4;
 
 /// At most this many spare query buffers are kept for recycling; extra
@@ -163,18 +152,14 @@ enum SharedAttempt<'p> {
     /// Not leaf-local: finish the batch on the exclusive path (nothing
     /// has been written), with the plans the pass kept.
     Escalate(Kept<'p>),
-    /// An insert found this leaf full: split it as its own short
-    /// exclusive commit (a content-neutral preparatory split), then
-    /// retry the batch on the shared path. Nothing has been written.
-    MakeRoom(PageId),
     /// A leaf claim was refused; back off and try again (at most
     /// [`SHARED_REFUSALS`] times).
     Refused,
 }
 
-/// What an escalated pass hands the exclusive path: the ops it planned
-/// before the one that stopped it (none when it cannot keep them), and
-/// the write epoch its pass began at.
+/// What an escalated pass hands the exclusive path: the updates it
+/// planned before the op that stopped it, and the write epoch its pass
+/// began at.
 struct Kept<'p> {
     planned: Planned<'p>,
     epoch: u64,
@@ -335,25 +320,19 @@ impl Bur {
     /// is durable, and a failed sync surfaces here as `Err` with no
     /// [`CommitTicket`] handed out.
     ///
-    /// Locking: batches of bottom-up updates, inserts and deletes claim
-    /// the leaves they touch under the **shared** side of the structure
-    /// lock — batches on disjoint leaves (including structural ones)
-    /// plan and write concurrently (see the module docs and
-    /// `docs/ARCHITECTURE.md`).
-    /// An insert that finds its leaf full triggers a *make-room* split:
-    /// that one leaf is split under a short exclusive section as its
-    /// own commit record and the batch retries shared. A batch that
-    /// still cannot stay leaf-local — top-down updates, sibling shifts,
-    /// underflows, MBR ascents, same-batch operations on one object —
-    /// escalates to the exclusive structure lock before a single page is
-    /// written, so the result is always logically identical to
-    /// sequential application (the physical tree may differ by benign
-    /// slack only; see `crate::concurrent`). When every op before the
-    /// one that escalated is an update, their plans are kept: the
-    /// exclusive section writes them through the pins the shared pass
-    /// took and resumes at that op, unless a write landed in between,
-    /// and then it replays the batch from its first op. Escalations are
-    /// counted in [`crate::stats::OpSnapshot::escalations`].
+    /// Locking: batches of bottom-up updates claim the leaves they touch
+    /// under the **shared** side of the structure lock — batches on
+    /// disjoint leaves plan and write concurrently (see the module docs
+    /// and `docs/ARCHITECTURE.md`). A batch that cannot stay leaf-local —
+    /// an insert or a delete, a top-down update, a sibling shift, an MBR
+    /// ascent — escalates to the exclusive structure lock before a
+    /// single page is written, so the result is always identical to
+    /// sequential application. The updates before the op that escalated
+    /// keep their plans: the exclusive section writes them through the
+    /// pins the shared pass took and resumes at that op, unless a write
+    /// landed in between, and then it replays the batch from its first
+    /// op. Escalations are counted in
+    /// [`crate::stats::OpSnapshot::escalations`].
     pub fn apply(&self, batch: &Batch) -> CoreResult<CommitTicket> {
         self.check_writable()?;
         if batch.is_empty() {
@@ -363,7 +342,6 @@ impl Bur {
         // The shared passes pin pages through this clone of the pool, so
         // the plans an escalated one keeps outlive its read guard.
         let pool = Arc::clone(&self.shared.inner.read().tree.pool);
-        let mut room_attempts = 0u32;
         let mut refusals = 0u32;
         let kept = loop {
             match self.apply_shared(&pool, batch)? {
@@ -371,19 +349,12 @@ impl Bur {
                     self.checkpoint_if_due()?;
                     return Ok(ticket);
                 }
-                SharedAttempt::MakeRoom(pid) if room_attempts < MAKE_ROOM_ATTEMPTS => {
-                    room_attempts += 1;
-                    let mut index = self.shared.write();
-                    // `false` means the leaf moved on (split by a racing
-                    // batch, emptied, dissolved): just retry shared.
-                    index.make_room(pid)?;
-                }
                 SharedAttempt::Refused if refusals < SHARED_REFUSALS => {
                     refusals += 1;
                     std::thread::yield_now();
                 }
                 SharedAttempt::Escalate(kept) => break Some(kept),
-                SharedAttempt::MakeRoom(_) | SharedAttempt::Refused => break None,
+                SharedAttempt::Refused => break None,
             }
         };
         self.exclusive(batch, kept)
@@ -442,9 +413,7 @@ impl Bur {
         let mut pass = SharedPass::new(&index, pool);
         match pass.plan(batch.ops())? {
             Step::Applied => {}
-            Step::MakeRoom(pid) => return Ok(SharedAttempt::MakeRoom(pid)),
-            Step::Escalate(Some(resume)) => return escalate(pass.into_planned(resume)),
-            Step::Escalate(None) => return escalate(Planned::default()),
+            Step::Escalate(resume) => return escalate(pass.into_planned(resume)),
             Step::Refused => return Ok(SharedAttempt::Refused),
         }
         let (report, lsn) = self.write_and_commit(&index, &pass, batch.len() as u64)?;
@@ -476,9 +445,7 @@ impl Bur {
             // leaf-granular here, the one documented divergence from
             // the sequential path's strict-prefix contract.
             let written = written.iter().map(|&page| Ok(page));
-            index
-                .tree
-                .wal_commit_pages(done.ops, written, done.len_delta)?;
+            index.tree.wal_commit_pages(done.ops, written)?;
             return Err(CoreError::Batch {
                 op_index,
                 source: Box::new(source),
@@ -486,14 +453,11 @@ impl Bur {
         }
         let mut report = BatchReport {
             applied: batch_len,
-            missing_deletes: pass.missing_deletes,
             ..BatchReport::default()
         };
         concurrent::tally(pass.effects(), index.op_stats(), &mut report);
         let written = written.iter().map(|&page| Ok(page));
-        let lsn = index
-            .tree
-            .wal_commit_pages(done.ops, written, done.len_delta)?;
+        let lsn = index.tree.wal_commit_pages(done.ops, written)?;
         Ok((report, lsn))
     }
 
@@ -517,8 +481,8 @@ impl Bur {
     // ---- single-operation writes -----------------------------------------
     //
     // Each is a batch of one through [`Bur::apply`]: the same shared path,
-    // make-room, retries, escalation and one commit record. Its error is
-    // the op's own, not [`CoreError::Batch`].
+    // retries, escalation and one commit record. Its error is the op's
+    // own, not [`CoreError::Batch`].
 
     /// Insert a fresh point object.
     pub fn insert(&self, oid: ObjectId, position: Point) -> CoreResult<CommitTicket> {

@@ -20,7 +20,7 @@ use bur_hashindex::{HashIndexConfig, LinearHashIndex};
 use bur_storage::{BufferPool, DiskBackend, IoStats, PageId, PoolConfig, INVALID_PAGE};
 use bur_wal::{RedoError, ScanResult, Wal, WalRecord, WalStatsSnapshot};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 /// What recovery ([`crate::IndexBuilder`]'s [`crate::OpenMode::Recover`]
@@ -230,7 +230,7 @@ impl RTreeIndex {
             opts,
             root: snap.root,
             height: snap.height,
-            len: AtomicU64::new(snap.len),
+            len: snap.len,
             free_pages: snap.free_pages.clone(),
             summary,
             hash,
@@ -301,18 +301,6 @@ impl RTreeIndex {
         self.tree.wal.as_ref().map(|h| h.wal.last_lsn())
     }
 
-    /// Content-neutral preparatory split of the full leaf on `pid`,
-    /// committed as its own record (see [`RTree::preparatory_split`]).
-    /// Returns `false` (writing nothing) when the leaf no longer needs
-    /// the room.
-    pub(crate) fn make_room(&mut self, pid: PageId) -> CoreResult<bool> {
-        self.exclusive(
-            Planned::default(),
-            |index, ops| index.tree.preparatory_split(ops, pid),
-            |&split| u64::from(split),
-        )
-    }
-
     /// Run `apply` as one batch on the exclusive engine, then commit the
     /// number of operations `changed` counts in its result under one
     /// record. The batch's operations share one [`PinSet`], which starts
@@ -355,7 +343,7 @@ impl RTreeIndex {
                 None => Ok(pool.fetch(pid)?),
             }
         });
-        self.tree.wal_commit_pages(ops, touched, 0)?;
+        self.tree.wal_commit_pages(ops, touched)?;
         if self.tree.checkpoint_due() {
             self.tree.wal_checkpoint()?;
         }
@@ -574,7 +562,7 @@ impl RTreeIndex {
             }
         }
         self.tree.insert_object(ops, LeafEntry { oid, rect })?;
-        self.tree.len.fetch_add(1, Ordering::Relaxed);
+        self.tree.len += 1;
         self.tree.stats.inserts.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
@@ -588,7 +576,7 @@ impl RTreeIndex {
     ) -> CoreResult<bool> {
         let found = self.tree.delete_object(ops, oid, position)?;
         if found {
-            self.tree.len.fetch_sub(1, Ordering::Relaxed);
+            self.tree.len -= 1;
             self.tree.stats.deletes.fetch_add(1, Ordering::Relaxed);
         }
         Ok(found)
@@ -818,55 +806,6 @@ impl RTreeIndex {
         match &self.tree.hash {
             Some(h) => Ok(h.get(oid)?),
             None => Ok(None),
-        }
-    }
-
-    /// Read-only containment-constrained ChooseLeaf for the concurrent
-    /// insert path: descend from the root picking, above level 1, only
-    /// subtrees whose entry rect already *contains* `rect` (growing an
-    /// ancestor MBR is off the shared path), and at level 1 the leaf
-    /// entry by Guttman least enlargement among candidates whose grown
-    /// rect stays inside the parent node's MBR (the benign-slack bound).
-    /// Returns `None` when no such leaf exists — the caller escalates.
-    pub(crate) fn locate_insert_leaf(&self, rect: &Rect) -> CoreResult<Option<PageId>> {
-        let tree = &self.tree;
-        if tree.height < 2 {
-            return Ok(Some(tree.root));
-        }
-        let mut pid = tree.root;
-        loop {
-            let node = tree.read_node(pid)?;
-            let entries = node.internal_entries();
-            if node.level > 1 {
-                let mut best: Option<(PageId, f32)> = None;
-                for e in entries {
-                    if e.rect.contains_rect(rect) {
-                        let area = e.rect.area();
-                        if best.is_none_or(|(_, a)| area < a) {
-                            best = Some((e.child, area));
-                        }
-                    }
-                }
-                let Some((child, _)) = best else {
-                    return Ok(None);
-                };
-                pid = child;
-                continue;
-            }
-            // Level 1: the node MBR bounds any official-rect growth.
-            let bound = node.mbr();
-            let mut best: Option<(PageId, f32, f32)> = None;
-            for e in entries {
-                if !bound.contains_rect(&e.rect.union(rect)) {
-                    continue;
-                }
-                let enlarge = e.rect.enlargement(rect);
-                let area = e.rect.area();
-                if best.is_none_or(|(_, be, ba)| (enlarge, area) < (be, ba)) {
-                    best = Some((e.child, enlarge, area));
-                }
-            }
-            return Ok(best.map(|(child, _, _)| child));
         }
     }
 }

@@ -77,7 +77,7 @@ impl RTreeIndex {
             opts,
             root: snap.root,
             height: snap.height,
-            len: std::sync::atomic::AtomicU64::new(snap.len),
+            len: snap.len,
             free_pages: snap.free_pages,
             summary: None,
             hash: None,
@@ -106,7 +106,7 @@ impl RTreeIndex {
         }
         self.tree.root = snap.root;
         self.tree.height = snap.height;
-        *self.tree.len.get_mut() = snap.len;
+        self.tree.len = snap.len;
         self.tree.free_pages = snap.free_pages;
         Ok(())
     }

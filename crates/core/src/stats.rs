@@ -112,13 +112,13 @@ op_stats! {
     /// Entries evicted and re-inserted by R* forced reinsertion.
     forced_reinserted_entries,
     /// Batches that fell off the concurrent (shared-lock) write path
-    /// onto the exclusive path. The headline observable of the coupled
-    /// structural path: disjoint structural batches should keep this
-    /// near zero where the pre-coupling path escalated every one.
+    /// onto the exclusive path: every batch with an insert or a delete,
+    /// and every batch of updates one of which is not leaf-local.
     escalations,
-    /// Preparatory ("make-room") splits: a full leaf split as its own
-    /// commit under a short exclusive section so the batch that needed
-    /// the room could retry on the shared path.
+    /// Always 0: the shared write path plans updates only, so no leaf is
+    /// split to keep an insert on it. Kept because the `perfbench`
+    /// harness still reads it; it goes when the harness stops (ROADMAP
+    /// item 1a).
     make_room_splits,
 }
 

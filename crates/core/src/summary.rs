@@ -23,7 +23,7 @@ use std::sync::Arc;
 
 /// Seqlock over the cached root MBR: the one summary datum the
 /// concurrent write path reads on *every* plan (Algorithm 2's O(1)
-/// root-MBR check) and the admission gate for shared-path inserts.
+/// root-MBR check).
 ///
 /// The four `f32` coordinates pack into two `u64` payload words guarded
 /// by a sequence counter (odd while a writer is mid-publish). Readers
@@ -115,51 +115,28 @@ pub struct SummaryEntry {
     pub children: Vec<PageId>,
 }
 
-/// Growable bit vector keyed by page id. The words are atomic so the
-/// concurrent write path can flip an *existing* bit through `&self`
-/// ([`BitVec::set_shared`]); growth still requires `&mut self` and so
-/// stays on the exclusive path, where every leaf page is first
-/// registered.
+/// Growable bit vector keyed by page id.
 #[derive(Debug, Default)]
 struct BitVec {
-    words: Vec<AtomicU64>,
+    words: Vec<u64>,
 }
 
 impl BitVec {
     fn set(&mut self, i: u32, v: bool) {
         let (w, b) = ((i / 64) as usize, i % 64);
         if w >= self.words.len() {
-            self.words.resize_with(w + 1, AtomicU64::default);
+            self.words.resize(w + 1, 0);
         }
-        let word = self.words[w].get_mut();
         if v {
-            *word |= 1 << b;
+            self.words[w] |= 1 << b;
         } else {
-            *word &= !(1 << b);
+            self.words[w] &= !(1 << b);
         }
-    }
-
-    /// Flip an already-allocated bit without `&mut`. Returns `false`
-    /// (no-op) when the bit's word was never allocated — the caller must
-    /// escalate rather than lose the update.
-    fn set_shared(&self, i: u32, v: bool) -> bool {
-        let (w, b) = ((i / 64) as usize, i % 64);
-        let Some(word) = self.words.get(w) else {
-            return false;
-        };
-        if v {
-            word.fetch_or(1 << b, Ordering::Release);
-        } else {
-            word.fetch_and(!(1 << b), Ordering::Release);
-        }
-        true
     }
 
     fn get(&self, i: u32) -> bool {
         let (w, b) = ((i / 64) as usize, i % 64);
-        self.words
-            .get(w)
-            .is_some_and(|word| word.load(Ordering::Acquire) & (1 << b) != 0)
+        self.words.get(w).is_some_and(|word| word & (1 << b) != 0)
     }
 
     fn size_bytes(&self) -> usize {
@@ -382,18 +359,6 @@ impl SummaryStructure {
     pub fn remove_leaf(&mut self, pid: PageId) {
         self.leaf_present.set(pid, false);
         self.leaf_full.set(pid, false);
-    }
-
-    /// Flip the fullness bit of an *already registered* leaf through
-    /// `&self` — the concurrent path's variant of
-    /// [`SummaryStructure::set_leaf`], legal only under that leaf's
-    /// claim. Returns `false` (and changes nothing) when the
-    /// leaf was never registered; the caller must escalate.
-    pub fn set_leaf_full_shared(&self, pid: PageId, full: bool) -> bool {
-        if !self.leaf_present.get(pid) {
-            return false;
-        }
-        self.leaf_full.set_shared(pid, full)
     }
 
     /// `true` when the leaf is known and marked full — consulted before a
@@ -722,21 +687,6 @@ mod tests {
         assert!(s.root_mbr().is_empty());
         s.set_root_mbr(r(0.0, 0.0, 0.5, 0.5));
         assert_eq!(s.root_mbr(), r(0.0, 0.0, 0.5, 0.5));
-    }
-
-    #[test]
-    fn shared_leaf_bit_flips() {
-        let mut s = sample();
-        assert!(s.set_leaf_full_shared(1, true));
-        assert!(s.is_leaf_full(1));
-        assert!(s.set_leaf_full_shared(2, false));
-        assert!(!s.is_leaf_full(2));
-        // Unregistered leaves refuse the shared flip.
-        assert!(!s.set_leaf_full_shared(77, true));
-        assert!(!s.is_leaf_full(77));
-        // Clearing keeps refusing gracefully.
-        s.clear();
-        assert!(!s.set_leaf_full_shared(1, true));
     }
 
     #[test]

@@ -111,11 +111,8 @@ pub(crate) struct RTree {
     pub(crate) root: PageId,
     /// Number of levels (1 = the root is a leaf).
     pub(crate) height: u16,
-    /// Number of indexed objects. Atomic because concurrent batches
-    /// carrying inserts/deletes apply their delta through a shared
-    /// reference at commit time ([`RTree::wal_commit_pages`]); every
-    /// other mutation happens under `&mut self`.
-    pub(crate) len: AtomicU64,
+    /// Number of indexed objects.
+    pub(crate) len: u64,
     /// Pages freed by CondenseTree, reused before fresh allocation.
     pub(crate) free_pages: Vec<PageId>,
     /// GBU's main-memory summary structure.
@@ -168,7 +165,7 @@ impl RTree {
             opts,
             root,
             height: 1,
-            len: AtomicU64::new(0),
+            len: 0,
             free_pages: Vec::new(),
             summary,
             hash,
@@ -355,7 +352,7 @@ impl RTree {
             page_size: self.opts.page_size,
             root: self.root,
             height: self.height,
-            len: self.len.load(Ordering::Relaxed),
+            len: self.len,
             hash_head,
             free_pages: self.free_pages.clone(),
             wal_anchor: self.wal.as_ref().map_or(INVALID_PAGE, |h| h.wal.anchor()),
@@ -381,10 +378,9 @@ impl RTree {
     /// shared batch's page set is complete because, while any such batch
     /// is in flight:
     ///
-    /// * no operation changes `root`, `height` or the free list, and the
-    ///   object count only moves by each batch's `len_delta`, applied
-    ///   here under `commit_lock` *before* the snapshot — so record K's
-    ///   `len` covers exactly the batches whose records precede it; and
+    /// * no operation changes `root`, `height`, the free list or the
+    ///   object count (a shared batch only moves objects within their
+    ///   leaves); and
     /// * every exclusive write has committed before it released the
     ///   structure lock's write side, so a touched page outside `pages`
     ///   belongs to another in-flight batch and its own record (the
@@ -401,18 +397,14 @@ impl RTree {
         &self,
         ops: u64,
         pages: impl IntoIterator<Item = CoreResult<P>>,
-        len_delta: i64,
     ) -> CoreResult<Lsn> {
         let Some(handle) = self.wal.as_ref() else {
-            self.apply_len_delta(len_delta);
             return Ok(0);
         };
         if ops == 0 {
-            debug_assert_eq!(len_delta, 0, "a count change without an op");
             return Ok(handle.wal.last_lsn());
         }
         let _serial = handle.commit_lock.lock();
-        self.apply_len_delta(len_delta);
         for page in pages {
             let page = page?;
             let pid = page.borrow().pid();
@@ -431,22 +423,7 @@ impl RTree {
 
     /// Current object count.
     pub(crate) fn len(&self) -> u64 {
-        self.len.load(Ordering::Relaxed)
-    }
-
-    /// Shift the object count by a concurrent batch's net insert/delete
-    /// delta (called under `commit_lock` on durable indexes, so records
-    /// observe a consistent count).
-    pub(crate) fn apply_len_delta(&self, delta: i64) {
-        match delta {
-            0 => {}
-            d if d > 0 => {
-                self.len.fetch_add(d as u64, Ordering::Relaxed);
-            }
-            d => {
-                self.len.fetch_sub(d.unsigned_abs(), Ordering::Relaxed);
-            }
-        }
+        self.len
     }
 
     /// `true` when the checkpoint cadence has been reached. Readable
@@ -928,134 +905,6 @@ impl RTree {
             self.set_parent_pointer(ops, new_entry.child, new_root_pid)?;
         }
         self.write_new(ops, new_root_pid, root_node)
-    }
-
-    // ---- make-room (preparatory) splits -------------------------------------
-
-    /// Record the root-first chain of internal ancestors of `target`
-    /// into `path` (excluding `target` itself). Returns `false` when the
-    /// page is not reachable — e.g. it was condensed away since the
-    /// caller looked it up.
-    pub(crate) fn path_to(
-        &self,
-        from: PageId,
-        target: PageId,
-        path: &mut Vec<PageId>,
-    ) -> CoreResult<bool> {
-        if from == target {
-            return Ok(true);
-        }
-        let node = self.read_node(from)?;
-        let NodeEntries::Internal(v) = &node.entries else {
-            return Ok(false);
-        };
-        path.push(from);
-        for e in v {
-            if self.path_to(e.child, target, path)? {
-                return Ok(true);
-            }
-        }
-        path.pop();
-        Ok(false)
-    }
-
-    /// Root-first chain of internal ancestors of the leaf `leaf_pid`, or
-    /// `None` when the page is not a leaf of the tree any more — e.g. it
-    /// was condensed away since the caller looked it up. With a summary
-    /// this walks its child → parent table (no I/O); strategies without
-    /// one search from the root.
-    fn ancestors_of_leaf(&self, leaf_pid: PageId) -> CoreResult<Option<Vec<PageId>>> {
-        let mut path = Vec::new();
-        let Some(s) = &self.summary else {
-            let found = self.path_to(self.root, leaf_pid, &mut path)?;
-            return Ok(found.then_some(path));
-        };
-        if !s.has_leaf(leaf_pid) {
-            return Ok(None);
-        }
-        let mut cur = leaf_pid;
-        for level in 1..self.height {
-            let Some(parent) = s.find_parent_at(cur, level) else {
-                return Ok(None);
-            };
-            path.push(parent);
-            cur = parent;
-        }
-        path.reverse();
-        Ok((cur == self.root).then_some(path))
-    }
-
-    /// Content-neutral preparatory split ("make room"): split the full
-    /// leaf on `leaf_pid` and propagate the new entries upward —
-    /// splitting overfull ancestors and growing the root if needed — so
-    /// a concurrent batch that found the leaf full can retry on the
-    /// shared path. No logical content changes; R* forced reinsertion is
-    /// bypassed (there is no in-flight insert to re-drive evictions).
-    /// Returns `false` (and writes nothing) when the leaf no longer
-    /// needs the room — a racing batch may have made it first.
-    ///
-    /// Must run under the exclusive structure lock: it changes
-    /// parent/child links, possibly `root` and `height`, and allocates
-    /// pages.
-    pub(crate) fn preparatory_split(
-        &mut self,
-        ops: &mut PinSet<'_>,
-        leaf_pid: PageId,
-    ) -> CoreResult<bool> {
-        let node = match ops.take(leaf_pid) {
-            Ok(n) => n,
-            // The page may have been condensed away and recycled.
-            Err(_) => return Ok(false),
-        };
-        if !node.is_leaf() || node.count() < self.leaf_cap() {
-            return Ok(false);
-        }
-        let Some(mut path) = self.ancestors_of_leaf(leaf_pid)? else {
-            return Ok(false);
-        };
-        let (mut child_mbr, mut pending) = self.split_node(ops, node)?;
-        let mut child_pid = leaf_pid;
-        while let Some(anc) = path.pop() {
-            let mut parent = ops.take(anc)?;
-            let idx = parent
-                .child_index(child_pid)
-                .ok_or(CoreError::CorruptNode {
-                    pid: anc,
-                    reason: "make-room path does not link to child",
-                })?;
-            let old_mbr = parent.mbr();
-            // Exact child MBR — a make-room split re-tightens any
-            // ε-extended official slack, like AdjustTree on arrival.
-            parent.internal_entries_mut()[idx].rect = child_mbr;
-            if let Some(e) = pending.take() {
-                if self.parent_pointers() && parent.level == 1 {
-                    self.set_parent_pointer(ops, e.child, anc)?;
-                }
-                parent.internal_entries_mut().push(e);
-                if parent.count() > self.internal_cap() {
-                    let (mbr_a, sp) = self.split_node(ops, parent)?;
-                    child_pid = anc;
-                    child_mbr = mbr_a;
-                    pending = sp;
-                    continue;
-                }
-            }
-            let new_mbr = parent.mbr();
-            self.write_back(ops, parent);
-            if new_mbr == old_mbr {
-                // Nothing propagates further; the remaining ancestors'
-                // entry rects still cover this subtree.
-                pending = None;
-                break;
-            }
-            child_pid = anc;
-            child_mbr = new_mbr;
-        }
-        if let Some(e) = pending {
-            self.grow_root(ops, child_pid, child_mbr, e)?;
-        }
-        self.stats.make_room_splits.fetch_add(1, Ordering::Relaxed);
-        Ok(true)
     }
 
     // ---- deletion -----------------------------------------------------------

@@ -534,6 +534,12 @@ impl Coalescer {
         }
     }
 
+    /// Whether a batch of `n` ops can pass admission once the queue
+    /// drains; a larger one is shed however often it is resubmitted.
+    pub(crate) fn can_admit(&self, n: usize) -> bool {
+        n <= self.config.max_queued_ops
+    }
+
     /// Ops queued or in flight right now.
     #[must_use]
     pub fn queued_ops(&self) -> usize {

@@ -5,7 +5,7 @@ use crate::coalescer::{Coalescer, CoalescerConfig};
 use crate::protocol::StrategyKind;
 use bur_core::{Bur, CoreError, IndexBuilder};
 use bur_shard::{ShardError, ShardOptions, ShardedBur};
-use parking_lot::Mutex;
+use parking_lot::{Mutex, RwLock, RwLockReadGuard};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -109,9 +109,21 @@ pub struct ShardedEntry {
     pub sharded: ShardedBur,
     /// Per-shard write paths, indexed by shard id.
     pub coalescers: Vec<Arc<Coalescer>>,
+    /// Read side: one client write's sub-batches. Write side: the dedup
+    /// handover. So a handover never lands between two sub-batches of
+    /// one write.
+    handover: Arc<RwLock<()>>,
 }
 
 impl ShardedEntry {
+    /// Hold off the dedup handover while one client write funnels its
+    /// sub-batches through the coalescers. Take it after routing: the
+    /// routing step waits out migrations, whose handover needs the
+    /// write side.
+    pub(crate) fn hold_handover(&self) -> RwLockReadGuard<'_, ()> {
+        self.handover.read()
+    }
+
     /// Whether any shard's write queue is past its degraded watermark.
     #[must_use]
     pub fn is_degraded(&self) -> bool {
@@ -352,9 +364,15 @@ impl IndexRegistry {
         // Exactly-once across rebalances: hand the donor's completed
         // retry-dedup entries to the recipient before each migration's
         // ownership flip. The hook runs while writes into the moving
-        // range are frozen, so no slot it exports can race a retry.
+        // range are frozen, so no slot it exports can race a retry, and
+        // under the handover lock, so no write outside the range has
+        // applied one sub-batch and not yet begun the next: the
+        // recipient would answer that one with the donor's ack.
         let hooked = coalescers.clone();
+        let handover = Arc::new(RwLock::new(()));
+        let held = Arc::clone(&handover);
         sharded.set_migration_hook(move |from, to| {
+            let _writes = held.write();
             let donor = &hooked[from as usize];
             hooked[to as usize].merge_dedup(donor.export_dedup());
         });
@@ -362,6 +380,7 @@ impl IndexRegistry {
             name: name.to_string(),
             sharded,
             coalescers,
+            handover,
         })
     }
 
@@ -501,6 +520,7 @@ mod tests {
     use super::*;
     use bur_core::Op;
     use bur_geom::{Point, Rect};
+    use std::time::{Duration, Instant};
 
     fn tempdir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("bur-registry-{tag}-{}", std::process::id()));
@@ -623,6 +643,99 @@ mod tests {
             reg.create_sharded("z", StrategyKind::TopDown, false, 0),
             Err(ServeError::Shard(_))
         ));
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// A migration's dedup handover never lands between the parts of
+    /// one client write. The write holds the handover's read side across
+    /// its parts, as `apply_sharded` does, so a migration that reaches
+    /// its hook meanwhile waits. Were the handover to land between the
+    /// parts, the second part's shard would find the `(session, seq)`
+    /// slot donated by the first part's shard and answer with that ack
+    /// instead of applying.
+    #[test]
+    fn dedup_handover_waits_for_a_write_between_its_parts() {
+        let root = tempdir("handover");
+        let reg = IndexRegistry::new(&root).expect("registry");
+        reg.create_sharded("idx", StrategyKind::Generalized, false, 2)
+            .expect("create sharded");
+        let entry = sharded(reg.get("idx").expect("get"));
+        let bur = entry.sharded.clone();
+        let origin = Point::new(0.0, 0.0);
+        let moving = (1u64 << (2 * bur.order())) / 16;
+        let donor = bur.route_point(origin);
+        let recipient = 1 - donor;
+        let grid = (0..32u8).flat_map(|i| {
+            (0..32u8)
+                .map(move |j| Point::new((f32::from(i) + 0.5) / 32.0, (f32::from(j) + 0.5) / 32.0))
+        });
+        let kept: Vec<Point> = grid
+            .clone()
+            .filter(|p| bur.route_point(*p) == donor && bur.key_of(*p) >= moving)
+            .take(3)
+            .collect();
+        let theirs: Vec<Point> = grid
+            .filter(|p| bur.route_point(*p) == recipient)
+            .take(5)
+            .collect();
+        let insert = |oid: u64, p: Point| Op::Insert {
+            oid,
+            rect: Rect::from_point(p),
+        };
+
+        // A write routed before the migration holds it between its
+        // freeze and its copy until that write is done.
+        let early = bur
+            .route_for_write(&[insert(100, theirs[0])])
+            .expect("route early");
+        let epoch = bur.epoch();
+        let migrator = {
+            let bur = bur.clone();
+            std::thread::spawn(move || bur.migrate_range(0, moving, recipient))
+        };
+        while bur.epoch() == epoch {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+
+        // The write under test, routed after the freeze: it stays out
+        // of the moving range, so it is not frozen.
+        let ops: Vec<Op> = (0..)
+            .zip(&kept)
+            .chain((10..).zip(&theirs))
+            .map(|(oid, p)| insert(oid, *p))
+            .collect();
+        let routed = bur.route_for_write(&ops).expect("route");
+        let held = entry.hold_handover();
+        let parts = routed.parts();
+        let shape: Vec<(u32, usize)> = parts.iter().map(|(s, sub)| (*s, sub.len())).collect();
+        assert_eq!(shape, vec![(donor, 3), (recipient, 5)]);
+        let first = entry.coalescers[donor as usize]
+            .apply_session(0xab, 1, parts[0].1.clone(), None)
+            .expect("first part");
+        assert_eq!(first.applied, 3);
+
+        // Free the migration to copy and reach its hook. It must not hand
+        // over, so it cannot flip, while the write is between its parts.
+        drop(early);
+        let until = Instant::now() + Duration::from_millis(300);
+        while Instant::now() < until && bur.route_point(origin) == donor {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(bur.route_point(origin), donor, "the handover waited");
+        let second_shard = &entry.coalescers[recipient as usize];
+        let hits = second_shard.stats().dedup_hits;
+        let second = second_shard
+            .apply_session(0xab, 1, parts[1].1.clone(), None)
+            .expect("second part");
+        assert_eq!(second.applied, 5, "applied, not the first part's ack");
+        assert_eq!(second_shard.stats().dedup_hits, hits);
+
+        drop(held);
+        drop(routed);
+        migrator.join().expect("migrator").expect("migrate");
+        assert_eq!(bur.route_point(origin), recipient, "flipped");
+        assert_eq!(bur.len(), 8);
+        reg.shutdown();
         let _ = std::fs::remove_dir_all(&root);
     }
 }

@@ -23,6 +23,10 @@ const CHUNK: usize = 512;
 /// shutdown flag.
 const READ_TICK: Duration = Duration::from_millis(250);
 
+/// Pause before a sharded write resubmits a shed sub-batch whose
+/// sibling already applied (see `apply_sharded`).
+const SHED_BACKOFF: Duration = Duration::from_millis(1);
+
 /// Everything `burd` needs to start.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
@@ -593,11 +597,16 @@ fn coalesced_apply(
 /// sub-batch through its shard's coalescer under the client's unchanged
 /// `(session, seq)`.
 ///
-/// A shed or expiry after some shards already applied is still safe to
-/// surface as retryable: the split is deterministic for a fixed routing
-/// map, so a retry re-sends identical sub-batches and the shards that
-/// already applied answer from their dedup tables instead of applying
-/// twice.
+/// A retry re-splits under the routing map of its own time, and after a
+/// migration a shard that lacks its own `(session, seq)` slot answers
+/// from the slot the dedup handover donated — another shard's ack, for
+/// ops this shard never applied. So once one sub-batch has applied,
+/// every other one must apply too: only the first may be shed or
+/// expire, a later one ignores the deadline and is resubmitted when
+/// shed, and no handover lands between them (`hold_handover`). A
+/// resubmitted part is shed only while other writes fill its queue, so
+/// a write with a part larger than the queue's limit is shed whole,
+/// before any part applies.
 fn apply_sharded(
     ctx: &ConnCtx,
     entry: &ShardedEntry,
@@ -614,21 +623,38 @@ fn apply_sharded(
             }
         }
     };
+    let oversized = routed
+        .parts()
+        .iter()
+        .find(|(shard, sub)| !entry.coalescers[*shard as usize].can_admit(sub.len()));
+    if let Some((shard, sub)) = oversized {
+        ctx.metrics.writes_shed.fetch_add(1, Ordering::Relaxed);
+        return Response::Overloaded {
+            message: format!(
+                "overloaded: {} ops for shard {shard} exceed its write-queue limit",
+                sub.len()
+            ),
+        };
+    }
+    let _handover = entry.hold_handover();
     let mut lsn = 0u64;
     let mut applied = 0u64;
     let mut merged = 0u64;
-    for (shard, sub) in routed.parts() {
+    for (i, (shard, sub)) in routed.parts().iter().enumerate() {
         let coalescer = &entry.coalescers[*shard as usize];
-        match coalesced_apply(ctx, coalescer, session, seq, sub.clone(), deadline) {
-            Ok(ack) => {
-                // Shard logs are independent; the folded LSN is only an
-                // "everything acked" watermark, like AggregateTicket's.
-                lsn = lsn.max(ack.lsn);
-                applied += ack.applied;
-                merged = merged.max(ack.merged);
+        let deadline = if i == 0 { deadline } else { None };
+        let ack = loop {
+            match coalesced_apply(ctx, coalescer, session, seq, sub.clone(), deadline) {
+                Ok(ack) => break ack,
+                Err(Response::Overloaded { .. }) if i > 0 => std::thread::sleep(SHED_BACKOFF),
+                Err(resp) => return resp,
             }
-            Err(resp) => return resp,
-        }
+        };
+        // Shard logs are independent; the folded LSN is only an
+        // "everything acked" watermark, like AggregateTicket's.
+        lsn = lsn.max(ack.lsn);
+        applied += ack.applied;
+        merged = merged.max(ack.merged);
     }
     Response::Ack {
         // A cross-shard update ran as delete + insert; count it as the
@@ -719,7 +745,6 @@ fn index_stats_text(entry: &crate::registry::IndexEntry) -> String {
     gauge("op_queries", ops.queries);
     gauge("op_splits", ops.splits);
     gauge("op_escalations", ops.escalations);
-    gauge("op_make_room_splits", ops.make_room_splits);
     gauge(
         "peak_concurrent_batches",
         bur.peak_concurrent_batches() as u64,

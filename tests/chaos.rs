@@ -557,6 +557,64 @@ fn zero_queue_limit_sheds_writes_with_overloaded() {
     handle.shutdown();
 }
 
+/// A sharded write whose later part exceeds its shard's write-queue
+/// limit is shed whole, before any part applies. Once a part has
+/// applied the rest are resubmitted until they fit, so a part that can
+/// never fit must not start the write: the connection would spin and
+/// hold off every later migration's dedup handover.
+#[test]
+fn an_oversized_later_part_sheds_the_whole_write() {
+    let dir = TempDir::new("chaos-oversized-part");
+    let mut server_config = ServerConfig::new(dir.file("data"));
+    server_config.max_queued_ops = 8;
+    let handle = start(server_config).expect("server starts");
+    let mut c = BurClient::connect_with(handle.addr(), &no_retry_config(Duration::from_secs(10)))
+        .expect("connect");
+    c.create_sharded_index("idx", "gbu", false, 2)
+        .expect("create");
+    let entry = handle.registry().get("idx").expect("entry");
+    let entry = entry.as_sharded().expect("sharded").clone();
+
+    // One insert near the curve origin, then twelve near the far end:
+    // a part of 1 op, then a part of 12 ops over the limit of 8.
+    let near = Point::new(0.001, 0.001);
+    let mut batch = Batch::new();
+    batch.insert(0, near);
+    for oid in 1..13u64 {
+        batch.insert(oid, Point::new(0.999 - oid as f32 * 1e-3, 0.001));
+    }
+    let routed = entry.sharded.route_for_write(batch.ops()).expect("route");
+    let sizes: Vec<usize> = routed.parts().iter().map(|(_, sub)| sub.len()).collect();
+    assert_eq!(sizes, vec![1, 12], "two parts, the later one oversized");
+    drop(routed);
+
+    match c.apply("idx", &batch) {
+        Err(ClientError::Overloaded(msg)) => assert!(msg.contains("write-queue limit"), "{msg}"),
+        other => panic!("an oversized part must shed the write, got {other:?}"),
+    }
+    assert_eq!(c.len("idx").expect("len"), 0, "no part applied");
+
+    // Nothing holds the handover: a migration completes.
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let sharded = entry.sharded.clone();
+    let from = sharded.route_point(near);
+    let key_space = 1u64 << (2 * sharded.order());
+    std::thread::spawn(move || {
+        let _ = done_tx.send(sharded.migrate_range(0, key_space / 16, 1 - from));
+    });
+    done_rx
+        .recv_timeout(Duration::from_secs(30))
+        .expect("the migration completes")
+        .expect("migrate");
+
+    // A write whose parts fit applies.
+    let mut batch = Batch::new();
+    batch.insert(20, near);
+    batch.insert(21, Point::new(0.999, 0.001));
+    assert_eq!(c.apply("idx", &batch).expect("apply").applied, 2);
+    handle.shutdown();
+}
+
 /// A fake "server" that accepts one connection and answers it with
 /// whatever `reply` produces from the client's first frame.
 fn fake_server(

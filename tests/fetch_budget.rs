@@ -714,56 +714,45 @@ fn no_pin_outlives_apply_when_a_granule_is_refused() {
 }
 
 #[test]
-fn no_pin_outlives_apply_through_make_room() {
+fn no_pin_outlives_apply_through_a_full_leaf() {
     let (bur, _) = build(IndexOptions::generalized(), THREE_LEVELS);
+    let spot = |oid: u64| {
+        let i = oid - 1_000_000;
+        Point::new(0.4 + (i % 8) as f32 * 1e-4, 0.6 + (i / 8) as f32 * 1e-4)
+    };
     let ops_before = bur.with_op_stats(|s| s.snapshot());
-    // Crowd one spot until its leaf fills and the shared path has to
-    // split it ahead of itself.
+    // Crowd one spot until its leaf fills and splits. An insert
+    // escalates, so every batch takes the exclusive path.
     let mut oid = 1_000_000u64;
-    let mut worst = 0;
     for _ in 0..12 {
         let mut batch = Batch::new();
         for _ in 0..8 {
-            let i = oid - 1_000_000;
-            batch.insert(
-                oid,
-                Point::new(0.4 + (i % 8) as f32 * 1e-4, 0.6 + (i / 8) as f32 * 1e-4),
-            );
+            batch.insert(oid, spot(oid));
             oid += 1;
         }
-        let made_room = bur.with_op_stats(|s| s.snapshot()).make_room_splits;
-        let before = fetches(&bur);
         bur.apply(&batch).unwrap();
-        if bur.with_op_stats(|s| s.snapshot()).make_room_splits > made_room {
-            worst = worst.max(fetches(&bur) - before);
-        }
         assert_eq!(pinned(&bur), 0);
     }
     let ops = bur.with_op_stats(|s| s.snapshot()).since(&ops_before);
-    assert!(ops.make_room_splits > 0, "never made room: {ops}");
-    println!("8-insert batch with a make-room split: at most {worst} fetches");
-    // Two plans of eight inserts, the split (leaf, new half, parent) and
-    // one hash upsert per object it re-homes. The full leaf's ancestors
-    // come from the summary's child → parent table: a search from the
-    // root would read half this tree's ≈ 300 nodes on top.
-    assert!(worst <= 100, "a make-room batch cost {worst} fetches");
+    assert_eq!(ops.escalations, 12, "{ops}");
+    assert!(ops.splits > 0, "the crowded leaf never split: {ops}");
 
-    // A single insert is a batch of one: into a full leaf it makes room
-    // as well, and stays on the shared path.
+    // A single insert is a batch of one: each escalates once, the one
+    // into a full leaf too.
     let ops_before = bur.with_op_stats(|s| s.snapshot());
     loop {
-        let i = oid - 1_000_000;
-        let p = Point::new(0.4 + (i % 8) as f32 * 1e-4, 0.6 + (i / 8) as f32 * 1e-4);
-        bur.insert(oid, p).unwrap();
+        bur.insert(oid, spot(oid)).unwrap();
         oid += 1;
         assert_eq!(pinned(&bur), 0);
         let ops = bur.with_op_stats(|s| s.snapshot()).since(&ops_before);
-        assert_eq!(ops.escalations, 0, "a single insert escalated: {ops}");
-        if ops.make_room_splits > 0 {
-            assert_eq!(ops.make_room_splits, 1);
+        assert_eq!(ops.escalations, ops.inserts, "{ops}");
+        if ops.splits > 0 {
             break;
         }
-        assert!(ops.inserts < 200, "single inserts never made room: {ops}");
+        assert!(
+            ops.inserts < 200,
+            "single inserts never filled a leaf: {ops}"
+        );
     }
     bur.validate().unwrap();
 }

@@ -1,29 +1,26 @@
 //! The concurrent `Bur::apply` write path under real parallelism.
 //!
-//! Five contracts from the latch-per-page rework, the coupled
-//! structural path and the in-order planning pass:
+//! Five contracts from the latch-per-page rework and the in-order
+//! planning pass:
 //!
-//! 0. with one writer, batching changes nothing an update decides: the
-//!    same stream through `Bur::apply` in 32-op batches and through
-//!    sequential `RTreeIndex::update` yields equal outcome counts, equal
-//!    contents and an equally expensive tree to query;
-//! 1. batches on disjoint leaves physically overlap (the
+//! 0. with one writer, batching changes nothing an op decides: the same
+//!    stream through `Bur::apply` in 32-op batches and op by op through
+//!    `RTreeIndex` yields equal outcome counts, equal contents, an
+//!    equally expensive tree to query and the same nodes;
+//! 1. batches of updates on disjoint leaves physically overlap (the
 //!    handle's in-flight high watermark proves two batches were inside
-//!    the write path at the same moment) — and since the coupled path,
-//!    that includes *structural* batches of inserts and deletes, which
-//!    stay on the shared side instead of escalating;
+//!    the write path at the same moment), and *structural* batches of
+//!    inserts and deletes from many writers escalate and stay exact;
 //! 2. overlapping batches — several threads hammering objects
 //!    interleaved on the same leaves, with mixed inserts, deletes and
 //!    updates — still produce exactly the state a per-object sequential
-//!    oracle predicts, whether a batch ran concurrently, triggered a
-//!    make-room split, or escalated;
+//!    oracle predicts, whether a batch ran concurrently or escalated;
 //! 3. a crash leaves every concurrent batch all-or-nothing: one group
 //!    commit record per batch, so recovery lands each writer's object
 //!    set on a single batch boundary;
-//! 4. a power cut anywhere around a make-room (preparatory) split —
-//!    including between the parent-entry RMW and the leaf writes of the
-//!    batch that rode on it — recovers to a valid tree with every
-//!    acknowledged insert present (benign slack composes with splits).
+//! 4. a power cut anywhere in a stream of insert batches that split
+//!    leaves recovers to a valid tree with every acknowledged insert
+//!    present.
 
 mod common;
 
@@ -132,7 +129,7 @@ fn disjoint_granule_batches_overlap_physically() {
 }
 
 #[test]
-fn structural_batches_overlap_without_escalating() {
+fn structural_batches_from_many_writers_stay_exact() {
     const N: u64 = 4_000;
     const THREADS: u64 = 8;
     const ROUNDS: usize = 40;
@@ -142,10 +139,8 @@ fn structural_batches_overlap_without_escalating() {
 
     // Each thread owns a horizontal strip of the unit square and churns
     // fresh objects inside it: a batch of inserts, then a batch deleting
-    // the same objects. Strips are spatially disjoint, so the batches
-    // land on disjoint leaves and the coupled path lets them overlap —
-    // the workload that escalated wholesale before make-room splits and
-    // shared-path inserts/deletes existed.
+    // the same objects. An insert or a delete escalates, so every batch
+    // takes the exclusive path.
     std::thread::scope(|s| {
         for t in 0..THREADS {
             let bur = &bur;
@@ -169,18 +164,9 @@ fn structural_batches_overlap_without_escalating() {
         }
     });
 
-    assert!(
-        bur.peak_concurrent_batches() >= 2,
-        "structural batches never overlapped (peak {})",
-        bur.peak_concurrent_batches()
-    );
     let stats = bur.with_op_stats(|s| s.snapshot());
     let total_batches = THREADS * ROUNDS as u64 * 2;
-    let escalated = stats.escalations - base_escalations;
-    assert!(
-        escalated <= total_batches / 10,
-        "structural batches escalated too often: {escalated} of {total_batches}"
-    );
+    assert_eq!(stats.escalations - base_escalations, total_batches);
     assert_eq!(bur.len(), N, "churned objects must all be gone");
     assert_eq!(stats.inserts, N + THREADS * ROUNDS as u64 * PER_BATCH);
     assert_eq!(stats.deletes, THREADS * ROUNDS as u64 * PER_BATCH);
@@ -310,13 +296,29 @@ fn claim_table_covers_the_last_leaf_however_the_tree_came_to_exist() {
     assert_last_leaf_is_claimable(&follower.promote().unwrap(), N, "promote");
 }
 
+/// Every page of `bur`'s disk that decodes as a node, by page id: the
+/// tree reachable from the root and the freed pages the free list keeps.
+fn decoded_nodes(bur: &Bur) -> Vec<(u32, bur::core::Node)> {
+    bur.with_index(|index| {
+        let pool = index.pool();
+        (0..pool.disk().num_pages())
+            .filter_map(|pid| {
+                let node = pool.with_page_read(pid, |b| bur::core::Node::decode(pid, b));
+                Some((pid, node.unwrap().ok()?))
+            })
+            .collect()
+    })
+}
+
 /// One writer, no concurrency: the same seeded stream applied through
-/// `Bur::apply` in 32-op batches and, on an identically built twin,
-/// through sequential `RTreeIndex::update` calls. Batching may change how
-/// often the pool is asked for a page — never what an update decides:
-/// the outcome counts, the stored entries and the cost of querying the
-/// result must all be equal. The stream reaches every rung of the
-/// bottom-up ladder and every repair on both paths.
+/// `Bur::apply` in 32-op batches and, on an identically built twin, op
+/// by op through `RTreeIndex::{update, delete, insert}`. Batching may
+/// change how often the pool is asked for a page — never what an op
+/// decides: the outcome counts, the stored entries, the cost of
+/// querying the result and every node, page by page, must all be
+/// equal. The stream reaches every rung of the bottom-up ladder and
+/// every repair on both paths, and some batches delete objects and
+/// re-insert ones an earlier batch deleted.
 fn run_sequential_twin_case(opts: IndexOptions) {
     const N: u64 = 4_000;
     const BATCHES: usize = 120;
@@ -335,13 +337,17 @@ fn run_sequential_twin_case(opts: IndexOptions) {
 
     let mut rng = StdRng::seed_from_u64(0xD0_5A3E);
     let mut pos: Vec<Point> = (0..N).map(home).collect();
+    // Objects deleted by an earlier batch and not yet re-inserted.
+    let mut deleted: Vec<u64> = Vec::new();
     for round in 0..BATCHES {
         // Short moves mostly stay leaf-local (the batch runs shared);
         // the paper's 0.06 sends every batch to the exclusive path. One
         // in two short batches carries one 0.06 mover, so the shared
         // pass meets a fast mover too, and one in two long batches may
         // leave the unit square, so objects on the hull leave the root
-        // MBR.
+        // MBR. The other short batches delete an object at op 8 and
+        // re-insert an earlier batch's deleted object near where it was
+        // at op 24.
         let reach = if round % 2 == 0 { 0.003 } else { 0.06f32 };
         let clamp = |v: f32| if round % 4 == 1 { v } else { v.clamp(0.0, 1.0) };
         let mut batch = Batch::new();
@@ -351,12 +357,35 @@ fn run_sequential_twin_case(opts: IndexOptions) {
             } else {
                 reach
             };
-            let oid = rng.random_range(0..N);
+            let oid = loop {
+                let oid = rng.random_range(0..N);
+                if !deleted.contains(&oid) {
+                    break oid;
+                }
+            };
             let old = pos[oid as usize];
             let new = Point::new(
                 clamp(old.x + rng.random_range(-reach..reach)),
                 clamp(old.y + rng.random_range(-reach..reach)),
             );
+            match (round % 4, i) {
+                (2, 8) => {
+                    batch.delete(oid, old);
+                    assert!(twin.with_index_mut(|index| index.delete(oid, old)).unwrap());
+                    deleted.push(oid);
+                    continue;
+                }
+                (2, 24) if deleted.len() > 1 => {
+                    let back = deleted.remove(0);
+                    let at = pos[back as usize];
+                    let at = Point::new(clamp(at.x + new.x - old.x), clamp(at.y + new.y - old.y));
+                    batch.insert(back, at);
+                    twin.with_index_mut(|index| index.insert(back, at)).unwrap();
+                    pos[back as usize] = at;
+                    continue;
+                }
+                _ => {}
+            }
             batch.update(oid, old, new);
             twin.with_index_mut(|index| index.update(oid, old, new))
                 .unwrap();
@@ -380,6 +409,8 @@ fn run_sequential_twin_case(opts: IndexOptions) {
             s.upd_shifted,
             s.upd_ascended,
             s.upd_top_down,
+            s.inserts,
+            s.deletes,
             s.splits,
             s.condenses,
             s.piggybacked,
@@ -387,6 +418,10 @@ fn run_sequential_twin_case(opts: IndexOptions) {
         ]
     };
     assert_eq!(decisions(&a), decisions(&b), "batched {a}\nsequential {b}");
+    assert!(
+        a.inserts > 0 && a.deletes > 0,
+        "no delete or re-insert: {a}"
+    );
     let reached = [
         a.upd_in_place,
         a.upd_extended,
@@ -419,6 +454,25 @@ fn run_sequential_twin_case(opts: IndexOptions) {
         bur.io_snapshot().fetches - before
     };
     assert_eq!(window_fetches(&batched), window_fetches(&twin));
+
+    // The same tree, node by node: every official rect and entry order
+    // (a delete re-tightens its parent entry on both paths).
+    let geometry = |bur: &Bur| {
+        let (leaves, area, margin, objects, internal) =
+            bur.with_index(|index| index.leaf_geometry()).unwrap();
+        (leaves, area.to_bits(), margin.to_bits(), objects, internal)
+    };
+    assert_eq!(geometry(&batched), geometry(&twin));
+    assert_eq!(batched.height(), twin.height());
+    let (nodes, twin_nodes) = (decoded_nodes(&batched), decoded_nodes(&twin));
+    assert_eq!(nodes.len(), twin_nodes.len(), "node page counts differ");
+    for ((pid, node), (twin_pid, twin_node)) in nodes.iter().zip(&twin_nodes) {
+        assert_eq!(pid, twin_pid, "node pages differ");
+        assert_eq!(
+            node, twin_node,
+            "page {pid} differs from the sequential twin"
+        );
+    }
 }
 
 #[test]
@@ -609,7 +663,7 @@ const MIXED_PER_THREAD: u64 = 24;
 /// sequential per-object oracle. Thread `t` owns the objects with
 /// `oid % MIXED_WRITERS == t`, so the final state of each object is
 /// determined by its owner's stream alone, while the *leaves* (and the
-/// make-room/escalation machinery) are shared by everybody.
+/// escalation machinery) are shared by everybody.
 fn run_mixed_oracle_case(
     opts: IndexOptions,
     ops: &[(u8, u8, (f32, f32))],
@@ -727,15 +781,12 @@ proptest! {
     }
 }
 
-/// Power-cut sweep through make-room (preparatory) splits: clustered
-/// insert batches drive leaves to capacity so the shared path keeps
-/// splitting ahead of itself, and the cut lands at every stage of the
-/// pipeline — inside the split's own commit, between it and the riding
-/// batch, and between the batch's parent-entry RMW and its leaf writes.
-/// Recovery must always produce a valid tree containing every
-/// acknowledged insert (benign slack composes with splits).
+/// Power-cut sweep through insert batches that split leaves: clustered
+/// inserts drive leaves to capacity, and the cut lands at every stage of
+/// the batches' commits. Recovery must always produce a valid tree
+/// containing every acknowledged insert.
 #[test]
-fn make_room_splits_survive_power_cuts() {
+fn structural_batches_survive_power_cuts() {
     const BATCHES: u64 = 40;
     const PER_BATCH: u64 = 8;
     let wopts = WalOptions {
@@ -744,7 +795,7 @@ fn make_room_splits_survive_power_cuts() {
     let opts = IndexOptions::generalized().with_durability(Durability::Wal(wopts));
 
     // Clustered positions: consecutive oids crowd a few tight spots, so
-    // leaves fill and the make-room path fires repeatedly.
+    // leaves fill and split repeatedly.
     let spot = |oid: u64| {
         let cluster = (oid / 64) % 4;
         Point::new(
@@ -753,9 +804,8 @@ fn make_room_splits_survive_power_cuts() {
         )
     };
 
-    // Control run (no faults): this workload must actually exercise the
-    // make-room path on the shared side, otherwise the sweep proves
-    // nothing.
+    // Control run (no faults): this workload must actually split leaves,
+    // otherwise the sweep proves nothing.
     {
         let bur = IndexBuilder::with_options(opts).build().unwrap();
         let mut oid = 0u64;
@@ -768,11 +818,7 @@ fn make_room_splits_survive_power_cuts() {
             bur.apply(&batch).unwrap();
         }
         let stats = bur.with_op_stats(|s| s.snapshot());
-        assert!(
-            stats.make_room_splits > 0,
-            "workload never triggered a make-room split (escalations {})",
-            stats.escalations
-        );
+        assert!(stats.splits > 0, "workload never split a leaf: {stats}");
         bur.validate().unwrap();
     }
 
