@@ -36,7 +36,8 @@ pub struct CoalescerConfig {
     /// degraded-mode watermark ([`Coalescer::is_degraded`]): queries
     /// are shed before writes, so the write path keeps its budget.
     pub max_queued_ops: usize,
-    /// Bound on the retry-dedup table: distinct client sessions
+    /// Bound on the retry-dedup table (a plain index's coalescer's, or
+    /// a sharded index's one ledger): distinct client sessions
     /// remembered (last sequence number + cached ack each). Oldest
     /// completed sessions are evicted first.
     pub max_sessions: usize,
@@ -76,7 +77,10 @@ impl fmt::Display for ApplyError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ApplyError::Overloaded { queued, limit } => {
-                write!(f, "overloaded: {queued} ops queued (limit {limit})")
+                write!(
+                    f,
+                    "overloaded: {queued} ops queued (write-queue limit {limit})"
+                )
             }
             ApplyError::Expired => write!(f, "deadline expired before commit"),
             ApplyError::Rejected(msg) => write!(f, "{msg}"),
@@ -190,26 +194,13 @@ enum Admission {
     WaitExpired,
 }
 
-/// One completed retry-dedup slot, exportable across coalescers (see
-/// [`Coalescer::export_dedup`] / [`Coalescer::merge_dedup`]). Carries
-/// the session's highest finished sequence number and the cached
-/// outcome a retry of that sequence must replay.
-#[derive(Debug, Clone)]
-pub struct DedupEntry {
-    /// Client session id.
-    pub session: u128,
-    /// Highest finished sequence number for the session.
-    pub seq: u64,
-    /// The outcome to replay: the original ack, or the original
-    /// deterministic rejection.
-    pub ack: Result<WriteAck, String>,
-}
-
 /// Bounded per-session retry memory: the highest sequence number seen
 /// and the cached outcome for it. One entry per client session, evicted
 /// least-recently-touched once `max_sessions` is exceeded (only
-/// completed entries are evictable).
-struct DedupTable {
+/// completed entries are evictable). A plain index's coalescer owns
+/// one; a sharded index keeps one for the whole index
+/// (`ShardedEntry`), and its shard coalescers see no sessions.
+pub(crate) struct DedupTable {
     max_sessions: usize,
     slots: Mutex<HashMap<u128, SessionSlot>>,
     done: Condvar,
@@ -217,8 +208,17 @@ struct DedupTable {
     ticks: AtomicU64,
 }
 
+impl fmt::Debug for DedupTable {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("DedupTable")
+            .field("sessions", &self.sessions())
+            .field("hits", &self.hits())
+            .finish()
+    }
+}
+
 impl DedupTable {
-    fn new(max_sessions: usize) -> Self {
+    pub(crate) fn new(max_sessions: usize) -> Self {
         DedupTable {
             max_sessions: max_sessions.max(1),
             slots: Mutex::new(HashMap::new()),
@@ -306,66 +306,51 @@ impl DedupTable {
         self.done.notify_all();
     }
 
-    fn sessions(&self) -> usize {
-        self.slots.lock().len()
-    }
-
-    /// Snapshot every completed slot. In-flight slots are skipped: they
-    /// belong to submissions still working through *this* coalescer,
-    /// and their waiters sit on this table's condvar.
-    fn export(&self) -> Vec<DedupEntry> {
-        self.slots
-            .lock()
-            .iter()
-            .filter_map(|(session, slot)| match &slot.state {
-                SlotState::Done(result) => Some(DedupEntry {
-                    session: *session,
-                    seq: slot.seq,
-                    ack: result.clone(),
-                }),
-                SlotState::InFlight => None,
-            })
-            .collect()
-    }
-
-    /// Adopt exported slots from another coalescer's table. A donated
-    /// entry lands only where it advances knowledge: inserted when the
-    /// session is unknown here, replacing a *completed* slot at a lower
-    /// sequence. On an equal sequence the local slot wins — a batch
-    /// split across shards reuses one `(session, seq)` with different
-    /// per-shard payloads, and the local ack is the one this shard's
-    /// retries must replay. In-flight local slots are never displaced
-    /// (their originals still own them). Over-capacity trims the
-    /// least-recently-touched completed slots, same policy as `begin`.
-    fn merge(&self, entries: Vec<DedupEntry>) {
-        let mut slots = self.slots.lock();
-        for entry in entries {
-            match slots.get(&entry.session) {
-                Some(slot) if slot.seq >= entry.seq => continue,
-                Some(slot) if matches!(slot.state, SlotState::InFlight) => continue,
-                _ => {}
+    /// Run `attempt` at most once per `(session, seq)`. A duplicate
+    /// replays the first attempt's ack or rejection, waiting (up to
+    /// `deadline`) while that attempt is in flight. A shed or expired
+    /// attempt had no side effects, so it is forgotten and a retry of
+    /// the same sequence starts over. Session `0` opts out.
+    pub(crate) fn run_once(
+        &self,
+        session: u128,
+        seq: u64,
+        deadline: Option<Instant>,
+        attempt: impl FnOnce() -> Result<WriteAck, ApplyError>,
+    ) -> Result<WriteAck, ApplyError> {
+        if session == 0 {
+            return attempt();
+        }
+        match self.begin(session, seq, deadline) {
+            Admission::Fresh => {}
+            Admission::Replay(result) => return result.map_err(ApplyError::Rejected),
+            Admission::Stale => {
+                return Err(ApplyError::Rejected(format!(
+                    "stale sequence {seq} for session {session:#034x}"
+                )))
             }
-            let tick = self.tick();
-            slots.insert(
-                entry.session,
-                SessionSlot {
-                    seq: entry.seq,
-                    state: SlotState::Done(entry.ack),
-                    tick,
-                },
-            );
+            Admission::WaitExpired => return Err(ApplyError::Expired),
         }
-        while slots.len() > self.max_sessions {
-            let victim = slots
-                .iter()
-                .filter(|(_, s)| matches!(s.state, SlotState::Done(_)))
-                .min_by_key(|(_, s)| s.tick)
-                .map(|(k, _)| *k);
-            match victim {
-                Some(victim) => slots.remove(&victim),
-                None => break,
-            };
+        let result = attempt();
+        match &result {
+            Ok(ack) => self.finish(session, seq, Ok(*ack)),
+            // Cache deterministic rejections too: a retried
+            // partial-failure batch must replay the original error,
+            // not re-apply its successful prefix.
+            Err(ApplyError::Rejected(msg)) => self.finish(session, seq, Err(msg.clone())),
+            Err(_) => self.abandon(session, seq),
         }
+        result
+    }
+
+    /// Retries answered from a cached outcome so far.
+    pub(crate) fn hits(&self) -> u64 {
+        self.hits.load(Ordering::Relaxed)
+    }
+
+    /// Client sessions tracked right now.
+    pub(crate) fn sessions(&self) -> u64 {
+        self.slots.lock().len() as u64
     }
 }
 
@@ -447,56 +432,25 @@ impl Coalescer {
                 merged: 0,
             });
         }
-        if deadline.is_some_and(|d| Instant::now() >= d) {
+        let result = if deadline.is_some_and(|d| Instant::now() >= d) {
+            Err(ApplyError::Expired)
+        } else {
+            self.dedup.run_once(session, seq, deadline, || {
+                self.admit(ops.len())?;
+                self.enqueue(ops, deadline)
+            })
+        };
+        if matches!(result, Err(ApplyError::Expired)) {
             self.stats.expired.fetch_add(1, Ordering::Relaxed);
-            return Err(ApplyError::Expired);
         }
-        if session != 0 {
-            match self.dedup.begin(session, seq, deadline) {
-                Admission::Fresh => {}
-                Admission::Replay(result) => return result.map_err(ApplyError::Rejected),
-                Admission::Stale => {
-                    return Err(ApplyError::Rejected(format!(
-                        "stale sequence {seq} for session {session:#034x}"
-                    )))
-                }
-                Admission::WaitExpired => {
-                    self.stats.expired.fetch_add(1, Ordering::Relaxed);
-                    return Err(ApplyError::Expired);
-                }
-            }
-        }
-        match self.submit(ops, deadline) {
-            Ok(ack) => {
-                if session != 0 {
-                    self.dedup.finish(session, seq, Ok(ack));
-                }
-                Ok(ack)
-            }
-            Err(ApplyError::Rejected(msg)) => {
-                // Cache deterministic rejections too: a retried
-                // partial-failure batch must replay the original error,
-                // not re-apply its successful prefix.
-                if session != 0 {
-                    self.dedup.finish(session, seq, Err(msg.clone()));
-                }
-                Err(ApplyError::Rejected(msg))
-            }
-            Err(e) => {
-                // Shed or expired: nothing was applied, so a retry of
-                // the same sequence must start from scratch.
-                if session != 0 {
-                    self.dedup.abandon(session, seq);
-                }
-                Err(e)
-            }
-        }
+        result
     }
 
-    /// Admission control + queueing + the blocking wait for the ack.
-    fn submit(&self, ops: Vec<Op>, deadline: Option<Instant>) -> Result<WriteAck, ApplyError> {
-        let n = ops.len();
-        let queued = self.stats.queued_ops.load(Ordering::Relaxed);
+    /// Admission control: refuse `n` more ops with
+    /// [`ApplyError::Overloaded`] (and count the shed) when they would
+    /// push the queued-or-in-flight count past the ceiling.
+    pub(crate) fn admit(&self, n: usize) -> Result<(), ApplyError> {
+        let queued = self.queued_ops();
         if queued + n > self.config.max_queued_ops {
             self.stats.shed_writes.fetch_add(1, Ordering::Relaxed);
             return Err(ApplyError::Overloaded {
@@ -504,6 +458,21 @@ impl Coalescer {
                 limit: self.config.max_queued_ops,
             });
         }
+        Ok(())
+    }
+
+    /// Queue a batch that was admitted already — a later part of a
+    /// sharded write, admitted with its write as a whole — and block
+    /// until it is durable. It carries no deadline and skips the
+    /// ceiling, so it is neither shed nor expired: only a rejection
+    /// can stop it.
+    pub(crate) fn apply_admitted(&self, ops: Vec<Op>) -> Result<WriteAck, String> {
+        self.enqueue(ops, None).map_err(|e| e.to_string())
+    }
+
+    /// Queueing plus the blocking wait for the ack.
+    fn enqueue(&self, ops: Vec<Op>, deadline: Option<Instant>) -> Result<WriteAck, ApplyError> {
+        let n = ops.len();
         let tx = match &*self.tx.lock() {
             Some(tx) => tx.clone(),
             None => return Err(ApplyError::Rejected("index is shutting down".into())),
@@ -524,20 +493,11 @@ impl Coalescer {
         match outcome {
             Ok(Ok(ack)) => Ok(ack),
             Ok(Err(RoundError::Failed(msg))) => Err(ApplyError::Rejected(msg)),
-            Ok(Err(RoundError::Expired)) => {
-                self.stats.expired.fetch_add(1, Ordering::Relaxed);
-                Err(ApplyError::Expired)
-            }
+            Ok(Err(RoundError::Expired)) => Err(ApplyError::Expired),
             Err(_) => Err(ApplyError::Rejected(
                 "committer exited before acknowledging".into(),
             )),
         }
-    }
-
-    /// Whether a batch of `n` ops can pass admission once the queue
-    /// drains; a larger one is shed however often it is resubmitted.
-    pub(crate) fn can_admit(&self, n: usize) -> bool {
-        n <= self.config.max_queued_ops
     }
 
     /// Ops queued or in flight right now.
@@ -557,32 +517,6 @@ impl Coalescer {
         self.queued_ops() >= (self.config.max_queued_ops / 2).max(1)
     }
 
-    /// Snapshot this coalescer's completed retry-dedup entries, for
-    /// handover to another shard's coalescer via
-    /// [`Self::merge_dedup`]. Exactly-once retry protection is
-    /// per-coalescer state: when a range migration re-homes a key range
-    /// (`ShardedBur::migrate_range`), a retry of an already-acked batch
-    /// routes to the *recipient* shard, whose table has never seen the
-    /// `(session, seq)` — without the handover it would apply the batch
-    /// a second time. Dedup slots are keyed by session, not key range,
-    /// so the whole table travels; donated entries are advisory
-    /// replay-cache state and never displace fresher local knowledge.
-    #[must_use]
-    pub fn export_dedup(&self) -> Vec<DedupEntry> {
-        self.dedup.export()
-    }
-
-    /// Adopt exported retry-dedup entries from a donor coalescer (see
-    /// [`Self::export_dedup`]): inserted when the session is unknown
-    /// here, replacing a completed slot at a lower sequence, dropped
-    /// otherwise — on an equal sequence the local slot wins, because a
-    /// batch split across shards reuses one `(session, seq)` with
-    /// different per-shard payloads and local retries must replay the
-    /// local ack.
-    pub fn merge_dedup(&self, entries: Vec<DedupEntry>) {
-        self.dedup.merge(entries);
-    }
-
     /// Counters so far.
     #[must_use]
     pub fn stats(&self) -> CoalescerStats {
@@ -592,8 +526,8 @@ impl Coalescer {
             ops: self.stats.ops.load(Ordering::Relaxed),
             shed_writes: self.stats.shed_writes.load(Ordering::Relaxed),
             expired: self.stats.expired.load(Ordering::Relaxed),
-            dedup_hits: self.dedup.hits.load(Ordering::Relaxed),
-            dedup_sessions: self.dedup.sessions() as u64,
+            dedup_hits: self.dedup.hits(),
+            dedup_sessions: self.dedup.sessions(),
             queued_ops: self.stats.queued_ops.load(Ordering::Relaxed) as u64,
         }
     }
@@ -810,55 +744,28 @@ mod tests {
         );
     }
 
+    /// A part admitted with its write skips the ceiling: even a zero
+    /// limit, which sheds every normal submission, cannot shed it, so
+    /// a sharded write whose first part applied applies the rest.
     #[test]
-    fn dedup_handover_merges_without_displacing_local_knowledge() {
-        let donor_bur = mem_bur();
-        let donor = Coalescer::new(donor_bur.clone());
-        let recipient_bur = mem_bur();
-        let recipient = Coalescer::new(recipient_bur.clone());
-
-        // Donor finishes (1, 3) with 4 ops and (4, 7) with 2 ops.
-        donor.apply_session(1, 3, inserts(0..4), None).expect("ack");
-        donor
-            .apply_session(4, 7, inserts(10..12), None)
-            .expect("ack");
-        // Recipient already knows session 1 at the SAME seq (its half of
-        // a split batch: 3 ops) and session 2 at a HIGHER seq.
-        let local = recipient
-            .apply_session(1, 3, inserts(20..23), None)
-            .expect("ack");
-        recipient
-            .apply_session(2, 5, inserts(30..32), None)
-            .expect("ack");
-
-        recipient.merge_dedup(donor.export_dedup());
-        let len_before = recipient_bur.len();
-
-        // Unknown session: the donated entry replays verbatim, applying
-        // nothing here.
-        let replayed = recipient
-            .apply_session(4, 7, inserts(10..12), None)
-            .expect("replayed");
-        assert_eq!(replayed.applied, 2, "the donor's ack came back");
-        assert_eq!(recipient_bur.len(), len_before, "nothing re-applied");
-
-        // Equal seq: the local slot wins — split batches share a
-        // (session, seq) with different per-shard payloads.
-        let same = recipient
-            .apply_session(1, 3, inserts(20..23), None)
-            .expect("replayed");
-        assert_eq!(same.applied, local.applied);
-        assert_eq!(same.lsn, local.lsn);
-
-        // Lower donated seq never rolls a session backwards.
-        let err = recipient
-            .apply_session(2, 1, inserts(40..41), None)
-            .expect_err("stale");
-        assert!(err.to_string().contains("stale"), "{err}");
-
-        assert!(recipient.stats().dedup_hits >= 2);
-        donor.shutdown();
-        recipient.shutdown();
+    fn a_pre_admitted_part_is_never_shed() {
+        let bur = mem_bur();
+        let c = Coalescer::with_config(
+            bur.clone(),
+            CoalescerConfig {
+                max_queued_ops: 0,
+                ..CoalescerConfig::default()
+            },
+        );
+        let err = c.apply(inserts(0..3)).expect_err("shed");
+        assert!(err.contains("overloaded"), "{err}");
+        assert_eq!(bur.len(), 0, "a shed submission has no effect");
+        let ack = c.apply_admitted(inserts(0..3)).expect("applied");
+        assert_eq!(ack.applied, 3);
+        assert_eq!(bur.len(), 3);
+        let stats = c.stats();
+        assert_eq!(stats.shed_writes, 1);
+        assert_eq!(stats.submissions, 1);
     }
 
     #[test]

@@ -1,14 +1,15 @@
 //! Multi-tenant index registry: named indexes living in one data
 //! directory, each paired with its own write [`Coalescer`].
 
-use crate::coalescer::{Coalescer, CoalescerConfig};
+use crate::coalescer::{ApplyError, Coalescer, CoalescerConfig, DedupTable, WriteAck};
 use crate::protocol::StrategyKind;
-use bur_core::{Bur, CoreError, IndexBuilder};
+use bur_core::{Bur, CoreError, IndexBuilder, Op};
 use bur_shard::{ShardError, ShardOptions, ShardedBur};
-use parking_lot::{Mutex, RwLock, RwLockReadGuard};
+use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
+use std::time::Instant;
 
 /// Errors surfaced by registry operations; rendered into wire `Err`
 /// responses verbatim.
@@ -90,17 +91,15 @@ pub struct IndexEntry {
     pub coalescer: Coalescer,
 }
 
-/// One open *sharded* index: the logical handle plus one write
-/// coalescer per shard. `Apply` batches split by routing key and each
-/// sub-batch funnels through its shard's coalescer under the client's
-/// unchanged `(session, seq)` — the split is deterministic for a fixed
-/// routing map, so per-shard retry dedup stays exactly-once.
+/// One open *sharded* index: the logical handle, one write coalescer
+/// per shard, and one retry-dedup ledger for the whole index.
 ///
-/// The coalescers are `Arc`-shared with the sharded handle's migration
-/// hook: when `migrate_range` re-homes a key range, the donor
-/// coalescer's completed dedup entries merge into the recipient's right
-/// before the ownership flip, so a retry that crosses the migration
-/// replays its original ack on the new owner instead of re-applying.
+/// A client write is admitted once and deduplicated once, as a whole
+/// ([`Self::apply_session`]): the ledger keys it by the client's
+/// `(session, seq)` and caches the write's own aggregate ack, and the
+/// shard coalescers see its parts with no session. A retry replays
+/// that ack however the routing map has changed in between, so a range
+/// migration has no dedup state to move.
 #[derive(Debug)]
 pub struct ShardedEntry {
     /// Registry name.
@@ -108,20 +107,78 @@ pub struct ShardedEntry {
     /// The logical index over all shards (reads go straight here).
     pub sharded: ShardedBur,
     /// Per-shard write paths, indexed by shard id.
-    pub coalescers: Vec<Arc<Coalescer>>,
-    /// Read side: one client write's sub-batches. Write side: the dedup
-    /// handover. So a handover never lands between two sub-batches of
-    /// one write.
-    handover: Arc<RwLock<()>>,
+    pub coalescers: Vec<Coalescer>,
+    /// Retry dedup for every write to this index.
+    ledger: DedupTable,
 }
 
 impl ShardedEntry {
-    /// Hold off the dedup handover while one client write funnels its
-    /// sub-batches through the coalescers. Take it after routing: the
-    /// routing step waits out migrations, whose handover needs the
-    /// write side.
-    pub(crate) fn hold_handover(&self) -> RwLockReadGuard<'_, ()> {
-        self.handover.read()
+    /// Apply one client write and block until every part is durable,
+    /// deduplicated by `(session, seq)` like
+    /// [`Coalescer::apply_session`] (session `0` opts out).
+    ///
+    /// The write is routed by key, waiting out any migration whose
+    /// frozen range it touches, and admitted as a whole: unless every
+    /// part fits its shard's write queue right now, it is shed with
+    /// nothing applied. Only the first part carries `deadline`; the
+    /// later ones are queued pre-admitted, so once the first has
+    /// applied the rest cannot be shed or expire, and
+    /// [`ApplyError::Overloaded`] and [`ApplyError::Expired`] keep
+    /// meaning "no side effects". The ack folds the parts' acks: the
+    /// highest LSN, the most merged submissions, and the ops applied
+    /// with each cross-shard update counted once.
+    pub fn apply_session(
+        &self,
+        session: u128,
+        seq: u64,
+        ops: &[Op],
+        deadline: Option<Instant>,
+    ) -> Result<WriteAck, ApplyError> {
+        self.ledger.run_once(session, seq, deadline, || {
+            let routed = self
+                .sharded
+                .route_for_write(ops)
+                .map_err(|e| ApplyError::Rejected(e.to_string()))?;
+            for (shard, part) in routed.parts() {
+                self.coalescers[*shard as usize].admit(part.len())?;
+            }
+            let mut ack = WriteAck {
+                lsn: 0,
+                applied: 0,
+                merged: 0,
+            };
+            for (i, (shard, part)) in routed.parts().iter().enumerate() {
+                let coalescer = &self.coalescers[*shard as usize];
+                let part_ack = if i == 0 {
+                    coalescer.apply_session(0, 0, part.clone(), deadline)?
+                } else {
+                    coalescer
+                        .apply_admitted(part.clone())
+                        .map_err(ApplyError::Rejected)?
+                };
+                // Shard logs are independent; the folded LSN is only an
+                // "everything acked" watermark, like AggregateTicket's.
+                ack.lsn = ack.lsn.max(part_ack.lsn);
+                ack.applied += part_ack.applied;
+                ack.merged = ack.merged.max(part_ack.merged);
+            }
+            // A cross-shard update ran as delete + insert; count it as
+            // the one logical op the client submitted.
+            ack.applied = ack.applied.saturating_sub(routed.split_updates());
+            Ok(ack)
+        })
+    }
+
+    /// Retried writes answered from the ledger so far.
+    #[must_use]
+    pub fn dedup_hits(&self) -> u64 {
+        self.ledger.hits()
+    }
+
+    /// Client sessions the ledger tracks right now.
+    #[must_use]
+    pub fn dedup_sessions(&self) -> u64 {
+        self.ledger.sessions()
     }
 
     /// Whether any shard's write queue is past its degraded watermark.
@@ -353,34 +410,14 @@ impl IndexRegistry {
     }
 
     fn sharded_entry(&self, name: &str, sharded: ShardedBur) -> Arc<ShardedEntry> {
-        let coalescers: Vec<Arc<Coalescer>> = (0..sharded.shard_count())
-            .map(|k| {
-                Arc::new(Coalescer::with_config(
-                    sharded.shard(k).clone(),
-                    self.coalescer_config,
-                ))
-            })
+        let coalescers = (0..sharded.shard_count())
+            .map(|k| Coalescer::with_config(sharded.shard(k).clone(), self.coalescer_config))
             .collect();
-        // Exactly-once across rebalances: hand the donor's completed
-        // retry-dedup entries to the recipient before each migration's
-        // ownership flip. The hook runs while writes into the moving
-        // range are frozen, so no slot it exports can race a retry, and
-        // under the handover lock, so no write outside the range has
-        // applied one sub-batch and not yet begun the next: the
-        // recipient would answer that one with the donor's ack.
-        let hooked = coalescers.clone();
-        let handover = Arc::new(RwLock::new(()));
-        let held = Arc::clone(&handover);
-        sharded.set_migration_hook(move |from, to| {
-            let _writes = held.write();
-            let donor = &hooked[from as usize];
-            hooked[to as usize].merge_dedup(donor.export_dedup());
-        });
         Arc::new(ShardedEntry {
             name: name.to_string(),
             sharded,
             coalescers,
-            handover,
+            ledger: DedupTable::new(self.coalescer_config.max_sessions),
         })
     }
 
@@ -518,9 +555,7 @@ impl IndexRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bur_core::Op;
     use bur_geom::{Point, Rect};
-    use std::time::{Duration, Instant};
 
     fn tempdir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("bur-registry-{tag}-{}", std::process::id()));
@@ -643,99 +678,6 @@ mod tests {
             reg.create_sharded("z", StrategyKind::TopDown, false, 0),
             Err(ServeError::Shard(_))
         ));
-        let _ = std::fs::remove_dir_all(&root);
-    }
-
-    /// A migration's dedup handover never lands between the parts of
-    /// one client write. The write holds the handover's read side across
-    /// its parts, as `apply_sharded` does, so a migration that reaches
-    /// its hook meanwhile waits. Were the handover to land between the
-    /// parts, the second part's shard would find the `(session, seq)`
-    /// slot donated by the first part's shard and answer with that ack
-    /// instead of applying.
-    #[test]
-    fn dedup_handover_waits_for_a_write_between_its_parts() {
-        let root = tempdir("handover");
-        let reg = IndexRegistry::new(&root).expect("registry");
-        reg.create_sharded("idx", StrategyKind::Generalized, false, 2)
-            .expect("create sharded");
-        let entry = sharded(reg.get("idx").expect("get"));
-        let bur = entry.sharded.clone();
-        let origin = Point::new(0.0, 0.0);
-        let moving = (1u64 << (2 * bur.order())) / 16;
-        let donor = bur.route_point(origin);
-        let recipient = 1 - donor;
-        let grid = (0..32u8).flat_map(|i| {
-            (0..32u8)
-                .map(move |j| Point::new((f32::from(i) + 0.5) / 32.0, (f32::from(j) + 0.5) / 32.0))
-        });
-        let kept: Vec<Point> = grid
-            .clone()
-            .filter(|p| bur.route_point(*p) == donor && bur.key_of(*p) >= moving)
-            .take(3)
-            .collect();
-        let theirs: Vec<Point> = grid
-            .filter(|p| bur.route_point(*p) == recipient)
-            .take(5)
-            .collect();
-        let insert = |oid: u64, p: Point| Op::Insert {
-            oid,
-            rect: Rect::from_point(p),
-        };
-
-        // A write routed before the migration holds it between its
-        // freeze and its copy until that write is done.
-        let early = bur
-            .route_for_write(&[insert(100, theirs[0])])
-            .expect("route early");
-        let epoch = bur.epoch();
-        let migrator = {
-            let bur = bur.clone();
-            std::thread::spawn(move || bur.migrate_range(0, moving, recipient))
-        };
-        while bur.epoch() == epoch {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-
-        // The write under test, routed after the freeze: it stays out
-        // of the moving range, so it is not frozen.
-        let ops: Vec<Op> = (0..)
-            .zip(&kept)
-            .chain((10..).zip(&theirs))
-            .map(|(oid, p)| insert(oid, *p))
-            .collect();
-        let routed = bur.route_for_write(&ops).expect("route");
-        let held = entry.hold_handover();
-        let parts = routed.parts();
-        let shape: Vec<(u32, usize)> = parts.iter().map(|(s, sub)| (*s, sub.len())).collect();
-        assert_eq!(shape, vec![(donor, 3), (recipient, 5)]);
-        let first = entry.coalescers[donor as usize]
-            .apply_session(0xab, 1, parts[0].1.clone(), None)
-            .expect("first part");
-        assert_eq!(first.applied, 3);
-
-        // Free the migration to copy and reach its hook. It must not hand
-        // over, so it cannot flip, while the write is between its parts.
-        drop(early);
-        let until = Instant::now() + Duration::from_millis(300);
-        while Instant::now() < until && bur.route_point(origin) == donor {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        assert_eq!(bur.route_point(origin), donor, "the handover waited");
-        let second_shard = &entry.coalescers[recipient as usize];
-        let hits = second_shard.stats().dedup_hits;
-        let second = second_shard
-            .apply_session(0xab, 1, parts[1].1.clone(), None)
-            .expect("second part");
-        assert_eq!(second.applied, 5, "applied, not the first part's ack");
-        assert_eq!(second_shard.stats().dedup_hits, hits);
-
-        drop(held);
-        drop(routed);
-        migrator.join().expect("migrator").expect("migrate");
-        assert_eq!(bur.route_point(origin), recipient, "flipped");
-        assert_eq!(bur.len(), 8);
-        reg.shutdown();
         let _ = std::fs::remove_dir_all(&root);
     }
 }

@@ -3,7 +3,7 @@
 //! protocol, and the graceful-shutdown contract (stop accepting → join
 //! connections → drain coalescers → flush and checkpoint every index).
 
-use crate::coalescer::{ApplyError, Coalescer, CoalescerConfig, WriteAck};
+use crate::coalescer::{ApplyError, CoalescerConfig, WriteAck};
 use crate::metrics::ServerMetrics;
 use crate::protocol::{Request, Response, WireNeighbor};
 use crate::registry::{Entry, IndexRegistry, ServeResult, ShardedEntry};
@@ -22,10 +22,6 @@ const CHUNK: usize = 512;
 /// How long a blocked connection read waits before re-checking the
 /// shutdown flag.
 const READ_TICK: Duration = Duration::from_millis(250);
-
-/// Pause before a sharded write resubmits a shed sub-batch whose
-/// sibling already applied (see `apply_sharded`).
-const SHED_BACKOFF: Duration = Duration::from_millis(1);
 
 /// Everything `burd` needs to start.
 #[derive(Debug, Clone)]
@@ -415,23 +411,16 @@ fn serve_request(
             ops,
         } => {
             let resp = match ctx.registry.get(&index) {
-                Ok(Entry::Plain(entry)) => {
-                    match coalesced_apply(ctx, &entry.coalescer, session, seq, ops, deadline) {
-                        Ok(WriteAck {
-                            lsn,
-                            applied,
-                            merged,
-                        }) => Response::Ack {
-                            lsn,
-                            applied,
-                            merged,
-                        },
-                        Err(resp) => resp,
-                    }
-                }
-                Ok(Entry::Sharded(entry)) => {
-                    apply_sharded(ctx, &entry, session, seq, &ops, deadline)
-                }
+                Ok(Entry::Plain(entry)) => write_response(
+                    ctx,
+                    || entry.coalescer.stats().dedup_hits,
+                    || entry.coalescer.apply_session(session, seq, ops, deadline),
+                ),
+                Ok(Entry::Sharded(entry)) => write_response(
+                    ctx,
+                    || entry.dedup_hits(),
+                    || entry.apply_session(session, seq, &ops, deadline),
+                ),
                 Err(e) => err(&e),
             };
             reply(stream, resp)
@@ -559,109 +548,42 @@ fn serve_request(
     }
 }
 
-/// Submit one op list to one coalescer, translating coalescer failures
-/// into their wire responses and counting the shared metrics.
-fn coalesced_apply(
+/// Run one client write, translating its outcome into the wire
+/// response and counting the shared metrics; `dedup_hits` reads the
+/// hit counter of the table that deduplicates the write.
+fn write_response(
     ctx: &ConnCtx,
-    coalescer: &Coalescer,
-    session: u128,
-    seq: u64,
-    ops: Vec<bur_core::Op>,
-    deadline: Option<Instant>,
-) -> Result<WriteAck, Response> {
-    let before = coalescer.stats().dedup_hits;
-    match coalescer.apply_session(session, seq, ops, deadline) {
-        Ok(ack) => {
-            let hits = coalescer.stats().dedup_hits - before;
+    dedup_hits: impl Fn() -> u64,
+    write: impl FnOnce() -> Result<WriteAck, ApplyError>,
+) -> Response {
+    let before = dedup_hits();
+    match write() {
+        Ok(WriteAck {
+            lsn,
+            applied,
+            merged,
+        }) => {
+            let hits = dedup_hits() - before;
             ctx.metrics.dedup_hits.fetch_add(hits, Ordering::Relaxed);
-            Ok(ack)
+            Response::Ack {
+                lsn,
+                applied,
+                merged,
+            }
         }
         Err(e @ ApplyError::Overloaded { .. }) => {
             ctx.metrics.writes_shed.fetch_add(1, Ordering::Relaxed);
-            Err(Response::Overloaded {
+            Response::Overloaded {
                 message: e.to_string(),
-            })
+            }
         }
         Err(e @ ApplyError::Expired) => {
             ctx.metrics.requests_expired.fetch_add(1, Ordering::Relaxed);
-            Err(Response::Expired {
-                message: e.to_string(),
-            })
-        }
-        Err(ApplyError::Rejected(message)) => Err(Response::Err { message }),
-    }
-}
-
-/// Apply one client batch to a sharded index: split by routing key
-/// (waiting out any migration overlapping the ops) and funnel each
-/// sub-batch through its shard's coalescer under the client's unchanged
-/// `(session, seq)`.
-///
-/// A retry re-splits under the routing map of its own time, and after a
-/// migration a shard that lacks its own `(session, seq)` slot answers
-/// from the slot the dedup handover donated — another shard's ack, for
-/// ops this shard never applied. So once one sub-batch has applied,
-/// every other one must apply too: only the first may be shed or
-/// expire, a later one ignores the deadline and is resubmitted when
-/// shed, and no handover lands between them (`hold_handover`). A
-/// resubmitted part is shed only while other writes fill its queue, so
-/// a write with a part larger than the queue's limit is shed whole,
-/// before any part applies.
-fn apply_sharded(
-    ctx: &ConnCtx,
-    entry: &ShardedEntry,
-    session: u128,
-    seq: u64,
-    ops: &[bur_core::Op],
-    deadline: Option<Instant>,
-) -> Response {
-    let routed = match entry.sharded.route_for_write(ops) {
-        Ok(routed) => routed,
-        Err(e) => {
-            return Response::Err {
+            Response::Expired {
                 message: e.to_string(),
             }
         }
-    };
-    let oversized = routed
-        .parts()
-        .iter()
-        .find(|(shard, sub)| !entry.coalescers[*shard as usize].can_admit(sub.len()));
-    if let Some((shard, sub)) = oversized {
-        ctx.metrics.writes_shed.fetch_add(1, Ordering::Relaxed);
-        return Response::Overloaded {
-            message: format!(
-                "overloaded: {} ops for shard {shard} exceed its write-queue limit",
-                sub.len()
-            ),
-        };
-    }
-    let _handover = entry.hold_handover();
-    let mut lsn = 0u64;
-    let mut applied = 0u64;
-    let mut merged = 0u64;
-    for (i, (shard, sub)) in routed.parts().iter().enumerate() {
-        let coalescer = &entry.coalescers[*shard as usize];
-        let deadline = if i == 0 { deadline } else { None };
-        let ack = loop {
-            match coalesced_apply(ctx, coalescer, session, seq, sub.clone(), deadline) {
-                Ok(ack) => break ack,
-                Err(Response::Overloaded { .. }) if i > 0 => std::thread::sleep(SHED_BACKOFF),
-                Err(resp) => return resp,
-            }
-        };
-        // Shard logs are independent; the folded LSN is only an
-        // "everything acked" watermark, like AggregateTicket's.
-        lsn = lsn.max(ack.lsn);
-        applied += ack.applied;
-        merged = merged.max(ack.merged);
-    }
-    Response::Ack {
-        // A cross-shard update ran as delete + insert; count it as the
-        // one logical op the client submitted.
-        applied: applied.saturating_sub(routed.split_updates()),
-        lsn,
-        merged,
+        Err(ApplyError::Rejected(message)) => Response::Err { message },
     }
 }
 
@@ -807,9 +729,9 @@ fn sharded_stats_text(entry: &ShardedEntry) -> String {
     out
 }
 
-/// Per-shard size/depth/queue gauges plus the imbalance ratio, labeled
-/// `{index, shard}`; appended to both `stats` and the server-wide
-/// `metrics` dump.
+/// Per-shard size/depth/queue gauges, labeled `{index, shard}`, plus
+/// the index-wide imbalance ratio and dedup ledger, labeled `{index}`;
+/// appended to both `stats` and the server-wide `metrics` dump.
 fn shard_gauges(entry: &ShardedEntry) -> String {
     let label = &entry.name;
     let stats = entry.sharded.stats();
@@ -825,7 +747,6 @@ fn shard_gauges(entry: &ShardedEntry) -> String {
         let co = entry.coalescers[k].stats();
         gauge("shard_queued_ops", co.queued_ops);
         gauge("shard_coalescer_rounds", co.rounds);
-        gauge("shard_dedup_hits", co.dedup_hits);
         gauge(
             "shard_escalations",
             entry
@@ -844,10 +765,12 @@ fn shard_gauges(entry: &ShardedEntry) -> String {
             entry.sharded.shard(k),
         );
     }
+    let mut gauge = |name: &str, v: u64| {
+        out.push_str(&format!("bur_{name}{{index=\"{label}\"}} {v}\n"));
+    };
     // Milli-units: the gauge grammar is integer-only.
-    out.push_str(&format!(
-        "bur_shard_imbalance_milli{{index=\"{label}\"}} {}\n",
-        (stats.imbalance * 1000.0) as u64
-    ));
+    gauge("shard_imbalance_milli", (stats.imbalance * 1000.0) as u64);
+    gauge("dedup_hits", entry.dedup_hits());
+    gauge("dedup_sessions", entry.dedup_sessions());
     out
 }

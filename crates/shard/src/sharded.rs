@@ -68,21 +68,6 @@ struct MapState {
     epoch: u64,
 }
 
-/// Boxed migration observer (see [`ShardedBur::set_migration_hook`]);
-/// opaque in Debug output.
-type MigrationHook = Box<dyn Fn(u32, u32) + Send + Sync>;
-struct HookCell(RwLock<Option<MigrationHook>>);
-
-impl std::fmt::Debug for HookCell {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(if self.0.read().is_some() {
-            "HookCell(set)"
-        } else {
-            "HookCell(unset)"
-        })
-    }
-}
-
 #[derive(Debug)]
 struct Inner {
     shards: Vec<Bur>,
@@ -100,13 +85,6 @@ struct Inner {
     order: u32,
     budget: usize,
     manifest_path: Option<PathBuf>,
-    /// Called with `(from, to)` immediately before the phase-C ownership
-    /// flip of a range migration, while writes into the range are still
-    /// frozen. The serving layer hangs its retry-dedup handover here: the
-    /// donor shard's completed `(session, seq)` entries move into the
-    /// recipient so a retry that crosses the migration replays its
-    /// original ack instead of re-applying on the new owner.
-    migration_hook: HookCell,
 }
 
 /// Decrements its parity slot when the read snapshot dies.
@@ -139,7 +117,10 @@ impl Drop for WriterGuard {
 /// [`ShardedBur::route_for_write`]). The serving layer applies each part
 /// through that shard's own write path (coalescer) while this value is
 /// alive; dropping it releases the writer registration that keeps a
-/// concurrent migration's copy scan from missing the routed ops.
+/// concurrent migration's copy scan from missing the routed ops. The
+/// split holds for this map only: a retry of the same ops after a
+/// migration may split differently, so a caller that deduplicates
+/// retries does so for the write as a whole, never per part.
 #[derive(Debug)]
 pub struct RoutedWrite {
     parts: Vec<(u32, Vec<Op>)>,
@@ -537,7 +518,6 @@ impl ShardedBur {
             order,
             budget,
             manifest_path,
-            migration_hook: HookCell(RwLock::new(None)),
         });
         let this = Self { inner };
         match recover {
@@ -882,22 +862,6 @@ impl ShardedBur {
 
     // ---- migration -------------------------------------------------------
 
-    /// Install a callback invoked with `(from, to)` immediately before
-    /// the phase-C ownership flip of every [`Self::migrate_range`],
-    /// while writes into the moving range are still frozen and the
-    /// donor's routed writes have drained.
-    ///
-    /// External per-shard write paths (the server's coalescers) use it
-    /// to hand the donor's completed retry-dedup entries to the
-    /// recipient: a client whose ack was lost in flight may retry the
-    /// same `(session, seq)` *after* the flip, at which point the
-    /// sub-batch routes to the recipient — without the handover the
-    /// recipient would apply it a second time. Replaces any previously
-    /// installed hook.
-    pub fn set_migration_hook(&self, hook: impl Fn(u32, u32) + Send + Sync + 'static) {
-        *self.inner.migration_hook.0.write() = Some(Box::new(hook));
-    }
-
     /// Move every object whose routing key falls in `[lo, hi)` from its
     /// current owner to shard `to`, then re-point the routing map.
     ///
@@ -907,7 +871,8 @@ impl ShardedBur {
     /// With a manifest attached the move is all-or-nothing across
     /// crashes: an interrupted copy rolls back on reopen, an
     /// interrupted cleanup rolls forward, and in neither case is an
-    /// acked write lost.
+    /// acked write lost. Only objects move: no per-client write state
+    /// lives in a shard, so there is nothing else to hand over.
     pub fn migrate_range(&self, lo: u64, hi: u64, to: u32) -> ShardResult<MigrationReport> {
         let shard_count = self.inner.shards.len() as u32;
         if to >= shard_count {
@@ -968,14 +933,6 @@ impl ShardedBur {
             let entries = self.collect_range_entries(from, lo, hi)?;
             let moved = entries.len() as u64;
             self.apply_chunked(to, &entries, true)?;
-
-            // Hand over external per-shard retry-dedup state while the
-            // range is still write-frozen: once the flip below lands, a
-            // retried `(session, seq)` routes to the recipient and must
-            // find its original ack there.
-            if let Some(hook) = self.inner.migration_hook.0.read().as_ref() {
-                hook(from, to);
-            }
 
             // Phase C — flip ownership; persisting the commit record is
             // THE commit point of the whole migration.

@@ -12,9 +12,9 @@
 //!   dedup table — observable as `dedup_hits` in stats — instead of
 //!   applying twice.
 //! - **Exactly-once across migrations.** A retry that crosses a
-//!   completed `migrate_range` re-routes to the recipient shard and
-//!   still replays the original ack: the donor's dedup entries move
-//!   with the range at the ownership flip.
+//!   completed `migrate_range` replays the write's own original ack
+//!   from the sharded index's one dedup ledger, however its ops
+//!   re-route.
 //! - **Deadlines.** An expired request gets an `expired` error frame
 //!   and the connection stays usable; a black-holed server cannot hang
 //!   a client thread.
@@ -236,10 +236,9 @@ fn retried_apply_over_killed_connection_returns_original_ack() {
 /// The retry-across-migration hole, deterministically: an apply lands
 /// on shard 0, its ack is "eaten", and before the retry arrives a
 /// range migration re-homes the whole batch onto shard 1. The retry
-/// re-routes under the flipped map and reaches a coalescer that never
-/// saw the original `(session, seq)` — the migration hook must have
-/// handed shard 0's dedup entry over, so the retry replays the
-/// original ack instead of re-applying (which would double-insert, or
+/// re-routes under the flipped map to a shard that never saw the
+/// write, and must still replay the original ack from the index's
+/// dedup ledger instead of re-applying (which would double-insert, or
 /// fail an already-acked batch on the duplicate-oid check).
 #[test]
 fn retry_across_migration_replays_original_ack_without_reapplying() {
@@ -258,20 +257,19 @@ fn retry_across_migration_replays_original_ack_without_reapplying() {
             rect: Rect::from_point(Point::new(0.001 + i as f32 * 1e-4, 0.002)),
         })
         .collect();
+    let route = |ops: &[Op]| {
+        let routed = entry.sharded.route_for_write(ops).expect("route");
+        assert_eq!(routed.parts().len(), 1, "one shard");
+        routed.parts()[0].0
+    };
 
-    // The original attempt, exactly as the server applies it: route,
-    // then funnel each part through its shard's coalescer under the
-    // client's unchanged (session, seq).
-    let routed = entry.sharded.route_for_write(&ops).expect("route");
-    assert_eq!(routed.parts().len(), 1, "one donor shard");
-    let (donor, sub) = &routed.parts()[0];
-    let donor = *donor;
-    let original = entry.coalescers[donor as usize]
-        .apply_session(0xfeed, 9, sub.clone(), None)
+    // The original attempt, through the sharded write path under the
+    // client's (session, seq).
+    let donor = route(&ops);
+    let original = entry
+        .apply_session(0xfeed, 9, &ops, None)
         .expect("original apply");
     assert_eq!(original.applied, 25);
-    // Release the writer registration so the migration can drain it.
-    drop(routed);
 
     // The ack never reached the client; before the retry shows up, a
     // rebalance moves the low quarter of the key space away.
@@ -282,26 +280,119 @@ fn retry_across_migration_replays_original_ack_without_reapplying() {
         .expect("migrate");
     assert_eq!(report.moved, 25, "the whole batch moved");
 
-    // The retry re-routes under the flipped map: same (session, seq),
+    // The retry routes under the flipped map: same (session, seq),
     // different shard.
-    let routed = entry.sharded.route_for_write(&ops).expect("re-route");
-    assert_eq!(routed.parts().len(), 1);
-    let (recipient, sub) = &routed.parts()[0];
-    assert_ne!(*recipient, donor, "ownership flipped");
-    let before = entry.coalescers[*recipient as usize].stats();
-    let replay = entry.coalescers[*recipient as usize]
-        .apply_session(0xfeed, 9, sub.clone(), None)
+    let recipient = route(&ops);
+    assert_ne!(recipient, donor, "ownership flipped");
+    let before = entry.coalescers[recipient as usize].stats();
+    let hits = entry.dedup_hits();
+    let replay = entry
+        .apply_session(0xfeed, 9, &ops, None)
         .expect("the retry must replay, not re-apply");
     assert_eq!(replay.lsn, original.lsn, "the original ack came back");
     assert_eq!(replay.applied, original.applied);
-    let after = entry.coalescers[*recipient as usize].stats();
-    assert_eq!(after.dedup_hits, before.dedup_hits + 1);
+    assert_eq!(entry.dedup_hits(), hits + 1);
     assert_eq!(
-        after.submissions, before.submissions,
+        entry.coalescers[recipient as usize].stats().submissions,
+        before.submissions,
         "the retry must not resubmit on the recipient"
     );
     assert_eq!(entry.sharded.len(), 25, "applied exactly once");
     reg.shutdown();
+}
+
+/// A retry across a migration acks the write's own count, over the
+/// wire: one raw `Apply` frame with a fixed `(session, seq)`, then a
+/// migration of the low sixteenth of the key space, then the identical
+/// frame again. Half of the write's ten inserts sit in the moving
+/// range; the other half stay on the donor in one case and sit on the
+/// recipient in the other. The retry must replay the original ack (all
+/// ten ops, same LSN) and apply nothing, and no shard coalescer may
+/// hold a session. Shard-local dedup tables would replay one part's
+/// ack per shard: 10 + 10 = 20 in the first case, the recipient's 5 in
+/// the second.
+#[test]
+fn a_retry_across_a_migration_acks_the_whole_write_once() {
+    for others_on_recipient in [false, true] {
+        let dir = TempDir::new("chaos-migrate-whole-ack");
+        let handle = start(ServerConfig::new(dir.file("data"))).expect("server starts");
+        let mut admin = BurClient::connect(handle.addr()).expect("admin connects");
+        admin
+            .create_sharded_index("idx", "gbu", false, 2)
+            .expect("create");
+        let entry = handle.registry().get("idx").expect("entry");
+        let entry = entry.as_sharded().expect("sharded").clone();
+        let bur = &entry.sharded;
+        let moving = (1u64 << (2 * bur.order())) / 16;
+        let donor = bur.route_point(Point::new(0.0, 0.0));
+        let recipient = 1 - donor;
+
+        let grid = (0..32u8).flat_map(|i| {
+            (0..32u8)
+                .map(move |j| Point::new((f32::from(i) + 0.5) / 32.0, (f32::from(j) + 0.5) / 32.0))
+        });
+        let moved = grid.clone().filter(|p| bur.key_of(*p) < moving).take(5);
+        let others = grid
+            .filter(|p| {
+                let owner = bur.route_point(*p);
+                if others_on_recipient {
+                    owner == recipient
+                } else {
+                    owner == donor && bur.key_of(*p) >= moving
+                }
+            })
+            .take(5);
+        let ops: Vec<Op> = (0..)
+            .zip(moved.chain(others))
+            .map(|(oid, p)| Op::Insert {
+                oid,
+                rect: Rect::from_point(p),
+            })
+            .collect();
+        assert_eq!(ops.len(), 10);
+
+        let request = bur::serve::Request::Apply {
+            index: "idx".into(),
+            session: 0x5e55,
+            seq: 1,
+            ops,
+        };
+        let mut frame = Vec::new();
+        wire::write_frame(&mut frame, 1, request.opcode(), &request.encode_payload());
+        let mut raw = TcpStream::connect(handle.addr()).expect("raw connect");
+        let mut send = || {
+            raw.write_all(&frame).expect("write apply");
+            let reply = wire::read_frame(&mut raw).expect("read").expect("frame");
+            Response::decode(reply.opcode, &reply.payload).expect("decode")
+        };
+
+        let original = send();
+        assert!(
+            matches!(original, Response::Ack { applied: 10, .. }),
+            "{original:?}"
+        );
+        bur.migrate_range(0, moving, recipient).expect("migrate");
+        let retry = send();
+        assert_eq!(
+            retry, original,
+            "others on recipient: {others_on_recipient}: the retry acks the write's own count"
+        );
+        assert_eq!(admin.len("idx").expect("len"), 10, "applied exactly once");
+        assert_eq!(entry.dedup_hits(), 1);
+        for c in &entry.coalescers {
+            assert_eq!(c.stats().dedup_sessions, 0, "shards see no sessions");
+        }
+        // The ledger's hit is counted once, under the index's labels.
+        let text = admin.stats("idx").expect("stats");
+        assert!(text.contains("bur_dedup_hits{index=\"idx\"} 1"), "{text}");
+        assert!(
+            text.contains("bur_dedup_sessions{index=\"idx\"} 1"),
+            "{text}"
+        );
+        let metrics = admin.metrics().expect("metrics");
+        assert!(metrics.contains("burd_dedup_hits 1"), "{metrics}");
+        handle.shutdown();
+    }
 }
 
 /// The randomized version: `CHAOS_MIGRATE_PLANS` (default 200) seeded
@@ -400,10 +491,10 @@ fn migration_crossing_retries_lose_nothing_and_apply_once() {
     if plans >= 20 {
         assert!(total_faults > 0, "the proxy never injected a fault");
         assert!(total_retries > 0, "no client ever retried");
-        let dedup_hits: u64 = entry.coalescers.iter().map(|c| c.stats().dedup_hits).sum();
+        let dedup_hits = entry.dedup_hits();
         assert!(
             dedup_hits >= 1,
-            "no retry was ever answered from a dedup table \
+            "no retry was ever answered from the dedup ledger \
              ({total_retries} retries, {total_faults} faults)"
         );
     }
@@ -558,10 +649,9 @@ fn zero_queue_limit_sheds_writes_with_overloaded() {
 }
 
 /// A sharded write whose later part exceeds its shard's write-queue
-/// limit is shed whole, before any part applies. Once a part has
-/// applied the rest are resubmitted until they fit, so a part that can
-/// never fit must not start the write: the connection would spin and
-/// hold off every later migration's dedup handover.
+/// limit is shed whole, before any part applies: a write is admitted
+/// once, as a whole, so `overloaded` keeps meaning "no side effects".
+/// Nothing is left holding up a later migration.
 #[test]
 fn an_oversized_later_part_sheds_the_whole_write() {
     let dir = TempDir::new("chaos-oversized-part");
@@ -594,7 +684,7 @@ fn an_oversized_later_part_sheds_the_whole_write() {
     }
     assert_eq!(c.len("idx").expect("len"), 0, "no part applied");
 
-    // Nothing holds the handover: a migration completes.
+    // Nothing holds up a migration: it completes.
     let (done_tx, done_rx) = std::sync::mpsc::channel();
     let sharded = entry.sharded.clone();
     let from = sharded.route_point(near);
