@@ -380,11 +380,9 @@ mod tests {
             .log_disk(log.clone())
             .build_index()
             .unwrap();
-        assert!(
-            bur_wal::scan(log.as_ref(), crate::LOG_DISK_ANCHOR)
-                .unwrap()
-                .valid
-        );
+        assert!(bur_wal::scan(log.as_ref(), crate::LOG_DISK_ANCHOR)
+            .unwrap()
+            .is_some());
         for oid in 0..50u64 {
             index
                 .insert(oid, Point::new(oid as f32 / 50.0, 0.5))

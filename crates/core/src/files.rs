@@ -13,7 +13,7 @@ use crate::index::{redo_log, RTreeIndex, RecoveryReport};
 use crate::meta::{read_meta_chain, MetaSnapshot, LOG_DISK_ANCHOR};
 use crate::tree::WalHandle;
 use bur_storage::{BufferPool, DiskBackend, FileDisk, PageId, PoolConfig, INVALID_PAGE};
-use bur_wal::{ScanResult, Wal, WalRecord};
+use bur_wal::{Wal, WalRecord};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -69,7 +69,9 @@ impl IndexFiles {
             // commit record) is the authority: the sidecar, or else a log
             // chained inside the file.
             None if sidecar_path.exists() => true,
-            None if in_file_chain(data.as_ref()).is_some() => return Err(in_file_log(path)),
+            None if bur_wal::scan(data.as_ref(), LEGACY_LOG_ANCHOR)?.is_some() => {
+                return Err(in_file_log(path))
+            }
             None => false,
         };
         let sidecar = if durable {
@@ -92,23 +94,14 @@ impl IndexFiles {
 /// from: page 1 of the data file, right after the metadata page.
 const LEGACY_LOG_ANCHOR: PageId = 1;
 
-/// The log chained inside `data` by a file written before the log moved
-/// out, when one is there.
-fn in_file_chain(data: &dyn DiskBackend) -> Option<ScanResult> {
-    bur_wal::scan(data, LEGACY_LOG_ANCHOR)
-        .ok()
-        .filter(|s| s.valid)
-}
-
 /// Whether `log` holds a commit or checkpoint that recovery can start
-/// from.
-fn holds_recovery_point(log: &dyn DiskBackend) -> bool {
-    bur_wal::scan(log, LOG_DISK_ANCHOR).is_ok_and(|s| {
-        s.valid
-            && s.records
-                .iter()
-                .any(|(_, r)| matches!(r, WalRecord::Commit { .. } | WalRecord::Checkpoint { .. }))
-    })
+/// from. A page of it that cannot be read is an error.
+fn holds_recovery_point(log: &dyn DiskBackend) -> CoreResult<bool> {
+    Ok(bur_wal::scan(log, LOG_DISK_ANCHOR)?.is_some_and(|s| {
+        s.records
+            .iter()
+            .any(|(_, r)| matches!(r, WalRecord::Commit { .. } | WalRecord::Checkpoint { .. }))
+    }))
 }
 
 /// The refusal of an index file whose log is chained inside it.
@@ -134,7 +127,10 @@ fn in_file_log(path: &Path) -> CoreError {
 pub fn upgrade(path: &Path, opts: IndexOptions) -> CoreResult<(RTreeIndex, RecoveryReport)> {
     let sidecar = log_path(path);
     let data = open_file(path, opts.page_size)?;
-    let recovers = open_file(&sidecar, opts.page_size).is_ok_and(|l| holds_recovery_point(&*l));
+    let recovers = match open_file(&sidecar, opts.page_size) {
+        Ok(log) => holds_recovery_point(log.as_ref())?,
+        Err(_) => false,
+    };
     upgrade_on(data, recovers, opts, || {
         // Truncates whatever an interrupted upgrade left there: page 0
         // still names the old log, so nothing in the sidecar is live.
@@ -167,7 +163,9 @@ fn upgrade_on(
     ));
     let stored = stored_snapshot(&pool);
     let old_layout = stored.as_ref().map_or(!log_recovers, |((_, old), _)| *old);
-    let scanned = in_file_chain(data.as_ref())
+    // A page of the old log that cannot be read fails the upgrade here,
+    // before the sidecar is created or page 0 rewritten.
+    let scanned = bur_wal::scan(data.as_ref(), LEGACY_LOG_ANCHOR)?
         .filter(|_| old_layout)
         .ok_or_else(|| {
             CoreError::BadConfig(
@@ -259,7 +257,7 @@ mod tests {
                 let probe = BufferPool::new(data.clone(), PoolConfig::default());
                 let old = match stored_snapshot(&probe) {
                     Some(((_, old), _)) => old,
-                    None => !holds_recovery_point(log.as_ref()),
+                    None => !holds_recovery_point(log.as_ref()).unwrap(),
                 };
                 let index = if old {
                     upgrade_on(data, false, opts, fresh).unwrap().0
@@ -294,5 +292,44 @@ mod tests {
         let (index, report) = upgrade_on(data, false, opts, log).unwrap();
         assert!(report.committed_ops > 0);
         assert_acked(&index);
+    }
+
+    /// A page of the old log that cannot be read fails the upgrade before
+    /// it writes anything: no sidecar, page 0 as it was. Redoing the
+    /// readable prefix would drop the moves logged behind the page.
+    #[test]
+    fn an_unreadable_old_log_page_fails_the_upgrade_unchanged() {
+        let opts = IndexOptions::durable();
+        let ps = opts.page_size;
+        let data = fixture_disk(ps, false);
+        let pages = bur_wal::scan(data.as_ref(), LEGACY_LOG_ANCHOR)
+            .unwrap()
+            .expect("the fixture keeps its log inside")
+            .pages;
+        assert!(pages.len() > 2, "chain: {pages:?}");
+        let mut page_0 = vec![0u8; ps];
+        data.read(0, &mut page_0).unwrap();
+        let faulty = Arc::new(FaultyDisk::new(data.clone()));
+        faulty.fail_page(FaultKind::Read, pages[pages.len() / 2]);
+        let mut created = false;
+        let upgraded = upgrade_on(faulty.clone(), false, opts, || {
+            created = true;
+            Ok(Arc::new(MemDisk::new(ps)) as Arc<dyn DiskBackend>)
+        });
+        assert!(
+            matches!(upgraded, Err(CoreError::Storage(_))),
+            "{:?}",
+            upgraded.map(|_| ())
+        );
+        assert!(!created, "no sidecar log was created");
+        let mut now = vec![0u8; ps];
+        data.read(0, &mut now).unwrap();
+        assert_eq!(now, page_0, "page 0 is unchanged");
+        faulty.clear_faults();
+        assert_acked(
+            &upgrade_on(faulty, false, opts, || Ok(Arc::new(MemDisk::new(ps)) as _))
+                .unwrap()
+                .0,
+        );
     }
 }

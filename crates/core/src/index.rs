@@ -383,13 +383,16 @@ impl RTreeIndex {
         // Best effort: a torn page 0 says nothing, and then the log is
         // the authority.
         let stored = stored_snapshot(&pool);
-        let (wal, scanned) = Wal::reopen(log_disk_of(log_disk, &opts)?, LOG_DISK_ANCHOR)?;
-        if !scanned.valid {
+        // A log page that cannot be read fails here, before anything is
+        // written: redoing the prefix in front of it would drop every
+        // commit behind it, and the checkpoint would make that final.
+        let Some((wal, scanned)) = Wal::reopen(log_disk_of(log_disk, &opts)?, LOG_DISK_ANCHOR)?
+        else {
             return Err(CoreError::LogMissing(
                 "the log disk holds no write-ahead log (index not created with Durability::Wal?)"
                     .into(),
             ));
-        }
+        };
         let (snap, report) = redo_log(&pool, &scanned)?;
         // The on-disk metadata chain (from the last completed checkpoint)
         // is superseded the moment we re-checkpoint; hand its continuation

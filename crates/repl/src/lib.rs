@@ -726,7 +726,9 @@ mod tests {
                 .unwrap()
         };
         let before = leaf_bytes();
-        let scanned = bur_wal::scan(log.as_ref(), LOG_DISK_ANCHOR).unwrap();
+        let scanned = bur_wal::scan(log.as_ref(), LOG_DISK_ANCHOR)
+            .unwrap()
+            .expect("the primary keeps a log");
         let meta = scanned
             .records
             .iter()

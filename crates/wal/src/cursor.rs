@@ -1,8 +1,16 @@
-//! Incremental log tailing for replication.
+//! Reading a log chain. [`scan`] reads a whole chain once, for recovery,
+//! `upgrade` and tooling; a [`LogCursor`] tails a live one for
+//! replication. Both walk the chain through one function, so they agree
+//! on where a log ends.
 //!
-//! A [`LogCursor`] follows a live log chain the way [`crate::scan`] reads
-//! a dead one: page by page from the anchor, CRC-framed record by record
-//! — but it *remembers where it stopped*. Each [`LogCursor::poll`]
+//! Only a crash's footprints end a log, as a torn tail: a next page past
+//! the disk's end, a page without the log magic or from another
+//! generation, a `used` count larger than a page holds, a chain that
+//! loops back on itself, and a torn or stale record frame. A page that
+//! cannot be read is none of these: it is an error, so a dying disk is
+//! never mistaken for the end of the log.
+//!
+//! A cursor *remembers where it stopped*. Each [`LogCursor::poll`]
 //! resumes at the first unconsumed record boundary (pages before it are
 //! never re-read once full), returns only records newer than the last
 //! LSN handed out, and stops at the first incomplete or torn frame, so a
@@ -27,6 +35,36 @@
 use crate::log::{parse_frame, FrameStep, HDR, WAL_PAGE_MAGIC};
 use crate::WalRecord;
 use bur_storage::{DiskBackend, Lsn, PageId, StorageResult, INVALID_PAGE};
+
+/// What [`scan`] found in a log chain.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ScanResult {
+    /// Generation of the scanned chain.
+    pub generation: u32,
+    /// Surviving records in LSN order.
+    pub records: Vec<(Lsn, WalRecord)>,
+    /// Pages of the chain, anchor first.
+    pub pages: Vec<PageId>,
+    /// `true` when the stream ended in a crash's footprint (see the
+    /// module docs) rather than cleanly.
+    pub torn_tail: bool,
+    /// Total record-stream bytes seen (including any torn tail).
+    pub stream_bytes: usize,
+}
+
+/// Read the log chain headed at `anchor` and parse every surviving
+/// record. Read-only: used by recovery, `upgrade` and `burctl wal-stats`.
+///
+/// `Ok(None)` when `anchor` holds no log (out of bounds, or not a log
+/// page). A page of the chain that cannot be read is an error, never a
+/// torn tail: recovery must not start from a log cut short by the disk.
+pub fn scan(disk: &dyn DiskBackend, anchor: PageId) -> StorageResult<Option<ScanResult>> {
+    let mut buf = vec![0u8; disk.page_size()];
+    let Some(generation) = read_log_page(disk, anchor, &mut buf)? else {
+        return Ok(None);
+    };
+    Ok(Some(walk(disk, &mut buf, generation, (anchor, 0), 0)?.0))
+}
 
 /// One increment of log tailing — what [`LogCursor::poll`] found since
 /// the previous poll.
@@ -86,159 +124,159 @@ impl LogCursor {
         (self.generation, self.last_lsn)
     }
 
-    /// The chain's anchor page.
-    #[must_use]
-    pub fn anchor(&self) -> PageId {
-        self.anchor
-    }
-
     /// Read everything appended (and surviving) since the last poll.
     ///
-    /// Errors only on I/O failure or when the anchor is not a log page
-    /// at all (the disk was never durable); torn tails and generation
+    /// Errors on a failed read or when the anchor is not a log page at
+    /// all (the disk was never durable); torn tails and generation
     /// changes are reported in the batch, not as errors.
     pub fn poll(&mut self, disk: &dyn DiskBackend) -> StorageResult<ShipBatch> {
-        let ps = disk.page_size();
-        let cap = ps - HDR;
-        let mut buf = vec![0u8; ps];
-
+        let mut buf = vec![0u8; disk.page_size()];
         // The anchor's generation tag is the ground truth for rewinds: a
         // recycled page keeps its stale bytes until reused, so only the
         // anchor — rewritten by every `checkpoint_rewind` — can say which
         // generation is current. It is read first on every poll.
-        let Some((anchor_gen, _, _)) = read_log_page(disk, self.anchor, &mut buf)? else {
+        let Some(generation) = read_log_page(disk, self.anchor, &mut buf)? else {
             return Err(bur_storage::StorageError::Io(std::io::Error::other(
                 "log cursor: anchor page is not a write-ahead log",
             )));
         };
-        let mut rewound = false;
-        let (start_page, start_off) = if anchor_gen != self.generation {
+        let rewound = generation != self.generation;
+        let start = if rewound {
             // A fresh cursor (generation 0) or a checkpoint rewind since
             // the last poll: restart at the new generation's head.
-            rewound = true;
-            self.generation = anchor_gen;
             (self.anchor, 0)
-        } else if self.resume_page == self.anchor {
-            // `buf` already holds the anchor.
-            (self.anchor, self.resume_off)
+        } else if self.resume_page == self.anchor
+            || read_log_page(disk, self.resume_page, &mut buf)? == Some(generation)
+        {
+            (self.resume_page, self.resume_off)
         } else {
-            match read_log_page(disk, self.resume_page, &mut buf)? {
-                Some((gen, _, _)) if gen == self.generation => (self.resume_page, self.resume_off),
-                // The generation is current at the anchor but the resume
-                // page is unreadable or stale: a crash artifact on the
-                // tail. Report a torn batch; the caller decides whether
-                // to fail over.
-                _ => {
-                    return Ok(ShipBatch {
-                        generation: anchor_gen,
-                        rewound: false,
-                        records: Vec::new(),
-                        torn_tail: true,
-                    });
-                }
-            }
+            // The generation is current at the anchor but the resume page
+            // is gone or stale: a crash artifact on the tail. Report a
+            // torn batch; the caller decides whether to fail over.
+            return Ok(ShipBatch {
+                generation,
+                rewound,
+                records: Vec::new(),
+                torn_tail: true,
+            });
         };
-        let generation = self.generation;
-
-        // Collect the stream from the resume point onward, remembering
-        // where each page's bytes start so consumed offsets map back to
-        // a page position.
-        let mut stream: Vec<u8> = Vec::new();
-        // (pid, stream offset of the page's stream byte 0). Negative for
-        // the first page when the poll resumed mid-page.
-        let mut segments: Vec<(PageId, isize)> = Vec::new();
-        let mut torn_tail = false;
-        let mut pid = start_page;
-        let mut skip = start_off;
-        let mut visited: Vec<PageId> = Vec::new();
-        loop {
-            if visited.contains(&pid) {
-                torn_tail = true;
-                break;
-            }
-            visited.push(pid);
-            let next = u32::from_le_bytes(buf[8..12].try_into().unwrap());
-            let used = u16::from_le_bytes(buf[12..14].try_into().unwrap()) as usize;
-            if used > cap || skip > used {
-                torn_tail = true;
-                break;
-            }
-            segments.push((pid, stream.len() as isize - skip as isize));
-            stream.extend_from_slice(&buf[HDR + skip..HDR + used]);
-            skip = 0;
-            if next == INVALID_PAGE {
-                break;
-            }
-            match read_log_page(disk, next, &mut buf)? {
-                Some((gen, _, _)) if gen == generation => pid = next,
-                // The next page was never (re)written under this
-                // generation — the chain ends here (mid-append race or
-                // crash artifact).
-                _ => {
-                    torn_tail = true;
-                    break;
-                }
-            }
+        // The cursor moves only once the walk succeeded, so a poll that
+        // failed is retried from the same place.
+        let (read, resume) = walk(disk, &mut buf, generation, start, self.last_lsn)?;
+        self.generation = generation;
+        if let Some(&(lsn, _)) = read.records.last() {
+            self.last_lsn = lsn;
         }
-
-        // Parse complete records; stop at the first incomplete frame and
-        // remember its position as the next resume point.
-        let mut records = Vec::new();
-        let mut off = 0usize;
-        let mut prev_lsn = self.last_lsn;
-        let clean_end = loop {
-            match parse_frame(&stream, off, prev_lsn) {
-                FrameStep::Parsed { lsn, rec, next_off } => {
-                    records.push((lsn, rec));
-                    prev_lsn = lsn;
-                    off = next_off;
-                }
-                FrameStep::End => break true,
-                FrameStep::Torn => break false,
-            }
-        };
-        torn_tail |= !clean_end;
-        self.last_lsn = prev_lsn;
-
-        // Map the consumed boundary back to (page, in-page offset): the
-        // segment bases ascend, so the owning page is the last one whose
-        // base lies at or before `off`. The first base is `-start_off`
-        // (≤ 0), so a match always exists.
-        let offi = off as isize;
-        if let Some(&(rpid, base)) = segments.iter().rev().find(|&&(_, base)| base <= offi) {
-            self.resume_page = rpid;
-            self.resume_off = (offi - base) as usize;
-        }
+        (self.resume_page, self.resume_off) = resume;
         Ok(ShipBatch {
             generation,
             rewound,
-            records,
-            torn_tail,
+            records: read.records,
+            torn_tail: read.torn_tail,
         })
     }
 }
 
-/// Read page `pid` and parse its log-page header; `Ok(None)` when the
-/// page is out of bounds (an allocation lost to a crash) or not a log
-/// page. Genuine read failures propagate — a dying disk must not be
-/// mistaken for a quiescent or never-durable log.
+/// Walk the chain of `generation` from `start` — a page, whose image
+/// `buf` already holds, and a byte offset into its stream — and parse
+/// every complete record after `prev_lsn`. The one chain walker: [`scan`]
+/// reads from the anchor, [`LogCursor::poll`] from where it stopped.
+///
+/// Returns what was read, with the pages visited from `start` on, and
+/// where the first unconsumed byte lies. The walk ends at the chain's
+/// last page or at a crash's footprint (see the module docs), which it
+/// reports as a torn tail; a failed read is an error.
+fn walk(
+    disk: &dyn DiskBackend,
+    buf: &mut [u8],
+    generation: u32,
+    start: (PageId, usize),
+    prev_lsn: Lsn,
+) -> StorageResult<(ScanResult, (PageId, usize))> {
+    let cap = disk.page_size() - HDR;
+    let (mut pid, mut skip) = start;
+    let mut stream: Vec<u8> = Vec::new();
+    // (pid, stream offset of the page's stream byte 0). Negative for the
+    // first page when the walk starts mid-page.
+    let mut segments: Vec<(PageId, isize)> = Vec::new();
+    let mut read = ScanResult {
+        generation,
+        records: Vec::new(),
+        pages: Vec::new(),
+        torn_tail: false,
+        stream_bytes: 0,
+    };
+    loop {
+        read.pages.push(pid);
+        let next = u32::from_le_bytes(buf[8..12].try_into().unwrap());
+        let used = u16::from_le_bytes(buf[12..14].try_into().unwrap()) as usize;
+        if used > cap || skip > used {
+            read.torn_tail = true;
+            break;
+        }
+        segments.push((pid, stream.len() as isize - skip as isize));
+        stream.extend_from_slice(&buf[HDR + skip..HDR + used]);
+        skip = 0;
+        if next == INVALID_PAGE {
+            break;
+        }
+        // A pointer back into the chain is stale garbage, and a next
+        // page never (re)written under this generation ends the chain
+        // (an allocation lost to a crash, or a live append racing us).
+        if read.pages.contains(&next) || read_log_page(disk, next, buf)? != Some(generation) {
+            read.torn_tail = true;
+            break;
+        }
+        pid = next;
+    }
+    read.stream_bytes = stream.len();
+
+    let mut off = 0;
+    let mut prev_lsn = prev_lsn;
+    loop {
+        match parse_frame(&stream, off, prev_lsn) {
+            FrameStep::Parsed { lsn, rec, next_off } => {
+                read.records.push((lsn, rec));
+                prev_lsn = lsn;
+                off = next_off;
+            }
+            FrameStep::End => break,
+            FrameStep::Torn => {
+                read.torn_tail = true;
+                break;
+            }
+        }
+    }
+
+    // Map the consumed boundary back to (page, in-page offset): the
+    // segment bases ascend, so the owning page is the last one whose base
+    // lies at or before `off`. Without a segment nothing was consumed.
+    let offi = off as isize;
+    let resume = segments
+        .iter()
+        .rev()
+        .find(|&&(_, base)| base <= offi)
+        .map_or(start, |&(rpid, base)| (rpid, (offi - base) as usize));
+    Ok((read, resume))
+}
+
+/// Read page `pid` into `buf` and return its generation, or `Ok(None)`
+/// when the page is out of bounds (an allocation lost to a crash) or not
+/// a log page. A failed read propagates: a dying disk must not be
+/// mistaken for a torn, quiescent or never-durable log.
 fn read_log_page(
     disk: &dyn DiskBackend,
     pid: PageId,
     buf: &mut [u8],
-) -> StorageResult<Option<(u32, PageId, usize)>> {
+) -> StorageResult<Option<u32>> {
     if pid >= disk.num_pages() {
         return Ok(None);
     }
     disk.read(pid, buf)?;
-    let magic = u32::from_le_bytes(buf[0..4].try_into().unwrap());
-    if magic != WAL_PAGE_MAGIC {
+    if u32::from_le_bytes(buf[0..4].try_into().unwrap()) != WAL_PAGE_MAGIC {
         return Ok(None);
     }
-    let gen = u32::from_le_bytes(buf[4..8].try_into().unwrap());
-    let next = u32::from_le_bytes(buf[8..12].try_into().unwrap());
-    let used = u16::from_le_bytes(buf[12..14].try_into().unwrap()) as usize;
-    Ok(Some((gen, next, used)))
+    Ok(Some(u32::from_le_bytes(buf[4..8].try_into().unwrap())))
 }
 
 #[cfg(test)]
@@ -310,7 +348,7 @@ mod tests {
             wal.commit(vec![round]).unwrap();
             collected.extend(cur.poll(d.as_ref()).unwrap().records);
         }
-        let s = scan(d.as_ref(), wal.anchor()).unwrap();
+        let s = scan(d.as_ref(), wal.anchor()).unwrap().unwrap();
         assert_eq!(collected, s.records, "increments must concatenate to scan");
     }
 
@@ -361,7 +399,7 @@ mod tests {
         wal.append(&image(1, 1, 64)).unwrap();
         wal.append(&image(2, 2, 64)).unwrap();
         wal.sync().unwrap();
-        let pages = scan(d.as_ref(), wal.anchor()).unwrap().pages;
+        let pages = scan(d.as_ref(), wal.anchor()).unwrap().unwrap().pages;
         let tail = *pages.last().unwrap();
         let mut buf = vec![0u8; 256];
         d.read(tail, &mut buf).unwrap();
@@ -410,5 +448,33 @@ mod tests {
             assert_eq!(b.records.len(), 1, "only the fresh checkpoint");
         }
         assert_eq!(commits_seen, 5, "every commit shipped exactly once");
+    }
+
+    /// A chain page that cannot be read ends neither reader's log as a
+    /// torn tail: `scan` and `poll` both fail, and once the page reads
+    /// again both see every record.
+    #[test]
+    fn a_failed_read_is_an_error_not_a_torn_tail() {
+        use bur_storage::{FaultKind, FaultyDisk};
+        let d = Arc::new(FaultyDisk::new(disk(256)));
+        let wal = Wal::create(d.clone()).unwrap();
+        for round in 0..4u8 {
+            wal.append(&image(1, round, 150)).unwrap();
+            wal.commit(vec![round]).unwrap();
+        }
+        let full = scan(d.as_ref(), wal.anchor()).unwrap().unwrap();
+        assert!(full.pages.len() >= 3, "chain: {:?}", full.pages);
+        d.fail_page(FaultKind::Read, full.pages[full.pages.len() / 2]);
+        assert!(scan(d.as_ref(), wal.anchor()).is_err());
+        let mut cur = LogCursor::new(wal.anchor());
+        assert!(cur.poll(d.as_ref()).is_err());
+        d.clear_faults();
+        assert_eq!(scan(d.as_ref(), wal.anchor()).unwrap().unwrap(), full);
+        let b = cur.poll(d.as_ref()).unwrap();
+        assert!(
+            b.rewound,
+            "a failed first poll leaves the cursor unattached"
+        );
+        assert_eq!(b.records, full.records);
     }
 }

@@ -43,7 +43,14 @@
 //!   full image, so redo never depends on pre-crash disk content. Crash
 //!   recovery and a replication follower redo through the same
 //!   [`redo`], which refuses a run of records whole when any of them is
-//!   malformed.
+//!   malformed;
+//! * **one reader** — [`scan`] and the replication [`LogCursor`] walk a
+//!   chain through one function, so they agree on where a log ends. Only
+//!   a crash's footprints end it, as a torn tail: a next page past the
+//!   disk's end, a page without the log magic or from another
+//!   generation, an oversized `used` count, a chain loop, a torn or stale
+//!   frame. A log page that cannot be read is an error, and recovery,
+//!   `upgrade` and a follower's poll return it before writing anything.
 //!
 //! The protocol is ARIES-style redo-only: the WAL-aware [`BufferPool`]
 //! mode guarantees no page leaves the pool before its image is durable in
@@ -62,7 +69,7 @@
 //! let lsn = wal.commit(b"snapshot".to_vec()).unwrap();
 //! assert_eq!(wal.durable_lsn(), lsn);
 //!
-//! let scan = bur_wal::scan(disk.as_ref(), anchor).unwrap();
+//! let scan = bur_wal::scan(disk.as_ref(), anchor).unwrap().expect("a log");
 //! assert_eq!(scan.records.len(), 2);
 //! assert!(!scan.torn_tail);
 //! ```
@@ -73,8 +80,8 @@ mod cursor;
 mod log;
 
 pub use bur_storage::Lsn;
-pub use cursor::{LogCursor, ShipBatch};
-pub use log::{scan, ScanResult, Wal, WalStatsSnapshot, WAL_PAGE_MAGIC};
+pub use cursor::{scan, LogCursor, ScanResult, ShipBatch};
+pub use log::{delta_payload_len, Wal, WalStatsSnapshot, WAL_PAGE_MAGIC};
 
 use bur_storage::{BufferPool, PageId, StorageError};
 use std::collections::HashMap;

@@ -23,16 +23,16 @@
 //! Within one page the stream is append-only, so a torn rewrite of the
 //! tail page (power cut half-way through the sector) either reproduces
 //! the old bytes exactly or breaks the CRC of the record under the tear —
-//! either way [`scan`] stops at a well-defined prefix and reports
-//! `torn_tail`.
+//! either way [`scan`](crate::scan) stops at a well-defined prefix and
+//! reports `torn_tail`.
 //!
 //! A checkpoint *rewinds* the log: the chain's pages are recycled, the
 //! generation number is bumped, and a fresh stream starts at the anchor
 //! page with a [`WalRecord::Checkpoint`]. Stale pages of older
-//! generations are ignored by [`scan`] (generation mismatch ends the
-//! chain), so the log never grows past one generation of records.
+//! generations are ignored by [`scan`](crate::scan) (generation mismatch
+//! ends the chain), so the log never grows past one generation of records.
 
-use crate::{crc32, crc32_update, DeltaRange, WalRecord};
+use crate::{crc32, crc32_update, scan, DeltaRange, ScanResult, WalRecord};
 use bur_storage::{DiskBackend, Lsn, PageId, StorageResult, INVALID_PAGE};
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -480,11 +480,17 @@ impl Wal {
     }
 
     /// Reopen an existing log for recovery: scans it and returns the
-    /// surviving records. The log is positioned *read-only* — it must be
-    /// rewound with [`Wal::checkpoint_rewind`] (after replaying the
-    /// records and flushing the new base image) before appending again.
-    pub fn reopen(disk: Arc<dyn DiskBackend>, anchor: PageId) -> StorageResult<(Self, ScanResult)> {
-        let scanned = scan(disk.as_ref(), anchor)?;
+    /// surviving records, or `Ok(None)` when `anchor` holds no log. The
+    /// log is positioned *read-only* — it must be rewound with
+    /// [`Wal::checkpoint_rewind`] (after replaying the records and
+    /// flushing the new base image) before appending again.
+    pub fn reopen(
+        disk: Arc<dyn DiskBackend>,
+        anchor: PageId,
+    ) -> StorageResult<Option<(Self, ScanResult)>> {
+        let Some(scanned) = scan(disk.as_ref(), anchor)? else {
+            return Ok(None);
+        };
         let last = scanned.records.last().map_or(0, |&(lsn, _)| lsn);
         let spare = scanned
             .pages
@@ -493,7 +499,7 @@ impl Wal {
             .filter(|&p| p != anchor)
             .collect();
         let wal = Self::new(disk, anchor, scanned.generation, spare, last, true);
-        Ok((wal, scanned))
+        Ok(Some((wal, scanned)))
     }
 
     /// The anchor (first) page of the log chain.
@@ -591,8 +597,7 @@ impl Wal {
             if let Some(track) = inner.tracks.get(&pid) {
                 if track.data.len() == data.len() && track.since_anchor + 1 < ANCHOR_EVERY {
                     diff_ranges(&track.data, data, &mut inner.spans);
-                    let delta_body: usize =
-                        14 + inner.spans.iter().map(|r| 4 + r.len()).sum::<usize>();
+                    let delta_body = delta_payload_len(inner.spans.iter().map(Range::len));
                     // Worth a delta only when it actually beats the full
                     // image (a full rewrite degenerates to one big range).
                     if delta_body < 4 + data.len() {
@@ -693,6 +698,14 @@ impl Wal {
     }
 }
 
+/// Payload bytes of a [`WalRecord::PageDelta`] whose ranges carry
+/// `range_lens` bytes each: page id, base LSN and range count, then each
+/// range's offset, length and bytes. A full image of an `n`-byte page
+/// costs `4 + n`; the difference is what a delta saves.
+pub fn delta_payload_len(range_lens: impl IntoIterator<Item = usize>) -> usize {
+    14 + range_lens.into_iter().map(|n| 4 + n).sum::<usize>()
+}
+
 /// Diff `new` against `old` (equal lengths) into `spans`: the ascending
 /// changed byte ranges, folding gaps shorter than [`DIFF_MERGE_GAP`]
 /// equal bytes into the surrounding ranges.
@@ -728,110 +741,6 @@ fn diff_ranges(old: &[u8], new: &[u8], spans: &mut Vec<Range<usize>>) {
         spans.push(start..end);
         i = end;
     }
-}
-
-/// What [`scan`] found in a log chain.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ScanResult {
-    /// `false` when the anchor page is not a log page at all (no magic):
-    /// every other field is empty/zero then.
-    pub valid: bool,
-    /// Generation of the scanned chain.
-    pub generation: u32,
-    /// Surviving records in LSN order.
-    pub records: Vec<(Lsn, WalRecord)>,
-    /// Pages of the chain, anchor first.
-    pub pages: Vec<PageId>,
-    /// `true` when the stream ended in a torn or stale record (crash
-    /// artifact) rather than cleanly.
-    pub torn_tail: bool,
-    /// Total record-stream bytes seen (including any torn tail).
-    pub stream_bytes: usize,
-}
-
-/// Read a log chain from `anchor` and parse every surviving record.
-/// Read-only: used by recovery and by `burctl wal-stats`.
-pub fn scan(disk: &dyn DiskBackend, anchor: PageId) -> StorageResult<ScanResult> {
-    let ps = disk.page_size();
-    let cap = ps - HDR;
-    let mut out = ScanResult {
-        valid: false,
-        generation: 0,
-        records: Vec::new(),
-        pages: Vec::new(),
-        torn_tail: false,
-        stream_bytes: 0,
-    };
-    if anchor >= disk.num_pages() {
-        return Ok(out);
-    }
-    let mut buf = vec![0u8; ps];
-    disk.read(anchor, &mut buf)?;
-    let magic = u32::from_le_bytes(buf[0..4].try_into().unwrap());
-    if magic != WAL_PAGE_MAGIC {
-        return Ok(out);
-    }
-    out.valid = true;
-    out.generation = u32::from_le_bytes(buf[4..8].try_into().unwrap());
-
-    // Collect the stream across the chain.
-    let mut stream = Vec::new();
-    let mut pid = anchor;
-    loop {
-        out.pages.push(pid);
-        let next = u32::from_le_bytes(buf[8..12].try_into().unwrap());
-        let used = u16::from_le_bytes(buf[12..14].try_into().unwrap()) as usize;
-        if used > cap {
-            out.torn_tail = true;
-            break;
-        }
-        stream.extend_from_slice(&buf[HDR..HDR + used]);
-        if next == INVALID_PAGE {
-            break;
-        }
-        if next >= disk.num_pages() || out.pages.contains(&next) {
-            // The pointer outruns the disk (allocation lost to the crash)
-            // or loops (stale garbage): stop at what we have.
-            out.torn_tail = true;
-            break;
-        }
-        if disk.read(next, &mut buf).is_err() {
-            out.torn_tail = true;
-            break;
-        }
-        let magic = u32::from_le_bytes(buf[0..4].try_into().unwrap());
-        let gen = u32::from_le_bytes(buf[4..8].try_into().unwrap());
-        if magic != WAL_PAGE_MAGIC || gen != out.generation {
-            // The next page was never (re)written under this generation:
-            // the chain ends here.
-            out.torn_tail = true;
-            break;
-        }
-        pid = next;
-    }
-    out.stream_bytes = stream.len();
-
-    // Parse records until the stream ends or breaks.
-    let mut off = 0;
-    let mut prev_lsn = 0;
-    loop {
-        match parse_frame(&stream, off, prev_lsn) {
-            FrameStep::Parsed { lsn, rec, next_off } => {
-                out.records.push((lsn, rec));
-                prev_lsn = lsn;
-                off = next_off;
-            }
-            FrameStep::End => break,
-            FrameStep::Torn => {
-                out.torn_tail = true;
-                break;
-            }
-        }
-    }
-    if off < stream.len() && !out.torn_tail {
-        out.torn_tail = true;
-    }
-    Ok(out)
 }
 
 /// Outcome of parsing one record frame from a stream position.
@@ -971,8 +880,7 @@ mod tests {
         assert!(l1 < l2 && l2 < l3);
         assert_eq!(wal.durable_lsn(), l3);
 
-        let s = scan(d.as_ref(), wal.anchor()).unwrap();
-        assert!(s.valid);
+        let s = scan(d.as_ref(), wal.anchor()).unwrap().expect("a log");
         assert!(!s.torn_tail);
         assert_eq!(s.generation, 1);
         assert_eq!(s.records.len(), 3);
@@ -1002,7 +910,7 @@ mod tests {
         };
         wal.append(&rec).unwrap();
         wal.sync().unwrap();
-        let s = scan(d.as_ref(), wal.anchor()).unwrap();
+        let s = scan(d.as_ref(), wal.anchor()).unwrap().unwrap();
         assert_eq!(s.records.len(), 1);
         assert_eq!(s.records[0].1, rec);
         assert!(!s.torn_tail);
@@ -1017,7 +925,7 @@ mod tests {
         // Appended but never synced: lives only in the tail buffer.
         wal.append(&image(2, 2, 64)).unwrap();
         drop(wal); // crash
-        let s = scan(d.as_ref(), 0).unwrap();
+        let s = scan(d.as_ref(), 0).unwrap().unwrap();
         assert_eq!(s.records.len(), 1, "only the synced record survives");
         assert!(!s.torn_tail, "a clean prefix is not a torn tail");
     }
@@ -1030,7 +938,7 @@ mod tests {
         wal.append(&image(2, 2, 64)).unwrap();
         wal.sync().unwrap();
         let anchor = wal.anchor();
-        let pages = scan(d.as_ref(), anchor).unwrap().pages;
+        let pages = scan(d.as_ref(), anchor).unwrap().unwrap().pages;
         // Corrupt the last bytes of the stream on the tail page.
         let tail = *pages.last().unwrap();
         let mut buf = vec![0u8; 256];
@@ -1041,7 +949,7 @@ mod tests {
         }
         d.write(tail, &buf).unwrap();
 
-        let s = scan(d.as_ref(), anchor).unwrap();
+        let s = scan(d.as_ref(), anchor).unwrap().unwrap();
         assert!(s.torn_tail);
         assert_eq!(s.records.len(), 1, "the intact prefix survives");
         assert_eq!(s.records[0].1, image(1, 1, 64));
@@ -1069,7 +977,7 @@ mod tests {
             d.num_pages(),
             after_one_round
         );
-        let s = scan(d.as_ref(), wal.anchor()).unwrap();
+        let s = scan(d.as_ref(), wal.anchor()).unwrap().unwrap();
         assert_eq!(s.generation, 6);
         assert_eq!(s.records.len(), 1, "rewind discards earlier generations");
         assert_eq!(s.records[0].1, WalRecord::Checkpoint { meta: vec![4, 4] });
@@ -1090,7 +998,7 @@ mod tests {
             assert!(wal.append(&image(2, 2, 200)).is_err(), "write {nth}");
             let l3 = wal.append(&image(3, 3, 200)).unwrap();
             let l4 = wal.commit(b"m".to_vec()).unwrap();
-            let s = scan(d.as_ref(), wal.anchor()).unwrap();
+            let s = scan(d.as_ref(), wal.anchor()).unwrap().unwrap();
             assert!(!s.torn_tail, "write {nth}: {s:?}");
             let lsns: Vec<Lsn> = s.records.iter().map(|&(lsn, _)| lsn).collect();
             assert_eq!(lsns, [l1, l3, l4], "write {nth}");
@@ -1109,14 +1017,13 @@ mod tests {
             wal.append(&image(5, 5, 100)).unwrap();
             wal.commit(b"m".to_vec()).unwrap();
         }
-        let (wal, s) = Wal::reopen(d.clone(), anchor).unwrap();
-        assert!(s.valid);
+        let (wal, s) = Wal::reopen(d.clone(), anchor).unwrap().expect("a log");
         assert_eq!(s.records.len(), 2);
         assert!(wal.append(&image(1, 1, 8)).is_err(), "append before rewind");
         wal.checkpoint_rewind(b"base".to_vec()).unwrap();
         wal.append(&image(1, 1, 8)).unwrap();
         wal.commit(b"m2".to_vec()).unwrap();
-        let s = scan(d.as_ref(), anchor).unwrap();
+        let s = scan(d.as_ref(), anchor).unwrap().unwrap();
         assert_eq!(s.records.len(), 3, "checkpoint + image + commit");
         assert!(matches!(s.records[0].1, WalRecord::Checkpoint { .. }));
         // LSNs continued past the pre-crash log.
@@ -1127,11 +1034,9 @@ mod tests {
     fn reopen_of_garbage_is_invalid_not_fatal() {
         let d = disk(256);
         d.allocate().unwrap(); // a zeroed page is not a log
-        let s = scan(d.as_ref(), 0).unwrap();
-        assert!(!s.valid);
-        assert!(s.records.is_empty());
-        let s = scan(d.as_ref(), 7).unwrap(); // out of bounds
-        assert!(!s.valid);
+        assert_eq!(scan(d.as_ref(), 0).unwrap(), None);
+        assert_eq!(scan(d.as_ref(), 7).unwrap(), None, "out of bounds");
+        assert!(Wal::reopen(d, 0).unwrap().is_none());
     }
 
     #[test]
@@ -1169,7 +1074,7 @@ mod tests {
             stats.delta_saved_bytes
         );
 
-        let s = scan(d.as_ref(), wal.anchor()).unwrap();
+        let s = scan(d.as_ref(), wal.anchor()).unwrap().unwrap();
         assert_eq!(s.records.len(), 2);
         let (lsn1, WalRecord::PageImage { pid: 7, data }) = &s.records[0] else {
             panic!("first record must be a full image: {:?}", s.records[0]);
@@ -1209,7 +1114,7 @@ mod tests {
         assert_eq!(stats.images, 3, "{stats}");
         assert_eq!(stats.deltas, 3 * u64::from(ANCHOR_EVERY - 1), "{stats}");
         // Replay the mixed chain and compare against the final state.
-        let s = scan(d.as_ref(), wal.anchor()).unwrap();
+        let s = scan(d.as_ref(), wal.anchor()).unwrap().unwrap();
         let mut replayed = vec![0u8; 512];
         for (_, rec) in &s.records {
             match rec {
@@ -1249,7 +1154,7 @@ mod tests {
         page[3] = 2;
         wal.append_page(4, &page).unwrap();
         wal.commit(vec![3]).unwrap();
-        let s = scan(d.as_ref(), wal.anchor()).unwrap();
+        let s = scan(d.as_ref(), wal.anchor()).unwrap().unwrap();
         assert!(
             matches!(s.records[1].1, WalRecord::PageImage { .. }),
             "post-rewind image must be full: {:?}",

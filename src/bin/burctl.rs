@@ -66,7 +66,7 @@ use bur::core::{
 use bur::geom::{Point, Rect};
 use bur::repl::{Follower, LogShipper};
 use bur::storage::{DiskBackend, FileDisk};
-use bur::wal::WalRecord;
+use bur::wal::{delta_payload_len, WalRecord};
 use bur::workload::{Workload, WorkloadConfig};
 use std::io::BufRead;
 use std::process::ExitCode;
@@ -605,10 +605,9 @@ fn cmd_wal_stats(path: &str) -> Result<(), String> {
     let page_size = opts.page_size as u64;
     let no_log = "no write-ahead log in this file (built without --durable?)";
     let log = files.sidecar.ok_or(no_log)?;
-    let scan = bur::wal::scan(log.as_ref(), LOG_DISK_ANCHOR).map_err(|e| format!("scan: {e}"))?;
-    if !scan.valid {
-        return Err(no_log.into());
-    }
+    let scan = bur::wal::scan(log.as_ref(), LOG_DISK_ANCHOR)
+        .map_err(|e| format!("scan: {e}"))?
+        .ok_or(no_log)?;
     let (mut images, mut deltas, mut commits, mut checkpoints) = (0u64, 0u64, 0u64, 0u64);
     let (mut delta_bytes, mut delta_saved) = (0u64, 0u64);
     for (_, rec) in &scan.records {
@@ -616,12 +615,10 @@ fn cmd_wal_stats(path: &str) -> Result<(), String> {
             WalRecord::PageImage { .. } => images += 1,
             WalRecord::PageDelta { ranges, .. } => {
                 deltas += 1;
-                // Wire size of the delta payload (pid + base_lsn + count
-                // + ranges) versus the full image it replaced (pid + page
-                // bytes) — the same accounting as `Wal`'s
-                // `delta_saved_bytes` counter, so the two tools agree.
-                let payload: u64 =
-                    14 + ranges.iter().map(|r| 4 + r.bytes.len() as u64).sum::<u64>();
+                // Payload of the delta versus the full image it replaced
+                // (pid + page bytes), by the formula `Wal`'s
+                // `delta_saved_bytes` counter uses, so the two tools agree.
+                let payload = delta_payload_len(ranges.iter().map(|r| r.bytes.len())) as u64;
                 delta_bytes += payload;
                 delta_saved += (4 + page_size).saturating_sub(payload);
             }

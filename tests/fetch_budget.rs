@@ -915,7 +915,9 @@ fn pages_a_failed_commit_left_touched_are_logged_by_the_next() {
     index.apply_batch(&batch).unwrap();
     assert!(index.pool().touched_pages().is_empty());
     assert_eq!(index.pool().pinned_frames(), 0);
-    let scanned = bur::wal::scan(log_platter.as_ref(), bur::core::LOG_DISK_ANCHOR).unwrap();
+    let scanned = bur::wal::scan(log_platter.as_ref(), bur::core::LOG_DISK_ANCHOR)
+        .unwrap()
+        .expect("the index keeps a log");
     let logged: Vec<u32> = scanned
         .records
         .iter()
