@@ -136,14 +136,16 @@ pub enum Durability {
 pub struct WalOptions {
     /// Take a fuzzy checkpoint (flush the pool, rewind the log) every
     /// this many committed operations. Bounds both recovery replay time
-    /// and the log's page footprint. Must be at least 1.
+    /// and the log's page footprint; the log's memory does not grow with
+    /// it (deltas are diffed against the buffer pool's pre-images, not
+    /// against copies the log keeps). Default 4 096. Must be at least 1.
     pub checkpoint_every: u64,
 }
 
 impl Default for WalOptions {
     fn default() -> Self {
         Self {
-            checkpoint_every: 1024,
+            checkpoint_every: 4096,
         }
     }
 }

@@ -360,12 +360,12 @@ impl RTree {
     }
 
     /// Group-commit `ops` applied operations under one record: an image
-    /// or delta of every page in `pages` (read through its pin — no copy),
-    /// then a commit record carrying the metadata snapshot, and a log
-    /// sync. Returns the LSN covering the ops: the record's, the log's
-    /// last when `ops` is 0 (nothing changed, nothing is logged), 0
-    /// without a WAL. Never checkpoints — callers check
-    /// [`RTree::checkpoint_due`].
+    /// or delta of every page in `pages` (read through its pin, diffed
+    /// against the pool's pre-image of it — no copy), then a commit
+    /// record carrying the metadata snapshot, and a log sync. Returns
+    /// the LSN covering the ops: the record's, the log's last when `ops`
+    /// is 0 (nothing changed, nothing is logged), 0 without a WAL. Never
+    /// checkpoints — callers check [`RTree::checkpoint_due`].
     ///
     /// The one commit function of both write paths, and both feed it the
     /// pins their batch holds: the exclusive engine every page the pool
@@ -408,9 +408,12 @@ impl RTree {
         for page in pages {
             let page = page?;
             let pid = page.borrow().pid();
-            let lsn = handle.wal.append_page(pid, &page.borrow().read())?;
-            drop(page);
-            self.pool.note_page_logged(pid, lsn);
+            let base = self.pool.take_pre_image(pid);
+            // Noted under the latch the record is read through, so no
+            // write lands between the two.
+            let data = page.borrow().read();
+            let lsn = handle.wal.append_page(pid, base.as_ref(), &data)?;
+            self.pool.note_page_logged(&data, lsn);
         }
         let meta = self.meta_snapshot(INVALID_PAGE).encode();
         let lsn = handle.wal.commit(meta)?;

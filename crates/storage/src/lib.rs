@@ -56,7 +56,7 @@ mod stats;
 pub use disk::{DiskBackend, FileDisk, MemDisk};
 pub use error::{StorageError, StorageResult};
 pub use faults::{FaultKind, FaultyDisk};
-pub use pool::{BufferPool, PageReadLatch, PageRef, PageWriteLatch, PoolConfig};
+pub use pool::{BufferPool, PageReadLatch, PageRef, PageWriteLatch, PoolConfig, PreImage};
 pub use stats::{IoSnapshot, IoStats};
 
 /// Identifier of a page on a disk. Pages are allocated densely from 0.

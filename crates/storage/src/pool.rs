@@ -6,6 +6,7 @@
 use crate::lru::LruList;
 use crate::{DiskBackend, IoStats, Lsn, PageId, StorageError, StorageResult};
 use parking_lot::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -33,6 +34,10 @@ struct Frame {
     data: RwLock<Box<[u8]>>,
     dirty: AtomicBool,
     pins: AtomicUsize,
+    /// Writers between marking the page touched and releasing their
+    /// write latch (WAL mode only). While there is one, the page stays
+    /// touched: a record taken meanwhile may miss its write.
+    writers: AtomicUsize,
 }
 
 impl Frame {
@@ -43,8 +48,21 @@ impl Frame {
             data: RwLock::new(data),
             dirty: AtomicBool::new(dirty),
             pins: AtomicUsize::new(1),
+            writers: AtomicUsize::new(0),
         })
     }
+}
+
+/// A page's content as of its last logged record, kept from the first
+/// write latch after that record until the page is logged again: the
+/// base the log diffs the page's next record against
+/// (`bur_wal::Wal::append_page`).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PreImage {
+    /// LSN of the record whose content `data` is.
+    pub lsn: Lsn,
+    /// The page's bytes.
+    pub data: Box<[u8]>,
 }
 
 /// [`Slot::flags`]: the page is an unpinned frame on [`PoolState::lru`].
@@ -99,6 +117,9 @@ struct PoolState {
     /// The `TOUCHED` pages, unordered (live only in WAL mode). These are
     /// the pages the next commit must log.
     touched: Vec<PageId>,
+    /// Pre-images of touched pages that were logged in this generation,
+    /// by page id: a side table, so a [`Slot`] stays 32 bytes.
+    pre_images: HashMap<PageId, PreImage>,
 }
 
 impl PoolState {
@@ -142,6 +163,25 @@ impl PoolState {
         }
     }
 
+    /// Register a writer of `frame` ahead of its write latch and mark
+    /// the page touched. On the transition, when the page was logged in
+    /// this generation, its bytes are still that record's content and
+    /// become its pre-image. The read latch cannot wait: a write latch is
+    /// only ever held on a touched page.
+    fn touch(&mut self, frame: &Frame) {
+        frame.writers.fetch_add(1, Ordering::Relaxed);
+        let slot = &self.slots[frame.pid as usize];
+        if slot.flags & TOUCHED != 0 {
+            return;
+        }
+        let lsn = slot.page_lsn;
+        self.mark_touched(frame.pid);
+        if lsn != 0 {
+            let data = (**frame.data.read()).into();
+            self.pre_images.insert(frame.pid, PreImage { lsn, data });
+        }
+    }
+
     fn clear_touched(&mut self, pid: PageId) {
         let slot = &mut self.slots[pid as usize];
         if slot.flags & TOUCHED != 0 {
@@ -155,9 +195,10 @@ impl PoolState {
     }
 
     /// Forget all gate state: nothing is touched, no page has a logged
-    /// image, and every parked frame is back in `lru`.
+    /// image or a pre-image, and every parked frame is back in `lru`.
     fn reset_gate(&mut self) {
         self.touched.clear();
+        self.pre_images.clear();
         for slot in &mut self.slots {
             slot.flags &= !TOUCHED;
             slot.page_lsn = 0;
@@ -229,6 +270,7 @@ impl BufferPool {
                 lru: LruList::new(IN_LRU),
                 parked: LruList::new(PARKED),
                 touched: Vec::new(),
+                pre_images: HashMap::new(),
             }),
             stats: IoStats::new(),
             wal_mode: AtomicBool::new(false),
@@ -262,16 +304,43 @@ impl BufferPool {
         v
     }
 
-    /// Record that the current content of `pid` was appended to the log
-    /// as `lsn`: the page is no longer touched, and becomes writable back
-    /// to disk once the log is durable past `lsn`.
-    pub fn note_page_logged(&self, pid: PageId, lsn: Lsn) {
+    /// Record that the content `logged` holds was appended to the log as
+    /// `lsn`: the page drops its pre-image, is no longer touched, and
+    /// becomes writable back to disk once the log is durable past `lsn`.
+    ///
+    /// `logged` is the read latch the record was built from, still held:
+    /// no write can land between the record's read and this note, and a
+    /// writer already waiting for the X latch is counted. Such a page
+    /// stays touched: that write is in no record.
+    pub fn note_page_logged(&self, logged: &PageReadLatch<'_>, lsn: Lsn) {
+        self.note_logged(logged.pid, lsn);
+    }
+
+    fn note_logged(&self, pid: PageId, lsn: Lsn) {
         let mut state = self.state.lock();
         // A page the disk never allocated has no frame to gate.
         if let Ok(slot) = state.slot(&*self.disk, pid) {
             slot.page_lsn = lsn;
-            state.clear_touched(pid);
+            let writing = slot
+                .frame
+                .as_ref()
+                .is_some_and(|frame| frame.writers.load(Ordering::Relaxed) > 0);
+            if !writing {
+                state.clear_touched(pid);
+            }
+            state.pre_images.remove(&pid);
         }
+    }
+
+    /// Hand over the pre-image of `pid`: its content as of its last
+    /// logged record, taken at the first write latch after that record.
+    /// `None` when the page was not logged in this generation, was not
+    /// written since, was a blind-overwrite miss, or had a writer waiting
+    /// for its X latch when its last record was noted. Commit paths pass it to
+    /// the log as the delta base.
+    #[must_use]
+    pub fn take_pre_image(&self, pid: PageId) -> Option<PreImage> {
+        self.state.lock().pre_images.remove(&pid)
     }
 
     /// Publish the log's durable horizon; frames whose last image lies at
@@ -697,6 +766,7 @@ impl PageRef<'_> {
     ///   paths); see `docs/ARCHITECTURE.md` ("Latching protocol").
     pub fn read(&self) -> PageReadLatch<'_> {
         PageReadLatch {
+            pid: self.frame.pid,
             guard: self.frame.data.read(),
         }
     }
@@ -712,13 +782,20 @@ impl PageRef<'_> {
     /// commit that snapshots the touched set therefore either sees this
     /// page (and logs its post-write image after the latch drops) or the
     /// write happens entirely after the snapshot — never a lost update.
+    /// The first write latch after the page's last logged record also
+    /// keeps the page's bytes as its pre-image
+    /// ([`BufferPool::take_pre_image`]), in the same critical section that
+    /// marks it touched.
     pub fn write(&self) -> PageWriteLatch<'_> {
         self.frame.dirty.store(true, Ordering::Relaxed);
+        let mut writers = None;
         if self.pool.wal_mode.load(Ordering::Relaxed) {
-            self.pool.state.lock().mark_touched(self.frame.pid);
+            self.pool.state.lock().touch(&self.frame);
+            writers = Some(&self.frame.writers);
         }
         PageWriteLatch {
             guard: self.frame.data.write(),
+            writers,
         }
     }
 
@@ -754,6 +831,7 @@ impl Drop for PageRef<'_> {
 /// # let _ = pid;
 /// ```
 pub struct PageReadLatch<'a> {
+    pid: PageId,
     guard: RwLockReadGuard<'a, Box<[u8]>>,
 }
 
@@ -785,6 +863,18 @@ impl std::ops::Deref for PageReadLatch<'_> {
 /// ```
 pub struct PageWriteLatch<'a> {
     guard: RwLockWriteGuard<'a, Box<[u8]>>,
+    /// The frame's writer count, in WAL mode; released with the latch.
+    writers: Option<&'a AtomicUsize>,
+}
+
+impl Drop for PageWriteLatch<'_> {
+    fn drop(&mut self) {
+        // Before the guard is released: a record is noted under the read
+        // latch it was read through, so no note runs between the two.
+        if let Some(writers) = self.writers {
+            writers.fetch_sub(1, Ordering::Relaxed);
+        }
+    }
 }
 
 impl std::ops::Deref for PageWriteLatch<'_> {
@@ -1095,7 +1185,7 @@ mod tests {
         p.flush_all().unwrap();
         assert_eq!(p.stats().snapshot().since(&before).writes, 0);
         // Log the image but keep it beyond the durable horizon: still held.
-        p.note_page_logged(pid, 5);
+        p.note_logged(pid, 5);
         assert!(p.touched_pages().is_empty());
         assert_eq!(p.page_lsn(pid), Some(5));
         p.evict_all().unwrap();
@@ -1122,7 +1212,7 @@ mod tests {
             let (pid, g) = p.new_page().unwrap();
             g.write()[0] = i;
             drop(g);
-            p.note_page_logged(pid, u64::from(i) + 1);
+            p.note_logged(pid, u64::from(i) + 1);
             pids.push(pid);
         }
         // Nothing durable: everything is resident (parked), nothing hit
@@ -1154,10 +1244,106 @@ mod tests {
         g.write()[0] = 2;
         drop(g);
         assert_eq!(p.resident(), 1);
-        p.note_page_logged(pid, 7);
+        p.note_logged(pid, 7);
         p.set_durable_lsn(7); // unparks and (capacity 0) evicts + writes
         assert_eq!(p.resident(), 0);
         assert_eq!(p.fetch(pid).unwrap().read()[0], 2);
+    }
+
+    #[test]
+    fn a_pre_image_is_the_logged_content_kept_from_the_first_write_after_it() {
+        let p = pool(0);
+        p.set_wal_mode(true);
+        let (pid, g) = p.new_page().unwrap();
+        // Never logged: a write keeps nothing.
+        g.write()[0] = 1;
+        assert_eq!(p.take_pre_image(pid), None);
+        let logged = g.read().to_vec();
+        p.note_page_logged(&g.read(), 5);
+        // Logged: the first write latch after the record keeps the bytes
+        // that record holds; later writes keep nothing more.
+        g.write()[0] = 2;
+        g.write()[1] = 3;
+        assert_eq!(
+            p.take_pre_image(pid),
+            Some(PreImage {
+                lsn: 5,
+                data: logged.clone().into()
+            })
+        );
+        assert_eq!(p.take_pre_image(pid), None, "taken once");
+        // A note drops a pre-image nobody took.
+        p.note_page_logged(&g.read(), 6);
+        g.write()[0] = 4;
+        p.note_page_logged(&g.read(), 7);
+        assert_eq!(p.take_pre_image(pid), None, "dropped by the note");
+        // Evicted and read back: the pre-image comes from the disk copy.
+        drop(g);
+        p.set_durable_lsn(7);
+        assert_eq!(p.resident(), 0);
+        let g = p.fetch(pid).unwrap();
+        let logged = g.read().to_vec();
+        g.write()[2] = 5;
+        let pre = p.take_pre_image(pid).expect("a re-read page has one");
+        assert_eq!((pre.lsn, &pre.data[..]), (7, &logged[..]));
+        // A checkpoint reset drops pre-images and starts a generation in
+        // which nothing is logged yet.
+        p.note_page_logged(&g.read(), 8);
+        g.write()[2] = 6;
+        p.wal_checkpoint_reset();
+        assert_eq!(p.take_pre_image(pid), None, "dropped by the reset");
+        g.write()[2] = 7;
+        assert_eq!(p.take_pre_image(pid), None, "not logged since the reset");
+        p.note_page_logged(&g.read(), 9);
+        drop(g);
+        p.set_durable_lsn(9);
+        assert_eq!(p.resident(), 0);
+        // A blind-overwrite miss is touched from birth: no pre-image.
+        let g = p.fetch_for_overwrite(pid).unwrap();
+        g.write().fill(8);
+        assert!(p.is_touched(pid));
+        assert_eq!(p.take_pre_image(pid), None, "blind-overwrite miss");
+    }
+
+    #[test]
+    fn a_write_waiting_on_a_records_latch_stays_touched_and_out_of_the_pre_image() {
+        let p = pool(4);
+        p.set_wal_mode(true);
+        let (pid, g) = p.new_page().unwrap();
+        g.write()[0] = 1;
+        p.note_page_logged(&g.read(), 2);
+        g.write()[0] = 2;
+        assert_eq!(p.take_pre_image(pid).map(|pre| pre.lsn), Some(2));
+        // A commit reads the page's record (lsn 3) through a read latch;
+        // another batch's write to the page starts meanwhile and waits
+        // for that latch, so it cannot finish before the note.
+        let record = g.read();
+        let logged = record.to_vec();
+        std::thread::scope(|s| {
+            let writer = s.spawn(|| g.write()[0] = 3);
+            while g.frame.writers.load(Ordering::Relaxed) == 0 {
+                std::thread::yield_now();
+            }
+            p.note_page_logged(&record, 3);
+            assert!(!writer.is_finished(), "the write waits for the latch");
+            drop(record);
+            writer.join().unwrap();
+        });
+        // That write is in no record: the page stays touched, and no
+        // pre-image claims to be record 3's content.
+        assert_eq!(logged[0], 2);
+        assert_eq!(g.read()[0], 3);
+        assert!(p.is_touched(pid));
+        g.write()[0] = 4;
+        assert_eq!(p.take_pre_image(pid), None);
+        // Its next record holds it; the page is clear again, and the next
+        // write keeps that record's content.
+        let logged = g.read().to_vec();
+        p.note_page_logged(&g.read(), 4);
+        assert!(!p.is_touched(pid));
+        g.write()[0] = 5;
+        let pre = p.take_pre_image(pid).expect("logged, then written");
+        assert_eq!((pre.lsn, &pre.data[..]), (4, &logged[..]));
     }
 
     #[test]
@@ -1347,7 +1533,7 @@ mod tests {
         }
         // Logged: no longer touched, but not durable yet — still held.
         for (lsn, pid) in [(1, 0u32), (2, 2), (3, 4), (4, 5)] {
-            p.note_page_logged(pid, lsn);
+            p.note_logged(pid, lsn);
             assert_eq!(p.page_lsn(pid), Some(lsn));
         }
         assert!(p.touched_pages().is_empty());

@@ -23,7 +23,12 @@
 //!   In-place bottom-up updates touch a few dozen bytes of a 1 KiB page,
 //!   so deltas cut log volume several-fold; a full image is re-emitted as
 //!   an *anchor* every 16th record of a page, so redo stays a bounded
-//!   replay of one generation;
+//!   replay of one generation. The log keeps no page bytes: the caller
+//!   hands [`Wal::append_page`] the base, the page's content as of its
+//!   previous record — the buffer pool's
+//!   [`PreImage`](bur_storage::PreImage), copied at the first write latch
+//!   after that record and dropped once the page is logged again — so
+//!   the encoder's memory is bounded by the pages of uncommitted batches;
 //! * **one way to sync** — [`Wal::commit`] appends the commit record,
 //!   writes the tail page and syncs the log's disk before it returns, so
 //!   a commit that returned `Ok` is durable and one whose sync failed

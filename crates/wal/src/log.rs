@@ -33,7 +33,7 @@
 //! ends the chain), so the log never grows past one generation of records.
 
 use crate::{crc32, crc32_update, scan, DeltaRange, ScanResult, WalRecord};
-use bur_storage::{DiskBackend, Lsn, PageId, StorageResult, INVALID_PAGE};
+use bur_storage::{DiskBackend, Lsn, PageId, PreImage, StorageResult, INVALID_PAGE};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::fmt;
@@ -69,11 +69,11 @@ fn wal_state_error(msg: &'static str) -> bur_storage::StorageError {
     bur_storage::StorageError::Io(std::io::Error::other(msg))
 }
 
-/// The previous logged image of a page within the current generation —
-/// the base the next delta is diffed against.
+/// Where a page's delta chain stands in the current generation. The
+/// log keeps no page bytes: the caller hands the base of the next delta
+/// to [`Wal::append_page`].
 struct PageTrack {
-    data: Box<[u8]>,
-    /// LSN of the record that produced `data`.
+    /// LSN of the page's last record.
     last_lsn: Lsn,
     /// Records since the last full-image anchor.
     since_anchor: u32,
@@ -100,10 +100,31 @@ struct WalInner {
     /// Set by [`Wal::reopen`]: the log must be rewound (checkpointed)
     /// before new records may be appended.
     needs_rewind: bool,
-    /// Per-page delta-encoder state, cleared at every rewind.
+    /// Per-page delta-chain state, cleared at every rewind.
     tracks: HashMap<PageId, PageTrack>,
     /// The delta encoder's changed ranges, reused from page to page.
     spans: Vec<Range<usize>>,
+}
+
+impl WalInner {
+    /// Start `pid`'s delta chain again at the full image `lsn`.
+    fn track_image(&mut self, pid: PageId, lsn: Lsn) {
+        let track = PageTrack {
+            last_lsn: lsn,
+            since_anchor: 0,
+        };
+        self.tracks.insert(pid, track);
+    }
+
+    /// Extend `pid`'s delta chain with the delta `lsn`.
+    fn track_delta(&mut self, pid: PageId, lsn: Lsn) {
+        let track = self.tracks.entry(pid).or_insert(PageTrack {
+            last_lsn: lsn,
+            since_anchor: 0,
+        });
+        track.last_lsn = lsn;
+        track.since_anchor += 1;
+    }
 }
 
 /// Where the stream stood before a record was appended: what
@@ -561,7 +582,10 @@ impl Wal {
     }
 
     /// Append one record without syncing; returns its LSN. The record is
-    /// durable only after the next [`Wal::sync`] or [`Wal::commit`].
+    /// durable only after the next [`Wal::sync`] or [`Wal::commit`]. A
+    /// page record moves its page's delta chain like
+    /// [`Wal::append_page`] does: an image starts it again, a delta
+    /// extends it.
     pub fn append(&self, rec: &WalRecord) -> StorageResult<Lsn> {
         let mut inner = self.inner.lock();
         let rref = match rec {
@@ -578,76 +602,67 @@ impl Wal {
             WalRecord::Commit { meta } => RecordRef::Commit(meta),
             WalRecord::Checkpoint { meta } => RecordRef::Checkpoint(meta),
         };
-        self.append_inner(&mut inner, &rref)
+        let lsn = self.append_inner(&mut inner, &rref)?;
+        match rref {
+            RecordRef::Image { pid, .. } => inner.track_image(pid, lsn),
+            RecordRef::Delta { pid, .. } => inner.track_delta(pid, lsn),
+            RecordRef::Commit(_) | RecordRef::Checkpoint(_) => {}
+        }
+        Ok(lsn)
     }
 
     /// Log the current content of page `pid`, letting the delta encoder
     /// choose between a full image and a [`WalRecord::PageDelta`] against
-    /// the page's previous record in this generation; every 16th record
-    /// of a page is a full image again.
-    /// Returns the record's LSN. `data` must be exactly one page; a copy
-    /// is retained as the base for the page's next delta (reusing the
-    /// page's existing track buffer, so the steady state allocates
-    /// nothing).
-    pub fn append_page(&self, pid: PageId, data: &[u8]) -> StorageResult<Lsn> {
+    /// `base`, the page's content as of its previous record in this
+    /// generation (a buffer pool's [`PreImage`]). A delta is possible
+    /// only when `base` is the content of exactly that record — its LSN
+    /// is the page's last — and the page's chain has fewer than 15
+    /// deltas since its last full image; otherwise, and whenever a delta
+    /// would not be smaller, the record is a full image. The log keeps
+    /// no copy of `data`. Returns the record's LSN.
+    pub fn append_page(
+        &self,
+        pid: PageId,
+        base: Option<&PreImage>,
+        data: &[u8],
+    ) -> StorageResult<Lsn> {
         let mut guard = self.inner.lock();
         let inner = &mut *guard;
-        let deltas_on = data.len() <= usize::from(u16::MAX);
-        if deltas_on {
-            if let Some(track) = inner.tracks.get(&pid) {
-                if track.data.len() == data.len() && track.since_anchor + 1 < ANCHOR_EVERY {
-                    diff_ranges(&track.data, data, &mut inner.spans);
-                    let delta_body = delta_payload_len(inner.spans.iter().map(Range::len));
-                    // Worth a delta only when it actually beats the full
-                    // image (a full rewrite degenerates to one big range).
-                    if delta_body < 4 + data.len() {
-                        let base_lsn = track.last_lsn;
-                        let spans = std::mem::take(&mut inner.spans);
-                        let appended = self.append_inner(
-                            inner,
-                            &RecordRef::Delta {
-                                pid,
-                                base_lsn,
-                                ranges: DeltaRanges::Spans {
-                                    page: data,
-                                    spans: &spans,
-                                },
-                            },
-                        );
-                        inner.spans = spans;
-                        let lsn = appended?;
-                        self.counters
-                            .delta_saved_bytes
-                            .fetch_add((4 + data.len() - delta_body) as u64, Ordering::Relaxed);
-                        let track = inner.tracks.get_mut(&pid).expect("track checked above");
-                        track.data.copy_from_slice(data);
-                        track.last_lsn = lsn;
-                        track.since_anchor += 1;
-                        return Ok(lsn);
-                    }
-                }
+        let extends_chain = |base: &&PreImage| {
+            inner.tracks.get(&pid).is_some_and(|track| {
+                track.last_lsn == base.lsn && track.since_anchor + 1 < ANCHOR_EVERY
+            }) && base.data.len() == data.len()
+                && data.len() <= usize::from(u16::MAX)
+        };
+        if let Some(base) = base.filter(extends_chain) {
+            diff_ranges(&base.data, data, &mut inner.spans);
+            let delta_body = delta_payload_len(inner.spans.iter().map(Range::len));
+            // Worth a delta only when it actually beats the full image (a
+            // full rewrite degenerates to one big range).
+            if delta_body < 4 + data.len() {
+                let spans = std::mem::take(&mut inner.spans);
+                let appended = self.append_inner(
+                    inner,
+                    &RecordRef::Delta {
+                        pid,
+                        base_lsn: base.lsn,
+                        ranges: DeltaRanges::Spans {
+                            page: data,
+                            spans: &spans,
+                        },
+                    },
+                );
+                inner.spans = spans;
+                let lsn = appended?;
+                self.counters
+                    .delta_saved_bytes
+                    .fetch_add((4 + data.len() - delta_body) as u64, Ordering::Relaxed);
+                inner.track_delta(pid, lsn);
+                return Ok(lsn);
             }
         }
         let lsn = self.append_inner(inner, &RecordRef::Image { pid, data })?;
-        if deltas_on {
-            match inner.tracks.get_mut(&pid) {
-                Some(track) if track.data.len() == data.len() => {
-                    track.data.copy_from_slice(data);
-                    track.last_lsn = lsn;
-                    track.since_anchor = 0;
-                }
-                _ => {
-                    inner.tracks.insert(
-                        pid,
-                        PageTrack {
-                            data: data.to_vec().into_boxed_slice(),
-                            last_lsn: lsn,
-                            since_anchor: 0,
-                        },
-                    );
-                }
-            }
-        }
+        inner.track_image(pid, lsn);
         Ok(lsn)
     }
 
@@ -870,6 +885,18 @@ mod tests {
         }
     }
 
+    /// Log `page` as `pid`'s next record with `last` — the content of the
+    /// page's previous record, as a buffer pool's pre-image holds it — as
+    /// the base, and make `page` the base of the one after.
+    fn log_page(wal: &Wal, last: &mut Option<PreImage>, pid: PageId, page: &[u8]) -> Lsn {
+        let lsn = wal.append_page(pid, last.as_ref(), page).unwrap();
+        *last = Some(PreImage {
+            lsn,
+            data: page.into(),
+        });
+        lsn
+    }
+
     #[test]
     fn append_scan_roundtrip() {
         let d = disk(256);
@@ -1058,11 +1085,12 @@ mod tests {
         let d = disk(256);
         let wal = Wal::create(d.clone()).unwrap();
         let mut page = vec![0u8; 256];
+        let mut last = None;
         page[10] = 1;
-        let l1 = wal.append_page(7, &page).unwrap();
+        let l1 = log_page(&wal, &mut last, 7, &page);
         page[10] = 2;
         page[200] = 9;
-        let l2 = wal.append_page(7, &page).unwrap();
+        let l2 = log_page(&wal, &mut last, 7, &page);
         wal.sync().unwrap();
 
         let stats = wal.stats();
@@ -1104,9 +1132,10 @@ mod tests {
         let d = disk(512);
         let wal = Wal::create(d.clone()).unwrap();
         let mut page = vec![0u8; 512];
+        let mut last = None;
         for i in 0..3 * ANCHOR_EVERY as usize {
             page[i] = i as u8 + 1;
-            wal.append_page(3, &page).unwrap();
+            log_page(&wal, &mut last, 3, &page);
         }
         wal.sync().unwrap();
         let stats = wal.stats();
@@ -1132,9 +1161,10 @@ mod tests {
     fn full_rewrite_falls_back_to_full_image() {
         let d = disk(256);
         let wal = Wal::create(d.clone()).unwrap();
-        wal.append_page(1, &[0xAA; 256]).unwrap();
+        let mut last = None;
+        log_page(&wal, &mut last, 1, &[0xAA; 256]);
         // Every byte changed: a delta would be bigger than the image.
-        wal.append_page(1, &[0x55; 256]).unwrap();
+        log_page(&wal, &mut last, 1, &[0x55; 256]);
         let stats = wal.stats();
         assert_eq!(stats.images, 2);
         assert_eq!(stats.deltas, 0);
@@ -1145,14 +1175,16 @@ mod tests {
         let d = disk(256);
         let wal = Wal::create(d.clone()).unwrap();
         let mut page = vec![0u8; 256];
-        wal.append_page(4, &page).unwrap();
+        let mut last = None;
+        log_page(&wal, &mut last, 4, &page);
         page[3] = 1;
-        wal.append_page(4, &page).unwrap();
+        log_page(&wal, &mut last, 4, &page);
         wal.commit(vec![1]).unwrap();
         wal.checkpoint_rewind(vec![2]).unwrap();
-        // First touch after the rewind must be a full image again.
+        // First touch after the rewind must be a full image again, even
+        // handed the previous generation's content as a base.
         page[3] = 2;
-        wal.append_page(4, &page).unwrap();
+        log_page(&wal, &mut last, 4, &page);
         wal.commit(vec![3]).unwrap();
         let s = scan(d.as_ref(), wal.anchor()).unwrap().unwrap();
         assert!(
@@ -1160,6 +1192,54 @@ mod tests {
             "post-rewind image must be full: {:?}",
             s.records[1].1
         );
+    }
+
+    #[test]
+    fn a_base_that_is_not_the_last_record_gives_a_full_image() {
+        let d = disk(256);
+        let wal = Wal::create(d).unwrap();
+        let mut page = vec![0u8; 256];
+        let mut last = None;
+        log_page(&wal, &mut last, 2, &page);
+        let stale = last.clone();
+        page[9] = 1;
+        log_page(&wal, &mut last, 2, &page);
+        page[9] = 2;
+        // No base (a blind overwrite), then the base of an older record.
+        wal.append_page(2, None, &page).unwrap();
+        wal.append_page(2, stale.as_ref(), &page).unwrap();
+        let stats = wal.stats();
+        assert_eq!((stats.images, stats.deltas), (3, 1), "{stats}");
+    }
+
+    #[test]
+    fn an_image_appended_as_a_record_restarts_the_delta_chain() {
+        let d = disk(256);
+        let wal = Wal::create(d.clone()).unwrap();
+        let a = vec![0u8; 256];
+        let mut b = a.clone();
+        b[10] = 2;
+        let mut c = b.clone();
+        c[40] = 3;
+        wal.append_page(5, None, &a).unwrap();
+        let lb = wal
+            .append(&WalRecord::PageImage {
+                pid: 5,
+                data: b.clone(),
+            })
+            .unwrap();
+        let base = PreImage {
+            lsn: lb,
+            data: b.into(),
+        };
+        wal.append_page(5, Some(&base), &c).unwrap();
+        wal.commit(b"m".to_vec()).unwrap();
+        assert_eq!(wal.stats().deltas, 1, "C is a delta against B");
+
+        let s = scan(d.as_ref(), wal.anchor()).unwrap().unwrap();
+        let pool = bur_storage::BufferPool::new(disk(256), Default::default());
+        crate::redo(&pool, &s.records, &mut HashMap::new()).expect("the log replays");
+        assert_eq!(&*pool.fetch(5).unwrap().read(), &c[..]);
     }
 
     #[test]

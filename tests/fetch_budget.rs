@@ -33,7 +33,7 @@
 
 use bur::core::OpSnapshot;
 use bur::prelude::*;
-use bur::storage::{DiskBackend, FaultKind, FaultyDisk};
+use bur::storage::{BufferPool, DiskBackend, FaultKind, FaultyDisk};
 use bur::wal::WalRecord;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -80,6 +80,19 @@ fn fetches(bur: &Bur) -> u64 {
 
 fn pinned(bur: &Bur) -> usize {
     bur.with_index(|index| index.pool().pinned_frames())
+}
+
+/// Pre-images `pool` holds for pages that are not touched. A commit
+/// takes the pre-image of every page it logs, so none may outlive it; a
+/// page a failed commit left touched keeps its own for the next commit.
+fn stray_pre_images_in(pool: &BufferPool) -> usize {
+    (0..pool.disk().num_pages())
+        .filter(|&pid| !pool.is_touched(pid) && pool.take_pre_image(pid).is_some())
+        .count()
+}
+
+fn stray_pre_images(bur: &Bur) -> usize {
+    bur.with_index(|index| stray_pre_images_in(index.pool()))
 }
 
 /// Tight MBR of the leaf currently holding `oid`, read off its page.
@@ -453,6 +466,7 @@ fn a_batch_doomed_at_its_last_op_pays_for_each_op_once() {
             through_apply - exclusive
         );
         assert_eq!(pinned(&bur), 0);
+        assert_eq!(stray_pre_images(&bur), 0);
         assert_eq!(bur.claimed_leaves(), 0);
         bur.validate().unwrap();
         // Same decisions and the same positions either way.
@@ -790,6 +804,7 @@ fn no_pin_outlives_apply_when_the_commit_fails() {
     );
     assert!(disk.injected_faults() > 0);
     assert_eq!(pinned(&bur), 0, "the failed commit left pages pinned");
+    assert_eq!(stray_pre_images(&bur), 0);
     assert_eq!(bur.claimed_leaves(), 0);
 }
 
@@ -849,6 +864,7 @@ fn durability_costs_no_fetch_on_the_exclusive_engine() {
             cost[i] = fetches(bur) - before;
             ops.push(bur.with_op_stats(|s| s.snapshot()).since(&ops_before));
             assert_eq!(pinned(bur), 0, "batch {round} left a page pinned");
+            assert_eq!(stray_pre_images(bur), 0);
         }
         assert_eq!(ops[0].escalations, 1, "batch {round} stayed shared");
         assert_eq!(ops[0], ops[1], "batch {round} took other decisions");
@@ -905,6 +921,7 @@ fn pages_a_failed_commit_left_touched_are_logged_by_the_next() {
     assert!(matches!(err, CoreError::Storage(_)), "{err}");
     assert!(disk.injected_faults() > 0);
     assert_eq!(index.pool().pinned_frames(), 0);
+    assert_eq!(stray_pre_images_in(index.pool()), 0);
     let left = index.pool().touched_pages();
     assert!(!left.is_empty(), "the failed commit left nothing touched");
 
@@ -915,6 +932,7 @@ fn pages_a_failed_commit_left_touched_are_logged_by_the_next() {
     index.apply_batch(&batch).unwrap();
     assert!(index.pool().touched_pages().is_empty());
     assert_eq!(index.pool().pinned_frames(), 0);
+    assert_eq!(stray_pre_images_in(index.pool()), 0);
     let scanned = bur::wal::scan(log_platter.as_ref(), bur::core::LOG_DISK_ANCHOR)
         .unwrap()
         .expect("the index keeps a log");

@@ -508,16 +508,87 @@ fn recover_rejects_non_durable_disks_and_options() {
 /// and mixed full/delta replay must reproduce the oracle.
 #[test]
 fn crash_recovery_survives_cuts_inside_delta_chains_and_at_anchors() {
-    let wopts = WalOptions {
+    let sweep = DeltaSweep {
         checkpoint_every: 1_000,
+        frames: 256,
+        objects: 60,
     };
-    let opts = IndexOptions::generalized().with_durability(Durability::Wal(wopts));
     let (mut deltas, mut anchors) = (0, 0);
     for cut in (2..200u64).step_by(2) {
+        let run = sweep.cut_at(cut, 9300 + cut);
+        deltas += run.deltas;
+        anchors += run.anchors;
+    }
+    assert!(
+        deltas > 0 && anchors > 0,
+        "the sweep must replay deltas ({deltas}) and anchors ({anchors})"
+    );
+}
+
+/// The same sweep over generations longer than 1 024 operations on a
+/// pool of four frames: a page is evicted and read back between its
+/// records, so the base of its next delta is the content read back from
+/// the data disk.
+#[test]
+fn crash_recovery_survives_cuts_in_long_generations_on_a_small_pool() {
+    let sweep = DeltaSweep {
+        checkpoint_every: 4_096,
+        frames: 4,
+        objects: 600,
+    };
+    let (mut deltas, mut anchors) = (0, 0);
+    for cut in (CUT_PAST_1024_OPS..CUT_PAST_1024_OPS + 400).step_by(20) {
+        let run = sweep.cut_at(cut, 9700 + cut);
+        assert!(
+            run.replayed_ops > 1_024,
+            "cut {cut}: the generation held {} operations",
+            run.replayed_ops
+        );
+        assert!(run.reread, "cut {cut}: no page was read back");
+        deltas += run.deltas;
+        anchors += run.anchors;
+    }
+    assert!(
+        deltas > 0 && anchors > 0,
+        "the sweep must replay deltas ({deltas}) and anchors ({anchors})"
+    );
+}
+
+/// Writes after which a [`DeltaSweep`] on four frames has committed
+/// more than 1 024 updates since its checkpoint.
+const CUT_PAST_1024_OPS: u64 = 3_000;
+
+/// One shape of the delta-chain cut sweep.
+struct DeltaSweep {
+    checkpoint_every: u64,
+    frames: usize,
+    objects: u64,
+}
+
+/// What one cut of a [`DeltaSweep`] replayed.
+struct DeltaCut {
+    deltas: u64,
+    anchors: u64,
+    replayed_ops: u64,
+    /// The pool read a page back from the data disk after the checkpoint.
+    reread: bool,
+}
+
+impl DeltaSweep {
+    /// Populate, checkpoint, then move the objects in place one update at
+    /// a time, revisiting their pages, until a power cut after `cut`
+    /// writes; recover and check every acknowledged update survived and
+    /// the interrupted one landed on exactly one side.
+    fn cut_at(&self, cut: u64, seed: u64) -> DeltaCut {
+        let opts = durable(IndexOptions::generalized(), self.checkpoint_every);
         let rig = Rig::new();
-        let mut index = rig.builder(opts).build_index().unwrap();
-        let mut rng = StdRng::seed_from_u64(9300 + cut);
-        let n = 60u64;
+        let mut index = rig
+            .builder(opts)
+            .buffer_frames(self.frames)
+            .build_index()
+            .unwrap();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let n = self.objects;
         let mut positions = Vec::with_capacity(n as usize);
         for oid in 0..n {
             let p = Point::new(rng.random_range(0.0..1.0), rng.random_range(0.0..1.0));
@@ -527,6 +598,7 @@ fn crash_recovery_survives_cuts_inside_delta_chains_and_at_anchors() {
         // Take a checkpoint so the measured window is pure update traffic:
         // repeated in-place moves of the same objects, i.e. delta chains.
         index.checkpoint().unwrap();
+        let reads_before = index.pool().stats().snapshot().reads;
         rig.cut_after(cut);
         let mut pending: Option<(u64, Point, Point)> = None;
         for step in 0..100_000u64 {
@@ -545,13 +617,13 @@ fn crash_recovery_survives_cuts_inside_delta_chains_and_at_anchors() {
             }
         }
         let (poid, pold, pnew) = pending.expect("the power cut must fire");
+        let reread = index.pool().stats().snapshot().reads > reads_before;
         drop(index);
 
-        anchors += replayed_anchors(&rig.log_platter);
+        let anchors = replayed_anchors(&rig.log_platter);
         let (recovered, report) = rig
             .recover(opts)
             .unwrap_or_else(|e| panic!("cut {cut}: recovery failed: {e}"));
-        deltas += report.replayed_deltas;
         recovered.validate().unwrap();
         // The interrupted op lands atomically on exactly one side.
         let at_new = recovered.point_query(pnew).unwrap().contains(&poid);
@@ -567,11 +639,13 @@ fn crash_recovery_survives_cuts_inside_delta_chains_and_at_anchors() {
                  (report: {report:?})"
             );
         }
+        DeltaCut {
+            deltas: report.replayed_deltas,
+            anchors,
+            replayed_ops: report.committed_ops,
+            reread,
+        }
     }
-    assert!(
-        deltas > 0 && anchors > 0,
-        "the sweep must replay deltas ({deltas}) and anchors ({anchors})"
-    );
 }
 
 /// Full images of a page already logged in the same generation — the
@@ -1073,7 +1147,7 @@ fn log_bytes_after_a_fixed_sequence_are_pinned() {
             stats.records,
             stats.bytes_appended
         ),
-        (127, 0xe057_5d52, 2801, 825_056)
+        (127, 0xe057_5d52, 2801, 825_058)
     );
 }
 
