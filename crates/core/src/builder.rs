@@ -343,7 +343,7 @@ mod tests {
             .unwrap();
         assert_eq!(recovered.len(), 1);
         let report = report.expect("recover mode must produce a report");
-        assert_eq!(report.committed_ops, 1);
+        assert_eq!(report.commits, 1);
         drop(recovered);
 
         // `open` on a durable disk replays the (clean) log too.

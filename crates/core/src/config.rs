@@ -135,17 +135,19 @@ pub enum Durability {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WalOptions {
     /// Take a fuzzy checkpoint (flush the pool, rewind the log) every
-    /// this many committed operations. Bounds both recovery replay time
-    /// and the log's page footprint; the log's memory does not grow with
-    /// it (deltas are diffed against the buffer pool's pre-images, not
-    /// against copies the log keeps). Default 4 096. Must be at least 1.
+    /// this many committed operations. Bounds recovery's replay time and
+    /// the log's page footprint, and nothing else: neither the log's
+    /// memory (deltas are diffed against the buffer pool's pre-images,
+    /// not against copies the log keeps) nor recovery's (it reads the
+    /// log as a stream, one page and one record at a time) grows with
+    /// it. Default 16 384. Must be at least 1.
     pub checkpoint_every: u64,
 }
 
 impl Default for WalOptions {
     fn default() -> Self {
         Self {
-            checkpoint_every: 4096,
+            checkpoint_every: 16_384,
         }
     }
 }

@@ -13,7 +13,7 @@ use crate::index::{redo_log, RTreeIndex, RecoveryReport};
 use crate::meta::{read_meta_chain, MetaSnapshot, LOG_DISK_ANCHOR};
 use crate::tree::WalHandle;
 use bur_storage::{BufferPool, DiskBackend, FileDisk, PageId, PoolConfig, INVALID_PAGE};
-use bur_wal::{Wal, WalRecord};
+use bur_wal::{LogReader, Wal, WalRecord};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -69,7 +69,7 @@ impl IndexFiles {
             // commit record) is the authority: the sidecar, or else a log
             // chained inside the file.
             None if sidecar_path.exists() => true,
-            None if bur_wal::scan(data.as_ref(), LEGACY_LOG_ANCHOR)?.is_some() => {
+            None if LogReader::open(data.as_ref(), LEGACY_LOG_ANCHOR)?.is_some() => {
                 return Err(in_file_log(path))
             }
             None => false,
@@ -97,11 +97,15 @@ const LEGACY_LOG_ANCHOR: PageId = 1;
 /// Whether `log` holds a commit or checkpoint that recovery can start
 /// from. A page of it that cannot be read is an error.
 fn holds_recovery_point(log: &dyn DiskBackend) -> CoreResult<bool> {
-    Ok(bur_wal::scan(log, LOG_DISK_ANCHOR)?.is_some_and(|s| {
-        s.records
-            .iter()
-            .any(|(_, r)| matches!(r, WalRecord::Commit { .. } | WalRecord::Checkpoint { .. }))
-    }))
+    let Some(mut reader) = LogReader::open(log, LOG_DISK_ANCHOR)? else {
+        return Ok(false);
+    };
+    while let Some((_, rec)) = reader.next_record()? {
+        if matches!(rec, WalRecord::Commit { .. } | WalRecord::Checkpoint { .. }) {
+            return Ok(true);
+        }
+    }
+    Ok(false)
 }
 
 /// The refusal of an index file whose log is chained inside it.
@@ -165,14 +169,14 @@ fn upgrade_on(
     let old_layout = stored.as_ref().map_or(!log_recovers, |((_, old), _)| *old);
     // A page of the old log that cannot be read fails the upgrade here,
     // before the sidecar is created or page 0 rewritten.
-    let scanned = bur_wal::scan(data.as_ref(), LEGACY_LOG_ANCHOR)?
-        .filter(|_| old_layout)
-        .ok_or_else(|| {
-            CoreError::BadConfig(
-                "the file keeps no log inside it; there is nothing to upgrade".into(),
-            )
-        })?;
-    let (mut snap, report) = redo_log(&pool, &scanned)?;
+    let redone = if old_layout {
+        redo_log(&pool, data.as_ref(), LEGACY_LOG_ANCHOR)?
+    } else {
+        None
+    };
+    let (mut snap, report, _) = redone.ok_or_else(|| {
+        CoreError::BadConfig("the file keeps no log inside it; there is nothing to upgrade".into())
+    })?;
     // The redone image is durable while page 0 still names the old log,
     // and the sidecar holds a recovery point before the checkpoint
     // rewrites page 0.
@@ -290,7 +294,7 @@ mod tests {
         let err = upgrade_on(data.clone(), true, opts, log).unwrap_err();
         assert!(err.to_string().contains("nothing to upgrade"), "{err}");
         let (index, report) = upgrade_on(data, false, opts, log).unwrap();
-        assert!(report.committed_ops > 0);
+        assert!(report.commits > 0);
         assert_acked(&index);
     }
 

@@ -17,8 +17,10 @@ use crate::tree::{RTree, WalHandle};
 use crate::{bottom_up, topdown};
 use bur_geom::{Point, Rect};
 use bur_hashindex::{HashIndexConfig, LinearHashIndex};
-use bur_storage::{BufferPool, DiskBackend, IoStats, PageId, PoolConfig, INVALID_PAGE};
-use bur_wal::{RedoError, ScanResult, Wal, WalRecord, WalStatsSnapshot};
+use bur_storage::{
+    BufferPool, DiskBackend, IoStats, Lsn, PageId, PoolConfig, StorageError, INVALID_PAGE,
+};
+use bur_wal::{LogEnd, LogReader, RedoError, Wal, WalRecord, WalStatsSnapshot};
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -27,14 +29,15 @@ use std::sync::Arc;
 /// mode) did to bring an index back.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RecoveryReport {
-    /// Records that survived in the log (all kinds).
+    /// Records that survived in the log (all kinds), up to its end.
     pub scanned_records: u64,
     /// Full page images replayed onto the base image.
     pub replayed_images: u64,
     /// Page deltas replayed on top of those images.
     pub replayed_deltas: u64,
-    /// Committed operations covered by the replay.
-    pub committed_ops: u64,
+    /// Commit records replayed; a batch is one, however many operations
+    /// it holds.
+    pub commits: u64,
     /// LSN of the recovery point (last durable commit or checkpoint).
     pub recovered_lsn: u64,
     /// Objects in the recovered index.
@@ -386,14 +389,14 @@ impl RTreeIndex {
         // A log page that cannot be read fails here, before anything is
         // written: redoing the prefix in front of it would drop every
         // commit behind it, and the checkpoint would make that final.
-        let Some((wal, scanned)) = Wal::reopen(log_disk_of(log_disk, &opts)?, LOG_DISK_ANCHOR)?
-        else {
+        let log = log_disk_of(log_disk, &opts)?;
+        let Some((snap, report, end)) = redo_log(&pool, log.as_ref(), LOG_DISK_ANCHOR)? else {
             return Err(CoreError::LogMissing(
                 "the log disk holds no write-ahead log (index not created with Durability::Wal?)"
                     .into(),
             ));
         };
-        let (snap, report) = redo_log(&pool, &scanned)?;
+        let wal = Wal::reopen(log, &end);
         // The on-disk metadata chain (from the last completed checkpoint)
         // is superseded the moment we re-checkpoint; hand its continuation
         // pages to the chain recycler. A torn `next` pointer could name a
@@ -843,52 +846,80 @@ pub(crate) fn log_disk_without_log() -> CoreError {
     CoreError::BadConfig("a log disk was given, but the index is not durable".into())
 }
 
-/// Redo the records of `scanned` up to its recovery point — the last
-/// commit or checkpoint; records after it belong to an operation that was
-/// never acknowledged — onto `pool`, and return the snapshot recovered
-/// with what the redo did.
+/// The last commit or checkpoint record in a log, which recovery redoes
+/// the log up to: records after it belong to a batch that was never
+/// acknowledged.
+struct RecoveryPoint {
+    lsn: Lsn,
+    /// The snapshot the record carries.
+    meta: Vec<u8>,
+    /// Records up to and including it.
+    records: u64,
+    /// Commit records up to and including it.
+    commits: u64,
+}
+
+/// Redo the log chained from `anchor` on `log` onto `pool`, up to its
+/// recovery point, and return the snapshot recovered, what the redo did
+/// and where the log ends; `Ok(None)` when `anchor` holds no log.
+///
+/// Two passes, each holding one log page and one record at a time. The
+/// first reads the whole log and checks every page record up to the
+/// recovery point, writing nothing, so a log page that cannot be read
+/// or a malformed record fails recovery before any write. The second
+/// redoes the page records up to the point. A read that fails in the
+/// second pass, or a record that differs from the first pass's, is an
+/// error too, after some pages were written; recovering again repairs
+/// them, because every page's first record in a generation is a full
+/// image, so redo never depends on what the data disk holds.
 pub(crate) fn redo_log(
     pool: &BufferPool,
-    scanned: &ScanResult,
-) -> CoreResult<(MetaSnapshot, RecoveryReport)> {
+    log: &dyn DiskBackend,
+    anchor: PageId,
+) -> CoreResult<Option<(MetaSnapshot, RecoveryReport, LogEnd)>> {
+    let Some(mut reader) = LogReader::open(log, anchor)? else {
+        return Ok(None);
+    };
+    // Pass 1. `chained` holds each page's last record, which its next
+    // delta must chain to. A flawed record fails recovery only once a
+    // commit or checkpoint follows it: only then would it be redone.
+    let page_size = pool.page_size();
+    let mut chained: HashMap<PageId, Lsn> = HashMap::new();
+    let (mut flaw, mut point) = (None, None);
+    let (mut records, mut commits) = (0, 0);
+    while let Some((lsn, rec)) = reader.next_record()? {
+        records += 1;
+        commits += u64::from(matches!(rec, WalRecord::Commit { .. }));
+        match rec {
+            WalRecord::Commit { meta } | WalRecord::Checkpoint { meta } => {
+                if let Some(flaw) = flaw.take() {
+                    return Err(corrupt_log(flaw));
+                }
+                point = Some(RecoveryPoint {
+                    lsn,
+                    meta,
+                    records,
+                    commits,
+                });
+            }
+            _ if flaw.is_some() => {}
+            rec => {
+                let last = |pid| chained.get(&pid).copied();
+                match bur_wal::check_page_record(lsn, &rec, page_size, last) {
+                    Ok(pid) => chained.extend(pid.map(|pid| (pid, lsn))),
+                    Err(e) => flaw = Some(e),
+                }
+            }
+        }
+    }
+    let end = reader.finish()?;
     let mut report = RecoveryReport {
-        scanned_records: scanned.records.len() as u64,
-        log_generation: scanned.generation,
-        torn_tail: scanned.torn_tail,
+        scanned_records: end.records(),
+        log_generation: end.generation(),
+        torn_tail: end.torn_tail(),
         ..RecoveryReport::default()
     };
-    let point = scanned
-        .records
-        .iter()
-        .enumerate()
-        .rev()
-        .find_map(|(i, (lsn, rec))| match rec {
-            WalRecord::Commit { meta } | WalRecord::Checkpoint { meta } => Some((i, *lsn, meta)),
-            _ => None,
-        });
-    let snap = if let Some((cut, lsn, meta)) = point {
-        let (snap, _) = MetaSnapshot::decode(meta)?;
-        report.recovered_lsn = lsn;
-        // Redo: replay page records in log order. The first record of
-        // every page in a generation is a full image (the delta encoder
-        // anchors there), so replay never depends on the pre-crash
-        // content of a page — each delta applies onto the state produced
-        // by the records before it, which `redo` verifies against the
-        // delta's recorded base.
-        let replayed = &scanned.records[..=cut];
-        let (images, deltas) =
-            bur_wal::redo(pool, replayed, &mut HashMap::new()).map_err(|e| match e {
-                RedoError::Corrupt(msg) => CoreError::BadConfig(format!("{msg} (corrupt log)")),
-                RedoError::Storage(e) => e.into(),
-            })?;
-        report.replayed_images = images;
-        report.replayed_deltas = deltas;
-        report.committed_ops = replayed
-            .iter()
-            .filter(|(_, rec)| matches!(rec, WalRecord::Commit { .. }))
-            .count() as u64;
-        snap
-    } else {
+    let Some(point) = point else {
         // No commit or checkpoint survived in the log. The one benign way
         // here: the crash cut the checkpoint *rewind* itself, after the
         // base image (including the metadata chain) was fully flushed but
@@ -901,23 +932,72 @@ pub(crate) fn redo_log(
                  unreadable ({e})"
             ))
         })?;
-        MetaSnapshot::decode(&payload)?.0
+        let snap = MetaSnapshot::decode(&payload)?.0;
+        report.recovered_len = snap.len;
+        return Ok(Some((snap, report, end)));
     };
+    let (snap, _) = MetaSnapshot::decode(&point.meta)?;
+
+    // Pass 2: redo page records in log order up to the point. Each delta
+    // applies onto the state the records before it produced, which the
+    // chain check (made again, against a fresh `chained`) verifies.
+    let changed = || {
+        CoreError::Storage(StorageError::Io(std::io::Error::other(
+            "the write-ahead log changed between recovery's two passes",
+        )))
+    };
+    let mut reader = LogReader::open(log, anchor)?.ok_or_else(changed)?;
+    chained.clear();
+    let mut redone = 0;
+    loop {
+        let (lsn, rec) = reader.next_record()?.ok_or_else(changed)?;
+        redone += 1;
+        if lsn >= point.lsn {
+            let same = matches!(&rec, WalRecord::Commit { meta } | WalRecord::Checkpoint { meta }
+                if lsn == point.lsn && *meta == point.meta && redone == point.records);
+            if !same {
+                return Err(changed());
+            }
+            break;
+        }
+        let last = |pid| chained.get(&pid).copied();
+        if let Some(pid) =
+            bur_wal::check_page_record(lsn, &rec, page_size, last).map_err(corrupt_log)?
+        {
+            chained.insert(pid, lsn);
+            bur_wal::redo_page_record(pool, &rec)?;
+            match rec {
+                WalRecord::PageImage { .. } => report.replayed_images += 1,
+                _ => report.replayed_deltas += 1,
+            }
+        }
+    }
+    report.recovered_lsn = point.lsn;
+    report.commits = point.commits;
     report.recovered_len = snap.len;
-    Ok((snap, report))
+    Ok(Some((snap, report, end)))
+}
+
+/// A malformed page record that recovery would have to redo.
+fn corrupt_log(e: RedoError) -> CoreError {
+    match e {
+        RedoError::Corrupt(msg) => CoreError::BadConfig(format!("{msg} (corrupt log)")),
+        RedoError::Storage(e) => e.into(),
+    }
 }
 
 // ---- open-time memory-state rebuild ------------------------------------------
 
 /// Scan the stored tree to rebuild the main-memory summary structure and
-/// (when requested) a hash index the stored image lacked.
+/// (when requested) a hash index the stored image lacked. Each leaf's
+/// objects go into the hash index as the walk meets the leaf, so the
+/// rebuild holds no list of every object.
 pub(crate) fn rebuild_memory_state(tree: &mut RTree, build_hash: bool) -> CoreResult<()> {
     fn walk(
         tree: &RTree,
         pid: PageId,
         summary: &mut Option<SummaryStructure>,
-        hash_entries: &mut Vec<(ObjectId, PageId)>,
-        build_hash: bool,
+        hash: Option<&LinearHashIndex>,
         leaf_cap: usize,
     ) -> CoreResult<()> {
         let node = tree.read_node(pid)?;
@@ -926,8 +1006,10 @@ pub(crate) fn rebuild_memory_state(tree: &mut RTree, build_hash: bool) -> CoreRe
                 if let Some(s) = summary {
                     s.set_leaf(pid, v.len() >= leaf_cap);
                 }
-                if build_hash {
-                    hash_entries.extend(v.iter().map(|e| (e.oid, pid)));
+                if let Some(hash) = hash {
+                    for e in v {
+                        hash.insert(e.oid, pid)?;
+                    }
                 }
             }
             NodeEntries::Internal(v) => {
@@ -935,7 +1017,7 @@ pub(crate) fn rebuild_memory_state(tree: &mut RTree, build_hash: bool) -> CoreRe
                     s.upsert_internal(pid, node.level, node.mbr(), v.iter().map(|e| e.child));
                 }
                 for e in v {
-                    walk(tree, e.child, summary, hash_entries, build_hash, leaf_cap)?;
+                    walk(tree, e.child, summary, hash, leaf_cap)?;
                 }
             }
         }
@@ -949,27 +1031,14 @@ pub(crate) fn rebuild_memory_state(tree: &mut RTree, build_hash: bool) -> CoreRe
         if let Some(s) = &mut summary {
             s.clear();
         }
-        let mut hash_entries = Vec::new();
+        let hash = build_hash.then(|| tree.hash.clone().expect("caller created the hash"));
         let leaf_cap = tree.leaf_cap();
-        walk(
-            tree,
-            tree.root,
-            &mut summary,
-            &mut hash_entries,
-            build_hash,
-            leaf_cap,
-        )?;
+        walk(tree, tree.root, &mut summary, hash.as_deref(), leaf_cap)?;
         if let Some(s) = &mut summary {
             let root = tree.read_node(tree.root)?;
             s.set_root_mbr(root.mbr());
         }
         tree.summary = summary;
-        if build_hash {
-            let hash = tree.hash.as_ref().expect("caller created the hash");
-            for (oid, pid) in hash_entries {
-                hash.insert(oid, pid)?;
-            }
-        }
     }
     // LBU needs leaf parent pointers; repair any that are missing or
     // stale (e.g. the stored image was built by a TD index).

@@ -1,7 +1,11 @@
-//! Reading a log chain. [`scan`] reads a whole chain once, for recovery,
-//! `upgrade` and tooling; a [`LogCursor`] tails a live one for
-//! replication. Both walk the chain through one function, so they agree
-//! on where a log ends.
+//! Reading a log chain. A [`LogReader`] hands out a chain's records one
+//! at a time, holding the chain page it is reading and the bytes of the
+//! one record that spans a page boundary, never the whole stream: crash
+//! recovery and `upgrade` read a generation through it twice without
+//! their memory growing with the generation. [`scan`] collects a whole
+//! chain through it, for tools and tests; a [`LogCursor`] tails a live
+//! one through it for replication. All three read through the one
+//! reader, so they agree on where a log ends.
 //!
 //! Only a crash's footprints end a log, as a torn tail: a next page past
 //! the disk's end, a page without the log magic or from another
@@ -32,9 +36,10 @@
 //! written under the new generation reads as a generation mismatch — the
 //! batch simply ends at the last complete record.
 
-use crate::log::{parse_frame, FrameStep, HDR, WAL_PAGE_MAGIC};
+use crate::log::{parse_frame, FrameStep, FRAME, HDR, WAL_PAGE_MAGIC};
 use crate::WalRecord;
 use bur_storage::{DiskBackend, Lsn, PageId, StorageResult, INVALID_PAGE};
+use std::collections::HashSet;
 
 /// What [`scan`] found in a log chain.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -52,18 +57,283 @@ pub struct ScanResult {
     pub stream_bytes: usize,
 }
 
-/// Read the log chain headed at `anchor` and parse every surviving
-/// record. Read-only: used by recovery, `upgrade` and `burctl wal-stats`.
+/// Read the log chain headed at `anchor` and collect every surviving
+/// record. Read-only, for tools and tests: it holds the whole generation
+/// in memory, so recovery reads through a [`LogReader`] instead.
 ///
 /// `Ok(None)` when `anchor` holds no log (out of bounds, or not a log
 /// page). A page of the chain that cannot be read is an error, never a
-/// torn tail: recovery must not start from a log cut short by the disk.
+/// torn tail.
 pub fn scan(disk: &dyn DiskBackend, anchor: PageId) -> StorageResult<Option<ScanResult>> {
-    let mut buf = vec![0u8; disk.page_size()];
-    let Some(generation) = read_log_page(disk, anchor, &mut buf)? else {
+    let Some(mut reader) = LogReader::open(disk, anchor)? else {
         return Ok(None);
     };
-    Ok(Some(walk(disk, &mut buf, generation, (anchor, 0), 0)?.0))
+    let mut records = Vec::new();
+    while let Some(record) = reader.next_record()? {
+        records.push(record);
+    }
+    let end = reader.finish()?;
+    Ok(Some(ScanResult {
+        generation: end.generation,
+        records,
+        pages: end.pages,
+        torn_tail: end.torn_tail,
+        stream_bytes: end.stream_bytes,
+    }))
+}
+
+/// Where a log chain ends, as a [`LogReader`] that read it to the end
+/// found it: what [`Wal::reopen`](crate::Wal::reopen) goes on from.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LogEnd {
+    generation: u32,
+    pages: Vec<PageId>,
+    last_lsn: Lsn,
+    records: u64,
+    torn_tail: bool,
+    stream_bytes: usize,
+}
+
+impl LogEnd {
+    /// Generation of the chain.
+    #[must_use]
+    pub fn generation(&self) -> u32 {
+        self.generation
+    }
+
+    /// Pages of the chain, anchor first.
+    #[must_use]
+    pub fn pages(&self) -> &[PageId] {
+        &self.pages
+    }
+
+    /// LSN of the last surviving record (0 when none survived).
+    #[must_use]
+    pub fn last_lsn(&self) -> Lsn {
+        self.last_lsn
+    }
+
+    /// Surviving records, all kinds.
+    #[must_use]
+    pub fn records(&self) -> u64 {
+        self.records
+    }
+
+    /// `true` when the stream ended in a crash's footprint (see the
+    /// module docs) rather than cleanly.
+    #[must_use]
+    pub fn torn_tail(&self) -> bool {
+        self.torn_tail
+    }
+}
+
+/// An incremental reader over a log chain (see the module docs): each
+/// [`LogReader::next_record`] parses one record. It holds the chain page
+/// it is reading, the bytes of a record that began on an earlier page,
+/// and the chain's page ids.
+pub struct LogReader<'d> {
+    disk: &'d dyn DiskBackend,
+    /// Image of the chain page being read.
+    page: Vec<u8>,
+    /// Which page that is.
+    pid: PageId,
+    /// Record-stream bytes in `page`.
+    used: usize,
+    /// Offset into `page`'s stream of the first byte not yet consumed.
+    off: usize,
+    /// The bytes read so far of a record that began on an earlier page;
+    /// empty between such records.
+    spill: Vec<u8>,
+    /// Pages visited, to tell a chain that loops back on itself.
+    visited: HashSet<PageId>,
+    /// First unconsumed record boundary, as (page, offset into its
+    /// stream): where a [`LogCursor`] resumes.
+    resume: (PageId, usize),
+    /// The stream has ended; `end` is final.
+    ended: bool,
+    end: LogEnd,
+}
+
+impl<'d> LogReader<'d> {
+    /// A reader over the chain headed at `anchor`, before its first
+    /// record. `Ok(None)` when `anchor` holds no log (out of bounds, or
+    /// not a log page); a failed read is an error.
+    pub fn open(disk: &'d dyn DiskBackend, anchor: PageId) -> StorageResult<Option<Self>> {
+        let mut page = vec![0u8; disk.page_size()];
+        let Some(generation) = read_log_page(disk, anchor, &mut page)? else {
+            return Ok(None);
+        };
+        Ok(Some(Self::start(disk, page, generation, (anchor, 0), 0)))
+    }
+
+    /// A reader over the chain of `generation` from `start` — a page,
+    /// whose image `page` already holds, and a byte offset into its
+    /// stream — handing out the records after `prev_lsn`.
+    fn start(
+        disk: &'d dyn DiskBackend,
+        page: Vec<u8>,
+        generation: u32,
+        start: (PageId, usize),
+        prev_lsn: Lsn,
+    ) -> Self {
+        let mut reader = Self {
+            disk,
+            page,
+            pid: start.0,
+            used: 0,
+            off: start.1,
+            spill: Vec::new(),
+            visited: HashSet::new(),
+            resume: start,
+            ended: false,
+            end: LogEnd {
+                generation,
+                pages: Vec::new(),
+                last_lsn: prev_lsn,
+                records: 0,
+                torn_tail: false,
+                stream_bytes: 0,
+            },
+        };
+        reader.enter();
+        reader
+    }
+
+    /// The next surviving record, or `Ok(None)` once the stream ended —
+    /// at the chain's last page or at a crash's footprint, which
+    /// [`LogEnd::torn_tail`] reports. A page that cannot be read is an
+    /// error.
+    pub fn next_record(&mut self) -> StorageResult<Option<(Lsn, WalRecord)>> {
+        while !self.ended {
+            // A record is parsed where it lies when it began on this
+            // page, and from `spill` when it began on an earlier one.
+            let from_page = self.spill.is_empty();
+            let (stream, off) = if from_page {
+                (&self.page[HDR..HDR + self.used], self.off)
+            } else {
+                (&self.spill[..], 0)
+            };
+            match parse_frame(stream, off, self.end.last_lsn) {
+                FrameStep::Parsed { lsn, rec, next_off } => {
+                    if from_page {
+                        self.off = next_off;
+                    } else {
+                        self.spill.clear();
+                    }
+                    self.resume = (self.pid, self.off);
+                    self.end.last_lsn = lsn;
+                    self.end.records += 1;
+                    return Ok(Some((lsn, rec)));
+                }
+                FrameStep::End => self.advance()?,
+                FrameStep::Torn => {
+                    let have = stream.len() - off;
+                    let want = frame_len(&stream[off..]);
+                    if have >= want {
+                        // The whole frame is here, and it is torn or
+                        // stale: the stream ends. The rest of the chain
+                        // is walked all the same, so the pages it owns
+                        // are all reported.
+                        self.end.torn_tail = true;
+                        while !self.ended {
+                            self.advance()?;
+                        }
+                    } else {
+                        self.pull(want - have)?;
+                    }
+                }
+            }
+        }
+        Ok(None)
+    }
+
+    /// Read the records left, and report where the log ends.
+    pub fn finish(mut self) -> StorageResult<LogEnd> {
+        while self.next_record()?.is_some() {}
+        Ok(self.end)
+    }
+
+    /// The frame at the stream position goes on past this page: carry
+    /// what this page holds of it into `spill`, and add up to `missing`
+    /// more of its bytes from the pages after it. When the chain ends
+    /// first, the frame is a torn tail.
+    fn pull(&mut self, missing: usize) -> StorageResult<()> {
+        if self.spill.is_empty() {
+            self.take(self.used - self.off);
+        }
+        if self.off == self.used {
+            self.advance()?;
+            if self.ended {
+                self.end.torn_tail = true;
+                return Ok(());
+            }
+        }
+        self.take(missing.min(self.used - self.off));
+        Ok(())
+    }
+
+    /// Move `n` stream bytes of this page into `spill`, growing it no
+    /// further than they need.
+    fn take(&mut self, n: usize) {
+        let from = HDR + self.off;
+        self.spill.reserve_exact(n);
+        self.spill.extend_from_slice(&self.page[from..from + n]);
+        self.off += n;
+    }
+
+    /// Move on to the chain's next page. The stream ends at the chain's
+    /// last page, and at a crash's footprint as a torn tail.
+    fn advance(&mut self) -> StorageResult<()> {
+        let next = u32::from_le_bytes(self.page[8..12].try_into().unwrap());
+        if next == INVALID_PAGE {
+            self.ended = true;
+            return Ok(());
+        }
+        // A pointer back into the chain is stale garbage, and a next page
+        // never (re)written under this generation ends the chain (an
+        // allocation lost to a crash, or a live append racing us).
+        if self.visited.contains(&next)
+            || read_log_page(self.disk, next, &mut self.page)? != Some(self.end.generation)
+        {
+            self.end.torn_tail = true;
+            self.ended = true;
+            return Ok(());
+        }
+        let boundary_at_end = self.resume == (self.pid, self.used);
+        self.pid = next;
+        self.off = 0;
+        if self.enter() && boundary_at_end {
+            self.resume = (next, 0);
+        }
+        Ok(())
+    }
+
+    /// Take the page in `page` as the chain's next; `false` when its
+    /// `used` count is impossible, which ends the stream as torn.
+    fn enter(&mut self) -> bool {
+        self.end.pages.push(self.pid);
+        self.visited.insert(self.pid);
+        let used = u16::from_le_bytes(self.page[12..14].try_into().unwrap()) as usize;
+        if used > self.page.len() - HDR || self.off > used {
+            self.end.torn_tail = true;
+            self.ended = true;
+            return false;
+        }
+        self.used = used;
+        self.end.stream_bytes += used - self.off;
+        true
+    }
+}
+
+/// Bytes the frame whose first bytes are `head` spans: its header and
+/// body once the header is all there, the header until then.
+fn frame_len(head: &[u8]) -> usize {
+    match head.get(..4) {
+        Some(len) if head.len() >= FRAME => {
+            FRAME + u32::from_le_bytes(len.try_into().unwrap()) as usize
+        }
+        _ => FRAME,
+    }
 }
 
 /// One increment of log tailing — what [`LogCursor::poll`] found since
@@ -160,104 +430,23 @@ impl LogCursor {
                 torn_tail: true,
             });
         };
-        // The cursor moves only once the walk succeeded, so a poll that
-        // failed is retried from the same place.
-        let (read, resume) = walk(disk, &mut buf, generation, start, self.last_lsn)?;
-        self.generation = generation;
-        if let Some(&(lsn, _)) = read.records.last() {
-            self.last_lsn = lsn;
+        let mut reader = LogReader::start(disk, buf, generation, start, self.last_lsn);
+        let mut records = Vec::new();
+        while let Some(record) = reader.next_record()? {
+            records.push(record);
         }
-        (self.resume_page, self.resume_off) = resume;
+        // The cursor moves only once the read succeeded, so a poll that
+        // failed is retried from the same place.
+        self.generation = generation;
+        self.last_lsn = reader.end.last_lsn;
+        (self.resume_page, self.resume_off) = reader.resume;
         Ok(ShipBatch {
             generation,
             rewound,
-            records: read.records,
-            torn_tail: read.torn_tail,
+            records,
+            torn_tail: reader.end.torn_tail,
         })
     }
-}
-
-/// Walk the chain of `generation` from `start` — a page, whose image
-/// `buf` already holds, and a byte offset into its stream — and parse
-/// every complete record after `prev_lsn`. The one chain walker: [`scan`]
-/// reads from the anchor, [`LogCursor::poll`] from where it stopped.
-///
-/// Returns what was read, with the pages visited from `start` on, and
-/// where the first unconsumed byte lies. The walk ends at the chain's
-/// last page or at a crash's footprint (see the module docs), which it
-/// reports as a torn tail; a failed read is an error.
-fn walk(
-    disk: &dyn DiskBackend,
-    buf: &mut [u8],
-    generation: u32,
-    start: (PageId, usize),
-    prev_lsn: Lsn,
-) -> StorageResult<(ScanResult, (PageId, usize))> {
-    let cap = disk.page_size() - HDR;
-    let (mut pid, mut skip) = start;
-    let mut stream: Vec<u8> = Vec::new();
-    // (pid, stream offset of the page's stream byte 0). Negative for the
-    // first page when the walk starts mid-page.
-    let mut segments: Vec<(PageId, isize)> = Vec::new();
-    let mut read = ScanResult {
-        generation,
-        records: Vec::new(),
-        pages: Vec::new(),
-        torn_tail: false,
-        stream_bytes: 0,
-    };
-    loop {
-        read.pages.push(pid);
-        let next = u32::from_le_bytes(buf[8..12].try_into().unwrap());
-        let used = u16::from_le_bytes(buf[12..14].try_into().unwrap()) as usize;
-        if used > cap || skip > used {
-            read.torn_tail = true;
-            break;
-        }
-        segments.push((pid, stream.len() as isize - skip as isize));
-        stream.extend_from_slice(&buf[HDR + skip..HDR + used]);
-        skip = 0;
-        if next == INVALID_PAGE {
-            break;
-        }
-        // A pointer back into the chain is stale garbage, and a next
-        // page never (re)written under this generation ends the chain
-        // (an allocation lost to a crash, or a live append racing us).
-        if read.pages.contains(&next) || read_log_page(disk, next, buf)? != Some(generation) {
-            read.torn_tail = true;
-            break;
-        }
-        pid = next;
-    }
-    read.stream_bytes = stream.len();
-
-    let mut off = 0;
-    let mut prev_lsn = prev_lsn;
-    loop {
-        match parse_frame(&stream, off, prev_lsn) {
-            FrameStep::Parsed { lsn, rec, next_off } => {
-                read.records.push((lsn, rec));
-                prev_lsn = lsn;
-                off = next_off;
-            }
-            FrameStep::End => break,
-            FrameStep::Torn => {
-                read.torn_tail = true;
-                break;
-            }
-        }
-    }
-
-    // Map the consumed boundary back to (page, in-page offset): the
-    // segment bases ascend, so the owning page is the last one whose base
-    // lies at or before `off`. Without a segment nothing was consumed.
-    let offi = off as isize;
-    let resume = segments
-        .iter()
-        .rev()
-        .find(|&&(_, base)| base <= offi)
-        .map_or(start, |&(rpid, base)| (rpid, (offi - base) as usize));
-    Ok((read, resume))
 }
 
 /// Read page `pid` into `buf` and return its generation, or `Ok(None)`
@@ -476,5 +665,46 @@ mod tests {
             "a failed first poll leaves the cursor unattached"
         );
         assert_eq!(b.records, full.records);
+    }
+
+    /// A reader holds one log page and the one record it is assembling,
+    /// however long the chain: reading a log of over 2 000 pages, its
+    /// buffers never exceed one page plus the largest record's frame.
+    #[test]
+    fn the_reader_holds_one_page_and_one_record() {
+        use crate::log::BODY_PREFIX;
+        let d = disk(256);
+        let wal = Wal::create(d.clone()).unwrap();
+        let mut largest = 0;
+        let mut appended = 0u64;
+        for round in 0..1_600usize {
+            // Images from a few bytes to over two log pages long.
+            let len = (round * 37) % 600;
+            wal.append(&image(round as PageId, round as u8, len))
+                .unwrap();
+            largest = largest.max(FRAME + BODY_PREFIX + 4 + len);
+            appended += 1;
+            if round % 7 == 0 {
+                wal.commit(vec![round as u8; 40]).unwrap();
+                appended += 1;
+            }
+        }
+        wal.sync().unwrap();
+
+        let mut reader = LogReader::open(d.as_ref(), wal.anchor()).unwrap().unwrap();
+        let mut read = 0u64;
+        while let Some((_, rec)) = reader.next_record().unwrap() {
+            read += 1;
+            let held = reader.page.capacity() + reader.spill.capacity();
+            assert!(
+                held <= 256 + largest,
+                "record {read} ({}): {held} bytes held, largest frame {largest}",
+                rec.name()
+            );
+        }
+        let end = reader.finish().unwrap();
+        assert_eq!((read, end.records()), (appended, appended));
+        assert!(!end.torn_tail());
+        assert!(end.pages().len() >= 2_000, "{} pages", end.pages().len());
     }
 }

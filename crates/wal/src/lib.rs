@@ -39,20 +39,26 @@
 //!   flushes the buffer pool as the new base image, then *rewinds* the
 //!   log onto its own pages under a fresh generation number, reusing them
 //!   instead of growing forever;
-//! * **redo** ([`Wal::reopen`] / [`scan`] / [`redo`]) — replay every page
-//!   image up to the last durable commit, in order, onto the surviving
-//!   base image. Records are CRC-framed and generation-tagged, so a torn
-//!   tail (a write cut mid-page by power loss) is detected and discarded,
+//! * **redo** ([`LogReader`] / [`check_page_record`] /
+//!   [`redo_page_record`] / [`Wal::reopen`]) — replay every page record
+//!   up to the last durable commit, in order, onto the surviving base
+//!   image. Records are CRC-framed and generation-tagged, so a torn tail
+//!   (a write cut mid-page by power loss) is detected and discarded,
 //!   never replayed. Delta chains replay onto the full image that anchors
 //!   them — the first record of every page in a generation is always a
 //!   full image, so redo never depends on pre-crash disk content. Crash
-//!   recovery and a replication follower redo through the same
-//!   [`redo`], which refuses a run of records whole when any of them is
-//!   malformed;
-//! * **one reader** — [`scan`] and the replication [`LogCursor`] walk a
-//!   chain through one function, so they agree on where a log ends. Only
-//!   a crash's footprints end it, as a torn tail: a next page past the
-//!   disk's end, a page without the log magic or from another
+//!   recovery reads the log twice through a [`LogReader`], checking
+//!   every record before it writes a page, and a replication follower
+//!   redoes a commit's buffered records through [`redo`], which refuses
+//!   them whole when any is malformed; both check through
+//!   [`check_page_record`];
+//! * **one reader** — a [`LogReader`] hands out a chain's records one at
+//!   a time, holding one log page and the one record that spans a page
+//!   boundary, so reading a log costs memory for a page and a record, not
+//!   for the generation. [`scan`] (tools and tests) and the replication
+//!   [`LogCursor`] collect from it, so all agree on where a log ends.
+//!   Only a crash's footprints end it, as a torn tail: a next page past
+//!   the disk's end, a page without the log magic or from another
 //!   generation, an oversized `used` count, a chain loop, a torn or stale
 //!   frame. A log page that cannot be read is an error, and recovery,
 //!   `upgrade` and a follower's poll return it before writing anything.
@@ -74,9 +80,12 @@
 //! let lsn = wal.commit(b"snapshot".to_vec()).unwrap();
 //! assert_eq!(wal.durable_lsn(), lsn);
 //!
-//! let scan = bur_wal::scan(disk.as_ref(), anchor).unwrap().expect("a log");
-//! assert_eq!(scan.records.len(), 2);
-//! assert!(!scan.torn_tail);
+//! let mut reader = bur_wal::LogReader::open(disk.as_ref(), anchor).unwrap().expect("a log");
+//! assert!(matches!(reader.next_record().unwrap(), Some((_, WalRecord::PageImage { pid: 9, .. }))));
+//! assert!(matches!(reader.next_record().unwrap(), Some((l, WalRecord::Commit { .. })) if l == lsn));
+//! let end = reader.finish().unwrap();
+//! assert_eq!(end.records(), 2);
+//! assert!(!end.torn_tail());
 //! ```
 
 #![warn(missing_docs)]
@@ -85,10 +94,10 @@ mod cursor;
 mod log;
 
 pub use bur_storage::Lsn;
-pub use cursor::{scan, LogCursor, ScanResult, ShipBatch};
+pub use cursor::{scan, LogCursor, LogEnd, LogReader, ScanResult, ShipBatch};
 pub use log::{delta_payload_len, Wal, WalStatsSnapshot, WAL_PAGE_MAGIC};
 
-use bur_storage::{BufferPool, PageId, StorageError};
+use bur_storage::{BufferPool, PageId, StorageError, StorageResult};
 use std::collections::HashMap;
 
 /// One contiguous byte range rewritten by a [`WalRecord::PageDelta`].
@@ -185,72 +194,99 @@ pub enum RedoError {
     Storage(StorageError),
 }
 
+/// The page `rec` writes, once it passed the checks redo makes before
+/// writing a page record: an image must be one page long, and a delta
+/// must chain to `last` — the LSN of the page's last record redone (or
+/// checked) before it — and stay inside the page. `Ok(None)` for a
+/// commit or checkpoint record. Crash recovery and [`redo`] check
+/// through this one function.
+pub fn check_page_record(
+    lsn: Lsn,
+    rec: &WalRecord,
+    page_size: usize,
+    last: impl FnOnce(PageId) -> Option<Lsn>,
+) -> Result<Option<PageId>, RedoError> {
+    let (pid, flaw) = match rec {
+        WalRecord::PageImage { pid, data } => (
+            *pid,
+            (data.len() != page_size).then_some("is not one page long"),
+        ),
+        WalRecord::PageDelta {
+            pid,
+            base_lsn,
+            ranges,
+        } => {
+            let flaw = if last(*pid) != Some(*base_lsn) {
+                Some("does not chain to a replayed record")
+            } else if ranges
+                .iter()
+                .any(|r| usize::from(r.offset) + r.bytes.len() > page_size)
+            {
+                Some("runs past the page end")
+            } else {
+                None
+            };
+            (*pid, flaw)
+        }
+        WalRecord::Commit { .. } | WalRecord::Checkpoint { .. } => return Ok(None),
+    };
+    match flaw {
+        Some(flaw) => Err(RedoError::Corrupt(format!(
+            "{} of page {pid} at lsn {lsn} {flaw}",
+            rec.name()
+        ))),
+        None => Ok(Some(pid)),
+    }
+}
+
+/// Write one page record that passed [`check_page_record`] onto `pool`;
+/// commit and checkpoint records write nothing. An image of a page past
+/// the disk's end extends the disk first (a crash may have lost trailing
+/// allocations).
+pub fn redo_page_record(pool: &BufferPool, rec: &WalRecord) -> StorageResult<()> {
+    match rec {
+        WalRecord::PageImage { pid, data } => {
+            while *pid >= pool.disk().num_pages() {
+                pool.disk().allocate()?;
+            }
+            pool.fetch_for_overwrite(*pid)?
+                .write()
+                .copy_from_slice(data);
+        }
+        WalRecord::PageDelta { pid, ranges, .. } => {
+            let applied = apply_delta(&mut pool.fetch(*pid)?.write(), ranges);
+            debug_assert!(applied, "delta bounds were checked");
+        }
+        WalRecord::Commit { .. } | WalRecord::Checkpoint { .. } => {}
+    }
+    Ok(())
+}
+
 /// Redo the page records among `records` onto `pool`, in order, and
 /// return how many `(images, deltas)` it wrote; commit and checkpoint
 /// records are skipped. `page_lsns` holds each page's last replayed
 /// record, which a delta must chain to, and is advanced.
 ///
-/// Every page record is checked before any is written, so a malformed
-/// one leaves the pool as it was. An image of a page past the disk's end
-/// extends the disk first (a crash may have lost trailing allocations).
+/// Every page record is checked ([`check_page_record`]) before any is
+/// written, so a malformed one leaves the pool as it was.
 pub fn redo(
     pool: &BufferPool,
     records: &[(Lsn, WalRecord)],
     page_lsns: &mut HashMap<PageId, Lsn>,
 ) -> Result<(u64, u64), RedoError> {
-    let page_size = pool.page_size();
     let mut chained: HashMap<PageId, Lsn> = HashMap::new();
     for (lsn, rec) in records {
-        let (pid, flaw) = match rec {
-            WalRecord::PageImage { pid, data } => (
-                pid,
-                (data.len() != page_size).then_some("is not one page long"),
-            ),
-            WalRecord::PageDelta {
-                pid,
-                base_lsn,
-                ranges,
-            } => {
-                let base = chained.get(pid).or_else(|| page_lsns.get(pid));
-                let flaw = if base != Some(base_lsn) {
-                    Some("does not chain to a replayed record")
-                } else if ranges
-                    .iter()
-                    .any(|r| usize::from(r.offset) + r.bytes.len() > page_size)
-                {
-                    Some("runs past the page end")
-                } else {
-                    None
-                };
-                (pid, flaw)
-            }
-            WalRecord::Commit { .. } | WalRecord::Checkpoint { .. } => continue,
-        };
-        if let Some(flaw) = flaw {
-            let kind = rec.name();
-            return Err(RedoError::Corrupt(format!(
-                "{kind} of page {pid} at lsn {lsn} {flaw}"
-            )));
+        let last = |pid| chained.get(&pid).or_else(|| page_lsns.get(&pid)).copied();
+        if let Some(pid) = check_page_record(*lsn, rec, pool.page_size(), last)? {
+            chained.insert(pid, *lsn);
         }
-        chained.insert(*pid, *lsn);
     }
     let (mut images, mut deltas) = (0, 0);
     for (_, rec) in records {
+        redo_page_record(pool, rec).map_err(RedoError::Storage)?;
         match rec {
-            WalRecord::PageImage { pid, data } => {
-                while *pid >= pool.disk().num_pages() {
-                    pool.disk().allocate().map_err(RedoError::Storage)?;
-                }
-                let page = pool.fetch_for_overwrite(*pid).map_err(RedoError::Storage)?;
-                page.write().copy_from_slice(data);
-                images += 1;
-            }
-            WalRecord::PageDelta { pid, ranges, .. } => {
-                let page = pool.fetch(*pid).map_err(RedoError::Storage)?;
-                let applied = apply_delta(&mut page.write(), ranges);
-                debug_assert!(applied, "delta bounds were checked above");
-                deltas += 1;
-            }
+            WalRecord::PageImage { .. } => images += 1,
+            WalRecord::PageDelta { .. } => deltas += 1,
             WalRecord::Commit { .. } | WalRecord::Checkpoint { .. } => {}
         }
     }

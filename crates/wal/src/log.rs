@@ -23,16 +23,16 @@
 //! Within one page the stream is append-only, so a torn rewrite of the
 //! tail page (power cut half-way through the sector) either reproduces
 //! the old bytes exactly or breaks the CRC of the record under the tear —
-//! either way [`scan`](crate::scan) stops at a well-defined prefix and
+//! either way a [`LogReader`](crate::LogReader) stops at a well-defined prefix and
 //! reports `torn_tail`.
 //!
 //! A checkpoint *rewinds* the log: the chain's pages are recycled, the
 //! generation number is bumped, and a fresh stream starts at the anchor
 //! page with a [`WalRecord::Checkpoint`]. Stale pages of older
-//! generations are ignored by [`scan`](crate::scan) (generation mismatch
+//! generations are ignored by the reader (generation mismatch
 //! ends the chain), so the log never grows past one generation of records.
 
-use crate::{crc32, crc32_update, scan, DeltaRange, ScanResult, WalRecord};
+use crate::{crc32, crc32_update, DeltaRange, LogEnd, WalRecord};
 use bur_storage::{DiskBackend, Lsn, PageId, PreImage, StorageResult, INVALID_PAGE};
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -500,27 +500,24 @@ impl Wal {
         Ok(wal)
     }
 
-    /// Reopen an existing log for recovery: scans it and returns the
-    /// surviving records, or `Ok(None)` when `anchor` holds no log. The
-    /// log is positioned *read-only* — it must be rewound with
-    /// [`Wal::checkpoint_rewind`] (after replaying the records and
-    /// flushing the new base image) before appending again.
-    pub fn reopen(
-        disk: Arc<dyn DiskBackend>,
-        anchor: PageId,
-    ) -> StorageResult<Option<(Self, ScanResult)>> {
-        let Some(scanned) = scan(disk.as_ref(), anchor)? else {
-            return Ok(None);
-        };
-        let last = scanned.records.last().map_or(0, |&(lsn, _)| lsn);
-        let spare = scanned
-            .pages
-            .iter()
-            .copied()
-            .filter(|&p| p != anchor)
-            .collect();
-        let wal = Self::new(disk, anchor, scanned.generation, spare, last, true);
-        Ok(Some((wal, scanned)))
+    /// Reopen an existing log for recovery, at `end`: where a
+    /// [`LogReader`](crate::LogReader) that read this disk's chain to the
+    /// end found it ended. The log is positioned *read-only* — it must be
+    /// rewound with [`Wal::checkpoint_rewind`] (after replaying the
+    /// records and flushing the new base image) before appending again;
+    /// the rewind recycles the chain's pages and goes on from its last
+    /// LSN.
+    #[must_use]
+    pub fn reopen(disk: Arc<dyn DiskBackend>, end: &LogEnd) -> Self {
+        let (&anchor, rest) = end.pages().split_first().expect("a chain has its anchor");
+        Self::new(
+            disk,
+            anchor,
+            end.generation(),
+            rest.to_vec(),
+            end.last_lsn(),
+            true,
+        )
     }
 
     /// The anchor (first) page of the log chain.
@@ -871,7 +868,7 @@ fn parse_delta(payload: &[u8]) -> Option<WalRecord> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::apply_delta;
+    use crate::{apply_delta, scan, LogReader};
     use bur_storage::MemDisk;
 
     fn disk(ps: usize) -> Arc<MemDisk> {
@@ -1044,8 +1041,13 @@ mod tests {
             wal.append(&image(5, 5, 100)).unwrap();
             wal.commit(b"m".to_vec()).unwrap();
         }
-        let (wal, s) = Wal::reopen(d.clone(), anchor).unwrap().expect("a log");
-        assert_eq!(s.records.len(), 2);
+        let end = LogReader::open(d.as_ref(), anchor)
+            .unwrap()
+            .expect("a log")
+            .finish()
+            .unwrap();
+        assert_eq!(end.records(), 2);
+        let wal = Wal::reopen(d.clone(), &end);
         assert!(wal.append(&image(1, 1, 8)).is_err(), "append before rewind");
         wal.checkpoint_rewind(b"base".to_vec()).unwrap();
         wal.append(&image(1, 1, 8)).unwrap();
@@ -1063,7 +1065,7 @@ mod tests {
         d.allocate().unwrap(); // a zeroed page is not a log
         assert_eq!(scan(d.as_ref(), 0).unwrap(), None);
         assert_eq!(scan(d.as_ref(), 7).unwrap(), None, "out of bounds");
-        assert!(Wal::reopen(d, 0).unwrap().is_none());
+        assert!(LogReader::open(d.as_ref(), 0).unwrap().is_none());
     }
 
     #[test]

@@ -491,11 +491,11 @@ fn cmd_recover(path: &str, rest: &[String]) -> Result<(), String> {
         report.recovered_len, report.recovered_lsn, report.log_generation
     );
     println!(
-        "replayed {} full page images + {} deltas across {} committed ops \
+        "replayed {} full page images + {} deltas across {} commits \
          ({} log records scanned{})",
         report.replayed_images,
         report.replayed_deltas,
-        report.committed_ops,
+        report.commits,
         report.scanned_records,
         if report.torn_tail {
             ", torn tail discarded"
@@ -583,11 +583,11 @@ fn cmd_promote(path: &str, rest: &[String]) -> Result<(), String> {
         .validate()
         .map_err(|e| format!("promoted index is INVALID: {e}"))?;
     println!(
-        "promoted {path}: {} objects at lsn {} (log gen {}), {} committed ops replayed{}",
+        "promoted {path}: {} objects at lsn {} (log gen {}), {} commits replayed{}",
         report.recovered_len,
         report.recovered_lsn,
         report.log_generation,
-        report.committed_ops,
+        report.commits,
         if report.torn_tail {
             "; torn tail discarded"
         } else {
@@ -669,8 +669,8 @@ fn cmd_upgrade(path: &str) -> Result<(), String> {
         .validate()
         .map_err(|e| format!("upgraded index is INVALID: {e}"))?;
     println!(
-        "upgraded {path}: {} objects, {} committed ops redone; all invariants hold",
-        report.recovered_len, report.committed_ops
+        "upgraded {path}: {} objects, {} commits redone; all invariants hold",
+        report.recovered_len, report.commits
     );
     Ok(())
 }

@@ -117,7 +117,7 @@
 //!     .build_with_report()
 //!     .unwrap();
 //! assert_eq!(recovered.len(), 2);
-//! assert!(report.unwrap().committed_ops >= 1);
+//! assert!(report.unwrap().commits >= 1);
 //! ```
 
 #![warn(missing_docs)]

@@ -519,7 +519,7 @@ fn create_over_a_stale_sidecar_does_not_replay_it() {
         .build_index_with_report()
         .unwrap();
     assert_eq!(index.len(), 50, "only the new index's operations replay");
-    assert!(report.unwrap().committed_ops <= 90);
+    assert!(report.unwrap().commits <= 90);
     index.validate().unwrap();
     for (oid, p) in positions.iter().enumerate() {
         assert!(index.point_query(*p).unwrap().contains(&(oid as u64)));

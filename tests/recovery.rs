@@ -528,7 +528,9 @@ fn crash_recovery_survives_cuts_inside_delta_chains_and_at_anchors() {
 /// The same sweep over generations longer than 1 024 operations on a
 /// pool of four frames: a page is evicted and read back between its
 /// records, so the base of its next delta is the content read back from
-/// the data disk.
+/// the data disk. Then generations longer than 8 192 operations, each
+/// cut in its last quarter: recovery streams the log, so their length
+/// costs replay time, not memory.
 #[test]
 fn crash_recovery_survives_cuts_in_long_generations_on_a_small_pool() {
     let sweep = DeltaSweep {
@@ -536,11 +538,23 @@ fn crash_recovery_survives_cuts_in_long_generations_on_a_small_pool() {
         frames: 4,
         objects: 600,
     };
+    let long = DeltaSweep {
+        checkpoint_every: 12_288,
+        ..sweep
+    };
+    let cuts = (CUT_PAST_1024_OPS..CUT_PAST_1024_OPS + 400)
+        .step_by(20)
+        .map(|cut| (&sweep, cut, 1_024))
+        .chain(
+            (CUT_PAST_9216_OPS..=CUT_PAST_9216_OPS + 6_000)
+                .step_by(1_500)
+                .map(|cut| (&long, cut, 9_216)),
+        );
     let (mut deltas, mut anchors) = (0, 0);
-    for cut in (CUT_PAST_1024_OPS..CUT_PAST_1024_OPS + 400).step_by(20) {
+    for (sweep, cut, past) in cuts {
         let run = sweep.cut_at(cut, 9700 + cut);
         assert!(
-            run.replayed_ops > 1_024,
+            run.replayed_ops > past && run.replayed_ops <= sweep.checkpoint_every,
             "cut {cut}: the generation held {} operations",
             run.replayed_ops
         );
@@ -558,7 +572,12 @@ fn crash_recovery_survives_cuts_in_long_generations_on_a_small_pool() {
 /// more than 1 024 updates since its checkpoint.
 const CUT_PAST_1024_OPS: u64 = 3_000;
 
+/// Writes after which it has committed more than 9 216 — the last
+/// quarter of a 12 288-operation generation.
+const CUT_PAST_9216_OPS: u64 = 24_000;
+
 /// One shape of the delta-chain cut sweep.
+#[derive(Clone, Copy)]
 struct DeltaSweep {
     checkpoint_every: u64,
     frames: usize,
@@ -642,7 +661,8 @@ impl DeltaSweep {
         DeltaCut {
             deltas: report.replayed_deltas,
             anchors,
-            replayed_ops: report.committed_ops,
+            // Every update of the sweep commits alone.
+            replayed_ops: report.commits,
             reread,
         }
     }
@@ -1163,6 +1183,45 @@ fn copy_disk(src: &MemDisk) -> Arc<MemDisk> {
     dst
 }
 
+/// `batches` batches of ten fresh inserts on a durable index with the
+/// default options, then a crash with the handle alive: the data and log
+/// platters as the crash left them, and every acknowledged position.
+fn crashed_after_batches(batches: u64, seed: u64) -> (Arc<MemDisk>, Arc<MemDisk>, Vec<Point>) {
+    let (data, log) = (Arc::new(MemDisk::new(PAGE)), Arc::new(MemDisk::new(PAGE)));
+    let mut index = IndexBuilder::with_options(IndexOptions::durable())
+        .disk(data.clone())
+        .log_disk(log.clone())
+        .build_index()
+        .unwrap();
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut positions = Vec::new();
+    for b in 0..batches {
+        let mut batch = Batch::new();
+        for oid in b * 10..b * 10 + 10 {
+            let p = Point::new(rng.random_range(0.0..1.0), rng.random_range(0.0..1.0));
+            batch.insert(oid, p);
+            positions.push(p);
+        }
+        index.apply_batch(&batch).unwrap();
+    }
+    // Crash with the handle alive: only what the platters hold survives.
+    let (data, log) = (copy_disk(&data), copy_disk(&log));
+    std::mem::forget(index);
+    (data, log, positions)
+}
+
+/// Every acknowledged position is where `index` finds its object.
+fn assert_holds(index: &RTreeIndex, positions: &[Point]) {
+    index.validate().unwrap();
+    assert_eq!(index.len(), positions.len() as u64);
+    for (oid, p) in positions.iter().enumerate() {
+        assert!(
+            index.point_query(*p).unwrap().contains(&(oid as u64)),
+            "acknowledged position of {oid} lost"
+        );
+    }
+}
+
 /// A log page that cannot be read fails recovery before it writes
 /// anything. Redoing the readable prefix would drop every commit behind
 /// the page, and the recovery's checkpoint would rewind the log over
@@ -1171,26 +1230,7 @@ fn copy_disk(src: &MemDisk) -> Arc<MemDisk> {
 #[test]
 fn an_unreadable_log_page_fails_recovery_and_loses_nothing() {
     let opts = IndexOptions::durable();
-    let (data, log) = (Arc::new(MemDisk::new(PAGE)), Arc::new(MemDisk::new(PAGE)));
-    let mut index = IndexBuilder::with_options(opts)
-        .disk(data.clone())
-        .log_disk(log.clone())
-        .build_index()
-        .unwrap();
-    let mut rng = StdRng::seed_from_u64(37);
-    for b in 0..30u64 {
-        let mut batch = Batch::new();
-        for oid in b * 10..b * 10 + 10 {
-            batch.insert(
-                oid,
-                Point::new(rng.random_range(0.0..1.0), rng.random_range(0.0..1.0)),
-            );
-        }
-        index.apply_batch(&batch).unwrap();
-    }
-    // Crash with the handle alive: only what the platters hold survives.
-    let (data, log) = (copy_disk(&data), copy_disk(&log));
-    std::mem::forget(index);
+    let (data, log, _) = crashed_after_batches(30, 37);
 
     let pages = bur::wal::scan(log.as_ref(), LOG_DISK_ANCHOR)
         .unwrap()
@@ -1206,4 +1246,122 @@ fn an_unreadable_log_page_fails_recovery_and_loses_nothing() {
     let (index, _) = recover_on(data, log, opts).unwrap();
     assert_eq!(index.len(), 300, "every acked insert is recovered");
     index.validate().unwrap();
+}
+
+/// A batch is one commit record however many operations it holds, and
+/// the recovery report counts records.
+#[test]
+fn recovery_counts_commit_records_not_operations() {
+    let (data, log, positions) = crashed_after_batches(3, 53);
+    let (index, report) = recover_on(data, log, IndexOptions::durable()).unwrap();
+    assert_eq!(report.commits, 3, "{report:?}");
+    assert_holds(&index, &positions);
+}
+
+/// Recovery checks every record it will redo before it writes a page: a
+/// CRC-clean delta that does not chain, followed by a commit, fails it as
+/// a corrupt log with the data disk exactly as the crash left it.
+#[test]
+fn a_delta_that_does_not_chain_fails_recovery_before_any_write() {
+    // A pool small enough that a page redone would reach the disk.
+    let opts = IndexOptions {
+        buffer_frames: 4,
+        ..IndexOptions::durable()
+    };
+    let (data, log, positions) = crashed_after_batches(30, 59);
+    // The crashed log, appended again record by record to a log of its
+    // own; a fresh log numbers them from 1 just as the index's did.
+    let scanned = bur::wal::scan(log.as_ref(), LOG_DISK_ANCHOR)
+        .unwrap()
+        .expect("a log");
+    let relog = Arc::new(MemDisk::new(PAGE));
+    let wal = bur::wal::Wal::create(relog.clone()).unwrap();
+    let (mut meta, mut pid) = (Vec::new(), None);
+    for (lsn, rec) in scanned.records {
+        let appended = match rec {
+            WalRecord::Commit { meta: m } => {
+                meta.clone_from(&m);
+                wal.commit(m)
+            }
+            WalRecord::PageImage { pid: p, .. } | WalRecord::PageDelta { pid: p, .. } => {
+                pid = Some(p);
+                wal.append(&rec)
+            }
+            WalRecord::Checkpoint { .. } => wal.append(&rec),
+        };
+        assert_eq!(appended.unwrap(), lsn);
+    }
+    let good = copy_disk(&relog);
+    assert_holds(
+        &recover_on(copy_disk(&data), good, opts).unwrap().0,
+        &positions,
+    );
+
+    // A delta whose base is the opening checkpoint, not a page record,
+    // then a commit that would make recovery redo it.
+    wal.append(&WalRecord::PageDelta {
+        pid: pid.expect("the batches logged pages"),
+        base_lsn: 1,
+        ranges: vec![bur::wal::DeltaRange {
+            offset: 16,
+            bytes: vec![0xEE; 8],
+        }],
+    })
+    .unwrap();
+    wal.commit(meta).unwrap();
+    let before = copy_disk(&data);
+    let err = recover_on(data.clone(), relog, opts).map(|(index, _)| index.len());
+    assert!(
+        matches!(&err, Err(CoreError::BadConfig(msg)) if msg.contains("corrupt log")),
+        "{err:?}"
+    );
+    assert_eq!(data.num_pages(), before.num_pages());
+    let (mut now, mut then) = (vec![0u8; PAGE], vec![0u8; PAGE]);
+    for page in 0..data.num_pages() {
+        data.read(page, &mut now).unwrap();
+        before.read(page, &mut then).unwrap();
+        assert!(now == then, "page {page} was written");
+    }
+}
+
+/// A log read that fails in recovery's second pass fails recovery with
+/// the storage error, after the pass redid some pages onto the data
+/// disk; recovering again, the fault gone, loses no acknowledged write.
+#[test]
+fn a_log_read_that_fails_in_the_second_pass_loses_nothing() {
+    // A pool small enough that the second pass's writes reach the disk.
+    let opts = IndexOptions {
+        buffer_frames: 4,
+        ..IndexOptions::durable()
+    };
+    let (data, log, positions) = crashed_after_batches(30, 61);
+    let pages = bur::wal::scan(log.as_ref(), LOG_DISK_ANCHOR)
+        .unwrap()
+        .expect("a log")
+        .pages
+        .len() as u64;
+    assert!(pages > 4, "{pages} log pages");
+    let before = copy_disk(&data);
+    let log = Arc::new(FaultyDisk::new(log));
+    // The first pass reads each page of the chain once; the read after
+    // those belongs to the second.
+    log.fail_nth(FaultKind::Read, pages + pages / 2);
+    let err = recover_on(data.clone(), log.clone(), opts).map(|(index, _)| index.len());
+    assert!(matches!(err, Err(CoreError::Storage(_))), "{err:?}");
+    assert_eq!(log.injected_faults(), 1);
+    let mut written = false;
+    let (mut now, mut then) = (vec![0u8; PAGE], vec![0u8; PAGE]);
+    for page in 0..before.num_pages() {
+        data.read(page, &mut now).unwrap();
+        before.read(page, &mut then).unwrap();
+        written |= now != then;
+    }
+    assert!(
+        written || data.num_pages() > before.num_pages(),
+        "the second pass wrote pages before the fault"
+    );
+
+    log.clear_faults();
+    let (index, _) = recover_on(data, log, opts).unwrap();
+    assert_holds(&index, &positions);
 }
