@@ -5,12 +5,14 @@
 //! WAL anchor. It is written in two places:
 //!
 //! * the **metadata page chain** headed at page 0 — what a clean open
-//!   through [`crate::IndexBuilder`]'s [`crate::OpenMode::Open`] reads;
+//!   through [`crate::IndexBuilder`]'s [`crate::OpenMode::Open`] reads,
+//!   in the page-chain format `bur-storage` shares with the persisted
+//!   hash directory ([`bur_storage::write_chain`]);
 //! * inside every WAL **commit/checkpoint record** — what recovery uses,
 //!   so a crash can never leave the superblock behind the log.
 
 use crate::error::{CoreError, CoreResult};
-use bur_storage::{BufferPool, PageId, INVALID_PAGE};
+use bur_storage::{read_chain, write_chain, BufferPool, PageId, StorageError, INVALID_PAGE};
 
 /// Magic opening every metadata payload ("BURTREE1").
 pub(crate) const META_MAGIC: u64 = 0x4255_5254_5245_4531;
@@ -159,7 +161,8 @@ impl<'a> MetaCursor<'a> {
 
 // ---- metadata page chain -------------------------------------------------
 
-/// Page-chain layout: `[next u32][len u16][data ...]`, head at page 0.
+/// Write `payload` as the metadata chain headed at page 0, in
+/// `bur-storage`'s page-chain format ([`bur_storage::write_chain`]).
 ///
 /// Continuation pages (when the payload does not fit on the head page)
 /// are drawn from `chain_pool` — the pages the *previous* chain occupied,
@@ -173,84 +176,23 @@ pub(crate) fn write_meta_chain(
     payload: &[u8],
     chain_pool: &mut Vec<PageId>,
 ) -> CoreResult<()> {
-    let chunk = pool.page_size() - 6;
-    let chunks: Vec<&[u8]> = if payload.is_empty() {
-        vec![&[]]
-    } else {
-        payload.chunks(chunk).collect()
-    };
-    let mut avail = std::mem::take(chain_pool);
-    let mut used = Vec::new();
-    let mut prev: Option<PageId> = None;
-    for (i, part) in chunks.iter().enumerate() {
-        let pid = if i == 0 {
-            META_PAGE
-        } else {
-            let pid = match avail.pop() {
-                Some(p) => p,
-                None => {
-                    let (pid, guard) = pool.new_page()?;
-                    drop(guard);
-                    pid
-                }
-            };
-            used.push(pid);
-            pid
-        };
-        let guard = pool.fetch_for_overwrite(pid)?;
-        {
-            let mut w = guard.write();
-            w.fill(0);
-            w[0..4].copy_from_slice(&INVALID_PAGE.to_le_bytes());
-            w[4..6].copy_from_slice(&(part.len() as u16).to_le_bytes());
-            w[6..6 + part.len()].copy_from_slice(part);
-        }
-        drop(guard);
-        if let Some(p) = prev {
-            let g = pool.fetch(p)?;
-            g.write()[0..4].copy_from_slice(&pid.to_le_bytes());
-        }
-        prev = Some(pid);
-    }
-    avail.extend(used);
-    *chain_pool = avail;
+    write_chain(pool, Some(META_PAGE), payload, chain_pool)?;
     Ok(())
 }
 
 /// Read the metadata chain headed at page 0 back into one payload, also
 /// returning the continuation pages it occupies (page 0 excluded) so the
-/// next [`write_meta_chain`] can recycle them.
+/// next [`write_meta_chain`] can recycle them. A chain that does not
+/// decode (a zeroed or garbage page can point anywhere, page 0 included)
+/// is not a bur index.
 pub(crate) fn read_meta_chain(pool: &BufferPool) -> CoreResult<(Vec<u8>, Vec<PageId>)> {
-    let mut payload = Vec::new();
-    let mut pages = Vec::new();
-    let mut pid = META_PAGE;
-    let mut visited = std::collections::HashSet::new();
-    loop {
-        // A zeroed/garbage page can point anywhere, including back at page 0
-        // (`next == 0`); without the guard open() would spin forever.
-        if !visited.insert(pid) {
-            return Err(CoreError::BadConfig(
-                "not a bur index (bad magic in meta chain)".into(),
-            ));
+    let (payload, mut pages) = read_chain(pool, META_PAGE).map_err(|e| match e {
+        StorageError::Corrupt(what) => {
+            CoreError::BadConfig(format!("not a bur index (bad magic in meta chain: {what})"))
         }
-        let guard = pool.fetch(pid)?;
-        let data = guard.read();
-        let next = u32::from_le_bytes(data[0..4].try_into().unwrap());
-        let len = u16::from_le_bytes(data[4..6].try_into().unwrap()) as usize;
-        if len > data.len() - 6 {
-            return Err(CoreError::BadConfig(
-                "not a bur index (bad magic in meta chunk)".into(),
-            ));
-        }
-        payload.extend_from_slice(&data[6..6 + len]);
-        if pid != META_PAGE {
-            pages.push(pid);
-        }
-        if next == INVALID_PAGE {
-            break;
-        }
-        pid = next;
-    }
+        e => e.into(),
+    })?;
+    pages.remove(0);
     Ok((payload, pages))
 }
 

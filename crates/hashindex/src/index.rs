@@ -2,7 +2,9 @@
 
 use crate::bucket::{capacity, BucketView, BucketViewMut};
 use crate::{mix, Key, Value};
-use bur_storage::{BufferPool, PageId, PageRef, StorageError, StorageResult};
+use bur_storage::{
+    read_chain, write_chain, BufferPool, PageId, PageRef, StorageError, StorageResult,
+};
 use parking_lot::Mutex;
 use std::sync::Arc;
 
@@ -411,9 +413,6 @@ impl LinearHashIndex {
     /// chain per call.
     pub fn persist(&self) -> StorageResult<PageId> {
         let mut state = self.state.lock();
-        // The old chain (and any spares from earlier shrinks) becomes the
-        // allocation pool for the new one.
-        let mut avail = std::mem::take(&mut state.chain);
         let mut payload = Vec::new();
         payload.extend_from_slice(&state.level.to_le_bytes());
         payload.extend_from_slice(&(state.next as u64).to_le_bytes());
@@ -428,12 +427,11 @@ impl LinearHashIndex {
         for &p in &state.free_pages {
             payload.extend_from_slice(&p.to_le_bytes());
         }
-        let (head, used) = write_page_chain(&self.pool, &payload, &mut avail)?;
-        // Retain both the live chain and any leftover spares for the next
-        // persist; neither may be handed out as bucket pages.
-        avail.extend(used);
-        state.chain = avail;
-        Ok(head)
+        // The old chain (and any spares from earlier shrinks) is the
+        // allocation pool for the new one; after the write it holds the
+        // live chain and the leftover spares, neither of which may be
+        // handed out as bucket pages.
+        write_chain(&self.pool, None, &payload, &mut state.chain)
     }
 
     /// Reload an index persisted with [`LinearHashIndex::persist`]. A
@@ -443,7 +441,7 @@ impl LinearHashIndex {
         config: HashIndexConfig,
         head: PageId,
     ) -> StorageResult<Self> {
-        let (payload, chain) = read_page_chain(&pool, head)?;
+        let (payload, chain) = read_chain(&pool, head)?;
         Ok(Self {
             pool,
             config,
@@ -593,85 +591,6 @@ impl Cursor<'_> {
         }
         (0..n).map(|_| self.u32()).collect()
     }
-}
-
-/// Page-chain format: `[next u32][len u16][data ...]` per page. Pages are
-/// taken from `avail` (the superseded chain) before allocating fresh
-/// ones; returns the head and every page the new chain occupies.
-fn write_page_chain(
-    pool: &BufferPool,
-    payload: &[u8],
-    avail: &mut Vec<PageId>,
-) -> StorageResult<(PageId, Vec<PageId>)> {
-    let chunk = pool.page_size() - 6;
-    let chunks: Vec<&[u8]> = if payload.is_empty() {
-        vec![&[]]
-    } else {
-        payload.chunks(chunk).collect()
-    };
-    let mut head = bur_storage::INVALID_PAGE;
-    let mut used = Vec::with_capacity(chunks.len());
-    let mut prev: Option<PageId> = None;
-    for part in &chunks {
-        let pid = match avail.pop() {
-            Some(p) => p,
-            None => {
-                let (pid, guard) = pool.new_page()?;
-                drop(guard);
-                pid
-            }
-        };
-        let guard = pool.fetch_for_overwrite(pid)?;
-        {
-            let mut w = guard.write();
-            w.fill(0);
-            w[0..4].copy_from_slice(&bur_storage::INVALID_PAGE.to_le_bytes());
-            w[4..6].copy_from_slice(&(part.len() as u16).to_le_bytes());
-            w[6..6 + part.len()].copy_from_slice(part);
-        }
-        drop(guard);
-        used.push(pid);
-        if let Some(p) = prev {
-            let g = pool.fetch(p)?;
-            g.write()[0..4].copy_from_slice(&pid.to_le_bytes());
-        } else {
-            head = pid;
-        }
-        prev = Some(pid);
-    }
-    Ok((head, used))
-}
-
-/// Read a chain back; returns the payload and the pages it occupies (so
-/// a reloaded index keeps recycling its directory chain). A cycle or an
-/// oversized chunk length means a corrupt chain: surfaced as an error,
-/// never a panic or an endless walk.
-fn read_page_chain(pool: &BufferPool, head: PageId) -> StorageResult<(Vec<u8>, Vec<PageId>)> {
-    let mut payload = Vec::new();
-    let mut pages = Vec::new();
-    let mut seen = std::collections::HashSet::new();
-    let mut pid = head;
-    loop {
-        if !seen.insert(pid) {
-            return Err(StorageError::Corrupt("hash directory chain loops"));
-        }
-        let guard = pool.fetch(pid)?;
-        let data = guard.read();
-        let next = u32::from_le_bytes(data[0..4].try_into().unwrap());
-        let len = u16::from_le_bytes(data[4..6].try_into().unwrap()) as usize;
-        if len > data.len() - 6 {
-            return Err(StorageError::Corrupt(
-                "hash directory chunk overruns its page",
-            ));
-        }
-        payload.extend_from_slice(&data[6..6 + len]);
-        pages.push(pid);
-        if next == bur_storage::INVALID_PAGE {
-            break;
-        }
-        pid = next;
-    }
-    Ok((payload, pages))
 }
 
 #[cfg(test)]
@@ -972,13 +891,13 @@ mod tests {
             idx.insert(k, 1).unwrap();
         }
         let head = idx.persist().unwrap();
-        read_page_chain(&pool, head).unwrap().0
+        read_chain(&pool, head).unwrap().0
     }
 
     /// Load `payload` written as a directory chain.
     fn load(payload: &[u8]) -> StorageResult<LinearHashIndex> {
         let pool = make_pool(256, 16);
-        let (head, _) = write_page_chain(&pool, payload, &mut Vec::new()).unwrap();
+        let head = write_chain(&pool, None, payload, &mut Vec::new()).unwrap();
         LinearHashIndex::load(pool, HashIndexConfig::default(), head)
     }
 

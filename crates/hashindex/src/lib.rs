@@ -11,7 +11,8 @@
 //!   system),
 //! * the directory (bucket page ids + split state) is main-memory, like
 //!   the paper's summary structure, and can be persisted to a page chain
-//!   for reopening a stored index,
+//!   (the format `bur-storage` shares with the index's metadata chain,
+//!   [`bur_storage::write_chain`]) for reopening a stored index,
 //! * growth follows Litwin's linear hashing: one bucket splits at a time,
 //!   keeping the directory dense and splits cheap.
 //!

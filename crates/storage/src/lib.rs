@@ -22,6 +22,9 @@
 //!   allocated per resident page, not per slot.
 //! * [`IoStats`] / [`IoSnapshot`] — atomic counters and snapshot deltas,
 //!   the measurement device behind every "Avg Disk I/O" figure.
+//! * [`write_chain`] / [`read_chain`] — a byte payload stored across a
+//!   chain of pages, the one format of the index's metadata chain and of
+//!   its persisted hash directory.
 //!
 //! # Pinning and latching
 //!
@@ -46,6 +49,7 @@
 
 #![warn(missing_docs)]
 
+mod chain;
 mod disk;
 mod error;
 mod faults;
@@ -53,6 +57,7 @@ mod lru;
 mod pool;
 mod stats;
 
+pub use chain::{read_chain, write_chain};
 pub use disk::{DiskBackend, FileDisk, MemDisk};
 pub use error::{StorageError, StorageResult};
 pub use faults::{FaultKind, FaultyDisk};

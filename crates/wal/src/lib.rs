@@ -21,9 +21,11 @@
 //! * **delta records** ([`WalRecord::PageDelta`]) — byte-range diffs of a
 //!   page against its previous logged image within the same generation.
 //!   In-place bottom-up updates touch a few dozen bytes of a 1 KiB page,
-//!   so deltas cut log volume several-fold; a full image is re-emitted as
-//!   an *anchor* every 16th record of a page, so redo stays a bounded
-//!   replay of one generation. The log keeps no page bytes: the caller
+//!   so deltas cut log volume several-fold. A page's first record in a
+//!   generation is its one full image; every later record is a delta
+//!   chained onto the one before, unless there is no base to diff
+//!   against or the delta would not be smaller. The log keeps no page
+//!   bytes: the caller
 //!   hands [`Wal::append_page`] the base, the page's content as of its
 //!   previous record — the buffer pool's
 //!   [`PreImage`](bur_storage::PreImage), copied at the first write latch

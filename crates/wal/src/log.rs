@@ -59,24 +59,8 @@ pub(crate) const BODY_PREFIX: usize = 9;
 /// header, so splitting on tiny gaps would grow the record.
 const DIFF_MERGE_GAP: usize = 8;
 
-/// A page's records come as one full-image anchor followed by up to
-/// `ANCHOR_EVERY - 1` deltas, so replay work per page stays bounded even
-/// within one generation and a corrupt delta cannot poison an unbounded
-/// suffix.
-const ANCHOR_EVERY: u32 = 16;
-
 fn wal_state_error(msg: &'static str) -> bur_storage::StorageError {
     bur_storage::StorageError::Io(std::io::Error::other(msg))
-}
-
-/// Where a page's delta chain stands in the current generation. The
-/// log keeps no page bytes: the caller hands the base of the next delta
-/// to [`Wal::append_page`].
-struct PageTrack {
-    /// LSN of the page's last record.
-    last_lsn: Lsn,
-    /// Records since the last full-image anchor.
-    since_anchor: u32,
 }
 
 /// Mutable log state behind the [`Wal`] lock.
@@ -100,31 +84,13 @@ struct WalInner {
     /// Set by [`Wal::reopen`]: the log must be rewound (checkpointed)
     /// before new records may be appended.
     needs_rewind: bool,
-    /// Per-page delta-chain state, cleared at every rewind.
-    tracks: HashMap<PageId, PageTrack>,
+    /// LSN of each page's last record in the current generation, cleared
+    /// at every rewind: where the page's next delta must chain from. The
+    /// log keeps no page bytes: the caller hands the base of the next
+    /// delta to [`Wal::append_page`].
+    tracks: HashMap<PageId, Lsn>,
     /// The delta encoder's changed ranges, reused from page to page.
     spans: Vec<Range<usize>>,
-}
-
-impl WalInner {
-    /// Start `pid`'s delta chain again at the full image `lsn`.
-    fn track_image(&mut self, pid: PageId, lsn: Lsn) {
-        let track = PageTrack {
-            last_lsn: lsn,
-            since_anchor: 0,
-        };
-        self.tracks.insert(pid, track);
-    }
-
-    /// Extend `pid`'s delta chain with the delta `lsn`.
-    fn track_delta(&mut self, pid: PageId, lsn: Lsn) {
-        let track = self.tracks.entry(pid).or_insert(PageTrack {
-            last_lsn: lsn,
-            since_anchor: 0,
-        });
-        track.last_lsn = lsn;
-        track.since_anchor += 1;
-    }
 }
 
 /// Where the stream stood before a record was appended: what
@@ -149,7 +115,6 @@ struct WalCounters {
     syncs: AtomicU64,
     page_writes: AtomicU64,
     bytes_appended: AtomicU64,
-    rewinds: AtomicU64,
     sync_nanos: AtomicU64,
     checkpoint_nanos: AtomicU64,
     checkpoint_pages_flushed: AtomicU64,
@@ -160,7 +125,7 @@ struct WalCounters {
 pub struct WalStatsSnapshot {
     /// Records appended (all kinds).
     pub records: u64,
-    /// Full page-image records appended (delta anchors included).
+    /// Full page-image records appended.
     pub images: u64,
     /// Page-delta records appended.
     pub deltas: u64,
@@ -179,8 +144,6 @@ pub struct WalStatsSnapshot {
     pub page_writes: u64,
     /// Record-stream bytes appended.
     pub bytes_appended: u64,
-    /// Log rewinds (equals checkpoints; kept separate for clarity).
-    pub rewinds: u64,
     /// Highest LSN assigned.
     pub last_lsn: Lsn,
     /// Highest LSN known durable.
@@ -554,7 +517,6 @@ impl Wal {
             syncs: c.syncs.load(Ordering::Relaxed),
             page_writes: c.page_writes.load(Ordering::Relaxed),
             bytes_appended: c.bytes_appended.load(Ordering::Relaxed),
-            rewinds: c.rewinds.load(Ordering::Relaxed),
             last_lsn: inner.last_lsn,
             durable_lsn: inner.durable_lsn,
             generation: inner.generation,
@@ -600,10 +562,8 @@ impl Wal {
             WalRecord::Checkpoint { meta } => RecordRef::Checkpoint(meta),
         };
         let lsn = self.append_inner(&mut inner, &rref)?;
-        match rref {
-            RecordRef::Image { pid, .. } => inner.track_image(pid, lsn),
-            RecordRef::Delta { pid, .. } => inner.track_delta(pid, lsn),
-            RecordRef::Commit(_) | RecordRef::Checkpoint(_) => {}
+        if let RecordRef::Image { pid, .. } | RecordRef::Delta { pid, .. } = rref {
+            inner.tracks.insert(pid, lsn);
         }
         Ok(lsn)
     }
@@ -613,10 +573,11 @@ impl Wal {
     /// `base`, the page's content as of its previous record in this
     /// generation (a buffer pool's [`PreImage`]). A delta is possible
     /// only when `base` is the content of exactly that record — its LSN
-    /// is the page's last — and the page's chain has fewer than 15
-    /// deltas since its last full image; otherwise, and whenever a delta
-    /// would not be smaller, the record is a full image. The log keeps
-    /// no copy of `data`. Returns the record's LSN.
+    /// is the page's last. So a page's first record in a generation is a
+    /// full image (the torn-page guard), as is a record with no `base`
+    /// (a blind overwrite of a page not in the pool) and one whose delta
+    /// would not be smaller. The log keeps no copy of `data`. Returns the
+    /// record's LSN.
     pub fn append_page(
         &self,
         pid: PageId,
@@ -626,9 +587,8 @@ impl Wal {
         let mut guard = self.inner.lock();
         let inner = &mut *guard;
         let extends_chain = |base: &&PreImage| {
-            inner.tracks.get(&pid).is_some_and(|track| {
-                track.last_lsn == base.lsn && track.since_anchor + 1 < ANCHOR_EVERY
-            }) && base.data.len() == data.len()
+            inner.tracks.get(&pid) == Some(&base.lsn)
+                && base.data.len() == data.len()
                 && data.len() <= usize::from(u16::MAX)
         };
         if let Some(base) = base.filter(extends_chain) {
@@ -654,12 +614,12 @@ impl Wal {
                 self.counters
                     .delta_saved_bytes
                     .fetch_add((4 + data.len() - delta_body) as u64, Ordering::Relaxed);
-                inner.track_delta(pid, lsn);
+                inner.tracks.insert(pid, lsn);
                 return Ok(lsn);
             }
         }
         let lsn = self.append_inner(inner, &RecordRef::Image { pid, data })?;
-        inner.track_image(pid, lsn);
+        inner.tracks.insert(pid, lsn);
         Ok(lsn)
     }
 
@@ -705,7 +665,6 @@ impl Wal {
         let lsn = self.append_inner(&mut inner, &RecordRef::Checkpoint(&meta))?;
         self.sync_inner(&mut inner)?;
         self.counters.checkpoints.fetch_add(1, Ordering::Relaxed);
-        self.counters.rewinds.fetch_add(1, Ordering::Relaxed);
         Ok(lsn)
     }
 }
@@ -1130,21 +1089,22 @@ mod tests {
     }
 
     #[test]
-    fn anchor_cadence_forces_full_images() {
+    fn a_generation_logs_one_image_per_page_then_deltas() {
         let d = disk(512);
         let wal = Wal::create(d.clone()).unwrap();
         let mut page = vec![0u8; 512];
         let mut last = None;
-        for i in 0..3 * ANCHOR_EVERY as usize {
+        for i in 0..48 {
             page[i] = i as u8 + 1;
             log_page(&wal, &mut last, 3, &page);
         }
         wal.sync().unwrap();
         let stats = wal.stats();
-        // Records 1, 17, 33 are anchors (every 16th), the rest deltas.
-        assert_eq!(stats.images, 3, "{stats}");
-        assert_eq!(stats.deltas, 3 * u64::from(ANCHOR_EVERY - 1), "{stats}");
-        // Replay the mixed chain and compare against the final state.
+        // The first touch is the page's one full image; every later
+        // record chains a delta onto it, however long the chain grows.
+        assert_eq!(stats.images, 1, "{stats}");
+        assert_eq!(stats.deltas, 47, "{stats}");
+        // Replay the chain and compare against the final state.
         let s = scan(d.as_ref(), wal.anchor()).unwrap().unwrap();
         let mut replayed = vec![0u8; 512];
         for (_, rec) in &s.records {

@@ -156,8 +156,7 @@ fn usage() -> ExitCode {
          besides the generation / page / LSN figures: full-image vs delta\n\
          record counts (`N full images, M deltas`), the wire bytes the delta\n\
          encoder spent and saved versus full-image logging (`delta bytes`),\n\
-         and the observed anchor cadence (page records per full-image anchor\n\
-         — at most 16: a page's every 16th record is a full image)."
+         and the page records logged per full image."
     );
     ExitCode::FAILURE
 }
@@ -638,10 +637,8 @@ fn cmd_wal_stats(path: &str) -> Result<(), String> {
     );
     println!("delta bytes   : {delta_bytes} on the wire, {delta_saved} saved vs full images");
     if images + deltas > 0 {
-        // Observed anchor cadence: page records per full-image anchor.
-        // (At most 16: a page's every 16th record is a full image.)
         println!(
-            "anchor cadence: {:.1} page records per full image ({:.0}% deltas)",
+            "page records per full image: {:.1} ({:.0}% deltas)",
             (images + deltas) as f64 / images.max(1) as f64,
             100.0 * deltas as f64 / (images + deltas) as f64
         );

@@ -503,11 +503,12 @@ fn recover_rejects_non_durable_disks_and_options() {
 
 /// Dense sweep over *delta-heavy* generations: a checkpoint interval
 /// longer than the sweep's ≈ 170 updates, so cut points land inside
-/// delta chains, exactly on full-image anchors (every 16th record of a
-/// page), and between the two. Every acknowledged update must survive,
-/// and mixed full/delta replay must reproduce the oracle.
+/// delta chains of every length. Every acknowledged update must survive,
+/// and mixed full/delta replay must reproduce the oracle. On a pool that
+/// holds every page, a page logs one full image per generation, at its
+/// first touch, and deltas after it.
 #[test]
-fn crash_recovery_survives_cuts_inside_delta_chains_and_at_anchors() {
+fn crash_recovery_survives_cuts_inside_delta_chains() {
     let sweep = DeltaSweep {
         checkpoint_every: 1_000,
         frames: 256,
@@ -515,22 +516,26 @@ fn crash_recovery_survives_cuts_inside_delta_chains_and_at_anchors() {
     };
     let (mut deltas, mut anchors) = (0, 0);
     for cut in (2..200u64).step_by(2) {
-        let run = sweep.cut_at(cut, 9300 + cut);
+        let run = sweep.cut_at(0, cut, 9300 + cut);
         deltas += run.deltas;
         anchors += run.anchors;
     }
-    assert!(
-        deltas > 0 && anchors > 0,
-        "the sweep must replay deltas ({deltas}) and anchors ({anchors})"
+    assert!(deltas > 0, "the sweep must replay deltas ({deltas})");
+    assert_eq!(
+        anchors, 0,
+        "a resident page logs one full image per generation ({deltas} deltas)"
     );
 }
 
 /// The same sweep over generations longer than 1 024 operations on a
 /// pool of four frames: a page is evicted and read back between its
 /// records, so the base of its next delta is the content read back from
-/// the data disk. Then generations longer than 8 192 operations, each
-/// cut in its last quarter: recovery streams the log, so their length
-/// costs replay time, not memory.
+/// the data disk, and a blind overwrite of an evicted page logs another
+/// full image. Then generations longer than 8 192 operations, each cut
+/// in its last quarter: recovery streams the log, so their length costs
+/// replay time, not memory. Each run arms its cut only once 1 024 (or
+/// 9 216) updates have committed, so the window follows the log's
+/// volume instead of a write count calibrated to it.
 #[test]
 fn crash_recovery_survives_cuts_in_long_generations_on_a_small_pool() {
     let sweep = DeltaSweep {
@@ -542,23 +547,26 @@ fn crash_recovery_survives_cuts_in_long_generations_on_a_small_pool() {
         checkpoint_every: 12_288,
         ..sweep
     };
-    let cuts = (CUT_PAST_1024_OPS..CUT_PAST_1024_OPS + 400)
+    let cuts = (20..=400)
         .step_by(20)
         .map(|cut| (&sweep, cut, 1_024))
         .chain(
-            (CUT_PAST_9216_OPS..=CUT_PAST_9216_OPS + 6_000)
-                .step_by(1_500)
+            (1_000..=6_000)
+                .step_by(1_250)
                 .map(|cut| (&long, cut, 9_216)),
         );
     let (mut deltas, mut anchors) = (0, 0);
     for (sweep, cut, past) in cuts {
-        let run = sweep.cut_at(cut, 9700 + cut);
+        let run = sweep.cut_at(past, cut, 9700 + past + cut);
         assert!(
             run.replayed_ops > past && run.replayed_ops <= sweep.checkpoint_every,
-            "cut {cut}: the generation held {} operations",
+            "cut {cut} past op {past}: the generation held {} operations",
             run.replayed_ops
         );
-        assert!(run.reread, "cut {cut}: no page was read back");
+        assert!(
+            run.reread,
+            "cut {cut} past op {past}: no page was read back"
+        );
         deltas += run.deltas;
         anchors += run.anchors;
     }
@@ -567,14 +575,6 @@ fn crash_recovery_survives_cuts_in_long_generations_on_a_small_pool() {
         "the sweep must replay deltas ({deltas}) and anchors ({anchors})"
     );
 }
-
-/// Writes after which a [`DeltaSweep`] on four frames has committed
-/// more than 1 024 updates since its checkpoint.
-const CUT_PAST_1024_OPS: u64 = 3_000;
-
-/// Writes after which it has committed more than 9 216 — the last
-/// quarter of a 12 288-operation generation.
-const CUT_PAST_9216_OPS: u64 = 24_000;
 
 /// One shape of the delta-chain cut sweep.
 #[derive(Clone, Copy)]
@@ -595,10 +595,11 @@ struct DeltaCut {
 
 impl DeltaSweep {
     /// Populate, checkpoint, then move the objects in place one update at
-    /// a time, revisiting their pages, until a power cut after `cut`
-    /// writes; recover and check every acknowledged update survived and
-    /// the interrupted one landed on exactly one side.
-    fn cut_at(&self, cut: u64, seed: u64) -> DeltaCut {
+    /// a time, revisiting their pages, until a power cut `cut` writes
+    /// after the `past`-th update committed; recover and check every
+    /// acknowledged update survived and the interrupted one landed on
+    /// exactly one side.
+    fn cut_at(&self, past: u64, cut: u64, seed: u64) -> DeltaCut {
         let opts = durable(IndexOptions::generalized(), self.checkpoint_every);
         let rig = Rig::new();
         let mut index = rig
@@ -618,10 +619,12 @@ impl DeltaSweep {
         // repeated in-place moves of the same objects, i.e. delta chains.
         index.checkpoint().unwrap();
         let reads_before = index.pool().stats().snapshot().reads;
-        rig.cut_after(cut);
         let mut pending: Option<(u64, Point, Point)> = None;
         for step in 0..100_000u64 {
-            let oid = (step * 7) % n; // revisit pages: chains grow past anchors
+            if step == past {
+                rig.cut_after(cut);
+            }
+            let oid = (step * 7) % n; // revisit pages: chains grow long
             let old = positions[oid as usize];
             let new = Point::new(
                 (old.x + rng.random_range(-0.03..0.03f32)).clamp(0.0, 1.0),
@@ -668,8 +671,9 @@ impl DeltaSweep {
     }
 }
 
-/// Full images of a page already logged in the same generation — the
-/// anchors — among the records a recovery from the log disk `log`
+/// Full images of a page already logged in the same generation — a
+/// blind overwrite of a page not in the pool, or a delta that would not
+/// be smaller — among the records a recovery from the log disk `log`
 /// replays (those up to the last commit or checkpoint).
 fn replayed_anchors(log: &MemDisk) -> u64 {
     let scan = bur::wal::scan(log, LOG_DISK_ANCHOR)
@@ -1167,7 +1171,7 @@ fn log_bytes_after_a_fixed_sequence_are_pinned() {
             stats.records,
             stats.bytes_appended
         ),
-        (127, 0xe057_5d52, 2801, 825_058)
+        (127, 0xceb2_5de5, 2801, 824_072)
     );
 }
 
