@@ -19,8 +19,8 @@
 
 use crate::config::UpdateStrategy;
 use crate::error::{CoreError, CoreResult};
-use crate::node::{Node, ObjectId};
-use crate::pins::{PinSet, PinnedNode};
+use crate::node::ObjectId;
+use crate::pins::{NodePin, PinSet};
 use crate::stats::UpdateOutcome;
 use crate::tree::RTree;
 use crate::{gbu, lbu, topdown};
@@ -93,15 +93,16 @@ pub(crate) fn step<R: Reads>(
 
 /// Where a leaf's official rect lives: the parent page and, under GBU,
 /// the bound on its enlargement. LBU follows the leaf's parent pointer
-/// and is bounded by the parent node's MBR, known once the page is read
-/// (`None`); GBU asks the summary for both and reads nothing.
+/// (`leaf_parent`, as the leaf page stores it) and is bounded by the
+/// parent node's MBR, known once the page is read (`None`); GBU asks the
+/// summary for both and reads nothing.
 pub(crate) fn parent_of(
     tree: &RTree,
     leaf_pid: PageId,
-    leaf: &Node,
+    leaf_parent: PageId,
 ) -> CoreResult<(PageId, Option<Rect>)> {
     match tree.opts.strategy {
-        UpdateStrategy::Localized(_) if leaf.parent != INVALID_PAGE => Ok((leaf.parent, None)),
+        UpdateStrategy::Localized(_) if leaf_parent != INVALID_PAGE => Ok((leaf_parent, None)),
         UpdateStrategy::Localized(_) => Err(CoreError::CorruptNode {
             pid: leaf_pid,
             reason: "LBU leaf without parent pointer",
@@ -149,6 +150,7 @@ pub(crate) fn update(
         ops,
         leaf_pid,
         oid,
+        leaf_parent: INVALID_PAGE,
         leaf: None,
         parent: None,
     };
@@ -164,68 +166,69 @@ pub(crate) fn update(
         Rung::TopDown => topdown::run(tree, ops, oid, old, new)?,
         Rung::InPlace => {
             let (leaf, idx) = leaf.as_mut().expect(taken);
-            leaf.leaf_entries_mut()[*idx].rect = Rect::from_point(new);
-            tree.write_pinned(leaf);
+            tree.edit_leaf(leaf, |leaf| leaf.set_rect(*idx, Rect::from_point(new)))?;
             UpdateOutcome::InPlace
         }
         Rung::Extend(rect) => {
             let ((leaf, idx), (parent, pidx)) =
                 (leaf.as_mut().expect(taken), parent.as_mut().expect(taken));
             // Grow before move: the parent entry lands first.
-            parent.internal_entries_mut()[*pidx].rect = rect;
-            tree.write_pinned(parent);
-            leaf.leaf_entries_mut()[*idx].rect = Rect::from_point(new);
-            tree.write_pinned(leaf);
+            tree.edit_internal(parent, |parent| parent.set_rect(*pidx, rect))?;
+            tree.edit_leaf(leaf, |leaf| leaf.set_rect(*idx, Rect::from_point(new)))?;
             UpdateOutcome::Extended
         }
         Rung::Repair(extend) => {
-            let ((mut leaf, idx), (parent, pidx)) =
+            let ((leaf, idx), (parent, pidx)) =
                 (leaf.take().expect(taken), parent.take().expect(taken));
-            if leaf.count() <= tree.min_fill_leaf() {
+            if leaf.leaf()?.len() <= tree.min_fill_leaf() {
                 // Removing the entry would underflow the leaf. Nothing
-                // was modified: the top-down search finds both nodes in
+                // was modified: the top-down search finds both pages in
                 // the set.
                 ops.put(leaf);
                 ops.put(parent);
                 topdown::run(tree, ops, oid, old, new)?
             } else {
-                leaf.leaf_entries_mut().swap_remove(idx);
+                // The entry leaves the leaf with the repair's own write
+                // of it.
                 match tree.opts.strategy {
                     UpdateStrategy::Generalized(p) => {
-                        gbu::repair(tree, ops, p, leaf, parent, pidx, oid, new, extend)?
+                        gbu::repair(tree, ops, p, (leaf, idx), parent, pidx, oid, new, extend)?
                     }
-                    _ => lbu::repair(tree, ops, leaf, parent, pidx, oid, new)?,
+                    _ => lbu::repair(tree, ops, (leaf, idx), parent, pidx, oid, new)?,
                 }
             }
         }
     };
     // Release what the rung left checked out before the hash entry is
     // re-pointed, parent first: the order the pool's LRU list sees.
-    for (node, _) in [parent, leaf].into_iter().flatten() {
-        ops.release(node);
+    for (pin, _) in [parent, leaf].into_iter().flatten() {
+        ops.release(pin);
     }
     ops.settle()?;
     Ok(outcome)
 }
 
-/// Write the leaf a repair moved the entry out of, check it back into
-/// `ops`, and tighten its official rect in `parent` to its content: a
-/// stale rect left behind on every departure would ratchet overlap
-/// outward with update volume (the paper's Figure 6(f)).
+/// Take the object's entry (slot `idx`) out of the leaf a repair moves
+/// it from, check the leaf back into `ops`, and tighten its official
+/// rect in `parent` to its content: a stale rect left behind on every
+/// departure would ratchet overlap outward with update volume (the
+/// paper's Figure 6(f)).
 pub(crate) fn release_source<'p>(
     tree: &mut RTree,
     ops: &mut PinSet<'p>,
-    mut leaf: PinnedNode<'p>,
-    parent: &mut PinnedNode<'p>,
+    (mut leaf, idx): (NodePin<'p>, usize),
+    parent: &mut NodePin<'p>,
     pidx: usize,
-) {
-    let tight = leaf.mbr();
-    tree.write_pinned(&mut leaf);
+) -> CoreResult<()> {
+    let tight = tree.edit_leaf(&mut leaf, |leaf| {
+        leaf.swap_remove(idx);
+        leaf.view().mbr()
+    })?;
     ops.put(leaf);
-    if parent.internal_entries()[pidx].rect != tight {
-        parent.internal_entries_mut()[pidx].rect = tight;
-        tree.write_pinned(parent);
+    if parent.internal()?.entry(pidx).rect != tight {
+        tree.edit_internal(parent, |parent| parent.set_rect(pidx, tight))?;
     }
+    Ok(())
 }
 
 /// The ladder's reads on the exclusive engine: each page is checked out
@@ -235,39 +238,47 @@ struct PinnedReads<'t, 'o, 'p> {
     ops: &'o mut PinSet<'p>,
     leaf_pid: PageId,
     oid: ObjectId,
+    /// The leaf's parent pointer, read with its tight MBR.
+    leaf_parent: PageId,
     /// The leaf and the object's entry in it.
-    leaf: Option<(PinnedNode<'p>, usize)>,
+    leaf: Option<(NodePin<'p>, usize)>,
     /// The parent and the leaf's entry in it.
-    parent: Option<(PinnedNode<'p>, usize)>,
+    parent: Option<(NodePin<'p>, usize)>,
 }
 
 impl Reads for PinnedReads<'_, '_, '_> {
     type Error = CoreError;
 
     fn tight_mbr(&mut self) -> CoreResult<Rect> {
-        let leaf = self.ops.take(self.leaf_pid)?;
-        let idx = leaf.oid_index(self.oid).ok_or(CoreError::CorruptNode {
-            pid: self.leaf_pid,
-            reason: "hash index points at a leaf without the object",
-        })?;
-        let mbr = leaf.mbr();
-        self.leaf = Some((leaf, idx));
+        let pin = self.ops.take(self.leaf_pid)?;
+        let (idx, mbr, parent) = {
+            let leaf = pin.leaf()?;
+            let idx = leaf.find_oid(self.oid).ok_or(CoreError::CorruptNode {
+                pid: self.leaf_pid,
+                reason: "hash index points at a leaf without the object",
+            })?;
+            (idx, leaf.mbr(), leaf.parent())
+        };
+        self.leaf_parent = parent;
+        self.leaf = Some((pin, idx));
         Ok(mbr)
     }
 
     fn official(&mut self) -> CoreResult<(Rect, Rect)> {
-        let (leaf, _) = self.leaf.as_ref().expect("rung 2 took the leaf");
-        let (parent_pid, bound) = parent_of(self.tree, self.leaf_pid, leaf)?;
-        let parent = self.ops.take(parent_pid)?;
-        let pidx = parent
-            .child_index(self.leaf_pid)
-            .ok_or(CoreError::CorruptNode {
-                pid: parent_pid,
-                reason: "parent does not list the leaf",
-            })?;
-        let official = parent.internal_entries()[pidx].rect;
-        let bound = bound.unwrap_or_else(|| parent.mbr());
-        self.parent = Some((parent, pidx));
+        let (parent_pid, bound) = parent_of(self.tree, self.leaf_pid, self.leaf_parent)?;
+        let pin = self.ops.take(parent_pid)?;
+        let (pidx, official, bound) = {
+            let parent = pin.internal()?;
+            let pidx = parent
+                .find_child(self.leaf_pid)
+                .ok_or(CoreError::CorruptNode {
+                    pid: parent_pid,
+                    reason: "parent does not list the leaf",
+                })?;
+            let bound = bound.unwrap_or_else(|| parent.mbr());
+            (pidx, parent.entry(pidx).rect, bound)
+        };
+        self.parent = Some((pin, pidx));
         Ok((official, bound))
     }
 }

@@ -10,7 +10,7 @@
 use crate::config::{Durability, IndexOptions};
 use crate::error::CoreResult;
 use crate::index::RTreeIndex;
-use crate::node::{InternalEntry, LeafEntry, Node, ObjectId};
+use crate::node::{InternalEntry, LeafEntry, Node, NodeView, ObjectId};
 use crate::tree::RTree;
 use bur_geom::Point;
 use bur_storage::{DiskBackend, MemDisk, PageId};
@@ -146,7 +146,7 @@ impl RTreeIndex {
                     let mut node = Node::new_internal(level);
                     node.internal_entries_mut().extend(run.iter().copied());
                     if tree.opts.strategy.needs_parent_pointers() && level == 1 {
-                        tree.adopt_leaves(&run, pid)?;
+                        tree.adopt_leaves(run.iter().map(|e| e.child), pid)?;
                     }
                     let mbr = node.mbr();
                     tree.write_node(pid, &node)?;
@@ -186,10 +186,13 @@ impl RTree {
             s.remove_leaf(old_root);
         }
         self.root = new_root;
-        let node = self.read_node(new_root)?;
-        self.height = node.level + 1;
+        let (level, mbr) = self.with_page(new_root, |data| {
+            let node = NodeView::new(new_root, data)?;
+            Ok((node.level(), node.mbr()))
+        })?;
+        self.height = level + 1;
         if let Some(s) = &mut self.summary {
-            s.set_root_mbr(node.mbr());
+            s.set_root_mbr(mbr);
         }
         Ok(())
     }

@@ -10,9 +10,10 @@
 //!
 //! 1. **Plan** ([`SharedPass::plan`], one pass over the ops in batch
 //!    order): probe the hash for the object's leaf, get-or-open that
-//!    leaf's *shadow* — try to claim the leaf, pin the page, decode it —
-//!    and apply the update to the shadow. Pages are read, nothing is
-//!    written. An update climbs the same ladder as the exclusive engine
+//!    leaf's *shadow* — try to claim the leaf, pin the page, check its
+//!    header — and plan the update on the shadow: the entry's new rect,
+//!    kept beside the page, which the ladder reads as the page with the
+//!    planned rects in place. Pages are read, nothing is written. An update climbs the same ladder as the exclusive engine
 //!    ([`bottom_up::step`]): its in-place rungs (2 and 3) and its extend
 //!    rung (4) plan here, its top-down rung (1) and every repair
 //!    escalate. The parent page is pinned only when an update actually
@@ -30,9 +31,9 @@
 //!    the op that escalated, so each op is paid for once — unless a
 //!    write landed after the pass began, and then the section replays
 //!    the batch from op 0.
-//! 2. **Execute** ([`SharedPass::execute`]): write the final shadow
-//!    states through the pins the plan took — parent entry first, then
-//!    the leaf ("grow before move"), each under its page write latch —
+//! 2. **Execute** ([`SharedPass::execute`]): write the planned rects
+//!    through the pins the plan took — parent entry first, then the
+//!    leaf's entries ("grow before move"), each under its page write latch —
 //!    then, for a root-leaf shadow, publish the seqlock root MBR. Pins
 //!    are held from plan to commit; latches never are.
 //!
@@ -51,8 +52,8 @@ use crate::bottom_up::{self, Reads, Rung};
 use crate::claims::{LeafClaim, Unclaimable};
 use crate::error::{CoreError, CoreResult};
 use crate::index::RTreeIndex;
-use crate::node::{Node, ObjectId};
-use crate::pins::{PinSet, PinnedNode};
+use crate::node::{InternalMut, InternalView, LeafMut, LeafView, ObjectId};
+use crate::pins::{NodePin, PinSet};
 use crate::stats::{OpStats, UpdateOutcome};
 use crate::tree::RTree;
 use bur_geom::{Point, Rect};
@@ -90,12 +91,13 @@ struct ParentShadow {
     official: Rect,
 }
 
-/// One leaf the pass touches: its pin and the node state after the ops
-/// planned so far (its claim is held beside it, in
+/// One leaf the pass touches: its pin and the rects the ops planned so
+/// far give its entries (its claim is held beside it, in
 /// [`SharedPass::claims`]).
 struct LeafShadow<'p> {
     page: PageRef<'p>,
-    leaf: Node,
+    /// The newest of the leaf's planned moves, in the pass's `moves`.
+    last_move: Option<usize>,
     /// `None` while every update stayed inside the tight leaf MBR (and
     /// for the root leaf, which has no parent).
     parent: Option<ParentShadow>,
@@ -107,6 +109,20 @@ struct LeafShadow<'p> {
     /// Ops planned onto this leaf, and the batch position of the first.
     ops: u64,
     first_pos: usize,
+}
+
+/// A planned entry rect: slot `idx` of a shadow's leaf becomes `rect`.
+/// A shadow's moves chain newest first through `prev`, one per slot: a
+/// slot planned twice keeps its last rect.
+struct Move {
+    idx: usize,
+    rect: Rect,
+    prev: Option<usize>,
+}
+
+/// The moves of the shadow whose newest is `last`, newest first.
+fn chain(moves: &[Move], last: Option<usize>) -> impl Iterator<Item = &Move> {
+    std::iter::successors(last.map(|i| &moves[i]), |m| m.prev.map(|i| &moves[i]))
 }
 
 /// What [`SharedPass::execute`] wrote before it finished or failed.
@@ -130,6 +146,8 @@ pub(crate) struct SharedPass<'i, 'p> {
     pool: &'p BufferPool,
     shadows: Vec<LeafShadow<'p>>,
     shadow_of: HashMap<PageId, usize>,
+    /// Every shadow's planned moves.
+    moves: Vec<Move>,
     /// Distinct parent pages pinned so far; shadows under one parent
     /// share its pin.
     parents: Vec<PageRef<'p>>,
@@ -150,6 +168,7 @@ impl<'i, 'p> SharedPass<'i, 'p> {
             pool,
             shadows: Vec::new(),
             shadow_of: HashMap::new(),
+            moves: Vec::new(),
             parents: Vec::new(),
             effects: Vec::new(),
             claims: Vec::new(),
@@ -186,8 +205,8 @@ impl<'i, 'p> SharedPass<'i, 'p> {
     }
 
     /// Get the shadow of leaf `pid`, opening it on first use: claim the
-    /// leaf, pin the page, decode the node. A leaf the claim table does
-    /// not cover escalates.
+    /// leaf, pin the page, check it is a leaf. A leaf the claim table
+    /// does not cover escalates.
     fn open(&mut self, pid: PageId, pos: usize) -> Result<usize, Step> {
         if let Some(&slot) = self.shadow_of.get(&pid) {
             return Ok(slot);
@@ -198,15 +217,15 @@ impl<'i, 'p> SharedPass<'i, 'p> {
             Unclaimable::Untracked => Step::Escalate(pos),
         })?;
         let page = self.pool.fetch(pid).map_err(|_| Step::Escalate(pos))?;
-        let leaf = Node::decode(pid, &page.read()).map_err(|_| Step::Escalate(pos))?;
-        if !leaf.is_leaf() {
-            // Stale hash entry; the classic path surfaces the real error.
+        if LeafView::new(pid, page.read()).is_err() {
+            // A stale hash entry or a corrupt page; the classic path
+            // surfaces the real error.
             return Err(Step::Escalate(pos));
         }
         let slot = self.shadows.len();
         self.shadows.push(LeafShadow {
             page,
-            leaf,
+            last_move: None,
             parent: None,
             is_root: pid == tree.root,
             ops: 0,
@@ -227,7 +246,8 @@ impl<'i, 'p> SharedPass<'i, 'p> {
         let shadow = &mut self.shadows[slot];
         if shadow.parent.is_none() {
             let leaf_pid = shadow.page.pid();
-            let (ppid, bound) = bottom_up::parent_of(tree, leaf_pid, &shadow.leaf).ok()?;
+            let leaf_parent = LeafView::new(leaf_pid, shadow.page.read()).ok()?.parent();
+            let (ppid, bound) = bottom_up::parent_of(tree, leaf_pid, leaf_parent).ok()?;
             let page = match self.parents.iter().position(|p| p.pid() == ppid) {
                 Some(i) => i,
                 None => {
@@ -235,12 +255,9 @@ impl<'i, 'p> SharedPass<'i, 'p> {
                     self.parents.len() - 1
                 }
             };
-            let parent = Node::decode(ppid, &self.parents[page].read()).ok()?;
-            if parent.is_leaf() {
-                return None;
-            }
-            let pidx = parent.child_index(leaf_pid)?;
-            let stored = parent.internal_entries()[pidx].rect;
+            let parent = InternalView::new(ppid, self.parents[page].read()).ok()?;
+            let pidx = parent.find_child(leaf_pid)?;
+            let stored = parent.entry(pidx).rect;
             shadow.parent = Some(ParentShadow {
                 page,
                 pidx,
@@ -256,7 +273,11 @@ impl<'i, 'p> SharedPass<'i, 'p> {
     /// in-place and extend rungs plan here (`true`), anything else
     /// escalates.
     fn plan_update(&mut self, slot: usize, oid: ObjectId, old: Point, new: Point) -> bool {
-        let Some(idx) = self.shadows[slot].leaf.oid_index(oid) else {
+        let page = &self.shadows[slot].page;
+        let Some(idx) = LeafView::new(page.pid(), page.read())
+            .ok()
+            .and_then(|leaf| leaf.find_oid(oid))
+        else {
             // Not in the claimed leaf: a stale hash entry; the classic
             // path surfaces the real error.
             return false;
@@ -281,9 +302,39 @@ impl<'i, 'p> SharedPass<'i, 'p> {
             // open.
             Ok(Rung::TopDown | Rung::Repair(_)) | Err(()) => return false,
         };
-        self.shadows[slot].leaf.leaf_entries_mut()[idx].rect = Rect::from_point(new);
+        self.plan_move(slot, idx, Rect::from_point(new));
         self.effects.push(outcome);
         true
+    }
+
+    /// Plan slot `idx` of shadow `slot`'s leaf to become `rect`.
+    fn plan_move(&mut self, slot: usize, idx: usize, rect: Rect) {
+        let last = self.shadows[slot].last_move;
+        let mut at = last;
+        while let Some(i) = at {
+            if self.moves[i].idx == idx {
+                self.moves[i].rect = rect;
+                return;
+            }
+            at = self.moves[i].prev;
+        }
+        self.moves.push(Move {
+            idx,
+            rect,
+            prev: last,
+        });
+        self.shadows[slot].last_move = Some(self.moves.len() - 1);
+    }
+
+    /// The tight MBR of shadow `slot`'s leaf with its planned rects in
+    /// place; `None` when the page does not read as a leaf.
+    fn tight_mbr(&self, slot: usize) -> Option<Rect> {
+        let shadow = &self.shadows[slot];
+        let leaf = LeafView::new(shadow.page.pid(), shadow.page.read()).ok()?;
+        let planned = |i| chain(&self.moves, shadow.last_move).find(|m| m.idx == i);
+        Some(leaf.iter().enumerate().fold(Rect::EMPTY, |acc, (i, e)| {
+            acc.union(&planned(i).map_or(e.rect, |m| m.rect))
+        }))
     }
 
     /// Outcomes of the planned updates, in batch order.
@@ -304,6 +355,7 @@ impl<'i, 'p> SharedPass<'i, 'p> {
         );
         Planned {
             shadows: self.shadows,
+            moves: self.moves,
             parents: self.parents,
             effects: self.effects,
         }
@@ -311,8 +363,8 @@ impl<'i, 'p> SharedPass<'i, 'p> {
 
     /// Write the planned shadows through their pins and append every
     /// written page to `written`, the pages the batch's commit logs.
-    /// Stops at the first storage failure (a parent page that no longer
-    /// decodes; unreachable on a healthy pool), reporting what landed
+    /// Stops at the first storage failure (a page whose header no longer
+    /// checks; unreachable on a healthy pool), reporting what landed
     /// before it.
     ///
     /// # Latch invariants
@@ -331,16 +383,18 @@ impl<'i, 'p> SharedPass<'i, 'p> {
     /// crash ordering does not apply, and the leaf claim makes the
     /// publish single-writer.
     pub(crate) fn execute<'s>(&'s self, written: &mut Vec<&'s PageRef<'p>>) -> Executed {
-        write_shadows(&self.index.tree, &self.parents, &self.shadows, written)
+        let tree = &self.index.tree;
+        write_shadows(tree, &self.parents, &self.shadows, &self.moves, written)
     }
 }
 
 /// [`SharedPass::execute`] over `shadows`, whose parent pins are
-/// `parents`.
+/// `parents` and whose planned rects are `moves`.
 fn write_shadows<'s, 'p>(
     tree: &RTree,
     parents: &'s [PageRef<'p>],
     shadows: &'s [LeafShadow<'p>],
+    moves: &[Move],
     written: &mut Vec<&'s PageRef<'p>>,
 ) -> Executed {
     let mut done = Executed {
@@ -348,44 +402,51 @@ fn write_shadows<'s, 'p>(
         failed: None,
     };
     for shadow in shadows {
-        if let Err(e) = write_shadow(parents, shadow, written) {
-            done.failed = Some((shadow.first_pos, e));
-            break;
-        }
+        let mbr = match write_shadow(parents, shadow, moves, written) {
+            Ok(mbr) => mbr,
+            Err(e) => {
+                done.failed = Some((shadow.first_pos, e));
+                break;
+            }
+        };
         done.ops += shadow.ops;
         if shadow.is_root {
             if let Some(s) = &tree.summary {
-                s.publish_root_mbr(shadow.leaf.mbr());
+                s.publish_root_mbr(mbr);
             }
         }
     }
     done
 }
 
-/// Parent entry first, then the leaf, each through its pin.
+/// Parent entry first, then the leaf's planned entries, each through its
+/// pin. Returns the leaf's new MBR.
 fn write_shadow<'s, 'p>(
     parents: &'s [PageRef<'p>],
     shadow: &'s LeafShadow<'p>,
+    moves: &[Move],
     written: &mut Vec<&'s PageRef<'p>>,
-) -> CoreResult<()> {
+) -> CoreResult<Rect> {
     if let Some(parent) = shadow.parent.as_ref().filter(|p| p.official != p.stored) {
         let page = &parents[parent.page];
-        {
-            let mut data = page.write();
-            let mut node = Node::decode(page.pid(), &data)?;
-            debug_assert_eq!(
-                node.internal_entries()[parent.pidx].child,
-                shadow.page.pid()
-            );
-            node.internal_entries_mut()[parent.pidx].rect = parent.official;
-            node.encode(&mut data);
-        }
+        let mut node = InternalMut::new(page.pid(), page.write())?;
+        debug_assert_eq!(node.view().entry(parent.pidx).child, shadow.page.pid());
+        node.set_rect(parent.pidx, parent.official);
+        drop(node);
         written.push(page);
     }
-    // The shadow is the complete new leaf state.
-    shadow.leaf.encode(&mut shadow.page.write());
+    let mut leaf = LeafMut::new(shadow.page.pid(), shadow.page.write())?;
+    for m in chain(moves, shadow.last_move) {
+        leaf.set_rect(m.idx, m.rect);
+    }
+    let mbr = if shadow.is_root {
+        leaf.view().mbr()
+    } else {
+        Rect::EMPTY
+    };
+    drop(leaf);
     written.push(&shadow.page);
-    Ok(())
+    Ok(mbr)
 }
 
 /// Count planned update outcomes in `report` and in the op stats.
@@ -405,6 +466,7 @@ pub(crate) fn tally(effects: &[UpdateOutcome], stats: &OpStats, report: &mut Bat
 #[derive(Default)]
 pub(crate) struct Planned<'p> {
     shadows: Vec<LeafShadow<'p>>,
+    moves: Vec<Move>,
     parents: Vec<PageRef<'p>>,
     effects: Vec<UpdateOutcome>,
 }
@@ -419,20 +481,20 @@ impl<'p> Planned<'p> {
 
     /// Write the shadows the planned ops changed through their pins,
     /// parent before leaf, as the shared execute does, and check every
-    /// node the pass holds into the batch's set `ops` — the written
-    /// leaves, the leaf the escalating op only opened, and the parents,
-    /// decoded from their pins — so no op of the batch fetches them
-    /// again and its commit logs the written pages through those pins.
+    /// pin the pass holds into the batch's set `ops` — the written
+    /// leaves, the leaf the escalating op only opened, and the parents —
+    /// so no op of the batch fetches them again and its commit logs the
+    /// written pages through those pins.
     ///
     /// Runs under the structure lock's write side with nothing written
     /// since the pass read the pages, so each shadow is still the page's
     /// state plus the planned ops, and the parent entries it patches are
-    /// the ones it read. On an error (a parent page that no longer
-    /// decodes) the shadows written so far stay touched for the next
+    /// the ones it read. On an error (a page whose header no longer
+    /// checks) the shadows written so far stay touched for the next
     /// commit.
     pub(crate) fn write(self, tree: &RTree, ops: &mut PinSet<'p>) -> CoreResult<()> {
         let (shadows, opened): (Vec<_>, Vec<_>) = self.shadows.into_iter().partition(|s| s.ops > 0);
-        let done = write_shadows(tree, &self.parents, &shadows, &mut Vec::new());
+        let done = write_shadows(tree, &self.parents, &shadows, &self.moves, &mut Vec::new());
         if let Some((op_index, source)) = done.failed {
             return Err(CoreError::Batch {
                 op_index,
@@ -445,20 +507,14 @@ impl<'p> Planned<'p> {
         }
         for (shadows, written) in [(shadows, true), (opened, false)] {
             for shadow in shadows {
-                ops.put(PinnedNode {
+                ops.put(NodePin {
                     page: shadow.page,
-                    node: shadow.leaf,
                     written,
                 });
             }
         }
         for (page, written) in self.parents.into_iter().zip(patched) {
-            let node = Node::decode(page.pid(), &page.read())?;
-            ops.put(PinnedNode {
-                page,
-                node,
-                written,
-            });
+            ops.put(NodePin { page, written });
         }
         Ok(())
     }
@@ -475,7 +531,7 @@ impl Reads for ShadowReads<'_, '_, '_> {
     type Error = ();
 
     fn tight_mbr(&mut self) -> Result<Rect, ()> {
-        Ok(self.pass.shadows[self.slot].leaf.mbr())
+        self.pass.tight_mbr(self.slot).ok_or(())
     }
 
     fn official(&mut self) -> Result<(Rect, Rect), ()> {

@@ -27,8 +27,8 @@
 use crate::bottom_up;
 use crate::config::GbuParams;
 use crate::error::CoreResult;
-use crate::node::{LeafEntry, ObjectId};
-use crate::pins::{PinSet, PinnedNode};
+use crate::node::{LeafEntry, LeafRemovals, ObjectId};
+use crate::pins::{NodePin, PinSet};
 use crate::stats::UpdateOutcome;
 use crate::tree::{AnyEntry, RTree};
 use bur_geom::{Point, Rect};
@@ -67,8 +67,8 @@ pub fn iextend_mbr(leaf: Rect, new_loc: Point, eps: f32, parent: Rect) -> Rect {
 }
 
 /// GBU's repair of a move the ladder could not settle leaf-locally
-/// ([`crate::bottom_up`]): `leaf` has already had the object's entry
-/// removed, `parent` lists it at `pidx`. Try the sibling shift; a fast
+/// ([`crate::bottom_up`]): the object's entry is slot `idx` of `leaf`,
+/// which `parent` lists at `pidx`. Try the sibling shift; a fast
 /// mover whose shift failed then takes the `extend`ed official rect the
 /// ladder computed; otherwise ascend to the lowest ancestor within L
 /// levels whose MBR contains `new`.
@@ -77,14 +77,23 @@ pub(crate) fn repair<'p>(
     tree: &mut RTree,
     ops: &mut PinSet<'p>,
     params: GbuParams,
-    mut leaf: PinnedNode<'p>,
-    mut parent: PinnedNode<'p>,
+    (mut leaf, idx): (NodePin<'p>, usize),
+    mut parent: NodePin<'p>,
     pidx: usize,
     oid: ObjectId,
     new: Point,
     extend: Option<Rect>,
 ) -> CoreResult<UpdateOutcome> {
-    if try_shift(tree, ops, params, &mut leaf, &mut parent, pidx, oid, new)? {
+    if try_shift(
+        tree,
+        ops,
+        params,
+        (&mut leaf, idx),
+        &mut parent,
+        pidx,
+        oid,
+        new,
+    )? {
         ops.release(parent);
         ops.release(leaf);
         return Ok(UpdateOutcome::Shifted);
@@ -93,10 +102,11 @@ pub(crate) fn repair<'p>(
     if let Some(rect) = extend {
         // Fast mover whose shift failed: re-add the entry and extend
         // after all, parent first.
-        leaf.leaf_entries_mut().push(LeafEntry::point(oid, new));
-        parent.internal_entries_mut()[pidx].rect = rect;
-        tree.write_pinned(&mut parent);
-        tree.write_pinned(&mut leaf);
+        tree.edit_internal(&mut parent, |parent| parent.set_rect(pidx, rect))?;
+        tree.edit_leaf(&mut leaf, |leaf| {
+            leaf.swap_remove(idx);
+            leaf.push(LeafEntry::point(oid, new));
+        })?;
         ops.release(parent);
         ops.release(leaf);
         return Ok(UpdateOutcome::Extended);
@@ -105,7 +115,7 @@ pub(crate) fn repair<'p>(
     // Ascend. Both pages go back into the set: the re-insert below starts
     // at the parent or above it and may pick this very leaf again.
     let leaf_pid = leaf.pid();
-    bottom_up::release_source(tree, ops, leaf, &mut parent, pidx);
+    bottom_up::release_source(tree, ops, (leaf, idx), &mut parent, pidx)?;
     ops.put(parent);
     let max_ascent = params
         .level_threshold
@@ -147,7 +157,7 @@ pub(crate) fn repair<'p>(
     }
 }
 
-/// Try the sibling shift. `leaf` has already had the entry removed. On
+/// Try the sibling shift of the object's entry, slot `idx` of `leaf`. On
 /// success writes sibling + leaf + parent (tightened) and returns `true`;
 /// on failure leaves all pages untouched.
 #[allow(clippy::too_many_arguments)]
@@ -155,8 +165,8 @@ fn try_shift<'p>(
     tree: &mut RTree,
     ops: &mut PinSet<'p>,
     params: GbuParams,
-    leaf: &mut PinnedNode<'p>,
-    parent: &mut PinnedNode<'p>,
+    (leaf, idx): (&mut NodePin<'p>, usize),
+    parent: &mut NodePin<'p>,
     pidx: usize,
     oid: ObjectId,
     new: Point,
@@ -166,7 +176,7 @@ fn try_shift<'p>(
     let leaf_cap = tree.leaf_cap();
     let summary = tree.summary.as_ref().expect("GBU requires the summary");
     let mut best: Option<(PageId, Rect)> = None;
-    for (i, e) in parent.internal_entries().iter().enumerate() {
+    for (i, e) in parent.internal()?.iter().enumerate() {
         if i == pidx || !e.rect.contains_point(&new) || summary.is_leaf_full(e.child) {
             continue;
         }
@@ -179,13 +189,13 @@ fn try_shift<'p>(
         return Ok(false);
     };
     let mut sib = ops.take(sib_pid)?;
-    if sib.count() >= leaf_cap {
+    let sib_len = sib.leaf()?.len();
+    if sib_len >= leaf_cap {
         // The bit vector is maintained synchronously so this should not
         // happen; stay safe regardless.
         ops.put(sib);
         return Ok(false);
     }
-    sib.leaf_entries_mut().push(LeafEntry::point(oid, new));
     ops.place(oid, sib_pid)?;
 
     // Piggybacking (Section 3.2.1 item 4): carry over a few other
@@ -196,39 +206,51 @@ fn try_shift<'p>(
     // break-even the paper reports. Never drain the source near its
     // minimum fill (that would set up condense/reinsert storms), never
     // overfill the sibling.
-    if params.piggyback {
-        const MAX_PIGGYBACK: u64 = 3;
-        let min_keep = tree.min_fill_leaf() + 2;
-        let mut moved = 0u64;
+    const MAX_PIGGYBACK: usize = 3;
+    let mut carried = [None; MAX_PIGGYBACK];
+    let mut moved = 0;
+    let min_keep = tree.min_fill_leaf() + 2;
+    let tight = tree.edit_leaf(leaf, |leaf| {
+        let mut from = LeafRemovals::new(leaf);
+        from.swap_remove(idx);
         let mut i = 0;
-        while i < leaf.leaf_entries().len() {
-            if moved >= MAX_PIGGYBACK || sib.count() >= leaf_cap || leaf.count() <= min_keep {
+        while params.piggyback && i < from.len() {
+            // The sibling holds its own entries, the mover and the
+            // entries carried so far.
+            if moved >= MAX_PIGGYBACK || sib_len + 1 + moved >= leaf_cap || from.len() <= min_keep {
                 break;
             }
-            let e = leaf.leaf_entries()[i];
+            let e = from.entry(i);
             if sib_rect.contains_rect(&e.rect) {
-                leaf.leaf_entries_mut().swap_remove(i);
-                sib.leaf_entries_mut().push(e);
-                ops.place(e.oid, sib_pid)?;
+                from.swap_remove(i);
+                carried[moved] = Some(e);
                 moved += 1;
             } else {
                 i += 1;
             }
         }
-        if moved > 0 {
-            tree.stats.piggybacked.fetch_add(moved, Ordering::Relaxed);
-        }
+        from.finish();
+        leaf.view().mbr()
+    })?;
+    let carried = carried.into_iter().flatten();
+    tree.edit_leaf(&mut sib, |to| {
+        to.push(LeafEntry::point(oid, new));
+        carried.clone().for_each(|e| to.push(e));
+    })?;
+    for e in carried {
+        ops.place(e.oid, sib_pid)?;
     }
-
-    tree.write_pinned(&mut sib);
-    tree.write_pinned(leaf);
+    if moved > 0 {
+        tree.stats
+            .piggybacked
+            .fetch_add(moved as u64, Ordering::Relaxed);
+    }
     // Tighten the source leaf's official MBR ("After a shift, the leaf's
     // MBR is tightened to reduce overlap"). The sibling's rect already
     // contains everything that moved, so the parent's own MBR can only
     // shrink — no upward propagation is required for correctness, and the
     // summary entry is refreshed by the write hook.
-    parent.internal_entries_mut()[pidx].rect = leaf.mbr();
-    tree.write_pinned(parent);
+    tree.edit_internal(parent, |parent| parent.set_rect(pidx, tight))?;
     ops.release(sib);
     Ok(true)
 }

@@ -9,7 +9,7 @@ use crate::error::{CoreError, CoreResult};
 use crate::files::stored_snapshot;
 use crate::knn::{self, Neighbor};
 use crate::meta::{read_meta_chain, write_meta_chain, MetaSnapshot, LOG_DISK_ANCHOR, META_PAGE};
-use crate::node::{LeafEntry, NodeEntries, ObjectId};
+use crate::node::{InternalView, LeafEntry, NodeView, ObjectId};
 use crate::pins::PinSet;
 use crate::stats::{OpStats, UpdateOutcome};
 use crate::summary::SummaryStructure;
@@ -736,7 +736,7 @@ impl RTreeIndex {
         if self.tree.len() == 0 {
             return Ok(Rect::EMPTY);
         }
-        Ok(self.tree.read_node(self.tree.root)?.mbr())
+        self.tree.root_mbr()
     }
 
     /// The construction options.
@@ -993,37 +993,6 @@ fn corrupt_log(e: RedoError) -> CoreError {
 /// objects go into the hash index as the walk meets the leaf, so the
 /// rebuild holds no list of every object.
 pub(crate) fn rebuild_memory_state(tree: &mut RTree, build_hash: bool) -> CoreResult<()> {
-    fn walk(
-        tree: &RTree,
-        pid: PageId,
-        summary: &mut Option<SummaryStructure>,
-        hash: Option<&LinearHashIndex>,
-        leaf_cap: usize,
-    ) -> CoreResult<()> {
-        let node = tree.read_node(pid)?;
-        match &node.entries {
-            NodeEntries::Leaf(v) => {
-                if let Some(s) = summary {
-                    s.set_leaf(pid, v.len() >= leaf_cap);
-                }
-                if let Some(hash) = hash {
-                    for e in v {
-                        hash.insert(e.oid, pid)?;
-                    }
-                }
-            }
-            NodeEntries::Internal(v) => {
-                if let Some(s) = summary {
-                    s.upsert_internal(pid, node.level, node.mbr(), v.iter().map(|e| e.child));
-                }
-                for e in v {
-                    walk(tree, e.child, summary, hash, leaf_cap)?;
-                }
-            }
-        }
-        Ok(())
-    }
-
     // The walk only matters when there is memory state to rebuild; a
     // bare TD index (e.g. a replica view being promoted to TD) skips it.
     if tree.summary.is_some() || build_hash {
@@ -1033,10 +1002,42 @@ pub(crate) fn rebuild_memory_state(tree: &mut RTree, build_hash: bool) -> CoreRe
         }
         let hash = build_hash.then(|| tree.hash.clone().expect("caller created the hash"));
         let leaf_cap = tree.leaf_cap();
-        walk(tree, tree.root, &mut summary, hash.as_deref(), leaf_cap)?;
+        // Depth-first, children in entry order. A leaf's objects are
+        // copied out and indexed once its page is unpinned: the hash
+        // index reads pages of its own.
+        let mut stack = vec![tree.root];
+        let mut objects: Vec<ObjectId> = Vec::new();
+        while let Some(pid) = stack.pop() {
+            tree.with_page(pid, |data| {
+                match NodeView::new(pid, data)? {
+                    NodeView::Leaf(leaf) => {
+                        if let Some(s) = &mut summary {
+                            s.set_leaf(pid, leaf.len() >= leaf_cap);
+                        }
+                        if hash.is_some() {
+                            objects.extend(leaf.iter().map(|e| e.oid));
+                        }
+                    }
+                    NodeView::Internal(node) => {
+                        if let Some(s) = &mut summary {
+                            let children = node.children();
+                            s.upsert_internal(pid, node.level(), node.mbr(), children);
+                        }
+                        let from = stack.len();
+                        stack.extend(node.children());
+                        stack[from..].reverse();
+                    }
+                }
+                Ok(())
+            })?;
+            if let Some(hash) = &hash {
+                for oid in objects.drain(..) {
+                    hash.insert(oid, pid)?;
+                }
+            }
+        }
         if let Some(s) = &mut summary {
-            let root = tree.read_node(tree.root)?;
-            s.set_root_mbr(root.mbr());
+            s.set_root_mbr(tree.root_mbr()?);
         }
         tree.summary = summary;
     }
@@ -1044,27 +1045,22 @@ pub(crate) fn rebuild_memory_state(tree: &mut RTree, build_hash: bool) -> CoreRe
     // stale (e.g. the stored image was built by a TD index).
     if tree.opts.strategy.needs_parent_pointers() && tree.height >= 2 {
         let mut level1 = Vec::new();
-        collect_level(tree, tree.root, 1, &mut level1)?;
+        tree.walk(
+            |pid, node| {
+                if node.level() == 1 {
+                    level1.push(pid);
+                }
+                Ok(())
+            },
+            |node, _| node.level() > 1,
+        )?;
         for parent_pid in level1 {
-            let parent = tree.read_node(parent_pid)?;
-            tree.adopt_leaves(parent.internal_entries(), parent_pid)?;
-        }
-    }
-    Ok(())
-}
-
-/// Collect the page ids of all nodes at `level`.
-fn collect_level(tree: &RTree, pid: PageId, level: u16, out: &mut Vec<PageId>) -> CoreResult<()> {
-    let node = tree.read_node(pid)?;
-    if node.level == level {
-        out.push(pid);
-        return Ok(());
-    }
-    if node.level > level {
-        if let NodeEntries::Internal(v) = &node.entries {
-            for e in v {
-                collect_level(tree, e.child, level, out)?;
-            }
+            let children = tree.with_page(parent_pid, |data| {
+                Ok(InternalView::new(parent_pid, data)?
+                    .children()
+                    .collect::<Vec<_>>())
+            })?;
+            tree.adopt_leaves(children, parent_pid)?;
         }
     }
     Ok(())
@@ -1075,37 +1071,31 @@ impl RTreeIndex {
     /// object count, internal count)` measured from the parent entries
     /// (the official rects). Used by tooling to quantify overlap.
     pub fn leaf_geometry(&self) -> CoreResult<(u64, f64, f64, u64, u64)> {
-        fn walk(
-            t: &crate::tree::RTree,
-            pid: PageId,
-            acc: &mut (u64, f64, f64, u64, u64),
-        ) -> CoreResult<()> {
-            let node = t.read_node(pid)?;
-            match &node.entries {
-                NodeEntries::Leaf(v) => {
-                    acc.3 += v.len() as u64;
-                }
-                NodeEntries::Internal(v) => {
-                    acc.4 += 1;
-                    for e in v {
-                        if node.level == 1 {
-                            acc.0 += 1;
-                            acc.1 += f64::from(e.rect.area());
-                            acc.2 += f64::from(e.rect.margin());
+        let mut acc = (0, 0.0, 0.0, 0, 0);
+        self.tree.walk(
+            |_, node| {
+                match node {
+                    NodeView::Leaf(leaf) => acc.3 += leaf.len() as u64,
+                    NodeView::Internal(node) => {
+                        acc.4 += 1;
+                        if node.level() == 1 {
+                            for e in node.iter() {
+                                acc.0 += 1;
+                                acc.1 += f64::from(e.rect.area());
+                                acc.2 += f64::from(e.rect.margin());
+                            }
                         }
-                        walk(t, e.child, acc)?;
                     }
                 }
-            }
-            Ok(())
-        }
-        let mut acc = (0, 0.0, 0.0, 0, 0);
-        walk(&self.tree, self.tree.root, &mut acc)?;
+                Ok(())
+            },
+            |_, _| true,
+        )?;
         if self.tree.height == 1 {
+            let mbr = self.tree.root_mbr()?;
             acc.0 = 1;
-            let root = self.tree.read_node(self.tree.root)?;
-            acc.1 = f64::from(root.mbr().area());
-            acc.2 = f64::from(root.mbr().margin());
+            acc.1 = f64::from(mbr.area());
+            acc.2 = f64::from(mbr.margin());
         }
         Ok(acc)
     }

@@ -19,7 +19,7 @@
 //!   applies to window queries.
 
 use crate::error::CoreResult;
-use crate::node::{NodeEntries, ObjectId};
+use crate::node::{NodeView, ObjectId};
 use crate::tree::RTree;
 use bur_geom::Point;
 use bur_storage::PageId;
@@ -130,27 +130,19 @@ fn drain(
                     break;
                 }
             }
-            Item::Node(pid) => {
-                let node = tree.read_node(pid)?;
-                match &node.entries {
-                    NodeEntries::Leaf(v) => {
-                        for e in v {
-                            heap.push(Candidate {
-                                dist_sq: e.rect.distance_sq_to_point(&query),
-                                item: Item::Object(e.oid),
-                            });
-                        }
-                    }
-                    NodeEntries::Internal(v) => {
-                        for e in v {
-                            heap.push(Candidate {
-                                dist_sq: e.rect.distance_sq_to_point(&query),
-                                item: Item::Node(e.child),
-                            });
-                        }
-                    }
+            Item::Node(pid) => tree.with_page(pid, |data| {
+                match NodeView::new(pid, data)? {
+                    NodeView::Leaf(leaf) => heap.extend(leaf.iter().map(|e| Candidate {
+                        dist_sq: e.rect.distance_sq_to_point(&query),
+                        item: Item::Object(e.oid),
+                    })),
+                    NodeView::Internal(node) => heap.extend(node.iter().map(|e| Candidate {
+                        dist_sq: e.rect.distance_sq_to_point(&query),
+                        item: Item::Node(e.child),
+                    })),
                 }
-            }
+                Ok(())
+            })?,
         }
     }
     Ok(out)

@@ -26,38 +26,38 @@
 use crate::bottom_up;
 use crate::error::CoreResult;
 use crate::node::{LeafEntry, ObjectId};
-use crate::pins::{PinSet, PinnedNode};
+use crate::pins::{NodePin, PinSet};
 use crate::stats::UpdateOutcome;
 use crate::tree::RTree;
 use bur_geom::Point;
 
-/// Steps 5 and 6: `leaf` has already had the object's entry removed,
-/// `parent` lists it at `pidx`.
+/// Steps 5 and 6: the object's entry is slot `idx` of `leaf`, which
+/// `parent` lists at `pidx`.
 pub(crate) fn repair<'p>(
     tree: &mut RTree,
     ops: &mut PinSet<'p>,
-    leaf: PinnedNode<'p>,
-    mut parent: PinnedNode<'p>,
+    leaf: (NodePin<'p>, usize),
+    mut parent: NodePin<'p>,
     pidx: usize,
     oid: ObjectId,
     new: Point,
 ) -> CoreResult<UpdateOutcome> {
     // The leaf is done; a root insert below may pick it again.
-    bottom_up::release_source(tree, ops, leaf, &mut parent, pidx);
+    bottom_up::release_source(tree, ops, leaf, &mut parent, pidx)?;
     // Step 5: look for a sibling whose MBR contains the new location and
     // that is not full. LBU has no bit vector, so each candidate sibling
     // is *read* to check fullness — the extra disk accesses the paper
     // attributes to this strategy.
     let leaf_cap = tree.leaf_cap();
-    for i in 0..parent.count() {
-        let e = parent.internal_entries()[i];
+    let siblings = parent.internal()?.len();
+    for i in 0..siblings {
+        let e = parent.internal()?.entry(i);
         if i == pidx || !e.rect.contains_point(&new) {
             continue;
         }
         let mut sib = ops.take(e.child)?;
-        if sib.count() < leaf_cap {
-            sib.leaf_entries_mut().push(LeafEntry::point(oid, new));
-            tree.write_pinned(&mut sib);
+        if sib.leaf()?.len() < leaf_cap {
+            tree.edit_leaf(&mut sib, |sib| sib.push(LeafEntry::point(oid, new)))?;
             ops.place(oid, e.child)?;
             ops.release(sib);
             ops.release(parent);

@@ -5,18 +5,17 @@
 //! reads a page and later rewrites it — or comes back to it while
 //! re-inserting the orphans of a dissolved leaf — has accessed it once.
 //! A [`PinSet`] makes the engine count the same way, and a batch with it:
-//! the set lives for the whole batch, so a node one operation checked in
-//! costs the batch's later operations no second fetch and no second
-//! decode. Code that needs a node checks it out with [`PinSet::take`]
-//! (a pool fetch only when the batch does not hold the page yet), works
-//! on the decoded copy, and checks it back in with [`PinSet::put`] after
-//! [`RTree::write_pinned`](crate::tree::RTree::write_pinned) has
-//! re-encoded it through the same pin. While a node is checked out nobody
-//! else can obtain it, so there is exactly **one decoded copy per page
-//! per batch** and it cannot go stale: every engine write goes through
-//! the copy's own pin. A freed page leaves the set when it is freed
-//! ([`PinSet::let_go`]), so a page the batch reallocates comes back only
-//! as the node [`PinSet::put_new`] writes to it.
+//! the set lives for the whole batch, so a page one operation checked in
+//! costs the batch's later operations no second fetch. Code that needs a
+//! node checks its pin out with [`PinSet::take`] (a pool fetch only when
+//! the batch does not hold the page yet), reads it through a view under
+//! the page's shared latch and edits it in place under the exclusive
+//! latch ([`NodePin`]), and checks the pin back in with [`PinSet::put`].
+//! The page bytes are the only copy of the node, so nothing can go stale:
+//! every engine write lands on the page itself. A freed page leaves the
+//! set when it is freed ([`PinSet::let_go`]), so a page the batch
+//! reallocates comes back only as the node written over it through
+//! [`PinSet::pin_new`].
 //!
 //! The set also carries the running operation's *own object*: the hash
 //! probe that located it (bucket page pinned, slot remembered) and the
@@ -26,7 +25,7 @@
 //! hash entry once, through the probe's pin, when the operation is done.
 //! Only this state is per operation.
 //!
-//! An operation lets go of a node it is done with through
+//! An operation lets go of a page it is done with through
 //! [`PinSet::release`]: the set keeps it for the batch's later
 //! operations, and the batch's last operation — which has none —
 //! unpins it on the spot. A batch of one therefore pins and unpins
@@ -34,7 +33,7 @@
 //! per-outcome fetch table (`tests/fetch_budget.rs`, measured on batches
 //! of one) and the single-update figures do not move.
 //!
-//! A commit logs the bytes of every page the batch wrote, so each node
+//! A commit logs the bytes of every page the batch wrote, so each pin
 //! carries a *written* mark, and on a durable index the set keeps the pin
 //! of every written page it lets go of and of every hash bucket the hash
 //! index hands back; [`PinSet::into_pins`] gives the commit all of them,
@@ -42,39 +41,63 @@
 //! A volatile index keeps nothing for a commit.
 
 use crate::error::CoreResult;
-use crate::node::{Node, ObjectId};
+use crate::node::{InternalMut, InternalView, LeafMut, LeafView, Node, NodeView, ObjectId};
 use bur_hashindex::{LinearHashIndex, Probe, Written};
-use bur_storage::{BufferPool, PageId, PageRef};
+use bur_storage::{BufferPool, PageId, PageReadLatch, PageRef, PageWriteLatch};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
-/// A node decoded from a page that stays pinned; rewritten through the
-/// same pin by [`RTree::write_pinned`](crate::tree::RTree::write_pinned).
-pub(crate) struct PinnedNode<'p> {
+/// A node page the batch holds pinned. It is read through a view under
+/// the page's shared latch and edited in place under the exclusive one;
+/// take one latch at a time (an S latch held into an X latch on the same
+/// frame deadlocks).
+pub(crate) struct NodePin<'p> {
     pub(crate) page: PageRef<'p>,
-    pub(crate) node: Node,
-    /// Re-encoded through `page` during this batch: its commit logs it.
+    /// Written through during this batch: its commit logs it.
     pub(crate) written: bool,
 }
 
-impl PinnedNode<'_> {
+impl NodePin<'_> {
     /// Id of the pinned page.
     pub(crate) fn pid(&self) -> PageId {
         self.page.pid()
     }
-}
 
-impl std::ops::Deref for PinnedNode<'_> {
-    type Target = Node;
-
-    fn deref(&self) -> &Node {
-        &self.node
+    /// The node, of either kind, under the shared latch.
+    pub(crate) fn view(&self) -> CoreResult<NodeView<PageReadLatch<'_>>> {
+        NodeView::new(self.pid(), self.page.read())
     }
-}
 
-impl std::ops::DerefMut for PinnedNode<'_> {
-    fn deref_mut(&mut self) -> &mut Node {
-        &mut self.node
+    /// The leaf under the shared latch.
+    pub(crate) fn leaf(&self) -> CoreResult<LeafView<PageReadLatch<'_>>> {
+        LeafView::new(self.pid(), self.page.read())
+    }
+
+    /// The internal node under the shared latch.
+    pub(crate) fn internal(&self) -> CoreResult<InternalView<PageReadLatch<'_>>> {
+        InternalView::new(self.pid(), self.page.read())
+    }
+
+    /// The leaf under the exclusive latch; marks the page written.
+    pub(crate) fn leaf_mut(&mut self) -> CoreResult<LeafMut<PageWriteLatch<'_>>> {
+        self.written = true;
+        LeafMut::new(self.page.pid(), self.page.write())
+    }
+
+    /// The internal node under the exclusive latch; marks the page
+    /// written.
+    pub(crate) fn internal_mut(&mut self) -> CoreResult<InternalMut<PageWriteLatch<'_>>> {
+        self.written = true;
+        InternalMut::new(self.page.pid(), self.page.write())
+    }
+
+    /// Overwrite the whole page with `node` under the exclusive latch and
+    /// hand the result to `note`; marks the page written.
+    pub(crate) fn overwrite(&mut self, node: &Node, note: impl FnOnce(&NodeView<&[u8]>)) {
+        self.written = true;
+        let mut data = self.page.write();
+        node.encode(&mut data);
+        note(&NodeView::new(self.page.pid(), &*data).expect("an encoded node checks"));
     }
 }
 
@@ -113,8 +136,8 @@ struct OwnObject<'p> {
 pub(crate) struct PinSet<'p> {
     pool: &'p BufferPool,
     hash: Option<&'p LinearHashIndex>,
-    /// Checked-in nodes, in the order the batch unpins them.
-    held: Vec<PinnedNode<'p>>,
+    /// Checked-in pins, in the order the batch unpins them.
+    held: Vec<NodePin<'p>>,
     /// Where each checked-in page sits in `held`: an escalated
     /// 1 024-insert batch holds about a thousand nodes.
     at: HashMap<PageId, usize, BuildHasherDefault<PageIdHasher>>,
@@ -157,75 +180,63 @@ impl<'p> PinSet<'p> {
         self.last = last;
     }
 
-    /// Check the node on `pid` out of the set, fetching and decoding the
-    /// page only when the batch does not hold it yet.
-    pub(crate) fn take(&mut self, pid: PageId) -> CoreResult<PinnedNode<'p>> {
+    /// Check the pin of `pid` out of the set, fetching the page only
+    /// when the batch does not hold it yet.
+    pub(crate) fn take(&mut self, pid: PageId) -> CoreResult<NodePin<'p>> {
         if let Some(i) = self.at.remove(&pid) {
-            let node = self.held.swap_remove(i);
+            let pin = self.held.swap_remove(i);
             if let Some(moved) = self.held.get(i) {
                 self.at.insert(moved.pid(), i);
             }
-            return Ok(node);
+            return Ok(pin);
         }
-        let page = self.pool.fetch(pid)?;
-        let node = Node::decode(pid, &page.read())?;
-        Ok(PinnedNode {
-            page,
-            node,
+        Ok(NodePin {
+            page: self.pool.fetch(pid)?,
             written: false,
         })
     }
 
-    /// Check a node back in. Its decoded copy must equal the page: put it
-    /// unchanged, or after `write_pinned`.
-    pub(crate) fn put(&mut self, node: PinnedNode<'p>) {
-        let twice = self.at.insert(node.pid(), self.held.len());
-        debug_assert!(
-            twice.is_none(),
-            "page {} decoded twice in one batch",
-            node.pid()
-        );
-        self.held.push(node);
+    /// Check a pin back in.
+    pub(crate) fn put(&mut self, pin: NodePin<'p>) {
+        let twice = self.at.insert(pin.pid(), self.held.len());
+        debug_assert!(twice.is_none(), "page {} checked in twice", pin.pid());
+        self.held.push(pin);
     }
 
     /// Pin a page that was never read (a split's new half, a fresh
-    /// root), overwrite it blind with `node` and check the node in.
-    pub(crate) fn put_new(&mut self, pid: PageId, node: Node) -> CoreResult<&Node> {
-        let page = self.pool.fetch_for_overwrite(pid)?;
-        node.encode(&mut page.write());
-        self.put(PinnedNode {
-            page,
-            node,
-            written: true,
-        });
-        Ok(&self.held.last().expect("just put").node)
+    /// root), for the caller to overwrite blind and check in.
+    pub(crate) fn pin_new(&mut self, pid: PageId) -> CoreResult<NodePin<'p>> {
+        Ok(NodePin {
+            page: self.pool.fetch_for_overwrite(pid)?,
+            written: false,
+        })
     }
 
-    /// The operation is done with `node`: check it in for the batch's
+    /// The operation is done with `pin`: check it in for the batch's
     /// later operations, or — in its last — let go of it now.
-    pub(crate) fn release(&mut self, node: PinnedNode<'p>) {
+    pub(crate) fn release(&mut self, pin: NodePin<'p>) {
         if self.last {
-            self.let_go(node);
+            self.let_go(pin);
         } else {
-            self.put(node);
+            self.put(pin);
         }
     }
 
-    /// Let go of `node` for the rest of the batch — released by its last
+    /// Let go of `pin` for the rest of the batch — released by its last
     /// operation, or its page freed: a later `take` fetches the page
     /// again. A written page keeps its pin for a durable commit.
-    pub(crate) fn let_go(&mut self, node: PinnedNode<'p>) {
-        if let (true, Some(kept)) = (node.written, &mut self.kept) {
-            kept.push(node.page);
+    pub(crate) fn let_go(&mut self, pin: NodePin<'p>) {
+        if let (true, Some(kept)) = (pin.written, &mut self.kept) {
+            kept.push(pin.page);
         }
     }
 
-    /// Let go of every checked-in node, in the order they were held: the
+    /// Let go of every checked-in pin, in the order they were held: the
     /// top-down baseline's separate insert search starts from nothing.
     pub(crate) fn flush(&mut self) {
         self.at.clear();
-        for node in std::mem::take(&mut self.held) {
-            self.let_go(node);
+        for pin in std::mem::take(&mut self.held) {
+            self.let_go(pin);
         }
     }
 
@@ -300,7 +311,7 @@ impl<'p> PinSet<'p> {
 
     /// The batch is over: every pin a durable commit logs through, one
     /// per page, in ascending page order. The other pins drop here, the
-    /// checked-in nodes in the order they were held.
+    /// checked-in ones in the order they were held.
     pub(crate) fn into_pins(self) -> Vec<PageRef<'p>> {
         let Some(mut pins) = self.kept else {
             return Vec::new();
@@ -308,8 +319,8 @@ impl<'p> PinSet<'p> {
         pins.extend(
             self.held
                 .into_iter()
-                .filter(|node| node.written)
-                .map(|node| node.page),
+                .filter(|pin| pin.written)
+                .map(|pin| pin.page),
         );
         pins.sort_by_key(PageRef::pid);
         pins.dedup_by_key(|pin| pin.pid());

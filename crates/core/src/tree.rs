@@ -27,18 +27,20 @@ use crate::config::{IndexOptions, TreeVariant, WalOptions};
 use crate::error::{CoreError, CoreResult};
 use crate::meta::{self, MetaSnapshot};
 use crate::node::{
-    internal_capacity, leaf_capacity, InternalEntry, LeafEntry, Node, NodeEntries, ObjectId,
+    internal_capacity, leaf_capacity, InternalEntry, InternalMut, InternalView, LeafEntry, LeafMut,
+    LeafView, Node, NodeEntries, NodeView, ObjectId,
 };
-use crate::pins::{PinSet, PinnedNode};
+use crate::pins::{NodePin, PinSet};
 use crate::split;
 use crate::stats::OpStats;
 use crate::summary::SummaryStructure;
 use bur_geom::{Point, Rect};
 use bur_hashindex::{HashIndexConfig, LinearHashIndex};
-use bur_storage::{BufferPool, Lsn, PageId, PageRef, INVALID_PAGE};
+use bur_storage::{BufferPool, Lsn, PageId, PageRef, PageWriteLatch, INVALID_PAGE};
 use bur_wal::Wal;
 use parking_lot::Mutex;
 use std::borrow::Borrow;
+use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -213,36 +215,86 @@ impl RTree {
 
     // ---- node I/O ----------------------------------------------------------
 
-    /// Read and decode the node on `pid`.
-    pub(crate) fn read_node(&self, pid: PageId) -> CoreResult<Node> {
-        let guard = self.pool.fetch(pid)?;
-        let data = guard.read();
-        Node::decode(pid, &data)
+    /// Fetch `pid` and hand `read` its bytes under the page's shared
+    /// latch; the page is unpinned as soon as `read` returns.
+    pub(crate) fn with_page<T>(
+        &self,
+        pid: PageId,
+        read: impl FnOnce(&[u8]) -> CoreResult<T>,
+    ) -> CoreResult<T> {
+        let page = self.pool.fetch(pid)?;
+        let data = page.read();
+        read(&data)
     }
 
-    /// Re-encode a pinned node through its own pin, mark it written for
-    /// the commit and refresh the summary hooks: the write half of a
-    /// pinned read-modify-write (no pool fetch).
-    pub(crate) fn write_pinned(&mut self, pinned: &mut PinnedNode<'_>) {
-        pinned.node.encode(&mut pinned.page.write());
-        pinned.written = true;
-        self.note_written(pinned.pid(), &pinned.node);
+    /// Edit the leaf on `pin` in place under its exclusive latch, then
+    /// refresh the summary hooks: the write half of a pinned
+    /// read-modify-write (no pool fetch).
+    pub(crate) fn edit_leaf<T>(
+        &mut self,
+        pin: &mut NodePin<'_>,
+        edit: impl FnOnce(&mut LeafMut<PageWriteLatch<'_>>) -> T,
+    ) -> CoreResult<T> {
+        let pid = pin.pid();
+        let mut leaf = pin.leaf_mut()?;
+        let out = edit(&mut leaf);
+        self.note_leaf(pid, &leaf.view());
+        Ok(out)
     }
 
-    /// [`RTree::write_pinned`], then check the node back into the
-    /// batch's pin set.
-    fn write_back<'p>(&mut self, ops: &mut PinSet<'p>, mut node: PinnedNode<'p>) {
-        self.write_pinned(&mut node);
-        ops.put(node);
+    /// [`RTree::edit_leaf`] for an internal node; returns the node's MBR
+    /// after the edit (the summary hooks need it anyway).
+    pub(crate) fn edit_internal(
+        &mut self,
+        pin: &mut NodePin<'_>,
+        edit: impl FnOnce(&mut InternalMut<PageWriteLatch<'_>>),
+    ) -> CoreResult<Rect> {
+        let pid = pin.pid();
+        let mut node = pin.internal_mut()?;
+        edit(&mut node);
+        let node = node.view();
+        let mbr = node.mbr();
+        self.note_internal(pid, &node, mbr);
+        Ok(mbr)
+    }
+
+    /// Remove entry `idx` of the node on `pin` in place; returns the
+    /// node's new MBR.
+    fn remove_entry(&mut self, pin: &mut NodePin<'_>, idx: usize) -> CoreResult<Rect> {
+        if pin.view()?.level() == 0 {
+            self.edit_leaf(pin, |leaf| {
+                leaf.swap_remove(idx);
+                leaf.view().mbr()
+            })
+        } else {
+            self.edit_internal(pin, |node| {
+                node.swap_remove(idx);
+            })
+        }
+    }
+
+    /// The node on `pin` copied out, for an overflow to rebuild from
+    /// nothing: the caller appends the entry the page has no room for.
+    fn overflowing(pin: &NodePin<'_>) -> CoreResult<Node> {
+        Ok(pin.view()?.to_node())
+    }
+
+    /// Overwrite `pin`'s page with `node` and check the pin back into
+    /// the batch's pin set: the surviving half of a split, a node that
+    /// shed its forced reinsertions.
+    fn write_back<'p>(&mut self, ops: &mut PinSet<'p>, mut pin: NodePin<'p>, node: &Node) {
+        let pid = pin.pid();
+        pin.overwrite(node, |view| self.note_written(pid, view));
+        ops.put(pin);
     }
 
     /// Write `node` to the freshly allocated page `pid` — blind, the page
     /// was never read — and leave it checked in: the rest of the batch
     /// (say, the next orphan re-inserted into a split's new half) finds
     /// it there.
-    fn write_new(&mut self, ops: &mut PinSet<'_>, pid: PageId, node: Node) -> CoreResult<()> {
-        let node = ops.put_new(pid, node)?;
-        self.note_written(pid, node);
+    fn write_new(&mut self, ops: &mut PinSet<'_>, pid: PageId, node: &Node) -> CoreResult<()> {
+        let pin = ops.pin_new(pid)?;
+        self.write_back(ops, pin, node);
         Ok(())
     }
 
@@ -250,26 +302,47 @@ impl RTree {
     /// blind full-page write outside any operation's pin set: the bulk
     /// loader's nodes.
     pub(crate) fn write_node(&mut self, pid: PageId, node: &Node) -> CoreResult<()> {
-        let guard = self.pool.fetch_for_overwrite(pid)?;
-        node.encode(&mut guard.write());
-        drop(guard);
-        self.note_written(pid, node);
+        let pool = Arc::clone(&self.pool);
+        let mut pin = NodePin {
+            page: pool.fetch_for_overwrite(pid)?,
+            written: false,
+        };
+        pin.overwrite(node, |view| self.note_written(pid, view));
         Ok(())
     }
 
-    /// Summary maintenance after `node` was written to `pid`.
-    fn note_written(&mut self, pid: PageId, node: &Node) {
+    /// Summary maintenance after the node on `pid` was written.
+    fn note_written<B: Deref<Target = [u8]>>(&mut self, pid: PageId, node: &NodeView<B>) {
+        match node {
+            NodeView::Leaf(leaf) => self.note_leaf(pid, leaf),
+            NodeView::Internal(node) => self.note_internal(pid, node, node.mbr()),
+        }
+    }
+
+    /// Summary maintenance after the leaf on `pid` was written: its
+    /// fullness bit, and the root MBR when it is the root.
+    fn note_leaf<B: Deref<Target = [u8]>>(&mut self, pid: PageId, leaf: &LeafView<B>) {
         if let Some(s) = &mut self.summary {
-            match &node.entries {
-                NodeEntries::Leaf(v) => {
-                    s.set_leaf(pid, v.len() >= leaf_capacity(self.opts.page_size));
-                }
-                NodeEntries::Internal(v) => {
-                    s.upsert_internal(pid, node.level, node.mbr(), v.iter().map(|e| e.child));
-                }
-            }
+            s.set_leaf(pid, leaf.len() >= leaf_capacity(self.opts.page_size));
             if pid == self.root {
-                s.set_root_mbr(node.mbr());
+                s.set_root_mbr(leaf.mbr());
+            }
+        }
+    }
+
+    /// Summary maintenance after the internal node on `pid`, whose MBR
+    /// is `mbr`, was written: its MBR and child list, and the root MBR
+    /// when it is the root.
+    fn note_internal<B: Deref<Target = [u8]>>(
+        &mut self,
+        pid: PageId,
+        node: &InternalView<B>,
+        mbr: Rect,
+    ) {
+        if let Some(s) = &mut self.summary {
+            s.upsert_internal(pid, node.level(), mbr, node.children());
+            if pid == self.root {
+                s.set_root_mbr(mbr);
             }
         }
     }
@@ -284,51 +357,49 @@ impl RTree {
         Ok(pid)
     }
 
-    /// Free the page of `node`, which leaves the batch's pin set with it:
-    /// a later [`RTree::alloc_page`] of the same id finds no copy there.
-    fn free_page<'p>(&mut self, ops: &mut PinSet<'p>, node: PinnedNode<'p>) {
-        let pid = node.pid();
+    /// Free the page of `pin` (a `leaf` or an internal node), which
+    /// leaves the batch's pin set with it: a later
+    /// [`RTree::alloc_page`] of the same id finds nothing there.
+    fn free_page<'p>(&mut self, ops: &mut PinSet<'p>, pin: NodePin<'p>, leaf: bool) {
+        let pid = pin.pid();
         self.free_pages.push(pid);
         if let Some(s) = &mut self.summary {
-            if node.is_leaf() {
+            if leaf {
                 s.remove_leaf(pid);
             } else {
                 s.remove_internal(pid);
             }
         }
-        ops.let_go(node);
+        ops.let_go(pin);
     }
 
-    /// Rewrite only the parent pointer of a node (LBU maintenance; one
-    /// read + one write per re-homed child, through one pin).
+    /// Rewrite only the parent pointer of a leaf (LBU maintenance; one
+    /// read + one write per re-homed leaf, through one pin).
     pub(crate) fn set_parent_pointer(
         &mut self,
         ops: &mut PinSet<'_>,
         pid: PageId,
         parent: PageId,
     ) -> CoreResult<()> {
-        let mut node = ops.take(pid)?;
-        if node.parent != parent {
-            node.parent = parent;
-            self.write_pinned(&mut node);
+        let mut pin = ops.take(pid)?;
+        if pin.leaf()?.parent() != parent {
+            self.edit_leaf(&mut pin, |leaf| leaf.set_parent(parent))?;
         }
-        ops.put(node);
+        ops.put(pin);
         Ok(())
     }
 
-    /// Point the leaves listed in `children` at `parent`, outside any
-    /// batch (bulk loads, rebuilding LBU's pointers after a reopen).
+    /// Point the leaves `children` at `parent`, outside any batch (bulk
+    /// loads, rebuilding LBU's pointers after a reopen).
     pub(crate) fn adopt_leaves(
         &self,
-        children: &[InternalEntry],
+        children: impl IntoIterator<Item = PageId>,
         parent: PageId,
     ) -> CoreResult<()> {
-        for e in children {
-            let page = self.pool.fetch(e.child)?;
-            let mut node = Node::decode(e.child, &page.read())?;
-            if node.parent != parent {
-                node.parent = parent;
-                node.encode(&mut page.write());
+        for child in children {
+            let page = self.pool.fetch(child)?;
+            if LeafView::new(child, page.read())?.parent() != parent {
+                LeafMut::new(child, page.write())?.set_parent(parent);
             }
         }
         Ok(())
@@ -562,34 +633,50 @@ impl RTree {
             if pending.is_none() && !changed {
                 return Ok(());
             }
-            let mut node = ops.take(anc)?;
-            let idx = node.child_index(child_pid).ok_or(CoreError::CorruptNode {
-                pid: anc,
-                reason: "ancestor chain does not link to child",
-            })?;
-            let old_anc_mbr = node.mbr();
+            let mut pin = ops.take(anc)?;
+            let (idx, old_anc_mbr, level, full) = {
+                let node = pin.internal()?;
+                let idx = node.find_child(child_pid).ok_or(CoreError::CorruptNode {
+                    pid: anc,
+                    reason: "ancestor chain does not link to child",
+                })?;
+                (
+                    idx,
+                    node.mbr(),
+                    node.level(),
+                    node.len() >= self.internal_cap(),
+                )
+            };
             // AdjustTree sets the entry to the child's exact MBR. This may
             // *shrink* a previously ε-extended official rect — deliberate:
             // the tight MBR covers every entry by construction, and
             // re-tightening on arrival is what keeps overlap from
             // ratcheting outward over millions of bottom-up updates.
-            node.internal_entries_mut()[idx].rect = child_mbr;
-            if let Some(e) = pending.take() {
-                if self.parent_pointers() && node.level == 1 {
-                    self.set_parent_pointer(ops, e.child, anc)?;
+            let rect = child_mbr;
+            let new_anc_mbr = match pending.take() {
+                Some(e) => {
+                    if self.parent_pointers() && level == 1 {
+                        self.set_parent_pointer(ops, e.child, anc)?;
+                    }
+                    if full {
+                        let mut node = Self::overflowing(&pin)?;
+                        node.internal_entries_mut()[idx].rect = rect;
+                        node.internal_entries_mut().push(e);
+                        let (mbr_a, sp) = self.handle_overflow(ops, pin, node)?;
+                        child_pid = anc;
+                        child_mbr = mbr_a;
+                        pending = sp;
+                        changed = true;
+                        continue;
+                    }
+                    self.edit_internal(&mut pin, |node| {
+                        node.set_rect(idx, rect);
+                        node.push(e);
+                    })?
                 }
-                node.internal_entries_mut().push(e);
-                if node.count() > self.internal_cap() {
-                    let (mbr_a, sp) = self.handle_overflow(ops, node)?;
-                    child_pid = anc;
-                    child_mbr = mbr_a;
-                    pending = sp;
-                    changed = true;
-                    continue;
-                }
-            }
-            let new_anc_mbr = node.mbr();
-            self.write_back(ops, node);
+                None => self.edit_internal(&mut pin, |node| node.set_rect(idx, rect))?,
+            };
+            ops.put(pin);
             child_pid = anc;
             child_mbr = new_anc_mbr;
             changed = old_anc_mbr != new_anc_mbr;
@@ -601,92 +688,120 @@ impl RTree {
     }
 
     /// Recursive descent: returns `(old mbr, new mbr, split entry)` of
-    /// `node`. Every frame checks its node back into the pin set once it
-    /// has rewritten it (or found nothing to rewrite).
+    /// the node on `pin`. Every frame checks its pin back into the set
+    /// once it has written the node (or found nothing to write).
     fn insert_rec<'p>(
         &mut self,
         ops: &mut PinSet<'p>,
-        mut node: PinnedNode<'p>,
+        mut pin: NodePin<'p>,
         entry: AnyEntry,
     ) -> CoreResult<(Rect, Rect, Option<InternalEntry>)> {
-        let pid = node.pid();
-        let old_mbr = node.mbr();
+        let pid = pin.pid();
         let target = entry.target_level();
-        debug_assert!(
-            node.level >= target,
-            "insert target level {target} above node level {}",
-            node.level
-        );
-        if node.level == target {
-            match entry {
-                AnyEntry::Leaf(e) => {
-                    node.leaf_entries_mut().push(e);
-                    ops.place(e.oid, pid)?;
+        let (level, old_mbr, full, child) = {
+            let node = pin.view()?;
+            let level = node.level();
+            debug_assert!(
+                level >= target,
+                "insert target level {target} above node level {level}"
+            );
+            let (cap, child) = match &node {
+                NodeView::Leaf(_) => (self.leaf_cap(), None),
+                NodeView::Internal(node) if level > target => {
+                    let idx = self.choose_subtree(node, &entry.rect());
+                    (self.internal_cap(), Some((idx, node.entry(idx).child)))
                 }
+                NodeView::Internal(_) => (self.internal_cap(), None),
+            };
+            (level, node.mbr(), node.len() >= cap, child)
+        };
+        let Some((idx, child_pid)) = child else {
+            match entry {
+                AnyEntry::Leaf(e) => ops.place(e.oid, pid)?,
                 AnyEntry::Node(e, child_level) => {
                     if self.parent_pointers() && child_level == 0 {
                         self.set_parent_pointer(ops, e.child, pid)?;
                     }
-                    node.internal_entries_mut().push(e);
                 }
             }
-            if node.count() <= node.capacity(self.opts.page_size) {
-                let new_mbr = node.mbr();
-                self.write_back(ops, node);
-                Ok((old_mbr, new_mbr, None))
-            } else {
-                let (mbr_a, sp) = self.handle_overflow(ops, node)?;
-                Ok((old_mbr, mbr_a, sp))
+            if full {
+                let mut node = Self::overflowing(&pin)?;
+                match entry {
+                    AnyEntry::Leaf(e) => node.leaf_entries_mut().push(e),
+                    AnyEntry::Node(e, _) => node.internal_entries_mut().push(e),
+                }
+                let (mbr_a, sp) = self.handle_overflow(ops, pin, node)?;
+                return Ok((old_mbr, mbr_a, sp));
             }
-        } else {
-            let idx = self.choose_subtree(&node, &entry.rect());
-            let child = ops.take(node.internal_entries()[idx].child)?;
-            let (child_old, child_new, sp) = self.insert_rec(ops, child, entry)?;
-            let rect_changed = child_old != child_new;
-            if sp.is_none() && !rect_changed {
-                // Nothing to adjust: the child absorbed the entry without
-                // growing — the TD best case of a single write at the leaf.
-                ops.put(node);
-                return Ok((old_mbr, old_mbr, None));
+            // An append grows the MBR by the new entry's rect alone.
+            match entry {
+                AnyEntry::Leaf(e) => self.edit_leaf(&mut pin, |leaf| leaf.push(e))?,
+                AnyEntry::Node(e, _) => {
+                    self.edit_internal(&mut pin, |node| node.push(e))?;
+                }
             }
-            // Exact child MBR (see the ancestor-chain comment above).
-            node.internal_entries_mut()[idx].rect = child_new;
-            if let Some(e) = sp {
-                if self.parent_pointers() && node.level == 1 {
+            let new_mbr = old_mbr.union(&entry.rect());
+            ops.put(pin);
+            return Ok((old_mbr, new_mbr, None));
+        };
+        let child = ops.take(child_pid)?;
+        let (child_old, child_new, sp) = self.insert_rec(ops, child, entry)?;
+        if sp.is_none() && child_old == child_new {
+            // Nothing to adjust: the child absorbed the entry without
+            // growing — the TD best case of a single write at the leaf.
+            ops.put(pin);
+            return Ok((old_mbr, old_mbr, None));
+        }
+        // Exact child MBR (see the ancestor-chain comment above).
+        let new_mbr = match sp {
+            Some(e) => {
+                if self.parent_pointers() && level == 1 {
                     self.set_parent_pointer(ops, e.child, pid)?;
                 }
-                node.internal_entries_mut().push(e);
-                if node.count() > self.internal_cap() {
-                    let (mbr_a, sp2) = self.handle_overflow(ops, node)?;
+                if full {
+                    let mut node = Self::overflowing(&pin)?;
+                    node.internal_entries_mut()[idx].rect = child_new;
+                    node.internal_entries_mut().push(e);
+                    let (mbr_a, sp2) = self.handle_overflow(ops, pin, node)?;
                     return Ok((old_mbr, mbr_a, sp2));
                 }
+                self.edit_internal(&mut pin, |node| {
+                    node.set_rect(idx, child_new);
+                    node.push(e);
+                })?
             }
-            let new_mbr = node.mbr();
-            self.write_back(ops, node);
-            Ok((old_mbr, new_mbr, None))
-        }
+            None => self.edit_internal(&mut pin, |node| node.set_rect(idx, child_new))?,
+        };
+        ops.put(pin);
+        Ok((old_mbr, new_mbr, None))
     }
 
     /// Pick the child subtree for an insertion. Guttman's R-tree uses the
     /// least-enlargement criterion everywhere; the R* variant switches to
     /// minimum *overlap* enlargement when choosing among the parents of
     /// leaves (Beckmann's ChooseSubtree).
-    fn choose_subtree(&self, node: &Node, rect: &Rect) -> usize {
+    fn choose_subtree<B: Deref<Target = [u8]>>(
+        &self,
+        node: &InternalView<B>,
+        rect: &Rect,
+    ) -> usize {
         match self.opts.variant {
-            TreeVariant::RStar if node.level == 1 => Self::choose_subtree_min_overlap(node, rect),
+            TreeVariant::RStar if node.level() == 1 => Self::choose_subtree_min_overlap(node, rect),
             _ => Self::choose_subtree_guttman(node, rect),
         }
     }
 
     /// Guttman ChooseLeaf criterion: least enlargement, ties by smaller
     /// area.
-    fn choose_subtree_guttman(node: &Node, rect: &Rect) -> usize {
-        let entries = node.internal_entries();
-        debug_assert!(!entries.is_empty());
+    fn choose_subtree_guttman<B: Deref<Target = [u8]>>(
+        node: &InternalView<B>,
+        rect: &Rect,
+    ) -> usize {
+        debug_assert!(node.len() > 0);
         let mut best = 0;
         let mut best_enlarge = f32::INFINITY;
         let mut best_area = f32::INFINITY;
-        for (i, e) in entries.iter().enumerate() {
+        for (i, e) in node.iter().enumerate() {
             let enlarge = e.rect.enlargement(rect);
             let area = e.rect.area();
             if enlarge < best_enlarge || (enlarge == best_enlarge && area < best_area) {
@@ -703,15 +818,17 @@ impl RTree {
     /// entries the least; ties by area enlargement, then by area. O(n²)
     /// in the fanout — acceptable at our fanout of ~50, and only paid on
     /// one node per insertion.
-    fn choose_subtree_min_overlap(node: &Node, rect: &Rect) -> usize {
-        let entries = node.internal_entries();
-        debug_assert!(!entries.is_empty());
+    fn choose_subtree_min_overlap<B: Deref<Target = [u8]>>(
+        node: &InternalView<B>,
+        rect: &Rect,
+    ) -> usize {
+        debug_assert!(node.len() > 0);
         let mut best = 0;
         let mut best_key = (f32::INFINITY, f32::INFINITY, f32::INFINITY);
-        for (i, e) in entries.iter().enumerate() {
+        for (i, e) in node.iter().enumerate() {
             let expanded = e.rect.union(rect);
             let mut overlap_delta = 0.0;
-            for (j, s) in entries.iter().enumerate() {
+            for (j, s) in node.iter().enumerate() {
                 if i != j {
                     overlap_delta +=
                         expanded.intersection_area(&s.rect) - e.rect.intersection_area(&s.rect);
@@ -730,21 +847,23 @@ impl RTree {
     /// reinsertion (Beckmann's recommended p = 30 %).
     const RSTAR_REINSERT_FRACTION: f32 = 0.3;
 
-    /// Resolve an overflow: R* forced reinsertion when eligible (non-root,
+    /// Resolve the overflow of `node`, the page on `pin` plus the entry
+    /// it has no room for: R* forced reinsertion when eligible (non-root,
     /// first overflow at this level in the current insertion), a node
     /// split otherwise. Same return shape as [`RTree::split_node`]; the
     /// reinsertion arm reports no new sibling.
     fn handle_overflow<'p>(
         &mut self,
         ops: &mut PinSet<'p>,
-        mut node: PinnedNode<'p>,
+        pin: NodePin<'p>,
+        mut node: Node,
     ) -> CoreResult<(Rect, Option<InternalEntry>)> {
         let eligible = self.opts.variant == TreeVariant::RStar
-            && node.pid() != self.root
+            && pin.pid() != self.root
             && node.level < 32
             && self.reinsert_armed & (1 << node.level) == 0;
         if !eligible {
-            return self.split_node(ops, node);
+            return self.split_node(ops, pin, node);
         }
         self.reinsert_armed |= 1 << node.level;
         self.stats.forced_reinserts.fetch_add(1, Ordering::Relaxed);
@@ -790,24 +909,20 @@ impl RTree {
             }
         }
         let new_mbr = node.mbr();
-        self.write_back(ops, node);
+        self.write_back(ops, pin, &node);
         Ok((new_mbr, None))
     }
 
-    /// Split the overflowing `node` (already holding capacity + 1
-    /// entries). Writes both halves — the surviving one through the pin
-    /// it was read with, the new one blind — checks both in, and returns
-    /// `(mbr of the surviving half, entry for the new half)`.
+    /// Split the overflowing `node` (holding capacity + 1 entries) of the
+    /// page on `pin`. Writes both halves — the surviving one through
+    /// `pin`, the new one blind — checks both in, and returns `(mbr of
+    /// the surviving half, entry for the new half)`.
     fn split_node<'p>(
         &mut self,
         ops: &mut PinSet<'p>,
-        node: PinnedNode<'p>,
+        pin: NodePin<'p>,
+        node: Node,
     ) -> CoreResult<(Rect, Option<InternalEntry>)> {
-        let PinnedNode {
-            page,
-            node,
-            written,
-        } = node;
         self.stats.splits.fetch_add(1, Ordering::Relaxed);
         let min_fill = if node.is_leaf() {
             self.min_fill_leaf()
@@ -867,15 +982,8 @@ impl RTree {
         };
         let mbr_a = node_a.mbr();
         let mbr_b = node_b.mbr();
-        self.write_back(
-            ops,
-            PinnedNode {
-                page,
-                node: node_a,
-                written,
-            },
-        );
-        self.write_new(ops, new_pid, node_b)?;
+        self.write_back(ops, pin, &node_a);
+        self.write_new(ops, new_pid, &node_b)?;
         Ok((
             mbr_a,
             Some(InternalEntry {
@@ -907,7 +1015,7 @@ impl RTree {
             self.set_parent_pointer(ops, old_root, new_root_pid)?;
             self.set_parent_pointer(ops, new_entry.child, new_root_pid)?;
         }
-        self.write_new(ops, new_root_pid, root_node)
+        self.write_new(ops, new_root_pid, &root_node)
     }
 
     // ---- deletion -----------------------------------------------------------
@@ -925,43 +1033,47 @@ impl RTree {
     ) -> CoreResult<bool> {
         let mut path = Vec::new();
         let root = ops.take(self.root)?;
-        let Some(mut leaf) = Self::find_leaf(ops, root, oid, pos, &mut path)? else {
+        let Some((leaf, idx)) = Self::find_leaf(ops, root, oid, pos, &mut path)? else {
             return Ok(false);
         };
-        let idx = leaf.oid_index(oid).expect("find_leaf returned this leaf");
-        leaf.leaf_entries_mut().swap_remove(idx);
         if !ops.is_own(oid) {
             ops.hash_remove(oid)?;
         }
-        self.condense_up(ops, leaf, path)?;
+        self.condense_up(ops, leaf, idx, path)?;
         Ok(true)
     }
 
     /// Locate the leaf containing `oid` at `pos`, descending every subtree
     /// whose rect contains the position (R-trees may need several partial
-    /// paths). Returns the leaf checked out of the pin set and appends the
-    /// successful path's `(ancestor, child index)` pairs root-first, so
-    /// CondenseTree rewrites each of them through the pin the search read
-    /// it with; dead-end branches are checked back in as the search backs
-    /// out.
+    /// paths). Returns the leaf's pin, checked out of the set, with the
+    /// object's slot, and appends the successful path's `(ancestor, child
+    /// index)` pairs root-first, so CondenseTree rewrites each of them
+    /// through the pin the search read it with; dead-end branches are
+    /// checked back in as the search backs out.
     fn find_leaf<'p>(
         ops: &mut PinSet<'p>,
-        node: PinnedNode<'p>,
+        pin: NodePin<'p>,
         oid: ObjectId,
         pos: Point,
-        path: &mut Vec<(PinnedNode<'p>, usize)>,
-    ) -> CoreResult<Option<PinnedNode<'p>>> {
-        if node.is_leaf() {
-            if node.oid_index(oid).is_some() {
-                return Ok(Some(node));
-            }
-            ops.put(node);
-            return Ok(None);
-        }
+        path: &mut Vec<(NodePin<'p>, usize)>,
+    ) -> CoreResult<Option<(NodePin<'p>, usize)>> {
+        let (found, count) = match pin.view()? {
+            NodeView::Leaf(leaf) => (leaf.find_oid(oid), None),
+            NodeView::Internal(node) => (None, Some(node.len())),
+        };
+        let Some(count) = count else {
+            return Ok(match found {
+                Some(idx) => Some((pin, idx)),
+                None => {
+                    ops.put(pin);
+                    None
+                }
+            });
+        };
         let depth = path.len();
-        path.push((node, 0));
-        for i in 0..path[depth].0.count() {
-            let e = path[depth].0.internal_entries()[i];
+        path.push((pin, 0));
+        for i in 0..count {
+            let e = path[depth].0.internal()?.entry(i);
             if e.rect.contains_point(&pos) {
                 path[depth].1 = i;
                 let child = ops.take(e.child)?;
@@ -970,65 +1082,82 @@ impl RTree {
                 }
             }
         }
-        let (node, _) = path.pop().expect("pushed above");
-        ops.put(node);
+        let (pin, _) = path.pop().expect("pushed above");
+        ops.put(pin);
         Ok(None)
     }
 
-    /// CondenseTree: walk the recorded path upward, dissolving underfull
-    /// nodes and re-inserting their entries, then shrink the root.
+    /// CondenseTree: remove entry `removed` of `leaf`, then walk the
+    /// recorded path upward, dissolving underfull nodes and re-inserting
+    /// their entries, then shrink the root. A node is edited only once it
+    /// is known to stay: a dissolved one is freed unwritten.
     fn condense_up<'p>(
         &mut self,
         ops: &mut PinSet<'p>,
-        leaf: PinnedNode<'p>,
-        mut path: Vec<(PinnedNode<'p>, usize)>,
+        leaf: NodePin<'p>,
+        removed: usize,
+        mut path: Vec<(NodePin<'p>, usize)>,
     ) -> CoreResult<()> {
         let mut orphan_objects: Vec<LeafEntry> = Vec::new();
         let mut orphan_subtrees: Vec<(InternalEntry, u16)> = Vec::new();
-        let mut cur = leaf;
+        // The node being condensed and the slot it loses.
+        let (mut cur, mut removed) = (leaf, removed);
         loop {
-            let Some((mut parent, idx)) = path.pop() else {
+            let Some((parent, idx)) = path.pop() else {
                 // cur is the root.
-                self.write_back(ops, cur);
+                self.remove_entry(&mut cur, removed)?;
+                ops.put(cur);
                 break;
             };
-            let min = if cur.is_leaf() {
+            let (is_leaf, remaining) = {
+                let node = cur.view()?;
+                (node.level() == 0, node.len() - 1)
+            };
+            let min = if is_leaf {
                 self.min_fill_leaf()
             } else {
                 self.min_fill_internal()
             };
-            if cur.count() < min {
+            if remaining < min {
                 // Dissolve: orphan the entries, drop the node (and its
-                // pin: the page is free), remove its entry from the
-                // parent and keep condensing upward.
+                // pin: the page is free), and keep condensing upward with
+                // the parent losing the node's entry.
                 self.stats.condenses.fetch_add(1, Ordering::Relaxed);
-                match &cur.entries {
-                    NodeEntries::Leaf(v) => orphan_objects.extend(v.iter().copied()),
-                    NodeEntries::Internal(v) => {
-                        let child_level = cur.level - 1;
-                        orphan_subtrees.extend(v.iter().map(|e| (*e, child_level)));
+                match cur.view()? {
+                    NodeView::Leaf(node) => {
+                        let from = orphan_objects.len();
+                        orphan_objects.extend(node.iter());
+                        orphan_objects.swap_remove(from + removed);
+                    }
+                    NodeView::Internal(node) => {
+                        let child_level = node.level() - 1;
+                        let from = orphan_subtrees.len();
+                        orphan_subtrees.extend(node.iter().map(|e| (e, child_level)));
+                        orphan_subtrees.swap_remove(from + removed);
                     }
                 }
-                debug_assert_eq!(parent.internal_entries()[idx].child, cur.pid());
-                parent.internal_entries_mut().swap_remove(idx);
+                debug_assert_eq!(parent.internal()?.entry(idx).child, cur.pid());
                 let freed = std::mem::replace(&mut cur, parent);
-                self.free_page(ops, freed);
+                self.free_page(ops, freed, is_leaf);
+                removed = idx;
             } else {
-                // Keep: write it back and tighten rectangles up the path.
-                let mut child_mbr = cur.mbr();
+                // Keep: write it and tighten rectangles up the path.
+                let mut child_mbr = self.remove_entry(&mut cur, removed)?;
                 let mut child_pid = cur.pid();
-                self.write_back(ops, cur);
+                ops.put(cur);
                 let mut parent_link = Some((parent, idx));
                 while let Some((mut parent, p_idx)) = parent_link {
-                    debug_assert_eq!(parent.internal_entries()[p_idx].child, child_pid);
-                    if parent.internal_entries()[p_idx].rect == child_mbr {
+                    let stored = parent.internal()?.entry(p_idx);
+                    debug_assert_eq!(stored.child, child_pid);
+                    if stored.rect == child_mbr {
                         ops.put(parent);
                         break; // no change propagates further
                     }
-                    parent.internal_entries_mut()[p_idx].rect = child_mbr;
-                    child_mbr = parent.mbr();
+                    let rect = child_mbr;
+                    child_mbr =
+                        self.edit_internal(&mut parent, |node| node.set_rect(p_idx, rect))?;
                     child_pid = parent.pid();
-                    self.write_back(ops, parent);
+                    ops.put(parent);
                     parent_link = path.pop();
                 }
                 break;
@@ -1036,8 +1165,8 @@ impl RTree {
         }
         // The rest of the path is unchanged; the reinserts below walk it
         // again through the set.
-        for (node, _) in path {
-            ops.put(node);
+        for (pin, _) in path {
+            ops.put(pin);
         }
         // Re-insert orphans before shrinking the root so target levels
         // still exist. Subtrees first (deepest levels first), then
@@ -1063,23 +1192,29 @@ impl RTree {
     fn shrink_root(&mut self, ops: &mut PinSet<'_>) -> CoreResult<()> {
         loop {
             let root = ops.take(self.root)?;
-            if root.is_leaf() || root.count() != 1 {
-                // Refresh the cached root MBR (it may have been tightened).
-                if let Some(s) = &mut self.summary {
-                    s.set_root_mbr(root.mbr());
+            let only_child = match root.view()? {
+                NodeView::Internal(node) if node.len() == 1 => Some(node.entry(0).child),
+                node => {
+                    // Refresh the cached root MBR (it may have been
+                    // tightened).
+                    if let Some(s) = &mut self.summary {
+                        s.set_root_mbr(node.mbr());
+                    }
+                    None
                 }
+            };
+            let Some(child) = only_child else {
                 ops.put(root);
                 return Ok(());
-            }
+            };
             // The next turn of the loop reads the new root and registers
             // its MBR. The old root's page is free: it leaves the set.
-            let child = root.internal_entries()[0].child;
             self.root = child;
             self.height -= 1;
             if self.parent_pointers() && self.height == 1 {
                 self.set_parent_pointer(ops, child, INVALID_PAGE)?;
             }
-            self.free_page(ops, root);
+            self.free_page(ops, root, false);
         }
     }
 
@@ -1087,28 +1222,23 @@ impl RTree {
 
     /// Plain top-down window query; appends matching object ids.
     pub(crate) fn query_into(&self, window: &Rect, out: &mut Vec<ObjectId>) -> CoreResult<()> {
-        self.query_node(self.root, window, out)
+        self.search(window, |e| out.push(e.oid))
     }
 
-    fn query_node(&self, pid: PageId, window: &Rect, out: &mut Vec<ObjectId>) -> CoreResult<()> {
-        let node = self.read_node(pid)?;
-        match &node.entries {
-            NodeEntries::Leaf(v) => {
-                for e in v {
-                    if e.rect.intersects(window) {
-                        out.push(e.oid);
-                    }
+    /// Window search from the root, handing every matching leaf entry
+    /// to `hit`.
+    fn search(&self, window: &Rect, mut hit: impl FnMut(LeafEntry)) -> CoreResult<()> {
+        self.walk(
+            |_, node| {
+                if let NodeView::Leaf(leaf) = node {
+                    leaf.iter()
+                        .filter(|e| e.rect.intersects(window))
+                        .for_each(&mut hit);
                 }
-            }
-            NodeEntries::Internal(v) => {
-                for e in v {
-                    if e.rect.intersects(window) {
-                        self.query_node(e.child, window, out)?;
-                    }
-                }
-            }
-        }
-        Ok(())
+                Ok(())
+            },
+            |_, e| e.rect.intersects(window),
+        )
     }
 
     /// Summary-assisted window query (Section 3.2): internal levels are
@@ -1126,17 +1256,28 @@ impl RTree {
         let Some(level1) = s.query_level1_candidates(self.root, window) else {
             return self.query_into(window, out);
         };
+        let mut leaves = Vec::new();
         for pid in level1 {
-            let node = self.read_node(pid)?;
-            for e in node.internal_entries() {
-                if e.rect.intersects(window) {
-                    let leaf = self.read_node(e.child)?;
-                    for le in leaf.leaf_entries() {
-                        if le.rect.intersects(window) {
-                            out.push(le.oid);
-                        }
-                    }
-                }
+            leaves.clear();
+            self.with_page(pid, |data| {
+                let node = InternalView::new(pid, data)?;
+                leaves.extend(
+                    node.iter()
+                        .filter(|e| e.rect.intersects(window))
+                        .map(|e| e.child),
+                );
+                Ok(())
+            })?;
+            for &leaf in &leaves {
+                self.with_page(leaf, |data| {
+                    let leaf = LeafView::new(leaf, data)?;
+                    out.extend(
+                        leaf.iter()
+                            .filter(|e| e.rect.intersects(window))
+                            .map(|e| e.oid),
+                    );
+                    Ok(())
+                })?;
             }
         }
         Ok(())
@@ -1150,33 +1291,12 @@ impl RTree {
         window: &Rect,
         out: &mut Vec<LeafEntry>,
     ) -> CoreResult<()> {
-        self.query_entries_node(self.root, window, out)
+        self.search(window, |e| out.push(e))
     }
 
-    fn query_entries_node(
-        &self,
-        pid: PageId,
-        window: &Rect,
-        out: &mut Vec<LeafEntry>,
-    ) -> CoreResult<()> {
-        let node = self.read_node(pid)?;
-        match &node.entries {
-            NodeEntries::Leaf(v) => {
-                for e in v {
-                    if e.rect.intersects(window) {
-                        out.push(*e);
-                    }
-                }
-            }
-            NodeEntries::Internal(v) => {
-                for e in v {
-                    if e.rect.intersects(window) {
-                        self.query_entries_node(e.child, window, out)?;
-                    }
-                }
-            }
-        }
-        Ok(())
+    /// The MBR of the root node.
+    pub(crate) fn root_mbr(&self) -> CoreResult<Rect> {
+        self.with_page(self.root, |data| Ok(NodeView::new(self.root, data)?.mbr()))
     }
 
     // ---- validation ----------------------------------------------------------
@@ -1210,8 +1330,7 @@ impl RTree {
             }
         }
         if let Some(s) = &self.summary {
-            let root = self.read_node(self.root)?;
-            if s.root_mbr() != root.mbr() {
+            if s.root_mbr() != self.root_mbr()? {
                 return Err(CoreError::InvariantViolation(
                     "summary root MBR differs from root node MBR".into(),
                 ));
@@ -1237,97 +1356,124 @@ impl RTree {
         object_count: &mut u64,
         node_count: &mut u64,
     ) -> CoreResult<()> {
-        let node = self.read_node(pid)?;
         *node_count += 1;
         let fail = |msg: String| Err(CoreError::InvariantViolation(format!("page {pid}: {msg}")));
-        if node.level != expected_level {
-            return fail(format!(
-                "level {} where {expected_level} expected",
-                node.level
-            ));
-        }
-        if node.count() > node.capacity(self.opts.page_size) {
-            return fail(format!("overfull node ({} entries)", node.count()));
+        // What the checks below need once the page is unpinned: the
+        // leaf's objects (the hash index reads pages of its own) or the
+        // node's children.
+        let mut objects: Vec<ObjectId> = Vec::new();
+        let mut children: Vec<InternalEntry> = Vec::new();
+        let (level, count, mbr) = self.with_page(pid, |data| {
+            let node = NodeView::new(pid, data)?;
+            match &node {
+                NodeView::Leaf(leaf) => objects.extend(leaf.iter().map(|e| e.oid)),
+                NodeView::Internal(node) => children.extend(node.iter()),
+            }
+            Ok((node.level(), node.len(), node.mbr()))
+        })?;
+        let is_leaf = level == 0;
+        if level != expected_level {
+            return fail(format!("level {level} where {expected_level} expected"));
         }
         let is_root = pid == self.root;
-        let min = if node.is_leaf() {
+        let min = if is_leaf {
             self.min_fill_leaf()
         } else {
             self.min_fill_internal()
         };
-        if !is_root && node.count() < min {
-            return fail(format!("underfull node ({} < {min})", node.count()));
+        if !is_root && count < min {
+            return fail(format!("underfull node ({count} < {min})"));
         }
-        if is_root && !node.is_leaf() && node.count() < 2 {
+        if is_root && !is_leaf && count < 2 {
             return fail("internal root with fewer than 2 children".into());
         }
         if let Some(b) = bound {
-            if !b.contains_rect(&node.mbr()) {
-                return fail(format!(
-                    "content {} escapes parent entry rect {b}",
-                    node.mbr()
-                ));
+            if !b.contains_rect(&mbr) {
+                return fail(format!("content {mbr} escapes parent entry rect {b}"));
             }
         }
-        match &node.entries {
-            NodeEntries::Leaf(v) => {
-                *object_count += v.len() as u64;
-                if let Some(h) = &self.hash {
-                    for e in v {
-                        if h.get(e.oid)? != Some(pid) {
-                            return fail(format!("hash index does not map {} here", e.oid));
-                        }
-                    }
-                }
-                if let Some(s) = &self.summary {
-                    if !s.has_leaf(pid) {
-                        return fail("leaf missing from summary bit vector".into());
-                    }
-                    let full = v.len() >= self.leaf_cap();
-                    if s.is_leaf_full(pid) != full {
-                        return fail("summary fullness bit is stale".into());
+        if is_leaf {
+            *object_count += count as u64;
+            if let Some(h) = &self.hash {
+                for &oid in &objects {
+                    if h.get(oid)? != Some(pid) {
+                        return fail(format!("hash index does not map {oid} here"));
                     }
                 }
             }
-            NodeEntries::Internal(v) => {
-                if let Some(s) = &self.summary {
-                    let Some(entry) = s.entry(pid) else {
-                        return fail("internal node missing from summary table".into());
-                    };
-                    if entry.mbr != node.mbr() {
-                        return fail("summary MBR is stale".into());
-                    }
-                    if !entry.children.iter().eq(v.iter().map(|e| &e.child)) {
-                        return fail("summary child list is stale".into());
-                    }
-                    for e in v {
-                        if s.find_parent_at(e.child, node.level) != Some(pid) {
-                            return fail(format!(
-                                "summary parent table does not map child {} here",
-                                e.child
-                            ));
-                        }
-                    }
+            if let Some(s) = &self.summary {
+                if !s.has_leaf(pid) {
+                    return fail("leaf missing from summary bit vector".into());
                 }
-                for e in v {
-                    if self.parent_pointers() && node.level == 1 {
-                        let child = self.read_node(e.child)?;
-                        if child.parent != pid {
-                            return fail(format!(
-                                "leaf {} has parent pointer {} instead of {pid}",
-                                e.child, child.parent
-                            ));
-                        }
-                    }
-                    self.validate_node(
-                        e.child,
-                        expected_level - 1,
-                        Some(e.rect),
-                        object_count,
-                        node_count,
-                    )?;
+                let full = count >= self.leaf_cap();
+                if s.is_leaf_full(pid) != full {
+                    return fail("summary fullness bit is stale".into());
                 }
             }
+            return Ok(());
+        }
+        if let Some(s) = &self.summary {
+            let Some(entry) = s.entry(pid) else {
+                return fail("internal node missing from summary table".into());
+            };
+            if entry.mbr != mbr {
+                return fail("summary MBR is stale".into());
+            }
+            if !entry.children.iter().eq(children.iter().map(|e| &e.child)) {
+                return fail("summary child list is stale".into());
+            }
+            for e in &children {
+                if s.find_parent_at(e.child, level) != Some(pid) {
+                    return fail(format!(
+                        "summary parent table does not map child {} here",
+                        e.child
+                    ));
+                }
+            }
+        }
+        for e in children {
+            if self.parent_pointers() && level == 1 {
+                let parent =
+                    self.with_page(e.child, |data| Ok(LeafView::new(e.child, data)?.parent()))?;
+                if parent != pid {
+                    return fail(format!(
+                        "leaf {} has parent pointer {parent} instead of {pid}",
+                        e.child
+                    ));
+                }
+            }
+            self.validate_node(
+                e.child,
+                expected_level - 1,
+                Some(e.rect),
+                object_count,
+                node_count,
+            )?;
+        }
+        Ok(())
+    }
+
+    /// Visit nodes depth-first from the root, children in entry order,
+    /// each through its view, descending into the children whose entry
+    /// `descend` accepts; one page is pinned at a time.
+    pub(crate) fn walk(
+        &self,
+        mut visit: impl FnMut(PageId, &NodeView<&[u8]>) -> CoreResult<()>,
+        descend: impl Fn(&InternalView<&[u8]>, &InternalEntry) -> bool,
+    ) -> CoreResult<()> {
+        let mut stack = Vec::with_capacity(32);
+        stack.push(self.root);
+        while let Some(pid) = stack.pop() {
+            self.with_page(pid, |data| {
+                let node = NodeView::new(pid, data)?;
+                visit(pid, &node)?;
+                if let NodeView::Internal(node) = &node {
+                    let from = stack.len();
+                    stack.extend(node.iter().filter(|e| descend(node, e)).map(|e| e.child));
+                    stack[from..].reverse();
+                }
+                Ok(())
+            })?;
         }
         Ok(())
     }
@@ -1335,19 +1481,15 @@ impl RTree {
     /// Count pages owned by the tree proper (excludes hash pages): number
     /// of nodes currently reachable. Used by experiments to size buffers.
     pub(crate) fn node_count(&self) -> CoreResult<u64> {
-        fn walk(tree: &RTree, pid: PageId, acc: &mut u64) -> CoreResult<()> {
-            *acc += 1;
-            let node = tree.read_node(pid)?;
-            if let NodeEntries::Internal(v) = &node.entries {
-                for e in v {
-                    walk(tree, e.child, acc)?;
-                }
-            }
-            Ok(())
-        }
-        let mut acc = 0;
-        walk(self, self.root, &mut acc)?;
-        Ok(acc)
+        let mut count = 0;
+        self.walk(
+            |_, _| {
+                count += 1;
+                Ok(())
+            },
+            |_, _| true,
+        )?;
+        Ok(count)
     }
 }
 
@@ -1359,7 +1501,7 @@ mod tests {
     use bur_geom::Point;
 
     /// A page freed and reallocated inside one batch comes back as the
-    /// node written to it, never as a copy the batch's set held before.
+    /// node written to it, through the pin the write checked in.
     #[test]
     fn a_freed_page_never_comes_back_stale() {
         let mut index = IndexBuilder::generalized().build_index().unwrap();
@@ -1371,25 +1513,27 @@ mod tests {
                     let tree = &mut index.tree;
                     let fetches = |tree: &super::RTree| tree.pool.stats().snapshot().fetches;
                     let pid = tree.root;
-                    let node = ops.take(pid)?;
-                    ops.put(node);
-                    let node = ops.take(pid)?;
-                    tree.free_page(ops, node);
+                    let pin = ops.take(pid)?;
+                    ops.put(pin);
+                    let pin = ops.take(pid)?;
+                    tree.free_page(ops, pin, true);
                     assert_eq!(tree.alloc_page()?, pid, "the freed page is reused first");
                     let mut fresh = Node::new_leaf();
                     fresh
                         .leaf_entries_mut()
                         .push(LeafEntry::point(2, Point::new(0.1, 0.1)));
                     let before = fetches(tree);
-                    ops.put_new(pid, fresh.clone())?;
-                    assert_eq!(fetches(tree) - before, 1, "put_new pins the page once");
+                    tree.write_new(ops, pid, &fresh)?;
+                    assert_eq!(fetches(tree) - before, 1, "write_new pins the page once");
                     let back = ops.take(pid)?;
                     assert_eq!(fetches(tree) - before, 1, "the new node is checked in");
-                    assert_eq!(back.node, fresh);
-                    // No other copy is left: taking the page again reads it.
+                    assert!(back.written);
+                    assert_eq!(Node::decode(pid, &back.page.read())?, fresh);
+                    // The set gave its pin away: taking the page again
+                    // fetches it.
                     let again = ops.take(pid)?;
                     assert_eq!(fetches(tree) - before, 2);
-                    assert_eq!(again.node, fresh);
+                    assert_eq!(Node::decode(pid, &again.page.read())?, fresh);
                     Ok(())
                 },
                 |()| 0,

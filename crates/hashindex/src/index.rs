@@ -349,6 +349,8 @@ impl LinearHashIndex {
         let mut entries: Vec<(Key, Value)> = Vec::new();
         let mut pid = Some(head);
         let mut chain_pages = Vec::new();
+        // The primary page stays pinned: the redistribution appends to it.
+        let mut primary = None;
         while let Some(p) = pid {
             chain_pages.push(p);
             let guard = self.pool.fetch(p)?;
@@ -364,7 +366,11 @@ impl LinearHashIndex {
             pid = view.overflow();
             BucketViewMut(&mut data).clear();
             drop(data);
-            hand_over(written, guard);
+            if primary.is_none() && !split_by_upsert() {
+                primary = Some(guard);
+            } else {
+                hand_over(written, guard);
+            }
         }
         // Release overflow pages (all but the primary) to the free list.
         for &p in &chain_pages[1..] {
@@ -373,7 +379,6 @@ impl LinearHashIndex {
         }
         // Create the image bucket.
         let (new_pid, new_page) = self.alloc_bucket_page(state)?;
-        hand_over(written, new_page);
         let new_bucket = state.buckets.len();
         state.buckets.push(new_pid);
         // Advance the split pointer *before* redistribution so that
@@ -384,17 +389,75 @@ impl LinearHashIndex {
             state.level += 1;
             state.next = 0;
         }
-        // Redistribute: each key lands in the old or the image bucket.
+        // Redistribute: each key lands in the old or the image bucket,
+        // appended to that chain's tail page (the key cannot be in the
+        // chain already: keys are unique and both chains start empty).
         let wide_mask = 2 * n_low - 1;
+        #[cfg(test)]
+        if split_by_upsert() {
+            hand_over(written, new_page);
+            let targets = [head, new_pid];
+            return self.redistribute_by_upsert(
+                entries,
+                targets,
+                split_bucket,
+                wide_mask,
+                state,
+                written,
+            );
+        }
+        let primary = primary.expect("a chain has a primary page");
+        let mut chains = [Chain::new(primary), Chain::new(new_page)];
+        let mut last = None;
         for (k, v) in entries {
-            let target = if (mix(k) as usize) & wide_mask == split_bucket {
-                head
-            } else {
-                debug_assert_eq!((mix(k) as usize) & wide_mask, new_bucket);
-                state.buckets[new_bucket]
-            };
-            // No replacement possible here (keys are unique), and the
-            // entry count is unchanged, so bypass the load-factor check.
+            let target = usize::from((mix(k) as usize) & wide_mask != split_bucket);
+            debug_assert!(target == 0 || (mix(k) as usize) & wide_mask == new_bucket);
+            let chain = &mut chains[target];
+            let tail = chain.pages.last().expect("a chain has a page");
+            chain.overflowed = BucketView(&tail.read()).count() == cap;
+            if chain.overflowed {
+                let (new_pid, new_page) = self.alloc_bucket_page(state)?;
+                state.overflow_pages += 1;
+                BucketViewMut(&mut tail.write()).set_overflow(Some(new_pid));
+                chain.pages.push(new_page);
+            }
+            let tail = chain.pages.last().expect("a chain has a page");
+            BucketViewMut(&mut tail.write()).push(k, v);
+            last = Some(target);
+        }
+        // Hand the pages over in the order an upsert per entry would have
+        // last let go of them — the chain the last key did not go to
+        // first, each chain head to tail, except that a chain whose last
+        // key opened an overflow page let go of that page before its old
+        // tail — so the pool's recency order comes out the same.
+        let [primary, image] = chains;
+        let order = if last == Some(0) {
+            [image, primary]
+        } else {
+            [primary, image]
+        };
+        for chain in order {
+            chain.hand_over(written);
+        }
+        Ok(())
+    }
+
+    /// [`LinearHashIndex::maybe_split`]'s redistribution as it was first
+    /// written: every entry goes through [`LinearHashIndex::chain_upsert`],
+    /// which walks the target chain from its head. The reference the
+    /// one-pass split is compared against.
+    #[cfg(test)]
+    fn redistribute_by_upsert<'a>(
+        &'a self,
+        entries: Vec<(Key, Value)>,
+        targets: [PageId; 2],
+        split_bucket: usize,
+        wide_mask: usize,
+        state: &mut State,
+        written: &mut Written<'_, 'a>,
+    ) -> StorageResult<()> {
+        for (k, v) in entries {
+            let target = targets[usize::from((mix(k) as usize) & wide_mask != split_bucket)];
             let prev = self.chain_upsert(target, k, v, state, written)?;
             debug_assert!(prev.is_none());
         }
@@ -497,6 +560,47 @@ fn decode_directory(payload: &[u8], chain: Vec<PageId>) -> StorageResult<State> 
 /// pinned.
 pub type Written<'w, 'a> = Option<&'w mut Vec<PageRef<'a>>>;
 
+/// Whether splits redistribute through the test-only reference
+/// ([`LinearHashIndex::redistribute_by_upsert`]).
+#[cfg(test)]
+fn split_by_upsert() -> bool {
+    tests::SPLIT_BY_UPSERT.with(std::cell::Cell::get)
+}
+
+#[cfg(not(test))]
+fn split_by_upsert() -> bool {
+    false
+}
+
+/// One chain a split redistributes into: its pages, head first, all
+/// kept pinned until the split hands them over.
+struct Chain<'a> {
+    pages: Vec<PageRef<'a>>,
+    /// The last key appended opened a new overflow page.
+    overflowed: bool,
+}
+
+impl<'a> Chain<'a> {
+    fn new(head: PageRef<'a>) -> Self {
+        Self {
+            pages: vec![head],
+            overflowed: false,
+        }
+    }
+
+    /// Hand every page over, head to tail, the newest overflow page
+    /// before the tail it was appended to when the last key opened it.
+    fn hand_over(mut self, written: &mut Written<'_, 'a>) {
+        let n = self.pages.len();
+        if self.overflowed {
+            self.pages.swap(n - 2, n - 1);
+        }
+        for page in self.pages {
+            hand_over(written, page);
+        }
+    }
+}
+
 fn hand_over<'a>(written: &mut Written<'_, 'a>, page: PageRef<'a>) {
     if let Some(w) = written {
         w.push(page);
@@ -597,12 +701,100 @@ impl Cursor<'_> {
 mod tests {
     use super::*;
     use bur_storage::{MemDisk, PoolConfig};
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Splits on this thread go through the reference redistribution.
+        pub(super) static SPLIT_BY_UPSERT: Cell<bool> = const { Cell::new(false) };
+    }
 
     fn make_pool(page_size: usize, capacity: usize) -> Arc<BufferPool> {
         Arc::new(BufferPool::new(
             Arc::new(MemDisk::new(page_size)),
             PoolConfig { capacity },
         ))
+    }
+
+    /// Insert `keys` into a fresh index on a pool of `capacity` frames,
+    /// splitting through the reference when `by_upsert`. Returns the
+    /// index, its pool, and for every split the fetches it cost and the
+    /// pages of the chain it split.
+    fn load_splitting(
+        keys: impl Iterator<Item = u64>,
+        capacity: usize,
+        by_upsert: bool,
+    ) -> (LinearHashIndex, Arc<BufferPool>, Vec<(u64, u64)>) {
+        SPLIT_BY_UPSERT.with(|c| c.set(by_upsert));
+        let pool = make_pool(1024, capacity);
+        let idx = LinearHashIndex::create(pool.clone(), HashIndexConfig::default()).unwrap();
+        let mut splits = Vec::new();
+        for k in keys {
+            let mut state = idx.state.lock();
+            let head = state.buckets[state.bucket_of(k)];
+            let prev = idx.chain_upsert(head, k, k as u32, &mut state, &mut None);
+            assert_eq!(prev.unwrap(), None);
+            state.entries += 1;
+            let mut chain = 0;
+            let mut pid = Some(state.buckets[state.next]);
+            while let Some(p) = pid {
+                chain += 1;
+                pid = pool
+                    .with_page_read(p, |b| BucketView(b).overflow())
+                    .unwrap();
+            }
+            let (buckets, before) = (state.buckets.len(), fetches(&pool));
+            idx.maybe_split(&mut state, &mut None).unwrap();
+            if state.buckets.len() > buckets {
+                splits.push((fetches(&pool) - before, chain));
+            }
+        }
+        SPLIT_BY_UPSERT.with(|c| c.set(false));
+        (idx, pool, splits)
+    }
+
+    /// The one-pass split leaves every page, the directory and the pool's
+    /// physical traffic exactly as an upsert per entry does, at a fetch
+    /// per page it touches: the chain it splits plus at most two.
+    #[test]
+    fn a_one_pass_split_matches_the_upsert_reference() {
+        for capacity in [12, 4_096] {
+            let keys = || (0..20_000u64).map(|k| k.wrapping_mul(0x9E37_79B9));
+            let (reference, ref_pool, ref_splits) = load_splitting(keys(), capacity, true);
+            let (one_pass, pool, splits) = load_splitting(keys(), capacity, false);
+            assert_eq!(splits.len(), ref_splits.len());
+            assert!(splits.len() > 200, "{} splits", splits.len());
+            for &(fetched, chain) in &splits {
+                assert!(
+                    fetched <= chain + 2,
+                    "{fetched} fetches splitting {chain} pages"
+                );
+            }
+            let (one, all): (u64, u64) = (
+                splits.iter().map(|s| s.0).sum(),
+                ref_splits.iter().map(|s| s.0).sum(),
+            );
+            assert!(one * 10 < all, "{one} fetches against {all}");
+            let (stats, ref_stats) = (pool.stats().snapshot(), ref_pool.stats().snapshot());
+            assert_eq!(
+                (stats.reads, stats.writes),
+                (ref_stats.reads, ref_stats.writes),
+                "capacity {capacity}: the same physical traffic"
+            );
+            {
+                let (a, b) = (one_pass.state.lock(), reference.state.lock());
+                assert_eq!(a.buckets, b.buckets);
+                assert_eq!(a.free_pages, b.free_pages);
+                assert_eq!(
+                    (a.level, a.next, a.entries, a.overflow_pages),
+                    (b.level, b.next, b.entries, b.overflow_pages)
+                );
+            }
+            for pid in 0..pool.disk().num_pages() as PageId {
+                let page = pool.with_page_read(pid, <[u8]>::to_vec).unwrap();
+                let ref_page = ref_pool.with_page_read(pid, <[u8]>::to_vec).unwrap();
+                assert_eq!(page, ref_page, "page {pid}");
+            }
+        }
     }
 
     #[test]
