@@ -38,13 +38,14 @@ pub enum OpenMode {
     /// Open a persisted index. Durability is a property of the *file*:
     /// when the stored metadata records a write-ahead log — or the
     /// options ask for one — the log is replayed first (always safe; a
-    /// cleanly shut down log replays to exactly the stored image).
+    /// cleanly shut down log replays to exactly the stored image), and
+    /// the [`RecoveryReport`] says what the replay did.
     Open,
-    /// Recover a durable index after a crash: replay the write-ahead log
-    /// up to the last durable commit, rebuild in-memory state, and
-    /// checkpoint. The [`RecoveryReport`] is available from
-    /// [`IndexBuilder::build_with_report`] /
-    /// [`Bur::recovery_report`].
+    /// Recover a durable index after a crash: [`OpenMode::Open`] for an
+    /// index that must have a log — replay it up to the last durable
+    /// commit, rebuild in-memory state, and checkpoint. The
+    /// [`RecoveryReport`] is available from
+    /// [`IndexBuilder::build_with_report`] / [`Bur::recovery_report`].
     Recover,
 }
 
@@ -244,16 +245,11 @@ impl IndexBuilder {
     /// build replayed a log.
     pub fn build_index_with_report(self) -> CoreResult<(RTreeIndex, Option<RecoveryReport>)> {
         let Self {
-            mut opts,
+            opts,
             mode,
             backend,
             mut log_disk,
         } = self;
-        if matches!(mode, OpenMode::Recover) && matches!(opts.durability, Durability::None) {
-            // Recovery presupposes a log; upgrade quietly like `open`
-            // does for files whose metadata records a WAL anchor.
-            opts = opts.with_durability(Durability::Wal(WalOptions::default()));
-        }
         if log_disk.is_some() && !matches!(backend, Backend::Disk(_)) {
             return Err(CoreError::BadConfig(
                 "log_disk(..) goes with disk(..); file(..) resolves its own sidecar".into(),
@@ -306,10 +302,9 @@ impl IndexBuilder {
         };
         match mode {
             OpenMode::Create => Ok((RTreeIndex::create_on_inner(disk, log_disk, opts)?, None)),
-            OpenMode::Open => Ok((RTreeIndex::open_on_inner(disk, log_disk, opts)?, None)),
-            OpenMode::Recover => {
-                let (index, report) = RTreeIndex::recover_on_inner(disk, log_disk, opts)?;
-                Ok((index, Some(report)))
+            // Recovery presupposes a log; open finds out from the file.
+            OpenMode::Open | OpenMode::Recover => {
+                RTreeIndex::open_on_inner(disk, log_disk, opts, mode == OpenMode::Recover)
             }
         }
     }

@@ -75,23 +75,30 @@ impl RTreeIndex {
         opts: IndexOptions,
         items: &[(ObjectId, Point)],
     ) -> CoreResult<Self> {
-        let mut index = Self::create_on_inner(disk, log_disk, opts)?;
-        if items.is_empty() {
-            return Ok(index);
+        // A durable build logs nothing page-by-page: the log is attached
+        // once the tree is built, and its first checkpoint flushes the
+        // finished tree as the base image. Gating every bulk write would
+        // pin the whole index in memory.
+        let (mut index, wal) = Self::create_unlogged(disk, log_disk, opts)?;
+        if !items.is_empty() {
+            index.tree.bulk_build(items)?;
         }
-        // A durable build logs nothing page-by-page: the final checkpoint
-        // flushes the finished tree as the base image anyway, and gating
-        // every bulk write would pin the whole index in memory.
-        let durable = index.tree.wal.is_some();
-        if durable {
-            index.tree.pool.set_wal_mode(false);
+        if let Some(wal) = wal {
+            index.tree.attach_log(wal)?;
         }
-        let tree = &mut index.tree;
+        Ok(index)
+    }
+}
 
+// Helpers on RTree used only by the bulk loader. Its pages come from
+// `RTree::alloc_page`: the free list is empty until `bulk_set_root`.
+impl RTree {
+    /// Pack `items` into the empty tree.
+    fn bulk_build(&mut self, items: &[(ObjectId, Point)]) -> CoreResult<()> {
         // ---- leaf level: sort by x, tile into vertical slices, sort each
         // slice by y, pack runs of `leaf_fill` objects per leaf ----
-        let leaf_cap = tree.leaf_cap();
-        let leaf_min = tree.min_fill_leaf();
+        let leaf_cap = self.leaf_cap();
+        let leaf_min = self.min_fill_leaf();
         let leaf_fill = ((leaf_cap as f64 * BULK_FILL) as usize).max(1);
         let mut sorted: Vec<(ObjectId, Point)> = items.to_vec();
         sorted.sort_by(|a, b| a.1.x.total_cmp(&b.1.x));
@@ -106,14 +113,14 @@ impl RTreeIndex {
             slice.sort_by(|a, b| a.1.y.total_cmp(&b.1.y));
             for run_range in balanced_chunks(slice.len(), leaf_fill, leaf_min, leaf_cap) {
                 let run = &slice[run_range];
-                let pid = tree.alloc_page()?;
+                let pid = self.alloc_page()?;
                 let mut node = Node::new_leaf();
                 for &(oid, p) in run {
                     node.leaf_entries_mut().push(LeafEntry::point(oid, p));
-                    tree.hash_place(oid, pid)?;
+                    self.hash_place(oid, pid)?;
                 }
                 let mbr = node.mbr();
-                tree.write_node(pid, &node)?;
+                self.write_node(pid, &node)?;
                 level_entries.push(InternalEntry {
                     child: pid,
                     rect: mbr,
@@ -122,8 +129,8 @@ impl RTreeIndex {
         }
 
         // ---- internal levels: tile the child entries the same way ----
-        let internal_cap = tree.internal_cap();
-        let internal_min = tree.min_fill_internal();
+        let internal_cap = self.internal_cap();
+        let internal_min = self.min_fill_internal();
         let internal_fill = ((internal_cap as f64 * BULK_FILL) as usize).max(2);
         let mut level: u16 = 1;
         while level_entries.len() > 1 {
@@ -142,14 +149,14 @@ impl RTreeIndex {
                 for run_range in balanced_chunks(slice.len(), internal_fill, min_here, internal_cap)
                 {
                     let run = slice[run_range].to_vec();
-                    let pid = tree.alloc_page()?;
+                    let pid = self.alloc_page()?;
                     let mut node = Node::new_internal(level);
                     node.internal_entries_mut().extend(run.iter().copied());
-                    if tree.opts.strategy.needs_parent_pointers() && level == 1 {
-                        tree.adopt_leaves(run.iter().map(|e| e.child), pid)?;
+                    if self.opts.strategy.needs_parent_pointers() && level == 1 {
+                        self.adopt_leaves(run.iter().map(|e| e.child), pid)?;
                     }
                     let mbr = node.mbr();
-                    tree.write_node(pid, &node)?;
+                    self.write_node(pid, &node)?;
                     next.push(InternalEntry {
                         child: pid,
                         rect: mbr,
@@ -162,21 +169,11 @@ impl RTreeIndex {
 
         // ---- install the built root ----
         let root_entry = level_entries[0];
-        tree.bulk_set_root(root_entry.child)?;
-        tree.len = items.len() as u64;
-        // A durable index checkpoints the freshly built tree as its base
-        // image; one checkpoint is far cheaper than logging every page.
-        if durable {
-            tree.pool.set_wal_mode(true);
-        }
-        index.tree.wal_checkpoint()?;
-        Ok(index)
+        self.bulk_set_root(root_entry.child)?;
+        self.len = items.len() as u64;
+        Ok(())
     }
-}
 
-// Helpers on RTree used only by the bulk loader. Its pages come from
-// `RTree::alloc_page`: the free list is empty until `bulk_set_root`.
-impl RTree {
     /// Replace the placeholder root created by index creation with the
     /// bulk-built tree, recycling the placeholder page.
     fn bulk_set_root(&mut self, new_root: PageId) -> CoreResult<()> {

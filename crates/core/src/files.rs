@@ -9,9 +9,9 @@
 
 use crate::config::{Durability, IndexOptions};
 use crate::error::{CoreError, CoreResult};
-use crate::index::{redo_log, RTreeIndex, RecoveryReport};
+use crate::index::{check_snapshot_page_size, redo_log, RTreeIndex, RecoveryReport};
 use crate::meta::{read_meta_chain, MetaSnapshot, LOG_DISK_ANCHOR};
-use crate::tree::WalHandle;
+use crate::tree::{RTree, WalHandle};
 use bur_storage::{BufferPool, DiskBackend, FileDisk, PageId, PoolConfig, INVALID_PAGE};
 use bur_wal::{LogReader, Wal, WalRecord};
 use std::path::{Path, PathBuf};
@@ -28,13 +28,15 @@ pub fn log_path(path: &Path) -> PathBuf {
 
 /// The metadata snapshot stored in the chain headed at page 0, with
 /// [`MetaSnapshot::decode`]'s old-layout flag, and the continuation pages
-/// it occupies — `None` when the chain does not hold a genuine snapshot.
-/// Walked defensively: a crash inside a chain rewrite can leave torn
-/// links, so the pages are only trusted when the walked payload
+/// it occupies — an error when the chain does not hold a genuine
+/// snapshot. Walked defensively: a crash inside a chain rewrite can leave
+/// torn links, so the pages are only trusted when the walked payload
 /// round-trips.
-pub(crate) fn stored_snapshot(pool: &BufferPool) -> Option<((MetaSnapshot, bool), Vec<PageId>)> {
-    let (payload, pages) = read_meta_chain(pool).ok()?;
-    Some((MetaSnapshot::decode(&payload).ok()?, pages))
+pub(crate) fn stored_snapshot(
+    pool: &BufferPool,
+) -> CoreResult<((MetaSnapshot, bool), Vec<PageId>)> {
+    let (payload, pages) = read_meta_chain(pool)?;
+    Ok((MetaSnapshot::decode(&payload)?, pages))
 }
 
 fn open_file(path: &Path, page_size: usize) -> CoreResult<Arc<dyn DiskBackend>> {
@@ -61,7 +63,7 @@ impl IndexFiles {
         let data = open_file(path, page_size)?;
         let sidecar_path = log_path(path);
         let probe = BufferPool::new(data.clone(), PoolConfig::default());
-        let durable = match stored_snapshot(&probe) {
+        let durable = match stored_snapshot(&probe).ok() {
             Some(((_, true), _)) => return Err(in_file_log(path)),
             Some(((snap, false), _)) => snap.wal_anchor != INVALID_PAGE,
             // Page 0 is rewritten in place at every checkpoint; when a
@@ -165,7 +167,7 @@ fn upgrade_on(
             capacity: opts.buffer_frames,
         },
     ));
-    let stored = stored_snapshot(&pool);
+    let stored = stored_snapshot(&pool).ok();
     let old_layout = stored.as_ref().map_or(!log_recovers, |((_, old), _)| *old);
     // A page of the old log that cannot be read fails the upgrade here,
     // before the sidecar is created or page 0 rewritten.
@@ -174,9 +176,10 @@ fn upgrade_on(
     } else {
         None
     };
-    let (mut snap, report, _) = redone.ok_or_else(|| {
+    let (mut snap, report, old_log) = redone.ok_or_else(|| {
         CoreError::BadConfig("the file keeps no log inside it; there is nothing to upgrade".into())
     })?;
+    check_snapshot_page_size(&snap, &opts, "logged")?;
     // The redone image is durable while page 0 still names the old log,
     // and the sidecar holds a recovery point before the checkpoint
     // rewrites page 0.
@@ -184,10 +187,12 @@ fn upgrade_on(
     let wal = Wal::create(create_log()?)?;
     snap.wal_anchor = wal.anchor();
     wal.commit(snap.encode())?;
-    let meta_cont = stored.map_or_else(Vec::new, |(_, pages)| pages);
-    let wal = WalHandle::new(wal, wopts);
-    let index = RTreeIndex::adopt_redone(pool, opts, &snap, meta_cont, wal)?;
-    Ok((index, report))
+    let meta_chain = stored.map_or_else(Vec::new, |(_, pages)| pages);
+    // Until that checkpoint, an upgrade cut short runs again from the
+    // old log: its pages are kept out of the rebuilt hash's reach.
+    let mut tree = RTree::from_snapshot(pool, opts, Some(&snap), meta_chain, old_log.pages())?;
+    tree.attach_log(WalHandle::new(wal, wopts))?;
+    Ok((RTreeIndex { tree }, report))
 }
 
 #[cfg(test)]
@@ -259,14 +264,14 @@ mod tests {
                 drop(upgraded);
                 // Power returns; the file tools decide the same way.
                 let probe = BufferPool::new(data.clone(), PoolConfig::default());
-                let old = match stored_snapshot(&probe) {
+                let old = match stored_snapshot(&probe).ok() {
                     Some(((_, old), _)) => old,
                     None => !holds_recovery_point(log.as_ref()).unwrap(),
                 };
                 let index = if old {
                     upgrade_on(data, false, opts, fresh).unwrap().0
                 } else {
-                    RTreeIndex::recover_on_inner(data, Some(log), opts)
+                    RTreeIndex::open_on_inner(data, Some(log), opts, true)
                         .unwrap_or_else(|e| panic!("torn {torn}, cut at write {cut}: {e}"))
                         .0
                 };

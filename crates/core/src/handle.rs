@@ -90,7 +90,7 @@ struct BurShared {
     /// shared pass has read. An escalated batch keeps the plans its pass
     /// made only if the epoch has not moved since the pass began.
     epoch: AtomicU64,
-    /// What recovery replayed, when the handle was built in recover mode.
+    /// What the build's log replay did, when it replayed one.
     recovery: Option<RecoveryReport>,
     /// Recycled query-result buffers ([`QueryCursor`] hot path).
     spare_ids: Mutex<Vec<Vec<ObjectId>>>,
@@ -293,10 +293,10 @@ impl Bur {
         })
     }
 
-    /// What recovery replayed when this handle was built in
-    /// [`crate::OpenMode::Recover`] (or `open` of a durable file that
-    /// needed replay through the builder's recover path); `None` for
-    /// fresh or cleanly opened non-durable indexes.
+    /// What the log replay did when this handle was built in
+    /// [`crate::OpenMode::Recover`], or in [`crate::OpenMode::Open`] on a
+    /// durable index; `None` for fresh indexes and for opened non-durable
+    /// ones.
     #[must_use]
     pub fn recovery_report(&self) -> Option<RecoveryReport> {
         self.shared.recovery

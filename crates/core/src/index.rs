@@ -2,21 +2,19 @@
 //! update / query), persistence, and validation.
 
 use crate::batch::{Batch, BatchReport, Op};
-use crate::claims::LeafClaims;
 use crate::concurrent::{tally, Planned};
-use crate::config::{Durability, IndexOptions, UpdateStrategy};
+use crate::config::{Durability, IndexOptions, UpdateStrategy, WalOptions};
 use crate::error::{CoreError, CoreResult};
 use crate::files::stored_snapshot;
 use crate::knn::{self, Neighbor};
-use crate::meta::{read_meta_chain, write_meta_chain, MetaSnapshot, LOG_DISK_ANCHOR, META_PAGE};
-use crate::node::{InternalView, LeafEntry, NodeView, ObjectId};
+use crate::meta::{read_meta_chain, MetaSnapshot, LOG_DISK_ANCHOR, META_PAGE};
+use crate::node::{LeafEntry, NodeView, ObjectId};
 use crate::pins::PinSet;
 use crate::stats::{OpStats, UpdateOutcome};
 use crate::summary::SummaryStructure;
 use crate::tree::{RTree, WalHandle};
 use crate::{bottom_up, topdown};
 use bur_geom::{Point, Rect};
-use bur_hashindex::{HashIndexConfig, LinearHashIndex};
 use bur_storage::{
     BufferPool, DiskBackend, IoStats, Lsn, PageId, PoolConfig, StorageError, INVALID_PAGE,
 };
@@ -25,8 +23,9 @@ use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-/// What recovery ([`crate::IndexBuilder`]'s [`crate::OpenMode::Recover`]
-/// mode) did to bring an index back.
+/// What the log replay of [`crate::IndexBuilder`]'s
+/// [`crate::OpenMode::Recover`] mode, or of its [`crate::OpenMode::Open`]
+/// mode on a durable index, did to bring the index back.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RecoveryReport {
     /// Records that survived in the log (all kinds), up to its end.
@@ -103,6 +102,22 @@ impl RTreeIndex {
         log_disk: Option<Arc<dyn DiskBackend>>,
         opts: IndexOptions,
     ) -> CoreResult<Self> {
+        let (mut index, wal) = Self::create_unlogged(disk, log_disk, opts)?;
+        if let Some(wal) = wal {
+            // The checkpoint of the empty tree is the base image recovery
+            // starts from.
+            index.tree.attach_log(wal)?;
+        }
+        Ok(index)
+    }
+
+    /// A new, empty index on `disk`, and the log it attaches once it is
+    /// filled (`None` when volatile).
+    pub(crate) fn create_unlogged(
+        disk: Arc<dyn DiskBackend>,
+        log_disk: Option<Arc<dyn DiskBackend>>,
+        opts: IndexOptions,
+    ) -> CoreResult<(Self, Option<WalHandle>)> {
         opts.validate()?;
         check_page_size(disk.as_ref(), &opts)?;
         let log = match opts.durability {
@@ -133,143 +148,95 @@ impl RTreeIndex {
         debug_assert_eq!(meta_pid, META_PAGE);
         guard.write().fill(0);
         drop(guard);
+        let tree = RTree::from_snapshot(pool, opts, None, Vec::new(), &[])?;
         let wal = match log {
             Some((log, wopts)) => {
-                pool.set_wal_mode(true);
                 let wal = Wal::create(log)?;
                 debug_assert_eq!(wal.anchor(), LOG_DISK_ANCHOR);
                 Some(WalHandle::new(wal, wopts))
             }
             None => None,
         };
-        let mut tree = RTree::create(pool, opts)?;
-        tree.wal = wal;
-        let mut index = Self { tree };
-        // Seed the log with a checkpoint of the empty tree: the base
-        // image recovery starts from.
-        index.tree.wal_checkpoint()?;
-        Ok(index)
+        Ok((Self { tree }, wal))
     }
 
-    /// Reopen a persisted index (see [`RTreeIndex::persist`]). The
-    /// summary structure is rebuilt from a tree scan (it is main-memory
-    /// state, exactly as in the paper); the hash index is reloaded when
-    /// present on disk or rebuilt when the requested strategy needs one
-    /// the stored index lacked.
+    /// Open the index on `disk`. The summary structure is rebuilt from a
+    /// tree scan (it is main-memory state, exactly as in the paper); the
+    /// hash index is reloaded when the snapshot names one, or rebuilt
+    /// when the strategy needs one it lacks.
     ///
     /// Durability is a property of the *file*, not of the caller's
-    /// options: with [`Durability::Wal`] options — or whenever the stored
-    /// metadata records a WAL anchor — this delegates to the recovery
-    /// path (upgrading `opts` with default [`crate::WalOptions`] when the
-    /// caller asked for none). Replaying the log is always safe (a
+    /// options: with [`Durability::Wal`] options, with `needs_log`
+    /// ([`crate::OpenMode::Recover`]), or whenever the stored metadata
+    /// records a log, the log on `log_disk` is redone up to its last
+    /// durable commit (ARIES-style redo onto the surviving base image),
+    /// the index is rebuilt over the result and checkpointed, and the
+    /// report says what the redo did. Options that ask for no log get
+    /// default [`crate::WalOptions`] then. Redoing is always safe (a
     /// cleanly shut down log replays to exactly the stored image), and
     /// opening a durable file *without* its log would let unlogged page
-    /// writes race a stale log generation.
+    /// writes race a stale log generation. Without a log disk, or with
+    /// one that holds no log, this fails with [`CoreError::LogMissing`].
     pub(crate) fn open_on_inner(
         disk: Arc<dyn DiskBackend>,
         log_disk: Option<Arc<dyn DiskBackend>>,
         opts: IndexOptions,
-    ) -> CoreResult<Self> {
-        if matches!(opts.durability, Durability::Wal(_)) {
-            return Ok(Self::recover_on_inner(disk, log_disk, opts)?.0);
-        }
+        needs_log: bool,
+    ) -> CoreResult<(Self, Option<RecoveryReport>)> {
         opts.validate()?;
         check_page_size(disk.as_ref(), &opts)?;
         let pool = Arc::new(BufferPool::new(
-            disk.clone(),
+            disk,
             PoolConfig {
                 capacity: opts.buffer_frames,
             },
         ));
-        let (payload, meta_cont) = read_meta_chain(&pool)?;
-        let (snap, _) = MetaSnapshot::decode(&payload)?;
-        if snap.page_size != opts.page_size {
-            return Err(CoreError::BadConfig(format!(
-                "stored page size {} != configured {}",
-                snap.page_size, opts.page_size
-            )));
-        }
-        if snap.wal_anchor != INVALID_PAGE {
-            // The file is WAL-durable: reattach its log instead of
-            // mutating pages behind a stale generation.
-            drop(pool);
-            let opts = opts.with_durability(Durability::Wal(crate::config::WalOptions::default()));
-            return Ok(Self::recover_on_inner(disk, log_disk, opts)?.0);
-        }
-        if log_disk.is_some() {
-            return Err(log_disk_without_log());
-        }
-        let mut tree = Self::tree_from_snapshot(pool, opts, &snap)?;
-        tree.meta_chain_pages = meta_cont;
-        Ok(Self { tree })
-    }
-
-    /// Build the tree (and rebuild whatever main-memory or secondary
-    /// state the strategy needs) from a metadata snapshot whose pages are
-    /// already readable through `pool`.
-    fn tree_from_snapshot(
-        pool: Arc<BufferPool>,
-        opts: IndexOptions,
-        snap: &MetaSnapshot,
-    ) -> CoreResult<RTree> {
-        let hash = if snap.stored_hash() {
-            Some(Arc::new(LinearHashIndex::load(
-                pool.clone(),
-                HashIndexConfig::default(),
-                snap.hash_head,
-            )?))
-        } else if opts.strategy.needs_hash_index() {
-            Some(Arc::new(LinearHashIndex::create(
-                pool.clone(),
-                HashIndexConfig::default(),
-            )?))
-        } else {
-            None
+        let stored = stored_snapshot(&pool);
+        let names_log = stored
+            .as_ref()
+            .is_ok_and(|((snap, _), _)| snap.wal_anchor != INVALID_PAGE);
+        let wopts = match opts.durability {
+            Durability::Wal(wopts) => wopts,
+            Durability::None if needs_log || names_log => WalOptions::default(),
+            Durability::None => {
+                let ((snap, _), meta_chain) = stored?;
+                check_snapshot_page_size(&snap, &opts, "stored")?;
+                if log_disk.is_some() {
+                    return Err(log_disk_without_log());
+                }
+                let tree = RTree::from_snapshot(pool, opts, Some(&snap), meta_chain, &[])?;
+                return Ok((Self { tree }, None));
+            }
         };
-        let summary = opts.strategy.needs_summary().then(SummaryStructure::new);
-        let claims = LeafClaims::covering(pool.disk().num_pages() as usize);
-        let mut tree = RTree {
-            pool,
-            opts,
-            root: snap.root,
-            height: snap.height,
-            len: snap.len,
-            free_pages: snap.free_pages.clone(),
-            summary,
-            hash,
-            stats: OpStats::default(),
-            pending_reinserts: Vec::new(),
-            reinsert_armed: 0,
-            insert_active: false,
-            wal: None,
-            meta_chain_pages: Vec::new(),
-            claims,
+        let opts = opts.with_durability(Durability::Wal(wopts));
+        // A log page that cannot be read fails here, before anything is
+        // written: redoing the prefix in front of it would drop every
+        // commit behind it, and the checkpoint would make that final.
+        let log = log_disk_of(log_disk, &opts)?;
+        let Some((snap, report, end)) = redo_log(&pool, log.as_ref(), LOG_DISK_ANCHOR)? else {
+            return Err(CoreError::LogMissing(
+                "the log disk holds no write-ahead log (index not created with Durability::Wal?)"
+                    .into(),
+            ));
         };
-        rebuild_memory_state(
-            &mut tree,
-            !snap.stored_hash() && opts.strategy.needs_hash_index(),
-        )?;
-        Ok(tree)
+        check_snapshot_page_size(&snap, &opts, "logged")?;
+        // The metadata chain of the last completed checkpoint is
+        // superseded by the checkpoint below, which recycles its pages.
+        // A torn `next` pointer could name a *live* tree page, so they
+        // are only trusted when the chain round-trips as a snapshot.
+        let meta_chain = stored.map_or_else(|_| Vec::new(), |(_, pages)| pages);
+        let mut tree = RTree::from_snapshot(pool, opts, Some(&snap), meta_chain, &[])?;
+        tree.attach_log(WalHandle::new(Wal::reopen(log, &end), wopts))?;
+        Ok((Self { tree }, Some(report)))
     }
 
     /// Write metadata (and the hash directory) so the index can be
     /// reopened through [`crate::IndexBuilder`]'s open mode; flushes all
     /// dirty pages.
-    /// Intended as a shutdown step: each call allocates a fresh metadata
-    /// continuation chain. On a durable index this is a
+    /// Intended as a shutdown step. On a durable index this is a
     /// [`RTreeIndex::checkpoint`].
     pub fn persist(&mut self) -> CoreResult<()> {
-        if self.tree.wal.is_some() {
-            return self.tree.wal_checkpoint();
-        }
-        let hash_head = match &self.tree.hash {
-            Some(h) => h.persist()?,
-            None => INVALID_PAGE,
-        };
-        let payload = self.tree.meta_snapshot(hash_head).encode();
-        write_meta_chain(&self.tree.pool, &payload, &mut self.tree.meta_chain_pages)?;
-        self.tree.pool.flush_all()?;
-        Ok(())
+        self.tree.checkpoint()
     }
 
     /// Take a fuzzy checkpoint now: sync the log, flush every page as the
@@ -277,11 +244,7 @@ impl RTreeIndex {
     /// operations committed after this call. Equivalent to
     /// [`RTreeIndex::persist`] on a non-durable index.
     pub fn checkpoint(&mut self) -> CoreResult<()> {
-        if self.tree.wal.is_some() {
-            self.tree.wal_checkpoint()
-        } else {
-            self.persist()
-        }
+        self.tree.checkpoint()
     }
 
     /// `true` when the index write-ahead-logs its updates.
@@ -348,90 +311,9 @@ impl RTreeIndex {
         });
         self.tree.wal_commit_pages(ops, touched)?;
         if self.tree.checkpoint_due() {
-            self.tree.wal_checkpoint()?;
+            self.tree.checkpoint()?;
         }
         Ok(())
-    }
-
-    /// Recover a durable index from `disk` after a crash (ARIES-style
-    /// redo): scan the write-ahead log on `log_disk`, replay every page
-    /// image up to the last durable commit onto the surviving base image,
-    /// rebuild the main-memory summary structure / hash index / parent
-    /// pointers the strategy needs, and checkpoint so the log is clean
-    /// again. Safe to call on a cleanly shut down index (the replay is
-    /// then a no-op).
-    ///
-    /// `opts.durability` must be [`Durability::Wal`]. Without a log disk,
-    /// or with one that holds no log, this fails with
-    /// [`CoreError::LogMissing`].
-    pub(crate) fn recover_on_inner(
-        disk: Arc<dyn DiskBackend>,
-        log_disk: Option<Arc<dyn DiskBackend>>,
-        opts: IndexOptions,
-    ) -> CoreResult<(Self, RecoveryReport)> {
-        opts.validate()?;
-        let Durability::Wal(wopts) = opts.durability else {
-            return Err(CoreError::BadConfig(
-                "recovery requires IndexOptions with Durability::Wal (e.g. IndexOptions::durable())"
-                    .into(),
-            ));
-        };
-        check_page_size(disk.as_ref(), &opts)?;
-        let pool = Arc::new(BufferPool::new(
-            disk,
-            PoolConfig {
-                capacity: opts.buffer_frames,
-            },
-        ));
-        // Best effort: a torn page 0 says nothing, and then the log is
-        // the authority.
-        let stored = stored_snapshot(&pool);
-        // A log page that cannot be read fails here, before anything is
-        // written: redoing the prefix in front of it would drop every
-        // commit behind it, and the checkpoint would make that final.
-        let log = log_disk_of(log_disk, &opts)?;
-        let Some((snap, report, end)) = redo_log(&pool, log.as_ref(), LOG_DISK_ANCHOR)? else {
-            return Err(CoreError::LogMissing(
-                "the log disk holds no write-ahead log (index not created with Durability::Wal?)"
-                    .into(),
-            ));
-        };
-        let wal = Wal::reopen(log, &end);
-        // The on-disk metadata chain (from the last completed checkpoint)
-        // is superseded the moment we re-checkpoint; hand its continuation
-        // pages to the chain recycler. A torn `next` pointer could name a
-        // *live* tree page, so the pages are only trusted (and later
-        // overwritten by the recycler) when the walked payload round-trips
-        // as a genuine metadata snapshot.
-        let meta_cont = stored.map_or_else(Vec::new, |(_, pages)| pages);
-        let index = Self::adopt_redone(pool, opts, &snap, meta_cont, WalHandle::new(wal, wopts))?;
-        Ok((index, report))
-    }
-
-    /// The tail of recovery: rebuild the index over the redone image
-    /// (summary structure, hash index and parent pointers included),
-    /// attach `wal` and checkpoint — the disk becomes a clean base image
-    /// and the log restarts.
-    pub(crate) fn adopt_redone(
-        pool: Arc<BufferPool>,
-        opts: IndexOptions,
-        snap: &MetaSnapshot,
-        meta_cont: Vec<PageId>,
-        wal: WalHandle,
-    ) -> CoreResult<Self> {
-        if snap.page_size != opts.page_size {
-            return Err(CoreError::BadConfig(format!(
-                "logged page size {} != configured {}",
-                snap.page_size, opts.page_size
-            )));
-        }
-        let mut tree = Self::tree_from_snapshot(pool, opts, snap)?;
-        tree.meta_chain_pages = meta_cont;
-        tree.wal = Some(wal);
-        tree.pool.set_wal_mode(true);
-        let mut index = Self { tree };
-        index.tree.wal_checkpoint()?;
-        Ok(index)
     }
 
     // ---- object API --------------------------------------------------------
@@ -827,6 +709,22 @@ fn check_page_size(disk: &dyn DiskBackend, opts: &IndexOptions) -> CoreResult<()
     )))
 }
 
+/// A snapshot that describes pages of another size than `opts` asks for
+/// is refused; `whose` says where it came from.
+pub(crate) fn check_snapshot_page_size(
+    snap: &MetaSnapshot,
+    opts: &IndexOptions,
+    whose: &str,
+) -> CoreResult<()> {
+    if snap.page_size == opts.page_size {
+        return Ok(());
+    }
+    Err(CoreError::BadConfig(format!(
+        "{whose} page size {} != configured {}",
+        snap.page_size, opts.page_size
+    )))
+}
+
 /// The log disk a durable index was handed, page size checked;
 /// [`CoreError::LogMissing`] without one.
 pub(crate) fn log_disk_of(
@@ -984,86 +882,6 @@ fn corrupt_log(e: RedoError) -> CoreError {
         RedoError::Corrupt(msg) => CoreError::BadConfig(format!("{msg} (corrupt log)")),
         RedoError::Storage(e) => e.into(),
     }
-}
-
-// ---- open-time memory-state rebuild ------------------------------------------
-
-/// Scan the stored tree to rebuild the main-memory summary structure and
-/// (when requested) a hash index the stored image lacked. Each leaf's
-/// objects go into the hash index as the walk meets the leaf, so the
-/// rebuild holds no list of every object.
-pub(crate) fn rebuild_memory_state(tree: &mut RTree, build_hash: bool) -> CoreResult<()> {
-    // The walk only matters when there is memory state to rebuild; a
-    // bare TD index (e.g. a replica view being promoted to TD) skips it.
-    if tree.summary.is_some() || build_hash {
-        let mut summary = tree.summary.take();
-        if let Some(s) = &mut summary {
-            s.clear();
-        }
-        let hash = build_hash.then(|| tree.hash.clone().expect("caller created the hash"));
-        let leaf_cap = tree.leaf_cap();
-        // Depth-first, children in entry order. A leaf's objects are
-        // copied out and indexed once its page is unpinned: the hash
-        // index reads pages of its own.
-        let mut stack = vec![tree.root];
-        let mut objects: Vec<ObjectId> = Vec::new();
-        while let Some(pid) = stack.pop() {
-            tree.with_page(pid, |data| {
-                match NodeView::new(pid, data)? {
-                    NodeView::Leaf(leaf) => {
-                        if let Some(s) = &mut summary {
-                            s.set_leaf(pid, leaf.len() >= leaf_cap);
-                        }
-                        if hash.is_some() {
-                            objects.extend(leaf.iter().map(|e| e.oid));
-                        }
-                    }
-                    NodeView::Internal(node) => {
-                        if let Some(s) = &mut summary {
-                            let children = node.children();
-                            s.upsert_internal(pid, node.level(), node.mbr(), children);
-                        }
-                        let from = stack.len();
-                        stack.extend(node.children());
-                        stack[from..].reverse();
-                    }
-                }
-                Ok(())
-            })?;
-            if let Some(hash) = &hash {
-                for oid in objects.drain(..) {
-                    hash.insert(oid, pid)?;
-                }
-            }
-        }
-        if let Some(s) = &mut summary {
-            s.set_root_mbr(tree.root_mbr()?);
-        }
-        tree.summary = summary;
-    }
-    // LBU needs leaf parent pointers; repair any that are missing or
-    // stale (e.g. the stored image was built by a TD index).
-    if tree.opts.strategy.needs_parent_pointers() && tree.height >= 2 {
-        let mut level1 = Vec::new();
-        tree.walk(
-            |pid, node| {
-                if node.level() == 1 {
-                    level1.push(pid);
-                }
-                Ok(())
-            },
-            |node, _| node.level() > 1,
-        )?;
-        for parent_pid in level1 {
-            let children = tree.with_page(parent_pid, |data| {
-                Ok(InternalView::new(parent_pid, data)?
-                    .children()
-                    .collect::<Vec<_>>())
-            })?;
-            tree.adopt_leaves(children, parent_pid)?;
-        }
-    }
-    Ok(())
 }
 
 impl RTreeIndex {

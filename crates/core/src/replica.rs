@@ -19,17 +19,13 @@
 //!   write-ahead log on the replica's own log disk and checkpoint: the
 //!   replica becomes an ordinary writable index.
 
-use crate::claims::LeafClaims;
 use crate::config::{Durability, IndexOptions, UpdateStrategy};
 use crate::error::{CoreError, CoreResult};
 use crate::files::stored_snapshot;
-use crate::index::{log_disk_of, log_disk_without_log, rebuild_memory_state, RTreeIndex};
+use crate::index::{log_disk_of, log_disk_without_log, RTreeIndex};
 use crate::meta::MetaSnapshot;
-use crate::stats::OpStats;
-use crate::summary::SummaryStructure;
 use crate::tree::{RTree, WalHandle};
-use bur_hashindex::{HashIndexConfig, LinearHashIndex};
-use bur_storage::{BufferPool, DiskBackend, PoolConfig};
+use bur_storage::{BufferPool, DiskBackend, PoolConfig, INVALID_PAGE};
 use bur_wal::Wal;
 use std::sync::Arc;
 
@@ -49,7 +45,7 @@ impl RTreeIndex {
         buffer_frames: usize,
         meta: &[u8],
     ) -> CoreResult<Self> {
-        let (snap, _) = MetaSnapshot::decode(meta)?;
+        let (mut snap, _) = MetaSnapshot::decode(meta)?;
         if disk.page_size() != snap.page_size {
             return Err(CoreError::BadConfig(format!(
                 "disk page size {} != replicated snapshot's {}",
@@ -64,31 +60,16 @@ impl RTreeIndex {
             durability: Durability::None,
             ..IndexOptions::default()
         };
-        opts.validate()?;
         let pool = Arc::new(BufferPool::new(
             disk,
             PoolConfig {
                 capacity: buffer_frames,
             },
         ));
-        let claims = LeafClaims::covering(pool.disk().num_pages() as usize);
-        let tree = RTree {
-            pool,
-            opts,
-            root: snap.root,
-            height: snap.height,
-            len: snap.len,
-            free_pages: snap.free_pages,
-            summary: None,
-            hash: None,
-            stats: OpStats::default(),
-            pending_reinserts: Vec::new(),
-            reinsert_armed: 0,
-            insert_active: false,
-            wal: None,
-            meta_chain_pages: Vec::new(),
-            claims,
-        };
+        // A view keeps no hash index: a replicated directory goes stale
+        // as the follower redoes the log.
+        snap.hash_head = INVALID_PAGE;
+        let tree = RTree::from_snapshot(pool, opts, Some(&snap), Vec::new(), &[])?;
         Ok(Self { tree })
     }
 
@@ -158,33 +139,21 @@ impl RTreeIndex {
             Durability::None => None,
         };
         self.tree.pool.set_capacity(opts.buffer_frames)?;
-        // Redo since the view was built may have extended the disk.
-        let pages = self.tree.pool.disk().num_pages() as usize;
-        self.tree.claims.cover(pages);
-        self.tree.opts = opts;
-        self.tree.hash = if opts.strategy.needs_hash_index() {
-            Some(Arc::new(LinearHashIndex::create(
-                self.tree.pool.clone(),
-                HashIndexConfig::default(),
-            )?))
-        } else {
-            None
-        };
-        self.tree.summary = opts.strategy.needs_summary().then(SummaryStructure::new);
-        rebuild_memory_state(&mut self.tree, opts.strategy.needs_hash_index())?;
         // The copied disk carries the primary's old metadata chain; it
-        // may be mid-checkpoint garbage, so recycle its continuation
-        // pages only when it round-trips — the same pattern recovery uses.
-        self.tree.meta_chain_pages =
-            stored_snapshot(&self.tree.pool).map_or_else(Vec::new, |(_, pages)| pages);
+        // may be mid-checkpoint garbage, so its pages are recycled only
+        // when it round-trips — the same rule recovery follows.
+        let meta_chain = stored_snapshot(&self.tree.pool).map_or_else(|_| Vec::new(), |(_, p)| p);
+        // The view's snapshot names no hash directory, so the hash index
+        // is rebuilt from the tree rather than trusted, as in recovery.
+        let snap = self.tree.meta_snapshot(INVALID_PAGE);
+        let pool = Arc::clone(&self.tree.pool);
+        let mut tree = RTree::from_snapshot(pool, opts, Some(&snap), meta_chain, &[])?;
+        tree.stats = std::mem::take(&mut self.tree.stats);
         match log {
-            Some((log, wopts)) => {
-                self.tree.pool.set_wal_mode(true);
-                self.tree.wal = Some(WalHandle::new(Wal::create(log)?, wopts));
-                self.tree.wal_checkpoint()?;
-            }
-            None => self.persist()?,
+            Some((log, wopts)) => tree.attach_log(WalHandle::new(Wal::create(log)?, wopts))?,
+            None => tree.checkpoint()?,
         }
+        self.tree = tree;
         Ok(())
     }
 }

@@ -147,39 +147,76 @@ pub(crate) struct RTree {
 }
 
 impl RTree {
-    /// Create an empty tree (root = empty leaf) over `pool`.
-    pub(crate) fn create(pool: Arc<BufferPool>, opts: IndexOptions) -> CoreResult<Self> {
+    /// Build the tree `snap` describes over `pool`, with the memory state
+    /// `opts`' strategy needs: the one way a tree comes to exist. Without
+    /// a snapshot the tree is new and empty, its root leaf allocated
+    /// after the hash's first buckets. `meta_chain_pages` are the pages
+    /// of the metadata chain the next checkpoint may recycle; `kept` are
+    /// pages besides the tree's that must survive (an old log that an
+    /// interrupted upgrade reads again).
+    ///
+    /// The hash index is loaded when the snapshot names one. Otherwise,
+    /// when the strategy needs one, it is created over the pages nothing
+    /// owns ([`unowned_pages`]) and filled from a tree scan, which also
+    /// rebuilds GBU's summary structure and LBU's parent pointers.
+    pub(crate) fn from_snapshot(
+        pool: Arc<BufferPool>,
+        opts: IndexOptions,
+        snap: Option<&MetaSnapshot>,
+        meta_chain_pages: Vec<PageId>,
+        kept: &[PageId],
+    ) -> CoreResult<Self> {
         opts.validate()?;
-        let hash = if opts.strategy.needs_hash_index() {
-            Some(Arc::new(LinearHashIndex::create(
+        let stored_hash = snap.filter(|s| s.stored_hash());
+        let build_hash = stored_hash.is_none() && opts.strategy.needs_hash_index();
+        let hash = if let Some(s) = stored_hash {
+            Some(LinearHashIndex::load(
                 pool.clone(),
                 HashIndexConfig::default(),
-            )?))
+                s.hash_head,
+            )?)
+        } else if build_hash {
+            let reuse = match snap {
+                Some(s) => unowned_pages(&pool, s, &meta_chain_pages, kept)?,
+                None => Vec::new(),
+            };
+            Some(LinearHashIndex::create_reusing(
+                pool.clone(),
+                HashIndexConfig::default(),
+                reuse,
+            )?)
         } else {
             None
         };
-        let summary = opts.strategy.needs_summary().then(SummaryStructure::new);
-        let (root, guard) = pool.new_page()?;
-        Node::new_leaf().encode(&mut guard.write());
-        drop(guard);
+        let (root, height, len, free_pages) = match snap {
+            Some(s) => (s.root, s.height, s.len, s.free_pages.clone()),
+            None => {
+                let (root, page) = pool.new_page()?;
+                Node::new_leaf().encode(&mut page.write());
+                (root, 1, 0, Vec::new())
+            }
+        };
+        let claims = LeafClaims::covering(pool.disk().num_pages() as usize);
         let mut tree = Self {
             pool,
             opts,
             root,
-            height: 1,
-            len: 0,
-            free_pages: Vec::new(),
-            summary,
-            hash,
+            height,
+            len,
+            free_pages,
+            summary: opts.strategy.needs_summary().then(SummaryStructure::new),
+            hash: hash.map(Arc::new),
             stats: OpStats::default(),
             pending_reinserts: Vec::new(),
             reinsert_armed: 0,
             insert_active: false,
             wal: None,
-            meta_chain_pages: Vec::new(),
-            claims: LeafClaims::covering(root as usize + 1),
+            meta_chain_pages,
+            claims,
         };
-        if let Some(s) = &mut tree.summary {
+        if snap.is_some() {
+            tree.rebuild_memory_state(build_hash)?;
+        } else if let Some(s) = &mut tree.summary {
             s.set_leaf(root, false);
             s.set_root_mbr(Rect::EMPTY);
         }
@@ -509,23 +546,19 @@ impl RTree {
         })
     }
 
-    /// Fuzzy checkpoint: make the log durable, persist the hash
-    /// directory and metadata chain (recycling the superseded chains'
-    /// pages), flush every frame and sync the data disk (it becomes a
-    /// complete base image), then rewind the log onto its own pages.
-    /// That order is the whole two-file argument: the old generation
-    /// stays replayable until the base image that supersedes it is on
-    /// the platter, and this is the only place the data disk is synced —
-    /// a commit syncs the log's disk and nothing else. No-op without a
-    /// WAL.
-    pub(crate) fn wal_checkpoint(&mut self) -> CoreResult<()> {
-        if self.wal.is_none() {
-            return Ok(());
-        }
+    /// Write the hash directory and the metadata chain (recycling the
+    /// superseded chains' pages) and flush every page: the image an open
+    /// starts from. On a durable tree this is a fuzzy checkpoint, and the
+    /// log steps wrap that body: the log is made durable first, and
+    /// rewound onto its own pages once the data disk is synced. That
+    /// order is the whole two-file argument: the old generation stays
+    /// replayable until the base image that supersedes it is on the
+    /// platter, and this is the only place the data disk is synced — a
+    /// commit syncs the log's disk and nothing else.
+    pub(crate) fn checkpoint(&mut self) -> CoreResult<()> {
         let started = std::time::Instant::now();
         let writes_before = self.pool.stats().snapshot().writes;
-        {
-            let handle = self.wal.as_ref().expect("checked above");
+        if let Some(handle) = &self.wal {
             handle.wal.sync()?;
             self.pool.set_durable_lsn(handle.wal.durable_lsn());
         }
@@ -535,11 +568,15 @@ impl RTree {
         };
         let payload = self.meta_snapshot(hash_head).encode();
         meta::write_meta_chain(&self.pool, &payload, &mut self.meta_chain_pages)?;
-        // The metadata/hash-directory writes above are part of the new
-        // base image, not of any commit: drop their gate state and flush.
-        self.pool.wal_checkpoint_reset();
+        if self.wal.is_some() {
+            // The writes above are part of the new base image, not of
+            // any commit: drop their gate state before the flush.
+            self.pool.wal_checkpoint_reset();
+        }
         self.pool.flush_all()?;
-        let handle = self.wal.as_mut().expect("checked above");
+        let Some(handle) = self.wal.as_mut() else {
+            return Ok(());
+        };
         handle.wal.checkpoint_rewind(payload)?;
         handle.commits_since_checkpoint.store(0, Ordering::Relaxed);
         self.pool.set_durable_lsn(handle.wal.durable_lsn());
@@ -548,6 +585,16 @@ impl RTree {
             self.pool.stats().snapshot().writes - writes_before,
         );
         Ok(())
+    }
+
+    /// Attach `wal`, gate the pool's writes on it and checkpoint: the
+    /// pages as they stand become the log's base image. The one way a
+    /// tree gets its log — created, recovered, upgraded, promoted or
+    /// bulk loaded.
+    pub(crate) fn attach_log(&mut self, wal: WalHandle) -> CoreResult<()> {
+        self.wal = Some(wal);
+        self.pool.set_wal_mode(true);
+        self.checkpoint()
     }
 
     // ---- insertion ----------------------------------------------------------
@@ -1491,6 +1538,128 @@ impl RTree {
         )?;
         Ok(count)
     }
+
+    /// Scan the tree to rebuild the main-memory summary structure and
+    /// (with `build_hash`) fill the hash index, which is new and empty.
+    /// Each leaf's objects go into the hash index as the walk meets the
+    /// leaf, so the rebuild holds no list of every object.
+    fn rebuild_memory_state(&mut self, build_hash: bool) -> CoreResult<()> {
+        // The walk only matters when there is memory state to rebuild; a
+        // bare TD tree (a replica view, say) skips it.
+        if self.summary.is_some() || build_hash {
+            let mut summary = self.summary.take();
+            let hash = build_hash.then(|| self.hash.clone().expect("the hash was created"));
+            let leaf_cap = self.leaf_cap();
+            // Depth-first, children in entry order. A leaf's objects are
+            // copied out and indexed once its page is unpinned: the hash
+            // index reads pages of its own.
+            let mut stack = vec![self.root];
+            let mut objects: Vec<ObjectId> = Vec::new();
+            while let Some(pid) = stack.pop() {
+                self.with_page(pid, |data| {
+                    match NodeView::new(pid, data)? {
+                        NodeView::Leaf(leaf) => {
+                            if let Some(s) = &mut summary {
+                                s.set_leaf(pid, leaf.len() >= leaf_cap);
+                            }
+                            if hash.is_some() {
+                                objects.extend(leaf.iter().map(|e| e.oid));
+                            }
+                        }
+                        NodeView::Internal(node) => {
+                            if let Some(s) = &mut summary {
+                                let children = node.children();
+                                s.upsert_internal(pid, node.level(), node.mbr(), children);
+                            }
+                            let from = stack.len();
+                            stack.extend(node.children());
+                            stack[from..].reverse();
+                        }
+                    }
+                    Ok(())
+                })?;
+                if let Some(hash) = &hash {
+                    for oid in objects.drain(..) {
+                        hash.insert(oid, pid)?;
+                    }
+                }
+            }
+            if let Some(s) = &mut summary {
+                s.set_root_mbr(self.root_mbr()?);
+            }
+            self.summary = summary;
+        }
+        // LBU needs leaf parent pointers; repair any that are missing or
+        // stale (e.g. the stored image was built by a TD index).
+        if self.parent_pointers() && self.height >= 2 {
+            let mut level1 = Vec::new();
+            self.walk(
+                |pid, node| {
+                    if node.level() == 1 {
+                        level1.push(pid);
+                    }
+                    Ok(())
+                },
+                |node, _| node.level() > 1,
+            )?;
+            for parent_pid in level1 {
+                let children = self.with_page(parent_pid, |data| {
+                    Ok(InternalView::new(parent_pid, data)?
+                        .children()
+                        .collect::<Vec<_>>())
+                })?;
+                self.adopt_leaves(children, parent_pid)?;
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The pages below the end of `pool`'s disk that nothing `snap`
+/// describes owns, ascending. Owned are page 0, the metadata chain's
+/// `meta_chain`, every tree node (named by the internal nodes, so no
+/// leaf is read), the tree's free list and `kept`. Among the rest are
+/// the pages of a hash index the snapshot does not name and those an
+/// unacknowledged batch allocated before a crash.
+///
+/// Handing them to a new hash is safe across a crash in the middle:
+/// the log that is redone again never depends on a page it does not
+/// image, because a page's first record in a generation is a full one.
+fn unowned_pages(
+    pool: &BufferPool,
+    snap: &MetaSnapshot,
+    meta_chain: &[PageId],
+    kept: &[PageId],
+) -> CoreResult<Vec<PageId>> {
+    let mut owned = vec![false; pool.disk().num_pages() as usize];
+    // Marks `pid` owned; `true` the first time. A page past the end
+    // (a corrupt entry) is left for the scan that reads it to refuse.
+    let mut own = |pid: PageId| {
+        owned
+            .get_mut(pid as usize)
+            .is_some_and(|o| !std::mem::replace(o, true))
+    };
+    let mut internal = Vec::new();
+    if own(snap.root) && snap.height > 1 {
+        internal.push(snap.root);
+    }
+    while let Some(pid) = internal.pop() {
+        let page = pool.fetch(pid)?;
+        let node = InternalView::new(pid, page.read())?;
+        for child in node.children() {
+            if own(child) && node.level() > 1 {
+                internal.push(child);
+            }
+        }
+    }
+    own(meta::META_PAGE);
+    for &pid in meta_chain.iter().chain(&snap.free_pages).chain(kept) {
+        own(pid);
+    }
+    Ok((0..owned.len())
+        .filter(|&pid| !owned[pid])
+        .map(|pid| pid as PageId)
+        .collect())
 }
 
 #[cfg(test)]

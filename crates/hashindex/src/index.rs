@@ -37,8 +37,9 @@ struct State {
     entries: usize,
     /// Buckets at level 0.
     initial: usize,
-    /// Pages released by collapsed overflow chains, reused before
-    /// allocating fresh pages (the disk itself is append-only).
+    /// Pages released by collapsed overflow chains or handed over at
+    /// creation, reused before allocating fresh pages (the disk itself is
+    /// append-only).
     free_pages: Vec<PageId>,
     /// Overflow pages currently in use (for space accounting).
     overflow_pages: usize,
@@ -96,30 +97,59 @@ pub struct LinearHashIndex {
 impl LinearHashIndex {
     /// Create an empty index, allocating its initial bucket pages.
     pub fn create(pool: Arc<BufferPool>, config: HashIndexConfig) -> StorageResult<Self> {
+        Self::create_reusing(pool, config, Vec::new())
+    }
+
+    /// [`LinearHashIndex::create`] over `reuse`, pages of the disk that
+    /// nothing owns: the first directory chain, the initial buckets and
+    /// every later bucket or overflow page come from them, lowest id
+    /// first, before the disk grows. Their contents are never trusted:
+    /// each is cleared when drawn. An index rebuilt over an existing
+    /// file takes the pages of the one it replaces this way.
+    pub fn create_reusing(
+        pool: Arc<BufferPool>,
+        config: HashIndexConfig,
+        mut reuse: Vec<PageId>,
+    ) -> StorageResult<Self> {
         assert!(
             config.initial_buckets.is_power_of_two(),
             "initial_buckets must be a power of two"
         );
-        let mut buckets = Vec::with_capacity(config.initial_buckets);
-        for _ in 0..config.initial_buckets {
-            let (pid, guard) = pool.new_page()?;
-            BucketViewMut(&mut guard.write()).clear();
-            buckets.push(pid);
-        }
-        Ok(Self {
+        // Descending, so `pop` draws the lowest id.
+        reuse.sort_unstable_by(|a, b| b.cmp(a));
+        // The directory chain's spares: enough pages for a directory that
+        // names every reused page (40 bytes of header, 4 per page), less
+        // a generous chain-page header.
+        let directory = 40 + 4 * reuse.len();
+        let chain_pages = if reuse.is_empty() {
+            0
+        } else {
+            let per_page = pool.page_size().saturating_sub(16).max(1);
+            directory.div_ceil(per_page).min(reuse.len())
+        };
+        let chain = reuse.split_off(reuse.len() - chain_pages);
+        let index = Self {
             pool,
             config,
             state: Mutex::new(State {
-                buckets,
+                buckets: Vec::with_capacity(config.initial_buckets),
                 level: 0,
                 next: 0,
                 entries: 0,
                 initial: config.initial_buckets,
-                free_pages: Vec::new(),
+                free_pages: reuse,
                 overflow_pages: 0,
-                chain: Vec::new(),
+                chain,
             }),
-        })
+        };
+        {
+            let mut state = index.state.lock();
+            for _ in 0..config.initial_buckets {
+                let (pid, _page) = index.alloc_bucket_page(&mut state)?;
+                state.buckets.push(pid);
+            }
+        }
+        Ok(index)
     }
 
     /// Number of entries.
@@ -1068,6 +1098,49 @@ mod tests {
         for k in (0..3_000u64).step_by(97) {
             assert_eq!(idx3.get(k).unwrap(), Some((k * 3) as u32));
         }
+    }
+
+    /// An index created over the pages of the one it replaces, and a few
+    /// blank ones a crashed writer allocated, draws its buckets, overflow
+    /// pages and directory chain from them and grows the disk only once
+    /// they are used up.
+    #[test]
+    fn an_index_over_reused_pages_grows_the_disk_only_past_them() {
+        let pool = make_pool(256, 256);
+        let old = LinearHashIndex::create(pool.clone(), HashIndexConfig::default()).unwrap();
+        for k in 0..3_000u64 {
+            old.insert(k, k as u32).unwrap();
+        }
+        old.persist().unwrap();
+        drop(old);
+        for _ in 0..8 {
+            pool.new_page().unwrap();
+        }
+        let pages = pool.disk().num_pages();
+        let idx = LinearHashIndex::create_reusing(
+            pool.clone(),
+            HashIndexConfig::default(),
+            (0..pages).collect(),
+        )
+        .unwrap();
+        for k in 0..3_000u64 {
+            idx.insert(k, (k * 7) as u32).unwrap();
+        }
+        let head = idx.persist().unwrap();
+        assert_eq!(
+            pool.disk().num_pages(),
+            pages,
+            "no page past the reused ones"
+        );
+        pool.flush_all().unwrap();
+        let idx = LinearHashIndex::load(pool.clone(), HashIndexConfig::default(), head).unwrap();
+        for k in 0..3_000u64 {
+            assert_eq!(idx.get(k).unwrap(), Some((k * 7) as u32));
+        }
+        for k in 3_000..6_000u64 {
+            idx.insert(k, k as u32).unwrap();
+        }
+        assert!(pool.disk().num_pages() > pages, "then the disk grows");
     }
 
     /// The directory payload of a 300-key index, as `persist` writes it.

@@ -4,7 +4,7 @@
 use crate::coalescer::{ApplyError, Coalescer, CoalescerConfig, DedupTable, WriteAck};
 use crate::protocol::StrategyKind;
 use bur_core::{Bur, CoreError, IndexBuilder, Op};
-use bur_shard::{ShardError, ShardOptions, ShardedBur};
+use bur_shard::{ShardError, ShardedBur};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -392,8 +392,7 @@ impl IndexRegistry {
                 .build()?;
             burs.push(bur);
         }
-        let sharded =
-            ShardedBur::with_manifest(burs, ShardOptions::default(), self.manifest_for(name))?;
+        let sharded = ShardedBur::with_manifest(burs, self.manifest_for(name))?;
         entries.insert(
             name.to_string(),
             Entry::Sharded(self.sharded_entry(name, sharded)),
@@ -448,7 +447,7 @@ impl IndexRegistry {
                 }
                 burs.push(IndexBuilder::new().file(&file).open().build()?);
             }
-            let sharded = ShardedBur::with_manifest(burs, ShardOptions::default(), manifest)?;
+            let sharded = ShardedBur::with_manifest(burs, manifest)?;
             Entry::Sharded(self.sharded_entry(name, sharded))
         } else {
             let file = self.file_for(name);

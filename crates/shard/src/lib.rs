@@ -32,12 +32,12 @@
 //! ```
 //! use bur_core::{Batch, IndexBuilder};
 //! use bur_geom::{Point, Rect};
-//! use bur_shard::{ShardOptions, ShardedBur};
+//! use bur_shard::ShardedBur;
 //!
 //! let shards = (0..4)
 //!     .map(|_| IndexBuilder::generalized().build().unwrap())
 //!     .collect();
-//! let sharded = ShardedBur::from_shards(shards, ShardOptions::default()).unwrap();
+//! let sharded = ShardedBur::from_shards(shards).unwrap();
 //!
 //! let mut batch = Batch::new();
 //! for i in 0..100u64 {
@@ -63,7 +63,7 @@ pub use manifest::{key_space_for, load as load_manifest, store as store_manifest
 pub use router::{Migration, RangeMap, Segment};
 pub use sharded::{
     AggregateTicket, MergedNeighbors, MigrationReport, RoutedWrite, ScatterQuery, ShardLoad,
-    ShardOptions, ShardStats, ShardedBur, DEFAULT_ORDER, DEFAULT_SCATTER_BUDGET,
+    ShardStats, ShardedBur, DEFAULT_ORDER, DEFAULT_SCATTER_BUDGET,
 };
 
 use bur_core::CoreError;

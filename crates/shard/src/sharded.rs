@@ -20,12 +20,15 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Default Hilbert curve order for routing keys (`4^16` cells — fine
-/// enough that a shard boundary splits any realistic hotspot).
+/// Hilbert curve order for the routing keys of a new sharded index
+/// (`4^16` cells — fine enough that a shard boundary splits any
+/// realistic hotspot). A manifest records the order it was written with,
+/// and a reopen keeps it.
 pub const DEFAULT_ORDER: u32 = 16;
 
-/// Default budget for window-query range decomposition: more ranges =
-/// tighter scatter sets but more routing work per query.
+/// Window-query range decomposition budget of a new sharded index: more
+/// ranges = tighter scatter sets but more routing work per query. A
+/// manifest records it like [`DEFAULT_ORDER`].
 pub const DEFAULT_SCATTER_BUDGET: usize = 16;
 
 /// Ops per group-commit batch while migrating a key range.
@@ -34,24 +37,6 @@ const MIGRATE_CHUNK: usize = 1024;
 /// Back-off while a write waits for a migration to release its range,
 /// and while a migration drains pre-flip readers.
 const FREEZE_BACKOFF: Duration = Duration::from_micros(200);
-
-/// Construction knobs for a [`ShardedBur`].
-#[derive(Debug, Clone, Copy)]
-pub struct ShardOptions {
-    /// Hilbert curve order for routing keys.
-    pub order: u32,
-    /// Window-query decomposition budget.
-    pub scatter_budget: usize,
-}
-
-impl Default for ShardOptions {
-    fn default() -> Self {
-        Self {
-            order: DEFAULT_ORDER,
-            scatter_budget: DEFAULT_SCATTER_BUDGET,
-        }
-    }
-}
 
 /// Routing state guarded by the map lock. Mutations (slack growth,
 /// migration phases) happen under the write lock; routing, scatter
@@ -454,36 +439,26 @@ impl ShardedBur {
     /// Assemble a sharded index over pre-built shards with an even
     /// initial key split and no on-disk manifest (routing state lives
     /// in memory only — fine for volatile indexes and tests).
-    pub fn from_shards(shards: Vec<Bur>, opts: ShardOptions) -> ShardResult<Self> {
-        Self::assemble(shards, opts, None)
+    pub fn from_shards(shards: Vec<Bur>) -> ShardResult<Self> {
+        Self::assemble(shards, None)
     }
 
     /// Assemble a sharded index whose routing state is persisted in the
-    /// manifest file at `path`. If the manifest exists it wins over
-    /// `opts` (order, budget, segment map, slack) and any interrupted
+    /// manifest file at `path`. If the manifest exists, its order,
+    /// budget, segment map and slack are used, and any interrupted
     /// migration it records is first rolled back or forward so the
     /// index observes the all-or-nothing rebalance contract; otherwise
     /// a fresh even split is written there.
-    pub fn with_manifest(shards: Vec<Bur>, opts: ShardOptions, path: PathBuf) -> ShardResult<Self> {
-        Self::assemble(shards, opts, Some(path))
+    pub fn with_manifest(shards: Vec<Bur>, path: PathBuf) -> ShardResult<Self> {
+        Self::assemble(shards, Some(path))
     }
 
-    fn assemble(
-        shards: Vec<Bur>,
-        opts: ShardOptions,
-        manifest_path: Option<PathBuf>,
-    ) -> ShardResult<Self> {
+    fn assemble(shards: Vec<Bur>, manifest_path: Option<PathBuf>) -> ShardResult<Self> {
         if shards.is_empty() {
             return Err(ShardError::Config("a sharded index needs ≥ 1 shard".into()));
         }
         if u32::try_from(shards.len()).is_err() {
             return Err(ShardError::Config("too many shards".into()));
-        }
-        if opts.order == 0 || opts.order > 31 {
-            return Err(ShardError::Config(format!(
-                "routing order {} outside 1..=31",
-                opts.order
-            )));
         }
         let count = shards.len() as u32;
         let existing = match &manifest_path {
@@ -502,10 +477,10 @@ impl ShardedBur {
                 (m.order, m.budget, m.slack, map, m.epoch, m.migration)
             }
             None => (
-                opts.order,
-                opts.scatter_budget.max(1),
+                DEFAULT_ORDER,
+                DEFAULT_SCATTER_BUDGET,
                 (0.0, 0.0),
-                RangeMap::even(count, key_space_for(opts.order)),
+                RangeMap::even(count, key_space_for(DEFAULT_ORDER)),
                 0,
                 None,
             ),

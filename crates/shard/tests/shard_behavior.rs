@@ -3,7 +3,7 @@
 
 use bur_core::{Batch, Bur, IndexBuilder};
 use bur_geom::{Point, Rect};
-use bur_shard::{ShardOptions, ShardedBur};
+use bur_shard::ShardedBur;
 use std::path::PathBuf;
 
 fn mem_shards(n: usize) -> Vec<Bur> {
@@ -13,7 +13,7 @@ fn mem_shards(n: usize) -> Vec<Bur> {
 }
 
 fn sharded(n: usize) -> ShardedBur {
-    ShardedBur::from_shards(mem_shards(n), ShardOptions::default()).unwrap()
+    ShardedBur::from_shards(mem_shards(n)).unwrap()
 }
 
 /// Deterministic point in the unit square for object `i`.
@@ -234,12 +234,7 @@ fn manifest_persists_routing_across_reopen() {
     let dir = TempDir::new("manifest-reopen");
     let manifest = dir.file("idx.shardmap");
     {
-        let s = ShardedBur::with_manifest(
-            durable_shards(&dir, 2),
-            ShardOptions::default(),
-            manifest.clone(),
-        )
-        .unwrap();
+        let s = ShardedBur::with_manifest(durable_shards(&dir, 2), manifest.clone()).unwrap();
         let mut batch = Batch::new();
         for i in 0..300 {
             batch.insert(i, pos(i));
@@ -250,8 +245,7 @@ fn manifest_persists_routing_across_reopen() {
         s.persist().unwrap();
     }
     // Reopen: the migrated map must come back from the manifest.
-    let s = ShardedBur::with_manifest(durable_shards(&dir, 2), ShardOptions::default(), manifest)
-        .unwrap();
+    let s = ShardedBur::with_manifest(durable_shards(&dir, 2), manifest).unwrap();
     assert_eq!(s.len(), 300);
     assert!(s
         .segments()
@@ -268,12 +262,7 @@ fn interrupted_migration_rolls_back_on_reopen() {
     let manifest = dir.file("idx.shardmap");
     let quarter;
     {
-        let s = ShardedBur::with_manifest(
-            durable_shards(&dir, 2),
-            ShardOptions::default(),
-            manifest.clone(),
-        )
-        .unwrap();
+        let s = ShardedBur::with_manifest(durable_shards(&dir, 2), manifest.clone()).unwrap();
         let mut batch = Batch::new();
         for i in 0..300 {
             batch.insert(i, pos(i));
@@ -305,12 +294,7 @@ fn interrupted_migration_rolls_back_on_reopen() {
     }
     // Reopen: intent without commit rolls back — the partial copies
     // vanish, the map still names shard 0, nothing is lost.
-    let s = ShardedBur::with_manifest(
-        durable_shards(&dir, 2),
-        ShardOptions::default(),
-        manifest.clone(),
-    )
-    .unwrap();
+    let s = ShardedBur::with_manifest(durable_shards(&dir, 2), manifest.clone()).unwrap();
     assert!(bur_shard::load_manifest(&manifest)
         .unwrap()
         .migration
@@ -328,12 +312,7 @@ fn committed_migration_rolls_forward_on_reopen() {
     let manifest = dir.file("idx.shardmap");
     let quarter;
     {
-        let s = ShardedBur::with_manifest(
-            durable_shards(&dir, 2),
-            ShardOptions::default(),
-            manifest.clone(),
-        )
-        .unwrap();
+        let s = ShardedBur::with_manifest(durable_shards(&dir, 2), manifest.clone()).unwrap();
         let mut batch = Batch::new();
         for i in 0..300 {
             batch.insert(i, pos(i));
@@ -380,12 +359,7 @@ fn committed_migration_rolls_forward_on_reopen() {
     }
     // Reopen: commit present rolls forward — source copies deleted,
     // the new map stands, every object found exactly once.
-    let s = ShardedBur::with_manifest(
-        durable_shards(&dir, 2),
-        ShardOptions::default(),
-        manifest.clone(),
-    )
-    .unwrap();
+    let s = ShardedBur::with_manifest(durable_shards(&dir, 2), manifest.clone()).unwrap();
     assert!(bur_shard::load_manifest(&manifest)
         .unwrap()
         .migration

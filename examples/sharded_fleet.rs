@@ -14,7 +14,7 @@
 
 use bur::core::{Batch, IndexBuilder};
 use bur::geom::{Point, Rect};
-use bur::shard::{key_space_for, ShardOptions, ShardedBur};
+use bur::shard::{key_space_for, ShardedBur};
 
 const SHARDS: usize = 4;
 const FLEET: u64 = 30_000;
@@ -51,7 +51,7 @@ fn main() {
     let shards = (0..SHARDS)
         .map(|_| IndexBuilder::generalized().build().unwrap())
         .collect();
-    let fleet = ShardedBur::from_shards(shards, ShardOptions::default()).unwrap();
+    let fleet = ShardedBur::from_shards(shards).unwrap();
 
     // The city fleet spreads evenly over town...
     let mut batch = Batch::with_capacity(FLEET as usize);

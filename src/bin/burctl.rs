@@ -816,8 +816,7 @@ fn open_sharded(dir: &str, name: &str) -> Result<bur::shard::ShardedBur, String>
                 .map_err(|e| format!("cannot open {}: {e}", file.display()))?,
         );
     }
-    bur::shard::ShardedBur::with_manifest(burs, bur::shard::ShardOptions::default(), manifest)
-        .map_err(|e| e.to_string())
+    bur::shard::ShardedBur::with_manifest(burs, manifest).map_err(|e| e.to_string())
 }
 
 fn shard_create(rest: &[String]) -> Result<(), String> {

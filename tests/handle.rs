@@ -507,3 +507,31 @@ fn builder_file_roundtrip_through_bur() {
     assert!(bur.recovery_report().is_none(), "clean non-durable open");
     bur.validate().unwrap();
 }
+
+/// Opening a durable file redoes its log, and the handle reports what
+/// the redo did, as a recover-mode build does.
+#[test]
+fn open_of_a_crashed_durable_file_reports_its_replay() {
+    let dir = common::TempDir::new("handle");
+    let path = dir.file("bur.idx");
+    {
+        let bur = IndexBuilder::generalized()
+            .durable()
+            .file(&path)
+            .build()
+            .unwrap();
+        for oid in 0..5u64 {
+            bur.insert(oid, Point::new(oid as f32 / 5.0, 0.5)).unwrap();
+        }
+        // Crash: the handle goes without a checkpoint.
+    }
+    let bur = IndexBuilder::generalized()
+        .file(&path)
+        .open()
+        .build()
+        .unwrap();
+    assert_eq!(bur.len(), 5);
+    let report = bur.recovery_report().expect("the open redid the log");
+    assert_eq!(report.commits, 5, "{report:?}");
+    bur.validate().unwrap();
+}

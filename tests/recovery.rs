@@ -1369,3 +1369,96 @@ fn a_log_read_that_fails_in_the_second_pass_loses_nothing() {
     let (index, _) = recover_on(data, log, opts).unwrap();
     assert_holds(&index, &positions);
 }
+
+/// A recovery that rebuilds the hash index builds it in the pages no one
+/// owns: the hash it replaces, and pages a crashed batch allocated. Ten
+/// cycles of recovery, one batch and a crash leave the file the size the
+/// first cycle left it, within what one cycle allocates; rebuilding into
+/// fresh pages instead grew it by a whole hash (369 pages here) a cycle.
+#[test]
+fn crash_cycles_rebuild_the_hash_in_pages_nobody_owns() {
+    let opts = IndexOptions::durable();
+    let (data, log) = (Arc::new(MemDisk::new(PAGE)), Arc::new(MemDisk::new(PAGE)));
+    let mut rng = StdRng::seed_from_u64(19);
+    let mut positions: Vec<Point> = (0..20_000)
+        .map(|_| Point::new(rng.random_range(0.0f32..1.0), rng.random_range(0.0f32..1.0)))
+        .collect();
+    let items: Vec<(u64, Point)> = (0..).zip(positions.iter().copied()).collect();
+    // The bulk load ends with a checkpoint.
+    drop(RTreeIndex::bulk_load_on(data.clone(), Some(log.clone()), opts, &items).unwrap());
+
+    let (mut pages, mut allocated) = (Vec::new(), 0);
+    for cycle in 0..10 {
+        let (mut index, _) = recover_on(data.clone(), log.clone(), opts).unwrap();
+        let mut batch = Batch::new();
+        for _ in 0..10 {
+            let oid = rng.random_range(0..positions.len());
+            let old = positions[oid];
+            let new = Point::new(
+                (old.x + rng.random_range(-0.01f32..0.01)).clamp(0.0, 1.0),
+                (old.y + rng.random_range(-0.01f32..0.01)).clamp(0.0, 1.0),
+            );
+            batch.update(oid as u64, old, new);
+            positions[oid] = new;
+        }
+        index.apply_batch(&batch).unwrap();
+        allocated = allocated.max(index.io_stats().snapshot().allocations);
+        // Crash: nothing is flushed after the commit's log sync.
+        drop(index);
+        pages.push(u64::from(data.num_pages()));
+        println!("cycle {cycle}: {} pages", data.num_pages());
+    }
+    assert!(
+        pages[9] - pages[0] <= allocated,
+        "the file grew {} pages over nine cycles, one allocates at most {allocated}: {pages:?}",
+        pages[9] - pages[0]
+    );
+    let (index, _) = recover_on(data, log, opts).unwrap();
+    assert_holds(&index, &positions);
+}
+
+/// The pages on the tree's free list are the tree's: a recovery that
+/// rebuilds the hash index leaves them out of it, and the inserts after
+/// the recovery take them back for tree nodes without clobbering a hash
+/// bucket.
+#[test]
+fn a_rebuilt_hash_leaves_the_tree_its_free_pages() {
+    let opts = IndexOptions::durable();
+    let (data, log) = (Arc::new(MemDisk::new(PAGE)), Arc::new(MemDisk::new(PAGE)));
+    let mut index = IndexBuilder::with_options(opts)
+        .disk(data.clone())
+        .log_disk(log.clone())
+        .build_index()
+        .unwrap();
+    let mut rng = StdRng::seed_from_u64(29);
+    let mut live: HashMap<u64, Point> = HashMap::new();
+    let mut batch = Batch::new();
+    for oid in 0..3_000u64 {
+        let p = Point::new(rng.random_range(0.0..1.0), rng.random_range(0.0..1.0));
+        batch.insert(oid, p);
+        live.insert(oid, p);
+    }
+    index.apply_batch(&batch).unwrap();
+    // Deleting two objects in three dissolves leaves onto the free list.
+    let mut batch = Batch::new();
+    for oid in (0..3_000u64).filter(|oid| oid % 3 != 0) {
+        batch.delete(oid, live.remove(&oid).unwrap());
+    }
+    index.apply_batch(&batch).unwrap();
+    assert!(
+        index.op_stats().snapshot().condenses > 0,
+        "no node was freed"
+    );
+    drop(index); // crash after the commits: recovery rebuilds the hash
+
+    let (mut index, _) = recover_on(data, log, opts).unwrap();
+    let mut batch = Batch::new();
+    for oid in 3_000..6_000u64 {
+        let p = Point::new(rng.random_range(0.0..1.0), rng.random_range(0.0..1.0));
+        batch.insert(oid, p);
+        live.insert(oid, p);
+    }
+    index.apply_batch(&batch).unwrap();
+    assert!(holds_exactly(&index, &live));
+    index.validate().unwrap();
+}

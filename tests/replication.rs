@@ -557,3 +557,51 @@ fn file_to_file_replication_round_trip() {
         ids_in(&reopened, &Rect::new(0.0, 0.0, 0.6, 0.6)),
     );
 }
+
+/// A promote whose snapshot came from a commit record names no hash
+/// directory, so the promoted index rebuilds its hash. It builds it in
+/// the pages no one owns — among them the primary's hash, copied with
+/// the base image — and the follower's file grows by a page or two of
+/// chains at most, not by a whole hash.
+#[test]
+fn a_promote_rebuilds_the_hash_in_pages_nobody_owns() {
+    let opts = durable(IndexOptions::generalized(), 1_000_000);
+    let (primary, data, log) = primary_on_memory(opts);
+    let mut rng = StdRng::seed_from_u64(0x19);
+    let mut batch = Batch::new();
+    let mut positions = Vec::new();
+    for oid in 0..3_000u64 {
+        let p = Point::new(rng.random_range(0.0..1.0), rng.random_range(0.0..1.0));
+        batch.insert(oid, p);
+        positions.push(p);
+    }
+    primary.apply(&batch).unwrap().wait().unwrap();
+    primary.checkpoint().unwrap();
+    // Updates after the checkpoint: the follower's snapshot comes from
+    // their commit record.
+    for oid in 0..20u64 {
+        let old = positions[oid as usize];
+        let new = Point::new((old.x + 0.01).min(1.0), old.y);
+        primary.update(oid, old, new).unwrap();
+        positions[oid as usize] = new;
+    }
+    let mut shipper = LogShipper::new(data, log);
+    let (replica, replica_log) = (Arc::new(MemDisk::new(PAGE)), Arc::new(MemDisk::new(PAGE)));
+    let mut follower =
+        Follower::attach(&mut shipper, replica.clone(), Some(replica_log), opts).unwrap();
+    follower.catch_up(&mut shipper).unwrap();
+    let before = replica.num_pages();
+    let promoted = follower.promote().unwrap();
+    let grown = replica.num_pages() - before;
+    assert!(
+        grown <= 2,
+        "the promote grew the file {grown} pages ({before} -> {}), hash: {} pages",
+        replica.num_pages(),
+        promoted.with_index(RTreeIndex::hash_pages)
+    );
+    promoted.validate().unwrap();
+    for (oid, p) in positions.iter().enumerate() {
+        let hits: Vec<u64> = promoted.query(&Rect::from_point(*p)).unwrap().collect();
+        assert!(hits.contains(&(oid as u64)), "object {oid} lost");
+    }
+}

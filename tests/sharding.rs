@@ -23,7 +23,7 @@ use bur::client::BurClient;
 use bur::core::{Batch, Bur, IndexBuilder};
 use bur::geom::{Point, Rect};
 use bur::serve::{start, ServerConfig};
-use bur::shard::{self, ShardOptions, ShardedBur};
+use bur::shard::{self, ShardedBur};
 use bur::storage::{FaultKind, FaultyDisk, MemDisk};
 use common::TempDir;
 use proptest::prelude::*;
@@ -45,7 +45,7 @@ fn sharded(n: usize) -> ShardedBur {
     let shards = (0..n)
         .map(|_| IndexBuilder::generalized().build().unwrap())
         .collect();
-    ShardedBur::from_shards(shards, ShardOptions::default()).unwrap()
+    ShardedBur::from_shards(shards).unwrap()
 }
 
 fn rand_point(rng: &mut StdRng) -> Point {
@@ -254,8 +254,7 @@ fn mid_migration_power_cut_loses_no_acked_writes() {
                         .unwrap()
                 })
                 .collect();
-            let s =
-                ShardedBur::with_manifest(burs, ShardOptions::default(), manifest.clone()).unwrap();
+            let s = ShardedBur::with_manifest(burs, manifest.clone()).unwrap();
             let mut batch = Batch::new();
             for i in 0..N {
                 batch.insert(i, pos(i));
@@ -287,7 +286,7 @@ fn mid_migration_power_cut_loses_no_acked_writes() {
                 b
             })
             .collect();
-        let s = ShardedBur::with_manifest(burs, ShardOptions::default(), manifest.clone()).unwrap();
+        let s = ShardedBur::with_manifest(burs, manifest.clone()).unwrap();
         assert!(
             shard::load_manifest(&manifest).unwrap().migration.is_none(),
             "cut at {cut_after}: reopen left a migration record behind"
