@@ -2,8 +2,9 @@
 //! written once for both write paths. A move climbs until a rung
 //! settles it:
 //!
-//! 1. GBU, leaf not the root: a target outside the summary's root MBR
-//!    is a top-down update. No page is read.
+//! 1. GBU, leaf not the root: a target outside the root's MBR, as the
+//!    root's entry in the summary table holds it, is a top-down update.
+//!    No page is read.
 //! 2. The leaf is the root, or its tight MBR covers the target: in
 //!    place. The parent is not read.
 //! 3. The official rect (the leaf's entry in its parent) covers it: in
@@ -66,7 +67,8 @@ pub(crate) fn step<R: Reads>(
     let strategy = tree.opts.strategy;
     if let (UpdateStrategy::Generalized(_), false) = (strategy, is_root) {
         let summary = tree.summary.as_ref().expect("GBU requires the summary");
-        if !summary.root_mbr().contains_point(&new) {
+        let root = summary.entry(tree.root);
+        if !root.is_some_and(|e| e.mbr.contains_point(&new)) {
             return Ok(Rung::TopDown);
         }
     }

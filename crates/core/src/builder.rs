@@ -44,8 +44,8 @@ pub enum OpenMode {
     /// Recover a durable index after a crash: [`OpenMode::Open`] for an
     /// index that must have a log — replay it up to the last durable
     /// commit, rebuild in-memory state, and checkpoint. The
-    /// [`RecoveryReport`] is available from
-    /// [`IndexBuilder::build_with_report`] / [`Bur::recovery_report`].
+    /// [`RecoveryReport`] is available from [`Bur::recovery_report`] /
+    /// [`IndexBuilder::build_index_with_report`].
     Recover,
 }
 
@@ -228,13 +228,6 @@ impl IndexBuilder {
         Ok(Bur::from_index_with_report(index, report))
     }
 
-    /// Build a [`Bur`] handle and return the recovery report alongside
-    /// (`None` unless the build actually replayed a log).
-    pub fn build_with_report(self) -> CoreResult<(Bur, Option<RecoveryReport>)> {
-        let (index, report) = self.build_index_with_report()?;
-        Ok((Bur::from_index_with_report(index, report), report))
-    }
-
     /// Build a raw single-threaded [`RTreeIndex`] (benches, CLI tools,
     /// anything that wants `&mut` access without a lock).
     pub fn build_index(self) -> CoreResult<RTreeIndex> {
@@ -256,6 +249,7 @@ impl IndexBuilder {
             ));
         }
         let durable = matches!(opts.durability, Durability::Wal(_));
+        let mut stored = None;
         let disk: Arc<dyn DiskBackend> = match backend {
             Backend::Memory => {
                 if !matches!(mode, OpenMode::Create) {
@@ -296,6 +290,7 @@ impl IndexBuilder {
             Backend::File(path) => {
                 let files = IndexFiles::open(&path, opts.page_size)?;
                 log_disk = files.sidecar;
+                stored = Some(files.stored);
                 files.data
             }
             Backend::Disk(disk) => disk,
@@ -304,7 +299,7 @@ impl IndexBuilder {
             OpenMode::Create => Ok((RTreeIndex::create_on_inner(disk, log_disk, opts)?, None)),
             // Recovery presupposes a log; open finds out from the file.
             OpenMode::Open | OpenMode::Recover => {
-                RTreeIndex::open_on_inner(disk, log_disk, opts, mode == OpenMode::Recover)
+                RTreeIndex::open_on_inner(disk, log_disk, opts, mode == OpenMode::Recover, stored)
             }
         }
     }

@@ -183,14 +183,8 @@ impl RTree {
             s.remove_leaf(old_root);
         }
         self.root = new_root;
-        let (level, mbr) = self.with_page(new_root, |data| {
-            let node = NodeView::new(new_root, data)?;
-            Ok((node.level(), node.mbr()))
-        })?;
+        let level = self.with_page(new_root, |data| Ok(NodeView::new(new_root, data)?.level()))?;
         self.height = level + 1;
-        if let Some(s) = &mut self.summary {
-            s.set_root_mbr(mbr);
-        }
         Ok(())
     }
 }

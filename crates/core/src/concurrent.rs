@@ -33,9 +33,12 @@
 //!    the batch from op 0.
 //! 2. **Execute** ([`SharedPass::execute`]): write the planned rects
 //!    through the pins the plan took — parent entry first, then the
-//!    leaf's entries ("grow before move"), each under its page write latch —
-//!    then, for a root-leaf shadow, publish the seqlock root MBR. Pins
-//!    are held from plan to commit; latches never are.
+//!    leaf's entries ("grow before move"), each under its page write
+//!    latch. Pins are held from plan to commit; latches never are. The
+//!    execute writes pages only: it changes no internal node's MBR (an
+//!    extension stays inside its parent's MBR), and the summary keeps no
+//!    copy of a leaf's MBR, a root leaf's included, so no main-memory
+//!    state of the tree needs refreshing.
 //!
 //! Because nothing is written until every op has a feasible plan, the
 //! one-group-commit-record-per-batch contract survives escalation
@@ -55,7 +58,6 @@ use crate::index::RTreeIndex;
 use crate::node::{InternalMut, InternalView, LeafMut, LeafView, ObjectId};
 use crate::pins::{NodePin, PinSet};
 use crate::stats::{OpStats, UpdateOutcome};
-use crate::tree::RTree;
 use bur_geom::{Point, Rect};
 use bur_storage::{BufferPool, PageId, PageRef};
 use std::collections::HashMap;
@@ -102,9 +104,8 @@ struct LeafShadow<'p> {
     /// for the root leaf, which has no parent).
     parent: Option<ParentShadow>,
     /// The root leaf of a height-1 tree: no parent entry, no official
-    /// rect — the root MBR simply follows the content and is published
-    /// at execute time through the summary seqlock (the leaf's claim
-    /// makes it the single writer the seqlock needs).
+    /// rect, and no root-MBR check — every update plans in place and
+    /// the leaf's MBR follows its content.
     is_root: bool,
     /// Ops planned onto this leaf, and the batch position of the first.
     ops: u64,
@@ -378,20 +379,15 @@ impl<'i, 'p> SharedPass<'i, 'p> {
     /// move"): a crash or a concurrent query between the two writes
     /// observes only benign slack — a parent entry rect covering
     /// strictly more than the leaf content — never an object outside its
-    /// official MBR. A root leaf's seqlock root MBR is published after
-    /// the leaf write: it is main-memory state rebuilt on recovery, so
-    /// crash ordering does not apply, and the leaf claim makes the
-    /// publish single-writer.
+    /// official MBR.
     pub(crate) fn execute<'s>(&'s self, written: &mut Vec<&'s PageRef<'p>>) -> Executed {
-        let tree = &self.index.tree;
-        write_shadows(tree, &self.parents, &self.shadows, &self.moves, written)
+        write_shadows(&self.parents, &self.shadows, &self.moves, written)
     }
 }
 
 /// [`SharedPass::execute`] over `shadows`, whose parent pins are
 /// `parents` and whose planned rects are `moves`.
 fn write_shadows<'s, 'p>(
-    tree: &RTree,
     parents: &'s [PageRef<'p>],
     shadows: &'s [LeafShadow<'p>],
     moves: &[Move],
@@ -402,31 +398,23 @@ fn write_shadows<'s, 'p>(
         failed: None,
     };
     for shadow in shadows {
-        let mbr = match write_shadow(parents, shadow, moves, written) {
-            Ok(mbr) => mbr,
-            Err(e) => {
-                done.failed = Some((shadow.first_pos, e));
-                break;
-            }
-        };
-        done.ops += shadow.ops;
-        if shadow.is_root {
-            if let Some(s) = &tree.summary {
-                s.publish_root_mbr(mbr);
-            }
+        if let Err(e) = write_shadow(parents, shadow, moves, written) {
+            done.failed = Some((shadow.first_pos, e));
+            break;
         }
+        done.ops += shadow.ops;
     }
     done
 }
 
 /// Parent entry first, then the leaf's planned entries, each through its
-/// pin. Returns the leaf's new MBR.
+/// pin.
 fn write_shadow<'s, 'p>(
     parents: &'s [PageRef<'p>],
     shadow: &'s LeafShadow<'p>,
     moves: &[Move],
     written: &mut Vec<&'s PageRef<'p>>,
-) -> CoreResult<Rect> {
+) -> CoreResult<()> {
     if let Some(parent) = shadow.parent.as_ref().filter(|p| p.official != p.stored) {
         let page = &parents[parent.page];
         let mut node = InternalMut::new(page.pid(), page.write())?;
@@ -439,14 +427,9 @@ fn write_shadow<'s, 'p>(
     for m in chain(moves, shadow.last_move) {
         leaf.set_rect(m.idx, m.rect);
     }
-    let mbr = if shadow.is_root {
-        leaf.view().mbr()
-    } else {
-        Rect::EMPTY
-    };
     drop(leaf);
     written.push(&shadow.page);
-    Ok(mbr)
+    Ok(())
 }
 
 /// Count planned update outcomes in `report` and in the op stats.
@@ -492,9 +475,9 @@ impl<'p> Planned<'p> {
     /// the ones it read. On an error (a page whose header no longer
     /// checks) the shadows written so far stay touched for the next
     /// commit.
-    pub(crate) fn write(self, tree: &RTree, ops: &mut PinSet<'p>) -> CoreResult<()> {
+    pub(crate) fn write(self, ops: &mut PinSet<'p>) -> CoreResult<()> {
         let (shadows, opened): (Vec<_>, Vec<_>) = self.shadows.into_iter().partition(|s| s.ops > 0);
-        let done = write_shadows(tree, &self.parents, &shadows, &self.moves, &mut Vec::new());
+        let done = write_shadows(&self.parents, &shadows, &self.moves, &mut Vec::new());
         if let Some((op_index, source)) = done.failed {
             return Err(CoreError::Batch {
                 op_index,

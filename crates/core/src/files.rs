@@ -26,15 +26,17 @@ pub fn log_path(path: &Path) -> PathBuf {
     PathBuf::from(name)
 }
 
+/// What [`stored_snapshot`] read: the snapshot, its old-layout flag and
+/// the chain's continuation pages, or why page 0 holds none.
+pub(crate) type Stored = CoreResult<((MetaSnapshot, bool), Vec<PageId>)>;
+
 /// The metadata snapshot stored in the chain headed at page 0, with
 /// [`MetaSnapshot::decode`]'s old-layout flag, and the continuation pages
 /// it occupies — an error when the chain does not hold a genuine
 /// snapshot. Walked defensively: a crash inside a chain rewrite can leave
 /// torn links, so the pages are only trusted when the walked payload
 /// round-trips.
-pub(crate) fn stored_snapshot(
-    pool: &BufferPool,
-) -> CoreResult<((MetaSnapshot, bool), Vec<PageId>)> {
+pub(crate) fn stored_snapshot(pool: &BufferPool) -> Stored {
     let (payload, pages) = read_meta_chain(pool)?;
     Ok((MetaSnapshot::decode(&payload)?, pages))
 }
@@ -51,6 +53,9 @@ pub struct IndexFiles {
     pub data: Arc<dyn DiskBackend>,
     /// The `.wal` sidecar of a durable file; `None` for a volatile one.
     pub sidecar: Option<Arc<dyn DiskBackend>>,
+    /// Page 0's chain as the open read it, so opening the index does
+    /// not decode it again.
+    pub(crate) stored: Stored,
 }
 
 impl IndexFiles {
@@ -62,19 +67,19 @@ impl IndexFiles {
     pub fn open(path: &Path, page_size: usize) -> CoreResult<Self> {
         let data = open_file(path, page_size)?;
         let sidecar_path = log_path(path);
-        let probe = BufferPool::new(data.clone(), PoolConfig::default());
-        let durable = match stored_snapshot(&probe).ok() {
-            Some(((_, true), _)) => return Err(in_file_log(path)),
-            Some(((snap, false), _)) => snap.wal_anchor != INVALID_PAGE,
+        let stored = stored_snapshot(&BufferPool::new(data.clone(), PoolConfig::default()));
+        let durable = match &stored {
+            Ok(((_, true), _)) => return Err(in_file_log(path)),
+            Ok(((snap, false), _)) => snap.wal_anchor != INVALID_PAGE,
             // Page 0 is rewritten in place at every checkpoint; when a
             // crash tore it, the log (which carries the snapshot in every
             // commit record) is the authority: the sidecar, or else a log
             // chained inside the file.
-            None if sidecar_path.exists() => true,
-            None if LogReader::open(data.as_ref(), LEGACY_LOG_ANCHOR)?.is_some() => {
+            Err(_) if sidecar_path.exists() => true,
+            Err(_) if LogReader::open(data.as_ref(), LEGACY_LOG_ANCHOR)?.is_some() => {
                 return Err(in_file_log(path))
             }
-            None => false,
+            Err(_) => false,
         };
         let sidecar = if durable {
             if !sidecar_path.exists() {
@@ -88,7 +93,11 @@ impl IndexFiles {
         } else {
             None
         };
-        Ok(Self { data, sidecar })
+        Ok(Self {
+            data,
+            sidecar,
+            stored,
+        })
     }
 }
 
@@ -271,7 +280,7 @@ mod tests {
                 let index = if old {
                     upgrade_on(data, false, opts, fresh).unwrap().0
                 } else {
-                    RTreeIndex::open_on_inner(data, Some(log), opts, true)
+                    RTreeIndex::open_on_inner(data, Some(log), opts, true, None)
                         .unwrap_or_else(|e| panic!("torn {torn}, cut at write {cut}: {e}"))
                         .0
                 };

@@ -5,7 +5,7 @@ use crate::batch::{Batch, BatchReport, Op};
 use crate::concurrent::{tally, Planned};
 use crate::config::{Durability, IndexOptions, UpdateStrategy, WalOptions};
 use crate::error::{CoreError, CoreResult};
-use crate::files::stored_snapshot;
+use crate::files::{stored_snapshot, Stored};
 use crate::knn::{self, Neighbor};
 use crate::meta::{read_meta_chain, MetaSnapshot, LOG_DISK_ANCHOR, META_PAGE};
 use crate::node::{LeafEntry, NodeView, ObjectId};
@@ -177,11 +177,13 @@ impl RTreeIndex {
     /// opening a durable file *without* its log would let unlogged page
     /// writes race a stale log generation. Without a log disk, or with
     /// one that holds no log, this fails with [`CoreError::LogMissing`].
+    /// `stored` is page 0's chain when the caller read it already.
     pub(crate) fn open_on_inner(
         disk: Arc<dyn DiskBackend>,
         log_disk: Option<Arc<dyn DiskBackend>>,
         opts: IndexOptions,
         needs_log: bool,
+        stored: Option<Stored>,
     ) -> CoreResult<(Self, Option<RecoveryReport>)> {
         opts.validate()?;
         check_page_size(disk.as_ref(), &opts)?;
@@ -191,7 +193,7 @@ impl RTreeIndex {
                 capacity: opts.buffer_frames,
             },
         ));
-        let stored = stored_snapshot(&pool);
+        let stored = stored.unwrap_or_else(|| stored_snapshot(&pool));
         let names_log = stored
             .as_ref()
             .is_ok_and(|((snap, _), _)| snap.wal_anchor != INVALID_PAGE);
@@ -282,7 +284,7 @@ impl RTreeIndex {
         let pool = Arc::clone(&self.tree.pool);
         let hash = self.tree.hash.clone();
         let mut ops = PinSet::new(&pool, hash.as_deref(), self.is_durable());
-        planned.write(&self.tree, &mut ops)?;
+        planned.write(&mut ops)?;
         let applied = apply(self, &mut ops)?;
         self.commit(changed(&applied), ops)?;
         Ok(applied)

@@ -12,95 +12,14 @@
 //!
 //! The table is maintained on every internal-node write (MBR change or
 //! split) and costs no disk I/O to consult. It serves three purposes in
-//! GBU: the O(1) root-MBR check, `FindParent` (Algorithm 3) without parent
-//! pointers, and in-memory pruning of internal levels during window
-//! queries.
+//! GBU: the O(1) root-MBR check (a lookup of the root's own entry; a
+//! root leaf has none, and the check skips it), `FindParent`
+//! (Algorithm 3) without parent pointers, and in-memory pruning of
+//! internal levels during window queries. The table is the only copy of
+//! the root MBR the summary keeps.
 
 use bur_geom::{Point, Rect};
 use bur_storage::{PageId, INVALID_PAGE};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
-/// Seqlock over the cached root MBR: the one summary datum the
-/// concurrent write path reads on *every* plan (Algorithm 2's O(1)
-/// root-MBR check).
-///
-/// The four `f32` coordinates pack into two `u64` payload words guarded
-/// by a sequence counter (odd while a writer is mid-publish). Readers
-/// retry until they observe an even, unchanged sequence — so reads are
-/// wait-free for readers in practice and never block on (or are blocked
-/// by) a writer. Writers must be externally serialized: every
-/// `store` happens either under the structure lock's write side or
-/// under the root leaf's claim, which never coexist.
-#[derive(Debug)]
-pub struct RootMbrCell {
-    seq: AtomicU64,
-    lo: AtomicU64,
-    hi: AtomicU64,
-}
-
-fn pack(a: f32, b: f32) -> u64 {
-    (u64::from(a.to_bits()) << 32) | u64::from(b.to_bits())
-}
-
-fn unpack(w: u64) -> (f32, f32) {
-    (f32::from_bits((w >> 32) as u32), f32::from_bits(w as u32))
-}
-
-impl Default for RootMbrCell {
-    fn default() -> Self {
-        Self::new(Rect::EMPTY)
-    }
-}
-
-impl RootMbrCell {
-    /// A cell initialized to `mbr`.
-    #[must_use]
-    pub fn new(mbr: Rect) -> Self {
-        let cell = RootMbrCell {
-            seq: AtomicU64::new(0),
-            lo: AtomicU64::new(0),
-            hi: AtomicU64::new(0),
-        };
-        cell.store(mbr);
-        cell
-    }
-
-    /// Publish a new root MBR. Callers must hold either the structure
-    /// lock's write side or the root leaf's claim (single
-    /// writer); the seqlock only protects readers from torn reads.
-    pub fn store(&self, mbr: Rect) {
-        let s = self.seq.load(Ordering::Relaxed);
-        self.seq.store(s.wrapping_add(1), Ordering::Release);
-        self.lo.store(pack(mbr.min_x, mbr.min_y), Ordering::Release);
-        self.hi.store(pack(mbr.max_x, mbr.max_y), Ordering::Release);
-        self.seq.store(s.wrapping_add(2), Ordering::Release);
-    }
-
-    /// Lock-free snapshot of the root MBR.
-    #[must_use]
-    pub fn load(&self) -> Rect {
-        loop {
-            let s1 = self.seq.load(Ordering::Acquire);
-            if s1 & 1 == 1 {
-                std::hint::spin_loop();
-                continue;
-            }
-            let lo = self.lo.load(Ordering::Acquire);
-            let hi = self.hi.load(Ordering::Acquire);
-            if self.seq.load(Ordering::Acquire) == s1 {
-                let (min_x, min_y) = unpack(lo);
-                let (max_x, max_y) = unpack(hi);
-                return Rect {
-                    min_x,
-                    min_y,
-                    max_x,
-                    max_y,
-                };
-            }
-        }
-    }
-}
 
 /// One direct-access-table entry: a summary of one internal node.
 #[derive(Debug, Clone, PartialEq)]
@@ -166,14 +85,6 @@ pub struct SummaryStructure {
     leaf_full: BitVec,
     /// Bit vector: page id is a live leaf (for maintenance checks).
     leaf_present: BitVec,
-    /// Cached MBR of the root node, behind a seqlock so it can be read
-    /// without any lock and republished through `&self` under the root
-    /// leaf's claim. The paper's table covers internal nodes
-    /// only; caching the root MBR additionally makes the O(1) root check
-    /// of Algorithm 2 work even while the tree is a single leaf. The
-    /// `Arc` lets `Bur` hand out the cell for lock-free snapshots that
-    /// outlive the structure lock.
-    root_mbr: Arc<RootMbrCell>,
 }
 
 impl SummaryStructure {
@@ -181,19 +92,6 @@ impl SummaryStructure {
     #[must_use]
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Drop all state (used when rebuilding from a tree scan). The root
-    /// MBR cell is reset in place, not replaced, so lock-free snapshots
-    /// handed out earlier keep observing the live value.
-    pub fn clear(&mut self) {
-        self.levels.clear();
-        self.pos.clear();
-        self.internal = 0;
-        self.parent_of.clear();
-        self.leaf_full = BitVec::default();
-        self.leaf_present = BitVec::default();
-        self.root_mbr.store(Rect::EMPTY);
     }
 
     // ---- direct access table maintenance --------------------------------
@@ -318,33 +216,6 @@ impl SummaryStructure {
     #[must_use]
     pub fn top_level(&self) -> u16 {
         self.levels.len() as u16
-    }
-
-    // ---- root MBR --------------------------------------------------------
-
-    /// Record the root MBR (tree calls this when the root node changes).
-    pub fn set_root_mbr(&mut self, mbr: Rect) {
-        self.root_mbr.store(mbr);
-    }
-
-    /// Republish the root MBR through `&self` — the concurrent path's
-    /// variant of [`SummaryStructure::set_root_mbr`], legal only under
-    /// the root leaf's claim (which serializes writers).
-    pub fn publish_root_mbr(&self, mbr: Rect) {
-        self.root_mbr.store(mbr);
-    }
-
-    /// O(1) root-MBR check used by Algorithm 2's first step.
-    #[must_use]
-    pub fn root_mbr(&self) -> Rect {
-        self.root_mbr.load()
-    }
-
-    /// Shared handle on the root-MBR seqlock, for snapshots that must
-    /// not take the structure lock (single-op admission, metrics).
-    #[must_use]
-    pub fn root_mbr_cell(&self) -> Arc<RootMbrCell> {
-        Arc::clone(&self.root_mbr)
     }
 
     // ---- leaf bit vector ---------------------------------------------------
@@ -526,7 +397,6 @@ mod tests {
         s.upsert_internal(10, 1, r(0.0, 0.0, 0.5, 1.0), vec![1, 2]);
         s.upsert_internal(11, 1, r(0.5, 0.0, 1.0, 1.0), vec![3, 4]);
         s.upsert_internal(100, 2, r(0.0, 0.0, 1.0, 1.0), vec![10, 11]);
-        s.set_root_mbr(r(0.0, 0.0, 1.0, 1.0));
         for leaf in [1, 2, 3, 4] {
             s.set_leaf(leaf, false);
         }
@@ -613,9 +483,6 @@ mod tests {
         assert_eq!(s.find_parent_at(2, 1), Some(10));
         assert_eq!(s.parent_links(), 4, "1, 2 under 10; 10 and 11 under 100");
         assert!(s.parent_table_size_bytes() >= 4 * 12);
-        s.clear();
-        assert_eq!(s.parent_links(), 0);
-        assert_eq!(s.find_parent_at(1, 1), None);
     }
 
     #[test]
@@ -679,60 +546,5 @@ mod tests {
         // 3 entries: 2 with 2 children each and 1 with 2 children.
         assert_eq!(s.table_size_bytes(), 3 * 20 + 6 * 4);
         assert!(s.bitvec_size_bytes() >= 16);
-    }
-
-    #[test]
-    fn root_mbr_cache() {
-        let mut s = SummaryStructure::new();
-        assert!(s.root_mbr().is_empty());
-        s.set_root_mbr(r(0.0, 0.0, 0.5, 0.5));
-        assert_eq!(s.root_mbr(), r(0.0, 0.0, 0.5, 0.5));
-    }
-
-    #[test]
-    fn root_mbr_seqlock_outlives_clear() {
-        let mut s = SummaryStructure::new();
-        let cell = s.root_mbr_cell();
-        s.publish_root_mbr(r(0.1, 0.2, 0.3, 0.4));
-        assert_eq!(cell.load(), r(0.1, 0.2, 0.3, 0.4));
-        s.set_root_mbr(r(0.0, 0.0, 1.0, 1.0));
-        assert_eq!(cell.load(), r(0.0, 0.0, 1.0, 1.0));
-        // The cell is reset in place, not replaced, on rebuilds.
-        s.clear();
-        assert!(cell.load().is_empty());
-    }
-
-    #[test]
-    fn root_mbr_seqlock_concurrent_readers() {
-        let s = std::sync::Arc::new(SummaryStructure::new());
-        s.publish_root_mbr(r(0.0, 0.0, 1.0, 1.0));
-        let writer = {
-            let s = std::sync::Arc::clone(&s);
-            std::thread::spawn(move || {
-                for i in 1..2_000u32 {
-                    let v = i as f32;
-                    s.publish_root_mbr(r(v, v, v + 1.0, v + 1.0));
-                }
-            })
-        };
-        let readers: Vec<_> = (0..3)
-            .map(|_| {
-                let s = std::sync::Arc::clone(&s);
-                std::thread::spawn(move || {
-                    for _ in 0..2_000 {
-                        let got = s.root_mbr();
-                        // Never a torn mix of two publishes: width and
-                        // height are exactly 1 for every published rect.
-                        assert_eq!(got.max_x - got.min_x, 1.0);
-                        assert_eq!(got.max_y - got.min_y, 1.0);
-                        assert_eq!(got.min_x, got.min_y);
-                    }
-                })
-            })
-            .collect();
-        writer.join().unwrap();
-        for rd in readers {
-            rd.join().unwrap();
-        }
     }
 }

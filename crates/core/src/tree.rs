@@ -218,7 +218,6 @@ impl RTree {
             tree.rebuild_memory_state(build_hash)?;
         } else if let Some(s) = &mut tree.summary {
             s.set_leaf(root, false);
-            s.set_root_mbr(Rect::EMPTY);
         }
         Ok(tree)
     }
@@ -357,19 +356,15 @@ impl RTree {
     }
 
     /// Summary maintenance after the leaf on `pid` was written: its
-    /// fullness bit, and the root MBR when it is the root.
+    /// fullness bit.
     fn note_leaf<B: Deref<Target = [u8]>>(&mut self, pid: PageId, leaf: &LeafView<B>) {
         if let Some(s) = &mut self.summary {
             s.set_leaf(pid, leaf.len() >= leaf_capacity(self.opts.page_size));
-            if pid == self.root {
-                s.set_root_mbr(leaf.mbr());
-            }
         }
     }
 
     /// Summary maintenance after the internal node on `pid`, whose MBR
-    /// is `mbr`, was written: its MBR and child list, and the root MBR
-    /// when it is the root.
+    /// is `mbr`, was written: its MBR and child list.
     fn note_internal<B: Deref<Target = [u8]>>(
         &mut self,
         pid: PageId,
@@ -378,9 +373,6 @@ impl RTree {
     ) {
         if let Some(s) = &mut self.summary {
             s.upsert_internal(pid, node.level(), mbr, node.children());
-            if pid == self.root {
-                s.set_root_mbr(mbr);
-            }
         }
     }
 
@@ -1241,21 +1233,14 @@ impl RTree {
             let root = ops.take(self.root)?;
             let only_child = match root.view()? {
                 NodeView::Internal(node) if node.len() == 1 => Some(node.entry(0).child),
-                node => {
-                    // Refresh the cached root MBR (it may have been
-                    // tightened).
-                    if let Some(s) = &mut self.summary {
-                        s.set_root_mbr(node.mbr());
-                    }
-                    None
-                }
+                _ => None,
             };
             let Some(child) = only_child else {
                 ops.put(root);
                 return Ok(());
             };
-            // The next turn of the loop reads the new root and registers
-            // its MBR. The old root's page is free: it leaves the set.
+            // The next turn of the loop reads the new root. The old
+            // root's page is free: it leaves the set.
             self.root = child;
             self.height -= 1;
             if self.parent_pointers() && self.height == 1 {
@@ -1377,11 +1362,6 @@ impl RTree {
             }
         }
         if let Some(s) = &self.summary {
-            if s.root_mbr() != self.root_mbr()? {
-                return Err(CoreError::InvariantViolation(
-                    "summary root MBR differs from root node MBR".into(),
-                ));
-            }
             // Every node but the root has exactly one parent link; more
             // means a freed page left its link behind.
             if s.parent_links() as u64 != node_count - 1 {
@@ -1584,9 +1564,6 @@ impl RTree {
                     }
                 }
             }
-            if let Some(s) = &mut summary {
-                s.set_root_mbr(self.root_mbr()?);
-            }
             self.summary = summary;
         }
         // LBU needs leaf parent pointers; repair any that are missing or
@@ -1664,10 +1641,55 @@ fn unowned_pages(
 
 #[cfg(test)]
 mod tests {
+    use super::{unowned_pages, RTree};
     use crate::concurrent::Planned;
+    use crate::files::stored_snapshot;
     use crate::node::{LeafEntry, Node};
     use crate::IndexBuilder;
     use bur_geom::Point;
+    use bur_storage::INVALID_PAGE;
+    use std::sync::Arc;
+
+    /// A hash rebuild draws its pages from the ones nobody owns, less
+    /// the `kept` ones: handed every unowned page as kept, it takes none
+    /// of them and grows the file instead.
+    #[test]
+    fn a_hash_rebuild_takes_no_kept_page() {
+        let mut index = IndexBuilder::generalized()
+            .page_size(1024)
+            .build_index()
+            .unwrap();
+        for oid in 0..2_000u64 {
+            let x = (oid % 50) as f32 / 50.0;
+            let y = (oid / 50) as f32 / 40.0;
+            index.insert(oid, Point::new(x, y)).unwrap();
+        }
+        index.persist().unwrap();
+        let opts = *index.options();
+        let pool = Arc::clone(&index.tree.pool);
+        drop(index);
+        let ((mut snap, _), meta_chain) = stored_snapshot(&pool).unwrap();
+        // Without its hash the snapshot leaves the old buckets unowned.
+        snap.hash_head = INVALID_PAGE;
+        let kept = unowned_pages(&pool, &snap, &meta_chain, &[]).unwrap();
+        assert!(kept.len() > 10, "{} unowned pages", kept.len());
+        let bytes = |pid| pool.fetch(pid).unwrap().read().to_vec();
+        let before: Vec<Vec<u8>> = kept.iter().map(|&pid| bytes(pid)).collect();
+        let pages = pool.disk().num_pages();
+        let tree =
+            RTree::from_snapshot(Arc::clone(&pool), opts, Some(&snap), meta_chain, &kept).unwrap();
+        tree.validate().unwrap();
+        for (&pid, old) in kept.iter().zip(&before) {
+            assert!(bytes(pid) == *old, "the rebuilt hash wrote kept page {pid}");
+        }
+        let hash = tree.hash.as_ref().expect("GBU keeps a hash");
+        let grown = (pool.disk().num_pages() - pages) as usize;
+        assert!(
+            grown >= hash.page_count(),
+            "the hash holds {} pages, only {grown} of them new",
+            hash.page_count()
+        );
+    }
 
     /// A page freed and reallocated inside one batch comes back as the
     /// node written to it, through the pin the write checked in.

@@ -62,7 +62,7 @@ struct Inner {
     /// entries from the source shard, so a reader that planned its
     /// scatter before the migration began never observes the deletion.
     readers: [AtomicU64; 2],
-    /// Per-parity counts of routed-but-unapplied external writes
+    /// Per-parity counts of routed-but-unapplied writes
     /// ([`ShardedBur::route_for_write`]). A migration drains the
     /// pre-start parity before its copy scan, so a write split under
     /// the old map cannot land on the donor after the scan passed it.
@@ -566,13 +566,12 @@ impl ShardedBur {
         split_ops_with(&state.map, self.inner.order, ops)
     }
 
-    /// Split `ops` for application through *external* per-shard write
-    /// paths (the server's per-shard coalescers). Behaves like the
-    /// routing step of [`Self::apply_ops`] — grows the extent slack
-    /// first and waits out a migration overlapping any op — and returns
-    /// a [`RoutedWrite`] whose writer registration a later migration
-    /// must drain before scanning. Keep it alive until every part has
-    /// been handed to its shard's write path.
+    /// Split `ops` for application through per-shard write paths
+    /// ([`Self::apply_ops`], the server's per-shard coalescers): grow
+    /// the extent slack, wait out a migration overlapping any op, and
+    /// return a [`RoutedWrite`] whose writer registration a later
+    /// migration must drain before scanning. Keep it alive until every
+    /// part has been handed to its shard's write path.
     pub fn route_for_write(&self, ops: &[Op]) -> ShardResult<RoutedWrite> {
         self.grow_slack_for(ops)?;
         loop {
@@ -619,51 +618,42 @@ impl ShardedBur {
     /// [`Self::apply`] over a raw op slice (the serving layer splits
     /// coalesced submissions without building a `Batch`).
     pub fn apply_ops(&self, ops: &[Op]) -> ShardResult<AggregateTicket> {
-        self.grow_slack_for(ops)?;
-        loop {
-            let state = self.inner.state.read();
-            // Writes into a migrating range freeze until the move ends:
-            // the copy scan must not race new writes on either side.
-            if let Some(m) = state.map.pending() {
-                if ops_touch_range(ops, self.inner.order, m.lo, m.hi) {
-                    drop(state);
-                    std::thread::sleep(FREEZE_BACKOFF);
-                    continue;
-                }
-            }
-            let (parts, split_updates) = split_ops_with(&state.map, self.inner.order, ops);
-            let tickets = self.apply_parts(&state, parts)?;
-            drop(state);
-            let mut report = BatchReport::default();
-            for (_, t) in &tickets {
-                let r = t.report();
-                report.applied += r.applied;
-                report.inserted += r.inserted;
-                report.updated += r.updated;
-                report.deleted += r.deleted;
-                report.missing_deletes += r.missing_deletes;
-            }
-            // A split update ran as delete + insert; report it as the
-            // single logical update the caller submitted.
-            report.applied -= split_updates;
-            report.inserted -= split_updates.min(report.inserted);
-            report.deleted -= split_updates.min(report.deleted);
-            report.updated += split_updates;
-            return Ok(AggregateTicket {
-                parts: tickets,
-                report,
-            });
+        // The routed write's registration, not the map lock, keeps a
+        // migration's copy scan from missing these ops: the scan waits
+        // until the parts have landed.
+        let routed = self.route_for_write(ops)?;
+        let parts: Vec<(u32, Batch)> = routed
+            .parts
+            .iter()
+            .map(|(shard, ops)| (*shard, ops.iter().copied().collect()))
+            .collect();
+        let tickets = self.apply_parts(parts)?;
+        let split_updates = routed.split_updates;
+        drop(routed);
+        let mut report = BatchReport::default();
+        for (_, t) in &tickets {
+            let r = t.report();
+            report.applied += r.applied;
+            report.inserted += r.inserted;
+            report.updated += r.updated;
+            report.deleted += r.deleted;
+            report.missing_deletes += r.missing_deletes;
         }
+        // A split update ran as delete + insert; report it as the
+        // single logical update the caller submitted.
+        report.applied -= split_updates;
+        report.inserted -= split_updates.min(report.inserted);
+        report.deleted -= split_updates.min(report.deleted);
+        report.updated += split_updates;
+        Ok(AggregateTicket {
+            parts: tickets,
+            report,
+        })
     }
 
     /// Run the per-shard sub-batches, the first on the caller's thread
-    /// and the rest on scoped threads. The map read lock is held by the
-    /// caller for the duration, so the routing decision stays valid.
-    fn apply_parts(
-        &self,
-        _state: &MapState,
-        parts: Vec<(u32, Batch)>,
-    ) -> ShardResult<Vec<(u32, CommitTicket)>> {
+    /// and the rest on scoped threads.
+    fn apply_parts(&self, parts: Vec<(u32, Batch)>) -> ShardResult<Vec<(u32, CommitTicket)>> {
         let mut out = Vec::with_capacity(parts.len());
         if parts.is_empty() {
             return Ok(out);
@@ -894,9 +884,9 @@ impl ShardedBur {
             (from, state.epoch, old_parity)
         };
 
-        // Drain routed-but-unapplied external writes planned under the
-        // old parity: their splits predate the freeze, so the copy scan
-        // must wait until they have reached their shards.
+        // Drain routed-but-unapplied writes planned under the old
+        // parity: their splits predate the freeze, so the copy scan must
+        // wait until they have reached their shards.
         while self.inner.writers[old_parity].load(Ordering::Acquire) > 0 {
             std::thread::sleep(FREEZE_BACKOFF);
         }

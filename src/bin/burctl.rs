@@ -255,9 +255,9 @@ fn cmd_info(path: &str) -> Result<(), String> {
             s.parent_table_size_bytes(),
             s.bitvec_size_bytes()
         );
-        let mbr = s.root_mbr();
-        println!("root MBR      : {mbr}");
     }
+    let mbr = index.bounds().map_err(|e| e.to_string())?;
+    println!("root MBR      : {mbr}");
     Ok(())
 }
 

@@ -110,14 +110,14 @@
 //! bur.apply(&batch).unwrap().wait().unwrap(); // logged + synced
 //! drop(bur); // crash: no persist(), no clean shutdown
 //!
-//! let (recovered, report) = IndexBuilder::generalized()
+//! let recovered = IndexBuilder::generalized()
 //!     .disk(disk)
 //!     .log_disk(log)
 //!     .recover()
-//!     .build_with_report()
+//!     .build()
 //!     .unwrap();
 //! assert_eq!(recovered.len(), 2);
-//! assert!(report.unwrap().commits >= 1);
+//! assert!(recovered.recovery_report().unwrap().commits >= 1);
 //! ```
 
 #![warn(missing_docs)]

@@ -340,11 +340,11 @@ fn mid_batch_power_cut_recovers_all_or_nothing() {
         );
         drop(bur); // crash — only the platters survive
 
-        let (recovered, _report) = IndexBuilder::generalized()
+        let recovered = IndexBuilder::generalized()
             .disk(inner)
             .log_disk(inner_log)
             .recover()
-            .build_with_report()
+            .build()
             .unwrap();
         let len = recovered.len();
         assert_eq!(

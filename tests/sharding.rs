@@ -277,13 +277,12 @@ fn mid_migration_power_cut_loses_no_acked_writes() {
         let burs: Vec<Bur> = platters
             .iter()
             .map(|[data, log]| {
-                let (b, _) = IndexBuilder::generalized()
+                IndexBuilder::generalized()
                     .disk(data.clone())
                     .log_disk(log.clone())
                     .recover()
-                    .build_with_report()
-                    .unwrap();
-                b
+                    .build()
+                    .unwrap()
             })
             .collect();
         let s = ShardedBur::with_manifest(burs, manifest.clone()).unwrap();
