@@ -303,41 +303,53 @@ impl SummaryStructure {
     // ---- summary-assisted queries ------------------------------------------
 
     /// In-memory pruning for window queries: starting from the root entry
-    /// and walking the table level by level ("looking for overlaps until
-    /// the level above the leaf is reached"), return the page ids of the
-    /// level-1 internal nodes whose MBR overlaps `window`. Only those —
-    /// and then their overlapping leaves — need disk reads.
+    /// and walking the table down ("looking for overlaps until the level
+    /// above the leaf is reached"), hand `visit` the page id of every
+    /// level-1 internal node whose MBR overlaps `window`, left to right.
+    /// Only those — and then their overlapping leaves — need disk reads.
+    /// The walk allocates nothing: it recurses once per level.
     ///
     /// Returns `None` when the table has no internal levels (single-leaf
-    /// tree) so the caller can fall back to a plain descent.
-    #[must_use]
-    pub fn query_level1_candidates(&self, root: PageId, window: &Rect) -> Option<Vec<PageId>> {
-        let top = self.top_level();
-        if top == 0 {
+    /// tree) so the caller can fall back to a plain descent; otherwise
+    /// the first error `visit` returned, which ends the walk.
+    pub fn visit_level1_candidates<E>(
+        &self,
+        root: PageId,
+        window: &Rect,
+        mut visit: impl FnMut(PageId) -> Result<(), E>,
+    ) -> Option<Result<(), E>> {
+        if self.top_level() == 0 {
             return None;
         }
         let root_entry = self.entry(root)?;
         if !root_entry.mbr.intersects(window) {
-            return Some(Vec::new());
+            return Some(Ok(()));
         }
-        let mut frontier = vec![root];
-        let (mut level, _) = self.lookup(root)?;
-        while level > 1 {
-            let mut next = Vec::new();
-            for pid in &frontier {
-                let entry = self.entry(*pid)?;
-                for child in &entry.children {
-                    if let Some(ce) = self.entry(*child) {
-                        if ce.mbr.intersects(window) {
-                            next.push(*child);
-                        }
-                    }
+        let (level, _) = self.lookup(root)?;
+        Some(self.visit_overlaps(root, root_entry, level, window, &mut visit))
+    }
+
+    /// The walk below [`Self::visit_level1_candidates`]: `pid` (whose
+    /// entry is `entry`, at `level`) overlaps the window.
+    fn visit_overlaps<E>(
+        &self,
+        pid: PageId,
+        entry: &SummaryEntry,
+        level: u16,
+        window: &Rect,
+        visit: &mut impl FnMut(PageId) -> Result<(), E>,
+    ) -> Result<(), E> {
+        if level == 1 {
+            return visit(pid);
+        }
+        for &child in &entry.children {
+            if let Some(child_entry) = self.entry(child) {
+                if child_entry.mbr.intersects(window) {
+                    self.visit_overlaps(child, child_entry, level - 1, window, visit)?;
                 }
             }
-            frontier = next;
-            level -= 1;
         }
-        Some(frontier)
+        Ok(())
     }
 
     // ---- space accounting (Section 3.2 size claims) --------------------------
@@ -519,25 +531,38 @@ mod tests {
 
     #[test]
     fn query_candidates() {
+        fn candidates(s: &SummaryStructure, root: PageId, window: Rect) -> Option<Vec<PageId>> {
+            let mut got = Vec::new();
+            s.visit_level1_candidates(root, &window, |pid| {
+                got.push(pid);
+                Ok::<(), ()>(())
+            })
+            .map(|walked| {
+                walked.expect("the visitor never fails");
+                got
+            })
+        }
         let s = sample();
         // Window overlapping only the left half.
-        let got = s
-            .query_level1_candidates(100, &r(0.1, 0.1, 0.3, 0.3))
-            .unwrap();
+        let got = candidates(&s, 100, r(0.1, 0.1, 0.3, 0.3)).unwrap();
         assert_eq!(got, vec![10]);
         // Window overlapping both halves.
-        let got = s
-            .query_level1_candidates(100, &r(0.4, 0.4, 0.6, 0.6))
-            .unwrap();
+        let got = candidates(&s, 100, r(0.4, 0.4, 0.6, 0.6)).unwrap();
         assert_eq!(got, vec![10, 11]);
         // Window outside the root.
-        let got = s
-            .query_level1_candidates(100, &r(2.0, 2.0, 3.0, 3.0))
-            .unwrap();
+        let got = candidates(&s, 100, r(2.0, 2.0, 3.0, 3.0)).unwrap();
         assert!(got.is_empty());
         // Empty summary: no pruning possible.
         let empty = SummaryStructure::new();
-        assert!(empty.query_level1_candidates(0, &Rect::UNIT).is_none());
+        assert!(candidates(&empty, 0, Rect::UNIT).is_none());
+        // A visitor's error ends the walk.
+        let mut seen = 0;
+        let walked = s.visit_level1_candidates(100, &r(0.4, 0.4, 0.6, 0.6), |_| {
+            seen += 1;
+            Err("stop")
+        });
+        assert_eq!(walked, Some(Err("stop")));
+        assert_eq!(seen, 1);
     }
 
     #[test]

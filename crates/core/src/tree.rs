@@ -1285,11 +1285,8 @@ impl RTree {
         let Some(s) = &self.summary else {
             return self.query_into(window, out);
         };
-        let Some(level1) = s.query_level1_candidates(self.root, window) else {
-            return self.query_into(window, out);
-        };
         let mut leaves = Vec::new();
-        for pid in level1 {
+        let walked = s.visit_level1_candidates(self.root, window, |pid| {
             leaves.clear();
             self.with_page(pid, |data| {
                 let node = InternalView::new(pid, data)?;
@@ -1311,8 +1308,12 @@ impl RTree {
                     Ok(())
                 })?;
             }
+            Ok(())
+        });
+        match walked {
+            Some(result) => result,
+            None => self.query_into(window, out),
         }
-        Ok(())
     }
 
     /// Window query that collects full leaf entries (id + rect). Same

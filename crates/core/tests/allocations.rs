@@ -9,7 +9,8 @@
 //! and a change that moves one is re-pinned deliberately. With a decoded
 //! node per page read they were 4 567 allocations for the 3 958 updates
 //! in place or extended, 10 840 for the 2 000 windows and 14 138 for the
-//! 6 400 batched updates.
+//! 6 400 batched updates; with a frontier `Vec` per level of the summary
+//! walk the windows took 5 957.
 //!
 //! This file is a test binary of its own: the allocator is process-wide.
 
@@ -140,9 +141,9 @@ fn allocation_counts_on_the_hot_paths() {
         });
         window_allocations += n;
     }
-    // The summary's level-1 candidates and the leaves to read: about
-    // three per window, however many pages it reads.
-    assert_eq!(window_allocations, 5_957);
+    // The list of leaves to read: about one per window, however many
+    // pages it reads (the summary walk itself allocates nothing).
+    assert_eq!(window_allocations, 1_956);
 
     // 32-update batches through the shared handle.
     let bur = IndexBuilder::generalized()

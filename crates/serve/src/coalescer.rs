@@ -15,7 +15,7 @@ use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender, SyncSender};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -116,7 +116,8 @@ pub struct CoalescerStats {
     pub ops: u64,
     /// Write batches refused at admission (queue full).
     pub shed_writes: u64,
-    /// Submissions whose deadline passed before commit.
+    /// Writes whose deadline passed before commit (a sharded write
+    /// counts once, on the coalescer of its first part).
     pub expired: u64,
     /// Retried batches answered from the dedup table instead of
     /// re-applying.
@@ -147,10 +148,70 @@ enum RoundError {
     Failed(String),
 }
 
+/// One write's expiry decision, shared by every submission the write
+/// made: the first of them a committer takes decides from the deadline
+/// that all of them apply or that none does, and the others follow
+/// that decision whenever their committers take them. A plain write
+/// has one submission; a sharded write has one per shard it touches,
+/// so its `Expired` still means that no part applied.
+#[derive(Debug)]
+pub(crate) struct Expiry {
+    deadline: Instant,
+    expired: OnceLock<bool>,
+}
+
+impl Expiry {
+    pub(crate) fn new(deadline: Instant) -> Arc<Self> {
+        Arc::new(Expiry {
+            deadline,
+            expired: OnceLock::new(),
+        })
+    }
+
+    /// The write's decision, made now if no committer has made it yet.
+    fn expired(&self) -> bool {
+        *self.expired.get_or_init(|| Instant::now() >= self.deadline)
+    }
+
+    /// Whether a committer has taken one of the write's submissions.
+    #[cfg(test)]
+    pub(crate) fn is_decided(&self) -> bool {
+        self.expired.get().is_some()
+    }
+}
+
 struct Submission {
-    ops: Vec<Op>,
-    deadline: Option<Instant>,
+    ops: Batch,
+    expiry: Option<Arc<Expiry>>,
     reply: SyncSender<Result<WriteAck, RoundError>>,
+}
+
+/// The ack of a submission [`Coalescer::submit`] queued. Its ops count
+/// as queued until it is waited for or dropped.
+pub(crate) struct PendingAck<'a> {
+    reply: Receiver<Result<WriteAck, RoundError>>,
+    ops: usize,
+    queued: &'a AtomicUsize,
+}
+
+impl PendingAck<'_> {
+    /// Block until the committer answers: durable, rejected or expired.
+    pub(crate) fn wait(self) -> Result<WriteAck, ApplyError> {
+        match self.reply.recv() {
+            Ok(Ok(ack)) => Ok(ack),
+            Ok(Err(RoundError::Failed(msg))) => Err(ApplyError::Rejected(msg)),
+            Ok(Err(RoundError::Expired)) => Err(ApplyError::Expired),
+            Err(_) => Err(ApplyError::Rejected(
+                "committer exited before acknowledging".into(),
+            )),
+        }
+    }
+}
+
+impl Drop for PendingAck<'_> {
+    fn drop(&mut self) {
+        self.queued.fetch_sub(self.ops, Ordering::Relaxed);
+    }
 }
 
 #[derive(Default)]
@@ -356,7 +417,10 @@ impl DedupTable {
 
 /// Per-index write coalescer. Clonable via `Arc` at the registry
 /// layer; [`Coalescer::apply`] blocks the calling connection thread
-/// until its submission is durable (or failed).
+/// until its submission is durable (or failed). A sharded index keeps
+/// one per shard and hands a write's parts to all of them before it
+/// waits for any (`ShardedEntry::apply_session`), so their committers
+/// apply and sync side by side.
 pub struct Coalescer {
     tx: Mutex<Option<Sender<Submission>>>,
     worker: Mutex<Option<JoinHandle<()>>>,
@@ -437,13 +501,20 @@ impl Coalescer {
         } else {
             self.dedup.run_once(session, seq, deadline, || {
                 self.admit(ops.len())?;
-                self.enqueue(ops, deadline)
+                // Collecting a `Vec` by value keeps its buffer: no copy.
+                self.submit(ops.into_iter().collect(), deadline.map(Expiry::new))?
+                    .wait()
             })
         };
         if matches!(result, Err(ApplyError::Expired)) {
-            self.stats.expired.fetch_add(1, Ordering::Relaxed);
+            self.count_expired();
         }
         result
+    }
+
+    /// Count one write that expired before it applied.
+    pub(crate) fn count_expired(&self) {
+        self.stats.expired.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Admission control: refuse `n` more ops with
@@ -461,43 +532,37 @@ impl Coalescer {
         Ok(())
     }
 
-    /// Queue a batch that was admitted already — a later part of a
-    /// sharded write, admitted with its write as a whole — and block
-    /// until it is durable. It carries no deadline and skips the
-    /// ceiling, so it is neither shed nor expired: only a rejection
-    /// can stop it.
-    pub(crate) fn apply_admitted(&self, ops: Vec<Op>) -> Result<WriteAck, String> {
-        self.enqueue(ops, None).map_err(|e| e.to_string())
-    }
-
-    /// Queueing plus the blocking wait for the ack.
-    fn enqueue(&self, ops: Vec<Op>, deadline: Option<Instant>) -> Result<WriteAck, ApplyError> {
-        let n = ops.len();
+    /// Queue `ops` for the committer and return without waiting; the
+    /// ack comes through the returned [`PendingAck`]. Admission is the
+    /// caller's ([`Self::admit`]): a part of a sharded write is queued
+    /// under its write's admission, so the ceiling cannot shed it here.
+    /// `expiry` is the write's one expiry decision (`None`: no
+    /// deadline), shared by all the submissions the write makes.
+    pub(crate) fn submit(
+        &self,
+        ops: Batch,
+        expiry: Option<Arc<Expiry>>,
+    ) -> Result<PendingAck<'_>, ApplyError> {
         let tx = match &*self.tx.lock() {
             Some(tx) => tx.clone(),
             None => return Err(ApplyError::Rejected("index is shutting down".into())),
         };
         let (reply_tx, reply_rx) = mpsc::sync_channel(1);
-        self.stats.queued_ops.fetch_add(n, Ordering::Relaxed);
-        let sent = tx.send(Submission {
+        let pending = PendingAck {
+            reply: reply_rx,
+            ops: ops.len(),
+            queued: &self.stats.queued_ops,
+        };
+        self.stats
+            .queued_ops
+            .fetch_add(pending.ops, Ordering::Relaxed);
+        tx.send(Submission {
             ops,
-            deadline,
+            expiry,
             reply: reply_tx,
-        });
-        if sent.is_err() {
-            self.stats.queued_ops.fetch_sub(n, Ordering::Relaxed);
-            return Err(ApplyError::Rejected("index is shutting down".into()));
-        }
-        let outcome = reply_rx.recv();
-        self.stats.queued_ops.fetch_sub(n, Ordering::Relaxed);
-        match outcome {
-            Ok(Ok(ack)) => Ok(ack),
-            Ok(Err(RoundError::Failed(msg))) => Err(ApplyError::Rejected(msg)),
-            Ok(Err(RoundError::Expired)) => Err(ApplyError::Expired),
-            Err(_) => Err(ApplyError::Rejected(
-                "committer exited before acknowledging".into(),
-            )),
-        }
+        })
+        .map_err(|_| ApplyError::Rejected("index is shutting down".into()))?;
+        Ok(pending)
     }
 
     /// Ops queued or in flight right now.
@@ -555,7 +620,7 @@ fn committer_loop(bur: &Bur, rx: &Receiver<Submission>, stats: &SharedStats) {
     // Expired submissions are answered without ever joining a batch —
     // that is the "no side effects" half of the deadline contract.
     let admit = |sub: Submission, round: &mut Vec<Submission>, round_ops: &mut usize| {
-        if sub.deadline.is_some_and(|d| Instant::now() >= d) {
+        if sub.expiry.as_ref().is_some_and(|e| e.expired()) {
             let _ = sub.reply.send(Err(RoundError::Expired));
             return;
         }
@@ -605,9 +670,7 @@ fn commit_round(
     let merged = round.len() as u64;
     let mut batch = Batch::new();
     for sub in &round {
-        for op in &sub.ops {
-            batch.push(*op);
-        }
+        batch.extend(sub.ops.ops().iter().copied());
     }
     match bur.apply(&batch) {
         Ok(ticket) => {
@@ -744,9 +807,9 @@ mod tests {
         );
     }
 
-    /// A part admitted with its write skips the ceiling: even a zero
-    /// limit, which sheds every normal submission, cannot shed it, so
-    /// a sharded write whose first part applied applies the rest.
+    /// A part queued under its write's admission skips the ceiling:
+    /// even a zero limit, which sheds every normal submission, cannot
+    /// shed it, so a sharded write admitted whole applies every part.
     #[test]
     fn a_pre_admitted_part_is_never_shed() {
         let bur = mem_bur();
@@ -760,7 +823,12 @@ mod tests {
         let err = c.apply(inserts(0..3)).expect_err("shed");
         assert!(err.contains("overloaded"), "{err}");
         assert_eq!(bur.len(), 0, "a shed submission has no effect");
-        let ack = c.apply_admitted(inserts(0..3)).expect("applied");
+        let pending = c
+            .submit(inserts(0..3).into_iter().collect(), None)
+            .expect("queued");
+        assert_eq!(c.queued_ops(), 3, "queued until its ack is waited for");
+        let ack = pending.wait().expect("applied");
+        assert_eq!(c.queued_ops(), 0);
         assert_eq!(ack.applied, 3);
         assert_eq!(bur.len(), 3);
         let stats = c.stats();

@@ -1,9 +1,11 @@
 //! Multi-tenant index registry: named indexes living in one data
 //! directory, each paired with its own write [`Coalescer`].
 
-use crate::coalescer::{ApplyError, Coalescer, CoalescerConfig, DedupTable, WriteAck};
+use crate::coalescer::{
+    ApplyError, Coalescer, CoalescerConfig, DedupTable, Expiry, PendingAck, WriteAck,
+};
 use crate::protocol::StrategyKind;
-use bur_core::{Bur, CoreError, IndexBuilder, Op};
+use bur_core::{Batch, Bur, CoreError, IndexBuilder, Op};
 use bur_shard::{ShardError, ShardedBur};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
@@ -120,9 +122,14 @@ impl ShardedEntry {
     /// The write is routed by key, waiting out any migration whose
     /// frozen range it touches, and admitted as a whole: unless every
     /// part fits its shard's write queue right now, it is shed with
-    /// nothing applied. Only the first part carries `deadline`; the
-    /// later ones are queued pre-admitted, so once the first has
-    /// applied the rest cannot be shed or expire, and
+    /// nothing applied. Then every part is queued on its shard's
+    /// coalescer before any ack is waited for, so the shards' committers
+    /// apply and sync the parts side by side. A write that splits an
+    /// update across shards is the exception
+    /// ([`bur_shard::RoutedWrite::applies_in_order`]): each of its
+    /// parts is acked before the next is queued. The parts share one
+    /// expiry decision, made when a committer first takes one of them,
+    /// so either every part applies or none does, and
     /// [`ApplyError::Overloaded`] and [`ApplyError::Expired`] keep
     /// meaning "no side effects". The ack folds the parts' acks: the
     /// highest LSN, the most merged submissions, and the ops applied
@@ -135,36 +142,53 @@ impl ShardedEntry {
         deadline: Option<Instant>,
     ) -> Result<WriteAck, ApplyError> {
         self.ledger.run_once(session, seq, deadline, || {
-            let routed = self
+            let mut routed = self
                 .sharded
                 .route_for_write(ops)
                 .map_err(|e| ApplyError::Rejected(e.to_string()))?;
             for (shard, part) in routed.parts() {
                 self.coalescers[*shard as usize].admit(part.len())?;
             }
+            let split_updates = routed.split_updates();
+            let parts = routed.take_parts();
+            let first = parts.first().map(|(shard, _)| *shard as usize);
+            let expiry = deadline.map(Expiry::new);
+            let submit = |(shard, part): (u32, Batch)| {
+                self.coalescers[shard as usize].submit(part, expiry.clone())
+            };
             let mut ack = WriteAck {
                 lsn: 0,
                 applied: 0,
                 merged: 0,
             };
-            for (i, (shard, part)) in routed.parts().iter().enumerate() {
-                let coalescer = &self.coalescers[*shard as usize];
-                let part_ack = if i == 0 {
-                    coalescer.apply_session(0, 0, part.clone(), deadline)?
-                } else {
-                    coalescer
-                        .apply_admitted(part.clone())
-                        .map_err(ApplyError::Rejected)?
-                };
-                // Shard logs are independent; the folded LSN is only an
-                // "everything acked" watermark, like AggregateTicket's.
-                ack.lsn = ack.lsn.max(part_ack.lsn);
-                ack.applied += part_ack.applied;
-                ack.merged = ack.merged.max(part_ack.merged);
+            let result = if routed.applies_in_order() {
+                parts.into_iter().try_for_each(|part| {
+                    fold_ack(&mut ack, submit(part)?.wait()?);
+                    Ok(())
+                })
+            } else {
+                let pending: Vec<_> = parts.into_iter().map(submit).collect();
+                // Wait for every queued part, even past a failed one:
+                // none may land after the writer registration is gone.
+                let mut failed = None;
+                for part in pending {
+                    match part.and_then(PendingAck::wait) {
+                        Ok(part_ack) => fold_ack(&mut ack, part_ack),
+                        Err(e) => {
+                            failed.get_or_insert(e);
+                        }
+                    }
+                }
+                failed.map_or(Ok(()), Err)
+            };
+            drop(routed);
+            if let (Err(ApplyError::Expired), Some(first)) = (&result, first) {
+                self.coalescers[first].count_expired();
             }
+            result?;
             // A cross-shard update ran as delete + insert; count it as
             // the one logical op the client submitted.
-            ack.applied = ack.applied.saturating_sub(routed.split_updates());
+            ack.applied = ack.applied.saturating_sub(split_updates);
             Ok(ack)
         })
     }
@@ -192,6 +216,15 @@ impl ShardedEntry {
     pub fn queued_ops(&self) -> usize {
         self.coalescers.iter().map(|c| c.queued_ops()).sum()
     }
+}
+
+/// Fold one part's ack into a sharded write's: shard logs are
+/// independent, so the folded LSN is only an "everything acked"
+/// watermark, like `AggregateTicket`'s.
+fn fold_ack(ack: &mut WriteAck, part: WriteAck) {
+    ack.lsn = ack.lsn.max(part.lsn);
+    ack.applied += part.applied;
+    ack.merged = ack.merged.max(part.merged);
 }
 
 /// Either kind of open index the registry can hand out.
@@ -555,6 +588,9 @@ impl IndexRegistry {
 mod tests {
     use super::*;
     use bur_geom::{Point, Rect};
+    use std::sync::mpsc;
+    use std::thread::JoinHandle;
+    use std::time::Duration;
 
     fn tempdir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("bur-registry-{tag}-{}", std::process::id()));
@@ -635,7 +671,7 @@ mod tests {
         assert!(routed.parts().len() > 1, "spread over shards");
         for (shard, sub) in routed.parts() {
             entry.coalescers[*shard as usize]
-                .apply(sub.clone())
+                .apply(sub.ops().to_vec())
                 .expect("apply");
         }
         drop(routed);
@@ -677,6 +713,201 @@ mod tests {
             reg.create_sharded("z", StrategyKind::TopDown, false, 0),
             Err(ServeError::Shard(_))
         ));
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    // ---- a sharded write's parts fan out -------------------------------
+    //
+    // Two shards split the Hilbert curve in half: a point near (0, 0)
+    // lies at its start (shard 0), a point near (1, 0) at its end
+    // (shard 1). A thread holding a shard's structure lock
+    // (`Bur::with_index_mut`) stalls that shard's committer.
+
+    fn near(i: u64) -> Point {
+        Point::new(0.001 + i as f32 * 1e-4, 0.002)
+    }
+
+    fn far(i: u64) -> Point {
+        Point::new(0.999 - i as f32 * 1e-4, 0.002)
+    }
+
+    fn insert(oid: u64, p: Point) -> Op {
+        Op::Insert {
+            oid,
+            rect: Rect::from_point(p),
+        }
+    }
+
+    /// A volatile two-shard index whose `near` points route to shard 0
+    /// and `far` points to shard 1.
+    fn two_shards(tag: &str) -> (IndexRegistry, PathBuf, Arc<ShardedEntry>) {
+        let root = tempdir(tag);
+        let reg = IndexRegistry::new(&root).expect("registry");
+        reg.create_sharded("fan", StrategyKind::Generalized, false, 2)
+            .expect("create sharded");
+        let entry = sharded(reg.get("fan").expect("get"));
+        assert_eq!(entry.sharded.route_point(near(0)), 0);
+        assert_eq!(entry.sharded.route_point(far(0)), 1);
+        (reg, root, entry)
+    }
+
+    fn wait_until(what: &str, mut done: impl FnMut() -> bool) {
+        let give_up = Instant::now() + Duration::from_secs(10);
+        while !done() {
+            assert!(Instant::now() < give_up, "timed out waiting until {what}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// Shard `shard` held by a thread of its own, with its committer
+    /// busy behind the hold: it has taken a one-insert blocker (oid
+    /// `blocker`) and waits in `apply`, so what is queued after it is
+    /// taken only once the hold is released. Dropping the `Stall`, as a
+    /// failing test does, releases the hold too.
+    struct Stall<'a> {
+        release: mpsc::Sender<()>,
+        holder: JoinHandle<()>,
+        blocker: PendingAck<'a>,
+    }
+
+    fn stall(entry: &ShardedEntry, shard: usize, blocker: u64) -> Stall<'_> {
+        let bur = entry.sharded.shard(shard).clone();
+        let (held_tx, held_rx) = mpsc::channel();
+        let (release, release_rx) = mpsc::channel::<()>();
+        let holder = std::thread::spawn(move || {
+            bur.with_index_mut(|_| {
+                held_tx.send(()).expect("held");
+                let _ = release_rx.recv();
+            });
+        });
+        held_rx.recv().expect("the hold begins");
+        let at = if shard == 0 { near(99) } else { far(99) };
+        let expiry = Expiry::new(Instant::now() + Duration::from_secs(600));
+        let blocker = entry.coalescers[shard]
+            .submit(
+                [insert(blocker, at)].into_iter().collect(),
+                Some(Arc::clone(&expiry)),
+            )
+            .expect("queued");
+        wait_until("the committer takes the blocker", || expiry.is_decided());
+        Stall {
+            release,
+            holder,
+            blocker,
+        }
+    }
+
+    impl Stall<'_> {
+        fn release(self) {
+            drop(self.release);
+            self.holder.join().expect("holder");
+            assert_eq!(self.blocker.wait().expect("the blocker applies").applied, 1);
+        }
+    }
+
+    #[test]
+    fn a_two_part_write_lands_on_a_free_shard_while_another_is_held() {
+        let (reg, root, entry) = two_shards("fan-out");
+        let ops = [insert(1, near(0)), insert(2, far(0))];
+        let held = stall(&entry, 0, 100);
+        std::thread::scope(|scope| {
+            let write = scope.spawn(|| entry.apply_session(0, 0, &ops, None));
+            // Waiting on shard 0's part before queuing shard 1's would
+            // leave shard 1 empty until the release.
+            wait_until("shard 1's part lands", || entry.sharded.shard(1).len() == 1);
+            assert!(!write.is_finished(), "shard 0's part is still held");
+            held.release();
+            let ack = write.join().expect("writer").expect("acked");
+            assert_eq!(ack.applied, 2);
+        });
+        assert_eq!(entry.sharded.shard(0).len(), 2, "blocker and part");
+        assert_eq!(entry.sharded.shard(1).len(), 1);
+        reg.shutdown();
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn a_write_both_committers_take_past_its_deadline_expires_whole() {
+        let (reg, root, entry) = two_shards("fan-expired");
+        let ops = [insert(1, near(0)), insert(2, far(0))];
+        let held = [stall(&entry, 0, 100), stall(&entry, 1, 101)];
+        let deadline = Instant::now() + Duration::from_millis(50);
+        std::thread::scope(|scope| {
+            let write = scope.spawn(|| entry.apply_session(0, 0, &ops, Some(deadline)));
+            wait_until("both parts are queued", || {
+                entry.coalescers.iter().all(|c| c.queued_ops() == 2)
+            });
+            wait_until("the deadline passes", || Instant::now() > deadline);
+            for stall in held {
+                stall.release();
+            }
+            let result = write.join().expect("writer");
+            assert_eq!(result, Err(ApplyError::Expired));
+        });
+        for shard in 0..2 {
+            assert_eq!(entry.sharded.shard(shard).len(), 1, "only the blocker");
+        }
+        let expired: u64 = entry.coalescers.iter().map(|c| c.stats().expired).sum();
+        assert_eq!(expired, 1, "one write expired");
+        reg.shutdown();
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn a_part_taken_in_time_decides_for_a_part_taken_late() {
+        let (reg, root, entry) = two_shards("fan-late");
+        let ops = [insert(1, near(0)), insert(2, far(0))];
+        let held = stall(&entry, 0, 100);
+        let deadline = Instant::now() + Duration::from_secs(1);
+        std::thread::scope(|scope| {
+            let write = scope.spawn(|| entry.apply_session(0, 0, &ops, Some(deadline)));
+            wait_until("shard 1 takes its part in time", || {
+                entry.sharded.shard(1).len() == 1
+            });
+            wait_until("the deadline passes", || Instant::now() > deadline);
+            held.release();
+            let ack = write.join().expect("writer").expect("both parts apply");
+            assert_eq!(ack.applied, 2);
+        });
+        assert_eq!(entry.sharded.shard(0).len(), 2, "blocker and part");
+        assert_eq!(entry.sharded.shard(1).len(), 1);
+        assert_eq!(entry.coalescers[0].stats().expired, 0);
+        reg.shutdown();
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn a_write_splitting_an_update_queues_its_parts_one_after_another() {
+        let (reg, root, entry) = two_shards("fan-split");
+        entry
+            .apply_session(0, 0, &[insert(7, near(0))], None)
+            .expect("seed");
+        // Object 7 moves from shard 0 to shard 1: a delete there, then
+        // an insert here.
+        let ops = [Op::Update {
+            oid: 7,
+            old: near(0),
+            new: far(0),
+        }];
+        let held = stall(&entry, 0, 100);
+        std::thread::scope(|scope| {
+            let write = scope.spawn(|| entry.apply_session(0, 0, &ops, None));
+            wait_until("the delete is queued", || {
+                entry.coalescers[0].queued_ops() == 2
+            });
+            // The insert may be queued only once the held delete is
+            // acked; the pause gives a write that queues it early the
+            // time to show.
+            std::thread::sleep(Duration::from_millis(100));
+            assert_eq!(entry.coalescers[1].queued_ops(), 0, "the insert waits");
+            assert_eq!(entry.sharded.shard(1).len(), 0, "shard 1 untouched");
+            held.release();
+            let ack = write.join().expect("writer").expect("acked");
+            assert_eq!(ack.applied, 1, "one logical update");
+        });
+        assert_eq!(entry.sharded.shard(0).len(), 1, "only the blocker");
+        assert_eq!(entry.sharded.shard(1).len(), 1);
+        reg.shutdown();
         let _ = std::fs::remove_dir_all(&root);
     }
 }

@@ -98,26 +98,39 @@ impl Drop for WriterGuard {
     }
 }
 
-/// A batch split into per-shard op lists but not yet applied (see
-/// [`ShardedBur::route_for_write`]). The serving layer applies each part
-/// through that shard's own write path (coalescer) while this value is
-/// alive; dropping it releases the writer registration that keeps a
-/// concurrent migration's copy scan from missing the routed ops. The
+/// A batch split into per-shard sub-batches but not yet applied (see
+/// [`ShardedBur::route_for_write`]). Each part goes through that
+/// shard's own write path — [`ShardedBur::apply`] through the shard's
+/// `Bur::apply`, the serving layer through the shard's coalescer —
+/// handed over by value ([`Self::take_parts`]) while this value stays
+/// alive: dropping it releases the writer registration that keeps a
+/// concurrent migration's copy scan from missing the routed ops, so it
+/// lives until the last part is acked. The parts of most writes are
+/// independent and may apply side by side; those of a write that splits
+/// an update apply one after another ([`Self::applies_in_order`]). The
 /// split holds for this map only: a retry of the same ops after a
 /// migration may split differently, so a caller that deduplicates
 /// retries does so for the write as a whole, never per part.
 #[derive(Debug)]
 pub struct RoutedWrite {
-    parts: Vec<(u32, Vec<Op>)>,
+    parts: Vec<(u32, Batch)>,
     split_updates: u64,
     _guard: WriterGuard,
 }
 
 impl RoutedWrite {
-    /// The per-shard op lists, in first-touch order.
+    /// The per-shard sub-batches, in first-touch order (empty once
+    /// [`Self::take_parts`] took them).
     #[must_use]
-    pub fn parts(&self) -> &[(u32, Vec<Op>)] {
+    pub fn parts(&self) -> &[(u32, Batch)] {
         &self.parts
+    }
+
+    /// Hand the per-shard sub-batches over, owned, in first-touch order.
+    /// The writer registration stays with `self`: keep it alive until
+    /// every part is acked.
+    pub fn take_parts(&mut self) -> Vec<(u32, Batch)> {
+        std::mem::take(&mut self.parts)
     }
 
     /// How many cross-shard updates were decomposed into delete+insert
@@ -125,6 +138,17 @@ impl RoutedWrite {
     #[must_use]
     pub fn split_updates(&self) -> u64 {
         self.split_updates
+    }
+
+    /// Whether the parts must apply one after another in first-touch
+    /// order, each acked before the next is handed over: true when the
+    /// write splits an update into a delete on one shard and an insert
+    /// on another, whose two commits are not atomic together (see
+    /// `docs/ARCHITECTURE.md`, "Serving sharded indexes"). Any other
+    /// write's parts touch disjoint objects and may apply in parallel.
+    #[must_use]
+    pub fn applies_in_order(&self) -> bool {
+        self.split_updates > 0
     }
 }
 
@@ -592,10 +616,7 @@ impl ShardedBur {
             let (parts, split_updates) = split_ops_with(&state.map, self.inner.order, ops);
             drop(state);
             return Ok(RoutedWrite {
-                parts: parts
-                    .into_iter()
-                    .map(|(shard, batch)| (shard, batch.ops().to_vec()))
-                    .collect(),
+                parts,
                 split_updates,
                 _guard: guard,
             });
@@ -606,6 +627,8 @@ impl ShardedBur {
 
     /// Apply a mixed batch: split by key, apply sub-batches in parallel
     /// (one group-commit record per touched shard) and fold the tickets.
+    /// A batch that moves an object across shards applies its parts one
+    /// after another instead ([`RoutedWrite::applies_in_order`]).
     ///
     /// Atomicity is **per shard**: a crash keeps or drops each shard's
     /// sub-batch as a unit, but not the cross-shard whole. Ops routed
@@ -621,13 +644,8 @@ impl ShardedBur {
         // The routed write's registration, not the map lock, keeps a
         // migration's copy scan from missing these ops: the scan waits
         // until the parts have landed.
-        let routed = self.route_for_write(ops)?;
-        let parts: Vec<(u32, Batch)> = routed
-            .parts
-            .iter()
-            .map(|(shard, ops)| (*shard, ops.iter().copied().collect()))
-            .collect();
-        let tickets = self.apply_parts(parts)?;
+        let mut routed = self.route_for_write(ops)?;
+        let tickets = self.apply_parts(routed.take_parts(), routed.applies_in_order())?;
         let split_updates = routed.split_updates;
         drop(routed);
         let mut report = BatchReport::default();
@@ -651,49 +669,46 @@ impl ShardedBur {
         })
     }
 
-    /// Run the per-shard sub-batches, the first on the caller's thread
-    /// and the rest on scoped threads.
-    fn apply_parts(&self, parts: Vec<(u32, Batch)>) -> ShardResult<Vec<(u32, CommitTicket)>> {
-        let mut out = Vec::with_capacity(parts.len());
-        if parts.is_empty() {
-            return Ok(out);
-        }
-        if parts.len() == 1 {
-            // Hot path: single-shard batches skip thread spawning —
-            // perfbench's `served_sharded_paced` workload measures what
-            // the router adds on top of one shard's `apply`.
-            let (shard, batch) = &parts[0];
-            let ticket = self.inner.shards[*shard as usize]
+    /// Run the per-shard sub-batches: one after another on the caller's
+    /// thread when there is one or they must apply `in_order` (a shard's
+    /// `apply` returns durable, so each part is acked before the next
+    /// starts), otherwise the first on the caller's thread and the rest
+    /// on scoped threads.
+    fn apply_parts(
+        &self,
+        parts: Vec<(u32, Batch)>,
+        in_order: bool,
+    ) -> ShardResult<Vec<(u32, CommitTicket)>> {
+        let apply = |shard: u32, batch: &Batch| {
+            self.inner.shards[shard as usize]
                 .apply(batch)
-                .map_err(|source| ShardError::Shard {
-                    shard: *shard,
-                    source,
-                })?;
-            out.push((*shard, ticket));
-            return Ok(out);
+                .map(|ticket| (shard, ticket))
+                .map_err(|source| ShardError::Shard { shard, source })
+        };
+        if in_order || parts.len() <= 1 {
+            // Single-shard batches skip thread spawning — perfbench's
+            // `served_sharded_paced` workload measures what the router
+            // adds on top of one shard's `apply`.
+            return parts
+                .iter()
+                .map(|(shard, batch)| apply(*shard, batch))
+                .collect();
         }
-        let shards = &self.inner.shards;
-        let mut results: Vec<(u32, CoreResult<CommitTicket>)> = Vec::with_capacity(parts.len());
+        let mut results = Vec::with_capacity(parts.len());
         std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(parts.len() - 1);
-            let mut it = parts.iter();
-            let first = it.next().expect("non-empty");
-            for (shard, batch) in it {
-                let bur = &shards[*shard as usize];
-                handles.push((*shard, scope.spawn(move || bur.apply(batch))));
-            }
-            results.push((first.0, shards[first.0 as usize].apply(&first.1)));
-            for (shard, h) in handles {
-                results.push((shard, h.join().expect("shard apply panicked")));
-            }
+            let (first, rest) = parts.split_first().expect("non-empty");
+            let handles: Vec<_> = rest
+                .iter()
+                .map(|(shard, batch)| scope.spawn(move || apply(*shard, batch)))
+                .collect();
+            results.push(apply(first.0, &first.1));
+            results.extend(
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("shard apply panicked")),
+            );
         });
-        for (shard, r) in results {
-            match r {
-                Ok(ticket) => out.push((shard, ticket)),
-                Err(source) => return Err(ShardError::Shard { shard, source }),
-            }
-        }
-        Ok(out)
+        results.into_iter().collect()
     }
 
     /// Single-op convenience: insert a point object.
@@ -1271,4 +1286,97 @@ fn split_ops_with(map: &RangeMap, order: u32, ops: &[Op]) -> (Vec<(u32, Batch)>,
         }
     }
     (parts, split_updates)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use bur_core::IndexBuilder;
+    use std::sync::mpsc;
+    use std::time::Instant;
+
+    /// Two volatile shards; a point near (0, 0) routes to shard 0, one
+    /// near (1, 0) to shard 1.
+    fn two_shards() -> ShardedBur {
+        let shards = (0..2)
+            .map(|_| IndexBuilder::generalized().build().expect("shard"))
+            .collect();
+        let sharded = ShardedBur::from_shards(shards).expect("sharded");
+        assert_eq!(sharded.route_point(NEAR), 0);
+        assert_eq!(sharded.route_point(FAR), 1);
+        sharded
+    }
+
+    const NEAR: Point = Point::new(0.001, 0.002);
+    const FAR: Point = Point::new(0.999, 0.002);
+
+    /// Run `write` while a thread of its own holds shard 0's structure
+    /// lock, calling `while_held` before the hold is released. The hold
+    /// ends when its sender drops, so a failing `while_held` releases it
+    /// too and the scope can join the writer.
+    fn with_shard_0_held(
+        sharded: &ShardedBur,
+        write: impl FnOnce() -> ShardResult<AggregateTicket> + Send,
+        while_held: impl FnOnce(),
+    ) {
+        let (held_tx, held_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        std::thread::scope(|scope| {
+            let release = release_tx;
+            let shard_0 = sharded.shard(0);
+            let holder = scope.spawn(move || {
+                shard_0.with_index_mut(|_| {
+                    held_tx.send(()).expect("held");
+                    let _ = release_rx.recv();
+                });
+            });
+            held_rx.recv().expect("the hold begins");
+            let writer = scope.spawn(write);
+            while_held();
+            drop(release);
+            holder.join().expect("holder");
+            let ticket = writer.join().expect("writer").expect("applied");
+            ticket.wait().expect("durable");
+        });
+    }
+
+    #[test]
+    fn a_split_update_leaves_its_second_shard_untouched_while_its_first_is_held() {
+        let sharded = two_shards();
+        sharded.insert(7, NEAR).expect("seed");
+        // Object 7 moves from shard 0 to shard 1: a delete there first,
+        // then an insert here.
+        with_shard_0_held(
+            &sharded,
+            || sharded.update(7, NEAR, FAR),
+            || {
+                // The insert may apply only once the held delete has;
+                // the pause gives a write that applies it early the
+                // time to show.
+                std::thread::sleep(Duration::from_millis(100));
+                assert_eq!(sharded.shard(1).len(), 0, "shard 1 untouched");
+            },
+        );
+        assert_eq!(sharded.shard(0).len(), 0);
+        assert_eq!(sharded.shard(1).len(), 1);
+    }
+
+    #[test]
+    fn independent_parts_apply_while_another_shard_is_held() {
+        let sharded = two_shards();
+        let mut batch = Batch::new();
+        batch.insert(1, NEAR).insert(2, FAR);
+        with_shard_0_held(
+            &sharded,
+            || sharded.apply(&batch),
+            || {
+                let give_up = Instant::now() + Duration::from_secs(10);
+                while sharded.shard(1).is_empty() {
+                    assert!(Instant::now() < give_up, "shard 1's part never landed");
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+            },
+        );
+        assert_eq!(sharded.len(), 2);
+    }
 }
