@@ -367,30 +367,30 @@ impl DedupTable {
         self.done.notify_all();
     }
 
-    /// Run `attempt` at most once per `(session, seq)`. A duplicate
-    /// replays the first attempt's ack or rejection, waiting (up to
-    /// `deadline`) while that attempt is in flight. A shed or expired
-    /// attempt had no side effects, so it is forgotten and a retry of
-    /// the same sequence starts over. Session `0` opts out.
+    /// Run `attempt` at most once per `(session, seq)`, and say whether
+    /// the answer is a replay. A duplicate replays the first attempt's
+    /// ack or rejection, waiting (up to `deadline`) while that attempt
+    /// is in flight. A shed or expired attempt had no side effects, so
+    /// it is forgotten and a retry of the same sequence starts over.
+    /// Session `0` opts out.
     pub(crate) fn run_once(
         &self,
         session: u128,
         seq: u64,
         deadline: Option<Instant>,
         attempt: impl FnOnce() -> Result<WriteAck, ApplyError>,
-    ) -> Result<WriteAck, ApplyError> {
+    ) -> (Result<WriteAck, ApplyError>, bool) {
         if session == 0 {
-            return attempt();
+            return (attempt(), false);
         }
         match self.begin(session, seq, deadline) {
             Admission::Fresh => {}
-            Admission::Replay(result) => return result.map_err(ApplyError::Rejected),
+            Admission::Replay(result) => return (result.map_err(ApplyError::Rejected), true),
             Admission::Stale => {
-                return Err(ApplyError::Rejected(format!(
-                    "stale sequence {seq} for session {session:#034x}"
-                )))
+                let stale = format!("stale sequence {seq} for session {session:#034x}");
+                return (Err(ApplyError::Rejected(stale)), false);
             }
-            Admission::WaitExpired => return Err(ApplyError::Expired),
+            Admission::WaitExpired => return (Err(ApplyError::Expired), false),
         }
         let result = attempt();
         match &result {
@@ -401,7 +401,7 @@ impl DedupTable {
             Err(ApplyError::Rejected(msg)) => self.finish(session, seq, Err(msg.clone())),
             Err(_) => self.abandon(session, seq),
         }
-        result
+        (result, false)
     }
 
     /// Retries answered from a cached outcome so far.
@@ -489,15 +489,28 @@ impl Coalescer {
         ops: Vec<Op>,
         deadline: Option<Instant>,
     ) -> Result<WriteAck, ApplyError> {
+        self.serve_write(session, seq, ops, deadline).0
+    }
+
+    /// [`Self::apply_session`], also saying whether the dedup table
+    /// answered the write with a replay.
+    pub(crate) fn serve_write(
+        &self,
+        session: u128,
+        seq: u64,
+        ops: Vec<Op>,
+        deadline: Option<Instant>,
+    ) -> (Result<WriteAck, ApplyError>, bool) {
         if ops.is_empty() {
-            return Ok(WriteAck {
+            let ack = WriteAck {
                 lsn: 0,
                 applied: 0,
                 merged: 0,
-            });
+            };
+            return (Ok(ack), false);
         }
-        let result = if deadline.is_some_and(|d| Instant::now() >= d) {
-            Err(ApplyError::Expired)
+        let (result, replayed) = if deadline.is_some_and(|d| Instant::now() >= d) {
+            (Err(ApplyError::Expired), false)
         } else {
             self.dedup.run_once(session, seq, deadline, || {
                 self.admit(ops.len())?;
@@ -509,7 +522,7 @@ impl Coalescer {
         if matches!(result, Err(ApplyError::Expired)) {
             self.count_expired();
         }
-        result
+        (result, replayed)
     }
 
     /// Count one write that expired before it applied.
@@ -674,16 +687,7 @@ fn commit_round(
     }
     match bur.apply(&batch) {
         Ok(ticket) => {
-            let lsn = match ticket.wait() {
-                Ok(lsn) => lsn,
-                Err(e) => {
-                    let msg = format!("commit applied but durability wait failed: {e}");
-                    for sub in round {
-                        let _ = sub.reply.send(Err(RoundError::Failed(msg.clone())));
-                    }
-                    return;
-                }
-            };
+            let lsn = ticket.lsn();
             stats.rounds.fetch_add(1, Ordering::Relaxed);
             stats.submissions.fetch_add(merged, Ordering::Relaxed);
             stats.ops.fetch_add(batch.len() as u64, Ordering::Relaxed);
@@ -776,6 +780,20 @@ mod tests {
         assert_eq!(stats.ops, 10);
         c.shutdown();
         assert!(c.apply(inserts(10..11)).is_err(), "rejects after shutdown");
+    }
+
+    #[test]
+    fn a_write_reports_its_own_replay() {
+        let bur = mem_bur();
+        let c = Coalescer::new(bur.clone());
+        let (first, replayed) = c.serve_write(7, 1, inserts(0..3), None);
+        assert_eq!(first.expect("applied").applied, 3);
+        assert!(!replayed, "a first attempt is no replay");
+        let (retry, replayed) = c.serve_write(7, 1, inserts(0..3), None);
+        assert_eq!(retry.expect("replayed").applied, 3);
+        assert!(replayed, "the retry is answered from the table");
+        assert_eq!(bur.len(), 3, "applied once");
+        assert_eq!(c.stats().dedup_hits, 1);
     }
 
     #[test]

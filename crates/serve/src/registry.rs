@@ -5,7 +5,7 @@ use crate::coalescer::{
     ApplyError, Coalescer, CoalescerConfig, DedupTable, Expiry, PendingAck, WriteAck,
 };
 use crate::protocol::StrategyKind;
-use bur_core::{Batch, Bur, CoreError, IndexBuilder, Op};
+use bur_core::{Bur, CoreError, IndexBuilder, Op};
 use bur_shard::{ShardError, ShardedBur};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
@@ -122,18 +122,16 @@ impl ShardedEntry {
     /// The write is routed by key, waiting out any migration whose
     /// frozen range it touches, and admitted as a whole: unless every
     /// part fits its shard's write queue right now, it is shed with
-    /// nothing applied. Then every part is queued on its shard's
-    /// coalescer before any ack is waited for, so the shards' committers
-    /// apply and sync the parts side by side. A write that splits an
-    /// update across shards is the exception
-    /// ([`bur_shard::RoutedWrite::applies_in_order`]): each of its
-    /// parts is acked before the next is queued. The parts share one
-    /// expiry decision, made when a committer first takes one of them,
-    /// so either every part applies or none does, and
-    /// [`ApplyError::Overloaded`] and [`ApplyError::Expired`] keep
-    /// meaning "no side effects". The ack folds the parts' acks: the
-    /// highest LSN, the most merged submissions, and the ops applied
-    /// with each cross-shard update counted once.
+    /// nothing applied. Then [`bur_shard::RoutedWrite::fan_out`] queues
+    /// the parts on their shards' coalescers and waits for their acks,
+    /// so the shards' committers apply and sync independent parts side
+    /// by side. The parts share one expiry decision, made when a
+    /// committer first takes one of them, so either every part applies
+    /// or none does, and [`ApplyError::Overloaded`] and
+    /// [`ApplyError::Expired`] keep meaning "no side effects". The ack
+    /// folds the parts' acks: the highest LSN, the most merged
+    /// submissions, and the ops applied with each cross-shard update
+    /// counted once.
     pub fn apply_session(
         &self,
         session: u128,
@@ -141,8 +139,20 @@ impl ShardedEntry {
         ops: &[Op],
         deadline: Option<Instant>,
     ) -> Result<WriteAck, ApplyError> {
+        self.serve_write(session, seq, ops, deadline).0
+    }
+
+    /// [`Self::apply_session`], also saying whether the ledger answered
+    /// the write with a replay.
+    pub(crate) fn serve_write(
+        &self,
+        session: u128,
+        seq: u64,
+        ops: &[Op],
+        deadline: Option<Instant>,
+    ) -> (Result<WriteAck, ApplyError>, bool) {
         self.ledger.run_once(session, seq, deadline, || {
-            let mut routed = self
+            let routed = self
                 .sharded
                 .route_for_write(ops)
                 .map_err(|e| ApplyError::Rejected(e.to_string()))?;
@@ -150,42 +160,27 @@ impl ShardedEntry {
                 self.coalescers[*shard as usize].admit(part.len())?;
             }
             let split_updates = routed.split_updates();
-            let parts = routed.take_parts();
-            let first = parts.first().map(|(shard, _)| *shard as usize);
+            let first = routed.parts().first().map(|(shard, _)| *shard as usize);
             let expiry = deadline.map(Expiry::new);
-            let submit = |(shard, part): (u32, Batch)| {
-                self.coalescers[shard as usize].submit(part, expiry.clone())
-            };
+            let acks = routed.fan_out(
+                |shard, part| self.coalescers[shard as usize].submit(part, expiry.clone()),
+                PendingAck::wait,
+            );
+            if let (Err(ApplyError::Expired), Some(first)) = (&acks, first) {
+                self.coalescers[first].count_expired();
+            }
             let mut ack = WriteAck {
                 lsn: 0,
                 applied: 0,
                 merged: 0,
             };
-            let result = if routed.applies_in_order() {
-                parts.into_iter().try_for_each(|part| {
-                    fold_ack(&mut ack, submit(part)?.wait()?);
-                    Ok(())
-                })
-            } else {
-                let pending: Vec<_> = parts.into_iter().map(submit).collect();
-                // Wait for every queued part, even past a failed one:
-                // none may land after the writer registration is gone.
-                let mut failed = None;
-                for part in pending {
-                    match part.and_then(PendingAck::wait) {
-                        Ok(part_ack) => fold_ack(&mut ack, part_ack),
-                        Err(e) => {
-                            failed.get_or_insert(e);
-                        }
-                    }
-                }
-                failed.map_or(Ok(()), Err)
-            };
-            drop(routed);
-            if let (Err(ApplyError::Expired), Some(first)) = (&result, first) {
-                self.coalescers[first].count_expired();
+            // Shard logs are independent, so the folded LSN is only an
+            // "everything acked" watermark, like `AggregateTicket`'s.
+            for (_, part) in acks? {
+                ack.lsn = ack.lsn.max(part.lsn);
+                ack.applied += part.applied;
+                ack.merged = ack.merged.max(part.merged);
             }
-            result?;
             // A cross-shard update ran as delete + insert; count it as
             // the one logical op the client submitted.
             ack.applied = ack.applied.saturating_sub(split_updates);
@@ -216,15 +211,6 @@ impl ShardedEntry {
     pub fn queued_ops(&self) -> usize {
         self.coalescers.iter().map(|c| c.queued_ops()).sum()
     }
-}
-
-/// Fold one part's ack into a sharded write's: shard logs are
-/// independent, so the folded LSN is only an "everything acked"
-/// watermark, like `AggregateTicket`'s.
-fn fold_ack(ack: &mut WriteAck, part: WriteAck) {
-    ack.lsn = ack.lsn.max(part.lsn);
-    ack.applied += part.applied;
-    ack.merged = ack.merged.max(part.merged);
 }
 
 /// Either kind of open index the registry can hand out.
@@ -346,10 +332,6 @@ impl IndexRegistry {
         self.root.join(format!("{name}.bur"))
     }
 
-    fn shard_file_for(&self, name: &str, shard: u32) -> PathBuf {
-        self.root.join(format!("{name}.s{shard}.bur"))
-    }
-
     fn manifest_for(&self, name: &str) -> PathBuf {
         self.root.join(format!("{name}.shardmap"))
     }
@@ -417,15 +399,9 @@ impl IndexRegistry {
         if self.file_for(name).exists() || self.manifest_for(name).exists() {
             return Err(ServeError::AlreadyExists(name.to_string()));
         }
-        let mut burs = Vec::with_capacity(shards as usize);
-        for k in 0..shards {
-            let bur = Self::builder_for(strategy, durable)
-                .file(self.shard_file_for(name, k))
-                .create()
-                .build()?;
-            burs.push(bur);
-        }
-        let sharded = ShardedBur::with_manifest(burs, self.manifest_for(name))?;
+        let sharded = ShardedBur::create_in(&self.root, name, shards, || {
+            Self::builder_for(strategy, durable)
+        })?;
         entries.insert(
             name.to_string(),
             Entry::Sharded(self.sharded_entry(name, sharded)),
@@ -465,22 +441,8 @@ impl IndexRegistry {
         if let Some(entry) = entries.get(name) {
             return Ok(entry.clone());
         }
-        let manifest = self.manifest_for(name);
-        let entry = if manifest.exists() {
-            let m = bur_shard::load_manifest(&manifest)?;
-            let mut burs = Vec::with_capacity(m.shards as usize);
-            for k in 0..m.shards {
-                let file = self.shard_file_for(name, k);
-                if !file.exists() {
-                    return Err(ServeError::Shard(ShardError::Manifest(format!(
-                        "manifest names {} shards but {} is missing",
-                        m.shards,
-                        file.display()
-                    ))));
-                }
-                burs.push(IndexBuilder::new().file(&file).open().build()?);
-            }
-            let sharded = ShardedBur::with_manifest(burs, manifest)?;
+        let entry = if self.manifest_for(name).exists() {
+            let sharded = ShardedBur::open_in(&self.root, name)?;
             Entry::Sharded(self.sharded_entry(name, sharded))
         } else {
             let file = self.file_for(name);

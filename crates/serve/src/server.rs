@@ -413,14 +413,11 @@ fn serve_request(
             let resp = match ctx.registry.get(&index) {
                 Ok(Entry::Plain(entry)) => write_response(
                     ctx,
-                    || entry.coalescer.stats().dedup_hits,
-                    || entry.coalescer.apply_session(session, seq, ops, deadline),
+                    entry.coalescer.serve_write(session, seq, ops, deadline),
                 ),
-                Ok(Entry::Sharded(entry)) => write_response(
-                    ctx,
-                    || entry.dedup_hits(),
-                    || entry.apply_session(session, seq, &ops, deadline),
-                ),
+                Ok(Entry::Sharded(entry)) => {
+                    write_response(ctx, entry.serve_write(session, seq, &ops, deadline))
+                }
                 Err(e) => err(&e),
             };
             reply(stream, resp)
@@ -548,29 +545,25 @@ fn serve_request(
     }
 }
 
-/// Run one client write, translating its outcome into the wire
-/// response and counting the shared metrics; `dedup_hits` reads the
-/// hit counter of the table that deduplicates the write.
+/// Translate a client write's outcome into the wire response and count
+/// the shared metrics; `replayed` says the dedup table answered it.
 fn write_response(
     ctx: &ConnCtx,
-    dedup_hits: impl Fn() -> u64,
-    write: impl FnOnce() -> Result<WriteAck, ApplyError>,
+    (result, replayed): (Result<WriteAck, ApplyError>, bool),
 ) -> Response {
-    let before = dedup_hits();
-    match write() {
+    if replayed {
+        ctx.metrics.dedup_hits.fetch_add(1, Ordering::Relaxed);
+    }
+    match result {
         Ok(WriteAck {
             lsn,
             applied,
             merged,
-        }) => {
-            let hits = dedup_hits() - before;
-            ctx.metrics.dedup_hits.fetch_add(hits, Ordering::Relaxed);
-            Response::Ack {
-                lsn,
-                applied,
-                merged,
-            }
-        }
+        }) => Response::Ack {
+            lsn,
+            applied,
+            merged,
+        },
         Err(e @ ApplyError::Overloaded { .. }) => {
             ctx.metrics.writes_shed.fetch_add(1, Ordering::Relaxed);
             Response::Overloaded {

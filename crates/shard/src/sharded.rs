@@ -8,16 +8,18 @@ use crate::manifest::{self, key_space_for, Manifest};
 use crate::router::{Migration, RangeMap, Segment};
 use crate::{ShardError, ShardResult};
 use bur_core::{
-    Batch, BatchReport, Bur, CommitTicket, CoreResult, Neighbor, NeighborCursor, ObjectId, Op,
-    QueryCursor,
+    Batch, BatchReport, Bur, CommitTicket, CoreResult, IndexBuilder, Neighbor, NeighborCursor,
+    ObjectId, Op, QueryCursor,
 };
 use bur_geom::hilbert::{hilbert_key, hilbert_ranges};
 use bur_geom::{Point, Rect};
 use parking_lot::RwLock;
+use std::cell::Cell;
 use std::collections::HashSet;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::thread::ScopedJoinHandle;
 use std::time::Duration;
 
 /// Hilbert curve order for the routing keys of a new sharded index
@@ -98,19 +100,23 @@ impl Drop for WriterGuard {
     }
 }
 
+/// A part [`ShardedBur::apply`] handed to [`RoutedWrite::fan_out`]:
+/// left for the waiting thread to apply, or applying on a scoped thread.
+enum Submitted<'scope> {
+    Deferred(u32, Batch),
+    Spawned(ScopedJoinHandle<'scope, ShardResult<CommitTicket>>),
+}
+
 /// A batch split into per-shard sub-batches but not yet applied (see
-/// [`ShardedBur::route_for_write`]). Each part goes through that
-/// shard's own write path — [`ShardedBur::apply`] through the shard's
-/// `Bur::apply`, the serving layer through the shard's coalescer —
-/// handed over by value ([`Self::take_parts`]) while this value stays
-/// alive: dropping it releases the writer registration that keeps a
-/// concurrent migration's copy scan from missing the routed ops, so it
-/// lives until the last part is acked. The parts of most writes are
-/// independent and may apply side by side; those of a write that splits
-/// an update apply one after another ([`Self::applies_in_order`]). The
-/// split holds for this map only: a retry of the same ops after a
-/// migration may split differently, so a caller that deduplicates
-/// retries does so for the write as a whole, never per part.
+/// [`ShardedBur::route_for_write`]). [`Self::fan_out`] hands each part
+/// to its shard's write path — [`ShardedBur::apply`] through the
+/// shard's `Bur::apply`, the serving layer through the shard's
+/// coalescer — and holds the writer registration, which keeps a
+/// concurrent migration's copy scan from missing the routed ops, until
+/// the last part is acked. The split holds for this map only: a retry
+/// of the same ops after a migration may split differently, so a
+/// caller that deduplicates retries does so for the write as a whole,
+/// never per part.
 #[derive(Debug)]
 pub struct RoutedWrite {
     parts: Vec<(u32, Batch)>,
@@ -119,18 +125,10 @@ pub struct RoutedWrite {
 }
 
 impl RoutedWrite {
-    /// The per-shard sub-batches, in first-touch order (empty once
-    /// [`Self::take_parts`] took them).
+    /// The per-shard sub-batches, in first-touch order.
     #[must_use]
     pub fn parts(&self) -> &[(u32, Batch)] {
         &self.parts
-    }
-
-    /// Hand the per-shard sub-batches over, owned, in first-touch order.
-    /// The writer registration stays with `self`: keep it alive until
-    /// every part is acked.
-    pub fn take_parts(&mut self) -> Vec<(u32, Batch)> {
-        std::mem::take(&mut self.parts)
     }
 
     /// How many cross-shard updates were decomposed into delete+insert
@@ -140,15 +138,48 @@ impl RoutedWrite {
         self.split_updates
     }
 
-    /// Whether the parts must apply one after another in first-touch
-    /// order, each acked before the next is handed over: true when the
-    /// write splits an update into a delete on one shard and an insert
-    /// on another, whose two commits are not atomic together (see
-    /// `docs/ARCHITECTURE.md`, "Serving sharded indexes"). Any other
-    /// write's parts touch disjoint objects and may apply in parallel.
-    #[must_use]
-    pub fn applies_in_order(&self) -> bool {
-        self.split_updates > 0
+    /// Hand every part to its shard and collect the acks, in
+    /// first-touch order: `submit` passes a part on and returns a
+    /// handle without waiting for it, `wait` turns a handle into the
+    /// part's ack.
+    ///
+    /// The parts of most writes touch disjoint objects, so every part
+    /// is submitted before any is waited for and the shards apply them
+    /// side by side. A write that splits an update into a delete on one
+    /// shard and an insert on another, whose two commits are not atomic
+    /// together (see `docs/ARCHITECTURE.md`, "Serving sharded
+    /// indexes"), goes part by part instead: each is submitted and
+    /// waited for before the next, and the first failure stops the
+    /// rest. Every part submitted is waited for, even past a failure,
+    /// so none lands after the writer registration is gone; it goes
+    /// when this returns. The error is the first in first-touch order.
+    pub fn fan_out<H, A, E>(
+        self,
+        mut submit: impl FnMut(u32, Batch) -> Result<H, E>,
+        mut wait: impl FnMut(H) -> Result<A, E>,
+    ) -> Result<Vec<(u32, A)>, E> {
+        let mut acks = Vec::with_capacity(self.parts.len());
+        if self.split_updates > 0 {
+            for (shard, part) in self.parts {
+                acks.push((shard, wait(submit(shard, part)?)?));
+            }
+            return Ok(acks);
+        }
+        let submitted: Vec<_> = self
+            .parts
+            .into_iter()
+            .map(|(shard, part)| (shard, submit(shard, part)))
+            .collect();
+        let mut failed = None;
+        for (shard, handle) in submitted {
+            match handle.and_then(&mut wait) {
+                Ok(ack) => acks.push((shard, ack)),
+                Err(e) => {
+                    failed.get_or_insert(e);
+                }
+            }
+        }
+        failed.map_or(Ok(acks), Err)
     }
 }
 
@@ -189,15 +220,7 @@ impl AggregateTicket {
     /// independent, so it is only a watermark of "everything acked", not
     /// a global order.
     pub fn wait(&self) -> ShardResult<u64> {
-        let mut max = 0;
-        for (shard, ticket) in &self.parts {
-            let lsn = ticket.wait().map_err(|source| ShardError::Shard {
-                shard: *shard,
-                source,
-            })?;
-            max = max.max(lsn);
-        }
-        Ok(max)
+        Ok(self.parts.iter().map(|(_, t)| t.lsn()).max().unwrap_or(0))
     }
 
     /// What the batch did, folded across shards. A cross-shard update
@@ -464,7 +487,7 @@ impl ShardedBur {
     /// initial key split and no on-disk manifest (routing state lives
     /// in memory only — fine for volatile indexes and tests).
     pub fn from_shards(shards: Vec<Bur>) -> ShardResult<Self> {
-        Self::assemble(shards, None)
+        Self::assemble(shards, None, None)
     }
 
     /// Assemble a sharded index whose routing state is persisted in the
@@ -474,10 +497,64 @@ impl ShardedBur {
     /// index observes the all-or-nothing rebalance contract; otherwise
     /// a fresh even split is written there.
     pub fn with_manifest(shards: Vec<Bur>, path: PathBuf) -> ShardResult<Self> {
-        Self::assemble(shards, Some(path))
+        let existing = if path.exists() {
+            Some(manifest::load(&path)?)
+        } else {
+            None
+        };
+        Self::assemble(shards, Some(path), existing)
     }
 
-    fn assemble(shards: Vec<Bur>, manifest_path: Option<PathBuf>) -> ShardResult<Self> {
+    /// Create the sharded index `name` in `dir`: `shards` new shard
+    /// files `<name>.s<k>.bur`, each built by `builder` (which names no
+    /// backend), and a fresh even split in the manifest
+    /// `<name>.shardmap`.
+    pub fn create_in(
+        dir: &Path,
+        name: &str,
+        shards: u32,
+        builder: impl Fn() -> IndexBuilder,
+    ) -> ShardResult<Self> {
+        let burs = (0..shards)
+            .map(|shard| {
+                builder()
+                    .file(shard_file(dir, name, shard))
+                    .create()
+                    .build()
+                    .map_err(|source| ShardError::Shard { shard, source })
+            })
+            .collect::<ShardResult<Vec<_>>>()?;
+        Self::with_manifest(burs, manifest_file(dir, name))
+    }
+
+    /// Open the sharded index `name` in `dir` from its manifest and its
+    /// shard files, reading the manifest once. Each shard recovers from
+    /// its own log, and an interrupted migration rolls back or forward
+    /// as [`Self::with_manifest`] describes.
+    pub fn open_in(dir: &Path, name: &str) -> ShardResult<Self> {
+        let path = manifest_file(dir, name);
+        let m = manifest::load(&path)?;
+        let mut burs = Vec::with_capacity(m.shards as usize);
+        for shard in 0..m.shards {
+            let file = shard_file(dir, name, shard);
+            if !file.exists() {
+                return Err(ShardError::Manifest(format!(
+                    "manifest names {} shards but {} is missing",
+                    m.shards,
+                    file.display()
+                )));
+            }
+            let bur = IndexBuilder::new().file(&file).open().build();
+            burs.push(bur.map_err(|source| ShardError::Shard { shard, source })?);
+        }
+        Self::assemble(burs, Some(path), Some(m))
+    }
+
+    fn assemble(
+        shards: Vec<Bur>,
+        manifest_path: Option<PathBuf>,
+        existing: Option<Manifest>,
+    ) -> ShardResult<Self> {
         if shards.is_empty() {
             return Err(ShardError::Config("a sharded index needs ≥ 1 shard".into()));
         }
@@ -485,10 +562,6 @@ impl ShardedBur {
             return Err(ShardError::Config("too many shards".into()));
         }
         let count = shards.len() as u32;
-        let existing = match &manifest_path {
-            Some(p) if p.exists() => Some(manifest::load(p)?),
-            _ => None,
-        };
         let (order, budget, slack, map, epoch, recover) = match existing {
             Some(m) => {
                 if m.shards != count {
@@ -591,11 +664,11 @@ impl ShardedBur {
     }
 
     /// Split `ops` for application through per-shard write paths
-    /// ([`Self::apply_ops`], the server's per-shard coalescers): grow
-    /// the extent slack, wait out a migration overlapping any op, and
+    /// ([`Self::apply`], the server's per-shard coalescers): grow the
+    /// extent slack, wait out a migration overlapping any op, and
     /// return a [`RoutedWrite`] whose writer registration a later
-    /// migration must drain before scanning. Keep it alive until every
-    /// part has been handed to its shard's write path.
+    /// migration must drain before scanning. Its
+    /// [`RoutedWrite::fan_out`] hands the parts to their shards.
     pub fn route_for_write(&self, ops: &[Op]) -> ShardResult<RoutedWrite> {
         self.grow_slack_for(ops)?;
         loop {
@@ -628,26 +701,46 @@ impl ShardedBur {
     /// Apply a mixed batch: split by key, apply sub-batches in parallel
     /// (one group-commit record per touched shard) and fold the tickets.
     /// A batch that moves an object across shards applies its parts one
-    /// after another instead ([`RoutedWrite::applies_in_order`]).
+    /// after another instead ([`RoutedWrite::fan_out`]).
     ///
     /// Atomicity is **per shard**: a crash keeps or drops each shard's
     /// sub-batch as a unit, but not the cross-shard whole. Ops routed
     /// into a key range that is mid-migration wait for the migration to
     /// finish before applying.
     pub fn apply(&self, batch: &Batch) -> ShardResult<AggregateTicket> {
-        self.apply_ops(batch.ops())
-    }
-
-    /// [`Self::apply`] over a raw op slice (the serving layer splits
-    /// coalesced submissions without building a `Batch`).
-    pub fn apply_ops(&self, ops: &[Op]) -> ShardResult<AggregateTicket> {
         // The routed write's registration, not the map lock, keeps a
         // migration's copy scan from missing these ops: the scan waits
         // until the parts have landed.
-        let mut routed = self.route_for_write(ops)?;
-        let tickets = self.apply_parts(routed.take_parts(), routed.applies_in_order())?;
-        let split_updates = routed.split_updates;
-        drop(routed);
+        let routed = self.route_for_write(batch.ops())?;
+        let split_updates = routed.split_updates();
+        let apply = |shard: u32, part: &Batch| {
+            self.inner.shards[shard as usize]
+                .apply(part)
+                .map_err(|source| ShardError::Shard { shard, source })
+        };
+        // A part submitted while none is outstanding applies on this
+        // thread once it is waited for, so a one-part write and a write
+        // going part by part spawn nothing; the parts submitted beside
+        // it apply on scoped threads meanwhile.
+        let outstanding = Cell::new(false);
+        let tickets = std::thread::scope(|scope| {
+            routed.fan_out(
+                |shard, part| {
+                    Ok(if outstanding.replace(true) {
+                        Submitted::Spawned(scope.spawn(move || apply(shard, &part)))
+                    } else {
+                        Submitted::Deferred(shard, part)
+                    })
+                },
+                |submitted| match submitted {
+                    Submitted::Deferred(shard, part) => {
+                        outstanding.set(false);
+                        apply(shard, &part)
+                    }
+                    Submitted::Spawned(handle) => handle.join().expect("shard apply panicked"),
+                },
+            )
+        })?;
         let mut report = BatchReport::default();
         for (_, t) in &tickets {
             let r = t.report();
@@ -667,48 +760,6 @@ impl ShardedBur {
             parts: tickets,
             report,
         })
-    }
-
-    /// Run the per-shard sub-batches: one after another on the caller's
-    /// thread when there is one or they must apply `in_order` (a shard's
-    /// `apply` returns durable, so each part is acked before the next
-    /// starts), otherwise the first on the caller's thread and the rest
-    /// on scoped threads.
-    fn apply_parts(
-        &self,
-        parts: Vec<(u32, Batch)>,
-        in_order: bool,
-    ) -> ShardResult<Vec<(u32, CommitTicket)>> {
-        let apply = |shard: u32, batch: &Batch| {
-            self.inner.shards[shard as usize]
-                .apply(batch)
-                .map(|ticket| (shard, ticket))
-                .map_err(|source| ShardError::Shard { shard, source })
-        };
-        if in_order || parts.len() <= 1 {
-            // Single-shard batches skip thread spawning — perfbench's
-            // `served_sharded_paced` workload measures what the router
-            // adds on top of one shard's `apply`.
-            return parts
-                .iter()
-                .map(|(shard, batch)| apply(*shard, batch))
-                .collect();
-        }
-        let mut results = Vec::with_capacity(parts.len());
-        std::thread::scope(|scope| {
-            let (first, rest) = parts.split_first().expect("non-empty");
-            let handles: Vec<_> = rest
-                .iter()
-                .map(|(shard, batch)| scope.spawn(move || apply(*shard, batch)))
-                .collect();
-            results.push(apply(first.0, &first.1));
-            results.extend(
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("shard apply panicked")),
-            );
-        });
-        results.into_iter().collect()
     }
 
     /// Single-op convenience: insert a point object.
@@ -1009,8 +1060,8 @@ impl ShardedBur {
 
     /// Bulk-apply `entries` to `shard` in group-commit chunks: inserts
     /// when `insert` is true, deletes otherwise. Deletes that find
-    /// nothing are fine (recovery replays are idempotent). Every chunk
-    /// is awaited durable before returning.
+    /// nothing are fine (recovery replays are idempotent). A shard's
+    /// `apply` returns once its chunk is durable.
     fn apply_chunked(
         &self,
         shard: u32,
@@ -1027,11 +1078,7 @@ impl ShardedBur {
                     batch.delete(*oid, rect.center());
                 }
             }
-            let ticket = bur
-                .apply(&batch)
-                .map_err(|source| ShardError::Shard { shard, source })?;
-            ticket
-                .wait()
+            bur.apply(&batch)
                 .map_err(|source| ShardError::Shard { shard, source })?;
         }
         Ok(())
@@ -1210,6 +1257,16 @@ impl ShardedBur {
     }
 }
 
+/// Shard `shard`'s file of the sharded index `name` in `dir`.
+fn shard_file(dir: &Path, name: &str, shard: u32) -> PathBuf {
+    dir.join(format!("{name}.s{shard}.bur"))
+}
+
+/// The routing manifest of the sharded index `name` in `dir`.
+fn manifest_file(dir: &Path, name: &str) -> PathBuf {
+    dir.join(format!("{name}.shardmap"))
+}
+
 /// Expand a query window by the index's extent slack so rect objects
 /// whose center lies outside the window still land in the scatter set.
 fn expand_window(window: &Rect, slack: (f32, f32)) -> Rect {
@@ -1291,7 +1348,6 @@ fn split_ops_with(map: &RangeMap, order: u32, ops: &[Op]) -> (Vec<(u32, Batch)>,
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bur_core::IndexBuilder;
     use std::sync::mpsc;
     use std::time::Instant;
 
@@ -1378,5 +1434,53 @@ mod tests {
             },
         );
         assert_eq!(sharded.len(), 2);
+    }
+
+    #[test]
+    fn a_failed_wait_still_waits_for_every_submitted_part() {
+        let sharded = two_shards();
+        let routed = sharded
+            .route_for_write(&[
+                Op::Insert {
+                    oid: 1,
+                    rect: Rect::from_point(NEAR),
+                },
+                Op::Insert {
+                    oid: 2,
+                    rect: Rect::from_point(FAR),
+                },
+            ])
+            .expect("routed");
+        assert_eq!(routed.parts().len(), 2, "independent parts on two shards");
+        let parity = (sharded.epoch() & 1) as usize;
+        let registered = || sharded.inner.writers[parity].load(Ordering::Acquire);
+        let submitted = Cell::new(0);
+        let mut waited = Vec::new();
+        let result = routed.fan_out(
+            |shard, _| {
+                submitted.set(submitted.get() + 1);
+                Ok::<_, String>(shard)
+            },
+            |shard| {
+                assert_eq!(submitted.get(), 2, "every part submitted before any wait");
+                assert!(
+                    registered() > 0,
+                    "registration held while part {shard} is waited for"
+                );
+                waited.push(shard);
+                if shard == 0 {
+                    Err(format!("part {shard} failed"))
+                } else {
+                    Ok(shard)
+                }
+            },
+        );
+        assert_eq!(result, Err("part 0 failed".to_string()));
+        assert_eq!(
+            waited,
+            [0, 1],
+            "the second part waited for past the failure"
+        );
+        assert_eq!(registered(), 0, "registration dropped once fan_out returns");
     }
 }

@@ -6,7 +6,7 @@
 //! ```
 //!
 //! Starts an in-process `burd` on a loopback port (exactly what the
-//! standalone `burd` binary or `burctl serve` runs), creates a durable
+//! standalone `burd` binary runs), creates a durable
 //! GBU index over the wire, then lets N client threads push insert
 //! batches concurrently. Each `apply` blocks until the server's
 //! durable-LSN watermark covers it — a hard durability ack, same

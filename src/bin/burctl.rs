@@ -13,7 +13,6 @@
 //! burctl promote <file> [--strategy td|lbu|gbu]
 //! burctl wal-stats <file>
 //! burctl upgrade <file>
-//! burctl serve <data-dir> [--addr HOST:PORT] [--max-conns N]
 //! burctl ping --addr HOST:PORT
 //! burctl remote-query --addr HOST:PORT <index> <min_x> <min_y> <max_x> <max_y>
 //! burctl chaos <listen> <upstream> [--plan <spec>]
@@ -40,11 +39,9 @@
 //! keeps it inside the data file; every command refuses it until
 //! `upgrade` moves the log to its sidecar.
 //!
-//! The serving trio talks the `burd` wire protocol: `serve` runs the
-//! server in the foreground over a data directory of named indexes
-//! (equivalent to the standalone `burd` binary), `ping` checks a
-//! running server's liveness, and `remote-query` runs a window query
-//! against a named index over the network through `bur-client`.
+//! The networked pair talks the wire protocol of a running `burd`
+//! server: `ping` checks its liveness, and `remote-query` runs a window
+//! query against a named index over the network through `bur-client`.
 //!
 //! `chaos` runs a standalone frame-aware fault-injecting TCP proxy in
 //! front of a running server — point clients at `<listen>` and it
@@ -87,7 +84,6 @@ fn usage() -> ExitCode {
          \x20 burctl promote <file> [--strategy td|lbu|gbu]\n\
          \x20 burctl wal-stats <file>\n\
          \x20 burctl upgrade <file>\n\
-         \x20 burctl serve <data-dir> [--addr HOST:PORT] [--max-conns N]\n\
          \x20 burctl ping --addr HOST:PORT\n\
          \x20 burctl remote-query --addr HOST:PORT <index> <min_x> <min_y> <max_x> <max_y>\n\
          \x20 burctl chaos <listen> <upstream> [--plan <spec>]\n\
@@ -118,13 +114,10 @@ fn usage() -> ExitCode {
          fault to an exact frame, `+`-separated to stack). The same seed\n\
          replays the same fault schedule. Runs until killed.\n\
          \n\
-         serve runs the burd server in the foreground over <data-dir>\n\
-         (named indexes, one `<name>.bur` file each; create them over the\n\
-         wire with bur-client). It prints `burd listening on <addr>` once\n\
-         bound — pass port 0 to let the OS pick — and exits after a client\n\
-         sends the shutdown opcode (writes drain, logs flush, indexes\n\
-         checkpoint). ping round-trips a liveness probe; remote-query runs\n\
-         a window query against a named index on a running server.\n\
+         ping and remote-query talk to a running server, which the burd\n\
+         binary runs over a data directory (`burd <data-dir>`): ping\n\
+         round-trips a liveness probe; remote-query runs a window query\n\
+         against a named index.\n\
          \n\
          replicate attaches a warm-standby follower to a --durable primary\n\
          file: it copies the base image, tails the write-ahead log with an\n\
@@ -672,34 +665,6 @@ fn cmd_upgrade(path: &str) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_serve(path: &str, rest: &[String]) -> Result<(), String> {
-    let mut config = bur::serve::ServerConfig::new(path);
-    config.addr = "127.0.0.1:4000".to_string();
-    let mut it = rest.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--addr" => {
-                config.addr = it.next().ok_or("--addr needs HOST:PORT")?.clone();
-            }
-            "--max-conns" => {
-                config.max_connections = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--max-conns needs a number")?;
-            }
-            other => return Err(format!("unknown flag {other}")),
-        }
-    }
-    let handle = bur::serve::start(config).map_err(|e| e.to_string())?;
-    use std::io::Write as _;
-    println!("burd listening on {}", handle.addr());
-    let _ = std::io::stdout().flush();
-    handle.wait();
-    // Whoever spawned us may have closed the pipe already.
-    let _ = writeln!(std::io::stdout(), "burd stopped");
-    Ok(())
-}
-
 /// Pull the mandatory `--addr HOST:PORT` out of `rest`, returning the
 /// leftover arguments.
 fn parse_addr(rest: &[String]) -> Result<(String, Vec<String>), String> {
@@ -802,21 +767,8 @@ fn cmd_chaos(rest: &[String]) -> Result<(), String> {
 /// the offline mirror of the server registry's auto-detecting open.
 /// Must not race a running server over the same files.
 fn open_sharded(dir: &str, name: &str) -> Result<bur::shard::ShardedBur, String> {
-    let manifest = std::path::Path::new(dir).join(format!("{name}.shardmap"));
-    let m = bur::shard::load_manifest(&manifest)
-        .map_err(|e| format!("cannot load {}: {e}", manifest.display()))?;
-    let mut burs = Vec::with_capacity(m.shards as usize);
-    for k in 0..m.shards {
-        let file = std::path::Path::new(dir).join(format!("{name}.s{k}.bur"));
-        burs.push(
-            IndexBuilder::new()
-                .file(&file)
-                .open()
-                .build()
-                .map_err(|e| format!("cannot open {}: {e}", file.display()))?,
-        );
-    }
-    bur::shard::ShardedBur::with_manifest(burs, manifest).map_err(|e| e.to_string())
+    bur::shard::ShardedBur::open_in(dir.as_ref(), name)
+        .map_err(|e| format!("cannot open sharded index {name:?} in {dir}: {e}"))
 }
 
 fn shard_create(rest: &[String]) -> Result<(), String> {
@@ -1003,7 +955,6 @@ fn main() -> ExitCode {
         "promote" => cmd_promote(path, rest),
         "wal-stats" => cmd_wal_stats(path),
         "upgrade" => cmd_upgrade(path),
-        "serve" => cmd_serve(path, rest),
         _ => {
             return usage();
         }

@@ -369,14 +369,14 @@ fn serve_ping_and_remote_query() {
     let dir = TempDir::new("ctl-serve");
     let data = dir.file("data");
 
-    // `burctl serve` with port 0: the banner is the only way to learn
-    // the bound address.
-    let mut server = Command::new(env!("CARGO_BIN_EXE_burctl"))
-        .args(["serve", data.to_str().unwrap(), "--addr", "127.0.0.1:0"])
+    // `burd` with port 0: the banner is the only way to learn the
+    // bound address.
+    let mut server = Command::new(env!("CARGO_BIN_EXE_burd"))
+        .args([data.to_str().unwrap(), "--addr", "127.0.0.1:0"])
         .stdout(Stdio::piped())
         .stderr(Stdio::null())
         .spawn()
-        .expect("burctl serve spawns");
+        .expect("burd spawns");
     let mut banner = String::new();
     BufReader::new(server.stdout.take().expect("piped stdout"))
         .read_line(&mut banner)
@@ -433,9 +433,9 @@ fn serve_ping_and_remote_query() {
         String::from_utf8_lossy(&out.stderr)
     );
 
-    // Graceful stop; the serve process exits on its own.
+    // Graceful stop; the server process exits on its own.
     client.shutdown_server().expect("shutdown");
-    let status = server.wait().expect("burctl serve exits");
+    let status = server.wait().expect("burd exits");
     assert!(status.success());
 }
 
@@ -466,11 +466,12 @@ fn networked_commands_report_usage_errors() {
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
-    // The help text documents the serving trio and the chaos proxy.
+    // The help text documents the networked pair, the server binary
+    // they talk to and the chaos proxy.
     let out = burctl(&["--help"]);
     let help = String::from_utf8_lossy(&out.stderr).into_owned();
     for needle in [
-        "serve <data-dir>",
+        "burd <data-dir>",
         "ping --addr",
         "remote-query --addr",
         "chaos <listen> <upstream>",
