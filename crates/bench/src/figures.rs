@@ -74,7 +74,6 @@ fn cell_with(
         updates,
         queries: scale.queries(),
         buffer_pct,
-        build: crate::runner::BuildMethod::Insert,
     };
     let m = run_experiment(&cfg);
     eprintln!(

@@ -20,5 +20,5 @@ pub mod scale;
 pub mod throughput;
 
 pub use report::Table;
-pub use runner::{run_experiment, BuildMethod, ExperimentConfig, Measurement};
+pub use runner::{run_experiment, ExperimentConfig, Measurement};
 pub use scale::Scale;

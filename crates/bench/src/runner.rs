@@ -1,23 +1,9 @@
 //! The single-experiment executor: build a tree, run updates, run
 //! queries, measure average physical I/O and CPU time per phase.
 
-use bur_core::{IndexOptions, OpSnapshot, RTreeIndex};
+use bur_core::{IndexOptions, OpSnapshot};
 use bur_workload::{Workload, WorkloadConfig};
 use std::time::Instant;
-
-/// How the initial tree is built.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BuildMethod {
-    /// One-by-one insertion — the paper's protocol ("We implemented ...
-    /// the original R-tree with re-insertions"). Insertion-built trees
-    /// carry realistic node overlap, which is what makes top-down
-    /// searches follow multiple partial paths.
-    #[default]
-    Insert,
-    /// STR bulk load (66 % fill). Faster to build but nearly
-    /// overlap-free, flattering TD.
-    Bulk,
-}
 
 /// One experiment cell: a strategy (inside [`IndexOptions`]) crossed with
 /// a workload configuration.
@@ -35,8 +21,6 @@ pub struct ExperimentConfig {
     /// Buffer size as a percentage of the database pages (tree + hash).
     /// The paper's default is 1.0 (%).
     pub buffer_pct: f64,
-    /// Initial build method (default: insertion, like the paper).
-    pub build: BuildMethod,
 }
 
 /// Measured outcomes of one experiment cell.
@@ -65,31 +49,23 @@ pub struct Measurement {
 /// Run one experiment cell.
 ///
 /// Protocol (matching Section 5): generate the initial objects, build
-/// the tree (STR bulk load at the paper's 66 % utilization), size the
-/// buffer as a percentage of the database pages, start cold, run and
-/// measure the update stream, then run and measure the query stream on
-/// the updated index.
+/// the tree by inserting them one at a time (the paper's "original
+/// R-tree with re-insertions"; an insertion-built tree carries the node
+/// overlap that makes top-down searches follow several partial paths),
+/// size the buffer as a percentage of the database pages, start cold,
+/// run and measure the update stream, then run and measure the query
+/// stream on the updated index.
 pub fn run_experiment(cfg: &ExperimentConfig) -> Measurement {
     let workload = Workload::generate(cfg.workload);
-    let items = workload.items();
-    let mut index = match cfg.build {
-        BuildMethod::Bulk => {
-            RTreeIndex::bulk_load_in_memory(cfg.index, &items).expect("bulk load failed")
-        }
-        BuildMethod::Insert => {
-            // Build with a generous buffer (build I/O is not measured),
-            // inserting one object at a time like the paper.
-            let mut build_opts = cfg.index;
-            build_opts.buffer_frames = 4096;
-            let mut index = bur_core::IndexBuilder::with_options(build_opts)
-                .build_index()
-                .expect("create failed");
-            for &(oid, p) in &items {
-                index.insert(oid, p).expect("build insert failed");
-            }
-            index
-        }
-    };
+    // Build with a generous buffer: build I/O is not measured.
+    let mut build_opts = cfg.index;
+    build_opts.buffer_frames = 4096;
+    let mut index = bur_core::IndexBuilder::with_options(build_opts)
+        .build_index()
+        .expect("create failed");
+    for (oid, p) in workload.items() {
+        index.insert(oid, p).expect("build insert failed");
+    }
 
     let data_pages = index.data_pages().expect("page count");
     let buffer_frames =
@@ -160,7 +136,6 @@ mod tests {
             updates: 3_000,
             queries: 30,
             buffer_pct: 1.0,
-            build: BuildMethod::default(),
         }
     }
 

@@ -9,17 +9,24 @@
 //!
 //! The client is built for unreliable networks:
 //!
-//! - **Idempotent retries.** Every connection carries a random
-//!   client-session id, and every [`BurClient::apply`] is stamped with
-//!   a monotonic sequence number. The server deduplicates on
-//!   `(session, seq)`, so when an ack is lost in transit the client
+//! - **One retry policy.** [`ClientConfig::retry`] bounds every call
+//!   by one attempt count and one elapsed budget, and each attempt
+//!   starts by dialing when no connection is held: one pass over the
+//!   resolved addresses. The first dial, in [`BurClient::connect_with`],
+//!   runs under the same policy. A failed dial sent nothing, so every
+//!   call may dial again, `create`, `close`, `shutdown` and the
+//!   streaming queries included.
+//! - **Idempotent resends.** Only a call that is safe to send twice is
+//!   re-sent after its request went out. Every connection carries a
+//!   random client-session id, and every [`BurClient::apply`] is
+//!   stamped with a monotonic sequence number. The server deduplicates
+//!   on `(session, seq)`, so when an ack is lost in transit the client
 //!   reconnects and resends the *same* batch under the *same* sequence
 //!   number — and gets the original ack back instead of applying
 //!   twice. Read-only and idempotent calls (`ping`, `open`, `list`,
-//!   `len`, `stats`, `metrics`) retry the same way; non-idempotent
+//!   `len`, `stats`, `metrics`) resend the same way; non-idempotent
 //!   lifecycle calls (`create`, `close`, `shutdown`) and streaming
-//!   queries are single-attempt, surfacing the error for the caller to
-//!   decide.
+//!   queries surface a failure after sending for the caller to decide.
 //! - **Deadlines.** [`ClientConfig::op_timeout`] bounds every
 //!   operation: the budget rides in the frame header so the server can
 //!   shed the request if it expires queued, and the client arms socket
@@ -27,7 +34,7 @@
 //!   hang the calling thread.
 //! - **Connection poisoning.** After any transport or framing failure
 //!   the stream may be mid-frame, so the client drops it; the next
-//!   retryable call reconnects transparently ([`BurClient::reconnects`]
+//!   attempt reconnects transparently ([`BurClient::reconnects`]
 //!   counts these).
 //!
 //! ```no_run
@@ -54,6 +61,9 @@ use bur_serve::wire::{self, FrameError, WireError};
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
+
+/// How long one dial waits for one address to accept.
+const DIAL_TIMEOUT: Duration = Duration::from_millis(500);
 
 /// Client-side failure.
 #[derive(Debug)]
@@ -151,9 +161,10 @@ impl ClientError {
 /// Result alias for client operations.
 pub type ClientResult<T> = Result<T, ClientError>;
 
-/// In-flight retry knobs: how many times a retryable operation is
-/// re-attempted (reconnecting between attempts) before its error is
-/// surfaced.
+/// The client's one retry policy: how many times a call is attempted,
+/// dialing first whenever no connection is held, before its error is
+/// surfaced. A failed dial is always attempted again; a failure after
+/// the request was sent only for calls that are safe to resend.
 #[derive(Debug, Clone, Copy)]
 pub struct RetryPolicy {
     /// Total attempts per operation, including the first. `1` disables
@@ -163,8 +174,9 @@ pub struct RetryPolicy {
     pub initial_backoff: Duration,
     /// Backoff ceiling.
     pub max_backoff: Duration,
-    /// Wall-clock budget across all attempts of one operation; once
-    /// exceeded, the last error is surfaced even if attempts remain.
+    /// Wall-clock budget across all attempts of one call, dials
+    /// included; no backoff sleeps past it, so a call returns within
+    /// this plus one attempt.
     pub max_elapsed: Duration,
 }
 
@@ -191,35 +203,21 @@ impl RetryPolicy {
     }
 }
 
-/// Connection and reliability knobs for [`BurClient::connect_with`].
+/// Reliability knobs for [`BurClient::connect_with`].
 #[derive(Debug, Clone)]
 pub struct ClientConfig {
-    /// Connection attempts before giving up.
-    pub connect_attempts: u32,
-    /// Delay after the first failed connect; doubles per retry.
-    pub initial_backoff: Duration,
-    /// Connect backoff ceiling.
-    pub max_backoff: Duration,
-    /// Wall-clock cap across all connect attempts — a server that is
-    /// down stays down; don't let `connect_attempts` × backoff grow
-    /// unbounded.
-    pub max_connect_elapsed: Duration,
     /// Per-operation deadline. Sent to the server in the frame header
     /// (so expired requests are shed, not served) and armed on the
     /// socket (so a silent server cannot hang the caller). `None`
     /// waits forever.
     pub op_timeout: Option<Duration>,
-    /// In-flight retry policy for idempotent operations.
+    /// The retry policy of every dial and every resend.
     pub retry: RetryPolicy,
 }
 
 impl Default for ClientConfig {
     fn default() -> Self {
         ClientConfig {
-            connect_attempts: 10,
-            initial_backoff: Duration::from_millis(50),
-            max_backoff: Duration::from_secs(2),
-            max_connect_elapsed: Duration::from_secs(10),
             op_timeout: Some(Duration::from_secs(30)),
             retry: RetryPolicy::default(),
         }
@@ -262,23 +260,25 @@ impl BurClient {
         Self::connect_with(addr, &ClientConfig::default())
     }
 
-    /// Connect, retrying with exponential backoff on refusal (a server
-    /// mid-restart is briefly unreachable; give it time to come back)
-    /// but bounded by both [`ClientConfig::connect_attempts`] and
-    /// [`ClientConfig::max_connect_elapsed`].
+    /// Connect, dialing again with exponential backoff on refusal (a
+    /// server mid-restart is briefly unreachable) under
+    /// [`ClientConfig::retry`], as every later call does. The first
+    /// connect counts as neither a retry nor a reconnect.
     pub fn connect_with(addr: impl ToSocketAddrs, config: &ClientConfig) -> ClientResult<Self> {
-        let addrs: Vec<SocketAddr> = addr.to_socket_addrs()?.collect();
-        let stream = connect_stream(&addrs, config)?;
-        Ok(BurClient {
-            addrs,
+        let mut client = BurClient {
+            addrs: addr.to_socket_addrs()?.collect(),
             config: config.clone(),
-            stream: Some(stream),
+            stream: None,
             next_id: 1,
             session: fresh_session(),
             next_seq: 1,
             retries: 0,
             reconnects: 0,
-        })
+        };
+        client.call(false, |_| Ok(()))?;
+        client.retries = 0;
+        client.reconnects = 0;
+        Ok(client)
     }
 
     /// This connection's dedup session id (stamped on every apply).
@@ -306,22 +306,16 @@ impl BurClient {
         self.stream.is_some()
     }
 
-    fn ensure_connected(&mut self) -> ClientResult<()> {
-        if self.stream.is_none() {
-            let stream = connect_stream(&self.addrs, &self.config)?;
-            self.stream = Some(stream);
-            self.reconnects += 1;
-        }
-        Ok(())
-    }
-
-    /// Run `op` with the configured retry policy: poisoned connections
-    /// are re-established between attempts, backoff doubles, and both
-    /// the attempt count and the elapsed budget bound the loop. Only
-    /// used for operations that are safe to resend (reads, idempotent
-    /// lifecycle calls, and deduplicated applies).
-    fn with_retry<T>(
+    /// Run `op` under the retry policy. Each attempt first dials when
+    /// no connection is held (a poisoned one was dropped); a failed
+    /// dial sent nothing, so it is attempted again whatever the call.
+    /// A failure after that is attempted again only when `resend` says
+    /// the call is safe to send twice (reads, idempotent lifecycle
+    /// calls, and deduplicated applies). Backoff doubles, and both the
+    /// attempt count and the elapsed budget bound the loop.
+    fn call<T>(
         &mut self,
+        resend: bool,
         mut op: impl FnMut(&mut Self) -> ClientResult<T>,
     ) -> ClientResult<T> {
         let policy = self.config.retry;
@@ -329,15 +323,18 @@ impl BurClient {
         let mut backoff = policy.initial_backoff;
         let mut attempt = 0u32;
         loop {
-            let result = self.ensure_connected().and_then(|()| op(self));
-            let err = match result {
-                Ok(v) => return Ok(v),
-                Err(e) => e,
+            let (err, sent) = match self.dial() {
+                Err(e) => (e, false),
+                Ok(()) => match op(self) {
+                    Ok(v) => return Ok(v),
+                    Err(e) => (e, true),
+                },
             };
             attempt += 1;
-            if !err.is_retryable()
+            if (sent && !resend)
+                || !err.is_retryable()
                 || attempt >= policy.max_attempts.max(1)
-                || started.elapsed() >= policy.max_elapsed
+                || started.elapsed() + backoff >= policy.max_elapsed
             {
                 return Err(err);
             }
@@ -347,9 +344,27 @@ impl BurClient {
         }
     }
 
-    /// The deadline for an operation starting now.
-    fn op_deadline(&self) -> Option<Instant> {
-        self.config.op_timeout.map(|t| Instant::now() + t)
+    /// Dial when no connection is held: one pass over the resolved
+    /// addresses, the first that accepts wins.
+    fn dial(&mut self) -> ClientResult<()> {
+        if self.stream.is_some() {
+            return Ok(());
+        }
+        let mut last_err =
+            io::Error::new(io::ErrorKind::AddrNotAvailable, "no address to connect to");
+        for addr in &self.addrs {
+            match TcpStream::connect_timeout(addr, DIAL_TIMEOUT) {
+                Ok(stream) => {
+                    stream.set_nodelay(true)?;
+                    stream.set_write_timeout(self.config.op_timeout)?;
+                    self.stream = Some(stream);
+                    self.reconnects += 1;
+                    return Ok(());
+                }
+                Err(e) => last_err = e,
+            }
+        }
+        Err(ClientError::Io(last_err))
     }
 
     fn poison_check<T>(&mut self, result: ClientResult<T>) -> ClientResult<T> {
@@ -359,7 +374,10 @@ impl BurClient {
         result
     }
 
-    fn send_deadline(&mut self, req: &Request, deadline: Option<Instant>) -> ClientResult<u64> {
+    /// Send `req` under a deadline starting now; returns the request id
+    /// and the deadline its reply is read under.
+    fn send(&mut self, req: &Request) -> ClientResult<(u64, Option<Instant>)> {
+        let deadline = self.config.op_timeout.map(|t| Instant::now() + t);
         let id = self.next_id;
         self.next_id += 1;
         let deadline_ms = deadline.map(|d| {
@@ -379,7 +397,7 @@ impl BurClient {
             None => Err(not_connected()),
         };
         self.poison_check(result)?;
-        Ok(id)
+        Ok((id, deadline))
     }
 
     fn recv_deadline(&mut self, id: u64, deadline: Option<Instant>) -> ClientResult<Response> {
@@ -427,9 +445,7 @@ impl BurClient {
 
     /// One request, one response frame, one deadline.
     fn round_trip(&mut self, req: &Request) -> ClientResult<Response> {
-        self.ensure_connected()?;
-        let deadline = self.op_deadline();
-        let id = self.send_deadline(req, deadline)?;
+        let (id, deadline) = self.send(req)?;
         self.recv_deadline(id, deadline)
     }
 
@@ -441,9 +457,15 @@ impl BurClient {
         }
     }
 
+    /// A call that is not safe to send twice: dialed under the retry
+    /// policy, sent once.
+    fn expect_ok_once(&mut self, req: &Request) -> ClientResult<()> {
+        self.call(false, |c| c.expect_ok(req))
+    }
+
     /// Liveness probe (retried).
     pub fn ping(&mut self) -> ClientResult<()> {
-        self.with_retry(|c| match c.round_trip(&Request::Ping)? {
+        self.call(true, |c| match c.round_trip(&Request::Ping)? {
             Response::Pong => Ok(()),
             Response::Err { message } => Err(ClientError::Server(message)),
             other => Err(unexpected("Pong", &other)),
@@ -451,14 +473,14 @@ impl BurClient {
     }
 
     /// Create a named index on the server. `strategy` is the CLI-style
-    /// short name (`td` / `lbu` / `gbu`). Single-attempt: creation is
-    /// not idempotent, so after a lost ack the caller must check
+    /// short name (`td` / `lbu` / `gbu`). Sent once: creation is not
+    /// idempotent, so after a lost ack the caller must check
     /// [`BurClient::list_indexes`] rather than blindly resend.
     pub fn create_index(&mut self, name: &str, strategy: &str, durable: bool) -> ClientResult<()> {
         let strategy = StrategyKind::parse(strategy).ok_or_else(|| {
             ClientError::Protocol(format!("unknown strategy {strategy:?} (td, lbu, gbu)"))
         })?;
-        self.expect_ok(&Request::Create {
+        self.expect_ok_once(&Request::Create {
             name: name.to_string(),
             strategy,
             durable,
@@ -467,7 +489,7 @@ impl BurClient {
 
     /// Create a named index sharded `shards` ways by Hilbert-key range:
     /// the server hosts every shard behind the one logical name (writes
-    /// route by key, queries scatter-gather). Single-attempt like
+    /// route by key, queries scatter-gather). Sent once like
     /// [`BurClient::create_index`].
     pub fn create_sharded_index(
         &mut self,
@@ -479,7 +501,7 @@ impl BurClient {
         let strategy = StrategyKind::parse(strategy).ok_or_else(|| {
             ClientError::Protocol(format!("unknown strategy {strategy:?} (td, lbu, gbu)"))
         })?;
-        self.expect_ok(&Request::CreateSharded {
+        self.expect_ok_once(&Request::CreateSharded {
             name: name.to_string(),
             strategy,
             durable,
@@ -489,7 +511,7 @@ impl BurClient {
 
     /// Open a named index (idempotent, retried).
     pub fn open_index(&mut self, name: &str) -> ClientResult<()> {
-        self.with_retry(|c| {
+        self.call(true, |c| {
             c.expect_ok(&Request::Open {
                 name: name.to_string(),
             })
@@ -497,10 +519,10 @@ impl BurClient {
     }
 
     /// Close a named index: the server drains its coalescer, flushes
-    /// and checkpoints before acknowledging. Single-attempt (closing a
+    /// and checkpoints before acknowledging. Sent once (closing a
     /// closed index errors).
     pub fn close_index(&mut self, name: &str) -> ClientResult<()> {
-        self.expect_ok(&Request::Close {
+        self.expect_ok_once(&Request::Close {
             name: name.to_string(),
         })
     }
@@ -508,7 +530,7 @@ impl BurClient {
     /// Indexes the server knows about, as `(name, open)` pairs
     /// (retried).
     pub fn list_indexes(&mut self) -> ClientResult<Vec<(String, bool)>> {
-        self.with_retry(|c| match c.round_trip(&Request::List)? {
+        self.call(true, |c| match c.round_trip(&Request::List)? {
             Response::Names { names } => Ok(names),
             Response::Err { message } => Err(ClientError::Server(message)),
             other => Err(unexpected("Names", &other)),
@@ -529,7 +551,7 @@ impl BurClient {
         let seq = self.next_seq;
         self.next_seq += 1;
         let ops = batch.ops().to_vec();
-        self.with_retry(|c| {
+        self.call(true, |c| {
             match c.round_trip(&Request::Apply {
                 index: index.to_string(),
                 session,
@@ -553,18 +575,14 @@ impl BurClient {
 
     /// Window query; results stream back in chunks, surfaced as a
     /// borrowing iterator (drop it early and it drains the stream to
-    /// keep the connection usable). Single-attempt: a mid-stream
-    /// failure poisons the connection and surfaces the error.
+    /// keep the connection usable). Sent once: a mid-stream failure
+    /// poisons the connection and surfaces the error.
     pub fn query(&mut self, index: &str, window: &Rect) -> ClientResult<IdStream<'_>> {
-        self.ensure_connected()?;
-        let deadline = self.op_deadline();
-        let id = self.send_deadline(
-            &Request::Query {
-                index: index.to_string(),
-                window: *window,
-            },
-            deadline,
-        )?;
+        let req = Request::Query {
+            index: index.to_string(),
+            window: *window,
+        };
+        let (id, deadline) = self.call(false, |c| c.send(&req))?;
         Ok(IdStream {
             client: self,
             id,
@@ -583,16 +601,12 @@ impl BurClient {
         point: Point,
         k: usize,
     ) -> ClientResult<NeighborStream<'_>> {
-        self.ensure_connected()?;
-        let deadline = self.op_deadline();
-        let id = self.send_deadline(
-            &Request::Knn {
-                index: index.to_string(),
-                point,
-                k: k as u32,
-            },
-            deadline,
-        )?;
+        let req = Request::Knn {
+            index: index.to_string(),
+            point,
+            k: k as u32,
+        };
+        let (id, deadline) = self.call(false, |c| c.send(&req))?;
         Ok(NeighborStream {
             client: self,
             id,
@@ -605,7 +619,7 @@ impl BurClient {
 
     /// Number of objects in the named index (retried).
     pub fn len(&mut self, index: &str) -> ClientResult<u64> {
-        self.with_retry(|c| {
+        self.call(true, |c| {
             match c.round_trip(&Request::Len {
                 index: index.to_string(),
             })? {
@@ -619,7 +633,7 @@ impl BurClient {
     /// Per-index gauge dump (plaintext `name{index="..."} value`
     /// lines; retried).
     pub fn stats(&mut self, index: &str) -> ClientResult<String> {
-        self.with_retry(|c| {
+        self.call(true, |c| {
             c.text(&Request::Stats {
                 index: index.to_string(),
             })
@@ -628,7 +642,7 @@ impl BurClient {
 
     /// Server-wide metrics dump (plaintext, retried).
     pub fn metrics(&mut self) -> ClientResult<String> {
-        self.with_retry(|c| c.text(&Request::Metrics))
+        self.call(true, |c| c.text(&Request::Metrics))
     }
 
     fn text(&mut self, req: &Request) -> ClientResult<String> {
@@ -641,9 +655,9 @@ impl BurClient {
 
     /// Ask the server to shut down gracefully (drain writes, flush,
     /// checkpoint). The acknowledgement arrives before the listener
-    /// closes. Single-attempt.
+    /// closes. Sent once.
     pub fn shutdown_server(&mut self) -> ClientResult<()> {
-        self.expect_ok(&Request::Shutdown)
+        self.expect_ok_once(&Request::Shutdown)
     }
 }
 
@@ -652,38 +666,6 @@ fn not_connected() -> ClientError {
         io::ErrorKind::NotConnected,
         "connection poisoned by an earlier failure",
     ))
-}
-
-/// Dial `addrs`, bounded by both an attempt count and a wall-clock
-/// budget, surfacing the last underlying error on exhaustion.
-fn connect_stream(addrs: &[SocketAddr], config: &ClientConfig) -> ClientResult<TcpStream> {
-    const PER_ATTEMPT: Duration = Duration::from_millis(500);
-    let started = Instant::now();
-    let mut backoff = config.initial_backoff;
-    let mut last_err: Option<io::Error> = None;
-    for attempt in 0..config.connect_attempts.max(1) {
-        if attempt > 0 {
-            if started.elapsed() + backoff >= config.max_connect_elapsed {
-                break;
-            }
-            std::thread::sleep(backoff);
-            backoff = (backoff * 2).min(config.max_backoff);
-        }
-        for addr in addrs {
-            match TcpStream::connect_timeout(addr, PER_ATTEMPT) {
-                Ok(stream) => {
-                    stream.set_nodelay(true)?;
-                    stream.set_write_timeout(config.op_timeout)?;
-                    return Ok(stream);
-                }
-                Err(e) => last_err = Some(e),
-            }
-        }
-    }
-    Err(ClientError::Io(match last_err {
-        Some(e) => io::Error::new(e.kind(), format!("connect failed after retries: {e}")),
-        None => io::Error::new(io::ErrorKind::AddrNotAvailable, "no address to connect to"),
-    }))
 }
 
 /// A process-unique, collision-resistant session id for write dedup.
@@ -847,29 +829,59 @@ mod tests {
         assert_eq!(RetryPolicy::none().max_attempts, 1);
     }
 
+    /// A resend-safe call on a server that has stopped listening dials
+    /// once per attempt of its one policy: with `RetryPolicy::none()`
+    /// exactly once, and under a budget it returns within the budget
+    /// plus one dial pass, however many attempts the policy allows.
     #[test]
-    fn connect_respects_elapsed_cap() {
-        // A freshly released loopback port: bind, record the address,
-        // drop the listener. Every connect attempt is then refused
-        // locally — no routing assumptions — so the elapsed cap is
-        // what ends the loop.
-        let addrs: Vec<SocketAddr> = {
-            let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-            vec![listener.local_addr().unwrap()]
-        };
-        let config = ClientConfig {
-            connect_attempts: 1000,
+    fn a_stopped_server_is_dialed_under_the_call_policy() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let budget = RetryPolicy {
+            max_attempts: 1000,
             initial_backoff: Duration::from_millis(10),
             max_backoff: Duration::from_millis(50),
-            max_connect_elapsed: Duration::from_millis(600),
-            ..ClientConfig::default()
+            max_elapsed: Duration::from_millis(600),
         };
+        let connect = |retry| {
+            BurClient::connect_with(
+                addr,
+                &ClientConfig {
+                    retry,
+                    ..ClientConfig::default()
+                },
+            )
+            .expect("the listener accepts")
+        };
+        let mut once = connect(RetryPolicy::none());
+        let mut budgeted = connect(budget);
+        assert_eq!(
+            (once.retries(), once.reconnects()),
+            (0, 0),
+            "the first connect counts as neither"
+        );
+        // The server closes both connections and stops listening.
+        let accepted = (listener.accept().unwrap(), listener.accept().unwrap());
+        drop((accepted, listener));
+        let refused = |e: &ClientError| matches!(e, ClientError::Io(e) if e.kind() == io::ErrorKind::ConnectionRefused);
+
+        once.ping().expect_err("the server closed the connection");
+        assert!(!once.is_connected(), "the failure poisoned the connection");
         let started = Instant::now();
-        let err = connect_stream(&addrs, &config).unwrap_err();
-        assert!(matches!(err, ClientError::Io(_)), "surfaces the io error");
+        let err = once.ping().expect_err("nothing listens");
+        assert!(refused(&err), "{err}");
+        assert_eq!(once.retries(), 0, "RetryPolicy::none() dials exactly once");
+        assert!(started.elapsed() < DIAL_TIMEOUT, "{:?}", started.elapsed());
+
+        let started = Instant::now();
+        let err = budgeted.ping().expect_err("nothing listens");
+        assert!(refused(&err), "{err}");
+        assert!(budgeted.retries() >= 2, "the resend dialed again");
+        assert_eq!(budgeted.reconnects(), 0, "no dial succeeded");
         assert!(
-            started.elapsed() < Duration::from_secs(5),
-            "elapsed cap must end the loop long before 1000 attempts"
+            started.elapsed() < budget.max_elapsed + DIAL_TIMEOUT,
+            "the elapsed budget ends the dials, not 1000 attempts: {:?}",
+            started.elapsed()
         );
     }
 }

@@ -23,7 +23,7 @@ use crate::config::{Durability, IndexOptions, UpdateStrategy, WalOptions};
 use crate::error::{CoreError, CoreResult};
 use crate::files::{log_path, IndexFiles};
 use crate::handle::Bur;
-use crate::index::{RTreeIndex, RecoveryReport};
+use crate::index::RTreeIndex;
 use bur_storage::{DiskBackend, FileDisk, MemDisk};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -39,13 +39,13 @@ pub enum OpenMode {
     /// when the stored metadata records a write-ahead log — or the
     /// options ask for one — the log is replayed first (always safe; a
     /// cleanly shut down log replays to exactly the stored image), and
-    /// the [`RecoveryReport`] says what the replay did.
+    /// the [`crate::RecoveryReport`] says what the replay did.
     Open,
     /// Recover a durable index after a crash: [`OpenMode::Open`] for an
     /// index that must have a log — replay it up to the last durable
     /// commit, rebuild in-memory state, and checkpoint. The
-    /// [`RecoveryReport`] is available from [`Bur::recovery_report`] /
-    /// [`IndexBuilder::build_index_with_report`].
+    /// [`crate::RecoveryReport`] is available from [`Bur::recovery_report`] /
+    /// [`RTreeIndex::recovery_report`].
     Recover,
 }
 
@@ -224,19 +224,14 @@ impl IndexBuilder {
     /// Build the clonable, shared [`Bur`] handle (the primary entry
     /// point; share it across threads by cloning).
     pub fn build(self) -> CoreResult<Bur> {
-        let (index, report) = self.build_index_with_report()?;
-        Ok(Bur::from_index_with_report(index, report))
+        Ok(Bur::from_index(self.build_index()?))
     }
 
     /// Build a raw single-threaded [`RTreeIndex`] (benches, CLI tools,
-    /// anything that wants `&mut` access without a lock).
+    /// anything that wants `&mut` access without a lock). When the
+    /// build replayed a log, [`RTreeIndex::recovery_report`] says what
+    /// the replay did.
     pub fn build_index(self) -> CoreResult<RTreeIndex> {
-        Ok(self.build_index_with_report()?.0)
-    }
-
-    /// Build a raw [`RTreeIndex`] and the recovery report, when the
-    /// build replayed a log.
-    pub fn build_index_with_report(self) -> CoreResult<(RTreeIndex, Option<RecoveryReport>)> {
         let Self {
             opts,
             mode,
@@ -296,7 +291,7 @@ impl IndexBuilder {
             Backend::Disk(disk) => disk,
         };
         match mode {
-            OpenMode::Create => Ok((RTreeIndex::create_on_inner(disk, log_disk, opts)?, None)),
+            OpenMode::Create => RTreeIndex::create_on_inner(disk, log_disk, opts),
             // Recovery presupposes a log; open finds out from the file.
             OpenMode::Open | OpenMode::Recover => {
                 RTreeIndex::open_on_inner(disk, log_disk, opts, mode == OpenMode::Recover, stored)
@@ -325,14 +320,16 @@ mod tests {
         index.insert(1, Point::new(0.4, 0.4)).unwrap();
         drop(index); // crash: no clean shutdown
 
-        let (recovered, report) = IndexBuilder::generalized()
+        let recovered = IndexBuilder::generalized()
             .disk(disk.clone())
             .log_disk(log.clone())
             .recover()
-            .build_index_with_report()
+            .build_index()
             .unwrap();
         assert_eq!(recovered.len(), 1);
-        let report = report.expect("recover mode must produce a report");
+        let report = recovered
+            .recovery_report()
+            .expect("recover mode must produce a report");
         assert_eq!(report.commits, 1);
         drop(recovered);
 

@@ -120,7 +120,7 @@ impl Default for GbuParams {
 pub enum Durability {
     /// No write-ahead log (the paper's experimental setup and the
     /// default): updates are durable only after an explicit
-    /// [`crate::RTreeIndex::persist`] and a clean shutdown.
+    /// [`crate::RTreeIndex::checkpoint`] and a clean shutdown.
     #[default]
     None,
     /// Write-ahead logging via `bur-wal`: page images of every operation

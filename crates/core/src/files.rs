@@ -201,7 +201,11 @@ fn upgrade_on(
     // old log: its pages are kept out of the rebuilt hash's reach.
     let mut tree = RTree::from_snapshot(pool, opts, Some(&snap), meta_chain, old_log.pages())?;
     tree.attach_log(WalHandle::new(wal, wopts))?;
-    Ok((RTreeIndex { tree }, report))
+    let index = RTreeIndex {
+        tree,
+        recovery: Some(report),
+    };
+    Ok((index, report))
 }
 
 #[cfg(test)]
@@ -282,7 +286,6 @@ mod tests {
                 } else {
                     RTreeIndex::open_on_inner(data, Some(log), opts, true, None)
                         .unwrap_or_else(|e| panic!("torn {torn}, cut at write {cut}: {e}"))
-                        .0
                 };
                 assert_acked(&index);
                 if finished {

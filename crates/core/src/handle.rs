@@ -90,8 +90,6 @@ struct BurShared {
     /// shared pass has read. An escalated batch keeps the plans its pass
     /// made only if the epoch has not moved since the pass began.
     epoch: AtomicU64,
-    /// What the build's log replay did, when it replayed one.
-    recovery: Option<RecoveryReport>,
     /// Recycled query-result buffers ([`QueryCursor`] hot path).
     spare_ids: Mutex<Vec<Vec<ObjectId>>>,
     /// Write paths refuse with [`CoreError::ReadOnly`] while set — the
@@ -188,11 +186,20 @@ impl Bur {
     /// [`crate::IndexBuilder::build`].)
     #[must_use]
     pub fn from_index(index: RTreeIndex) -> Self {
-        Self::from_index_with_report(index, None)
+        Self {
+            shared: Arc::new(BurShared {
+                inner: RwLock::new(index),
+                epoch: AtomicU64::new(0),
+                spare_ids: Mutex::new(Vec::new()),
+                read_only: AtomicBool::new(false),
+                inflight: AtomicUsize::new(0),
+                inflight_peak: AtomicUsize::new(0),
+            }),
+        }
     }
 
     /// Wrap an index in a **read-only** handle: every write entry point
-    /// (`apply`, `insert`, `update`, `delete`, `checkpoint`, `persist`)
+    /// (`apply`, `insert`, `update`, `delete`, `checkpoint`)
     /// fails with [`CoreError::ReadOnly`] until
     /// [`Bur::promote_replica`] flips the
     /// handle writable. This is how a replication follower shares its
@@ -201,26 +208,9 @@ impl Bur {
     /// hatch, which stays open — it is the follower's apply path).
     #[must_use]
     pub fn from_index_read_only(index: RTreeIndex) -> Self {
-        let bur = Self::from_index_with_report(index, None);
+        let bur = Self::from_index(index);
         bur.shared.read_only.store(true, Ordering::Release);
         bur
-    }
-
-    pub(crate) fn from_index_with_report(
-        index: RTreeIndex,
-        recovery: Option<RecoveryReport>,
-    ) -> Self {
-        Self {
-            shared: Arc::new(BurShared {
-                inner: RwLock::new(index),
-                epoch: AtomicU64::new(0),
-                recovery,
-                spare_ids: Mutex::new(Vec::new()),
-                read_only: AtomicBool::new(false),
-                inflight: AtomicUsize::new(0),
-                inflight_peak: AtomicUsize::new(0),
-            }),
-        }
     }
 
     /// `true` while the handle is a read-only replica view (see
@@ -293,13 +283,11 @@ impl Bur {
         })
     }
 
-    /// What the log replay did when this handle was built in
-    /// [`crate::OpenMode::Recover`], or in [`crate::OpenMode::Open`] on a
-    /// durable index; `None` for fresh indexes and for opened non-durable
-    /// ones.
+    /// What the log replay did when this handle's index was built
+    /// ([`RTreeIndex::recovery_report`]).
     #[must_use]
     pub fn recovery_report(&self) -> Option<RecoveryReport> {
-        self.shared.recovery
+        self.shared.inner.read().recovery_report()
     }
 
     /// Build a ticket covering everything flushed so far (call with the
@@ -552,21 +540,13 @@ impl Bur {
 
     // ---- durability controls ---------------------------------------------
 
-    /// Take a checkpoint now (persist on a non-durable index): bounds
-    /// recovery replay and the log's page footprint.
+    /// Take a checkpoint now ([`RTreeIndex::checkpoint`]): the index
+    /// can be reopened from its file, and recovery replays only what
+    /// commits after it. A clean shutdown ends with one.
     pub fn checkpoint(&self) -> CoreResult<()> {
         self.check_writable()?;
         let mut index = self.shared.write();
         index.checkpoint()
-    }
-
-    /// Write metadata so the index can be reopened; flushes all dirty
-    /// pages (a checkpoint on a durable index). Intended as a shutdown
-    /// step.
-    pub fn persist(&self) -> CoreResult<()> {
-        self.check_writable()?;
-        let mut index = self.shared.write();
-        index.persist()
     }
 
     /// Log activity counters, when the index is durable.

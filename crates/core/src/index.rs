@@ -71,6 +71,8 @@ pub struct RecoveryReport {
 /// ```
 pub struct RTreeIndex {
     pub(crate) tree: RTree,
+    /// What the log replay of this index's open did, when it redid one.
+    pub(crate) recovery: Option<RecoveryReport>,
 }
 
 impl std::fmt::Debug for RTreeIndex {
@@ -157,7 +159,13 @@ impl RTreeIndex {
             }
             None => None,
         };
-        Ok((Self { tree }, wal))
+        Ok((
+            Self {
+                tree,
+                recovery: None,
+            },
+            wal,
+        ))
     }
 
     /// Open the index on `disk`. The summary structure is rebuilt from a
@@ -177,14 +185,15 @@ impl RTreeIndex {
     /// opening a durable file *without* its log would let unlogged page
     /// writes race a stale log generation. Without a log disk, or with
     /// one that holds no log, this fails with [`CoreError::LogMissing`].
-    /// `stored` is page 0's chain when the caller read it already.
+    /// `stored` is page 0's chain when the caller read it already. The
+    /// index keeps the report ([`RTreeIndex::recovery_report`]).
     pub(crate) fn open_on_inner(
         disk: Arc<dyn DiskBackend>,
         log_disk: Option<Arc<dyn DiskBackend>>,
         opts: IndexOptions,
         needs_log: bool,
         stored: Option<Stored>,
-    ) -> CoreResult<(Self, Option<RecoveryReport>)> {
+    ) -> CoreResult<Self> {
         opts.validate()?;
         check_page_size(disk.as_ref(), &opts)?;
         let pool = Arc::new(BufferPool::new(
@@ -207,7 +216,10 @@ impl RTreeIndex {
                     return Err(log_disk_without_log());
                 }
                 let tree = RTree::from_snapshot(pool, opts, Some(&snap), meta_chain, &[])?;
-                return Ok((Self { tree }, None));
+                return Ok(Self {
+                    tree,
+                    recovery: None,
+                });
             }
         };
         let opts = opts.with_durability(Durability::Wal(wopts));
@@ -229,22 +241,27 @@ impl RTreeIndex {
         let meta_chain = stored.map_or_else(|_| Vec::new(), |(_, pages)| pages);
         let mut tree = RTree::from_snapshot(pool, opts, Some(&snap), meta_chain, &[])?;
         tree.attach_log(WalHandle::new(Wal::reopen(log, &end), wopts))?;
-        Ok((Self { tree }, Some(report)))
+        Ok(Self {
+            tree,
+            recovery: Some(report),
+        })
     }
 
-    /// Write metadata (and the hash directory) so the index can be
-    /// reopened through [`crate::IndexBuilder`]'s open mode; flushes all
-    /// dirty pages.
-    /// Intended as a shutdown step. On a durable index this is a
-    /// [`RTreeIndex::checkpoint`].
-    pub fn persist(&mut self) -> CoreResult<()> {
-        self.tree.checkpoint()
+    /// What the log replay did when this index was built in
+    /// [`crate::OpenMode::Recover`], or in [`crate::OpenMode::Open`] on a
+    /// durable index; `None` for fresh indexes and for opened
+    /// non-durable ones.
+    #[must_use]
+    pub fn recovery_report(&self) -> Option<RecoveryReport> {
+        self.recovery
     }
 
-    /// Take a fuzzy checkpoint now: sync the log, flush every page as the
-    /// new base image, and rewind the log. Bounds recovery replay to the
-    /// operations committed after this call. Equivalent to
-    /// [`RTreeIndex::persist`] on a non-durable index.
+    /// Write the metadata (and the hash directory) so the index can be
+    /// reopened through [`crate::IndexBuilder`]'s open mode, and flush
+    /// every dirty page as the new base image; a durable index also
+    /// syncs its log first and rewinds it after. Bounds recovery replay
+    /// to the operations committed after this call, and is the step a
+    /// clean shutdown ends with.
     pub fn checkpoint(&mut self) -> CoreResult<()> {
         self.tree.checkpoint()
     }

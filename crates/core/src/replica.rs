@@ -70,7 +70,10 @@ impl RTreeIndex {
         // as the follower redoes the log.
         snap.hash_head = INVALID_PAGE;
         let tree = RTree::from_snapshot(pool, opts, Some(&snap), Vec::new(), &[])?;
-        Ok(Self { tree })
+        Ok(Self {
+            tree,
+            recovery: None,
+        })
     }
 
     /// Advance a replica view to a newer replicated snapshot: swap in the
@@ -237,11 +240,11 @@ mod tests {
         // The promoted index is live and durable: write, crash, recover.
         view.insert(9000, Point::new(0.91, 0.91)).unwrap();
         drop(view);
-        let (rec, _) = IndexBuilder::generalized()
+        let rec = IndexBuilder::generalized()
             .disk(copy)
             .log_disk(log)
             .recover()
-            .build_index_with_report()
+            .build_index()
             .unwrap();
         assert!(rec
             .point_query(Point::new(0.91, 0.91))

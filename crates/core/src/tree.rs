@@ -138,7 +138,7 @@ pub(crate) struct RTree {
     /// Write-ahead log, when the index is durable.
     pub(crate) wal: Option<WalHandle>,
     /// Pages owned by the on-disk metadata continuation chain (plus
-    /// spares); recycled by every persist/checkpoint instead of leaking.
+    /// spares); recycled by every checkpoint instead of leaking.
     pub(crate) meta_chain_pages: Vec<PageId>,
     /// One claim bit per page for the shared write path, covering every
     /// page the tree can name: sized wherever a tree comes to exist and
@@ -1665,7 +1665,7 @@ mod tests {
             let y = (oid / 50) as f32 / 40.0;
             index.insert(oid, Point::new(x, y)).unwrap();
         }
-        index.persist().unwrap();
+        index.checkpoint().unwrap();
         let opts = *index.options();
         let pool = Arc::clone(&index.tree.pool);
         drop(index);

@@ -26,31 +26,16 @@ use parking_lot::{Condvar, Mutex};
 /// the next round).
 const MAX_ROUND_OPS: usize = 8192;
 
-/// Tuning knobs for one index's coalescer, set server-wide via
-/// `ServerConfig` / `burd --queue-limit`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CoalescerConfig {
-    /// Admission ceiling: a write batch is refused with
-    /// [`ApplyError::Overloaded`] when accepting it would push the
-    /// queued-or-in-flight op count past this. Half of it is the
-    /// degraded-mode watermark ([`Coalescer::is_degraded`]): queries
-    /// are shed before writes, so the write path keeps its budget.
-    pub max_queued_ops: usize,
-    /// Bound on the retry-dedup table (a plain index's coalescer's, or
-    /// a sharded index's one ledger): distinct client sessions
-    /// remembered (last sequence number + cached ack each). Oldest
-    /// completed sessions are evicted first.
-    pub max_sessions: usize,
-}
+/// The default admission ceiling of one index's coalescer (ops queued
+/// or in flight); `ServerConfig::max_queued_ops` and `burd
+/// --queue-limit` set another.
+pub(crate) const MAX_QUEUED_OPS: usize = 16_384;
 
-impl Default for CoalescerConfig {
-    fn default() -> Self {
-        CoalescerConfig {
-            max_queued_ops: 16_384,
-            max_sessions: 1024,
-        }
-    }
-}
+/// Bound on a retry-dedup table (a plain index's coalescer's, or a
+/// sharded index's one ledger): distinct client sessions remembered
+/// (last sequence number + cached ack each). The least recently
+/// touched completed session is evicted first.
+pub(crate) const MAX_SESSIONS: usize = 1024;
 
 /// Why a submission was refused or abandoned without (full) effect.
 /// Distinct from the stringly-typed commit errors because the server
@@ -257,10 +242,10 @@ enum Admission {
 
 /// Bounded per-session retry memory: the highest sequence number seen
 /// and the cached outcome for it. One entry per client session, evicted
-/// least-recently-touched once `max_sessions` is exceeded (only
-/// completed entries are evictable). A plain index's coalescer owns
-/// one; a sharded index keeps one for the whole index
-/// (`ShardedEntry`), and its shard coalescers see no sessions.
+/// least-recently-touched once `max_sessions` ([`MAX_SESSIONS`] outside
+/// tests) are tracked; only completed entries are evictable. A plain
+/// index's coalescer owns one; a sharded index keeps one for the whole
+/// index (`ShardedEntry`), and its shard coalescers see no sessions.
 pub(crate) struct DedupTable {
     max_sessions: usize,
     slots: Mutex<HashMap<u128, SessionSlot>>,
@@ -426,7 +411,12 @@ pub struct Coalescer {
     worker: Mutex<Option<JoinHandle<()>>>,
     stats: Arc<SharedStats>,
     dedup: DedupTable,
-    config: CoalescerConfig,
+    /// Admission ceiling: a write batch is refused with
+    /// [`ApplyError::Overloaded`] when accepting it would push the
+    /// queued-or-in-flight op count past this. Half of it is the
+    /// degraded-mode watermark ([`Coalescer::is_degraded`]): queries
+    /// are shed before writes, so the write path keeps its budget.
+    max_queued_ops: usize,
 }
 
 impl std::fmt::Debug for Coalescer {
@@ -438,15 +428,17 @@ impl std::fmt::Debug for Coalescer {
 }
 
 impl Coalescer {
-    /// Start a committer thread for `bur` with default limits.
+    /// Start a committer thread for `bur` with the default admission
+    /// ceiling (16 384 ops).
     #[must_use]
     pub fn new(bur: Bur) -> Self {
-        Self::with_config(bur, CoalescerConfig::default())
+        Self::with_config(bur, MAX_QUEUED_OPS)
     }
 
-    /// Start a committer thread for `bur` with explicit limits.
+    /// Start a committer thread for `bur` that admits at most
+    /// `max_queued_ops` ops queued or in flight.
     #[must_use]
-    pub fn with_config(bur: Bur, config: CoalescerConfig) -> Self {
+    pub fn with_config(bur: Bur, max_queued_ops: usize) -> Self {
         let (tx, rx) = mpsc::channel::<Submission>();
         let stats = Arc::new(SharedStats::default());
         let worker_stats = Arc::clone(&stats);
@@ -458,8 +450,8 @@ impl Coalescer {
             tx: Mutex::new(Some(tx)),
             worker: Mutex::new(Some(worker)),
             stats,
-            dedup: DedupTable::new(config.max_sessions),
-            config,
+            dedup: DedupTable::new(MAX_SESSIONS),
+            max_queued_ops,
         }
     }
 
@@ -535,11 +527,11 @@ impl Coalescer {
     /// push the queued-or-in-flight count past the ceiling.
     pub(crate) fn admit(&self, n: usize) -> Result<(), ApplyError> {
         let queued = self.queued_ops();
-        if queued + n > self.config.max_queued_ops {
+        if queued + n > self.max_queued_ops {
             self.stats.shed_writes.fetch_add(1, Ordering::Relaxed);
             return Err(ApplyError::Overloaded {
                 queued,
-                limit: self.config.max_queued_ops,
+                limit: self.max_queued_ops,
             });
         }
         Ok(())
@@ -589,10 +581,10 @@ impl Coalescer {
     /// writes — while this holds.
     #[must_use]
     pub fn is_degraded(&self) -> bool {
-        if self.config.max_queued_ops == 0 {
+        if self.max_queued_ops == 0 {
             return true;
         }
-        self.queued_ops() >= (self.config.max_queued_ops / 2).max(1)
+        self.queued_ops() >= (self.max_queued_ops / 2).max(1)
     }
 
     /// Counters so far.
@@ -681,11 +673,20 @@ fn commit_round(
     stats: &SharedStats,
 ) {
     let merged = round.len() as u64;
-    let mut batch = Batch::new();
-    for sub in &round {
-        batch.extend(sub.ops.ops().iter().copied());
-    }
-    match bur.apply(&batch) {
+    // A round of one submission, nearly every round at low load,
+    // applies that submission's batch as it is.
+    let joined: Batch;
+    let batch = match round.as_slice() {
+        [sub] => &sub.ops,
+        subs => {
+            joined = subs
+                .iter()
+                .flat_map(|sub| sub.ops.ops().iter().copied())
+                .collect();
+            &joined
+        }
+    };
+    match bur.apply(batch) {
         Ok(ticket) => {
             let lsn = ticket.lsn();
             stats.rounds.fetch_add(1, Ordering::Relaxed);
@@ -831,13 +832,7 @@ mod tests {
     #[test]
     fn a_pre_admitted_part_is_never_shed() {
         let bur = mem_bur();
-        let c = Coalescer::with_config(
-            bur.clone(),
-            CoalescerConfig {
-                max_queued_ops: 0,
-                ..CoalescerConfig::default()
-            },
-        );
+        let c = Coalescer::with_config(bur.clone(), 0);
         let err = c.apply(inserts(0..3)).expect_err("shed");
         assert!(err.contains("overloaded"), "{err}");
         assert_eq!(bur.len(), 0, "a shed submission has no effect");
@@ -852,6 +847,63 @@ mod tests {
         let stats = c.stats();
         assert_eq!(stats.shed_writes, 1);
         assert_eq!(stats.submissions, 1);
+    }
+
+    /// At its bound the table evicts the least recently touched
+    /// completed session (a replay touches it), and never one in flight.
+    #[test]
+    fn a_full_dedup_table_evicts_the_least_recently_touched_completed_session() {
+        let table = DedupTable::new(2);
+        // Whether the attempt ran, and whether the answer was a replay.
+        let run = |session: u128| {
+            let mut ran = false;
+            let (result, replayed) = table.run_once(session, 1, None, || {
+                ran = true;
+                Ok(WriteAck {
+                    lsn: 1,
+                    applied: 1,
+                    merged: 1,
+                })
+            });
+            assert_eq!(result.expect("acked").applied, 1);
+            (ran, replayed)
+        };
+        assert_eq!(run(1), (true, false));
+        assert_eq!(run(2), (true, false));
+        assert_eq!(run(1), (false, true), "a retry replays and touches 1");
+        assert_eq!(
+            run(3),
+            (true, false),
+            "evicts 2, the least recently touched"
+        );
+        assert_eq!(table.sessions(), 2);
+        assert_eq!(run(1), (false, true), "1 was kept");
+        assert_eq!(
+            run(2),
+            (true, false),
+            "2 was forgotten: its retry runs again"
+        );
+        assert_eq!(run(1), (false, true), "and evicted 3, not 1");
+
+        // In flight: admitted, not finished. Each evicts a completed
+        // session while one is left; then the table grows past its bound.
+        for session in [4, 5, 6] {
+            assert!(matches!(table.begin(session, 1, None), Admission::Fresh));
+        }
+        assert_eq!(table.sessions(), 3, "no in-flight session was evicted");
+        for session in [4, 5, 6] {
+            let duplicate = table.begin(session, 1, Some(Instant::now()));
+            assert!(
+                matches!(duplicate, Admission::WaitExpired),
+                "{session} is still in flight"
+            );
+        }
+        table.finish(4, 1, Err("rejected".into()));
+        let (result, replayed) = table.run_once(4, 1, None, || unreachable!("4 finished"));
+        assert_eq!(
+            (result, replayed),
+            (Err(ApplyError::Rejected("rejected".into())), true)
+        );
     }
 
     #[test]

@@ -41,7 +41,7 @@ pub mod server;
 pub mod wire;
 
 pub use chaos::{ChaosProxy, ChaosStats, Direction, Fault, FaultPlan, ScriptedFault};
-pub use coalescer::{ApplyError, Coalescer, CoalescerConfig, CoalescerStats, WriteAck};
+pub use coalescer::{ApplyError, Coalescer, CoalescerStats, WriteAck};
 pub use metrics::{LatencyHistogram, ServerMetrics};
 pub use protocol::{Request, Response, StrategyKind, WireNeighbor};
 pub use registry::{IndexEntry, IndexRegistry, ServeError, ServeResult};

@@ -2,7 +2,7 @@
 //! directory, each paired with its own write [`Coalescer`].
 
 use crate::coalescer::{
-    ApplyError, Coalescer, CoalescerConfig, DedupTable, Expiry, PendingAck, WriteAck,
+    ApplyError, Coalescer, DedupTable, Expiry, PendingAck, WriteAck, MAX_QUEUED_OPS, MAX_SESSIONS,
 };
 use crate::protocol::StrategyKind;
 use bur_core::{Bur, CoreError, IndexBuilder, Op};
@@ -279,7 +279,8 @@ impl Entry {
 pub struct IndexRegistry {
     root: PathBuf,
     entries: Mutex<BTreeMap<String, Entry>>,
-    coalescer_config: CoalescerConfig,
+    /// The admission ceiling of every coalescer this registry starts.
+    max_queued_ops: usize,
 }
 
 /// Shard files of a sharded index are named `<name>.s<k>.bur`, so a
@@ -306,19 +307,18 @@ impl IndexRegistry {
     /// Open a registry rooted at `root`, creating the directory if
     /// needed. No indexes are opened eagerly.
     pub fn new(root: impl Into<PathBuf>) -> ServeResult<Self> {
-        Self::with_config(root, CoalescerConfig::default())
+        Self::with_config(root, MAX_QUEUED_OPS)
     }
 
-    /// [`IndexRegistry::new`] with explicit per-index coalescer limits
-    /// (queue ceiling, dedup-table bound) applied to every index this
-    /// registry opens.
-    pub fn with_config(root: impl Into<PathBuf>, config: CoalescerConfig) -> ServeResult<Self> {
+    /// [`IndexRegistry::new`] with the write-queue admission ceiling
+    /// `max_queued_ops` for every index this registry opens.
+    pub fn with_config(root: impl Into<PathBuf>, max_queued_ops: usize) -> ServeResult<Self> {
         let root = root.into();
         std::fs::create_dir_all(&root)?;
         Ok(IndexRegistry {
             root,
             entries: Mutex::new(BTreeMap::new()),
-            coalescer_config: config,
+            max_queued_ops,
         })
     }
 
@@ -412,20 +412,20 @@ impl IndexRegistry {
     fn entry(&self, name: &str, bur: Bur) -> Arc<IndexEntry> {
         Arc::new(IndexEntry {
             name: name.to_string(),
-            coalescer: Coalescer::with_config(bur.clone(), self.coalescer_config),
+            coalescer: Coalescer::with_config(bur.clone(), self.max_queued_ops),
             bur,
         })
     }
 
     fn sharded_entry(&self, name: &str, sharded: ShardedBur) -> Arc<ShardedEntry> {
         let coalescers = (0..sharded.shard_count())
-            .map(|k| Coalescer::with_config(sharded.shard(k).clone(), self.coalescer_config))
+            .map(|k| Coalescer::with_config(sharded.shard(k).clone(), self.max_queued_ops))
             .collect();
         Arc::new(ShardedEntry {
             name: name.to_string(),
             sharded,
             coalescers,
-            ledger: DedupTable::new(self.coalescer_config.max_sessions),
+            ledger: DedupTable::new(MAX_SESSIONS),
         })
     }
 
@@ -468,7 +468,7 @@ impl IndexRegistry {
     }
 
     /// Close the named index: drain its coalescer(s), flush and
-    /// persist. Late `Apply` submissions racing the close are refused by
+    /// checkpoint. Late `Apply` submissions racing the close are refused by
     /// the drained coalescers rather than lost.
     pub fn close(&self, name: &str) -> ServeResult<()> {
         Self::check_name(name)?;
@@ -481,13 +481,13 @@ impl IndexRegistry {
         match entry {
             Entry::Plain(e) => {
                 e.coalescer.shutdown();
-                e.bur.persist()?;
+                e.bur.checkpoint()?;
             }
             Entry::Sharded(e) => {
                 for c in &e.coalescers {
                     c.shutdown();
                 }
-                e.sharded.persist()?;
+                e.sharded.checkpoint()?;
             }
         }
         Ok(())
@@ -522,7 +522,7 @@ impl IndexRegistry {
         Ok(names.into_iter().collect())
     }
 
-    /// Close every open index (drain, flush, persist). The registry
+    /// Close every open index (drain, flush, checkpoint). The registry
     /// stays usable; this is the graceful-shutdown tail.
     pub fn shutdown(&self) {
         let entries: Vec<Entry> = {
@@ -533,13 +533,13 @@ impl IndexRegistry {
             match entry {
                 Entry::Plain(e) => {
                     e.coalescer.shutdown();
-                    let _ = e.bur.persist();
+                    let _ = e.bur.checkpoint();
                 }
                 Entry::Sharded(e) => {
                     for c in &e.coalescers {
                         c.shutdown();
                     }
-                    let _ = e.sharded.persist();
+                    let _ = e.sharded.checkpoint();
                 }
             }
         }

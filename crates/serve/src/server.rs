@@ -3,7 +3,7 @@
 //! protocol, and the graceful-shutdown contract (stop accepting → join
 //! connections → drain coalescers → flush and checkpoint every index).
 
-use crate::coalescer::{ApplyError, CoalescerConfig, WriteAck};
+use crate::coalescer::{ApplyError, WriteAck, MAX_QUEUED_OPS};
 use crate::metrics::ServerMetrics;
 use crate::protocol::{Request, Response, WireNeighbor};
 use crate::registry::{Entry, IndexRegistry, ServeResult, ShardedEntry};
@@ -53,7 +53,7 @@ impl ServerConfig {
             data_dir: data_dir.into(),
             addr: "127.0.0.1:0".to_string(),
             max_connections: 64,
-            max_queued_ops: CoalescerConfig::default().max_queued_ops,
+            max_queued_ops: MAX_QUEUED_OPS,
             default_shards: 1,
         }
     }
@@ -92,10 +92,7 @@ impl std::fmt::Debug for ServerHandle {
 pub fn start(config: ServerConfig) -> ServeResult<ServerHandle> {
     let registry = Arc::new(IndexRegistry::with_config(
         &config.data_dir,
-        CoalescerConfig {
-            max_queued_ops: config.max_queued_ops,
-            ..CoalescerConfig::default()
-        },
+        config.max_queued_ops,
     )?);
     let metrics = Arc::new(ServerMetrics::default());
     let stop = Arc::new(AtomicBool::new(false));

@@ -8,8 +8,8 @@ use crate::manifest::{self, key_space_for, Manifest};
 use crate::router::{Migration, RangeMap, Segment};
 use crate::{ShardError, ShardResult};
 use bur_core::{
-    Batch, BatchReport, Bur, CommitTicket, CoreResult, IndexBuilder, Neighbor, NeighborCursor,
-    ObjectId, Op, QueryCursor,
+    Batch, BatchReport, Bur, CommitTicket, IndexBuilder, Neighbor, NeighborCursor, ObjectId, Op,
+    QueryCursor,
 };
 use bur_geom::hilbert::{hilbert_key, hilbert_ranges};
 use bur_geom::{Point, Rect};
@@ -1207,19 +1207,11 @@ impl ShardedBur {
         self.inner.shards.iter().all(Bur::is_durable)
     }
 
-    /// Checkpoint every shard.
+    /// Checkpoint every shard: each is flushed to its file and can be
+    /// reopened from it.
     pub fn checkpoint(&self) -> ShardResult<()> {
-        self.for_each_shard(Bur::checkpoint)
-    }
-
-    /// Flush every shard to its backing store.
-    pub fn persist(&self) -> ShardResult<()> {
-        self.for_each_shard(Bur::persist)
-    }
-
-    fn for_each_shard(&self, f: impl Fn(&Bur) -> CoreResult<()>) -> ShardResult<()> {
         for (i, shard) in self.inner.shards.iter().enumerate() {
-            f(shard).map_err(|source| ShardError::Shard {
+            shard.checkpoint().map_err(|source| ShardError::Shard {
                 shard: i as u32,
                 source,
             })?;

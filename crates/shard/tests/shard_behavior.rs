@@ -242,7 +242,7 @@ fn manifest_persists_routing_across_reopen() {
         s.apply(&batch).unwrap().wait().unwrap();
         let quarter = bur_shard::key_space_for(s.order()) / 4;
         s.migrate_range(0, quarter, 1).unwrap();
-        s.persist().unwrap();
+        s.checkpoint().unwrap();
     }
     // Reopen: the migrated map must come back from the manifest.
     let s = ShardedBur::with_manifest(durable_shards(&dir, 2), manifest).unwrap();
@@ -290,7 +290,7 @@ fn interrupted_migration_rolls_back_on_reopen() {
         }
         assert!(!copied.is_empty(), "nothing to copy — test vacuous");
         s.shard(1).apply(&copied).unwrap().wait().unwrap();
-        s.persist().unwrap();
+        s.checkpoint().unwrap();
     }
     // Reopen: intent without commit rolls back — the partial copies
     // vanish, the map still names shard 0, nothing is lost.
@@ -355,7 +355,7 @@ fn committed_migration_rolls_forward_on_reopen() {
         }
         m.segments = map;
         bur_shard::store_manifest(&manifest, &m).unwrap();
-        s.persist().unwrap();
+        s.checkpoint().unwrap();
     }
     // Reopen: commit present rolls forward — source copies deleted,
     // the new map stands, every object found exactly once.

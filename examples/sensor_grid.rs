@@ -89,7 +89,7 @@ fn main() -> CoreResult<()> {
     let mut index = shared
         .try_into_index()
         .expect("all clones are gone after the rounds");
-    index.persist()?;
+    index.checkpoint()?;
     let io = index.io_stats().snapshot();
     println!(
         "persisted ({} physical reads, {} writes so far)",

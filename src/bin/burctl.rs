@@ -10,7 +10,6 @@
 //! burctl stats <file> [--updates N]
 //! burctl recover <file> [--strategy td|lbu|gbu]
 //! burctl replicate <primary-file> <replica-file>
-//! burctl promote <file> [--strategy td|lbu|gbu]
 //! burctl wal-stats <file>
 //! burctl upgrade <file>
 //! burctl ping --addr HOST:PORT
@@ -27,10 +26,10 @@
 //! which applies a mixed-operation `Batch` from a text stream; `stats`,
 //! which drives updates and reports I/O and outcome counters; `recover`,
 //! which replays the write-ahead log of a `--durable` index after a
-//! crash and checkpoints the result; and the replication pair —
-//! `replicate` ships a durable primary's log into a warm-standby clone
-//! file, `promote` blesses a standby (or crashed primary) file as the
-//! new verified primary).
+//! crash, validates it and checkpoints the result, which is also how a
+//! standby (or crashed primary) file becomes the new verified primary;
+//! and `replicate`, which ships a durable primary's log into a
+//! warm-standby clone file).
 //!
 //! A `--durable` index is a file *pair*: `<file>` and the write-ahead
 //! log beside it in `<file>.wal`. Every command takes the data file's
@@ -81,7 +80,6 @@ fn usage() -> ExitCode {
          \x20 burctl stats <file> [--updates N]\n\
          \x20 burctl recover <file> [--strategy td|lbu|gbu]\n\
          \x20 burctl replicate <primary-file> <replica-file>\n\
-         \x20 burctl promote <file> [--strategy td|lbu|gbu]\n\
          \x20 burctl wal-stats <file>\n\
          \x20 burctl upgrade <file>\n\
          \x20 burctl ping --addr HOST:PORT\n\
@@ -125,7 +123,7 @@ fn usage() -> ExitCode {
          tags), redoes every shipped record commit-by-commit onto\n\
          <replica-file>, and finally promotes the clone so it stands alone\n\
          as a valid durable index with its own <replica-file>.wal\n\
-         (overwriting an earlier clone: re-run it to refresh). promote turns any durable\n\
+         (overwriting an earlier clone: re-run it to refresh). recover turns any durable\n\
          standby (or crashed primary) file into a verified primary: it replays the\n\
          file's own log to the last durable commit, rebuilds the memory\n\
          state the strategy needs, validates every invariant, and\n\
@@ -218,7 +216,7 @@ fn cmd_build(path: &str, rest: &[String]) -> Result<(), String> {
             .insert(oid, p)
             .map_err(|e| format!("insert {oid}: {e}"))?;
     }
-    index.persist().map_err(|e| format!("persist: {e}"))?;
+    index.checkpoint().map_err(|e| format!("checkpoint: {e}"))?;
     println!(
         "built {path}: {} objects, strategy {}, height {}, {} tree pages",
         index.len(),
@@ -394,7 +392,7 @@ fn cmd_batch(path: &str, rest: &[String]) -> Result<(), String> {
             stats.commits - commits_before
         );
     }
-    bur.persist().map_err(|e| format!("persist: {e}"))?;
+    bur.checkpoint().map_err(|e| format!("checkpoint: {e}"))?;
     bur.validate().map_err(|e| format!("INVALID index: {e}"))?;
     println!("persisted; all invariants hold ({} objects)", bur.len());
     Ok(())
@@ -469,12 +467,14 @@ fn cmd_recover(path: &str, rest: &[String]) -> Result<(), String> {
         }
     }
     let opts = opts.with_durability(bur::core::Durability::Wal(bur::core::WalOptions::default()));
-    let (index, report) = IndexBuilder::with_options(opts)
+    let index = IndexBuilder::with_options(opts)
         .file(path)
         .recover()
-        .build_index_with_report()
+        .build_index()
         .map_err(|e| format!("recover: {e}"))?;
-    let report = report.expect("recover mode always produces a report");
+    let report = index
+        .recovery_report()
+        .expect("recover mode always produces a report");
     index
         .validate()
         .map_err(|e| format!("recovered index is INVALID: {e}"))?;
@@ -544,49 +544,9 @@ fn cmd_replicate(primary_path: &str, rest: &[String]) -> Result<(), String> {
         .map_err(|e| format!("INVALID replica: {e}"))?;
     println!(
         "{replica_path}: warm-standby clone of {primary_path} at watermark lsn {watermark} \
-         ({} objects); re-run replicate to refresh, or `burctl promote` it to serve writes",
+         ({} objects); re-run replicate to refresh, or `burctl recover` it to serve writes",
         standby.len()
     );
-    Ok(())
-}
-
-fn cmd_promote(path: &str, rest: &[String]) -> Result<(), String> {
-    let mut opts = IndexOptions::generalized();
-    let mut it = rest.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--strategy" => {
-                opts = it
-                    .next()
-                    .and_then(|v| parse_strategy(v))
-                    .ok_or("--strategy needs td|lbu|gbu")?;
-            }
-            other => return Err(format!("unknown flag {other}")),
-        }
-    }
-    let opts = opts.with_durability(bur::core::Durability::Wal(bur::core::WalOptions::default()));
-    let (index, report) = IndexBuilder::with_options(opts)
-        .file(path)
-        .recover()
-        .build_index_with_report()
-        .map_err(|e| format!("promote: {e}"))?;
-    let report = report.expect("recover mode always produces a report");
-    index
-        .validate()
-        .map_err(|e| format!("promoted index is INVALID: {e}"))?;
-    println!(
-        "promoted {path}: {} objects at lsn {} (log gen {}), {} commits replayed{}",
-        report.recovered_len,
-        report.recovered_lsn,
-        report.log_generation,
-        report.commits,
-        if report.torn_tail {
-            "; torn tail discarded"
-        } else {
-            ""
-        }
-    );
-    println!("all invariants hold — ready to serve writes as the new primary");
     Ok(())
 }
 
@@ -855,7 +815,9 @@ fn shard_move(rest: &[String]) -> Result<(), String> {
     let report = sharded
         .migrate_range(lo, hi, to)
         .map_err(|e| format!("migrate: {e}"))?;
-    sharded.persist().map_err(|e| format!("persist: {e}"))?;
+    sharded
+        .checkpoint()
+        .map_err(|e| format!("checkpoint: {e}"))?;
     println!(
         "moved {} objects [{lo}..{hi}) shard {} -> {} (epoch {})",
         report.moved, report.from, report.to, report.epoch
@@ -884,7 +846,9 @@ fn shard_rebalance(rest: &[String]) -> Result<(), String> {
             break;
         }
     }
-    sharded.persist().map_err(|e| format!("persist: {e}"))?;
+    sharded
+        .checkpoint()
+        .map_err(|e| format!("checkpoint: {e}"))?;
     let stats = sharded.stats();
     println!(
         "{steps} step(s); imbalance {:.3} over {} shards ({} segments, epoch {})",
@@ -952,7 +916,6 @@ fn main() -> ExitCode {
         "stats" => cmd_stats(path, rest),
         "recover" => cmd_recover(path, rest),
         "replicate" => cmd_replicate(path, rest),
-        "promote" => cmd_promote(path, rest),
         "wal-stats" => cmd_wal_stats(path),
         "upgrade" => cmd_upgrade(path),
         _ => {

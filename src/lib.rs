@@ -83,7 +83,7 @@
 //! ## Durability
 //!
 //! By default an index is durable only after an explicit
-//! [`core::Bur::persist`] (the paper's experimental setup). With
+//! [`core::Bur::checkpoint`] (the paper's experimental setup). With
 //! [`core::IndexBuilder::durable`] every acknowledged update is
 //! write-ahead logged, the pool checkpoints on a cadence, and a crash —
 //! even one that tears a page write in half — recovers through the
@@ -108,7 +108,7 @@
 //! let mut batch = Batch::new();
 //! batch.insert(1, Point::new(0.4, 0.4)).insert(2, Point::new(0.6, 0.6));
 //! bur.apply(&batch).unwrap().wait().unwrap(); // logged + synced
-//! drop(bur); // crash: no persist(), no clean shutdown
+//! drop(bur); // crash: no checkpoint(), no clean shutdown
 //!
 //! let recovered = IndexBuilder::generalized()
 //!     .disk(disk)

@@ -90,7 +90,7 @@ fn durable_index_lifecycle() {
                 )
                 .unwrap();
         }
-        index.persist().unwrap();
+        index.checkpoint().unwrap();
     }
     {
         let disk = Arc::new(FileDisk::open(&path, opts.page_size).unwrap());

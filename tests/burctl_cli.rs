@@ -300,16 +300,16 @@ fn replicate_and_promote_subcommands() {
         "replica answers must equal the primary's"
     );
 
-    // Fail over: promote the standby to a verified primary.
-    let out = burctl(&["promote", rpath]);
+    // Fail over: recover the standby into a verified primary.
+    let out = burctl(&["recover", rpath]);
     assert!(
         out.status.success(),
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
     let text = stdout(&out);
-    assert!(text.contains("promoted"), "{text}");
-    assert!(text.contains("ready to serve writes"), "{text}");
+    assert!(text.contains("recovered"), "{text}");
+    assert!(text.contains("checkpointed; all invariants hold"), "{text}");
     assert!(stdout(&burctl(&["validate", rpath])).contains("all invariants hold"));
 
     // Replicating a non-durable file fails cleanly.
@@ -533,11 +533,8 @@ fn chaos_subcommand_proxies_and_injects() {
         (proxy, addr)
     };
     let config = ClientConfig {
-        connect_attempts: 3,
-        max_connect_elapsed: Duration::from_secs(2),
         op_timeout: Some(Duration::from_millis(500)),
         retry: RetryPolicy::none(),
-        ..Default::default()
     };
 
     // Pass-through plan: pings round-trip through the proxy.

@@ -61,10 +61,6 @@ fn insert_batch(range: std::ops::Range<u64>) -> Batch {
 /// operation deadlines, fast reconnects, generous attempt budget.
 fn chaos_client_config() -> ClientConfig {
     ClientConfig {
-        connect_attempts: 8,
-        initial_backoff: Duration::from_millis(2),
-        max_backoff: Duration::from_millis(50),
-        max_connect_elapsed: Duration::from_secs(5),
         op_timeout: Some(Duration::from_millis(300)),
         retry: RetryPolicy {
             max_attempts: 12,
@@ -728,11 +724,8 @@ fn fake_server(
 
 fn no_retry_config(op_timeout: Duration) -> ClientConfig {
     ClientConfig {
-        connect_attempts: 2,
-        max_connect_elapsed: Duration::from_secs(2),
         op_timeout: Some(op_timeout),
         retry: RetryPolicy::none(),
-        ..Default::default()
     }
 }
 

@@ -112,7 +112,7 @@ fn headline_shapes_hold_at_smoke_scale() {
     // The paper's two robust orderings, checked at smoke scale so CI
     // guards them: (1) GBU updates cost less than TD updates without a
     // buffer; (2) LBU queries degrade once epsilon grows.
-    use bur_bench::{run_experiment, BuildMethod, ExperimentConfig};
+    use bur_bench::{run_experiment, ExperimentConfig};
     use bur_core::{IndexOptions, LbuParams, UpdateStrategy};
     use bur_workload::WorkloadConfig;
 
@@ -127,7 +127,6 @@ fn headline_shapes_hold_at_smoke_scale() {
         updates: 6_000,
         queries: 40,
         buffer_pct,
-        build: BuildMethod::Insert,
     };
     let td = run_experiment(&mk(IndexOptions::top_down(), 0.0));
     let gbu = run_experiment(&mk(IndexOptions::generalized(), 0.0));

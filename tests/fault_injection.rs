@@ -121,10 +121,10 @@ fn sync_failure_surfaces_through_persist() {
     disk.fail_always(FaultKind::Sync);
     // MemDisk syncs are no-ops, but persist must still propagate the
     // injected failure from flush_all's sync.
-    let err = index.persist().unwrap_err();
+    let err = index.checkpoint().unwrap_err();
     assert!(matches!(err, CoreError::Storage(_)), "got {err}");
     disk.clear_faults();
-    index.persist().unwrap();
+    index.checkpoint().unwrap();
 }
 
 #[test]

@@ -951,11 +951,11 @@ fn pages_a_failed_commit_left_touched_are_logged_by_the_next() {
 
     // A crash now recovers both batches.
     drop(index);
-    let (recovered, _) = IndexBuilder::with_options(opts)
+    let recovered = IndexBuilder::with_options(opts)
         .disk(data_platter)
         .log_disk(log_platter)
         .recover()
-        .build_index_with_report()
+        .build_index()
         .unwrap();
     recovered.validate().unwrap();
     assert_eq!(recovered.len(), TWO_LEVELS);

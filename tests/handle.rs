@@ -496,7 +496,7 @@ fn builder_file_roundtrip_through_bur() {
             batch.insert(oid, Point::new(oid as f32 / 50.0, 0.5));
         }
         bur.apply(&batch).unwrap();
-        bur.persist().unwrap();
+        bur.checkpoint().unwrap();
     }
     let bur = IndexBuilder::generalized()
         .file(&path)

@@ -847,11 +847,11 @@ fn structural_batches_survive_power_cuts() {
         }
         drop(bur); // crash
 
-        let (recovered, _report) = IndexBuilder::with_options(opts)
+        let recovered = IndexBuilder::with_options(opts)
             .disk(inner)
             .log_disk(inner_log)
             .recover()
-            .build_index_with_report()
+            .build_index()
             .unwrap();
         recovered.validate().unwrap();
         assert!(
@@ -949,11 +949,11 @@ fn concurrent_batches_recover_all_or_nothing() {
         });
         drop(bur); // crash
 
-        let (recovered, _report) = IndexBuilder::with_options(opts)
+        let recovered = IndexBuilder::with_options(opts)
             .disk(inner)
             .log_disk(inner_log)
             .recover()
-            .build_index_with_report()
+            .build_index()
             .unwrap();
         recovered.validate().unwrap();
         assert_eq!(recovered.len(), n, "cut {cut}");

@@ -78,7 +78,7 @@ fn persist_reopen_roundtrip_all_strategies() {
                 &mut StdRng::seed_from_u64(9),
                 2_000,
             );
-            index.persist().unwrap();
+            index.checkpoint().unwrap();
             assert_eq!(index.len(), 1_500);
         }
 
@@ -110,7 +110,7 @@ fn reopened_index_keeps_working() {
             .build_index()
             .unwrap();
         positions = populate(&mut index, &mut rng, 2_000);
-        index.persist().unwrap();
+        index.checkpoint().unwrap();
     }
     let disk = Arc::new(FileDisk::open(&path, opts.page_size).unwrap());
     let mut index = IndexBuilder::with_options(opts)
@@ -147,7 +147,7 @@ fn strategy_switch_on_reopen() {
             .build_index()
             .unwrap();
         populate(&mut index, &mut rng, 1_200);
-        index.persist().unwrap();
+        index.checkpoint().unwrap();
     }
     let gbu = IndexOptions::generalized();
     let disk = Arc::new(FileDisk::open(&path, gbu.page_size).unwrap());
@@ -188,7 +188,7 @@ fn lbu_reopen_repairs_parent_pointers() {
             .build_index()
             .unwrap();
         populate(&mut index, &mut rng, 1_500);
-        index.persist().unwrap();
+        index.checkpoint().unwrap();
     }
     let lbu = IndexOptions::localized();
     let disk = Arc::new(FileDisk::open(&path, lbu.page_size).unwrap());
@@ -240,7 +240,7 @@ fn open_rejects_garbage_and_mismatched_page_size() {
             .build_index()
             .unwrap();
         index.insert(1, Point::new(0.5, 0.5)).unwrap();
-        index.persist().unwrap();
+        index.checkpoint().unwrap();
     }
     let disk = Arc::new(FileDisk::open(&path2, 1024).unwrap());
     let err = IndexBuilder::with_options(opts)
@@ -513,13 +513,13 @@ fn create_over_a_stale_sidecar_does_not_replay_it() {
             40,
         );
     }
-    let (index, report) = IndexBuilder::generalized()
+    let index = IndexBuilder::generalized()
         .file(&path)
         .recover()
-        .build_index_with_report()
+        .build_index()
         .unwrap();
     assert_eq!(index.len(), 50, "only the new index's operations replay");
-    assert!(report.unwrap().commits <= 90);
+    assert!(index.recovery_report().unwrap().commits <= 90);
     index.validate().unwrap();
     for (oid, p) in positions.iter().enumerate() {
         assert!(index.point_query(*p).unwrap().contains(&(oid as u64)));
@@ -533,7 +533,7 @@ fn create_over_a_stale_sidecar_does_not_replay_it() {
         .build_index()
         .unwrap();
     index.insert(1, Point::new(0.5, 0.5)).unwrap();
-    index.persist().unwrap();
+    index.checkpoint().unwrap();
     assert!(!sidecar.exists());
 }
 
@@ -550,7 +550,7 @@ fn a_corrupt_hash_directory_fails_the_open_instead_of_panicking() {
             .build_index()
             .unwrap();
         populate(&mut index, &mut StdRng::seed_from_u64(3), 300);
-        index.persist().unwrap();
+        index.checkpoint().unwrap();
     }
     // The directory chain's one page: `[next = none][len]` then level,
     // split pointer, 300 entries, 4 initial buckets, overflow count and

@@ -36,11 +36,12 @@ fn recover_on<D: DiskBackend + 'static, L: DiskBackend + 'static>(
     log: Arc<L>,
     opts: IndexOptions,
 ) -> CoreResult<(RTreeIndex, RecoveryReport)> {
-    let (index, report) = IndexBuilder::with_options(opts)
+    let index = IndexBuilder::with_options(opts)
         .disk(disk)
         .log_disk(log)
         .recover()
-        .build_index_with_report()?;
+        .build_index()?;
+    let report = index.recovery_report();
     Ok((index, report.expect("recover mode yields a report")))
 }
 
@@ -93,10 +94,11 @@ fn recover_file(
     path: &std::path::Path,
     opts: IndexOptions,
 ) -> CoreResult<(RTreeIndex, RecoveryReport)> {
-    let (index, report) = IndexBuilder::with_options(opts)
+    let index = IndexBuilder::with_options(opts)
         .file(path)
         .recover()
-        .build_index_with_report()?;
+        .build_index()?;
+    let report = index.recovery_report();
     Ok((index, report.expect("recover mode yields a report")))
 }
 
@@ -430,7 +432,7 @@ fn clean_shutdown_recovery_is_a_noop_and_open_routes_through_it() {
             index.insert(oid, p).unwrap();
             positions.push(p);
         }
-        index.persist().unwrap(); // checkpoint + clean shutdown
+        index.checkpoint().unwrap(); // checkpoint + clean shutdown
     }
     // open_on with durable options routes through recovery.
     let index = IndexBuilder::with_options(opts)
@@ -483,7 +485,7 @@ fn recover_rejects_non_durable_disks_and_options() {
         .build_index()
         .unwrap();
     index.insert(1, Point::new(0.1, 0.1)).unwrap();
-    index.persist().unwrap();
+    index.checkpoint().unwrap();
     drop(index);
     let log = Arc::new(MemDisk::new(PAGE));
     // Non-durable options are rejected outright.

@@ -540,7 +540,7 @@ fn file_to_file_replication_round_trip() {
     follower.catch_up(&mut shipper).unwrap();
     let promoted = follower.promote().unwrap();
     assert_eq!(promoted.len(), 300);
-    promoted.persist().unwrap();
+    promoted.checkpoint().unwrap();
     drop(promoted);
 
     // The replica file now opens on its own as a durable index.

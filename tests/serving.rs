@@ -359,8 +359,6 @@ fn acked_writes_survive_server_kill_and_restart() {
     // kill, so the client must surface the first failure, not mask it
     // by retrying against the dead address for seconds.
     let config = bur::client::ClientConfig {
-        connect_attempts: 2,
-        max_connect_elapsed: std::time::Duration::from_secs(2),
         retry: bur::client::RetryPolicy::none(),
         ..Default::default()
     };

@@ -347,8 +347,6 @@ fn sharded_burd_kill9_loses_no_acked_writes() {
     // `--shards 4`: every `create` builds a 4-way sharded index.
     let (mut child, addr) = spawn_burd(&data, &["--shards", "4"]);
     let config = bur::client::ClientConfig {
-        connect_attempts: 2,
-        max_connect_elapsed: std::time::Duration::from_secs(2),
         retry: bur::client::RetryPolicy::none(),
         ..Default::default()
     };
