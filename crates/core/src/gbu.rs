@@ -122,39 +122,17 @@ pub(crate) fn repair<'p>(
         .unwrap_or(tree.height.saturating_sub(1))
         .min(tree.height.saturating_sub(1));
     let summary = tree.summary.as_ref().expect("GBU requires the summary");
-    let target = if max_ascent == 0 {
-        None
-    } else {
-        summary.find_parent(leaf_pid, new, max_ascent)
+    // The lowest ancestor within L levels that contains the new location;
+    // without one (or with L = 0), a standard insert from the root, as
+    // Algorithm 3's fallback prescribes.
+    let (start, levels) = match summary.find_parent(leaf_pid, new, max_ascent) {
+        Some((anc, levels, true)) => (anc, Some(levels)),
+        _ => (tree.root, None),
     };
-    let entry = AnyEntry::Leaf(LeafEntry::point(oid, new));
-    match target {
-        Some((anc, levels, true)) => {
-            // Build the ancestor chain above `anc` from the summary so a
-            // split can propagate without any search I/O.
-            let mut chain = Vec::new();
-            let mut cur = anc;
-            let mut lvl = levels;
-            while cur != tree.root {
-                lvl += 1;
-                let Some(parent) = summary.find_parent_at(cur, lvl) else {
-                    break;
-                };
-                chain.push(parent);
-                cur = parent;
-            }
-            tree.insert_from(ops, anc, &chain, entry)?;
-            Ok(UpdateOutcome::Ascended { levels })
-        }
-        _ => {
-            // No bounding ancestor within L levels (or L = 0): standard
-            // insert from the root, as Algorithm 3's fallback prescribes.
-            tree.insert_at_root(ops, LeafEntry::point(oid, new))?;
-            Ok(UpdateOutcome::Ascended {
-                levels: tree.height - 1,
-            })
-        }
-    }
+    tree.insert(ops, start, AnyEntry::Leaf(LeafEntry::point(oid, new)))?;
+    Ok(UpdateOutcome::Ascended {
+        levels: levels.unwrap_or(tree.height - 1),
+    })
 }
 
 /// Try the sibling shift of the object's entry, slot `idx` of `leaf`. On

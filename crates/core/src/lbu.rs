@@ -28,7 +28,7 @@ use crate::error::CoreResult;
 use crate::node::{LeafEntry, ObjectId};
 use crate::pins::{NodePin, PinSet};
 use crate::stats::UpdateOutcome;
-use crate::tree::RTree;
+use crate::tree::{AnyEntry, RTree};
 use bur_geom::Point;
 
 /// Steps 5 and 6: the object's entry is slot `idx` of `leaf`, which
@@ -70,7 +70,7 @@ pub(crate) fn repair<'p>(
     // Step 6: standard insert from the root (the hash entry is refreshed
     // when the operation settles).
     ops.put(parent);
-    tree.insert_at_root(ops, LeafEntry::point(oid, new))?;
+    tree.insert(ops, tree.root, AnyEntry::Leaf(LeafEntry::point(oid, new)))?;
     Ok(UpdateOutcome::Ascended {
         levels: tree.height - 1,
     })

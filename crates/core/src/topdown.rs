@@ -11,7 +11,7 @@ use crate::error::{CoreError, CoreResult};
 use crate::node::{LeafEntry, ObjectId};
 use crate::pins::PinSet;
 use crate::stats::UpdateOutcome;
-use crate::tree::RTree;
+use crate::tree::{AnyEntry, RTree};
 use bur_geom::Point;
 
 /// The TD strategy's update: delete `oid` at `old`, then insert it at
@@ -50,6 +50,6 @@ pub(crate) fn run(
     if !tree.delete_object(ops, oid, old)? {
         return Err(CoreError::ObjectNotFound(oid));
     }
-    tree.insert_at_root(ops, LeafEntry::point(oid, new))?;
+    tree.insert(ops, tree.root, AnyEntry::Leaf(LeafEntry::point(oid, new)))?;
     Ok(UpdateOutcome::TopDown)
 }

@@ -40,6 +40,7 @@ use bur_storage::{BufferPool, Lsn, PageId, PageRef, PageWriteLatch, INVALID_PAGE
 use bur_wal::Wal;
 use parking_lot::Mutex;
 use std::borrow::Borrow;
+use std::cell::RefCell;
 use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -106,6 +107,22 @@ impl AnyEntry {
     }
 }
 
+/// What a node tells its parent on AdjustTree's climb: its MBR now and
+/// the entry of the sibling its split made. `None` once a node changed
+/// neither, so nothing above it is written.
+type Climb = Option<(Rect, Option<InternalEntry>)>;
+
+/// R* forced reinsertion's state for one insertion: the entries its
+/// overflows evicted, stacked farthest-first so they are re-inserted
+/// closest-to-center first ("close reinsert"), and the levels already
+/// treated (OverflowTreatment fires once per level per insertion; a
+/// later overflow at that level splits).
+#[derive(Default)]
+struct Reinsertion {
+    evicted: Vec<AnyEntry>,
+    armed: u32,
+}
+
 /// The R-tree plus its auxiliary structures.
 pub(crate) struct RTree {
     pub(crate) pool: Arc<BufferPool>,
@@ -124,17 +141,6 @@ pub(crate) struct RTree {
     pub(crate) hash: Option<Arc<LinearHashIndex>>,
     /// Operation counters.
     pub(crate) stats: OpStats,
-    /// Entries evicted by R* forced reinsertion, re-inserted from the
-    /// root when the outermost insert finishes. Closest-to-center entries
-    /// sit at the top of the stack ("close reinsert").
-    pub(crate) pending_reinserts: Vec<AnyEntry>,
-    /// Bitmask of levels already treated by forced reinsertion during the
-    /// current outermost insert (R* OverflowTreatment fires once per
-    /// level per insertion; later overflows at that level split).
-    pub(crate) reinsert_armed: u32,
-    /// Reentrancy guard: `true` while an insert operation is running, so
-    /// nested inserts (reinsert drains) do not reset the armed mask.
-    pub(crate) insert_active: bool,
     /// Write-ahead log, when the index is durable.
     pub(crate) wal: Option<WalHandle>,
     /// Pages owned by the on-disk metadata continuation chain (plus
@@ -207,9 +213,6 @@ impl RTree {
             summary: opts.strategy.needs_summary().then(SummaryStructure::new),
             hash: hash.map(Arc::new),
             stats: OpStats::default(),
-            pending_reinserts: Vec::new(),
-            reinsert_armed: 0,
-            insert_active: false,
             wal: None,
             meta_chain_pages,
             claims,
@@ -599,220 +602,190 @@ impl RTree {
         entry: LeafEntry,
     ) -> CoreResult<()> {
         ops.track_own(entry.oid, None);
-        self.insert_at_root(ops, entry)?;
+        self.insert(ops, self.root, AnyEntry::Leaf(entry))?;
         ops.settle()
     }
 
-    /// Insert an object from the root within the operation `ops`.
-    pub(crate) fn insert_at_root(
-        &mut self,
-        ops: &mut PinSet<'_>,
-        entry: LeafEntry,
-    ) -> CoreResult<()> {
-        self.insert_from(ops, self.root, &[], AnyEntry::Leaf(entry))
-    }
-
-    /// Insert `entry` into the subtree rooted at `start`.
+    /// Insert `entry` into the subtree under `start` within the
+    /// operation `ops` (Guttman Insert; `start` is the root unless a GBU
+    /// ascent re-inserts from the ancestor that bounds the new location).
+    /// One descent from `start` puts the entry in, and one climb adjusts
+    /// the tree back to the root: through the pins the descent read the
+    /// path with, then through the ancestors the summary names above
+    /// `start`. The climb stops at the first node that changed nothing.
     ///
-    /// `chain_above` lists `start`'s ancestors bottom-up (immediate parent
-    /// first, root last); it is empty when `start` is the root. The chain
-    /// is only touched when a split or an MBR change must propagate above
-    /// `start` — the case GBU's ascent avoids by picking an ancestor that
-    /// already contains the new location.
-    ///
-    /// In the R* variant, an overflow on the way down may queue
-    /// evicted entries instead of splitting (forced reinsertion); the
-    /// outermost call drains that queue by re-inserting from the root.
-    pub(crate) fn insert_from(
+    /// In the R* variant an overflow may evict entries instead of
+    /// splitting (forced reinsertion); they are re-inserted from the
+    /// root, and so are the entries those re-insertions evict, before
+    /// the call returns. The once-per-level rule bounds the rounds.
+    pub(crate) fn insert(
         &mut self,
         ops: &mut PinSet<'_>,
         start: PageId,
-        chain_above: &[PageId],
         entry: AnyEntry,
     ) -> CoreResult<()> {
-        let outermost = !self.insert_active;
-        if outermost {
-            self.insert_active = true;
-            self.reinsert_armed = 0;
-        }
-        let mut result = self.insert_from_inner(ops, start, chain_above, entry);
-        if outermost {
-            // Close reinsert: the queue is stacked closest-to-center on
-            // top. Entries queued while draining are drained too; the
-            // per-level armed mask bounds the recursion (later overflows
-            // at a treated level split instead of re-queueing).
-            while result.is_ok() {
-                let Some(e) = self.pending_reinserts.pop() else {
-                    break;
-                };
-                result = self.insert_from_inner(ops, self.root, &[], e);
-            }
-            if result.is_err() {
-                self.pending_reinserts.clear();
-            }
-            self.insert_active = false;
-        }
-        result
-    }
-
-    fn insert_from_inner(
-        &mut self,
-        ops: &mut PinSet<'_>,
-        start: PageId,
-        chain_above: &[PageId],
-        entry: AnyEntry,
-    ) -> CoreResult<()> {
-        let mut child_pid = start;
-        let start = ops.take(start)?;
-        let (old_mbr, new_mbr, split) = self.insert_rec(ops, start, entry)?;
-        let mut child_mbr = new_mbr;
-        let mut pending = split;
-        let mut changed = old_mbr != new_mbr;
-        for &anc in chain_above {
-            if pending.is_none() && !changed {
-                return Ok(());
-            }
-            let mut pin = ops.take(anc)?;
-            let (idx, old_anc_mbr, level, full) = {
-                let node = pin.internal()?;
-                let idx = node.find_child(child_pid).ok_or(CoreError::CorruptNode {
-                    pid: anc,
-                    reason: "ancestor chain does not link to child",
-                })?;
-                (
-                    idx,
-                    node.mbr(),
-                    node.level(),
-                    node.len() >= self.internal_cap(),
-                )
-            };
-            // AdjustTree sets the entry to the child's exact MBR. This may
-            // *shrink* a previously ε-extended official rect — deliberate:
-            // the tight MBR covers every entry by construction, and
-            // re-tightening on arrival is what keeps overlap from
-            // ratcheting outward over millions of bottom-up updates.
-            let rect = child_mbr;
-            let new_anc_mbr = match pending.take() {
-                Some(e) => {
-                    if self.parent_pointers() && level == 1 {
-                        self.set_parent_pointer(ops, e.child, anc)?;
-                    }
-                    if full {
-                        let mut node = Self::overflowing(&pin)?;
-                        node.internal_entries_mut()[idx].rect = rect;
-                        node.internal_entries_mut().push(e);
-                        let (mbr_a, sp) = self.handle_overflow(ops, pin, node)?;
-                        child_pid = anc;
-                        child_mbr = mbr_a;
-                        pending = sp;
-                        changed = true;
-                        continue;
-                    }
-                    self.edit_internal(&mut pin, |node| {
-                        node.set_rect(idx, rect);
-                        node.push(e);
-                    })?
-                }
-                None => self.edit_internal(&mut pin, |node| node.set_rect(idx, rect))?,
-            };
-            ops.put(pin);
-            child_pid = anc;
-            child_mbr = new_anc_mbr;
-            changed = old_anc_mbr != new_anc_mbr;
-        }
-        if let Some(e) = pending {
-            self.grow_root(ops, child_pid, child_mbr, e)?;
+        let mut r = Reinsertion::default();
+        self.insert_once(ops, start, entry, &mut r)?;
+        while let Some(e) = r.evicted.pop() {
+            self.insert_once(ops, self.root, e, &mut r)?;
         }
         Ok(())
     }
 
-    /// Recursive descent: returns `(old mbr, new mbr, split entry)` of
-    /// the node on `pin`. Every frame checks its pin back into the set
-    /// once it has written the node (or found nothing to write).
-    fn insert_rec<'p>(
+    /// One descent from `start` and one climb to the root.
+    fn insert_once(
+        &mut self,
+        ops: &mut PinSet<'_>,
+        start: PageId,
+        entry: AnyEntry,
+        r: &mut Reinsertion,
+    ) -> CoreResult<()> {
+        let pin = ops.take(start)?;
+        let mut level = pin.view()?.level();
+        let mut climb = self.descend(ops, pin, entry, r)?;
+        let mut child = start;
+        while climb.is_some() && child != self.root {
+            level += 1;
+            let summary = self.summary.as_ref();
+            let parent = summary
+                .and_then(|s| s.find_parent_at(child, level))
+                .ok_or_else(|| {
+                    CoreError::InvariantViolation(format!("summary has no parent for {child}"))
+                })?;
+            let pin = ops.take(parent)?;
+            let idx = pin
+                .internal()?
+                .find_child(child)
+                .ok_or(CoreError::CorruptNode {
+                    pid: parent,
+                    reason: "summary parent does not list the child",
+                })?;
+            climb = self.adjust(ops, pin, idx, climb, r)?;
+            child = parent;
+        }
+        if let Some((mbr, Some(split))) = climb {
+            self.grow_root(ops, child, mbr, split)?;
+        }
+        Ok(())
+    }
+
+    /// The descent below the node on `pin`: ChooseSubtree down to the
+    /// entry's level, the entry put in there, and on the way back each
+    /// node on the path adjusted through the pin it was read with.
+    /// Returns what the node tells its parent.
+    fn descend<'p>(
+        &mut self,
+        ops: &mut PinSet<'p>,
+        pin: NodePin<'p>,
+        entry: AnyEntry,
+        r: &mut Reinsertion,
+    ) -> CoreResult<Climb> {
+        let target = entry.target_level();
+        let next = match pin.view()? {
+            NodeView::Internal(node) if node.level() > target => {
+                let idx = self.choose_subtree(&node, &entry.rect());
+                Some((idx, node.entry(idx).child))
+            }
+            node => {
+                debug_assert_eq!(node.level(), target, "insert target level");
+                None
+            }
+        };
+        let Some((idx, child)) = next else {
+            return self.put_into(ops, pin, None, Some(entry), r);
+        };
+        let child = ops.take(child)?;
+        let below = self.descend(ops, child, entry, r)?;
+        self.adjust(ops, pin, idx, below, r)
+    }
+
+    /// One step of AdjustTree's climb at the node on `pin`, whose slot
+    /// `idx` holds the child `below` reports on: set the slot to the
+    /// child's MBR and add the child's split-off sibling. AdjustTree sets
+    /// the exact MBR, which may *shrink* a previously ε-extended official
+    /// rect — deliberate: the tight MBR covers every entry by
+    /// construction, and re-tightening on arrival is what keeps overlap
+    /// from ratcheting outward over millions of bottom-up updates.
+    fn adjust<'p>(
+        &mut self,
+        ops: &mut PinSet<'p>,
+        pin: NodePin<'p>,
+        idx: usize,
+        below: Climb,
+        r: &mut Reinsertion,
+    ) -> CoreResult<Climb> {
+        let Some((rect, split)) = below else {
+            // The child absorbed the entry without growing — the TD
+            // best case of a single write at the leaf.
+            ops.put(pin);
+            return Ok(None);
+        };
+        let split = match split {
+            Some(e) => Some(AnyEntry::Node(e, pin.internal()?.level() - 1)),
+            None => None,
+        };
+        self.put_into(ops, pin, Some((idx, rect)), split, r)
+    }
+
+    /// Write the node on `pin` with its slot `slot.0` set to the rect
+    /// `slot.1` and `entry` added — an overflow goes to
+    /// [`RTree::handle_overflow`] — and check it in. Returns what the
+    /// node tells its parent.
+    fn put_into<'p>(
         &mut self,
         ops: &mut PinSet<'p>,
         mut pin: NodePin<'p>,
-        entry: AnyEntry,
-    ) -> CoreResult<(Rect, Rect, Option<InternalEntry>)> {
+        slot: Option<(usize, Rect)>,
+        entry: Option<AnyEntry>,
+        r: &mut Reinsertion,
+    ) -> CoreResult<Climb> {
         let pid = pin.pid();
-        let target = entry.target_level();
-        let (level, old_mbr, full, child) = {
+        let (old, full) = {
             let node = pin.view()?;
-            let level = node.level();
-            debug_assert!(
-                level >= target,
-                "insert target level {target} above node level {level}"
-            );
-            let (cap, child) = match &node {
-                NodeView::Leaf(_) => (self.leaf_cap(), None),
-                NodeView::Internal(node) if level > target => {
-                    let idx = self.choose_subtree(node, &entry.rect());
-                    (self.internal_cap(), Some((idx, node.entry(idx).child)))
-                }
-                NodeView::Internal(_) => (self.internal_cap(), None),
+            let cap = match node {
+                NodeView::Leaf(_) => self.leaf_cap(),
+                NodeView::Internal(_) => self.internal_cap(),
             };
-            (level, node.mbr(), node.len() >= cap, child)
+            (node.mbr(), node.len() >= cap)
         };
-        let Some((idx, child_pid)) = child else {
-            match entry {
-                AnyEntry::Leaf(e) => ops.place(e.oid, pid)?,
-                AnyEntry::Node(e, child_level) => {
-                    if self.parent_pointers() && child_level == 0 {
-                        self.set_parent_pointer(ops, e.child, pid)?;
-                    }
-                }
+        match entry {
+            Some(AnyEntry::Leaf(e)) => ops.place(e.oid, pid)?,
+            Some(AnyEntry::Node(e, 0)) if self.parent_pointers() => {
+                self.set_parent_pointer(ops, e.child, pid)?;
             }
-            if full {
-                let mut node = Self::overflowing(&pin)?;
-                match entry {
-                    AnyEntry::Leaf(e) => node.leaf_entries_mut().push(e),
-                    AnyEntry::Node(e, _) => node.internal_entries_mut().push(e),
-                }
-                let (mbr_a, sp) = self.handle_overflow(ops, pin, node)?;
-                return Ok((old_mbr, mbr_a, sp));
-            }
-            // An append grows the MBR by the new entry's rect alone.
-            match entry {
-                AnyEntry::Leaf(e) => self.edit_leaf(&mut pin, |leaf| leaf.push(e))?,
-                AnyEntry::Node(e, _) => {
-                    self.edit_internal(&mut pin, |node| node.push(e))?;
-                }
-            }
-            let new_mbr = old_mbr.union(&entry.rect());
-            ops.put(pin);
-            return Ok((old_mbr, new_mbr, None));
-        };
-        let child = ops.take(child_pid)?;
-        let (child_old, child_new, sp) = self.insert_rec(ops, child, entry)?;
-        if sp.is_none() && child_old == child_new {
-            // Nothing to adjust: the child absorbed the entry without
-            // growing — the TD best case of a single write at the leaf.
-            ops.put(pin);
-            return Ok((old_mbr, old_mbr, None));
+            _ => {}
         }
-        // Exact child MBR (see the ancestor-chain comment above).
-        let new_mbr = match sp {
-            Some(e) => {
-                if self.parent_pointers() && level == 1 {
-                    self.set_parent_pointer(ops, e.child, pid)?;
-                }
-                if full {
-                    let mut node = Self::overflowing(&pin)?;
-                    node.internal_entries_mut()[idx].rect = child_new;
+        if let (true, Some(entry)) = (full, entry) {
+            let mut node = Self::overflowing(&pin)?;
+            match entry {
+                AnyEntry::Leaf(e) => node.leaf_entries_mut().push(e),
+                AnyEntry::Node(e, _) => {
+                    if let Some((idx, rect)) = slot {
+                        node.internal_entries_mut()[idx].rect = rect;
+                    }
                     node.internal_entries_mut().push(e);
-                    let (mbr_a, sp2) = self.handle_overflow(ops, pin, node)?;
-                    return Ok((old_mbr, mbr_a, sp2));
                 }
-                self.edit_internal(&mut pin, |node| {
-                    node.set_rect(idx, child_new);
-                    node.push(e);
-                })?
             }
-            None => self.edit_internal(&mut pin, |node| node.set_rect(idx, child_new))?,
+            let (mbr, split) = self.handle_overflow(ops, pin, node, r)?;
+            return Ok((split.is_some() || mbr != old).then_some((mbr, split)));
+        }
+        let new = match entry {
+            // An append grows the MBR by the new entry's rect alone.
+            Some(AnyEntry::Leaf(e)) => {
+                self.edit_leaf(&mut pin, |leaf| leaf.push(e))?;
+                old.union(&e.rect)
+            }
+            _ => self.edit_internal(&mut pin, |node| {
+                if let Some((idx, rect)) = slot {
+                    node.set_rect(idx, rect);
+                }
+                if let Some(AnyEntry::Node(e, _)) = entry {
+                    node.push(e);
+                }
+            })?,
         };
         ops.put(pin);
-        Ok((old_mbr, new_mbr, None))
+        Ok((new != old).then_some((new, None)))
     }
 
     /// Pick the child subtree for an insertion. Guttman's R-tree uses the
@@ -888,7 +861,7 @@ impl RTree {
 
     /// Resolve the overflow of `node`, the page on `pin` plus the entry
     /// it has no room for: R* forced reinsertion when eligible (non-root,
-    /// first overflow at this level in the current insertion), a node
+    /// first overflow at this level in the insertion `r` tracks), a node
     /// split otherwise. Same return shape as [`RTree::split_node`]; the
     /// reinsertion arm reports no new sibling.
     fn handle_overflow<'p>(
@@ -896,52 +869,43 @@ impl RTree {
         ops: &mut PinSet<'p>,
         pin: NodePin<'p>,
         mut node: Node,
+        r: &mut Reinsertion,
     ) -> CoreResult<(Rect, Option<InternalEntry>)> {
         let eligible = self.opts.variant == TreeVariant::RStar
             && pin.pid() != self.root
             && node.level < 32
-            && self.reinsert_armed & (1 << node.level) == 0;
+            && r.armed & (1 << node.level) == 0;
         if !eligible {
             return self.split_node(ops, pin, node);
         }
-        self.reinsert_armed |= 1 << node.level;
+        r.armed |= 1 << node.level;
         self.stats.forced_reinserts.fetch_add(1, Ordering::Relaxed);
         let center = node.mbr().center();
         let p = ((node.count() as f32) * Self::RSTAR_REINSERT_FRACTION).ceil() as usize;
         let p = p.clamp(1, node.count() - 1);
+        self.stats
+            .forced_reinserted_entries
+            .fetch_add(p as u64, Ordering::Relaxed);
         // Sort by center distance ascending, evict the farthest p, and
-        // stack them farthest-first so the drain pops closest-first
-        // (Beckmann's "close reinsert").
+        // stack them farthest-first so the drain pops closest-first.
+        fn farthest<T>(
+            v: &mut Vec<T>,
+            p: usize,
+            center: Point,
+            rect: fn(&T) -> Rect,
+        ) -> impl DoubleEndedIterator<Item = T> + '_ {
+            let distance = |e: &T| rect(e).center().distance_sq(&center);
+            v.sort_by(|a, b| distance(a).total_cmp(&distance(b)));
+            v.drain(v.len() - p..)
+        }
         match &mut node.entries {
-            NodeEntries::Leaf(v) => {
-                v.sort_by(|a, b| {
-                    a.rect
-                        .center()
-                        .distance_sq(&center)
-                        .total_cmp(&b.rect.center().distance_sq(&center))
-                });
-                let evicted = v.split_off(v.len() - p);
-                self.stats
-                    .forced_reinserted_entries
-                    .fetch_add(evicted.len() as u64, Ordering::Relaxed);
-                self.pending_reinserts
-                    .extend(evicted.into_iter().rev().map(AnyEntry::Leaf));
-            }
+            NodeEntries::Leaf(v) => r
+                .evicted
+                .extend(farthest(v, p, center, |e| e.rect).rev().map(AnyEntry::Leaf)),
             NodeEntries::Internal(v) => {
-                v.sort_by(|a, b| {
-                    a.rect
-                        .center()
-                        .distance_sq(&center)
-                        .total_cmp(&b.rect.center().distance_sq(&center))
-                });
-                let evicted = v.split_off(v.len() - p);
-                self.stats
-                    .forced_reinserted_entries
-                    .fetch_add(evicted.len() as u64, Ordering::Relaxed);
                 let child_level = node.level - 1;
-                self.pending_reinserts.extend(
-                    evicted
-                        .into_iter()
+                r.evicted.extend(
+                    farthest(v, p, center, |e| e.rect)
                         .rev()
                         .map(|e| AnyEntry::Node(e, child_level)),
                 );
@@ -1218,10 +1182,10 @@ impl RTree {
                 .fetch_add(reinserted as u64, Ordering::Relaxed);
         }
         for (e, child_level) in orphan_subtrees {
-            self.insert_from(ops, self.root, &[], AnyEntry::Node(e, child_level))?;
+            self.insert(ops, self.root, AnyEntry::Node(e, child_level))?;
         }
         for e in orphan_objects {
-            self.insert_at_root(ops, e)?;
+            self.insert(ops, self.root, AnyEntry::Leaf(e))?;
         }
         self.shrink_root(ops)
     }
@@ -1282,33 +1246,40 @@ impl RTree {
         window: &Rect,
         out: &mut Vec<ObjectId>,
     ) -> CoreResult<()> {
+        thread_local! {
+            /// The overlapping leaves of one level-1 node, listed before
+            /// any is read (the node's page is unpinned first): one
+            /// buffer per thread, kept across queries.
+            static LEAVES: RefCell<Vec<PageId>> = const { RefCell::new(Vec::new()) };
+        }
         let Some(s) = &self.summary else {
             return self.query_into(window, out);
         };
-        let mut leaves = Vec::new();
-        let walked = s.visit_level1_candidates(self.root, window, |pid| {
-            leaves.clear();
-            self.with_page(pid, |data| {
-                let node = InternalView::new(pid, data)?;
-                leaves.extend(
-                    node.iter()
-                        .filter(|e| e.rect.intersects(window))
-                        .map(|e| e.child),
-                );
-                Ok(())
-            })?;
-            for &leaf in &leaves {
-                self.with_page(leaf, |data| {
-                    let leaf = LeafView::new(leaf, data)?;
-                    out.extend(
-                        leaf.iter()
+        let walked = LEAVES.with_borrow_mut(|leaves| {
+            s.visit_level1_candidates(self.root, window, |pid| {
+                leaves.clear();
+                self.with_page(pid, |data| {
+                    let node = InternalView::new(pid, data)?;
+                    leaves.extend(
+                        node.iter()
                             .filter(|e| e.rect.intersects(window))
-                            .map(|e| e.oid),
+                            .map(|e| e.child),
                     );
                     Ok(())
                 })?;
-            }
-            Ok(())
+                for &leaf in leaves.iter() {
+                    self.with_page(leaf, |data| {
+                        let leaf = LeafView::new(leaf, data)?;
+                        out.extend(
+                            leaf.iter()
+                                .filter(|e| e.rect.intersects(window))
+                                .map(|e| e.oid),
+                        );
+                        Ok(())
+                    })?;
+                }
+                Ok(())
+            })
         });
         match walked {
             Some(result) => result,
@@ -1520,75 +1491,61 @@ impl RTree {
         Ok(count)
     }
 
-    /// Scan the tree to rebuild the main-memory summary structure and
-    /// (with `build_hash`) fill the hash index, which is new and empty.
-    /// Each leaf's objects go into the hash index as the walk meets the
-    /// leaf, so the rebuild holds no list of every object.
+    /// Scan the tree once to rebuild the main-memory summary structure,
+    /// fill the hash index (with `build_hash`; it is new and empty) and
+    /// repair LBU's leaf parent pointers, which an image another strategy
+    /// wrote leaves missing or stale. The walk carries each node's
+    /// parent, so a stale pointer is set through the pin its leaf was
+    /// read with, and each leaf's objects go into the hash index as the
+    /// walk meets the leaf, so the rebuild holds no list of every object.
     fn rebuild_memory_state(&mut self, build_hash: bool) -> CoreResult<()> {
-        // The walk only matters when there is memory state to rebuild; a
-        // bare TD tree (a replica view, say) skips it.
-        if self.summary.is_some() || build_hash {
-            let mut summary = self.summary.take();
-            let hash = build_hash.then(|| self.hash.clone().expect("the hash was created"));
-            let leaf_cap = self.leaf_cap();
-            // Depth-first, children in entry order. A leaf's objects are
-            // copied out and indexed once its page is unpinned: the hash
-            // index reads pages of its own.
-            let mut stack = vec![self.root];
-            let mut objects: Vec<ObjectId> = Vec::new();
-            while let Some(pid) = stack.pop() {
-                self.with_page(pid, |data| {
-                    match NodeView::new(pid, data)? {
-                        NodeView::Leaf(leaf) => {
-                            if let Some(s) = &mut summary {
-                                s.set_leaf(pid, leaf.len() >= leaf_cap);
-                            }
-                            if hash.is_some() {
-                                objects.extend(leaf.iter().map(|e| e.oid));
-                            }
-                        }
-                        NodeView::Internal(node) => {
-                            if let Some(s) = &mut summary {
-                                let children = node.children();
-                                s.upsert_internal(pid, node.level(), node.mbr(), children);
-                            }
-                            let from = stack.len();
-                            stack.extend(node.children());
-                            stack[from..].reverse();
-                        }
+        let pointers = self.parent_pointers();
+        // A bare TD tree (a replica view, say) has nothing to rebuild.
+        if self.summary.is_none() && !build_hash && !pointers {
+            return Ok(());
+        }
+        let mut summary = self.summary.take();
+        let hash = build_hash.then(|| self.hash.clone().expect("the hash was created"));
+        let leaf_cap = self.leaf_cap();
+        // Depth-first, children in entry order. A leaf's objects are
+        // copied out and indexed once its page is unpinned: the hash
+        // index reads pages of its own.
+        let mut stack = vec![(self.root, INVALID_PAGE)];
+        let mut objects: Vec<ObjectId> = Vec::new();
+        while let Some((pid, parent)) = stack.pop() {
+            let page = self.pool.fetch(pid)?;
+            let stale = match NodeView::new(pid, page.read())? {
+                NodeView::Leaf(leaf) => {
+                    if let Some(s) = &mut summary {
+                        s.set_leaf(pid, leaf.len() >= leaf_cap);
                     }
-                    Ok(())
-                })?;
-                if let Some(hash) = &hash {
-                    for oid in objects.drain(..) {
-                        hash.insert(oid, pid)?;
+                    if hash.is_some() {
+                        objects.extend(leaf.iter().map(|e| e.oid));
                     }
+                    // A root leaf has no parent to point at.
+                    pointers && parent != INVALID_PAGE && leaf.parent() != parent
+                }
+                NodeView::Internal(node) => {
+                    if let Some(s) = &mut summary {
+                        s.upsert_internal(pid, node.level(), node.mbr(), node.children());
+                    }
+                    let from = stack.len();
+                    stack.extend(node.children().map(|child| (child, pid)));
+                    stack[from..].reverse();
+                    false
+                }
+            };
+            if stale {
+                LeafMut::new(pid, page.write())?.set_parent(parent);
+            }
+            drop(page);
+            if let Some(hash) = &hash {
+                for oid in objects.drain(..) {
+                    hash.insert(oid, pid)?;
                 }
             }
-            self.summary = summary;
         }
-        // LBU needs leaf parent pointers; repair any that are missing or
-        // stale (e.g. the stored image was built by a TD index).
-        if self.parent_pointers() && self.height >= 2 {
-            let mut level1 = Vec::new();
-            self.walk(
-                |pid, node| {
-                    if node.level() == 1 {
-                        level1.push(pid);
-                    }
-                    Ok(())
-                },
-                |node, _| node.level() > 1,
-            )?;
-            for parent_pid in level1 {
-                let children = self.with_page(parent_pid, |data| {
-                    Ok(InternalView::new(parent_pid, data)?
-                        .children()
-                        .collect::<Vec<_>>())
-                })?;
-                self.adopt_leaves(children, parent_pid)?;
-            }
-        }
+        self.summary = summary;
         Ok(())
     }
 }

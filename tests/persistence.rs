@@ -175,15 +175,21 @@ fn strategy_switch_on_reopen() {
 
 #[test]
 fn lbu_reopen_repairs_parent_pointers() {
-    // Build with GBU (no parent pointers), reopen as LBU: the reopen
-    // path must install leaf parent pointers before LBU updates run.
-    let gbu = IndexOptions::generalized();
+    for writer in [IndexOptions::generalized(), IndexOptions::top_down()] {
+        lbu_reopen_of(writer);
+    }
+}
+
+/// Build with `writer` (no parent pointers; TD keeps no hash index on
+/// disk either), reopen as LBU: the reopen path must install leaf
+/// parent pointers before LBU updates run.
+fn lbu_reopen_of(writer: IndexOptions) {
     let dir = TempDir::new("persist");
     let path = dir.file("parents.bur");
     let mut rng = StdRng::seed_from_u64(31);
     {
-        let disk = Arc::new(FileDisk::create(&path, gbu.page_size).unwrap());
-        let mut index = IndexBuilder::with_options(gbu)
+        let disk = Arc::new(FileDisk::create(&path, writer.page_size).unwrap());
+        let mut index = IndexBuilder::with_options(writer)
             .disk(disk)
             .build_index()
             .unwrap();

@@ -1464,3 +1464,45 @@ fn a_rebuilt_hash_leaves_the_tree_its_free_pages() {
     assert!(holds_exactly(&index, &live));
     index.validate().unwrap();
 }
+
+/// LBU's memory state comes from one walk of the tree: the walk checks
+/// each leaf's parent pointer and sets a stale one through the pin the
+/// leaf was read with. The platters come from a GBU index, whose leaves
+/// point nowhere, so a durable LBU recovery repairs every pointer, and
+/// it still fetches exactly what a GBU recovery of the same platters
+/// does: one walk that refills the hash index. A clean LBU open then
+/// fetches every tree page once more than a TD open of the same image,
+/// which walks nothing.
+#[test]
+fn an_lbu_open_or_recovery_fetches_every_tree_page_once() {
+    let (data, log, positions) = crashed_after_batches(150, 17);
+    let fetches = |index: &RTreeIndex| index.io_stats().snapshot().fetches;
+    let lbu = durable(IndexOptions::localized(), 64);
+    let (gbu_recovered, _) = recover_on(
+        copy_disk(&data),
+        copy_disk(&log),
+        durable(IndexOptions::generalized(), 64),
+    )
+    .unwrap();
+    let (data, log) = (copy_disk(&data), copy_disk(&log));
+    let (recovered, _) = recover_on(data.clone(), log.clone(), lbu).unwrap();
+    assert_eq!(fetches(&recovered), fetches(&gbu_recovered));
+    assert_holds(&recovered, &positions);
+    drop(recovered); // the recovery's checkpoint left a clean image
+
+    let open = |opts: IndexOptions| {
+        IndexBuilder::with_options(opts)
+            .disk(copy_disk(&data))
+            .log_disk(copy_disk(&log))
+            .open()
+            .build_index()
+            .unwrap()
+    };
+    let top_down = open(durable(IndexOptions::top_down(), 64));
+    let opened = open(lbu);
+    assert_eq!(
+        fetches(&opened) - fetches(&top_down),
+        opened.tree_pages().unwrap()
+    );
+    opened.validate().unwrap();
+}
