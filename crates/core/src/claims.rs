@@ -8,15 +8,15 @@
 //! commit). A claim is one bit in a table indexed by page id (page ids
 //! are dense): claiming is one `fetch_or`, releasing one `fetch_and`.
 //!
-//! Claims are only ever *tried*, never waited for: a claim already held
-//! is refused at once and the batch backs out, which keeps claims out of
-//! every wait-for cycle. Whole-tree exclusion is not a claim; it is the
-//! `Bur` handle's structure lock, under whose read side claims are taken.
+//! Claims are only ever *tried*, never waited for: a batch that meets a
+//! claim already held escalates at that op, as it does at any op it
+//! cannot plan, which keeps claims out of every wait-for cycle.
+//! Whole-tree exclusion is not a claim; it is the `Bur` handle's
+//! structure lock, under whose read side claims are taken.
 //!
 //! The table grows only through `&mut` — under the structure lock's
 //! write side, where every tree page is allocated — so a claim never
-//! races a resize. A page id past the end is not claimable, and the
-//! batch that meets one escalates.
+//! races a resize. A page id past the end is not claimable either.
 
 use bur_storage::PageId;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -25,15 +25,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 #[derive(Default)]
 pub(crate) struct LeafClaims {
     words: Vec<AtomicU64>,
-}
-
-/// Why a leaf could not be claimed.
-#[derive(Debug, PartialEq, Eq)]
-pub(crate) enum Unclaimable {
-    /// Another batch holds the claim right now.
-    Held,
-    /// The page id lies past the end of the table.
-    Untracked,
 }
 
 impl LeafClaims {
@@ -59,22 +50,21 @@ impl LeafClaims {
         Some((word, 1 << (pid % 64)))
     }
 
-    /// Claim leaf `pid` without waiting; the caller owes the
-    /// [`LeafClaims::release`]. The claim's `Acquire` pairs with the
-    /// previous holder's `Release`, so the new holder sees everything
-    /// written under the old claim.
-    pub(crate) fn claim(&self, pid: PageId) -> Result<(), Unclaimable> {
-        let (word, bit) = self.slot(pid).ok_or(Unclaimable::Untracked)?;
-        if word.fetch_or(bit, Ordering::Acquire) & bit != 0 {
-            return Err(Unclaimable::Held);
-        }
-        Ok(())
+    /// Claim leaf `pid` without waiting; `false` when another batch
+    /// holds it or the table does not cover it. On `true` the caller
+    /// owes the [`LeafClaims::release`]. The claim's `Acquire` pairs
+    /// with the previous holder's `Release`, so the new holder sees
+    /// everything written under the old claim.
+    pub(crate) fn claim(&self, pid: PageId) -> bool {
+        self.slot(pid)
+            .is_some_and(|(word, bit)| word.fetch_or(bit, Ordering::Acquire) & bit == 0)
     }
 
     /// Claim leaf `pid` without waiting, released when the guard drops.
-    pub(crate) fn try_claim(&self, pid: PageId) -> Result<LeafClaim<'_>, Unclaimable> {
-        self.claim(pid)?;
-        Ok(LeafClaim { claims: self, pid })
+    /// (The guard is built only on success: a refused one would release
+    /// the holder's claim when it dropped.)
+    pub(crate) fn try_claim(&self, pid: PageId) -> Option<LeafClaim<'_>> {
+        self.claim(pid).then(|| LeafClaim { claims: self, pid })
     }
 
     /// Clear `pid`'s bit: the release half of a claim.
@@ -115,10 +105,11 @@ mod tests {
     fn exclusive_conflicts() {
         let c = LeafClaims::covering(128);
         let _x = c.try_claim(1).unwrap();
-        assert_eq!(c.try_claim(1).err(), Some(Unclaimable::Held));
+        assert!(c.try_claim(1).is_none());
+        assert_eq!(c.claimed(), 1, "a refused claim keeps the holder's bit");
         // A different leaf, in the same word or another, is independent.
-        assert!(c.try_claim(2).is_ok());
-        assert!(c.try_claim(65).is_ok());
+        assert!(c.try_claim(2).is_some());
+        assert!(c.try_claim(65).is_some());
     }
 
     #[test]
@@ -137,15 +128,15 @@ mod tests {
     #[test]
     fn a_page_past_the_end_is_refused_without_panicking() {
         let mut c = LeafClaims::covering(64);
-        assert_eq!(c.try_claim(64).err(), Some(Unclaimable::Untracked));
-        assert_eq!(c.try_claim(PageId::MAX).err(), Some(Unclaimable::Untracked));
+        assert!(c.try_claim(64).is_none());
+        assert!(c.try_claim(PageId::MAX).is_none());
         c.release(PageId::MAX);
         assert_eq!(c.claimed(), 0);
         // Growing keeps a held claim and makes the new ids claimable.
-        c.claim(3).unwrap();
+        assert!(c.claim(3));
         c.cover(65);
-        assert_eq!(c.try_claim(3).err(), Some(Unclaimable::Held));
-        assert!(c.try_claim(64).is_ok());
+        assert!(c.try_claim(3).is_none());
+        assert!(c.try_claim(64).is_some());
     }
 
     #[test]
@@ -155,9 +146,8 @@ mod tests {
         fn acquire(c: &LeafClaims, pid: PageId) -> LeafClaim<'_> {
             loop {
                 match c.try_claim(pid) {
-                    Ok(claim) => return claim,
-                    Err(Unclaimable::Held) => std::thread::yield_now(),
-                    Err(Unclaimable::Untracked) => unreachable!("covered"),
+                    Some(claim) => return claim,
+                    None => std::thread::yield_now(),
                 }
             }
         }

@@ -20,13 +20,13 @@
 //!    leaves the leaf's tight MBR (the *official* MBR, the rect stored in
 //!    the parent entry, then decides), and it is found the way the
 //!    exclusive engine finds it ([`bottom_up::parent_of`]). The pass
-//!    **stops at the first op that does not plan**: a refused claim
-//!    reports [`Step::Refused`], and anything else (an insert or a
-//!    delete, a sibling shift, an ascent, a GBU fast mover whose τ
-//!    policy prefers the shift) reports [`Step::Escalate`] at that op —
-//!    the **whole batch** goes to the exclusive path with zero pages
-//!    written. Every op before it is a planned update, and the pass
-//!    keeps those plans ([`SharedPass::into_planned`]): the exclusive
+//!    **stops at the first op that does not plan** — an insert or a
+//!    delete, a leaf another batch has claimed, a sibling shift, an
+//!    ascent, a GBU fast mover whose τ policy prefers the shift — and
+//!    reports [`Step::Escalate`] at that op: the **whole batch** goes
+//!    to the exclusive path with zero pages written, and never retries
+//!    the shared path. Every op before it is a planned update, and the
+//!    pass keeps those plans ([`SharedPass::into_planned`]): the exclusive
 //!    section writes them through the pins the pass took and resumes at
 //!    the op that escalated, so each op is paid for once — unless a
 //!    write landed after the pass began, and then the section replays
@@ -52,7 +52,7 @@
 
 use crate::batch::{BatchReport, Op};
 use crate::bottom_up::{self, Reads, Rung};
-use crate::claims::{LeafClaim, Unclaimable};
+use crate::claims::LeafClaim;
 use crate::error::{CoreError, CoreResult};
 use crate::index::RTreeIndex;
 use crate::node::{InternalMut, InternalView, LeafMut, LeafView, ObjectId};
@@ -62,18 +62,15 @@ use bur_geom::{Point, Rect};
 use bur_storage::{BufferPool, PageId, PageRef};
 use std::collections::HashMap;
 
-/// Verdict of planning a batch. Every verdict but `Applied` ends the
-/// pass; nothing has been written at that point.
+/// Verdict of planning a batch; nothing has been written at that point.
 pub(crate) enum Step {
     /// Every op planned onto its leaf shadow.
     Applied,
-    /// Not leaf-local: the batch goes to the exclusive path. The pass
-    /// stopped at op `k` with every op before it a planned update, so
-    /// the exclusive path may keep those plans
-    /// ([`SharedPass::into_planned`]) and resume at `k`.
+    /// Not leaf-local, or its leaf claimed by another batch: the batch
+    /// goes to the exclusive path. The pass stopped at op `k` with every
+    /// op before it a planned update, so the exclusive path may keep
+    /// those plans ([`SharedPass::into_planned`]) and resume at `k`.
     Escalate(usize),
-    /// The leaf is claimed by another batch: back out and retry.
-    Refused,
 }
 
 /// The parent side of a leaf shadow, opened only when an update leaves
@@ -193,9 +190,8 @@ impl<'i, 'p> SharedPass<'i, 'p> {
             let Some(pid) = self.index.locate_leaf(oid)? else {
                 return Ok(Step::Escalate(pos));
             };
-            let slot = match self.open(pid, pos) {
-                Ok(slot) => slot,
-                Err(verdict) => return Ok(verdict),
+            let Some(slot) = self.open(pid, pos) else {
+                return Ok(Step::Escalate(pos));
             };
             if !self.plan_update(slot, oid, old, new) {
                 return Ok(Step::Escalate(pos));
@@ -206,23 +202,19 @@ impl<'i, 'p> SharedPass<'i, 'p> {
     }
 
     /// Get the shadow of leaf `pid`, opening it on first use: claim the
-    /// leaf, pin the page, check it is a leaf. A leaf the claim table
-    /// does not cover escalates.
-    fn open(&mut self, pid: PageId, pos: usize) -> Result<usize, Step> {
+    /// leaf, pin the page, check it is a leaf. `None` escalates: the
+    /// claim is held by another batch or past the table's end, or the
+    /// page does not read as a leaf.
+    fn open(&mut self, pid: PageId, pos: usize) -> Option<usize> {
         if let Some(&slot) = self.shadow_of.get(&pid) {
-            return Ok(slot);
+            return Some(slot);
         }
         let tree = &self.index.tree;
-        let claim = tree.claims.try_claim(pid).map_err(|e| match e {
-            Unclaimable::Held => Step::Refused,
-            Unclaimable::Untracked => Step::Escalate(pos),
-        })?;
-        let page = self.pool.fetch(pid).map_err(|_| Step::Escalate(pos))?;
-        if LeafView::new(pid, page.read()).is_err() {
-            // A stale hash entry or a corrupt page; the classic path
-            // surfaces the real error.
-            return Err(Step::Escalate(pos));
-        }
+        let claim = tree.claims.try_claim(pid)?;
+        let page = self.pool.fetch(pid).ok()?;
+        // A stale hash entry or a corrupt page; the classic path
+        // surfaces the real error.
+        LeafView::new(pid, page.read()).ok()?;
         let slot = self.shadows.len();
         self.shadows.push(LeafShadow {
             page,
@@ -234,7 +226,7 @@ impl<'i, 'p> SharedPass<'i, 'p> {
         });
         self.claims.push(claim);
         self.shadow_of.insert(pid, slot);
-        Ok(slot)
+        Some(slot)
     }
 
     /// Open the parent side of shadow `slot`: locate the parent exactly

@@ -14,9 +14,10 @@
 //! disjoint leaves plan and write **at the same time**, each page
 //! access serialized only by its per-frame latch
 //! ([`bur_storage::PageWriteLatch`]). A batch that needs anything else —
-//! an insert or a delete, a top-down update, a sibling shift, an MBR
-//! ascent — escalates to the exclusive side before writing anything,
-//! counted in [`crate::stats::OpSnapshot::escalations`]. The full
+//! an insert or a delete, a leaf another batch has claimed, a top-down
+//! update, a sibling shift, an MBR ascent — escalates to the exclusive
+//! side before writing anything, once and without retrying, counted in
+//! [`crate::stats::OpSnapshot::escalations`]. The full
 //! protocol — latch ordering, pin-vs-latch rules, the
 //! deadlock-avoidance argument — is normative in `docs/ARCHITECTURE.md`
 //! ("Latching protocol").
@@ -64,13 +65,6 @@ use bur_wal::{Lsn, WalStatsSnapshot};
 use parking_lot::{Mutex, RwLock, RwLockWriteGuard};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-
-/// How many times one `apply` call may be refused a leaf claim on the
-/// shared path before it stops retrying and takes the exclusive path,
-/// whose writer queue on the structure lock guarantees progress. This is
-/// the stated bound on the retry loop: no batch spins on refusals
-/// forever.
-const SHARED_REFUSALS: u32 = 4;
 
 /// At most this many spare query buffers are kept for recycling; extra
 /// cursors dropped concurrently just free their buffer.
@@ -142,17 +136,14 @@ impl std::fmt::Debug for Bur {
     }
 }
 
-/// Outcome of one shared-phase attempt inside [`Bur::apply`]. Every
-/// variant but `Done` is returned with all locks and claims released.
+/// Outcome of the shared-phase attempt inside [`Bur::apply`].
 enum SharedAttempt<'p> {
     /// Planned, written and committed concurrently.
     Done(CommitTicket),
     /// Not leaf-local: finish the batch on the exclusive path (nothing
-    /// has been written), with the plans the pass kept.
+    /// has been written), with the plans the pass kept. Returned with
+    /// every lock and claim released.
     Escalate(Kept<'p>),
-    /// A leaf claim was refused; back off and try again (at most
-    /// [`SHARED_REFUSALS`] times).
-    Refused,
 }
 
 /// What an escalated pass hands the exclusive path: the updates it
@@ -272,12 +263,12 @@ impl Bur {
 
     /// Claim leaf `pid` the way a shared-path batch does and hold the
     /// claim, without the structure lock, until the returned guard drops
-    /// — so a test can make a batch's claim refused. `None` when the
+    /// — so a test can make a batch meet a held claim. `None` when the
     /// leaf is claimed already or past the end of the claim table.
     #[must_use]
     pub fn hold_leaf_claim(&self, pid: PageId) -> Option<HeldLeafClaim> {
-        self.shared.inner.read().tree.claims.claim(pid).ok()?;
-        Some(HeldLeafClaim {
+        let claimed = self.shared.inner.read().tree.claims.claim(pid);
+        claimed.then(|| HeldLeafClaim {
             shared: self.shared.clone(),
             pid,
         })
@@ -312,14 +303,14 @@ impl Bur {
     /// under the **shared** side of the structure lock — batches on
     /// disjoint leaves plan and write concurrently (see the module docs
     /// and `docs/ARCHITECTURE.md`). A batch that cannot stay leaf-local —
-    /// an insert or a delete, a top-down update, a sibling shift, an MBR
-    /// ascent — escalates to the exclusive structure lock before a
-    /// single page is written, so the result is always identical to
-    /// sequential application. The updates before the op that escalated
-    /// keep their plans: the exclusive section writes them through the
-    /// pins the shared pass took and resumes at that op, unless a write
-    /// landed in between, and then it replays the batch from its first
-    /// op. Escalations are counted in
+    /// an insert or a delete, a leaf another batch has claimed, a
+    /// top-down update, a sibling shift, an MBR ascent — escalates to the
+    /// exclusive structure lock before a single page is written, so the
+    /// result is always identical to sequential application. The updates
+    /// before the op that escalated keep their plans: the exclusive
+    /// section writes them through the pins the shared pass took and
+    /// resumes at that op, unless a write landed in between, and then it
+    /// replays the batch from its first op. Escalations are counted in
     /// [`crate::stats::OpSnapshot::escalations`].
     pub fn apply(&self, batch: &Batch) -> CoreResult<CommitTicket> {
         self.check_writable()?;
@@ -330,22 +321,14 @@ impl Bur {
         // The shared passes pin pages through this clone of the pool, so
         // the plans an escalated one keeps outlive its read guard.
         let pool = Arc::clone(&self.shared.inner.read().tree.pool);
-        let mut refusals = 0u32;
-        let kept = loop {
-            match self.apply_shared(&pool, batch)? {
-                SharedAttempt::Done(ticket) => {
-                    self.checkpoint_if_due()?;
-                    return Ok(ticket);
-                }
-                SharedAttempt::Refused if refusals < SHARED_REFUSALS => {
-                    refusals += 1;
-                    std::thread::yield_now();
-                }
-                SharedAttempt::Escalate(kept) => break Some(kept),
-                SharedAttempt::Refused => break None,
+        let attempt = self.apply_shared(&pool, batch)?;
+        match attempt {
+            SharedAttempt::Done(ticket) => {
+                self.checkpoint_if_due()?;
+                Ok(ticket)
             }
-        };
-        self.exclusive(batch, kept)
+            SharedAttempt::Escalate(kept) => self.exclusive(batch, kept),
+        }
     }
 
     /// The exclusive path: the batch under the structure lock's write
@@ -361,27 +344,27 @@ impl Bur {
     /// parent entry — is still as it read it, and writing the shadows
     /// overwrites no one's commit. Otherwise they drop unwritten and the
     /// engine replays the batch from its first op.
-    fn exclusive(&self, batch: &Batch, kept: Option<Kept<'_>>) -> CoreResult<CommitTicket> {
+    fn exclusive(&self, batch: &Batch, kept: Kept<'_>) -> CoreResult<CommitTicket> {
         let mut index = self.shared.write();
         let epoch = self.shared.epoch.load(Ordering::Relaxed);
-        let planned = match kept {
-            Some(kept) if kept.epoch + 1 == epoch => kept.planned,
-            _ => Planned::default(),
+        let planned = if kept.epoch + 1 == epoch {
+            kept.planned
+        } else {
+            Planned::default()
         };
         index.op_stats().escalations.fetch_add(1, Ordering::Relaxed);
         let report = index.apply_batch_from(batch, planned)?;
         Ok(Self::ticket(&index, report))
     }
 
-    /// One attempt at the concurrent write path: under the structure
+    /// The one attempt at the concurrent write path: under the structure
     /// lock's read side, plan the batch in one
     /// in-order pass ([`SharedPass::plan`] — it takes each leaf's
     /// claim and pin as it first meets the leaf, and stops at
     /// the first op that cannot stay leaf-local), then write and commit
-    /// it. Every outcome that is not `Done` has written nothing and
-    /// releases every lock and claim before returning, so the caller
-    /// never holds either across its next move; only an escalation's
-    /// kept plans keep their pins, on `pool`.
+    /// it. An escalation has written nothing and releases every lock and
+    /// claim before returning, so the exclusive section never waits
+    /// holding either; only its kept plans keep their pins, on `pool`.
     fn apply_shared<'p>(
         &self,
         pool: &'p BufferPool,
@@ -399,10 +382,8 @@ impl Bur {
         }
         let _inflight = InFlight::enter(&self.shared);
         let mut pass = SharedPass::new(&index, pool);
-        match pass.plan(batch.ops())? {
-            Step::Applied => {}
-            Step::Escalate(resume) => return escalate(pass.into_planned(resume)),
-            Step::Refused => return Ok(SharedAttempt::Refused),
+        if let Step::Escalate(resume) = pass.plan(batch.ops())? {
+            return escalate(pass.into_planned(resume));
         }
         let (report, lsn) = self.write_and_commit(&index, &pass, batch.len() as u64)?;
         Ok(SharedAttempt::Done(CommitTicket { report, lsn }))
@@ -469,8 +450,8 @@ impl Bur {
     // ---- single-operation writes -----------------------------------------
     //
     // Each is a batch of one through [`Bur::apply`]: the same shared path,
-    // retries, escalation and one commit record. Its error is the op's
-    // own, not [`CoreError::Batch`].
+    // escalation and one commit record. Its error is the op's own, not
+    // [`CoreError::Batch`].
 
     /// Insert a fresh point object.
     pub fn insert(&self, oid: ObjectId, position: Point) -> CoreResult<CommitTicket> {
@@ -836,7 +817,7 @@ mod tests {
         bur.with_index_mut(|index| index.update(y, start(y), y_to))
             .unwrap();
         // 3. Resume the batch.
-        bur.exclusive(&batch, Some(kept)).unwrap();
+        bur.exclusive(&batch, kept).unwrap();
 
         for (oid, at) in [(x, x_to), (y, y_to), (z, jump)] {
             let here: Vec<ObjectId> = bur.query(&Rect::from_point(at)).unwrap().collect();

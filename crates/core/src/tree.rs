@@ -165,6 +165,11 @@ impl RTree {
     /// when the strategy needs one, it is created over the pages nothing
     /// owns ([`unowned_pages`]) and filled from a tree scan, which also
     /// rebuilds GBU's summary structure and LBU's parent pointers.
+    ///
+    /// A snapshot whose height disagrees with its root page's level is
+    /// refused before anything is built: the tree would take writes and
+    /// fail only later. An empty disk holds no tree to disagree with: a
+    /// replication follower builds its view before the base image lands.
     pub(crate) fn from_snapshot(
         pool: Arc<BufferPool>,
         opts: IndexOptions,
@@ -173,6 +178,15 @@ impl RTree {
         kept: &[PageId],
     ) -> CoreResult<Self> {
         opts.validate()?;
+        if let Some(s) = snap.filter(|_| pool.disk().num_pages() > 0) {
+            let level = NodeView::new(s.root, pool.fetch(s.root)?.read())?.level();
+            if s.height.checked_sub(1) != Some(level) {
+                return Err(CoreError::BadConfig(format!(
+                    "corrupt index metadata: height {} over root page {} of level {level}",
+                    s.height, s.root
+                )));
+            }
+        }
         let stored_hash = snap.filter(|s| s.stored_hash());
         let build_hash = stored_hash.is_none() && opts.strategy.needs_hash_index();
         let hash = if let Some(s) = stored_hash {

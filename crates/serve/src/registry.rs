@@ -264,6 +264,24 @@ impl Entry {
             Entry::Sharded(e) => Some(e),
         }
     }
+
+    /// Drain the coalescer(s), so late submissions are refused rather
+    /// than lost, then flush and checkpoint.
+    fn retire(&self) -> ServeResult<()> {
+        match self {
+            Entry::Plain(e) => {
+                e.coalescer.shutdown();
+                e.bur.checkpoint()?;
+            }
+            Entry::Sharded(e) => {
+                for c in &e.coalescers {
+                    c.shutdown();
+                }
+                e.sharded.checkpoint()?;
+            }
+        }
+        Ok(())
+    }
 }
 
 /// Named indexes in one data directory. A plain index lives at
@@ -478,19 +496,7 @@ impl IndexRegistry {
                 .remove(name)
                 .ok_or_else(|| ServeError::NotFound(name.to_string()))?
         };
-        match entry {
-            Entry::Plain(e) => {
-                e.coalescer.shutdown();
-                e.bur.checkpoint()?;
-            }
-            Entry::Sharded(e) => {
-                for c in &e.coalescers {
-                    c.shutdown();
-                }
-                e.sharded.checkpoint()?;
-            }
-        }
-        Ok(())
+        entry.retire()
     }
 
     /// Every index this registry knows about: open entries plus index
@@ -530,18 +536,7 @@ impl IndexRegistry {
             std::mem::take(&mut *map).into_values().collect()
         };
         for entry in entries {
-            match entry {
-                Entry::Plain(e) => {
-                    e.coalescer.shutdown();
-                    let _ = e.bur.checkpoint();
-                }
-                Entry::Sharded(e) => {
-                    for c in &e.coalescers {
-                        c.shutdown();
-                    }
-                    let _ = e.sharded.checkpoint();
-                }
-            }
+            let _ = entry.retire();
         }
     }
 }

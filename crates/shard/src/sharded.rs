@@ -654,9 +654,10 @@ impl ShardedBur {
     /// map, preserving relative op order per shard. A cross-shard
     /// update decomposes into a delete on the old shard and an insert
     /// on the new one; the second return is the number of such splits
-    /// (for report fix-up). Deterministic for a given map: retried
-    /// batches split identically, which keeps per-shard exactly-once
-    /// dedup sound in the serving layer.
+    /// (for report fix-up). Deterministic for a given map. Exactly-once
+    /// does not rest on it: the serving layer deduplicates a sharded
+    /// write once, as a whole, in the index's one ledger, and the shard
+    /// coalescers see no sessions.
     #[must_use]
     pub fn split_ops(&self, ops: &[Op]) -> (Vec<(u32, Batch)>, u64) {
         let state = self.inner.state.read();

@@ -700,7 +700,11 @@ fn an_escalated_batch_waits_for_the_tree_granule_without_replanning() {
 #[test]
 fn no_pin_outlives_apply_when_a_granule_is_refused() {
     let (bur, mut positions) = build(IndexOptions::generalized(), THREE_LEVELS);
+    let (twin, _) = build(IndexOptions::generalized(), THREE_LEVELS);
     let batch = in_place_batch(&bur, &mut positions, THREE_LEVELS);
+    let before = fetches(&twin);
+    twin.apply(&batch).unwrap();
+    let unrefused = fetches(&twin) - before;
     // Hold the claim on the *last* leaf the batch touches, so the pass
     // has opened 31 shadows when it is refused.
     let Some(Op::Update { oid, .. }) = batch.ops().last() else {
@@ -712,9 +716,18 @@ fn no_pin_outlives_apply_when_a_granule_is_refused() {
         .unwrap();
     let held = bur.hold_leaf_claim(leaf).unwrap();
     let ops_before = bur.with_op_stats(|s| s.snapshot());
-    // Bounded retries, then the exclusive path (which needs no leaf
-    // claim): the call returns although the claim is never released.
+    let before = fetches(&bur);
+    // The held claim escalates the batch at its last op, and the
+    // exclusive path (which needs no leaf claim) writes the 31 kept
+    // plans and resumes there: the call returns although the claim is
+    // never released, and pays for each op once.
     let ticket = bur.apply(&batch).unwrap();
+    let refused = fetches(&bur) - before;
+    println!("32-update batch: {unrefused} fetches unrefused, {refused} refused at its last leaf");
+    assert!(
+        refused <= unrefused + 2,
+        "{refused} fetches refused, {unrefused} unrefused"
+    );
     assert_eq!(ticket.report().updated, 32);
     let ops = bur.with_op_stats(|s| s.snapshot()).since(&ops_before);
     assert_eq!(
@@ -722,6 +735,7 @@ fn no_pin_outlives_apply_when_a_granule_is_refused() {
         "refusals must end on the exclusive path"
     );
     assert_eq!(pinned(&bur), 0);
+    assert_eq!(bur.claimed_leaves(), 1, "the batch dropped the held claim");
     drop(held);
     assert_eq!(bur.claimed_leaves(), 0);
     bur.validate().unwrap();

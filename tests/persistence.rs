@@ -587,3 +587,47 @@ fn a_corrupt_hash_directory_fails_the_open_instead_of_panicking() {
         Ok(_) => panic!("opened an index over a corrupt hash directory"),
     }
 }
+
+#[test]
+fn metadata_whose_height_disagrees_with_the_root_fails_the_open() {
+    use bur::storage::DiskBackend;
+    let opts = IndexOptions::generalized();
+    let dir = TempDir::new("persist");
+    let path = dir.file("corrupt-height.bur");
+    {
+        let disk = Arc::new(FileDisk::create(&path, opts.page_size).unwrap());
+        let mut index = IndexBuilder::with_options(opts)
+            .disk(disk)
+            .build_index()
+            .unwrap();
+        populate(&mut index, &mut StdRng::seed_from_u64(5), 2_000);
+        assert_eq!(index.height(), 3);
+        index.checkpoint().unwrap();
+    }
+    // Page 0: the 6-byte chain header, then the snapshot, whose height
+    // is the `u32` at payload offset 20 (magic, page size, flags, root).
+    let mut page = vec![0u8; opts.page_size];
+    let disk = FileDisk::open(&path, opts.page_size).unwrap();
+    disk.read(0, &mut page).unwrap();
+    assert_eq!(page[26..30], 3u32.to_le_bytes(), "the stored height");
+    drop(disk);
+    for height in [0u32, 1, 9] {
+        page[26..30].copy_from_slice(&height.to_le_bytes());
+        let disk = FileDisk::open(&path, opts.page_size).unwrap();
+        disk.write(0, &page).unwrap();
+        disk.sync().unwrap();
+        drop(disk);
+
+        let opened = IndexBuilder::with_options(opts)
+            .disk(Arc::new(FileDisk::open(&path, opts.page_size).unwrap()))
+            .open()
+            .build_index();
+        match opened {
+            Err(CoreError::BadConfig(msg)) => {
+                assert!(msg.contains("corrupt index metadata"), "{msg}");
+            }
+            Err(e) => panic!("height {height}: unexpected error: {e}"),
+            Ok(_) => panic!("height {height}: opened an index whose root is at level 2"),
+        }
+    }
+}
