@@ -291,7 +291,7 @@ impl IndexBuilder {
             Backend::Disk(disk) => disk,
         };
         match mode {
-            OpenMode::Create => RTreeIndex::create_on_inner(disk, log_disk, opts),
+            OpenMode::Create => RTreeIndex::create_on_inner(disk, log_disk, opts, |_| Ok(())),
             // Recovery presupposes a log; open finds out from the file.
             OpenMode::Open | OpenMode::Recover => {
                 RTreeIndex::open_on_inner(disk, log_disk, opts, mode == OpenMode::Recover, stored)

@@ -67,26 +67,16 @@ impl RTreeIndex {
     }
 
     /// Bulk load `items` into a fresh index on `disk` using STR packing.
-    /// A durable index keeps its log on the (empty) `log_disk`; a
-    /// volatile one takes none.
+    /// A durable index keeps its log on the (empty) `log_disk`, attached
+    /// once the tree is built: its first checkpoint flushes the finished
+    /// tree as the base image. A volatile one takes no log disk.
     pub fn bulk_load_on(
         disk: Arc<dyn DiskBackend>,
         log_disk: Option<Arc<dyn DiskBackend>>,
         opts: IndexOptions,
         items: &[(ObjectId, Point)],
     ) -> CoreResult<Self> {
-        // A durable build logs nothing page-by-page: the log is attached
-        // once the tree is built, and its first checkpoint flushes the
-        // finished tree as the base image. Gating every bulk write would
-        // pin the whole index in memory.
-        let (mut index, wal) = Self::create_unlogged(disk, log_disk, opts)?;
-        if !items.is_empty() {
-            index.tree.bulk_build(items)?;
-        }
-        if let Some(wal) = wal {
-            index.tree.attach_log(wal)?;
-        }
-        Ok(index)
+        Self::create_on_inner(disk, log_disk, opts, |tree| tree.bulk_build(items))
     }
 }
 
@@ -95,6 +85,9 @@ impl RTreeIndex {
 impl RTree {
     /// Pack `items` into the empty tree.
     fn bulk_build(&mut self, items: &[(ObjectId, Point)]) -> CoreResult<()> {
+        if items.is_empty() {
+            return Ok(());
+        }
         // ---- leaf level: sort by x, tile into vertical slices, sort each
         // slice by y, pack runs of `leaf_fill` objects per leaf ----
         let leaf_cap = self.leaf_cap();

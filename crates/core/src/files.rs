@@ -7,11 +7,12 @@
 //! instead. They fail closed with [`CoreError::LogMissing`] until
 //! [`upgrade`] (`burctl upgrade <path>`) moves the log to its sidecar.
 
+use crate::commit::Log;
 use crate::config::{Durability, IndexOptions};
 use crate::error::{CoreError, CoreResult};
-use crate::index::{check_snapshot_page_size, redo_log, RTreeIndex, RecoveryReport};
+use crate::index::{check_page_size, redo_log, RTreeIndex, RecoveryReport};
 use crate::meta::{read_meta_chain, MetaSnapshot, LOG_DISK_ANCHOR};
-use crate::tree::{RTree, WalHandle};
+use crate::tree::RTree;
 use bur_storage::{BufferPool, DiskBackend, FileDisk, PageId, PoolConfig, INVALID_PAGE};
 use bur_wal::{LogReader, Wal, WalRecord};
 use std::path::{Path, PathBuf};
@@ -188,7 +189,7 @@ fn upgrade_on(
     let (mut snap, report, old_log) = redone.ok_or_else(|| {
         CoreError::BadConfig("the file keeps no log inside it; there is nothing to upgrade".into())
     })?;
-    check_snapshot_page_size(&snap, &opts, "logged")?;
+    check_page_size("logged", snap.page_size, "configured", opts.page_size)?;
     // The redone image is durable while page 0 still names the old log,
     // and the sidecar holds a recovery point before the checkpoint
     // rewrites page 0.
@@ -200,9 +201,10 @@ fn upgrade_on(
     // Until that checkpoint, an upgrade cut short runs again from the
     // old log: its pages are kept out of the rebuilt hash's reach.
     let mut tree = RTree::from_snapshot(pool, opts, Some(&snap), meta_chain, old_log.pages())?;
-    tree.attach_log(WalHandle::new(wal, wopts))?;
+    let log = Log::attach(wal, wopts, &mut tree)?;
     let index = RTreeIndex {
         tree,
+        log: Some(log),
         recovery: Some(report),
     };
     Ok((index, report))

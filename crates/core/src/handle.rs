@@ -52,6 +52,7 @@
 //! ```
 
 use crate::batch::{Batch, BatchReport, Op};
+use crate::commit;
 use crate::concurrent::{self, Planned, SharedPass, Step};
 use crate::config::{IndexOptions, UpdateStrategy};
 use crate::error::{CoreError, CoreResult};
@@ -281,7 +282,7 @@ impl Bur {
         self.shared.inner.read().recovery_report()
     }
 
-    /// Build a ticket covering everything flushed so far (call with the
+    /// Build a ticket covering everything committed so far (call with the
     /// index lock still held, so the LSN covers exactly this commit).
     fn ticket(index: &RTreeIndex, report: BatchReport) -> CommitTicket {
         CommitTicket {
@@ -405,6 +406,7 @@ impl Bur {
         // Shadows under one parent each push it: log every page once.
         written.sort_unstable_by_key(|p| p.pid());
         written.dedup_by_key(|p| p.pid());
+        let pages = || written.iter().map(|&page| Ok(page));
         if let Some((op_index, source)) = done.failed {
             // A storage failure mid-execute (unreachable on a healthy
             // pool). Commit the pages already written — every complete
@@ -413,8 +415,7 @@ impl Bur {
             // torn page set, then surface the error. The applied set is
             // leaf-granular here, the one documented divergence from
             // the sequential path's strict-prefix contract.
-            let written = written.iter().map(|&page| Ok(page));
-            index.tree.wal_commit_pages(done.ops, written)?;
+            commit::commit(index.log.as_ref(), &index.tree, done.ops, pages)?;
             return Err(CoreError::Batch {
                 op_index,
                 source: Box::new(source),
@@ -425,9 +426,8 @@ impl Bur {
             ..BatchReport::default()
         };
         concurrent::tally(pass.effects(), index.op_stats(), &mut report);
-        let written = written.iter().map(|&page| Ok(page));
-        let lsn = index.tree.wal_commit_pages(done.ops, written)?;
-        Ok((report, lsn))
+        let lsn = commit::commit(index.log.as_ref(), &index.tree, done.ops, pages)?;
+        Ok((report, lsn.unwrap_or(0)))
     }
 
     /// Deferred checkpoint for the concurrent path: a shared-phase
@@ -437,11 +437,11 @@ impl Bur {
     /// the exclusive lock, re-checked because a racing batch may have
     /// taken it already.
     fn checkpoint_if_due(&self) -> CoreResult<()> {
-        if !self.shared.inner.read().tree.checkpoint_due() {
+        if !self.shared.inner.read().checkpoint_due() {
             return Ok(());
         }
         let mut index = self.shared.write();
-        if index.tree.checkpoint_due() {
+        if index.checkpoint_due() {
             index.checkpoint()?;
         }
         Ok(())

@@ -1,7 +1,13 @@
 //! Public index facade: construction, the object API (insert / delete /
 //! update / query), persistence, and validation.
+//!
+//! The index owns its write-ahead log, when it is durable, beside the
+//! tree it logs. Every write goes through one commit and every
+//! persistence step through one checkpoint, both in `commit.rs`, the
+//! only code that knows the commit protocol.
 
 use crate::batch::{Batch, BatchReport, Op};
+use crate::commit::{self, Log};
 use crate::concurrent::{tally, Planned};
 use crate::config::{Durability, IndexOptions, UpdateStrategy, WalOptions};
 use crate::error::{CoreError, CoreResult};
@@ -12,7 +18,7 @@ use crate::node::{LeafEntry, NodeView, ObjectId};
 use crate::pins::PinSet;
 use crate::stats::{OpStats, UpdateOutcome};
 use crate::summary::SummaryStructure;
-use crate::tree::{RTree, WalHandle};
+use crate::tree::RTree;
 use crate::{bottom_up, topdown};
 use bur_geom::{Point, Rect};
 use bur_storage::{
@@ -71,6 +77,8 @@ pub struct RecoveryReport {
 /// ```
 pub struct RTreeIndex {
     pub(crate) tree: RTree,
+    /// The write-ahead log, when the index is durable.
+    pub(crate) log: Option<Log>,
     /// What the log replay of this index's open did, when it redid one.
     pub(crate) recovery: Option<RecoveryReport>,
 }
@@ -99,29 +107,18 @@ impl RTreeIndex {
     // A durable index keeps its write-ahead log on `log_disk`, chained
     // from [`LOG_DISK_ANCHOR`]; a volatile one takes none.
 
+    /// A new index on `disk`, its empty tree filled by `fill`, and then,
+    /// when durable, its log attached: the tree `fill` left is the first
+    /// base image recovery starts from, and a build logs nothing page by
+    /// page. Gating every bulk write would pin the whole index in memory.
     pub(crate) fn create_on_inner(
         disk: Arc<dyn DiskBackend>,
         log_disk: Option<Arc<dyn DiskBackend>>,
         opts: IndexOptions,
+        fill: impl FnOnce(&mut RTree) -> CoreResult<()>,
     ) -> CoreResult<Self> {
-        let (mut index, wal) = Self::create_unlogged(disk, log_disk, opts)?;
-        if let Some(wal) = wal {
-            // The checkpoint of the empty tree is the base image recovery
-            // starts from.
-            index.tree.attach_log(wal)?;
-        }
-        Ok(index)
-    }
-
-    /// A new, empty index on `disk`, and the log it attaches once it is
-    /// filled (`None` when volatile).
-    pub(crate) fn create_unlogged(
-        disk: Arc<dyn DiskBackend>,
-        log_disk: Option<Arc<dyn DiskBackend>>,
-        opts: IndexOptions,
-    ) -> CoreResult<(Self, Option<WalHandle>)> {
         opts.validate()?;
-        check_page_size(disk.as_ref(), &opts)?;
+        check_page_size("disk", disk.page_size(), "configured", opts.page_size)?;
         let log = match opts.durability {
             Durability::Wal(_) if log_disk.is_none() => {
                 return Err(CoreError::BadConfig(
@@ -150,22 +147,25 @@ impl RTreeIndex {
         debug_assert_eq!(meta_pid, META_PAGE);
         guard.write().fill(0);
         drop(guard);
-        let tree = RTree::from_snapshot(pool, opts, None, Vec::new(), &[])?;
+        let mut tree = RTree::from_snapshot(pool, opts, None, Vec::new(), &[])?;
         let wal = match log {
             Some((log, wopts)) => {
                 let wal = Wal::create(log)?;
                 debug_assert_eq!(wal.anchor(), LOG_DISK_ANCHOR);
-                Some(WalHandle::new(wal, wopts))
+                Some((wal, wopts))
             }
             None => None,
         };
-        Ok((
-            Self {
-                tree,
-                recovery: None,
-            },
-            wal,
-        ))
+        fill(&mut tree)?;
+        let log = match wal {
+            Some((wal, wopts)) => Some(Log::attach(wal, wopts, &mut tree)?),
+            None => None,
+        };
+        Ok(Self {
+            tree,
+            log,
+            recovery: None,
+        })
     }
 
     /// Open the index on `disk`. The summary structure is rebuilt from a
@@ -195,7 +195,7 @@ impl RTreeIndex {
         stored: Option<Stored>,
     ) -> CoreResult<Self> {
         opts.validate()?;
-        check_page_size(disk.as_ref(), &opts)?;
+        check_page_size("disk", disk.page_size(), "configured", opts.page_size)?;
         let pool = Arc::new(BufferPool::new(
             disk,
             PoolConfig {
@@ -211,13 +211,14 @@ impl RTreeIndex {
             Durability::None if needs_log || names_log => WalOptions::default(),
             Durability::None => {
                 let ((snap, _), meta_chain) = stored?;
-                check_snapshot_page_size(&snap, &opts, "stored")?;
+                check_page_size("stored", snap.page_size, "configured", opts.page_size)?;
                 if log_disk.is_some() {
                     return Err(log_disk_without_log());
                 }
                 let tree = RTree::from_snapshot(pool, opts, Some(&snap), meta_chain, &[])?;
                 return Ok(Self {
                     tree,
+                    log: None,
                     recovery: None,
                 });
             }
@@ -233,16 +234,17 @@ impl RTreeIndex {
                     .into(),
             ));
         };
-        check_snapshot_page_size(&snap, &opts, "logged")?;
+        check_page_size("logged", snap.page_size, "configured", opts.page_size)?;
         // The metadata chain of the last completed checkpoint is
         // superseded by the checkpoint below, which recycles its pages.
         // A torn `next` pointer could name a *live* tree page, so they
         // are only trusted when the chain round-trips as a snapshot.
         let meta_chain = stored.map_or_else(|_| Vec::new(), |(_, pages)| pages);
         let mut tree = RTree::from_snapshot(pool, opts, Some(&snap), meta_chain, &[])?;
-        tree.attach_log(WalHandle::new(Wal::reopen(log, &end), wopts))?;
+        let log = Log::attach(Wal::reopen(log, &end), wopts, &mut tree)?;
         Ok(Self {
             tree,
+            log: Some(log),
             recovery: Some(report),
         })
     }
@@ -263,27 +265,33 @@ impl RTreeIndex {
     /// to the operations committed after this call, and is the step a
     /// clean shutdown ends with.
     pub fn checkpoint(&mut self) -> CoreResult<()> {
-        self.tree.checkpoint()
+        commit::checkpoint(&mut self.tree, self.log.as_ref())
+    }
+
+    /// `true` when the checkpoint cadence of a durable index has been
+    /// reached ([`Log::checkpoint_due`]).
+    pub(crate) fn checkpoint_due(&self) -> bool {
+        self.log.as_ref().is_some_and(Log::checkpoint_due)
     }
 
     /// `true` when the index write-ahead-logs its updates.
     #[must_use]
     pub fn is_durable(&self) -> bool {
-        self.tree.wal.is_some()
+        self.log.is_some()
     }
 
     /// Log activity counters, when the index is durable.
     #[must_use]
     pub fn wal_stats(&self) -> Option<WalStatsSnapshot> {
-        self.tree.wal.as_ref().map(|h| h.wal.stats())
+        self.log.as_ref().map(|log| log.wal.stats())
     }
 
     /// Highest log sequence number assigned so far (`None` without a
-    /// WAL). Immediately after a flush this covers every acknowledged
+    /// WAL). Immediately after a commit this covers every acknowledged
     /// operation — the LSN a [`crate::CommitTicket`] waits on.
     #[must_use]
     pub fn last_lsn(&self) -> Option<u64> {
-        self.tree.wal.as_ref().map(|h| h.wal.last_lsn())
+        self.log.as_ref().map(|log| log.wal.last_lsn())
     }
 
     /// Run `apply` as one batch on the exclusive engine, then commit the
@@ -308,29 +316,28 @@ impl RTreeIndex {
     }
 
     /// Commit the `ops` operations the exclusive engine just applied
-    /// under one record: every page the pool saw touched since the last
-    /// commit goes to [`RTree::wal_commit_pages`] in ascending page
-    /// order, through the pin the batch's set kept for it, and is
-    /// unpinned right after. A touched page the batch does not hold was
-    /// left by an earlier commit that failed; that one is fetched. Then
-    /// checkpoint when the cadence says so. No record when nothing
-    /// changed (`ops == 0`) or without a WAL.
+    /// under one record ([`commit::commit`]): every page the pool saw
+    /// touched since the last commit, in ascending page order, through
+    /// the pin the batch's set kept for it, unpinned right after. A
+    /// touched page the batch does not hold was left by an earlier
+    /// commit that failed; that one is fetched. Then checkpoint when
+    /// the cadence says so. No record when nothing changed (`ops == 0`)
+    /// or without a WAL.
     fn commit(&mut self, ops: u64, pins: PinSet<'_>) -> CoreResult<()> {
-        if ops == 0 || self.tree.wal.is_none() {
-            return Ok(());
-        }
         let pool = &self.tree.pool;
-        let mut held = pins.into_pins().into_iter().peekable();
-        let touched = pool.touched_pages().into_iter().map(|pid| {
-            while held.next_if(|pin| pin.pid() < pid).is_some() {}
-            match held.next_if(|pin| pin.pid() == pid) {
-                Some(pin) => Ok(pin),
-                None => Ok(pool.fetch(pid)?),
-            }
-        });
-        self.tree.wal_commit_pages(ops, touched)?;
-        if self.tree.checkpoint_due() {
-            self.tree.checkpoint()?;
+        let touched = || {
+            let mut held = pins.into_pins().into_iter().peekable();
+            pool.touched_pages().into_iter().map(move |pid| {
+                while held.next_if(|pin| pin.pid() < pid).is_some() {}
+                match held.next_if(|pin| pin.pid() == pid) {
+                    Some(pin) => Ok(pin),
+                    None => Ok(pool.fetch(pid)?),
+                }
+            })
+        };
+        let logged = commit::commit(self.log.as_ref(), &self.tree, ops, touched)?;
+        if logged.is_some() && self.checkpoint_due() {
+            self.checkpoint()?;
         }
         Ok(())
     }
@@ -717,30 +724,15 @@ impl RTreeIndex {
     }
 }
 
-fn check_page_size(disk: &dyn DiskBackend, opts: &IndexOptions) -> CoreResult<()> {
-    if disk.page_size() == opts.page_size {
+/// Refuse pages of size `got` where `want` is expected: the one check of
+/// every page size an index meets, worded "`what` page size `got` !=
+/// `whose` `want`".
+pub(crate) fn check_page_size(what: &str, got: usize, whose: &str, want: usize) -> CoreResult<()> {
+    if got == want {
         return Ok(());
     }
     Err(CoreError::BadConfig(format!(
-        "disk page size {} != configured {}",
-        disk.page_size(),
-        opts.page_size
-    )))
-}
-
-/// A snapshot that describes pages of another size than `opts` asks for
-/// is refused; `whose` says where it came from.
-pub(crate) fn check_snapshot_page_size(
-    snap: &MetaSnapshot,
-    opts: &IndexOptions,
-    whose: &str,
-) -> CoreResult<()> {
-    if snap.page_size == opts.page_size {
-        return Ok(());
-    }
-    Err(CoreError::BadConfig(format!(
-        "{whose} page size {} != configured {}",
-        snap.page_size, opts.page_size
+        "{what} page size {got} != {whose} {want}"
     )))
 }
 
@@ -755,7 +747,7 @@ pub(crate) fn log_disk_of(
             "a durable index keeps its write-ahead log on a log disk, and none was given".into(),
         )
     })?;
-    check_page_size(log.as_ref(), opts)?;
+    check_page_size("disk", log.page_size(), "configured", opts.page_size)?;
     Ok(log)
 }
 

@@ -44,6 +44,7 @@ mod bottom_up;
 mod builder;
 mod bulk;
 mod claims;
+mod commit;
 mod concurrent;
 mod config;
 pub mod cost_model;

@@ -12,6 +12,7 @@
 //!   so a crash can never leave the superblock behind the log.
 
 use crate::error::{CoreError, CoreResult};
+use crate::node::NodeView;
 use bur_storage::{read_chain, write_chain, BufferPool, PageId, StorageError, INVALID_PAGE};
 
 /// Magic opening every metadata payload ("BURTREE1").
@@ -49,6 +50,25 @@ pub(crate) struct MetaSnapshot {
 }
 
 impl MetaSnapshot {
+    /// Refuse a snapshot whose height disagrees with its root page's
+    /// level in `pool`: a tree built or installed over it would take
+    /// writes and queries and fail only later. An empty disk holds no
+    /// tree to disagree with: a replication follower builds its view
+    /// before the base image lands.
+    pub(crate) fn check_root(&self, pool: &BufferPool) -> CoreResult<()> {
+        if pool.disk().num_pages() == 0 {
+            return Ok(());
+        }
+        let level = NodeView::new(self.root, pool.fetch(self.root)?.read())?.level();
+        if self.height.checked_sub(1) == Some(level) {
+            return Ok(());
+        }
+        Err(CoreError::BadConfig(format!(
+            "corrupt index metadata: height {} over root page {} of level {level}",
+            self.height, self.root
+        )))
+    }
+
     /// `true` when the snapshot includes a persisted hash directory.
     pub fn stored_hash(&self) -> bool {
         self.hash_head != INVALID_PAGE

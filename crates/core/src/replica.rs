@@ -19,12 +19,13 @@
 //!   write-ahead log on the replica's own log disk and checkpoint: the
 //!   replica becomes an ordinary writable index.
 
+use crate::commit::{self, Log};
 use crate::config::{Durability, IndexOptions, UpdateStrategy};
 use crate::error::{CoreError, CoreResult};
 use crate::files::stored_snapshot;
-use crate::index::{log_disk_of, log_disk_without_log, RTreeIndex};
+use crate::index::{check_page_size, log_disk_of, log_disk_without_log, RTreeIndex};
 use crate::meta::MetaSnapshot;
-use crate::tree::{RTree, WalHandle};
+use crate::tree::RTree;
 use bur_storage::{BufferPool, DiskBackend, PoolConfig, INVALID_PAGE};
 use bur_wal::Wal;
 use std::sync::Arc;
@@ -46,13 +47,8 @@ impl RTreeIndex {
         meta: &[u8],
     ) -> CoreResult<Self> {
         let (mut snap, _) = MetaSnapshot::decode(meta)?;
-        if disk.page_size() != snap.page_size {
-            return Err(CoreError::BadConfig(format!(
-                "disk page size {} != replicated snapshot's {}",
-                disk.page_size(),
-                snap.page_size
-            )));
-        }
+        let disk_size = disk.page_size();
+        check_page_size("disk", disk_size, "replicated snapshot's", snap.page_size)?;
         let opts = IndexOptions {
             page_size: snap.page_size,
             buffer_frames,
@@ -72,6 +68,7 @@ impl RTreeIndex {
         let tree = RTree::from_snapshot(pool, opts, Some(&snap), Vec::new(), &[])?;
         Ok(Self {
             tree,
+            log: None,
             recovery: None,
         })
     }
@@ -79,15 +76,14 @@ impl RTreeIndex {
     /// Advance a replica view to a newer replicated snapshot: swap in the
     /// root, height, object count and free list recorded at the new
     /// apply watermark. The caller must already have redone every page
-    /// record covered by that snapshot onto this index's pool.
+    /// record covered by that snapshot onto this index's pool. A snapshot
+    /// whose height disagrees with its root page is refused, as an open
+    /// refuses it, and the view stays as it was.
     pub fn install_replica_snapshot(&mut self, meta: &[u8]) -> CoreResult<()> {
         let (snap, _) = MetaSnapshot::decode(meta)?;
-        if snap.page_size != self.tree.opts.page_size {
-            return Err(CoreError::BadConfig(format!(
-                "replicated snapshot page size {} != view's {}",
-                snap.page_size, self.tree.opts.page_size
-            )));
-        }
+        let view = self.tree.opts.page_size;
+        check_page_size("replicated snapshot", snap.page_size, "view's", view)?;
+        snap.check_root(&self.tree.pool)?;
         self.tree.root = snap.root;
         self.tree.height = snap.height;
         self.tree.len = snap.len;
@@ -117,13 +113,9 @@ impl RTreeIndex {
         log_disk: Option<Arc<dyn DiskBackend>>,
     ) -> CoreResult<()> {
         opts.validate()?;
-        if opts.page_size != self.tree.opts.page_size {
-            return Err(CoreError::BadConfig(format!(
-                "promote page size {} != replica's {}",
-                opts.page_size, self.tree.opts.page_size
-            )));
-        }
-        if self.tree.wal.is_some() {
+        let replica = self.tree.opts.page_size;
+        check_page_size("promote", opts.page_size, "replica's", replica)?;
+        if self.log.is_some() {
             return Err(CoreError::BadConfig(
                 "promote_replica: index already has a write-ahead log attached".into(),
             ));
@@ -148,15 +140,19 @@ impl RTreeIndex {
         let meta_chain = stored_snapshot(&self.tree.pool).map_or_else(|_| Vec::new(), |(_, p)| p);
         // The view's snapshot names no hash directory, so the hash index
         // is rebuilt from the tree rather than trusted, as in recovery.
-        let snap = self.tree.meta_snapshot(INVALID_PAGE);
+        let snap = self.tree.meta_snapshot(INVALID_PAGE, INVALID_PAGE);
         let pool = Arc::clone(&self.tree.pool);
         let mut tree = RTree::from_snapshot(pool, opts, Some(&snap), meta_chain, &[])?;
         tree.stats = std::mem::take(&mut self.tree.stats);
-        match log {
-            Some((log, wopts)) => tree.attach_log(WalHandle::new(Wal::create(log)?, wopts))?,
-            None => tree.checkpoint()?,
-        }
+        let log = match log {
+            Some((log, wopts)) => Some(Log::attach(Wal::create(log)?, wopts, &mut tree)?),
+            None => {
+                commit::checkpoint(&mut tree, None)?;
+                None
+            }
+        };
         self.tree = tree;
+        self.log = log;
         Ok(())
     }
 }
@@ -181,6 +177,12 @@ mod tests {
     }
 
     fn durable_primary() -> (crate::RTreeIndex, Arc<MemDisk>, Vec<u8>) {
+        durable_primary_of(200)
+    }
+
+    /// A checkpointed durable GBU index of `objects` points on a grid 20
+    /// wide, its data disk and its metadata snapshot.
+    fn durable_primary_of(objects: u64) -> (crate::RTreeIndex, Arc<MemDisk>, Vec<u8>) {
         let disk = Arc::new(MemDisk::new(1024));
         let mut index = IndexBuilder::generalized()
             .durable()
@@ -188,13 +190,15 @@ mod tests {
             .log_disk(Arc::new(MemDisk::new(1024)))
             .build_index()
             .unwrap();
-        for oid in 0..200u64 {
+        let rows = (objects / 20) as f32;
+        for oid in 0..objects {
             let x = (oid % 20) as f32 / 20.0;
-            let y = (oid / 20) as f32 / 10.0;
+            let y = (oid / 20) as f32 / rows;
             index.insert(oid, Point::new(x, y)).unwrap();
         }
         index.checkpoint().unwrap();
-        let meta = index.tree.meta_snapshot(bur_storage::INVALID_PAGE).encode();
+        let anchor = crate::meta::LOG_DISK_ANCHOR;
+        let meta = index.tree.meta_snapshot(INVALID_PAGE, anchor).encode();
         (index, disk, meta)
     }
 
@@ -213,6 +217,30 @@ mod tests {
         want.sort_unstable();
         assert_eq!(got, want);
         view.validate().unwrap();
+    }
+
+    #[test]
+    fn install_refuses_a_height_that_disagrees_with_the_root_page() {
+        let (primary, disk, meta) = durable_primary_of(2_000);
+        assert_eq!(primary.height(), 3);
+        let mut view =
+            crate::RTreeIndex::replica_view(clone_disk(disk.as_ref()), 64, &meta).unwrap();
+        let w = Rect::new(0.2, 0.2, 0.6, 0.6);
+        let hits = view.query(&w).unwrap();
+        assert!(!hits.is_empty());
+        // The height is bytes 20..24 of the snapshot's payload.
+        for height in [0u32, 1, 9] {
+            let mut bad = meta.clone();
+            bad[20..24].copy_from_slice(&height.to_le_bytes());
+            let err = view.install_replica_snapshot(&bad).unwrap_err();
+            assert!(
+                matches!(&err, CoreError::BadConfig(m) if m.starts_with("corrupt index metadata")),
+                "height {height}: {err}"
+            );
+            assert_eq!(view.height(), 3);
+            view.validate().unwrap();
+            assert_eq!(view.query(&w).unwrap(), hits);
+        }
     }
 
     #[test]

@@ -14,6 +14,11 @@
 //!   re-homed by splits or reinsertion — the maintenance cost the paper
 //!   attributes to LBU.
 //!
+//! The tree keeps no log and does not know whether it is durable. The
+//! commit protocol (`commit.rs`) logs the pages its batches wrote and
+//! wraps the two things the tree hands it, its metadata snapshot and its
+//! base image ([`RTree::write_base_image`]), in the log's steps.
+//!
 //! One representation decision matters for the bottom-up algorithms: a
 //! leaf's *official* MBR is the rectangle stored in its parent's entry.
 //! The leaf page itself only stores object rectangles, so the official
@@ -23,7 +28,7 @@
 //! they adjust the path.
 
 use crate::claims::LeafClaims;
-use crate::config::{IndexOptions, TreeVariant, WalOptions};
+use crate::config::{IndexOptions, TreeVariant};
 use crate::error::{CoreError, CoreResult};
 use crate::meta::{self, MetaSnapshot};
 use crate::node::{
@@ -36,48 +41,16 @@ use crate::stats::OpStats;
 use crate::summary::SummaryStructure;
 use bur_geom::{Point, Rect};
 use bur_hashindex::{HashIndexConfig, LinearHashIndex};
-use bur_storage::{BufferPool, Lsn, PageId, PageRef, PageWriteLatch, INVALID_PAGE};
-use bur_wal::Wal;
-use parking_lot::Mutex;
-use std::borrow::Borrow;
+use bur_storage::{BufferPool, PageId, PageWriteLatch, INVALID_PAGE};
 use std::cell::RefCell;
 use std::ops::Deref;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 /// Minimum node fill as a fraction of capacity (Guttman's `m`): a
 /// delete below it triggers CondenseTree, and a split leaves at least
 /// this much in each half.
 const MIN_FILL: f32 = 0.4;
-
-/// A live write-ahead log attached to the tree ([`crate::Durability::Wal`]).
-pub(crate) struct WalHandle {
-    /// The log itself.
-    pub(crate) wal: Wal,
-    /// Checkpoint interval.
-    pub(crate) opts: WalOptions,
-    /// Committed operations since the last checkpoint (drives the
-    /// cadence). Atomic because concurrent leaf-local batches bump it
-    /// through a shared reference ([`RTree::wal_commit_pages`]).
-    pub(crate) commits_since_checkpoint: AtomicU64,
-    /// Serializes concurrent group commits: a batch's page images and
-    /// its commit record must land contiguously in the log, so another
-    /// batch's record cannot slip between a page image and the record
-    /// that covers it (see [`RTree::wal_commit_pages`]).
-    pub(crate) commit_lock: Mutex<()>,
-}
-
-impl WalHandle {
-    /// Wrap a log with fresh bookkeeping (cadence at 0).
-    pub(crate) fn new(wal: Wal, opts: WalOptions) -> Self {
-        Self {
-            wal,
-            opts,
-            commits_since_checkpoint: AtomicU64::new(0),
-            commit_lock: Mutex::new(()),
-        }
-    }
-}
 
 /// An entry being inserted: either an object (into a leaf) or a whole
 /// subtree (an internal entry re-inserted by CondenseTree or carried by a
@@ -141,8 +114,6 @@ pub(crate) struct RTree {
     pub(crate) hash: Option<Arc<LinearHashIndex>>,
     /// Operation counters.
     pub(crate) stats: OpStats,
-    /// Write-ahead log, when the index is durable.
-    pub(crate) wal: Option<WalHandle>,
     /// Pages owned by the on-disk metadata continuation chain (plus
     /// spares); recycled by every checkpoint instead of leaking.
     pub(crate) meta_chain_pages: Vec<PageId>,
@@ -167,9 +138,7 @@ impl RTree {
     /// rebuilds GBU's summary structure and LBU's parent pointers.
     ///
     /// A snapshot whose height disagrees with its root page's level is
-    /// refused before anything is built: the tree would take writes and
-    /// fail only later. An empty disk holds no tree to disagree with: a
-    /// replication follower builds its view before the base image lands.
+    /// refused before anything is built ([`MetaSnapshot::check_root`]).
     pub(crate) fn from_snapshot(
         pool: Arc<BufferPool>,
         opts: IndexOptions,
@@ -178,14 +147,8 @@ impl RTree {
         kept: &[PageId],
     ) -> CoreResult<Self> {
         opts.validate()?;
-        if let Some(s) = snap.filter(|_| pool.disk().num_pages() > 0) {
-            let level = NodeView::new(s.root, pool.fetch(s.root)?.read())?.level();
-            if s.height.checked_sub(1) != Some(level) {
-                return Err(CoreError::BadConfig(format!(
-                    "corrupt index metadata: height {} over root page {} of level {level}",
-                    s.height, s.root
-                )));
-            }
+        if let Some(s) = snap {
+            s.check_root(&pool)?;
         }
         let stored_hash = snap.filter(|s| s.stored_hash());
         let build_hash = stored_hash.is_none() && opts.strategy.needs_hash_index();
@@ -227,7 +190,6 @@ impl RTree {
             summary: opts.strategy.needs_summary().then(SummaryStructure::new),
             hash: hash.map(Arc::new),
             stats: OpStats::default(),
-            wal: None,
             meta_chain_pages,
             claims,
         };
@@ -460,11 +422,12 @@ impl RTree {
         Ok(())
     }
 
-    // ---- write-ahead logging -------------------------------------------------
+    // ---- metadata and base image -------------------------------------------
 
     /// Current metadata snapshot; `hash_head` is [`INVALID_PAGE`] unless
-    /// the hash directory was just persisted.
-    pub(crate) fn meta_snapshot(&self, hash_head: PageId) -> MetaSnapshot {
+    /// the hash directory was just persisted, and `wal_anchor` is where
+    /// the index's log is chained from ([`INVALID_PAGE`] without one).
+    pub(crate) fn meta_snapshot(&self, hash_head: PageId, wal_anchor: PageId) -> MetaSnapshot {
         MetaSnapshot {
             page_size: self.opts.page_size,
             root: self.root,
@@ -472,73 +435,8 @@ impl RTree {
             len: self.len,
             hash_head,
             free_pages: self.free_pages.clone(),
-            wal_anchor: self.wal.as_ref().map_or(INVALID_PAGE, |h| h.wal.anchor()),
+            wal_anchor,
         }
-    }
-
-    /// Group-commit `ops` applied operations under one record: an image
-    /// or delta of every page in `pages` (read through its pin, diffed
-    /// against the pool's pre-image of it — no copy), then a commit
-    /// record carrying the metadata snapshot, and a log sync. Returns
-    /// the LSN covering the ops: the record's, the log's last when `ops`
-    /// is 0 (nothing changed, nothing is logged), 0 without a WAL. Never
-    /// checkpoints — callers check [`RTree::checkpoint_due`].
-    ///
-    /// The one commit function of both write paths, and both feed it the
-    /// pins their batch holds: the exclusive engine every page the pool
-    /// saw touched since the last commit, in ascending order, each
-    /// through the pin its batch kept (fetched only when it was left
-    /// touched by an earlier commit that failed); the shared path its
-    /// batch's own pinned pages. It takes `&self`, so batches on
-    /// disjoint leaves commit while others are still applying, and
-    /// `commit_lock` keeps each batch's pages and record contiguous. A
-    /// shared batch's page set is complete because, while any such batch
-    /// is in flight:
-    ///
-    /// * no operation changes `root`, `height`, the free list or the
-    ///   object count (a shared batch only moves objects within their
-    ///   leaves); and
-    /// * every exclusive write has committed before it released the
-    ///   structure lock's write side, so a touched page outside `pages`
-    ///   belongs to another in-flight batch and its own record (the
-    ///   no-steal gate keeps it off the disk until then). Only a failed
-    ///   exclusive commit or first op leaves pages touched, gated, for
-    ///   the next exclusive commit or checkpoint.
-    ///
-    /// A shared parent page may carry another in-flight batch's official
-    /// -rect enlargement when it is imaged here. That is benign slack:
-    /// enlargements are monotone and bounded by the parent node MBR, and
-    /// the other batch's leaf write (the actual object move) is gated
-    /// until its own commit record lands ("grow before move").
-    pub(crate) fn wal_commit_pages<'p, P: Borrow<PageRef<'p>>>(
-        &self,
-        ops: u64,
-        pages: impl IntoIterator<Item = CoreResult<P>>,
-    ) -> CoreResult<Lsn> {
-        let Some(handle) = self.wal.as_ref() else {
-            return Ok(0);
-        };
-        if ops == 0 {
-            return Ok(handle.wal.last_lsn());
-        }
-        let _serial = handle.commit_lock.lock();
-        for page in pages {
-            let page = page?;
-            let pid = page.borrow().pid();
-            let base = self.pool.take_pre_image(pid);
-            // Noted under the latch the record is read through, so no
-            // write lands between the two.
-            let data = page.borrow().read();
-            let lsn = handle.wal.append_page(pid, base.as_ref(), &data)?;
-            self.pool.note_page_logged(&data, lsn);
-        }
-        let meta = self.meta_snapshot(INVALID_PAGE).encode();
-        let lsn = handle.wal.commit(meta)?;
-        self.pool.set_durable_lsn(lsn);
-        handle
-            .commits_since_checkpoint
-            .fetch_add(ops, Ordering::Relaxed);
-        Ok(lsn)
     }
 
     /// Current object count.
@@ -546,64 +444,18 @@ impl RTree {
         self.len
     }
 
-    /// `true` when the checkpoint cadence has been reached. Readable
-    /// without exclusivity; callers on the shared path re-check under an
-    /// exclusive lock before actually checkpointing.
-    pub(crate) fn checkpoint_due(&self) -> bool {
-        self.wal.as_ref().is_some_and(|h| {
-            h.commits_since_checkpoint.load(Ordering::Relaxed) >= h.opts.checkpoint_every
-        })
-    }
-
     /// Write the hash directory and the metadata chain (recycling the
-    /// superseded chains' pages) and flush every page: the image an open
-    /// starts from. On a durable tree this is a fuzzy checkpoint, and the
-    /// log steps wrap that body: the log is made durable first, and
-    /// rewound onto its own pages once the data disk is synced. That
-    /// order is the whole two-file argument: the old generation stays
-    /// replayable until the base image that supersedes it is on the
-    /// platter, and this is the only place the data disk is synced — a
-    /// commit syncs the log's disk and nothing else.
-    pub(crate) fn checkpoint(&mut self) -> CoreResult<()> {
-        let started = std::time::Instant::now();
-        let writes_before = self.pool.stats().snapshot().writes;
-        if let Some(handle) = &self.wal {
-            handle.wal.sync()?;
-            self.pool.set_durable_lsn(handle.wal.durable_lsn());
-        }
+    /// superseded chains' pages), its snapshot naming the log at
+    /// `wal_anchor`: once flushed, the base image an open starts from.
+    /// Returns the snapshot's payload.
+    pub(crate) fn write_base_image(&mut self, wal_anchor: PageId) -> CoreResult<Vec<u8>> {
         let hash_head = match &self.hash {
             Some(h) => h.persist()?,
             None => INVALID_PAGE,
         };
-        let payload = self.meta_snapshot(hash_head).encode();
+        let payload = self.meta_snapshot(hash_head, wal_anchor).encode();
         meta::write_meta_chain(&self.pool, &payload, &mut self.meta_chain_pages)?;
-        if self.wal.is_some() {
-            // The writes above are part of the new base image, not of
-            // any commit: drop their gate state before the flush.
-            self.pool.wal_checkpoint_reset();
-        }
-        self.pool.flush_all()?;
-        let Some(handle) = self.wal.as_mut() else {
-            return Ok(());
-        };
-        handle.wal.checkpoint_rewind(payload)?;
-        handle.commits_since_checkpoint.store(0, Ordering::Relaxed);
-        self.pool.set_durable_lsn(handle.wal.durable_lsn());
-        handle.wal.note_checkpoint(
-            started.elapsed(),
-            self.pool.stats().snapshot().writes - writes_before,
-        );
-        Ok(())
-    }
-
-    /// Attach `wal`, gate the pool's writes on it and checkpoint: the
-    /// pages as they stand become the log's base image. The one way a
-    /// tree gets its log — created, recovered, upgraded, promoted or
-    /// bulk loaded.
-    pub(crate) fn attach_log(&mut self, wal: WalHandle) -> CoreResult<()> {
-        self.wal = Some(wal);
-        self.pool.set_wal_mode(true);
-        self.checkpoint()
+        Ok(payload)
     }
 
     // ---- insertion ----------------------------------------------------------

@@ -1,6 +1,6 @@
 //! The concurrent `Bur::apply` write path under real parallelism.
 //!
-//! Five contracts from the latch-per-page rework and the in-order
+//! Six contracts from the latch-per-page rework and the in-order
 //! planning pass:
 //!
 //! 0. with one writer, batching changes nothing an op decides: the same
@@ -20,7 +20,9 @@
 //!    set on a single batch boundary;
 //! 4. a power cut anywhere in a stream of insert batches that split
 //!    leaves recovers to a valid tree with every acknowledged insert
-//!    present.
+//!    present;
+//! 5. batches committing side by side keep each one's page records and
+//!    commit record contiguous in the log.
 
 mod common;
 
@@ -980,4 +982,67 @@ fn concurrent_batches_recover_all_or_nothing() {
             );
         }
     }
+}
+
+/// The commit lock keeps a batch's page records and its commit record
+/// contiguous in the log while other batches commit beside it. Each
+/// thread moves one object of a leaf of its own in place, so each batch
+/// logs exactly one page: after the checkpoint that opens the
+/// generation, the log reads page, commit, page, commit, ... and two
+/// pages in a row mean two batches' records interleaved.
+#[test]
+fn concurrent_commits_land_contiguously_in_the_log() {
+    const THREADS: usize = 4;
+    const BATCHES: usize = 500;
+    let log = Arc::new(MemDisk::new(1024));
+    let bur = IndexBuilder::generalized()
+        .durable()
+        .disk(Arc::new(MemDisk::new(1024)))
+        .log_disk(log.clone())
+        .build()
+        .unwrap();
+    let mut batch = Batch::new();
+    for oid in 0..2_000 {
+        batch.insert(oid, home(oid));
+    }
+    bur.apply(&batch).unwrap();
+    bur.checkpoint().unwrap();
+    // The first object of each of `THREADS` leaves.
+    let mut movers: HashMap<u64, u64> = HashMap::new();
+    for oid in 0..2_000 {
+        let leaf = bur.with_index(|i| i.locate_leaf(oid)).unwrap().unwrap();
+        movers.entry(leaf.into()).or_insert(oid);
+    }
+    let mut movers: Vec<u64> = movers.into_values().collect();
+    movers.sort_unstable();
+    movers.truncate(THREADS);
+    assert_eq!(movers.len(), THREADS);
+    std::thread::scope(|s| {
+        for &oid in &movers {
+            let bur = &bur;
+            s.spawn(move || {
+                for _ in 0..BATCHES {
+                    bur.update(oid, home(oid), home(oid)).unwrap();
+                }
+            });
+        }
+    });
+    let mut reader = bur::wal::LogReader::open(log.as_ref(), bur::core::LOG_DISK_ANCHOR)
+        .unwrap()
+        .unwrap();
+    let mut kinds = String::new();
+    while let Some((_, rec)) = reader.next_record().unwrap() {
+        kinds.push(match rec {
+            bur::wal::WalRecord::Checkpoint { .. } => 'k',
+            bur::wal::WalRecord::Commit { .. } => 'c',
+            _ => 'p',
+        });
+    }
+    let want = format!("k{}", "pc".repeat(THREADS * BATCHES));
+    let first_bad = kinds.bytes().zip(want.bytes()).position(|(a, b)| a != b);
+    assert_eq!(
+        (first_bad, kinds.len()),
+        (None, want.len()),
+        "log records out of batch order"
+    );
 }
