@@ -60,7 +60,6 @@ use crate::pins::{NodePin, PinSet};
 use crate::stats::{OpStats, UpdateOutcome};
 use bur_geom::{Point, Rect};
 use bur_storage::{BufferPool, PageId, PageRef};
-use std::collections::HashMap;
 
 /// Verdict of planning a batch; nothing has been written at that point.
 pub(crate) enum Step {
@@ -142,8 +141,8 @@ pub(crate) struct Executed {
 pub(crate) struct SharedPass<'i, 'p> {
     index: &'i RTreeIndex,
     pool: &'p BufferPool,
+    /// Every leaf the pass opened; a batch has no more than it has ops.
     shadows: Vec<LeafShadow<'p>>,
-    shadow_of: HashMap<PageId, usize>,
     /// Every shadow's planned moves.
     moves: Vec<Move>,
     /// Distinct parent pages pinned so far; shadows under one parent
@@ -165,7 +164,6 @@ impl<'i, 'p> SharedPass<'i, 'p> {
             index,
             pool,
             shadows: Vec::new(),
-            shadow_of: HashMap::new(),
             moves: Vec::new(),
             parents: Vec::new(),
             effects: Vec::new(),
@@ -206,7 +204,7 @@ impl<'i, 'p> SharedPass<'i, 'p> {
     /// claim is held by another batch or past the table's end, or the
     /// page does not read as a leaf.
     fn open(&mut self, pid: PageId, pos: usize) -> Option<usize> {
-        if let Some(&slot) = self.shadow_of.get(&pid) {
+        if let Some(slot) = self.shadows.iter().position(|s| s.page.pid() == pid) {
             return Some(slot);
         }
         let tree = &self.index.tree;
@@ -225,7 +223,6 @@ impl<'i, 'p> SharedPass<'i, 'p> {
             first_pos: pos,
         });
         self.claims.push(claim);
-        self.shadow_of.insert(pid, slot);
         Some(slot)
     }
 

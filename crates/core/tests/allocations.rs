@@ -174,5 +174,5 @@ fn allocation_counts_on_the_hot_paths() {
     }
     // The shared pass's own bookkeeping, per batch: under one allocation
     // per update.
-    assert_eq!(batch_allocations, 5_992);
+    assert_eq!(batch_allocations, 5_112);
 }

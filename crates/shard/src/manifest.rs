@@ -52,7 +52,11 @@ impl Manifest {
     }
 }
 
-/// One past the largest key on an order-`order` curve (`4^order`).
+/// The largest curve order whose key space, `4^order`, fits a `u64`.
+const MAX_ORDER: u32 = 31;
+
+/// One past the largest key on an order-`order` curve (`4^order`;
+/// `order` at most 31, as every parsed manifest's is).
 #[must_use]
 pub fn key_space_for(order: u32) -> u64 {
     let side = 1u64 << order;
@@ -199,7 +203,7 @@ fn parse(text: &str) -> Result<Manifest, ShardError> {
             Some(_) | None => return Err(bad("unknown line")),
         }
     }
-    Ok(Manifest {
+    let m = Manifest {
         order: order.ok_or_else(|| bad("no order"))?,
         budget: budget.ok_or_else(|| bad("no budget"))?,
         shards: shards.ok_or_else(|| bad("no shards"))?,
@@ -207,7 +211,28 @@ fn parse(text: &str) -> Result<Manifest, ShardError> {
         slack,
         segments,
         migration,
-    })
+    };
+    // What the router indexes or multiplies by must lie in range: a
+    // shard past the count, a key space past `u64` or a slack that
+    // makes every window invalid fails here, not at first use.
+    if m.order > MAX_ORDER {
+        return Err(bad("order past 31"));
+    }
+    if m.segments.iter().any(|seg| seg.shard >= m.shards) {
+        return Err(bad("segment shard past the shard count"));
+    }
+    if let Some(mig) = &m.migration {
+        if mig.from >= m.shards || mig.to >= m.shards {
+            return Err(bad("migration shard past the shard count"));
+        }
+        if mig.lo >= mig.hi || mig.hi > key_space_for(m.order) {
+            return Err(bad("migration range empty or past the key space"));
+        }
+    }
+    if !(m.slack.0.is_finite() && m.slack.1.is_finite() && m.slack.0 >= 0.0 && m.slack.1 >= 0.0) {
+        return Err(bad("slack negative or not finite"));
+    }
+    Ok(m)
 }
 
 #[cfg(test)]
