@@ -142,7 +142,9 @@ where
 /// whole two-file argument: the old generation stays replayable until
 /// the base image that supersedes it is on the platter, and this is the
 /// only place the data disk is synced — a commit syncs the log's disk
-/// and nothing else.
+/// and nothing else. A failed sync, of either disk, fails the log
+/// ([`bur_storage::StorageError::LogFailed`]) instead of being retried:
+/// the index takes no more writes until it is reopened.
 pub(crate) fn checkpoint(tree: &mut RTree, log: Option<&Log>) -> CoreResult<()> {
     let Some(log) = log else {
         tree.write_base_image(INVALID_PAGE)?;
@@ -156,7 +158,10 @@ pub(crate) fn checkpoint(tree: &mut RTree, log: Option<&Log>) -> CoreResult<()> 
     // The writes above are part of the new base image, not of any
     // commit: drop their gate state before the flush.
     tree.pool.wal_checkpoint_reset();
-    tree.pool.flush_all()?;
+    tree.pool.write_back_all()?;
+    // A failed sync may have lost pages the pool now counts clean, and
+    // only the log still holds them: it must never be rewound.
+    tree.pool.disk().sync().inspect_err(|_| log.wal.fail())?;
     log.wal.checkpoint_rewind(payload)?;
     log.commits_since_checkpoint.store(0, Ordering::Relaxed);
     tree.pool.set_durable_lsn(log.wal.durable_lsn());

@@ -259,8 +259,8 @@ mod tests {
         }
     }
 
-    /// A power cut at every write of an upgrade, data and log on one
-    /// supply, page 0 intact or torn: afterwards the file either still
+    /// A power cut at every mutating call of an upgrade, data and log on
+    /// one supply, page 0 intact or torn: afterwards the file either still
     /// counts as old, and the upgrade runs again, or recovery from the
     /// sidecar finds every acknowledged position.
     #[test]
@@ -273,11 +273,14 @@ mod tests {
             loop {
                 let (data, log) = (fixture_disk(ps, torn), Arc::new(MemDisk::new(ps)));
                 let (fdata, flog) = FaultyDisk::pair(data.clone(), log.clone());
-                fdata.inject(FaultKind::TornWrite { after_writes: cut });
-                let upgraded = upgrade_on(fdata.clone(), false, opts, || Ok(flog));
-                let finished = upgraded.is_ok() && !fdata.power_cut_triggered();
+                fdata.power().cut_after(cut);
+                let upgraded = upgrade_on(fdata.clone(), false, opts, || Ok(flog.clone()));
+                let finished = upgraded.is_ok() && !fdata.power().is_cut();
                 drop(upgraded);
-                // Power returns; the file tools decide the same way.
+                // Every write sent before the cut reaches the platters;
+                // the file tools decide the same way.
+                fdata.crash(|| true).unwrap();
+                flog.crash(|| true).unwrap();
                 let probe = BufferPool::new(data.clone(), PoolConfig::default());
                 let old = match stored_snapshot(&probe).ok() {
                     Some(((_, old), _)) => old,
@@ -287,7 +290,7 @@ mod tests {
                     upgrade_on(data, false, opts, fresh).unwrap().0
                 } else {
                     RTreeIndex::open_on_inner(data, Some(log), opts, true, None)
-                        .unwrap_or_else(|e| panic!("torn {torn}, cut at write {cut}: {e}"))
+                        .unwrap_or_else(|e| panic!("torn {torn}, cut at call {cut}: {e}"))
                 };
                 assert_acked(&index);
                 if finished {
@@ -297,7 +300,7 @@ mod tests {
             }
             assert!(
                 cut > 10,
-                "the sweep crossed the whole upgrade ({cut} writes)"
+                "the sweep crossed the whole upgrade ({cut} calls)"
             );
         }
     }
@@ -332,7 +335,7 @@ mod tests {
         assert!(pages.len() > 2, "chain: {pages:?}");
         let mut page_0 = vec![0u8; ps];
         data.read(0, &mut page_0).unwrap();
-        let faulty = Arc::new(FaultyDisk::new(data.clone()));
+        let faulty = FaultyDisk::new(data.clone());
         faulty.fail_page(FaultKind::Read, pages[pages.len() / 2]);
         let mut created = false;
         let upgraded = upgrade_on(faulty.clone(), false, opts, || {
@@ -346,7 +349,7 @@ mod tests {
         );
         assert!(!created, "no sidecar log was created");
         let mut now = vec![0u8; ps];
-        data.read(0, &mut now).unwrap();
+        faulty.read(0, &mut now).unwrap();
         assert_eq!(now, page_0, "page 0 is unchanged");
         faulty.clear_faults();
         assert_acked(

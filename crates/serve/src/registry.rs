@@ -600,6 +600,59 @@ mod tests {
         let _ = std::fs::remove_dir_all(&root);
     }
 
+    /// A write to an index whose log a failed `fsync` closed is answered
+    /// with an error that says to reopen; closing it is refused too (its
+    /// checkpoint), and opening it again recovers it from its file pair.
+    #[test]
+    fn a_closed_log_refuses_writes_until_close_and_open() {
+        use bur_storage::{DiskBackend, FaultKind, FaultyDisk, FileDisk};
+        let root = tempdir("closed-log");
+        let reg = IndexRegistry::new(&root).expect("registry");
+        let file = reg.file_for("fleet");
+        let opts = bur_core::IndexOptions::durable();
+        let create = |path: &Path| -> Arc<dyn DiskBackend> {
+            Arc::new(FileDisk::create(path, opts.page_size).expect("create"))
+        };
+        let (data, log) = FaultyDisk::pair(create(&file), create(&bur_core::log_path(&file)));
+        let bur = IndexBuilder::with_options(opts)
+            .disk(data)
+            .log_disk(log.clone())
+            .build()
+            .expect("build");
+        let entry = Entry::Plain(reg.entry("fleet", bur));
+        reg.entries.lock().insert("fleet".into(), entry);
+        let insert = |oid| {
+            vec![Op::Insert {
+                oid,
+                rect: Rect::from_point(Point::new(0.5, 0.5)),
+            }]
+        };
+        let entry = plain(reg.get("fleet").expect("get"));
+        entry.coalescer.apply(insert(1)).expect("acked");
+        log.fail_nth(FaultKind::Sync, 0);
+        assert!(entry.coalescer.apply(insert(2)).is_err(), "refused sync");
+        let err = entry.coalescer.apply(insert(3)).expect_err("closed log");
+        assert!(err.contains("reopen"), "{err}");
+        assert_eq!(
+            entry
+                .bur
+                .query(&Rect::new(0.0, 0.0, 1.0, 1.0))
+                .map(|q| q.count())
+                .ok(),
+            Some(3)
+        );
+        drop(entry);
+        assert!(
+            reg.close("fleet").is_err(),
+            "the closing checkpoint is refused"
+        );
+        let entry = plain(reg.open("fleet").expect("recovered from the files"));
+        assert_eq!(entry.bur.len(), 1, "only the acked insert");
+        entry.coalescer.apply(insert(4)).expect("acks again");
+        reg.shutdown();
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
     #[test]
     fn sharded_lifecycle_roundtrip() {
         let root = tempdir("sharded");

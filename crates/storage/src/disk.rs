@@ -29,7 +29,7 @@ pub trait DiskBackend: Send + Sync {
     fn sync(&self) -> StorageResult<()>;
 }
 
-fn check_len(page_size: usize, got: usize) -> StorageResult<()> {
+pub(crate) fn check_len(page_size: usize, got: usize) -> StorageResult<()> {
     if got != page_size {
         return Err(StorageError::BadBufferLen {
             expected: page_size,

@@ -31,6 +31,12 @@ pub enum StorageError {
     /// should hold (a damaged page chain or directory): names what is
     /// wrong.
     Corrupt(&'static str),
+    /// A write-ahead log refuses every append, sync and checkpoint after a
+    /// sync on it, or on the data disk of its checkpoint, failed: the
+    /// writes that sync covered may never reach the platter however often
+    /// it is retried. Reads keep working; reopening the index recovers
+    /// it from the log, which no checkpoint rewound since.
+    LogFailed,
     /// A fault injected by [`crate::FaultyDisk`] (tests and failure
     /// drills only; real disks never raise this).
     InjectedFault {
@@ -53,6 +59,10 @@ impl fmt::Display for StorageError {
             StorageError::DiskFull => write!(f, "disk full: page id space exhausted"),
             StorageError::Io(e) => write!(f, "I/O error: {e}"),
             StorageError::Corrupt(what) => write!(f, "corrupt stored data: {what}"),
+            StorageError::LogFailed => write!(
+                f,
+                "write-ahead log closed by a failed sync: reopen the index to recover it"
+            ),
             StorageError::InjectedFault { op, pid: Some(p) } => {
                 write!(f, "injected fault: {op} of page {p}")
             }
@@ -92,6 +102,7 @@ mod tests {
         };
         assert!(e.to_string().contains("512"));
         assert!(StorageError::DiskFull.to_string().contains("full"));
+        assert!(StorageError::LogFailed.to_string().contains("reopen"));
         let e = StorageError::Corrupt("hash directory truncated");
         assert!(e.to_string().contains("hash directory truncated"));
         let e: StorageError = std::io::Error::other("boom").into();

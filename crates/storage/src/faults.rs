@@ -1,13 +1,33 @@
-//! Deterministic fault injection for disks.
+//! Deterministic fault injection for disks: one model of a disk and of
+//! the power that feeds it.
 //!
-//! [`FaultyDisk`] wraps any [`DiskBackend`] and fails selected operations
-//! with [`StorageError::InjectedFault`]. Schedules are explicit and
-//! deterministic (fail the n-th read, fail every write to a page, fail
-//! with a seeded probability), so robustness tests are reproducible:
-//! the tests assert that faults surface as clean errors — never panics —
-//! and that the structures above recover once the fault clears.
+//! [`FaultyDisk`] wraps any [`DiskBackend`], its *platter*, behind a
+//! volatile write cache:
+//!
+//! * writes and allocations land in the cache, and reads see it;
+//! * `sync` moves the cache to the platter;
+//! * a sync that a rule refuses keeps the writes it covered readable but
+//!   never persists them, not even through a later sync that succeeds —
+//!   what Linux does after a writeback error, when it marks the pages
+//!   clean (Rebello et al., "Can Applications Recover from fsync
+//!   Failures?", USENIX ATC 2020);
+//! * [`FaultyDisk::crash`] decides which unsynced writes reach the
+//!   platter; keeping all of them models a device that persisted every
+//!   write sent before the power failed.
+//!
+//! Rules fail selected operations with [`StorageError::InjectedFault`]:
+//! the n-th operation of a kind, every access to a page, or everything
+//! of a kind. Any number of disks share one [`PowerSupply`]: a cut lets
+//! n more mutating calls (write, allocate or sync, counted across the
+//! disks) land, tears the next call if it is a write (only the first half
+//! of the page reaches the cache) and refuses every call after it. Reads
+//! keep working, so recovery tooling can inspect what survived.
+//! Schedules are explicit, so every drill is reproducible.
 
+use crate::disk::check_len;
 use crate::{DiskBackend, PageId, StorageError, StorageResult};
+use std::cmp::Ordering as Cmp;
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -24,19 +44,6 @@ pub enum FaultKind {
     Allocate,
     /// Fail `sync` calls.
     Sync,
-    /// A power cut: the disk persists `after_writes` more writes, tears
-    /// the write after that (only the first half of the page reaches the
-    /// platter) and then stops persisting entirely — every later write,
-    /// allocation and sync fails and leaves the disk unchanged. Reads
-    /// keep working so recovery tooling can inspect what survived.
-    ///
-    /// Install with [`FaultyDisk::inject`] (the positional `fail_*`
-    /// installers only understand the plain operation kinds).
-    TornWrite {
-        /// Number of writes that still reach stable storage before the
-        /// cut (the cut write itself is the `after_writes`-th from now).
-        after_writes: u64,
-    },
 }
 
 impl FaultKind {
@@ -46,7 +53,6 @@ impl FaultKind {
             FaultKind::Write => "write",
             FaultKind::Allocate => "allocate",
             FaultKind::Sync => "sync",
-            FaultKind::TornWrite { .. } => "torn-write",
         }
     }
 }
@@ -62,19 +68,113 @@ enum Rule {
     Page { kind: FaultKind, pid: PageId },
     /// Fail everything of `kind` until cleared (a dead disk).
     Always { kind: FaultKind },
-    /// Power cut at absolute write sequence number `at`: write `at` is
-    /// torn (half-persisted), and all mutations after it are lost.
-    PowerCut { at: u64 },
 }
 
-/// A [`DiskBackend`] decorator that injects deterministic faults.
+/// The power supply of one simulated machine, shared by its disks. It
+/// counts their mutating calls (writes, allocations and syncs) and, once
+/// cut, refuses the calls past the cut.
+///
+/// ```
+/// use bur_storage::{DiskBackend, FaultyDisk, MemDisk, PowerSupply};
+/// use std::sync::Arc;
+///
+/// let power = PowerSupply::new();
+/// let data = FaultyDisk::on(Arc::new(MemDisk::new(128)), &power);
+/// let log = FaultyDisk::on(Arc::new(MemDisk::new(128)), &power);
+/// power.cut_after(2);
+/// data.allocate().unwrap();
+/// log.allocate().unwrap();
+/// assert!(data.write(0, &[7; 128]).is_err(), "torn: the third call");
+/// assert!(log.sync().is_err() && power.is_cut());
+/// data.crash(|| true).unwrap(); // the torn page reaches the platter
+/// log.crash(|| false).unwrap(); // the log's allocation never did
+/// assert_eq!((data.num_pages(), log.num_pages()), (1, 0));
+/// ```
+#[derive(Debug)]
+pub struct PowerSupply {
+    /// Mutating calls so far.
+    spent: AtomicU64,
+    /// The call number the cut falls on: calls before it land.
+    budget: AtomicU64,
+    /// Which of the calls counted in `spent` were syncs, by call number.
+    syncs: Mutex<Vec<u64>>,
+}
+
+/// What the supply does with one mutating call.
+enum Draw {
+    Land,
+    Tear,
+    Refuse,
+}
+
+impl PowerSupply {
+    /// A supply that never fails until [`PowerSupply::cut_after`].
+    #[must_use]
+    pub fn new() -> Arc<Self> {
+        Arc::new(Self {
+            spent: AtomicU64::new(0),
+            budget: AtomicU64::new(u64::MAX),
+            syncs: Mutex::new(Vec::new()),
+        })
+    }
+
+    /// Cut the power: `calls` more mutating calls land, the next is torn
+    /// if it is a write and refused otherwise, and every call after it
+    /// is refused.
+    pub fn cut_after(&self, calls: u64) {
+        self.budget.store(self.spent() + calls, Ordering::Relaxed);
+    }
+
+    /// Power is back (the machine rebooted): nothing fails any more.
+    pub fn restore(&self) {
+        self.budget.store(u64::MAX, Ordering::Relaxed);
+    }
+
+    /// Mutating calls seen so far (a dry run reads this to place cuts).
+    #[must_use]
+    pub fn spent(&self) -> u64 {
+        self.spent.load(Ordering::Relaxed)
+    }
+
+    /// The call numbers (positions in the [`PowerSupply::spent`] count) of
+    /// every sync so far, ascending: on a fresh supply, `cut_after(n)`
+    /// with `n` one of them refuses exactly that sync and everything
+    /// after it.
+    #[must_use]
+    pub fn sync_calls(&self) -> Vec<u64> {
+        self.syncs.lock().clone()
+    }
+
+    /// `true` once the cut fired: a call was torn or refused.
+    #[must_use]
+    pub fn is_cut(&self) -> bool {
+        self.spent() > self.budget.load(Ordering::Relaxed)
+    }
+
+    fn draw(&self, kind: FaultKind) -> Draw {
+        let call = self.spent.fetch_add(1, Ordering::Relaxed);
+        if kind == FaultKind::Sync {
+            self.syncs.lock().push(call);
+        }
+        match call.cmp(&self.budget.load(Ordering::Relaxed)) {
+            Cmp::Less => Draw::Land,
+            Cmp::Equal if kind == FaultKind::Write => Draw::Tear,
+            _ => Draw::Refuse,
+        }
+    }
+}
+
+/// A [`DiskBackend`] decorator with a volatile write cache, fault rules
+/// and a [`PowerSupply`] (see the module docs for the model).
 ///
 /// ```
 /// use bur_storage::{DiskBackend, FaultKind, FaultyDisk, MemDisk, StorageError};
 /// use std::sync::Arc;
 ///
-/// let disk = FaultyDisk::new(Arc::new(MemDisk::new(128)));
+/// let platter = Arc::new(MemDisk::new(128));
+/// let disk = FaultyDisk::new(platter.clone());
 /// let pid = disk.allocate().unwrap();
+/// disk.sync().unwrap();
 /// disk.fail_page(FaultKind::Read, pid);
 /// let mut buf = vec![0u8; 128];
 /// assert!(matches!(
@@ -83,54 +183,83 @@ enum Rule {
 /// ));
 /// disk.clear_faults();
 /// assert!(disk.read(pid, &mut buf).is_ok());
+/// // A refused sync: the write stays readable and never persists.
+/// disk.write(pid, &[9; 128]).unwrap();
+/// disk.fail_nth(FaultKind::Sync, 0);
+/// assert!(disk.sync().is_err());
+/// disk.sync().unwrap();
+/// disk.read(pid, &mut buf).unwrap();
+/// assert_eq!(buf, [9; 128]);
+/// platter.read(pid, &mut buf).unwrap();
+/// assert_eq!(buf, [0; 128]);
 /// ```
 pub struct FaultyDisk {
-    inner: Arc<dyn DiskBackend>,
-    /// Rules and counters — one set for both disks of a
-    /// [`FaultyDisk::pair`].
-    state: Arc<FaultState>,
-}
-
-/// The rule list and the per-kind operation counters.
-#[derive(Default)]
-struct FaultState {
+    platter: Arc<dyn DiskBackend>,
+    power: Arc<PowerSupply>,
+    cache: Mutex<Cache>,
     rules: Mutex<Vec<Rule>>,
-    reads: AtomicU64,
-    writes: AtomicU64,
-    allocs: AtomicU64,
-    syncs: AtomicU64,
+    /// Operations seen, per kind, in [`FaultKind`] order.
+    seen: [AtomicU64; 4],
     injected: AtomicU64,
 }
 
+/// What the disk holds that its platter does not.
+struct Cache {
+    /// Pages written or allocated since the last sync: a sync persists
+    /// them, a crash may.
+    dirty: BTreeMap<PageId, Box<[u8]>>,
+    /// Pages a refused sync covered: readable, never persisted.
+    lost: BTreeMap<PageId, Box<[u8]>>,
+    /// Page count as the writer sees it (unsynced allocations included).
+    num_pages: u32,
+}
+
 impl FaultyDisk {
-    /// Wrap a disk. With no rules installed the wrapper is transparent.
+    /// Wrap a disk on a power supply of its own. With no rules and no cut
+    /// the wrapper behaves like its platter, except that writes reach the
+    /// platter at the next sync.
     #[must_use]
-    pub fn new(inner: Arc<dyn DiskBackend>) -> Self {
-        Self {
-            inner,
-            state: Arc::default(),
-        }
+    pub fn new(platter: Arc<dyn DiskBackend>) -> Arc<Self> {
+        Self::on(platter, &PowerSupply::new())
     }
 
-    /// Wrap two disks that share one power supply, such as a data disk
-    /// and its log disk: one rule list and one set of per-kind counters,
-    /// so a [`FaultKind::TornWrite`] armed on either tears the n-th write
-    /// across the pair and then stops both.
+    /// Wrap a disk on a shared power supply.
+    #[must_use]
+    pub fn on(platter: Arc<dyn DiskBackend>, power: &Arc<PowerSupply>) -> Arc<Self> {
+        let num_pages = platter.num_pages();
+        Arc::new(Self {
+            platter,
+            power: power.clone(),
+            cache: Mutex::new(Cache {
+                dirty: BTreeMap::new(),
+                lost: BTreeMap::new(),
+                num_pages,
+            }),
+            rules: Mutex::new(Vec::new()),
+            seen: Default::default(),
+            injected: AtomicU64::new(0),
+        })
+    }
+
+    /// Wrap two disks on one new power supply, such as a data disk and its
+    /// log disk.
     #[must_use]
     pub fn pair(data: Arc<dyn DiskBackend>, log: Arc<dyn DiskBackend>) -> (Arc<Self>, Arc<Self>) {
-        let data = Self::new(data);
-        let log = Self {
-            inner: log,
-            state: data.state.clone(),
-        };
-        (Arc::new(data), Arc::new(log))
+        let power = PowerSupply::new();
+        (Self::on(data, &power), Self::on(log, &power))
+    }
+
+    /// The power supply this disk is on.
+    #[must_use]
+    pub fn power(&self) -> &Arc<PowerSupply> {
+        &self.power
     }
 
     /// Fail exactly the `n`-th operation of `kind` from now (0 = the next
     /// one), counting per kind.
     pub fn fail_nth(&self, kind: FaultKind, n: u64) {
-        let base = self.seq(kind);
-        self.state.rules.lock().push(Rule::NthOps {
+        let base = self.seen(kind).load(Ordering::Relaxed);
+        self.rules.lock().push(Rule::NthOps {
             kind,
             from: base + n,
             to: base + n + 1,
@@ -139,8 +268,8 @@ impl FaultyDisk {
 
     /// Fail the next `count` operations of `kind`.
     pub fn fail_next(&self, kind: FaultKind, count: u64) {
-        let base = self.seq(kind);
-        self.state.rules.lock().push(Rule::NthOps {
+        let base = self.seen(kind).load(Ordering::Relaxed);
+        self.rules.lock().push(Rule::NthOps {
             kind,
             from: base,
             to: base + count,
@@ -149,173 +278,171 @@ impl FaultyDisk {
 
     /// Fail every `kind` access to page `pid` until cleared.
     pub fn fail_page(&self, kind: FaultKind, pid: PageId) {
-        self.state.rules.lock().push(Rule::Page { kind, pid });
+        self.rules.lock().push(Rule::Page { kind, pid });
     }
 
     /// Fail every operation of `kind` until cleared (a dead disk).
     pub fn fail_always(&self, kind: FaultKind) {
-        self.state.rules.lock().push(Rule::Always { kind });
+        self.rules.lock().push(Rule::Always { kind });
     }
 
-    /// Install a fault by kind. For [`FaultKind::TornWrite`] this arms a
-    /// power cut relative to the current write sequence; every other kind
-    /// behaves like [`FaultyDisk::fail_always`].
-    pub fn inject(&self, kind: FaultKind) {
-        match kind {
-            FaultKind::TornWrite { after_writes } => {
-                let base = self.state.writes.load(Ordering::Relaxed);
-                self.state.rules.lock().push(Rule::PowerCut {
-                    at: base + after_writes,
-                });
-            }
-            k => self.fail_always(k),
-        }
-    }
-
-    /// The write sequence number at which an armed power cut tears (the
-    /// earliest, when several are installed); `None` without one.
-    #[must_use]
-    pub fn power_cut_at(&self) -> Option<u64> {
-        self.state
-            .rules
-            .lock()
-            .iter()
-            .filter_map(|r| match *r {
-                Rule::PowerCut { at } => Some(at),
-                _ => None,
-            })
-            .min()
-    }
-
-    /// `true` once an armed power cut has fired (the torn write happened;
-    /// nothing after it persisted).
-    #[must_use]
-    pub fn power_cut_triggered(&self) -> bool {
-        self.power_cut_at()
-            .is_some_and(|at| self.state.writes.load(Ordering::Relaxed) > at)
-    }
-
-    /// Remove all rules; the disk behaves transparently again.
+    /// Remove all rules. Writes a refused sync lost stay lost.
     pub fn clear_faults(&self) {
-        self.state.rules.lock().clear();
+        self.rules.lock().clear();
     }
 
-    /// Number of operations failed by injection so far.
+    /// Number of operations failed by a rule or by the power so far.
     #[must_use]
     pub fn injected_faults(&self) -> u64 {
-        self.state.injected.load(Ordering::Relaxed)
+        self.injected.load(Ordering::Relaxed)
     }
 
-    fn seq(&self, kind: FaultKind) -> u64 {
-        match kind {
-            FaultKind::Read => self.state.reads.load(Ordering::Relaxed),
-            FaultKind::Write | FaultKind::TornWrite { .. } => {
-                self.state.writes.load(Ordering::Relaxed)
+    /// The machine lost power with the cache unflushed: every unsynced
+    /// write or allocation for which `keep` says `true` (asked once per
+    /// page, in page order) reaches the platter, extending it with zero
+    /// pages where a kept page lies past its end, as a file system would;
+    /// the rest, and every write a refused sync lost, never happened.
+    /// Afterwards the disk shows its platter. The power stays as it is.
+    pub fn crash(&self, mut keep: impl FnMut() -> bool) -> StorageResult<()> {
+        let mut cache = self.cache.lock();
+        cache.lost.clear();
+        for (pid, data) in std::mem::take(&mut cache.dirty) {
+            if keep() {
+                self.persist(pid, &data)?;
             }
-            FaultKind::Allocate => self.state.allocs.load(Ordering::Relaxed),
-            FaultKind::Sync => self.state.syncs.load(Ordering::Relaxed),
         }
+        cache.num_pages = self.platter.num_pages();
+        Ok(())
     }
 
-    /// Account the operation and decide whether to fail it.
+    fn seen(&self, kind: FaultKind) -> &AtomicU64 {
+        &self.seen[kind as usize]
+    }
+
+    fn injected(&self, op: &'static str, pid: Option<PageId>) -> StorageError {
+        self.injected.fetch_add(1, Ordering::Relaxed);
+        StorageError::InjectedFault { op, pid }
+    }
+
+    /// Count the operation and fail it when a rule says so.
     fn check(&self, kind: FaultKind, pid: Option<PageId>) -> StorageResult<()> {
-        let counter = match kind {
-            FaultKind::Read => &self.state.reads,
-            FaultKind::Write | FaultKind::TornWrite { .. } => &self.state.writes,
-            FaultKind::Allocate => &self.state.allocs,
-            FaultKind::Sync => &self.state.syncs,
-        };
-        let seq = counter.fetch_add(1, Ordering::Relaxed);
-        self.check_seq(kind, seq, pid)
-    }
-
-    /// Decide whether the `seq`-th operation of `kind` fails, without
-    /// touching the counters (the caller already accounted it).
-    fn check_seq(&self, kind: FaultKind, seq: u64, pid: Option<PageId>) -> StorageResult<()> {
-        let hit = self.state.rules.lock().iter().any(|rule| match *rule {
+        let seq = self.seen(kind).fetch_add(1, Ordering::Relaxed);
+        let hit = self.rules.lock().iter().any(|rule| match *rule {
             Rule::NthOps { kind: k, from, to } => k == kind && (from..to).contains(&seq),
             Rule::Page { kind: k, pid: p } => k == kind && pid == Some(p),
             Rule::Always { kind: k } => k == kind,
-            Rule::PowerCut { .. } => false, // handled by the write/sync paths
         });
         if hit {
-            self.state.injected.fetch_add(1, Ordering::Relaxed);
-            return Err(StorageError::InjectedFault {
-                op: kind.label(),
-                pid,
-            });
+            return Err(self.injected(kind.label(), pid));
         }
         Ok(())
     }
 
-    /// `true` when a power cut forbids the mutation (cut already fired).
-    fn power_lost(&self) -> StorageResult<()> {
-        if self.power_cut_triggered() {
-            self.state.injected.fetch_add(1, Ordering::Relaxed);
-            return Err(StorageError::InjectedFault {
-                op: "torn-write",
-                pid: None,
+    /// Draw power for a mutating call, then apply the rules: `Ok(true)`
+    /// when the call lands, `Ok(false)` when it is a write the cut tears.
+    fn admit(&self, kind: FaultKind, pid: Option<PageId>) -> StorageResult<bool> {
+        match self.power.draw(kind) {
+            Draw::Land => self.check(kind, pid).map(|()| true),
+            Draw::Tear => Ok(false),
+            Draw::Refuse => Err(self.injected(kind.label(), pid)),
+        }
+    }
+
+    /// Page `pid` as the cache shows it.
+    fn view(&self, cache: &Cache, pid: PageId, buf: &mut [u8]) -> StorageResult<()> {
+        if pid >= cache.num_pages {
+            return Err(StorageError::PageOutOfBounds {
+                pid,
+                len: cache.num_pages,
             });
         }
+        match cache.dirty.get(&pid).or_else(|| cache.lost.get(&pid)) {
+            Some(data) => buf.copy_from_slice(data),
+            None if pid < self.platter.num_pages() => self.platter.read(pid, buf)?,
+            None => buf.fill(0),
+        }
         Ok(())
+    }
+
+    fn persist(&self, pid: PageId, data: &[u8]) -> StorageResult<()> {
+        while self.platter.num_pages() <= pid {
+            self.platter.allocate()?;
+        }
+        self.platter.write(pid, data)
     }
 }
 
 impl DiskBackend for FaultyDisk {
     fn page_size(&self) -> usize {
-        self.inner.page_size()
+        self.platter.page_size()
     }
 
     fn num_pages(&self) -> u32 {
-        self.inner.num_pages()
+        self.cache.lock().num_pages
     }
 
     fn allocate(&self) -> StorageResult<PageId> {
-        self.power_lost()?;
-        self.check(FaultKind::Allocate, None)?;
-        self.inner.allocate()
+        self.admit(FaultKind::Allocate, None)?;
+        let mut cache = self.cache.lock();
+        let pid = cache.num_pages;
+        cache.num_pages += 1;
+        let zeros = vec![0u8; self.page_size()].into_boxed_slice();
+        cache.lost.remove(&pid);
+        cache.dirty.insert(pid, zeros);
+        Ok(pid)
     }
 
     fn read(&self, pid: PageId, buf: &mut [u8]) -> StorageResult<()> {
+        check_len(self.page_size(), buf.len())?;
         self.check(FaultKind::Read, Some(pid))?;
-        self.inner.read(pid, buf)
+        self.view(&self.cache.lock(), pid, buf)
     }
 
     fn write(&self, pid: PageId, buf: &[u8]) -> StorageResult<()> {
-        let seq = self.state.writes.fetch_add(1, Ordering::Relaxed);
-        if let Some(at) = self.power_cut_at() {
-            if seq == at {
-                // The cut write is torn: only the first half of the page
-                // reaches stable storage; the rest keeps its old content.
-                let mut torn = vec![0u8; buf.len()];
-                if self.inner.read(pid, &mut torn).is_err() {
-                    torn.fill(0);
-                }
-                let half = buf.len() / 2;
-                torn[..half].copy_from_slice(&buf[..half]);
-                let _ = self.inner.write(pid, &torn);
-                self.state.injected.fetch_add(1, Ordering::Relaxed);
-                return Err(StorageError::InjectedFault {
-                    op: "torn-write",
-                    pid: Some(pid),
-                });
-            }
-            if seq > at {
-                self.state.injected.fetch_add(1, Ordering::Relaxed);
-                return Err(StorageError::InjectedFault {
-                    op: "torn-write",
-                    pid: Some(pid),
-                });
-            }
+        check_len(self.page_size(), buf.len())?;
+        let lands = self.admit(FaultKind::Write, Some(pid))?;
+        let mut cache = self.cache.lock();
+        let mut page: Box<[u8]> = buf.into();
+        if !lands {
+            // Torn: the first half of the page is new, the rest is what
+            // the page held before.
+            let half = buf.len() / 2;
+            self.view(&cache, pid, &mut page)?;
+            page[..half].copy_from_slice(&buf[..half]);
+        } else if pid >= cache.num_pages {
+            return Err(StorageError::PageOutOfBounds {
+                pid,
+                len: cache.num_pages,
+            });
         }
-        self.check_seq(FaultKind::Write, seq, Some(pid))?;
-        self.inner.write(pid, buf)
+        cache.lost.remove(&pid);
+        cache.dirty.insert(pid, page);
+        if lands {
+            Ok(())
+        } else {
+            Err(self.injected("torn-write", Some(pid)))
+        }
     }
 
     fn sync(&self) -> StorageResult<()> {
-        self.power_lost()?;
-        self.check(FaultKind::Sync, None)?;
-        self.inner.sync()
+        if !matches!(self.power.draw(FaultKind::Sync), Draw::Land) {
+            // No power: what the cache holds is left to the crash.
+            return Err(self.injected("sync", None));
+        }
+        let refused = self.check(FaultKind::Sync, None);
+        let mut cache = self.cache.lock();
+        if refused.is_err() {
+            let dirty = std::mem::take(&mut cache.dirty);
+            cache.lost.extend(dirty);
+            return refused;
+        }
+        while let Some((pid, data)) = cache.dirty.pop_first() {
+            if let Err(e) = self.persist(pid, &data) {
+                cache.dirty.insert(pid, data);
+                return Err(e);
+            }
+        }
+        self.platter.sync()
     }
 }
 
@@ -324,12 +451,19 @@ mod tests {
     use super::*;
     use crate::MemDisk;
 
-    fn faulty() -> FaultyDisk {
+    fn faulty() -> Arc<FaultyDisk> {
         let d = FaultyDisk::new(Arc::new(MemDisk::new(128)));
         for _ in 0..4 {
             d.allocate().unwrap();
         }
+        d.sync().unwrap();
         d
+    }
+
+    fn page(disk: &dyn DiskBackend, pid: PageId) -> Vec<u8> {
+        let mut buf = vec![0u8; disk.page_size()];
+        disk.read(pid, &mut buf).unwrap();
+        buf
     }
 
     #[test]
@@ -368,9 +502,7 @@ mod tests {
         assert!(d.write(0, &buf).is_err());
         assert!(d.write(0, &buf).is_ok());
         // The page never saw the failed payloads or did see the last one.
-        let mut got = vec![0u8; 128];
-        d.read(0, &mut got).unwrap();
-        assert_eq!(got, buf);
+        assert_eq!(page(&*d, 0), buf);
     }
 
     #[test]
@@ -413,17 +545,73 @@ mod tests {
     }
 
     #[test]
-    fn torn_write_cuts_power_at_boundary() {
+    fn writes_reach_the_platter_at_sync_and_a_crash_keeps_what_it_says() {
+        let platter = Arc::new(MemDisk::new(128));
+        let d = FaultyDisk::new(platter.clone());
+        for fill in [1u8, 2] {
+            let pid = d.allocate().unwrap();
+            d.write(pid, &[fill; 128]).unwrap();
+        }
+        assert_eq!(platter.num_pages(), 0, "nothing synced yet");
+        assert_eq!(page(&*d, 1), [2; 128], "reads see the cache");
+        d.sync().unwrap();
+        assert_eq!(page(platter.as_ref(), 1), [2; 128]);
+        // Three unsynced pages: an overwrite and two allocations. Keep the
+        // overwrite and the last allocation.
+        d.write(0, &[3; 128]).unwrap();
+        let (a, b) = (d.allocate().unwrap(), d.allocate().unwrap());
+        d.write(b, &[4; 128]).unwrap();
+        let mut keep = [true, false, true].into_iter();
+        d.crash(|| keep.next().unwrap()).unwrap();
+        assert_eq!((a, b, d.num_pages()), (2, 3, 4));
+        assert_eq!(page(&*d, 0), [3; 128]);
+        assert_eq!(page(&*d, a), [0; 128], "a lost page reads as zeros");
+        assert_eq!(page(&*d, b), [4; 128]);
+        // Losing everything leaves the platter as the last sync left it.
+        d.write(0, &[5; 128]).unwrap();
+        d.allocate().unwrap();
+        d.crash(|| false).unwrap();
+        assert_eq!(d.num_pages(), 4);
+        assert_eq!(page(&*d, 0), [3; 128]);
+    }
+
+    #[test]
+    fn a_refused_sync_loses_the_writes_it_covered_for_good() {
+        let platter = Arc::new(MemDisk::new(128));
+        let d = FaultyDisk::new(platter.clone());
+        let pid = d.allocate().unwrap();
+        d.sync().unwrap();
+        d.write(pid, &[1; 128]).unwrap();
+        d.fail_nth(FaultKind::Sync, 0);
+        assert!(matches!(
+            d.sync(),
+            Err(StorageError::InjectedFault { op: "sync", .. })
+        ));
+        assert_eq!(page(&*d, pid), [1; 128], "still readable");
+        d.sync().unwrap();
+        assert_eq!(page(platter.as_ref(), pid), [0; 128], "never persisted");
+        // A crash keeping everything does not bring it back; a write after
+        // the refusal persists as usual.
+        d.crash(|| true).unwrap();
+        assert_eq!(page(&*d, pid), [0; 128]);
+        d.write(pid, &[2; 128]).unwrap();
+        d.fail_nth(FaultKind::Sync, 0);
+        assert!(d.sync().is_err());
+        d.write(pid, &[3; 128]).unwrap();
+        d.sync().unwrap();
+        assert_eq!(page(platter.as_ref(), pid), [3; 128]);
+    }
+
+    #[test]
+    fn a_cut_tears_the_next_write_and_refuses_everything_after() {
         let d = faulty();
         let a = vec![0xAAu8; 128];
         let b = vec![0xBBu8; 128];
         d.write(0, &a).unwrap();
-        d.inject(FaultKind::TornWrite { after_writes: 1 });
-        assert!(!d.power_cut_triggered());
-        // Write #0 after arming still persists.
-        d.write(1, &a).unwrap();
-        // Write #1 is the cut: torn, and reported as a fault.
-        let err = d.write(0, &b).unwrap_err();
+        d.power().cut_after(1);
+        assert!(!d.power().is_cut());
+        d.write(1, &a).unwrap(); // lands
+        let err = d.write(0, &b).unwrap_err(); // the cut: torn
         assert!(
             matches!(
                 err,
@@ -434,100 +622,72 @@ mod tests {
             ),
             "got {err}"
         );
-        assert!(d.power_cut_triggered());
+        assert!(d.power().is_cut());
         // The torn page holds the new first half and the old second half.
-        let mut got = vec![0u8; 128];
-        d.read(0, &mut got).unwrap();
-        assert!(got[..64].iter().all(|&x| x == 0xBB), "new prefix persisted");
-        assert!(got[64..].iter().all(|&x| x == 0xAA), "old suffix survives");
-        // Everything after the cut is lost: writes, allocations, syncs.
+        let got = page(&*d, 0);
+        assert!(got[..64].iter().all(|&x| x == 0xBB), "new prefix");
+        assert!(got[64..].iter().all(|&x| x == 0xAA), "old suffix");
+        // Everything after the cut is refused: writes, allocations, syncs.
         assert!(d.write(1, &b).is_err());
-        d.read(1, &mut got).unwrap();
-        assert_eq!(got, a, "post-cut write must not persist");
+        assert_eq!(page(&*d, 1), a, "a refused write changes nothing");
         assert!(d.allocate().is_err());
         assert_eq!(d.num_pages(), 4);
         assert!(d.sync().is_err());
-        // Reads still serve the surviving image (recovery inspects it).
-        d.read(1, &mut got).unwrap();
-        assert!(d.injected_faults() >= 4);
-        // Power restored: the disk works again.
-        d.clear_faults();
+        assert_eq!(d.injected_faults(), 4);
+        // Keeping every unsynced write is the device that persisted all
+        // it was sent, the torn page included.
+        d.crash(|| true).unwrap();
+        assert_eq!(page(&*d, 0), got);
+        d.power().restore();
         d.write(1, &b).unwrap();
         d.sync().unwrap();
-        assert!(d.power_cut_at().is_none());
     }
 
     #[test]
-    fn torn_write_zero_budget_tears_next_write() {
+    fn a_cut_on_a_sync_or_allocation_refuses_it_whole() {
         let d = faulty();
-        d.inject(FaultKind::TornWrite { after_writes: 0 });
-        assert_eq!(d.power_cut_at(), Some(0));
-        let buf = vec![0x11u8; 128];
-        assert!(d.write(2, &buf).is_err(), "the very next write is the cut");
-        let mut got = vec![0u8; 128];
-        d.read(2, &mut got).unwrap();
-        assert!(got[..64].iter().all(|&x| x == 0x11));
-        assert!(got[64..].iter().all(|&x| x == 0));
-        // Sync before any further write also fails: the cut has fired.
+        d.power().cut_after(0);
         assert!(d.sync().is_err());
-    }
-
-    #[test]
-    fn inject_of_plain_kind_is_fail_always() {
+        assert!(d.power().is_cut());
         let d = faulty();
-        d.inject(FaultKind::Read);
-        let mut buf = vec![0u8; 128];
-        assert!(d.read(0, &mut buf).is_err());
-        d.clear_faults();
-        d.read(0, &mut buf).unwrap();
-        assert_eq!(
-            FaultKind::TornWrite { after_writes: 3 }.label(),
-            "torn-write"
-        );
+        d.power().cut_after(0);
+        assert!(d.allocate().is_err());
+        assert_eq!(d.num_pages(), 4);
     }
 
     #[test]
-    fn a_pair_shares_one_power_cut() {
+    fn disks_on_one_supply_share_one_cut_and_its_sync_record() {
         let (data, log) =
             FaultyDisk::pair(Arc::new(MemDisk::new(128)), Arc::new(MemDisk::new(128)));
-        for _ in 0..2 {
-            data.allocate().unwrap();
-            log.allocate().unwrap();
+        assert!(Arc::ptr_eq(data.power(), log.power()));
+        for disk in [&data, &log] {
+            disk.allocate().unwrap();
+            disk.allocate().unwrap();
         }
         let old = vec![0xAAu8; 128];
         let new = vec![0xBBu8; 128];
         data.write(0, &old).unwrap();
         log.write(0, &old).unwrap();
-        // Armed on the log disk, counted across both: writes #0–#2 from
-        // here alternate data, log, data and land; #3 (on the log) is
-        // the cut.
-        log.inject(FaultKind::TornWrite { after_writes: 3 });
-        assert_eq!(data.power_cut_at(), log.power_cut_at());
+        log.sync().unwrap(); // call #6
+                             // Counted across both: calls #7–#9 land, #10 (on the log) tears.
+        data.power().cut_after(3);
         data.write(1, &new).unwrap();
         log.write(1, &new).unwrap();
-        data.write(0, &new).unwrap();
-        assert!(!data.power_cut_triggered());
-        assert!(log.write(0, &new).is_err(), "the stated global write tears");
-        assert!(data.power_cut_triggered() && log.power_cut_triggered());
-        let mut got = vec![0u8; 128];
-        log.read(0, &mut got).unwrap();
-        assert!(got[..64].iter().all(|&x| x == 0xBB), "new prefix persisted");
-        assert!(got[64..].iter().all(|&x| x == 0xAA), "old suffix survives");
-        // After the cut, both disks refuse every mutation.
+        data.sync().unwrap(); // call #9
+        assert!(log.write(0, &new).is_err(), "the stated call tears");
+        assert!(log.power().is_cut());
+        assert_eq!(data.power().sync_calls(), [6, 9]);
         for disk in [&data, &log] {
             assert!(disk.write(1, &old).is_err());
-            disk.read(1, &mut got).unwrap();
-            assert_eq!(got, new, "post-cut write must not persist");
             assert!(disk.allocate().is_err());
-            assert_eq!(disk.num_pages(), 2);
             assert!(disk.sync().is_err());
         }
-        data.read(0, &mut got).unwrap();
-        assert_eq!(got, new, "writes before the cut persisted");
-        // Restoring power on one restores it on both.
-        data.clear_faults();
-        log.write(1, &old).unwrap();
-        log.sync().unwrap();
+        assert_eq!(data.power().sync_calls(), [6, 9, 13, 16]);
+        // Rules stay per disk.
+        data.fail_always(FaultKind::Read);
+        let mut buf = vec![0u8; 128];
+        assert!(data.read(0, &mut buf).is_err());
+        log.read(0, &mut buf).unwrap();
     }
 
     #[test]

@@ -60,7 +60,7 @@ mod stats;
 pub use chain::{read_chain, write_chain};
 pub use disk::{DiskBackend, FileDisk, MemDisk};
 pub use error::{StorageError, StorageResult};
-pub use faults::{FaultKind, FaultyDisk};
+pub use faults::{FaultKind, FaultyDisk, PowerSupply};
 pub use pool::{BufferPool, PageReadLatch, PageRef, PageWriteLatch, PoolConfig, PreImage};
 pub use stats::{IoSnapshot, IoStats};
 

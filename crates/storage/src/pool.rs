@@ -588,8 +588,15 @@ impl BufferPool {
     /// resident. In WAL mode, frames whose last image is not yet durable
     /// in the log are silently skipped.
     pub fn flush_all(&self) -> StorageResult<()> {
-        self.flush_frames(&self.state.lock())?;
+        self.write_back_all()?;
         self.disk.sync()
+    }
+
+    /// [`BufferPool::flush_all`] without the sync, for a caller that must
+    /// tell a refused write (the frame stays dirty, and a retry writes
+    /// it) from a failed sync (what it covered may be lost).
+    pub fn write_back_all(&self) -> StorageResult<()> {
+        self.flush_frames(&self.state.lock())
     }
 
     /// Flush dirty frames — in ascending page-id order, like
@@ -1375,7 +1382,7 @@ mod tests {
     #[test]
     fn transient_write_fault_keeps_frame_dirty_for_retry() {
         use crate::{FaultKind, FaultyDisk};
-        let disk = Arc::new(FaultyDisk::new(Arc::new(MemDisk::new(128))));
+        let disk = FaultyDisk::new(Arc::new(MemDisk::new(128)));
         let p = BufferPool::new(disk.clone(), PoolConfig { capacity: 8 });
         let (pid, g) = p.new_page().unwrap();
         g.write()[3] = 77;
@@ -1394,7 +1401,7 @@ mod tests {
     #[test]
     fn evict_all_error_keeps_frames_reachable() {
         use crate::{FaultKind, FaultyDisk};
-        let disk = Arc::new(FaultyDisk::new(Arc::new(MemDisk::new(128))));
+        let disk = FaultyDisk::new(Arc::new(MemDisk::new(128)));
         let p = BufferPool::new(disk.clone(), PoolConfig { capacity: 8 });
         for i in 0..4u8 {
             let (_pid, g) = p.new_page().unwrap();

@@ -645,7 +645,7 @@ mod tests {
     #[test]
     fn a_failed_read_is_an_error_not_a_torn_tail() {
         use bur_storage::{FaultKind, FaultyDisk};
-        let d = Arc::new(FaultyDisk::new(disk(256)));
+        let d = FaultyDisk::new(disk(256));
         let wal = Wal::create(d.clone()).unwrap();
         for round in 0..4u8 {
             wal.append(&image(1, round, 150)).unwrap();

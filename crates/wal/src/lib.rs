@@ -34,9 +34,14 @@
 //! * **one way to sync** — [`Wal::commit`] appends the commit record,
 //!   writes the tail page and syncs the log's disk before it returns, so
 //!   a commit that returned `Ok` is durable and one whose sync failed
-//!   returns the error. The log is single-threaded and has no cadence to
-//!   configure; several operations share one sync by sharing one commit
-//!   record (a `Batch` in `bur-core`);
+//!   returns the error. A failed sync is never retried: a disk may mark
+//!   the pages it could not write clean, so a second `fsync` would
+//!   succeed without them. It closes the log instead ([`Wal::fail`]):
+//!   every later append, sync and rewind is
+//!   [`StorageError::LogFailed`](bur_storage::StorageError::LogFailed),
+//!   and the owner reopens and recovers. The log is single-threaded and
+//!   has no cadence to configure; several operations share one sync by
+//!   sharing one commit record (a `Batch` in `bur-core`);
 //! * **checkpoints as rewind** — a checkpoint makes the log durable,
 //!   flushes the buffer pool as the new base image, then *rewinds* the
 //!   log onto its own pages under a fresh generation number, reusing them

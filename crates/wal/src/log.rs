@@ -33,7 +33,7 @@
 //! ends the chain), so the log never grows past one generation of records.
 
 use crate::{crc32, crc32_update, DeltaRange, LogEnd, WalRecord};
-use bur_storage::{DiskBackend, Lsn, PageId, PreImage, StorageResult, INVALID_PAGE};
+use bur_storage::{DiskBackend, Lsn, PageId, PreImage, StorageError, StorageResult, INVALID_PAGE};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::fmt;
@@ -84,6 +84,9 @@ struct WalInner {
     /// Set by [`Wal::reopen`]: the log must be rewound (checkpointed)
     /// before new records may be appended.
     needs_rewind: bool,
+    /// Set for good by a failed sync ([`Wal::fail`]): see
+    /// [`StorageError::LogFailed`].
+    failed: bool,
     /// LSN of each page's last record in the current generation, cleared
     /// at every rewind: where the page's next delta must chain from. The
     /// log keeps no page bytes: the caller hands the base of the next
@@ -284,6 +287,9 @@ pub struct Wal {
 
 impl Wal {
     fn append_inner(&self, inner: &mut WalInner, rec: &RecordRef<'_>) -> StorageResult<Lsn> {
+        if inner.failed {
+            return Err(StorageError::LogFailed);
+        }
         if inner.needs_rewind {
             return Err(wal_state_error(
                 "wal: reopened log must be checkpoint-rewound before appending",
@@ -405,8 +411,12 @@ impl Wal {
     }
 
     /// Write the tail page and sync the log's disk, charging the wait to
-    /// `sync_nanos`. The durable watermark moves only when both succeed.
+    /// `sync_nanos`. The durable watermark moves only when both succeed; a
+    /// refused page write can be retried, a failed sync fails the log.
     fn sync_inner(&self, inner: &mut WalInner) -> StorageResult<()> {
+        if inner.failed {
+            return Err(StorageError::LogFailed);
+        }
         if inner.dirty_tail {
             self.write_cur_page(inner, INVALID_PAGE)?;
             inner.dirty_tail = false;
@@ -416,7 +426,7 @@ impl Wal {
         self.counters
             .sync_nanos
             .fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        synced?;
+        synced.inspect_err(|_| inner.failed = true)?;
         inner.durable_lsn = inner.last_lsn;
         self.counters.syncs.fetch_add(1, Ordering::Relaxed);
         Ok(())
@@ -447,6 +457,7 @@ impl Wal {
                 durable_lsn: last_lsn,
                 dirty_tail: false,
                 needs_rewind,
+                failed: false,
                 tracks: HashMap::new(),
                 spans: Vec::new(),
             }),
@@ -627,7 +638,9 @@ impl Wal {
     /// log's disk; returns the commit's LSN, which is durable. When the
     /// sync fails the error is returned and the durable watermark stays
     /// where it was: the record may or may not survive a crash, so the
-    /// caller must not acknowledge it.
+    /// caller must not acknowledge it. A failed sync also fails the log
+    /// ([`StorageError::LogFailed`]): a retry would sync the tail page
+    /// alone, not the pages the record spilled onto.
     pub fn commit(&self, meta: Vec<u8>) -> StorageResult<Lsn> {
         let mut inner = self.inner.lock();
         let lsn = self.append_inner(&mut inner, &RecordRef::Commit(&meta))?;
@@ -642,6 +655,15 @@ impl Wal {
         self.sync_inner(&mut self.inner.lock())
     }
 
+    /// Fail the log for good, because a sync it depends on failed: the
+    /// data disk's, before a checkpoint would rewind the log over the
+    /// writes that sync lost. Its own syncs fail it by themselves. From
+    /// here on every append, sync and rewind is
+    /// [`StorageError::LogFailed`].
+    pub fn fail(&self) {
+        self.inner.lock().failed = true;
+    }
+
     /// Checkpoint: recycle the current generation's pages, start a fresh
     /// generation at the anchor whose first record is a
     /// [`WalRecord::Checkpoint`] carrying `meta`, and sync it. The caller
@@ -649,6 +671,9 @@ impl Wal {
     /// pages are a complete base image for `meta`.
     pub fn checkpoint_rewind(&self, meta: Vec<u8>) -> StorageResult<Lsn> {
         let mut inner = self.inner.lock();
+        if inner.failed {
+            return Err(StorageError::LogFailed);
+        }
         let old_chain = std::mem::take(&mut inner.chain);
         inner
             .spare
@@ -968,13 +993,41 @@ mod tests {
     }
 
     #[test]
+    fn a_failed_sync_fails_the_log_for_good() {
+        use bur_storage::{FaultKind, FaultyDisk, StorageError};
+        let platter = disk(128);
+        let d = FaultyDisk::new(platter.clone());
+        let wal = Wal::create(d.clone()).unwrap();
+        let acked = wal.commit(b"a".to_vec()).unwrap();
+        // The refused commit spills onto fresh pages the disk then loses.
+        wal.append(&image(1, 1, 300)).unwrap();
+        d.fail_nth(FaultKind::Sync, 0);
+        assert!(wal.commit(b"b".to_vec()).is_err());
+        assert_eq!(wal.durable_lsn(), acked);
+        let closed = |r: StorageResult<Lsn>| matches!(r, Err(StorageError::LogFailed));
+        assert!(closed(wal.append(&image(2, 2, 50))));
+        assert!(closed(wal.commit(b"c".to_vec())));
+        assert!(closed(wal.sync().map(|()| 0)));
+        assert!(closed(wal.checkpoint_rewind(b"d".to_vec())));
+        assert_eq!(
+            wal.durable_lsn(),
+            acked,
+            "nothing after the failure is durable"
+        );
+        // What a reopen replays: the log up to the last synced commit.
+        d.crash(|| true).unwrap();
+        let s = scan(platter.as_ref(), wal.anchor()).unwrap().unwrap();
+        assert_eq!(s.records.last().map(|r| r.0), Some(acked), "{s:?}");
+    }
+
+    #[test]
     fn a_failed_append_leaves_no_partial_record_behind() {
         use bur_storage::{FaultKind, FaultyDisk};
         // A 221-byte frame after a 71-byte one on 128-byte pages (114
         // bytes of stream each) spills over two page boundaries; fail the
         // first page write, or the second after the first landed.
         for nth in [0, 1] {
-            let d = Arc::new(FaultyDisk::new(disk(128)));
+            let d = FaultyDisk::new(disk(128));
             let wal = Wal::create(d.clone()).unwrap();
             let l1 = wal.append(&image(1, 1, 50)).unwrap();
             d.fail_nth(FaultKind::Write, nth);

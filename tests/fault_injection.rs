@@ -9,10 +9,11 @@
 mod common;
 
 use bur::core::{
-    Batch, Bur, CoreError, Durability, IndexBuilder, IndexOptions, Op, RTreeIndex, WalOptions,
+    Batch, Bur, CoreError, CoreResult, Durability, IndexBuilder, IndexOptions, Op, RTreeIndex,
+    WalOptions,
 };
 use bur::geom::{Point, Rect};
-use bur::storage::{FaultKind, FaultyDisk, FileDisk, MemDisk};
+use bur::storage::{DiskBackend, FaultKind, FaultyDisk, FileDisk, MemDisk, StorageError};
 use common::TempDir;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -20,7 +21,7 @@ use std::sync::Arc;
 
 /// An index of `n` uniform points on a fault-injectable disk.
 fn build(opts: IndexOptions, n: usize, seed: u64) -> (RTreeIndex, Arc<FaultyDisk>, Vec<Point>) {
-    let disk = Arc::new(FaultyDisk::new(Arc::new(MemDisk::new(opts.page_size))));
+    let disk = FaultyDisk::new(Arc::new(MemDisk::new(opts.page_size)));
     let mut index = IndexBuilder::with_options(opts)
         .disk(disk.clone())
         .build_index()
@@ -81,7 +82,7 @@ fn query_failure_does_not_corrupt_index() {
 #[test]
 fn insert_failure_reports_error_not_panic() {
     let opts = IndexOptions::generalized();
-    let disk = Arc::new(FaultyDisk::new(Arc::new(MemDisk::new(opts.page_size))));
+    let disk = FaultyDisk::new(Arc::new(MemDisk::new(opts.page_size)));
     let mut index = IndexBuilder::with_options(opts)
         .disk(disk.clone())
         .build_index()
@@ -112,7 +113,7 @@ fn insert_failure_reports_error_not_panic() {
 #[test]
 fn sync_failure_surfaces_through_persist() {
     let opts = IndexOptions::generalized();
-    let disk = Arc::new(FaultyDisk::new(Arc::new(MemDisk::new(opts.page_size))));
+    let disk = FaultyDisk::new(Arc::new(MemDisk::new(opts.page_size)));
     let mut index = IndexBuilder::with_options(opts)
         .disk(disk.clone())
         .build_index()
@@ -129,30 +130,34 @@ fn sync_failure_surfaces_through_persist() {
 
 #[test]
 fn power_cut_on_file_disk_surfaces_cleanly_and_platter_survives() {
-    // A TornWrite power cut against a *real file*: the process sees clean
-    // errors (never panics), and the file afterwards holds exactly the
-    // pre-cut image plus one torn page — which a durable index turns into
-    // lossless recovery (tests/recovery.rs); here we assert the failure
-    // surface itself.
+    // A power cut against a *real file pair*, the index file and its log
+    // sidecar on one supply: the process sees clean errors (never
+    // panics), the crash keeps a seeded subset of what was not synced,
+    // and the files recover every acknowledged insert.
     let dir = TempDir::new("faults");
     let path = dir.file("powercut.bur");
-    let opts = IndexOptions::generalized();
-    let file = Arc::new(FileDisk::create(&path, opts.page_size).unwrap());
-    let disk = Arc::new(FaultyDisk::new(file));
+    let opts = IndexOptions::generalized().with_durability(Durability::Wal(WalOptions {
+        checkpoint_every: 64,
+    }));
+    let file = |path: &std::path::Path| Arc::new(FileDisk::create(path, opts.page_size).unwrap());
+    let (disk, log) = FaultyDisk::pair(file(&path), file(&bur::core::log_path(&path)));
     let mut index = IndexBuilder::with_options(opts)
         .disk(disk.clone())
+        .log_disk(log.clone())
         .build_index()
         .unwrap();
     index.set_buffer_capacity(4).unwrap(); // force steady write-back traffic
     let mut rng = StdRng::seed_from_u64(99);
-    let mut acked = 0u64;
-    disk.inject(FaultKind::TornWrite { after_writes: 120 });
+    let mut acked = Vec::new();
+    disk.power().cut_after(120);
     let mut failures = 0;
+    let mut pending = None;
     for oid in 0..20_000u64 {
         let p = Point::new(rng.random::<f32>(), rng.random::<f32>());
         match index.insert(oid, p) {
-            Ok(()) => acked += 1,
+            Ok(()) => acked.push(p),
             Err(CoreError::Storage(_)) => {
+                pending.get_or_insert(p);
                 failures += 1;
                 if failures > 3 {
                     break;
@@ -161,15 +166,41 @@ fn power_cut_on_file_disk_surfaces_cleanly_and_platter_survives() {
             Err(other) => panic!("unexpected error class: {other}"),
         }
     }
-    assert!(disk.power_cut_triggered(), "the cut must have fired");
-    assert!(acked > 0 && failures > 0);
+    assert!(disk.power().is_cut(), "the cut must have fired");
+    assert!(!acked.is_empty() && failures > 0);
     drop(index);
+    for disk in [&disk, &log] {
+        disk.crash(|| rng.random_range(0..2) == 0).unwrap();
+    }
     // The surviving file still opens page-wise (reads are unaffected).
     let reopened = FileDisk::open(&path, opts.page_size).unwrap();
-    use bur::storage::DiskBackend;
     assert!(reopened.num_pages() > 0);
     let mut buf = vec![0u8; opts.page_size];
     reopened.read(0, &mut buf).unwrap();
+    // And the pair recovers: every acknowledged insert, the interrupted
+    // one or not.
+    let recovered = IndexBuilder::with_options(opts)
+        .file(&path)
+        .recover()
+        .build_index()
+        .unwrap();
+    recovered.validate().unwrap();
+    let interrupted = pending.expect("an insert observed the cut");
+    let landed = recovered.len() - acked.len() as u64;
+    assert!(landed <= 1, "{landed} inserts past the acknowledged ones");
+    assert_eq!(
+        landed == 1,
+        recovered
+            .point_query(interrupted)
+            .unwrap()
+            .contains(&(acked.len() as u64))
+    );
+    for (oid, p) in acked.iter().enumerate() {
+        assert!(
+            recovered.point_query(*p).unwrap().contains(&(oid as u64)),
+            "acknowledged insert {oid} lost"
+        );
+    }
 }
 
 #[test]
@@ -273,8 +304,64 @@ fn update_batch(bur: &Bur, now: &mut [Point], rng: &mut StdRng, moves: Moves) ->
     batch
 }
 
+/// Whether `err` is the refusal of a log that a failed sync closed.
+fn log_failed(err: &CoreError) -> bool {
+    matches!(err, CoreError::Storage(StorageError::LogFailed))
+}
+
+/// One more batch on an index whose log a failed sync closed: refused
+/// with the typed error, nothing pinned or claimed. `now` keeps its
+/// moves, as the handle's reads do until a reopen; no oracle of what
+/// survives a crash takes them.
+fn refused_after_the_failed_sync(bur: &Bur, now: &mut [Point], rng: &mut StdRng, moves: Moves) {
+    let batch = update_batch(bur, now, rng, moves);
+    let err = bur.apply(&batch).expect_err("a failed log takes no batch");
+    assert!(log_failed(&err), "got {err}");
+    assert!(err.to_string().contains("reopen"), "{err}");
+    assert_eq!(bur.with_index(|i| i.pool().pinned_frames()), 0);
+    assert_eq!(bur.claimed_leaves(), 0);
+}
+
+/// Reopen the index whose data and log disks are `data` and `log` after
+/// a crash that keeps every write sent, and check it holds, per object,
+/// one of the positions `legal` allows. It then acks again.
+fn reopen_after_the_failed_sync(
+    opts: IndexOptions,
+    data: Arc<dyn bur::storage::DiskBackend>,
+    log: Arc<dyn bur::storage::DiskBackend>,
+    legal: &[Vec<Point>],
+    moves: Moves,
+    seed: u64,
+) {
+    let recovered = IndexBuilder::with_options(opts)
+        .disk(data)
+        .log_disk(log)
+        .recover()
+        .build()
+        .unwrap();
+    recovered.validate().unwrap();
+    assert_eq!(recovered.len(), legal.len() as u64);
+    let mut now = Vec::with_capacity(legal.len());
+    for (oid, legal) in legal.iter().enumerate() {
+        let at = legal.iter().find(|&&p| {
+            recovered.with_index(|i| i.point_query(p).unwrap().contains(&(oid as u64)))
+        });
+        let at = at.unwrap_or_else(|| {
+            panic!("object {oid} recovered to a position older than its last ack")
+        });
+        now.push(*at);
+    }
+    let mut rng = StdRng::seed_from_u64(seed);
+    let batch = update_batch(&recovered, &mut now, &mut rng, moves);
+    recovered.apply(&batch).unwrap().wait().unwrap();
+    recovered.validate().unwrap();
+}
+
 /// The fourth commit sync of a run of 32-op batches fails, with the log
-/// on a [`FaultyDisk`] of its own.
+/// on a [`FaultyDisk`] of its own. The batch is not acked, and the log is
+/// closed: later batches are refused with the typed error until a
+/// reopen, which finds every acked batch and the refused one whole or
+/// not at all.
 fn failed_sync_never_acks(moves: Moves, seed: u64) {
     const OBJECTS: u64 = 2000;
     const FAIL_AT: usize = 3;
@@ -283,7 +370,7 @@ fn failed_sync_never_acks(moves: Moves, seed: u64) {
         checkpoint_every: 1_000_000, // one log sync per batch, exactly
     }));
     let data = Arc::new(MemDisk::new(opts.page_size));
-    let log = Arc::new(FaultyDisk::new(Arc::new(MemDisk::new(opts.page_size))));
+    let log = FaultyDisk::new(Arc::new(MemDisk::new(opts.page_size)));
     let bur = IndexBuilder::with_options(opts)
         .disk(data.clone())
         .log_disk(log.clone())
@@ -298,9 +385,9 @@ fn failed_sync_never_acks(moves: Moves, seed: u64) {
         load.insert(oid as u64, p);
     }
     bur.apply(&load).unwrap().wait().unwrap();
-    // Per object: its position at the last acked batch, then every
-    // position a refused batch gave it since. Recovery may land on any
-    // of these and on nothing older.
+    // Per object: its position at the last acked batch, then the one the
+    // refused batch gave it. Recovery may land on either of these (the
+    // refused batch whole or not at all) and on nothing older.
     let mut since_ack: Vec<Vec<Point>> = now.iter().map(|&p| vec![p]).collect();
 
     let durable_lsn = |bur: &Bur| bur.wal_stats().unwrap().durable_lsn;
@@ -317,9 +404,10 @@ fn failed_sync_never_acks(moves: Moves, seed: u64) {
     };
 
     log.fail_nth(FaultKind::Sync, FAIL_AT as u64);
-    // Every ack's LSN must exceed this: the last acked or refused record.
+    // Every ack's LSN must exceed this: the last acked record.
     let mut lsn_floor = durable_lsn(&bur);
-    for round in 0..FAIL_AT + 4 {
+    let mut refused = Vec::new();
+    for round in 0..=FAIL_AT {
         let batch = update_batch(&bur, &mut now, &mut rng, moves);
         let before = (durable_lsn(&bur), escalations(&bur));
         let outcome = bur.apply(&batch);
@@ -337,15 +425,10 @@ fn failed_sync_never_acks(moves: Moves, seed: u64) {
                 stats.last_lsn > stats.durable_lsn,
                 "the record was appended"
             );
-            lsn_floor = stats.last_lsn; // the refused record's LSN
             assert_eq!(bur.with_index(|i| i.pool().pinned_frames()), 0);
             assert_eq!(bur.claimed_leaves(), 0);
-            log.clear_faults();
-            // Outcome unknown to the client: both positions stay legal.
-            for oid in moved(&batch) {
-                since_ack[oid as usize].push(now[oid as usize]);
-            }
-            continue;
+            refused = moved(&batch);
+            break;
         }
         let lsn = outcome.unwrap().wait().unwrap();
         assert!(lsn > lsn_floor, "round {round}: {lsn} <= {lsn_floor}");
@@ -355,26 +438,22 @@ fn failed_sync_never_acks(moves: Moves, seed: u64) {
             since_ack[oid as usize] = vec![now[oid as usize]];
         }
     }
-    bur.validate().unwrap();
+    log.clear_faults();
+    // Outcome unknown to the client: both positions stay legal.
+    for &oid in &refused {
+        since_ack[oid as usize].push(now[oid as usize]);
+    }
+    // The disk works again, the log does not: a retried sync would
+    // persist the tail page alone.
+    for _ in 0..3 {
+        refused_after_the_failed_sync(&bur, &mut now, &mut rng, moves);
+    }
+    assert_eq!(bur.checkpoint().map_err(|e| log_failed(&e)), Err(true));
+    assert_eq!(durable_lsn(&bur), lsn_floor);
     drop(bur); // crash: no checkpoint, no persist
 
-    let recovered = IndexBuilder::with_options(opts)
-        .disk(data)
-        .log_disk(log)
-        .recover()
-        .build_index()
-        .unwrap();
-    recovered.validate().unwrap();
-    assert_eq!(recovered.len(), OBJECTS);
-    for (oid, legal) in since_ack.iter().enumerate() {
-        let found = legal
-            .iter()
-            .any(|&p| recovered.point_query(p).unwrap().contains(&(oid as u64)));
-        assert!(
-            found,
-            "object {oid} recovered to a position older than its last ack"
-        );
-    }
+    log.crash(|| true).unwrap();
+    reopen_after_the_failed_sync(opts, data, log, &since_ack, moves, seed + 1);
 }
 
 #[test]
@@ -389,9 +468,11 @@ fn failed_commit_sync_never_acks_on_the_escalated_path() {
 
 /// The checkpoint that follows a commit fails on the data disk's sync,
 /// with the log on a disk of its own. The batch is durable already, so
-/// the `Err` is an "unknown" outcome whose batch survives: the index
-/// keeps working, the next commit retries the checkpoint, and recovery
-/// finds every batch.
+/// the `Err` is an "unknown" outcome whose batch survives. The sync may
+/// have lost pages the pool now counts clean, so the log is closed
+/// rather than rewound by a retried checkpoint: later batches are
+/// refused with the typed error, and a reopen finds every batch up to
+/// the failed checkpoint's.
 fn failed_checkpoint_leaves_the_batch_durable(moves: Moves, seed: u64) {
     const OBJECTS: u64 = 2000;
     const ROUNDS: usize = 6;
@@ -399,7 +480,7 @@ fn failed_checkpoint_leaves_the_batch_durable(moves: Moves, seed: u64) {
     let opts = IndexOptions::generalized().with_durability(Durability::Wal(WalOptions {
         checkpoint_every: 4 * 32, // every fourth 32-op batch
     }));
-    let data = Arc::new(FaultyDisk::new(Arc::new(MemDisk::new(opts.page_size))));
+    let data = FaultyDisk::new(Arc::new(MemDisk::new(opts.page_size)));
     let log = Arc::new(MemDisk::new(opts.page_size));
     let bur = IndexBuilder::with_options(opts)
         .disk(data.clone())
@@ -421,7 +502,13 @@ fn failed_checkpoint_leaves_the_batch_durable(moves: Moves, seed: u64) {
     // Only a checkpoint syncs the data disk: the fourth batch's fails.
     data.fail_nth(FaultKind::Sync, 0);
     let mut failed = false;
+    let mut checkpoints = 0;
+    let mut legal = Vec::new();
     for round in 0..ROUNDS {
+        if failed {
+            refused_after_the_failed_sync(&bur, &mut now, &mut rng, moves);
+            continue;
+        }
         let batch = update_batch(&bur, &mut now, &mut rng, moves);
         let before = (stats(&bur), escalations(&bur));
         let outcome = bur.apply(&batch);
@@ -444,30 +531,22 @@ fn failed_checkpoint_leaves_the_batch_durable(moves: Moves, seed: u64) {
         assert_eq!(bur.with_index(|i| i.pool().pinned_frames()), 0);
         assert_eq!(bur.claimed_leaves(), 0);
         data.clear_faults();
-        // The next commit is still due a checkpoint, and takes it.
-        let batch = update_batch(&bur, &mut now, &mut rng, moves);
-        bur.apply(&batch).unwrap();
-        assert_eq!(stats(&bur).checkpoints, after.checkpoints + 1);
         failed = true;
+        checkpoints = after.checkpoints;
+        // Up to here every batch is durable: the oracle.
+        legal = now.iter().map(|&p| vec![p]).collect();
     }
     assert!(failed);
+    assert_eq!(
+        stats(&bur).checkpoints,
+        checkpoints,
+        "no checkpoint retried"
+    );
     bur.validate().unwrap();
     drop(bur); // crash: no checkpoint, no persist
 
-    let recovered = IndexBuilder::with_options(opts)
-        .disk(data)
-        .log_disk(log)
-        .recover()
-        .build_index()
-        .unwrap();
-    recovered.validate().unwrap();
-    assert_eq!(recovered.len(), OBJECTS);
-    for (oid, &p) in now.iter().enumerate() {
-        assert!(
-            recovered.point_query(p).unwrap().contains(&(oid as u64)),
-            "object {oid} lost its last move"
-        );
-    }
+    data.crash(|| true).unwrap();
+    reopen_after_the_failed_sync(opts, data, log, &legal, moves, seed + 1);
 }
 
 #[test]
@@ -478,4 +557,231 @@ fn failed_checkpoint_leaves_the_batch_durable_on_the_shared_path() {
 #[test]
 fn failed_checkpoint_leaves_the_batch_durable_on_the_escalated_path() {
     failed_checkpoint_leaves_the_batch_durable(Moves::Within(0.06), 53);
+}
+
+// ---- a refused sync, then a crash ------------------------------------------
+
+/// Where a drill's index lives: two `MemDisk`s, or an index file and its
+/// log sidecar in a temporary directory. Either way the injector wraps
+/// them, and recovery reads what they hold after the crash.
+enum Platters {
+    Mem(Arc<MemDisk>, Arc<MemDisk>),
+    File(TempDir),
+}
+
+impl Platters {
+    const FILE: &'static str = "drill.bur";
+
+    fn file() -> Self {
+        Platters::File(TempDir::new("refused-sync"))
+    }
+
+    fn mem() -> Self {
+        Platters::Mem(Arc::new(MemDisk::new(1024)), Arc::new(MemDisk::new(1024)))
+    }
+
+    /// A durable GBU index on the injector over the platters.
+    fn build(&self, opts: IndexOptions) -> (Bur, Arc<FaultyDisk>, Arc<FaultyDisk>) {
+        let (data, log): (Arc<dyn DiskBackend>, Arc<dyn DiskBackend>) = match self {
+            Platters::Mem(data, log) => (data.clone(), log.clone()),
+            Platters::File(dir) => {
+                let path = dir.file(Self::FILE);
+                let create = |p: &std::path::Path| Arc::new(FileDisk::create(p, 1024).unwrap());
+                (create(&path), create(&bur::core::log_path(&path)))
+            }
+        };
+        let (data, log) = FaultyDisk::pair(data, log);
+        let bur = IndexBuilder::with_options(opts)
+            .disk(data.clone())
+            .log_disk(log.clone())
+            .build()
+            .unwrap();
+        (bur, data, log)
+    }
+
+    /// Recover from what the platters hold (a file through
+    /// `IndexBuilder::file`).
+    fn recover(&self, opts: IndexOptions) -> CoreResult<Bur> {
+        let builder = IndexBuilder::with_options(opts);
+        let builder = match self {
+            Platters::Mem(data, log) => builder.disk(data.clone()).log_disk(log.clone()),
+            Platters::File(dir) => builder.file(dir.file(Self::FILE)),
+        };
+        builder.recover().build()
+    }
+}
+
+/// A drill's run: 2 000 objects, then 32-update batches at max distance
+/// 0.06 until one is refused, then `after` more. Per object, the
+/// positions recovery may land on: its last acked one, and the first
+/// refused batch's when that batch moved it.
+struct Refusal {
+    legal: Vec<Vec<Point>>,
+    /// Every error after the first refusal.
+    later: Vec<CoreError>,
+}
+
+fn run_to_a_refusal(bur: &Bur, seed: u64, after: usize, arm: impl FnOnce()) -> Refusal {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut now: Vec<Point> = (0..2_000)
+        .map(|_| Point::new(rng.random::<f32>(), rng.random::<f32>()))
+        .collect();
+    let mut load = Batch::new();
+    for (oid, &p) in now.iter().enumerate() {
+        load.insert(oid as u64, p);
+    }
+    bur.apply(&load).unwrap().wait().unwrap();
+    let mut run = Refusal {
+        legal: now.iter().map(|&p| vec![p]).collect(),
+        later: Vec::new(),
+    };
+    arm();
+    let (mut refused, mut tried_after) = (false, 0);
+    while tried_after < after {
+        let was_refused = refused;
+        let batch = update_batch(bur, &mut now, &mut rng, Moves::Within(0.06));
+        let moved = batch.ops().iter().filter_map(|op| match *op {
+            Op::Update { oid, new, .. } => Some((oid as usize, new)),
+            _ => None,
+        });
+        match bur.apply(&batch).and_then(|ticket| ticket.wait()) {
+            Ok(_) => moved.for_each(|(oid, new)| run.legal[oid] = vec![new]),
+            Err(_) if !refused => {
+                moved.for_each(|(oid, new)| run.legal[oid].push(new));
+                refused = true;
+            }
+            Err(e) => run.later.push(e),
+        }
+        tried_after += usize::from(was_refused);
+    }
+    // Reads keep working on the closed log.
+    bur.query(&Rect::new(0.0, 0.0, 1.0, 1.0)).unwrap();
+    run
+}
+
+/// Crash with every write sent kept, recover from the platters, and
+/// check the run's oracle: every acked position, the refused batch whole
+/// or not at all.
+fn crash_and_recover(
+    platters: &Platters,
+    opts: IndexOptions,
+    run: &Refusal,
+    disks: [&FaultyDisk; 2],
+    ctx: &str,
+) {
+    for disk in disks {
+        disk.crash(|| true).unwrap();
+    }
+    let recovered = platters
+        .recover(opts)
+        .unwrap_or_else(|e| panic!("{ctx}: recovery failed: {e}"));
+    recovered
+        .validate()
+        .unwrap_or_else(|e| panic!("{ctx}: invalid after recovery: {e}"));
+    assert_eq!(recovered.len(), run.legal.len() as u64, "{ctx}");
+    let at = |oid: usize, p: Point| {
+        recovered.with_index(|i| i.point_query(p).unwrap().contains(&(oid as u64)))
+    };
+    let mut refused = [0, 0];
+    for (oid, legal) in run.legal.iter().enumerate() {
+        match legal[..] {
+            [acked] => assert!(at(oid, acked), "{ctx}: acked position of {oid} lost"),
+            [acked, new] => {
+                let landed = at(oid, new);
+                assert!(
+                    landed || at(oid, acked),
+                    "{ctx}: acked position of {oid} lost"
+                );
+                refused[usize::from(landed)] += 1;
+            }
+            _ => unreachable!(),
+        }
+    }
+    assert!(
+        refused[0] == 0 || refused[1] == 0,
+        "{ctx}: the refused batch recovered {} of {} moves",
+        refused[1],
+        refused[0] + refused[1]
+    );
+}
+
+/// The commit sync of batch `k` is refused on a log that never
+/// checkpoints; six more batches are tried, the handle is dropped
+/// without a flush, and the index is recovered from the platters.
+/// Retrying the sync would persist the log's tail page alone, not the
+/// pages the refused commit spilled onto, so the batches after it would
+/// be acked and lost.
+fn refused_log_sync(platters: Platters, k: u64, seed: u64) {
+    let opts = IndexOptions::generalized().with_durability(Durability::Wal(WalOptions {
+        checkpoint_every: 1_000_000,
+    }));
+    let (bur, data, log) = platters.build(opts);
+    let run = run_to_a_refusal(&bur, seed, 6, || log.fail_nth(FaultKind::Sync, k));
+    drop(bur);
+    crash_and_recover(
+        &platters,
+        opts,
+        &run,
+        [&data, &log],
+        &format!("k {k} seed {seed}"),
+    );
+    assert_eq!(run.later.len(), 6);
+    assert!(run.later.iter().all(log_failed), "{:?}", run.later);
+}
+
+/// The data-disk sync of the first periodic checkpoint (the fourth
+/// batch) is refused; the next batch would retry the checkpoint, and a
+/// crash follows it. A retried checkpoint syncs the data disk without
+/// the pages the refused sync lost, then rewinds the log over the only
+/// copy of them.
+fn refused_checkpoint_sync(platters: Platters, seed: u64) {
+    let opts = IndexOptions {
+        buffer_frames: 64,
+        ..IndexOptions::generalized().with_durability(Durability::Wal(WalOptions {
+            checkpoint_every: 128,
+        }))
+    };
+    let (bur, data, log) = platters.build(opts);
+    let run = run_to_a_refusal(&bur, seed, 1, || data.fail_nth(FaultKind::Sync, 0));
+    drop(bur);
+    crash_and_recover(
+        &platters,
+        opts,
+        &run,
+        [&data, &log],
+        &format!("seed {seed}"),
+    );
+    assert!(run.later.iter().all(log_failed), "{:?}", run.later);
+}
+
+#[test]
+fn a_refused_log_sync_closes_the_log_until_a_reopen() {
+    for k in [0, 1, 3, 5] {
+        for seed in [7, 8] {
+            refused_log_sync(Platters::mem(), k, seed);
+        }
+    }
+}
+
+#[test]
+fn a_refused_log_sync_closes_the_log_until_a_reopen_on_files() {
+    for k in [0, 1, 3, 5] {
+        for seed in [7, 8] {
+            refused_log_sync(Platters::file(), k, seed);
+        }
+    }
+}
+
+#[test]
+fn a_refused_checkpoint_sync_is_never_retried() {
+    for seed in [7, 8, 9] {
+        refused_checkpoint_sync(Platters::mem(), seed);
+    }
+}
+
+#[test]
+fn a_refused_checkpoint_sync_is_never_retried_on_files() {
+    for seed in [7, 8, 9] {
+        refused_checkpoint_sync(Platters::file(), seed);
+    }
 }

@@ -795,8 +795,8 @@ fn no_pin_outlives_apply_when_the_commit_fails() {
         Arc::new(MemDisk::new(opts.page_size)),
     );
     let bur = IndexBuilder::with_options(opts)
-        .disk(disk.clone())
-        .log_disk(log)
+        .disk(disk)
+        .log_disk(log.clone())
         .buffer_frames(16_384)
         .build()
         .unwrap();
@@ -810,13 +810,13 @@ fn no_pin_outlives_apply_when_the_commit_fails() {
     // The batch plans and writes its pinned pages, then the log append
     // hits a dead disk.
     let batch = in_place_batch(&bur, &mut positions, TWO_LEVELS);
-    disk.fail_always(FaultKind::Write);
+    log.fail_always(FaultKind::Write);
     let err = bur.apply(&batch).unwrap_err();
     assert!(
         matches!(err, CoreError::Storage(_)),
         "expected the storage error, got {err}"
     );
-    assert!(disk.injected_faults() > 0);
+    assert!(log.injected_faults() > 0);
     assert_eq!(pinned(&bur), 0, "the failed commit left pages pinned");
     assert_eq!(stray_pre_images(&bur), 0);
     assert_eq!(bur.claimed_leaves(), 0);
@@ -904,7 +904,7 @@ fn durability_costs_no_fetch_on_the_exclusive_engine() {
 
 #[test]
 fn pages_a_failed_commit_left_touched_are_logged_by_the_next() {
-    // Data and log share one fault schedule; the platters under them are
+    // Data and log share one power supply; the platters under them are
     // what a crash leaves for recovery.
     let opts = durable_gbu();
     let (data_platter, log_platter) = (
@@ -914,7 +914,7 @@ fn pages_a_failed_commit_left_touched_are_logged_by_the_next() {
     let (disk, log) = FaultyDisk::pair(data_platter.clone(), log_platter.clone());
     let mut index = IndexBuilder::with_options(opts)
         .disk(disk.clone())
-        .log_disk(log)
+        .log_disk(log.clone())
         .buffer_frames(16_384)
         .build_index()
         .unwrap();
@@ -930,10 +930,10 @@ fn pages_a_failed_commit_left_touched_are_logged_by_the_next() {
     // stay in the log's buffer, the pages from the refused one on stay
     // touched.
     let batch = escalating_batch(&mut rng, &mut positions);
-    disk.fail_next(FaultKind::Write, 1);
+    log.fail_next(FaultKind::Write, 1);
     let err = index.apply_batch(&batch).unwrap_err();
     assert!(matches!(err, CoreError::Storage(_)), "{err}");
-    assert!(disk.injected_faults() > 0);
+    assert!(log.injected_faults() > 0);
     assert_eq!(index.pool().pinned_frames(), 0);
     assert_eq!(stray_pre_images_in(index.pool()), 0);
     let left = index.pool().touched_pages();
@@ -965,6 +965,8 @@ fn pages_a_failed_commit_left_touched_are_logged_by_the_next() {
 
     // A crash now recovers both batches.
     drop(index);
+    disk.crash(|| true).unwrap();
+    log.crash(|| true).unwrap();
     let recovered = IndexBuilder::with_options(opts)
         .disk(data_platter)
         .log_disk(log_platter)

@@ -17,7 +17,7 @@
 mod common;
 
 use bur::prelude::*;
-use bur::storage::{FaultKind, FaultyDisk, MemDisk};
+use bur::storage::{FaultyDisk, MemDisk};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -309,12 +309,10 @@ fn mid_batch_power_cut_recovers_all_or_nothing() {
         let (faulty, faulty_log) = FaultyDisk::pair(inner.clone(), inner_log.clone());
         let bur = IndexBuilder::with_options(opts)
             .disk(faulty.clone())
-            .log_disk(faulty_log)
+            .log_disk(faulty_log.clone())
             .build()
             .unwrap();
-        faulty.inject(FaultKind::TornWrite {
-            after_writes: cut_after,
-        });
+        faulty.power().cut_after(cut_after);
 
         let mut acked_batches = 0u64;
         'stream: for b in 0..200u64 {
@@ -339,6 +337,8 @@ fn mid_batch_power_cut_recovers_all_or_nothing() {
             "cut at {cut_after} never fired; raise the batch count"
         );
         drop(bur); // crash — only the platters survive
+        faulty.crash(|| true).unwrap();
+        faulty_log.crash(|| true).unwrap();
 
         let recovered = IndexBuilder::generalized()
             .disk(inner)

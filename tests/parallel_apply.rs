@@ -27,7 +27,7 @@
 mod common;
 
 use bur::prelude::*;
-use bur::storage::{FaultKind, FaultyDisk, MemDisk};
+use bur::storage::{FaultyDisk, MemDisk};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -829,10 +829,10 @@ fn structural_batches_survive_power_cuts() {
         let (faulty, faulty_log) = FaultyDisk::pair(inner.clone(), inner_log.clone());
         let bur = IndexBuilder::with_options(opts)
             .disk(faulty.clone())
-            .log_disk(faulty_log)
+            .log_disk(faulty_log.clone())
             .build()
             .unwrap();
-        faulty.inject(FaultKind::TornWrite { after_writes: cut });
+        faulty.power().cut_after(cut);
         let mut acked = 0u64;
         let mut oid = 0u64;
         for _ in 0..BATCHES {
@@ -848,6 +848,8 @@ fn structural_batches_survive_power_cuts() {
             }
         }
         drop(bur); // crash
+        faulty.crash(|| true).unwrap();
+        faulty_log.crash(|| true).unwrap();
 
         let recovered = IndexBuilder::with_options(opts)
             .disk(inner)
@@ -891,7 +893,7 @@ fn concurrent_batches_recover_all_or_nothing() {
         let (faulty, faulty_log) = FaultyDisk::pair(inner.clone(), inner_log.clone());
         let bur = IndexBuilder::with_options(opts)
             .disk(faulty.clone())
-            .log_disk(faulty_log)
+            .log_disk(faulty_log.clone())
             .build()
             .unwrap();
         // Per-object position history: history[oid][b] is where batch b
@@ -914,10 +916,10 @@ fn concurrent_batches_recover_all_or_nothing() {
         bur.apply(&batch).unwrap();
         bur.checkpoint().unwrap(); // the inserts are a durable floor
 
-        // Power cut after `cut` more disk writes; each thread applies
+        // Power cut after `cut` more mutating disk calls; each thread applies
         // whole-ownership batches until it observes the cut. Every Ok
         // under EveryCommit is a durable, synced group commit record.
-        faulty.inject(FaultKind::TornWrite { after_writes: cut });
+        faulty.power().cut_after(cut);
         let mut acked: Vec<usize> = Vec::new();
         std::thread::scope(|s| {
             let handles: Vec<_> = (0..THREADS)
@@ -950,6 +952,8 @@ fn concurrent_batches_recover_all_or_nothing() {
             }
         });
         drop(bur); // crash
+        faulty.crash(|| true).unwrap();
+        faulty_log.crash(|| true).unwrap();
 
         let recovered = IndexBuilder::with_options(opts)
             .disk(inner)

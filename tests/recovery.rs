@@ -14,13 +14,15 @@
 //!
 //! The drill runs for all three update strategies and a spread of cut
 //! points, entirely on a `FaultyDisk` pair — a data and a log `MemDisk`
-//! that share one power supply — so every run is reproducible.
+//! that share one power supply — so every run is reproducible. A crash
+//! keeps every write sent before the cut unless a drill says otherwise.
+//! Cut points count mutating calls (writes, allocations and syncs).
 
 mod common;
 
 use bur::core::LOG_DISK_ANCHOR;
 use bur::prelude::*;
-use bur::storage::{DiskBackend, FaultKind, FaultyDisk, MemDisk};
+use bur::storage::{DiskBackend, FaultKind, FaultyDisk, MemDisk, PowerSupply};
 use bur::wal::WalRecord;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -47,7 +49,7 @@ fn recover_on<D: DiskBackend + 'static, L: DiskBackend + 'static>(
 
 /// A data platter and a log platter that share one power supply: the
 /// index writes through the `FaultyDisk` pair over them, and recovery
-/// reads what the platters hold after the cut.
+/// reads what the platters hold after the crash.
 struct Rig {
     data: Arc<FaultyDisk>,
     log: Arc<FaultyDisk>,
@@ -75,16 +77,21 @@ impl Rig {
             .log_disk(self.log.clone())
     }
 
-    /// Power cut across both disks: `writes` more writes land, the next
-    /// is torn, everything after is void.
-    fn cut_after(&self, writes: u64) {
-        self.data.inject(FaultKind::TornWrite {
-            after_writes: writes,
-        });
+    /// Power cut across both disks: `calls` more mutating calls land, the
+    /// next is torn if it is a write, everything after is void.
+    fn cut_after(&self, calls: u64) {
+        self.data.power().cut_after(calls);
     }
 
-    /// Recover from the platters.
+    /// The crash: every write sent before the cut reaches the platters.
+    fn crash(&self) {
+        self.data.crash(|| true).unwrap();
+        self.log.crash(|| true).unwrap();
+    }
+
+    /// Crash, then recover from the platters.
     fn recover(&self, opts: IndexOptions) -> CoreResult<(RTreeIndex, RecoveryReport)> {
+        self.crash();
         recover_on(self.data_platter.clone(), self.log_platter.clone(), opts)
     }
 }
@@ -290,12 +297,14 @@ fn crash_recovery_drill_gbu() {
 }
 
 /// Dense sweep: arm the cut before the first operation and walk it
-/// across every write boundary in a band, so tears land in initial
-/// checkpoints, log appends, data flushes and rewinds alike. Smaller
-/// workload than the main drills, but every boundary in the band is hit.
+/// across every mutating call in a band (its first 120-odd writes), so
+/// tears land in initial checkpoints, log appends, data flushes and
+/// rewinds alike, and refusals on every sync and allocation between
+/// them. Smaller workload than the main drills, but every boundary in
+/// the band is hit.
 #[test]
 fn crash_recovery_survives_every_write_boundary_in_band() {
-    for cut in (0..120u64).step_by(1) {
+    for cut in 0..230u64 {
         let opts = durable(IndexOptions::generalized(), 16);
         let rig = Rig::new();
         rig.cut_after(cut);
@@ -517,7 +526,7 @@ fn crash_recovery_survives_cuts_inside_delta_chains() {
         objects: 60,
     };
     let (mut deltas, mut anchors) = (0, 0);
-    for cut in (2..200u64).step_by(2) {
+    for cut in (3..=330u64).step_by(3) {
         let run = sweep.cut_at(0, cut, 9300 + cut);
         deltas += run.deltas;
         anchors += run.anchors;
@@ -549,7 +558,7 @@ fn crash_recovery_survives_cuts_in_long_generations_on_a_small_pool() {
         checkpoint_every: 12_288,
         ..sweep
     };
-    let cuts = (20..=400)
+    let cuts = (20..=440)
         .step_by(20)
         .map(|cut| (&sweep, cut, 1_024))
         .chain(
@@ -644,6 +653,7 @@ impl DeltaSweep {
         let reread = index.pool().stats().snapshot().reads > reads_before;
         drop(index);
 
+        rig.crash();
         let anchors = replayed_anchors(&rig.log_platter);
         let (recovered, report) = rig
             .recover(opts)
@@ -698,7 +708,8 @@ fn replayed_anchors(log: &MemDisk) -> u64 {
 
 /// A `Batch` is the one way to put several operations under one commit
 /// record: at every cut point of a dense sweep (a batch is about two
-/// log writes, so the sweep lands before, inside and after its record)
+/// log writes and a sync, so the sweep lands before, inside and after
+/// its record)
 /// every committed batch is a durable floor, the batch the
 /// cut lands in recovers all or nothing, and recovery is consistent.
 #[test]
@@ -708,7 +719,7 @@ fn crash_mid_commit_batch_preserves_every_flushed_batch() {
         checkpoint_every: 1_000_000,
     };
     let opts = IndexOptions::generalized().with_durability(Durability::Wal(wopts));
-    for cut in 1..=60u64 {
+    for cut in 1..=100u64 {
         let rig = Rig::new();
         let mut index = rig.builder(opts).build_index().unwrap();
         let mut rng = StdRng::seed_from_u64(4400 + cut);
@@ -891,9 +902,9 @@ fn durable_index_survives_strategy_switch_on_recovery() {
 
 /// What one run of the lost-writes workload left behind.
 struct LossyRun {
-    data: Arc<common::LossyDisk>,
+    data: Arc<FaultyDisk>,
     /// The log's own disk.
-    log: Arc<common::LossyDisk>,
+    log: Arc<FaultyDisk>,
     /// Object positions after every acknowledged batch.
     acked: HashMap<u64, Point>,
     /// The same after the batch the cut interrupted — outcome unknown.
@@ -909,17 +920,17 @@ struct LossyRun {
 const LOSSY_BATCHES: usize = 260;
 const LOSSY_OBJECTS: u64 = 800;
 
-/// Build a durable GBU index on two [`common::LossyDisk`]s, data and
+/// Build a durable GBU index on two [`FaultyDisk`]s on `power`, data and
 /// log, then apply `LOSSY_BATCHES` 8-op batches —
 /// inserts first, then moves mixed with delete + re-insert pairs — until
 /// `power` fails. A 24-frame pool keeps evicting committed pages into the
 /// data disk's cache between commits, and `checkpoint_every = 40` takes a
 /// checkpoint every fifth batch. The op stream depends only on `seed`, so
 /// a dry run's marks place the cuts of the runs that follow.
-fn lossy_run(seed: u64, power: &Arc<common::PowerSwitch>) -> LossyRun {
+fn lossy_run(seed: u64, power: &Arc<PowerSupply>) -> LossyRun {
     let opts = durable(IndexOptions::generalized(), 40);
-    let data = common::LossyDisk::new(Arc::new(MemDisk::new(PAGE)), power.clone());
-    let log = common::LossyDisk::new(Arc::new(MemDisk::new(PAGE)), power.clone());
+    let data = FaultyDisk::on(Arc::new(MemDisk::new(PAGE)), power);
+    let log = FaultyDisk::on(Arc::new(MemDisk::new(PAGE)), power);
     let builder = IndexBuilder::with_options(opts)
         .buffer_frames(24)
         .disk(data.clone())
@@ -1007,7 +1018,7 @@ fn lost_unsynced_writes_sweep_log_on_its_own_disk() {
         .unwrap_or(20_031);
     let ctx = |cut: u64| format!("LOST_WRITES_SEED={seed} cut {cut}");
 
-    let always_on = common::PowerSwitch::always_on();
+    let always_on = PowerSupply::new();
     let dry = lossy_run(seed, &always_on);
     assert_eq!(dry.acked_batches, LOSSY_BATCHES);
     let total = dry.marks.last().unwrap().0;
@@ -1055,7 +1066,8 @@ fn lost_unsynced_writes_sweep_log_on_its_own_disk() {
     assert!(cuts.len() >= 60);
 
     for (cut, targets_batch) in cuts {
-        let power = common::PowerSwitch::cut_after(cut);
+        let power = PowerSupply::new();
+        power.cut_after(cut);
         let run = lossy_run(seed, &power);
         assert!(power.is_cut(), "{}: the cut never fired", ctx(cut));
         if let Some(batch) = targets_batch {
@@ -1064,8 +1076,9 @@ fn lost_unsynced_writes_sweep_log_on_its_own_disk() {
         // One crash in three loses the whole cache, the rest a coin-flip
         // subset, each disk on its own.
         let lose_all = rng.random_range(0..3) == 0;
-        let mut lose = |disk: &common::LossyDisk| {
-            disk.crash(|| !lose_all && rng.random_range(0..2) == 0);
+        let mut lose = |disk: &FaultyDisk| {
+            disk.crash(|| !lose_all && rng.random_range(0..2) == 0)
+                .unwrap();
         };
         lose(&run.data);
         lose(&run.log);
@@ -1243,7 +1256,7 @@ fn an_unreadable_log_page_fails_recovery_and_loses_nothing() {
         .expect("a log")
         .pages;
     assert!(pages.len() > 2, "chain: {pages:?}");
-    let log = Arc::new(FaultyDisk::new(log));
+    let log = FaultyDisk::new(log);
     log.fail_page(FaultKind::Read, pages[pages.len() / 2]);
     let err = recover_on(data.clone(), log.clone(), opts).map(|(index, _)| index.len());
     assert!(matches!(err, Err(CoreError::Storage(_))), "{err:?}");
@@ -1348,7 +1361,7 @@ fn a_log_read_that_fails_in_the_second_pass_loses_nothing() {
         .len() as u64;
     assert!(pages > 4, "{pages} log pages");
     let before = copy_disk(&data);
-    let log = Arc::new(FaultyDisk::new(log));
+    let log = FaultyDisk::new(log);
     // The first pass reads each page of the chain once; the read after
     // those belongs to the second.
     log.fail_nth(FaultKind::Read, pages + pages / 2);

@@ -24,7 +24,7 @@
 mod common;
 
 use bur::prelude::*;
-use bur::storage::{DiskBackend, FaultKind, FaultyDisk, MemDisk};
+use bur::storage::{DiskBackend, FaultyDisk, MemDisk};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -297,7 +297,7 @@ fn promoted_follower_loses_no_acked_update_across_cut_sweep() {
             .log_disk(log.clone())
             .build()
             .unwrap();
-        let mut shipper = LogShipper::new(data.clone(), log);
+        let mut shipper = LogShipper::new(data.clone(), log.clone());
         let mut follower = Follower::attach_in_memory(&mut shipper, opts)
             .unwrap_or_else(|e| panic!("cut {cut}: attach: {e}"));
 
@@ -311,7 +311,7 @@ fn promoted_follower_loses_no_acked_update_across_cut_sweep() {
         }
         follower.catch_up(&mut shipper).unwrap();
 
-        data.inject(FaultKind::TornWrite { after_writes: cut });
+        data.power().cut_after(cut);
         let mut pending: Option<(u64, Point, Point)> = None;
         for step in 0..100_000u64 {
             let oid = rng.random_range(0..n);
@@ -335,6 +335,8 @@ fn promoted_follower_loses_no_acked_update_across_cut_sweep() {
         let (poid, pold, pnew) =
             pending.unwrap_or_else(|| panic!("cut {cut}: the power cut never fired"));
         drop(primary); // the primary is gone; only the platter remains
+        data.crash(|| true).unwrap();
+        log.crash(|| true).unwrap();
 
         // Final catch-up over the torn log, then fail over.
         follower.catch_up(&mut shipper).unwrap();

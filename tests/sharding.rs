@@ -24,7 +24,7 @@ use bur::core::{Batch, Bur, IndexBuilder};
 use bur::geom::{Point, Rect};
 use bur::serve::{start, ServerConfig};
 use bur::shard::{self, ShardedBur};
-use bur::storage::{FaultKind, FaultyDisk, MemDisk};
+use bur::storage::{FaultyDisk, MemDisk, PowerSupply};
 use common::TempDir;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -233,14 +233,18 @@ fn mid_migration_power_cut_loses_no_acked_writes() {
         let dir = TempDir::new("shard-cut");
         let manifest = dir.file("idx.shardmap");
         // Two durable shards, each on a data and a log platter behind a
-        // fault-injector pair that shares one power supply; the manifest
-        // lives on the real filesystem.
+        // fault injector, all four on one power supply: one machine. The
+        // manifest lives on the real filesystem.
         let platters: Vec<[Arc<MemDisk>; 2]> = (0..2)
             .map(|_| [Arc::new(MemDisk::new(1024)), Arc::new(MemDisk::new(1024))])
             .collect();
+        let power = PowerSupply::new();
         let faulty: Vec<(Arc<FaultyDisk>, Arc<FaultyDisk>)> = platters
             .iter()
-            .map(|[data, log]| FaultyDisk::pair(data.clone(), log.clone()))
+            .map(|[data, log]| {
+                let on = |disk: &Arc<MemDisk>| FaultyDisk::on(disk.clone(), &power);
+                (on(data), on(log))
+            })
             .collect();
         {
             let burs: Vec<Bur> = faulty
@@ -261,14 +265,19 @@ fn mid_migration_power_cut_loses_no_acked_writes() {
             }
             s.apply(&batch).unwrap().wait().unwrap();
 
-            // Tear a write on the *recipient* some way into the copy
-            // phase, then crash (drop): only platters + manifest live on.
+            // Cut the power some way into the migration, then crash
+            // (drop): only platters + manifest live on.
             let quarter = shard::key_space_for(s.order()) / 4;
-            faulty[1].0.inject(FaultKind::TornWrite {
-                after_writes: cut_after,
-            });
+            power.cut_after(cut_after);
             if s.migrate_range(0, quarter, 1).is_err() {
                 fired += 1;
+            }
+        }
+        // Each disk persists a seeded subset of its unsynced writes.
+        let mut rng = StdRng::seed_from_u64(0x5A4D + cut_after);
+        for (data, log) in &faulty {
+            for disk in [data, log] {
+                disk.crash(|| rng.random_range(0..2) == 0).unwrap();
             }
         }
         // Reopen from the platters: WAL recovery per shard, then the
